@@ -25,7 +25,8 @@ if __package__ in (None, ""):  # direct invocation: put repo root + src on the p
     sys.path[:0] = [_ROOT, os.path.join(_ROOT, "src")]
 
 from repro.analysis.metrics import format_table
-from repro.obs.export import bench_document, bench_result, write_document
+from repro.obs import artifact
+from repro.obs.export import bench_document, bench_result
 from repro.obs.regress import archive_document, metrics_of
 from repro.sim.rng import RngRegistry
 
@@ -82,7 +83,7 @@ def report(
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:
         fh.write(text)
     doc = bench_document(name, title=title, seed=current_seed(), results=[result])
-    write_document(os.path.join(RESULTS_DIR, f"BENCH_{name}.json"), doc)
+    artifact.write(os.path.join(RESULTS_DIR, f"BENCH_{name}.json"), doc)
 
     print("\n" + text)
     return text
@@ -200,7 +201,7 @@ def run_cli(namespace: Dict, bench_id: Optional[str] = None) -> None:
         _embed_repeat_stats(base_doc, rep_docs, seeds)
 
     if args.json_path:
-        write_document(args.json_path, base_doc)
+        artifact.write(args.json_path, base_doc)
         print(f"wrote {args.json_path}")
     if args.archive:
         path = archive_document(args.archive, base_doc)

@@ -401,46 +401,14 @@ def traffic_report(network) -> str:
     goodput, drops by cause, and the blackout cost of each
     reconfiguration window.  Off unless the network was built with
     ``Network(traffic=...)``."""
-    engine = getattr(network, "traffic", None)
     lines = ["traffic SLO:"]
-    if engine is None:
+    if getattr(network, "traffic", None) is None:
         lines.append("  off (build Network(traffic=...) to run a workload)")
         return "\n".join(lines)
-    doc = engine.document()
-    lines.append(
-        f"  {doc['config']['pattern']} workload, {doc['generated_flows']} flows "
-        f"over {doc['config']['hosts']} hosts ({doc['config']['mode']} mode, "
-        f"{'launched' if doc['launched'] else 'not launched'})"
-    )
-    lines.append(
-        f"  flows: {doc['flows_completed']} completed, {doc['flows_active']} "
-        f"active ({doc['flows_unrouted']} unrouted), {doc['flows_pending']} pending"
-    )
-    goodput = doc["goodput_bytes_per_sec"]
-    lines.append(
-        f"  offered {doc['offered_bytes'] / 1024:.1f} KiB, delivered "
-        f"{doc['delivered_bytes'] / 1024:.1f} KiB"
-        + (f" ({goodput / 1024:.1f} KiB/s)" if goodput is not None else "")
-        + f", blackout cost {doc['blackout_cost_bytes'] / 1024:.1f} KiB"
-    )
-    latency = doc["latency"]
-    if latency["count"]:
-        lines.append(
-            f"  delivery latency: p50 {latency['p50_ns'] / 1e6:.1f} ms, "
-            f"p99 {latency['p99_ns'] / 1e6:.1f} ms over {latency['count']} flows"
-        )
-    if doc["drops"]:
-        drops = ", ".join(f"{k}={v}" for k, v in doc["drops"].items())
-        lines.append(f"  drops: {drops}")
-    for window in doc["windows"]:
-        if window["end_ns"] is None:
-            continue
-        lines.append(
-            f"    epoch {window['epoch']} "
-            f"[+{window['start_ns'] / 1e9:.3f}s..+{window['end_ns'] / 1e9:.3f}s]: "
-            f"blackout cost {window['blackout_cost_bytes'] / 1024:.1f} KiB "
-            f"of {window['offered_bytes'] / 1024:.1f} KiB offered"
-        )
+    from repro.traffic.__main__ import render_report
+
+    report = render_report(network.traffic_doc())
+    lines.extend(f"  {line}" for line in report.splitlines())
     return "\n".join(lines)
 
 
@@ -449,9 +417,10 @@ def sweep_report(doc) -> str:
     of a ``repro.obs.sweep/1`` artifact -- one row per topology rung and
     the fitted log-log exponents.  Takes the document (sweeps span many
     networks, so there is no live network to inspect)."""
-    from repro.obs.sweep import render_sweep, validate_sweep
+    from repro.obs.artifact import validate
+    from repro.obs.sweep import SWEEP_SCHEMA, render_sweep
 
-    return render_sweep(validate_sweep(doc))
+    return render_sweep(validate(doc, SWEEP_SCHEMA))
 
 
 def staticcheck_report(roots=("src",), baseline_path=None) -> str:

@@ -36,7 +36,7 @@ from repro.chaos.events import (
     RestoreLink,
     event_from_dict,
 )
-from repro.chaos.replay import load_artifact, replay_artifact, write_artifact
+from repro.chaos.replay import replay_artifact
 from repro.chaos.schedule import Injector, SampleParams, Schedule, ScheduleSampler
 from repro.chaos.shrink import shrink_schedule
 
@@ -58,8 +58,6 @@ __all__ = [
     "ScheduleResult",
     "ScheduleSampler",
     "event_from_dict",
-    "load_artifact",
     "replay_artifact",
     "shrink_schedule",
-    "write_artifact",
 ]

@@ -10,9 +10,10 @@
         --json campaign.json --artifact-dir chaos-artifacts
 
     # re-run a reproducer somebody attached to a bug report, recording
-    # the causal flight trace of the failure (load it in Perfetto)
+    # the flight trace (load it in Perfetto), timeseries, in-band and
+    # traffic SLO artifacts of the failure into a directory
     python -m repro.chaos --replay chaos-artifacts/schedule-0007.json \\
-        --trace schedule-0007.trace.json
+        --artifacts replay-out
 
 Exit status is 0 when every schedule passes, 1 otherwise.
 """
@@ -25,10 +26,10 @@ import sys
 
 from repro.analysis.doctor import campaign_report
 from repro.chaos.campaign import CampaignConfig, CampaignRunner
-from repro.chaos.replay import reproducer_dict, write_artifact
-from repro.chaos.schedule import SampleParams
+from repro.chaos.replay import replay_artifact, reproducer_dict
+from repro.chaos.schedule import SCHEDULE_SCHEMA, SampleParams
 from repro.chaos.shrink import shrink_schedule
-from repro.obs.export import write_document
+from repro.obs import artifact
 
 #: how many failures the CLI will shrink before giving up (each shrink
 #: re-runs the schedule tens of times)
@@ -65,25 +66,11 @@ def main(argv=None) -> int:
         help="replay one reproducer artifact instead of sampling",
     )
     parser.add_argument(
-        "--trace",
-        metavar="PATH",
+        "--artifacts",
+        metavar="DIR",
         default=None,
-        help="with --replay: record a flight trace of the replay "
-        "and write the Perfetto JSON here",
-    )
-    parser.add_argument(
-        "--inband",
-        metavar="PATH",
-        default=None,
-        help="with --replay: record in-band path telemetry and write "
-        "the repro.obs.inband/1 artifact here",
-    )
-    parser.add_argument(
-        "--traffic",
-        metavar="PATH",
-        default=None,
-        help="with --replay: drive the fluid workload through the "
-        "replay and write the repro.traffic/1 SLO artifact here",
+        help="with --replay: record the replay with every observer on and "
+        "write <name>.{trace,timeseries,inband,traffic}.json here",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress per-schedule progress lines")
     args = parser.parse_args(argv)
@@ -125,7 +112,7 @@ def main(argv=None) -> int:
     doc = runner.document()
 
     if args.json:
-        write_document(args.json, doc)
+        artifact.write(args.json, doc)
         print(f"wrote {args.json}")
 
     failures = runner.failures
@@ -147,36 +134,23 @@ def _shrink_failures(runner: CampaignRunner, args) -> None:
         # the confirmation replay doubles as the recording pass: the
         # causal flight trace, the longitudinal timeseries, the in-band
         # path telemetry, and the workload SLO accounting land next to
-        # the reproducer, so the event timeline, the port-state/FIFO/
-        # epoch trajectory, and the data-plane SLO damage of the minimal
-        # failure all ship with it (replayable via `python -m repro.obs
-        # watch --replay` and inspectable via the repro.obs.inband and
-        # repro.traffic validator/query APIs)
-        trace_path = os.path.join(args.artifact_dir, f"{result.name}.trace.json")
-        timeseries_path = os.path.join(
-            args.artifact_dir, f"{result.name}.timeseries.json"
-        )
-        inband_path = os.path.join(args.artifact_dir, f"{result.name}.inband.json")
-        traffic_path = os.path.join(args.artifact_dir, f"{result.name}.traffic.json")
-        replayed = runner.run_schedule(
-            minimal,
-            trace_path=trace_path,
-            timeseries_path=timeseries_path,
-            inband_path=inband_path,
-            traffic_path=traffic_path,
-        )
+        # the reproducer as <name>.{trace,timeseries,inband,traffic}.json
+        # (replayable via `python -m repro.obs watch --replay`, checkable
+        # via `python -m repro.obs validate`)
+        replayed = runner.run_schedule(minimal, name=result.name, artifacts=args.artifact_dir)
         path = os.path.join(args.artifact_dir, f"{result.name}.json")
-        artifact = reproducer_dict(
-            minimal,
-            violations=replayed.violations or result.violations,
-            original_events=len(result.schedule.events),
-            shrink_runs=runs,
+        artifact.write(
+            path,
+            reproducer_dict(
+                minimal,
+                violations=replayed.violations or result.violations,
+                original_events=len(result.schedule.events),
+                shrink_runs=runs,
+            ),
         )
-        write_artifact(path, artifact)
         print(
             f"  -> {len(minimal.events)} events after {runs} runs: {path} "
-            f"(trace: {trace_path}, timeseries: {timeseries_path}, "
-            f"inband: {inband_path}, traffic: {traffic_path})",
+            f"(+ .trace/.timeseries/.inband/.traffic.json beside it)",
             flush=True,
         )
     skipped = len(runner.failures) - MAX_SHRINKS
@@ -185,22 +159,14 @@ def _shrink_failures(runner: CampaignRunner, args) -> None:
 
 
 def _replay(args) -> int:
-    from repro.chaos.replay import load_artifact, replay_artifact
-
-    doc = load_artifact(args.replay)
-    result = replay_artifact(
-        args.replay,
-        trace_path=args.trace,
-        inband_path=args.inband,
-        traffic_path=args.traffic,
-    )
+    doc = artifact.read(args.replay, SCHEDULE_SCHEMA)
+    result = replay_artifact(args.replay, artifacts=args.artifacts)
     print(result.schedule.describe())
-    if args.trace:
-        print(f"flight trace written to {args.trace}")
-    if args.inband:
-        print(f"in-band telemetry written to {args.inband}")
-    if args.traffic:
-        print(f"traffic SLO artifact written to {args.traffic}")
+    if args.artifacts:
+        print(
+            f"observer artifacts written to "
+            f"{os.path.join(args.artifacts, result.name)}.*.json"
+        )
     print()
     if result.passed:
         print("replay PASSED: the artifact no longer reproduces a violation")

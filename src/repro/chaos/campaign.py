@@ -20,6 +20,7 @@ byte-for-byte).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -119,23 +120,11 @@ class CampaignRunner:
             plan.append((f"h{h}", [(sw, free[h % len(free)])]))
         return plan
 
-    def build_network(
-        self,
-        schedule: Schedule,
-        flight: bool = False,
-        timeseries: bool = False,
-        inband: bool = False,
-        traffic: object = False,
-    ) -> Network:
-        network = Network(
-            self.spec,
-            seed=schedule.seed,
-            telemetry=True,
-            flight=flight,
-            timeseries=timeseries,
-            inband=inband,
-            traffic=traffic,
-        )
+    def build_network(self, schedule: Schedule, **observers) -> Network:
+        """A fresh installation for one schedule; ``observers`` are
+        ``Network`` keywords (``flight=``, ``timeseries=``, ``inband=``,
+        ``traffic=`` ...)."""
+        network = Network(self.spec, seed=schedule.seed, telemetry=True, **observers)
         for name, attachments in self._host_plan():
             network.add_host(name, attachments)
         return network
@@ -146,48 +135,41 @@ class CampaignRunner:
         self,
         schedule: Schedule,
         name: str = "",
-        trace_path: Optional[str] = None,
-        timeseries_path: Optional[str] = None,
-        inband_path: Optional[str] = None,
+        artifacts: Optional[str] = None,
         traffic: object = None,
-        traffic_path: Optional[str] = None,
     ) -> ScheduleResult:
-        """Run one schedule; ``trace_path`` turns on the flight recorder
-        for this run and writes the Perfetto trace there afterwards,
-        ``timeseries_path`` does the same for the longitudinal sampler,
-        and ``inband_path`` for the in-band path telemetry layer (all
-        are observational, so the run itself is unchanged).
+        """Run one schedule.
 
         ``traffic`` (default: the config's ``traffic`` field) drives a
         workload through the schedule's faults; the fluid model is
         observational, so the reconfiguration trajectory is unchanged
         while the SLO invariants (no flow left permanently unrouted at
-        quiescence) join the quiescent checks.  ``traffic_path`` writes
-        the ``repro.traffic/1`` SLO artifact afterwards (implies the
-        default workload when ``traffic`` is off)."""
+        quiescence) join the quiescent checks.
+
+        ``artifacts`` names a directory: the run then records with the
+        flight recorder, the longitudinal sampler, in-band telemetry and
+        a workload (the default one when ``traffic`` is off) -- all
+        observational, so the run itself is unchanged -- and afterwards
+        leaves ``<name>.trace.json``, ``<name>.timeseries.json``,
+        ``<name>.inband.json`` and ``<name>.traffic.json`` there."""
         if traffic is None:
             traffic = self.config.traffic
-        if traffic is None or traffic is False:
-            traffic = traffic_path is not None
         result = ScheduleResult(name=name or schedule.name, schedule=schedule)
+        recording = artifacts is not None
+        if recording and (traffic is None or traffic is False):
+            traffic = True
         network = self.build_network(
-            schedule,
-            flight=trace_path is not None,
-            timeseries=timeseries_path is not None,
-            inband=inband_path is not None,
-            traffic=traffic,
+            schedule, flight=recording, timeseries=recording, inband=recording, traffic=traffic
         )
         try:
             return self._run_schedule(network, schedule, result)
         finally:
-            if trace_path is not None:
-                network.export_flight_trace(trace_path)
-            if timeseries_path is not None:
-                network.export_timeseries(timeseries_path)
-            if inband_path is not None:
-                network.export_inband(inband_path)
-            if traffic_path is not None and network.traffic is not None:
-                network.export_traffic(traffic_path, name=result.name)
+            if artifacts is not None:
+                stem = os.path.join(artifacts, result.name)
+                network.export_flight_trace(f"{stem}.trace.json")
+                network.export_timeseries(f"{stem}.timeseries.json")
+                network.export_inband(f"{stem}.inband.json")
+                network.export_traffic(f"{stem}.traffic.json", name=result.name)
 
     def _run_schedule(
         self, network: Network, schedule: Schedule, result: ScheduleResult

@@ -18,11 +18,10 @@ bit-identically or the artifact is stale -- both useful answers.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, List, Optional
 
 from repro.chaos.schedule import SCHEDULE_SCHEMA, Schedule
+from repro.obs.artifact import Enum, Schema, fail, read
 
 
 def reproducer_dict(
@@ -45,57 +44,31 @@ def reproducer_dict(
     return doc
 
 
-def write_artifact(path: str, doc: Dict[str, Any]) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _rules(doc: Dict[str, Any]) -> None:
+    """The embedded schedule must load."""
+    try:
+        Schedule.from_dict(doc["schedule"])
+    except (KeyError, TypeError, ValueError) as exc:
+        fail("$.schedule", f"does not load: {exc!r}")
 
 
-def load_artifact(path: str) -> Dict[str, Any]:
-    """Load and structurally validate a reproducer artifact."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEDULE_SCHEMA:
-        raise ValueError(f"{path}: not a {SCHEDULE_SCHEMA} artifact")
-    if doc.get("kind") != "reproducer":
-        raise ValueError(f"{path}: kind={doc.get('kind')!r}, expected 'reproducer'")
-    Schedule.from_dict(doc["schedule"])  # validates the embedded schedule
-    return doc
+ARTIFACT = Schema({"kind": Enum("reproducer"), "schedule": {}}, rules=_rules, sort_keys=True)
 
 
-def replay_artifact(
-    path: str,
-    config=None,
-    trace_path: Optional[str] = None,
-    inband_path: Optional[str] = None,
-    traffic_path: Optional[str] = None,
-):
+def replay_artifact(path: str, config=None, artifacts: Optional[str] = None):
     """Re-run an artifact's schedule; returns its ScheduleResult.
 
     ``config`` (a :class:`~repro.chaos.campaign.CampaignConfig`)
     overrides everything except the topology, which always comes from
-    the artifact.  ``trace_path`` records a flight trace of the replay
-    and writes the Perfetto document there -- the causal timeline of the
-    very run the reproducer provokes.  ``inband_path`` records in-band
-    path telemetry (per-flow paths, SLO damage) and writes the
-    ``repro.obs.inband/1`` artifact there.  ``traffic_path`` drives the
-    fluid workload through the replay and writes the ``repro.traffic/1``
-    SLO artifact (blackout cost, latency quantiles) there.
+    the artifact.  ``artifacts`` names a directory: the replay then runs
+    with every observer on and leaves the flight trace, timeseries,
+    in-band telemetry and traffic SLO documents of the very run the
+    reproducer provokes there (see ``CampaignRunner.run_schedule``).
     """
     from repro.chaos.campaign import CampaignConfig, CampaignRunner
 
-    doc = load_artifact(path)
-    schedule = Schedule.from_dict(doc["schedule"])
+    schedule = Schedule.from_dict(read(path, SCHEDULE_SCHEMA)["schedule"])
     config = config or CampaignConfig()
     config.topology = schedule.topology
     runner = CampaignRunner(config)
-    return runner.run_schedule(
-        schedule,
-        name=schedule.name or "replay",
-        trace_path=trace_path,
-        inband_path=inband_path,
-        traffic_path=traffic_path,
-    )
+    return runner.run_schedule(schedule, name=schedule.name or "replay", artifacts=artifacts)

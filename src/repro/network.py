@@ -22,9 +22,11 @@ from repro.host.controller import HostController
 from repro.host.driver import AutonetDriver
 from repro.net.link import Link, LinkState, connect
 from repro.net.switch import Switch
+from repro.obs import artifact
 from repro.obs.flight import FlightRecorder
 from repro.obs.control import ControlAccounting
 from repro.obs.inband import InbandConfig, InbandTelemetry
+from repro.obs.perfetto import trace_event_document
 from repro.obs.profiler import EventLoopProfiler
 from repro.obs.spans import ReconfigTracer
 from repro.obs.timeseries import TimeSeriesConfig, TimeSeriesSampler
@@ -137,7 +139,6 @@ class Network:
         self.merged_log = MergedLog()
         self.epochs: Dict[int, EpochRecord] = {}
 
-        clock_rng = self.rng.stream("clock-offsets")
         prefix = f"{self.name}." if self.name else ""
         for i, uid in enumerate(spec.uids):
             switch = Switch(self.sim, name=f"{prefix}sw{i}", uid=uid)
@@ -147,15 +148,7 @@ class Network:
                 for unit in switch.ports.values():
                     unit.discard_misdirected = True
             self.switches.append(switch)
-            offset = clock_rng.randrange(0, 50_000_000)  # up to 50 ms skew
-            autopilot = Autopilot(
-                switch, params=self.params_factory(i), clock_offset=offset
-            )
-            autopilot.on_configured_hook = self._make_configured_hook(uid)
-            self.autopilots.append(autopilot)
-            self.merged_log.attach(autopilot.trace)
-            self._install_code_hook(i)
-            self._install_telemetry(i)
+            self._boot_autopilot(i)
 
         for a, pa, b, pb in spec.cables:
             link = connect(
@@ -213,6 +206,23 @@ class Network:
                     record.started_at = earliest
 
         return hook
+
+    def _boot_autopilot(self, index: int, software_version: Optional[int] = None) -> None:
+        """(Re)boot switch ``index``'s control processor: a fresh
+        Autopilot with a newly drawn clock skew, wired to the epoch
+        records, the code-download path, the merged log and the obs
+        layer."""
+        switch = self.switches[index]
+        offset = self.rng.stream("clock-offsets").randrange(0, 50_000_000)  # up to 50 ms skew
+        autopilot = Autopilot(switch, params=self.params_factory(index), clock_offset=offset)
+        if software_version is not None:  # booting a downloaded release (section 5.4)
+            autopilot.software_version = software_version
+        autopilot.on_configured_hook = self._make_configured_hook(switch.uid)
+        autopilot.on_code_download = lambda new: self._reboot_into(index, new)
+        # first boot appends, a reboot replaces
+        self.autopilots[index : index + 1] = [autopilot]
+        self.merged_log.attach(autopilot.trace)
+        self._install_telemetry(index)
 
     # -- telemetry (repro.obs) ---------------------------------------------------------------
 
@@ -289,21 +299,8 @@ class Network:
                     state=state.value,
                 )
             for p, unit in sorted(switch.ports.items()):
-                if not unit.connected:
-                    continue
-                sampler.add_collector(
-                    "fifo_occupancy_bytes",
-                    lambda i=i, p=p: self.switches[i].ports[p].fifo.peek_level(),
-                    switch=name,
-                    port=p,
-                )
-                sampler.add_collector(
-                    "fifo_highwater_bytes",
-                    lambda i=i, p=p: self.switches[i].ports[p].fifo.max_level,
-                    kind="highwater",
-                    switch=name,
-                    port=p,
-                )
+                if unit.connected:
+                    self._sample_fifo(i, p)
         if self.tracer is not None:
             self.tracer.add_listener(
                 lambda t_ns, component, event, _attrs: sampler.mark(
@@ -311,56 +308,74 @@ class Network:
                 )
             )
 
+    def _sample_fifo(self, sw: int, port: int) -> None:
+        """Register the occupancy / high-water collector pair for one
+        connected switch port (late-bound like every other collector)."""
+        sampler = self.sampler
+        assert sampler is not None
+        name = self.switches[sw].name
+        sampler.add_collector(
+            "fifo_occupancy_bytes",
+            lambda: self.switches[sw].ports[port].fifo.peek_level(),
+            switch=name,
+            port=port,
+        )
+        sampler.add_collector(
+            "fifo_highwater_bytes",
+            lambda: self.switches[sw].ports[port].fifo.max_level,
+            kind="highwater",
+            switch=name,
+            port=port,
+        )
+
+    # -- observer artifacts (repro.obs.artifact) ---------------------------------------------------
+
+    def _artifact(self, layer: str, observer, path: Optional[str] = None, name: str = "") -> Dict:
+        """One observer's document of everything it recorded so far,
+        validated and written to ``path`` when given."""
+        if observer is None:
+            raise RuntimeError(f"{layer} is off; build Network({layer}=...)")
+        name = name or self.name or self.spec.name
+        if observer is self.flight:
+            # the §6.7 merged circular log rides along as its own track
+            doc = trace_event_document(observer, merged_log=self.merged_log, name=name)
+        else:
+            doc = observer.document(name=name)
+        if path is not None:
+            artifact.write(path, doc)
+        return doc
+
+    def flight_trace(self) -> Dict:
+        """The ``repro.obs.flight/1`` / Chrome trace_event document."""
+        return self._artifact("flight", self.flight)
+
+    def export_flight_trace(self, path: str) -> Dict:
+        """Validate and write the flight trace; returns the document."""
+        return self._artifact("flight", self.flight, path)
+
     def timeseries_doc(self) -> Dict:
-        """The ``repro.obs.timeseries/1`` artifact of everything the
-        sampler recorded so far."""
-        if self.sampler is None:
-            raise RuntimeError(
-                "time-series sampler is off; build Network(timeseries=...)"
-            )
-        return self.sampler.document(name=self.name or self.spec.name)
+        """The ``repro.obs.timeseries/1`` artifact."""
+        return self._artifact("timeseries", self.sampler)
 
     def export_timeseries(self, path: str) -> Dict:
         """Validate and write the timeseries artifact; returns the doc."""
-        from repro.obs.timeseries import write_timeseries
-
-        doc = self.timeseries_doc()
-        write_timeseries(path, doc)
-        return doc
+        return self._artifact("timeseries", self.sampler, path)
 
     def inband_doc(self) -> Dict:
-        """The ``repro.obs.inband/1`` artifact of everything the in-band
-        layer recorded so far."""
-        if self.inband is None:
-            raise RuntimeError(
-                "in-band telemetry is off; build Network(inband=...)"
-            )
-        return self.inband.document(name=self.name or self.spec.name)
+        """The ``repro.obs.inband/1`` artifact."""
+        return self._artifact("inband", self.inband)
 
     def export_inband(self, path: str) -> Dict:
         """Validate and write the inband artifact; returns the doc."""
-        from repro.obs.inband import write_inband
-
-        doc = self.inband_doc()
-        write_inband(path, doc)
-        return doc
+        return self._artifact("inband", self.inband, path)
 
     def traffic_doc(self, name: str = "") -> Dict:
-        """The ``repro.traffic/1`` artifact of the workload's SLO
-        accounting so far."""
-        if self.traffic is None:
-            raise RuntimeError(
-                "traffic engine is off; build Network(traffic=...)"
-            )
-        return self.traffic.document(name=name or self.name or self.spec.name)
+        """The ``repro.traffic/1`` artifact of the workload's SLO accounting."""
+        return self._artifact("traffic", self.traffic, name=name)
 
     def export_traffic(self, path: str, name: str = "") -> Dict:
         """Validate and write the traffic artifact; returns the doc."""
-        from repro.traffic.artifact import write_traffic
-
-        doc = self.traffic_doc(name=name)
-        write_traffic(path, doc)
-        return doc
+        return self._artifact("traffic", self.traffic, path, name)
 
     def telemetry(self) -> Dict:
         """One structured snapshot of everything the installation knows
@@ -497,19 +512,7 @@ class Network:
             if self.sampler is not None:
                 # the switch-side port just became connected; sample its
                 # FIFO like every port cabled at build time
-                self.sampler.add_collector(
-                    "fifo_occupancy_bytes",
-                    lambda i=sw, p=port: self.switches[i].ports[p].fifo.peek_level(),
-                    switch=self.switches[sw].name,
-                    port=port,
-                )
-                self.sampler.add_collector(
-                    "fifo_highwater_bytes",
-                    lambda i=sw, p=port: self.switches[i].ports[p].fifo.max_level,
-                    kind="highwater",
-                    switch=self.switches[sw].name,
-                    port=port,
-                )
+                self._sample_fifo(sw, port)
         self._host_attachments[name] = [sw for sw, _port in attachments]
         self.hosts[name] = controller
         if with_driver:
@@ -762,17 +765,8 @@ class Network:
         if self.autopilots[index].alive:
             return  # never double-boot a running switch
         self._notify_fault("restart-switch", index=index)
-        switch = self.switches[index]
-        switch.power_on()
-        offset = self.rng.stream("clock-offsets").randrange(0, 50_000_000)
-        autopilot = Autopilot(
-            switch, params=self.params_factory(index), clock_offset=offset
-        )
-        autopilot.on_configured_hook = self._make_configured_hook(switch.uid)
-        self.autopilots[index] = autopilot
-        self.merged_log.attach(autopilot.trace)
-        self._install_code_hook(index)
-        self._install_telemetry(index)
+        self.switches[index].power_on()
+        self._boot_autopilot(index)
 
     # -- Autopilot releases (section 5.4 / the section 7 anecdote) -----------------------
 
@@ -795,11 +789,6 @@ class Network:
 
     _propagate_delay_ns: int = 5 * SEC
 
-    def _install_code_hook(self, index: int) -> None:
-        self.autopilots[index].on_code_download = (
-            lambda version, i=index: self._reboot_into(i, version)
-        )
-
     #: time a switch is down while booting a new image (ROM load etc.)
     _boot_delay_ns: int = 300_000_000
 
@@ -816,18 +805,8 @@ class Network:
 
         def boot() -> None:
             switch.power_on()
-            offset = self.rng.stream("clock-offsets").randrange(0, 50_000_000)
-            autopilot = Autopilot(
-                switch,
-                params=self.params_factory(index),
-                clock_offset=offset,
-                software_version=version,
-            )
-            autopilot.on_configured_hook = self._make_configured_hook(switch.uid)
-            self.autopilots[index] = autopilot
-            self.merged_log.attach(autopilot.trace)
-            self._install_code_hook(index)
-            self._install_telemetry(index)
+            self._boot_autopilot(index, software_version=version)
+            autopilot = self.autopilots[index]
 
             def offer(port: int) -> None:
                 if not autopilot.alive:
@@ -884,30 +863,6 @@ class Network:
                 link.set_state(state)
             else:
                 link.set_state(LinkState.CUT)
-
-    # -- flight trace export ----------------------------------------------------------------------
-
-    def flight_trace(self) -> Dict:
-        """The ``repro.obs.flight/1`` / Chrome trace_event document of
-        everything the flight recorder captured, with the §6.7 merged
-        circular log bridged in as its own track."""
-        if self.flight is None:
-            raise RuntimeError("flight recorder is off; build Network(flight=True)")
-        from repro.obs.perfetto import trace_event_document
-
-        return trace_event_document(
-            self.flight,
-            merged_log=self.merged_log,
-            name=self.name or self.spec.name,
-        )
-
-    def export_flight_trace(self, path: str) -> Dict:
-        """Validate and write the flight trace; returns the document."""
-        from repro.obs.perfetto import write_trace
-
-        doc = self.flight_trace()
-        write_trace(path, doc)
-        return doc
 
     # -- debugging --------------------------------------------------------------------------------
 

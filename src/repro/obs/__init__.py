@@ -12,13 +12,16 @@ bench-trajectory needs of ROADMAP.md:
   merged log turned into structured spans (trigger -> epoch start -> tree
   stable -> topology at root -> tables loaded -> reopen) with per-switch
   and per-host blackout intervals.
+* :mod:`repro.obs.artifact` -- the one artifact envelope: every
+  ``repro.*/1`` document below is a schema table validated, read and
+  written by its ``validate`` / ``read`` / ``write``.
 * :mod:`repro.obs.export` -- the stable JSON schema every benchmark emits
   through ``benchmarks/bench_util.py``, so runs are machine-readable.
 * :mod:`repro.obs.flight` -- the flight recorder: causally-linked events
   (message sends/receives, port transitions, timers, epoch phases, table
   loads) in bounded per-component rings, with ``why``/``wave`` queries.
 * :mod:`repro.obs.perfetto` -- Chrome ``trace_event`` / Perfetto export
-  of a flight recording (``repro.obs.flight/1``), plus its validator.
+  of a flight recording (``repro.obs.flight/1``).
 * :mod:`repro.obs.profiler` -- the event-loop profiler: wall-clock and
   event counts per handler category, and the ``events_per_sec`` baseline.
 * :mod:`repro.obs.timeseries` -- the longitudinal sampler: periodic
@@ -46,28 +49,19 @@ bench-trajectory needs of ROADMAP.md:
   log-log slope fits per metric.
 
 ``python -m repro.obs`` exposes ``export``, ``why``, ``profile``,
-``watch``, ``paths``, ``regress``, and ``sweep``.
+``watch``, ``paths``, ``regress``, ``sweep``, and ``validate``.
 """
 
+from repro.obs.artifact import SchemaError
 from repro.obs.control import PHASES, ControlAccounting
-from repro.obs.export import (
-    SCHEMA,
-    bench_document,
-    bench_result,
-    validate_document,
-    write_document,
-)
+from repro.obs.export import SCHEMA, bench_document, bench_result
 from repro.obs.inband import (
     INBAND_SCHEMA,
     InbandConfig,
-    InbandSchemaError,
     InbandTelemetry,
     PathCollector,
     SloTracker,
     exact_quantile,
-    read_inband,
-    validate_inband,
-    write_inband,
 )
 from repro.obs.flight import (
     ComponentRing,
@@ -78,10 +72,7 @@ from repro.obs.flight import (
 from repro.obs.perfetto import (
     FLIGHT_SCHEMA,
     path_trace_document,
-    read_trace,
     trace_event_document,
-    validate_trace,
-    write_trace,
 )
 from repro.obs.profiler import EventLoopProfiler
 from repro.obs.registry import (
@@ -98,9 +89,6 @@ from repro.obs.regress import (
     archive_document,
     baseline_window,
     compare,
-    read_regress,
-    validate_regress,
-    write_regress,
 )
 from repro.obs.spans import ReconfigTracer, Span, SpanTracer
 from repro.obs.sweep import (
@@ -108,15 +96,11 @@ from repro.obs.sweep import (
     SWEEP_METRICS,
     SWEEP_SCHEMA,
     SweepPoint,
-    SweepSchemaError,
     fit_slope,
     fit_slopes,
-    read_sweep,
     render_sweep,
     run_point,
     run_sweep,
-    validate_sweep,
-    write_sweep,
 )
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
@@ -124,17 +108,13 @@ from repro.obs.timeseries import (
     TimeSeries,
     TimeSeriesConfig,
     TimeSeriesSampler,
-    read_timeseries,
-    validate_timeseries,
-    write_timeseries,
 )
 
 __all__ = [
+    "SchemaError",
     "SCHEMA",
     "bench_document",
     "bench_result",
-    "validate_document",
-    "write_document",
     "Counter",
     "Gauge",
     "Histogram",
@@ -150,50 +130,33 @@ __all__ = [
     "render_chain",
     "FLIGHT_SCHEMA",
     "path_trace_document",
-    "read_trace",
     "trace_event_document",
-    "validate_trace",
-    "write_trace",
     "INBAND_SCHEMA",
     "InbandConfig",
-    "InbandSchemaError",
     "InbandTelemetry",
     "PathCollector",
     "SloTracker",
     "exact_quantile",
-    "read_inband",
-    "validate_inband",
-    "write_inband",
     "EventLoopProfiler",
     "TIMESERIES_SCHEMA",
     "SeriesData",
     "TimeSeries",
     "TimeSeriesConfig",
     "TimeSeriesSampler",
-    "read_timeseries",
-    "validate_timeseries",
-    "write_timeseries",
     "REGRESS_SCHEMA",
     "Tolerance",
     "archive_document",
     "baseline_window",
     "compare",
-    "read_regress",
-    "validate_regress",
-    "write_regress",
     "PHASES",
     "ControlAccounting",
     "LADDERS",
     "SWEEP_METRICS",
     "SWEEP_SCHEMA",
     "SweepPoint",
-    "SweepSchemaError",
     "fit_slope",
     "fit_slopes",
-    "read_sweep",
     "render_sweep",
     "run_point",
     "run_sweep",
-    "validate_sweep",
-    "write_sweep",
 ]

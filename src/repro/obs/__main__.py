@@ -24,6 +24,9 @@
     # in-band path telemetry: per-flow paths, p50/p99, congested links
     python -m repro.obs paths --topo torus-3x4 --cut 0-1
 
+    # structural gate for any repro.*/1 artifact (dispatches on the tag)
+    python -m repro.obs validate bench.json sweep.json traffic.json
+
 Each scenario subcommand runs the same scenario: build the topology,
 converge, apply the requested link cuts, reconverge.  ``export`` writes
 a ``repro.obs.flight/1`` document loadable at https://ui.perfetto.dev;
@@ -33,7 +36,9 @@ itself; ``watch`` renders the time-series sampler live (or replays an
 artifact); ``regress`` compares ``repro.bench/1`` documents against a
 baseline window and exits non-zero on out-of-band metrics; ``sweep``
 climbs a topology ladder and writes ``repro.obs.sweep/1`` scaling
-curves (convergence, blackout, control-plane cost versus size).
+curves (convergence, blackout, control-plane cost versus size);
+``validate`` checks any ``repro.*/1`` file against the schema its tag
+names (:mod:`repro.obs.artifact`).
 """
 
 from __future__ import annotations
@@ -45,32 +50,16 @@ from typing import List, Optional, Tuple
 
 from repro.constants import MS, SEC
 from repro.network import Network
-from repro.obs.export import bench_document, bench_result, write_document
+from repro.obs import artifact
+from repro.obs.export import bench_document, bench_result
 from repro.obs.flight import CAT_EPOCH, CAT_PORT, render_chain
-from repro.obs.inband import write_inband
-from repro.obs.perfetto import path_trace_document, write_trace
-from repro.obs.regress import (
-    Tolerance,
-    baseline_window,
-    compare,
-    render_verdict,
-    write_regress,
-)
-from repro.obs.sweep import LADDERS, render_sweep, run_sweep, write_sweep
+from repro.obs.perfetto import path_trace_document
+from repro.obs.regress import Tolerance, baseline_window, compare, render_verdict
+from repro.obs.sweep import LADDERS, render_sweep, run_sweep
 from repro.obs.timeseries import TimeSeries, TimeSeriesConfig
 from repro.obs.watch import watch_live, watch_replay
-from repro.scenario import drive_scenario, report_unknown_subcommand
+from repro.scenario import drive_scenario, fmt_ns, parse_cut, report_unknown_subcommand
 from repro.topology.generators import TOPOLOGY_FAMILIES, resolve_topology
-
-
-def _parse_cut(text: str) -> Tuple[int, int]:
-    try:
-        a, b = text.split("-", 1)
-        return int(a), int(b)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a cut like 0-1 (two switch indices), got {text!r}"
-        ) from exc
 
 
 def _run_scenario(
@@ -123,18 +112,6 @@ def _attach_traffic(
     return hosts
 
 
-def _fmt_ns(value) -> str:
-    if value is None:
-        return "-"
-    if value < 1_000:
-        return f"{value:.0f}ns"
-    if value < 1_000_000:
-        return f"{value / 1e3:.1f}us"
-    if value < 1_000_000_000:
-        return f"{value / 1e6:.1f}ms"
-    return f"{value / 1e9:.3f}s"
-
-
 def _fmt_path(path, max_hops: int = 6) -> str:
     shown = [
         f"{sw}:p{inp}>" + "/".join(f"p{o}" for o in outs)
@@ -173,8 +150,8 @@ def _cmd_paths(args) -> int:
         print(
             f"  {who(flow['src_uid'])} -> {who(flow['dest_uid'])}: "
             f"{flow['deliveries']} delivered, "
-            f"p50 {_fmt_ns(flow['latency_p50_ns'])} "
-            f"p99 {_fmt_ns(flow['latency_p99_ns'])}, "
+            f"p50 {fmt_ns(flow['latency_p50_ns'])} "
+            f"p99 {fmt_ns(flow['latency_p99_ns'])}, "
             f"{flow['paths_seen']} path(s)"
         )
         print(f"    path: {_fmt_path(flow['path'])}")
@@ -202,7 +179,7 @@ def _cmd_paths(args) -> int:
     print(
         f"slo: {slo['deliveries']} delivered "
         f"({slo['delivered_bytes']} data bytes), "
-        f"p50 {_fmt_ns(slo['p50_ns'])} p99 {_fmt_ns(slo['p99_ns'])}, "
+        f"p50 {fmt_ns(slo['p50_ns'])} p99 {fmt_ns(slo['p99_ns'])}, "
         f"drops {slo['drops'] or '{}'}"
     )
     for window in slo["windows"]:
@@ -211,15 +188,15 @@ def _cmd_paths(args) -> int:
         print(
             f"  epoch {window['epoch']} "
             f"[+{window['start_ns'] / 1e9:.3f}s..+{window['end_ns'] / 1e9:.3f}s] "
-            f"blackout {_fmt_ns(window['max_blackout_ns'])}: "
+            f"blackout {fmt_ns(window['max_blackout_ns'])}: "
             f"{window['deliveries']} delivered, {window['drops']} dropped, "
             f"goodput {window['goodput_bytes']}B"
         )
     if args.out:
-        write_inband(args.out, doc)
+        artifact.write(args.out, doc)
         print(f"\nwrote {args.out}")
     if args.trace:
-        write_trace(args.trace, path_trace_document(doc, name=f"paths {args.topo}"))
+        artifact.write(args.trace, path_trace_document(doc, name=f"paths {args.topo}"))
         print(f"wrote {args.trace} -- load it at https://ui.perfetto.dev")
     return 0
 
@@ -241,7 +218,7 @@ def _cmd_export(args) -> int:
     net = _run_scenario(args.topo, args.cut, args.seed, capacity=args.capacity)
     out = args.out or f"{args.topo}.trace.json"
     doc = net.flight_trace()
-    write_trace(out, doc)
+    artifact.write(out, doc)
     rec = net.flight
     flows = sum(1 for e in doc["traceEvents"] if e.get("ph") == "s")
     print(
@@ -331,7 +308,7 @@ def _cmd_profile(args) -> int:
                 )
             ],
         )
-        write_document(args.json, doc)
+        artifact.write(args.json, doc)
         print(f"wrote {args.json}")
     return 0
 
@@ -377,7 +354,7 @@ def _cmd_regress(args) -> int:
     verdict = compare(current, window, tolerance=tolerance, strict=args.strict)
     print(render_verdict(verdict))
     if args.out:
-        write_regress(args.out, verdict)
+        artifact.write(args.out, verdict)
         print(f"wrote {args.out}")
     return 0 if verdict["verdict"] == "ok" else 1
 
@@ -399,9 +376,20 @@ def _cmd_sweep(args) -> int:
         traffic=args.traffic,
     )
     out = args.out or f"sweep-{args.ladder}.json"
-    write_sweep(out, doc)
+    artifact.write(out, doc)
     print(render_sweep(doc))
     print(f"wrote {out}")
+    return 0
+
+
+def _cmd_validate(args) -> int:
+    for path in args.files:
+        try:
+            doc = artifact.read(path)
+        except artifact.SchemaError as exc:
+            print(f"{path}: INVALID {exc}", file=sys.stderr)
+            return 1
+        print(f"{path}: valid {doc['schema']}")
     return 0
 
 
@@ -419,7 +407,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         p.add_argument(
             "--cut",
-            type=_parse_cut,
+            type=parse_cut,
             action="append",
             default=[],
             metavar="A-B",
@@ -587,6 +575,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="artifact path (default sweep-<ladder>.json)",
     )
     p_sweep.set_defaults(fn=_cmd_sweep)
+
+    p_validate = sub.add_parser(
+        "validate", help="check repro.*/1 artifacts against their schema"
+    )
+    p_validate.add_argument("files", nargs="+", metavar="FILE", help="artifact path")
+    p_validate.set_defaults(fn=_cmd_validate)
 
     # missing or unknown subcommand: list what exists instead of a bare
     # argparse error (shared with python -m repro.traffic)

@@ -1,7 +1,7 @@
 """Stable JSON export schema for benchmark runs.
 
-Every benchmark writes its results through :func:`bench_document` /
-:func:`write_document`, so downstream tooling (CI trend lines, the
+Every benchmark builds its results with :func:`bench_document` /
+:func:`bench_result`, so downstream tooling (CI trend lines, the
 paper-table comparisons) reads one format:
 
 .. code-block:: json
@@ -23,15 +23,16 @@ paper-table comparisons) reads one format:
       ]
     }
 
-``validate_document`` is a hand-rolled structural check (the container
-has no ``jsonschema``); CI runs it over every emitted file.
+``ARTIFACT`` is the document's schema table; :mod:`repro.obs.artifact`
+validates, reads and writes it (CI runs ``python -m repro.obs validate``
+over every emitted file).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, List, Optional, Sequence
+
+from repro.obs.artifact import INT, NAME, SCALAR, STR, Opt, Schema, fail, keys
 
 #: bump the suffix when the document layout changes incompatibly
 SCHEMA = "repro.bench/1"
@@ -74,77 +75,31 @@ def bench_document(
     }
 
 
-class SchemaError(ValueError):
-    """Raised by :func:`validate_document` on a malformed document."""
-
-
-def _fail(path: str, why: str) -> None:
-    raise SchemaError(f"{path}: {why}")
-
-
-def validate_document(doc: Any) -> Dict[str, Any]:
-    """Structurally validate a bench document; returns it on success."""
-    if not isinstance(doc, dict):
-        _fail("$", f"expected object, got {type(doc).__name__}")
-    if doc.get("schema") != SCHEMA:
-        _fail("$.schema", f"expected {SCHEMA!r}, got {doc.get('schema')!r}")
-    if not isinstance(doc.get("bench"), str) or not doc["bench"]:
-        _fail("$.bench", "expected non-empty string")
-    if not isinstance(doc.get("title"), str):
-        _fail("$.title", "expected string")
-    seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        _fail("$.seed", "expected int or null")
-    results = doc.get("results")
-    if not isinstance(results, list):
-        _fail("$.results", "expected array")
-    for i, result in enumerate(results):
-        path = f"$.results[{i}]"
-        if not isinstance(result, dict):
-            _fail(path, "expected object")
-        for field in ("name", "title", "notes"):
-            if not isinstance(result.get(field), str):
-                _fail(f"{path}.{field}", "expected string")
-        headers = result.get("headers")
-        if not isinstance(headers, list) or not all(
-            isinstance(h, str) for h in headers
-        ):
-            _fail(f"{path}.headers", "expected array of strings")
-        rows = result.get("rows")
-        if not isinstance(rows, list):
-            _fail(f"{path}.rows", "expected array")
-        for j, row in enumerate(rows):
-            if not isinstance(row, list):
-                _fail(f"{path}.rows[{j}]", "expected array")
-            if len(row) != len(headers):
-                _fail(
-                    f"{path}.rows[{j}]",
-                    f"row width {len(row)} != header width {len(headers)}",
+def _rules(doc: Dict[str, Any]) -> None:
+    """Every row is as wide as its table's header."""
+    for i, result in enumerate(doc["results"]):
+        width = len(result["headers"])
+        for j, row in enumerate(result["rows"]):
+            if len(row) != width:
+                fail(
+                    f"$.results[{i}].rows[{j}]",
+                    f"row width {len(row)} != header width {width}",
                 )
-            for k, cell in enumerate(row):
-                if not isinstance(cell, (int, float, str, bool)) and cell is not None:
-                    _fail(
-                        f"{path}.rows[{j}][{k}]",
-                        f"expected scalar, got {type(cell).__name__}",
-                    )
-        telemetry = result.get("telemetry")
-        if telemetry is not None and not isinstance(telemetry, dict):
-            _fail(f"{path}.telemetry", "expected object or absent")
-    return doc
 
 
-def write_document(path: str, doc: Dict[str, Any]) -> None:
-    """Validate and atomically-ish write a document as JSON."""
-    validate_document(doc)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-
-
-def read_document(path: str) -> Dict[str, Any]:
-    """Load and validate a document from disk."""
-    with open(path) as fh:
-        return validate_document(json.load(fh))
+ARTIFACT = Schema(
+    {
+        "bench": NAME,
+        "title": STR,
+        "seed": Opt(INT),
+        "results": [
+            {
+                **keys(STR, "name", "title", "notes"),
+                "headers": [STR],
+                "rows": [[SCALAR]],
+                "telemetry": Opt({}),
+            }
+        ],
+    },
+    rules=_rules,
+)

@@ -35,19 +35,20 @@ Discipline (mirrors the flight recorder and the sampler):
   drop counters where eviction happens.
 
 The recorded state exports as a ``repro.obs.inband/1`` JSON artifact
-(structural validator included) that the ``paths`` CLI, the doctor's
+(schema table ``ARTIFACT`` below) that the ``paths`` CLI, the doctor's
 ``path_report``, the watch dashboard's congestion rows, and the
 Perfetto flow-arrow export all consume.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
+
+from repro.obs.artifact import COUNT, INT, NAME, NUM, STR, Int, Map, Opt, Schema, keys, read
+from repro.obs.config import CoercibleConfig
 
 #: bump the suffix when the artifact layout changes incompatibly
 INBAND_SCHEMA = "repro.obs.inband/1"
@@ -62,8 +63,11 @@ PathKey = Tuple[Tuple[str, int, Tuple[int, ...]], ...]
 
 
 @dataclass
-class InbandConfig:
-    """Everything that determines the in-band layer, and nothing else."""
+class InbandConfig(CoercibleConfig):
+    """Everything that determines the in-band layer, and nothing else.
+    ``Network(inband=<int>)`` sets the per-packet hop bound."""
+
+    INT_FIELD = "max_hops"
 
     #: hop records carried per packet; further hops count as truncated
     max_hops: int = 32
@@ -77,19 +81,6 @@ class InbandConfig:
     flow_latency_samples: int = 4096
     #: full hop stacks retained for the Perfetto flow-arrow export
     recent_stacks: int = 128
-
-    @classmethod
-    def coerce(cls, value: "bool | int | InbandConfig | None"
-               ) -> "Optional[InbandConfig]":
-        """Normalize ``Network(inband=...)``: False/None -> off,
-        True -> defaults, int -> per-packet hop bound."""
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, int):
-            return cls(max_hops=value)
-        return value
 
 
 def path_of(hops: Optional[List[HopRecord]]) -> PathKey:
@@ -456,175 +447,58 @@ def _jsonable_path(path: PathKey) -> List[List[Any]]:
     return [[sw, in_port, list(outs)] for sw, in_port, outs in path]
 
 
-# -- the artifact ---------------------------------------------------------------------
+# -- the repro.obs.inband/1 artifact --------------------------------------------------
 
+#: a route as exported: [switch, in_port, out_ports] per hop
+_PATH = [(NAME, COUNT, [INT])]
 
-class InbandSchemaError(ValueError):
-    """Raised by :func:`validate_inband` on a malformed document."""
-
-
-def _fail(path: str, why: str) -> None:
-    raise InbandSchemaError(f"{path}: {why}")
-
-
-def _check_int(value: Any, path: str, minimum: int = 0) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        _fail(path, f"expected int >= {minimum}")
-
-
-def _check_number_or_null(value: Any, path: str) -> None:
-    if value is not None and (
-        not isinstance(value, (int, float)) or isinstance(value, bool)
-    ):
-        _fail(path, "expected number or null")
-
-
-def _check_path(value: Any, path: str) -> None:
-    if not isinstance(value, list):
-        _fail(path, "expected array of hops")
-    for j, hop in enumerate(value):
-        if not (isinstance(hop, list) and len(hop) == 3):
-            _fail(f"{path}[{j}]", "expected [switch, in_port, out_ports]")
-        if not isinstance(hop[0], str) or not hop[0]:
-            _fail(f"{path}[{j}][0]", "expected non-empty switch name")
-        _check_int(hop[1], f"{path}[{j}][1]")
-        if not isinstance(hop[2], list) or not all(
-            isinstance(p, int) and not isinstance(p, bool) for p in hop[2]
-        ):
-            _fail(f"{path}[{j}][2]", "expected array of port ints")
-
-
-def validate_inband(doc: Any) -> Dict[str, Any]:
-    """Structurally validate an inband document; returns it on success."""
-    if not isinstance(doc, dict):
-        _fail("$", f"expected object, got {type(doc).__name__}")
-    if doc.get("schema") != INBAND_SCHEMA:
-        _fail("$.schema", f"expected {INBAND_SCHEMA!r}, got {doc.get('schema')!r}")
-    if not isinstance(doc.get("name"), str):
-        _fail("$.name", "expected string")
-    for field in ("max_hops", "hops_recorded", "hops_truncated",
-                  "unkeyed_deliveries", "dropped_flows"):
-        _check_int(doc.get(field), f"$.{field}")
-    if doc["max_hops"] <= 0:
-        _fail("$.max_hops", "expected positive int")
-    flows = doc.get("flows")
-    if not isinstance(flows, list):
-        _fail("$.flows", "expected array")
-    for i, flow in enumerate(flows):
-        path = f"$.flows[{i}]"
-        if not isinstance(flow, dict):
-            _fail(path, "expected object")
-        for field in ("src_uid", "dest_uid", "deliveries", "bytes",
-                      "paths_seen", "changes_dropped", "latency_samples"):
-            _check_int(flow.get(field), f"{path}.{field}")
-        _check_path(flow.get("path"), f"{path}.path")
-        _check_number_or_null(flow.get("latency_p50_ns"), f"{path}.latency_p50_ns")
-        _check_number_or_null(flow.get("latency_p99_ns"), f"{path}.latency_p99_ns")
-        changes = flow.get("changes")
-        if not isinstance(changes, list):
-            _fail(f"{path}.changes", "expected array")
-        for j, change in enumerate(changes):
-            cpath = f"{path}.changes[{j}]"
-            if not isinstance(change, dict):
-                _fail(cpath, "expected object")
-            _check_int(change.get("t_ns"), f"{cpath}.t_ns")
-            epoch = change.get("epoch")
-            if epoch is not None:
-                _check_int(epoch, f"{cpath}.epoch")
-            _check_path(change.get("from"), f"{cpath}.from")
-            _check_path(change.get("to"), f"{cpath}.to")
-    links = doc.get("links")
-    if not isinstance(links, list):
-        _fail("$.links", "expected array")
-    for i, link in enumerate(links):
-        path = f"$.links[{i}]"
-        if not isinstance(link, dict):
-            _fail(path, "expected object")
-        if not isinstance(link.get("link"), str) or not link["link"]:
-            _fail(f"{path}.link", "expected non-empty string")
-        _check_int(link.get("samples"), f"{path}.samples")
-        _check_int(link.get("drops"), f"{path}.drops")
-        for field in ("mean_depth", "max_depth"):
-            value = link.get(field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                _fail(f"{path}.{field}", "expected number")
-    slo = doc.get("slo")
-    if not isinstance(slo, dict):
-        _fail("$.slo", "expected object")
-    for field in ("deliveries", "delivered_bytes", "samples_retained",
-                  "samples_dropped"):
-        _check_int(slo.get(field), f"$.slo.{field}")
-    _check_number_or_null(slo.get("p50_ns"), "$.slo.p50_ns")
-    _check_number_or_null(slo.get("p99_ns"), "$.slo.p99_ns")
-    drops = slo.get("drops")
-    if not isinstance(drops, dict):
-        _fail("$.slo.drops", "expected object")
-    for cause, count in drops.items():
-        if not isinstance(cause, str):
-            _fail("$.slo.drops", "expected string causes")
-        _check_int(count, f"$.slo.drops.{cause}")
-    windows = slo.get("windows")
-    if not isinstance(windows, list):
-        _fail("$.slo.windows", "expected array")
-    for i, window in enumerate(windows):
-        path = f"$.slo.windows[{i}]"
-        if not isinstance(window, dict):
-            _fail(path, "expected object")
-        _check_int(window.get("epoch"), f"{path}.epoch")
-        _check_int(window.get("start_ns"), f"{path}.start_ns")
-        end = window.get("end_ns")
-        if end is not None:
-            _check_int(end, f"{path}.end_ns")
-        for field in ("deliveries", "drops", "goodput_bytes"):
-            _check_int(window.get(field), f"{path}.{field}")
-        for field in ("max_blackout_ns", "p50_ns", "p99_ns"):
-            _check_number_or_null(window.get(field), f"{path}.{field}")
-    recent = doc.get("recent")
-    if not isinstance(recent, list):
-        _fail("$.recent", "expected array")
-    for i, stack in enumerate(recent):
-        path = f"$.recent[{i}]"
-        if not isinstance(stack, dict):
-            _fail(path, "expected object")
-        _check_int(stack.get("packet_id"), f"{path}.packet_id", minimum=1)
-        for field in ("src_uid", "dest_uid"):
-            value = stack.get(field)
-            if value is not None:
-                _check_int(value, f"{path}.{field}")
-        if not isinstance(stack.get("host"), str):
-            _fail(f"{path}.host", "expected string")
-        _check_int(stack.get("created_ns"), f"{path}.created_ns")
-        _check_int(stack.get("delivered_ns"), f"{path}.delivered_ns")
-        hops = stack.get("hops")
-        if not isinstance(hops, list):
-            _fail(f"{path}.hops", "expected array")
-        for j, hop in enumerate(hops):
-            hpath = f"{path}.hops[{j}]"
-            if not (isinstance(hop, list) and len(hop) == 5):
-                _fail(hpath, "expected [t_ns, switch, in_port, out_ports, depth]")
-            _check_int(hop[0], f"{hpath}[0]")
-            if not isinstance(hop[1], str) or not hop[1]:
-                _fail(f"{hpath}[1]", "expected non-empty switch name")
-            _check_int(hop[2], f"{hpath}[2]")
-            if not isinstance(hop[3], list):
-                _fail(f"{hpath}[3]", "expected array of port ints")
-            if not isinstance(hop[4], (int, float)) or isinstance(hop[4], bool):
-                _fail(f"{hpath}[4]", "expected number")
-    return doc
-
-
-def write_inband(path: str, doc: Dict[str, Any]) -> None:
-    """Validate and write an inband artifact as JSON."""
-    validate_inband(doc)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+ARTIFACT = Schema(
+    {
+        "name": STR,
+        "max_hops": Int(1),
+        **keys(COUNT, "hops_recorded", "hops_truncated", "unkeyed_deliveries", "dropped_flows"),
+        "flows": [
+            {
+                **keys(COUNT, "src_uid", "dest_uid", "deliveries", "bytes", "paths_seen"),
+                **keys(COUNT, "changes_dropped", "latency_samples"),
+                **keys(Opt(NUM), "latency_p50_ns", "latency_p99_ns"),
+                "path": _PATH,
+                "changes": [{"t_ns": COUNT, "epoch": Opt(COUNT), "from": _PATH, "to": _PATH}],
+            }
+        ],
+        "links": [
+            {
+                "link": NAME,
+                **keys(COUNT, "samples", "drops"),
+                **keys(NUM, "mean_depth", "max_depth"),
+            }
+        ],
+        "slo": {
+            **keys(COUNT, "deliveries", "delivered_bytes", "samples_retained", "samples_dropped"),
+            **keys(Opt(NUM), "p50_ns", "p99_ns"),
+            "drops": Map(COUNT),
+            "windows": [
+                {
+                    **keys(COUNT, "epoch", "start_ns", "deliveries", "drops", "goodput_bytes"),
+                    "end_ns": Opt(COUNT),
+                    **keys(Opt(NUM), "max_blackout_ns", "p50_ns", "p99_ns"),
+                }
+            ],
+        },
+        "recent": [
+            {
+                "packet_id": Int(1),
+                **keys(Opt(COUNT), "src_uid", "dest_uid"),
+                "host": STR,
+                **keys(COUNT, "created_ns", "delivered_ns"),
+                # [t_ns, switch, in_port, out_ports, fifo_depth_bytes]
+                "hops": [(COUNT, NAME, COUNT, [INT], NUM)],
+            }
+        ],
+    }
+)
 
 
 def read_inband(path: str) -> Dict[str, Any]:
     """Load and validate an inband artifact from disk."""
-    with open(path) as fh:
-        return validate_inband(json.load(fh))
+    return read(path, INBAND_SCHEMA)

@@ -18,19 +18,17 @@ The emitted document is simultaneously
   event's ``args`` so the causal chains survive the export and can be
   walked offline.
 
-``validate_trace`` is a hand-rolled structural check (the container has
-no ``jsonschema``): field presence/types per phase, matched B/E slice
-nesting per track, and flow bind-id resolution (every flow finish has an
-earlier flow start with the same id).
+``ARTIFACT`` is its schema for :mod:`repro.obs.artifact`: field
+presence/types per phase, matched B/E slice nesting per track, and flow
+bind-id resolution (every flow finish has an earlier flow start with the
+same id).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, List, Optional
 
-from repro.obs.export import SchemaError
+from repro.obs.artifact import INT, NAME, NONNEG, Atom, Schema, check, fail, read
 from repro.obs.flight import (
     CAT_EPOCH,
     CAT_LOG,
@@ -289,8 +287,8 @@ def path_trace_document(
     and an ``s``/``t``/``f`` chain (id = packet id) threading each
     packet's route from its first forwarding grant to its delivery.
 
-    The result reuses the ``repro.obs.flight/1`` envelope so it passes
-    :func:`validate_trace` and loads at https://ui.perfetto.dev.
+    The result reuses the ``repro.obs.flight/1`` envelope so it
+    validates as one and loads at https://ui.perfetto.dev.
     """
     stacks = [s for s in inband_doc.get("recent", []) if s.get("hops")]
     components: List[str] = []
@@ -400,99 +398,64 @@ def path_trace_document(
     }
 
 
-# -- the structural validator ---------------------------------------------------------
+# -- the repro.obs.flight/1 artifact ---------------------------------------------------
 
-#: phases this exporter emits; anything else is a validation error
-_KNOWN_PH = frozenset({"M", "B", "E", "i", "I", "X", "s", "t", "f"})
+_TIMED = {"ts": NONNEG}
+_NAMED = {**_TIMED, "name": NAME}
+_FLOW = {**_NAMED, "id": Atom("int or string id", (int, str))}
+#: what each phase this exporter emits must carry beyond pid/tid;
+#: any other phase is a validation error
+_PHASES = {
+    "M": {"name": NAME},
+    "B": _NAMED,
+    "E": _TIMED,
+    "i": _NAMED,
+    "I": _NAMED,
+    "X": {**_NAMED, "dur": NONNEG},
+    "s": _FLOW,
+    "t": _TIMED,
+    "f": _FLOW,
+}
 
 
-def _fail(path: str, why: str) -> None:
-    raise SchemaError(f"{path}: {why}")
-
-
-def validate_trace(doc: Any) -> Dict[str, Any]:
-    """Structurally validate a flight trace document; returns it.
-
-    Checks, per event: ``ph``/``pid``/``tid`` presence and types, a
-    numeric non-negative ``ts`` on every non-metadata event, a ``name``
-    where the phase requires one, ``dur`` on complete events, ``id`` on
-    flow events.  Globally: B/E events nest and match per track, and
-    every flow finish binds to an earlier flow start with the same id.
-    """
-    if not isinstance(doc, dict):
-        _fail("$", f"expected object, got {type(doc).__name__}")
-    if doc.get("schema") != FLIGHT_SCHEMA:
-        _fail("$.schema", f"expected {FLIGHT_SCHEMA!r}, got {doc.get('schema')!r}")
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        _fail("$.traceEvents", "expected array")
-
+def _rules(doc: Dict[str, Any]) -> None:
+    """What depends on an event's phase, and what spans events: the
+    phase's fields (``_PHASES``); B/E slices nest and match per track;
+    every flow finish binds to an earlier flow start with the same id."""
     slice_stacks: Dict[tuple, List[str]] = {}
     flow_starts: set = set()
-    for i, event in enumerate(events):
+    for i, event in enumerate(doc["traceEvents"]):
         path = f"$.traceEvents[{i}]"
-        if not isinstance(event, dict):
-            _fail(path, "expected object")
         ph = event.get("ph")
-        if ph not in _KNOWN_PH:
-            _fail(f"{path}.ph", f"unknown phase {ph!r}")
-        for field in ("pid", "tid"):
-            if not isinstance(event.get(field), int):
-                _fail(f"{path}.{field}", "expected int")
-        if ph != "M":
-            ts = event.get("ts")
-            if not isinstance(ts, (int, float)) or isinstance(ts, bool) or ts < 0:
-                _fail(f"{path}.ts", f"expected non-negative number, got {ts!r}")
-        if ph in ("M", "B", "i", "I", "X", "s", "f"):
-            if not isinstance(event.get("name"), str) or not event["name"]:
-                _fail(f"{path}.name", "expected non-empty string")
-        if ph == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                _fail(f"{path}.dur", "complete event needs a non-negative dur")
-        track = (event.get("pid"), event.get("tid"))
+        if ph not in _PHASES:
+            fail(f"{path}.ph", f"unknown phase {ph!r}")
+        check(_PHASES[ph], event, path)
+        track = (event["pid"], event["tid"])
         if ph == "B":
             slice_stacks.setdefault(track, []).append(event["name"])
         elif ph == "E":
             stack = slice_stacks.get(track)
             if not stack:
-                _fail(path, f"slice end with no open slice on track {track}")
+                fail(path, f"slice end with no open slice on track {track}")
             opened = stack.pop()
             ended = event.get("name")
             if ended is not None and ended != opened:
-                _fail(path, f"slice end {ended!r} does not match open {opened!r}")
-        elif ph in ("s", "f"):
-            flow_id = event.get("id")
-            if not isinstance(flow_id, (int, str)):
-                _fail(f"{path}.id", "flow event needs an id")
-            if ph == "s":
-                flow_starts.add(flow_id)
-            elif flow_id not in flow_starts:
-                _fail(f"{path}.id", f"flow finish {flow_id!r} has no earlier start")
+                fail(path, f"slice end {ended!r} does not match open {opened!r}")
+        elif ph == "s":
+            flow_starts.add(event["id"])
+        elif ph == "f" and event["id"] not in flow_starts:
+            fail(f"{path}.id", f"flow finish {event['id']!r} has no earlier start")
     for track, stack in slice_stacks.items():
         if stack:
-            _fail("$", f"track {track} ends with unclosed slices: {stack}")
-    return doc
+            fail("$", f"track {track} ends with unclosed slices: {stack}")
 
 
-# -- file I/O ---------------------------------------------------------------------------
-
-
-def write_trace(path: str, doc: Dict[str, Any]) -> None:
-    """Validate and write a flight trace document as JSON."""
-    validate_trace(doc)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+ARTIFACT = Schema({"traceEvents": [{"pid": INT, "tid": INT}]}, rules=_rules, indent=1)
 
 
 def read_trace(path: str) -> Dict[str, Any]:
     """Load and validate a flight trace document from disk."""
-    with open(path) as fh:
-        return validate_trace(json.load(fh))
+    return read(path, FLIGHT_SCHEMA)
 
 
 def chains_from_trace(doc: Dict[str, Any]) -> Dict[int, Optional[int]]:

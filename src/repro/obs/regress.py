@@ -34,7 +34,20 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.export import validate_document
+from repro.obs.artifact import (
+    COUNT,
+    NAME,
+    NUM,
+    Enum,
+    Int,
+    Opt,
+    Schema,
+    fail,
+    keys,
+    read,
+    validate,
+)
+from repro.obs.export import SCHEMA as BENCH_SCHEMA
 
 #: bump the suffix when the verdict layout changes incompatibly
 REGRESS_SCHEMA = "repro.obs.regress/1"
@@ -59,7 +72,7 @@ def archive_document(
     ``unknown``), the document's seed, and the topology (argument or
     best-effort from the first result row).
     """
-    validate_document(doc)
+    validate(doc, BENCH_SCHEMA)
     os.makedirs(archive_dir, exist_ok=True)
     path = os.path.join(archive_dir, f"{doc['bench']}.history.jsonl")
     entry = {
@@ -85,7 +98,7 @@ def load_history(path: str) -> List[Dict[str, Any]]:
             entry = json.loads(line)
             if not isinstance(entry, dict) or "doc" not in entry:
                 raise ValueError(f"{path}:{i + 1}: not a history entry")
-            validate_document(entry["doc"])
+            validate(entry["doc"], BENCH_SCHEMA)
             entries.append(entry)
     return entries
 
@@ -283,8 +296,7 @@ def baseline_window(path: str, bench: str) -> List[Dict[str, Any]]:
     if path.endswith(".jsonl"):
         docs = [entry["doc"] for entry in load_history(path)]
     else:
-        with open(path) as fh:
-            docs = [validate_document(json.load(fh))]
+        docs = [read(path, BENCH_SCHEMA)]
     docs = [d for d in docs if d.get("bench") == bench]
     if not docs:
         raise ValueError(f"{path}: no documents for bench {bench!r}")
@@ -305,7 +317,7 @@ def compare(
     status ``ok`` / ``out-of-band`` / ``new`` / ``missing``.  ``strict``
     makes missing metrics fail too.
     """
-    validate_document(current)
+    validate(current, BENCH_SCHEMA)
     tolerance = tolerance or Tolerance()
     now = metrics_of(current)
     windows: Dict[str, List[float]] = {}
@@ -385,69 +397,31 @@ def _stdev(values: List[float]) -> float:
 # -- the verdict artifact --------------------------------------------------------------
 
 
-class RegressSchemaError(ValueError):
-    """Raised by :func:`validate_regress` on a malformed verdict."""
-
-
-def _fail(path: str, why: str) -> None:
-    raise RegressSchemaError(f"{path}: {why}")
-
-
-def validate_regress(doc: Any) -> Dict[str, Any]:
-    """Structurally validate a verdict document; returns it on success."""
-    if not isinstance(doc, dict):
-        _fail("$", f"expected object, got {type(doc).__name__}")
-    if doc.get("schema") != REGRESS_SCHEMA:
-        _fail("$.schema", f"expected {REGRESS_SCHEMA!r}, got {doc.get('schema')!r}")
-    if not isinstance(doc.get("bench"), str) or not doc["bench"]:
-        _fail("$.bench", "expected non-empty string")
-    if doc.get("verdict") not in ("ok", "regression"):
-        _fail("$.verdict", "expected 'ok' or 'regression'")
-    if not isinstance(doc.get("out_of_band"), int) or doc["out_of_band"] < 0:
-        _fail("$.out_of_band", "expected non-negative int")
-    if not isinstance(doc.get("baseline_runs"), int) or doc["baseline_runs"] < 1:
-        _fail("$.baseline_runs", "expected positive int")
-    comparisons = doc.get("comparisons")
-    if not isinstance(comparisons, list):
-        _fail("$.comparisons", "expected array")
-    for i, entry in enumerate(comparisons):
-        path = f"$.comparisons[{i}]"
-        if not isinstance(entry, dict):
-            _fail(path, "expected object")
-        if not isinstance(entry.get("metric"), str) or not entry["metric"]:
-            _fail(f"{path}.metric", "expected non-empty string")
-        if entry.get("status") not in STATUSES:
-            _fail(f"{path}.status", f"expected one of {STATUSES}")
-        for numeric_field in ("current", "baseline_mean", "baseline_stdev",
-                              "band_lo", "band_hi"):
-            value = entry.get(numeric_field)
-            if value is not None and (
-                not isinstance(value, (int, float)) or isinstance(value, bool)
-            ):
-                _fail(f"{path}.{numeric_field}", "expected number or null")
-    count = sum(1 for c in comparisons if c["status"] == "out-of-band")
-    if doc.get("strict"):
-        count += sum(1 for c in comparisons if c["status"] == "missing")
+def _rules(doc: Dict[str, Any]) -> None:
+    """``out_of_band`` equals a recount (``strict`` counts missing too)."""
+    failing = ("out-of-band", "missing") if doc.get("strict") else ("out-of-band",)
+    count = sum(1 for c in doc["comparisons"] if c["status"] in failing)
     if count != doc["out_of_band"]:
-        _fail("$.out_of_band", f"declares {doc['out_of_band']}, counted {count}")
-    return doc
+        fail("$.out_of_band", f"declares {doc['out_of_band']}, counted {count}")
 
 
-def write_regress(path: str, doc: Dict[str, Any]) -> None:
-    """Validate and write a verdict document as JSON."""
-    validate_regress(doc)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-
-
-def read_regress(path: str) -> Dict[str, Any]:
-    """Load and validate a verdict document from disk."""
-    with open(path) as fh:
-        return validate_regress(json.load(fh))
+ARTIFACT = Schema(
+    {
+        "bench": NAME,
+        "verdict": Enum("ok", "regression"),
+        "out_of_band": COUNT,
+        "baseline_runs": Int(1),
+        "comparisons": [
+            {
+                "metric": NAME,
+                "status": Enum(*STATUSES),
+                **keys(Opt(NUM), "current", "baseline_mean", "baseline_stdev"),
+                **keys(Opt(NUM), "band_lo", "band_hi"),
+            }
+        ],
+    },
+    rules=_rules,
+)
 
 
 def render_verdict(doc: Dict[str, Any], limit: int = 20) -> str:

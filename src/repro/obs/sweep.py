@@ -30,10 +30,23 @@ is itself a scaling finding, not something to silently truncate.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.artifact import (
+    COUNT,
+    INT,
+    NAME,
+    NUM,
+    STR,
+    Enum,
+    Int,
+    Map,
+    Schema,
+    check,
+    fail,
+    validate,
+)
 from repro.types import MAX_SWITCH_NUMBER
 
 SWEEP_SCHEMA = "repro.obs.sweep/1"
@@ -118,10 +131,6 @@ CONVERGE_LIMIT_NS = 60_000_000_000
 TRAFFIC_FLOWS_PER_SWITCH = 8
 TRAFFIC_HOSTS_PER_SWITCH = 4
 TRAFFIC_WINDOW_NS = 500_000_000
-
-
-class SweepSchemaError(ValueError):
-    """A document does not conform to ``repro.obs.sweep/1``."""
 
 
 class SweepPoint:
@@ -338,96 +347,46 @@ def run_sweep(
         "points": [p.to_dict() for p in points],
         "slopes": fit_slopes(points),
     }
-    return validate_sweep(doc)
+    return validate(doc, SWEEP_SCHEMA)
 
 
 # -- the repro.obs.sweep/1 artifact ---------------------------------------------------
 
 
-def _fail(path: str, why: str) -> None:
-    raise SweepSchemaError(f"{path}: {why}")
-
-
-def validate_sweep(doc: Any) -> Dict[str, Any]:
-    """Validate a ``repro.obs.sweep/1`` document; returns it unchanged."""
-    if not isinstance(doc, dict):
-        _fail("$", "document must be an object")
-    if doc.get("schema") != SWEEP_SCHEMA:
-        _fail("$.schema", f"must be {SWEEP_SCHEMA!r}, got {doc.get('schema')!r}")
-    if not isinstance(doc.get("ladder"), str) or not doc["ladder"]:
-        _fail("$.ladder", "must be a non-empty string")
-    if not isinstance(doc.get("seed"), int) or isinstance(doc.get("seed"), bool):
-        _fail("$.seed", "must be an integer")
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, list) or not all(
-        isinstance(m, str) for m in metrics
-    ):
-        _fail("$.metrics", "must be a list of metric-name strings")
-    unknown = [m for m in metrics if m not in SWEEP_METRICS]
-    if unknown:
-        _fail("$.metrics", f"unknown metric names: {unknown}")
-    points = doc.get("points")
-    if not isinstance(points, list) or not points:
-        _fail("$.points", "must be a non-empty list")
-    for i, point in enumerate(points):
+def _rules(doc: Dict[str, Any]) -> None:
+    """At least one point; skipped points say why; simulated points
+    carry every required metric."""
+    if not doc["points"]:
+        fail("$.points", "must be a non-empty list")
+    for i, point in enumerate(doc["points"]):
         where = f"$.points[{i}]"
-        if not isinstance(point, dict):
-            _fail(where, "must be an object")
-        if not isinstance(point.get("name"), str) or not point["name"]:
-            _fail(f"{where}.name", "must be a non-empty string")
-        for field in ("switches", "links"):
-            value = point.get(field)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                _fail(f"{where}.{field}", "must be a non-negative integer")
-        status = point.get("status")
-        if status not in ("ok", "skipped"):
-            _fail(f"{where}.status", f"must be 'ok' or 'skipped', got {status!r}")
-        if status == "skipped" and not isinstance(point.get("skip_reason"), str):
-            _fail(f"{where}.skip_reason", "skipped points must say why")
-        pmetrics = point.get("metrics")
-        if not isinstance(pmetrics, dict):
-            _fail(f"{where}.metrics", "must be an object")
-        for key, value in pmetrics.items():
-            if key not in SWEEP_METRICS:
-                _fail(f"{where}.metrics", f"unknown metric {key!r}")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                _fail(f"{where}.metrics.{key}", "must be a number")
-        if status == "ok":
-            missing = [m for m in REQUIRED_METRICS if m not in pmetrics]
-            if missing:
-                _fail(f"{where}.metrics", f"ok point missing {missing}")
-    slopes = doc.get("slopes")
-    if not isinstance(slopes, dict):
-        _fail("$.slopes", "must be an object")
-    for metric, fit in slopes.items():
-        where = f"$.slopes.{metric}"
-        if metric not in SWEEP_METRICS:
-            _fail(where, f"unknown metric {metric!r}")
-        if not isinstance(fit, dict):
-            _fail(where, "must be an object")
-        for field in ("slope", "r2"):
-            value = fit.get(field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                _fail(f"{where}.{field}", "must be a number")
-        count = fit.get("points")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 2:
-            _fail(f"{where}.points", "must be an integer >= 2")
-    return doc
+        if point["status"] == "skipped":
+            check(STR, point.get("skip_reason"), f"{where}.skip_reason")
+            continue
+        missing = [m for m in REQUIRED_METRICS if m not in point["metrics"]]
+        if missing:
+            fail(f"{where}.metrics", f"ok point missing {missing}")
 
 
-def write_sweep(path: str, doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Validate and write the artifact; returns the doc."""
-    validate_sweep(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return doc
-
-
-def read_sweep(path: str) -> Dict[str, Any]:
-    """Read and validate a sweep artifact."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_sweep(json.load(fh))
+_METRIC = Enum(*SWEEP_METRICS)
+ARTIFACT = Schema(
+    {
+        "ladder": NAME,
+        "seed": INT,
+        "metrics": [_METRIC],
+        "points": [
+            {
+                "name": NAME,
+                "switches": COUNT,
+                "links": COUNT,
+                "status": Enum("ok", "skipped"),
+                "metrics": Map(NUM, keys=_METRIC),
+            }
+        ],
+        "slopes": Map({"slope": NUM, "r2": NUM, "points": Int(2)}, keys=_METRIC),
+    },
+    rules=_rules,
+)
 
 
 def render_sweep(doc: Dict[str, Any]) -> str:

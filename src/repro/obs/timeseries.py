@@ -29,7 +29,7 @@ Discipline (mirrors the flight recorder):
   honest about literal names and bounded capacities.
 
 The recorded history exports as a ``repro.obs.timeseries/1`` JSON
-artifact (structural validator included) and is queryable -- live or from
+artifact (schema table ``ARTIFACT`` below) and is queryable -- live or from
 a loaded artifact -- through :class:`TimeSeries` / :class:`SeriesData`
 (``window`` / ``delta`` / ``resample``), which the doctor and the
 regression comparator build on.
@@ -37,10 +37,24 @@ regression comparator build on.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.obs.artifact import (
+    COUNT,
+    INT,
+    NAME,
+    NUM,
+    STR,
+    Int,
+    Opt,
+    Schema,
+    fail,
+    keys,
+    read,
+    validate,
+)
+from repro.obs.config import CoercibleConfig
 
 #: bump the suffix when the artifact layout changes incompatibly
 TIMESERIES_SCHEMA = "repro.obs.timeseries/1"
@@ -61,8 +75,11 @@ def _jsonable(value: Any) -> Any:
 
 
 @dataclass
-class TimeSeriesConfig:
-    """Everything that determines a sampler, and nothing else."""
+class TimeSeriesConfig(CoercibleConfig):
+    """Everything that determines a sampler, and nothing else.
+    ``Network(timeseries=<int>)`` sets the sampling interval in ns."""
+
+    INT_FIELD = "interval_ns"
 
     #: simulated time between samples
     interval_ns: int = 50 * MS
@@ -75,19 +92,6 @@ class TimeSeriesConfig:
     #: span events retained in the mark ring (the watch dashboard's
     #: "recent reconfiguration events" column)
     mark_capacity: int = 256
-
-    @classmethod
-    def coerce(cls, value: "bool | int | TimeSeriesConfig | None"
-               ) -> "Optional[TimeSeriesConfig]":
-        """Normalize ``Network(timeseries=...)``: False/None -> off,
-        True -> defaults, int -> sampling interval in ns."""
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, int):
-            return cls(interval_ns=value)
-        return value
 
 
 class SeriesRing:
@@ -410,11 +414,11 @@ class TimeSeries:
 
     @classmethod
     def from_document(cls, doc: Dict[str, Any]) -> "TimeSeries":
-        return cls(validate_timeseries(doc))
+        return cls(validate(doc, TIMESERIES_SCHEMA))
 
     @classmethod
     def load(cls, path: str) -> "TimeSeries":
-        return cls.from_document(read_timeseries(path))
+        return cls(read_timeseries(path))
 
     @property
     def ticks(self) -> List[int]:
@@ -458,93 +462,37 @@ class TimeSeries:
         return list(self.doc.get("marks", []))
 
 
-# -- the artifact ---------------------------------------------------------------------
+# -- the repro.obs.timeseries/1 artifact ----------------------------------------------
 
 
-class TimeSeriesSchemaError(ValueError):
-    """Raised by :func:`validate_timeseries` on a malformed document."""
-
-
-def _fail(path: str, why: str) -> None:
-    raise TimeSeriesSchemaError(f"{path}: {why}")
-
-
-def validate_timeseries(doc: Any) -> Dict[str, Any]:
-    """Structurally validate a timeseries document; returns it on success."""
-    if not isinstance(doc, dict):
-        _fail("$", f"expected object, got {type(doc).__name__}")
-    if doc.get("schema") != TIMESERIES_SCHEMA:
-        _fail("$.schema", f"expected {TIMESERIES_SCHEMA!r}, got {doc.get('schema')!r}")
-    if not isinstance(doc.get("name"), str):
-        _fail("$.name", "expected string")
-    for field in ("interval_ns", "capacity", "samples_taken",
-                  "dropped_ticks", "dropped_series"):
-        value = doc.get(field)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            _fail(f"$.{field}", "expected non-negative int")
-    if doc["interval_ns"] <= 0:
-        _fail("$.interval_ns", "expected positive int")
-    ticks = doc.get("ticks")
-    if not isinstance(ticks, list) or not all(
-        isinstance(t, int) and not isinstance(t, bool) for t in ticks
-    ):
-        _fail("$.ticks", "expected array of ints")
+def _rules(doc: Dict[str, Any]) -> None:
+    """Tick times strictly increase and every series is tick-aligned."""
+    ticks = doc["ticks"]
     if any(b <= a for a, b in zip(ticks, ticks[1:])):
-        _fail("$.ticks", "expected strictly increasing times")
-    series = doc.get("series")
-    if not isinstance(series, list):
-        _fail("$.series", "expected array")
-    for i, entry in enumerate(series):
-        path = f"$.series[{i}]"
-        if not isinstance(entry, dict):
-            _fail(path, "expected object")
-        if not isinstance(entry.get("name"), str) or not entry["name"]:
-            _fail(f"{path}.name", "expected non-empty string")
-        if not isinstance(entry.get("labels"), dict):
-            _fail(f"{path}.labels", "expected object")
-        if not isinstance(entry.get("kind"), str):
-            _fail(f"{path}.kind", "expected string")
-        dropped = entry.get("dropped")
-        if not isinstance(dropped, int) or isinstance(dropped, bool) or dropped < 0:
-            _fail(f"{path}.dropped", "expected non-negative int")
-        values = entry.get("values")
-        if not isinstance(values, list):
-            _fail(f"{path}.values", "expected array")
-        if len(values) != len(ticks):
-            _fail(f"{path}.values",
-                  f"{len(values)} values for {len(ticks)} ticks")
-        for j, value in enumerate(values):
-            if value is not None and (
-                not isinstance(value, (int, float)) or isinstance(value, bool)
-            ):
-                _fail(f"{path}.values[{j}]", "expected number or null")
-    marks = doc.get("marks")
-    if not isinstance(marks, list):
-        _fail("$.marks", "expected array")
-    for i, entry in enumerate(marks):
-        path = f"$.marks[{i}]"
-        if not isinstance(entry, dict):
-            _fail(path, "expected object")
-        if not isinstance(entry.get("t_ns"), int):
-            _fail(f"{path}.t_ns", "expected int")
-        for field in ("component", "event"):
-            if not isinstance(entry.get(field), str):
-                _fail(f"{path}.{field}", "expected string")
-    return doc
+        fail("$.ticks", "expected strictly increasing times")
+    for i, entry in enumerate(doc["series"]):
+        if len(entry["values"]) != len(ticks):
+            fail(
+                f"$.series[{i}].values",
+                f"{len(entry['values'])} values for {len(ticks)} ticks",
+            )
 
 
-def write_timeseries(path: str, doc: Dict[str, Any]) -> None:
-    """Validate and write a timeseries artifact as JSON."""
-    validate_timeseries(doc)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+ARTIFACT = Schema(
+    {
+        "name": STR,
+        "interval_ns": Int(1),
+        **keys(COUNT, "capacity", "samples_taken", "dropped_ticks", "dropped_series"),
+        "ticks": [INT],
+        "series": [
+            {"name": NAME, "labels": {}, "kind": STR, "dropped": COUNT, "values": [Opt(NUM)]}
+        ],
+        "marks": [{"t_ns": INT, "component": STR, "event": STR}],
+    },
+    rules=_rules,
+)
 
 
 def read_timeseries(path: str) -> Dict[str, Any]:
     """Load and validate a timeseries artifact from disk."""
-    with open(path) as fh:
-        return validate_timeseries(json.load(fh))
+    return read(path, TIMESERIES_SCHEMA)

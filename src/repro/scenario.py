@@ -4,19 +4,45 @@ Every observability CLI used to hand-roll the same four-beat scenario
 (``python -m repro.obs paths`` and now ``python -m repro.traffic run``):
 boot-converge the installation, run traffic for a while, cut cables,
 reconverge, run traffic again.  :func:`drive_scenario` is that scenario
-as one helper so the CLIs cannot drift apart, and
-:func:`report_unknown_subcommand` is the other shared piece of CLI
-behavior: both tools print a usage listing and exit 2 on a missing *or*
-unknown subcommand instead of a bare argparse error.
+as one helper so the CLIs cannot drift apart.  The other shared pieces
+of CLI behavior live here too: :func:`report_unknown_subcommand` (both
+tools print a usage listing and exit 2 on a missing *or* unknown
+subcommand instead of a bare argparse error), :func:`parse_cut` (the
+``--cut A-B`` argument type) and :func:`fmt_ns` (durations in reports).
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, TextIO, Tuple
 
 from repro.constants import SEC
+
+
+def parse_cut(text: str) -> Tuple[int, int]:
+    """argparse type for ``--cut A-B``: two switch indices."""
+    try:
+        a, b = text.split("-", 1)
+        return int(a), int(b)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected a cut like 0-1 (two switch indices), got {text!r}"
+        ) from exc
+
+
+def fmt_ns(value: Optional[float]) -> str:
+    """A duration in the largest unit that keeps it readable."""
+    if value is None:
+        return "-"
+    if value < 1_000:
+        return f"{value:.0f}ns"
+    if value < 1_000_000:
+        return f"{value / 1e3:.1f}us"
+    if value < 1_000_000_000:
+        return f"{value / 1e6:.1f}ms"
+    return f"{value / 1e9:.3f}s"
 
 
 @dataclass

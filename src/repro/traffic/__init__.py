@@ -15,13 +15,7 @@ Entry points: ``Network(traffic=...)`` wires a
 converge -> load -> cut -> reconverge -> report scenario.
 """
 
-from repro.traffic.artifact import (
-    TRAFFIC_SCHEMA,
-    TrafficSchemaError,
-    read_traffic,
-    validate_traffic,
-    write_traffic,
-)
+from repro.traffic.artifact import TRAFFIC_SCHEMA
 from repro.traffic.engine import TrafficEngine
 from repro.traffic.fluid import LINK_CAPACITY, solve_rates, walk_path
 from repro.traffic.workload import (
@@ -41,12 +35,8 @@ __all__ = [
     "LINK_CAPACITY",
     "TrafficConfig",
     "TrafficEngine",
-    "TrafficSchemaError",
     "generate_flows",
     "host_switch",
-    "read_traffic",
     "solve_rates",
-    "validate_traffic",
     "walk_path",
-    "write_traffic",
 ]

@@ -14,7 +14,7 @@
     python -m repro.traffic report traffic.json
 
     # structural gate (CI's traffic-smoke job)
-    python -m repro.traffic validate traffic.json
+    python -m repro.obs validate traffic.json
 
 ``run`` drives the shared scenario (generate -> converge -> load ->
 cut -> reconverge -> report) through :func:`repro.scenario.
@@ -30,32 +30,11 @@ from typing import Any, Dict, List, Optional
 
 from repro.constants import SEC
 from repro.network import Network
-from repro.scenario import drive_scenario, report_unknown_subcommand
+from repro.obs import artifact
+from repro.scenario import drive_scenario, fmt_ns, parse_cut, report_unknown_subcommand
 from repro.topology.generators import TOPOLOGY_FAMILIES, resolve_topology
-from repro.traffic.artifact import read_traffic, validate_traffic, write_traffic
+from repro.traffic.artifact import TRAFFIC_SCHEMA, validate_traffic
 from repro.traffic.workload import ARRIVAL_PATTERNS, TRAFFIC_MODES, TrafficConfig
-
-
-def _parse_cut(text: str):
-    try:
-        a, b = text.split("-", 1)
-        return int(a), int(b)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a cut like 0-1 (two switch indices), got {text!r}"
-        ) from exc
-
-
-def _fmt_ns(value) -> str:
-    if value is None:
-        return "-"
-    if value < 1_000:
-        return f"{value:.0f}ns"
-    if value < 1_000_000:
-        return f"{value / 1e3:.1f}us"
-    if value < 1_000_000_000:
-        return f"{value / 1e6:.1f}ms"
-    return f"{value / 1e9:.3f}s"
 
 
 def _fmt_bytes(value) -> str:
@@ -92,8 +71,8 @@ def render_report(doc: Dict[str, Any]) -> str:
         ),
         (
             f"  goodput {_fmt_bytes(doc['goodput_bytes_per_sec'])}/s  "
-            f"delivery latency p50 {_fmt_ns(doc['latency']['p50_ns'])} "
-            f"p99 {_fmt_ns(doc['latency']['p99_ns'])} "
+            f"delivery latency p50 {fmt_ns(doc['latency']['p50_ns'])} "
+            f"p99 {fmt_ns(doc['latency']['p99_ns'])} "
             f"(n={doc['latency']['count']})"
         ),
     ]
@@ -110,7 +89,7 @@ def render_report(doc: Dict[str, Any]) -> str:
             )
             lines.append(
                 f"    epoch {window['epoch']:>3} {span} "
-                f"blackout {_fmt_ns(window['max_blackout_ns'])}: "
+                f"blackout {fmt_ns(window['max_blackout_ns'])}: "
                 f"goodput {_fmt_bytes(window['goodput_bytes_per_sec'])}/s, "
                 f"cost {_fmt_bytes(window['blackout_cost_bytes'])}"
             )
@@ -143,7 +122,7 @@ def _cmd_run(args) -> int:
     validate_traffic(doc)
     print(render_report(doc))
     if args.out:
-        write_traffic(args.out, doc)
+        artifact.write(args.out, doc)
         print(f"wrote {args.out}")
     if args.timeseries and args.timeseries_out:
         net.export_timeseries(args.timeseries_out)
@@ -152,17 +131,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc = read_traffic(args.artifact)
-    print(render_report(doc))
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    doc = read_traffic(args.artifact)
-    print(
-        f"{args.artifact}: valid {doc['schema']} "
-        f"({doc['generated_flows']} flows, {len(doc['windows'])} windows)"
-    )
+    print(render_report(artifact.read(args.artifact, TRAFFIC_SCHEMA)))
     return 0
 
 
@@ -208,7 +177,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="fluid rate shares (default) or per-packet with real hosts",
     )
     p_run.add_argument(
-        "--cut", type=_parse_cut, action="append", default=[], metavar="A-B",
+        "--cut", type=parse_cut, action="append", default=[], metavar="A-B",
         help="cut the link between switches A and B (repeatable; "
              "default: the topology's first cable)",
     )
@@ -233,12 +202,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_report = sub.add_parser("report", help="render a recorded artifact")
     p_report.add_argument("artifact", help="path to a repro.traffic/1 document")
     p_report.set_defaults(fn=_cmd_report)
-
-    p_validate = sub.add_parser(
-        "validate", help="structurally validate a repro.traffic/1 artifact"
-    )
-    p_validate.add_argument("artifact", help="path to a repro.traffic/1 document")
-    p_validate.set_defaults(fn=_cmd_validate)
 
     listing = report_unknown_subcommand(
         parser, sub, argv,

@@ -1,145 +1,78 @@
-"""The versioned ``repro.traffic/1`` artifact: schema, validator, I/O.
+"""The versioned ``repro.traffic/1`` artifact: its schema table.
 
 One JSON document per workload run, mirroring the other obs artifacts
 (``repro.bench/1``, ``repro.obs.inband/1``): a ``schema`` tag, the
 generating config, cumulative SLO aggregates (offered/delivered bytes,
 blackout cost, delivery-latency quantiles, drops by cause), and the
 per-epoch ``windows`` that price each reconfiguration span's
-undelivered offered load.  ``validate_traffic`` is structural -- types,
-ranges, required fields -- so CI can gate any produced artifact without
-re-running the workload.
+undelivered offered load.  The check is structural -- types, ranges,
+required fields -- so CI can gate any produced artifact without
+re-running the workload; :mod:`repro.obs.artifact` walks, reads and
+writes it.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict
 
+from repro.obs.artifact import (
+    BOOL,
+    COUNT,
+    NAME,
+    NONNEG,
+    NUM,
+    STR,
+    Enum,
+    Int,
+    Map,
+    Opt,
+    Schema,
+    SchemaError,
+    keys,
+    validate,
+)
 from repro.traffic.workload import ARRIVAL_PATTERNS, TRAFFIC_MODES
 
 TRAFFIC_SCHEMA = "repro.traffic/1"
 
+TrafficSchemaError = SchemaError
 
-class TrafficSchemaError(ValueError):
-    """Raised by :func:`validate_traffic` on a malformed document."""
-
-
-def _fail(path: str, why: str) -> None:
-    raise TrafficSchemaError(f"{path}: {why}")
-
-
-def _check_int(value: Any, path: str, minimum: int = 0) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        _fail(path, f"expected int >= {minimum}")
-
-
-def _check_number(value: Any, path: str) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(path, "expected number")
-
-
-def _check_number_or_null(value: Any, path: str) -> None:
-    if value is not None:
-        _check_number(value, path)
+ARTIFACT = Schema(
+    {
+        "name": STR,
+        "config": {
+            "pattern": Enum(*ARRIVAL_PATTERNS),
+            "mode": Enum(*TRAFFIC_MODES),
+            **keys(COUNT, "flows", "hosts", "mean_flow_bytes", "duration_ns"),
+        },
+        "launched": BOOL,
+        **keys(COUNT, "time_ns", "generated_flows", "flows_completed", "flows_active"),
+        **keys(COUNT, "flows_pending", "flows_unrouted"),
+        **keys(NONNEG, "offered_bytes", "delivered_bytes", "blackout_cost_bytes"),
+        "goodput_bytes_per_sec": Opt(NUM),
+        "latency": {"count": COUNT, **keys(Opt(NUM), "p50_ns", "p99_ns", "mean_ns", "max_ns")},
+        "drops": Map(COUNT, keys=NAME),
+        "segments": keys(COUNT, "recorded", "dropped"),
+        "windows": [
+            {
+                "epoch": Int(-(10**9)),
+                "start_ns": COUNT,
+                "end_ns": Opt(COUNT),
+                **keys(NUM, "offered_bytes", "delivered_bytes", "blackout_cost_bytes"),
+                **keys(Opt(NUM), "max_blackout_ns", "goodput_bytes_per_sec"),
+            }
+        ],
+        "flows_sample": [
+            {
+                **keys(COUNT, "flow_id", "arrival_ns", "src_host", "dst_host", "size_bytes"),
+                "state": Enum("pending", "active", "unrouted", "completed"),
+                "latency_ns": Opt(NUM),
+            }
+        ],
+    }
+)
 
 
 def validate_traffic(doc: Any) -> Dict[str, Any]:
     """Structurally validate a traffic document; returns it on success."""
-    if not isinstance(doc, dict):
-        _fail("$", f"expected object, got {type(doc).__name__}")
-    if doc.get("schema") != TRAFFIC_SCHEMA:
-        _fail("$.schema", f"expected {TRAFFIC_SCHEMA!r}, got {doc.get('schema')!r}")
-    if not isinstance(doc.get("name"), str):
-        _fail("$.name", "expected string")
-
-    config = doc.get("config")
-    if not isinstance(config, dict):
-        _fail("$.config", "expected object")
-    if config.get("pattern") not in ARRIVAL_PATTERNS:
-        _fail("$.config.pattern", f"expected one of {ARRIVAL_PATTERNS}")
-    if config.get("mode") not in TRAFFIC_MODES:
-        _fail("$.config.mode", f"expected one of {TRAFFIC_MODES}")
-    for field in ("flows", "hosts", "mean_flow_bytes", "duration_ns"):
-        _check_int(config.get(field), f"$.config.{field}")
-
-    if not isinstance(doc.get("launched"), bool):
-        _fail("$.launched", "expected bool")
-    for field in ("time_ns", "generated_flows", "flows_completed",
-                  "flows_active", "flows_pending", "flows_unrouted"):
-        _check_int(doc.get(field), f"$.{field}")
-    for field in ("offered_bytes", "delivered_bytes", "blackout_cost_bytes"):
-        _check_number(doc.get(field), f"$.{field}")
-        if doc[field] < 0:
-            _fail(f"$.{field}", "expected non-negative number")
-    _check_number_or_null(doc.get("goodput_bytes_per_sec"), "$.goodput_bytes_per_sec")
-
-    latency = doc.get("latency")
-    if not isinstance(latency, dict):
-        _fail("$.latency", "expected object")
-    _check_int(latency.get("count"), "$.latency.count")
-    for field in ("p50_ns", "p99_ns", "mean_ns", "max_ns"):
-        _check_number_or_null(latency.get(field), f"$.latency.{field}")
-
-    drops = doc.get("drops")
-    if not isinstance(drops, dict):
-        _fail("$.drops", "expected object")
-    for cause, count in drops.items():
-        if not isinstance(cause, str) or not cause:
-            _fail("$.drops", "expected non-empty string causes")
-        _check_int(count, f"$.drops[{cause!r}]")
-
-    segments = doc.get("segments")
-    if not isinstance(segments, dict):
-        _fail("$.segments", "expected object")
-    _check_int(segments.get("recorded"), "$.segments.recorded")
-    _check_int(segments.get("dropped"), "$.segments.dropped")
-
-    windows = doc.get("windows")
-    if not isinstance(windows, list):
-        _fail("$.windows", "expected array")
-    for i, window in enumerate(windows):
-        path = f"$.windows[{i}]"
-        if not isinstance(window, dict):
-            _fail(path, "expected object")
-        _check_int(window.get("epoch"), f"{path}.epoch", minimum=-(10 ** 9))
-        _check_int(window.get("start_ns"), f"{path}.start_ns")
-        if window.get("end_ns") is not None:
-            _check_int(window["end_ns"], f"{path}.end_ns")
-        _check_number_or_null(window.get("max_blackout_ns"), f"{path}.max_blackout_ns")
-        for field in ("offered_bytes", "delivered_bytes", "blackout_cost_bytes"):
-            _check_number(window.get(field), f"{path}.{field}")
-        _check_number_or_null(window.get("goodput_bytes_per_sec"),
-                              f"{path}.goodput_bytes_per_sec")
-
-    sample = doc.get("flows_sample")
-    if not isinstance(sample, list):
-        _fail("$.flows_sample", "expected array")
-    for i, flow in enumerate(sample):
-        path = f"$.flows_sample[{i}]"
-        if not isinstance(flow, dict):
-            _fail(path, "expected object")
-        for field in ("flow_id", "arrival_ns", "src_host", "dst_host", "size_bytes"):
-            _check_int(flow.get(field), f"{path}.{field}")
-        if flow.get("state") not in ("pending", "active", "unrouted", "completed"):
-            _fail(f"{path}.state", "expected a flow state string")
-        _check_number_or_null(flow.get("latency_ns"), f"{path}.latency_ns")
-    return doc
-
-
-def write_traffic(path: str, doc: Dict[str, Any]) -> None:
-    """Validate and write one traffic artifact."""
-    validate_traffic(doc)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-
-
-def read_traffic(path: str) -> Dict[str, Any]:
-    """Load and validate a traffic artifact."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return validate_traffic(doc)
+    return validate(doc, TRAFFIC_SCHEMA)

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.constants import MS, SEC
+from repro.obs.config import CoercibleConfig
 
 #: the supported arrival processes, in documentation order
 ARRIVAL_PATTERNS = ("uniform", "hotspot", "incast", "diurnal")
@@ -67,14 +68,11 @@ class Flow:
 
 
 @dataclass
-class TrafficConfig:
-    """Configuration for the traffic engine (``Network(traffic=...)``).
+class TrafficConfig(CoercibleConfig):
+    """Configuration for the traffic engine (``Network(traffic=...)``,
+    where a bare int is the flow count)."""
 
-    ``coerce`` accepts the same shorthand every other obs layer takes:
-    ``True`` (defaults), an int (flow count), a config, a dict of
-    field overrides (chaos schedules carry these through JSON), or
-    ``None``/``False`` (off).
-    """
+    INT_FIELD = "flows"
 
     pattern: str = "hotspot"
     flows: int = 1000
@@ -109,28 +107,6 @@ class TrafficConfig:
             )
         if self.flows < 0 or self.hosts < 1:
             raise ValueError("traffic needs flows >= 0 and hosts >= 1")
-
-    @classmethod
-    def coerce(
-        cls, value: "bool | int | dict | TrafficConfig | None"
-    ) -> Optional["TrafficConfig"]:
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, int):
-            return cls(flows=value)
-        if isinstance(value, dict):
-            known = cls.__dataclass_fields__
-            unknown = sorted(set(value) - set(known))
-            if unknown:
-                raise ValueError(f"unknown traffic config fields: {unknown}")
-            return cls(**value)
-        raise TypeError(
-            f"traffic must be bool, int, dict, or TrafficConfig: {value!r}"
-        )
 
 
 def host_switch(host: int, n_switches: int) -> int:

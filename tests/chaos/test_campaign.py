@@ -8,15 +8,11 @@ import pytest
 from repro.chaos.campaign import CampaignConfig, CampaignRunner
 from repro.chaos.checks import CheckReport
 from repro.chaos.events import CrashSwitch, CutLink, RestartSwitch
-from repro.chaos.replay import (
-    load_artifact,
-    replay_artifact,
-    reproducer_dict,
-    write_artifact,
-)
-from repro.chaos.schedule import SEC, SampleParams, Schedule
+from repro.chaos.replay import replay_artifact, reproducer_dict
+from repro.chaos.schedule import SCHEDULE_SCHEMA, SEC, SampleParams, Schedule
 from repro.chaos.shrink import shrink_schedule
-from repro.obs.export import validate_document
+from repro.obs import artifact
+from repro.obs.export import SCHEMA as BENCH_SCHEMA
 
 MS = 1_000_000
 
@@ -44,7 +40,7 @@ def test_small_campaign_runs_green_and_exports_valid_document():
         assert result.passed, result.violations
         assert result.faults >= 1
         assert result.checks_run.get("oracle-agreement") == 1
-    doc = validate_document(runner.document())
+    doc = artifact.validate(runner.document(), BENCH_SCHEMA)
     campaign = {r["name"]: r for r in doc["results"]}["campaign"]
     row = dict(zip(campaign["headers"], campaign["rows"][0]))
     assert row["failed"] == 0
@@ -115,14 +111,14 @@ def test_broken_invariant_fails_and_shrinks_to_small_reproducer(tmp_path):
 
     # and it round-trips through a reproducer artifact
     path = tmp_path / "broken.json"
-    artifact = reproducer_dict(
+    reproducer = reproducer_dict(
         minimal,
         violations=result.violations,
         original_events=len(schedule.events),
         shrink_runs=runs,
     )
-    write_artifact(str(path), artifact)
-    doc = load_artifact(str(path))
+    artifact.write(str(path), reproducer)
+    doc = artifact.read(str(path), SCHEDULE_SCHEMA)
     assert doc["shrunk_from_events"] == 5
     replayed = CampaignRunner(config).run_schedule(Schedule.from_dict(doc["schedule"]))
     # without the broken extra check the minimal schedule passes: one
@@ -138,7 +134,7 @@ def test_restart_mid_reconfiguration_fixture_replays_clean():
     checked-in artifact is the minimal reproducer; it must now replay
     with no violations."""
     path = os.path.join(FIXTURES, "restart_mid_reconfig.json")
-    doc = load_artifact(path)
+    doc = artifact.read(path, SCHEDULE_SCHEMA)
     assert doc["kind"] == "reproducer"
     result = replay_artifact(path)
     assert result.passed, result.violations
@@ -147,15 +143,15 @@ def test_restart_mid_reconfiguration_fixture_replays_clean():
 
 
 def test_replay_with_trace_writes_valid_flight_trace(tmp_path):
-    """--trace on a replay captures the causal timeline of the very run
-    the reproducer provokes, as a validated Perfetto document."""
+    """--artifacts on a replay captures the causal timeline of the very
+    run the reproducer provokes, as a validated Perfetto document."""
     from repro.obs.perfetto import read_trace
 
     path = os.path.join(FIXTURES, "restart_mid_reconfig.json")
-    trace_path = str(tmp_path / "replay.trace.json")
-    result = replay_artifact(path, trace_path=trace_path)
+    result = replay_artifact(path, artifacts=str(tmp_path))
     assert result.passed, result.violations
-    trace = read_trace(trace_path)  # raises SchemaError if malformed
+    # raises SchemaError if malformed
+    trace = read_trace(str(tmp_path / f"{result.name}.trace.json"))
     events = trace["traceEvents"]
     assert any(e.get("ph") == "s" for e in events), "expected message flows"
     assert trace["otherData"]["recorded"] > 0
@@ -167,9 +163,7 @@ def test_run_schedule_result_unchanged_by_tracing(tmp_path):
     runner = CampaignRunner(quick_config(schedules=1))
     schedule = runner.sample_schedule(0)
     plain = runner.run_schedule(schedule)
-    traced = runner.run_schedule(
-        schedule, trace_path=str(tmp_path / "s.trace.json")
-    )
+    traced = runner.run_schedule(schedule, artifacts=str(tmp_path))
     assert plain.passed == traced.passed
     assert plain.sim_ns == traced.sim_ns
     assert plain.epochs == traced.epochs
@@ -177,19 +171,19 @@ def test_run_schedule_result_unchanged_by_tracing(tmp_path):
 
 
 def test_run_schedule_timeseries_artifact_written_and_valid(tmp_path):
-    """timeseries_path records the longitudinal sampler over the faulted
-    run and writes a validated artifact, without changing the result."""
+    """artifacts= records the longitudinal sampler over the faulted run
+    and writes a validated artifact, without changing the result."""
     from repro.obs.timeseries import read_timeseries
 
     runner = CampaignRunner(quick_config(schedules=1))
     schedule = runner.sample_schedule(0)
     plain = runner.run_schedule(schedule)
+    sampled = runner.run_schedule(schedule, name="s", artifacts=str(tmp_path))
     ts_path = str(tmp_path / "s.timeseries.json")
-    sampled = runner.run_schedule(schedule, timeseries_path=ts_path)
     assert plain.passed == sampled.passed
     assert plain.sim_ns == sampled.sim_ns
     assert plain.injected == sampled.injected
-    doc = read_timeseries(ts_path)  # raises TimeSeriesSchemaError if malformed
+    doc = read_timeseries(ts_path)  # raises SchemaError if malformed
     assert doc["samples_taken"] > 0
     assert any(s["name"] == "epoch" for s in doc["series"])
 

@@ -1,0 +1,221 @@
+"""The one artifact envelope: every registered schema, mutated.
+
+Real documents (torus-3x4 with every observer on, hosts, one cut; a
+short sweep; a regress verdict; a bench document; a chaos reproducer)
+are walked against their schema tables: deleting each required key and
+replacing each leaf with a wrong-typed value must raise ``SchemaError``
+with a ``$.``-rooted path, and the untouched document must round-trip
+``write`` -> ``read`` to equal bytes.
+"""
+
+import copy
+import importlib
+
+import pytest
+
+from repro.constants import SEC
+from repro.network import Network
+from repro.obs import artifact
+from repro.obs.artifact import Atom, Enum, Map, Opt, SchemaError
+from repro.scenario import drive_scenario
+from repro.topology.generators import resolve_topology
+
+TAGS = sorted(artifact.PROVIDERS)
+
+
+@pytest.fixture(scope="module")
+def real_docs():
+    from repro.chaos.campaign import CampaignConfig, CampaignRunner
+    from repro.chaos.replay import reproducer_dict
+    from repro.obs.__main__ import _attach_traffic
+    from repro.obs.export import bench_document, bench_result
+    from repro.obs.regress import compare
+    from repro.obs.sweep import run_sweep
+
+    spec = resolve_topology("torus-3x4")
+    net = Network(
+        spec, seed=3, flight=True, timeseries=True, inband=True, control=True, traffic=200
+    )
+    _attach_traffic(net, period_ms=5.0, data_bytes=512)
+    drive_scenario(net, [(0, 1)], load_ns=int(0.3 * SEC))
+
+    def bench(ms):
+        rows = [["ring", ms, True], ["torus", None, False]]
+        result = bench_result("r", "t", ["topology", "ms", "ok"], rows, telemetry={"k": 1})
+        return bench_document("demo", title="t", seed=7, results=[result])
+
+    runner = CampaignRunner(CampaignConfig(topology="ring-4", schedules=1))
+    docs = [
+        net.flight_trace(),
+        net.timeseries_doc(),
+        net.inband_doc(),
+        net.traffic_doc(),
+        run_sweep(seed=0, topologies=["torus-3x4", "torus-4x4", "torus-32x32"]),
+        bench(1.5),
+        compare(bench(1.5), [bench(1.0)], strict=True),
+        reproducer_dict(runner.sample_schedule(0), violations=["x"], original_events=9),
+    ]
+    by_tag = {doc["schema"]: doc for doc in docs}
+    assert sorted(by_tag) == TAGS, "one real document per registered schema"
+    return by_tag
+
+
+_DELETE = object()
+
+
+def _wrong_values(spec):
+    """Values the leaf (or container) ``spec`` must reject."""
+    if isinstance(spec, Opt):
+        return _wrong_values(spec.spec)
+    if isinstance(spec, Enum):
+        return ["no-such-choice", 7]
+    if isinstance(spec, Atom):
+        wrong = [[], "x" if str not in spec.types else object()]
+        if int in spec.types and bool not in spec.types:
+            wrong.append(True)
+        if spec.minimum is not None:
+            wrong.append(spec.minimum - 1)
+        if spec.nonempty:
+            wrong.append("")
+        return wrong
+    if isinstance(spec, (dict, Map)):
+        return [[], "x"]
+    return [{}, "x"]  # list / tuple specs want an array
+
+
+def _mutations(spec, value, where, seen):
+    """Yield ``(container, key, wrong, label)`` for every position of
+    ``spec`` the document reaches -- once per position, array indices
+    and map keys collapsed -- where ``wrong`` is a value that position
+    must reject, or ``_DELETE`` for a required key."""
+    if isinstance(spec, Opt):
+        spec = spec.spec
+    if isinstance(spec, dict):
+        children = [(key, sub, f"{where}.{key}") for key, sub in spec.items()]
+    elif isinstance(spec, Map):
+        children = [(key, spec.values, f"{where}.*") for key in value]
+    elif isinstance(spec, list):
+        children = [(i, spec[0], f"{where}[*]") for i in range(len(value))]
+    elif isinstance(spec, tuple):
+        children = [(i, sub, f"{where}[{i}]") for i, sub in enumerate(spec)]
+    else:
+        return  # a leaf: its parent already yielded its mutations
+    for key, sub, label in children:
+        if isinstance(value, dict) and value.get(key) is None:
+            continue  # an Opt position this document leaves empty
+        if label not in seen:
+            seen.add(label)
+            if isinstance(spec, dict) and not isinstance(sub, Opt):
+                yield value, key, _DELETE, f"delete {label}"
+            for wrong in _wrong_values(sub):
+                yield value, key, wrong, f"{label} = {wrong!r}"
+        yield from _mutations(sub, value[key], label, seen)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_every_spec_position_rejects_a_wrong_value(tag, real_docs):
+    doc = copy.deepcopy(real_docs[tag])
+    spec = importlib.import_module(artifact.PROVIDERS[tag]).ARTIFACT.spec
+    seen = set()
+    for container, key, wrong, label in _mutations(spec, doc, "$", seen):
+        original = container[key]
+        if wrong is _DELETE:
+            del container[key]
+        else:
+            container[key] = wrong
+        with pytest.raises(SchemaError) as excinfo:
+            artifact.validate(doc, tag)
+            pytest.fail(f"{tag}: mutation not rejected: {label}")
+        container[key] = original
+        assert str(excinfo.value).startswith("$."), label
+    assert len(seen) >= len(spec), f"{tag}: only {sorted(seen)} reached"
+    artifact.validate(doc, tag)  # every mutation was undone
+
+
+#: integers that a bare ``isinstance(x, int)`` used to let ``True`` into
+BOOL_AS_INT = [
+    ("repro.bench/1", ["seed"]),
+    ("repro.obs.regress/1", ["out_of_band"]),
+    ("repro.obs.regress/1", ["baseline_runs"]),
+    ("repro.obs.timeseries/1", ["marks", 0, "t_ns"]),
+    ("repro.obs.flight/1", ["traceEvents", 0, "pid"]),
+    ("repro.obs.flight/1", ["traceEvents", 0, "tid"]),
+    ("repro.obs.flight/1", ["traceEvents", "X", "dur"]),
+]
+
+
+@pytest.mark.parametrize("tag, path", BOOL_AS_INT, ids=[f"{t}:{p[-1]}" for t, p in BOOL_AS_INT])
+def test_bool_is_not_an_int(tag, path, real_docs):
+    container = real_docs[tag]
+    for step in path[:-1]:
+        if step == "X":  # the first complete event (the only phase with a dur)
+            container = next(e for e in container if e["ph"] == "X")
+        else:
+            container = container[step]
+    original = container[path[-1]]
+    assert isinstance(original, int) and not isinstance(original, bool)
+    container[path[-1]] = True
+    try:
+        with pytest.raises(SchemaError, match=rf"^\$\..*{path[-1]}"):
+            artifact.validate(real_docs[tag], tag)
+    finally:
+        container[path[-1]] = original
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_untouched_document_round_trips_to_equal_bytes(tag, real_docs, tmp_path):
+    first = tmp_path / "deep" / "first.json"
+    artifact.write(str(first), real_docs[tag])  # creates the parent directory
+    loaded = artifact.read(str(first), tag)
+    assert loaded == real_docs[tag]
+    second = tmp_path / "second.json"
+    artifact.write(str(second), loaded)
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_bytes().endswith(b"\n")
+
+
+def test_expected_tag_mismatch_and_unknown_tags_are_schema_errors(real_docs):
+    timeseries = real_docs["repro.obs.timeseries/1"]
+    with pytest.raises(SchemaError, match=r"\$\.schema: expected 'repro.obs.flight/1'"):
+        artifact.validate(timeseries, "repro.obs.flight/1")
+    with pytest.raises(SchemaError, match=r"\$\.schema: unknown schema"):
+        artifact.validate({"schema": "repro.nope/1"})
+    with pytest.raises(SchemaError, match=r"^\$: expected object"):
+        artifact.validate([])
+
+
+def test_read_trace_on_a_timeseries_file_fails_on_the_tag(real_docs, tmp_path):
+    from repro.obs.perfetto import read_trace
+
+    path = tmp_path / "ts.json"
+    artifact.write(str(path), real_docs["repro.obs.timeseries/1"])
+    with pytest.raises(SchemaError, match=r"\$\.schema"):
+        read_trace(str(path))
+
+
+# -- python -m repro.obs validate --------------------------------------------------------
+
+
+def test_cli_validate_dispatches_on_each_files_tag(real_docs, tmp_path, capsys):
+    from repro.obs.__main__ import main
+
+    paths = []
+    for i, tag in enumerate(TAGS):
+        paths.append(str(tmp_path / f"doc{i}.json"))
+        artifact.write(paths[-1], real_docs[tag])
+    assert main(["validate", *paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{path}: valid {tag}" for path, tag in zip(paths, TAGS)]
+
+
+def test_cli_validate_exits_1_on_the_first_schema_error(real_docs, tmp_path, capsys):
+    from repro.obs.__main__ import main
+
+    good = str(tmp_path / "good.json")
+    artifact.write(good, real_docs["repro.bench/1"])
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema": "repro.obs.sweep/1", "ladder": ""}')
+    assert main(["validate", good, str(bad), good]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"{good}: valid repro.bench/1"]
+    assert "$.ladder" in captured.err

@@ -4,15 +4,9 @@ import json
 
 import pytest
 
-from repro.obs.export import (
-    SCHEMA,
-    SchemaError,
-    bench_document,
-    bench_result,
-    read_document,
-    validate_document,
-    write_document,
-)
+from repro.obs import artifact
+from repro.obs.artifact import SchemaError
+from repro.obs.export import SCHEMA, bench_document, bench_result
 
 
 def make_doc():
@@ -33,15 +27,15 @@ def make_doc():
 
 def test_valid_document_passes():
     doc = make_doc()
-    assert validate_document(doc) is doc
+    assert artifact.validate(doc, SCHEMA) is doc
     assert doc["schema"] == SCHEMA
 
 
 def test_round_trip_through_disk(tmp_path):
     path = tmp_path / "out.json"
     doc = make_doc()
-    write_document(str(path), doc)
-    loaded = read_document(str(path))
+    artifact.write(str(path), doc)
+    loaded = artifact.read(str(path), SCHEMA)
     assert loaded == doc
     # the on-disk form is plain JSON, newline-terminated
     text = path.read_text()
@@ -66,7 +60,7 @@ def test_malformed_documents_are_rejected(mutate, fragment):
     doc = make_doc()
     mutate(doc)
     with pytest.raises(SchemaError) as excinfo:
-        validate_document(doc)
+        artifact.validate(doc, SCHEMA)
     assert fragment in str(excinfo.value)
 
 
@@ -75,7 +69,7 @@ def test_write_document_refuses_invalid(tmp_path):
     doc["results"][0]["rows"][0] = [1]  # width mismatch
     path = tmp_path / "bad.json"
     with pytest.raises(SchemaError):
-        write_document(str(path), doc)
+        artifact.write(str(path), doc)
     assert not path.exists()
 
 
@@ -83,4 +77,4 @@ def test_null_and_bool_cells_are_scalars():
     doc = bench_document("b", results=[
         bench_result("r", "t", ["a", "b", "c"], [[None, True, 1.5]])
     ])
-    validate_document(doc)
+    artifact.validate(doc, SCHEMA)

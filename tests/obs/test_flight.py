@@ -13,8 +13,9 @@ import pytest
 
 from repro.constants import SEC
 from repro.network import Network
+from repro.obs import artifact
 from repro.obs import flight as flight_mod
-from repro.obs.export import SchemaError
+from repro.obs.artifact import SchemaError
 from repro.obs.flight import (
     CAT_EPOCH,
     CAT_MESSAGE,
@@ -29,8 +30,6 @@ from repro.obs.perfetto import (
     chains_from_trace,
     read_trace,
     trace_event_document,
-    validate_trace,
-    write_trace,
 )
 from repro.obs.profiler import EventLoopProfiler
 from repro.sim.engine import Simulator
@@ -177,7 +176,7 @@ def cut_network():
 def test_exported_trace_validates_and_links_the_epoch(cut_network, tmp_path):
     net = cut_network
     doc = net.flight_trace()
-    validate_trace(doc)  # ph/ts/pid/tid/name structure, B/E pairs, flows
+    artifact.validate(doc, FLIGHT_SCHEMA)  # ph/ts/pid/tid/name structure, B/E pairs, flows
     assert doc["schema"] == FLIGHT_SCHEMA
 
     events = doc["traceEvents"]
@@ -197,7 +196,7 @@ def test_exported_trace_validates_and_links_the_epoch(cut_network, tmp_path):
 
     # round-trips through disk and the validator
     path = tmp_path / "ring4.trace.json"
-    write_trace(str(path), doc)
+    artifact.write(str(path), doc)
     loaded = read_trace(str(path))
     assert len(loaded["traceEvents"]) == len(events)
     # eid/parent survive in args for offline why()-style walks
@@ -249,7 +248,7 @@ def _minimal_doc(events):
 
 
 def test_validator_accepts_matched_slices_and_flows():
-    validate_trace(
+    artifact.validate(
         _minimal_doc(
             [
                 {"ph": "B", "name": "epoch 1", "ts": 0, "pid": 1, "tid": 1},
@@ -257,7 +256,8 @@ def test_validator_accepts_matched_slices_and_flows():
                 {"ph": "f", "name": "m", "id": 7, "ts": 2, "pid": 1, "tid": 2},
                 {"ph": "E", "name": "epoch 1", "ts": 3, "pid": 1, "tid": 1},
             ]
-        )
+        ),
+        FLIGHT_SCHEMA,
     )
 
 
@@ -292,12 +292,12 @@ def test_validator_accepts_matched_slices_and_flows():
 )
 def test_validator_rejects_malformed_documents(events, why):
     with pytest.raises(SchemaError, match=why):
-        validate_trace(_minimal_doc(events))
+        artifact.validate(_minimal_doc(events), FLIGHT_SCHEMA)
 
 
 def test_validator_rejects_wrong_schema():
     with pytest.raises(SchemaError, match="schema"):
-        validate_trace({"schema": "nope", "traceEvents": []})
+        artifact.validate({"schema": "nope", "traceEvents": []}, FLIGHT_SCHEMA)
 
 
 def test_trace_document_survives_ring_eviction():
@@ -306,7 +306,7 @@ def test_trace_document_survives_ring_eviction():
     net.run_for(8 * SEC)
     assert net.flight.total_dropped > 0
     doc = net.flight_trace()
-    validate_trace(doc)
+    artifact.validate(doc, FLIGHT_SCHEMA)
     assert doc["otherData"]["dropped"] == net.flight.total_dropped
 
 

@@ -14,20 +14,19 @@ import pytest
 from repro.constants import MS, SEC
 from repro.network import Network
 from repro.net.packet import Packet
+from repro.obs import artifact
+from repro.obs.artifact import SchemaError
 from repro.obs.inband import (
     INBAND_SCHEMA,
     InbandConfig,
-    InbandSchemaError,
     InbandTelemetry,
     PathCollector,
     SloTracker,
     exact_quantile,
     path_of,
     read_inband,
-    validate_inband,
-    write_inband,
 )
-from repro.obs.perfetto import path_trace_document, validate_trace
+from repro.obs.perfetto import FLIGHT_SCHEMA, path_trace_document
 from repro.obs.watch import congestion_rows
 from repro.topology import ring, torus
 from repro.types import Uid
@@ -307,7 +306,7 @@ def test_cut_link_produces_path_change_and_quantiles(tmp_path):
     net.run_for(1 * SEC)
 
     doc = net.inband_doc()
-    validate_inband(doc)
+    artifact.validate(doc, INBAND_SCHEMA)
     changes = [c for flow in doc["flows"] for c in flow["changes"]]
     assert len(changes) >= 1
     assert doc["slo"]["p50_ns"] is not None
@@ -323,7 +322,7 @@ def test_cut_link_produces_path_change_and_quantiles(tmp_path):
 
     # downstream consumers accept the same document
     trace = path_trace_document(doc)
-    validate_trace(trace)
+    artifact.validate(trace, FLIGHT_SCHEMA)
     assert any(e.get("cat") == "path" for e in trace["traceEvents"])
     rows = congestion_rows(doc)
     assert rows and "link congestion" in rows[0]
@@ -348,7 +347,7 @@ def _valid_doc():
         assert net.run_until_converged(timeout_ns=60 * SEC)
         net.run_for(1 * SEC)
         doc = net.inband_doc()
-        validate_inband(doc)
+        artifact.validate(doc, INBAND_SCHEMA)
         _DOC_CACHE["doc"] = json.dumps(doc)
     return json.loads(_DOC_CACHE["doc"])
 
@@ -371,13 +370,13 @@ def test_validator_rejects_malformed(mutate):
     doc = _valid_doc()
     assert doc["flows"], "need at least one flow to mutate"
     mutate(doc)
-    with pytest.raises(InbandSchemaError):
-        validate_inband(doc)
+    with pytest.raises(SchemaError):
+        artifact.validate(doc, INBAND_SCHEMA)
 
 
 def test_write_inband_refuses_invalid(tmp_path):
-    with pytest.raises(InbandSchemaError):
-        write_inband(str(tmp_path / "bad.json"), {"schema": "nope"})
+    with pytest.raises(SchemaError):
+        artifact.write(str(tmp_path / "bad.json"), {"schema": "nope"})
 
 
 # -- CLI ------------------------------------------------------------------------------

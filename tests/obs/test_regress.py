@@ -5,20 +5,19 @@ import json
 
 import pytest
 
+from repro.obs import artifact
+from repro.obs.artifact import SchemaError
 from repro.obs.export import bench_document, bench_result
 from repro.obs.regress import (
-    RegressSchemaError,
+    REGRESS_SCHEMA,
     Tolerance,
     archive_document,
     baseline_window,
     compare,
     load_history,
     metrics_of,
-    read_regress,
     render_verdict,
     repeat_stats_of,
-    validate_regress,
-    write_regress,
 )
 
 
@@ -179,7 +178,7 @@ def test_floor_direction_admits_improvement_but_gates_regression():
 
 def test_identical_run_is_in_band():
     verdict = compare(make_doc(), [make_doc()])
-    validate_regress(verdict)
+    artifact.validate(verdict, REGRESS_SCHEMA)
     assert verdict["verdict"] == "ok"
     assert verdict["out_of_band"] == 0
 
@@ -189,7 +188,7 @@ def test_slowed_reconfiguration_detected_out_of_band():
     outside the tolerance band and the verdict is a regression."""
     slow = make_doc(measured=240.0, blackout=238.0)
     verdict = compare(slow, [make_doc()])
-    validate_regress(verdict)
+    artifact.validate(verdict, REGRESS_SCHEMA)
     assert verdict["verdict"] == "regression"
     bad = {c["metric"] for c in verdict["comparisons"]
            if c["status"] == "out-of-band"}
@@ -245,8 +244,8 @@ def test_new_and_missing_metrics():
 def test_verdict_round_trip(tmp_path):
     verdict = compare(make_doc(measured=240.0), [make_doc()])
     path = tmp_path / "verdict.json"
-    write_regress(str(path), verdict)
-    assert read_regress(str(path)) == verdict
+    artifact.write(str(path), verdict)
+    assert artifact.read(str(path), REGRESS_SCHEMA) == verdict
 
 
 @pytest.mark.parametrize(
@@ -265,8 +264,8 @@ def test_verdict_validator_rejects_malformed(mutate):
     verdict = compare(make_doc(measured=240.0), [make_doc()])
     broken = copy.deepcopy(verdict)
     mutate(broken)
-    with pytest.raises(RegressSchemaError):
-        validate_regress(broken)
+    with pytest.raises(SchemaError):
+        artifact.validate(broken, REGRESS_SCHEMA)
 
 
 # -- the CLI gate ----------------------------------------------------------------------
@@ -289,7 +288,7 @@ def test_regress_cli_exits_nonzero_on_regression(tmp_path, capsys):
         "--out", str(verdict_path),
     ])
     assert code == 1
-    assert read_regress(str(verdict_path))["verdict"] == "regression"
+    assert artifact.read(str(verdict_path), REGRESS_SCHEMA)["verdict"] == "regression"
     assert "OUT OF BAND" in capsys.readouterr().out
 
     ok = main([

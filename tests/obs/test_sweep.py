@@ -6,20 +6,19 @@ import math
 
 import pytest
 
+from repro.obs import artifact
+from repro.obs.artifact import SchemaError
 from repro.obs.sweep import (
     LADDERS,
     REQUIRED_METRICS,
     SWEEP_METRICS,
+    SWEEP_SCHEMA,
     SweepPoint,
-    SweepSchemaError,
     fit_slope,
     fit_slopes,
-    read_sweep,
     render_sweep,
     run_point,
     run_sweep,
-    validate_sweep,
-    write_sweep,
 )
 
 
@@ -173,7 +172,7 @@ def valid_doc():
 
 def test_validator_accepts_and_returns_doc():
     doc = valid_doc()
-    assert validate_sweep(doc) is doc
+    assert artifact.validate(doc, SWEEP_SCHEMA) is doc
 
 
 @pytest.mark.parametrize(
@@ -196,15 +195,15 @@ def test_validator_accepts_and_returns_doc():
 def test_validator_rejections(mutate, where):
     doc = copy.deepcopy(valid_doc())
     mutate(doc)
-    with pytest.raises(SweepSchemaError):
-        validate_sweep(doc)
+    with pytest.raises(SchemaError):
+        artifact.validate(doc, SWEEP_SCHEMA)
 
 
 def test_write_read_round_trip(tmp_path):
     path = tmp_path / "sweep.json"
     doc = valid_doc()
-    write_sweep(str(path), doc)
-    again = read_sweep(str(path))
+    artifact.write(str(path), doc)
+    again = artifact.read(str(path), SWEEP_SCHEMA)
     assert again == doc
     # the artifact is plain indented JSON with a trailing newline
     text = path.read_text()
@@ -214,8 +213,8 @@ def test_write_read_round_trip(tmp_path):
 def test_write_refuses_invalid(tmp_path):
     doc = valid_doc()
     doc["points"] = []
-    with pytest.raises(SweepSchemaError):
-        write_sweep(str(tmp_path / "bad.json"), doc)
+    with pytest.raises(SchemaError):
+        artifact.write(str(tmp_path / "bad.json"), doc)
     assert not (tmp_path / "bad.json").exists()
 
 
@@ -234,7 +233,7 @@ def test_doctor_sweep_report_renders():
 
     text = sweep_report(valid_doc())
     assert text.startswith("scaling sweep:")
-    with pytest.raises(SweepSchemaError):
+    with pytest.raises(SchemaError):
         sweep_report({"schema": "nope"})
 
 
@@ -250,9 +249,19 @@ def test_cli_sweep_writes_artifact(tmp_path, capsys):
         "--seed", "2", "--out", str(out),
     ])
     assert code == 0
-    doc = read_sweep(str(out))
+    doc = artifact.read(str(out), SWEEP_SCHEMA)
     assert {p["name"] for p in doc["points"]} == {"ring-4", "torus-16x16"}
     assert "scaling sweep" in capsys.readouterr().out
+
+
+def test_cli_sweep_creates_the_output_directory(tmp_path):
+    """``--out newdir/s.json`` used to die with FileNotFoundError: the
+    sweep writer was the one that did not create its parent directory."""
+    from repro.obs.__main__ import main
+
+    out = tmp_path / "newdir" / "s.json"
+    assert main(["sweep", "--topo", "torus-16x16", "--out", str(out)]) == 0
+    assert artifact.read(str(out), SWEEP_SCHEMA)["points"][0]["status"] == "skipped"
 
 
 def test_cli_no_subcommand_lists_topologies(capsys):

@@ -6,16 +6,16 @@ import pytest
 
 from repro.constants import MS, SEC
 from repro.network import Network
+from repro.obs import artifact
+from repro.obs.artifact import SchemaError
 from repro.obs.timeseries import (
+    TIMESERIES_SCHEMA,
     SeriesData,
     SeriesRing,
     TimeSeries,
     TimeSeriesConfig,
     TimeSeriesSampler,
-    TimeSeriesSchemaError,
     read_timeseries,
-    validate_timeseries,
-    write_timeseries,
 )
 from repro.sim.engine import Simulator
 from repro.topology import ring, torus
@@ -65,7 +65,7 @@ def test_late_series_left_padded_in_document():
     sampler.add_collector("late", lambda: 2.0)
     sim.run(until=60 * MS)
     doc = sampler.document()
-    validate_timeseries(doc)
+    artifact.validate(doc, TIMESERIES_SCHEMA)
     by_name = {s["name"]: s for s in doc["series"]}
     assert by_name["early"]["values"] == [1.0] * 6
     assert by_name["late"]["values"] == [None, None, None, 2.0, 2.0, 2.0]
@@ -168,7 +168,7 @@ def _tiny_doc():
 def test_artifact_round_trip(tmp_path):
     doc = _tiny_doc()
     path = tmp_path / "ts.json"
-    write_timeseries(str(path), doc)
+    artifact.write(str(path), doc)
     loaded = read_timeseries(str(path))
     assert loaded == doc
     ts = TimeSeries.load(str(path))
@@ -193,8 +193,8 @@ def test_artifact_round_trip(tmp_path):
 def test_validator_rejects_malformed(mutate):
     doc = _tiny_doc()
     mutate(doc)
-    with pytest.raises(TimeSeriesSchemaError):
-        validate_timeseries(doc)
+    with pytest.raises(SchemaError):
+        artifact.validate(doc, TIMESERIES_SCHEMA)
 
 
 # -- acceptance: the full network path -------------------------------------------------

@@ -11,7 +11,8 @@ import os
 
 from repro.constants import SEC
 from repro.network import Network
-from repro.obs.export import bench_document, bench_result, write_document
+from repro.obs import artifact
+from repro.obs.export import bench_document, bench_result
 from repro.topology import torus
 
 
@@ -58,7 +59,7 @@ def _maybe_export_fingerprint(run):
             )
         ],
     )
-    write_document(path, doc)
+    artifact.write(path, doc)
 
 
 def test_identical_seeds_identical_histories():

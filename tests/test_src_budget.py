@@ -1,0 +1,36 @@
+"""The north star's "net ``src/`` line count" as a ratchet.
+
+``BUDGET`` is the total this tree had when the constant was last set.
+Deleting code leaves slack -- lower the constant to bank it.  Raising it
+is allowed only in a PR that says what the extra lines buy (ROADMAP:
+"the same behaviour and speed from the simplest design and the least
+code"; tooling is already ~1.7x the protocol it wraps).
+"""
+
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: physical lines under src/repro/**/*.py (PR 12 took it from 23 369 to this)
+BUDGET = 22994
+
+
+def _lines(path: Path) -> int:
+    with path.open() as fh:
+        return sum(1 for _ in fh)
+
+
+def test_src_line_count_stays_within_budget():
+    per_package = {}
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC)
+        package = relative.parts[0] if len(relative.parts) > 1 else "(top level)"
+        per_package[package] = per_package.get(package, 0) + _lines(path)
+    total = sum(per_package.values())
+    for package, count in sorted(per_package.items()):
+        print(f"{package:<14} {count:>6}")
+    print(f"{'total':<14} {total:>6}  (budget {BUDGET})")
+    assert total <= BUDGET, (
+        f"src/repro grew to {total} lines, over the {BUDGET}-line budget: "
+        "delete something, or raise BUDGET in a PR that states the reason"
+    )

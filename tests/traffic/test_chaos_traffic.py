@@ -3,7 +3,8 @@
 import json
 
 from repro.chaos.campaign import CampaignConfig, CampaignRunner
-from repro.chaos.replay import replay_artifact, reproducer_dict, write_artifact
+from repro.chaos.replay import replay_artifact, reproducer_dict
+from repro.obs import artifact
 from repro.traffic.artifact import validate_traffic
 
 SMALL_TRAFFIC = {
@@ -23,7 +24,9 @@ def test_schedule_with_traffic_runs_slo_check(tmp_path):
     runner = _runner()
     schedule = runner.sample_schedule(0)
     path = str(tmp_path / "schedule.traffic.json")
-    result = runner.run_schedule(schedule, traffic=dict(SMALL_TRAFFIC), traffic_path=path)
+    result = runner.run_schedule(
+        schedule, name="schedule", artifacts=str(tmp_path), traffic=dict(SMALL_TRAFFIC)
+    )
     assert result.passed
     assert result.checks_run.get("traffic_slo", 0) >= 1
     doc = validate_traffic(json.load(open(path)))
@@ -47,7 +50,7 @@ def test_traffic_path_alone_implies_default_workload(tmp_path):
     runner = _runner()
     schedule = runner.sample_schedule(0)
     path = str(tmp_path / "implied.traffic.json")
-    result = runner.run_schedule(schedule, traffic_path=path)
+    result = runner.run_schedule(schedule, name="implied", artifacts=str(tmp_path))
     assert result.checks_run.get("traffic_slo", 0) >= 1
     validate_traffic(json.load(open(path)))
 
@@ -62,9 +65,9 @@ def test_config_traffic_field_coerces_dict():
 def test_replay_writes_traffic_artifact(tmp_path):
     runner = _runner()
     schedule = runner.sample_schedule(0)
-    artifact = str(tmp_path / "reproducer.json")
-    write_artifact(artifact, reproducer_dict(schedule, violations=[]))
-    path = str(tmp_path / "replay.traffic.json")
-    result = replay_artifact(artifact, traffic_path=path)
+    reproducer = str(tmp_path / "reproducer.json")
+    artifact.write(reproducer, reproducer_dict(schedule, violations=[]))
+    result = replay_artifact(reproducer, artifacts=str(tmp_path))
+    path = str(tmp_path / f"{result.name}.traffic.json")
     assert result.checks_run.get("traffic_slo", 0) >= 1
     validate_traffic(json.load(open(path)))

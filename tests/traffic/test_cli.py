@@ -37,15 +37,15 @@ def test_report_and_validate_subcommands(tmp_path, capsys):
     assert traffic_main(["report", out]) == 0
     assert "traffic SLO report" in capsys.readouterr().out
 
-    assert traffic_main(["validate", out]) == 0
+    assert obs_main(["validate", out]) == 0
     assert "valid repro.traffic/1" in capsys.readouterr().out
 
 
-def test_validate_rejects_corrupt_artifact(tmp_path):
+def test_validate_rejects_corrupt_artifact(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "repro.traffic/1"}))
-    with pytest.raises(Exception):
-        traffic_main(["validate", str(bad)])
+    assert obs_main(["validate", str(bad)]) == 1
+    assert "$.name" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("main", [traffic_main, obs_main], ids=["traffic", "obs"])

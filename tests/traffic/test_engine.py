@@ -18,9 +18,10 @@ import pytest
 
 from repro.constants import SEC
 from repro.network import Network
+from repro.obs import artifact
 from repro.obs.export import bench_document, bench_result
 from repro.topology.generators import resolve_topology
-from repro.traffic.artifact import read_traffic, validate_traffic, write_traffic
+from repro.traffic.artifact import TRAFFIC_SCHEMA, validate_traffic
 
 TOPOLOGIES = ("ring-4", "torus-3x4", "src-lan-30")
 
@@ -151,7 +152,7 @@ def test_slo_violations_empty_after_reconvergence():
 def test_artifact_roundtrip(tmp_path):
     net = _run_scenario("ring-4", traffic=dict(SMALL_TRAFFIC))
     path = str(tmp_path / "traffic.json")
-    write_traffic(path, net.traffic_doc("roundtrip"))
-    doc = read_traffic(path)
+    artifact.write(path, net.traffic_doc("roundtrip"))
+    doc = artifact.read(path, TRAFFIC_SCHEMA)
     assert doc["name"] == "roundtrip"
     assert doc["schema"] == "repro.traffic/1"

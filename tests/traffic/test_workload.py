@@ -75,7 +75,7 @@ def test_coerce_shorthands():
 
 
 def test_coerce_rejects_unknown_fields_and_types():
-    with pytest.raises(ValueError, match="unknown traffic config fields"):
+    with pytest.raises(ValueError, match="unknown TrafficConfig fields"):
         TrafficConfig.coerce({"pattern": "uniform", "flws": 10})
     with pytest.raises(TypeError):
         TrafficConfig.coerce(3.5)
