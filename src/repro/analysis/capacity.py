@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.routing import UP, legal_distances, next_hop_ports
+from repro.core.routing import DOWN, UP
 from repro.core.topo import NetLink, PortRef, TopologyMap
 from repro.types import Uid
 
@@ -61,6 +61,7 @@ def analyze_capacity(
     split equally over the alternatives, mirroring the hardware's
     pick-any-free-port behaviour in the long-run average.
     """
+    index = topology.index()
     uids = sorted(topology.switches)
     link_loads: Dict[NetLink, float] = {link: 0.0 for link in topology.links}
     total_length = 0.0
@@ -68,14 +69,13 @@ def analyze_capacity(
     pairs = 0
 
     for dest in uids:
-        dist = legal_distances(topology, dest)
         for src in uids:
             if src == dest:
                 continue
             pairs += 1
-            length = dist[(src, UP)]
+            length = index.distance(src, dest, UP)
             total_length += length
-            max_length = max(max_length, int(length))
+            max_length = max(max_length, length)
             # push one unit of flow from src toward dest, splitting
             # equally at every branch point
             flows: Dict[Tuple[Uid, int], float] = {(src, UP): 1.0}
@@ -89,22 +89,17 @@ def analyze_capacity(
                     if next_hops is not None:
                         ports = next_hops(uid, phase, dest)
                     else:
-                        ports = next_hop_ports(topology, uid, phase, dest, dist)
+                        ports = index.next_hops(uid, dest)[phase]
                     if not ports:
                         continue
                     share = amount / len(ports)
-                    neighbors = topology.neighbors(uid)
+                    neighbors = index.nbrs[uid]
                     for port in ports:
                         far = neighbors[port]
                         link = NetLink(PortRef(uid, port), far)
                         link_loads[link] = link_loads.get(link, 0.0) + share
-                        from repro.core.routing import link_direction
-
-                        up_end = link_direction(topology, link)
-                        next_phase = (
-                            UP if (up_end.uid, up_end.port) == (far.uid, far.port) else 1
-                        )
-                        key = (far.uid, next_phase if phase == UP else 1)
+                        climbs = index.up_end[(far.uid, far.port)]
+                        key = (far.uid, UP if climbs and phase == UP else DOWN)
                         next_flows[key] = next_flows.get(key, 0.0) + share
                 flows = next_flows
 

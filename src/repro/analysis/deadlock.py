@@ -12,7 +12,7 @@ E11 ablation bench demonstrates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import List, Mapping, Set, Tuple
 
 import networkx as nx
 
@@ -33,31 +33,34 @@ def channel_dependency_graph(
     """Build the channel dependency graph induced by the loaded tables.
 
     Only switch-to-switch channels are modeled; channels to and from hosts
-    are sources/sinks and cannot participate in cycles.
+    are sources/sinks and cannot participate in cycles.  Any forwarding
+    loop the tables admit is a cycle here, which is why the table walks of
+    :mod:`repro.analysis.invariants` do not look for one.
     """
+    index = topology.index()
     graph = nx.DiGraph()
-    # channels keyed by the receiving (uid, port)
-    incoming: Dict[Tuple[Uid, int], Channel] = {}
-    outgoing: Dict[Tuple[Uid, int], Channel] = {}
-    for link in topology.links:
-        if link.is_loop:
-            continue
-        for src, dst in ((link.a, link.b), (link.b, link.a)):
-            channel: Channel = (src, dst)
-            graph.add_node(channel)
-            incoming[(dst.uid, dst.port)] = channel
-            outgoing[(src.uid, src.port)] = channel
+    for uid, ports in index.nbrs.items():
+        for port, far in ports.items():
+            graph.add_node((PortRef(uid, port), far))
 
     for uid, entries in entries_by_uid.items():
+        nbrs = index.nbrs.get(uid, {})
+        # one pass per distinct (receiving port, port vector) row: every
+        # address sharing a row induces the same dependencies
+        rows: Set[Tuple[int, Tuple[int, ...]]] = set()
         for (in_port, _address), entry in entries.items():
-            upstream = incoming.get((uid, in_port))
-            if upstream is None:
+            sender = nbrs.get(in_port)
+            if sender is None:
                 continue  # packets from hosts/CP start chains, no upstream hold
+            row = (in_port, entry.ports)
+            if row in rows:
+                continue
+            rows.add(row)
+            upstream: Channel = (sender, PortRef(uid, in_port))
             for out_port in entry.ports:
-                downstream = outgoing.get((uid, out_port))
-                if downstream is None:
-                    continue  # delivered to a host or the CP: chain ends
-                graph.add_edge(upstream, downstream)
+                far = nbrs.get(out_port)
+                if far is not None:  # else a host or the CP: chain ends
+                    graph.add_edge(upstream, (PortRef(uid, out_port), far))
     return graph
 
 

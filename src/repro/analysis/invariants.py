@@ -12,12 +12,47 @@ from collections import deque
 from typing import Dict, Mapping, Set, Tuple
 
 from repro.constants import CONTROL_PROCESSOR_PORT
-from repro.core.routing import DOWN, arrival_phase, link_direction
 from repro.core.topo import NetLink, PortRef, TopologyMap
 from repro.net.forwarding import ForwardingEntry
 from repro.types import Uid, make_short_address
 
 EntryMap = Mapping[Tuple[int, int], ForwardingEntry]
+
+# Every sweep below fetches ``topology.index()`` once and does the work a
+# table demands once per *distinct* row: entries are interned, so a table
+# of thousands of (receiving port, address) keys holds a few dozen port
+# vectors, and a verdict on one key of a row holds for all of them.
+
+
+def _deliveries(
+    nbrs: Mapping[Uid, Mapping[int, PortRef]],
+    entries_by_uid: Mapping[Uid, EntryMap],
+    start_uid: Uid,
+    start_port: int,
+    address: int,
+) -> Set[Tuple[Uid, int]]:
+    delivered: Set[Tuple[Uid, int]] = set()
+    seen: Set[Tuple[Uid, int]] = set()
+    frontier = deque([(start_uid, start_port)])
+    while frontier:
+        state = frontier.popleft()
+        if state in seen:
+            continue
+        seen.add(state)
+        uid, in_port = state
+        entry = entries_by_uid.get(uid, {}).get((in_port, address))
+        if entry is None or entry.is_discard:
+            continue
+        ports = nbrs.get(uid, {})
+        for out_port in entry.ports:
+            far = None if out_port == CONTROL_PROCESSOR_PORT else ports.get(out_port)
+            if far is not None:
+                frontier.append((far.uid, far.port))
+            else:
+                # the control processor, a host port, or a dangling port:
+                # delivery off the fabric
+                delivered.add((uid, out_port))
+    return delivered
 
 
 def trace_delivery(
@@ -26,61 +61,34 @@ def trace_delivery(
     start_uid: Uid,
     start_port: int,
     address: int,
-    max_hops: int = 10_000,
 ) -> Set[Tuple[Uid, int]]:
     """All (switch, port) deliveries reachable for a packet, across every
     alternative-port choice the switches could make.
 
-    Raises RuntimeError if any choice sequence loops (visits the same
-    (switch, in-port) state twice on one path is fine -- we do a BFS over
-    states, so a loop shows up as exceeding ``max_hops`` expansions).
+    Each (switch, in-port) state is expanded once, so the walk terminates
+    on any tables.  A forwarding loop is therefore not reported here: it
+    is a cycle of switch-to-switch channels, which the deadlock-freedom
+    check owns (:func:`repro.analysis.deadlock.channel_dependency_graph`).
     """
-    delivered: Set[Tuple[Uid, int]] = set()
-    seen: Set[Tuple[Uid, int]] = set()
-    frontier = deque([(start_uid, start_port)])
-    hops = 0
-    while frontier:
-        hops += 1
-        if hops > max_hops:
-            raise RuntimeError("table walk did not terminate (routing loop?)")
-        uid, in_port = frontier.popleft()
-        if (uid, in_port) in seen:
-            continue
-        seen.add((uid, in_port))
-        entries = entries_by_uid.get(uid, {})
-        entry = entries.get((in_port, address))
-        if entry is None or entry.is_discard:
-            continue
-        neighbors = topology.neighbors(uid)
-        for out_port in entry.ports:
-            if out_port == CONTROL_PROCESSOR_PORT:
-                delivered.add((uid, CONTROL_PROCESSOR_PORT))
-            elif out_port in neighbors:
-                far = neighbors[out_port]
-                frontier.append((far.uid, far.port))
-            else:
-                # host port (or dangling): delivery off the fabric
-                delivered.add((uid, out_port))
-    return delivered
+    return _deliveries(topology.index().nbrs, entries_by_uid, start_uid, start_port, address)
 
 
 def all_pairs_reachable(
     topology: TopologyMap, entries_by_uid: Mapping[Uid, EntryMap]
 ) -> Dict[Tuple[Uid, Uid], bool]:
     """For every ordered switch pair (s, t): does a packet injected at s's
-    control processor reach t's control processor?"""
+    control processor reach t's control processor?  (Loops: see
+    :func:`trace_delivery`.)"""
+    nbrs = topology.index().nbrs
     results: Dict[Tuple[Uid, Uid], bool] = {}
     for src in topology.switches:
-        for dst, record in topology.switches.items():
+        for dst in topology.switches:
             number = topology.numbers.get(dst)
             if number is None:
                 continue
             address = make_short_address(number, CONTROL_PROCESSOR_PORT)
-            delivered = trace_delivery(
-                topology, entries_by_uid, src, CONTROL_PROCESSOR_PORT, address
-            )
+            delivered = _deliveries(nbrs, entries_by_uid, src, CONTROL_PROCESSOR_PORT, address)
             results[(src, dst)] = (dst, CONTROL_PROCESSOR_PORT) in delivered
-        del record
     return results
 
 
@@ -89,22 +97,23 @@ def check_no_down_to_up(
 ) -> None:
     """Raise AssertionError if any table entry forwards a packet that
     arrived on a down traversal back up (the rule of section 6.6.4)."""
+    index = topology.index()
+    up_end = index.up_end
     for uid, entries in entries_by_uid.items():
-        neighbors = topology.neighbors(uid)
+        # ports where we are the link's down end: a packet arriving there
+        # has descended, and a packet sent there climbs
+        down_ends = {port for port in index.nbrs.get(uid, {}) if not up_end[(uid, port)]}
+        cleared: Set[Tuple[int, ...]] = set()
         for (in_port, address), entry in entries.items():
-            if arrival_phase(topology, uid, in_port) != DOWN:
+            if in_port not in down_ends or entry.ports in cleared:
                 continue
             for out_port in entry.ports:
-                if out_port not in neighbors:
-                    continue
-                far = neighbors[out_port]
-                link = NetLink(PortRef(uid, out_port), far)
-                up_end = link_direction(topology, link)
-                going_up = up_end.uid == far.uid and up_end.port == far.port
-                assert not going_up, (
-                    f"{uid}: entry (in={in_port}, addr={address:#x}) forwards "
-                    f"a descended packet up via port {out_port}"
-                )
+                if out_port in down_ends:
+                    raise AssertionError(
+                        f"{uid}: entry (in={in_port}, addr={address:#x}) forwards "
+                        f"a descended packet up via port {out_port}"
+                    )
+            cleared.add(entry.ports)
 
 
 def assert_trail_legal(topology: TopologyMap, trail, uid_of_switch_name) -> None:
@@ -115,25 +124,17 @@ def assert_trail_legal(topology: TopologyMap, trail, uid_of_switch_name) -> None
     ``trail`` is the packet's per-hop record [(switch name, in port,
     out ports)]; ``uid_of_switch_name`` maps names to UIDs.
     """
+    index = topology.index()
     descended = False
     for i in range(len(trail) - 1):
         name, _in_port, out_ports = trail[i]
-        uid = uid_of_switch_name(name)
         next_name, next_in, _next_out = trail[i + 1]
-        next_uid = uid_of_switch_name(next_name)
-        # find the out port that led to the next hop
-        link = None
-        neighbors = topology.neighbors(uid)
-        for out_port in out_ports:
-            far = neighbors.get(out_port)
-            if far is not None and far.uid == next_uid and far.port == next_in:
-                link = NetLink(PortRef(uid, out_port), far)
-                break
-        if link is None:
+        arrival = PortRef(uid_of_switch_name(next_name), next_in)
+        # did one of the out ports lead to the next hop?
+        nbrs = index.nbrs.get(uid_of_switch_name(name), {})
+        if not any(nbrs.get(out_port) == arrival for out_port in out_ports):
             continue  # hop crossed a link no longer in this topology view
-        up_end = link_direction(topology, link)
-        going_up = up_end.uid == next_uid
-        if going_up:
+        if index.up_end[(arrival.uid, arrival.port)]:
             assert not descended, (
                 f"illegal route: up traversal {name}->{next_name} after a "
                 f"down traversal; trail={trail}"
@@ -149,11 +150,12 @@ def links_used(
 
     Up*/down* promises all non-loop links remain usable (section 4.2).
     """
+    index = topology.index()
     used: Set[NetLink] = set()
     for uid, entries in entries_by_uid.items():
-        neighbors = topology.neighbors(uid)
-        for (_in_port, _address), entry in entries.items():
-            for out_port in entry.ports:
-                if out_port in neighbors:
-                    used.add(NetLink(PortRef(uid, out_port), neighbors[out_port]))
+        nbrs = index.nbrs.get(uid, {})
+        for ports in {entry.ports for entry in entries.values()}:
+            for out_port in ports:
+                if out_port in nbrs:
+                    used.add(NetLink(PortRef(uid, out_port), nbrs[out_port]))
     return used

@@ -17,26 +17,19 @@ from collections import deque
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.constants import CONTROL_PROCESSOR_PORT, PORTS_PER_SWITCH
-from repro.core.topo import TopologyMap
+from repro.core.topo import NetLink, PortRef, TopologyMap
 from repro.net.forwarding import DISCARD_ENTRY, ForwardingEntry
 from repro.types import Uid, make_short_address
 
 
 def tree_only_topology(topology: TopologyMap) -> TopologyMap:
     """A copy of the topology containing only spanning-tree links."""
+    nbrs = topology.index().nbrs
     tree_links = set()
     for uid, record in topology.switches.items():
-        if record.parent_uid is None or record.parent_port is None:
-            continue
-        for link in topology.links:
-            if link.is_loop:
-                continue
-            ends = {link.a.uid, link.b.uid}
-            if ends != {uid, record.parent_uid}:
-                continue
-            if link.endpoint_at(uid).port == record.parent_port:
-                tree_links.add(link)
-                break
+        parent_end = nbrs[uid].get(record.parent_port)
+        if parent_end is not None and parent_end.uid == record.parent_uid:
+            tree_links.add(NetLink(PortRef(uid, record.parent_port), parent_end))
     return TopologyMap(
         root=topology.root,
         switches=dict(topology.switches),
@@ -62,8 +55,8 @@ def build_shortest_path_entries(
 
     # plain BFS distances per destination
     adjacency: Dict[Uid, Dict[int, Uid]] = {
-        uid: {p: ref.uid for p, ref in topology.neighbors(uid).items()}
-        for uid in topology.switches
+        uid: {p: ref.uid for p, ref in ports.items()}
+        for uid, ports in topology.index().nbrs.items()
     }
 
     entries: Dict[Tuple[int, int], ForwardingEntry] = {}

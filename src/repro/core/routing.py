@@ -17,7 +17,7 @@ continuations, and entries that would violate the rule discard the packet
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.constants import (
     ADDR_BROADCAST_ALL,
@@ -49,262 +49,25 @@ def _entry(ports: Tuple[int, ...], broadcast: bool = False) -> ForwardingEntry:
     return ForwardingEntry(ports, broadcast)
 
 
-def _topology_key(topology: TopologyMap) -> tuple:
-    """Value fingerprint of everything route computation reads.
-
-    Switch numbers and host ports are deliberately excluded: distances and
-    link orientation depend only on the tree (levels, parents) and the
-    link set, and :func:`build_forwarding_entries` reads numbers and host
-    ports directly from the live topology on every call.
-    """
-    # plain-int tuples: sorting and equality run at C speed instead of
-    # through the Uid dataclass dunders (this key is recomputed on every
-    # build_forwarding_entries call to validate the cache)
-    return (
-        topology.root,
-        tuple(
-            sorted(
-                (
-                    uid.value,
-                    rec.level,
-                    -1 if rec.parent_port is None else rec.parent_port,
-                    -1 if rec.parent_uid is None else rec.parent_uid.value,
-                )
-                for uid, rec in topology.switches.items()
-            )
-        ),
-        tuple(
-            sorted(
-                (link.a.uid.value, link.a.port, link.b.uid.value, link.b.port)
-                for link in topology.links
-            )
-        ),
-    )
-
-
-class _TopologyRoutes:
-    """Memoized routing structures shared by every switch of one epoch.
-
-    The root distributes *one* ``TopologyMap`` object down the tree (the
-    simulated network carries payloads by reference), so all switches of an
-    epoch compute their tables from the same instance.  Caching the
-    layered-graph predecessors and per-destination distance vectors on that
-    instance turns the per-epoch route computation from
-    O(switches^2 x links) into O(switches x links): the breadth-first
-    sweeps run once per destination instead of once per (switch,
-    destination) pair.  The cache is keyed by a content fingerprint, so a
-    mutated or merely equal-but-distinct map recomputes correctly.
-    """
-
-    __slots__ = (
-        "key",
-        "nbrs",
-        "up_end",
-        "children",
-        "index",
-        "_n",
-        "_preds",
-        "_dist",
-    )
-
-    def __init__(self, topology: TopologyMap, key: tuple) -> None:
-        self.key = key
-        #: uid -> {port: far PortRef} for every switch, built in one pass
-        self.nbrs: Dict[Uid, Dict[int, PortRef]] = {
-            uid: {} for uid in topology.switches
-        }
-        #: (uid, port) -> True when that endpoint is the link's up end
-        self.up_end: Dict[Tuple[Uid, int], bool] = {}
-        levels = {uid: rec.level for uid, rec in topology.switches.items()}
-        links: List[NetLink] = []
-        for link in topology.links:
-            if link.is_loop:
-                continue
-            a, b = link.a, link.b
-            if a.uid not in levels or b.uid not in levels:
-                continue
-            links.append(link)
-            self.nbrs[a.uid][a.port] = b
-            self.nbrs[b.uid][b.port] = a
-            level_a, level_b = levels[a.uid], levels[b.uid]
-            if level_a != level_b:
-                a_up = level_a < level_b
-            else:
-                a_up = a.uid < b.uid
-            self.up_end[(a.uid, a.port)] = a_up
-            self.up_end[(b.uid, b.port)] = not a_up
-
-        #: uid -> sorted child ports (the down ends of tree links)
-        self.children: Dict[Uid, List[int]] = {
-            uid: [] for uid in topology.switches
-        }
-        ends: Dict[Tuple[Uid, int], PortRef] = {}
-        for link in links:
-            ends[(link.a.uid, link.a.port)] = link.b
-            ends[(link.b.uid, link.b.port)] = link.a
-        for uid, rec in topology.switches.items():
-            if rec.parent_uid is None or rec.parent_port is None:
-                continue
-            parent_end = ends.get((uid, rec.parent_port))
-            if parent_end is not None and parent_end.uid == rec.parent_uid:
-                self.children[rec.parent_uid].append(parent_end.port)
-        for ports in self.children.values():
-            ports.sort()
-
-        # layered-graph reverse adjacency over states (uid index)*2 + phase
-        self.index: Dict[Uid, int] = {
-            uid: i for i, uid in enumerate(topology.switches)
-        }
-        self._n = 2 * len(self.index)
-        preds: List[List[int]] = [[] for _ in range(self._n)]
-        index = self.index
-        for link in links:
-            a, b = link.a, link.b
-            if self.up_end[(a.uid, a.port)]:
-                uu, dd = index[a.uid] * 2, index[b.uid] * 2
-            else:
-                uu, dd = index[b.uid] * 2, index[a.uid] * 2
-            # forward: (dd, UP) --up--> (uu, UP)
-            preds[uu].append(dd)
-            # forward: (uu, UP/DOWN) --down--> (dd, DOWN)
-            preds[dd + 1].append(uu)
-            preds[dd + 1].append(uu + 1)
-        self._preds = preds
-        #: dest uid -> state-indexed hop counts (-1 = unreachable)
-        self._dist: Dict[Uid, List[int]] = {}
-
-    def dist_to(self, dest: Uid) -> List[int]:
-        dist = self._dist.get(dest)
-        if dist is None:
-            dist = self._dist[dest] = self._bfs(dest)
-        return dist
-
-    def _bfs(self, dest: Uid) -> List[int]:
-        preds = self._preds
-        dist = [-1] * self._n
-        base = self.index[dest] * 2
-        dist[base] = 0
-        dist[base + 1] = 0
-        frontier = [base, base + 1]
-        hops = 0
-        while frontier:
-            hops += 1
-            nxt: List[int] = []
-            for state in frontier:
-                for pred in preds[state]:
-                    if dist[pred] < 0:
-                        dist[pred] = hops
-                        nxt.append(pred)
-            frontier = nxt
-        return dist
-
-    def next_hops(
-        self, uid: Uid, dest: Uid
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """(UP-phase ports, DOWN-phase ports) on minimum legal routes."""
-        dist = self.dist_to(dest)
-        index = self.index
-        base = index[uid] * 2
-        here_up, here_down = dist[base], dist[base + 1]
-        up_ports: List[int] = []
-        down_ports: List[int] = []
-        up_end = self.up_end
-        for port, far in self.nbrs[uid].items():
-            going_up = up_end[(far.uid, far.port)]
-            far_state = index[far.uid] * 2 + (0 if going_up else 1)
-            there = dist[far_state]
-            if there < 0:
-                continue
-            if there + 1 == here_up:
-                up_ports.append(port)
-            if not going_up and there + 1 == here_down:
-                down_ports.append(port)
-        up_ports.sort()
-        down_ports.sort()
-        return tuple(up_ports), tuple(down_ports)
-
-
-def _routes_for(topology: TopologyMap) -> _TopologyRoutes:
-    """The memoized route structures for ``topology``, building on miss.
-
-    Stored on the instance (not a module global) so the cache's lifetime
-    is the topology's own; the content fingerprint guards against
-    in-place mutation between calls.
-    """
-    key = _topology_key(topology)
-    cached = getattr(topology, "_routes_cache", None)
-    if cached is not None and cached.key == key:
-        return cached
-    routes = _TopologyRoutes(topology, key)
-    setattr(topology, "_routes_cache", routes)
-    return routes
-
-
-def link_direction(topology: TopologyMap, link: NetLink) -> PortRef:
-    """Return the link's "up" end (closer to the root; ties by lower UID)."""
-    level_a = topology.level(link.a.uid)
-    level_b = topology.level(link.b.uid)
-    if level_a != level_b:
-        return link.a if level_a < level_b else link.b
-    return link.a if link.a.uid < link.b.uid else link.b
-
-
-def legal_distances(topology: TopologyMap, dest: Uid) -> Dict[Tuple[Uid, int], float]:
-    """Minimum legal-route hop counts to ``dest`` from every (switch, phase).
-
-    ``dist[(s, UP)]`` assumes the packet at ``s`` may still go up;
-    ``dist[(s, DOWN)]`` assumes it has already descended.  Unreachable
-    states get ``inf``.
-    """
-    routes = _routes_for(topology)
-    hops = routes.dist_to(dest)
-    inf = float("inf")
-    dist: Dict[Tuple[Uid, int], float] = {}
-    for uid, idx in routes.index.items():
-        up, down = hops[idx * 2], hops[idx * 2 + 1]
-        dist[(uid, UP)] = float(up) if up >= 0 else inf
-        dist[(uid, DOWN)] = float(down) if down >= 0 else inf
-    return dist
+def link_direction(topology: TopologyMap, link: NetLink) -> Optional[PortRef]:
+    """The link's "up" end (closer to the root; ties by lower UID), or
+    None for a link the topology's index leaves out (a loop, a foreign
+    UID, or a link this map does not hold)."""
+    index = topology.index()
+    a = link.a
+    if index.nbrs.get(a.uid, {}).get(a.port) != link.b:
+        return None
+    return a if index.up_end[(a.uid, a.port)] else link.b
 
 
 def arrival_phase(topology: TopologyMap, uid: Uid, in_port: int) -> int:
     """Phase of a packet arriving at ``uid`` on ``in_port``.
 
     Arrivals from hosts or the control processor have used no
-    switch-to-switch link, so they may still go up.
+    switch-to-switch link, so they may still go up; over a link, the
+    packet climbed toward the root (still UP) iff we are its up end.
     """
-    neighbors = topology.neighbors(uid)
-    if in_port not in neighbors:
-        return UP
-    far = neighbors[in_port]
-    link = NetLink(PortRef(uid, in_port), far)
-    up_end = link_direction(topology, link)
-    # if we are the up end, the packet climbed toward the root: still UP
-    return UP if up_end.uid == uid and up_end.port == in_port else DOWN
-
-
-def next_hop_ports(
-    topology: TopologyMap,
-    uid: Uid,
-    phase: int,
-    dest: Uid,
-    dist: Dict[Tuple[Uid, int], float],
-) -> Tuple[int, ...]:
-    """Output ports lying on some minimum-hop legal route toward ``dest``."""
-    here = dist[(uid, phase)]
-    if here == float("inf"):
-        return ()
-    ports: List[int] = []
-    for port, far in topology.neighbors(uid).items():
-        link = NetLink(PortRef(uid, port), far)
-        up_end = link_direction(topology, link)
-        going_up = up_end.uid == far.uid and up_end.port == far.port
-        if phase == DOWN and going_up:
-            continue  # never up after down
-        next_phase = UP if going_up else DOWN
-        if dist[(far.uid, next_phase)] + 1 == here:
-            ports.append(port)
-    return tuple(sorted(ports))
+    return UP if topology.index().up_end.get((uid, in_port), True) else DOWN
 
 
 def build_forwarding_entries(
@@ -324,15 +87,15 @@ def build_forwarding_entries(
     me = topology.switches[my_uid]
     host_ports = set(my_host_ports if my_host_ports is not None else me.host_ports)
     in_ports = list(range(0, n_ports + 1))
-    routes = _routes_for(topology)
+    index = topology.index()
 
     entries: Dict[Tuple[int, int], ForwardingEntry] = {}
 
     # -- unicast entries to every switch's addresses ---------------------------------
     # arrival phase per receiving port: UP unless the packet descended to
     # get here (we are the link's down end).  Host/CP arrivals are UP.
-    up_end = routes.up_end
-    nbr_ports = routes.nbrs[my_uid]
+    up_end = index.up_end
+    nbr_ports = index.nbrs[my_uid]
     arrives_up = [
         i not in nbr_ports or up_end[(my_uid, i)] for i in in_ports
     ]
@@ -352,7 +115,7 @@ def build_forwarding_entries(
                 for i in in_ports:
                     entries[(i, address)] = entry
             continue
-        ports_up, ports_down = routes.next_hops(my_uid, dest_uid)
+        ports_up, ports_down = index.next_hops(my_uid, dest_uid)
         entry_up = _entry(ports_up) if ports_up else DISCARD_ENTRY
         entry_down = _entry(ports_down) if ports_down else DISCARD_ENTRY
         # one validated address per destination; the per-port addresses
@@ -368,7 +131,7 @@ def build_forwarding_entries(
                 entries[(i, address)] = entry
 
     # -- broadcast flood entries (section 6.6.6) ---------------------------------------
-    children = routes.children[my_uid]
+    children = index.children[my_uid]
     is_root = topology.root == my_uid
     parent_port = me.parent_port
 

@@ -141,10 +141,11 @@ class ForwardingTable:
         return dict(self._entries)
 
     def non_constant_entries(self) -> Dict[Tuple[int, int], ForwardingEntry]:
+        constant = self._constant
         return {
             key: entry
             for key, entry in self._entries.items()
-            if self._constant.get(key) != entry
+            if key not in constant or constant[key] != entry
         }
 
     def __len__(self) -> int:

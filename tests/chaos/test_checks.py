@@ -1,0 +1,151 @@
+"""Seeded violations: the faster routing sweeps are not blinder.
+
+Each test plants one defect in the loaded tables of a converged network
+and requires ``check_partition_routing`` to report it with the message the
+per-key reference sweep (``tests/naive_routing.py``) produces -- also when
+the bad key is the *second* key of a row class the sweep otherwise visits
+once.
+"""
+
+import pytest
+
+from repro.chaos.checks import check_partition_routing
+from repro.constants import CONTROL_PROCESSOR_PORT, PORTS_PER_SWITCH, SEC
+from repro.net.forwarding import DISCARD_ENTRY, ForwardingEntry
+from repro.network import Network
+from repro.topology import line, resolve_topology
+from repro.types import make_short_address
+from tests import naive_routing as naive
+
+
+def converged(spec):
+    net = Network(spec, seed=1)
+    assert net.run_until_converged(timeout_ns=120 * SEC)
+    assert check_partition_routing(net).passed
+    return net
+
+
+@pytest.fixture(scope="module", params=["torus-3x4", "src-lan-30"])
+def net(request):
+    return converged(resolve_topology(request.param))
+
+
+class Planted:
+    """Table edits on one network, undone on exit (the fixture is shared)."""
+
+    def __init__(self, net):
+        self.net = net
+        self.topology = net.autopilots[0].engine.topology
+        members = self.topology.switches
+        self.label = f"partition[{min(members)}]({len(members)} switches)"
+        self._undo = []
+
+    def table(self, uid):
+        return self.net.switches[self.net.spec.uids.index(uid)].table
+
+    def set(self, uid, in_port, address, entry):
+        table = self.table(uid)
+        self._undo.append((table, in_port, address, table.lookup(in_port, address)))
+        table.set_entry(in_port, address, entry)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for table, in_port, address, entry in reversed(self._undo):
+            table.set_entry(in_port, address, entry)
+
+
+def a_down_end(topology):
+    """(uid, port) of some switch port that is its link's down end."""
+    index = topology.index()
+    return next(
+        (uid, port)
+        for uid in sorted(topology.switches)
+        for port in sorted(index.nbrs[uid])
+        if not index.up_end[(uid, port)]
+    )
+
+
+@pytest.mark.parametrize("position", [0, 1], ids=["first-key", "second-key"])
+def test_descended_packet_forwarded_up_is_reported(net, position):
+    with Planted(net) as planted:
+        uid, down_port = a_down_end(planted.topology)
+        entries = planted.table(uid).non_constant_entries()
+        # the keys of one row class: same receiving port, same port vector
+        first = next(key for key in entries if key[0] == down_port)
+        row = [
+            key
+            for key, entry in entries.items()
+            if key[0] == down_port and entry.ports == entries[first].ports
+        ]
+        in_port, address = row[position]
+        planted.set(uid, in_port, address, ForwardingEntry((down_port,)))
+
+        violations = check_partition_routing(net).violations
+        with pytest.raises(AssertionError) as reference:
+            naive.check_no_down_to_up(
+                planted.topology, {uid: planted.table(uid).non_constant_entries()}
+            )
+    message = f"{planted.label}: up/down rule violated: {reference.value}"
+    assert message in violations
+    assert f"(in={in_port}, addr={address:#x})" in message
+    assert f"up via port {down_port}" in message
+
+
+def test_black_holed_destination_is_reported(net):
+    with Planted(net) as planted:
+        topology = planted.topology
+        uids = sorted(topology.switches)
+        at, victim = uids[1], uids[-1]
+        address = make_short_address(topology.numbers[victim], CONTROL_PROCESSOR_PORT)
+        for in_port in range(PORTS_PER_SWITCH + 1):
+            planted.set(at, in_port, address, DISCARD_ENTRY)
+
+        violations = check_partition_routing(net).violations
+        entries = {uid: planted.table(uid).non_constant_entries() for uid in topology.switches}
+        unreachable = sorted(
+            f"{src}->{victim}"
+            for src in topology.switches
+            if (victim, CONTROL_PROCESSOR_PORT)
+            not in naive.trace_delivery(topology, entries, src, CONTROL_PROCESSOR_PORT, address)
+        )
+    assert f"{at}->{victim}" in unreachable
+    assert violations == [
+        f"{planted.label}: {len(unreachable)} unreachable pairs, e.g. {unreachable[:3]}"
+    ]
+
+
+@pytest.mark.parametrize("position", [0, 1], ids=["first-key", "second-key"])
+def test_ping_pong_pair_is_reported_as_a_dependency_cycle(net, position):
+    with Planted(net) as planted:
+        topology = planted.topology
+        uid, port = a_down_end(topology)
+        far = topology.neighbors(uid)[port]
+        # an address whose rows at both ends are ordinary deduplicated ones
+        others = sorted(set(topology.switches) - {uid, far.uid})
+        address = make_short_address(topology.numbers[others[0]], position)
+        planted.set(uid, port, address, ForwardingEntry((port,)))
+        planted.set(far.uid, far.port, address, ForwardingEntry((far.port,)))
+
+        violations = check_partition_routing(net).violations
+        entries = {u: planted.table(u).non_constant_entries() for u in topology.switches}
+        assert naive.has_cycle(topology, entries)
+    assert f"{planted.label}: channel dependency graph has a cycle" in violations
+
+
+def test_forwarding_loop_on_two_switches_is_a_dependency_cycle_not_a_hang():
+    """The table walk expands each state once, so it cannot see (or be
+    trapped by) a loop: loops belong to the deadlock-freedom check."""
+    net = converged(line(2))
+    with Planted(net) as planted:
+        topology = planted.topology
+        a, b = sorted(topology.switches)
+        ((port_a, end_b),) = topology.neighbors(a).items()
+        address = make_short_address(topology.numbers[b], CONTROL_PROCESSOR_PORT)
+        # a sends b's packets out; b bounces them; a bounces them back
+        planted.set(b, end_b.port, address, ForwardingEntry((end_b.port,)))
+        planted.set(a, port_a, address, ForwardingEntry((port_a,)))
+        violations = check_partition_routing(net).violations
+    assert f"{planted.label}: channel dependency graph has a cycle" in violations
+    assert f"{planted.label}: 1 unreachable pairs, e.g. ['{a}->{b}']" in violations

@@ -20,7 +20,6 @@ from repro.core.routing import (
     UP,
     arrival_phase,
     build_forwarding_entries,
-    legal_distances,
     link_direction,
 )
 from repro.topology import expected_tree, line, mesh, random_regular, ring, torus
@@ -112,7 +111,6 @@ def test_minimum_hop_routes():
     topo, entries = build_all(spec)
     uids = sorted(topo.switches)
     src, dst = uids[0], uids[-1]
-    dist = legal_distances(topo, dst)
     address = make_short_address(topo.numbers[dst], CONTROL_PROCESSOR_PORT)
 
     # walk every alternative and verify path lengths equal the legal distance
@@ -127,7 +125,7 @@ def test_minimum_hop_routes():
         return lengths
 
     lengths = walk(src, CONTROL_PROCESSOR_PORT, 0)
-    assert lengths == {dist[(src, UP)]}
+    assert lengths == {topo.index().distance(src, dst, UP)}
 
 
 def test_multipath_on_parallel_trunk():

@@ -27,9 +27,9 @@ from repro.types import MAX_SWITCH_NUMBER, Uid
 
 
 @st.composite
-def connected_topologies(draw):
-    """A random connected multigraph of 2-10 switches, max degree 12."""
-    n = draw(st.integers(min_value=2, max_value=10))
+def connected_topologies(draw, max_switches=10):
+    """A random connected multigraph of 2-``max_switches`` switches, max degree 12."""
+    n = draw(st.integers(min_value=2, max_value=max_switches))
     rng = draw(st.randoms(use_true_random=False))
     order = list(range(n))
     rng.shuffle(order)
