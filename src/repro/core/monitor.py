@@ -19,7 +19,10 @@ from repro.core.messages import ConnectivityProbe, ConnectivityReply
 from repro.core.portstate import PortState
 from repro.core.skeptic import ConnectivitySkeptic, SkepticParams, StatusSkeptic
 from repro.net.flowcontrol import Directive
-from repro.net.linkunit import StatusSample
+from repro.net.linkunit import (
+    BAD_CODE, BAD_SYNTAX, IDHY_SEEN, IS_HOST, OVERFLOW, PROGRESS_SEEN, START_SEEN, STOP_SEEN,
+    UNDERFLOW,
+)
 from repro.obs.flight import CAT_PORT
 from repro.types import Uid
 
@@ -65,6 +68,9 @@ class PortMonitor:
         self.port_no = port_no
         self.params = params
         self.state = PortState.DEAD
+        #: the status word this port shows while nothing happens (-1: none,
+        #: s.dead and s.checking count every sample); set on each transition
+        self.quiet = -1
         self.entered_at = now
         self.status_skeptic = StatusSkeptic(params.skeptic)
         self.conn_skeptic = ConnectivitySkeptic(
@@ -84,6 +90,17 @@ class PortMonitor:
         self.consecutive_good = 0
         self.probe_misses = 0
         self.neighbor: Optional[NeighborInfo] = None
+
+    def settled(self) -> bool:
+        """At the sampler's fixed point: no streak running and both
+        skeptics fully decayed, so a quiet sample changes nothing."""
+        return not (
+            self.bad_streak or self.no_start_streak or self.no_progress_streak
+            or self.host_anomaly_streak
+        ) and (
+            self.status_skeptic.hold_ns <= self.status_skeptic.params.min_hold_ns
+            and self.conn_skeptic.required <= self.conn_skeptic.base_required
+        )
 
     def reset_conn(self) -> None:
         self.awaiting_nonce = None
@@ -111,6 +128,16 @@ class Monitoring:
         # all ports boot dead and send idhy
         for port in self.ports:
             self._apply_dead_actions(port)
+        # working state -> the status word of a port on which nothing is
+        # happening (sample_all); none if some limit is so low that even a
+        # zero streak reaches it, so that every sample has to be counted
+        quiet = START_SEEN | PROGRESS_SEEN
+        low = min(params.bad_sample_limit, params.blockage_sample_limit // 2,
+                  params.progress_sample_limit // 2) < 1
+        self._quiet = {} if low else {
+            PortState.HOST: IS_HOST | quiet, PortState.SWITCH_WHO: quiet,
+            PortState.SWITCH_LOOP: quiet, PortState.SWITCH_GOOD: quiet,
+        }
 
     # -- public views ------------------------------------------------------------------
 
@@ -145,6 +172,7 @@ class Monitoring:
         now = self.ap.sim.now
         mon.state = new_state
         mon.entered_at = now
+        mon.quiet = self._quiet.get(new_state, -1)
         self.ap.log("port-state", f"port={port} {old.value}->{new_state.value} ({reason})")
         rec = self.ap.sim.recorder
         if rec is not None:
@@ -166,6 +194,8 @@ class Monitoring:
             mon.status_skeptic.on_failure(now)
             mon.clean_samples = 0
             mon.bad_streak = 0
+            # or the streak that killed it kills it again on re-joining
+            mon.no_start_streak = mon.no_progress_streak = mon.host_anomaly_streak = 0
             mon.reset_conn()
         else:
             if old is PortState.DEAD:
@@ -200,17 +230,24 @@ class Monitoring:
     # -- the status sampler (runs every sample_period) ----------------------------------------
 
     def sample_all(self) -> None:
-        for port in self.ports:
-            unit = self.ap.switch.ports[port]
-            if not unit.connected:
+        units = self.ap.switch.ports
+        for port, mon in self.ports.items():
+            unit = units[port]
+            if unit.link is None:
                 continue
-            self._sample_port(port, unit.sample_status())
+            word = unit.sample_status()
+            # the link unit has latched the bits; a settled port showing
+            # its quiet pattern is _sample_port's fixed point: every streak
+            # it would zero is zero and neither skeptic has decay to credit
+            if word == mon.quiet and mon.settled():
+                continue
+            self._sample_port(port, word)
 
-    def _sample_port(self, port: int, sample: StatusSample) -> None:
+    def _sample_port(self, port: int, word: int) -> None:
         mon = self.ports[port]
         now = self.ap.sim.now
         state = mon.state
-        hard_bad = sample.bad_code or sample.overflow or sample.underflow
+        hard_bad = word & (BAD_CODE | OVERFLOW | UNDERFLOW)
 
         if state is PortState.DEAD:
             # idhy received is not an error while dead (section 6.5.3)
@@ -230,7 +267,7 @@ class Monitoring:
         # alternate-port fingerprint is constant BadSyntax)
         bad = hard_bad
         if state in (PortState.SWITCH_WHO, PortState.SWITCH_LOOP, PortState.SWITCH_GOOD):
-            bad = bad or sample.bad_syntax
+            bad = bad or word & BAD_SYNTAX
         if bad:
             mon.bad_streak += 1
         else:
@@ -241,23 +278,23 @@ class Monitoring:
 
         # idhy from the far side: it has declared the link defective and
         # requires us to classify it no better than s.checking (§6.1)
-        if state is not PortState.CHECKING and sample.idhy_seen:
+        if state is not PortState.CHECKING and word & IDHY_SEEN:
             self._transition(port, PortState.DEAD, "idhy received")
             return
 
         if state is PortState.CHECKING:
-            if sample.idhy_seen:
+            if word & IDHY_SEEN:
                 mon.checking_samples = 0  # wait for idhy to cease
                 return
             mon.checking_samples += 1
             if mon.checking_samples < self.params.classify_samples:
                 return
-            if sample.is_host:
+            if word & IS_HOST:
                 self._transition(port, PortState.HOST, "host directive")
-            elif sample.bad_syntax and not sample.start_seen:
+            elif word & BAD_SYNTAX and not word & START_SEEN:
                 # constant BadSyntax, nothing else: an alternate host port
                 self._transition(port, PortState.HOST, "alternate host fingerprint")
-            elif sample.start_seen:
+            elif word & START_SEEN:
                 self._transition(port, PortState.SWITCH_WHO, "start directive")
             else:
                 mon.checking_samples = 0  # nothing conclusive yet
@@ -268,11 +305,11 @@ class Monitoring:
         # receives nothing at all and must stay s.host), or a waiting
         # packet making no progress
         if state in (PortState.HOST, PortState.SWITCH_GOOD):
-            if sample.stop_seen and not sample.start_seen:
+            if word & STOP_SEEN and not word & START_SEEN:
                 mon.no_start_streak += 1
             else:
                 mon.no_start_streak = 0
-            if sample.progress_seen:
+            if word & PROGRESS_SEEN:
                 mon.no_progress_streak = 0
             else:
                 mon.no_progress_streak += 1
@@ -294,7 +331,7 @@ class Monitoring:
         # or reflecting its own directives because the host powered off
         # (the section 7 broadcast-storm cause).  Like other
         # classification decisions this uses a confirmation window.
-        if state is PortState.HOST and sample.start_seen and not sample.is_host:
+        if state is PortState.HOST and word & START_SEEN and not word & IS_HOST:
             mon.host_anomaly_streak += 1
             if mon.host_anomaly_streak >= self.params.classify_samples:
                 self._transition(port, PortState.DEAD, "host port now sends start")

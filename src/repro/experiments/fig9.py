@@ -54,7 +54,7 @@ class Fig9Scenario:
         got_long = [p for p in self.received_at_c if not p.is_broadcast]
         got_bcast = [p for p in self.received_at_c if p.is_broadcast]
         overflowed = any(
-            unit._overflow_flag or unit.fifo.overflowed
+            unit.overflow_drops or unit.fifo.overflowed
             for sw in self.switches
             for unit in sw.ports.values()
         )

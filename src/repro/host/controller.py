@@ -69,6 +69,7 @@ class HostPort(Endpoint):
         if active == self.active:
             return
         self.active = active
+        self.transmission_changed()
         if self.fc_sender is not None:
             self.fc_sender.mute(not active)
         self.tx_fifo.recompute()
@@ -280,12 +281,15 @@ class HostController:
         """Host powered down: its links reflect (coax) or go silent."""
         self.powered = False
         for port in self.ports:
+            port.transmission_changed()
             port.clear_tx()
             if port.fc_sender is not None:
                 port.fc_sender.mute(True)
 
     def power_on(self) -> None:
         self.powered = True
+        for port in self.ports:
+            port.transmission_changed()
         active = self.active_port
         if active.fc_sender is not None:
             active.fc_sender.mute(False)

@@ -6,8 +6,8 @@ event; instead a :class:`FlowControlSender` latches the *desired* directive
 and models the worst-case slot alignment: a change becomes visible on the
 wire at the next flow-control slot boundary for the channel's phase, and
 reaches the far end one propagation delay later.  The receiving side keeps
-only the latched last-received directive plus reception statistics -- which
-is also exactly the information the link-unit status bits expose.
+only the latched last-received directive -- which is also exactly what the
+link unit derives its chronic status bits from.
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ class FlowControlSender:
         #: the far end yet, so the first slot announces the current state
         self._on_wire: Optional[Directive] = None
         self._pending = None
+        #: one-shot directive (panic) waiting for the next slot
+        self._pulse: Optional[Directive] = None
+        self._muted = False
         self._schedule()
 
     def _current(self) -> Directive:
@@ -97,8 +100,6 @@ class FlowControlSender:
         self._forced = directive
         self._schedule()
 
-    _pulse: Optional[Directive] = None
-
     def pulse(self, directive: Directive) -> None:
         """Send one special-purpose directive (panic) at the next slot,
         then resume the steady directive."""
@@ -113,8 +114,6 @@ class FlowControlSender:
         self._muted = muted
         if not muted:
             self.reannounce()
-
-    _muted = False
 
     def _schedule(self) -> None:
         if self._muted:
@@ -174,18 +173,8 @@ class FlowControlReceiver:
         self.last: Directive = initial
         self.last_change_time: int = 0
         self.on_change = on_change
-        #: count of directives that permit transmission, since last sample
-        self.starts_seen = 0
-        self.idhy_seen = 0
-        self.panic_seen = 0
 
     def receive(self, directive: Directive, now: int) -> None:
-        if directive in _PERMITS_TRANSMISSION:
-            self.starts_seen += 1
-        if directive is Directive.IDHY:
-            self.idhy_seen += 1
-        if directive is Directive.PANIC:
-            self.panic_seen += 1
         if directive is not self.last:
             self.last = directive
             self.last_change_time = now

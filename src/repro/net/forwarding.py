@@ -18,7 +18,7 @@ routing is down (section 6.7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from repro.constants import (
@@ -31,9 +31,6 @@ from repro.constants import (
 )
 from repro.types import truncate_address
 
-#: entry meaning "discard the packet": broadcast with an empty vector
-DISCARD = None
-
 
 @dataclass(frozen=True)
 class ForwardingEntry:
@@ -41,13 +38,18 @@ class ForwardingEntry:
 
     ports: Tuple[int, ...]
     broadcast: bool = False
+    #: the 13-bit port vector itself: bit p set = port p listed
+    mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.ports != tuple(sorted(self.ports)):
             object.__setattr__(self, "ports", tuple(sorted(self.ports)))
+        mask = 0
         for port in self.ports:
             if not 0 <= port <= PORTS_PER_SWITCH:
                 raise ValueError(f"port out of range: {port}")
+            mask |= 1 << port
+        object.__setattr__(self, "mask", mask)
 
     @property
     def is_discard(self) -> bool:

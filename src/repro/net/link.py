@@ -26,7 +26,7 @@ from typing import Callable, Optional, Tuple
 
 from repro.constants import BYTE_TIME_NS, BYTES_IN_FLIGHT_PER_KM
 from repro.net.fifo import DrainTarget
-from repro.net.flowcontrol import Directive, FlowControlReceiver, FlowControlSender
+from repro.net.flowcontrol import Directive, FlowControlReceiver
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 
@@ -78,6 +78,16 @@ class Endpoint:
     def on_link_state_change(self) -> None:
         """Notification that the link's physical state changed."""
 
+    def on_heard_change(self) -> None:
+        """What this endpoint hears (:meth:`Link.received_condition`) may
+        have changed: re-derive anything cached from it."""
+
+    def transmission_changed(self) -> None:
+        """Call when :meth:`describe_transmission`'s answer changes (power,
+        active port): the far end hears something else from now on."""
+        if self.link is not None:
+            self.link.other(self).on_heard_change()
+
 
 class Link:
     """A full-duplex link between endpoints ``a`` and ``b``."""
@@ -101,6 +111,8 @@ class Link:
         self.noise_corruption = 0.5
         a.link = self
         b.link = self
+        a.on_heard_change()
+        b.on_heard_change()
 
     # -- physical state -----------------------------------------------------------
 
@@ -212,12 +224,10 @@ class Transmitter(DrainTarget):
         self,
         endpoint: Endpoint,
         fc_receiver: FlowControlReceiver,
-        on_state_change: Optional[Callable[[], None]] = None,
         ignore_stop_in_broadcast: bool = True,
     ) -> None:
         self.endpoint = endpoint
         self.fc_receiver = fc_receiver
-        self.on_state_change = on_state_change
         self.ignore_stop_in_broadcast = ignore_stop_in_broadcast
         #: packet currently being transmitted (None when idle)
         self.current: Optional[Packet] = None
@@ -261,10 +271,3 @@ class Transmitter(DrainTarget):
             link.send_end(self.endpoint, packet)
         if self.on_end is not None:
             self.on_end(packet)
-
-    # -- flow-control coupling ---------------------------------------------------------
-
-    def flow_control_changed(self) -> None:
-        """The latched received directive changed; re-gate the drain."""
-        if self.on_state_change is not None:
-            self.on_state_change()

@@ -11,10 +11,9 @@ sampler polls, and the control-register operations (send idhy, reset).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.constants import DEFAULT_FIFO_BYTES, DEFAULT_STOP_FRACTION
+from repro.constants import CUT_THROUGH_BYTES, DEFAULT_FIFO_BYTES, DEFAULT_STOP_FRACTION
 from repro.net.fifo import ReceiveFifo
 from repro.net.flowcontrol import Directive, FlowControlReceiver, FlowControlSender
 from repro.net.link import Endpoint, Transmitter
@@ -22,28 +21,15 @@ from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 
 
-@dataclass(slots=True)
-class StatusSample:
-    """One read of a link unit's status bits (section 6.5.2).
-
-    ``is_host``, ``xmit_ok`` and ``in_packet`` report current conditions;
-    the rest report whether the condition occurred since the last read.
-    """
-
-    is_host: bool = False
-    xmit_ok: bool = False
-    in_packet: bool = False
-    bad_code: bool = False
-    bad_syntax: bool = False
-    overflow: bool = False
-    underflow: bool = False
-    idhy_seen: bool = False
-    panic_seen: bool = False
-    progress_seen: bool = True
-    start_seen: bool = False
-    #: only stop directives are being received (distinct from silence:
-    #: an alternate host port sends no directives at all)
-    stop_seen: bool = False
+# The status word of section 6.5.2, one bit per condition.  IS_HOST,
+# BAD_CODE, BAD_SYNTAX, START_SEEN and STOP_SEEN (only stop directives are
+# being received -- distinct from silence: an alternate host port sends no
+# directives at all) are *chronic*: they hold for as long as what the port
+# hears does not change.  OVERFLOW and UNDERFLOW are *events* since the last
+# read; IDHY_SEEN is both (a latched idhy recurs every flow-control slot).
+# PROGRESS_SEEN compares the FIFO's forwarding counters between two reads.
+(IS_HOST, BAD_CODE, BAD_SYNTAX, OVERFLOW, UNDERFLOW, IDHY_SEEN, PROGRESS_SEEN,
+ START_SEEN, STOP_SEEN) = (1 << bit for bit in range(9))
 
 
 class LinkUnit(Endpoint):
@@ -82,11 +68,8 @@ class LinkUnit(Endpoint):
         self._stop_time_ns = 0
         self._stopped_since: Optional[int] = None
 
-        self._overflow_flag = False
-        self._underflow_flag = False
-
-        from repro.constants import CUT_THROUGH_BYTES
-
+        #: the fifo currently draining through this port's transmitter
+        self._drain_source: Optional[ReceiveFifo] = None
         self.fifo = ReceiveFifo(
             sim,
             name=f"{name}.fifo",
@@ -113,9 +96,12 @@ class LinkUnit(Endpoint):
         self.fc_sender: Optional[FlowControlSender] = None
         #: forced directive while the port is administratively dead
         self._forced_directive: Optional[Directive] = None
-        # sampling bookkeeping
+        # the status word: event bits accumulate until read, chronic bits
+        # are re-latched by on_heard_change; plus ProgressSeen bookkeeping
+        self._events = 0
         self._last_bytes_forwarded = 0.0
         self._last_packets_seen = 0
+        self.on_heard_change()
 
     # -- wiring ----------------------------------------------------------------------
 
@@ -138,6 +124,11 @@ class LinkUnit(Endpoint):
     @property
     def connected(self) -> bool:
         return self.link is not None
+
+    def set_enabled(self, enabled: bool) -> None:
+        """Power the unit with its switch; the far end hears the change."""
+        self.enabled = enabled
+        self.transmission_changed()
 
     # -- receive path (Endpoint interface) ----------------------------------------------
 
@@ -171,6 +162,8 @@ class LinkUnit(Endpoint):
     def rx_flow_control(self, directive: Directive) -> None:
         if not self.enabled:
             return
+        if directive is Directive.IDHY:
+            self._events |= IDHY_SEEN
         self.fc_receiver.receive(directive, self.sim.now)
         if directive is Directive.PANIC and self.on_panic is not None:
             # panic forces this link unit to reset: clear the receive FIFO
@@ -189,8 +182,30 @@ class LinkUnit(Endpoint):
         # which the model expresses by re-announcing the current value.
         # A CUT link's re-announcement is dropped by the link itself, so
         # the far latch keeps the last directive (the §6.2 oversight).
+        self.on_heard_change()
         if self.fc_sender is not None:
             self.fc_sender.reannounce()
+
+    def on_heard_change(self) -> None:
+        """Re-latch the chronic status bits from what the port hears now:
+        the link's condition, the far end's transmission and the latched
+        directive (directives recur every flow-control slot on a real
+        link, so while the far end's latched transmission is start/host,
+        stop or idhy, the matching bit is a chronic condition)."""
+        condition = self.link.received_condition(self) if self.link else "silence"
+        last = self.fc_receiver.last
+        word = IS_HOST if last is Directive.HOST else 0
+        if condition in ("silence", "noise"):
+            word |= BAD_CODE
+        elif condition == "sync-only":
+            word |= BAD_SYNTAX
+        elif last is Directive.START or last is Directive.HOST:
+            word |= START_SEEN
+        elif last is Directive.STOP:
+            word |= STOP_SEEN
+        elif last is Directive.IDHY and condition == "normal":
+            word |= IDHY_SEEN
+        self._chronic = word
 
     # -- flow-control coupling ---------------------------------------------------------
 
@@ -205,8 +220,10 @@ class LinkUnit(Endpoint):
         elif allowed and self._stopped_since is not None:
             self._stop_time_ns += self.sim.now - self._stopped_since
             self._stopped_since = None
+        self.on_heard_change()
         # re-gate any drain this port's transmitter is serving
-        self.fifo_of_current_drain_recompute()
+        if self._drain_source is not None:
+            self._drain_source.recompute()
 
     def cumulative_stop_ns(self, now: Optional[int] = None) -> int:
         """Total time transmission on this port has been stop-gated."""
@@ -214,15 +231,6 @@ class LinkUnit(Endpoint):
         if self._stopped_since is not None:
             total += (self.sim.now if now is None else now) - self._stopped_since
         return total
-
-    def fifo_of_current_drain_recompute(self) -> None:
-        """Ask the FIFO currently draining through this transmitter to
-        re-evaluate its rate.  The switch wires this up via the crossbar
-        bookkeeping; overridden there."""
-        if self._drain_source is not None:
-            self._drain_source.recompute()
-
-    _drain_source: Optional[ReceiveFifo] = None
 
     def set_drain_source(self, fifo: Optional[ReceiveFifo]) -> None:
         self._drain_source = fifo
@@ -250,58 +258,26 @@ class LinkUnit(Endpoint):
     # -- status bits (section 6.5.2) ------------------------------------------------------
 
     def _note_overflow(self, packet: Optional[Packet]) -> None:
-        self._overflow_flag = True
+        self._events |= OVERFLOW
         self.overflow_drops += 1
         self.fifo.overflowed = False  # re-arm detection
 
     def _note_underflow(self, packet: Packet) -> None:
-        self._underflow_flag = True
+        self._events |= UNDERFLOW
 
-    def sample_status(self) -> StatusSample:
-        """Read and clear the accumulated status bits."""
-        sample = StatusSample()
-        sample.is_host = self.fc_receiver.host_attached
-        sample.xmit_ok = self.fc_receiver.transmission_allowed
-        sample.in_packet = self.tx.current is not None
-
-        condition = self.link.received_condition(self) if self.link else "silence"
-        sample.bad_code = condition in ("silence", "noise")
-        sample.bad_syntax = condition == "sync-only"
-
-        sample.overflow = self._overflow_flag
-        sample.underflow = self._underflow_flag
-        self._overflow_flag = False
-        self._underflow_flag = False
-
-        # directives recur every flow-control slot on real links, so a
-        # latched idhy is a chronic condition, not a one-shot event
-        sample.idhy_seen = (
-            self.fc_receiver.idhy_seen > 0
-            or (condition == "normal" and self.fc_receiver.last is Directive.IDHY)
-        )
-        sample.panic_seen = self.fc_receiver.panic_seen > 0
-        self.fc_receiver.idhy_seen = 0
-        self.fc_receiver.panic_seen = 0
-
-        # StartSeen: a directive permitting transmission is on the wire.
-        # Directives recur every flow-control slot, so while the remote's
-        # latched transmission is start/host the condition is chronic.
-        sample.start_seen = (
-            condition in ("normal", "own-signal")
-            and self.fc_receiver.last in (Directive.START, Directive.HOST)
-        )
-        sample.stop_seen = (
-            condition in ("normal", "own-signal")
-            and self.fc_receiver.last is Directive.STOP
-        )
-
-        forwarded = self.fifo.bytes_forwarded - self._last_bytes_forwarded
-        seen = self.fifo.packets_seen - self._last_packets_seen
-        self._last_bytes_forwarded = self.fifo.bytes_forwarded
-        self._last_packets_seen = self.fifo.packets_seen
-        waiting = bool(self.fifo.queue)
-        sample.progress_seen = forwarded > 0 or (seen == 0 and not waiting)
-        return sample
+    def sample_status(self) -> int:
+        """Read the status word and clear its accumulated event bits."""
+        word = self._chronic | self._events
+        self._events = 0
+        fifo = self.fifo
+        forwarded, seen = fifo.bytes_forwarded, fifo.packets_seen
+        if forwarded > self._last_bytes_forwarded or (
+            seen == self._last_packets_seen and not fifo.queue
+        ):
+            word |= PROGRESS_SEEN
+        self._last_bytes_forwarded = forwarded
+        self._last_packets_seen = seen
+        return word
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LinkUnit {self.name}>"

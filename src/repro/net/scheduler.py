@@ -10,6 +10,10 @@ vector of free output ports is matched against the queue in arrival order:
   -- reserving them against younger requests -- and is granted only when
   the whole set is captured.
 
+The free-port vector is one int (bit p set = port p is neither allocated
+nor reserved), kept current where ports change hands, and each table entry
+carries its port vector as ``entry.mask``: a scan is an AND per request.
+
 Requests may be serviced out of order when the free ports don't suit older
 requests, but a broadcast request's reservations guarantee it is
 eventually scheduled: starvation freedom, which
@@ -19,7 +23,7 @@ every 480 ns, bounding the switch at ~2 M forwarding decisions per second.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.constants import ROUTER_DECISION_TIME_NS
 from repro.net.forwarding import ForwardingEntry
@@ -36,8 +40,8 @@ class Request:
         self.in_port = in_port
         self.entry = entry
         self.packet = packet
-        #: ports already reserved for a simultaneous (broadcast) request
-        self.captured: Set[int] = set()
+        #: port vector already reserved for a simultaneous (broadcast) request
+        self.captured = 0
         #: set when the request enters the engine's queue
         self.queued_at = 0
 
@@ -65,8 +69,8 @@ class SchedulingEngine:
         self.decision_ns = decision_ns
         #: oldest request first (the right-most queue slot in Figure 7)
         self.queue: List[Request] = []
-        self.port_busy: Dict[int, bool] = {p: False for p in range(n_ports + 1)}
-        self._reserved: Dict[int, Request] = {}
+        #: the free-port vector: allocated and reserved ports have a 0 bit
+        self.free = (2 << n_ports) - 1
         self._busy_until = 0
         self._scan_event: Optional[EventHandle] = None
         self.grants = 0
@@ -81,16 +85,16 @@ class SchedulingEngine:
         self._kick()
 
     def port_freed(self, port: int) -> None:
-        self.port_busy[port] = False
+        self.free |= 1 << port
         self._kick()
 
     def mark_port_busy(self, port: int) -> None:
-        self.port_busy[port] = True
+        self.free &= ~(1 << port)
 
     def clear(self) -> None:
-        """Drop all pending requests and reservations (switch reset)."""
+        """Drop all pending requests and free every port (switch reset)."""
         self.queue.clear()
-        self._reserved.clear()
+        self.free = (2 << self.n_ports) - 1
         if self._scan_event is not None:
             self._scan_event.cancel()
             self._scan_event = None
@@ -103,9 +107,7 @@ class SchedulingEngine:
             return
         self.queue = [r for r in self.queue if r.in_port != in_port]
         for request in removed:
-            for port in request.captured:
-                if self._reserved.get(port) is request:
-                    del self._reserved[port]
+            self.free |= request.captured
         self._kick()
 
     def pending(self) -> int:
@@ -119,39 +121,27 @@ class SchedulingEngine:
         at = max(self.sim.now, self._busy_until)
         self._scan_event = self.sim.at(at, self._scan)
 
-    def _free_ports(self) -> Set[int]:
-        return {
-            p
-            for p in range(self.n_ports + 1)
-            if not self.port_busy[p] and p not in self._reserved
-        }
-
     def _scan(self) -> None:
         self._scan_event = None
-        free = self._free_ports()
         for request in self.queue:
-            if request.entry.broadcast:
-                want = set(request.entry.ports)
-                newly = (want - request.captured) & free
-                for port in newly:
-                    request.captured.add(port)
-                    self._reserved[port] = request
-                free -= newly
-                if request.captured == want:
-                    self._grant(request, tuple(sorted(want)))
+            entry = request.entry
+            match = entry.mask & self.free
+            if entry.broadcast:
+                # reserve what is free now against younger requests
+                request.captured |= match
+                self.free &= ~match
+                if request.captured == entry.mask:
+                    self._grant(request, entry.ports)
                     return
-            else:
-                matches = sorted(set(request.entry.ports) & free)
-                if matches:
-                    self._grant(request, (matches[0],))
-                    return
+            elif match:
+                lowest = match & -match
+                self.free &= ~lowest
+                self._grant(request, (lowest.bit_length() - 1,))
+                return
         # nothing grantable now; wait for the next port_freed/add_request
 
     def _grant(self, request: Request, ports: Tuple[int, ...]) -> None:
         self.queue.remove(request)
-        for port in ports:
-            self._reserved.pop(port, None)
-            self.port_busy[port] = True
         self._busy_until = self.sim.now + self.decision_ns
         self.grants += 1
         if self.wait_hist is not None:

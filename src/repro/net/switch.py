@@ -295,8 +295,6 @@ class Switch:
         self._cp_fifo.recompute()
         self.crossbar.clear()
         self.engine.clear()
-        for port in range(self.n_ports + 1):
-            self.engine.port_busy[port] = False
 
     def clear_table(self, reset_on_load: bool = True) -> None:
         """Step 1 of reconfiguration: constant (one-hop) entries only."""
@@ -344,28 +342,14 @@ class Switch:
         self.powered = False
         self.reset()
         for unit in self.ports.values():
-            unit.enabled = False
+            unit.set_enabled(False)
 
     def power_on(self) -> None:
         """Boot: ports come back dead (Autopilot re-evaluates them)."""
         self.powered = True
         self.table.clear_to_constant()
         for unit in self.ports.values():
-            unit.enabled = True
-
-    # -- convenience ---------------------------------------------------------------------------------
-
-    def attached_link_ports(self) -> List[int]:
-        return [p for p, unit in self.ports.items() if unit.connected]
-
-    def fifo_peek_levels(self) -> Dict[int, float]:
-        """Receive-FIFO occupancy per connected port, read without
-        advancing the fluid model (the time-series sampler's feed)."""
-        return {
-            p: unit.fifo.peek_level()
-            for p, unit in sorted(self.ports.items())
-            if unit.connected
-        }
+            unit.set_enabled(True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Switch {self.name} uid={self.uid}>"

@@ -4,6 +4,7 @@
 from repro.constants import SEC
 from repro.core.portstate import PortState
 from repro.host.controller import HostController
+from repro.net.linkunit import BAD_SYNTAX
 from repro.net.packet import Packet
 from repro.network import Network
 from repro.sim.engine import Simulator
@@ -124,8 +125,7 @@ class TestDriver:
         assert net.switches[1].ports[5].fc_receiver.host_attached
         # the abandoned port's latch keeps the stale host directive (the
         # section 6.2 oversight) but the wire now carries only syncs
-        old_sample = net.switches[0].ports[5].sample_status()
-        assert old_sample.bad_syntax
+        assert net.switches[0].ports[5].sample_status() & BAD_SYNTAX
         # both ports remain classified s.host, so failing back over later
         # needs no forwarding-table change (section 6.5.3)
         assert net.autopilots[0].monitoring.state_of(5) is PortState.HOST

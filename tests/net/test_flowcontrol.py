@@ -7,7 +7,11 @@ from repro.net.flowcontrol import (
     FlowControlSender,
     next_fc_slot,
 )
+from repro.net.link import connect
+from repro.net.linkunit import IDHY_SEEN, IS_HOST, START_SEEN
+from repro.net.switch import Switch
 from repro.sim.engine import Simulator
+from repro.types import Uid
 
 
 class TestSlotTiming:
@@ -116,12 +120,17 @@ class TestReceiver:
         assert rx.host_attached
 
     def test_counters(self):
-        rx = FlowControlReceiver()
+        """The receiver only latches; what arrived since the last read is
+        accumulated by the link unit's status word."""
+        sim = Simulator()
+        unit = Switch(sim, "A", Uid(0xA)).ports[1]
+        connect(sim, unit, Switch(sim, "B", Uid(0xB)).ports[1])
         for d in (Directive.START, Directive.IDHY, Directive.PANIC, Directive.HOST):
-            rx.receive(d, 0)
-        assert rx.starts_seen == 2  # start + host
-        assert rx.idhy_seen == 1
-        assert rx.panic_seen == 1
+            unit.rx_flow_control(d)
+        word = unit.sample_status()
+        assert word & IDHY_SEEN  # an idhy arrived since the last read
+        assert word & START_SEEN and word & IS_HOST  # host is what is latched
+        assert not unit.sample_status() & IDHY_SEEN  # reading cleared the event
 
     def test_change_callback(self):
         changes = []

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.constants import BYTE_TIME_NS
-from repro.net.link import Link, LinkState, connect, propagation_ns
+from repro.net.link import LinkState, connect, propagation_ns
+from repro.net.linkunit import BAD_CODE, IDHY_SEEN, IS_HOST, START_SEEN
 from repro.net.packet import Packet
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
@@ -66,8 +67,8 @@ class TestFailureModes:
     def test_noisy_link_fingerprint(self):
         sim, a, b, link = make_pair()
         link.set_state(LinkState.NOISY)
-        assert a.ports[1].sample_status().bad_code
-        assert b.ports[1].sample_status().bad_code
+        assert a.ports[1].sample_status() & BAD_CODE
+        assert b.ports[1].sample_status() & BAD_CODE
 
     def test_restore_reannounces_flow_control(self):
         sim, a, b, link = make_pair()
@@ -96,16 +97,16 @@ class TestStatusBits:
         host = HostController(sim, "h", Uid(0xB))
         connect(sim, host.ports[0], switch.ports[5], length_km=0.1)
         sim.run_for(1_000_000)
-        sample = switch.ports[5].sample_status()
-        assert sample.is_host
-        assert sample.start_seen  # host directive permits transmission
+        word = switch.ports[5].sample_status()
+        assert word & IS_HOST
+        assert word & START_SEEN  # host directive permits transmission
 
     def test_switch_neighbor_not_is_host(self):
         sim, a, b, link = make_pair()
         sim.run_for(1_000_000)
-        sample = a.ports[1].sample_status()
-        assert not sample.is_host
-        assert sample.start_seen
+        word = a.ports[1].sample_status()
+        assert not word & IS_HOST
+        assert word & START_SEEN
 
     def test_idhy_chronic_while_latched(self):
         sim, a, b, link = make_pair()
@@ -115,8 +116,8 @@ class TestStatusBits:
         sim.run_for(1_000_000)
         first = b.ports[1].sample_status()
         second = b.ports[1].sample_status()
-        assert first.idhy_seen
-        assert second.idhy_seen  # chronic, not a one-shot event
+        assert first & IDHY_SEEN
+        assert second & IDHY_SEEN  # chronic, not a one-shot event
 
     def test_unconnected_port_has_no_link(self):
         sim = Simulator()

@@ -1,10 +1,14 @@
 """The first-come, first-considered scheduling engine (section 6.4)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.constants import ROUTER_DECISION_TIME_NS
 from repro.net.forwarding import ForwardingEntry
 from repro.net.packet import Packet
 from repro.net.scheduler import Request, SchedulingEngine
 from repro.sim.engine import Simulator
+from tests.naive_registers import NaiveSchedulingEngine
 
 
 def make_engine(sim, grants):
@@ -146,3 +150,66 @@ def test_clear_drops_requests_and_reservations():
     sim.run()
     assert grants == []
     assert engine.pending() == 0
+
+
+# -- scan equivalence: the free-port vector against the set-based engine --------------
+
+_PORT = st.integers(min_value=0, max_value=12)
+_SCAN_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("request"), _PORT,
+            st.lists(_PORT, min_size=1, max_size=5, unique=True), st.booleans(),
+        ),
+        st.tuples(st.just("free"), st.integers(min_value=0, max_value=12)),
+        st.tuples(st.just("isolate"), _PORT),
+        st.tuples(st.just("run"), st.integers(min_value=0, max_value=1500)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(busy=st.sets(_PORT, max_size=6), ops=_SCAN_OPS)
+def test_scan_matches_the_naive_set_based_engine(busy, ops):
+    """Same grants, at the same instants, in the same order, on the same
+    ports -- through requests, broadcast reservations, frees and port
+    isolation -- as an engine that rebuilds a free *set* per scan."""
+    sims = Simulator(), Simulator()
+    logs = [], []
+
+    def recorder(side):
+        return lambda req, ports: logs[side].append((sims[side].now, req.in_port, ports))
+
+    engines = (
+        SchedulingEngine(sims[0], 12, grant=recorder(0)),
+        NaiveSchedulingEngine(sims[1], 12, recorder(1), ROUTER_DECISION_TIME_NS),
+    )
+    for engine in engines:
+        for port in sorted(busy):
+            engine.mark_port_busy(port)
+    held = sorted(busy)  # allocated ports: marked busy above, or granted since
+    seen = 0
+    for op in ops:
+        if op[0] == "request":
+            for engine in engines:
+                engine.add_request(Request(op[1], ForwardingEntry(tuple(op[2]), op[3]), pkt()))
+        elif op[0] == "free" and held:
+            # the hardware frees only what a finished transmission held
+            port = held.pop(op[1] % len(held))
+            for engine in engines:
+                engine.port_freed(port)
+        elif op[0] == "isolate":
+            for engine in engines:
+                engine.remove_requests_from(op[1])
+        elif op[0] == "run":
+            for sim in sims:
+                sim.run_for(op[1])
+        assert logs[0] == logs[1]
+        held += [port for _now, _in_port, ports in logs[0][seen:] for port in ports]
+        seen = len(logs[0])
+    for sim in sims:
+        sim.run()
+    assert logs[0] == logs[1]
+    assert engines[0].grants == len(logs[0])

@@ -5,8 +5,10 @@ import pytest
 
 from repro.constants import ADDR_ONE_HOP_BASE, SEC
 from repro.core.routing import build_forwarding_entries
+from repro.net.flowcontrol import Directive
 from repro.net.forwarding import ForwardingEntry
 from repro.net.link import connect
+from repro.net.linkunit import BAD_CODE
 from repro.net.packet import Packet, PacketType
 from repro.net.switch import Crossbar, Switch
 from repro.sim.engine import Simulator
@@ -164,8 +166,7 @@ class TestPower:
         b = Switch(sim, "B", Uid(0xB))
         connect(sim, a.ports[3], b.ports[7], length_km=0.1)
         a.power_off()
-        sample = b.ports[7].sample_status()
-        assert sample.bad_code  # silence reads as code violations
+        assert b.ports[7].sample_status() & BAD_CODE  # silence reads as code violations
 
 
 class TestIsolatePort:
@@ -174,7 +175,9 @@ class TestIsolatePort:
         broadcast was holding (the wedge the E9 debugging found)."""
         sim = Simulator()
         switch = star_switch(sim, [1, 2, 3])
-        # fabricate a granted-but-stuck broadcast from port 1
+        # fabricate a granted-but-stuck broadcast from port 1: a latched
+        # stop on one of its outputs keeps the drain from ever starting
+        switch.ports[2].fc_receiver.receive(Directive.STOP, 0)
         pkt = Packet(dest_short=0x7FF, src_short=0, data_bytes=100)
         switch.ports[1].fifo.begin_packet(pkt)
         entry = switch.ports[1].fifo.queue[-1]
@@ -182,9 +185,10 @@ class TestIsolatePort:
         entry.arriving = False
         switch.ports[1].fifo.recompute()
         sim.run_for(1_000_000)
-        held = [p for p, b in switch.engine.port_busy.items() if b]
+        held = [p for p in range(13) if not switch.engine.free >> p & 1]
+        assert held, "the broadcast was never granted"
         switch.isolate_port(1)
         sim.run_for(1_000_000)
-        free_now = [p for p in held if not switch.engine.port_busy[p]]
+        free_now = [p for p in held if switch.engine.free >> p & 1]
         assert free_now == held, "isolation did not free granted ports"
         assert not switch.ports[1].fifo.queue
