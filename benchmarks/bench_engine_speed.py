@@ -1,17 +1,13 @@
-"""Event-engine throughput: the calendar-queue scheduler's speed gate.
+"""Event-engine throughput: the measured scenario's event count and speed.
 
-Runs the standard observability scenario (converge, cut link 0-1,
-reconverge) on the two gated topologies with the event-loop profiler
-attached and reports dispatch throughput.  The committed baseline in
-``benchmarks/results/baselines/engine_speed.json`` plus the floor-only
-tolerance entries in ``tolerances.json`` turn this into the CI
-``perf-gate`` job: a drop in ``events_per_sec`` below the band fails the
-build, while an improvement sails through (re-commit the baseline to
-ratchet it).
-
-The absolute numbers are machine-dependent; the gate compares runs on
-the same class of CI runner against a baseline measured there.  Local
-runs are still useful for before/after ratios.
+Runs the measured scenario (converge, cut link 0-1, reconverge) on the
+two gated topologies with the event-loop profiler attached.  The row
+metric is the exact number of events dispatched -- a deterministic cost
+proxy the CI ``bench-gate`` job holds to the committed baseline by
+equality.  Wall time and dispatch throughput are the host's, so they
+ride in ``telemetry["host"]``, outside the gated surface: useful for
+before/after ratios on one box, and measured repeatably by ``bench_e2e``
+(``benchmarks/e2e``), not here.
 """
 
 import os
@@ -24,7 +20,6 @@ if __package__ in (None, ""):  # direct invocation
 else:
     from benchmarks import bench_util
 
-from repro.constants import SEC
 from repro.network import Network
 from repro.topology.generators import resolve_topology
 
@@ -36,9 +31,7 @@ TOPOLOGIES = ("torus-3x4", "src-lan-30")
 def _measure(topo: str, seed: int):
     """Converge, cut 0-1, reconverge under the event-loop profiler."""
     net = Network(resolve_topology(topo), seed=seed, profile=True)
-    assert net.run_until_converged(timeout_ns=60 * SEC), f"{topo}: no converge"
-    net.cut_link(0, 1)
-    assert net.run_until_converged(timeout_ns=60 * SEC), f"{topo}: no reconverge"
+    bench_util.measured_cut(net, cut=(0, 1), load_ns=0)
     profiler = net.profiler
     return {
         "events": profiler.events,
@@ -50,28 +43,25 @@ def _measure(topo: str, seed: int):
 def test_engine_speed(benchmark):
     seed = bench_util.current_seed()
     rows = []
-    telemetry = {}
+    host = {}
     for topo in TOPOLOGIES:
         m = benchmark(_measure, topo, seed) if topo == TOPOLOGIES[0] else _measure(topo, seed)
-        rows.append([
-            topo,
-            m["events"],
-            round(m["wall_ms"], 1),
-            round(m["events_per_sec"], 1),
-        ])
-        telemetry[f"{topo}_events_per_sec"] = round(m["events_per_sec"], 1)
+        rows.append([topo, m["events"]])
+        host[f"{topo}_wall_ms"] = round(m["wall_ms"], 1)
+        host[f"{topo}_events_per_sec"] = round(m["events_per_sec"], 1)
         # dispatch throughput must be a real measurement, not a div-zero
         assert m["events"] > 0 and m["events_per_sec"] > 0
     bench_util.report(
         "engine_speed",
         "Event-engine dispatch throughput (calendar-queue scheduler)",
-        headers=["topology", "events", "wall_ms", "events_per_sec"],
+        headers=["topology", "events"],
         rows=rows,
         notes=(
             "converge + cut 0-1 + reconverge under the event-loop profiler;\n"
-            "events_per_sec gates in CI (floor-only band, see baselines/)"
+            "events is exact and gated; wall_ms / events_per_sec are this host's\n"
+            "(telemetry.host, ungated)"
         ),
-        telemetry=telemetry,
+        telemetry={"host": host},
     )
 
 

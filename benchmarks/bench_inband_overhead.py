@@ -5,9 +5,10 @@ The in-band layer stamps every client packet with a per-hop record
 torus-3x4 workload -- two hosts exchanging periodic datagrams across a
 ``cut_link`` reconfiguration -- with the layer off and on, and reports:
 
-* the wall-clock overhead ratio of stamping (expected near 1.0: the
-  disabled path is one attribute load + None test, and the enabled path
-  is a handful of tuple appends per hop);
+* that stamping is observational: the run delivers the same datagrams
+  either way (what the stamping costs in wall clock is ``bench_e2e``'s
+  ``observed_torus`` against ``dataplane_torus``, measured repeatably
+  there and not at all here);
 * the deterministic accounting the enabled run produces: hop records,
   deliveries, per-flow path changes, and exact delivery quantiles --
   all in simulated time, so they regress byte-for-byte under one seed.
@@ -20,46 +21,21 @@ if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
     _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
     _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
 
-import time
-
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_us, report
+from benchmarks.bench_util import current_seed, fmt_us, measured_cut, report
 from repro.constants import MS, SEC
 from repro.network import Network
+from repro.scenario import attach_pair
 from repro.topology import torus
 
 
-def _attach_pair(net, period_ns=2 * MS, data_bytes=256):
-    from repro.host.localnet import LocalNet
-    from repro.host.workload import PeriodicSender, Sink
-
-    spots = [0, len(net.switches) // 2]
-    hosts = []
-    for i, sw in enumerate(spots):
-        port = max(p for p in net.switches[sw].ports
-                   if not net.switches[sw].ports[p].connected)
-        controller = net.add_host(f"h{i}", [(sw, port)])
-        hosts.append((controller, LocalNet(net.drivers[f"h{i}"])))
-    sinks = []
-    for i, (_controller, localnet) in enumerate(hosts):
-        sinks.append(Sink(localnet))
-        PeriodicSender(localnet, hosts[1 - i][0].uid, data_bytes, period_ns)
-    return sinks
-
-
 def _workload(inband: bool):
-    """One full run; returns (wall seconds, delivered count, network)."""
-    start = time.perf_counter()
+    """One full run; returns (delivered count, network)."""
     net = Network(torus(3, 4), seed=current_seed(0), inband=inband)
-    sinks = _attach_pair(net)
-    assert net.run_until_converged(timeout_ns=90 * SEC)
-    net.run_for(1 * SEC)
-    net.cut_link(0, 1)
-    assert net.run_until_converged(timeout_ns=90 * SEC)
-    net.run_for(1 * SEC)
-    wall = time.perf_counter() - start
-    return wall, sum(s.count for s in sinks), net
+    sinks = attach_pair(net, period_ns=2 * MS, data_bytes=256)
+    measured_cut(net, cut=(0, 1), load_ns=1 * SEC)
+    return sum(s.count for s in sinks), net
 
 
 @pytest.mark.benchmark(group="inband")
@@ -67,36 +43,28 @@ def test_inband_overhead(benchmark):
     def run():
         return _workload(False), _workload(True)
 
-    (wall_off, seen_off, _off), (wall_on, seen_on, net) = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    (seen_off, _off), (seen_on, net) = benchmark.pedantic(run, rounds=1, iterations=1)
     # observational-only: the run itself is unchanged by the layer
     assert seen_on == seen_off > 0
-    ratio = wall_on / wall_off
-    telemetry = net.inband
     report(
         "inband_overhead",
-        "In-band stamping overhead (torus-3x4, periodic pair across a cut)",
-        ["mode", "wall (ms)", "deliveries", "hop records"],
+        "In-band stamping is observational (torus-3x4, periodic pair across a cut)",
+        ["mode", "deliveries", "hop records"],
         [
-            ["off", f"{wall_off * 1e3:.0f}", seen_off, 0],
-            ["on", f"{wall_on * 1e3:.0f}", seen_on, telemetry.hops_recorded],
+            ["off", seen_off, 0],
+            ["on", seen_on, net.inband.hops_recorded],
         ],
         notes=(
-            f"stamping overhead: {ratio:.2f}x wall clock "
-            f"({telemetry.hops_recorded} hop records; the disabled path is "
-            f"one load + None test per stamp site)"
+            "the same run with the layer off and on delivers the same datagrams; "
+            "the disabled path is one load + None test per stamp site"
         ),
-        telemetry={"overhead_ratio": round(ratio, 3)},
     )
-    # generous sanity bound: stamping must never multiply the run cost
-    assert ratio < 2.0, f"in-band stamping overhead {ratio:.2f}x"
 
 
 @pytest.mark.benchmark(group="inband")
 def test_inband_accounting(benchmark):
     def run():
-        return _workload(True)[2]
+        return _workload(True)[1]
 
     net = benchmark.pedantic(run, rounds=1, iterations=1)
     doc = net.inband_doc()

@@ -21,38 +21,16 @@ if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
 
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_ms, report
-from repro.constants import SEC
+from benchmarks.bench_util import current_seed, fmt_ms, measured_cut, report
 from repro.core.autopilot import AutopilotParams
 from repro.network import Network
 from repro.topology import line, src_service_lan, torus
 
 
-def reconfigure_once(spec, params_factory=None, timeout=60 * SEC):
-    """Boot to convergence, cut one link, and time the reconfiguration."""
+def reconfig_ns(spec, params_factory=None):
+    """Final-epoch duration of the E-series scenario on ``spec``."""
     net = Network(spec, params_factory=params_factory, seed=current_seed())
-    assert net.run_until_converged(timeout_ns=timeout), f"no boot convergence: {spec.name}"
-    net.run_for(2 * SEC)
-    a, _pa, b, _pb = spec.cables[0]
-    net.cut_link(a, b)
-    assert net.run_until_converged(timeout_ns=timeout), f"no reconvergence: {spec.name}"
-    epoch = net.current_epoch()
-    return net, net.epoch_duration(epoch)
-
-
-def blackout_of(net, epoch=None):
-    """Worst per-switch blackout (ns) of one reconfiguration epoch, from
-    the repro.obs span tracer."""
-    if net.tracer is None:
-        return None
-    if epoch is None:
-        epoch = net.current_epoch()
-    durations = [
-        b["blackout_ns"]
-        for b in net.tracer.blackouts(epoch).values()
-        if b["blackout_ns"] is not None
-    ]
-    return max(durations) if durations else None
+    return measured_cut(net).final_epoch_ns
 
 
 def max_distance(spec):
@@ -65,9 +43,9 @@ def max_distance(spec):
 @pytest.mark.benchmark(group="E1")
 def test_src_lan_tuned(benchmark):
     def run():
-        net, duration = reconfigure_once(src_service_lan())
-        spans = net.tracer.span_summary() if net.tracer is not None else []
-        return duration, blackout_of(net), spans
+        net = Network(src_service_lan(), seed=current_seed())
+        outcome = measured_cut(net)
+        return outcome.final_epoch_ns, outcome.blackout_ns, net.tracer.span_summary()
 
     duration, blackout, spans = benchmark.pedantic(run, rounds=1, iterations=1)
     report(
@@ -88,11 +66,8 @@ def test_src_lan_tuned(benchmark):
 @pytest.mark.benchmark(group="E1")
 def test_naive_vs_tuned(benchmark):
     def run():
-        _n1, tuned = reconfigure_once(src_service_lan())
-        _n2, naive = reconfigure_once(
-            src_service_lan(), params_factory=lambda i: AutopilotParams.naive(),
-            timeout=240 * SEC,
-        )
+        tuned = reconfig_ns(src_service_lan())
+        naive = reconfig_ns(src_service_lan(), lambda i: AutopilotParams.naive())
         return tuned, naive
 
     tuned, naive = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -118,8 +93,7 @@ def test_scaling_with_diameter(benchmark):
     def run():
         rows = []
         for spec in specs:
-            _net, duration = reconfigure_once(spec, timeout=120 * SEC)
-            rows.append((spec.name, spec.n_switches, max_distance(spec), duration))
+            rows.append((spec.name, spec.n_switches, max_distance(spec), reconfig_ns(spec)))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

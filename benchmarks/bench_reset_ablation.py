@@ -22,8 +22,7 @@ if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
 
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_ms, report
-from repro.constants import SEC
+from benchmarks.bench_util import current_seed, fmt_ms, measured_cut, report
 from repro.core.autopilot import AutopilotParams
 from repro.network import Network
 from repro.topology import src_service_lan
@@ -36,14 +35,10 @@ def run_variant(reset_on_load: bool):
         return params
 
     net = Network(src_service_lan(), params_factory=factory, seed=current_seed())
-    assert net.run_until_converged(timeout_ns=120 * SEC)
-    net.run_for(2 * SEC)
-    resets_before = sum(sw.resets for sw in net.switches)
-    net.cut_link(0, 1)
-    assert net.run_until_converged(timeout_ns=120 * SEC)
-    duration = net.epoch_duration(net.current_epoch())
-    resets = sum(sw.resets for sw in net.switches) - resets_before
-    return duration, resets
+    at_cut = []  # switch resets so far, sampled as the fault is injected
+    net.on_fault = lambda _kind, _detail: at_cut.append(sum(sw.resets for sw in net.switches))
+    duration = measured_cut(net, cut=(0, 1)).final_epoch_ns
+    return duration, sum(sw.resets for sw in net.switches) - at_cut[0]
 
 
 @pytest.mark.benchmark(group="E14")

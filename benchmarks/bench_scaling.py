@@ -7,14 +7,13 @@ per-switch blackout, control-plane packet/byte volume, and peak FIFO
 depth -- plus the fitted log-log scaling exponents in telemetry.
 
 With the committed baseline in
-``benchmarks/results/baselines/scaling.json`` and the tolerance entries
-in ``tolerances.json``, the CI ``bench-regress`` job turns these curves
-into a gate: a change that makes blackout superlinear in switch count
-(slope drift) or inflates a rung's control volume fails the build the
-same way a throughput regression does.  All row metrics are pure
-simulation time and counts, so they are exactly reproducible for a
-given seed; only the per-rung ``events_per_sec`` telemetry is
-wall-clock (floor-only band, like the perf gate).
+``benchmarks/results/baselines/scaling.json`` the CI ``bench-gate`` job
+turns these curves into a gate: every row metric and fitted slope is
+pure simulation time or a count, exactly reproducible for a given seed,
+and must *equal* the baseline -- a change that bends blackout
+superlinear in switch count or inflates a rung's control volume fails
+the build.  Only the per-rung ``events_per_sec`` is the host's; it rides
+in ``telemetry["host"]``, outside the gated surface.
 """
 
 import os
@@ -47,7 +46,7 @@ def test_scaling(benchmark):
     seed = bench_util.current_seed()
     doc = benchmark(run_sweep, LADDER, seed)
     rows = []
-    telemetry = {}
+    telemetry = {"host": {}}
     for point in doc["points"]:
         # every smoke rung fits under the 126-switch address ceiling
         assert point["status"] == "ok", f"{point['name']}: {point.get('skip_reason')}"
@@ -64,7 +63,7 @@ def test_scaling(benchmark):
             m["control_bytes"],
             m["fifo_highwater_bytes"],
         ])
-        telemetry[f"{point['name']}_events_per_sec"] = m.get("events_per_sec", 0.0)
+        telemetry["host"][f"{point['name']}_events_per_sec"] = m.get("events_per_sec", 0.0)
     for metric in GATED_SLOPES:
         fit = doc["slopes"].get(metric)
         assert fit is not None, f"no slope fit for {metric}"
@@ -81,7 +80,7 @@ def test_scaling(benchmark):
             "boot-converge, cut first cable, reconverge per rung; row metrics\n"
             "are deterministic sim time/counts, slope_* telemetry entries are\n"
             "the log-log exponents vs switch count (repro.obs.sweep/1);\n"
-            "*_events_per_sec is wall-clock (floor-only band in CI)"
+            "telemetry.host.*_events_per_sec is this host's (ungated)"
         ),
         telemetry=telemetry,
     )

@@ -21,14 +21,14 @@ if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
 
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_ms, report
-from repro.constants import MS, SEC
+from benchmarks.bench_util import current_seed, fmt_ms, measured_cut, report
+from repro.constants import MS
 from repro.core.autopilot import AutopilotParams
 from repro.network import Network
 from repro.topology import src_service_lan
 
 
-def timed_reconfig(mode: str, quiet_ms: int = 300):
+def reconfig_ns(mode: str, quiet_ms: int = 300):
     def params_factory(_i):
         params = AutopilotParams()
         params.reconfig.termination_mode = mode
@@ -36,20 +36,16 @@ def timed_reconfig(mode: str, quiet_ms: int = 300):
         return params
 
     net = Network(src_service_lan(), params_factory=params_factory, seed=current_seed())
-    assert net.run_until_converged(timeout_ns=120 * SEC), f"{mode} never converged"
-    net.run_for(2 * SEC)
-    net.cut_link(0, 1)
-    assert net.run_until_converged(timeout_ns=120 * SEC), f"{mode} never reconverged"
-    return net.epoch_duration(net.current_epoch())
+    return measured_cut(net, cut=(0, 1)).final_epoch_ns
 
 
 @pytest.mark.benchmark(group="E10")
 def test_stability_vs_quiescence(benchmark):
     def run():
         return {
-            "stability (paper)": timed_reconfig("stability"),
-            "quiescence 200 ms": timed_reconfig("quiescence", 200),
-            "quiescence 500 ms": timed_reconfig("quiescence", 500),
+            "stability (paper)": reconfig_ns("stability"),
+            "quiescence 200 ms": reconfig_ns("quiescence", 200),
+            "quiescence 500 ms": reconfig_ns("quiescence", 500),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

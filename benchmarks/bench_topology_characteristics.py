@@ -22,22 +22,12 @@ if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
 import networkx as nx
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_ms, report
+from benchmarks.bench_util import current_seed, fmt_ms, measured_cut, report
 from repro.analysis.capacity import analyze_capacity
 from repro.baselines.routing_ablation import tree_only_topology
-from repro.constants import SEC
 from repro.network import Network
 from repro.topology import dcell, expected_tree, fat_tree, random_regular, torus, tree
 from repro.topology.src_lan import src_service_lan
-
-
-def reconfig_time(spec):
-    net = Network(spec, seed=current_seed())
-    assert net.run_until_converged(timeout_ns=120 * SEC), spec.name
-    net.run_for(2 * SEC)
-    net.cut_link(spec.cables[0][0], spec.cables[0][2])
-    assert net.run_until_converged(timeout_ns=120 * SEC), spec.name
-    return net.epoch_duration(net.current_epoch())
 
 
 def survives_single_failures(spec) -> bool:
@@ -69,7 +59,7 @@ def test_topology_trade_table(benchmark):
                     f"{cap.capacity_per_flow:.3f}",
                     f"{cap.root_share * 100:.0f}%",
                     survives_single_failures(spec),
-                    reconfig_time(spec),
+                    measured_cut(Network(spec, seed=current_seed())).final_epoch_ns,
                 )
             )
         return rows

@@ -17,7 +17,7 @@ if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
 
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_ms, report
+from benchmarks.bench_util import current_seed, fmt_ms, measured_cut, report
 from repro.constants import SEC
 from repro.network import Network
 from repro.topology import torus
@@ -38,12 +38,9 @@ DRAIN_AFTER_CUT_NS = int(1.2 * SEC)
 
 def _run_workload():
     net = Network(torus(3, 4), seed=current_seed(0), traffic=dict(TRAFFIC))
-    assert net.run_until_converged(timeout_ns=90 * SEC)
-    net.traffic.launch()
-    net.run_for(LOAD_BEFORE_CUT_NS)
-    net.cut_link(0, 1)
-    assert net.run_until_converged(timeout_ns=90 * SEC)
-    net.run_for(DRAIN_AFTER_CUT_NS)
+    measured_cut(net, cut=(0, 1), load_ns=LOAD_BEFORE_CUT_NS)
+    # the driver runs the same load after the cut as before it; drain the rest
+    net.run_for(DRAIN_AFTER_CUT_NS - LOAD_BEFORE_CUT_NS)
     return net
 
 

@@ -25,10 +25,10 @@ if __package__ in (None, ""):  # direct invocation: put repo root + src on the p
     sys.path[:0] = [_ROOT, os.path.join(_ROOT, "src")]
 
 from repro.analysis.metrics import format_table
+from repro.constants import SEC
 from repro.obs import artifact
 from repro.obs.export import bench_document, bench_result
-from repro.obs.regress import archive_document, metrics_of
-from repro.sim.rng import RngRegistry
+from repro.scenario import ScenarioResult, drive_scenario
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -36,10 +36,6 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 _document: Optional[Dict] = None
 #: seed requested via --seed / REPRO_BENCH_SEED (None = bench default)
 _seed_override: Optional[int] = None
-#: True while run_cli replays the suite under --repeat: results still
-#: accumulate into _document for statistics, but the .txt/.json files in
-#: results/ are left as the base-seed run wrote them
-_aggregate_only = False
 
 
 def current_seed(default: int = 0) -> int:
@@ -50,6 +46,20 @@ def current_seed(default: int = 0) -> int:
     if env is not None:
         return int(env)
     return default
+
+
+def measured_cut(net, cut=None, load_ns: int = 2 * SEC) -> ScenarioResult:
+    """The E-series scenario on a freshly built ``net``: boot to
+    convergence, idle ``load_ns``, cut one cable (default: the topology's
+    first), reconverge.  Asserts both convergences and returns what
+    :func:`repro.scenario.drive_scenario` measured."""
+    if cut is None:
+        a, _pa, b, _pb = net.spec.cables[0]
+        cut = (a, b)
+    outcome = drive_scenario(net, [cut], load_ns=load_ns, timeout_ns=240 * SEC)
+    assert outcome.converged, f"no boot convergence: {net.spec.name}"
+    assert outcome.reconverged, f"no reconvergence: {net.spec.name}"
+    return outcome
 
 
 def report(
@@ -76,8 +86,6 @@ def report(
     )
     if _document is not None:
         _document["results"].append(result)
-    if _aggregate_only:
-        return text
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:
@@ -120,20 +128,8 @@ def run_cli(namespace: Dict, bench_id: Optional[str] = None) -> None:
     Runs every ``test_*`` function in ``namespace`` with a stub
     ``benchmark`` fixture, accumulates their :func:`report` tables, and
     optionally writes the combined schema-valid JSON document.
-
-    ``--repeat N`` replays the suite N-1 extra times under independent
-    seeds forked from the base seed (``RngRegistry.child_seed``, so the
-    streams never collide with the base run's) and embeds per-metric
-    mean/stdev into each result's ``telemetry["repeat"]`` -- the spread
-    the regress comparator turns into sigma-based tolerance bands.  The
-    written tables and the document's own rows always come from the base
-    seed; with ``--repeat 1`` (the default) output is byte-identical to
-    a run without the flag.
-
-    ``--archive DIR`` appends the combined document to
-    ``DIR/<bench>.history.jsonl`` keyed by git SHA/seed/topology.
     """
-    global _document, _seed_override, _aggregate_only
+    global _document, _seed_override
 
     if bench_id is None:
         bench_id = (
@@ -150,15 +146,7 @@ def run_cli(namespace: Dict, bench_id: Optional[str] = None) -> None:
                         help="RNG seed threaded into the benches")
     parser.add_argument("--only", default=None, metavar="SUBSTR",
                         help="run only tests whose name contains SUBSTR")
-    parser.add_argument("--repeat", type=int, default=1, metavar="N",
-                        help="run the suite N times under forked seeds and "
-                             "embed per-metric mean/stdev statistics")
-    parser.add_argument("--archive", default=None, metavar="DIR",
-                        help="append the combined document to the per-bench "
-                             "history in DIR")
     args = parser.parse_args()
-    if args.repeat < 1:
-        parser.error("--repeat must be >= 1")
 
     tests = [
         (name, fn)
@@ -173,64 +161,19 @@ def run_cli(namespace: Dict, bench_id: Optional[str] = None) -> None:
 
     if args.seed is not None:
         _seed_override = args.seed
-    base_seed = current_seed()
-    rng = RngRegistry(base_seed)
-    seeds = [base_seed] + [
-        rng.child_seed(f"repeat/{rep}") for rep in range(1, args.repeat)
-    ]
 
     failures = []
-    rep_docs = []
-    for rep, seed in enumerate(seeds):
-        if rep > 0:
-            _seed_override = seed
-            _aggregate_only = True
-        _document = bench_document(bench_id, title=title, seed=seed)
-        rep_docs.append(_document)
-        for name, fn in tests:
-            print(f"-- {name}" + (f" [repeat {rep}]" if rep else ""))
-            try:
-                fn(_StubBenchmark())
-            except AssertionError as error:
-                failures.append(name)
-                print(f"FAILED {name}: {error}", file=sys.stderr)
-    _aggregate_only = False
-
-    base_doc = rep_docs[0]
-    if args.repeat > 1:
-        _embed_repeat_stats(base_doc, rep_docs, seeds)
+    _document = bench_document(bench_id, title=title, seed=current_seed())
+    for name, fn in tests:
+        print(f"-- {name}")
+        try:
+            fn(_StubBenchmark())
+        except AssertionError as error:
+            failures.append(name)
+            print(f"FAILED {name}: {error}", file=sys.stderr)
 
     if args.json_path:
-        artifact.write(args.json_path, base_doc)
+        artifact.write(args.json_path, _document)
         print(f"wrote {args.json_path}")
-    if args.archive:
-        path = archive_document(args.archive, base_doc)
-        print(f"archived to {path}")
     _document = None
     sys.exit(1 if failures else 0)
-
-
-def _embed_repeat_stats(base_doc: Dict, rep_docs, seeds) -> None:
-    """Attach cross-repeat mean/stdev per metric to each base result."""
-    flats = [metrics_of(d) for d in rep_docs]
-    for result in base_doc["results"]:
-        prefix = result["name"] + "/"
-        stats: Dict[str, Dict[str, float]] = {}
-        for key in sorted(flats[0]):
-            if not key.startswith(prefix):
-                continue
-            values = [flat[key] for flat in flats if key in flat]
-            mean = sum(values) / len(values)
-            if len(values) > 1:
-                stdev = (sum((v - mean) ** 2 for v in values)
-                         / (len(values) - 1)) ** 0.5
-            else:
-                stdev = 0.0
-            stats[key[len(prefix):]] = {"mean": mean, "stdev": stdev}
-        telemetry = result.get("telemetry") or {}
-        telemetry["repeat"] = {
-            "runs": len(rep_docs),
-            "seeds": list(seeds),
-            "metrics": stats,
-        }
-        result["telemetry"] = telemetry

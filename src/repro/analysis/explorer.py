@@ -30,13 +30,6 @@ class ExplorationResult:
     routes: Dict[Uid, Tuple[int, ...]] = field(default_factory=dict)
     queries: int = 0
 
-    def spanning_tree_edges(self) -> Set[Tuple[Uid, Uid]]:
-        return {
-            (record.parent_uid, uid)
-            for uid, record in self.topology.switches.items()
-            if record.parent_uid is not None
-        }
-
 
 class NetworkExplorer:
     """Crawls a live network via SRP from one switch's control processor."""

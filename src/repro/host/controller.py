@@ -185,10 +185,6 @@ class HostController:
     def active_port(self) -> HostPort:
         return self.ports[self.active_index]
 
-    @property
-    def alternate_port(self) -> HostPort:
-        return self.ports[1 - self.active_index]
-
     def select_port(self, index: int) -> None:
         """Switch the active network port (driver failover, section 6.8.3)."""
         if index == self.active_index:
@@ -231,26 +227,17 @@ class HostController:
             ib = self.sim.inband
             if ib is not None:
                 ib.record_drop(packet, self.name, "crc")
-            tr = self.sim.traffic
-            if tr is not None:
-                tr.record_drop(packet, self.name, "crc")
             return
         if self._rx_held + packet.wire_bytes > self.rx_buffer_bytes:
             self.packets_dropped_rx += 1
             ib = self.sim.inband
             if ib is not None:
                 ib.record_drop(packet, self.name, "rx-buffer-full")
-            tr = self.sim.traffic
-            if tr is not None:
-                tr.record_drop(packet, self.name, "rx-buffer-full")
             return
         self.packets_received += 1
         ib = self.sim.inband
         if ib is not None:
             ib.record_delivery(packet, self.name)
-        tr = self.sim.traffic
-        if tr is not None:
-            tr.record_delivery(packet, self.name)
         if self.rx_processing_ns <= 0:
             if self.on_receive is not None:
                 self.on_receive(packet)

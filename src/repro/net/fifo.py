@@ -276,9 +276,6 @@ class ReceiveFifo:
             ib = self.sim.inband
             if ib is not None:
                 ib.record_queue_drop(victim.packet if victim else None, self.name)
-            tr = self.sim.traffic
-            if tr is not None and victim is not None:
-                tr.record_drop(victim.packet, self.name, "fifo-overflow")
             if self.on_overflow is not None:
                 self.on_overflow(victim.packet if victim else None)
 

@@ -149,10 +149,6 @@ class FlowControlSender:
         self._on_wire = None
         self._schedule()
 
-    @property
-    def on_wire(self) -> Optional[Directive]:
-        return self._on_wire
-
 
 class FlowControlReceiver:
     """Receive-side latch: remembers the last directive received.

@@ -185,9 +185,6 @@ class Switch:
             ib = self.sim.inband
             if ib is not None:
                 ib.record_drop(packet, self.name, "table-discard")
-            tr = self.sim.traffic
-            if tr is not None:
-                tr.record_drop(packet, self.name, "table-discard")
             self._fifo_for(in_port).connect_drain([self.discard_sink], broadcast=False)
             return
         self.engine.add_request(Request(in_port, entry, packet))

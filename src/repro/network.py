@@ -175,19 +175,16 @@ class Network:
             self.sampler.start()
 
         #: opt-in traffic engine (repro.traffic).  Pass traffic=True
-        #: (defaults), an int (flow count), or a TrafficConfig.  Off
-        #: (the default) leaves sim.traffic None: the delivery/drop
-        #: stamp sites pay one load + None test and no flow state
-        #: exists, so disabled runs stay byte-identical.  Wired last so
-        #: the engine can register its sampler collectors and (packet
-        #: mode) attach its hosts to free ports.
+        #: (defaults), an int (flow count), or a TrafficConfig.  The
+        #: engine is observational -- nothing in the data path knows it
+        #: exists -- so runs with it off or on dispatch the same network
+        #: events.  Wired last so it can register its sampler collectors.
         self.traffic_config = TrafficConfig.coerce(traffic)
         self.traffic: "Optional[TrafficEngine]" = None
         if self.traffic_config is not None:
             from repro.traffic.engine import TrafficEngine
 
             self.traffic = TrafficEngine(self, self.traffic_config)
-            self.sim.traffic = self.traffic
 
     # -- measurement hooks ----------------------------------------------------------------
 
@@ -524,9 +521,6 @@ class Network:
     def run_for(self, duration_ns: int) -> None:
         self.sim.run_for(duration_ns)
 
-    def run_until(self, time_ns: int) -> None:
-        self.sim.run(until=time_ns)
-
     def alive_autopilots(self) -> List[Autopilot]:
         return [ap for ap in self.autopilots if ap.alive]
 
@@ -672,9 +666,8 @@ class Network:
     def _notify_fault(self, kind: str, **detail) -> None:
         if self.telemetry_enabled:
             self.sim.metrics.counter("faults_injected", kind=kind).inc()
-        tr = self.sim.traffic
-        if tr is not None:
-            tr.note_fault(kind)
+        if self.traffic is not None:
+            self.traffic.note_fault(kind)
         if self.on_fault is not None:
             self.on_fault(kind, detail)
 

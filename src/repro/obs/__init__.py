@@ -30,9 +30,9 @@ bench-trajectory needs of ROADMAP.md:
   as ``repro.obs.timeseries/1`` with a window/delta/resample query API.
 * :mod:`repro.obs.watch` -- the live dashboard: sampler rings rendered
   as per-switch terminal sparklines, live or replayed from an artifact.
-* :mod:`repro.obs.regress` -- the bench-regression trajectory: per-bench
-  history archives and the baseline comparator whose
-  ``repro.obs.regress/1`` verdict CI gates on.
+* :mod:`repro.obs.regress` -- the bench-regression gate: an exact differ
+  between a fresh ``repro.bench/1`` document and its committed baseline
+  whose ``repro.obs.regress/2`` verdict CI gates on.
 * :mod:`repro.obs.inband` -- in-band path telemetry: enabled data packets
   carry a bounded per-hop record stack (switch, ports, FIFO depth,
   timestamp); the host side folds delivered stacks into per-flow path
@@ -42,8 +42,8 @@ bench-trajectory needs of ROADMAP.md:
   counters of control-packet volume by message type and reconfiguration
   phase (election / loading / steady), plus retransmission and SRP
   tallies, behind the ``sim.control`` null fast path.
-* :mod:`repro.obs.sweep` -- the scaling observatory: one seeded fault
-  scenario run across a topology ladder (tori, fat-trees, DCells),
+* :mod:`repro.obs.sweep` -- the scaling observatory: the one measured
+  scenario (:mod:`repro.scenario`) run across a topology ladder (tori, fat-trees, DCells),
   recording convergence, blackout, control volume, FIFO depth and
   simulator throughput per rung into ``repro.obs.sweep/1`` with
   log-log slope fits per metric.
@@ -85,10 +85,8 @@ from repro.obs.registry import (
 )
 from repro.obs.regress import (
     REGRESS_SCHEMA,
-    Tolerance,
-    archive_document,
-    baseline_window,
     compare,
+    read_baseline,
 )
 from repro.obs.spans import ReconfigTracer, Span, SpanTracer
 from repro.obs.sweep import (
@@ -144,10 +142,8 @@ __all__ = [
     "TimeSeriesConfig",
     "TimeSeriesSampler",
     "REGRESS_SCHEMA",
-    "Tolerance",
-    "archive_document",
-    "baseline_window",
     "compare",
+    "read_baseline",
     "PHASES",
     "ControlAccounting",
     "LADDERS",

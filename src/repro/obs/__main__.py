@@ -33,8 +33,8 @@ a ``repro.obs.flight/1`` document loadable at https://ui.perfetto.dev;
 ``why`` answers section 6.7's question ("why did this epoch happen?")
 from the recorded parent chain; ``profile`` measures the simulator
 itself; ``watch`` renders the time-series sampler live (or replays an
-artifact); ``regress`` compares ``repro.bench/1`` documents against a
-baseline window and exits non-zero on out-of-band metrics; ``sweep``
+artifact); ``regress`` holds a ``repro.bench/1`` document equal to its
+committed baseline, metric by metric, and exits non-zero otherwise; ``sweep``
 climbs a topology ladder and writes ``repro.obs.sweep/1`` scaling
 curves (convergence, blackout, control-plane cost versus size);
 ``validate`` checks any ``repro.*/1`` file against the schema its tag
@@ -44,9 +44,8 @@ names (:mod:`repro.obs.artifact`).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.constants import MS, SEC
 from repro.network import Network
@@ -54,62 +53,18 @@ from repro.obs import artifact
 from repro.obs.export import bench_document, bench_result
 from repro.obs.flight import CAT_EPOCH, CAT_PORT, render_chain
 from repro.obs.perfetto import path_trace_document
-from repro.obs.regress import Tolerance, baseline_window, compare, render_verdict
+from repro.obs.regress import compare, read_baseline, render_verdict
 from repro.obs.sweep import LADDERS, render_sweep, run_sweep
 from repro.obs.timeseries import TimeSeries, TimeSeriesConfig
 from repro.obs.watch import watch_live, watch_replay
-from repro.scenario import drive_scenario, fmt_ns, parse_cut, report_unknown_subcommand
+from repro.scenario import (
+    attach_pair,
+    drive_scenario,
+    fmt_ns,
+    parse_cut,
+    report_unknown_subcommand,
+)
 from repro.topology.generators import TOPOLOGY_FAMILIES, resolve_topology
-
-
-def _run_scenario(
-    topo: str,
-    cuts: List[Tuple[int, int]],
-    seed: int,
-    flight: bool = True,
-    capacity: int = 65536,
-    profile: bool = False,
-) -> Network:
-    spec = resolve_topology(topo)
-    net = Network(
-        spec, seed=seed, flight=flight, flight_capacity=capacity, profile=profile
-    )
-    drive_scenario(net, cuts)
-    return net
-
-
-def _free_port(net: Network, sw: int) -> int:
-    """The highest-numbered unconnected port on switch ``sw``."""
-    for p in sorted(net.switches[sw].ports, reverse=True):
-        if not net.switches[sw].ports[p].connected:
-            return p
-    raise SystemExit(f"no free port on sw{sw} to attach a host")
-
-
-def _attach_traffic(
-    net: Network,
-    period_ms: float,
-    data_bytes: int,
-):
-    """Two dual-direction hosts on opposite corners of the topology,
-    each with a periodic sender and a latency-counting sink."""
-    from repro.host.localnet import LocalNet
-    from repro.host.workload import PeriodicSender, Sink
-
-    count = len(net.switches)
-    spots = [0, count // 2 if count > 1 else 0]
-    hosts = []
-    for i, sw in enumerate(spots):
-        name = f"h{i}"
-        controller = net.add_host(name, [(sw, _free_port(net, sw))])
-        hosts.append((name, controller, LocalNet(net.drivers[name])))
-    for i, (_name, _controller, localnet) in enumerate(hosts):
-        Sink(localnet)
-        peer = hosts[1 - i][1]
-        PeriodicSender(
-            localnet, peer.uid, data_bytes, int(period_ms * MS)
-        )
-    return hosts
 
 
 def _fmt_path(path, max_hops: int = 6) -> str:
@@ -125,12 +80,12 @@ def _fmt_path(path, max_hops: int = 6) -> str:
 def _cmd_paths(args) -> int:
     spec = resolve_topology(args.topo)
     net = Network(spec, seed=args.seed, inband=True)
-    hosts = _attach_traffic(net, args.period, args.bytes)
+    sinks = attach_pair(net, int(args.period * MS), args.bytes)
     cuts = args.cut or [(0, 1)]
     drive_scenario(net, cuts, load_ns=int(args.duration * SEC))
 
     doc = net.inband_doc()
-    uid_names = {ctrl.uid.value: name for name, ctrl, _ln in hosts}
+    uid_names = {sink.localnet.uid.value: f"h{i}" for i, sink in enumerate(sinks)}
 
     def who(uid: int) -> str:
         return uid_names.get(uid, f"{uid:012x}")
@@ -215,7 +170,10 @@ def _table_load_chains(net: Network):
 
 
 def _cmd_export(args) -> int:
-    net = _run_scenario(args.topo, args.cut, args.seed, capacity=args.capacity)
+    net = Network(
+        resolve_topology(args.topo), seed=args.seed, flight=True, flight_capacity=args.capacity
+    )
+    drive_scenario(net, args.cut)
     out = args.out or f"{args.topo}.trace.json"
     doc = net.flight_trace()
     artifact.write(out, doc)
@@ -241,7 +199,10 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_why(args) -> int:
-    net = _run_scenario(args.topo, args.cut, args.seed, capacity=args.capacity)
+    net = Network(
+        resolve_topology(args.topo), seed=args.seed, flight=True, flight_capacity=args.capacity
+    )
+    drive_scenario(net, args.cut)
     epoch, chains = _table_load_chains(net)
     if epoch is None:
         print("no table-loaded events were recorded")
@@ -260,14 +221,14 @@ def _cmd_why(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    net = _run_scenario(
-        args.topo,
-        args.cut,
-        args.seed,
+    net = Network(
+        resolve_topology(args.topo),
+        seed=args.seed,
         flight=args.trace is not None,
-        capacity=args.capacity,
+        flight_capacity=args.capacity,
         profile=True,
     )
+    drive_scenario(net, args.cut)
     profiler = net.profiler
     print(profiler.render())
     if args.trace:
@@ -327,7 +288,7 @@ def _cmd_watch(args) -> int:
     )
     if args.inband:
         # host traffic gives the congestion heat rows something to show
-        _attach_traffic(net, period_ms=5.0, data_bytes=512)
+        attach_pair(net, period_ns=5 * MS, data_bytes=512)
     # cuts land mid-run as scheduled sim events, so the dashboard shows
     # the blackout and the subsequent epoch happen
     for a, b in args.cut:
@@ -342,16 +303,8 @@ def _cmd_watch(args) -> int:
 
 
 def _cmd_regress(args) -> int:
-    with open(args.current) as fh:
-        current = json.load(fh)
-    window = baseline_window(args.baseline, current.get("bench", ""))
-    if args.tolerances:
-        tolerance = Tolerance.load_overrides(
-            args.tolerances, rel=args.rel, sigma=args.sigma
-        )
-    else:
-        tolerance = Tolerance(rel=args.rel, sigma=args.sigma)
-    verdict = compare(current, window, tolerance=tolerance, strict=args.strict)
+    current = artifact.read(args.current, "repro.bench/1")
+    verdict = compare(current, read_baseline(args.baseline, current["bench"]))
     print(render_verdict(verdict))
     if args.out:
         artifact.write(args.out, verdict)
@@ -522,27 +475,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_regress.add_argument(
         "--baseline", required=True, metavar="PATH",
-        help="baseline document, history .jsonl, or directory of either",
-    )
-    p_regress.add_argument(
-        "--tolerances", default=None, metavar="PATH",
-        help="JSON {fnmatch pattern: relative tolerance} overrides",
-    )
-    p_regress.add_argument(
-        "--rel", type=float, default=0.25,
-        help="default relative tolerance (default 0.25)",
-    )
-    p_regress.add_argument(
-        "--sigma", type=float, default=4.0,
-        help="stdev multiplier when repeat statistics exist (default 4)",
-    )
-    p_regress.add_argument(
-        "--strict", action="store_true",
-        help="also fail when a baseline metric is missing from the current run",
+        help="baseline document, or a directory holding <bench>.json",
     )
     p_regress.add_argument(
         "--out", default=None, metavar="PATH",
-        help="write the repro.obs.regress/1 verdict here",
+        help="write the repro.obs.regress/2 verdict here",
     )
     p_regress.set_defaults(fn=_cmd_regress)
 

@@ -41,7 +41,7 @@ PROVIDERS = {
     "repro.obs.flight/1": "repro.obs.perfetto",
     "repro.obs.timeseries/1": "repro.obs.timeseries",
     "repro.obs.inband/1": "repro.obs.inband",
-    "repro.obs.regress/1": "repro.obs.regress",
+    "repro.obs.regress/2": "repro.obs.regress",
     "repro.obs.sweep/1": "repro.obs.sweep",
     "repro.traffic/1": "repro.traffic.artifact",
     "repro.chaos/1": "repro.chaos.replay",

@@ -208,16 +208,6 @@ class PathCollector:
                 out.append((t_ns, epoch, key, old, new))
         return sorted(out)
 
-    def top_congested(self, limit: int = 8) -> List[Tuple[str, Dict[str, float]]]:
-        """Links ranked by mean FIFO depth at forwarding time."""
-        rows = []
-        for link, (samples, total, peak, drops) in self.links.items():
-            mean = total / samples if samples else 0.0
-            rows.append((link, {"samples": samples, "mean_depth": mean,
-                                "max_depth": peak, "drops": drops}))
-        rows.sort(key=lambda item: (-item[1]["mean_depth"], item[0]))
-        return rows[:limit]
-
 
 class SloTracker:
     """Delivery-SLO accounting: exact latency quantiles, drops by cause,

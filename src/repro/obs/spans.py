@@ -71,13 +71,6 @@ class Span:
                 return ev
         return None
 
-    def last_event(self, name: str) -> Optional[SpanEvent]:
-        found = None
-        for ev in self.events:
-            if ev.name == name:
-                found = ev
-        return found
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -188,9 +181,6 @@ class ReconfigTracer(SpanTracer):
     def add_listener(self, fn) -> None:
         """Subscribe to every switch event as it is fed to the tracer."""
         self._listeners.append(fn)
-
-    def remove_listener(self, fn) -> None:
-        self._listeners.remove(fn)
 
     # -- the feed (called via Autopilot.on_obs_event) -----------------------------
 

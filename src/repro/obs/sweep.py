@@ -2,9 +2,10 @@
 
 The paper closes by asking about "the performance characteristics of
 different topologies" -- a question its authors could not answer beyond
-their 30-switch SRC LAN.  This module is the instrument: it runs one
-seeded fault scenario (converge from cold boot, cut the first cable,
-reconverge) across a ladder of topologies and records, per point,
+their 30-switch SRC LAN.  This module is the instrument: it runs the
+one measured scenario (:func:`repro.scenario.drive_scenario`: converge
+from cold boot, cut the first cable, reconverge) across a ladder of
+topologies and records, per point,
 
 * ``converge_ns``          -- sim time until every switch is configured
   with its forwarding table loaded after cold boot;
@@ -180,6 +181,7 @@ def run_point(name: str, seed: int, traffic: bool = False) -> SweepPoint:
     baselines stay comparable.
     """
     from repro.network import Network
+    from repro.scenario import drive_scenario
     from repro.sim.rng import RngRegistry
     from repro.topology.generators import resolve_topology
 
@@ -205,48 +207,28 @@ def run_point(name: str, seed: int, traffic: bool = False) -> SweepPoint:
             duration_ns=TRAFFIC_WINDOW_NS,
         )
     net = Network(spec, seed=child, control=True, profile=True, traffic=traffic_config)
-    if not net.run_until_converged(timeout_ns=CONVERGE_LIMIT_NS):
+    cut_a, _pa, cut_b, _pb = spec.cables[0]
+    outcome = drive_scenario(
+        net,
+        [(cut_a, cut_b)],
+        load_ns=TRAFFIC_WINDOW_NS if traffic else 0,
+        timeout_ns=CONVERGE_LIMIT_NS,
+    )
+    if not outcome.converged:
         point.skip(f"did not converge within {CONVERGE_LIMIT_NS} ns of boot")
         return point
-    tracer = net.tracer
-    assert tracer is not None and net.control is not None
-    boot_spans = [s for s in tracer.all_spans() if s.closed]
-    point.set_metric("converge_ns", max(s.end_ns for s in boot_spans))
-    boot_epochs = {s.key for s in tracer.all_spans()}
-
-    if net.traffic is not None:
-        net.traffic.launch()
-        net.run_for(TRAFFIC_WINDOW_NS)
-
-    packets_before = net.control.packets
-    bytes_before = net.control.bytes
-    retx_before = net.control.retransmissions()
-    cut_a, _pa, cut_b, _pb = spec.cables[0]
-    net.cut_link(cut_a, cut_b)
-    if not net.run_until_converged(timeout_ns=CONVERGE_LIMIT_NS):
+    if not outcome.reconverged:
         point.skip(f"did not reconverge within {CONVERGE_LIMIT_NS} ns of the cut")
         return point
-    if net.traffic is not None:
-        net.run_for(TRAFFIC_WINDOW_NS)
-
-    fault_spans = [
-        s for s in tracer.all_spans() if s.key not in boot_epochs and s.closed
-    ]
-    if not fault_spans:
+    if outcome.reconfig_ns is None:
         point.skip("link cut triggered no reconfiguration span")
         return point
-    last = max(fault_spans, key=lambda s: s.key)
-    point.set_metric("reconfig_ns", last.end_ns - min(s.start_ns for s in fault_spans))
-    blackouts = [
-        b["blackout_ns"]
-        for s in fault_spans
-        for b in tracer.blackouts(s.key).values()
-        if b["blackout_ns"] is not None
-    ]
-    point.set_metric("blackout_ns", max(blackouts) if blackouts else 0)
-    point.set_metric("control_packets", net.control.packets - packets_before)
-    point.set_metric("control_bytes", net.control.bytes - bytes_before)
-    point.set_metric("control_retx", net.control.retransmissions() - retx_before)
+    point.set_metric("converge_ns", outcome.converge_ns)
+    point.set_metric("reconfig_ns", outcome.reconfig_ns)
+    point.set_metric("blackout_ns", outcome.blackout_ns)
+    point.set_metric("control_packets", outcome.control_packets)
+    point.set_metric("control_bytes", outcome.control_bytes)
+    point.set_metric("control_retx", outcome.control_retx)
     point.set_metric(
         "fifo_highwater_bytes",
         max(

@@ -119,12 +119,6 @@ class Simulator:
         #: one attribute load plus a None test and no counter cells are
         #: allocated (RS306 enforces the pattern at call sites).
         self.control = None
-        #: optional traffic engine (repro.traffic.engine.TrafficEngine).
-        #: None (the default) is the fast path: every delivery/drop
-        #: stamp site in host/switch/fifo is one attribute load plus a
-        #: None test, no flow state exists, and runs stay byte-identical
-        #: (RS308 enforces the pattern at call sites).
-        self.traffic = None
 
     def enable_metrics(self) -> None:
         """Turn on telemetry and publish the engine's own series."""
@@ -196,9 +190,6 @@ class Simulator:
     def add_idle_hook(self, hook: Callable[["Simulator"], None]) -> None:
         """Register a callback to run when the event queue drains."""
         self._idle_hooks.append(hook)
-
-    def remove_idle_hook(self, hook: Callable[["Simulator"], None]) -> None:
-        self._idle_hooks.remove(hook)
 
     # -- execution ----------------------------------------------------------------
 

@@ -82,8 +82,5 @@ class MergedLog:
         entries.sort(key=lambda e: (e.local_time, e.component))
         return entries
 
-    def events_matching(self, event: str) -> List[TraceEntry]:
-        return [entry for entry in self.merged() if entry.event == event]
-
     def components(self) -> Iterable[str]:
         return self._logs.keys()

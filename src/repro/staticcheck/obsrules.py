@@ -41,12 +41,6 @@ keep call sites inside that contract:
   ``point.set_metric(...)`` takes its series name as a string literal so
   the ``repro.obs.sweep/1`` metric set stays a static, greppable
   vocabulary (same schema-stability argument as RS301/RS304).
-* **RS308** -- traffic-engine stamps (``record_delivery`` /
-  ``record_drop`` / ``note_fault`` on ``sim.traffic``) must follow the
-  same one-load+None-test pattern as RS305.  The stamp sites share the
-  per-packet hot path with the in-band layer; an unguarded call crashes
-  every network built without ``traffic=...`` and a chained call
-  regresses the disabled fast path.
 """
 
 from __future__ import annotations
@@ -83,7 +77,6 @@ IMPLEMENTATION_MODULES = frozenset({
     "repro.obs.inband",
     "repro.obs.control",
     "repro.obs.sweep",
-    "repro.traffic.engine",
 })
 
 #: receivers that look like a time-series sampler
@@ -124,12 +117,6 @@ CONTROL_METHODS = frozenset({"record_send", "record_retx", "record_srp"})
 
 #: receivers that look like a sweep point / harness (RS307)
 SWEEP_HINTS = ("point", "sweep")
-
-#: attribute names holding the traffic engine (RS308)
-TRAFFIC_ATTRS = frozenset({"traffic"})
-
-#: hot-path stamp methods RS308 audits on the traffic engine
-TRAFFIC_METHODS = frozenset({"record_delivery", "record_drop", "note_fault"})
 
 
 class ObsDisciplinePass(Pass):
@@ -187,14 +174,6 @@ class ObsDisciplinePass(Pass):
             paper="repro.obs.sweep/1 schema stability",
             hint="pass a literal SWEEP_METRICS name to set_metric()",
         ),
-        Rule(
-            id="RS308",
-            title="traffic-engine stamp bypasses the None-test pattern",
-            invariant="a disabled traffic engine costs one attribute load + None test",
-            paper="repro.traffic disabled fast path (§6.7 blackout cost)",
-            hint="load it once (tr = <owner>.traffic), test 'if tr is not "
-                 "None', then stamp",
-        ),
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
@@ -218,10 +197,6 @@ class ObsDisciplinePass(Pass):
                 yield from self._check_guarded_calls(
                     module, scope, CONTROL_ATTRS, CONTROL_METHODS,
                     "RS306", "control accounting",
-                )
-                yield from self._check_guarded_calls(
-                    module, scope, TRAFFIC_ATTRS, TRAFFIC_METHODS,
-                    "RS308", "traffic engine",
                 )
 
     # -- RS301 / RS302 -----------------------------------------------------------------

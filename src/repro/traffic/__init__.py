@@ -4,13 +4,13 @@ The production question behind the paper's §6.7 blackout metric is
 "how much user traffic does a reconfiguration cost at load?".  This
 package answers it: seeded open-loop workloads over hundreds-to-
 thousands of logical hosts, a flow-level fluid model over the live
-forwarding tables (with a per-packet cross-validation mode), and a
-blackout-cost observatory windowed against the reconfiguration
-tracer's epoch spans, exported as versioned ``repro.traffic/1``
-artifacts.
+forwarding tables (cross-validated against the per-packet oracle in
+``tests/naive_traffic.py``), and a blackout-cost observatory windowed
+against the reconfiguration tracer's epoch spans, exported as versioned
+``repro.traffic/1`` artifacts.
 
 Entry points: ``Network(traffic=...)`` wires a
-:class:`~repro.traffic.engine.TrafficEngine` onto ``sim.traffic``;
+:class:`~repro.traffic.engine.TrafficEngine` as ``network.traffic``;
 ``python -m repro.traffic run`` drives the canonical generate ->
 converge -> load -> cut -> reconverge -> report scenario.
 """
@@ -20,7 +20,6 @@ from repro.traffic.engine import TrafficEngine
 from repro.traffic.fluid import LINK_CAPACITY, solve_rates, walk_path
 from repro.traffic.workload import (
     ARRIVAL_PATTERNS,
-    TRAFFIC_MODES,
     Flow,
     TrafficConfig,
     generate_flows,
@@ -29,7 +28,6 @@ from repro.traffic.workload import (
 
 __all__ = [
     "ARRIVAL_PATTERNS",
-    "TRAFFIC_MODES",
     "TRAFFIC_SCHEMA",
     "Flow",
     "LINK_CAPACITY",

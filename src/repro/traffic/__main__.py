@@ -6,9 +6,8 @@
     # logical hosts on the 30-switch SRC LAN, surviving a cable cut
     python -m repro.traffic run --out traffic.json
 
-    # smaller and per-packet, for cross-checking the fluid model
-    python -m repro.traffic run --topo ring-4 --mode packet \
-        --flows 8 --hosts 4 --cut 0-1
+    # smaller, on a ring, through a chosen cut
+    python -m repro.traffic run --topo ring-4 --flows 8 --hosts 4 --cut 0-1
 
     # render a previously recorded artifact
     python -m repro.traffic report traffic.json
@@ -34,7 +33,7 @@ from repro.obs import artifact
 from repro.scenario import drive_scenario, fmt_ns, parse_cut, report_unknown_subcommand
 from repro.topology.generators import TOPOLOGY_FAMILIES, resolve_topology
 from repro.traffic.artifact import TRAFFIC_SCHEMA, validate_traffic
-from repro.traffic.workload import ARRIVAL_PATTERNS, TRAFFIC_MODES, TrafficConfig
+from repro.traffic.workload import ARRIVAL_PATTERNS, TrafficConfig
 
 
 def _fmt_bytes(value) -> str:
@@ -104,7 +103,6 @@ def _cmd_run(args) -> int:
         hosts=args.hosts,
         mean_flow_bytes=args.mean_bytes,
         duration_ns=int(args.duration * SEC),
-        mode=args.mode,
     )
     net = Network(
         spec,
@@ -171,10 +169,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument(
         "--drain", type=float, default=1.0, metavar="SEC",
         help="extra run time per load phase for flows to finish (default 1.0)",
-    )
-    p_run.add_argument(
-        "--mode", default="fluid", choices=TRAFFIC_MODES,
-        help="fluid rate shares (default) or per-packet with real hosts",
     )
     p_run.add_argument(
         "--cut", type=parse_cut, action="append", default=[], metavar="A-B",

@@ -31,7 +31,7 @@ from repro.obs.artifact import (
     keys,
     validate,
 )
-from repro.traffic.workload import ARRIVAL_PATTERNS, TRAFFIC_MODES
+from repro.traffic.workload import ARRIVAL_PATTERNS
 
 TRAFFIC_SCHEMA = "repro.traffic/1"
 
@@ -42,7 +42,9 @@ ARTIFACT = Schema(
         "name": STR,
         "config": {
             "pattern": Enum(*ARRIVAL_PATTERNS),
-            "mode": Enum(*TRAFFIC_MODES),
+            # always "fluid" now; "packet" is read back from files written
+            # while the per-packet model (tests/naive_traffic.py) had a mode
+            "mode": Enum("fluid", "packet"),
             **keys(COUNT, "flows", "hosts", "mean_flow_bytes", "duration_ns"),
         },
         "launched": BOOL,

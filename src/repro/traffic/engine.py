@@ -1,27 +1,18 @@
 """The traffic engine: workload execution plus the SLO observatory.
 
-``Network(traffic=...)`` builds one :class:`TrafficEngine` and hangs it
-on ``sim.traffic`` -- the same optional-attribute discipline every
-other observability layer follows (staticcheck RS308 audits the call
-sites).  With traffic off, ``sim.traffic`` stays None and every hook in
-the data path is one attribute load plus a None test, so disabled runs
-remain byte-identical.
-
-Two execution modes share one observatory:
-
-* **fluid** (the default): logical hosts, no packets.  Flows transfer
-  at max-min fair rate shares computed from the *live* forwarding
-  tables (:mod:`repro.traffic.fluid`), re-solved when a flow arrives or
-  completes, when a table generation bumps, on any fault, and on every
-  :class:`~repro.obs.spans.ReconfigTracer` span event -- so the rate
-  plan reacts exactly when the control plane acts.  The fluid engine is
-  purely observational: it schedules its own simulator events but never
-  touches a switch, link, or FIFO, so enabling it leaves the network's
-  event history unchanged.
-* **packet**: real :class:`~repro.host.controller.HostController` hosts
-  attached to free switch ports, sending line-rate-paced chunked
-  datagrams through the actual switches.  Tractable only for small
-  topologies; it exists to cross-validate the fluid approximation.
+``Network(traffic=...)`` builds one :class:`TrafficEngine` as
+``network.traffic``.  The model is a fluid one: logical hosts, no
+packets.  Flows transfer at max-min fair rate shares computed from the
+*live* forwarding tables (:mod:`repro.traffic.fluid`), re-solved when a
+flow arrives or completes, when a table generation bumps, on any fault
+(``Network._notify_fault``), and on every
+:class:`~repro.obs.spans.ReconfigTracer` span event -- so the rate plan
+reacts exactly when the control plane acts.  The engine is purely
+observational: it schedules its own simulator events but never touches
+a switch, link, or FIFO, so enabling it leaves the network's event
+history unchanged and no data-path code knows it exists.  Its
+per-packet ground truth (real hosts, real datagrams, small topologies)
+is the test oracle ``tests/naive_traffic.py``.
 
 The observatory prices reconfiguration in offered-load terms: offered
 bytes accrue at access line rate from a flow's arrival until its bytes
@@ -35,7 +26,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.constants import SEC
-from repro.net.packet import PacketType
 from repro.obs.registry import Histogram
 from repro.traffic.artifact import TRAFFIC_SCHEMA
 from repro.traffic.fluid import (
@@ -55,12 +45,9 @@ LATENCY_BUCKETS = tuple(100_000 * 4 ** k for k in range(12))
 
 
 class FlowRun:
-    """Runtime state of one flow (both modes)."""
+    """Runtime state of one flow."""
 
-    __slots__ = (
-        "flow", "state", "remaining", "rate", "path", "walked",
-        "offered", "delivered", "sent", "latency_ns",
-    )
+    __slots__ = ("flow", "state", "remaining", "rate", "path", "walked", "latency_ns")
 
     def __init__(self, flow: Flow) -> None:
         self.flow = flow
@@ -69,9 +56,6 @@ class FlowRun:
         self.rate = 0.0
         self.path = None
         self.walked = False
-        self.offered = 0.0   # packet mode: bytes handed to the sender
-        self.delivered = 0.0  # packet mode: bytes seen by the sink
-        self.sent = 0        # packet mode: bytes accepted by LocalNet
         self.latency_ns: Optional[int] = None
 
 
@@ -91,12 +75,10 @@ class TrafficEngine:
         self._pending = len(self.flows)
         self.completed = 0
 
-        # cumulative SLO aggregates (bytes are floats in fluid mode)
+        # cumulative SLO aggregates (fluid bytes are floats)
         self.offered_bytes = 0.0
         self.delivered_bytes = 0.0
         self.deficit_bytes = 0.0
-        self.packets_delivered = 0
-        self.drops: Dict[str, int] = {}
         self.latency_hist = Histogram(
             "traffic_flow_latency_ns", {}, buckets=LATENCY_BUCKETS
         )
@@ -119,18 +101,12 @@ class TrafficEngine:
         self._resolve_at = 0
         self._completion_handle = None
 
-        self._packet_net = None
-        if config.mode == "packet":
-            from repro.traffic.packet import PacketHosts
-
-            self._packet_net = PacketHosts(self)
-
         if network.sampler is not None:
             self._install_collectors(network.sampler)
         if network.tracer is not None:
             network.tracer.add_listener(self._span_event)
 
-    # -- timeseries collectors (literal names: RS304/RS308) --------------------------
+    # -- timeseries collectors (literal names: RS304) --------------------------
 
     def _install_collectors(self, sampler) -> None:
         sampler.add_collector(
@@ -168,47 +144,25 @@ class TrafficEngine:
         self.launched = True
         self._launch_ns = self.sim.now
         self._last_advance = self.sim.now
-        if self._packet_net is not None:
-            self._packet_net.launch(self._launch_ns)
-            self._schedule_segment_roll()
-            return
         for flow in self.flows:
             self.sim.at(self._launch_ns + flow.arrival_ns, self._arrive, flow)
 
-    # -- event hooks (guarded call sites audit as RS308) ------------------------------
+    # -- event hooks ------------------------------------------------------------------
 
     def note_fault(self, kind: str) -> None:
         """A fault was injected: paths may have died without any table
         generation changing, so force a re-walk soon."""
         self._fault_version += 1
-        if self.launched and self._packet_net is None:
+        if self.launched:
             self._request_resolve(0)
 
     def _span_event(self, t_ns: int, component: str, event: str, attrs) -> None:
         # table loads/clears bump table generations; re-solve promptly so
         # blackout windows get sharp edges
-        if self.launched and self._packet_net is None:
+        if self.launched:
             self._request_resolve(0)
 
-    def record_delivery(self, packet, host: str) -> None:
-        """Hot-path stamp (host rx): one of our packet-mode datagrams
-        arrived intact."""
-        if packet.ptype is not PacketType.CLIENT:
-            return
-        if not isinstance(packet.payload, int) or packet.payload not in self.runs:
-            return
-        self.packets_delivered += 1
-
-    def record_drop(self, packet, component: str, cause: str) -> None:
-        """Hot-path stamp (host rx / switch / FIFO): a packet-mode
-        datagram died, attributed by cause."""
-        if packet.ptype is not PacketType.CLIENT:
-            return
-        if not isinstance(packet.payload, int) or packet.payload not in self.runs:
-            return
-        self.drops[cause] = self.drops.get(cause, 0) + 1
-
-    # -- fluid mode -------------------------------------------------------------------
+    # -- the rate plan ----------------------------------------------------------------
 
     def _arrive(self, flow: Flow) -> None:
         self._advance(self.sim.now)
@@ -339,57 +293,13 @@ class TrafficEngine:
         self._active.discard(fid)
         self.completed += 1
 
-    # -- packet-mode accounting (driven by repro.traffic.packet) ----------------------
-
-    def _schedule_segment_roll(self) -> None:
-        self._seg_mark = (self.offered_bytes, self.delivered_bytes)
-        self.sim.after(self.config.resolve_interval_ns, self._segment_roll)
-
-    def _segment_roll(self) -> None:
-        now = self.sim.now
-        t0 = self._last_advance
-        self._last_advance = now
-        offered0, delivered0 = self._seg_mark
-        d_off = self.offered_bytes - offered0
-        d_del = self.delivered_bytes - delivered0
-        d_deficit = max(0.0, d_off - d_del)
-        self.deficit_bytes += d_deficit
-        if d_off or d_del:
-            if len(self.segments) < self.config.max_segments:
-                self.segments.append((t0, now, d_off, d_del, d_deficit))
-            else:
-                self.segments_dropped += 1
-        if self._active or self._pending:
-            self._schedule_segment_roll()
-
-    def packet_arrived(self, fid: int) -> None:
-        run = self.runs[fid]
-        run.state = "active"
-        self._active.add(fid)
-        self._pending -= 1
-
-    def packet_offered(self, fid: int, nbytes: int) -> None:
-        self.runs[fid].offered += nbytes
-        self.offered_bytes += nbytes
-
-    def packet_delivered(self, fid: int, nbytes: int) -> None:
-        run = self.runs[fid]
-        if run.state != "active":
-            return
-        run.delivered += nbytes
-        self.delivered_bytes += nbytes
-        if run.delivered >= run.flow.size_bytes:
-            run.remaining = 0.0
-            self._complete(fid, self.sim.now)
-
     # -- SLO invariants (chaos campaigns) --------------------------------------------
 
     def slo_violations(self) -> List[str]:
         """Permanent-goodput-loss check for quiescent points: an active
         flow whose endpoints are alive and physically connected must
-        have a forwarding path.  (Fluid mode only; packet mode has no
-        authoritative route view.)"""
-        if not self.launched or self._packet_net is not None:
+        have a forwarding path."""
+        if not self.launched:
             return []
         components = self.network.operational_components()
         member = {}
@@ -453,7 +363,7 @@ class TrafficEngine:
 
     def document(self, name: str = "") -> Dict[str, Any]:
         """The ``repro.traffic/1`` artifact as a dict."""
-        if self.launched and self._packet_net is None:
+        if self.launched:
             self._advance(self.sim.now)
         unrouted = sum(
             1 for fid in self._active if self.runs[fid].walked
@@ -481,7 +391,7 @@ class TrafficEngine:
             "name": name,
             "config": {
                 "pattern": self.config.pattern,
-                "mode": self.config.mode,
+                "mode": "fluid",
                 "flows": self.config.flows,
                 "hosts": self.config.hosts,
                 "mean_flow_bytes": self.config.mean_flow_bytes,
@@ -507,8 +417,10 @@ class TrafficEngine:
                 "mean_ns": hist.mean if hist.count else None,
                 "max_ns": hist.max,
             },
-            "drops": dict(sorted(self.drops.items())),
-            "packets_delivered": self.packets_delivered,
+            # constants kept so fluid documents stay byte-identical to the
+            # ones written while a per-packet mode shared this schema
+            "drops": {},
+            "packets_delivered": 0,
             "segments": {
                 "recorded": len(self.segments),
                 "dropped": self.segments_dropped,

@@ -24,7 +24,7 @@ completion (see :class:`repro.traffic.engine.TrafficEngine`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.constants import BYTE_TIME_NS
 from repro.net.link import LinkState
@@ -144,7 +144,3 @@ def total_generation(network) -> Tuple[int, ...]:
     """A cheap fingerprint of the forwarding state: every table's
     ``generation`` counter (bumped on each load/clear)."""
     return tuple(switch.table.generation for switch in network.switches)
-
-
-def routed_count(paths: Iterable[Optional[PathKey]]) -> int:
-    return sum(1 for p in paths if p is not None)

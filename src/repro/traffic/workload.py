@@ -36,9 +36,6 @@ from repro.obs.config import CoercibleConfig
 #: the supported arrival processes, in documentation order
 ARRIVAL_PATTERNS = ("uniform", "hotspot", "incast", "diurnal")
 
-#: traffic-model execution modes (see repro.traffic.engine)
-TRAFFIC_MODES = ("fluid", "packet")
-
 #: relative arrival-rate profile over the diurnal "day" (12 equal slots)
 DIURNAL_PROFILE = (0.3, 0.2, 0.15, 0.2, 0.4, 0.7, 1.0, 1.3, 1.5, 1.4, 1.1, 0.7)
 
@@ -80,8 +77,6 @@ class TrafficConfig(CoercibleConfig):
     mean_flow_bytes: int = 131_072
     #: arrival window: flows arrive within this span after launch()
     duration_ns: int = 2 * SEC
-    #: "fluid" (rate shares, observational) or "packet" (real hosts)
-    mode: str = "fluid"
     #: fluid solver pacing: batch window for arrival-triggered re-solves
     #: and the minimum gap between any two solves
     arrival_batch_ns: int = 10 * MS
@@ -100,10 +95,6 @@ class TrafficConfig(CoercibleConfig):
             raise ValueError(
                 f"unknown arrival pattern {self.pattern!r}; "
                 f"expected one of {ARRIVAL_PATTERNS}"
-            )
-        if self.mode not in TRAFFIC_MODES:
-            raise ValueError(
-                f"unknown traffic mode {self.mode!r}; expected one of {TRAFFIC_MODES}"
             )
         if self.flows < 0 or self.hosts < 1:
             raise ValueError("traffic needs flows >= 0 and hosts >= 1")

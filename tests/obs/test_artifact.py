@@ -13,11 +13,11 @@ import importlib
 
 import pytest
 
-from repro.constants import SEC
+from repro.constants import MS, SEC
 from repro.network import Network
 from repro.obs import artifact
 from repro.obs.artifact import Atom, Enum, Map, Opt, SchemaError
-from repro.scenario import drive_scenario
+from repro.scenario import attach_pair, drive_scenario
 from repro.topology.generators import resolve_topology
 
 TAGS = sorted(artifact.PROVIDERS)
@@ -27,7 +27,6 @@ TAGS = sorted(artifact.PROVIDERS)
 def real_docs():
     from repro.chaos.campaign import CampaignConfig, CampaignRunner
     from repro.chaos.replay import reproducer_dict
-    from repro.obs.__main__ import _attach_traffic
     from repro.obs.export import bench_document, bench_result
     from repro.obs.regress import compare
     from repro.obs.sweep import run_sweep
@@ -36,7 +35,7 @@ def real_docs():
     net = Network(
         spec, seed=3, flight=True, timeseries=True, inband=True, control=True, traffic=200
     )
-    _attach_traffic(net, period_ms=5.0, data_bytes=512)
+    attach_pair(net, period_ns=5 * MS, data_bytes=512)
     drive_scenario(net, [(0, 1)], load_ns=int(0.3 * SEC))
 
     def bench(ms):
@@ -52,7 +51,7 @@ def real_docs():
         net.traffic_doc(),
         run_sweep(seed=0, topologies=["torus-3x4", "torus-4x4", "torus-32x32"]),
         bench(1.5),
-        compare(bench(1.5), [bench(1.0)], strict=True),
+        compare(bench(1.5), bench(1.0)),
         reproducer_dict(runner.sample_schedule(0), violations=["x"], original_events=9),
     ]
     by_tag = {doc["schema"]: doc for doc in docs}
@@ -135,8 +134,7 @@ def test_every_spec_position_rejects_a_wrong_value(tag, real_docs):
 #: integers that a bare ``isinstance(x, int)`` used to let ``True`` into
 BOOL_AS_INT = [
     ("repro.bench/1", ["seed"]),
-    ("repro.obs.regress/1", ["out_of_band"]),
-    ("repro.obs.regress/1", ["baseline_runs"]),
+    ("repro.obs.regress/2", ["failing"]),
     ("repro.obs.timeseries/1", ["marks", 0, "t_ns"]),
     ("repro.obs.flight/1", ["traceEvents", 0, "pid"]),
     ("repro.obs.flight/1", ["traceEvents", 0, "tid"]),

@@ -391,68 +391,3 @@ def test_rs307_unrelated_receivers_ignored():
         "    gauge.set_metric(name, 1.0)\n"
     )
     assert findings == []
-
-
-# -- RS308: traffic-engine disabled pattern -------------------------------------------
-
-
-def test_rs308_chained_traffic_call_flagged():
-    findings = check(
-        "def rx(self, packet):\n"
-        "    self.sim.traffic.record_drop(packet, self.name, 'crc')\n"
-    )
-    assert rules_of(findings) == ["RS308"]
-
-
-def test_rs308_unguarded_local_flagged():
-    findings = check(
-        "def rx(self, packet):\n"
-        "    tr = self.sim.traffic\n"
-        "    tr.record_delivery(packet, self.name)\n"
-    )
-    assert rules_of(findings) == ["RS308"]
-
-
-def test_rs308_clean_guarded_local():
-    findings = check(
-        "def rx(self, packet):\n"
-        "    tr = self.sim.traffic\n"
-        "    if tr is not None:\n"
-        "        tr.record_delivery(packet, self.name)\n"
-    )
-    assert findings == []
-
-
-def test_rs308_clean_early_return_guard():
-    findings = check(
-        "def fault(self, kind):\n"
-        "    tr = self.sim.traffic\n"
-        "    if tr is None:\n"
-        "        return\n"
-        "    tr.note_fault(kind)\n"
-    )
-    assert findings == []
-
-
-def test_rs308_all_stamp_methods_audited():
-    for method, args in (
-        ("record_delivery", "packet, self.name"),
-        ("record_drop", "packet, self.name, 'fifo-overflow'"),
-        ("note_fault", "'cut-link'"),
-    ):
-        findings = check(
-            "def site(self, packet):\n"
-            f"    self.sim.traffic.{method}({args})\n"
-        )
-        assert rules_of(findings) == ["RS308"], method
-
-
-def test_rs308_engine_internals_exempt():
-    # the engine implements the stamps; its internals are out of scope
-    findings = check(
-        "def _resolve(self):\n"
-        "    self.sim.traffic.note_fault('internal')\n",
-        module="repro.traffic.engine",
-        path="src/repro/traffic/engine.py",
-    )
-    assert findings == []

@@ -1,6 +1,7 @@
 """Chaos campaigns with a workload aboard: SLO invariants + reproducers."""
 
 import json
+import os
 
 from repro.chaos.campaign import CampaignConfig, CampaignRunner
 from repro.chaos.replay import replay_artifact, reproducer_dict
@@ -71,3 +72,20 @@ def test_replay_writes_traffic_artifact(tmp_path):
     path = str(tmp_path / f"{result.name}.traffic.json")
     assert result.checks_run.get("traffic_slo", 0) >= 1
     validate_traffic(json.load(open(path)))
+
+
+def test_fluid_document_is_byte_identical_to_the_one_written_beside_packet_mode(tmp_path):
+    """``config.mode``, ``drops`` and ``packets_delivered`` were the
+    per-packet mode's fields; no fluid run ever set them, so with that
+    mode gone (``tests/naive_traffic.py``) they are constants and the
+    file a chaos schedule writes is the file it wrote before."""
+    runner = _runner()
+    runner.run_schedule(
+        runner.sample_schedule(0),
+        name="schedule",
+        artifacts=str(tmp_path),
+        traffic=dict(SMALL_TRAFFIC),
+    )
+    golden = os.path.join(os.path.dirname(__file__), "fixtures", "schedule.traffic.json")
+    with open(golden, "rb") as fh:
+        assert (tmp_path / "schedule.traffic.json").read_bytes() == fh.read()

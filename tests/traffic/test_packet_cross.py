@@ -1,16 +1,17 @@
 """Fluid-vs-packet cross-validation on a small topology.
 
-The fluid model is an approximation; the per-packet mode drives real
-host controllers through the switch data plane.  On a workload small
-enough to run both, the two must agree on *what* got delivered and be
-within an order of magnitude on *when* -- the sanity band that keeps the
-fluid model honest without demanding packet-exact latencies from a
-rate-share abstraction.
+The fluid model is an approximation; ``tests/naive_traffic.py`` drives
+real host controllers through the switch data plane with the same
+workload.  On a workload small enough to run both, the two must agree on
+*what* got delivered and be within an order of magnitude on *when* -- the
+sanity band that keeps the fluid model honest without demanding
+packet-exact latencies from a rate-share abstraction.
 """
 
 from repro.constants import SEC
 from repro.network import Network
 from repro.topology.generators import resolve_topology
+from tests.naive_traffic import PacketWorkload
 
 CROSS_TRAFFIC = {
     "pattern": "uniform",
@@ -25,21 +26,25 @@ CROSS_TRAFFIC = {
 }
 
 
-def _run(mode):
+def _run(packets):
     spec = resolve_topology("ring-4")
-    config = dict(CROSS_TRAFFIC, mode=mode)
-    net = Network(spec, seed=0, traffic=config)
+    if packets:
+        net = Network(spec, seed=0)
+        workload = PacketWorkload(net, CROSS_TRAFFIC)
+    else:
+        net = Network(spec, seed=0, traffic=dict(CROSS_TRAFFIC))
+        workload = net.traffic
     assert net.run_until_converged(timeout_ns=60 * SEC)
-    net.traffic.launch()
+    workload.launch()
     net.run_for(int(1.2 * SEC))
-    return net.traffic_doc()
+    return workload.document()
 
 
 def test_fluid_and_packet_agree_on_delivery():
-    fluid = _run("fluid")
-    packet = _run("packet")
+    fluid = _run(packets=False)
+    packet = _run(packets=True)
 
-    # same deterministic workload in both modes
+    # same deterministic workload in both models
     assert fluid["generated_flows"] == packet["generated_flows"] == 12
 
     def matrix(doc):
@@ -50,10 +55,11 @@ def test_fluid_and_packet_agree_on_delivery():
 
     assert matrix(fluid) == matrix(packet)
 
-    # everything completes in both modes on an uncut ring
+    # everything completes in both models on an uncut ring, nothing lost
     assert fluid["flows_completed"] == 12
     assert packet["flows_completed"] == 12
     assert fluid["delivered_bytes"] == packet["delivered_bytes"]
+    assert fluid["drops"] == packet["drops"] == {}
 
     # latency agreement within an order of magnitude each way
     for quantile in ("p50_ns", "p99_ns"):

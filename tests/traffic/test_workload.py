@@ -84,8 +84,9 @@ def test_coerce_rejects_unknown_fields_and_types():
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown arrival pattern"):
         TrafficConfig(pattern="bursty")
-    with pytest.raises(ValueError, match="unknown traffic mode"):
-        TrafficConfig(mode="simulated")
+    # the per-packet model is a test oracle now, not a mode of the engine
+    with pytest.raises(TypeError):
+        TrafficConfig(mode="packet")
     with pytest.raises(ValueError):
         TrafficConfig(hosts=0)
 
