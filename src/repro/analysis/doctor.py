@@ -425,45 +425,21 @@ def sweep_report(doc) -> str:
 
 def staticcheck_report(roots=("src",), baseline_path=None) -> str:
     """The ``staticcheck`` section of the doctor's output: does the tree
-    still honor the determinism / purity / observability / hygiene
-    disciplines (``RS1xx``-``RS4xx``)?  Runs the same suite as the CI
-    gate and renders its verdict plus any active findings."""
+    still honor the determinism / purity / observability / hygiene /
+    dataflow disciplines (``RS1xx``-``RS6xx``)?  Runs the same suite as
+    the CI gate and renders what its CLI prints, indented."""
     from pathlib import Path
+    from textwrap import indent
 
-    from repro.staticcheck import Baseline, find_default_baseline, run_suite
+    from repro.staticcheck import Baseline, find_default_baseline, render_text, run_suite
 
-    if baseline_path is None:
-        baseline_path = find_default_baseline()
-    baseline = Baseline.load(baseline_path) if baseline_path else None
     existing = [Path(r) for r in roots if Path(r).exists()]
-    lines = ["staticcheck:"]
     if not existing:
-        lines.append(f"  (no scan roots found among {', '.join(map(str, roots))})")
-        return "\n".join(lines)
-    result = run_suite(existing, baseline=baseline)
-    verdict = "OK" if result.ok else "FAIL"
-    lines.append(
-        f"  {verdict}: {result.files_scanned} files, "
-        f"{len(result.findings)} active finding(s), "
-        f"{len(result.suppressed)} baselined"
-    )
-    for finding in result.findings[:20]:
-        lines.append(f"    {finding.location()}: {finding.rule}: {finding.message}")
-    if len(result.findings) > 20:
-        lines.append(f"    ... and {len(result.findings) - 20} more")
-    for entry in result.stale_suppressions:
-        lines.append(
-            f"    stale baseline entry: {entry['rule']} at {entry['path']}"
-        )
-    inventory = result.artifacts.get("shared_state")
-    if inventory is not None:
-        written = sum(1 for entry in inventory if "writes" in entry)
-        lines.append(
-            f"  shared state: {len(inventory)} module-level object(s) "
-            f"reachable from chaos/handler entry points, {written} written "
-            f"({'sharding-safe' if not written else 'NOT sharding-safe'})"
-        )
-    return "\n".join(lines)
+        return f"staticcheck:\n  (no scan roots found among {', '.join(map(str, roots))})"
+    if baseline_path is None:
+        baseline_path = find_default_baseline(existing[0])
+    baseline = Baseline.load(baseline_path) if baseline_path else None
+    return "staticcheck:\n" + indent(render_text(run_suite(existing, baseline=baseline)), "  ")
 
 
 def campaign_report(doc) -> str:

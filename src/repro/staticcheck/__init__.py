@@ -14,85 +14,57 @@ nightly chaos campaign) to flake:
   module globals.
 * **RS5xx whole-program dataflow** -- nondeterminism tainting the event
   schedule across function and module boundaries; port-FSM conformance.
-* **RS6xx parallel readiness** -- module-level mutable state reachable
-  from chaos campaigns and event handlers (the sharding gate).
+* **RS6xx shared module state** -- module-level mutable state written
+  from code reachable from chaos campaigns and event handlers.
 
-The RS1xx-RS4xx families are per-file passes; RS5xx/RS6xx run over a
-whole-program call graph (:mod:`repro.staticcheck.dataflow`).  Results
-are cached incrementally by content hash
-(:mod:`repro.staticcheck.cache`), so warm runs re-analyze only what
-changed.
+Every family is a :class:`Pass` over one parsed project
+(:mod:`repro.staticcheck.dataflow`): RS1xx-RS4xx match one file at a
+time, RS5xx/RS6xx follow the whole-program call graph.  Each run
+recomputes everything from the source; nothing is kept between runs.
 
 Run it with ``python -m repro.staticcheck src``; grandfather intentional
 exceptions in ``staticcheck-baseline.json`` (one justification each).
 """
 
 from repro.staticcheck.baseline import (
+    BASELINE_SCHEMA,
     Baseline,
-    BaselineError,
     Suppression,
     find_default_baseline,
 )
-from repro.staticcheck.cache import ResultCache
 from repro.staticcheck.framework import (
-    RULESET_VERSION,
     Finding,
     ParsedModule,
     Pass,
-    ProjectPass,
     Rule,
     SuiteResult,
     all_rules,
-    check_module,
-    check_project_sources,
     check_source,
+    check_sources,
     default_passes,
-    default_project_passes,
-    parse_sources,
     run_suite,
     suppression_in_scope,
 )
-from repro.staticcheck.report import (
-    SCHEMA,
-    SchemaError,
-    build_report,
-    cache_line,
-    read_report,
-    render_github,
-    render_text,
-    validate_report,
-    write_report,
-)
+from repro.staticcheck.report import SCHEMA, build_report, render_github, render_text
 
 __all__ = [
+    "BASELINE_SCHEMA",
     "Baseline",
-    "BaselineError",
     "Finding",
     "ParsedModule",
     "Pass",
-    "ProjectPass",
-    "RULESET_VERSION",
-    "ResultCache",
     "Rule",
     "SCHEMA",
-    "SchemaError",
     "SuiteResult",
     "Suppression",
     "all_rules",
     "build_report",
-    "cache_line",
-    "check_module",
-    "check_project_sources",
     "check_source",
+    "check_sources",
     "default_passes",
-    "default_project_passes",
     "find_default_baseline",
-    "parse_sources",
-    "read_report",
     "render_github",
     "render_text",
     "run_suite",
     "suppression_in_scope",
-    "validate_report",
-    "write_report",
 ]

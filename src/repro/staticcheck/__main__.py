@@ -7,24 +7,18 @@ parse errors, or stale baseline entries, 2 usage/configuration errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.obs import artifact
 from repro.staticcheck.baseline import (
+    BASELINE_SCHEMA,
     Baseline,
-    BaselineError,
     find_default_baseline,
 )
-from repro.staticcheck.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.staticcheck.framework import all_rules, run_suite
-from repro.staticcheck.report import (
-    build_report,
-    render_github,
-    render_text,
-    write_report,
-)
+from repro.staticcheck.report import build_report, render_github, render_text
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -59,18 +53,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--format", choices=("text", "github"), default="text",
         help="output format: terminal text or GitHub ::error annotations",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and do not write the incremental result cache",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=DEFAULT_CACHE_DIR,
-        help=f"incremental cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--shared-state", metavar="FILE",
-        help="write the RS6xx shared-state inventory (JSON) here",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -109,25 +91,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                       file=sys.stderr)
                 return 2
         else:
-            baseline_path = find_default_baseline()
+            # from the tree being scanned, not the CWD: the same baseline
+            # applies wherever the command is typed
+            baseline_path = find_default_baseline(args.paths[0])
         if baseline_path is not None:
             try:
                 baseline = Baseline.load(baseline_path)
-            except BaselineError as error:
-                print(f"error: {error}", file=sys.stderr)
+            except ValueError as error:  # not JSON, or a SchemaError
+                print(f"error: {baseline_path}: {error}", file=sys.stderr)
                 return 2
 
     select = None
     if args.select:
         select = [s.strip() for s in args.select.split(",") if s.strip()]
 
-    cache = ResultCache(
-        root=args.cache_dir,
-        enabled=not args.no_cache,
-        scope=[str(p) for p in args.paths],
-    )
     result = run_suite([Path(p) for p in args.paths], select=select,
-                       baseline=baseline, cache=cache)
+                       baseline=baseline)
 
     pruned = 0
     if args.prune_baseline and result.stale_suppressions \
@@ -136,13 +115,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         result.stale_suppressions = []
 
     if args.json:
-        write_report(build_report(result), args.json)
-    if args.shared_state:
-        inventory = result.artifacts.get("shared_state", [])
-        with open(args.shared_state, "w", encoding="utf-8") as fh:
-            json.dump({"schema": "repro.staticcheck-shared-state/1",
-                       "shared_state": inventory}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        artifact.write(args.json, build_report(result))
 
     if args.format == "github":
         text = render_github(result)
@@ -160,17 +133,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _prune_baseline(path: Path, stale: List[Dict[str, str]]) -> int:
     """Rewrite the baseline file minus the given stale entries."""
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = artifact.read(str(path), BASELINE_SCHEMA)
     dead = {(s["rule"], s["path"]) for s in stale}
-    entries = doc.get("suppressions", [])
-    kept = [
+    entries = doc["suppressions"]
+    doc["suppressions"] = [
         entry for entry in entries
-        if (entry.get("rule"),
-            str(entry.get("path", "")).replace("\\", "/")) not in dead
+        if (entry["rule"], entry["path"].replace("\\", "/")) not in dead
     ]
-    doc["suppressions"] = kept
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return len(entries) - len(kept)
+    artifact.write(str(path), doc)
+    return len(entries) - len(doc["suppressions"])
 
 
 if __name__ == "__main__":

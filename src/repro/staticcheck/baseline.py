@@ -22,19 +22,29 @@ Schema (``repro.staticcheck-baseline/1``)::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
 
+from repro.obs.artifact import NAME, Schema, fail, keys, read, validate
 from repro.staticcheck.framework import Finding
 
 BASELINE_SCHEMA = "repro.staticcheck-baseline/1"
 DEFAULT_BASELINE_NAME = "staticcheck-baseline.json"
 
 
-class BaselineError(ValueError):
-    """The baseline file is malformed or missing a justification."""
+def _rules(doc: Dict[str, Any]) -> None:
+    """Every entry names an RS rule and says why it is exempt."""
+    for i, entry in enumerate(doc["suppressions"]):
+        if not entry["rule"].startswith("RS"):
+            fail(f"$.suppressions[{i}].rule", "must be an RSxxx id")
+        if not entry["justification"].strip():
+            fail(f"$.suppressions[{i}].justification",
+                 "a non-empty justification is required -- unexplained "
+                 "suppressions defeat the gate")
+
+
+ARTIFACT = Schema({"suppressions": [keys(NAME, "rule", "path", "justification")]}, rules=_rules)
 
 
 @dataclass(frozen=True)
@@ -51,41 +61,15 @@ class Baseline:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Baseline":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            raise BaselineError(f"{path}: not valid JSON: {error}") from error
-        return cls.from_dict(raw, source=str(path))
+        return cls.from_dict(read(str(path), BASELINE_SCHEMA))
 
     @classmethod
-    def from_dict(cls, raw: Dict[str, Any], source: str = "<dict>") -> "Baseline":
-        if not isinstance(raw, dict) or raw.get("schema") != BASELINE_SCHEMA:
-            raise BaselineError(
-                f"{source}: expected schema {BASELINE_SCHEMA!r}, "
-                f"got {raw.get('schema') if isinstance(raw, dict) else type(raw).__name__!r}"
-            )
-        entries = raw.get("suppressions")
-        if not isinstance(entries, list):
-            raise BaselineError(f"{source}: 'suppressions' must be a list")
-        suppressions: List[Suppression] = []
-        for index, entry in enumerate(entries):
-            where = f"{source}: suppressions[{index}]"
-            if not isinstance(entry, dict):
-                raise BaselineError(f"{where}: must be an object")
-            rule = entry.get("rule")
-            spath = entry.get("path")
-            justification = entry.get("justification")
-            if not (isinstance(rule, str) and rule.startswith("RS")):
-                raise BaselineError(f"{where}: 'rule' must be an RSxxx id")
-            if not isinstance(spath, str) or not spath:
-                raise BaselineError(f"{where}: 'path' must be a non-empty string")
-            if not isinstance(justification, str) or not justification.strip():
-                raise BaselineError(
-                    f"{where}: a non-empty 'justification' is required -- "
-                    f"unexplained suppressions defeat the gate"
-                )
-            suppressions.append(Suppression(rule, spath.replace("\\", "/"), justification))
-        return cls(suppressions=suppressions)
+    def from_dict(cls, raw: Dict[str, Any]) -> "Baseline":
+        entries = validate(raw, BASELINE_SCHEMA)["suppressions"]
+        return cls(suppressions=[
+            Suppression(e["rule"], e["path"].replace("\\", "/"), e["justification"])
+            for e in entries
+        ])
 
     def match(self, finding: Finding) -> Optional[Suppression]:
         """The first suppression covering this finding, marking it used."""

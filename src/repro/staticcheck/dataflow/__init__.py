@@ -1,7 +1,8 @@
 """Whole-program dataflow layer for :mod:`repro.staticcheck`.
 
-The RS1xx-RS4xx passes are per-file pattern matches; this package adds
-the project-wide analyses they cannot express:
+The RS1xx-RS4xx rules are per-file pattern matches; this package holds
+the project model every pass runs over and the project-wide analyses a
+per-file match cannot express:
 
 * :mod:`~repro.staticcheck.dataflow.callgraph` -- the :class:`Project`
   model: every parsed module, a module-qualified function/class index,
@@ -14,12 +15,12 @@ the project-wide analyses they cannot express:
   RNG-seed sinks.
 * :mod:`~repro.staticcheck.dataflow.fsm` -- RS51x: port-state-machine
   conformance against the :mod:`repro.core.portstate` transition tables.
-* :mod:`~repro.staticcheck.dataflow.parallel` -- RS6xx: the
-  parallel-readiness inventory of module-level mutable state reachable
-  from ``repro.chaos`` campaign entry points and event handlers.
+* :mod:`~repro.staticcheck.dataflow.parallel` -- RS6xx: module-level
+  mutable state written from code reachable from ``repro.chaos``
+  campaign entry points and event handlers.
 """
 
-from repro.staticcheck.dataflow.callgraph import CallGraph, Project, build_project
+from repro.staticcheck.dataflow.callgraph import CallGraph, Project
 from repro.staticcheck.dataflow.fsm import PortFsmPass
 from repro.staticcheck.dataflow.parallel import ParallelReadinessPass
 from repro.staticcheck.dataflow.taint import TaintPass
@@ -27,7 +28,6 @@ from repro.staticcheck.dataflow.taint import TaintPass
 __all__ = [
     "CallGraph",
     "Project",
-    "build_project",
     "TaintPass",
     "PortFsmPass",
     "ParallelReadinessPass",

@@ -1,7 +1,7 @@
 """The :class:`Project` model and whole-program call graph.
 
 Everything here is still pure :mod:`ast` -- no code under analysis is
-imported or executed -- but unlike the per-file passes the resolver sees
+imported or executed -- but unlike a per-file rule the resolver sees
 *all* parsed modules at once, so a call like ``self.monitor.sample()``
 can be followed into another module's class.
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.staticcheck.framework import ImportMap, ParsedModule, annotation_name
@@ -118,6 +119,8 @@ class Project:
     """All parsed modules plus the indices whole-program passes share."""
 
     def __init__(self, modules: Sequence[ParsedModule]) -> None:
+        #: every parsed file, in dotted-name order: what per-file rules loop
+        self.files: List[ParsedModule] = sorted(modules, key=lambda m: m.module)
         self.modules: Dict[str, ParsedModule] = {}
         self.imports: Dict[str, ImportMap] = {}
         self.functions: Dict[str, FunctionInfo] = {}
@@ -130,7 +133,7 @@ class Project:
         #: per-function local-variable class types (name -> class qname)
         self._local_types: Dict[str, Dict[str, str]] = {}
 
-        for parsed in sorted(modules, key=lambda m: m.module):
+        for parsed in self.files:
             if parsed.module in self.modules:
                 continue  # duplicate dotted name: keep the first, deterministic
             self.modules[parsed.module] = parsed
@@ -141,6 +144,22 @@ class Project:
         for info in self.functions.values():
             self._local_types[info.qname] = self._infer_local_types(info)
         self._build_edges()
+
+    @classmethod
+    def from_sources(cls, sources: Dict[str, str]) -> "Project":
+        """A fixture project from an in-memory ``{module name: source}``
+        mapping; paths are synthesized as ``src/<module path>.py``."""
+        modules: List[ParsedModule] = []
+        for module, source in sources.items():
+            path = "src/" + module.replace(".", "/") + ".py"
+            modules.append(ParsedModule(
+                path=Path(path),
+                relpath=path,
+                module=module,
+                tree=ast.parse(source),
+                source=source,
+            ))
+        return cls(modules)
 
     # -- indexing ------------------------------------------------------------------
 
@@ -490,8 +509,3 @@ def _name_node(written: str) -> ast.AST:
     for attr in parts[1:]:
         node = ast.Attribute(value=node, attr=attr, ctx=ast.Load())
     return node
-
-
-def build_project(modules: Sequence[ParsedModule]) -> Project:
-    """Build the shared project model whole-program passes consume."""
-    return Project(modules)

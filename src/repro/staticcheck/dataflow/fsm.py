@@ -21,10 +21,10 @@ checks:
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.staticcheck.dataflow.callgraph import FunctionInfo, Project
-from repro.staticcheck.framework import Finding, ProjectPass, Rule
+from repro.staticcheck.framework import Finding, Pass, Rule
 
 #: class name of the port FSM enum, as in :mod:`repro.core.portstate`
 ENUM_NAME = "PortState"
@@ -163,7 +163,7 @@ def _subject_and_states(test: ast.AST) -> Optional[Tuple[str, Set[str]]]:
     return None
 
 
-class PortFsmPass(ProjectPass):
+class PortFsmPass(Pass):
     name = "port-fsm"
     rules = (
         Rule(
@@ -185,22 +185,13 @@ class PortFsmPass(ProjectPass):
         ),
     )
 
-    def run(self, project: Project) -> Tuple[List[Finding], Dict[str, Any]]:
+    def run(self, project: Project) -> Iterator[Finding]:
         fsm = extract_fsm(project)
         if fsm is None:
-            return [], {}
-        findings: List[Finding] = []
-        findings.extend(self._check_tables(fsm))
+            return
+        yield from self._check_tables(fsm)
         for info in project.iter_functions():
-            findings.extend(self._check_dispatches(fsm, info))
-        findings.sort(key=Finding.sort_key)
-        artifact = {
-            "module": fsm.module,
-            "states": sorted(fsm.members),
-            "tables": {name: sorted(set(sources))
-                       for name, (_, sources) in sorted(fsm.tables.items())},
-        }
-        return findings, {"port_fsm": artifact}
+            yield from self._check_dispatches(fsm, info)
 
     # -- RS511 -----------------------------------------------------------------------
 
@@ -214,14 +205,14 @@ class PortFsmPass(ProjectPass):
         missing = sorted(fsm.member_set - covered)
         if missing:
             yield self.finding(
-                "RS511", fsm.relpath, first_line, 0,
+                "RS511", fsm, first_line,
                 f"transition tables have no source entry for state(s) "
                 f"{', '.join(missing)}: Figure 8 must stay total",
             )
         for member, line in sorted(set(fsm.referenced)):
             if member not in fsm.member_set:
                 yield self.finding(
-                    "RS511", fsm.relpath, line, 0,
+                    "RS511", fsm, line,
                     f"transition table references unknown state "
                     f"PortState.{member}",
                 )
@@ -271,7 +262,7 @@ class PortFsmPass(ProjectPass):
         missing = sorted(fsm.member_set - states)
         if missing and is_last:
             yield self.finding(
-                "RS510", info.relpath, chain.lineno, chain.col_offset,
+                "RS510", info, chain,
                 f"{info.qname} dispatches on PortState but silently falls "
                 f"through for {', '.join('PortState.' + m for m in missing)}",
             )
@@ -299,7 +290,7 @@ class PortFsmPass(ProjectPass):
         missing = sorted(fsm.member_set - states)
         if missing:
             yield self.finding(
-                "RS510", info.relpath, stmt.lineno, stmt.col_offset,
+                "RS510", info, stmt,
                 f"{info.qname} matches on PortState but has no case for "
                 f"{', '.join('PortState.' + m for m in missing)} and no "
                 f"wildcard",

@@ -1,28 +1,21 @@
-"""RS6xx: parallel-readiness analysis for process-pool sharding.
+"""RS6xx: module-level mutable state that runs would share.
 
-ROADMAP item 4 shards chaos campaigns across a process pool with
-deterministic per-shard seed forking.  That is only sound if a campaign
-run touches no module-level mutable state: forked workers each get a
-copy-on-write snapshot, so a write that was shared in-process silently
-diverges across shards (and on spawn-based pools it is simply lost).
-
-This pass computes, over the whole-program call graph, the set of
-module-level mutable objects transitively **read or written** from
+A chaos campaign builds thousands of :class:`Network` instances in one
+process and expects them to be independent; RS402 checks that per file
+for the hot-path packages, this pass checks it for the whole program.
+Over the call graph it computes the module-level mutable objects
+transitively **written** from
 
 * ``repro.chaos`` campaign entry points (every function and method the
   chaos package defines), and
 * event handlers (every method of a class in the hot component
   packages: ``repro.net`` / ``repro.core`` / ``repro.sim`` /
-  ``repro.host``),
+  ``repro.host``).
 
-and emits a machine-readable **shared-state inventory** (the report's
-``dataflow.shared_state`` section) that directly gates the sharding
-work: an empty ``writes`` section is the green light.
-
-Rules (writes only -- read-only module state is fork-safe):
+Read-only module state is shared harmlessly and is not tracked.
 
 * **RS601** -- module-level mutable state written from code reachable
-  from a chaos campaign entry point.
+  from a chaos campaign entry point: one run would leak into the next.
 * **RS602** -- module-level mutable state written from code reachable
   from an event handler: two Networks in one process would couple.
 """
@@ -31,11 +24,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.staticcheck.dataflow.callgraph import FunctionInfo, Project, iter_calls
-from repro.staticcheck.framework import Finding, ProjectPass, Rule
-from repro.staticcheck.hygiene import _mutable_kind
+from repro.staticcheck.framework import Finding, Pass, Rule, mutable_kind
 
 #: package whose functions/methods are campaign entry points
 CHAOS_PACKAGE = "repro.chaos"
@@ -52,9 +44,6 @@ MUTATOR_METHODS = frozenset({
 
 #: bound on reachability propagation rounds over the call graph
 MAX_ROUNDS = 30
-
-#: cap on names listed per inventory entry (counts stay exact)
-LIST_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -89,7 +78,7 @@ def collect_globals(project: Project) -> Dict[str, GlobalVar]:
                 target, value = stmt.target, stmt.value
             if target is None or value is None or target.id == "__all__":
                 continue
-            kind = _mutable_kind(value)
+            kind = mutable_kind(value)
             if kind is None:
                 continue
             var = GlobalVar(
@@ -104,12 +93,12 @@ def collect_globals(project: Project) -> Dict[str, GlobalVar]:
     return out
 
 
-#: access map: global qname -> mode ("read"/"write") -> accessor qname (min)
-Accesses = Dict[Tuple[str, str], str]
+#: write map: global qname -> writer qname (lexicographic min)
+Writes = Dict[str, str]
 
 
-class _AccessCollector:
-    """Direct global reads/writes of one function body."""
+class _WriteCollector:
+    """Direct global writes of one function body."""
 
     def __init__(self, project: Project, globals_: Dict[str, GlobalVar],
                  info: FunctionInfo) -> None:
@@ -118,7 +107,7 @@ class _AccessCollector:
         self.info = info
         self.declared_global: Set[str] = set()
         self.local_names: Set[str] = set()
-        self.accesses: Accesses = {}
+        self.writes: Writes = {}
         self._scan_scope()
 
     def _scan_scope(self) -> None:
@@ -146,28 +135,22 @@ class _AccessCollector:
             return dotted
         return None
 
-    def note(self, qname: Optional[str], mode: str) -> None:
+    def note(self, qname: Optional[str]) -> None:
         if qname is not None:
-            key = (qname, mode)
-            if key not in self.accesses or self.info.qname < self.accesses[key]:
-                self.accesses[key] = self.info.qname
+            self.writes[qname] = self.info.qname
 
-    def collect(self) -> Accesses:
+    def collect(self) -> Writes:
         for node in ast.walk(self.info.node):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                self.note(self._module_global(node.id), "read")
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
                     and node.id in self.declared_global:
-                self.note(self._module_global_declared(node.id), "write")
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                self.note(self._foreign_global(node), "read")
+                self.note(self._module_global_declared(node.id))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-                self.note(self._foreign_global(node), "write")
+                self.note(self._foreign_global(node))
             elif isinstance(node, (ast.Subscript, ast.Delete)):
                 self._subscript(node)
         for call in iter_calls(self.info.node):
             self._mutator_call(call)
-        return self.accesses
+        return self.writes
 
     def _module_global_declared(self, name: str) -> Optional[str]:
         qname = f"{self.info.module}.{name}"
@@ -183,9 +166,9 @@ class _AccessCollector:
                     targets.append(target.value)
         for target in targets:
             if isinstance(target, ast.Name):
-                self.note(self._module_global(target.id), "write")
+                self.note(self._module_global(target.id))
             else:
-                self.note(self._foreign_global(target), "write")
+                self.note(self._foreign_global(target))
 
     def _mutator_call(self, call: ast.Call) -> None:
         func = call.func
@@ -193,12 +176,12 @@ class _AccessCollector:
             return
         receiver = func.value
         if isinstance(receiver, ast.Name):
-            self.note(self._module_global(receiver.id), "write")
+            self.note(self._module_global(receiver.id))
         else:
-            self.note(self._foreign_global(receiver), "write")
+            self.note(self._foreign_global(receiver))
 
 
-class ParallelReadinessPass(ProjectPass):
+class ParallelReadinessPass(Pass):
     name = "parallel-readiness"
     rules = (
         Rule(
@@ -220,106 +203,56 @@ class ParallelReadinessPass(ProjectPass):
         ),
     )
 
-    def run(self, project: Project) -> Tuple[List[Finding], Dict[str, Any]]:
+    def run(self, project: Project) -> Iterator[Finding]:
         globals_ = collect_globals(project)
-        own: Dict[str, Accesses] = {}
+        reach: Dict[str, Writes] = {}
         for info in project.iter_functions():
-            own[info.qname] = _AccessCollector(project, globals_, info).collect()
+            reach[info.qname] = _WriteCollector(project, globals_, info).collect()
 
-        reach: Dict[str, Accesses] = {q: dict(a) for q, a in own.items()}
         for _ in range(MAX_ROUNDS):
             changed = False
             for qname in sorted(reach):
                 mine = reach[qname]
                 for callee in project.callgraph.callees(qname):
-                    for key, accessor in reach.get(callee, {}).items():
-                        if key not in mine or accessor < mine[key]:
-                            mine[key] = accessor
+                    for var, writer in reach.get(callee, {}).items():
+                        if var not in mine or writer < mine[var]:
+                            mine[var] = writer
                             changed = True
             if not changed:
                 break
 
-        chaos_entries = [
-            info.qname for info in project.iter_functions()
-            if _in_package(info.module, CHAOS_PACKAGE)
-        ]
-        handler_entries = [
-            info.qname for info in project.iter_functions()
-            if info.cls is not None and _in_package(info.module, *HANDLER_PACKAGES)
-        ]
-
-        inventory, findings = self._summarize(
-            globals_, reach, chaos_entries, handler_entries)
-        findings.sort(key=Finding.sort_key)
-        return findings, {"shared_state": inventory}
-
-    def _summarize(
-        self,
-        globals_: Dict[str, GlobalVar],
-        reach: Dict[str, Accesses],
-        chaos_entries: List[str],
-        handler_entries: List[str],
-    ) -> Tuple[List[Dict[str, Any]], List[Finding]]:
-        per_global: Dict[str, Dict[str, Dict[str, Set[str]]]] = {}
-
-        def note(var: str, mode: str, role: str, entry: str, accessor: str) -> None:
-            slot = per_global.setdefault(var, {}).setdefault(
-                mode, {"chaos": set(), "handler": set(), "accessors": set()})
-            slot[role].add(entry)
-            slot["accessors"].add(accessor)
-
-        for role, entries in (("chaos", chaos_entries), ("handler", handler_entries)):
-            for entry in entries:
-                for (var, mode), accessor in reach.get(entry, {}).items():
-                    note(var, mode, role, entry, accessor)
-
-        inventory: List[Dict[str, Any]] = []
-        findings: List[Finding] = []
-        for var_qname in sorted(per_global):
-            var = globals_[var_qname]
-            modes = per_global[var_qname]
-            entry: Dict[str, Any] = {
-                "name": var.qname,
-                "kind": var.kind,
-                "path": var.relpath,
-                "line": var.line,
-            }
-            for mode in ("read", "write"):
-                slot = modes.get(mode)
-                if slot is None:
-                    continue
-                entry[mode + "s"] = {
-                    "accessors": _capped(slot["accessors"]),
-                    "chaos_entrypoints": _capped(slot["chaos"]),
-                    "handler_entrypoints": _capped(slot["handler"]),
-                }
-            inventory.append(entry)
-            write_slot = modes.get("write")
-            if not write_slot:
+        #: written global -> role -> its first (functions come sorted, so
+        #: lexicographically least) entry point that reaches the write
+        entries: Dict[str, Dict[str, str]] = {}
+        writers: Dict[str, str] = {}
+        for info in project.iter_functions():
+            if _in_package(info.module, CHAOS_PACKAGE):
+                role = "chaos"
+            elif info.cls is not None and _in_package(info.module, *HANDLER_PACKAGES):
+                role = "handler"
+            else:
                 continue
-            accessor = min(write_slot["accessors"])
-            if write_slot["chaos"]:
-                findings.append(self.finding(
-                    "RS601", var.relpath, var.line, 0,
+            for var, writer in reach[info.qname].items():
+                entries.setdefault(var, {}).setdefault(role, info.qname)
+                writers[var] = min(writer, writers.get(var, writer))
+
+        for var_qname in sorted(entries):
+            var = globals_[var_qname]
+            writer = writers[var_qname]
+            roles = entries[var_qname]
+            if "chaos" in roles:
+                yield self.finding(
+                    "RS601", var, var.line,
                     f"module-level {var.kind} {var.qname!r} is written by "
-                    f"{accessor}, reachable from chaos entry point "
-                    f"{min(write_slot['chaos'])}: campaign shards would "
+                    f"{writer}, reachable from chaos entry point "
+                    f"{roles['chaos']}: campaign shards would "
                     f"share it",
-                ))
-            if write_slot["handler"]:
-                findings.append(self.finding(
-                    "RS602", var.relpath, var.line, 0,
+                )
+            if "handler" in roles:
+                yield self.finding(
+                    "RS602", var, var.line,
                     f"module-level {var.kind} {var.qname!r} is written by "
-                    f"{accessor}, reachable from event handler "
-                    f"{min(write_slot['handler'])}: simulators in one "
+                    f"{writer}, reachable from event handler "
+                    f"{roles['handler']}: simulators in one "
                     f"process would couple",
-                ))
-        return inventory, findings
-
-
-def _capped(names: Set[str]) -> Dict[str, Any]:
-    ordered = sorted(names)
-    return {
-        "count": len(ordered),
-        "names": ordered[:LIST_CAP],
-    }
+                )

@@ -34,7 +34,7 @@ Rules:
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.staticcheck.dataflow.callgraph import FunctionInfo, Project, iter_calls
 from repro.staticcheck.determinism import (
@@ -42,7 +42,7 @@ from repro.staticcheck.determinism import (
     SCHEDULE_SINKS,
     WALL_CLOCK_CALLS,
 )
-from repro.staticcheck.framework import Finding, ProjectPass, Rule
+from repro.staticcheck.framework import Finding, Pass, Rule
 
 #: propagation rounds over the call graph: the bounded call-depth of
 #: every function summary
@@ -234,7 +234,7 @@ class _TaintEngine:
                 break
 
 
-class TaintPass(ProjectPass):
+class TaintPass(Pass):
     name = "taint"
     rules = (
         Rule(
@@ -264,10 +264,9 @@ class TaintPass(ProjectPass):
         ),
     )
 
-    def run(self, project: Project) -> Tuple[List[Finding], Dict[str, Any]]:
+    def run(self, project: Project) -> Iterator[Finding]:
         engine = _TaintEngine(project)
         engine.solve()
-        findings: List[Finding] = []
         seen = set()
         for info in project.iter_functions():
             analysis = _FunctionAnalysis(engine, info)
@@ -278,9 +277,7 @@ class TaintPass(ProjectPass):
                            finding.col, finding.message)
                     if key not in seen:
                         seen.add(key)
-                        findings.append(finding)
-        findings.sort(key=Finding.sort_key)
-        return findings, {}
+                        yield finding
 
     # -- sink checks ----------------------------------------------------------------
 
@@ -327,8 +324,7 @@ class TaintPass(ProjectPass):
                 continue
             what = "RNG seed" if seed_sink else "event-schedule/emission sink"
             yield self.finding(
-                rule, info.relpath,
-                getattr(call, "lineno", 0), getattr(call, "col_offset", 0),
+                rule, info, call,
                 f"{kind} value from {origin_call} (in {origin_fn}) reaches "
                 f"{what} .{sink_name}() in {info.qname}",
             )

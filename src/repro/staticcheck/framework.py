@@ -2,12 +2,13 @@
 
 The suite is a set of *passes*, each owning a family of rules with stable
 IDs (``RS1xx`` determinism, ``RS2xx`` event-handler purity, ``RS3xx``
-observability discipline, ``RS4xx`` mutable-state hygiene).  A pass is a
-pure function from a parsed module to findings: no imports of the code
-under analysis, no execution, just :mod:`ast`.  That keeps the linter
-safe to run on broken trees and byte-deterministic -- the same source
-always yields the same report, which is itself a determinism invariant
-this repo cares about.
+observability discipline, ``RS4xx`` mutable-state hygiene, ``RS5xx``
+whole-program dataflow, ``RS6xx`` shared module state).  A pass is a
+pure function from the parsed project to findings: no imports of the
+code under analysis, no execution, just :mod:`ast`, and nothing carried
+from one run into the next.  That keeps the linter safe to run on broken
+trees and byte-deterministic -- the same source always yields the same
+report, which is itself a determinism invariant this repo cares about.
 
 Layout of a run:
 
@@ -16,7 +17,9 @@ Layout of a run:
 2. :func:`parse_module` builds a :class:`ParsedModule` with a best-effort
    dotted module name (walking ``__init__.py`` parents), which rules use
    to scope themselves to hot-path packages vs CLI/analysis modules.
-3. Each pass's :meth:`Pass.check` yields :class:`Finding` objects.
+3. Every parsed module goes into one
+   :class:`~repro.staticcheck.dataflow.callgraph.Project`, and each
+   pass's :meth:`Pass.run` yields :class:`Finding` objects from it.
 4. A :class:`~repro.staticcheck.baseline.Baseline` splits findings into
    *active* (fail the build) and *suppressed* (grandfathered, each with a
    recorded justification).
@@ -25,17 +28,13 @@ Layout of a run:
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 #: rule id for files the parser itself rejects -- always active, never
 #: baselined away silently (a file that cannot be parsed cannot be checked)
 PARSE_ERROR_RULE = "RS000"
-
-#: bumped whenever any rule's behavior changes; invalidates the
-#: incremental result cache (:mod:`repro.staticcheck.cache`) wholesale
-RULESET_VERSION = "9.0"
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,22 @@ class ParsedModule:
 
 
 class Pass:
-    """Base class: one family of rules sharing an AST traversal."""
+    """Base class: one family of rules.
+
+    :meth:`run` sees every module at once (via the
+    :class:`~repro.staticcheck.dataflow.callgraph.Project` model), so a
+    whole-program family overrides it to follow a value through calls,
+    returns and attribute stores across files.  A family that is a
+    pattern match over one file at a time overrides :meth:`check`
+    instead and inherits the loop.
+    """
 
     name = "base"
     rules: Tuple[Rule, ...] = ()
+
+    def run(self, project: Any) -> Iterable[Finding]:  # Project; Any avoids a cycle
+        for module in project.files:
+            yield from self.check(module)
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
         raise NotImplementedError
@@ -124,50 +135,17 @@ class Pass:
                 return rule
         raise KeyError(rule_id)
 
-    def finding(self, rule_id: str, module: ParsedModule, node: ast.AST,
+    def finding(self, rule_id: str, where: Any, at: Union[ast.AST, int],
                 message: str) -> Finding:
+        """A finding in ``where`` (anything carrying a ``relpath``: a
+        parsed module, a function, a module global) at an AST node, or
+        at a bare line number when the node is not kept."""
         rule = self.rule(rule_id)
         return Finding(
             rule=rule_id,
-            path=module.relpath,
-            line=getattr(node, "lineno", 0),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-            hint=rule.hint,
-        )
-
-
-class ProjectPass:
-    """Base class: a whole-program analysis over the parsed project.
-
-    Unlike :class:`Pass`, a project pass sees every module at once (via
-    the :class:`~repro.staticcheck.dataflow.callgraph.Project` model) so
-    it can follow a value through calls, returns and attribute stores
-    across files.  :meth:`run` returns its findings plus a dict of
-    machine-readable artifacts (e.g. the RS6xx shared-state inventory)
-    that the report embeds under ``dataflow``.
-    """
-
-    name = "project-base"
-    rules: Tuple[Rule, ...] = ()
-
-    def run(self, project: Any) -> Tuple[List[Finding], Dict[str, Any]]:
-        raise NotImplementedError
-
-    def rule(self, rule_id: str) -> Rule:
-        for rule in self.rules:
-            if rule.id == rule_id:
-                return rule
-        raise KeyError(rule_id)
-
-    def finding(self, rule_id: str, path: str, line: int, col: int,
-                message: str) -> Finding:
-        rule = self.rule(rule_id)
-        return Finding(
-            rule=rule_id,
-            path=path,
-            line=line,
-            col=col,
+            path=where.relpath,
+            line=at if isinstance(at, int) else getattr(at, "lineno", 0),
+            col=0 if isinstance(at, int) else getattr(at, "col_offset", 0),
             message=message,
             hint=rule.hint,
         )
@@ -269,6 +247,32 @@ def function_scopes(tree: ast.Module) -> Iterator[ast.AST]:
             yield node
 
 
+#: constructors that build a mutable container
+MUTABLE_FACTORIES = frozenset({
+    "list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter",
+    "OrderedDict",
+})
+
+
+def mutable_kind(node: ast.AST) -> Optional[str]:
+    """Human name of the mutable container an expression builds, if any."""
+    if isinstance(node, (ast.List, ast.ListComp)):
+        return "list"
+    if isinstance(node, (ast.Dict, ast.DictComp)):
+        return "dict"
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return "set"
+    if isinstance(node, ast.Call):
+        name = None
+        if isinstance(node.func, ast.Name):
+            name = node.func.id
+        elif isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+        if name in MUTABLE_FACTORIES:
+            return name
+    return None
+
+
 # -- discovery and parsing --------------------------------------------------------
 
 
@@ -302,12 +306,9 @@ def display_path(path: Path) -> str:
         return path.as_posix()
 
 
-def parse_module(path: Path,
-                 source: Optional[str] = None,
-                 ) -> Tuple[Optional[ParsedModule], Optional[Finding]]:
+def parse_module(path: Path) -> Tuple[Optional[ParsedModule], Optional[Finding]]:
     """Parse one file; on a syntax error return an RS000 finding instead."""
-    if source is None:
-        source = path.read_text(encoding="utf-8", errors="replace")
+    source = path.read_text(encoding="utf-8", errors="replace")
     relpath = display_path(path)
     try:
         tree = ast.parse(source, filename=str(path))
@@ -333,26 +334,21 @@ def parse_module(path: Path,
 
 
 def default_passes() -> List[Pass]:
-    from repro.staticcheck.determinism import DeterminismPass
-    from repro.staticcheck.hygiene import HygienePass
-    from repro.staticcheck.obsrules import ObsDisciplinePass
-    from repro.staticcheck.purity import PurityPass
-
-    return [DeterminismPass(), PurityPass(), ObsDisciplinePass(), HygienePass()]
-
-
-def default_project_passes() -> List[ProjectPass]:
     from repro.staticcheck.dataflow import (
         ParallelReadinessPass,
         PortFsmPass,
         TaintPass,
     )
+    from repro.staticcheck.determinism import DeterminismPass
+    from repro.staticcheck.hygiene import HygienePass
+    from repro.staticcheck.obsrules import ObsDisciplinePass
+    from repro.staticcheck.purity import PurityPass
 
-    return [TaintPass(), PortFsmPass(), ParallelReadinessPass()]
+    return [DeterminismPass(), PurityPass(), ObsDisciplinePass(), HygienePass(),
+            TaintPass(), PortFsmPass(), ParallelReadinessPass()]
 
 
-def all_rules(passes: Optional[Sequence[Pass]] = None,
-              project_passes: Optional[Sequence[ProjectPass]] = None) -> List[Rule]:
+def all_rules(passes: Optional[Sequence[Pass]] = None) -> List[Rule]:
     rules: List[Rule] = [
         Rule(
             id=PARSE_ERROR_RULE,
@@ -364,10 +360,6 @@ def all_rules(passes: Optional[Sequence[Pass]] = None,
     ]
     for pass_ in passes if passes is not None else default_passes():
         rules.extend(pass_.rules)
-    projects = project_passes if project_passes is not None \
-        else default_project_passes()
-    for project_pass in projects:
-        rules.extend(project_pass.rules)
     return sorted(rules, key=lambda r: r.id)
 
 
@@ -380,12 +372,6 @@ class SuiteResult:
     stale_suppressions: List[Dict[str, str]]  # in-scope baseline entries that matched nothing
     files_scanned: int
     roots: List[str]
-    #: machine-readable side outputs of project passes (e.g. the RS6xx
-    #: shared-state inventory), keyed by artifact name
-    artifacts: Dict[str, Any] = field(default_factory=dict)
-    #: incremental-cache accounting for the report's cache line; None
-    #: when no cache was offered to the run
-    cache_stats: Optional[Dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
@@ -400,76 +386,31 @@ class SuiteResult:
         return dict(sorted(counts.items()))
 
 
-def check_module(module: ParsedModule,
-                 passes: Optional[Sequence[Pass]] = None) -> List[Finding]:
-    """All findings for one parsed module (test seam for fixture snippets)."""
+def _run_passes(project: Any,  # Project; Any avoids a cycle
+                passes: Optional[Sequence[Pass]]) -> List[Finding]:
     found: List[Finding] = []
     for pass_ in passes if passes is not None else default_passes():
-        found.extend(pass_.check(module))
-    return sorted(found, key=Finding.sort_key)
+        found.extend(pass_.run(project))
+    return found
 
 
-def check_source(source: str, module: str = "repro.fixture",
-                 path: str = "src/repro/fixture.py",
-                 passes: Optional[Sequence[Pass]] = None) -> List[Finding]:
-    """Check an in-memory snippet as if it were the named module.
+def check_sources(sources: Dict[str, str],
+                  passes: Optional[Sequence[Pass]] = None) -> List[Finding]:
+    """Check an in-memory ``{module name: source}`` project.
 
     The unit-test entry point: rule fixtures feed violating and clean
     snippets through here without touching the filesystem.
     """
-    parsed = ParsedModule(
-        path=Path(path),
-        relpath=path,
-        module=module,
-        tree=ast.parse(source),
-        source=source,
-    )
-    return check_module(parsed, passes=passes)
+    from repro.staticcheck.dataflow import Project
+
+    found = _run_passes(Project.from_sources(sources), passes)
+    return sorted(found, key=Finding.sort_key)
 
 
-def parse_sources(sources: Dict[str, str]) -> List[ParsedModule]:
-    """Parse an in-memory ``{module name: source}`` mapping.
-
-    The multi-module analogue of :func:`check_source`'s single snippet:
-    fixture projects for the dataflow passes are built from a dict
-    without touching the filesystem.  Paths are synthesized as
-    ``src/<module path>.py``.
-    """
-    parsed: List[ParsedModule] = []
-    for module in sorted(sources):
-        path = "src/" + module.replace(".", "/") + ".py"
-        parsed.append(ParsedModule(
-            path=Path(path),
-            relpath=path,
-            module=module,
-            tree=ast.parse(sources[module]),
-            source=sources[module],
-        ))
-    return parsed
-
-
-def check_project_sources(
-    sources: Dict[str, str],
-    project_passes: Optional[Sequence[ProjectPass]] = None,
-) -> Tuple[List[Finding], Dict[str, Any]]:
-    """Run project passes over an in-memory fixture project.
-
-    Returns ``(findings, artifacts)``, findings sorted.  The unit-test
-    entry point for the RS5xx/RS6xx whole-program rules.
-    """
-    modules = parse_sources(sources)
-    from repro.staticcheck.dataflow import build_project
-
-    project = build_project(modules)
-    passes = list(project_passes) if project_passes is not None \
-        else default_project_passes()
-    findings: List[Finding] = []
-    artifacts: Dict[str, Any] = {}
-    for project_pass in passes:
-        pass_findings, pass_artifacts = project_pass.run(project)
-        findings.extend(pass_findings)
-        artifacts.update(pass_artifacts)
-    return sorted(findings, key=Finding.sort_key), artifacts
+def check_source(source: str, module: str = "repro.fixture",
+                 passes: Optional[Sequence[Pass]] = None) -> List[Finding]:
+    """:func:`check_sources` for a single snippet posing as ``module``."""
+    return check_sources({module: source}, passes)
 
 
 def suppression_in_scope(rule: str, path: str, roots: Sequence[str],
@@ -504,99 +445,22 @@ def run_suite(
     passes: Optional[Sequence[Pass]] = None,
     select: Optional[Iterable[str]] = None,
     baseline: Optional[Any] = None,  # Baseline; Any avoids a cycle
-    project_passes: Optional[Sequence[ProjectPass]] = None,
-    cache: Optional[Any] = None,  # ResultCache; Any avoids a cycle
 ) -> SuiteResult:
-    """Run every per-file pass and every project pass under ``paths``.
+    """Parse every file under ``paths`` into one project and run
+    ``passes`` (default: :func:`default_passes`) over it, from scratch."""
+    from repro.staticcheck.dataflow import Project
 
-    ``project_passes`` defaults to :func:`default_project_passes` when
-    both pass lists are left at their defaults; a caller customizing
-    ``passes`` (rule unit tests, the doctor's quick modes) gets no
-    project analysis unless it asks.  The ``cache`` (a
-    :class:`repro.staticcheck.cache.ResultCache`) is consulted only for
-    all-default runs -- cached results are keyed by file content, so a
-    custom pass list would read stale findings.
-    """
-    default_local = passes is None
-    passes = list(passes) if passes is not None else default_passes()
-    if project_passes is None:
-        project_list: List[ProjectPass] = (
-            default_project_passes() if default_local else []
-        )
-    else:
-        project_list = list(project_passes)
-    use_cache = (cache is not None and getattr(cache, "enabled", False)
-                 and default_local and project_passes is None)
     prefixes = tuple(select) if select else ()
     files = discover([Path(p) for p in paths])
-
-    sources: Dict[Path, str] = {}
-    digests: List[Tuple[str, str]] = []  # (relpath, content digest) per file
-    for path in files:
-        text = path.read_text(encoding="utf-8", errors="replace")
-        sources[path] = text
-        digests.append((display_path(path), cache.digest(text) if use_cache else ""))
-
     findings: List[Finding] = []
-    project_findings: List[Finding] = []
-    artifacts: Dict[str, Any] = {}
-    stats: Dict[str, Any] = {
-        "enabled": bool(use_cache),
-        "files": len(files),
-        "file_hits": 0,
-        "project_hit": False,
-    }
-
-    project_key = cache.project_key(digests) if use_cache else None
-    cached_project = cache.get_project(project_key) if use_cache else None
-    cached_files: Dict[Path, List[Finding]] = {}
-    if use_cache:
-        for (rel, digest), path in zip(digests, files):
-            hit = cache.get_file(rel, digest)
-            if hit is not None:
-                cached_files[path] = hit
-
-    if cached_project is not None and len(cached_files) == len(files):
-        # fully warm: every per-file result and the whole-program result
-        # are reusable, so nothing needs parsing at all
-        stats["file_hits"] = len(files)
-        stats["project_hit"] = True
-        for path in files:
-            findings.extend(cached_files[path])
-        project_findings, artifacts = cached_project
-    else:
-        parsed_modules: List[ParsedModule] = []
-        for (rel, digest), path in zip(digests, files):
-            parsed, parse_error = parse_module(path, source=sources[path])
-            hit = cached_files.get(path)
-            if hit is not None:
-                stats["file_hits"] += 1
-                findings.extend(hit)
-            else:
-                found = [parse_error] if parse_error is not None \
-                    else check_module(parsed, passes=passes)  # type: ignore[arg-type]
-                if use_cache:
-                    cache.put_file(rel, digest, found)
-                findings.extend(found)
-            if parsed is not None:
-                parsed_modules.append(parsed)
-        if cached_project is not None:
-            stats["project_hit"] = True
-            project_findings, artifacts = cached_project
-        elif project_list:
-            from repro.staticcheck.dataflow import build_project
-
-            project = build_project(parsed_modules)
-            for project_pass in project_list:
-                pass_findings, pass_artifacts = project_pass.run(project)
-                project_findings.extend(pass_findings)
-                artifacts.update(pass_artifacts)
-            if use_cache:
-                cache.put_project(project_key, project_findings, artifacts)
-        if use_cache:
-            cache.save(digests)
-
-    findings = findings + project_findings
+    parsed_modules: List[ParsedModule] = []
+    for path in files:
+        parsed, parse_error = parse_module(path)
+        if parsed is not None:
+            parsed_modules.append(parsed)
+        else:
+            findings.append(parse_error)  # type: ignore[arg-type]
+    findings.extend(_run_passes(Project(parsed_modules), passes))
     if prefixes:
         findings = [
             f for f in findings
@@ -629,6 +493,4 @@ def run_suite(
         stale_suppressions=stale,
         files_scanned=len(files),
         roots=roots,
-        artifacts=artifacts,
-        cache_stats=stats if cache is not None else None,
     )

@@ -20,35 +20,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.staticcheck.framework import Finding, ParsedModule, Pass, Rule
-
-#: constructors that build a mutable container
-MUTABLE_FACTORIES = frozenset({
-    "list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter",
-    "OrderedDict",
-})
+from repro.staticcheck.framework import Finding, ParsedModule, Pass, Rule, mutable_kind
 
 #: packages where module-level mutable state breaks run independence
 GLOBAL_STATE_PACKAGES = ("repro.net", "repro.sim", "repro.core")
-
-
-def _mutable_kind(node: ast.AST) -> Optional[str]:
-    """Human name of the mutable container an expression builds, if any."""
-    if isinstance(node, (ast.List, ast.ListComp)):
-        return "list"
-    if isinstance(node, (ast.Dict, ast.DictComp)):
-        return "dict"
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "set"
-    if isinstance(node, ast.Call):
-        name = None
-        if isinstance(node.func, ast.Name):
-            name = node.func.id
-        elif isinstance(node.func, ast.Attribute):
-            name = node.func.attr
-        if name in MUTABLE_FACTORIES:
-            return name
-    return None
 
 
 class HygienePass(Pass):
@@ -85,7 +60,7 @@ class HygienePass(Pass):
         defaults = list(args.defaults) + [d for d in args.kw_defaults if d is not None]
         label = getattr(func, "name", "<lambda>")
         for default in defaults:
-            kind = _mutable_kind(default)
+            kind = mutable_kind(default)
             if kind is not None:
                 yield self.finding(
                     "RS401", module, default,
@@ -108,7 +83,7 @@ class HygienePass(Pass):
                 continue
             if target_name == "__all__":
                 continue  # module metadata, mutated by no one
-            kind = _mutable_kind(value)
+            kind = mutable_kind(value)
             if kind is not None:
                 yield self.finding(
                     "RS402", module, stmt,

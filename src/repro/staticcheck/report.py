@@ -4,22 +4,18 @@ Sibling of ``repro.bench/1`` (:mod:`repro.obs.export`) and
 ``repro.chaos/1`` (:mod:`repro.chaos.replay`): a JSON artifact CI
 uploads on every run, deterministic byte-for-byte for a given tree --
 findings are sorted, the rule table is sorted, and no timestamps or
-host details are embedded.
+host details are embedded.  Checked, read and written through
+:mod:`repro.obs.artifact` like every other ``repro.*/1`` document.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
+from repro.obs.artifact import BOOL, COUNT, INT, NAME, STR, Map, Opt, Schema, fail, keys
 from repro.staticcheck.framework import Pass, Rule, SuiteResult, all_rules
 
 SCHEMA = "repro.staticcheck/1"
-
-
-class SchemaError(ValueError):
-    """A document does not conform to ``repro.staticcheck/1``."""
 
 
 def build_report(result: SuiteResult,
@@ -44,78 +40,61 @@ def build_report(result: SuiteResult,
         "findings": [f.to_json() for f in result.findings],
         "suppressed": [f.to_json() for f in result.suppressed],
         "stale_suppressions": list(result.stale_suppressions),
-        "summary": {
-            "findings": len(result.findings),
-            "suppressed": len(result.suppressed),
-            "stale_suppressions": len(result.stale_suppressions),
-            "by_rule": result.by_rule(),
-            "ok": result.ok,
-        },
     }
-    if result.artifacts:
-        # whole-program side outputs: the RS6xx shared-state inventory,
-        # the extracted port FSM -- machine-readable gates for later PRs
-        doc["dataflow"] = result.artifacts
-    if result.cache_stats is not None:
-        doc["cache"] = dict(result.cache_stats)
+    doc["summary"] = _summary(doc)
     return doc
 
 
-def write_report(doc: Dict[str, Any], path: Union[str, Path]) -> None:
-    validate_report(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _summary(doc: Dict[str, Any]) -> Dict[str, Any]:
+    """The summary the three lists of ``doc`` imply."""
+    by_rule: Dict[str, int] = {}
+    for finding in doc["findings"]:
+        by_rule[finding["rule"]] = by_rule.get(finding["rule"], 0) + 1
+    return {
+        "findings": len(doc["findings"]),
+        "suppressed": len(doc["suppressed"]),
+        "stale_suppressions": len(doc["stale_suppressions"]),
+        "by_rule": by_rule,
+        # stale suppressions fail the run too: a baseline may only shrink
+        "ok": not doc["findings"] and not doc["stale_suppressions"],
+    }
 
 
-def read_report(path: Union[str, Path]) -> Dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    validate_report(doc)
-    return doc
-
-
-def validate_report(doc: Any) -> None:
-    """Structural check; raises :class:`SchemaError` on any violation."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"document must be an object, got {type(doc).__name__}")
-    if doc.get("schema") != SCHEMA:
-        raise SchemaError(f"schema must be {SCHEMA!r}, got {doc.get('schema')!r}")
-    for key in ("roots", "rules", "findings", "suppressed", "stale_suppressions"):
-        if not isinstance(doc.get(key), list):
-            raise SchemaError(f"{key!r} must be a list")
-    if not isinstance(doc.get("files_scanned"), int):
-        raise SchemaError("'files_scanned' must be an integer")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict) or not isinstance(summary.get("ok"), bool):
-        raise SchemaError("'summary' must be an object with a boolean 'ok'")
-    for rule in doc["rules"]:
-        if not (isinstance(rule, dict) and isinstance(rule.get("id"), str)
-                and rule["id"].startswith("RS")):
-            raise SchemaError(f"malformed rule entry: {rule!r}")
-    known_rules = {rule["id"] for rule in doc["rules"]}
+def _rules(doc: Dict[str, Any]) -> None:
+    """Findings name declared rules, and the summary is a recount."""
+    known = set()
+    for i, rule in enumerate(doc["rules"]):
+        if not rule["id"].startswith("RS"):
+            fail(f"$.rules[{i}].id", f"expected an RSxxx id, got {rule['id']!r}")
+        known.add(rule["id"])
     for section in ("findings", "suppressed"):
-        for finding in doc[section]:
-            if not isinstance(finding, dict):
-                raise SchemaError(f"{section} entries must be objects")
-            for key, kind in (("rule", str), ("path", str), ("line", int),
-                              ("col", int), ("message", str)):
-                if not isinstance(finding.get(key), kind):
-                    raise SchemaError(
-                        f"{section} entry missing {key!r}: {finding!r}")
-            if finding["rule"] not in known_rules:
-                raise SchemaError(
-                    f"finding references unknown rule {finding['rule']!r}")
-        if section == "suppressed":
-            for finding in doc[section]:
-                if not finding.get("justification"):
-                    raise SchemaError(
-                        "suppressed findings must carry their justification")
-    counted = summary.get("findings")
-    if counted != len(doc["findings"]):
-        raise SchemaError(
-            f"summary.findings ({counted}) disagrees with the findings "
-            f"list ({len(doc['findings'])})")
+        for i, finding in enumerate(doc[section]):
+            if finding["rule"] not in known:
+                fail(f"$.{section}[{i}].rule", f"unknown rule {finding['rule']!r}")
+    for key, counted in _summary(doc).items():
+        if doc["summary"][key] != counted:
+            fail(f"$.summary.{key}", f"declares {doc['summary'][key]!r}, counted {counted!r}")
+
+
+_FINDING = {**keys(STR, "rule", "path", "message"), **keys(INT, "line", "col"), "hint": Opt(STR)}
+
+ARTIFACT = Schema(
+    {
+        "roots": [STR],
+        "files_scanned": COUNT,
+        "rules": [keys(STR, "id", "title", "invariant", "paper", "hint")],
+        "findings": [_FINDING],
+        "suppressed": [{**_FINDING, "justification": NAME}],
+        "stale_suppressions": [keys(STR, "rule", "path", "justification")],
+        "summary": {
+            **keys(COUNT, "findings", "suppressed", "stale_suppressions"),
+            "by_rule": Map(COUNT),
+            "ok": BOOL,
+        },
+    },
+    rules=_rules,
+    sort_keys=True,
+)
 
 
 def render_text(result: SuiteResult, verbose: bool = False) -> str:
@@ -135,8 +114,6 @@ def render_text(result: SuiteResult, verbose: bool = False) -> str:
         lines.append(
             f"stale baseline entry: {entry['rule']} at {entry['path']} matched "
             f"nothing (delete it, or run --prune-baseline)")
-    if result.cache_stats is not None:
-        lines.append(cache_line(result))
     verdict = "OK" if result.ok else "FAIL"
     by_rule = ", ".join(f"{k}={v}" for k, v in result.by_rule().items())
     lines.append(
@@ -149,18 +126,6 @@ def render_text(result: SuiteResult, verbose: bool = False) -> str:
            if result.stale_suppressions else "")
     )
     return "\n".join(lines)
-
-
-def cache_line(result: SuiteResult) -> str:
-    """One line of incremental-cache accounting for the text report."""
-    stats = result.cache_stats
-    if stats is None or not stats.get("enabled"):
-        return "cache: disabled"
-    project = "reused" if stats.get("project_hit") else "re-analyzed"
-    return (
-        f"cache: {stats.get('file_hits', 0)}/{stats.get('files', 0)} file "
-        f"results reused, project analysis {project}"
-    )
 
 
 def render_github(result: SuiteResult) -> str:
@@ -186,8 +151,6 @@ def render_github(result: SuiteResult) -> str:
                 f"baseline entry {entry['rule']} at {entry['path']} matched "
                 f"nothing -- delete it or run --prune-baseline")
         )
-    if result.cache_stats is not None:
-        lines.append(cache_line(result))
     verdict = "OK" if result.ok else "FAIL"
     lines.append(
         f"staticcheck {verdict}: {result.files_scanned} files, "

@@ -1,8 +1,9 @@
 """The one artifact envelope: every registered schema, mutated.
 
 Real documents (torus-3x4 with every observer on, hosts, one cut; a
-short sweep; a regress verdict; a bench document; a chaos reproducer)
-are walked against their schema tables: deleting each required key and
+short sweep; a regress verdict; a bench document; a chaos reproducer;
+a staticcheck report and its baseline) are walked against their schema
+tables: deleting each required key and
 replacing each leaf with a wrong-typed value must raise ``SchemaError``
 with a ``$.``-rooted path, and the untouched document must round-trip
 ``write`` -> ``read`` to equal bytes.
@@ -10,6 +11,8 @@ with a ``$.``-rooted path, and the untouched document must round-trip
 
 import copy
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +27,7 @@ TAGS = sorted(artifact.PROVIDERS)
 
 
 @pytest.fixture(scope="module")
-def real_docs():
+def real_docs(tmp_path_factory):
     from repro.chaos.campaign import CampaignConfig, CampaignRunner
     from repro.chaos.replay import reproducer_dict
     from repro.obs.export import bench_document, bench_result
@@ -45,6 +48,7 @@ def real_docs():
 
     runner = CampaignRunner(CampaignConfig(topology="ring-4", schedules=1))
     docs = [
+        *_staticcheck_docs(tmp_path_factory.mktemp("lint")),
         net.flight_trace(),
         net.timeseries_doc(),
         net.inband_doc(),
@@ -57,6 +61,28 @@ def real_docs():
     by_tag = {doc["schema"]: doc for doc in docs}
     assert sorted(by_tag) == TAGS, "one real document per registered schema"
     return by_tag
+
+
+def _staticcheck_docs(root):
+    """A baseline and the report of a run with one active, one
+    suppressed and one stale entry under it."""
+    from repro.staticcheck import Baseline, build_report, run_suite
+
+    baseline = {
+        "schema": "repro.staticcheck-baseline/1",
+        "suppressions": [
+            {"rule": "RS101", "path": "src/fixture.py", "justification": "fixture"},
+            {"rule": "RS201", "path": "src/gone.py", "justification": "stale"},
+        ],
+    }
+    (root / "src").mkdir()
+    (root / "src" / "fixture.py").write_text(
+        "import time, random\nx = time.time()\ny = random.random()\n"
+    )
+    result = run_suite([root / "src"], baseline=Baseline.from_dict(baseline))
+    report = build_report(result)
+    assert [len(report[k]) for k in ("findings", "suppressed", "stale_suppressions")] == [1, 1, 1]
+    return [baseline, report]
 
 
 _DELETE = object()
@@ -217,3 +243,19 @@ def test_cli_validate_exits_1_on_the_first_schema_error(real_docs, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [f"{good}: valid repro.bench/1"]
     assert "$.ladder" in captured.err
+
+
+# -- every tag in the tree is registered ------------------------------------------------
+
+#: literals that look like a tag but name no document on disk: the call
+#: graph's in-memory test golden and this module's docstring placeholder
+UNREGISTERED = {"repro.staticcheck.callgraph/1", "repro.x/1"}
+
+
+def test_every_schema_literal_under_src_is_a_registered_provider():
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    literals = set()
+    for path in src.rglob("*.py"):
+        literals.update(re.findall(r"repro\.[a-z_.\-]+/[0-9]+", path.read_text()))
+    assert literals - set(artifact.PROVIDERS) == UNREGISTERED
+    assert set(artifact.PROVIDERS) <= literals

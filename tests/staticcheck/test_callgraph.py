@@ -1,16 +1,9 @@
 """The whole-program call graph: resolution edge cases + golden snapshot."""
 
-from repro.staticcheck import parse_sources
-from repro.staticcheck.dataflow import build_project
-from repro.staticcheck.dataflow.callgraph import (
-    CALLGRAPH_SCHEMA,
-    MAX_LOOKUP_DEPTH,
-    build_project as build_project_direct,
-)
+from repro.staticcheck.dataflow import Project
+from repro.staticcheck.dataflow.callgraph import CALLGRAPH_SCHEMA, MAX_LOOKUP_DEPTH
 
-
-def project_of(sources):
-    return build_project(parse_sources(sources))
+project_of = Project.from_sources
 
 
 def test_plain_and_imported_calls_resolve():
@@ -236,7 +229,7 @@ def test_golden_callgraph_snapshot():
     assert project.to_json() == GOLDEN
     # and a second build from the same sources is identical: the graph
     # itself is a determinism artifact
-    again = build_project_direct(parse_sources(GOLDEN_SOURCES))
+    again = project_of(GOLDEN_SOURCES)
     assert again.to_json() == project.to_json()
 
 

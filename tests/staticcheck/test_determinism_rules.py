@@ -7,8 +7,8 @@ def rules_of(findings):
     return sorted({f.rule for f in findings})
 
 
-def check(source, module="repro.net.fixture", path="src/repro/net/fixture.py"):
-    return check_source(source, module=module, path=path)
+def check(source, module="repro.net.fixture"):
+    return check_source(source, module=module)
 
 
 # -- RS101: wall-clock reads ---------------------------------------------------------

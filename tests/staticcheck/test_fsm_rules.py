@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from repro.staticcheck import check_project_sources
-from repro.staticcheck.dataflow import PortFsmPass
+from repro.staticcheck import check_sources
+from repro.staticcheck.dataflow import PortFsmPass, Project
+from repro.staticcheck.dataflow.fsm import extract_fsm
 
 PORTSTATE = (
     "class PortState:\n"
@@ -27,18 +28,16 @@ def fsm_findings(handler_source, portstate=PORTSTATE):
     sources = {"repro.core.portstate": portstate}
     if handler_source is not None:
         sources["repro.net.handler"] = handler_source
-    return check_project_sources(sources, project_passes=[PortFsmPass()])
+    return check_sources(sources, passes=[PortFsmPass()])
 
 
 def test_extraction_artifact():
-    findings, artifacts = fsm_findings(None)
-    assert findings == []
-    assert artifacts["port_fsm"] == {
-        "module": "repro.core.portstate",
-        "states": ["CHECKING", "DEAD", "HOST", "SWITCH_GOOD"],
-        "tables": {
-            "T_TRANSITIONS": ["CHECKING", "DEAD", "HOST", "SWITCH_GOOD"],
-        },
+    assert fsm_findings(None) == []
+    fsm = extract_fsm(Project.from_sources({"repro.core.portstate": PORTSTATE}))
+    assert fsm.module == "repro.core.portstate"
+    assert fsm.members == ["DEAD", "CHECKING", "HOST", "SWITCH_GOOD"]
+    assert {name: sources for name, (_, sources) in fsm.tables.items()} == {
+        "T_TRANSITIONS": ["DEAD", "CHECKING", "HOST", "SWITCH_GOOD"],
     }
 
 
@@ -47,16 +46,15 @@ def test_real_portstate_module_extracts_annotated_tables():
     from pathlib import Path
 
     source = Path("src/repro/core/portstate.py").read_text(encoding="utf-8")
-    findings, artifacts = check_project_sources(
-        {"repro.core.portstate": source}, project_passes=[PortFsmPass()])
-    assert findings == []
-    fsm = artifacts["port_fsm"]
-    assert set(fsm["tables"]) == {"SAMPLER_TRANSITIONS", "MONITOR_TRANSITIONS"}
-    assert fsm["tables"]["SAMPLER_TRANSITIONS"] == fsm["states"]
+    sources = {"repro.core.portstate": source}
+    assert check_sources(sources, passes=[PortFsmPass()]) == []
+    fsm = extract_fsm(Project.from_sources(sources))
+    assert set(fsm.tables) == {"SAMPLER_TRANSITIONS", "MONITOR_TRANSITIONS"}
+    assert sorted(fsm.tables["SAMPLER_TRANSITIONS"][1]) == sorted(fsm.members)
 
 
 def test_rs510_silent_fall_through():
-    findings, _ = fsm_findings(
+    findings = fsm_findings(
         "from repro.core.portstate import PortState\n"
         "\n"
         "class H:\n"
@@ -73,7 +71,7 @@ def test_rs510_silent_fall_through():
 
 
 def test_rs510_quiet_when_all_states_handled_or_else_present():
-    full, _ = fsm_findings(
+    full = fsm_findings(
         "from repro.core.portstate import PortState\n"
         "\n"
         "def on_state(st):\n"
@@ -86,7 +84,7 @@ def test_rs510_quiet_when_all_states_handled_or_else_present():
     )
     assert full == []
 
-    with_else, _ = fsm_findings(
+    with_else = fsm_findings(
         "from repro.core.portstate import PortState\n"
         "\n"
         "def on_state(st):\n"
@@ -101,7 +99,7 @@ def test_rs510_quiet_when_all_states_handled_or_else_present():
     )
     assert with_else == []
 
-    not_last, _ = fsm_findings(
+    not_last = fsm_findings(
         "from repro.core.portstate import PortState\n"
         "\n"
         "def on_state(st):\n"
@@ -117,7 +115,7 @@ def test_rs510_quiet_when_all_states_handled_or_else_present():
 
 
 def test_single_state_guards_are_not_dispatches():
-    findings, _ = fsm_findings(
+    findings = fsm_findings(
         "from repro.core.portstate import PortState\n"
         "\n"
         "def guard(st):\n"
@@ -139,7 +137,7 @@ def test_rs511_missing_source_state():
         "    PortState.CHECKING: (PortState.HOST,),\n"
         "}\n"
     )
-    findings, _ = fsm_findings(None, portstate=incomplete)
+    findings = fsm_findings(None, portstate=incomplete)
     assert [f.rule for f in findings] == ["RS511"]
     assert "HOST" in findings[0].message
 
@@ -157,14 +155,14 @@ def test_rs511_unknown_member():
         "    PortState.HOST: (PortState.DEAD,),\n"
         "}\n"
     )
-    findings, _ = fsm_findings(None, portstate=typo)
+    findings = fsm_findings(None, portstate=typo)
     assert [f.rule for f in findings] == ["RS511"]
     assert "CHEKCING" in findings[0].message
 
 
 @pytest.mark.skipif(sys.version_info < (3, 10), reason="match statements")
 def test_rs510_match_without_wildcard():
-    findings, _ = fsm_findings(
+    findings = fsm_findings(
         "from repro.core.portstate import PortState\n"
         "\n"
         "def on_state(st):\n"
@@ -178,7 +176,7 @@ def test_rs510_match_without_wildcard():
     )
     assert [f.rule for f in findings] == ["RS510"]
 
-    covered, _ = fsm_findings(
+    covered = fsm_findings(
         "from repro.core.portstate import PortState\n"
         "\n"
         "def on_state(st):\n"
@@ -192,8 +190,6 @@ def test_rs510_match_without_wildcard():
 
 
 def test_no_portstate_module_no_findings():
-    findings, artifacts = check_project_sources(
-        {"repro.other": "def f():\n    return 1\n"},
-        project_passes=[PortFsmPass()])
-    assert findings == []
-    assert artifacts == {}
+    sources = {"repro.other": "def f():\n    return 1\n"}
+    assert check_sources(sources, passes=[PortFsmPass()]) == []
+    assert extract_fsm(Project.from_sources(sources)) is None

@@ -7,8 +7,8 @@ def rules_of(findings):
     return sorted({f.rule for f in findings})
 
 
-def check(source, module="repro.net.fixture", path="src/repro/net/fixture.py"):
-    return check_source(source, module=module, path=path)
+def check(source, module="repro.net.fixture"):
+    return check_source(source, module=module)
 
 
 # -- RS401: mutable default arguments -------------------------------------------------
@@ -30,7 +30,7 @@ def test_rs401_kwonly_and_lambda_defaults_flagged():
 def test_rs401_applies_outside_hot_packages_too():
     findings = check_source(
         "def f(x=[]):\n    return x\n",
-        module="repro.analysis.fixture", path="src/repro/analysis/fixture.py",
+        module="repro.analysis.fixture",
     )
     assert rules_of(findings) == ["RS401"]
 
@@ -78,7 +78,7 @@ def test_rs402_clean_immutable_constants():
 def test_rs402_only_hot_path_packages():
     findings = check_source(
         "CACHE = {}\n",
-        module="repro.analysis.fixture", path="src/repro/analysis/fixture.py",
+        module="repro.analysis.fixture",
     )
     assert findings == []
 

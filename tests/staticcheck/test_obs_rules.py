@@ -7,8 +7,8 @@ def rules_of(findings):
     return sorted({f.rule for f in findings})
 
 
-def check(source, module="repro.net.fixture", path="src/repro/net/fixture.py"):
-    return check_source(source, module=module, path=path)
+def check(source, module="repro.net.fixture"):
+    return check_source(source, module=module)
 
 
 # -- RS301: literal metric names ------------------------------------------------------
@@ -138,7 +138,7 @@ def test_rs303_implementation_module_exempt():
     findings = check_source(
         "def replay(self):\n"
         "    self.recorder.record(0, 'x', 'y', 'z')\n",
-        module="repro.obs.flight", path="src/repro/obs/flight.py",
+        module="repro.obs.flight",
     )
     assert findings == []
 
@@ -203,7 +203,7 @@ def test_rs304_implementation_module_exempt():
     findings = check_source(
         "def _ring(self, name, labels):\n"
         "    self.sampler.add_collector(name, lambda: self.rows.append(1))\n",
-        module="repro.obs.timeseries", path="src/repro/obs/timeseries.py",
+        module="repro.obs.timeseries",
     )
     assert findings == []
 
@@ -272,7 +272,7 @@ def test_rs305_implementation_module_exempt():
     findings = check_source(
         "def record_hop(self, pkt):\n"
         "    self.sim.inband.record_hop(pkt)\n",
-        module="repro.obs.inband", path="src/repro/obs/inband.py",
+        module="repro.obs.inband",
     )
     assert findings == []
 
@@ -344,7 +344,7 @@ def test_rs306_implementation_module_exempt():
     findings = check_source(
         "def record_send(self, epoch, msg, phase, size):\n"
         "    self.sim.control.record_send(epoch, msg, phase, size)\n",
-        module="repro.obs.control", path="src/repro/obs/control.py",
+        module="repro.obs.control",
     )
     assert findings == []
 

@@ -1,21 +1,19 @@
-"""RS60x parallel readiness: the shared-state inventory gating sharding."""
+"""RS60x: module-level mutable state written from campaigns and handlers."""
 
-import json
 from pathlib import Path
 
-from repro.staticcheck import check_project_sources, parse_sources
-from repro.staticcheck.dataflow import ParallelReadinessPass, build_project
+from repro.staticcheck import check_sources, run_suite
+from repro.staticcheck.dataflow import ParallelReadinessPass
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def analyze(sources):
-    return check_project_sources(
-        sources, project_passes=[ParallelReadinessPass()])
+    return check_sources(sources, passes=[ParallelReadinessPass()])
 
 
 def test_rs601_write_reachable_from_chaos_entry():
-    findings, artifacts = analyze({
+    findings = analyze({
         "repro.obs.registry": (
             "CACHE = {}\n"
             "\n"
@@ -31,14 +29,12 @@ def test_rs601_write_reachable_from_chaos_entry():
     })
     assert [f.rule for f in findings] == ["RS601"]
     assert "repro.obs.registry.CACHE" in findings[0].message
-    entry = artifacts["shared_state"][0]
-    assert entry["name"] == "repro.obs.registry.CACHE"
-    assert entry["writes"]["chaos_entrypoints"]["names"] == [
-        "repro.chaos.campaign.run_campaign"]
+    assert "written by repro.obs.registry.remember" in findings[0].message
+    assert "entry point repro.chaos.campaign.run_campaign" in findings[0].message
 
 
 def test_rs602_write_reachable_from_event_handler():
-    findings, _ = analyze({
+    findings = analyze({
         "repro.net.node": (
             "SEEN = []\n"
             "\n"
@@ -51,8 +47,8 @@ def test_rs602_write_reachable_from_event_handler():
     assert "SEEN" in findings[0].message
 
 
-def test_read_only_state_is_inventoried_but_not_flagged():
-    findings, artifacts = analyze({
+def test_read_only_state_is_not_flagged():
+    findings = analyze({
         "repro.core.tables": "LIMITS = {'hops': 5}\n",
         "repro.chaos.use": (
             "from repro.core import tables\n"
@@ -62,13 +58,10 @@ def test_read_only_state_is_inventoried_but_not_flagged():
         ),
     })
     assert findings == []
-    entry = artifacts["shared_state"][0]
-    assert entry["name"] == "repro.core.tables.LIMITS"
-    assert "reads" in entry and "writes" not in entry
 
 
 def test_mutator_methods_count_as_writes():
-    findings, _ = analyze({
+    findings = analyze({
         "repro.chaos.acc": (
             "EVENTS = []\n"
             "\n"
@@ -80,7 +73,7 @@ def test_mutator_methods_count_as_writes():
 
 
 def test_local_shadowing_is_not_an_access():
-    findings, artifacts = analyze({
+    findings = analyze({
         "repro.chaos.shadow": (
             "CACHE = {}\n"
             "\n"
@@ -91,11 +84,10 @@ def test_local_shadowing_is_not_an_access():
         ),
     })
     assert findings == []
-    assert artifacts["shared_state"] == []
 
 
 def test_write_through_transitive_call_chain():
-    findings, _ = analyze({
+    findings = analyze({
         "repro.store": (
             "STATE = {}\n"
             "\n"
@@ -118,33 +110,10 @@ def test_write_through_transitive_call_chain():
     assert [f.rule for f in findings] == ["RS601"]
 
 
-def test_inventory_is_deterministic_on_the_real_tree():
-    """The acceptance artifact: byte-identical inventories over src/."""
-    src = REPO_ROOT / "src"
-    files = sorted(src.rglob("*.py"))
-    sources = {}
-    for path in files:
-        rel = path.relative_to(src).with_suffix("")
-        parts = list(rel.parts)
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        if not parts:
-            continue
-        sources[".".join(parts)] = path.read_text(encoding="utf-8",
-                                                  errors="replace")
-    modules = parse_sources(sources)
-    runs = []
-    for _ in range(2):
-        project = build_project(modules)
-        _, artifacts = ParallelReadinessPass().run(project)
-        runs.append(json.dumps(artifacts["shared_state"], sort_keys=True))
-    assert runs[0] == runs[1]
-    inventory = json.loads(runs[0])
-    # every entry is fully keyed and capped lists stay within bounds
-    for entry in inventory:
-        assert set(entry) >= {"name", "kind", "path", "line"}
-        for mode in ("reads", "writes"):
-            if mode in entry:
-                for slot in entry[mode].values():
-                    assert len(slot["names"]) <= 8
-                    assert slot["count"] >= len(slot["names"])
+def test_rs6_findings_on_the_real_tree_are_empty_and_stable():
+    """The only whole-program check that two Networks share nothing."""
+    runs = [
+        run_suite([REPO_ROOT / "src"], passes=[ParallelReadinessPass()]).findings
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1] == []

@@ -7,8 +7,8 @@ def rules_of(findings):
     return sorted({f.rule for f in findings})
 
 
-def check(source, module="repro.net.fixture", path="src/repro/net/fixture.py"):
-    return check_source(source, module=module, path=path)
+def check(source, module="repro.net.fixture"):
+    return check_source(source, module=module)
 
 
 # -- RS201: blocking I/O --------------------------------------------------------------
@@ -36,10 +36,10 @@ def test_rs201_subprocess_socket_sleep_flagged():
 def test_rs201_open_fine_in_analysis_and_main_modules():
     snippet = "def dump(path):\n    return open(path).read()\n"
     analysis = check_source(
-        snippet, module="repro.analysis.logs", path="src/repro/analysis/logs.py")
+        snippet, module="repro.analysis.logs")
     cli = check_source(
-        snippet, module="repro.chaos.__main__", path="src/repro/chaos/__main__.py")
-    outside = check_source(snippet, module="benchtool", path="benchtool.py")
+        snippet, module="repro.chaos.__main__")
+    outside = check_source(snippet, module="benchtool")
     assert analysis == []
     assert cli == []
     assert outside == []
@@ -60,9 +60,9 @@ def test_rs202_print_in_hot_module_flagged():
 def test_rs202_print_fine_in_cli_and_analysis():
     snippet = "def report(x):\n    print(x)\n"
     assert check_source(
-        snippet, module="repro.obs.__main__", path="src/repro/obs/__main__.py") == []
+        snippet, module="repro.obs.__main__") == []
     assert check_source(
-        snippet, module="repro.analysis.doctor", path="src/repro/analysis/doctor.py") == []
+        snippet, module="repro.analysis.doctor") == []
 
 
 # -- RS203: cross-component writes ----------------------------------------------------
@@ -73,7 +73,7 @@ def test_rs203_write_to_peer_param_flagged():
         "class Switch:\n"
         "    def merge(self, other):\n"
         "        other.epoch = self.epoch\n",
-        module="repro.core.fixture", path="src/repro/core/fixture.py",
+        module="repro.core.fixture",
     )
     assert rules_of(findings) == ["RS203"]
     assert "other" in findings[0].message
@@ -84,7 +84,7 @@ def test_rs203_write_to_component_typed_param_flagged():
         "class Host:\n"
         "    def poke(self, sw: 'Switch'):\n"
         "        sw.table = None\n",
-        module="repro.core.fixture", path="src/repro/core/fixture.py",
+        module="repro.core.fixture",
     )
     assert rules_of(findings) == ["RS203"]
 
@@ -96,7 +96,7 @@ def test_rs203_clean_self_writes_and_local_records():
         "        peer = self.peers[port]\n"
         "        peer.uid = msg.sender_uid\n"
         "        self.epoch += 1\n",
-        module="repro.core.fixture", path="src/repro/core/fixture.py",
+        module="repro.core.fixture",
     )
     assert findings == []
 
@@ -106,7 +106,7 @@ def test_rs203_constructor_wiring_is_allowed():
         "class Link:\n"
         "    def __init__(self, other):\n"
         "        other.link = self\n",
-        module="repro.net.fixture", path="src/repro/net/fixture.py",
+        module="repro.net.fixture",
     )
     assert findings == []
 
@@ -116,6 +116,6 @@ def test_rs203_not_applied_outside_component_packages():
         "class Campaign:\n"
         "    def brief(self, other):\n"
         "        other.note = 'x'\n",
-        module="repro.chaos.fixture", path="src/repro/chaos/fixture.py",
+        module="repro.chaos.fixture",
     )
     assert findings == []

@@ -1,20 +1,13 @@
 """The repro.staticcheck/1 document and the suppression baseline."""
 
+import copy
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.staticcheck import (
-    Baseline,
-    BaselineError,
-    SchemaError,
-    build_report,
-    read_report,
-    run_suite,
-    validate_report,
-    write_report,
-)
+from repro.obs import artifact
+from repro.obs.artifact import SchemaError
+from repro.staticcheck import SCHEMA, Baseline, build_report, run_suite
 
 VIOLATING = (
     "import time\n"
@@ -40,10 +33,10 @@ def test_report_roundtrip_and_schema(tmp_path):
     assert [f.rule for f in result.findings] == ["RS101"]
 
     doc = build_report(result)
-    validate_report(doc)
+    artifact.validate(doc, SCHEMA)
     out = tmp_path / "report.json"
-    write_report(doc, out)
-    loaded = read_report(out)
+    artifact.write(str(out), doc)
+    loaded = artifact.read(str(out), SCHEMA)
     assert loaded["schema"] == "repro.staticcheck/1"
     assert loaded["summary"]["ok"] is False
     assert loaded["summary"]["by_rule"] == {"RS101": 1}
@@ -55,16 +48,16 @@ def test_report_is_byte_deterministic(tmp_path):
     root = write_fixture_tree(tmp_path)
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    write_report(build_report(run_suite([root])), a)
-    write_report(build_report(run_suite([root])), b)
+    artifact.write(str(a), build_report(run_suite([root])))
+    artifact.write(str(b), build_report(run_suite([root])))
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_validate_rejects_malformed_documents():
     with pytest.raises(SchemaError):
-        validate_report({"schema": "nope"})
+        artifact.validate({"schema": "nope"}, SCHEMA)
     with pytest.raises(SchemaError):
-        validate_report([])
+        artifact.validate([], SCHEMA)
     good = {
         "schema": "repro.staticcheck/1",
         "tool": "repro.staticcheck",
@@ -77,16 +70,60 @@ def test_validate_rejects_malformed_documents():
         "summary": {"findings": 0, "suppressed": 0,
                     "stale_suppressions": 0, "by_rule": {}, "ok": True},
     }
-    validate_report(good)
-    # summary count must agree with the findings list
-    bad = dict(good, summary=dict(good["summary"], findings=3))
-    with pytest.raises(SchemaError):
-        validate_report(bad)
+    artifact.validate(good, SCHEMA)
     # findings must reference declared rules
     bad = dict(good, findings=[
         {"rule": "RS999", "path": "x.py", "line": 1, "col": 0, "message": "m"}])
-    with pytest.raises(SchemaError):
-        validate_report(bad)
+    with pytest.raises(SchemaError, match=r"^\$\.findings\[0\]\.rule"):
+        artifact.validate(bad, SCHEMA)
+    # a clean document may not claim failure either
+    bad = dict(good, summary=dict(good["summary"], ok=False))
+    with pytest.raises(SchemaError, match=r"^\$\.summary\.ok"):
+        artifact.validate(bad, SCHEMA)
+    # the two keys older reports carried are ignored, not rejected
+    artifact.validate(dict(good, cache={"enabled": False}, dataflow={}), SCHEMA)
+
+
+@pytest.fixture
+def failing_report(tmp_path):
+    """A real report with an active, a suppressed and a stale entry."""
+    root = write_fixture_tree(tmp_path)
+    (root / "repro" / "net" / "late.py").write_text(VIOLATING)
+    baseline = Baseline.from_dict({
+        "schema": "repro.staticcheck-baseline/1",
+        "suppressions": [
+            {"rule": "RS101", "path": "src/repro/net/clock.py",
+             "justification": "fixture: grandfathered"},
+            {"rule": "RS201", "path": "src/repro/net/ghost.py",
+             "justification": "fixture: no longer exists"},
+        ],
+    })
+    doc = build_report(run_suite([root], baseline=baseline))
+    assert doc["summary"] == {"findings": 1, "suppressed": 1, "stale_suppressions": 1,
+                              "by_rule": {"RS101": 1}, "ok": False}
+    return artifact.validate(doc, SCHEMA)
+
+
+@pytest.mark.parametrize("key, lie", [
+    ("findings", 0),
+    ("suppressed", 2),
+    ("stale_suppressions", 0),
+    ("by_rule", {"RS101": 2}),
+    ("by_rule", {}),
+    ("ok", True),  # a failing run declared clean: the old validator let it through
+], ids=["findings", "suppressed", "stale_suppressions", "by_rule-miscount", "by_rule-empty", "ok"])
+def test_summary_must_be_a_recount(failing_report, key, lie):
+    doc = copy.deepcopy(failing_report)
+    doc["summary"][key] = lie
+    with pytest.raises(SchemaError, match=rf"^\$\.summary\.{key}: "):
+        artifact.validate(doc, SCHEMA)
+
+
+def test_suppressed_findings_carry_their_justification(failing_report):
+    doc = copy.deepcopy(failing_report)
+    doc["suppressed"][0]["justification"] = ""
+    with pytest.raises(SchemaError, match=r"^\$\.suppressed\[0\]\.justification"):
+        artifact.validate(doc, SCHEMA)
 
 
 def test_baseline_suppresses_and_reports_stale(tmp_path):
@@ -158,13 +195,13 @@ def test_baseline_requires_justification(tmp_path):
         "schema": "repro.staticcheck-baseline/1",
         "suppressions": [{"rule": "RS101", "path": "x.py", "justification": " "}],
     }))
-    with pytest.raises(BaselineError):
+    with pytest.raises(SchemaError, match=r"^\$\.suppressions\[0\]\.justification"):
         Baseline.load(path)
     path.write_text("not json")
-    with pytest.raises(BaselineError):
+    with pytest.raises(ValueError):
         Baseline.load(path)
     path.write_text(json.dumps({"schema": "wrong/1", "suppressions": []}))
-    with pytest.raises(BaselineError):
+    with pytest.raises(SchemaError, match=r"^\$\.schema"):
         Baseline.load(path)
 
 

@@ -1,21 +1,21 @@
 """RS50x interprocedural taint: flows the per-file RS1xx rules cannot see."""
 
-from repro.staticcheck import check_project_sources, check_source
+from repro.staticcheck import check_sources
 from repro.staticcheck.dataflow import TaintPass
+from repro.staticcheck.determinism import DeterminismPass
+from repro.staticcheck.hygiene import HygienePass
+from repro.staticcheck.obsrules import ObsDisciplinePass
+from repro.staticcheck.purity import PurityPass
 
 
 def taint_findings(sources):
-    findings, _ = check_project_sources(sources, project_passes=[TaintPass()])
-    return findings
+    return check_sources(sources, passes=[TaintPass()])
 
 
 def perfile_findings(sources):
     """The RS1xx-RS4xx per-file rules over the same fixture modules."""
-    found = []
-    for module, source in sorted(sources.items()):
-        path = "src/" + module.replace(".", "/") + ".py"
-        found.extend(check_source(source, module=module, path=path))
-    return found
+    return check_sources(sources, passes=[
+        DeterminismPass(), PurityPass(), ObsDisciplinePass(), HygienePass()])
 
 
 #: the acceptance fixture: a wall-clock read laundered through a

@@ -13,8 +13,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: physical lines under src/repro/**/*.py (PR 12: 23 369 -> 22 994; PR 13,
 #: one TopologyIndex for neighbours/direction/next hops: -> 22 902; PR 15,
-#: the status word and free-port vector as ints, dead net/ code out: -> this)
-BUDGET = 22321
+#: the status word and free-port vector as ints, dead net/ code out:
+#: -> 22 887; PR 16, one scenario driver and an exact regress gate:
+#: -> 22 321; PR 17, staticcheck without its cache, second pass protocol
+#: and sharding inventory: -> this)
+BUDGET = 21782
 
 
 def _lines(path: Path) -> int:
