@@ -65,17 +65,13 @@ class _Source(Endpoint):
         pass  # sources send no flow control of their own
 
     def offer(self, packet: Packet) -> None:
-        self.buffer.begin_packet(packet)
-        entry = self.buffer.queue[-1]
-        entry.bytes_in = float(entry.size)
-        entry.arriving = False
-        self.buffer.recompute()
+        self.buffer.enqueue_buffered(packet)
 
     def _head_ready(self, packet: Packet) -> None:
         self.buffer.connect_drain([self.tx], broadcast=packet.is_broadcast)
 
     # receive path: ignore everything but flow control
-    def rx_begin_packet(self, packet: Packet) -> None:
+    def rx_begin_packet(self, packet: Packet, rate: float) -> None:
         pass
 
     def rx_set_rate(self, rate: float) -> None:
@@ -112,8 +108,8 @@ class _StuckReceiver(Endpoint):
         if self.fc_sender is not None:
             self.fc_sender.set_level_directive(directive)
 
-    def rx_begin_packet(self, packet: Packet) -> None:
-        self.fifo.begin_packet(packet)
+    def rx_begin_packet(self, packet: Packet, rate: float) -> None:
+        self.fifo.begin_packet(packet, rate)
 
     def rx_set_rate(self, rate: float) -> None:
         self.fifo.set_in_rate(rate)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Optional
 
 from repro.net.fifo import ReceiveFifo
 from repro.net.flowcontrol import Directive, FlowControlReceiver, FlowControlSender
@@ -46,8 +46,6 @@ class HostPort(Endpoint):
         self.fc_receiver = FlowControlReceiver(on_change=self._fc_changed)
         self.tx = Transmitter(self, self.fc_receiver)
         self.fc_sender: Optional[FlowControlSender] = None
-        # receive-side bookkeeping
-        self._rx_arriving: List[Packet] = []
 
     # -- wiring -------------------------------------------------------------------
 
@@ -77,11 +75,7 @@ class HostPort(Endpoint):
     # -- transmit path -----------------------------------------------------------------
 
     def enqueue(self, packet: Packet) -> None:
-        self.tx_fifo.begin_packet(packet)
-        entry = self.tx_fifo.queue[-1]
-        entry.bytes_in = float(entry.size)
-        entry.arriving = False
-        self.tx_fifo.recompute()
+        self.tx_fifo.enqueue_buffered(packet)
 
     def _tx_head_ready(self, packet: Packet) -> None:
         # no router on a host: the head packet drains straight to the link
@@ -98,30 +92,22 @@ class HostPort(Endpoint):
 
     def clear_tx(self) -> None:
         """Abort queued transmissions (used when failing over)."""
-        if self.tx.current is not None:
-            packet = self.tx.current
-            packet.corrupted = True
-            self.tx.notify_rate(0.0)
-            self.tx.notify_end(packet)
+        self.tx.abort()
         self.tx_fifo.queue.clear()
         self.tx_fifo.drain_rate = 0.0
         self.tx_fifo.recompute()
 
     # -- receive path (Endpoint interface) ----------------------------------------------
 
-    def rx_begin_packet(self, packet: Packet) -> None:
-        if self.controller.powered:
-            self._rx_arriving.append(packet)
-
-    def rx_set_rate(self, rate: float) -> None:
+    def rx_begin_packet(self, packet: Packet, rate: float) -> None:
         pass  # arrival timing is implicit; hosts deliver on the end marker
 
+    def rx_set_rate(self, rate: float) -> None:
+        pass
+
     def rx_end_packet(self, packet: Packet) -> None:
-        if not self.controller.powered:
-            return
-        if packet in self._rx_arriving:
-            self._rx_arriving.remove(packet)
-        self.controller._rx_complete(self, packet)
+        if self.controller.powered:
+            self.controller._rx_complete(self, packet)
 
     def rx_flow_control(self, directive: Directive) -> None:
         if self.controller.powered:

@@ -21,7 +21,7 @@ state to "now" and reprograms the boundary event.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence
+from typing import Callable, Deque, Optional, Sequence
 
 from repro.constants import BYTE_TIME_NS, CUT_THROUGH_BYTES, DEFAULT_FIFO_BYTES
 from repro.net.flowcontrol import Directive
@@ -29,6 +29,7 @@ from repro.net.packet import Packet
 from repro.sim.engine import EventHandle, Simulator
 
 _EPS = 1e-6
+_NEVER = float("inf")
 
 
 class DrainTarget:
@@ -39,11 +40,11 @@ class DrainTarget:
     def drain_allowed(self, broadcast: bool) -> bool:
         raise NotImplementedError
 
-    def notify_begin(self, packet: Packet, broadcast: bool) -> None:
-        raise NotImplementedError
+    def notify_begin(self, packet: Packet, broadcast: bool, rate: float) -> None:
+        """The drain starts, at ``rate``; a sink has no next hop to tell."""
 
     def notify_rate(self, rate: float) -> None:
-        raise NotImplementedError
+        """The drain rate changed between the packet's begin and its end."""
 
     def notify_end(self, packet: Packet) -> None:
         raise NotImplementedError
@@ -54,20 +55,12 @@ class DiscardSink(DrainTarget):
 
     def __init__(self) -> None:
         self.packets_discarded = 0
-        self.bytes_discarded = 0.0
 
     def drain_allowed(self, broadcast: bool) -> bool:
         return True
 
-    def notify_begin(self, packet: Packet, broadcast: bool) -> None:
-        pass
-
-    def notify_rate(self, rate: float) -> None:
-        pass
-
     def notify_end(self, packet: Packet) -> None:
         self.packets_discarded += 1
-        self.bytes_discarded += packet.wire_bytes
 
 
 class FifoPacket:
@@ -196,22 +189,35 @@ class ReceiveFifo:
 
     # -- upstream (arrival) interface ---------------------------------------------
 
-    def begin_packet(self, packet: Packet) -> None:
-        """A packet's first byte is arriving now."""
+    def begin_packet(self, packet: Packet, rate: float) -> None:
+        """A packet's first byte is arriving now, the rest behind it at
+        ``rate`` (the begin command of section 6.1)."""
         self._advance()
-        entry = FifoPacket(packet, arriving=True)
+        self.queue.append(FifoPacket(packet, arriving=True))
+        self.packets_seen += 1
+        self.in_rate = rate
+        self._recompute()
+
+    def enqueue_buffered(self, packet: Packet) -> None:
+        """Queue a packet that is already whole in the buffer (control
+        processor injection, host transmit staging): nothing arrives."""
+        self._advance()
+        entry = FifoPacket(packet, arriving=False)
+        entry.bytes_in = float(entry.size)
         self.queue.append(entry)
         self.packets_seen += 1
         self._recompute()
 
     def set_in_rate(self, rate: float) -> None:
-        """The arrival rate changed (upstream started/stopped sending)."""
+        """The arrival rate changed inside a packet (upstream stalled or
+        resumed: sync fill between begin and end)."""
         self._advance()
         self.in_rate = rate
         self._recompute()
 
     def end_packet(self, packet: Packet) -> None:
-        """The packet's last byte has arrived."""
+        """The packet's last byte has arrived; nothing follows it until
+        the next begin, so the arrival rate is 0 from here."""
         self._advance()
         entry = self._arriving_entry()
         if entry is None or entry.packet is not packet:
@@ -317,7 +323,9 @@ class ReceiveFifo:
             if self.on_head_ready is not None:
                 self.on_head_ready(head.packet)
 
-        # (re)establish drain rate and emit begin/rate markers downstream
+        # (re)establish drain rate and emit markers downstream: begin
+        # carries its rate and end implies rate 0, so a rate marker goes
+        # out only for a change inside the packet
         new_rate = self._desired_drain_rate()
         if head is not None and head.targets is not None:
             if new_rate > 0 and not head.drain_started:
@@ -327,8 +335,9 @@ class ReceiveFifo:
                 else:
                     self.buffered_packets += 1
                 for target in head.targets:
-                    target.notify_begin(head.packet, head.broadcast)
-            if head.drain_started and abs(new_rate - self.drain_rate) > _EPS:
+                    target.notify_begin(head.packet, head.broadcast, new_rate)
+            elif head.drain_started and abs(new_rate - self.drain_rate) > _EPS \
+                    and head.bytes_out + _EPS < head.size:
                 for target in head.targets:
                     target.notify_rate(new_rate)
         self.drain_rate = new_rate if (head is not None and head.drain_started) else 0.0
@@ -372,7 +381,8 @@ class ReceiveFifo:
 
     def _program_boundary(self, level: float, net: float) -> None:
         """Schedule the earliest future event that changes the dynamics."""
-        candidates: List[float] = []
+        #: earliest candidate, in slots, among those more than _EPS away
+        soonest = _NEVER
         queue = self.queue
         head = queue[0] if queue else None
         arriving = queue[-1] if queue and queue[-1].arriving else None
@@ -380,40 +390,55 @@ class ReceiveFifo:
 
         if head is not None:
             if not head.requested and in_rate > 0 and head is arriving:
-                candidates.append((2.0 - head.bytes_in) / in_rate)
+                c = (2.0 - head.bytes_in) / in_rate
+                if _EPS < c < soonest:
+                    soonest = c
             if head.targets is not None and not head.drain_started and in_rate > 0 \
                     and head is arriving:
                 threshold = min(self.cut_through_bytes, head.size)
-                candidates.append((threshold - head.bytes_in) / in_rate)
+                c = (threshold - head.bytes_in) / in_rate
+                if _EPS < c < soonest:
+                    soonest = c
             drain_rate = self.drain_rate
             if drain_rate > 0:
                 # completion of the head packet
-                candidates.append((head.size - head.bytes_out) / drain_rate)
+                c = (head.size - head.bytes_out) / drain_rate
+                if _EPS < c < soonest:
+                    soonest = c
                 # drain catches up with arrival (stall / pass-through switch)
                 available = head.bytes_in - head.bytes_out
                 if head is arriving and drain_rate > in_rate:
-                    candidates.append(available / (drain_rate - in_rate))
+                    c = available / (drain_rate - in_rate)
+                    if _EPS < c < soonest:
+                        soonest = c
                 elif not head.arriving and available < head.size - head.bytes_out:
-                    candidates.append(available / drain_rate)
+                    c = available / drain_rate
+                    if _EPS < c < soonest:
+                        soonest = c
 
         # aim half a byte past the watermark so the crossing is strict
         # (landing exactly on it would reschedule a zero-length step)
         if net > _EPS and level <= self.stop_threshold + _EPS:
-            candidates.append((self.stop_threshold - level) / net + 0.5)
+            c = (self.stop_threshold - level) / net + 0.5
+            if _EPS < c < soonest:
+                soonest = c
         elif net < -_EPS and level >= self.stop_threshold - _EPS:
-            candidates.append((level - self.stop_threshold) / (-net) + 0.5)
+            c = (level - self.stop_threshold) / (-net) + 0.5
+            if _EPS < c < soonest:
+                soonest = c
         # capacity crossing: detect overflow when it happens, not later
         if net > _EPS and level <= self.capacity + _EPS:
-            candidates.append((self.capacity - level) / net + 0.5)
+            c = (self.capacity - level) / net + 0.5
+            if _EPS < c < soonest:
+                soonest = c
 
-        future = [c for c in candidates if c > _EPS]
         boundary = self._boundary
-        if not future:
+        if soonest == _NEVER:
             if boundary is not None:
                 boundary.cancel()
                 self._boundary = None
             return
-        delay_ns = max(1, int(round(min(future) * BYTE_TIME_NS)))
+        delay_ns = max(1, int(round(soonest * BYTE_TIME_NS)))
         if boundary is not None:
             # reprogramming to the same instant: keep the armed event.
             # The handler (advance + recompute) is idempotent at an

@@ -33,10 +33,6 @@ class Directive(Enum):
     NONE = "none"    # no directive received (e.g. alternate host port)
 
 
-#: directives that permit transmission when latched at the transmitter
-_PERMITS_TRANSMISSION = frozenset({Directive.START, Directive.HOST})
-
-
 def next_fc_slot(now: int, phase: int) -> int:
     """First flow-control slot boundary at or after ``now`` for ``phase``."""
     if now <= phase:
@@ -180,7 +176,8 @@ class FlowControlReceiver:
     @property
     def transmission_allowed(self) -> bool:
         """Whether the latched directive allows sending packet bytes."""
-        return self.last in _PERMITS_TRANSMISSION
+        last = self.last
+        return last is Directive.START or last is Directive.HOST
 
     @property
     def host_attached(self) -> bool:

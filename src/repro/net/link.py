@@ -57,10 +57,11 @@ class Endpoint:
     link: Optional["Link"] = None
 
     # receive-path entry points (called by the far transmitter via the link)
-    def rx_begin_packet(self, packet: Packet) -> None:
+    def rx_begin_packet(self, packet: Packet, rate: float) -> None:
         raise NotImplementedError
 
     def rx_set_rate(self, rate: float) -> None:
+        """The far transmitter stalled or resumed inside a packet."""
         raise NotImplementedError
 
     def rx_end_packet(self, packet: Packet) -> None:
@@ -137,24 +138,23 @@ class Link:
 
     def _route(self, sender: Endpoint) -> Optional[Tuple[Endpoint, int]]:
         """Return (receiver, delay) for a transmission, or None if lost."""
-        if self.state is LinkState.CUT:
-            return None
+        state = self.state
+        if state is LinkState.UP or state is LinkState.NOISY:
+            return self.other(sender), self.delay_ns
         if self._reflecting_for(sender):
             return sender, 2 * self.delay_ns
-        if self.state in (LinkState.REFLECTING_A, LinkState.REFLECTING_B):
-            # the reflecting side's *far* endpoint is unpowered: transmissions
-            # toward it vanish
-            return None
-        return self.other(sender), self.delay_ns
+        # cut, or the reflecting side's *far* endpoint is unpowered:
+        # transmissions toward it vanish
+        return None
 
     # -- transmission -------------------------------------------------------------
 
-    def send_begin(self, sender: Endpoint, packet: Packet) -> None:
+    def send_begin(self, sender: Endpoint, packet: Packet, rate: float) -> None:
         route = self._route(sender)
         if route is None:
             return
         receiver, delay = route
-        self.sim.after(delay, receiver.rx_begin_packet, packet)
+        self.sim.after(delay, receiver.rx_begin_packet, packet, rate)
 
     def send_rate(self, sender: Endpoint, rate: float) -> None:
         route = self._route(sender)
@@ -232,13 +232,10 @@ class Transmitter(DrainTarget):
         #: packet currently being transmitted (None when idle)
         self.current: Optional[Packet] = None
         self.sending_broadcast = False
-        #: set by the scheduling engine while the port is allocated
-        self.busy = False
         #: invoked when a packet finishes transmitting (the switch frees
         #: the output port here)
         self.on_end: Optional[Callable[[Packet], None]] = None
         self.packets_sent = 0
-        self.bytes_sent = 0
 
     # -- DrainTarget interface -------------------------------------------------------
 
@@ -249,12 +246,12 @@ class Transmitter(DrainTarget):
             return True
         return False
 
-    def notify_begin(self, packet: Packet, broadcast: bool) -> None:
+    def notify_begin(self, packet: Packet, broadcast: bool, rate: float) -> None:
         self.current = packet
         self.sending_broadcast = broadcast
         link = self.endpoint.link
         if link is not None:
-            link.send_begin(self.endpoint, packet)
+            link.send_begin(self.endpoint, packet, rate)
 
     def notify_rate(self, rate: float) -> None:
         link = self.endpoint.link
@@ -265,9 +262,16 @@ class Transmitter(DrainTarget):
         self.current = None
         self.sending_broadcast = False
         self.packets_sent += 1
-        self.bytes_sent += packet.wire_bytes
         link = self.endpoint.link
         if link is not None:
             link.send_end(self.endpoint, packet)
         if self.on_end is not None:
             self.on_end(packet)
+
+    def abort(self) -> None:
+        """Truncate the packet in transmission, if any: it arrives
+        corrupted downstream, closed by a forced end marker."""
+        packet = self.current
+        if packet is not None:
+            packet.corrupted = True
+            self.notify_end(packet)

@@ -132,7 +132,7 @@ class LinkUnit(Endpoint):
 
     # -- receive path (Endpoint interface) ----------------------------------------------
 
-    def rx_begin_packet(self, packet: Packet) -> None:
+    def rx_begin_packet(self, packet: Packet, rate: float) -> None:
         if not self.enabled:
             return
         if (
@@ -142,14 +142,14 @@ class LinkUnit(Endpoint):
         ):
             # direction-tagged start commands reveal the packet as our own
             # reflection: discard it in the link unit (section 7 proposal).
-            # The stray rate/end markers that follow are harmless: with no
-            # matching FIFO entry they are ignored.
+            # The stray end marker that follows is harmless: with no
+            # matching FIFO entry it is ignored.
             self.misdirected_discards += 1
             ib = self.sim.inband
             if ib is not None:
                 ib.record_drop(packet, self.name, "misdirected")
             return
-        self.fifo.begin_packet(packet)
+        self.fifo.begin_packet(packet, rate)
 
     def rx_set_rate(self, rate: float) -> None:
         if self.enabled:

@@ -116,10 +116,16 @@ class SchedulingEngine:
     # -- the scan -----------------------------------------------------------------------
 
     def _kick(self) -> None:
-        if self._scan_event is not None or not self.queue:
+        """Arm a scan if some queued request meets a free port; a scan
+        that would meet none can grant and reserve nothing."""
+        if self._scan_event is not None:
             return
-        at = max(self.sim.now, self._busy_until)
-        self._scan_event = self.sim.at(at, self._scan)
+        free = self.free
+        for request in self.queue:
+            if request.entry.mask & free:
+                at = max(self.sim.now, self._busy_until)
+                self._scan_event = self.sim.at(at, self._scan)
+                return
 
     def _scan(self) -> None:
         self._scan_event = None

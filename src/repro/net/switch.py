@@ -38,12 +38,6 @@ class CpSink(DrainTarget):
     def drain_allowed(self, broadcast: bool) -> bool:
         return True
 
-    def notify_begin(self, packet: Packet, broadcast: bool) -> None:
-        pass
-
-    def notify_rate(self, rate: float) -> None:
-        pass
-
     def notify_end(self, packet: Packet) -> None:
         self.switch._deliver_to_cp(packet)
 
@@ -155,11 +149,7 @@ class Switch:
         """The control processor queues a packet for transmission."""
         if not self.powered:
             return
-        self._cp_fifo.begin_packet(packet)
-        entry = self._cp_fifo.queue[-1]
-        entry.bytes_in = float(entry.size)
-        entry.arriving = False
-        self._cp_fifo.recompute()
+        self._cp_fifo.enqueue_buffered(packet)
 
     def _deliver_to_cp(self, packet: Packet) -> None:
         self.packets_to_cp += 1
@@ -262,9 +252,7 @@ class Switch:
                     continue
                 tx = self.ports[out_port].tx
                 if tx.current is packet:
-                    # the truncated packet gets a forced end marker
-                    tx.notify_rate(0.0)
-                    tx.notify_end(packet)  # on_end hook frees the port
+                    tx.abort()  # on_end hook frees the port
                 else:
                     self.ports[out_port].set_drain_source(None)
                     self.crossbar.disconnect(out_port)
@@ -278,13 +266,7 @@ class Switch:
         for port, unit in self.ports.items():
             if unit.fifo.queue:
                 self._drop("reset", port, len(unit.fifo.queue))
-            # abort any in-flight transmission: the truncated packet gets a
-            # forced end marker and arrives corrupted downstream
-            if unit.tx.current is not None:
-                packet = unit.tx.current
-                packet.corrupted = True
-                unit.tx.notify_rate(0.0)
-                unit.tx.notify_end(packet)
+            unit.tx.abort()
             unit.set_drain_source(None)
             unit.reset()
         self._cp_fifo.queue.clear()

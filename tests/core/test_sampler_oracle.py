@@ -32,7 +32,7 @@ def wedge(unit):
     routing request was "issued" and is never granted: a hung drain that
     later arrivals queue up behind."""
     stuck = Packet(dest_short=0x123, src_short=0, data_bytes=100)
-    unit.fifo.begin_packet(stuck)
+    unit.fifo.begin_packet(stuck, 0.0)
     entry = unit.fifo.queue[-1]
     entry.bytes_in = float(stuck.wire_bytes)
     entry.arriving = False

@@ -1,5 +1,6 @@
 """Host controller and driver units: buffering, port selection, probing."""
 
+import gc
 
 from repro.constants import SEC
 from repro.core.portstate import PortState
@@ -61,6 +62,19 @@ class TestController:
         controller = HostController(sim, "h", Uid(0xA))
         controller.power_off()
         assert not controller.send(Packet(dest_short=0x20, src_short=0, data_bytes=64))
+
+    def test_powered_off_mid_packet_keeps_no_reference_to_it(self):
+        """A begin whose end never counts (power-off, cable cut between the
+        two) must not pin the packet for the life of the run."""
+        sim = Simulator()
+        controller = HostController(sim, "h", Uid(0xA))
+        pkt = Packet(dest_short=0x20, src_short=0, data_bytes=100)
+        controller.ports[0].rx_begin_packet(pkt, 1.0)
+        controller.power_off()
+        controller.ports[0].rx_end_packet(pkt)
+        assert controller.packets_received == 0
+        holders = [r for r in gc.get_referrers(pkt) if isinstance(r, (list, dict, set, tuple))]
+        assert holders == []
 
 
 class TestDriver:

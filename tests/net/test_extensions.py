@@ -61,7 +61,7 @@ class TestPanic:
         from repro.net.packet import Packet
 
         stuck = Packet(dest_short=0x123, src_short=0, data_bytes=100)
-        far_unit.fifo.begin_packet(stuck)
+        far_unit.fifo.begin_packet(stuck, 0.0)
         far_unit.fifo.queue[-1].bytes_in = float(stuck.wire_bytes)
         far_unit.fifo.queue[-1].arriving = False
         assert len(far_unit.fifo.queue) == 1

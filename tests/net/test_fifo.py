@@ -32,8 +32,7 @@ def test_arrival_accumulates_linearly():
     sim = Simulator()
     fifo, events = make_fifo(sim)
     pkt = packet(1000)  # wire = 1040
-    fifo.begin_packet(pkt)
-    fifo.set_in_rate(1.0)
+    fifo.begin_packet(pkt, 1.0)
     sim.run(until=100 * BYTE_TIME_NS)
     assert fifo.level == pytest.approx(100, abs=1)
 
@@ -42,8 +41,7 @@ def test_head_ready_after_two_address_bytes():
     """Routing request issued once the two address bytes arrive (§6.3)."""
     sim = Simulator()
     fifo, events = make_fifo(sim)
-    fifo.begin_packet(packet())
-    fifo.set_in_rate(1.0)
+    fifo.begin_packet(packet(), 1.0)
     sim.run(until=10_000)
     assert events["ready"]
     t_ready = events["ready"][0][0]
@@ -56,13 +54,11 @@ def test_cut_through_starts_at_25_bytes():
     fifo, events = make_fifo(sim)
     sink = DiscardSink()
     pkt = packet(1000)
-    fifo.begin_packet(pkt)
-    fifo.set_in_rate(1.0)
+    fifo.begin_packet(pkt, 1.0)
 
     drain_started = []
     orig = sink.notify_begin
-    sink.notify_begin = lambda p, b: (drain_started.append(sim.now), orig(p, b))
-    sim.at(events["ready"] and 0 or 0, lambda: None)
+    sink.notify_begin = lambda p, b, r: (drain_started.append(sim.now), orig(p, b, r))
 
     def connect():
         fifo.connect_drain([sink], broadcast=False)
@@ -80,8 +76,7 @@ def test_passthrough_drains_at_arrival_rate():
     fifo, events = make_fifo(sim)
     sink = DiscardSink()
     pkt = packet(1000)
-    fifo.begin_packet(pkt)
-    fifo.set_in_rate(1.0)
+    fifo.begin_packet(pkt, 1.0)
     fifo.connect_drain([sink], broadcast=False)
     end = pkt.wire_bytes * BYTE_TIME_NS
     sim.at(end, lambda: fifo.end_packet(pkt))
@@ -96,8 +91,7 @@ def test_stop_directive_at_watermark():
     sim = Simulator()
     fifo, events = make_fifo(sim, capacity=1000, stop_fraction=0.5)
     pkt = packet(2000)
-    fifo.begin_packet(pkt)
-    fifo.set_in_rate(1.0)
+    fifo.begin_packet(pkt, 1.0)
     sim.run(until=2 * 500 * BYTE_TIME_NS)
     stops = [d for d in events["directives"] if d[1] is Directive.STOP]
     assert stops
@@ -108,8 +102,7 @@ def test_start_directive_when_draining_below_watermark():
     sim = Simulator()
     fifo, events = make_fifo(sim, capacity=1000, stop_fraction=0.5)
     pkt = packet(600)  # wire 640
-    fifo.begin_packet(pkt)
-    fifo.set_in_rate(1.0)
+    fifo.begin_packet(pkt, 1.0)
     sim.run(until=pkt.wire_bytes * BYTE_TIME_NS)
     fifo.end_packet(pkt)
     assert fifo.stopped
@@ -124,8 +117,7 @@ def test_overflow_marks_packet_corrupted():
     sim = Simulator()
     fifo, events = make_fifo(sim, capacity=100)
     pkt = packet(500)
-    fifo.begin_packet(pkt)
-    fifo.set_in_rate(1.0)
+    fifo.begin_packet(pkt, 1.0)
     sim.run(until=600 * BYTE_TIME_NS)
     assert events["overflow"]
     assert pkt.corrupted
@@ -136,11 +128,7 @@ def test_queued_packets_drain_in_order():
     fifo, events = make_fifo(sim, capacity=1 << 20)
     first, second = packet(100), packet(100)
     for pkt in (first, second):
-        fifo.begin_packet(pkt)
-        entry = fifo.queue[-1]
-        entry.bytes_in = float(entry.size)
-        entry.arriving = False
-    fifo.recompute()
+        fifo.enqueue_buffered(pkt)
     sink = DiscardSink()
     # the head was announced; connect it, then the next on promotion
     assert [p for _, p in events["ready"]] == [first]
@@ -163,10 +151,7 @@ def test_drain_gated_by_target_permission():
     fifo, events = make_fifo(sim)
     sink = GatedSink()
     pkt = packet(100)
-    fifo.begin_packet(pkt)
-    entry = fifo.queue[-1]
-    entry.bytes_in = float(entry.size)
-    entry.arriving = False
+    fifo.enqueue_buffered(pkt)
     fifo.connect_drain([sink], broadcast=False)
     sim.run(until=100_000)
     assert not events["drained"]

@@ -58,8 +58,7 @@ def test_conservation_and_completion(script):
                          ptype=PacketType.DIAGNOSTIC, data_bytes=value)
             sent.append(pkt)
             # arrival at line rate, end marker at the exact arrival time
-            fifo.begin_packet(pkt)
-            fifo.set_in_rate(1.0)
+            fifo.begin_packet(pkt, 1.0)
             sim.run_for(pkt.wire_bytes * BYTE_TIME_NS)
             fifo.end_packet(pkt)
         elif kind == "toggle":
@@ -101,8 +100,7 @@ def test_fifo_order_preserved(sizes):
         pkt = Packet(dest_short=0x20, src_short=0x30,
                      ptype=PacketType.DIAGNOSTIC, data_bytes=size)
         packets.append(pkt)
-        fifo.begin_packet(pkt)
-        fifo.set_in_rate(1.0)
+        fifo.begin_packet(pkt, 1.0)
         sim.run_for(pkt.wire_bytes * BYTE_TIME_NS)
         fifo.end_packet(pkt)
     sim.run_for(10_000_000 + 10 * sum(p.wire_bytes for p in packets) * BYTE_TIME_NS)

@@ -152,6 +152,33 @@ def test_clear_drops_requests_and_reservations():
     assert engine.pending() == 0
 
 
+def test_no_scan_is_armed_until_a_request_meets_a_free_port():
+    """A freed port no queued mask meets arms no scan (it could grant and
+    reserve nothing); the next matching ``port_freed`` does."""
+    sim = Simulator()
+    grants = []
+    engine = make_engine(sim, grants)
+    for port in (3, 4, 7):
+        engine.mark_port_busy(port)
+    engine.add_request(Request(1, ForwardingEntry((3, 4)), pkt()))
+    assert sim.pending_events() == 0
+    engine.port_freed(7)
+    assert sim.pending_events() == 0
+    engine.port_freed(4)
+    assert sim.pending_events() == 1
+    sim.run()
+    assert grants == [(1, (4,))] and sim.events_dispatched == 1
+    # a broadcast's reservation is progress: a partial match arms too
+    engine.add_request(Request(2, ForwardingEntry((3, 7), broadcast=True), pkt()))
+    sim.run()
+    assert grants == [(1, (4,))] and sim.events_dispatched == 2
+    engine.port_freed(4)
+    assert sim.pending_events() == 0
+    engine.port_freed(3)
+    sim.run()
+    assert grants == [(1, (4,)), (2, (3, 7))] and sim.events_dispatched == 3
+
+
 # -- scan equivalence: the free-port vector against the set-based engine --------------
 
 _PORT = st.integers(min_value=0, max_value=12)

@@ -111,7 +111,7 @@ def test_progress_seen_compares_two_reads():
     connect(sim, unit, Switch(sim, "B", Uid(0xB)).ports[1])
     assert unit.sample_status() & PROGRESS_SEEN  # idle counts as progress
     stuck = Packet(dest_short=0x123, src_short=0, data_bytes=100)
-    unit.fifo.begin_packet(stuck)
+    unit.fifo.begin_packet(stuck, 0.0)
     assert not unit.sample_status() & PROGRESS_SEEN  # arrived, nothing forwarded
     assert not unit.sample_status() & PROGRESS_SEEN  # still waiting
     unit.fifo.bytes_forwarded += 10.0

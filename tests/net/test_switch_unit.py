@@ -179,11 +179,7 @@ class TestIsolatePort:
         # stop on one of its outputs keeps the drain from ever starting
         switch.ports[2].fc_receiver.receive(Directive.STOP, 0)
         pkt = Packet(dest_short=0x7FF, src_short=0, data_bytes=100)
-        switch.ports[1].fifo.begin_packet(pkt)
-        entry = switch.ports[1].fifo.queue[-1]
-        entry.bytes_in = float(pkt.wire_bytes)
-        entry.arriving = False
-        switch.ports[1].fifo.recompute()
+        switch.ports[1].fifo.enqueue_buffered(pkt)
         sim.run_for(1_000_000)
         held = [p for p in range(13) if not switch.engine.free >> p & 1]
         assert held, "the broadcast was never granted"

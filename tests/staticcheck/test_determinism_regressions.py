@@ -19,7 +19,6 @@ from repro.core.portstate import (
     SAMPLER_TRANSITIONS,
     PortState,
 )
-from repro.net.flowcontrol import _PERMITS_TRANSMISSION
 from repro.sim.rng import RngRegistry
 from repro.topology.generators import (
     dcell,
@@ -145,10 +144,6 @@ def test_portstate_transition_tables_are_immutable():
         SAMPLER_TRANSITIONS[PortState.DEAD] = frozenset()
     with pytest.raises(TypeError):
         MONITOR_TRANSITIONS[PortState.SWITCH_WHO] = frozenset()
-
-
-def test_flowcontrol_directive_set_is_immutable():
-    assert isinstance(_PERMITS_TRANSMISSION, frozenset)
 
 
 def test_hot_path_packages_have_no_module_level_mutables():

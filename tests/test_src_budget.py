@@ -16,8 +16,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: the status word and free-port vector as ints, dead net/ code out:
 #: -> 22 887; PR 16, one scenario driver and an exact regress gate:
 #: -> 22 321; PR 17, staticcheck without its cache, second pass protocol
-#: and sharding inventory: -> this)
-BUDGET = 21782
+#: and sharding inventory: -> 21 782; PR 18, two markers on the wire: the
+#: list-free _program_boundary costs +24, dead per-packet state, the
+#: three-copy enqueue/abort idioms and the sinks' no-op markers pay for
+#: it: -> this)
+BUDGET = 21778
 
 
 def _lines(path: Path) -> int:
