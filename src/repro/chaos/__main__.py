@@ -24,8 +24,7 @@ import argparse
 import os
 import sys
 
-from repro.analysis.doctor import campaign_report
-from repro.chaos.campaign import CampaignConfig, CampaignRunner
+from repro.chaos.campaign import CampaignConfig, CampaignRunner, campaign_report
 from repro.chaos.replay import replay_artifact, reproducer_dict
 from repro.chaos.schedule import SCHEDULE_SCHEMA, SampleParams
 from repro.chaos.shrink import shrink_schedule
@@ -135,8 +134,8 @@ def _shrink_failures(runner: CampaignRunner, args) -> None:
         # causal flight trace, the longitudinal timeseries, the in-band
         # path telemetry, and the workload SLO accounting land next to
         # the reproducer as <name>.{trace,timeseries,inband,traffic}.json
-        # (replayable via `python -m repro.obs watch --replay`, checkable
-        # via `python -m repro.obs validate`)
+        # (readable via `python -m repro.obs report DIR`, checkable via
+        # `python -m repro.obs validate DIR`)
         replayed = runner.run_schedule(minimal, name=result.name, artifacts=args.artifact_dir)
         path = os.path.join(args.artifact_dir, f"{result.name}.json")
         artifact.write(

@@ -165,11 +165,7 @@ class CampaignRunner:
             return self._run_schedule(network, schedule, result)
         finally:
             if artifacts is not None:
-                stem = os.path.join(artifacts, result.name)
-                network.export_flight_trace(f"{stem}.trace.json")
-                network.export_timeseries(f"{stem}.timeseries.json")
-                network.export_inband(f"{stem}.inband.json")
-                network.export_traffic(f"{stem}.traffic.json", name=result.name)
+                network.export_observers(os.path.join(artifacts, result.name))
 
     def _run_schedule(
         self, network: Network, schedule: Schedule, result: ScheduleResult
@@ -321,6 +317,58 @@ class CampaignRunner:
             seed=config.seed,
             results=[campaign, failures],
         )
+
+
+def campaign_report(doc) -> str:
+    """Render a chaos-campaign ``repro.bench/1`` document as a text report.
+
+    The campaign runner (:mod:`repro.chaos.campaign`) emits two result
+    tables -- the aggregate counters and the failing schedules.  This
+    formats both for terminals and CI logs.
+    """
+    by_name = {r["name"]: r for r in doc.get("results", [])}
+    lines = [f"chaos campaign: {doc.get('title', '')} (seed={doc.get('seed')})"]
+
+    campaign = by_name.get("campaign")
+    if campaign and campaign["rows"]:
+        row = dict(zip(campaign["headers"], campaign["rows"][0]))
+        verdict = "PASS" if not row.get("failed") else "FAIL"
+        lines.append(
+            f"  {verdict}: {row.get('passed')}/{row.get('schedules')} schedules "
+            f"passed on {row.get('topology')}, "
+            f"{row.get('faults_injected')} faults injected, "
+            f"{row.get('checks_run')} invariant checks, "
+            f"{row.get('violations')} violations"
+        )
+        telemetry = campaign.get("telemetry") or {}
+        faults = telemetry.get("faults_by_kind") or {}
+        if faults:
+            mix = ", ".join(f"{k}={v}" for k, v in sorted(faults.items()))
+            lines.append(f"  fault mix: {mix}")
+        checks = telemetry.get("checks_by_kind") or {}
+        if checks:
+            mix = ", ".join(f"{k}={v}" for k, v in sorted(checks.items()))
+            lines.append(f"  checks:    {mix}")
+        if telemetry.get("sim_ns_total") is not None:
+            lines.append(
+                f"  simulated: {telemetry['sim_ns_total'] / 1e9:.1f}s across "
+                f"{telemetry.get('epochs_total', 0)} reconfiguration epochs"
+            )
+
+    failures = by_name.get("failures")
+    if failures and failures["rows"]:
+        lines.append("")
+        lines.append("  failing schedules:")
+        for row in failures["rows"]:
+            named = dict(zip(failures["headers"], row))
+            lines.append(
+                f"    {named.get('schedule')}: seed={named.get('seed')} "
+                f"events={named.get('events')} faults={named.get('faults')}"
+            )
+            for violation in str(named.get("violations", "")).split("; "):
+                if violation:
+                    lines.append(f"      - {violation}")
+    return "\n".join(lines)
 
 
 def _failure_row(result: ScheduleResult) -> List:

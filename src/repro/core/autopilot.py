@@ -43,10 +43,9 @@ from repro.core.srp import SrpHandler
 from repro.core.topo import TopologyMap
 from repro.net.packet import Packet, PacketType
 from repro.net.switch import Switch
-from repro.obs.flight import CAT_EPOCH, CAT_MESSAGE
 from repro.sim.engine import Simulator
 from repro.sim.timers import Periodic, TaskScheduler
-from repro.sim.trace import TraceLog
+from repro.sim.trace import CAT_EPOCH, CAT_MESSAGE, TraceLog
 from repro.types import Uid, make_short_address
 
 

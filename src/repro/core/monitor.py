@@ -23,7 +23,7 @@ from repro.net.linkunit import (
     BAD_CODE, BAD_SYNTAX, IDHY_SEEN, IS_HOST, OVERFLOW, PROGRESS_SEEN, START_SEEN, STOP_SEEN,
     UNDERFLOW,
 )
-from repro.obs.flight import CAT_PORT
+from repro.sim.trace import CAT_PORT
 from repro.types import Uid
 
 

@@ -47,8 +47,8 @@ from repro.core.topo import (
     relevel,
 )
 from repro.core.treepos import TreePosition, candidate_position
-from repro.obs.flight import CAT_TIMER
 from repro.sim.engine import EventHandle
+from repro.sim.trace import CAT_TIMER
 from repro.types import Uid
 
 

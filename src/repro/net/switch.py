@@ -23,8 +23,8 @@ from repro.net.forwarding import ForwardingEntry, ForwardingTable
 from repro.net.linkunit import LinkUnit
 from repro.net.packet import Packet
 from repro.net.scheduler import Request, SchedulingEngine
-from repro.obs.flight import CAT_TABLE
 from repro.sim.engine import Simulator
+from repro.sim.trace import CAT_TABLE
 from repro.types import Uid
 
 

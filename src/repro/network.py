@@ -12,6 +12,7 @@ section 6.6.5) and convergence state.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +29,7 @@ from repro.obs.control import ControlAccounting
 from repro.obs.inband import InbandConfig, InbandTelemetry
 from repro.obs.perfetto import trace_event_document
 from repro.obs.profiler import EventLoopProfiler
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import ReconfigTracer
 from repro.obs.timeseries import TimeSeriesConfig, TimeSeriesSampler
 from repro.sim.engine import Simulator
@@ -87,14 +89,18 @@ class Network:
         self.name = name
         self.rng = RngRegistry(seed)
         self.params_factory = params_factory or (lambda _i: AutopilotParams())
-        #: repro.obs wiring: metrics registry on the simulator plus a
-        #: per-epoch reconfiguration tracer.  telemetry=False leaves the
-        #: registry disabled and every obs hook unset -- the hot paths then
-        #: pay only their plain integer statistics.
+        #: repro.obs wiring: metrics registry on the simulator (networks
+        #: sharing a simulator share the first one's) plus a per-epoch
+        #: reconfiguration tracer.  telemetry=False leaves the registry
+        #: disabled and every obs hook unset -- the hot paths then pay
+        #: only their plain integer statistics.
         self.telemetry_enabled = telemetry
         self.tracer = ReconfigTracer() if telemetry else None
-        if telemetry:
-            self.sim.enable_metrics()
+        if self.sim.metrics is None:
+            metrics = self.sim.metrics = MetricsRegistry(enabled=telemetry)
+            metrics.collect("sim_events_dispatched", lambda: self.sim.events_dispatched)
+            metrics.collect("sim_pending_events", self.sim.pending_events)
+            metrics.collect("sim_now_ns", lambda: self.sim.now)
         #: opt-in flight recorder and event-loop profiler (repro.obs).
         #: Attached before the switches are built so boot-time events are
         #: captured; both default off, leaving sim.recorder/sim.profiler
@@ -163,14 +169,13 @@ class Network:
 
         #: opt-in longitudinal sampler (repro.obs.timeseries).  Pass
         #: timeseries=True (defaults), an int (interval in ns), or a
-        #: TimeSeriesConfig.  Off (the default) leaves sim.sampler None:
+        #: TimeSeriesConfig.  Off (the default) leaves self.sampler None:
         #: no sample events exist and runs are byte-identical.  Wired
         #: after the cables so connected-port collectors see them.
         self.timeseries_config = TimeSeriesConfig.coerce(timeseries)
         self.sampler: Optional[TimeSeriesSampler] = None
         if self.timeseries_config is not None:
             self.sampler = TimeSeriesSampler(self.sim, self.timeseries_config)
-            self.sim.sampler = self.sampler
             self._install_timeseries()
             self.sampler.start()
 
@@ -373,6 +378,23 @@ class Network:
     def export_traffic(self, path: str, name: str = "") -> Dict:
         """Validate and write the traffic artifact; returns the doc."""
         return self._artifact("traffic", self.traffic, path, name)
+
+    def export_observers(self, stem: str) -> List[str]:
+        """Write the document of every observer that is on -- as
+        ``<stem>.trace.json``, ``.timeseries.json``, ``.inband.json`` and
+        ``.traffic.json`` (the workload's document is named after the
+        stem's last component) -- and return the paths written."""
+        written = []
+        for suffix, layer, observer, name in (
+            ("trace", "flight", self.flight, ""),
+            ("timeseries", "timeseries", self.sampler, ""),
+            ("inband", "inband", self.inband, ""),
+            ("traffic", "traffic", self.traffic, os.path.basename(stem)),
+        ):
+            if observer is not None:
+                written.append(f"{stem}.{suffix}.json")
+                self._artifact(layer, observer, written[-1], name)
+        return written
 
     def telemetry(self) -> Dict:
         """One structured snapshot of everything the installation knows

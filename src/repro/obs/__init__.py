@@ -1,10 +1,13 @@
 """repro.obs -- the simulation-wide telemetry layer.
 
-Three pieces, built for the debugging story of section 6.7 and the
-bench-trajectory needs of ROADMAP.md:
+Built for the debugging story of section 6.7 -- each switch keeps a log,
+the logs are retrieved, one tool reads them -- and the bench-trajectory
+needs of ROADMAP.md.  Observers record into documents; text for people
+is rendered from the documents, never from a live network.  Import the
+submodule you need (the package root re-exports nothing):
 
-* :mod:`repro.obs.registry` -- a metrics registry (counters, gauges,
-  histograms, high-water marks) with per-component labels and near-zero
+* :mod:`repro.obs.registry` -- a metrics registry (counters and
+  histograms) with per-component labels and near-zero
   overhead when disabled.  Hot paths keep plain integer attributes and the
   registry *collects* them lazily at snapshot time, so the data plane pays
   nothing per packet for observability.
@@ -13,23 +16,27 @@ bench-trajectory needs of ROADMAP.md:
   stable -> topology at root -> tables loaded -> reopen) with per-switch
   and per-host blackout intervals.
 * :mod:`repro.obs.artifact` -- the one artifact envelope: every
-  ``repro.*/1`` document below is a schema table validated, read and
-  written by its ``validate`` / ``read`` / ``write``.
+  ``repro.*/1`` document below is a schema table validated, read,
+  written and rendered by its ``validate`` / ``read`` / ``write`` /
+  ``render``; each provider module holds the one renderer of its
+  document beside its schema.
 * :mod:`repro.obs.export` -- the stable JSON schema every benchmark emits
-  through ``benchmarks/bench_util.py``, so runs are machine-readable.
+  through ``benchmarks/bench_util.py``, so runs are machine-readable,
+  and ``render_telemetry`` for a ``Network.telemetry()`` snapshot.
 * :mod:`repro.obs.flight` -- the flight recorder: causally-linked events
   (message sends/receives, port transitions, timers, epoch phases, table
   loads) in bounded per-component rings, with ``why``/``wave`` queries.
 * :mod:`repro.obs.perfetto` -- Chrome ``trace_event`` / Perfetto export
-  of a flight recording (``repro.obs.flight/1``).
+  of a flight recording (``repro.obs.flight/1``) and its offline
+  "why did this switch load its table" report.
 * :mod:`repro.obs.profiler` -- the event-loop profiler: wall-clock and
   event counts per handler category, and the ``events_per_sec`` baseline.
 * :mod:`repro.obs.timeseries` -- the longitudinal sampler: periodic
-  in-sim sampling of every gauge/counter/high-water plus FIFO occupancy,
+  in-sim sampling of every registry counter plus FIFO occupancy,
   port states, epochs, and blackout flags into bounded rings, exported
   as ``repro.obs.timeseries/1`` with a window/delta/resample query API.
-* :mod:`repro.obs.watch` -- the live dashboard: sampler rings rendered
-  as per-switch terminal sparklines, live or replayed from an artifact.
+* :mod:`repro.obs.watch` -- the dashboard: sampler rings rendered as
+  per-switch terminal sparklines, replayed from an artifact.
 * :mod:`repro.obs.regress` -- the bench-regression gate: an exact differ
   between a fresh ``repro.bench/1`` document and its committed baseline
   whose ``repro.obs.regress/2`` verdict CI gates on.
@@ -48,111 +55,8 @@ bench-trajectory needs of ROADMAP.md:
   simulator throughput per rung into ``repro.obs.sweep/1`` with
   log-log slope fits per metric.
 
-``python -m repro.obs`` exposes ``export``, ``why``, ``profile``,
-``watch``, ``paths``, ``regress``, ``sweep``, and ``validate``.
+``python -m repro.obs`` exposes ``run`` (the one scenario, every
+observer on, every document written), ``report`` (any ``repro.*/1`` file
+or directory as text), ``validate``, ``watch``, ``regress`` and
+``sweep``.
 """
-
-from repro.obs.artifact import SchemaError
-from repro.obs.control import PHASES, ControlAccounting
-from repro.obs.export import SCHEMA, bench_document, bench_result
-from repro.obs.inband import (
-    INBAND_SCHEMA,
-    InbandConfig,
-    InbandTelemetry,
-    PathCollector,
-    SloTracker,
-    exact_quantile,
-)
-from repro.obs.flight import (
-    ComponentRing,
-    FlightEvent,
-    FlightRecorder,
-    render_chain,
-)
-from repro.obs.perfetto import (
-    FLIGHT_SCHEMA,
-    path_trace_document,
-    trace_event_document,
-)
-from repro.obs.profiler import EventLoopProfiler
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    HighWater,
-    MetricsRegistry,
-    NULL_COUNTER,
-)
-from repro.obs.regress import (
-    REGRESS_SCHEMA,
-    compare,
-    read_baseline,
-)
-from repro.obs.spans import ReconfigTracer, Span, SpanTracer
-from repro.obs.sweep import (
-    LADDERS,
-    SWEEP_METRICS,
-    SWEEP_SCHEMA,
-    SweepPoint,
-    fit_slope,
-    fit_slopes,
-    render_sweep,
-    run_point,
-    run_sweep,
-)
-from repro.obs.timeseries import (
-    TIMESERIES_SCHEMA,
-    SeriesData,
-    TimeSeries,
-    TimeSeriesConfig,
-    TimeSeriesSampler,
-)
-
-__all__ = [
-    "SchemaError",
-    "SCHEMA",
-    "bench_document",
-    "bench_result",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HighWater",
-    "MetricsRegistry",
-    "NULL_COUNTER",
-    "ReconfigTracer",
-    "Span",
-    "SpanTracer",
-    "ComponentRing",
-    "FlightEvent",
-    "FlightRecorder",
-    "render_chain",
-    "FLIGHT_SCHEMA",
-    "path_trace_document",
-    "trace_event_document",
-    "INBAND_SCHEMA",
-    "InbandConfig",
-    "InbandTelemetry",
-    "PathCollector",
-    "SloTracker",
-    "exact_quantile",
-    "EventLoopProfiler",
-    "TIMESERIES_SCHEMA",
-    "SeriesData",
-    "TimeSeries",
-    "TimeSeriesConfig",
-    "TimeSeriesSampler",
-    "REGRESS_SCHEMA",
-    "compare",
-    "read_baseline",
-    "PHASES",
-    "ControlAccounting",
-    "LADDERS",
-    "SWEEP_METRICS",
-    "SWEEP_SCHEMA",
-    "SweepPoint",
-    "fit_slope",
-    "fit_slopes",
-    "render_sweep",
-    "run_point",
-    "run_sweep",
-]

@@ -1,13 +1,14 @@
-"""One artifact envelope: every ``repro.*/1`` document is checked, read
-and written here.
+"""One artifact envelope: every ``repro.*/1`` document is checked, read,
+written and rendered here.
 
 The paper's §6.7 debugging story is one merged log read by one tool.
 The repo's equivalent is a family of JSON documents (bench tables,
 flight traces, timeseries, in-band telemetry, regress verdicts, sweeps,
 traffic SLOs, chaos reproducers), each tagged ``"schema": "repro.x/1"``.
 A layer declares *what* its document looks like -- a :class:`Schema`
-beside the ``document()`` that produces it -- and this module is the
-only place that knows *how* to walk, load and serialize one.
+beside the ``document()`` that produces it, holding the document's one
+text renderer when it has one -- and this module is the only place that
+knows *how* to walk, load, serialize and dispatch one.
 
 The spec vocabulary is plain Python data:
 
@@ -126,11 +127,12 @@ def keys(spec: Any, *names: str) -> Dict[str, Any]:
 
 
 class Schema(NamedTuple):
-    """One document family: its table, its cross-field hook, and how
-    its file is laid out."""
+    """One document family: its table, its cross-field hook, its text
+    report, and how its file is laid out."""
 
     spec: Dict[str, Any]
     rules: Optional[Callable[[Dict[str, Any]], None]] = None
+    render: Optional[Callable[[Dict[str, Any]], str]] = None
     indent: int = 2
     sort_keys: bool = False
 
@@ -209,9 +211,23 @@ def validate(doc: Any, expect: Optional[str] = None) -> Dict[str, Any]:
 
 
 def read(path: str, expect: Optional[str] = None) -> Dict[str, Any]:
-    """Load and validate one artifact from disk."""
-    with open(path) as fh:
-        return validate(json.load(fh), expect)
+    """Load and validate one artifact from disk; a file that cannot be
+    read or is not JSON is a :class:`SchemaError` like any other defect."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        fail("$", f"unreadable: {exc}")
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        fail("$", f"not JSON: {exc}")
+    return validate(doc, expect)
+
+
+def render(doc: Any, expect: Optional[str] = None) -> str:
+    """The text report of ``doc``, by the one renderer its schema
+    declares; a schema that declares none reads as ``valid <tag>``."""
+    schema = _schema(validate(doc, expect)["schema"])
+    return schema.render(doc) if schema.render else f"valid {doc['schema']}"
 
 
 def write(path: str, doc: Dict[str, Any]) -> None:

@@ -32,13 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-#: event categories (the ``cat`` field of the Perfetto export)
-CAT_MESSAGE = "msg"
-CAT_PORT = "port"
-CAT_TIMER = "timer"
-CAT_EPOCH = "epoch"
-CAT_TABLE = "table"
-CAT_LOG = "log"  # bridged §6.7 TraceLog records
+from repro.sim.trace import CAT_EPOCH, CAT_MESSAGE
 
 
 class FlightEvent:
@@ -63,17 +57,6 @@ class FlightEvent:
         self.name = name
         self.parent = parent
         self.attrs = attrs
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "eid": self.eid,
-            "t_ns": self.t_ns,
-            "component": self.component,
-            "cat": self.category,
-            "name": self.name,
-            "parent": self.parent,
-            "attrs": {k: _jsonable(v) for k, v in self.attrs.items()},
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -183,6 +166,22 @@ class FlightRecorder:
         if advance:
             self.current = eid
         return eid
+
+    @classmethod
+    def holding(cls, events: List[FlightEvent]) -> "FlightRecorder":
+        """A recorder whose rings hold exactly ``events`` (given in eid
+        order, e.g. read back from an exported trace), so the queries
+        below answer offline what they answer on a live run."""
+        recorder = cls()
+        by_component: Dict[str, List[FlightEvent]] = {}
+        for event in events:
+            by_component.setdefault(event.component, []).append(event)
+            recorder._index[event.eid] = event
+        for component, held in by_component.items():
+            ring = recorder._rings[component] = ComponentRing(component, len(held))
+            for event in held:
+                ring.append(event)
+        return recorder
 
     # -- bookkeeping queries ----------------------------------------------------------
 
@@ -294,26 +293,6 @@ class FlightRecorder:
             }
             for e in front
         ]
-
-    def deepest_chain(self, epoch: Optional[int] = None) -> List[FlightEvent]:
-        """The longest retained causal chain ending at an epoch-category
-        event (of one epoch, if given).  The doctor prints this as the
-        "story" of the last reconfiguration."""
-        best: List[FlightEvent] = []
-        for event in self.events(category=CAT_EPOCH, epoch=epoch):
-            chain = self.why(event)
-            if len(chain) > len(best):
-                best = chain
-        return best
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return [event.to_dict() for event in self.events()]
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    return str(value)
 
 
 def render_chain(chain: List[FlightEvent]) -> str:

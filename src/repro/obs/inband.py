@@ -35,9 +35,8 @@ Discipline (mirrors the flight recorder and the sampler):
   drop counters where eviction happens.
 
 The recorded state exports as a ``repro.obs.inband/1`` JSON artifact
-(schema table ``ARTIFACT`` below) that the ``paths`` CLI, the doctor's
-``path_report``, the watch dashboard's congestion rows, and the
-Perfetto flow-arrow export all consume.
+(schema table ``ARTIFACT`` below) that :func:`render_inband` (its text
+report) and the Perfetto flow-arrow export consume.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.artifact import COUNT, INT, NAME, NUM, STR, Int, Map, Opt, Schema, keys, read
 from repro.obs.config import CoercibleConfig
+from repro.scenario import fmt_ns
 
 #: bump the suffix when the artifact layout changes incompatibly
 INBAND_SCHEMA = "repro.obs.inband/1"
@@ -439,6 +439,76 @@ def _jsonable_path(path: PathKey) -> List[List[Any]]:
 
 # -- the repro.obs.inband/1 artifact --------------------------------------------------
 
+
+def _fmt_path(path: List[List[Any]], max_hops: int = 6) -> str:
+    shown = [
+        f"{sw}:p{inp}>" + "/".join(f"p{o}" for o in outs)
+        for sw, inp, outs in path[:max_hops]
+    ]
+    if len(path) > max_hops:
+        shown.append(f"... +{len(path) - max_hops} hops")
+    return " | ".join(shown) if shown else "(no hops)"
+
+
+def render_inband(doc: Dict[str, Any], top: int = 8, width: int = 24) -> str:
+    """The paths report of one ``repro.obs.inband/1`` document: per-flow
+    delivery quantiles, current path and detected path changes, the
+    delivery-SLO ledger with its per-epoch blackout windows, and the
+    hottest links by mean FIFO depth at forwarding time (heat bars
+    scaled against the hottest link)."""
+    slo = doc["slo"]
+    drops = ", ".join(f"{cause}={n}" for cause, n in slo["drops"].items())
+    lines = [
+        f"in-band path telemetry: {doc['name'] or '(unnamed)'}",
+        f"  {doc['hops_recorded']} hop records on {slo['deliveries']} deliveries "
+        f"({slo['delivered_bytes']} data bytes), {doc['hops_truncated']} truncated",
+        f"  p50 {fmt_ns(slo['p50_ns'])} p99 {fmt_ns(slo['p99_ns'])}, drops {drops or 'none'}",
+    ]
+    for window in slo["windows"]:
+        if window["max_blackout_ns"] is None:
+            continue
+        end = window["end_ns"]
+        lines.append(
+            f"  epoch {window['epoch']} [+{window['start_ns'] / 1e9:.3f}s.."
+            f"{f'+{end / 1e9:.3f}s' if end is not None else 'open'}] "
+            f"blackout {fmt_ns(window['max_blackout_ns'])}: "
+            f"{window['deliveries']} delivered, {window['drops']} dropped, "
+            f"goodput {window['goodput_bytes']}B"
+        )
+    lines.append("flows:")
+    for flow in doc["flows"]:
+        lines.append(
+            f"  {flow['src_uid']:012x} -> {flow['dest_uid']:012x}: "
+            f"{flow['deliveries']} delivered, "
+            f"p50 {fmt_ns(flow['latency_p50_ns'])} p99 {fmt_ns(flow['latency_p99_ns'])}, "
+            f"{flow['paths_seen']} path(s)"
+        )
+        lines.append(f"    path: {_fmt_path(flow['path'])}")
+        for change in flow["changes"]:
+            epoch = change["epoch"]
+            lines.append(
+                f"    change @ +{change['t_ns'] / 1e9:.3f}s"
+                f"{f' (epoch {epoch})' if epoch is not None else ''}: "
+                f"{_fmt_path(change['to'])}"
+            )
+    changes = sum(len(flow["changes"]) for flow in doc["flows"])
+    lines.append(f"  {changes} path change(s) detected")
+    links = sorted(doc["links"], key=lambda e: (-e["mean_depth"], e["link"]))[:top]
+    if links:
+        lines.append("link congestion (mean FIFO depth at forwarding):")
+        hottest = links[0]["mean_depth"] or 1.0
+        label_w = max(len(entry["link"]) for entry in links)
+        for entry in links:
+            filled = int(round(entry["mean_depth"] / hottest * width))
+            queue_drops = f"  {entry['drops']} queue drops" if entry["drops"] else ""
+            lines.append(
+                f"  {entry['link']:<{label_w}} |{'█' * filled}{'▁' * (width - filled)}| "
+                f"{entry['samples']:>6} samples  mean {entry['mean_depth']:.0f}B  "
+                f"max {entry['max_depth']:.0f}B{queue_drops}"
+            )
+    return "\n".join(lines)
+
+
 #: a route as exported: [switch, in_port, out_ports] per hop
 _PATH = [(NAME, COUNT, [INT])]
 
@@ -485,7 +555,8 @@ ARTIFACT = Schema(
                 "hops": [(COUNT, NAME, COUNT, [INT], NUM)],
             }
         ],
-    }
+    },
+    render=render_inband,
 )
 
 

@@ -21,7 +21,9 @@ The emitted document is simultaneously
 ``ARTIFACT`` is its schema for :mod:`repro.obs.artifact`: field
 presence/types per phase, matched B/E slice nesting per track, and flow
 bind-id resolution (every flow finish has an earlier flow start with the
-same id).
+same id).  :func:`render_trace` is its text report: what was recorded,
+the final epoch's message wave, and the causal chain behind each
+switch's table load, walked offline from the exported parent links.
 """
 
 from __future__ import annotations
@@ -29,12 +31,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.artifact import INT, NAME, NONNEG, Atom, Schema, check, fail, read
-from repro.obs.flight import (
-    CAT_EPOCH,
-    CAT_LOG,
-    CAT_MESSAGE,
-    FlightRecorder,
-)
+from repro.obs.flight import FlightEvent, FlightRecorder, render_chain
+from repro.sim.trace import CAT_EPOCH, CAT_LOG, CAT_MESSAGE, CAT_PORT
 
 #: bump when the trace document layout changes incompatibly
 FLIGHT_SCHEMA = "repro.obs.flight/1"
@@ -450,9 +448,6 @@ def _rules(doc: Dict[str, Any]) -> None:
             fail("$", f"track {track} ends with unclosed slices: {stack}")
 
 
-ARTIFACT = Schema({"traceEvents": [{"pid": INT, "tid": INT}]}, rules=_rules, indent=1)
-
-
 def read_trace(path: str) -> Dict[str, Any]:
     """Load and validate a flight trace document from disk."""
     return read(path, FLIGHT_SCHEMA)
@@ -468,3 +463,83 @@ def chains_from_trace(doc: Dict[str, Any]) -> Dict[int, Optional[int]]:
         if isinstance(eid, int):
             parents[eid] = args.get("parent")
     return parents
+
+
+def recorder_from_trace(doc: Dict[str, Any]) -> FlightRecorder:
+    """The recorder's events as the trace preserves them, back in a
+    recorder: an epoch slice's begin is its ``epoch-start``, a message
+    slice is a send when a flow arrow starts at it and a receive
+    otherwise, and the parent links are :func:`chains_from_trace`'s."""
+    events = doc["traceEvents"]
+    tracks = {
+        e["tid"]: (e.get("args") or {}).get("name")
+        for e in events
+        if e["ph"] == "M" and e["name"] == "thread_name"
+    }
+    sends = {e["id"] for e in events if e["ph"] == "s"}
+    parents = chains_from_trace(doc)
+    recorded = []
+    for e in events:
+        attrs = dict(e.get("args") or {})
+        eid = attrs.pop("eid", None)
+        if eid not in parents:
+            continue
+        attrs.pop("parent", None)
+        if e["ph"] == "B":
+            name = "epoch-start"
+        elif e["ph"] == "X":
+            name = "msg-send" if eid in sends else "msg-recv"
+        else:
+            name = e["name"]
+        recorded.append(FlightEvent(
+            eid, round(e["ts"] * 1000), tracks.get(e["tid"]) or f"tid {e['tid']}",
+            e.get("cat", ""), name, parents[eid], attrs,
+        ))
+    return FlightRecorder.holding(recorded)
+
+
+def render_trace(doc: Dict[str, Any]) -> str:
+    """The text report of a trace: what it holds and, for a flight
+    recording, the section 6.7 story of its final epoch -- the message
+    wave (first arrival per switch) and why each switch loaded its
+    table, root cause first."""
+    events = doc["traceEvents"]
+    other = doc.get("otherData") or {}
+    flows = sum(1 for e in events if e["ph"] == "s")
+    lines = [f"{len(events)} trace events, {flows} flow arrows"]
+    if "recorded" in other:
+        lines.append(
+            f"  {other['recorded']} events recorded on {len(other.get('components', []))} "
+            f"components, {other.get('dropped', 0)} dropped"
+        )
+        for component, dropped in (other.get("dropped_by_component") or {}).items():
+            lines.append(f"    {component}: {dropped} oldest events evicted")
+    elif "stacks" in other:
+        lines.append(f"  {other['stacks']} packet hop stacks from {other.get('source')}")
+    rec = recorder_from_trace(doc)
+    final = rec.last(category=CAT_EPOCH, name="table-loaded")
+    if final is None:
+        return "\n".join(lines)
+    epoch = final.attrs.get("epoch")
+    chains = [
+        (load.component, rec.why(load))
+        for load in rec.events(category=CAT_EPOCH, name="table-loaded", epoch=epoch)
+    ]
+    rooted = sum(1 for _sw, chain in chains if any(e.category == CAT_PORT for e in chain))
+    lines.append(
+        f"epoch {epoch}: {len(chains)} table loads, "
+        f"{rooted} causally rooted at a port-state transition"
+    )
+    lines.append(f"message wave of epoch {epoch} (first arrival per switch):")
+    for entry in rec.wave(epoch):
+        lines.append(
+            f"  {entry['t_ns'] / 1e6:>10.3f} ms  {entry['component']}  ({entry['event']})"
+        )
+    for switch, chain in chains:
+        lines += ["", f"why did {switch} load its table in epoch {epoch}?", render_chain(chain)]
+    return "\n".join(lines)
+
+
+ARTIFACT = Schema(
+    {"traceEvents": [{"pid": INT, "tid": INT}]}, rules=_rules, render=render_trace, indent=1
+)

@@ -11,9 +11,9 @@ optimization pass works at.
 
 Output is a hotspots table (sorted by total wall time) plus the headline
 ``events_per_sec`` figure: simulation events dispatched per wall-clock
-second of ``run()``.  ``python -m repro.obs profile`` wraps this in a
-``repro.bench/1`` document so CI tracks the number per commit, and
-``analysis.doctor`` renders the same summary for operators.
+second of ``run()``.  ``python -m repro.obs run`` writes both as the
+``hotspots`` result of its ``repro.bench/1`` document, so CI tracks the
+number per commit and ``python -m repro.obs report`` prints the table.
 
 Profiling is observational only: it never changes what the simulation
 does, just how long the loop takes (the two ``perf_counter_ns`` calls
@@ -134,22 +134,3 @@ class EventLoopProfiler:
                 for s in self.hotspots(limit)
             ],
         }
-
-    def render(self, limit: int = 15) -> str:
-        """The hotspots table as text, for terminals and the doctor."""
-        lines = [
-            f"event-loop profile: {self.events} events in "
-            f"{self.run_wall_ns / 1e9:.3f}s wall "
-            f"({self.events_per_sec():,.0f} events/sec)"
-        ]
-        lines.append(
-            f"  {'handler':<44} {'events':>9} {'wall ms':>9} "
-            f"{'mean us':>9} {'share':>6}"
-        )
-        total = self.handler_wall_ns or 1
-        for s in self.hotspots(limit):
-            lines.append(
-                f"  {s.category:<44} {s.count:>9} {s.wall_ns / 1e6:>9.2f} "
-                f"{s.mean_ns / 1e3:>9.2f} {s.wall_ns / total:>6.1%}"
-            )
-        return "\n".join(lines)

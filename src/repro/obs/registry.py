@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms, high-water marks.
+"""The metrics registry: counters, histograms and snapshot-time collectors.
 
 Design constraints (see ISSUE 1 and the in-band-telemetry shape of the
 related P4/MRI work):
@@ -42,46 +42,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-    def snapshot_value(self) -> Any:
-        return self.value
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("name", "labels", "value")
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: Dict[str, Any]) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, amount: float) -> None:
-        self.value += amount
-
-    def snapshot_value(self) -> Any:
-        return self.value
-
-
-class HighWater:
-    """Remembers the largest value ever observed."""
-
-    __slots__ = ("name", "labels", "value")
-    kind = "highwater"
-
-    def __init__(self, name: str, labels: Dict[str, Any]) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def observe(self, value: float) -> None:
-        if value > self.value:
-            self.value = value
 
     def snapshot_value(self) -> Any:
         return self.value
@@ -198,12 +158,6 @@ class _NullInstrument:
     def inc(self, amount: int = 1) -> None:
         pass
 
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, amount: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
@@ -212,10 +166,8 @@ class _NullInstrument:
 
 
 NULL_COUNTER = _NullInstrument()
-#: all instrument kinds share one null implementation
-NULL_GAUGE = NULL_COUNTER
+#: both instrument kinds share one null implementation
 NULL_HISTOGRAM = NULL_COUNTER
-NULL_HIGHWATER = NULL_COUNTER
 
 
 class MetricsRegistry:
@@ -259,12 +211,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels: Any) -> Counter:
         return self._get(Counter, NULL_COUNTER, name, labels)
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get(Gauge, NULL_GAUGE, name, labels)
-
-    def highwater(self, name: str, **labels: Any) -> HighWater:
-        return self._get(HighWater, NULL_HIGHWATER, name, labels)
 
     def histogram(
         self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS, **labels: Any

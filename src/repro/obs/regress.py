@@ -154,23 +154,6 @@ def _rules(doc: Dict[str, Any]) -> None:
         fail("$.verdict", f"{doc['verdict']!r} with {count} failing metric(s)")
 
 
-ARTIFACT = Schema(
-    {
-        "bench": NAME,
-        "verdict": Enum("ok", "regression"),
-        "failing": COUNT,
-        "comparisons": [
-            {
-                "metric": NAME,
-                "status": Enum(*STATUSES),
-                **keys(Opt(NUM), "current", "baseline"),
-            }
-        ],
-    },
-    rules=_rules,
-)
-
-
 def render_verdict(doc: Dict[str, Any], limit: int = 20) -> str:
     """The verdict as terminal text (the CI log's view of the gate)."""
     lines = [
@@ -195,3 +178,21 @@ def render_verdict(doc: Dict[str, Any], limit: int = 20) -> str:
         else:
             lines.append(f"  new metric {entry['metric']}: {entry['current']!r}")
     return "\n".join(lines)
+
+
+ARTIFACT = Schema(
+    {
+        "bench": NAME,
+        "verdict": Enum("ok", "regression"),
+        "failing": COUNT,
+        "comparisons": [
+            {
+                "metric": NAME,
+                "status": Enum(*STATUSES),
+                **keys(Opt(NUM), "current", "baseline"),
+            }
+        ],
+    },
+    rules=_rules,
+    render=render_verdict,
+)

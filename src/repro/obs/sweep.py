@@ -350,27 +350,6 @@ def _rules(doc: Dict[str, Any]) -> None:
             fail(f"{where}.metrics", f"ok point missing {missing}")
 
 
-_METRIC = Enum(*SWEEP_METRICS)
-ARTIFACT = Schema(
-    {
-        "ladder": NAME,
-        "seed": INT,
-        "metrics": [_METRIC],
-        "points": [
-            {
-                "name": NAME,
-                "switches": COUNT,
-                "links": COUNT,
-                "status": Enum("ok", "skipped"),
-                "metrics": Map(NUM, keys=_METRIC),
-            }
-        ],
-        "slopes": Map({"slope": NUM, "r2": NUM, "points": Int(2)}, keys=_METRIC),
-    },
-    rules=_rules,
-)
-
-
 def render_sweep(doc: Dict[str, Any]) -> str:
     """Human-readable table of one sweep document."""
     lines = [
@@ -405,3 +384,25 @@ def render_sweep(doc: Dict[str, Any]) -> str:
                 f"r2={fit['r2']:.3f}  n={fit['points']}"
             )
     return "\n".join(lines)
+
+
+_METRIC = Enum(*SWEEP_METRICS)
+ARTIFACT = Schema(
+    {
+        "ladder": NAME,
+        "seed": INT,
+        "metrics": [_METRIC],
+        "points": [
+            {
+                "name": NAME,
+                "switches": COUNT,
+                "links": COUNT,
+                "status": Enum("ok", "skipped"),
+                "metrics": Map(NUM, keys=_METRIC),
+            }
+        ],
+        "slopes": Map({"slope": NUM, "r2": NUM, "points": Int(2)}, keys=_METRIC),
+    },
+    rules=_rules,
+    render=render_sweep,
+)

@@ -5,8 +5,7 @@ answers "what did they do *over time*" -- the view Autonet's operators
 actually watched.  A :class:`TimeSeriesSampler` attached to a simulator
 schedules one periodic *sample event*; each tick it
 
-* walks the metrics registry and appends every counter / gauge /
-  high-water series' current value,
+* walks the metrics registry and appends every counter's current value,
 * calls every registered *collector* (FIFO occupancy, ports per state,
   epoch number, blackout in-progress flags -- wired by
   :class:`repro.network.Network` when built with ``timeseries=...``),
@@ -16,7 +15,7 @@ schedules one periodic *sample event*; each tick it
 
 Discipline (mirrors the flight recorder):
 
-* **Null fast path.**  ``Simulator.sampler`` is ``None`` by default and
+* **Null fast path.**  ``Network.sampler`` is ``None`` by default and
   nothing in the simulation ever touches the sampler from a hot path --
   sampling is *pull-only*, driven by the sampler's own event.  With the
   sampler off, runs are byte-identical to a build without this module.
@@ -31,8 +30,8 @@ Discipline (mirrors the flight recorder):
 The recorded history exports as a ``repro.obs.timeseries/1`` JSON
 artifact (schema table ``ARTIFACT`` below) and is queryable -- live or from
 a loaded artifact -- through :class:`TimeSeries` / :class:`SeriesData`
-(``window`` / ``delta`` / ``resample``), which the doctor and the
-regression comparator build on.
+(``window`` / ``delta`` / ``resample``); :func:`render_timeseries` is
+the document's text report.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ class TimeSeriesConfig(CoercibleConfig):
     interval_ns: int = 50 * MS
     #: samples retained per series (ring capacity)
     capacity: int = 1024
-    #: also sample every counter/gauge/highwater in the metrics registry
+    #: also sample every counter in the metrics registry
     include_registry: bool = True
     #: series refused beyond this count (cardinality backstop)
     max_series: int = 4096
@@ -143,8 +142,8 @@ class SeriesRing:
 class TimeSeriesSampler:
     """Periodic in-sim sampler feeding bounded per-series rings.
 
-    Attach with ``sim.sampler = sampler; sampler.start()`` (or build the
-    network with ``Network(timeseries=...)``, which does both).  The
+    Start with ``sampler.start()`` (or build the network with
+    ``Network(timeseries=...)``, which also wires the collectors).  The
     sampler schedules its own tick events; nothing else in the
     simulation ever calls into it, so a detached sampler costs zero.
     """
@@ -242,17 +241,14 @@ class TimeSeriesSampler:
         self.samples_taken += 1
         self._handle = self.sim.after(self.config.interval_ns, self._tick)
 
-    #: registry instrument kinds the sampler records (histograms export
-    #: their own quantile snapshot; sampling them is the caller's call)
-    REGISTRY_KINDS = frozenset({"counter", "gauge", "highwater"})
-
     def _sample_registry(self) -> None:
-        metrics = getattr(self.sim, "metrics", None)
+        metrics = self.sim.metrics
         if metrics is None or not metrics.enabled:
             return
         for name in metrics._series:
             for key, instrument in metrics._series[name].items():
-                if instrument.kind not in self.REGISTRY_KINDS:
+                # histograms export their own quantile snapshot
+                if instrument.kind != "counter":
                     continue
                 ring = self._series.get((name, key))
                 if ring is None:
@@ -478,6 +474,19 @@ def _rules(doc: Dict[str, Any]) -> None:
             )
 
 
+def render_timeseries(doc: Dict[str, Any]) -> str:
+    """Ring health, then the watch dashboard's frame at the last tick."""
+    from repro.obs.watch import render_frame  # watch builds on this module
+
+    health = (
+        f"{doc['samples_taken']} samples every {doc['interval_ns'] / 1e6:g} ms, "
+        f"{len(doc['series'])} series, {doc['dropped_ticks']} ticks evicted, "
+        f"{doc['dropped_series']} series refused"
+    )
+    frame = render_frame(TimeSeries(doc), title=doc["name"] or "timeseries")
+    return f"{health}\n\n{frame.rstrip()}"
+
+
 ARTIFACT = Schema(
     {
         "name": STR,
@@ -490,6 +499,7 @@ ARTIFACT = Schema(
         "marks": [{"t_ns": INT, "component": STR, "event": STR}],
     },
     rules=_rules,
+    render=render_timeseries,
 )
 
 

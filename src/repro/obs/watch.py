@@ -1,22 +1,20 @@
-"""The live watch dashboard: sampler rings as terminal sparklines.
+"""The watch dashboard: sampler rings as terminal sparklines.
 
-``python -m repro.obs watch`` is the operator's view the paper describes
-around §6.7 -- "is the net reconfiguring *right now*, and which switches
-are dark?" -- rendered from the time-series sampler with nothing but
-ANSI escapes:
+``python -m repro.obs watch FILE`` is the operator's view the paper
+describes around §6.7 -- "when did the net reconfigure, and which
+switches went dark?" -- replayed from a recorded
+``repro.obs.timeseries/1`` artifact with nothing but ANSI escapes:
 
 * one row per switch: good-port count (current + sparkline), FIFO
   high-water sparkline, epoch number, and an ``ok`` / ``DARK`` flag from
   the blackout collector;
-* a tail of recent reconfiguration span events (the sampler's mark ring);
-* **live** mode builds a scenario and races the simulator against the
-  wall clock, redrawing every frame; **replay** mode steps through a
-  recorded ``repro.obs.timeseries/1`` artifact tick by tick.
+* a tail of recent reconfiguration span events (the sampler's mark ring).
 
 Rendering is split from I/O: :func:`render_frame` is a pure function of
 a :class:`~repro.obs.timeseries.TimeSeries` view, so tests (and the
-doctor's report) exercise the exact pixels the dashboard shows without a
-terminal in the loop.
+timeseries document's report, which is the frame at its last tick)
+exercise the exact pixels the dashboard shows without a terminal in the
+loop; :func:`watch_replay` steps through the artifact tick by tick.
 """
 
 from __future__ import annotations
@@ -104,35 +102,6 @@ def fmt_t(t_ns: int) -> str:
     return f"+{t_ns / 1e9:.3f}s"
 
 
-def congestion_rows(
-    inband_doc: Dict[str, Any],
-    width: int = 32,
-    top: int = 6,
-) -> List[str]:
-    """Per-link congestion heat rows from a ``repro.obs.inband/1`` doc:
-    the hottest links by mean FIFO depth at forwarding time, each with a
-    heat bar scaled against the hottest link in the document."""
-    links = sorted(
-        inband_doc.get("links", []),
-        key=lambda entry: (-entry["mean_depth"], entry["link"]),
-    )[:top]
-    if not links:
-        return []
-    hottest = max(entry["mean_depth"] for entry in links) or 1.0
-    label_w = max(len(entry["link"]) for entry in links)
-    rows = ["link congestion (in-band):"]
-    for entry in links:
-        filled = int(round(entry["mean_depth"] / hottest * width))
-        bar = SPARK_CHARS[-1] * filled + SPARK_CHARS[1] * (width - filled)
-        drops = f"  drops {int(entry['drops'])}" if entry["drops"] else ""
-        rows.append(
-            f"  {entry['link']:<{label_w}} |{bar}| "
-            f"mean {entry['mean_depth']:.0f}B max {entry['max_depth']:.0f}B"
-            f"{drops}"
-        )
-    return rows
-
-
 def _rate_window(counter: SeriesData) -> List[Optional[float]]:
     """Per-tick deltas of a cumulative counter series (rate shape)."""
     out: List[Optional[float]] = []
@@ -190,7 +159,6 @@ def render_frame(
     width: int = 32,
     mark_tail: int = 6,
     title: str = "",
-    inband_doc: Optional[Dict[str, Any]] = None,
 ) -> str:
     """One dashboard frame as plain text (no escapes, no I/O)."""
     ticks = ts.ticks
@@ -229,12 +197,6 @@ def render_frame(
             f"  fifo^ |{fifo_bar}|"
         )
 
-    if inband_doc is not None:
-        heat = congestion_rows(inband_doc, width=width)
-        if heat:
-            lines.append("")
-            lines.extend(heat)
-
     slo = traffic_rows(ts, width=width)
     if slo:
         lines.append("")
@@ -268,39 +230,7 @@ def truncate_document(doc: Dict[str, Any], upto_tick: int) -> Dict[str, Any]:
     }
 
 
-# -- the two drivers (I/O lives here, not in render_frame) -----------------------------
-
-
-def watch_live(
-    net,
-    duration_ns: int,
-    fps: float = 10.0,
-    width: int = 32,
-    stream: Optional[TextIO] = None,
-    sleep: bool = True,
-) -> None:
-    """Race ``net``'s simulator against the wall clock, one slice of
-    simulated time per frame, redrawing the dashboard in place."""
-    if net.sampler is None:
-        raise RuntimeError("watch_live needs Network(timeseries=...)")
-    out = stream if stream is not None else sys.stdout
-    slice_ns = max(net.sampler.config.interval_ns, int(duration_ns / 240) or 1)
-    end = net.sim.now + duration_ns
-    title = f"watch {net.spec.name}"
-    inband = getattr(net, "inband", None)
-    while net.sim.now < end:
-        net.sim.run(until=min(end, net.sim.now + slice_ns))
-        frame = render_frame(
-            net.sampler.view(),
-            now_ns=net.sim.now,
-            width=width,
-            title=title,
-            inband_doc=inband.document() if inband is not None else None,
-        )
-        out.write(ANSI_HOME_CLEAR + frame)
-        out.flush()
-        if sleep and fps > 0:
-            time.sleep(1.0 / fps)
+# -- the driver (I/O lives here, not in render_frame) ----------------------------------
 
 
 def watch_replay(

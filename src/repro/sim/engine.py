@@ -31,8 +31,6 @@ from heapq import heappop, heappush
 from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.registry import MetricsRegistry
-
 
 class EventHandle:
     """Cancellable reference to a scheduled event."""
@@ -85,12 +83,12 @@ class Simulator:
         self._idle_hooks: List[Callable[["Simulator"], None]] = []
         #: number of events dispatched so far (useful for budget guards)
         self.events_dispatched: int = 0
-        #: simulation-wide metrics registry (repro.obs).  Disabled by
-        #: default: the event loop itself stays free of per-event
-        #: instrument calls; enable_metrics() registers snapshot-time
-        #: collectors over the counters the loop keeps anyway.
-        self.metrics = MetricsRegistry(enabled=False)
-        self._metrics_registered = False
+        #: simulation-wide metrics registry (repro.obs.registry.
+        #: MetricsRegistry), attached by Network.  The event loop itself
+        #: stays free of per-event instrument calls: the registry reads
+        #: the counters the loop keeps anyway through snapshot-time
+        #: collectors.
+        self.metrics = None
         #: optional flight recorder (repro.obs.flight.FlightRecorder).
         #: None (the default) is the fast path: every hook site in the
         #: simulation is then one attribute load plus a None test, and no
@@ -101,12 +99,6 @@ class Simulator:
         #: EventLoopProfiler); None disables the per-event perf_counter
         #: calls entirely.
         self.profiler = None
-        #: optional time-series sampler (repro.obs.timeseries.
-        #: TimeSeriesSampler).  None (the default) costs nothing: the
-        #: sampler is pull-only and drives itself with its own periodic
-        #: event, so no dispatch-path code ever consults this attribute
-        #: -- it exists so tools (doctor, watch) can find the sampler.
-        self.sampler = None
         #: optional in-band path telemetry (repro.obs.inband.
         #: InbandTelemetry).  None (the default) is the fast path: every
         #: stamp site in switch/linkunit/fifo/host is one attribute load
@@ -119,17 +111,6 @@ class Simulator:
         #: one attribute load plus a None test and no counter cells are
         #: allocated (RS306 enforces the pattern at call sites).
         self.control = None
-
-    def enable_metrics(self) -> None:
-        """Turn on telemetry and publish the engine's own series."""
-        self.metrics.enable()
-        if not self._metrics_registered:
-            self._metrics_registered = True
-            self.metrics.collect(
-                "sim_events_dispatched", lambda: self.events_dispatched
-            )
-            self.metrics.collect("sim_pending_events", self.pending_events)
-            self.metrics.collect("sim_now_ns", lambda: self.now)
 
     # -- scheduling ------------------------------------------------------------
 

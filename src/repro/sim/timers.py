@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.constants import TIMEOUT_RESOLUTION_NS
-from repro.obs.flight import CAT_TIMER
 from repro.sim.engine import EventHandle, Simulator
+from repro.sim.trace import CAT_TIMER
 
 
 class Periodic:

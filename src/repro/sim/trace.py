@@ -14,6 +14,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional
 
+#: categories of the section 6.7 events, shared by the hook sites that
+#: emit them and the flight recorder (the ``cat`` field of its export)
+CAT_MESSAGE = "msg"
+CAT_PORT = "port"
+CAT_TIMER = "timer"
+CAT_EPOCH = "epoch"
+CAT_TABLE = "table"
+CAT_LOG = "log"  # bridged TraceLog records
+
 
 @dataclass(frozen=True)
 class TraceEntry:

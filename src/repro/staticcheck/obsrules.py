@@ -59,7 +59,7 @@ from repro.staticcheck.framework import (
 
 #: registry factory / registration methods whose first argument is a
 #: metric name and whose keywords are labels
-METRIC_METHODS = frozenset({"counter", "gauge", "histogram", "highwater", "collect"})
+METRIC_METHODS = frozenset({"counter", "histogram", "collect"})
 
 #: keywords of those methods that are configuration, not labels
 NON_LABEL_KWARGS = frozenset({"buckets"})

@@ -9,15 +9,13 @@
     # smaller, on a ring, through a chosen cut
     python -m repro.traffic run --topo ring-4 --flows 8 --hosts 4 --cut 0-1
 
-    # render a previously recorded artifact
-    python -m repro.traffic report traffic.json
-
-    # structural gate (CI's traffic-smoke job)
+    # structural gate (CI's traffic-smoke job), then the report again
     python -m repro.obs validate traffic.json
+    python -m repro.obs report traffic.json
 
 ``run`` drives the shared scenario (generate -> converge -> load ->
 cut -> reconverge -> report) through :func:`repro.scenario.
-drive_scenario` -- the same driver ``python -m repro.obs paths`` uses
+drive_scenario` -- the same driver ``python -m repro.obs run`` uses
 -- and writes a validated ``repro.traffic/1`` artifact.
 """
 
@@ -25,74 +23,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.constants import SEC
 from repro.network import Network
 from repro.obs import artifact
-from repro.scenario import drive_scenario, fmt_ns, parse_cut, report_unknown_subcommand
+from repro.scenario import drive_scenario, parse_cut, report_unknown_subcommand
 from repro.topology.generators import TOPOLOGY_FAMILIES, resolve_topology
-from repro.traffic.artifact import TRAFFIC_SCHEMA, validate_traffic
 from repro.traffic.workload import ARRIVAL_PATTERNS, TrafficConfig
-
-
-def _fmt_bytes(value) -> str:
-    if value is None:
-        return "-"
-    if value < 1_024:
-        return f"{value:.0f}B"
-    if value < 1_048_576:
-        return f"{value / 1024:.1f}KiB"
-    if value < 1_073_741_824:
-        return f"{value / 1048576:.2f}MiB"
-    return f"{value / 1073741824:.2f}GiB"
-
-
-def render_report(doc: Dict[str, Any]) -> str:
-    """The human-readable report for one ``repro.traffic/1`` document."""
-    config = doc["config"]
-    lines = [
-        f"traffic SLO report: {doc['name'] or '(unnamed)'}",
-        (
-            f"  workload: {config['pattern']} x{config['flows']} flows over "
-            f"{config['hosts']} hosts, mean {_fmt_bytes(config['mean_flow_bytes'])}"
-            f", {config['mode']} mode"
-        ),
-        (
-            f"  flows: {doc['flows_completed']} completed, "
-            f"{doc['flows_active']} active ({doc['flows_unrouted']} unrouted), "
-            f"{doc['flows_pending']} pending"
-        ),
-        (
-            f"  offered {_fmt_bytes(doc['offered_bytes'])}  "
-            f"delivered {_fmt_bytes(doc['delivered_bytes'])}  "
-            f"blackout cost {_fmt_bytes(doc['blackout_cost_bytes'])}"
-        ),
-        (
-            f"  goodput {_fmt_bytes(doc['goodput_bytes_per_sec'])}/s  "
-            f"delivery latency p50 {fmt_ns(doc['latency']['p50_ns'])} "
-            f"p99 {fmt_ns(doc['latency']['p99_ns'])} "
-            f"(n={doc['latency']['count']})"
-        ),
-    ]
-    if doc["drops"]:
-        causes = ", ".join(f"{k}={v}" for k, v in doc["drops"].items())
-        lines.append(f"  drops by cause: {causes}")
-    if doc["windows"]:
-        lines.append("  per-epoch goodput / blackout cost:")
-        for window in doc["windows"]:
-            end = window["end_ns"]
-            span = (
-                f"[+{window['start_ns'] / 1e9:.3f}s.."
-                f"{'+' + format(end / 1e9, '.3f') + 's' if end is not None else 'open'}]"
-            )
-            lines.append(
-                f"    epoch {window['epoch']:>3} {span} "
-                f"blackout {fmt_ns(window['max_blackout_ns'])}: "
-                f"goodput {_fmt_bytes(window['goodput_bytes_per_sec'])}/s, "
-                f"cost {_fmt_bytes(window['blackout_cost_bytes'])}"
-            )
-    return "\n".join(lines)
 
 
 def _cmd_run(args) -> int:
@@ -117,19 +55,13 @@ def _cmd_run(args) -> int:
     load_ns = int(args.duration * SEC) + int(args.drain * SEC)
     drive_scenario(net, cuts, load_ns=load_ns)
     doc = net.traffic_doc()
-    validate_traffic(doc)
-    print(render_report(doc))
+    print(artifact.render(doc))
     if args.out:
         artifact.write(args.out, doc)
         print(f"wrote {args.out}")
     if args.timeseries and args.timeseries_out:
         net.export_timeseries(args.timeseries_out)
         print(f"wrote {args.timeseries_out}")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    print(render_report(artifact.read(args.artifact, TRAFFIC_SCHEMA)))
     return 0
 
 
@@ -192,10 +124,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="with --timeseries: write the repro.obs.timeseries/1 artifact",
     )
     p_run.set_defaults(fn=_cmd_run)
-
-    p_report = sub.add_parser("report", help="render a recorded artifact")
-    p_report.add_argument("artifact", help="path to a repro.traffic/1 document")
-    p_report.set_defaults(fn=_cmd_report)
 
     listing = report_unknown_subcommand(
         parser, sub, argv,

@@ -71,20 +71,14 @@ def test_render_is_readable():
 
 
 def test_all_sections_render_end_to_end():
-    """ISSUE 5/6/8 satellite: every doctor section -- telemetry, flight,
-    staticcheck, campaign, timeseries, in-band path telemetry, and the
-    control-plane cost ledger -- renders on a torus-3x4 run without
-    raising."""
-    from repro.analysis.doctor import (
-        campaign_report,
-        control_report,
-        flight_report,
-        path_report,
-        staticcheck_report,
-        telemetry_dashboard,
-        timeseries_report,
-    )
-    from repro.chaos.campaign import CampaignConfig, CampaignRunner
+    """ISSUE 5/6/8 satellite, re-pointed by ISSUE 19 at the documents:
+    what used to be the doctor's sections -- telemetry with the
+    control-plane cost ledger, flight, timeseries, in-band path
+    telemetry, campaign -- renders from what a torus-3x4 run recorded,
+    through the one renderer each schema declares."""
+    from repro.chaos.campaign import CampaignConfig, CampaignRunner, campaign_report
+    from repro.obs import artifact
+    from repro.obs.export import render_telemetry
 
     net = Network(
         torus(3, 4), seed=0, telemetry=True, flight=True, profile=True,
@@ -94,57 +88,44 @@ def test_all_sections_render_end_to_end():
     net.cut_link(0, 1)
     assert net.run_until_converged(timeout_ns=60 * SEC)
 
-    dashboard = telemetry_dashboard(net)
+    dashboard = render_telemetry(net.telemetry())
     assert "telemetry @" in dashboard
     assert "reconfiguration epoch" in dashboard
-    # the dashboard folds in the flight, timeseries, path-telemetry, and
-    # control-accounting sections when they are on
-    assert "flight recorder:" in dashboard
-    assert "timeseries:" in dashboard
-    assert "path telemetry:" in dashboard
-    assert "control plane:" in dashboard
+    assert "control packets" in dashboard
+    assert "election" in dashboard  # phase breakdown is present
+    # a snapshot taken without the control ledger has no such section
+    assert "control packets" not in render_telemetry(Network(ring(3)).telemetry())
 
-    paths = path_report(net)
-    assert "path telemetry:" in paths
-    # a network built without the layer degrades gracefully
-    assert "off (build Network" in path_report(Network(ring(3)))
+    paths = artifact.render(net.inband_doc())
+    assert "in-band path telemetry" in paths
 
-    control = control_report(net)
-    assert "control packets" in control
-    assert "election" in control  # phase breakdown is present
-    assert "off (build Network" in control_report(Network(ring(3)))
-
-    flight = flight_report(net)
+    flight = artifact.render(net.flight_trace())
     assert "events recorded" in flight
-    assert "deepest causal chain" in flight
+    # the per-switch successor of the doctor's one "deepest causal chain"
+    assert flight.count("why did sw") == 12 and "port-state" in flight
 
-    series = timeseries_report(net)
+    series = artifact.render(net.timeseries_doc())
     assert "samples every" in series
     assert "sw0" in series and "epoch" in series
-    # a network built without the sampler degrades gracefully
-    assert "off (build Network" in timeseries_report(Network(ring(3)))
-
-    static = staticcheck_report()
-    assert "staticcheck:" in static
-    assert "OK" in static or "FAIL" in static
 
     runner = CampaignRunner(CampaignConfig(topology="ring-4", schedules=1, seed=0))
     runner.run()
     campaign = campaign_report(runner.document())
     assert "chaos campaign" in campaign
     assert "schedules passed" in campaign
+    assert "Chaos campaign on ring-4" in artifact.render(runner.document())
 
     report = diagnose(net)
     assert report.healthy, report.render()
 
 
 def test_sweep_report_renders_scaling_curves():
-    """ISSUE 8: the doctor renders a repro.obs.sweep/1 document."""
-    from repro.analysis.doctor import sweep_report
+    """ISSUE 8: a repro.obs.sweep/1 document renders its scaling curves."""
+    from repro.obs import artifact
     from repro.obs.sweep import run_sweep
 
     doc = run_sweep(ladder="doctor", seed=0, topologies=("ring-4", "torus-3x4"))
-    text = sweep_report(doc)
+    text = artifact.render(doc)
     assert "scaling sweep:" in text
     assert "ring-4" in text and "torus-3x4" in text
     assert "scaling exponents" in text

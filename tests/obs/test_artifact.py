@@ -6,11 +6,13 @@ a staticcheck report and its baseline) are walked against their schema
 tables: deleting each required key and
 replacing each leaf with a wrong-typed value must raise ``SchemaError``
 with a ``$.``-rooted path, and the untouched document must round-trip
-``write`` -> ``read`` to equal bytes.
+``write`` -> ``read`` to equal bytes.  Every one of them, and every
+document committed to the tree, must render through ``artifact.render``.
 """
 
 import copy
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -217,7 +219,94 @@ def test_read_trace_on_a_timeseries_file_fails_on_the_tag(real_docs, tmp_path):
         read_trace(str(path))
 
 
-# -- python -m repro.obs validate --------------------------------------------------------
+# -- artifact.render: one renderer per schema, over every document we have ---------------
+
+REPO = Path(__file__).resolve().parents[2]
+
+#: every repro.*/1 document committed to the tree
+COMMITTED = sorted(
+    [
+        *(REPO / "benchmarks" / "results").glob("BENCH_*.json"),
+        *(REPO / "benchmarks" / "results" / "baselines").glob("*.json"),
+        REPO / "tests" / "fixtures" / "sweep_smoke.json",
+        *(REPO / "tests" / "chaos" / "fixtures").glob("*.json"),
+        *(REPO / "tests" / "traffic" / "fixtures").glob("*.json"),
+        REPO / "staticcheck-baseline.json",
+    ]
+)
+
+#: the tags whose provider declares a renderer; the rest read ``valid <tag>``
+RENDERED = {
+    "repro.bench/1",
+    "repro.obs.flight/1",
+    "repro.obs.inband/1",
+    "repro.obs.regress/2",
+    "repro.obs.sweep/1",
+    "repro.obs.timeseries/1",
+    "repro.traffic/1",
+}
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_every_schema_renders_its_real_document_and_no_other(tag, real_docs):
+    schema = importlib.import_module(artifact.PROVIDERS[tag]).ARTIFACT
+    assert (schema.render is not None) == (tag in RENDERED)
+    text = artifact.render(real_docs[tag], tag)
+    assert text.strip()
+    if schema.render is None:
+        assert text == f"valid {tag}"
+    else:
+        # the same text from the file as from the live document: JSON
+        # turns tuples into lists and int keys into strings on the way
+        assert artifact.render(json.loads(json.dumps(real_docs[tag]))) == text
+    other = real_docs[TAGS[TAGS.index(tag) - 1]]
+    with pytest.raises(SchemaError, match=r"^\$\.schema: expected"):
+        artifact.render(other, tag)
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=[p.name for p in COMMITTED])
+def test_every_committed_document_renders(path):
+    assert len(COMMITTED) >= 20
+    doc = artifact.read(str(path))
+    text = artifact.render(doc)
+    assert text.strip()
+    if doc["schema"] == "repro.bench/1":
+        for result in doc["results"]:
+            assert f"== {result['title']} ==" in text
+            assert all(str(cell) in text for row in result["rows"] for cell in row)
+
+
+def test_rendered_content_of_the_observer_documents(real_docs):
+    """What the per-layer CLIs and doctor sections used to print from a
+    live network, now asserted of the documents' renderers."""
+    flight = artifact.render(real_docs["repro.obs.flight/1"])
+    assert "events recorded on 12 components" in flight
+    assert "12 table loads, 12 causally rooted at a port-state transition" in flight
+    assert "message wave of epoch" in flight
+    assert flight.count("why did sw") == 12
+    assert "[sw0] port-state (new=s.dead, old=s.switch.good, port=1" in flight
+
+    series = artifact.render(real_docs["repro.obs.timeseries/1"])
+    assert "samples every 50 ms" in series and "0 ticks evicted" in series
+    assert "sw11" in series and "fifo^" in series
+    assert "traffic SLO:" in series  # the engine's collectors were sampled
+    assert "recent reconfiguration events:" in series and "table-loaded" in series
+
+    paths = artifact.render(real_docs["repro.obs.inband/1"])
+    assert "hop records on" in paths and "drops table-discard=" in paths
+    assert "-> " in paths and "path: sw0:p12>" in paths
+    assert "path change(s) detected" in paths
+    assert "blackout" in paths and "link congestion" in paths and "samples  mean" in paths
+
+    traffic = artifact.render(real_docs["repro.traffic/1"])
+    assert "traffic SLO report" in traffic and "x200 flows" in traffic
+    assert "per-epoch goodput / blackout cost:" in traffic
+
+    verdict = artifact.render(real_docs["repro.obs.regress/2"])
+    assert "REGRESSION" in verdict and "CHANGED r/ring/ms" in verdict
+
+
+# -- python -m repro.obs validate / report -------------------------------------------------
 
 
 def test_cli_validate_dispatches_on_each_files_tag(real_docs, tmp_path, capsys):
@@ -232,17 +321,60 @@ def test_cli_validate_dispatches_on_each_files_tag(real_docs, tmp_path, capsys):
     assert lines == [f"{path}: valid {tag}" for path, tag in zip(paths, TAGS)]
 
 
-def test_cli_validate_exits_1_on_the_first_schema_error(real_docs, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_cli_reports_every_invalid_file_and_still_exits_1(command, real_docs, tmp_path, capsys):
     from repro.obs.__main__ import main
 
     good = str(tmp_path / "good.json")
     artifact.write(good, real_docs["repro.bench/1"])
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema": "repro.obs.sweep/1", "ladder": ""}')
-    assert main(["validate", good, str(bad), good]) == 1
+    junk = tmp_path / "junk.json"
+    junk.write_text("not json {")
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    missing = str(tmp_path / "missing.json")
+    assert main([command, good, str(bad), missing, str(junk), str(array), good]) == 1
     captured = capsys.readouterr()
-    assert captured.out.splitlines() == [f"{good}: valid repro.bench/1"]
-    assert "$.ladder" in captured.err
+    # both good files are shown: a defect hides nothing that follows it
+    shown = f"{good}: valid repro.bench/1" if command == "validate" else f"== {good} ("
+    assert captured.out.count(shown) == 2
+    assert captured.err.splitlines() == [
+        line for line in captured.err.splitlines() if ": INVALID $" in line
+    ]
+    for path, why in [
+        (bad, "$.ladder"),
+        (missing, "$: unreadable"),
+        (junk, "$: not JSON"),
+        (array, "$: expected object"),
+    ]:
+        assert sum(f"{path}: INVALID {why}" in line for line in captured.err.splitlines()) == 1
+
+
+def test_cli_takes_a_directory_as_its_json_files_sorted_not_recursed(real_docs, tmp_path, capsys):
+    from repro.obs.__main__ import main
+
+    (tmp_path / "deeper").mkdir()
+    for name in ("b.json", "a.json", "deeper/c.json"):
+        artifact.write(str(tmp_path / name), real_docs["repro.bench/1"])
+    (tmp_path / "notes.txt").write_text("not an artifact")
+    assert main(["validate", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{tmp_path / 'a.json'}: valid repro.bench/1",
+        f"{tmp_path / 'b.json'}: valid repro.bench/1",
+    ]
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.count("== t ==") == 2  # the demo result's title, per file
+
+
+def test_read_reports_unreadable_and_non_json_files_as_schema_errors(tmp_path):
+    with pytest.raises(SchemaError, match=r"^\$: unreadable: .*missing\.json"):
+        artifact.read(str(tmp_path / "missing.json"))
+    with pytest.raises(SchemaError, match=r"^\$: unreadable"):
+        artifact.read(str(tmp_path))  # a directory
+    (tmp_path / "junk.json").write_bytes(b"\xff\xfe{")
+    with pytest.raises(SchemaError, match=r"^\$: not JSON"):
+        artifact.read(str(tmp_path / "junk.json"))
 
 
 # -- every tag in the tree is registered ------------------------------------------------

@@ -27,7 +27,6 @@ from repro.obs.inband import (
     read_inband,
 )
 from repro.obs.perfetto import FLIGHT_SCHEMA, path_trace_document
-from repro.obs.watch import congestion_rows
 from repro.topology import ring, torus
 from repro.types import Uid
 
@@ -324,8 +323,7 @@ def test_cut_link_produces_path_change_and_quantiles(tmp_path):
     trace = path_trace_document(doc)
     artifact.validate(trace, FLIGHT_SCHEMA)
     assert any(e.get("cat") == "path" for e in trace["traceEvents"])
-    rows = congestion_rows(doc)
-    assert rows and "link congestion" in rows[0]
+    assert "link congestion" in artifact.render(doc)
 
 
 def test_inband_doc_raises_when_off():
@@ -388,5 +386,5 @@ def test_cli_no_subcommand_prints_listing(capsys):
     assert main([]) == 2
     err = capsys.readouterr().err
     assert "subcommands:" in err
-    for sub in ("export", "why", "profile", "watch", "paths", "regress"):
+    for sub in ("run", "report", "watch", "regress", "sweep", "validate"):
         assert sub in err

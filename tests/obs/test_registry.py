@@ -16,19 +16,6 @@ def test_counter_semantics():
     assert reg.counter("packets", port=1, switch="sw0") is c
 
 
-def test_gauge_and_highwater_semantics():
-    reg = MetricsRegistry()
-    g = reg.gauge("queue_depth", switch="sw0")
-    g.set(7)
-    g.add(-3)
-    assert g.value == 4
-    hw = reg.highwater("fifo_level", switch="sw0")
-    hw.observe(10)
-    hw.observe(3)       # lower: ignored
-    hw.observe(42)
-    assert hw.value == 42
-
-
 def test_histogram_buckets_and_moments():
     reg = MetricsRegistry()
     h = reg.histogram("wait_ns", buckets=(10, 100, 1000), switch="sw0")
@@ -110,9 +97,7 @@ def test_disabled_registry_is_a_noop():
     c = reg.counter("x", a=1)
     assert c is NULL_COUNTER
     c.inc(10)
-    reg.gauge("g").set(5)
     reg.histogram("h").observe(1)
-    reg.highwater("hw").observe(1)
     reg.collect("lazy", lambda: 42)
     assert reg.series_count() == 0
     snap = reg.snapshot()

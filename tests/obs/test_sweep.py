@@ -229,12 +229,10 @@ def test_render_sweep_mentions_every_point_and_slope():
 
 
 def test_doctor_sweep_report_renders():
-    from repro.analysis.doctor import sweep_report
-
-    text = sweep_report(valid_doc())
+    text = artifact.render(valid_doc())
     assert text.startswith("scaling sweep:")
     with pytest.raises(SchemaError):
-        sweep_report({"schema": "nope"})
+        artifact.render({"schema": "nope"})
 
 
 # -- the CLI ---------------------------------------------------------------------------

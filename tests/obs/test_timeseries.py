@@ -8,6 +8,7 @@ from repro.constants import MS, SEC
 from repro.network import Network
 from repro.obs import artifact
 from repro.obs.artifact import SchemaError
+from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
     SeriesData,
@@ -73,7 +74,7 @@ def test_late_series_left_padded_in_document():
 
 def test_registry_series_are_sampled():
     sim = Simulator()
-    sim.enable_metrics()
+    sim.metrics = MetricsRegistry()  # as Network attaches it
     counter = sim.metrics.counter("things", who="a")
     sampler = TimeSeriesSampler(sim, TimeSeriesConfig(interval_ns=10 * MS))
     sampler.start()

@@ -10,7 +10,6 @@ from repro.obs.watch import (
     sparkline,
     switch_names,
     truncate_document,
-    watch_live,
     watch_replay,
 )
 from repro.topology import ring
@@ -64,16 +63,6 @@ def test_truncation_hides_the_future():
     assert "t=+0.250s" in frame
     full = TimeSeries(truncate_document(doc, len(doc["ticks"])))
     assert full.ticks == doc["ticks"]
-
-
-def test_watch_live_writes_frames_without_sleeping():
-    net = Network(ring(4), seed=0, timeseries=TimeSeriesConfig(interval_ns=50 * MS))
-    buf = io.StringIO()
-    watch_live(net, duration_ns=1 * SEC, stream=buf, sleep=False)
-    out = buf.getvalue()
-    assert out.count("\x1b[H\x1b[2J") >= 2  # several redraws
-    assert "sw0" in out
-    assert net.sim.now == 1 * SEC  # drove the sim exactly this far
 
 
 def test_watch_replay_steps_through_artifact():

@@ -207,19 +207,3 @@ def test_tests_and_benchmarks_pass_hygiene_gate():
     """The CI step added for this repo's own tests/ and benchmarks/."""
     proc = run_cli("tests", "benchmarks", "--select", "RS4")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-def test_doctor_staticcheck_section(gate):
-    from repro.analysis.doctor import staticcheck_report
-
-    cwd = os.getcwd()
-    os.chdir(REPO_ROOT)
-    try:
-        text = staticcheck_report()
-    finally:
-        os.chdir(cwd)
-    header, *body = text.splitlines()
-    assert header == "staticcheck:"
-    # the section is the CLI's own output, indented: same verdict line
-    assert body[-1] == "  " + gate[0].stdout.splitlines()[-1]
-    assert body[-1].startswith("  staticcheck OK: ")

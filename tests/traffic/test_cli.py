@@ -1,4 +1,5 @@
-"""python -m repro.traffic: run/report/validate, exit-2 discipline.
+"""python -m repro.traffic run, its document under python -m repro.obs
+report/validate, and the exit-2 discipline.
 
 Both observability CLIs (`repro.obs`, `repro.traffic`) share the
 missing/unknown-subcommand behavior through
@@ -34,8 +35,12 @@ def test_report_and_validate_subcommands(tmp_path, capsys):
     assert traffic_main(args.split() + ["--out", out]) == 0
     capsys.readouterr()
 
-    assert traffic_main(["report", out]) == 0
-    assert "traffic SLO report" in capsys.readouterr().out
+    assert traffic_main(["report", out]) == 2  # replaced, not aliased
+    capsys.readouterr()
+    assert obs_main(["report", out]) == 0
+    text = capsys.readouterr().out
+    assert "traffic SLO report" in text
+    assert "blackout cost" in text and "delivery latency p50" in text
 
     assert obs_main(["validate", out]) == 0
     assert "valid repro.traffic/1" in capsys.readouterr().out
