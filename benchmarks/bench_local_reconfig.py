@@ -145,7 +145,7 @@ def test_local_reconfig_correctness_spotcheck(benchmark):
         net.run_for(10 * SEC)
         reduced = net.autopilots[0].engine.topology
         entries = {
-            ap.uid: ap.switch.table.non_constant_entries()
+            ap.uid: ap.switch.table.non_constant_rows()
             for ap in net.autopilots
         }
         reach = all_pairs_reachable(reduced, entries)

@@ -25,6 +25,7 @@ from benchmarks.bench_util import current_seed, fmt_ms, measured_cut, report
 from repro.core.autopilot import AutopilotParams
 from repro.network import Network
 from repro.topology import line, src_service_lan, torus
+from repro.topology.graph import diameter, spec_graph
 
 
 def reconfig_ns(spec, params_factory=None):
@@ -34,10 +35,7 @@ def reconfig_ns(spec, params_factory=None):
 
 
 def max_distance(spec):
-    import networkx as nx
-
-    g = nx.Graph((a, b) for a, _pa, b, _pb in spec.cables)
-    return nx.diameter(g)
+    return diameter(spec_graph(spec))
 
 
 @pytest.mark.benchmark(group="E1")

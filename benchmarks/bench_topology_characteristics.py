@@ -19,7 +19,6 @@ if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
     _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
     _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
 
-import networkx as nx
 import pytest
 
 from benchmarks.bench_util import current_seed, fmt_ms, measured_cut, report
@@ -27,12 +26,13 @@ from repro.analysis.capacity import analyze_capacity
 from repro.baselines.routing_ablation import tree_only_topology
 from repro.network import Network
 from repro.topology import dcell, expected_tree, fat_tree, random_regular, torus, tree
+from repro.topology.graph import components, cut_points_and_bridges, spec_graph
 from repro.topology.src_lan import src_service_lan
 
 
 def survives_single_failures(spec) -> bool:
-    g = nx.Graph((a, b) for a, _pa, b, _pb in spec.cables)
-    return nx.is_biconnected(g) and not list(nx.bridges(g))
+    graph = spec_graph(spec)
+    return len(components(graph)) == 1 and cut_points_and_bridges(graph) == ([], [])
 
 
 @pytest.mark.benchmark(group="E17")

@@ -2,38 +2,7 @@
 
 These operate on computed forwarding tables and topology descriptions
 (statically) or on the running simulation (dynamically), and back both the
-test suite's property checks and the benchmark harness.
+test suite's property checks and the benchmark harness.  Import the
+module you need (``repro.analysis.deadlock``, ``.invariants``, ...): the
+package re-exports nothing, so asking for one does not load the others.
 """
-
-from repro.analysis.capacity import CapacityReport, analyze_capacity
-from repro.analysis.deadlock import (
-    channel_dependency_graph,
-    dependency_cycles,
-    has_deadlock_potential,
-)
-from repro.analysis.doctor import HealthReport, diagnose
-from repro.analysis.explorer import NetworkExplorer
-from repro.analysis.invariants import (
-    all_pairs_reachable,
-    assert_trail_legal,
-    check_no_down_to_up,
-    trace_delivery,
-)
-from repro.analysis.logs import epochs_seen, reconfiguration_timeline
-
-__all__ = [
-    "CapacityReport",
-    "analyze_capacity",
-    "channel_dependency_graph",
-    "dependency_cycles",
-    "has_deadlock_potential",
-    "HealthReport",
-    "diagnose",
-    "NetworkExplorer",
-    "all_pairs_reachable",
-    "assert_trail_legal",
-    "check_no_down_to_up",
-    "trace_delivery",
-    "epochs_seen",
-    "reconfiguration_timeline",
-]

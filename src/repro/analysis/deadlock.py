@@ -12,24 +12,23 @@ E11 ablation bench demonstrates.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Mapping, Set, Tuple
 
 from repro.core.topo import PortRef, TopologyMap
-from repro.net.forwarding import ForwardingEntry
+from repro.net.forwarding import RowMap, distinct_rows
 from repro.types import Uid
 
 #: a channel: bytes flowing from one switch port into a neighbor's port
 Channel = Tuple[PortRef, PortRef]
 
-EntryMap = Mapping[Tuple[int, int], ForwardingEntry]
+#: the dependency graph: channel -> the channels a packet on it may wait for
+ChannelGraph = Dict[Channel, Set[Channel]]
 
 
 def channel_dependency_graph(
     topology: TopologyMap,
-    entries_by_uid: Mapping[Uid, EntryMap],
-) -> "nx.DiGraph":
+    entries_by_uid: Mapping[Uid, RowMap],
+) -> ChannelGraph:
     """Build the channel dependency graph induced by the loaded tables.
 
     Only switch-to-switch channels are modeled; channels to and from hosts
@@ -38,48 +37,51 @@ def channel_dependency_graph(
     :mod:`repro.analysis.invariants` do not look for one.
     """
     index = topology.index()
-    graph = nx.DiGraph()
-    for uid, ports in index.nbrs.items():
-        for port, far in ports.items():
-            graph.add_node((PortRef(uid, port), far))
-
-    for uid, entries in entries_by_uid.items():
+    graph: ChannelGraph = {
+        (PortRef(uid, port), far): set()
+        for uid, ports in index.nbrs.items()
+        for port, far in ports.items()
+    }
+    for uid, rows in entries_by_uid.items():
         nbrs = index.nbrs.get(uid, {})
-        # one pass per distinct (receiving port, port vector) row: every
-        # address sharing a row induces the same dependencies
-        rows: Set[Tuple[int, Tuple[int, ...]]] = set()
-        for (in_port, _address), entry in entries.items():
-            sender = nbrs.get(in_port)
-            if sender is None:
-                continue  # packets from hosts/CP start chains, no upstream hold
-            row = (in_port, entry.ports)
-            if row in rows:
-                continue
-            rows.add(row)
-            upstream: Channel = (sender, PortRef(uid, in_port))
-            for out_port in entry.ports:
-                far = nbrs.get(out_port)
-                if far is not None:  # else a host or the CP: chain ends
-                    graph.add_edge(upstream, (PortRef(uid, out_port), far))
+        # packets from hosts/CP start chains, no upstream hold: only the
+        # receiving ports with a switch behind them have a channel to extend
+        held = [(port, graph[(sender, PortRef(uid, port))]) for port, sender in nbrs.items()]
+        # a host or the CP ends the chain: only link ports continue it
+        onward = {port: (PortRef(uid, port), far) for port, far in nbrs.items()}
+        # every address sharing a row induces the same dependencies
+        for _address, row in distinct_rows(rows):
+            for in_port, waits_for in held:
+                for out_port in row[in_port].ports:
+                    if out_port in onward:
+                        waits_for.add(onward[out_port])
     return graph
 
 
-def dependency_cycles(graph: "nx.DiGraph", limit: int = 50) -> List[List[Channel]]:
-    """Up to ``limit`` elementary cycles of the dependency graph."""
-    cycles = []
-    for cycle in nx.simple_cycles(graph):
-        cycles.append(cycle)
-        if len(cycles) >= limit:
-            break
-    return cycles
+def is_acyclic(graph: Mapping[Channel, Set[Channel]]) -> bool:
+    """Kahn's test: peel off nodes nothing points at until none is left;
+    whatever remains sits on or behind a cycle.  Every successor must
+    itself be a key of ``graph``."""
+    indegree = dict.fromkeys(graph, 0)
+    for successors in graph.values():
+        for node in successors:
+            indegree[node] += 1
+    ready = [node for node, count in indegree.items() if not count]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for node in graph[ready.pop()]:
+            indegree[node] -= 1
+            if not indegree[node]:
+                ready.append(node)
+    return peeled == len(graph)
 
 
 def has_deadlock_potential(
-    topology: TopologyMap, entries_by_uid: Mapping[Uid, EntryMap]
+    topology: TopologyMap, entries_by_uid: Mapping[Uid, RowMap]
 ) -> bool:
     """True iff the loaded routes admit a circular channel dependency."""
-    graph = channel_dependency_graph(topology, entries_by_uid)
-    return not nx.is_directed_acyclic_graph(graph)
+    return not is_acyclic(channel_dependency_graph(topology, entries_by_uid))
 
 
 class ProgressMonitor:

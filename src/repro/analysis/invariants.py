@@ -13,20 +13,18 @@ from typing import Dict, Mapping, Set, Tuple
 
 from repro.constants import CONTROL_PROCESSOR_PORT
 from repro.core.topo import NetLink, PortRef, TopologyMap
-from repro.net.forwarding import ForwardingEntry
+from repro.net.forwarding import RowMap, distinct_rows
 from repro.types import Uid, make_short_address
 
-EntryMap = Mapping[Tuple[int, int], ForwardingEntry]
-
 # Every sweep below fetches ``topology.index()`` once and does the work a
-# table demands once per *distinct* row: entries are interned, so a table
-# of thousands of (receiving port, address) keys holds a few dozen port
-# vectors, and a verdict on one key of a row holds for all of them.
+# table demands once per *distinct* row (:func:`distinct_rows`): a table of
+# hundreds of addresses holds a few dozen rows, and a verdict on a row
+# holds at every address that reads it.
 
 
 def _deliveries(
     nbrs: Mapping[Uid, Mapping[int, PortRef]],
-    entries_by_uid: Mapping[Uid, EntryMap],
+    entries_by_uid: Mapping[Uid, RowMap],
     start_uid: Uid,
     start_port: int,
     address: int,
@@ -40,11 +38,11 @@ def _deliveries(
             continue
         seen.add(state)
         uid, in_port = state
-        entry = entries_by_uid.get(uid, {}).get((in_port, address))
-        if entry is None or entry.is_discard:
+        row = entries_by_uid.get(uid, {}).get(address)
+        if row is None or row[in_port].is_discard:
             continue
         ports = nbrs.get(uid, {})
-        for out_port in entry.ports:
+        for out_port in row[in_port].ports:
             far = None if out_port == CONTROL_PROCESSOR_PORT else ports.get(out_port)
             if far is not None:
                 frontier.append((far.uid, far.port))
@@ -57,7 +55,7 @@ def _deliveries(
 
 def trace_delivery(
     topology: TopologyMap,
-    entries_by_uid: Mapping[Uid, EntryMap],
+    entries_by_uid: Mapping[Uid, RowMap],
     start_uid: Uid,
     start_port: int,
     address: int,
@@ -74,7 +72,7 @@ def trace_delivery(
 
 
 def all_pairs_reachable(
-    topology: TopologyMap, entries_by_uid: Mapping[Uid, EntryMap]
+    topology: TopologyMap, entries_by_uid: Mapping[Uid, RowMap]
 ) -> Dict[Tuple[Uid, Uid], bool]:
     """For every ordered switch pair (s, t): does a packet injected at s's
     control processor reach t's control processor?  (Loops: see
@@ -93,7 +91,7 @@ def all_pairs_reachable(
 
 
 def check_no_down_to_up(
-    topology: TopologyMap, entries_by_uid: Mapping[Uid, EntryMap]
+    topology: TopologyMap, entries_by_uid: Mapping[Uid, RowMap]
 ) -> None:
     """Raise AssertionError if any table entry forwards a packet that
     arrived on a down traversal back up (the rule of section 6.6.4)."""
@@ -102,18 +100,15 @@ def check_no_down_to_up(
     for uid, entries in entries_by_uid.items():
         # ports where we are the link's down end: a packet arriving there
         # has descended, and a packet sent there climbs
-        down_ends = {port for port in index.nbrs.get(uid, {}) if not up_end[(uid, port)]}
-        cleared: Set[Tuple[int, ...]] = set()
-        for (in_port, address), entry in entries.items():
-            if in_port not in down_ends or entry.ports in cleared:
-                continue
-            for out_port in entry.ports:
-                if out_port in down_ends:
-                    raise AssertionError(
-                        f"{uid}: entry (in={in_port}, addr={address:#x}) forwards "
-                        f"a descended packet up via port {out_port}"
-                    )
-            cleared.add(entry.ports)
+        down_ends = sorted(port for port in index.nbrs.get(uid, {}) if not up_end[(uid, port)])
+        for address, row in distinct_rows(entries):
+            for in_port in down_ends:
+                for out_port in row[in_port].ports:
+                    if out_port in down_ends:
+                        raise AssertionError(
+                            f"{uid}: entry (in={in_port}, addr={address:#x}) forwards "
+                            f"a descended packet up via port {out_port}"
+                        )
 
 
 def assert_trail_legal(topology: TopologyMap, trail, uid_of_switch_name) -> None:
@@ -144,7 +139,7 @@ def assert_trail_legal(topology: TopologyMap, trail, uid_of_switch_name) -> None
 
 
 def links_used(
-    topology: TopologyMap, entries_by_uid: Mapping[Uid, EntryMap]
+    topology: TopologyMap, entries_by_uid: Mapping[Uid, RowMap]
 ) -> Set[NetLink]:
     """The set of switch-to-switch links appearing in at least one entry.
 
@@ -154,8 +149,8 @@ def links_used(
     used: Set[NetLink] = set()
     for uid, entries in entries_by_uid.items():
         nbrs = index.nbrs.get(uid, {})
-        for ports in {entry.ports for entry in entries.values()}:
-            for out_port in ports:
+        for _address, row in distinct_rows(entries):
+            for out_port in {port for entry in row for port in entry.ports}:
                 if out_port in nbrs:
                     used.add(NetLink(PortRef(uid, out_port), nbrs[out_port]))
     return used

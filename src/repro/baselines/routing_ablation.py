@@ -13,12 +13,13 @@ Up*/down* is compared against the two obvious alternatives:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
-from repro.constants import CONTROL_PROCESSOR_PORT, PORTS_PER_SWITCH
+from repro.constants import PORTS_PER_SWITCH
+from repro.core.routing import own_rows
 from repro.core.topo import NetLink, PortRef, TopologyMap
-from repro.net.forwarding import DISCARD_ENTRY, ForwardingEntry
+from repro.net.forwarding import DISCARD_ENTRY, ForwardingEntry, Row
+from repro.topology.graph import distances
 from repro.types import Uid, make_short_address
 
 
@@ -43,64 +44,38 @@ def build_shortest_path_entries(
     my_uid: Uid,
     my_host_ports: Optional[FrozenSet[int]] = None,
     n_ports: int = PORTS_PER_SWITCH,
-) -> Dict[Tuple[int, int], ForwardingEntry]:
+) -> Dict[int, Row]:
     """Minimum-hop forwarding with no up*/down* restriction.
 
-    Entries are independent of the receiving port (any input may use any
-    shortest-path output), which is what admits circular channel
+    A row holds one entry whatever the receiving port (any input may use
+    any shortest-path output), which is what admits circular channel
     dependencies.
     """
     me = topology.switches[my_uid]
     host_ports = set(my_host_ports if my_host_ports is not None else me.host_ports)
 
     # plain BFS distances per destination
-    adjacency: Dict[Uid, Dict[int, Uid]] = {
-        uid: {p: ref.uid for p, ref in ports.items()}
-        for uid, ports in topology.index().nbrs.items()
-    }
+    nbrs = topology.index().nbrs
+    graph = {uid: [far.uid for far in ports.values()] for uid, ports in nbrs.items()}
 
-    entries: Dict[Tuple[int, int], ForwardingEntry] = {}
-    in_ports = list(range(0, n_ports + 1))
+    rows: Dict[int, Row] = {}
     for dest_uid in topology.switches:
         number = topology.numbers.get(dest_uid)
         if number is None:
             continue
         if dest_uid == my_uid:
-            for q in range(0, n_ports + 1):
-                address = make_short_address(number, q)
-                if q == CONTROL_PROCESSOR_PORT:
-                    entry = ForwardingEntry((CONTROL_PROCESSOR_PORT,))
-                elif q in host_ports:
-                    entry = ForwardingEntry((q,))
-                else:
-                    entry = DISCARD_ENTRY
-                for i in in_ports:
-                    entries[(i, address)] = entry
+            rows.update(own_rows(number, host_ports, n_ports))
             continue
-        dist = _bfs_distance(adjacency, dest_uid)
+        dist = distances(graph, dest_uid)
         here = dist.get(my_uid, float("inf"))
         ports = tuple(
             sorted(
                 p
-                for p, far_uid in adjacency[my_uid].items()
-                if dist.get(far_uid, float("inf")) + 1 == here
+                for p, far in nbrs[my_uid].items()
+                if dist.get(far.uid, float("inf")) + 1 == here
             )
         )
-        entry = ForwardingEntry(ports) if ports else DISCARD_ENTRY
+        row = (ForwardingEntry(ports) if ports else DISCARD_ENTRY,) * (n_ports + 1)
         for q in range(0, n_ports + 1):
-            address = make_short_address(number, q)
-            for i in in_ports:
-                entries[(i, address)] = entry
-    return entries
-
-
-def _bfs_distance(adjacency: Dict[Uid, Dict[int, Uid]], dest: Uid) -> Dict[Uid, float]:
-    dist: Dict[Uid, float] = {dest: 0.0}
-    frontier = deque([dest])
-    while frontier:
-        node = frontier.popleft()
-        for far in adjacency[node].values():
-            if far not in dist:
-                dist[far] = dist[node] + 1
-                frontier.append(far)
-    return dist
+            rows[make_short_address(number, q)] = row
+    return rows

@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-import networkx as nx
-
-from repro.analysis.deadlock import channel_dependency_graph
+from repro.analysis.deadlock import channel_dependency_graph, is_acyclic
 from repro.analysis.invariants import all_pairs_reachable, check_no_down_to_up
 
 
@@ -102,7 +100,7 @@ def check_partition_routing(network) -> CheckReport:
             if index is None:
                 continue  # foreign uid in view: oracle check reports it
             if uid not in tables:
-                tables[uid] = network.switches[index].table.non_constant_entries()
+                tables[uid] = network.switches[index].table.non_constant_rows()
             entries[uid] = tables[uid]
 
         # a forwarding loop is a cycle of channels: deadlock-freedom reports it
@@ -122,8 +120,7 @@ def check_partition_routing(network) -> CheckReport:
             report.fail(f"{label}: up/down rule violated: {error}")
 
         report.ran("deadlock-freedom")
-        graph = channel_dependency_graph(topology, entries)
-        if not nx.is_directed_acyclic_graph(graph):
+        if not is_acyclic(channel_dependency_graph(topology, entries)):
             report.fail(f"{label}: channel dependency graph has a cycle")
     return report
 

@@ -453,9 +453,7 @@ class Autopilot:
         self.switch.clear_table(reset_on_load=reset)
 
     def load_forwarding(self, entries: Dict, reset: bool = True) -> None:
-        # entries come from build_forwarding_entries, whose addresses are
-        # in range by construction: take the C-speed load path
-        self.switch.load_table(entries, reset_on_load=reset, pretruncated=True)
+        self.switch.load_table(entries, reset_on_load=reset)
 
     def run_task(self, fn: Callable[[], None], cost: int = 0) -> None:
         self.scheduler.run_soon(fn, cost=cost)

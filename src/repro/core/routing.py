@@ -27,7 +27,7 @@ from repro.constants import (
     PORTS_PER_SWITCH,
 )
 from repro.core.topo import NetLink, PortRef, TopologyMap
-from repro.net.forwarding import DISCARD_ENTRY, ForwardingEntry
+from repro.net.forwarding import DISCARD_ENTRY, ForwardingEntry, Row
 from repro.types import Uid, make_short_address
 
 #: phases of a legal route: UP may still climb; DOWN must descend
@@ -70,28 +70,44 @@ def arrival_phase(topology: TopologyMap, uid: Uid, in_port: int) -> int:
     return UP if topology.index().up_end.get((uid, in_port), True) else DOWN
 
 
+def own_rows(number: int, host_ports: Set[int], n_ports: int = PORTS_PER_SWITCH) -> Dict[int, Row]:
+    """Rows for a switch's own addresses: whatever the receiving port,
+    address q reaches the control processor (q = 0) or host port q, and
+    the address of a port with no host on it discards."""
+    width = n_ports + 1
+    base = make_short_address(number, 0)
+    discard = (DISCARD_ENTRY,) * width
+    delivers = {CONTROL_PROCESSOR_PORT} | host_ports
+    return {
+        base + q: (_entry((q,)),) * width if q in delivers else discard
+        for q in range(width)
+    }
+
+
 def build_forwarding_entries(
     topology: TopologyMap,
     my_uid: Uid,
     my_host_ports: Optional[FrozenSet[int]] = None,
     n_ports: int = PORTS_PER_SWITCH,
-) -> Dict[Tuple[int, int], ForwardingEntry]:
-    """Compute one switch's forwarding table for the given configuration.
+) -> Dict[int, Row]:
+    """Compute one switch's forwarding table for the given configuration,
+    as the table holds it: destination address -> row[receiving port].
 
     ``my_host_ports`` overrides the host-port set recorded in the topology
     (the local switch knows its own port states most currently).
-    Entries cover every assignable short address in use plus the three
+    Rows cover every assignable short address in use plus the three
     broadcast addresses; everything else falls through to the table's
-    default discard.
+    default discard.  The port addresses of one destination switch share
+    one row object.
     """
     me = topology.switches[my_uid]
     host_ports = set(my_host_ports if my_host_ports is not None else me.host_ports)
-    in_ports = list(range(0, n_ports + 1))
+    in_ports = range(0, n_ports + 1)
     index = topology.index()
 
-    entries: Dict[Tuple[int, int], ForwardingEntry] = {}
+    rows: Dict[int, Row] = {}
 
-    # -- unicast entries to every switch's addresses ---------------------------------
+    # -- unicast rows to every switch's addresses ------------------------------------
     # arrival phase per receiving port: UP unless the packet descended to
     # get here (we are the link's down end).  Host/CP arrivals are UP.
     up_end = index.up_end
@@ -99,38 +115,24 @@ def build_forwarding_entries(
     arrives_up = [
         i not in nbr_ports or up_end[(my_uid, i)] for i in in_ports
     ]
-    for dest_uid, record in topology.switches.items():
+    for dest_uid in topology.switches:
         number = topology.numbers.get(dest_uid)
         if number is None:
             continue
         if dest_uid == my_uid:
-            for q in range(0, n_ports + 1):
-                address = make_short_address(number, q)
-                if q == CONTROL_PROCESSOR_PORT:
-                    entry = _entry((CONTROL_PROCESSOR_PORT,))
-                elif q in host_ports:
-                    entry = _entry((q,))
-                else:
-                    entry = DISCARD_ENTRY
-                for i in in_ports:
-                    entries[(i, address)] = entry
+            rows.update(own_rows(number, host_ports, n_ports))
             continue
         ports_up, ports_down = index.next_hops(my_uid, dest_uid)
         entry_up = _entry(ports_up) if ports_up else DISCARD_ENTRY
         entry_down = _entry(ports_down) if ports_down else DISCARD_ENTRY
+        row = tuple(entry_up if is_up else entry_down for is_up in arrives_up)
         # one validated address per destination; the per-port addresses
         # base..base+n_ports are contiguous (port bits are the low bits)
         base = make_short_address(number, 0)
-        row = [
-            (i, entry_up if is_up else entry_down)
-            for i, is_up in zip(in_ports, arrives_up)
-        ]
-        for q in range(0, n_ports + 1):
-            address = base + q
-            for i, entry in row:
-                entries[(i, address)] = entry
+        for address in range(base, base + n_ports + 1):
+            rows[address] = row
 
-    # -- broadcast flood entries (section 6.6.6) ---------------------------------------
+    # -- broadcast flood rows (section 6.6.6) ------------------------------------------
     children = index.children[my_uid]
     is_root = topology.root == my_uid
     parent_port = me.parent_port
@@ -146,18 +148,11 @@ def build_forwarding_entries(
     up_sources = {CONTROL_PROCESSOR_PORT} | host_ports | set(children)
     for address in (ADDR_BROADCAST_ALL, ADDR_BROADCAST_SWITCHES, ADDR_BROADCAST_HOSTS):
         down = _entry(flood_set(address), broadcast=True)
-        for i in in_ports:
-            if i in up_sources:
-                if is_root:
-                    entries[(i, address)] = down
-                else:
-                    entries[(i, address)] = _entry(
-                        (parent_port,), broadcast=True
-                    )
-            elif i == parent_port:
-                entries[(i, address)] = down
-            else:
-                # cross links and unused ports never carry broadcasts
-                entries[(i, address)] = DISCARD_ENTRY
+        up = down if is_root else _entry((parent_port,), broadcast=True)
+        # cross links and unused ports never carry broadcasts
+        rows[address] = tuple(
+            up if i in up_sources else down if i == parent_port else DISCARD_ENTRY
+            for i in in_ports
+        )
 
-    return entries
+    return rows

@@ -1,8 +1,9 @@
 """Switch forwarding tables (section 6.3).
 
 A table is indexed by the concatenation of the receiving port number and a
-packet's destination short address.  Each entry holds a 13-bit port vector
-and a broadcast flag:
+packet's destination short address; here that memory is ``address -> row``
+with a row indexed by receiving port.  Each entry holds a 13-bit port
+vector and a broadcast flag:
 
 * ``broadcast = 0``: the vector lists *alternative* ports -- the switch
   sends on the first free one, preferring the lowest number;
@@ -19,7 +20,7 @@ routing is down (section 6.7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.constants import (
     ADDR_LOCAL_SWITCH,
@@ -59,39 +60,60 @@ class ForwardingEntry:
 #: the explicit discard entry stored in tables
 DISCARD_ENTRY = ForwardingEntry(ports=(), broadcast=True)
 
+#: one word of the memory per receiving port, 0 (the control processor) first
+Row = Tuple[ForwardingEntry, ...]
+#: a table as built, loaded and swept: destination short address -> row
+RowMap = Mapping[int, Row]
+
+
+def distinct_rows(rows: RowMap) -> Iterator[Tuple[int, Row]]:
+    """``(first address, row)`` for each run of addresses sharing one row
+    object -- in a computed table, once per destination switch instead of
+    once per port address.  What holds for a row holds at every address
+    and receiving port that reads it, so the table sweeps iterate these.
+    """
+    last: Optional[Row] = None
+    for address, row in rows.items():
+        if row is not last:
+            last = row
+            yield address, row
+
 
 class ForwardingTable:
-    """The forwarding memory of one switch."""
+    """The forwarding memory of one switch: destination short address ->
+    row, a row holding one entry per receiving port (0 = the control
+    processor).  Rows are *total*: a cell nothing was written to holds
+    :data:`DISCARD_ENTRY`, which is what the hardware does with it.  Rows
+    are immutable and may be shared between addresses (all port addresses
+    of one destination switch share theirs) and between tables.
+    """
 
     def __init__(self, n_ports: int = PORTS_PER_SWITCH) -> None:
         self.n_ports = n_ports
-        self._entries: Dict[Tuple[int, int], ForwardingEntry] = {}
-        self._constant: Dict[Tuple[int, int], ForwardingEntry] = {}
-        self._install_constant_part()
+        self._discard_row: Row = (DISCARD_ENTRY,) * (n_ports + 1)
+        self._constant = self._constant_part()
+        self._rows: Dict[int, Row] = dict(self._constant)
         #: incremented on every full load, for tests and tracing
         self.generation = 0
 
-    def _install_constant_part(self) -> None:
-        """One-hop, local-switch, and loopback entries (section 6.3)."""
+    def _constant_part(self) -> Dict[int, Row]:
+        """One-hop, local-switch, and loopback rows (section 6.3)."""
+        to_cp = ForwardingEntry((CONTROL_PROCESSOR_PORT,))
+        rows: Dict[int, Row] = {}
         for out_port in range(1, self.n_ports + 1):
             one_hop = ADDR_ONE_HOP_BASE + out_port - 1
             if one_hop > ADDR_ONE_HOP_LIMIT:
                 break
-            # from the control processor: transmit on the numbered port
-            self._constant[(CONTROL_PROCESSOR_PORT, one_hop)] = ForwardingEntry((out_port,))
+            # from the control processor: transmit on the numbered port;
             # from any external port: deliver to the control processor
-            for in_port in range(1, self.n_ports + 1):
-                self._constant[(in_port, one_hop)] = ForwardingEntry(
-                    (CONTROL_PROCESSOR_PORT,)
-                )
-        for in_port in range(1, self.n_ports + 1):
-            # "0000" from a host: the local control processor
-            self._constant[(in_port, ADDR_LOCAL_SWITCH)] = ForwardingEntry(
-                (CONTROL_PROCESSOR_PORT,)
-            )
-            # "FFFC": reflect back down the receiving link
-            self._constant[(in_port, ADDR_LOOPBACK)] = ForwardingEntry((in_port,))
-        self._entries.update(self._constant)
+            rows[one_hop] = (ForwardingEntry((out_port,)),) + (to_cp,) * self.n_ports
+        # "0000" from a host: the local control processor
+        rows[ADDR_LOCAL_SWITCH] = (DISCARD_ENTRY,) + (to_cp,) * self.n_ports
+        # "FFFC": reflect back down the receiving link
+        rows[ADDR_LOOPBACK] = (DISCARD_ENTRY,) + tuple(
+            ForwardingEntry((in_port,)) for in_port in range(1, self.n_ports + 1)
+        )
+        return rows
 
     # -- lookup -------------------------------------------------------------------------
 
@@ -101,54 +123,42 @@ class ForwardingTable:
         Addresses not present in the table are discarded, as are the
         reserved values 0xFF0-0xFFB.
         """
-        address = truncate_address(address)
-        return self._entries.get((in_port, address), DISCARD_ENTRY)
+        return self._rows.get(truncate_address(address), self._discard_row)[in_port]
 
     # -- loading --------------------------------------------------------------------------
 
     def clear_to_constant(self) -> None:
         """Step 1 of reconfiguration: forward only one-hop packets."""
-        self._entries = dict(self._constant)
+        self._rows = dict(self._constant)
         self.generation += 1
 
     def set_entry(self, in_port: int, address: int, entry: ForwardingEntry) -> None:
-        self._entries[(in_port, truncate_address(address))] = entry
+        """Write one cell.  The row is copied first, so the other addresses
+        (and tables) sharing it keep theirs."""
+        address = truncate_address(address)
+        row = list(self._rows.get(address, self._discard_row))
+        row[in_port] = entry
+        self._rows[address] = tuple(row)
 
-    def remove_entry(self, in_port: int, address: int) -> None:
-        self._entries.pop((in_port, truncate_address(address)), None)
-
-    def load(
-        self,
-        entries: Dict[Tuple[int, int], ForwardingEntry],
-        *,
-        pretruncated: bool = False,
-    ) -> None:
+    def load(self, rows: RowMap) -> None:
         """Load a computed configuration on top of the constant part.
 
-        ``pretruncated=True`` asserts every key's address is already within
-        the short-address range (true for tables straight out of
-        :func:`repro.core.routing.build_forwarding_entries`), letting the
-        load run as one C-speed dict update instead of a per-entry loop.
+        ``rows`` maps short addresses (already within the 11-bit range, as
+        :func:`repro.core.routing.build_forwarding_entries` makes them) to
+        rows of ``n_ports + 1`` entries; the rows are referenced, not copied.
         """
         new = dict(self._constant)
-        if pretruncated:
-            new.update(entries)
-        else:
-            for (in_port, address), entry in entries.items():
-                new[(in_port, truncate_address(address))] = entry
-        self._entries = new
+        new.update(rows)
+        self._rows = new
         self.generation += 1
 
-    def entries(self) -> Dict[Tuple[int, int], ForwardingEntry]:
-        return dict(self._entries)
-
-    def non_constant_entries(self) -> Dict[Tuple[int, int], ForwardingEntry]:
+    def non_constant_rows(self) -> Dict[int, Row]:
+        """The rows a load or :meth:`set_entry` put there, by address."""
         constant = self._constant
         return {
-            key: entry
-            for key, entry in self._entries.items()
-            if key not in constant or constant[key] != entry
+            address: row for address, row in self._rows.items() if constant.get(address) != row
         }
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Rows held, the constant part included."""
+        return len(self._rows)

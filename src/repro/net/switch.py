@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.constants import PORTS_PER_SWITCH
 from repro.net.fifo import DiscardSink, DrainTarget, ReceiveFifo
-from repro.net.forwarding import ForwardingEntry, ForwardingTable
+from repro.net.forwarding import ForwardingTable, RowMap
 from repro.net.linkunit import LinkUnit
 from repro.net.packet import Packet
 from repro.net.scheduler import Request, SchedulingEngine
@@ -286,23 +286,16 @@ class Switch:
                 self.sim.now, self.name, CAT_TABLE, "table-clear", reset=reset_on_load
             )
 
-    def load_table(
-        self,
-        entries: Dict[Tuple[int, int], ForwardingEntry],
-        reset_on_load: bool = True,
-        *,
-        pretruncated: bool = False,
-    ) -> None:
-        """Load a computed configuration.
+    def load_table(self, rows: RowMap, reset_on_load: bool = True) -> None:
+        """Load a computed configuration (address -> row).
 
         The prototype hardware couples loading with a switch reset that
         destroys all packets in the switch (section 7); pass
         ``reset_on_load=False`` to model the proposed improvement.
-        ``pretruncated`` is forwarded to :meth:`ForwardingTable.load`.
         """
         if reset_on_load:
             self.reset()
-        self.table.load(entries, pretruncated=pretruncated)
+        self.table.load(rows)
         rec = self.sim.recorder
         if rec is not None:
             rec.record(
@@ -310,7 +303,7 @@ class Switch:
                 self.name,
                 CAT_TABLE,
                 "table-load",
-                entries=len(entries),
+                entries=len(rows) * (self.n_ports + 1),  # cells, as the memory counts
                 reset=reset_on_load,
             )
 

@@ -36,6 +36,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import MergedLog
 from repro.topology.generators import TopologySpec
+from repro.topology.graph import adjacency, components
 from repro.traffic.workload import TrafficConfig
 from repro.types import Uid
 
@@ -603,39 +604,14 @@ class Network:
         view against the component containing it.
         """
         alive = [i for i, ap in enumerate(self.autopilots) if ap.alive]
-        alive_set = set(alive)
-        adjacency: Dict[int, set] = {i: set() for i in alive}
-        endpoints: Dict[int, List[int]] = {}
-        for (sw, _port), link in self.links.items():
-            endpoints.setdefault(id(link), []).append(sw)
-        for (sw, _port), link in self.links.items():
-            if link.state is LinkState.CUT:
-                continue
-            if link.state is LinkState.NOISY and not include_noisy:
-                continue
-            if link.state is not LinkState.UP and link.state is not LinkState.NOISY:
-                continue  # reflecting cables carry nothing useful
-            ends = endpoints[id(link)]
-            if len(ends) == 2 and ends[0] != ends[1]:
-                a, b = ends
-                if a in alive_set and b in alive_set:
-                    adjacency[a].add(b)
-                    adjacency[b].add(a)
-        components = []
-        unvisited = set(alive_set)
-        while unvisited:
-            start = min(unvisited)
-            component = {start}
-            frontier = [start]
-            while frontier:
-                node = frontier.pop()
-                for neighbor in adjacency[node]:
-                    if neighbor not in component:
-                        component.add(neighbor)
-                        frontier.append(neighbor)
-            unvisited -= component
-            components.append(frozenset(component))
-        return sorted(components, key=min)
+        # cut and reflecting cables carry nothing useful
+        carrying = (LinkState.UP, LinkState.NOISY) if include_noisy else (LinkState.UP,)
+        cables = [
+            (a, b)
+            for a, pa, b, _pb in self.spec.cables
+            if a in alive and b in alive and self.links[(a, pa)].state in carrying
+        ]
+        return components(adjacency(alive, cables))
 
     def current_epoch(self) -> int:
         return max(ap.epoch for ap in self.alive_autopilots())

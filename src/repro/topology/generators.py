@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import PORTS_PER_SWITCH
 from repro.core.topo import NetLink, PortRef, SwitchRecord, TopologyMap
+from repro.topology.graph import distances, spec_graph
 from repro.types import Uid
 
 
@@ -346,16 +347,7 @@ def expected_tree(spec: TopologySpec, host_ports: Optional[Dict[int, List[int]]]
         links.add(NetLink(PortRef(spec.uids[a], pa), PortRef(spec.uids[b], pb)))
 
     root_index = min(range(n), key=lambda i: spec.uids[i])
-    levels = {root_index: 0}
-    frontier = [root_index]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j, _pi, _pj in adjacency[i]:
-                if j not in levels:
-                    levels[j] = levels[i] + 1
-                    nxt.append(j)
-        frontier = nxt
+    levels = distances(spec_graph(spec), root_index)
     if len(levels) != n:
         raise ValueError("topology is not connected")
 

@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from repro.constants import PORTS_PER_SWITCH
 from repro.topology.generators import TopologySpec, torus
+from repro.topology.graph import components, cut_points_and_bridges, diameter, spec_graph
 
 
 @dataclass
@@ -49,26 +48,17 @@ class InstallationPlan:
         """Dual-connected hosts this installation can still absorb."""
         return (self.n_switches * self.hosts_per_switch) // 2 - self.n_hosts
 
-    def trunk_graph(self) -> "nx.Graph":
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n_switches))
-        g.add_edges_from((a, b) for a, _pa, b, _pb in self.spec.cables)
-        return g
-
     def verify(self) -> List[str]:
         """Check the availability goal; returns a list of violations."""
         problems = []
-        g = self.trunk_graph()
-        if self.n_switches > 1:
-            if not nx.is_connected(g):
-                problems.append("trunk graph is not connected")
-            elif self.n_switches > 2 and not nx.is_biconnected(g):
-                cuts = list(nx.articulation_points(g))
-                problems.append(f"single switch failures disconnect: {cuts}")
-            if self.n_switches > 2:
-                bridges = list(nx.bridges(g))
-                if bridges:
-                    problems.append(f"single trunk failures disconnect: {bridges}")
+        g = spec_graph(self.spec)
+        cuts, bridges = cut_points_and_bridges(g) if self.n_switches > 2 else ([], [])
+        if len(components(g)) > 1:
+            problems.append("trunk graph is not connected")
+        elif cuts:
+            problems.append(f"single switch failures disconnect: {cuts}")
+        if bridges:
+            problems.append(f"single trunk failures disconnect: {bridges}")
         seen_ports: set = set()
         for host, attachments in self.host_attachments.items():
             if len(attachments) == 2 and attachments[0][0] == attachments[1][0]:
@@ -86,7 +76,7 @@ class InstallationPlan:
             f"  trunk links        : {len(self.spec.cables)}",
             f"  dual-homed hosts   : {self.n_hosts}",
             f"  spare host capacity: {self.host_capacity()}",
-            f"  trunk diameter     : {nx.diameter(self.trunk_graph()) if self.n_switches > 1 else 0}",
+            f"  trunk diameter     : {diameter(spec_graph(self.spec))}",
         ]
         lines.extend(f"  note: {note}" for note in self.notes)
         return "\n".join(lines)

@@ -71,7 +71,7 @@ def a_down_end(topology):
 def test_descended_packet_forwarded_up_is_reported(net, position):
     with Planted(net) as planted:
         uid, down_port = a_down_end(planted.topology)
-        entries = planted.table(uid).non_constant_entries()
+        entries = naive.cells(planted.table(uid).non_constant_rows())
         # the keys of one row class: same receiving port, same port vector
         first = next(key for key in entries if key[0] == down_port)
         row = [
@@ -85,7 +85,7 @@ def test_descended_packet_forwarded_up_is_reported(net, position):
         violations = check_partition_routing(net).violations
         with pytest.raises(AssertionError) as reference:
             naive.check_no_down_to_up(
-                planted.topology, {uid: planted.table(uid).non_constant_entries()}
+                planted.topology, {uid: naive.cells(planted.table(uid).non_constant_rows())}
             )
     message = f"{planted.label}: up/down rule violated: {reference.value}"
     assert message in violations
@@ -103,7 +103,9 @@ def test_black_holed_destination_is_reported(net):
             planted.set(at, in_port, address, DISCARD_ENTRY)
 
         violations = check_partition_routing(net).violations
-        entries = {uid: planted.table(uid).non_constant_entries() for uid in topology.switches}
+        entries = naive.cells_by_uid(
+            {uid: planted.table(uid).non_constant_rows() for uid in topology.switches}
+        )
         unreachable = sorted(
             f"{src}->{victim}"
             for src in topology.switches
@@ -129,7 +131,9 @@ def test_ping_pong_pair_is_reported_as_a_dependency_cycle(net, position):
         planted.set(far.uid, far.port, address, ForwardingEntry((far.port,)))
 
         violations = check_partition_routing(net).violations
-        entries = {u: planted.table(u).non_constant_entries() for u in topology.switches}
+        entries = naive.cells_by_uid(
+            {u: planted.table(u).non_constant_rows() for u in topology.switches}
+        )
         assert naive.has_cycle(topology, entries)
     assert f"{planted.label}: channel dependency graph has a cycle" in violations
 

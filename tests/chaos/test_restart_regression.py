@@ -93,7 +93,7 @@ def test_stale_config_deadline_does_not_wipe_restarted_switch_table():
     net.run_for(10 * MS)
     net.restart_switch(0)
     assert net.run_until_converged(timeout_ns=30 * SEC)
-    assert net.switches[0].table.non_constant_entries()
+    assert net.switches[0].table.non_constant_rows()
     epochs = sorted({ap.epoch for ap in net.alive_autopilots()})
 
     # wait out the pre-crash epoch's config deadline (5s default) with
@@ -102,6 +102,6 @@ def test_stale_config_deadline_does_not_wipe_restarted_switch_table():
     net.run_for(7 * SEC)
     assert net.converged()
     assert sorted({ap.epoch for ap in net.alive_autopilots()}) == epochs
-    assert net.switches[0].table.non_constant_entries()
+    assert net.switches[0].table.non_constant_rows()
     report = quiescent_checks(net)
     assert report.passed, report.violations

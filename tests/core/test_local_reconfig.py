@@ -51,7 +51,7 @@ def test_tables_stay_consistent_after_local_reconfig():
 
     topo = net.autopilots[0].engine.topology
     entries = {
-        ap.uid: ap.switch.table.non_constant_entries() for ap in net.autopilots
+        ap.uid: ap.switch.table.non_constant_rows() for ap in net.autopilots
     }
     results = all_pairs_reachable(topo, entries)
     assert all(results.values())

@@ -8,6 +8,8 @@ converges to -- so level ties, cross links spanning several levels and
 parallel cables all occur.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,6 +101,37 @@ def test_index_distances_and_next_hops_equal_naive_bellman_ford(topo):
             )
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_tree_maps(max_switches=8), st.randoms(use_true_random=False))
+def test_row_builder_equals_the_cell_by_cell_builder(topo, rng):
+    """``build_forwarding_entries`` returns rows; expanded to cells they are
+    the table the cell-by-cell builder writes, key order included -- also
+    with host ports, an un-numbered switch, a loop link and a link naming a
+    foreign UID in the map."""
+    uids = sorted(topo.switches)
+    for uid in uids:
+        free = sorted(set(range(1, PORTS_PER_SWITCH + 1)) - set(topo.neighbors(uid)))
+        hosts = frozenset(rng.sample(free, rng.randint(0, min(3, len(free)))))
+        topo.switches[uid] = replace(topo.switches[uid], host_ports=hosts)
+    if rng.random() < 0.5:
+        del topo.numbers[rng.choice(uids)]
+    if rng.random() < 0.5:
+        topo.links.add(NetLink(PortRef(uids[0], 11), PortRef(uids[0], 12)))
+    if rng.random() < 0.5:
+        topo.links.add(NetLink(PortRef(uids[-1], 12), PortRef(Uid(0xDEAD), 1)))
+    for uid in uids:
+        override = rng.choice([None, frozenset(rng.sample(range(1, PORTS_PER_SWITCH + 1), 2))])
+        rows = build_forwarding_entries(topo, uid, override)
+        expected = naive.build_forwarding_entries(topo, uid, override)
+        assert naive.cells(rows) == expected
+        assert list(naive.cells(rows)) == list(expected)
+        assert all(len(row) == PORTS_PER_SWITCH + 1 for row in rows.values())
+        for dest, number in topo.numbers.items():
+            if dest != uid:
+                base = make_short_address(number, 0)
+                assert all(rows[base + q] is rows[base] for q in range(PORTS_PER_SWITCH + 1))
+
+
 def outcome(check, *args):
     try:
         return check(*args)
@@ -118,21 +151,26 @@ def test_row_deduping_sweeps_equal_the_per_key_sweeps(topo, rng):
             # between link ports, where a wrong vector breaks the rules
             uid = rng.choice(sorted(topo.switches))
             link_ports = sorted(topo.neighbors(uid))
-            key = rng.choice(sorted(k for k in entries[uid] if k[0] in link_ports))
+            in_port, address = rng.choice(
+                sorted(k for k in naive.cells(entries[uid]) if k[0] in link_ports)
+            )
             ports = rng.sample(link_ports + [CONTROL_PROCESSOR_PORT], rng.randint(1, 2))
-            entries[uid][key] = ForwardingEntry(tuple(ports))
+            row = list(entries[uid][address])  # shared by 13 addresses: copy, as set_entry does
+            row[in_port] = ForwardingEntry(tuple(ports))
+            entries[uid][address] = tuple(row)
+        per_key = naive.cells_by_uid(entries)
         assert outcome(check_no_down_to_up, topo, entries) == outcome(
-            naive.check_no_down_to_up, topo, entries
+            naive.check_no_down_to_up, topo, per_key
         )
-        assert links_used(topo, entries) == naive.links_used(topo, entries)
+        assert links_used(topo, entries) == naive.links_used(topo, per_key)
         graph = channel_dependency_graph(topo, entries)
-        nodes, edges = naive.channel_dependency_edges(topo, entries)
-        assert set(graph.nodes) == nodes
-        assert set(graph.edges) == edges
+        nodes, edges = naive.channel_dependency_edges(topo, per_key)
+        assert set(graph) == nodes
+        assert {(a, b) for a, successors in graph.items() for b in successors} == edges
         reachable = all_pairs_reachable(topo, entries)
         for (src, dst), ok in reachable.items():
             address = make_short_address(topo.numbers[dst], CONTROL_PROCESSOR_PORT)
-            delivered = naive.trace_delivery(topo, entries, src, CONTROL_PROCESSOR_PORT, address)
+            delivered = naive.trace_delivery(topo, per_key, src, CONTROL_PROCESSOR_PORT, address)
             assert ok == ((dst, CONTROL_PROCESSOR_PORT) in delivered)
         assert len(reachable) == len(topo.switches) ** 2
 

@@ -1,19 +1,111 @@
 """Naive reference versions of the topology views and routing sweeps.
 
-These are the implementations ``src/`` had before ``TopologyIndex``: every
-lookup scans every link, every sweep visits every table key.  They are kept
-deliberately slow and obvious, as the oracle the index and the row-deduping
-sweeps are pinned to (the engine-order suite does the same for the
-scheduler).  Nothing under ``src/`` may import this module.
+These are the implementations ``src/`` had before ``TopologyIndex`` and
+before tables became rows: every lookup scans every link, a table is a
+dict of ``(receiving port, address)`` cells written one at a time, every
+sweep visits every cell.  They are kept deliberately slow and obvious, as
+the oracle the index, the row builder and the row sweeps are pinned to
+(the engine-order suite does the same for the scheduler).  :func:`cells`
+expands ``{address: row}`` tables into that cell shape.  Nothing under
+``src/`` may import this module.
 """
 
 from collections import deque
 
 import networkx as nx
 
-from repro.constants import CONTROL_PROCESSOR_PORT
+from repro.constants import (
+    ADDR_BROADCAST_ALL,
+    ADDR_BROADCAST_HOSTS,
+    ADDR_BROADCAST_SWITCHES,
+    CONTROL_PROCESSOR_PORT,
+    PORTS_PER_SWITCH,
+)
 from repro.core.routing import DOWN, UP
 from repro.core.topo import NetLink, PortRef
+from repro.net.forwarding import DISCARD_ENTRY, ForwardingEntry
+from repro.types import make_short_address
+
+
+def cells(rows):
+    """``{address: row}`` as ``{(receiving port, address): entry}``."""
+    return {
+        (in_port, address): entry
+        for address, row in rows.items()
+        for in_port, entry in enumerate(row)
+    }
+
+
+def cells_by_uid(rows_by_uid):
+    return {uid: cells(rows) for uid, rows in rows_by_uid.items()}
+
+
+def build_forwarding_entries(topology, my_uid, my_host_ports=None, n_ports=PORTS_PER_SWITCH):
+    """One switch's table, cell by cell (the builder ``src/`` had before
+    ``core.routing.build_forwarding_entries`` returned rows)."""
+    me = topology.switches[my_uid]
+    host_ports = set(my_host_ports if my_host_ports is not None else me.host_ports)
+    in_ports = list(range(0, n_ports + 1))
+    index = topology.index()
+    entries = {}
+
+    def entry_for(ports, broadcast=False):
+        if broadcast and not ports:
+            return DISCARD_ENTRY
+        return ForwardingEntry(ports, broadcast)
+
+    nbr_ports = index.nbrs[my_uid]
+    arrives_up = [i not in nbr_ports or index.up_end[(my_uid, i)] for i in in_ports]
+    for dest_uid in topology.switches:
+        number = topology.numbers.get(dest_uid)
+        if number is None:
+            continue
+        if dest_uid == my_uid:
+            for q in range(0, n_ports + 1):
+                address = make_short_address(number, q)
+                if q == CONTROL_PROCESSOR_PORT:
+                    entry = entry_for((CONTROL_PROCESSOR_PORT,))
+                elif q in host_ports:
+                    entry = entry_for((q,))
+                else:
+                    entry = DISCARD_ENTRY
+                for i in in_ports:
+                    entries[(i, address)] = entry
+            continue
+        ports_up, ports_down = index.next_hops(my_uid, dest_uid)
+        entry_up = entry_for(ports_up) if ports_up else DISCARD_ENTRY
+        entry_down = entry_for(ports_down) if ports_down else DISCARD_ENTRY
+        for q in range(0, n_ports + 1):
+            address = make_short_address(number, q)
+            for i, is_up in zip(in_ports, arrives_up):
+                entries[(i, address)] = entry_up if is_up else entry_down
+
+    children = index.children[my_uid]
+    is_root = topology.root == my_uid
+    parent_port = me.parent_port
+
+    def flood_set(address):
+        ports = set(children)
+        if address in (ADDR_BROADCAST_ALL, ADDR_BROADCAST_HOSTS):
+            ports |= host_ports
+        if address in (ADDR_BROADCAST_ALL, ADDR_BROADCAST_SWITCHES):
+            ports.add(CONTROL_PROCESSOR_PORT)
+        return tuple(sorted(ports))
+
+    up_sources = {CONTROL_PROCESSOR_PORT} | host_ports | set(children)
+    for address in (ADDR_BROADCAST_ALL, ADDR_BROADCAST_SWITCHES, ADDR_BROADCAST_HOSTS):
+        down = entry_for(flood_set(address), broadcast=True)
+        for i in in_ports:
+            if i in up_sources:
+                if is_root:
+                    entries[(i, address)] = down
+                else:
+                    entries[(i, address)] = entry_for((parent_port,), broadcast=True)
+            elif i == parent_port:
+                entries[(i, address)] = down
+            else:
+                entries[(i, address)] = DISCARD_ENTRY
+    return entries
 
 
 def neighbors(topology, uid):

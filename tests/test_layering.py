@@ -8,6 +8,8 @@ where the two meet -- and there is no allow-list.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -43,3 +45,40 @@ def test_substrate_imports_no_tooling():
         if module.startswith(tuple(f"repro.{tool}" for tool in TOOLING))
     ]
     assert offenders == []
+
+
+def test_src_imports_only_stdlib_and_repro():
+    """``pyproject.toml`` declares no runtime dependency: every import
+    under ``src/repro`` -- function bodies included -- is the standard
+    library or ``repro`` itself.  networkx is a test oracle."""
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) > 100
+    offenders = [
+        f"{path.relative_to(SRC.parent)}:{lineno} imports {module}"
+        for path in files
+        for lineno, module in _imported_modules(path)
+        if module.split(".")[0] not in sys.stdlib_module_names | {"repro"}
+    ]
+    assert offenders == []
+
+
+def test_importing_every_entry_point_loads_no_third_party_package():
+    """The same claim at run time, where a lazy or conditional import
+    would show: after importing the library and every CLI -- under ``-S``,
+    so with no site-packages to find anything in -- ``sys.modules`` holds
+    the standard library and ``repro`` only."""
+    program = (
+        "import sys\n"
+        "import repro.network, repro.chaos.campaign, repro.obs.__main__\n"
+        "import repro.traffic.__main__, repro.staticcheck.__main__\n"
+        "names = {name.split('.')[0] for name in sys.modules}\n"
+        "print(sorted(names - sys.stdlib_module_names - {'repro', '__main__'}))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", program],
+        env={"PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

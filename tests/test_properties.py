@@ -68,7 +68,7 @@ def build(spec):
 def test_updown_always_deadlock_free(spec):
     topo, entries = build(spec)
     graph = channel_dependency_graph(topo, entries)
-    assert nx.is_directed_acyclic_graph(graph)
+    assert nx.is_directed_acyclic_graph(nx.DiGraph(graph))
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,10 +102,8 @@ def test_broadcast_exactly_once(spec):
 
     def flood(uid, in_port, depth=0):
         assert depth <= len(topo.switches) * 2, "broadcast loop"
-        entry = entries[uid].get((in_port, ADDR_BROADCAST_HOSTS))
+        entry = entries[uid][ADDR_BROADCAST_HOSTS][in_port]
         visits.append(uid)
-        if entry is None:
-            return
         for port in entry.ports:
             neighbor = topo.neighbors(uid).get(port)
             if neighbor is not None:
