@@ -14,27 +14,3 @@ Entry points: ``Network(traffic=...)`` wires a
 ``python -m repro.traffic run`` drives the canonical generate ->
 converge -> load -> cut -> reconverge -> report scenario.
 """
-
-from repro.traffic.artifact import TRAFFIC_SCHEMA
-from repro.traffic.engine import TrafficEngine
-from repro.traffic.fluid import LINK_CAPACITY, solve_rates, walk_path
-from repro.traffic.workload import (
-    ARRIVAL_PATTERNS,
-    Flow,
-    TrafficConfig,
-    generate_flows,
-    host_switch,
-)
-
-__all__ = [
-    "ARRIVAL_PATTERNS",
-    "TRAFFIC_SCHEMA",
-    "Flow",
-    "LINK_CAPACITY",
-    "TrafficConfig",
-    "TrafficEngine",
-    "generate_flows",
-    "host_switch",
-    "solve_rates",
-    "walk_path",
-]

@@ -37,7 +37,7 @@ from repro.traffic.workload import ARRIVAL_PATTERNS
 
 TRAFFIC_SCHEMA = "repro.traffic/1"
 
-TrafficSchemaError = SchemaError
+TrafficSchemaError = SchemaError  # the name benchmarks/e2e catches
 
 
 def _fmt_bytes(value) -> str:

@@ -23,16 +23,16 @@ epoch spans in the exported ``repro.traffic/1`` artifact.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.constants import SEC
 from repro.obs.registry import Histogram
 from repro.traffic.artifact import TRAFFIC_SCHEMA
 from repro.traffic.fluid import (
     LINK_CAPACITY,
-    port_owner_map,
+    Pair,
+    cable_hops,
     solve_rates,
-    total_generation,
     walk_path,
 )
 from repro.traffic.workload import Flow, TrafficConfig, generate_flows, host_switch
@@ -45,17 +45,22 @@ LATENCY_BUCKETS = tuple(100_000 * 4 ** k for k in range(12))
 
 
 class FlowRun:
-    """Runtime state of one flow."""
+    """Runtime state of one flow.  ``pair`` is None until the first solve
+    after arrival, then the plan record (path, rate) the flow shares with
+    every other flow between the same two switches."""
 
-    __slots__ = ("flow", "state", "remaining", "rate", "path", "walked", "latency_ns")
+    __slots__ = ("flow", "switches", "state", "remaining", "pair", "latency_ns")
 
-    def __init__(self, flow: Flow) -> None:
+    def __init__(self, flow: Flow, n_switches: int) -> None:
         self.flow = flow
+        #: (source switch, destination switch): the plan Pair the flow joins
+        self.switches = (
+            host_switch(flow.src_host, n_switches),
+            host_switch(flow.dst_host, n_switches),
+        )
         self.state = "pending"  # pending -> active -> completed
         self.remaining = float(flow.size_bytes)
-        self.rate = 0.0
-        self.path = None
-        self.walked = False
+        self.pair: Optional[Pair] = None
         self.latency_ns: Optional[int] = None
 
 
@@ -66,13 +71,18 @@ class TrafficEngine:
         self.network = network
         self.sim = network.sim
         self.config = config
-        self.registry = network.rng.fork("traffic")
         self.flows: List[Flow] = generate_flows(
-            config, self.registry.stream("workload")
+            config, network.rng.fork("traffic").stream("workload")
         )
-        self.runs: Dict[int, FlowRun] = {f.flow_id: FlowRun(f) for f in self.flows}
+        #: indexed by flow id (generate_flows numbers flows 0..n-1)
+        self.runs: List[FlowRun] = [FlowRun(f, len(network.switches)) for f in self.flows]
+        # a set of flow ids: its iteration order is the summation order
+        # of the segment totals, so documents depend on it staying one
         self._active: set = set()
-        self._pending = len(self.flows)
+        #: active flows not yet in the plan (arrived since the last solve)
+        self._arrivals: List[FlowRun] = []
+        #: the rate plan: (src switch, dst switch) -> Pair, loaded pairs only
+        self._pairs: Dict[Tuple[int, int], Pair] = {}
         self.completed = 0
 
         # cumulative SLO aggregates (fluid bytes are floats)
@@ -89,8 +99,7 @@ class TrafficEngine:
 
         self.launched = False
         self._launch_ns = 0
-        self._owners = port_owner_map(network)
-        self._n_switches = len(network.switches)
+        self._hops = cable_hops(network)
 
         # fluid solver pacing state
         self._last_advance = 0
@@ -112,12 +121,7 @@ class TrafficEngine:
         sampler.add_collector(
             "traffic_active_flows", lambda: float(len(self._active))
         )
-        sampler.add_collector(
-            "traffic_unrouted_flows",
-            lambda: float(sum(
-                1 for fid in self._active if self.runs[fid].path is None
-            )),
-        )
+        sampler.add_collector("traffic_unrouted_flows", lambda: float(self._unrouted()))
         sampler.add_collector(
             "traffic_completed_flows", lambda: float(self.completed), kind="counter"
         )
@@ -168,9 +172,8 @@ class TrafficEngine:
         self._advance(self.sim.now)
         run = self.runs[flow.flow_id]
         run.state = "active"
-        run.walked = False
+        self._arrivals.append(run)
         self._active.add(flow.flow_id)
-        self._pending -= 1
         self._request_resolve(self.config.arrival_batch_ns)
 
     def _request_resolve(self, delay_ns: int) -> None:
@@ -194,49 +197,48 @@ class TrafficEngine:
     def _resolve(self) -> None:
         now = self.sim.now
         self._advance(now)
-        if not self._active:
-            if self._completion_handle is not None:
-                self._completion_handle.cancel()
-                self._completion_handle = None
-            return
-        fingerprint = (total_generation(self.network), self._fault_version)
-        stale_all = fingerprint != self._walked_fp
-        for fid in self._active:
-            run = self.runs[fid]
-            if stale_all or not run.walked:
-                run.path = walk_path(
-                    self.network,
-                    self._owners,
-                    host_switch(run.flow.src_host, self._n_switches),
-                    host_switch(run.flow.dst_host, self._n_switches),
-                    self.config.max_hops,
-                )
-                run.walked = True
-        self._walked_fp = fingerprint
-        rates = solve_rates({
-            fid: self.runs[fid].path
-            for fid in self._active
-            if self.runs[fid].path is not None
-        })
-        for fid in self._active:
-            self.runs[fid].rate = rates.get(fid, 0.0)
-        self._last_solve_ns = now
-        self._schedule_completion(now)
-        self._request_resolve(self.config.resolve_interval_ns)
-
-    def _schedule_completion(self, now: int) -> None:
         if self._completion_handle is not None:
             self._completion_handle.cancel()
             self._completion_handle = None
-        best = None
+        if not self._active:
+            return
+        pairs = self._pairs
+        stale: List[Pair] = []  # the pairs to walk: the new ones, or all of them
+        for run in self._arrivals:
+            pair = pairs.get(run.switches)
+            if pair is None:
+                pair = pairs[run.switches] = Pair(run.switches)
+                stale.append(pair)
+            pair.count += 1
+            run.pair = pair
+        self._arrivals.clear()
+        # what a walk depends on: every table's generation counter
+        # (bumped on each load/clear) and the faults injected so far
+        fingerprint = (
+            tuple(switch.table.generation for switch in self.network.switches),
+            self._fault_version,
+        )
+        if fingerprint != self._walked_fp:
+            self._walked_fp = fingerprint
+            stale = list(pairs.values())
+        for pair in stale:
+            pair.links = walk_path(
+                self.network, self._hops, *pair.switches, self.config.max_hops
+            )
+        solve_rates(pairs.values(), len(self._hops) // 2)  # two ends per cable
+        self._last_solve_ns = now
+        runs = self.runs
+        best = None  # the earliest instant a flow finishes at these rates
         for fid in self._active:
-            run = self.runs[fid]
-            if run.rate > 0.0:
-                t = now + run.remaining / run.rate
+            run = runs[fid]
+            rate = run.pair.rate
+            if rate > 0.0:
+                t = now + run.remaining / rate
                 if best is None or t < best:
                     best = t
         if best is not None:
             self._completion_handle = self.sim.at(int(best) + 1, self._completion_timer)
+        self._request_resolve(self.config.resolve_interval_ns)
 
     def _completion_timer(self) -> None:
         self._completion_handle = None
@@ -251,26 +253,34 @@ class TrafficEngine:
         self._last_advance = now
         if not self._active:
             return
+        budget = LINK_CAPACITY * dt  # what one flow offers at line rate
+        runs = self.runs
         seg_offered = 0.0
         seg_delivered = 0.0
         seg_deficit = 0.0
-        finished: List[int] = []
+        finished: List[FlowRun] = []
         for fid in self._active:
-            run = self.runs[fid]
-            offered = min(run.remaining, LINK_CAPACITY * dt)
-            delivered = min(run.remaining, run.rate * dt)
-            run.remaining -= delivered
+            run = runs[fid]
+            remaining = run.remaining
+            offered = budget if budget < remaining else remaining
             seg_offered += offered
-            seg_delivered += delivered
-            if run.walked and run.path is None:
+            pair = run.pair
+            if pair is None:
+                # awaiting its first solve (up to arrival_batch_ns): that
+                # is admission latency, not blackout -- nothing charged
+                continue
+            if pair.links is None:
                 # the table walk found no route (blackout or partition):
-                # the whole demand goes undelivered -- the §6.7 cost.
-                # Flows merely awaiting their first solve (rate still
-                # 0.0 for up to arrival_batch_ns) are admission latency,
-                # not blackout, and are excluded.
+                # the whole demand goes undelivered -- the §6.7 cost
                 seg_deficit += offered
-            if run.remaining <= COMPLETE_EPS:
-                finished.append(fid)
+                continue
+            delivered = pair.rate * dt
+            if delivered > remaining:
+                delivered = remaining
+            seg_delivered += delivered
+            run.remaining = remaining = remaining - delivered
+            if remaining <= COMPLETE_EPS:
+                finished.append(run)
         self.offered_bytes += seg_offered
         self.delivered_bytes += seg_delivered
         self.deficit_bytes += seg_deficit
@@ -280,18 +290,23 @@ class TrafficEngine:
             )
         else:
             self.segments_dropped += 1
-        for fid in finished:
-            self._complete(fid, now)
+        for run in finished:
+            self._complete(run, now)
 
-    def _complete(self, fid: int, now: int) -> None:
-        run = self.runs[fid]
+    def _complete(self, run: FlowRun, now: int) -> None:
         run.state = "completed"
-        run.remaining = 0.0
-        run.rate = 0.0
         run.latency_ns = now - (self._launch_ns + run.flow.arrival_ns)
         self.latency_hist.observe(float(run.latency_ns))
-        self._active.discard(fid)
+        self._active.discard(run.flow.flow_id)
         self.completed += 1
+        pair = run.pair
+        pair.count -= 1
+        if not pair.count:
+            del self._pairs[pair.switches]
+
+    def _unrouted(self) -> int:
+        """Active flows whose walk found no route."""
+        return sum(p.count for p in self._pairs.values() if p.links is None)
 
     # -- SLO invariants (chaos campaigns) --------------------------------------------
 
@@ -306,17 +321,18 @@ class TrafficEngine:
         for component in components:
             for index in component:
                 member[index] = component
+        routed: Dict[Tuple[int, int], bool] = {}  # one fresh walk per pair
         out: List[str] = []
         for fid in sorted(self._active):
             run = self.runs[fid]
-            src = host_switch(run.flow.src_host, self._n_switches)
-            dst = host_switch(run.flow.dst_host, self._n_switches)
+            src, dst = run.switches
             if member.get(src) is None or member.get(dst) is not member.get(src):
                 continue  # partitioned or dead endpoints: loss is expected
-            path = walk_path(
-                self.network, self._owners, src, dst, self.config.max_hops
-            )
-            if path is None:
+            if run.switches not in routed:
+                routed[run.switches] = walk_path(
+                    self.network, self._hops, src, dst, self.config.max_hops
+                ) is not None
+            if not routed[run.switches]:
                 out.append(
                     f"flow {fid} (h{run.flow.src_host}@sw{src} -> "
                     f"h{run.flow.dst_host}@sw{dst}): no route at quiescence"
@@ -365,17 +381,13 @@ class TrafficEngine:
         """The ``repro.traffic/1`` artifact as a dict."""
         if self.launched:
             self._advance(self.sim.now)
-        unrouted = sum(
-            1 for fid in self._active if self.runs[fid].walked
-            and self.runs[fid].path is None
-        )
         elapsed = self.sim.now - self._launch_ns if self.launched else 0
         hist = self.latency_hist
         sample = []
         for flow in self.flows[: self.config.sample_flows]:
             run = self.runs[flow.flow_id]
             state = run.state
-            if state == "active" and run.walked and run.path is None:
+            if state == "active" and run.pair is not None and run.pair.links is None:
                 state = "unrouted"
             sample.append({
                 "flow_id": flow.flow_id,
@@ -402,8 +414,8 @@ class TrafficEngine:
             "generated_flows": len(self.flows),
             "flows_completed": self.completed,
             "flows_active": len(self._active),
-            "flows_pending": self._pending,
-            "flows_unrouted": unrouted,
+            "flows_pending": len(self.flows) - self.completed - len(self._active),
+            "flows_unrouted": self._unrouted(),
             "offered_bytes": round(self.offered_bytes, 3),
             "delivered_bytes": round(self.delivered_bytes, 3),
             "blackout_cost_bytes": round(self.deficit_bytes, 3),

@@ -1,32 +1,35 @@
 """The flow-level fluid model: paths from live forwarding tables,
 max-min fair rate shares, piecewise-constant integration.
 
-Per ROADMAP item 3 the engine never simulates a data packet for large
-workloads: between re-solve events every flow transfers at a constant
-rate, so a thousand-flow workload costs a handful of events per epoch
-rather than millions.  The two primitives here are pure functions over
-the live network state:
+The engine never simulates a data packet: between re-solve events every
+flow transfers at a constant rate, so a thousand-flow workload costs a
+handful of events per epoch rather than millions.  Flows between the
+same two switches walk one path and get one rate, so the plan keeps a
+:class:`Pair` with a flow count for them, not an entry per flow.  The
+two primitives here are pure functions over the live network state:
 
 * :func:`walk_path` follows the loaded up*/down* forwarding tables from
-  a flow's source switch toward its destination's short address exactly
-  as a packet would, taking the lowest-numbered port of each multipath
-  entry (the deterministic stand-in for the hardware's random pick).  A
+  a source switch toward the destination's short address exactly as a
+  packet would, taking the lowest-numbered port of each multipath entry
+  (the deterministic stand-in for the hardware's random pick).  A
   DISCARD entry, a cut or reflecting cable, a dead switch, or a
   transient loop all mean *no route* -- which is precisely the blackout
   the observatory prices.
 * :func:`solve_rates` water-fills link capacity (1 byte per
-  ``BYTE_TIME_NS``) max-min fairly across the routed flows.
+  ``BYTE_TIME_NS``) max-min fairly across the routed pairs, each
+  weighted by its flow count.
 
-Both are recomputed only when something they depend on changes: a
-forwarding-table ``generation`` bump, a fault, a flow arrival or
-completion (see :class:`repro.traffic.engine.TrafficEngine`).
+Paths are re-walked only when something they depend on changes: a
+forwarding-table ``generation`` bump or a fault (see
+:class:`repro.traffic.engine.TrafficEngine`).  The per-flow solver this
+replaced is the test oracle ``tests/naive_fluid.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.constants import BYTE_TIME_NS
+from repro.constants import BYTE_TIME_NS, CONTROL_PROCESSOR_PORT
 from repro.net.link import LinkState
 
 #: fluid link capacity in bytes per nanosecond (3.125 MB/s per §2 link
@@ -34,35 +37,54 @@ from repro.net.link import LinkState
 #: BYTE_TIME_NS, so the fluid model matches the packet simulation)
 LINK_CAPACITY = 1.0 / BYTE_TIME_NS
 
-#: a flow's path: canonical link keys ((switch index, port) of the
-#: lower-indexed end), empty tuple for same-switch delivery
-PathKey = Tuple[Tuple[int, int], ...]
+#: a walked path: the :func:`cable_hops` link id of every cable crossed,
+#: empty tuple for same-switch delivery
+Path = Tuple[int, ...]
+
+#: (switch index, out port) -> (far switch, far port, link id)
+Hops = Dict[Tuple[int, int], Tuple[int, int, int]]
 
 
-def port_owner_map(network) -> Dict[int, Tuple[int, int]]:
-    """``id(link unit) -> (switch index, port)`` for every switch port.
+class Pair:
+    """The rate plan's record for the ``count`` active flows between
+    ``switches`` (source, destination): their one walked path (``None``:
+    no route) and their one solved ``rate``."""
 
-    Port objects survive switch power cycles, so this map is computed
-    once per engine and stays valid across crash/restart faults.
+    __slots__ = ("switches", "links", "count", "rate")
+
+    def __init__(self, switches: Tuple[int, int]) -> None:
+        self.switches = switches
+        self.links: Optional[Path] = None
+        self.count = 0
+        self.rate: Optional[float] = 0.0  # None only inside solve_rates
+
+
+def cable_hops(network) -> Hops:
+    """Where each cabled switch port leads, and over which link.
+
+    A link's canonical key is the (switch index, port) of its lower end;
+    link ids number those keys in key order, so comparing two ids
+    compares their keys (the solver's tie-break).  Cabling never changes
+    after construction, so this is computed once per engine and stays
+    valid across faults and power cycles.
     """
-    out: Dict[int, Tuple[int, int]] = {}
-    for i, switch in enumerate(network.switches):
-        for p, unit in switch.ports.items():
-            out[id(unit)] = (i, p)
-    return out
+    cables = sorted(sorted(((a, pa), (b, pb))) for a, pa, b, pb in network.spec.cables)
+    hops: Hops = {}
+    for link, (low, high) in enumerate(cables):
+        hops[low] = (*high, link)
+        hops[high] = (*low, link)
+    return hops
 
 
 def walk_path(
     network,
-    owners: Dict[int, Tuple[int, int]],
+    hops: Hops,
     src_switch: int,
     dst_switch: int,
     max_hops: int = 64,
-) -> Optional[PathKey]:
+) -> Optional[Path]:
     """The link sequence a packet from ``src_switch`` to ``dst_switch``
     would traverse right now, or None when the tables cannot deliver it."""
-    from repro.constants import CONTROL_PROCESSOR_PORT
-
     if not network.autopilots[src_switch].alive:
         return None
     if src_switch == dst_switch:
@@ -72,7 +94,7 @@ def walk_path(
         return None  # destination not configured: nothing routes to it
     sw = src_switch
     in_port = CONTROL_PROCESSOR_PORT
-    links: List[Tuple[int, int]] = []
+    links: List[int] = []
     for _ in range(max_hops):
         if sw == dst_switch:
             return tuple(links)
@@ -82,65 +104,51 @@ def walk_path(
         if entry.is_discard or not entry.ports:
             return None
         out = entry.ports[0]
-        if out == CONTROL_PROCESSOR_PORT:
-            return None  # delivered to the wrong switch's CP
-        link = network.links.get((sw, out))
-        if link is None or link.state is not LinkState.UP:
+        hop = hops.get((sw, out))
+        if hop is None:
+            return None  # the wrong switch's CP, or a host port: not a transit hop
+        if network.links[sw, out].state is not LinkState.UP:
             return None  # table still points at a dead cable: blackout
-        far = link.other(network.switches[sw].ports[out])
-        owner = owners.get(id(far))
-        if owner is None:
-            return None  # host port: not a transit hop
-        links.append((min((sw, out), owner)))
-        sw, in_port = owner
+        sw, in_port, link = hop
+        links.append(link)
     return None  # loop or absurdly long path: treat as unrouted
 
 
-def solve_rates(
-    paths: Dict[int, PathKey],
-    capacity: float = LINK_CAPACITY,
-) -> Dict[int, float]:
-    """Max-min fair rates (bytes/ns) for ``flow_id -> path``.
+def solve_rates(pairs: Iterable[Pair], n_links: int, capacity: float = LINK_CAPACITY) -> None:
+    """Set every pair's max-min fair ``rate`` (bytes/ns per flow).
 
     Classic progressive filling: repeatedly find the tightest link
-    (least remaining capacity per unfixed flow), freeze its flows at
-    that fair share, and subtract.  Same-switch flows (empty path) run
-    at access line rate.
+    (least remaining capacity per unfrozen flow, ties to the lowest
+    link id), freeze the pairs crossing it at that fair share, and
+    subtract.  Same-switch pairs (empty path) run at access line rate,
+    unrouted ones at 0.  Each pair must hold at least one flow.  A pair
+    subtracts ``share`` ``count`` times, never ``share * count``: that
+    keeps every float bit-equal to solving flow by flow (DESIGN.md).
     """
-    rates: Dict[int, float] = {}
-    link_flows: Dict[Tuple[int, int], List[int]] = {}
-    for fid, path in paths.items():
-        if not path:
-            rates[fid] = capacity
+    remaining = [capacity] * n_links
+    load = [0] * n_links  # unfrozen flows crossing each link
+    crossing: List[List[Pair]] = [[] for _ in range(n_links)]
+    for pair in pairs:
+        links = pair.links
+        if not links:
+            pair.rate = 0.0 if links is None else capacity
             continue
-        for key in path:
-            link_flows.setdefault(key, []).append(fid)
-    remaining = {key: capacity for key in link_flows}
-    unfixed = {key: len(flows) for key, flows in link_flows.items()}
-    pending = {fid for fid, path in paths.items() if path}
-    while pending:
-        bottleneck = None
-        share = None
-        for key, count in unfixed.items():
-            if count <= 0:
+        pair.rate = None  # not frozen yet
+        for link in links:
+            crossing[link].append(pair)
+            load[link] += pair.count
+    used = [link for link in range(n_links) if load[link]]
+    while used:
+        shares = [remaining[link] / load[link] for link in used]
+        share = min(shares)
+        for pair in crossing[used[shares.index(share)]]:  # first: lowest id
+            if pair.rate is not None:
                 continue
-            s = remaining[key] / count
-            if share is None or s < share or (s == share and key < bottleneck):
-                bottleneck, share = key, s
-        if bottleneck is None:
-            break
-        for fid in link_flows[bottleneck]:
-            if fid not in pending:
-                continue
-            rates[fid] = share
-            pending.discard(fid)
-            for key in paths[fid]:
-                remaining[key] -= share
-                unfixed[key] -= 1
-    return rates
-
-
-def total_generation(network) -> Tuple[int, ...]:
-    """A cheap fingerprint of the forwarding state: every table's
-    ``generation`` counter (bumped on each load/clear)."""
-    return tuple(switch.table.generation for switch in network.switches)
+            pair.rate = share
+            links = pair.links
+            for _ in range(pair.count):
+                for link in links:
+                    remaining[link] -= share
+            for link in links:
+                load[link] -= pair.count
+        used = [link for link in used if load[link]]

@@ -1,0 +1,124 @@
+"""The rate plan kept per switch pair, held to the per-flow plan it replaced.
+
+* **shadow**: through cut -> restore -> switch crash -> restart, after
+  every ``_resolve`` each active flow's path equals a direct
+  ``walk_path`` and its rate equals the naive per-flow solve
+  (``tests/naive_fluid.py``) of those freshly walked paths -- ``==`` on
+  floats.  A pair that kept a stale path across a table-generation
+  bump, or a count that drifted from the flows it stands for, fails here.
+* **golden**: the ``repro.traffic/1`` documents of three of those runs
+  were written by the per-flow engine (the commit before the pair plan)
+  and are compared byte for byte.
+* ``traffic_unrouted_flows`` counts walks that failed, not flows still
+  waiting for their first walk.
+"""
+
+import collections
+import os
+
+import pytest
+
+from repro.constants import MS, SEC
+from repro.network import Network
+from repro.topology.generators import resolve_topology
+from repro.traffic.fluid import walk_path
+from tests.naive_fluid import naive_flow_rates
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+#: few hosts, so the same switch pairs empty and refill all run long
+WORKLOAD = {
+    "flows": 240,
+    "hosts": 24,
+    "mean_flow_bytes": 24_576,
+    "duration_ns": int(3.5 * SEC),
+}
+
+
+def drive(topology, pattern, shadow=False, **observers):
+    """Boot, launch, then cut -> restore -> crash -> restart, with load
+    between the faults.  Returns (network, resolves checked)."""
+    spec = resolve_topology(topology)
+    net = Network(spec, seed=0, traffic=dict(WORKLOAD, pattern=pattern), **observers)
+    checked = _shadow(net.traffic) if shadow else []
+    a, _pa, b, _pb = spec.cables[0]
+    victim = len(net.switches) - 1
+    assert net.run_until_converged(timeout_ns=120 * SEC)
+    net.traffic.launch()
+    for fault in (
+        lambda: net.cut_link(a, b),
+        lambda: net.restore_link(a, b),
+        lambda: net.crash_switch(victim),
+        lambda: net.restart_switch(victim),
+    ):
+        net.run_for(int(0.15 * SEC))
+        fault()
+        assert net.run_until_converged(timeout_ns=120 * SEC)
+    net.run_for(int(0.15 * SEC))
+    return net, checked
+
+
+def _shadow(engine):
+    """Check the whole plan against the per-flow one after every solve."""
+    net = engine.network
+    key_of = {link: min(end, (sw, port)) for end, (sw, port, link) in engine._hops.items()}
+    solve = engine._resolve
+    checked = []
+
+    def resolve():
+        solve()
+        paths = {}
+        for fid in engine._active:
+            run = engine.runs[fid]
+            links = walk_path(net, engine._hops, *run.switches, engine.config.max_hops)
+            assert run.pair is engine._pairs[run.switches]
+            assert run.pair.links == links, f"flow {fid}: stale path at {net.sim.now}"
+            paths[fid] = None if links is None else tuple(key_of[link] for link in links)
+        rates = naive_flow_rates(paths)
+        for fid, rate in rates.items():
+            assert engine.runs[fid].pair.rate == rate, f"flow {fid} at {net.sim.now}"
+        counts = collections.Counter(engine.runs[fid].switches for fid in engine._active)
+        assert counts == {key: pair.count for key, pair in engine._pairs.items()}
+        checked.append((len(paths), sum(path is None for path in paths.values())))
+
+    engine._resolve = resolve
+    return checked
+
+
+@pytest.mark.parametrize("topology", ("ring-4", "torus-3x4"))
+@pytest.mark.parametrize("pattern", ("hotspot", "incast"))
+def test_plan_equals_the_per_flow_plan_after_every_resolve(topology, pattern):
+    net, checked = drive(topology, pattern, shadow=True)
+    assert len(checked) > 50
+    assert max(flows for flows, _ in checked) > 20
+    # the faults did black flows out, so unrouted pairs were solved too
+    assert any(unrouted for _, unrouted in checked)
+    assert net.traffic.completed > 80
+
+
+@pytest.mark.parametrize(
+    "topology, pattern",
+    [("ring-4", "hotspot"), ("ring-4", "incast"), ("torus-3x4", "hotspot")],
+)
+def test_documents_are_the_per_flow_engines_byte_for_byte(topology, pattern, tmp_path):
+    name = f"{topology}_{pattern}"
+    net, _ = drive(topology, pattern)
+    path = tmp_path / f"{name}.traffic.json"
+    net.export_traffic(str(path), name)
+    with open(os.path.join(FIXTURES, f"{name}.traffic.json"), "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
+def test_flows_awaiting_their_first_walk_are_not_unrouted():
+    """Admission pacing is not blackout: on an uncut ring every walk
+    succeeds, so the series never leaves 0 although each arrival waits
+    up to ``arrival_batch_ns`` for its first solve."""
+    spec = resolve_topology("ring-4")
+    net = Network(spec, seed=0, traffic=dict(WORKLOAD, pattern="uniform"), timeseries=1 * MS)
+    assert net.run_until_converged(timeout_ns=120 * SEC)
+    net.traffic.launch()
+    net.run_for(int(0.5 * SEC))
+    series = net.sampler.view()
+    assert series.series("traffic_active_flows").max() > 0
+    assert series.series("traffic_unrouted_flows").max() == 0.0
+    assert net.traffic_doc()["flows_unrouted"] == 0
