@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.core.messages import ConnectivityProbe, ConnectivityReply
-from repro.core.portstate import PortState
+from repro.core.portstate import RECONFIGURING_TRANSITIONS, PortState, transition_allowed
 from repro.core.skeptic import ConnectivitySkeptic, SkepticParams, StatusSkeptic
 from repro.net.flowcontrol import Directive
 from repro.net.linkunit import (
@@ -169,6 +169,11 @@ class Monitoring:
         old = mon.state
         if new_state is old:
             return
+        if not transition_allowed(old, new_state):
+            raise ValueError(
+                f"port {port}: {old.value}->{new_state.value} ({reason}) "
+                f"is not an arrow of Figure 8"
+            )
         now = self.ap.sim.now
         mon.state = new_state
         mon.entered_at = now
@@ -213,7 +218,7 @@ class Monitoring:
         if old is PortState.HOST or new_state is PortState.HOST:
             self.ap.host_ports_changed()
 
-        if (old is PortState.SWITCH_GOOD) != (new_state is PortState.SWITCH_GOOD):
+        if (old, new_state) in RECONFIGURING_TRANSITIONS:
             down_port = port if old is PortState.SWITCH_GOOD else None
             self.ap.trigger_reconfiguration(
                 f"port {port}: {old.value}->{new_state.value}",
@@ -398,21 +403,26 @@ class Monitoring:
         mon.awaiting_nonce = None
         mon.probe_misses = 0
 
-        if msg.sender_uid == self.ap.uid:
+        # Figure 8's gray arrows are who <-> loop and who <-> good only:
+        # every change of neighbor passes through s.switch.who
+        looped = msg.sender_uid == self.ap.uid
+        reply_from = NeighborInfo(uid=msg.sender_uid, port=msg.sender_port)
+        if mon.state is PortState.SWITCH_GOOD:
+            if not looped and mon.neighbor == reply_from:
+                return
+            mon.reset_conn()
+            self._transition(in_port, PortState.SWITCH_WHO, "neighbor changed")
+            if not looped:
+                return
+        if looped:
             # a looped or reflecting link: of no use in the configuration
             mon.consecutive_good = 0
             self._transition(in_port, PortState.SWITCH_LOOP, "own UID echoed")
             return
 
-        reply_from = NeighborInfo(uid=msg.sender_uid, port=msg.sender_port)
-        if mon.state is PortState.SWITCH_GOOD:
-            if mon.neighbor != reply_from:
-                mon.reset_conn()
-                self._transition(in_port, PortState.SWITCH_WHO, "neighbor changed")
-            return
-
+        if mon.state is PortState.SWITCH_LOOP:
+            self._transition(in_port, PortState.SWITCH_WHO, "foreign UID echoed")
         mon.neighbor = reply_from
         mon.consecutive_good += 1
-        if mon.state in (PortState.SWITCH_WHO, PortState.SWITCH_LOOP):
-            if mon.conn_skeptic.satisfied(mon.consecutive_good):
-                self._transition(in_port, PortState.SWITCH_GOOD, "responsive neighbor")
+        if mon.conn_skeptic.satisfied(mon.consecutive_good):
+            self._transition(in_port, PortState.SWITCH_GOOD, "responsive neighbor")

@@ -10,17 +10,16 @@ nightly chaos campaign) to flake:
   path, no cross-component state writes.
 * **RS3xx observability discipline** -- literal metric names, bounded
   label cardinality, the one-load + ``None``-test recorder pattern.
-* **RS4xx mutable-state hygiene** -- no mutable defaults, no hot-path
-  module globals.
-* **RS5xx whole-program dataflow** -- nondeterminism tainting the event
-  schedule across function and module boundaries; port-FSM conformance.
-* **RS6xx shared module state** -- module-level mutable state written
-  from code reachable from chaos campaigns and event handlers.
+* **RS4xx mutable-state hygiene** -- no mutable defaults, no module-level
+  mutable containers in the simulator's packages.
 
-Every family is a :class:`Pass` over one parsed project
-(:mod:`repro.staticcheck.dataflow`): RS1xx-RS4xx match one file at a
-time, RS5xx/RS6xx follow the whole-program call graph.  Each run
-recomputes everything from the source; nothing is kept between runs.
+Every family is a :class:`Pass` whose rules match one file at a time;
+each run recomputes everything from the source and keeps nothing between
+runs.  Each rule holds a mutant of the real tree it flags
+(``tests/staticcheck/mutation_audit.py``; the table is in DESIGN.md),
+and what no per-file rule can see is held by the running code instead:
+``Monitoring._transition`` consults Figure 8's tables, the hash-seed
+``cmp`` of the CI ``determinism`` job catches a laundered ``hash()``.
 
 Run it with ``python -m repro.staticcheck src``; grandfather intentional
 exceptions in ``staticcheck-baseline.json`` (one justification each).

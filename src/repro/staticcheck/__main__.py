@@ -58,14 +58,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--list-rules", action="store_true",
         help="print the rule table and exit",
     )
-    parser.add_argument(
-        "-q", "--quiet", action="store_true",
-        help="print only the verdict line",
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="also list baselined findings with their justifications",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -117,12 +109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.json:
         artifact.write(args.json, build_report(result))
 
-    if args.format == "github":
-        text = render_github(result)
-    else:
-        text = render_text(result, verbose=args.verbose)
-        if args.quiet:
-            text = text.splitlines()[-1]
+    text = render_github(result) if args.format == "github" else render_text(result)
     if pruned:
         entries = "entry" if pruned == 1 else "entries"
         text = f"pruned {pruned} stale baseline {entries} from " \

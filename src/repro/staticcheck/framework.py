@@ -2,13 +2,15 @@
 
 The suite is a set of *passes*, each owning a family of rules with stable
 IDs (``RS1xx`` determinism, ``RS2xx`` event-handler purity, ``RS3xx``
-observability discipline, ``RS4xx`` mutable-state hygiene, ``RS5xx``
-whole-program dataflow, ``RS6xx`` shared module state).  A pass is a
-pure function from the parsed project to findings: no imports of the
-code under analysis, no execution, just :mod:`ast`, and nothing carried
-from one run into the next.  That keeps the linter safe to run on broken
-trees and byte-deterministic -- the same source always yields the same
-report, which is itself a determinism invariant this repo cares about.
+observability discipline, ``RS4xx`` mutable-state hygiene).  Every rule
+is a pattern match over one file at a time: no imports of the code under
+analysis, no execution, just :mod:`ast`, and nothing carried from one
+file or one run into the next.  That keeps the linter safe to run on
+broken trees and byte-deterministic -- the same source always yields the
+same report, which is itself a determinism invariant this repo cares
+about.  What a per-file match cannot see (a value laundered through
+helpers, an off-table port transition) is held dynamically instead; the
+mutation table in DESIGN.md says by what.
 
 Layout of a run:
 
@@ -17,8 +19,7 @@ Layout of a run:
 2. :func:`parse_module` builds a :class:`ParsedModule` with a best-effort
    dotted module name (walking ``__init__.py`` parents), which rules use
    to scope themselves to hot-path packages vs CLI/analysis modules.
-3. Every parsed module goes into one
-   :class:`~repro.staticcheck.dataflow.callgraph.Project`, and each
+3. The parsed modules form one :class:`Project`, and each selected
    pass's :meth:`Pass.run` yields :class:`Finding` objects from it.
 4. A :class:`~repro.staticcheck.baseline.Baseline` splits findings into
    *active* (fail the build) and *suppressed* (grandfathered, each with a
@@ -30,7 +31,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: rule id for files the parser itself rejects -- always active, never
 #: baselined away silently (a file that cannot be parsed cannot be checked)
@@ -108,21 +109,31 @@ class ParsedModule:
         )
 
 
-class Pass:
-    """Base class: one family of rules.
+class Project:
+    """Every parsed file of one run, in dotted-name order."""
 
-    :meth:`run` sees every module at once (via the
-    :class:`~repro.staticcheck.dataflow.callgraph.Project` model), so a
-    whole-program family overrides it to follow a value through calls,
-    returns and attribute stores across files.  A family that is a
-    pattern match over one file at a time overrides :meth:`check`
-    instead and inherits the loop.
-    """
+    def __init__(self, modules: Sequence[ParsedModule]) -> None:
+        self.files: List[ParsedModule] = sorted(modules, key=lambda m: m.module)
+
+    @classmethod
+    def from_sources(cls, sources: Dict[str, str]) -> "Project":
+        """A fixture project from an in-memory ``{module name: source}``
+        mapping; paths are synthesized as ``src/<module path>.py``."""
+        modules = []
+        for module, source in sources.items():
+            path = "src/" + module.replace(".", "/") + ".py"
+            modules.append(ParsedModule(Path(path), path, module, ast.parse(source), source))
+        return cls(modules)
+
+
+class Pass:
+    """Base class: one family of rules, each a pattern match over one
+    file: a family overrides :meth:`check` and inherits the loop."""
 
     name = "base"
     rules: Tuple[Rule, ...] = ()
 
-    def run(self, project: Any) -> Iterable[Finding]:  # Project; Any avoids a cycle
+    def run(self, project: Project) -> Iterable[Finding]:
         for module in project.files:
             yield from self.check(module)
 
@@ -135,17 +146,14 @@ class Pass:
                 return rule
         raise KeyError(rule_id)
 
-    def finding(self, rule_id: str, where: Any, at: Union[ast.AST, int],
+    def finding(self, rule_id: str, module: ParsedModule, node: ast.AST,
                 message: str) -> Finding:
-        """A finding in ``where`` (anything carrying a ``relpath``: a
-        parsed module, a function, a module global) at an AST node, or
-        at a bare line number when the node is not kept."""
         rule = self.rule(rule_id)
         return Finding(
             rule=rule_id,
-            path=where.relpath,
-            line=at if isinstance(at, int) else getattr(at, "lineno", 0),
-            col=0 if isinstance(at, int) else getattr(at, "col_offset", 0),
+            path=module.relpath,
+            line=getattr(node, "lineno", 0),
+            col=getattr(node, "col_offset", 0),
             message=message,
             hint=rule.hint,
         )
@@ -334,18 +342,12 @@ def parse_module(path: Path) -> Tuple[Optional[ParsedModule], Optional[Finding]]
 
 
 def default_passes() -> List[Pass]:
-    from repro.staticcheck.dataflow import (
-        ParallelReadinessPass,
-        PortFsmPass,
-        TaintPass,
-    )
     from repro.staticcheck.determinism import DeterminismPass
     from repro.staticcheck.hygiene import HygienePass
     from repro.staticcheck.obsrules import ObsDisciplinePass
     from repro.staticcheck.purity import PurityPass
 
-    return [DeterminismPass(), PurityPass(), ObsDisciplinePass(), HygienePass(),
-            TaintPass(), PortFsmPass(), ParallelReadinessPass()]
+    return [DeterminismPass(), PurityPass(), ObsDisciplinePass(), HygienePass()]
 
 
 def all_rules(passes: Optional[Sequence[Pass]] = None) -> List[Rule]:
@@ -386,11 +388,17 @@ class SuiteResult:
         return dict(sorted(counts.items()))
 
 
-def _run_passes(project: Any,  # Project; Any avoids a cycle
-                passes: Optional[Sequence[Pass]]) -> List[Finding]:
+def _selected(rule: str, prefixes: Sequence[str]) -> bool:
+    return not prefixes or any(rule.startswith(p) for p in prefixes)
+
+
+def _run_passes(project: Project, passes: Optional[Sequence[Pass]],
+                prefixes: Sequence[str] = ()) -> List[Finding]:
+    """Findings of the selected rules, running only the passes that own one."""
     found: List[Finding] = []
     for pass_ in passes if passes is not None else default_passes():
-        found.extend(pass_.run(project))
+        if any(_selected(rule.id, prefixes) for rule in pass_.rules):
+            found.extend(f for f in pass_.run(project) if _selected(f.rule, prefixes))
     return found
 
 
@@ -401,8 +409,6 @@ def check_sources(sources: Dict[str, str],
     The unit-test entry point: rule fixtures feed violating and clean
     snippets through here without touching the filesystem.
     """
-    from repro.staticcheck.dataflow import Project
-
     found = _run_passes(Project.from_sources(sources), passes)
     return sorted(found, key=Finding.sort_key)
 
@@ -422,8 +428,7 @@ def suppression_in_scope(rule: str, path: str, roots: Sequence[str],
     stale just because this invocation scanned ``tests/``, and an RS101
     entry is not stale under ``--select RS4``.
     """
-    if prefixes and not (rule == PARSE_ERROR_RULE
-                         or any(rule.startswith(p) for p in prefixes)):
+    if rule != PARSE_ERROR_RULE and not _selected(rule, prefixes):
         return False
     entry = path.replace("\\", "/").strip("/")
     for root in roots:
@@ -446,10 +451,9 @@ def run_suite(
     select: Optional[Iterable[str]] = None,
     baseline: Optional[Any] = None,  # Baseline; Any avoids a cycle
 ) -> SuiteResult:
-    """Parse every file under ``paths`` into one project and run
-    ``passes`` (default: :func:`default_passes`) over it, from scratch."""
-    from repro.staticcheck.dataflow import Project
-
+    """Parse every file under ``paths`` into one project and run the
+    ``passes`` (default: :func:`default_passes`) that own a selected
+    rule over it, from scratch."""
     prefixes = tuple(select) if select else ()
     files = discover([Path(p) for p in paths])
     findings: List[Finding] = []
@@ -460,12 +464,7 @@ def run_suite(
             parsed_modules.append(parsed)
         else:
             findings.append(parse_error)  # type: ignore[arg-type]
-    findings.extend(_run_passes(Project(parsed_modules), passes))
-    if prefixes:
-        findings = [
-            f for f in findings
-            if f.rule == PARSE_ERROR_RULE or any(f.rule.startswith(p) for p in prefixes)
-        ]
+    findings.extend(_run_passes(Project(parsed_modules), passes, prefixes))
     findings.sort(key=Finding.sort_key)
 
     roots = [display_path(Path(p)) for p in paths]

@@ -8,11 +8,13 @@ process and expect them to be independent:
   once and shared by every call and every instance; state leaks from one
   simulated network into the next and replays diverge.  Applies to the
   whole tree -- there is no good reason for it anywhere.
-* **RS402** -- module-level mutable containers in the hot-path packages
-  (``repro.net``/``repro.sim``/``repro.core``) are process-global state:
-  two networks in one process would share them, and a chaos campaign's
-  runs would stop being independent.  Constants belong in tuples or
-  ``frozenset``s; per-run state belongs on a component object.
+* **RS402** -- module-level mutable containers in the simulator's
+  packages (everything a :class:`Network` is built from and run by) are
+  process-global state: two networks in one process would share them, and
+  a chaos campaign's runs would stop being independent.  Constants belong
+  in tuples or ``frozenset``s; per-run state belongs on a component
+  object.  It sees containers only: an ``itertools.count`` stream is
+  just as shared and invisible to it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,13 @@ from typing import Iterator, Optional
 
 from repro.staticcheck.framework import Finding, ParsedModule, Pass, Rule, mutable_kind
 
-#: packages where module-level mutable state breaks run independence
-GLOBAL_STATE_PACKAGES = ("repro.net", "repro.sim", "repro.core")
+#: packages and modules where module-level mutable state breaks run
+#: independence (obs, chaos and staticcheck keep their constant tables)
+GLOBAL_STATE_PACKAGES = (
+    "repro.net", "repro.sim", "repro.core", "repro.host", "repro.topology",
+    "repro.traffic", "repro.analysis", "repro.network", "repro.scenario",
+    "repro.types", "repro.constants",
+)
 
 
 class HygienePass(Pass):
@@ -39,7 +46,7 @@ class HygienePass(Pass):
         ),
         Rule(
             id="RS402",
-            title="module-level mutable state in a hot-path package",
+            title="module-level mutable state in a simulator package",
             invariant="two Networks in one process share nothing",
             paper="chaos campaign run-independence (DESIGN.md)",
             hint="use a tuple/frozenset for constants, or hang per-run state "

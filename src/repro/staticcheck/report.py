@@ -97,19 +97,13 @@ ARTIFACT = Schema(
 )
 
 
-def render_text(result: SuiteResult, verbose: bool = False) -> str:
+def render_text(result: SuiteResult) -> str:
     """Human-readable run summary for terminals and CI logs."""
     lines: List[str] = []
     for finding in result.findings:
         lines.append(f"{finding.location()}: {finding.rule}: {finding.message}")
         if finding.hint:
             lines.append(f"    hint: {finding.hint}")
-    if verbose and result.suppressed:
-        lines.append("")
-        lines.append(f"baselined ({len(result.suppressed)}):")
-        for finding in result.suppressed:
-            lines.append(
-                f"  {finding.location()}: {finding.rule} -- {finding.justification}")
     for entry in result.stale_suppressions:
         lines.append(
             f"stale baseline entry: {entry['rule']} at {entry['path']} matched "

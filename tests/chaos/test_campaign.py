@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.obs.export import SCHEMA as BENCH_SCHEMA
 MS = 1_000_000
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def quick_config(**overrides):
@@ -54,6 +57,34 @@ def test_campaign_document_is_deterministic():
         runner.run()
         docs.append(json.dumps(runner.document(), sort_keys=True))
     assert docs[0] == docs[1]
+
+
+def test_campaign_document_is_a_function_of_its_config_not_of_the_process():
+    """Whatever campaigns this process ran before (another host count on
+    the same topology here, every earlier test in a full run), each
+    document equals the one a fresh interpreter writes: nothing a run
+    touches outlives it at module level.  The linter sees that only in
+    the simulator's packages (RS402); ``repro.chaos`` is held here."""
+    program = (
+        "import json, sys\n"
+        "from repro.chaos.campaign import CampaignRunner\n"
+        "from tests.chaos.test_campaign import quick_config\n"
+        "runner = CampaignRunner(quick_config(schedules=1, hosts=int(sys.argv[1])))\n"
+        "runner.run()\n"
+        "print(json.dumps(runner.document(), sort_keys=True))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    docs = []
+    for hosts in (0, 1):
+        runner = CampaignRunner(quick_config(schedules=1, hosts=hosts))
+        runner.run()
+        docs.append(json.dumps(runner.document(), sort_keys=True))
+        fresh = subprocess.run(
+            [sys.executable, "-c", program, str(hosts)],
+            capture_output=True, text=True, check=True, cwd=REPO_ROOT, env=env,
+        )
+        assert docs[-1] == fresh.stdout.strip()
+    assert docs[0] != docs[1]  # the two configs are told apart at all
 
 
 def test_schedule_results_are_independent_of_run_order():

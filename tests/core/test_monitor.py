@@ -2,10 +2,17 @@
 (sections 6.5.2-6.5.4)."""
 
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.constants import MS, SEC
-from repro.core.portstate import PortState
+from repro.core.messages import ConnectivityReply
+from repro.core.monitor import MonitorParams
+from repro.core.portstate import PortState, transition_allowed
 from repro.net.link import LinkState
-from repro.net.linkunit import BAD_SYNTAX, IS_HOST, PROGRESS_SEEN, START_SEEN, STOP_SEEN
+from repro.net.linkunit import (
+    BAD_CODE, BAD_SYNTAX, IDHY_SEEN, IS_HOST, PROGRESS_SEEN, START_SEEN, STOP_SEEN,
+)
 from repro.network import Network
 from repro.topology import line
 from repro.topology.generators import TopologySpec
@@ -49,20 +56,37 @@ def test_alternate_host_port_classified_host():
     assert net.autopilots[1].monitoring.state_of(5) is PortState.HOST
 
 
-def test_looped_link_classified_loop():
-    """A port cabled to another port on the same switch echoes the
-    switch's own UID in connectivity replies: s.switch.loop."""
+def looped_switch():
+    """One switch, port 1 cabled to its own port 2, run until classified."""
     spec = TopologySpec(uids=[Uid(0x1000)], name="loop")
     spec.cables = [(0, 1, 0, 2)]
     net = Network(spec)
     net.run_for(15 * SEC)
+    return net
+
+
+def test_looped_link_classified_loop():
+    """A port cabled to another port on the same switch echoes the
+    switch's own UID in connectivity replies: s.switch.loop."""
+    net = looped_switch()
     assert net.autopilots[0].monitoring.state_of(1) is PortState.SWITCH_LOOP
     assert net.autopilots[0].monitoring.state_of(2) is PortState.SWITCH_LOOP
 
 
+def port_states(net, sw, port):
+    """The ``old->new (reason)`` tail of every logged transition of one port."""
+    prefix = f"port={port} "
+    return [
+        e.detail[len(prefix):] for e in net.autopilots[sw].trace.entries()
+        if e.event == "port-state" and e.detail.startswith(prefix)
+    ]
+
+
 def test_reflecting_link_classified_loop():
     """An unterminated coax reflects the port's own signal: the port hears
-    its own UID and is relegated to s.switch.loop."""
+    its own UID and is relegated to s.switch.loop -- by way of
+    s.switch.who, the only gray arrows Figure 8 has out of s.switch.good
+    and into s.switch.loop, and with one reconfiguration for the pair."""
     net = Network(line(2))
     net.run_for(10 * SEC)
     a, pa, b, pb = net.spec.cables[0]
@@ -70,13 +94,112 @@ def test_reflecting_link_classified_loop():
     # make the link reflect at sw0's side (sw1 unplugged/powered off)
     endpoint = net.switches[a].ports[pa]
     state = LinkState.REFLECTING_A if link.a is endpoint else LinkState.REFLECTING_B
+    before = len(port_states(net, a, pa))
     link.set_state(state)
     net.run_for(20 * SEC)
-    assert net.autopilots[a].monitoring.state_of(pa) in (
-        PortState.SWITCH_LOOP,
-        PortState.SWITCH_WHO,
-    )
-    assert net.autopilots[a].monitoring.state_of(pa) is not PortState.SWITCH_GOOD
+    assert port_states(net, a, pa)[before:] == [
+        "s.switch.good->s.switch.who (neighbor changed)",
+        "s.switch.who->s.switch.loop (own UID echoed)",
+    ]
+    triggers = [e.detail for e in net.autopilots[a].trace.entries()
+                if e.event == "reconfig-trigger"]
+    assert triggers[-1] == f"port {pa}: s.switch.good->s.switch.who"
+    assert net.autopilots[a].monitoring.neighbor_of(pa) is None
+
+
+def foreign_reply(monitoring, port, uid=Uid(0x2000)):
+    """Answer the port's outstanding probe as switch ``uid`` would."""
+    ap, mon = monitoring.ap, monitoring.ports[port]
+    mon.nonce += 1
+    mon.awaiting_nonce = mon.nonce
+    monitoring.on_probe_reply(port, ConnectivityReply(
+        epoch=ap.epoch, sender_uid=uid, nonce=mon.nonce,
+        echo_uid=ap.uid, echo_port=port, sender_port=3,
+    ))
+
+
+def test_healed_loop_reaches_good_via_who():
+    """A foreign reply on an s.switch.loop port (the loopback plug came
+    out and a neighbor is there) moves it to s.switch.who and counts from
+    there; s.switch.loop -> s.switch.good is not an arrow."""
+    net = looped_switch()
+    monitoring = net.autopilots[0].monitoring
+    mon = monitoring.ports[1]
+    assert mon.state is PortState.SWITCH_LOOP
+    before = len(port_states(net, 0, 1))
+    foreign_reply(monitoring, 1)
+    assert mon.state is PortState.SWITCH_WHO and mon.consecutive_good == 1
+    while mon.state is PortState.SWITCH_WHO:
+        foreign_reply(monitoring, 1)
+    assert mon.consecutive_good == mon.conn_skeptic.required
+    assert port_states(net, 0, 1)[before:] == [
+        "s.switch.loop->s.switch.who (foreign UID echoed)",
+        "s.switch.who->s.switch.good (responsive neighbor)",
+    ]
+
+
+def test_loop_port_whose_echoes_stop_returns_to_who():
+    """Unanswered probes demote s.switch.loop as they demote
+    s.switch.good: the reflection is gone, so who is out there is unknown."""
+    net = looped_switch()
+    monitoring = net.autopilots[0].monitoring
+    mon = monitoring.ports[1]
+    assert mon.state is PortState.SWITCH_LOOP
+    for _ in range(monitoring.params.probe_miss_limit):
+        mon.awaiting_nonce = mon.nonce  # the last probe went unanswered
+        monitoring._account_miss(1)
+    assert port_states(net, 0, 1)[-1] == "s.switch.loop->s.switch.who (probe replies missing)"
+
+
+def test_transition_refuses_a_pair_figure_8_does_not_have():
+    net = Network(line(2))
+    monitoring = net.autopilots[0].monitoring
+    assert monitoring.state_of(1) is PortState.DEAD
+    with pytest.raises(ValueError, match=r"s\.dead->s\.host \(test\) is not an arrow"):
+        monitoring._transition(1, PortState.HOST, "test")
+    assert monitoring.state_of(1) is PortState.DEAD
+
+
+_QUIET = START_SEEN | PROGRESS_SEEN
+_STEPS = st.lists(
+    st.tuples(st.just("sample"), st.sampled_from([
+        _QUIET, _QUIET | IS_HOST, _QUIET | IDHY_SEEN, START_SEEN, STOP_SEEN,
+        BAD_SYNTAX, BAD_CODE, 0,
+    ]))
+    | st.tuples(st.just("reply"), st.sampled_from([0x1000, 0x2000, 0x3000]))
+    | st.tuples(st.just("miss"), st.none())
+    | st.tuples(st.just("run"), st.integers(1, 300)),
+    max_size=60,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=_STEPS)
+def test_any_status_and_reply_sequence_takes_only_figure_8_arrows(steps):
+    """From a working link, whatever the link unit then shows and whoever
+    answers the probes, every state change is an arrow of Figure 8
+    (``_transition`` raises on any other pair, and the log agrees)."""
+    spec = TopologySpec(uids=[Uid(0x1000), Uid(0x2000)], name="pair")
+    spec.cables = [(0, 1, 1, 1)]
+    net = Network(spec)
+    net.run_for(1 * SEC)
+    monitoring = net.autopilots[0].monitoring
+    assert monitoring.state_of(1) is PortState.SWITCH_GOOD
+    low = MonitorParams(bad_sample_limit=2, classify_samples=2, probe_miss_limit=1)
+    monitoring.params = monitoring.ports[1].params = low
+    for kind, arg in steps:
+        if kind == "sample":
+            monitoring._sample_port(1, arg)
+        elif kind == "reply":
+            foreign_reply(monitoring, 1, uid=Uid(arg))
+        elif kind == "miss":
+            monitoring.ports[1].awaiting_nonce = 0
+            monitoring._account_miss(1)
+        else:
+            net.run_for(arg * MS)
+    for step in port_states(net, 0, 1):
+        old, new = step.split(" ")[0].split("->")
+        assert transition_allowed(PortState(old), PortState(new)), step
 
 
 def test_cut_link_goes_dead_and_triggers_reconfig():

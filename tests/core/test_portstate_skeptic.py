@@ -1,7 +1,9 @@
 """Port states (Figure 8) and the skeptics (section 6.5.5)."""
 
 from repro.constants import MS, SEC
-from repro.core.portstate import PortState, RECONFIGURING_TRANSITIONS, transition_allowed
+from repro.core.portstate import (
+    RECONFIGURING_TRANSITIONS, SAMPLER_TRANSITIONS, PortState, transition_allowed,
+)
 from repro.core.skeptic import ConnectivitySkeptic, SkepticParams, StatusSkeptic
 
 
@@ -37,6 +39,12 @@ class TestPortState:
         assert not transition_allowed(PortState.DEAD, PortState.HOST)
         assert not transition_allowed(PortState.DEAD, PortState.SWITCH_GOOD)
         assert not transition_allowed(PortState.HOST, PortState.SWITCH_WHO)
+        assert not transition_allowed(PortState.SWITCH_GOOD, PortState.SWITCH_LOOP)
+        assert not transition_allowed(PortState.SWITCH_LOOP, PortState.SWITCH_GOOD)
+
+    def test_every_state_is_a_sampler_source(self):
+        """Figure 8 is total: the sampler can take any state somewhere."""
+        assert set(SAMPLER_TRANSITIONS) == set(PortState)
 
     def test_reconfiguring_transitions(self):
         assert (PortState.SWITCH_WHO, PortState.SWITCH_GOOD) in RECONFIGURING_TRANSITIONS

@@ -379,9 +379,9 @@ def test_read_reports_unreadable_and_non_json_files_as_schema_errors(tmp_path):
 
 # -- every tag in the tree is registered ------------------------------------------------
 
-#: literals that look like a tag but name no document on disk: the call
-#: graph's in-memory test golden and this module's docstring placeholder
-UNREGISTERED = {"repro.staticcheck.callgraph/1", "repro.x/1"}
+#: literals that look like a tag but name no document on disk: the
+#: artifact module's docstring placeholder
+UNREGISTERED = {"repro.x/1"}
 
 
 def test_every_schema_literal_under_src_is_a_registered_provider():

@@ -321,6 +321,26 @@ def test_profiler_accounts_handlers_and_throughput():
     json.dumps(summary)  # JSON-ready
 
 
+def test_profiling_changes_nothing_the_simulation_does():
+    """The profiler (and ``Simulator.run`` around it) is where the
+    wall-clock rule is baselined away, so this is what holds it to
+    "observational only": on and off give the same history, event for
+    event, across a cut and reconvergence."""
+
+    def history(profile):
+        net = Network(ring(4), seed=1, profile=profile)
+        assert net.run_until_converged(timeout_ns=60 * SEC)
+        net.cut_link(0, 1)
+        assert net.run_until_converged(timeout_ns=60 * SEC)
+        logs = [
+            [(e.component, e.local_time, e.event, e.detail) for e in ap.trace.entries()]
+            for ap in net.autopilots
+        ]
+        return logs, net.sim.now, net.sim.events_dispatched
+
+    assert history(profile=True) == history(profile=False)
+
+
 def test_profiler_unit_accounting():
     prof = EventLoopProfiler()
     prof.account("a", 100)

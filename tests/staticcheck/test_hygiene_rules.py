@@ -76,11 +76,10 @@ def test_rs402_clean_immutable_constants():
 
 
 def test_rs402_only_hot_path_packages():
-    findings = check_source(
-        "CACHE = {}\n",
-        module="repro.analysis.fixture",
-    )
-    assert findings == []
+    for module in ("repro.obs.fixture", "repro.chaos.fixture", "repro.networking"):
+        assert check_source("CACHE = {}\n", module=module) == [], module
+    for module in ("repro.analysis.fixture", "repro.host.fixture", "repro.network"):
+        assert rules_of(check_source("CACHE = {}\n", module=module)) == ["RS402"], module
 
 
 def test_rs402_class_and_function_locals_not_flagged():

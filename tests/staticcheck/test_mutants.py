@@ -1,0 +1,9 @@
+"""Every rule keeps a mutant of the real tree that it flags, and the
+mutants of the deleted whole-program rules keep the static verdict the
+mutation table in DESIGN.md records (``mutation_audit.py --static``)."""
+
+from tests.staticcheck.mutation_audit import run_static
+
+
+def test_every_mutant_gets_its_recorded_static_verdict():
+    assert run_static() == 0
