@@ -24,10 +24,10 @@ import pytest
 
 from benchmarks.bench_util import current_seed, report
 from repro.analysis.metrics import rate_mbps
-from repro.baselines.ethernet import Ethernet
-from repro.baselines.token_ring import TokenRing
+from repro.host.ethernet import Ethernet
+from benchmarks.rigs.token_ring import TokenRing
 from repro.constants import MS, SEC
-from repro.experiments.latency import hop_latency
+from benchmarks.rigs.latency import hop_latency
 from repro.host.localnet import LocalNet
 from repro.host.workload import PeriodicSender, Sink
 from repro.network import Network

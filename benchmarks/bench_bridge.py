@@ -19,7 +19,7 @@ if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
 import pytest
 
 from benchmarks.bench_util import current_seed, report
-from repro.baselines.ethernet import Ethernet
+from repro.host.ethernet import Ethernet
 from repro.constants import MS, SEC, US
 from repro.host.bridge import AutonetEthernetBridge
 from repro.host.localnet import LocalNet

@@ -21,7 +21,7 @@ if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
 import pytest
 
 from benchmarks.bench_util import report
-from repro.experiments.fig9 import build_fig9
+from benchmarks.rigs.fig9 import build_fig9
 
 
 @pytest.mark.benchmark(group="E3")

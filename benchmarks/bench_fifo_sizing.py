@@ -20,7 +20,7 @@ if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
 import pytest
 
 from benchmarks.bench_util import report
-from repro.experiments.fifo_sizing import (
+from benchmarks.rigs.fifo_sizing import (
     broadcast_fifo_requirement,
     fifo_requirement,
     measure_backlog,

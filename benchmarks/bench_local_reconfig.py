@@ -22,7 +22,7 @@ if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
 import pytest
 
 from benchmarks.bench_util import current_seed, fmt_ms, report
-from repro.baselines.routing_ablation import tree_only_topology
+from benchmarks.rigs.routing_ablation import tree_only_topology
 from repro.constants import SEC
 from repro.core.autopilot import AutopilotParams
 from repro.host.localnet import LocalNet

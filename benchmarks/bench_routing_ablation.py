@@ -29,7 +29,7 @@ import pytest
 from benchmarks.bench_util import report
 from repro.analysis.deadlock import channel_dependency_graph, is_acyclic
 from repro.analysis.invariants import links_used
-from repro.baselines.routing_ablation import (
+from benchmarks.rigs.routing_ablation import (
     build_shortest_path_entries,
     tree_only_topology,
 )

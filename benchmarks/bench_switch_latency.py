@@ -20,7 +20,7 @@ if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
 import pytest
 
 from benchmarks.bench_util import fmt_us, report
-from repro.experiments.latency import hop_latency, router_throughput
+from benchmarks.rigs.latency import hop_latency, router_throughput
 
 
 @pytest.mark.benchmark(group="E4")

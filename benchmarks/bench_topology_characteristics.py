@@ -23,7 +23,7 @@ import pytest
 
 from benchmarks.bench_util import current_seed, fmt_ms, measured_cut, report
 from repro.analysis.capacity import analyze_capacity
-from repro.baselines.routing_ablation import tree_only_topology
+from benchmarks.rigs.routing_ablation import tree_only_topology
 from repro.network import Network
 from repro.topology import dcell, expected_tree, fat_tree, random_regular, torus, tree
 from repro.topology.graph import components, cut_points_and_bridges, spec_graph

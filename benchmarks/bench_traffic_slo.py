@@ -22,22 +22,23 @@ from repro.constants import SEC
 from repro.network import Network
 from repro.topology import torus
 from repro.traffic.artifact import validate_traffic
+from repro.traffic.workload import TrafficConfig
 
 #: the workload: arrivals span the cut so the outage has load to damage
-TRAFFIC = {
-    "pattern": "hotspot",
-    "flows": 200,
-    "hosts": 60,
-    "mean_flow_bytes": 32_768,
-    "duration_ns": int(1.5 * SEC),
-}
+TRAFFIC = TrafficConfig(
+    pattern="hotspot",
+    flows=200,
+    hosts=60,
+    mean_flow_bytes=32_768,
+    duration_ns=int(1.5 * SEC),
+)
 
 LOAD_BEFORE_CUT_NS = int(0.5 * SEC)
 DRAIN_AFTER_CUT_NS = int(1.2 * SEC)
 
 
 def _run_workload():
-    net = Network(torus(3, 4), seed=current_seed(0), traffic=dict(TRAFFIC))
+    net = Network(torus(3, 4), seed=current_seed(0), traffic=TRAFFIC)
     measured_cut(net, cut=(0, 1), load_ns=LOAD_BEFORE_CUT_NS)
     # the driver runs the same load after the cut as before it; drain the rest
     net.run_for(DRAIN_AFTER_CUT_NS - LOAD_BEFORE_CUT_NS)

@@ -7,7 +7,7 @@ Run:  python examples/bridged_lan.py
 """
 
 from repro import Network, line, Uid
-from repro.baselines.ethernet import ETHERNET_BROADCAST, Ethernet
+from repro.host.ethernet import ETHERNET_BROADCAST, Ethernet
 from repro.constants import SEC
 from repro.host.bridge import AutonetEthernetBridge
 from repro.host.localnet import LocalNet

@@ -9,7 +9,13 @@ until the packet ends, and the FIFO is enlarged to hold a full broadcast.
 Run:  python examples/broadcast_deadlock.py
 """
 
-from repro.experiments.fig9 import build_fig9
+import os
+import sys
+
+# the Figure 9 rig is a bench rig: it lives under benchmarks/, beside examples/
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from benchmarks.rigs.fig9 import build_fig9  # noqa: E402
 
 
 def show(label: str, fifo_bytes: int, fix: bool) -> None:

@@ -75,39 +75,3 @@ def is_acyclic(graph: Mapping[Channel, Set[Channel]]) -> bool:
             if not indegree[node]:
                 ready.append(node)
     return peeled == len(graph)
-
-
-def has_deadlock_potential(
-    topology: TopologyMap, entries_by_uid: Mapping[Uid, RowMap]
-) -> bool:
-    """True iff the loaded routes admit a circular channel dependency."""
-    return not is_acyclic(channel_dependency_graph(topology, entries_by_uid))
-
-
-class ProgressMonitor:
-    """Runtime deadlock detector for the simulated data plane.
-
-    Tracks the set of packets injected but not yet delivered or discarded.
-    When the simulator's event queue drains while packets remain pending,
-    nothing can ever advance them: that is a realized deadlock (the
-    symptom of Figure 9).
-    """
-
-    def __init__(self) -> None:
-        self.pending: Set[int] = set()
-        self.deadlocked = False
-        self.deadlocked_at: int = -1
-
-    def injected(self, packet_id: int) -> None:
-        self.pending.add(packet_id)
-
-    def finished(self, packet_id: int) -> None:
-        self.pending.discard(packet_id)
-
-    def install(self, sim) -> None:
-        sim.add_idle_hook(self._idle)
-
-    def _idle(self, sim) -> None:
-        if self.pending and not self.deadlocked:
-            self.deadlocked = True
-            self.deadlocked_at = sim.now

@@ -41,9 +41,6 @@ class HealthReport:
     def healthy(self) -> bool:
         return not any(f.severity == "critical" for f in self.findings)
 
-    def criticals(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == "critical"]
-
     def warnings(self) -> List[Finding]:
         return [f for f in self.findings if f.severity == "warning"]
 

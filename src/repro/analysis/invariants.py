@@ -53,30 +53,14 @@ def _deliveries(
     return delivered
 
 
-def trace_delivery(
-    topology: TopologyMap,
-    entries_by_uid: Mapping[Uid, RowMap],
-    start_uid: Uid,
-    start_port: int,
-    address: int,
-) -> Set[Tuple[Uid, int]]:
-    """All (switch, port) deliveries reachable for a packet, across every
-    alternative-port choice the switches could make.
-
-    Each (switch, in-port) state is expanded once, so the walk terminates
-    on any tables.  A forwarding loop is therefore not reported here: it
-    is a cycle of switch-to-switch channels, which the deadlock-freedom
-    check owns (:func:`repro.analysis.deadlock.channel_dependency_graph`).
-    """
-    return _deliveries(topology.index().nbrs, entries_by_uid, start_uid, start_port, address)
-
-
 def all_pairs_reachable(
     topology: TopologyMap, entries_by_uid: Mapping[Uid, RowMap]
 ) -> Dict[Tuple[Uid, Uid], bool]:
     """For every ordered switch pair (s, t): does a packet injected at s's
-    control processor reach t's control processor?  (Loops: see
-    :func:`trace_delivery`.)"""
+    control processor reach t's control processor?  Each (switch,
+    in-port) state is expanded once, so the walk terminates on any
+    tables; a forwarding loop is a cycle of switch-to-switch channels,
+    which :func:`repro.analysis.deadlock.channel_dependency_graph` owns."""
     nbrs = topology.index().nbrs
     results: Dict[Tuple[Uid, Uid], bool] = {}
     for src in topology.switches:
@@ -109,33 +93,6 @@ def check_no_down_to_up(
                             f"{uid}: entry (in={in_port}, addr={address:#x}) forwards "
                             f"a descended packet up via port {out_port}"
                         )
-
-
-def assert_trail_legal(topology: TopologyMap, trail, uid_of_switch_name) -> None:
-    """Verify a delivered packet's recorded hops form a legal up*/down*
-    route: zero or more up traversals followed by zero or more down
-    traversals (section 6.6.4).
-
-    ``trail`` is the packet's per-hop record [(switch name, in port,
-    out ports)]; ``uid_of_switch_name`` maps names to UIDs.
-    """
-    index = topology.index()
-    descended = False
-    for i in range(len(trail) - 1):
-        name, _in_port, out_ports = trail[i]
-        next_name, next_in, _next_out = trail[i + 1]
-        arrival = PortRef(uid_of_switch_name(next_name), next_in)
-        # did one of the out ports lead to the next hop?
-        nbrs = index.nbrs.get(uid_of_switch_name(name), {})
-        if not any(nbrs.get(out_port) == arrival for out_port in out_ports):
-            continue  # hop crossed a link no longer in this topology view
-        if index.up_end[(arrival.uid, arrival.port)]:
-            assert not descended, (
-                f"illegal route: up traversal {name}->{next_name} after a "
-                f"down traversal; trail={trail}"
-            )
-        else:
-            descended = True
 
 
 def links_used(

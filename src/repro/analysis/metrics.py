@@ -2,32 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, List, Sequence
 
 
 def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
-
-
-def percentile(values: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile, p in [0, 100]."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-    return ordered[rank - 1]
-
-
-def stddev(values: Sequence[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    mu = mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / (len(values) - 1))
-
-
-def mbits(bytes_count: float) -> float:
-    return bytes_count * 8 / 1_000_000
 
 
 def rate_mbps(bytes_count: float, elapsed_ns: int) -> float:

@@ -37,7 +37,7 @@ from repro.chaos.events import (
     event_from_dict,
 )
 from repro.chaos.replay import replay_artifact
-from repro.chaos.schedule import Injector, SampleParams, Schedule, ScheduleSampler
+from repro.chaos.schedule import Injector, Schedule, ScheduleSampler
 from repro.chaos.shrink import shrink_schedule
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "PowerOffHost",
     "RestartSwitch",
     "RestoreLink",
-    "SampleParams",
     "Schedule",
     "ScheduleResult",
     "ScheduleSampler",

@@ -26,7 +26,7 @@ import sys
 
 from repro.chaos.campaign import CampaignConfig, CampaignRunner, campaign_report
 from repro.chaos.replay import replay_artifact, reproducer_dict
-from repro.chaos.schedule import SCHEDULE_SCHEMA, SampleParams
+from repro.chaos.schedule import SCHEDULE_SCHEMA
 from repro.chaos.shrink import shrink_schedule
 from repro.obs import artifact
 
@@ -48,7 +48,6 @@ def main(argv=None) -> int:
         "--topology", default="torus-3x4", help="topology name, e.g. torus-3x4, ring-8, src-lan-30"
     )
     parser.add_argument("--seed", type=int, default=0, help="campaign master seed (default 0)")
-    parser.add_argument("--max-events", type=int, default=None, help="cap events per schedule")
     parser.add_argument(
         "--json", metavar="PATH", default=None, help="write the repro.bench/1 campaign summary here"
     )
@@ -77,16 +76,7 @@ def main(argv=None) -> int:
     if args.replay:
         return _replay(args)
 
-    sample = SampleParams()
-    if args.max_events is not None:
-        sample.max_events = args.max_events
-        sample.min_events = min(sample.min_events, args.max_events)
-    config = CampaignConfig(
-        topology=args.topology,
-        schedules=args.schedules,
-        seed=args.seed,
-        sample=sample,
-    )
+    config = CampaignConfig(topology=args.topology, schedules=args.schedules, seed=args.seed)
     runner = CampaignRunner(config)
 
     def progress(result) -> None:

@@ -22,16 +22,24 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Literal, Optional
 
 from repro.chaos.checks import CheckReport, check_partition_routing, quiescent_checks
-from repro.chaos.schedule import SEC, Injector, SampleParams, Schedule, ScheduleSampler
+from repro.chaos.schedule import SEC, Injector, Schedule, ScheduleSampler
 from repro.network import Network
 from repro.obs.export import bench_document, bench_result
 from repro.sim.rng import RngRegistry
 from repro.topology.generators import resolve_topology
+from repro.traffic.workload import TrafficConfig
 
 MS = 1_000_000
+
+#: hosts attached to free ports before each schedule runs
+HOSTS = 2
+#: extra settling time after the schedule horizon before final checks
+DRAIN_NS = 500 * MS
+#: poll step while running out a schedule
+STEP_NS = 50 * MS
 
 
 @dataclass
@@ -41,27 +49,6 @@ class CampaignConfig:
     topology: str = "torus-3x4"
     schedules: int = 50
     seed: int = 0
-    sample: SampleParams = field(default_factory=SampleParams)
-    #: hosts attached to free ports before the campaign starts
-    hosts: int = 2
-    #: extra settling time after the schedule horizon before final checks
-    drain_ns: int = 500 * MS
-    #: base + per-switch convergence deadline (liveness): None computes
-    #: ``20s + 1s * n_switches``, covering worst-case skeptic hold-downs
-    converge_timeout_ns: Optional[int] = None
-    #: poll step while waiting for quiescence
-    step_ns: int = 50 * MS
-    #: quiescence must hold this long before it counts (section 6.2's
-    #: skeptic philosophy, applied to the test harness itself)
-    settle_ns: int = 500 * MS
-    #: workload driven through every schedule (None/False = no traffic;
-    #: True, an int, a dict, or a TrafficConfig as Network(traffic=...))
-    traffic: object = None
-
-    def deadline_ns(self, n_switches: int) -> int:
-        if self.converge_timeout_ns is not None:
-            return self.converge_timeout_ns
-        return 20 * SEC + n_switches * SEC
 
 
 @dataclass
@@ -112,7 +99,7 @@ class CampaignRunner:
         """Deterministic host attachment points on free ports."""
         plan = []
         spec = self.spec
-        for h in range(self.config.hosts):
+        for h in range(HOSTS):
             sw = (h * 2) % spec.n_switches
             free = spec.free_ports(sw)
             if not free:
@@ -136,12 +123,12 @@ class CampaignRunner:
         schedule: Schedule,
         name: str = "",
         artifacts: Optional[str] = None,
-        traffic: object = None,
+        traffic: "None | Literal[True] | TrafficConfig" = None,
     ) -> ScheduleResult:
         """Run one schedule.
 
-        ``traffic`` (default: the config's ``traffic`` field) drives a
-        workload through the schedule's faults; the fluid model is
+        ``traffic`` (as ``Network(traffic=...)``) drives a workload
+        through the schedule's faults; the fluid model is
         observational, so the reconfiguration trajectory is unchanged
         while the SLO invariants (no flow left permanently unrouted at
         quiescence) join the quiescent checks.
@@ -152,11 +139,9 @@ class CampaignRunner:
         observational, so the run itself is unchanged -- and afterwards
         leaves ``<name>.trace.json``, ``<name>.timeseries.json``,
         ``<name>.inband.json`` and ``<name>.traffic.json`` there."""
-        if traffic is None:
-            traffic = self.config.traffic
         result = ScheduleResult(name=name or schedule.name, schedule=schedule)
         recording = artifacts is not None
-        if recording and (traffic is None or traffic is False):
+        if recording and traffic is None:
             traffic = True
         network = self.build_network(
             schedule, flight=recording, timeseries=recording, inband=recording, traffic=traffic
@@ -170,13 +155,10 @@ class CampaignRunner:
     def _run_schedule(
         self, network: Network, schedule: Schedule, result: ScheduleResult
     ) -> ScheduleResult:
-        deadline = self.config.deadline_ns(self.spec.n_switches)
+        # liveness: base + per-switch, covering worst-case skeptic hold-downs
+        deadline = 20 * SEC + self.spec.n_switches * SEC
 
-        if not network.run_until_converged(
-            timeout_ns=deadline,
-            settle_ns=self.config.settle_ns,
-            step_ns=self.config.step_ns,
-        ):
+        if not network.run_until_converged(timeout_ns=deadline):
             result.violations.append("initial convergence never reached")
             result.sim_ns = network.sim.now
             return result
@@ -190,10 +172,10 @@ class CampaignRunner:
 
         # run out the schedule, sweeping routing invariants whenever the
         # installation re-converges between faults (a quiescent point)
-        horizon = base + schedule.horizon_ns + self.config.drain_ns
+        horizon = base + schedule.horizon_ns + DRAIN_NS
         was_converged = True
         while network.sim.now < horizon:
-            network.sim.run_for(self.config.step_ns)
+            network.sim.run_for(STEP_NS)
             now_converged = network.converged()
             if now_converged and not was_converged:
                 report = check_partition_routing(network)
@@ -204,11 +186,7 @@ class CampaignRunner:
             was_converged = now_converged
 
         # final quiescence: liveness within the distance-scaled deadline
-        result.converged = network.run_until_converged(
-            timeout_ns=deadline,
-            settle_ns=self.config.settle_ns,
-            step_ns=self.config.step_ns,
-        )
+        result.converged = network.run_until_converged(timeout_ns=deadline)
         if not result.converged:
             result.violations.append(f"no convergence within {deadline / 1e9:.0f}s of schedule end")
         else:
@@ -237,7 +215,6 @@ class CampaignRunner:
         sampler = ScheduleSampler(
             self.spec,
             self.registry.fork(f"sample/{index}").stream("events"),
-            params=self.config.sample,
             host_names=tuple(name for name, _ in self._host_plan()),
         )
         schedule = sampler.sample(name=f"schedule-{index:04d}")

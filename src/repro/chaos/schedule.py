@@ -96,49 +96,36 @@ class Schedule:
             events=[event_from_dict(e) for e in doc["events"]],
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "Schedule":
-        return cls.from_dict(json.loads(text))
-
     def describe(self) -> str:
         lines = [f"schedule {self.name or '?'} on {self.topology} seed={self.seed}"]
         lines.extend(f"  {e.describe()}" for e in self.sorted_events())
         return "\n".join(lines)
 
 
-def _default_weights() -> Dict[str, float]:
-    """Relative likelihood of each event family when sampling."""
-    return {
-        "cut-link": 3.0,
-        "restore-link": 2.0,
-        "flap-link": 1.5,
-        "noisy-link": 1.0,
-        "crash-switch": 2.0,
-        "restart-switch": 2.0,
-        "power-off-host": 0.5,
-        "on-span-event": 1.5,
-    }
+# -- what a sampled schedule looks like ------------------------------------------
 
-
-@dataclass
-class SampleParams:
-    """Knobs for random schedule generation."""
-
-    #: events per schedule (inclusive bounds)
-    min_events: int = 3
-    max_events: int = 8
-    #: window within which event times are drawn (kept tight so a
-    #: 50-schedule smoke campaign stays within a couple of minutes)
-    horizon_ns: int = 4 * SEC
-    #: relative likelihood of each event family
-    weights: Dict[str, float] = field(default_factory=_default_weights)
-    #: flap trains: bounded so skeptic hold-downs stay in the seconds
-    max_flaps: int = 4
-    flap_period_ns: Tuple[int, int] = (40 * MS, 250 * MS)
-    #: fraction of switches that may be down simultaneously
-    max_dead_fraction: float = 0.5
-    #: append restores at the end so the final oracle state is clean
-    heal_tail: bool = True
+#: events per schedule (inclusive bounds)
+MIN_EVENTS = 3
+MAX_EVENTS = 8
+#: window within which event times are drawn (kept tight so a
+#: 50-schedule smoke campaign stays within a couple of minutes)
+HORIZON_NS = 4 * SEC
+#: relative likelihood of each event family
+WEIGHTS = {
+    "cut-link": 3.0,
+    "restore-link": 2.0,
+    "flap-link": 1.5,
+    "noisy-link": 1.0,
+    "crash-switch": 2.0,
+    "restart-switch": 2.0,
+    "power-off-host": 0.5,
+    "on-span-event": 1.5,
+}
+#: flap trains: bounded so skeptic hold-downs stay in the seconds
+MAX_FLAPS = 4
+FLAP_PERIOD_NS = (40 * MS, 250 * MS)
+#: fraction of switches that may be down simultaneously
+MAX_DEAD_FRACTION = 0.5
 
 
 class ScheduleSampler:
@@ -147,7 +134,7 @@ class ScheduleSampler:
     The sampler tracks the *planned* installation state (which links it
     has cut, which switches it has crashed) so drawn events are sensible
     -- restores target cut links, restarts target crashed switches, and
-    the network never loses more than ``max_dead_fraction`` of its
+    the network never loses more than ``MAX_DEAD_FRACTION`` of its
     switches.  Conditional events may not fire at run time, so every
     fault application stays idempotent at the Network layer.
     """
@@ -158,43 +145,39 @@ class ScheduleSampler:
         self,
         spec: TopologySpec,
         rng,
-        params: Optional[SampleParams] = None,
         host_names: Tuple[str, ...] = (),
     ) -> None:
         self.spec = spec
         self.rng = rng
-        self.params = params or SampleParams()
         self.host_names = host_names
         #: unique switch-index pairs with at least one cable
         pairs = {(min(a, b), max(a, b)) for a, _pa, b, _pb in spec.cables if a != b}
         self.pairs = sorted(pairs)
 
     def sample(self, name: str = "") -> Schedule:
-        params = self.params
         rng = self.rng
-        n_events = rng.randint(params.min_events, params.max_events)
+        n_events = rng.randint(MIN_EVENTS, MAX_EVENTS)
         cut: set = set()
         noisy: set = set()
         dead: set = set()
         hosts_off: set = set()
-        max_dead = max(1, int(len(self.spec.uids) * params.max_dead_fraction))
+        max_dead = max(1, int(len(self.spec.uids) * MAX_DEAD_FRACTION))
         events: List[FaultEvent] = []
 
         for _ in range(n_events):
-            at_ns = rng.randrange(0, params.horizon_ns)
+            at_ns = rng.randrange(0, HORIZON_NS)
             event = self._draw_event(at_ns, cut, noisy, dead, hosts_off, max_dead)
             if event is not None:
                 events.append(event)
 
-        if params.heal_tail:
-            tail = params.horizon_ns
-            for pair in sorted(noisy):
-                tail += 50 * MS
-                events.append(RestoreLink(at_ns=tail, a=pair[0], b=pair[1]))
-            # leave cut links cut and crashed switches down: partitions are
-            # legal final states the invariants must handle.  Only noise is
-            # healed, because a NOISY link's membership in the oracle graph
-            # is probabilistic.
+        # heal the noise at the end so the final oracle state is clean, but
+        # leave cut links cut and crashed switches down: partitions are
+        # legal final states the invariants must handle, whereas a NOISY
+        # link's membership in the oracle graph is probabilistic
+        tail = HORIZON_NS
+        for pair in sorted(noisy):
+            tail += 50 * MS
+            events.append(RestoreLink(at_ns=tail, a=pair[0], b=pair[1]))
         return Schedule(topology=self.spec.name, seed=0, events=events, name=name)
 
     # -- single event draws --------------------------------------------------------
@@ -202,10 +185,9 @@ class ScheduleSampler:
     def _draw_event(
         self, at_ns: int, cut, noisy, dead, hosts_off, max_dead: int
     ) -> Optional[FaultEvent]:
-        params = self.params
         rng = self.rng
-        kinds = sorted(params.weights)
-        weights = [params.weights[k] for k in kinds]
+        kinds = sorted(WEIGHTS)
+        weights = [WEIGHTS[k] for k in kinds]
         for _attempt in range(8):
             kind = rng.choices(kinds, weights=weights)[0]
             event = self._make(kind, at_ns, cut, noisy, dead, hosts_off, max_dead)
@@ -217,7 +199,6 @@ class ScheduleSampler:
         self, kind: str, at_ns: int, cut, noisy, dead, hosts_off, max_dead: int
     ) -> Optional[FaultEvent]:
         rng = self.rng
-        params = self.params
         if kind == "cut-link":
             candidates = [p for p in self.pairs if p not in cut]
             if not candidates:
@@ -247,8 +228,8 @@ class ScheduleSampler:
                 at_ns=at_ns,
                 a=pair[0],
                 b=pair[1],
-                flaps=rng.randint(2, params.max_flaps),
-                period_ns=rng.randrange(*params.flap_period_ns),
+                flaps=rng.randint(2, MAX_FLAPS),
+                period_ns=rng.randrange(*FLAP_PERIOD_NS),
             )
         if kind == "crash-switch":
             if len(dead) >= max_dead:

@@ -65,12 +65,6 @@ CRC_BYTES = 8
 #: maximum broadcast packet on the wire (Ethernet max + Autonet header), §6.2
 MAX_BROADCAST_PACKET_BYTES = 1550
 
-# -- Autopilot timing (sections 5.4, 6.8.3) -------------------------------------
-#: control-processor timer interrupt period
-TIMER_INTERRUPT_NS = 328 * US
-#: task-scheduler timeout resolution
-TIMEOUT_RESOLUTION_NS = 1_200 * US
-
 # -- host driver failover (section 6.8.3) ---------------------------------------
 #: normal keep-alive probe period to the local switch
 HOST_PROBE_PERIOD_NS = 2 * SEC

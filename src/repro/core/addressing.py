@@ -10,7 +10,7 @@ which is what keeps host UID caches warm (section 6.8.1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, List, Mapping
 
 from repro.core.topo import SwitchRecord
 from repro.types import MAX_SWITCH_NUMBER, Uid
@@ -47,16 +47,3 @@ def assign_switch_numbers(records: Mapping[Uid, SwitchRecord]) -> Dict[Uid, int]
     for uid in sorted(losers):
         assignment[uid] = next(free)
     return assignment
-
-
-def verify_assignment(assignment: Mapping[Uid, int], uids: Iterable[Uid]) -> None:
-    """Raise if the assignment is not a bijection over the given switches."""
-    numbers = list(assignment.values())
-    if len(set(numbers)) != len(numbers):
-        raise ValueError("duplicate switch numbers assigned")
-    missing = [uid for uid in uids if uid not in assignment]
-    if missing:
-        raise ValueError(f"switches without numbers: {missing}")
-    bad = [n for n in numbers if not 1 <= n <= MAX_SWITCH_NUMBER]
-    if bad:
-        raise ValueError(f"numbers out of range: {bad}")

@@ -60,16 +60,6 @@ def link_direction(topology: TopologyMap, link: NetLink) -> Optional[PortRef]:
     return a if index.up_end[(a.uid, a.port)] else link.b
 
 
-def arrival_phase(topology: TopologyMap, uid: Uid, in_port: int) -> int:
-    """Phase of a packet arriving at ``uid`` on ``in_port``.
-
-    Arrivals from hosts or the control processor have used no
-    switch-to-switch link, so they may still go up; over a link, the
-    packet climbed toward the root (still UP) iff we are its up end.
-    """
-    return UP if topology.index().up_end.get((uid, in_port), True) else DOWN
-
-
 def own_rows(number: int, host_ports: Set[int], n_ports: int = PORTS_PER_SWITCH) -> Dict[int, Row]:
     """Rows for a switch's own addresses: whatever the receiving port,
     address q reaches the control processor (q = 0) or host port q, and

@@ -152,9 +152,6 @@ class TopologyMap:
         """Ports of ``uid`` that are the parent end of some child's tree link."""
         return self.index().children.get(uid, ())
 
-    def tree_depth(self) -> int:
-        return max((record.level for record in self.switches.values()), default=0)
-
     def validate(self) -> None:
         """Internal consistency checks; raises ValueError on violation."""
         if self.root not in self.switches:

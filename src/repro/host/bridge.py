@@ -17,30 +17,25 @@ packet.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.constants import ADDR_BROADCAST_HOSTS, MAX_BROADCAST_DATA_BYTES, US
-from repro.baselines.ethernet import ETHERNET_BROADCAST, EthernetStation
 from repro.host.driver import AutonetDriver
+from repro.host.ethernet import ETHERNET_BROADCAST, EthernetStation
 from repro.host.localnet import ArpRequest, ArpResponse, BROADCAST_UID
 from repro.net.packet import Packet, PacketType
 from repro.types import Uid
 
-
-@dataclass
-class BridgeCosts:
-    """Per-packet CPU and I/O costs (two processors are dedicated to
-    forwarding, so examine and forward overlap only partially)."""
-
-    #: look at a packet and decide (discard path): ~5000/s
-    examine_ns: int = 200 * US
-    #: forwarding work beyond examination (small packet): ~1000/s total
-    forward_ns: int = 650 * US
-    #: effective Q-bus transfer cost per byte including DMA setup, paid
-    #: twice (in and out); calibrated to the paper's 200-300 max-size
-    #: packets per second
-    qbus_per_byte_ns: int = 800
+# Per-packet CPU and I/O costs (two processors are dedicated to
+# forwarding, so examine and forward overlap only partially).
+#: look at a packet and decide (discard path): ~5000/s
+EXAMINE_NS = 200 * US
+#: forwarding work beyond examination (small packet): ~1000/s total
+FORWARD_NS = 650 * US
+#: effective Q-bus transfer cost per byte including DMA setup, paid
+#: twice (in and out); calibrated to the paper's 200-300 max-size
+#: packets per second
+QBUS_PER_BYTE_NS = 800
 
 
 class AutonetEthernetBridge:
@@ -50,13 +45,11 @@ class AutonetEthernetBridge:
         self,
         driver: AutonetDriver,
         station: EthernetStation,
-        costs: Optional[BridgeCosts] = None,
         max_backlog: int = 64,
     ) -> None:
         self.driver = driver
         self.station = station
         self.sim = driver.sim
-        self.costs = costs or BridgeCosts()
         self.max_backlog = max_backlog
         self.uid = driver.controller.uid
 
@@ -119,7 +112,7 @@ class AutonetEthernetBridge:
 
         payload = packet.payload
         if isinstance(payload, ArpRequest):
-            self._enqueue(lambda: self._maybe_proxy_arp(packet, payload), self.costs.examine_ns)
+            self._enqueue(lambda: self._maybe_proxy_arp(packet, payload), EXAMINE_NS)
             return
         if isinstance(payload, ArpResponse):
             return
@@ -130,7 +123,7 @@ class AutonetEthernetBridge:
         broadcast = packet.dest_uid == BROADCAST_UID
         if side == "autonet" and not broadcast:
             # both ends on the Autonet: nothing to forward
-            self._enqueue(self._count_discard, self.costs.examine_ns)
+            self._enqueue(self._count_discard, EXAMINE_NS)
             return
         if packet.encrypted:
             self.refused_encrypted += 1
@@ -138,11 +131,7 @@ class AutonetEthernetBridge:
         if packet.data_bytes > MAX_BROADCAST_DATA_BYTES:
             self.refused_large += 1
             return
-        cost = (
-            self.costs.examine_ns
-            + self.costs.forward_ns
-            + 2 * self.costs.qbus_per_byte_ns * packet.data_bytes
-        )
+        cost = EXAMINE_NS + FORWARD_NS + 2 * QBUS_PER_BYTE_NS * packet.data_bytes
         dest = ETHERNET_BROADCAST if broadcast else packet.dest_uid
         self._enqueue(
             lambda: self._emit_ethernet(dest, packet.data_bytes, packet.payload), cost
@@ -188,7 +177,7 @@ class AutonetEthernetBridge:
             return
         side, short = self.cache.get(dest, (None, None))
         if side == "ethernet" and dest != ETHERNET_BROADCAST:
-            self._enqueue(self._count_discard, self.costs.examine_ns)
+            self._enqueue(self._count_discard, EXAMINE_NS)
             return
         if not self.driver.ready:
             self.discarded += 1
@@ -200,11 +189,7 @@ class AutonetEthernetBridge:
         else:
             dest_short = short if short is not None else ADDR_BROADCAST_HOSTS
             dest_uid = dest
-        cost = (
-            self.costs.examine_ns
-            + self.costs.forward_ns
-            + 2 * self.costs.qbus_per_byte_ns * data_bytes
-        )
+        cost = EXAMINE_NS + FORWARD_NS + 2 * QBUS_PER_BYTE_NS * data_bytes
         self._enqueue(
             lambda: self._emit_autonet(dest_short, dest_uid, src, data_bytes, payload),
             cost,
@@ -241,12 +226,11 @@ class AutonetAutonetBridge:
     """
 
     def __init__(self, driver_a: AutonetDriver, driver_b: AutonetDriver,
-                 costs: Optional[BridgeCosts] = None, max_backlog: int = 64) -> None:
+                 max_backlog: int = 64) -> None:
         if driver_a.sim is not driver_b.sim:
             raise ValueError("both attachments must share one simulator")
         self.sim = driver_a.sim
         self.drivers = {"a": driver_a, "b": driver_b}
-        self.costs = costs or BridgeCosts()
         self.max_backlog = max_backlog
         self.uids = {driver_a.controller.uid, driver_b.controller.uid}
         #: uid -> (side, short address on that side)
@@ -298,7 +282,7 @@ class AutonetAutonetBridge:
         payload = packet.payload
         if isinstance(payload, ArpRequest):
             self._enqueue(
-                lambda: self._handle_arp(side, packet, payload), self.costs.examine_ns
+                lambda: self._handle_arp(side, packet, payload), EXAMINE_NS
             )
             return
         if isinstance(payload, ArpResponse):
@@ -309,13 +293,9 @@ class AutonetAutonetBridge:
         dest_side = self.cache.get(packet.dest_uid, (None, None))[0]
         broadcast = packet.dest_uid == BROADCAST_UID
         if dest_side == side and not broadcast:
-            self._enqueue(self._count_discard, self.costs.examine_ns)
+            self._enqueue(self._count_discard, EXAMINE_NS)
             return
-        cost = (
-            self.costs.examine_ns
-            + self.costs.forward_ns
-            + 2 * self.costs.qbus_per_byte_ns * packet.data_bytes
-        )
+        cost = EXAMINE_NS + FORWARD_NS + 2 * QBUS_PER_BYTE_NS * packet.data_bytes
         self._enqueue(lambda: self._forward(self._other(side), packet), cost)
 
     def _count_discard(self) -> None:

@@ -17,14 +17,10 @@ bridges refuse to forward encrypted packets to the Ethernet (§6.8.2).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Set
+from typing import Dict, Set
 
 from repro.types import Uid
-
-_key_ids = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class EncryptedPayload:
@@ -40,25 +36,16 @@ class EncryptedPayload:
 class KeyStore:
     """Session-key distribution for one installation.
 
-    Stands in for the master-key infrastructure: `issue` creates a
-    session key shared by a set of hosts; controllers consult `holds` to
+    Stands in for the master-key infrastructure: `grant` hands a host
+    the session key of the given id; controllers consult `holds` to
     decide whether an arriving packet can be decrypted.
     """
 
     def __init__(self) -> None:
         self._holders: Dict[int, Set[Uid]] = {}
 
-    def issue(self, holders: Iterable[Uid]) -> int:
-        """Create a session key shared by ``holders``; returns its id."""
-        key_id = next(_key_ids)
-        self._holders[key_id] = set(holders)
-        return key_id
-
     def grant(self, key_id: int, uid: Uid) -> None:
         self._holders.setdefault(key_id, set()).add(uid)
-
-    def revoke(self, key_id: int, uid: Uid) -> None:
-        self._holders.get(key_id, set()).discard(uid)
 
     def holds(self, uid: Uid, key_id: int) -> bool:
         return uid in self._holders.get(key_id, set())
@@ -66,8 +53,3 @@ class KeyStore:
     def encrypt(self, key_id: int, payload: object) -> EncryptedPayload:
         """Pipelined: costs nothing extra on the wire or in latency."""
         return EncryptedPayload(key_id=key_id, ciphertext=payload)
-
-    def decrypt(self, uid: Uid, sealed: EncryptedPayload) -> object:
-        if not self.holds(uid, sealed.key_id):
-            raise PermissionError(f"{uid} does not hold key {sealed.key_id}")
-        return sealed.ciphertext

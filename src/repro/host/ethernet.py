@@ -121,9 +121,3 @@ class Ethernet:
         station.received += 1
         if station.on_receive is not None:
             station.on_receive(src, dest, data_bytes, payload)
-
-    def utilization(self, elapsed_ns: int) -> float:
-        """Fraction of the theoretical 10 Mbit/s actually carried."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return (self.bytes_carried * 8) / (elapsed_ns * 0.01)

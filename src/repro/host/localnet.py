@@ -74,9 +74,9 @@ class LocalNetStats:
 class LocalNet:
     """One host's generic-LAN layer over an Autonet driver.
 
-    ``keystore`` enables encrypted communication (section 3.10): register
-    a session key per peer with :meth:`use_session_key`, then pass
-    ``encrypt=True`` to :meth:`send`.  Encryption costs nothing extra --
+    ``keystore`` enables encrypted communication (section 3.10): set a
+    session key per peer in ``session_keys``, then pass ``encrypt=True``
+    to :meth:`send`.  Encryption costs nothing extra --
     the controller's pipelined chip runs at line rate.
     """
 
@@ -93,9 +93,6 @@ class LocalNet:
         self.on_datagram: Optional[Callable[[Uid, int, int, Packet], None]] = None
         driver.on_packet = self._receive
         driver.on_address_change = self._address_changed
-
-    def use_session_key(self, peer: Uid, key_id: int) -> None:
-        self.session_keys[peer] = key_id
 
     # -- transmit (section 6.8.1, "Transmitting") -------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.baselines.ethernet import ETHERNET_BROADCAST, EthernetStation
+from repro.host.ethernet import ETHERNET_BROADCAST, EthernetStation
 from repro.host.localnet import BROADCAST_UID, LocalNet
 from repro.types import Uid
 

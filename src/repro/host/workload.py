@@ -44,10 +44,6 @@ class Sink:
     def mean_latency_ns(self) -> float:
         return sum(self.latencies_ns) / len(self.latencies_ns) if self.latencies_ns else 0.0
 
-    def throughput_bits_per_ns(self, elapsed_ns: int) -> float:
-        return (self.bytes * 8) / elapsed_ns if elapsed_ns > 0 else 0.0
-
-
 class PeriodicSender:
     """Open-loop sender: one datagram to a fixed destination per period."""
 

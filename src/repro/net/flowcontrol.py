@@ -178,8 +178,3 @@ class FlowControlReceiver:
         """Whether the latched directive allows sending packet bytes."""
         last = self.last
         return last is Directive.START or last is Directive.HOST
-
-    @property
-    def host_attached(self) -> bool:
-        """The IsHost status bit: last directive was ``host``."""
-        return self.last is Directive.HOST

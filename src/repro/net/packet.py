@@ -92,9 +92,6 @@ class Packet:
     def record_hop(self, switch_name: str, in_port: int, out_ports: Tuple[int, ...]) -> None:
         self.trail.append((switch_name, in_port, out_ports))
 
-    def hop_count(self) -> int:
-        return len(self.trail)
-
     def __repr__(self) -> str:
         return (
             f"Packet(#{self.packet_id} {self.ptype.name} "

@@ -88,9 +88,6 @@ class SchedulingEngine:
         self.free |= 1 << port
         self._kick()
 
-    def mark_port_busy(self, port: int) -> None:
-        self.free &= ~(1 << port)
-
     def clear(self) -> None:
         """Drop all pending requests and free every port (switch reset)."""
         self.queue.clear()

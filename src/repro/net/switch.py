@@ -61,9 +61,6 @@ class Crossbar:
     def disconnect(self, out_port: int) -> None:
         self._output_source.pop(out_port, None)
 
-    def source_of(self, out_port: int) -> Optional[int]:
-        return self._output_source.get(out_port)
-
     def clear(self) -> None:
         self._output_source.clear()
 

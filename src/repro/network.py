@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple
 
 from repro.constants import SEC
 from repro.core.autopilot import Autopilot, AutopilotParams
@@ -26,12 +26,12 @@ from repro.net.switch import Switch
 from repro.obs import artifact
 from repro.obs.flight import FlightRecorder
 from repro.obs.control import ControlAccounting
-from repro.obs.inband import InbandConfig, InbandTelemetry
+from repro.obs.inband import InbandTelemetry
 from repro.obs.perfetto import trace_event_document
 from repro.obs.profiler import EventLoopProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import ReconfigTracer
-from repro.obs.timeseries import TimeSeriesConfig, TimeSeriesSampler
+from repro.obs.timeseries import TimeSeriesSampler
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import MergedLog
@@ -44,6 +44,13 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.traffic.engine import TrafficEngine
+
+
+#: run_until_converged: convergence must hold this long before it counts
+#: (section 6.2's skeptic philosophy, applied to the harness itself), and
+#: is polled this often
+SETTLE_NS = 500_000_000
+STEP_NS = 50_000_000
 
 
 @dataclass
@@ -69,19 +76,17 @@ class Network:
         self,
         spec: TopologySpec,
         params_factory: Optional[Callable[[int], AutopilotParams]] = None,
-        link_km: float = 0.1,
         seed: int = 0,
         direction_tagged_links: bool = False,
         sim: Optional[Simulator] = None,
         name: str = "",
         telemetry: bool = True,
         flight: bool = False,
-        flight_capacity: int = 65536,
         profile: bool = False,
-        timeseries: "bool | int | TimeSeriesConfig | None" = False,
-        inband: "bool | int | InbandConfig | None" = False,
+        timeseries: bool = False,
+        inband: bool = False,
         control: bool = False,
-        traffic: "bool | int | TrafficConfig | None" = False,
+        traffic: "None | Literal[True] | TrafficConfig" = None,
     ) -> None:
         self.spec = spec
         #: pass a shared simulator to co-simulate several Autonets (for
@@ -106,25 +111,19 @@ class Network:
         #: Attached before the switches are built so boot-time events are
         #: captured; both default off, leaving sim.recorder/sim.profiler
         #: None (the null fast path).
-        self.flight = (
-            FlightRecorder(capacity_per_component=flight_capacity) if flight else None
-        )
+        self.flight = FlightRecorder() if flight else None
         if flight:
             self.sim.recorder = self.flight
         self.profiler = EventLoopProfiler() if profile else None
         if profile:
             self.sim.profiler = self.profiler
-        #: opt-in in-band path telemetry (repro.obs.inband).  Pass
-        #: inband=True (defaults), an int (per-packet hop bound), or an
-        #: InbandConfig.  Off (the default) leaves sim.inband None: the
-        #: stamp sites pay one load + None test and packets carry no hop
-        #: stack.  The layer windows its SLO stats against the tracer.
-        self.inband_config = InbandConfig.coerce(inband)
+        #: opt-in in-band path telemetry (repro.obs.inband).  Off (the
+        #: default) leaves sim.inband None: the stamp sites pay one load +
+        #: None test and packets carry no hop stack.  The layer windows
+        #: its SLO stats against the tracer.
         self.inband: Optional[InbandTelemetry] = None
-        if self.inband_config is not None:
-            self.inband = InbandTelemetry(
-                self.sim, self.inband_config, tracer=self.tracer
-            )
+        if inband:
+            self.inband = InbandTelemetry(self.sim, tracer=self.tracer)
             self.sim.inband = self.inband
         #: opt-in control-plane cost accounting (repro.obs.control).
         #: Off (the default) leaves sim.control None: the send/retx/SRP
@@ -162,35 +161,34 @@ class Network:
                 self.sim,
                 self.switches[a].ports[pa],
                 self.switches[b].ports[pb],
-                length_km=link_km,
                 name=f"sw{a}.p{pa}--sw{b}.p{pb}",
             )
             self.links[(a, pa)] = link
             self.links[(b, pb)] = link
 
-        #: opt-in longitudinal sampler (repro.obs.timeseries).  Pass
-        #: timeseries=True (defaults), an int (interval in ns), or a
-        #: TimeSeriesConfig.  Off (the default) leaves self.sampler None:
-        #: no sample events exist and runs are byte-identical.  Wired
-        #: after the cables so connected-port collectors see them.
-        self.timeseries_config = TimeSeriesConfig.coerce(timeseries)
+        #: opt-in longitudinal sampler (repro.obs.timeseries).  Off (the
+        #: default) leaves self.sampler None: no sample events exist and
+        #: runs are byte-identical.  Wired after the cables so
+        #: connected-port collectors see them.
         self.sampler: Optional[TimeSeriesSampler] = None
-        if self.timeseries_config is not None:
-            self.sampler = TimeSeriesSampler(self.sim, self.timeseries_config)
+        if timeseries:
+            self.sampler = TimeSeriesSampler(self.sim)
             self._install_timeseries()
             self.sampler.start()
 
-        #: opt-in traffic engine (repro.traffic).  Pass traffic=True
-        #: (defaults), an int (flow count), or a TrafficConfig.  The
-        #: engine is observational -- nothing in the data path knows it
-        #: exists -- so runs with it off or on dispatch the same network
-        #: events.  Wired last so it can register its sampler collectors.
-        self.traffic_config = TrafficConfig.coerce(traffic)
+        #: opt-in traffic engine (repro.traffic): None is off, True the
+        #: default workload, a TrafficConfig that workload.  The engine is
+        #: observational -- nothing in the data path knows it exists -- so
+        #: runs with it off or on dispatch the same network events.  Wired
+        #: last so it can register its sampler collectors.
         self.traffic: "Optional[TrafficEngine]" = None
-        if self.traffic_config is not None:
+        if traffic is not None:
             from repro.traffic.engine import TrafficEngine
 
-            self.traffic = TrafficEngine(self, self.traffic_config)
+            config = TrafficConfig() if traffic is True else traffic
+            if not isinstance(config, TrafficConfig):
+                raise TypeError(f"traffic: expected None, True or a TrafficConfig, got {traffic!r}")
+            self.traffic = TrafficEngine(self, config)
 
     # -- measurement hooks ----------------------------------------------------------------
 
@@ -348,17 +346,9 @@ class Network:
             artifact.write(path, doc)
         return doc
 
-    def flight_trace(self) -> Dict:
-        """The ``repro.obs.flight/1`` / Chrome trace_event document."""
-        return self._artifact("flight", self.flight)
-
     def export_flight_trace(self, path: str) -> Dict:
         """Validate and write the flight trace; returns the document."""
         return self._artifact("flight", self.flight, path)
-
-    def timeseries_doc(self) -> Dict:
-        """The ``repro.obs.timeseries/1`` artifact."""
-        return self._artifact("timeseries", self.sampler)
 
     def export_timeseries(self, path: str) -> Dict:
         """Validate and write the timeseries artifact; returns the doc."""
@@ -375,10 +365,6 @@ class Network:
     def traffic_doc(self, name: str = "") -> Dict:
         """The ``repro.traffic/1`` artifact of the workload's SLO accounting."""
         return self._artifact("traffic", self.traffic, name=name)
-
-    def export_traffic(self, path: str, name: str = "") -> Dict:
-        """Validate and write the traffic artifact; returns the doc."""
-        return self._artifact("traffic", self.traffic, path, name)
 
     def export_observers(self, stem: str) -> List[str]:
         """Write the document of every observer that is on -- as
@@ -505,8 +491,6 @@ class Network:
         self,
         name: str,
         attachments: Sequence[Tuple[int, int]],
-        link_km: float = 0.1,
-        with_driver: bool = True,
     ) -> HostController:
         """Attach a host to one or two (switch index, port) points."""
         if not 1 <= len(attachments) <= 2:
@@ -525,7 +509,6 @@ class Network:
                 self.sim,
                 controller.ports[port_index],
                 self.switches[sw].ports[port],
-                length_km=link_km,
                 name=f"{name}.{port_index}--sw{sw}.p{port}",
             )
             self._host_links[(name, port_index)] = link
@@ -535,8 +518,7 @@ class Network:
                 self._sample_fifo(sw, port)
         self._host_attachments[name] = [sw for sw, _port in attachments]
         self.hosts[name] = controller
-        if with_driver:
-            self.drivers[name] = AutonetDriver(controller)
+        self.drivers[name] = AutonetDriver(controller)
         return controller
 
     # -- execution ---------------------------------------------------------------------------
@@ -570,21 +552,17 @@ class Network:
                 return False
         return True
 
-    def run_until_converged(
-        self,
-        timeout_ns: int = 30 * SEC,
-        settle_ns: int = 500_000_000,
-        step_ns: int = 50_000_000,
-    ) -> bool:
-        """Run until convergence has held for ``settle_ns``, or timeout."""
+    def run_until_converged(self, timeout_ns: int = 30 * SEC) -> bool:
+        """Run until convergence has held for ``SETTLE_NS`` (polled every
+        ``STEP_NS``), or timeout."""
         deadline = self.sim.now + timeout_ns
         stable_since: Optional[int] = None
         while self.sim.now < deadline:
-            self.sim.run_for(step_ns)
+            self.sim.run_for(STEP_NS)
             if self.converged():
                 if stable_since is None:
                     stable_since = self.sim.now
-                elif self.sim.now - stable_since >= settle_ns:
+                elif self.sim.now - stable_since >= SETTLE_NS:
                     return True
             else:
                 stable_since = None

@@ -145,7 +145,7 @@ def _valid(path: str, doc: Dict) -> str:
 
 
 def _cmd_watch(args) -> int:
-    watch_replay(TimeSeries.load(args.file), fps=args.fps, width=args.width, step=args.step)
+    watch_replay(TimeSeries.load(args.file))
     return 0
 
 
@@ -222,15 +222,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_watch = sub.add_parser("watch", help="replay a timeseries artifact as a sparkline dashboard")
     p_watch.add_argument("file", metavar="FILE", help="a repro.obs.timeseries/1 artifact")
-    p_watch.add_argument(
-        "--fps", type=float, default=10.0, help="frames per second (default 10)"
-    )
-    p_watch.add_argument(
-        "--width", type=int, default=32, help="sparkline width (default 32)"
-    )
-    p_watch.add_argument(
-        "--step", type=int, default=1, help="ticks per frame (default 1)"
-    )
     p_watch.set_defaults(fn=_cmd_watch)
 
     p_regress = sub.add_parser(

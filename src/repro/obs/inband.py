@@ -31,8 +31,8 @@ Discipline (mirrors the flight recorder and the sampler):
 * **Observational purity.**  Hop records only *read* component state;
   no stamp changes routing, rates, or event order.
 * **Bounded everything.**  Hop stacks, flow tables, change logs,
-  latency-sample rings, and the recent-stack ring are all capped, with
-  drop counters where eviction happens.
+  latency-sample rings, and the recent-stack ring are all capped by the
+  module constants below, with drop counters where eviction happens.
 
 The recorded state exports as a ``repro.obs.inband/1`` JSON artifact
 (schema table ``ARTIFACT`` below) that :func:`render_inband` (its text
@@ -43,11 +43,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.artifact import COUNT, INT, NAME, NUM, STR, Int, Map, Opt, Schema, keys, read
-from repro.obs.config import CoercibleConfig
 from repro.scenario import fmt_ns
 
 #: bump the suffix when the artifact layout changes incompatibly
@@ -62,25 +60,18 @@ HopRecord = Tuple[int, str, int, Tuple[int, ...], float]
 PathKey = Tuple[Tuple[str, int, Tuple[int, ...]], ...]
 
 
-@dataclass
-class InbandConfig(CoercibleConfig):
-    """Everything that determines the in-band layer, and nothing else.
-    ``Network(inband=<int>)`` sets the per-packet hop bound."""
-
-    INT_FIELD = "max_hops"
-
-    #: hop records carried per packet; further hops count as truncated
-    max_hops: int = 32
-    #: distinct (src uid, dest uid) flows tracked; more are counted, not kept
-    max_flows: int = 1024
-    #: path changes retained per flow (older ones evict, counted)
-    path_history: int = 16
-    #: delivery latency samples retained for exact quantiles (global ring)
-    latency_samples: int = 65536
-    #: latency samples retained per flow
-    flow_latency_samples: int = 4096
-    #: full hop stacks retained for the Perfetto flow-arrow export
-    recent_stacks: int = 128
+#: hop records carried per packet; further hops count as truncated
+MAX_HOPS = 32
+#: distinct (src uid, dest uid) flows tracked; more are counted, not kept
+MAX_FLOWS = 1024
+#: path changes retained per flow (older ones evict, counted)
+PATH_HISTORY = 16
+#: delivery latency samples retained for exact quantiles (global ring)
+LATENCY_SAMPLES = 65536
+#: latency samples retained per flow
+FLOW_LATENCY_SAMPLES = 4096
+#: full hop stacks retained for the Perfetto flow-arrow export
+RECENT_STACKS = 128
 
 
 def path_of(hops: Optional[List[HopRecord]]) -> PathKey:
@@ -109,8 +100,7 @@ class FlowRecord:
     __slots__ = ("src_uid", "dest_uid", "deliveries", "bytes", "paths_seen",
                  "current_path", "changes", "changes_dropped", "latencies")
 
-    def __init__(self, src_uid: int, dest_uid: int,
-                 config: InbandConfig) -> None:
+    def __init__(self, src_uid: int, dest_uid: int) -> None:
         self.src_uid = src_uid
         self.dest_uid = dest_uid
         self.deliveries = 0
@@ -119,19 +109,18 @@ class FlowRecord:
         self.paths_seen = 0
         self.current_path: Optional[PathKey] = None
         #: (t_ns, epoch, old_path, new_path), newest-last, bounded
-        self.changes: Deque[Tuple[int, Optional[int], PathKey, PathKey]] = (
-            deque(maxlen=config.path_history)
+        self.changes: Deque[Tuple[int, Optional[int], PathKey, PathKey]] = deque(
+            maxlen=PATH_HISTORY
         )
         self.changes_dropped = 0
-        self.latencies: Deque[int] = deque(maxlen=config.flow_latency_samples)
+        self.latencies: Deque[int] = deque(maxlen=FLOW_LATENCY_SAMPLES)
 
 
 class PathCollector:
     """Folds delivered hop stacks into per-flow path records, the
     path-change log, and per-link congestion reports."""
 
-    def __init__(self, config: InbandConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.flows: Dict[Tuple[int, int], FlowRecord] = {}
         #: deliveries whose flow could not be tracked (table full)
         self.dropped_flows = 0
@@ -140,7 +129,7 @@ class PathCollector:
         #: "sw0.p3" -> [depth samples, depth sum, depth max, queue drops]
         self.links: Dict[str, List[float]] = {}
         #: newest delivered hop stacks, for the Perfetto export
-        self.recent: Deque[Dict[str, Any]] = deque(maxlen=config.recent_stacks)
+        self.recent: Deque[Dict[str, Any]] = deque(maxlen=RECENT_STACKS)
 
     # -- feeds ------------------------------------------------------------------
 
@@ -177,10 +166,10 @@ class PathCollector:
         key = (packet.src_uid.value, packet.dest_uid.value)
         record = self.flows.get(key)
         if record is None:
-            if len(self.flows) >= self.config.max_flows:
+            if len(self.flows) >= MAX_FLOWS:
                 self.dropped_flows += 1
                 return
-            record = FlowRecord(key[0], key[1], self.config)
+            record = FlowRecord(key[0], key[1])
             self.flows[key] = record
         record.deliveries += 1
         record.bytes += packet.data_bytes
@@ -199,34 +188,19 @@ class PathCollector:
 
     # -- queries ----------------------------------------------------------------
 
-    def path_changes(self) -> List[Tuple[int, Optional[int],
-                                         Tuple[int, int], PathKey, PathKey]]:
-        """Every retained path change, time-ordered across flows."""
-        out = []
-        for key, record in self.flows.items():
-            for t_ns, epoch, old, new in record.changes:
-                out.append((t_ns, epoch, key, old, new))
-        return sorted(out)
-
-
 class SloTracker:
     """Delivery-SLO accounting: exact latency quantiles, drops by cause,
     and goodput, windowed against reconfiguration epoch spans."""
 
-    def __init__(self, config: InbandConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.deliveries = 0
         self.delivered_bytes = 0
         #: (t_ns, latency_ns or None, data bytes), newest-last, bounded
-        self.samples: Deque[Tuple[int, Optional[int], int]] = (
-            deque(maxlen=config.latency_samples)
-        )
+        self.samples: Deque[Tuple[int, Optional[int], int]] = deque(maxlen=LATENCY_SAMPLES)
         self.samples_total = 0
         self.drops: Dict[str, int] = {}
         #: (t_ns, cause), bounded like the sample ring
-        self.drop_events: Deque[Tuple[int, str]] = (
-            deque(maxlen=config.latency_samples)
-        )
+        self.drop_events: Deque[Tuple[int, str]] = deque(maxlen=LATENCY_SAMPLES)
 
     def delivery(self, t_ns: int, latency_ns: Optional[int],
                  data_bytes: int) -> None:
@@ -289,16 +263,14 @@ class SloTracker:
 class InbandTelemetry:
     """The ``sim.inband`` object: hot-path stamp sink plus host-side
     folding.  Attach with ``sim.inband = InbandTelemetry(sim, ...)`` (or
-    build the network with ``Network(inband=...)``, which does both).
+    build the network with ``Network(inband=True)``, which does both).
     Detached, every stamp site costs one attribute load + None test."""
 
-    def __init__(self, sim, config: Optional[InbandConfig] = None,
-                 tracer=None) -> None:
+    def __init__(self, sim, tracer=None) -> None:
         self.sim = sim
-        self.config = config or InbandConfig()
         self.tracer = tracer
-        self.collector = PathCollector(self.config)
-        self.slo = SloTracker(self.config)
+        self.collector = PathCollector()
+        self.slo = SloTracker()
         self.hops_recorded = 0
         self.hops_truncated = 0
         self._current_epoch: Optional[int] = None
@@ -327,7 +299,7 @@ class InbandTelemetry:
         if hops is None:
             hops = []
             packet.hops = hops
-        if len(hops) >= self.config.max_hops:
+        if len(hops) >= MAX_HOPS:
             self.hops_truncated += 1
             return
         hops.append((self.sim.now, switch, in_port, tuple(out_ports), depth))
@@ -403,7 +375,7 @@ class InbandTelemetry:
         return {
             "schema": INBAND_SCHEMA,
             "name": name,
-            "max_hops": self.config.max_hops,
+            "max_hops": MAX_HOPS,
             "hops_recorded": self.hops_recorded,
             "hops_truncated": self.hops_truncated,
             "unkeyed_deliveries": self.collector.unkeyed_deliveries,

@@ -70,22 +70,12 @@ class EventLoopProfiler:
             self.run_wall_ns += perf_counter_ns() - self._run_started
             self._run_started = None
 
-    def account(self, category: str, wall_ns: int) -> None:
-        stats = self._stats.get(category)
-        if stats is None:
-            stats = self._stats[category] = HandlerStats(category)
-        stats.count += 1
-        stats.wall_ns += wall_ns
-        self.events += 1
-        self.handler_wall_ns += wall_ns
-
     def account_call(self, fn: Any, wall_ns: int) -> None:
         """Account one dispatched handler by its callable (the hot path).
 
-        Categories are identical to :meth:`account` with the handler's
-        ``__qualname__`` -- bound methods of the same function share one
-        entry via ``__func__`` -- but the string work happens once per
-        callable, not once per event.
+        The category is the handler's ``__qualname__`` -- bound methods
+        of the same function share one entry via ``__func__`` -- and the
+        string work happens once per callable, not once per event.
         """
         key = getattr(fn, "__func__", fn)
         stats = self._by_func.get(key)

@@ -13,14 +13,11 @@ related P4/MRI work):
   method call -- and components that already keep plain integer statistics
   can instead register a *collector*, sampled only at snapshot time, which
   costs literally nothing on the hot path.
-* **Bounded cardinality.**  A per-name series cap guards against label
-  explosions; overflowing series are dropped and counted rather than
-  silently growing without bound.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, Any], ...]
 
@@ -97,8 +94,7 @@ class Histogram:
         bucket counts, linearly interpolating inside the bucket that
         crosses rank ``q * count``.  The estimate is clamped to the
         observed [min, max], so with all observations in one bucket the
-        answer stays within the data rather than the bucket bounds --
-        what the regress tolerance bands need from tail latencies.
+        answer stays within the data rather than the bucket bounds.
         """
         if not 0.0 < q <= 1.0:
             raise ValueError(f"quantile must be in (0, 1]: {q}")
@@ -173,25 +169,11 @@ NULL_HISTOGRAM = NULL_COUNTER
 class MetricsRegistry:
     """Series store keyed by ``(name, labels)`` plus lazy collectors."""
 
-    def __init__(self, enabled: bool = True, max_series_per_name: int = 8192) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.max_series_per_name = max_series_per_name
         self._series: Dict[str, Dict[LabelKey, Any]] = {}
         #: (name, labels, fn) triples sampled only at snapshot time
         self._collectors: List[Tuple[str, Dict[str, Any], Callable[[], Any]]] = []
-        #: series refused because a name hit the cardinality cap
-        self.dropped_series = 0
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Stop recording.  Instruments already handed out keep working
-        (they are plain objects); new requests return null instruments and
-        snapshots report nothing."""
-        self.enabled = False
 
     # -- instrument factories -----------------------------------------------------
 
@@ -202,9 +184,6 @@ class MetricsRegistry:
         key = _label_key(labels)
         instrument = per_name.get(key)
         if instrument is None:
-            if len(per_name) >= self.max_series_per_name:
-                self.dropped_series += 1
-                return null
             instrument = factory(name, labels, **kwargs)
             per_name[key] = instrument
         return instrument
@@ -239,16 +218,21 @@ class MetricsRegistry:
                 return fn()
         return None
 
-    def series_count(self, name: Optional[str] = None) -> int:
-        if name is not None:
-            return len(self._series.get(name, {}))
-        return sum(len(v) for v in self._series.values())
+    def counters(self) -> Iterator[Tuple[str, LabelKey, Counter]]:
+        """Every counter series as ``(name, label key, counter)``, in
+        creation order (what the timeseries sampler walks each tick)."""
+        for name, per_name in self._series.items():
+            for key, instrument in per_name.items():
+                if instrument.kind == "counter":
+                    yield name, key, instrument
 
     def snapshot(self) -> Dict[str, Any]:
         """All series, collectors included, as a JSON-ready dict."""
         out: Dict[str, Any] = {
             "enabled": self.enabled,
-            "dropped_series": self.dropped_series,
+            # no series is ever refused; the key keeps snapshots (and the
+            # documents embedding them) byte-identical
+            "dropped_series": 0,
             "series": {},
         }
         if not self.enabled:

@@ -146,10 +146,6 @@ class SpanTracer:
         flagged = [s for s in self._finished if s.attrs.get("unclosed")]
         return flagged + list(self._open.values())
 
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return [span.to_dict() for span in self.all_spans()]
-
-
 class ReconfigTracer(SpanTracer):
     """Turns the Autopilot event feed into per-epoch reconfiguration spans.
 

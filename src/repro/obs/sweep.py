@@ -52,8 +52,7 @@ from repro.types import MAX_SWITCH_NUMBER
 
 SWEEP_SCHEMA = "repro.obs.sweep/1"
 
-#: every metric a sweep point may carry (RS307: set_metric takes these
-#: as literal strings so the set stays greppable)
+#: every metric a sweep point may carry (set_metric raises on any other)
 SWEEP_METRICS = (
     "converge_ns",
     "reconfig_ns",

@@ -8,7 +8,7 @@ schedules one periodic *sample event*; each tick it
 * walks the metrics registry and appends every counter's current value,
 * calls every registered *collector* (FIFO occupancy, ports per state,
   epoch number, blackout in-progress flags -- wired by
-  :class:`repro.network.Network` when built with ``timeseries=...``),
+  :class:`repro.network.Network` when built with ``timeseries=True``),
 * and keeps everything in **bounded per-series ring buffers**: overflow
   evicts the oldest sample and counts the loss, exactly like the flight
   recorder's component rings.
@@ -24,8 +24,8 @@ Discipline (mirrors the flight recorder):
   peek_level`, which projects the fluid model to "now" without advancing
   it, so sampling never perturbs the float trajectory of the run.
 * **Bounded everything.**  Series count, ring capacity, and the span-mark
-  ring are all capped; ``RS304`` (repro.staticcheck) keeps call sites
-  honest about literal names and bounded capacities.
+  ring are all capped by the module constants below; ``RS304``
+  (repro.staticcheck) keeps collector names literal.
 
 The recorded history exports as a ``repro.obs.timeseries/1`` JSON
 artifact (schema table ``ARTIFACT`` below) and is queryable -- live or from
@@ -36,7 +36,6 @@ the document's text report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.artifact import (
@@ -53,12 +52,21 @@ from repro.obs.artifact import (
     read,
     validate,
 )
-from repro.obs.config import CoercibleConfig
 
 #: bump the suffix when the artifact layout changes incompatibly
 TIMESERIES_SCHEMA = "repro.obs.timeseries/1"
 
 MS = 1_000_000
+
+#: simulated time between samples
+INTERVAL_NS = 50 * MS
+#: samples retained per series (ring capacity)
+CAPACITY = 1024
+#: series refused beyond this count (cardinality backstop)
+MAX_SERIES = 4096
+#: span events retained in the mark ring (the watch dashboard's "recent
+#: reconfiguration events" column)
+MARK_CAPACITY = 256
 
 LabelKey = Tuple[Tuple[str, Any], ...]
 
@@ -71,26 +79,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (int, float, str, bool)) or value is None:
         return value
     return str(value)
-
-
-@dataclass
-class TimeSeriesConfig(CoercibleConfig):
-    """Everything that determines a sampler, and nothing else.
-    ``Network(timeseries=<int>)`` sets the sampling interval in ns."""
-
-    INT_FIELD = "interval_ns"
-
-    #: simulated time between samples
-    interval_ns: int = 50 * MS
-    #: samples retained per series (ring capacity)
-    capacity: int = 1024
-    #: also sample every counter in the metrics registry
-    include_registry: bool = True
-    #: series refused beyond this count (cardinality backstop)
-    max_series: int = 4096
-    #: span events retained in the mark ring (the watch dashboard's
-    #: "recent reconfiguration events" column)
-    mark_capacity: int = 256
 
 
 class SeriesRing:
@@ -143,26 +131,21 @@ class TimeSeriesSampler:
     """Periodic in-sim sampler feeding bounded per-series rings.
 
     Start with ``sampler.start()`` (or build the network with
-    ``Network(timeseries=...)``, which also wires the collectors).  The
+    ``Network(timeseries=True)``, which also wires the collectors).  The
     sampler schedules its own tick events; nothing else in the
     simulation ever calls into it, so a detached sampler costs zero.
     """
 
-    def __init__(self, sim, config: Optional[TimeSeriesConfig] = None) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.config = config or TimeSeriesConfig()
         #: shared tick-time ring (one entry per sample event)
-        self._ticks = SeriesRing(
-            "ticks", {}, "ticks", self.config.capacity, created_tick=0
-        )
+        self._ticks = SeriesRing("ticks", {}, "ticks", CAPACITY, created_tick=0)
         self._series: Dict[Tuple[str, LabelKey], SeriesRing] = {}
         #: (name, labels, ring, fn) sampled every tick
         self._collectors: List[Tuple[str, Dict[str, Any], SeriesRing,
                                      Callable[[], Optional[float]]]] = []
         #: bounded ring of span events (reconfiguration phase marks)
-        self._marks = SeriesRing(
-            "marks", {}, "marks", self.config.mark_capacity, created_tick=0
-        )
+        self._marks = SeriesRing("marks", {}, "marks", MARK_CAPACITY, created_tick=0)
         self._mark_rows: List[Tuple[int, str, str]] = []
         #: series refused because max_series was reached
         self.dropped_series = 0
@@ -177,8 +160,8 @@ class TimeSeriesSampler:
                       kind: str = "gauge", **labels: Any) -> None:
         """Register a pull-only series: ``fn`` is called once per tick
         and returns a number, or None for "no sample this tick" (e.g. a
-        crashed switch).  Names must be literal and rings are bounded --
-        RS304 enforces both at call sites."""
+        crashed switch).  Names must be literal (RS304) and rings are
+        bounded by ``CAPACITY``."""
         ring = self._ring(name, labels, kind)
         if ring is None:
             return
@@ -189,12 +172,11 @@ class TimeSeriesSampler:
         key = (name, _label_key(labels))
         ring = self._series.get(key)
         if ring is None:
-            if len(self._series) >= self.config.max_series:
+            if len(self._series) >= MAX_SERIES:
                 self.dropped_series += 1
                 return None
             ring = SeriesRing(
-                name, dict(labels), kind, self.config.capacity,
-                created_tick=self.samples_taken,
+                name, dict(labels), kind, CAPACITY, created_tick=self.samples_taken
             )
             self._series[key] = ring
         return ring
@@ -202,7 +184,7 @@ class TimeSeriesSampler:
     def mark(self, t_ns: int, component: str, event: str) -> None:
         """Record one span event into the bounded mark ring (fed by the
         ReconfigTracer listener that Network installs)."""
-        if len(self._mark_rows) >= self.config.mark_capacity:
+        if len(self._mark_rows) >= MARK_CAPACITY:
             # evict oldest; the ring stays bounded like every other buffer
             del self._mark_rows[0]
         self._mark_rows.append((t_ns, component, event))
@@ -215,7 +197,7 @@ class TimeSeriesSampler:
         if self._running:
             return
         self._running = True
-        self._handle = self.sim.after(self.config.interval_ns, self._tick)
+        self._handle = self.sim.after(INTERVAL_NS, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -231,31 +213,27 @@ class TimeSeriesSampler:
         for _name, _labels, ring, fn in self._collectors:
             value = fn()
             ring.append(None if value is None else float(value))
-        if self.config.include_registry:
-            self._sample_registry()
+        self._sample_registry()
         # any series that did not sample this tick (e.g. a registry
         # series that vanished) pads with None to stay tick-aligned
         for key, ring in self._series.items():
             if ring.total == before.get(key, ring.total - 1):
                 ring.append(None)
         self.samples_taken += 1
-        self._handle = self.sim.after(self.config.interval_ns, self._tick)
+        self._handle = self.sim.after(INTERVAL_NS, self._tick)
 
     def _sample_registry(self) -> None:
         metrics = self.sim.metrics
         if metrics is None or not metrics.enabled:
             return
-        for name in metrics._series:
-            for key, instrument in metrics._series[name].items():
-                # histograms export their own quantile snapshot
-                if instrument.kind != "counter":
-                    continue
-                ring = self._series.get((name, key))
+        # counters only: histograms export their own quantile snapshot
+        for name, key, counter in metrics.counters():
+            ring = self._series.get((name, key))
+            if ring is None:
+                ring = self._ring(name, dict(key), counter.kind)
                 if ring is None:
-                    ring = self._ring(name, dict(key), instrument.kind)
-                    if ring is None:
-                        continue
-                ring.append(float(instrument.value))
+                    continue
+            ring.append(float(counter.value))
 
     # -- queries -------------------------------------------------------------------
 
@@ -265,9 +243,6 @@ class TimeSeriesSampler:
     def view(self) -> "TimeSeries":
         """A query view over the live rings (snapshot, not a live link)."""
         return TimeSeries.from_document(self.document())
-
-    def series_count(self) -> int:
-        return len(self._series)
 
     # -- export --------------------------------------------------------------------
 
@@ -296,8 +271,8 @@ class TimeSeriesSampler:
         return {
             "schema": TIMESERIES_SCHEMA,
             "name": name,
-            "interval_ns": self.config.interval_ns,
-            "capacity": self.config.capacity,
+            "interval_ns": INTERVAL_NS,
+            "capacity": CAPACITY,
             "samples_taken": self.samples_taken,
             "dropped_ticks": self._ticks.dropped,
             "dropped_series": self.dropped_series,
@@ -346,14 +321,6 @@ class SeriesData:
                 values.append(v)
         return SeriesData(self.name, self.labels, self.kind, ticks, values)
 
-    def delta(self) -> Optional[float]:
-        """Last minus first non-None sample (counter growth over the
-        window); None when fewer than two samples exist."""
-        points = self.points()
-        if len(points) < 2:
-            return None
-        return points[-1][1] - points[0][1]
-
     def last(self) -> Optional[float]:
         points = self.points()
         return points[-1][1] if points else None
@@ -365,38 +332,6 @@ class SeriesData:
     def min(self) -> Optional[float]:
         points = self.points()
         return min(v for _t, v in points) if points else None
-
-    def resample(self, step_ns: int, how: str = "last") -> "SeriesData":
-        """Downsample onto a coarser grid: one sample per ``step_ns``
-        bucket (bucket start as the tick), aggregated by ``how``:
-        ``last`` (gauge semantics), ``mean``, ``max``, or ``min``."""
-        if step_ns <= 0:
-            raise ValueError(f"resample step must be positive: {step_ns}")
-        if how not in ("last", "mean", "max", "min"):
-            raise ValueError(f"unknown resample aggregate {how!r}")
-        buckets: Dict[int, List[float]] = {}
-        order: List[int] = []
-        for t, v in self.points():
-            start = (t // step_ns) * step_ns
-            if start not in buckets:
-                buckets[start] = []
-                order.append(start)
-            buckets[start].append(v)
-        ticks, values = [], []
-        for start in order:
-            vs = buckets[start]
-            if how == "last":
-                agg = vs[-1]
-            elif how == "mean":
-                agg = sum(vs) / len(vs)
-            elif how == "max":
-                agg = max(vs)
-            else:
-                agg = min(vs)
-            ticks.append(start)
-            values.append(agg)
-        return SeriesData(self.name, self.labels, self.kind, ticks, values)
-
 
 class TimeSeries:
     """Query wrapper over a ``repro.obs.timeseries/1`` document."""

@@ -233,23 +233,21 @@ def truncate_document(doc: Dict[str, Any], upto_tick: int) -> Dict[str, Any]:
 # -- the driver (I/O lives here, not in render_frame) ----------------------------------
 
 
-def watch_replay(
-    ts: TimeSeries,
-    fps: float = 10.0,
-    width: int = 32,
-    step: int = 1,
-    stream: Optional[TextIO] = None,
-    sleep: bool = True,
-) -> None:
+#: replay pacing: frames per second, and recorded ticks per frame
+FPS = 10.0
+STEP = 1
+
+
+def watch_replay(ts: TimeSeries, stream: Optional[TextIO] = None, sleep: bool = True) -> None:
     """Step through a recorded artifact tick by tick, redrawing in place."""
     out = stream if stream is not None else sys.stdout
     total = len(ts.ticks)
     title = f"replay {ts.doc.get('name') or 'timeseries'}"
-    for upto in range(1, total + 1, max(1, step)):
+    for upto in range(1, total + 1, STEP):
         view = TimeSeries(truncate_document(ts.doc, upto))
         now = view.ticks[-1] if view.ticks else 0
-        frame = render_frame(view, now_ns=now, width=width, title=title)
+        frame = render_frame(view, now_ns=now, title=title)
         out.write(ANSI_HOME_CLEAR + frame)
         out.flush()
-        if sleep and fps > 0:
-            time.sleep(1.0 / fps)
+        if sleep:
+            time.sleep(1.0 / FPS)

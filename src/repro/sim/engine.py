@@ -305,11 +305,3 @@ class Simulator:
             for handle in bucket
             if not handle.cancelled
         )
-
-    def next_event_time(self) -> Optional[int]:
-        live = [
-            time
-            for time, bucket in self._buckets.items()
-            if any(not handle.cancelled for handle in bucket)
-        ]
-        return min(live) if live else None

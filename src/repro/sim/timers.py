@@ -1,20 +1,18 @@
 """Timer helpers and the Autopilot-style non-preemptive task scheduler.
 
 The paper (section 5.4) describes Autopilot as interrupt routines plus
-process-level tasks run to completion by a non-preemptive scheduler with a
-timer queue whose resolution is 1.2 ms, driven by a 328 us timer interrupt.
-:class:`TaskScheduler` models that structure: tasks scheduled for a timeout
-actually run at the next timeout-resolution boundary at or after their due
-time, and each task charges a configurable CPU cost that delays every later
-task on the same processor.  That serialization is what makes a busy
-control processor slow down reconfiguration, which E1 measures.
+process-level tasks run to completion by a non-preemptive scheduler.
+:class:`TaskScheduler` models that structure: each task charges a
+configurable CPU cost that delays every later task on the same processor.
+That serialization is what makes a busy control processor slow down
+reconfiguration, which E1 measures.  (The 1.2 ms resolution of the real
+timer queue is not modelled: Autopilot's timers here are exact.)
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.constants import TIMEOUT_RESOLUTION_NS
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.trace import CAT_TIMER
 
@@ -101,18 +99,10 @@ class TaskScheduler:
 
     Tasks are procedure calls; at most one runs at a time.  A task that
     becomes runnable while another runs starts when the processor frees.
-    ``resolution`` quantizes timer wakeups the way Autopilot's 1.2 ms timer
-    queue does.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        resolution: int = TIMEOUT_RESOLUTION_NS,
-        owner: Optional[str] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, owner: Optional[str] = None) -> None:
         self.sim = sim
-        self.resolution = resolution
         #: component name flight-recorded timer events are attributed to
         self.owner = owner or "sim"
         #: simulated time at which the processor next becomes free
@@ -120,40 +110,8 @@ class TaskScheduler:
         #: total CPU time consumed (for utilization metrics)
         self.cpu_time_used: int = 0
 
-    def _quantize(self, time: int) -> int:
-        if self.resolution <= 1:
-            return time
-        remainder = time % self.resolution
-        return time if remainder == 0 else time + (self.resolution - remainder)
-
-    def run_after(
-        self,
-        delay: int,
-        fn: Callable[..., Any],
-        *args: Any,
-        cost: int = 0,
-    ) -> EventHandle:
-        """Run ``fn`` after ``delay``, quantized to the timer resolution.
-
-        ``cost`` is the CPU time the task consumes; later tasks queue
-        behind it.
-        """
-        due = self._quantize(self.sim.now + delay)
-        rec = self.sim.recorder
-        if rec is not None:
-            rec.record(
-                self.sim.now,
-                self.owner,
-                CAT_TIMER,
-                "timer-arm",
-                advance=False,
-                task=getattr(fn, "__qualname__", str(fn)),
-                due_ns=due,
-            )
-        return self.sim.at(due, self._start_task, fn, args, cost)
-
     def run_soon(self, fn: Callable[..., Any], *args: Any, cost: int = 0) -> EventHandle:
-        """Run ``fn`` as soon as the processor is free (no quantization)."""
+        """Run ``fn`` as soon as the processor is free."""
         return self.sim.call_soon(self._start_task, fn, args, cost)
 
     def every(
@@ -184,7 +142,3 @@ class TaskScheduler:
             self.sim.at(self._busy_until, fn, *args)
         else:
             fn(*args)
-
-    @property
-    def busy(self) -> bool:
-        return self.sim.now < self._busy_until

@@ -67,7 +67,7 @@ OS_ENTROPY_CALLS = frozenset({
 #: method names whose call order is observable in the replay contract:
 #: event scheduling (Simulator / TaskScheduler) and packet emission
 SCHEDULE_SINKS = frozenset({
-    "at", "after", "call_soon", "run_after", "run_soon", "every",
+    "at", "after", "call_soon", "run_soon", "every",
     "send", "send_packet", "transmit", "emit", "inject", "arm",
 })
 

@@ -12,8 +12,8 @@ keep call sites inside that contract:
   the exported-document schema.
 * **RS302** -- label *values* must not be f-strings / ``%``- or
   ``.format``-built strings.  Labels fan out one series per distinct
-  value; formatted strings are how cardinality explodes (the registry's
-  runtime cap then silently drops series).
+  value; formatted strings are how cardinality explodes (nothing caps
+  it at run time).
 * **RS303** -- flight-recorder hooks must follow the established
   pattern: load the recorder into a local once, test it against
   ``None``, then record.  Calling through ``x.recorder.record(...)``
@@ -21,11 +21,10 @@ keep call sites inside that contract:
   crashes when the recorder is off.
 * **RS304** -- time-series sampler discipline: collectors registered via
   ``add_collector`` must use literal series names (same schema-stability
-  argument as RS301), sampler ring capacities must be literal ints (a
-  computed capacity defeats the "bounded everything" audit), and a
-  collector callback must not ``.append`` to anything -- collectors are
-  pure reads sampled every tick; an appending callback is an unbounded
-  buffer growing at the sampling rate.
+  argument as RS301), and a collector callback must not ``.append`` to
+  anything -- collectors are pure reads sampled every tick; an appending
+  callback is an unbounded buffer growing at the sampling rate.  (Ring
+  capacities are module constants of ``repro.obs.timeseries``.)
 * **RS305** -- in-band telemetry stamps (``record_hop`` and friends on
   ``sim.inband``) must follow the same one-load+None-test pattern as
   RS303.  The stamp sites live on the per-packet hot path in
@@ -37,10 +36,6 @@ keep call sites inside that contract:
   same one-load+None-test pattern.  The hooks sit on every control
   message send in ``autopilot``/``reconfig``/``srp``; an unguarded call
   crashes every network built without ``control=True``.
-* **RS307** -- sweep collectors must use literal metric names:
-  ``point.set_metric(...)`` takes its series name as a string literal so
-  the ``repro.obs.sweep/1`` metric set stays a static, greppable
-  vocabulary (same schema-stability argument as RS301/RS304).
 """
 
 from __future__ import annotations
@@ -76,18 +71,10 @@ IMPLEMENTATION_MODULES = frozenset({
     "repro.obs.timeseries",
     "repro.obs.inband",
     "repro.obs.control",
-    "repro.obs.sweep",
 })
 
 #: receivers that look like a time-series sampler
 SAMPLER_HINTS = ("sampler",)
-
-#: sampler configuration keywords that must stay literal ints so the
-#: "bounded everything" promise is auditable statically
-CAPACITY_KWARGS = frozenset({"capacity", "mark_capacity", "max_series"})
-
-#: constructors whose capacity keywords RS304 audits
-SAMPLER_CTORS = frozenset({"TimeSeriesConfig", "SeriesRing"})
 
 #: maximum labels per instrument call: more is a cardinality smell
 MAX_LABELS = 4
@@ -115,9 +102,6 @@ CONTROL_ATTRS = frozenset({"control"})
 #: hot-path hooks RS306 audits on the accounting layer
 CONTROL_METHODS = frozenset({"record_send", "record_retx", "record_srp"})
 
-#: receivers that look like a sweep point / harness (RS307)
-SWEEP_HINTS = ("point", "sweep")
-
 
 class ObsDisciplinePass(Pass):
     name = "obs-discipline"
@@ -133,7 +117,7 @@ class ObsDisciplinePass(Pass):
             id="RS302",
             title="formatted string as a label value",
             invariant="label cardinality is bounded by the topology, not by data",
-            paper="repro.obs registry cap (ISSUE 1)",
+            paper="repro.obs registry series identity (ISSUE 1)",
             hint="use the raw value (name, port number, cause enum) as the label",
         ),
         Rule(
@@ -146,10 +130,10 @@ class ObsDisciplinePass(Pass):
         Rule(
             id="RS304",
             title="sampler collector breaks the bounded-ring discipline",
-            invariant="every sampler buffer is bounded and statically auditable",
+            invariant="the series set is static and every sampler buffer is bounded",
             paper="repro.obs.timeseries ring discipline (§6.7)",
-            hint="use a literal series name, a literal ring capacity, and a "
-                 "read-only collector callback (no .append)",
+            hint="use a literal series name and a read-only collector "
+                 "callback (no .append)",
         ),
         Rule(
             id="RS305",
@@ -167,13 +151,6 @@ class ObsDisciplinePass(Pass):
             hint="load it once (acct = <owner>.control), test 'if acct is not "
                  "None', then record",
         ),
-        Rule(
-            id="RS307",
-            title="sweep metric name is not a string literal",
-            invariant="the repro.obs.sweep/1 metric set is static and greppable",
-            paper="repro.obs.sweep/1 schema stability",
-            hint="pass a literal SWEEP_METRICS name to set_metric()",
-        ),
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
@@ -183,7 +160,6 @@ class ObsDisciplinePass(Pass):
             if isinstance(node, ast.Call):
                 yield from self._check_metric_call(module, node)
                 yield from self._check_sampler_call(module, node)
-                yield from self._check_sweep_call(module, node)
         for scope in function_scopes(module.tree):
             if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_guarded_calls(
@@ -256,25 +232,6 @@ class ObsDisciplinePass(Pass):
 
     def _check_sampler_call(self, module: ParsedModule,
                             node: ast.Call) -> Iterator[Finding]:
-        # literal capacities on the sampler's own configuration objects
-        ctor = None
-        if isinstance(node.func, ast.Name):
-            ctor = node.func.id
-        elif isinstance(node.func, ast.Attribute):
-            ctor = node.func.attr
-        if ctor in SAMPLER_CTORS:
-            for keyword in node.keywords:
-                if keyword.arg in CAPACITY_KWARGS and not (
-                    isinstance(keyword.value, ast.Constant)
-                    and isinstance(keyword.value.value, int)
-                    and not isinstance(keyword.value.value, bool)
-                ):
-                    yield self.finding(
-                        "RS304", module, keyword.value,
-                        f"{ctor}({keyword.arg}=...) is not a literal int: "
-                        f"ring bounds must be auditable without running the code",
-                    )
-
         if not (isinstance(node.func, ast.Attribute)
                 and node.func.attr == "add_collector"):
             return
@@ -304,27 +261,6 @@ class ObsDisciplinePass(Pass):
                         "read-only samples, not accumulators -- this grows "
                         "without bound at the sampling rate",
                     )
-
-    # -- RS307 -------------------------------------------------------------------------
-
-    def _check_sweep_call(self, module: ParsedModule,
-                          node: ast.Call) -> Iterator[Finding]:
-        if not (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "set_metric"):
-            return
-        receiver = dotted_name(node.func.value) or ""
-        tail = receiver.rsplit(".", 1)[-1]
-        if not any(hint in tail for hint in SWEEP_HINTS):
-            return
-        if node.args:
-            name_arg = node.args[0]
-            if not (isinstance(name_arg, ast.Constant)
-                    and isinstance(name_arg.value, str)):
-                yield self.finding(
-                    "RS307", module, name_arg,
-                    f"{receiver}.set_metric() metric name is computed, "
-                    f"not a string literal",
-                )
 
     # -- RS303 / RS305 / RS306 ---------------------------------------------------------
 

@@ -40,12 +40,3 @@ def src_service_lan(uids: Optional[List[Uid]] = None) -> TopologySpec:
 
     spec = from_edges(sorted(edges), n=len(present), uids=uids, name="src-lan-30")
     return spec
-
-
-def src_host_ports(spec: TopologySpec, hosts_per_switch: int = 8) -> Dict[int, List[int]]:
-    """Eight host ports per switch (the ports not used for switch links)."""
-    result: Dict[int, List[int]] = {}
-    for i in range(spec.n_switches):
-        free = spec.free_ports(i)
-        result[i] = free[:hosts_per_switch]
-    return result

@@ -30,26 +30,19 @@ from repro.network import Network
 from repro.obs import artifact
 from repro.scenario import drive_scenario, parse_cut, report_unknown_subcommand
 from repro.topology.generators import TOPOLOGY_FAMILIES, resolve_topology
-from repro.traffic.workload import ARRIVAL_PATTERNS, TrafficConfig
+from repro.traffic.workload import TrafficConfig
 
 
 def _cmd_run(args) -> int:
     spec = resolve_topology(args.topo)
     config = TrafficConfig(
-        pattern=args.pattern,
-        flows=args.flows,
-        hosts=args.hosts,
-        mean_flow_bytes=args.mean_bytes,
-        duration_ns=int(args.duration * SEC),
+        flows=args.flows, hosts=args.hosts, duration_ns=int(args.duration * SEC)
     )
     net = Network(
-        spec,
-        seed=args.seed,
-        traffic=config,
-        timeseries=args.timeseries,
+        spec, seed=args.seed, traffic=config, timeseries=args.timeseries_out is not None
     )
     cuts = args.cut
-    if not cuts and not args.no_cut:
+    if not cuts:
         a, _pa, b, _pb = spec.cables[0]
         cuts = [(a, b)]
     load_ns = int(args.duration * SEC) + int(args.drain * SEC)
@@ -59,7 +52,7 @@ def _cmd_run(args) -> int:
     if args.out:
         artifact.write(args.out, doc)
         print(f"wrote {args.out}")
-    if args.timeseries and args.timeseries_out:
+    if args.timeseries_out:
         net.export_timeseries(args.timeseries_out)
         print(f"wrote {args.timeseries_out}")
     return 0
@@ -80,18 +73,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--topo", default="src-lan-30", help="topology name (default src-lan-30)"
     )
     p_run.add_argument(
-        "--pattern", default="hotspot", choices=ARRIVAL_PATTERNS,
-        help="arrival process (default hotspot)",
-    )
-    p_run.add_argument(
         "--flows", type=int, default=1000, help="flow count (default 1000)"
     )
     p_run.add_argument(
         "--hosts", type=int, default=500, help="logical hosts (default 500)"
-    )
-    p_run.add_argument(
-        "--mean-bytes", type=int, default=131_072,
-        help="mean flow size in bytes (default 131072)",
     )
     p_run.add_argument(
         "--duration", type=float, default=1.0, metavar="SEC",
@@ -107,21 +92,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="cut the link between switches A and B (repeatable; "
              "default: the topology's first cable)",
     )
-    p_run.add_argument(
-        "--no-cut", action="store_true", help="run the workload with no fault"
-    )
     p_run.add_argument("--seed", type=int, default=0, help="simulation seed")
     p_run.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the repro.traffic/1 artifact here",
     )
     p_run.add_argument(
-        "--timeseries", action="store_true",
-        help="also sample the traffic series into timeseries rings",
-    )
-    p_run.add_argument(
         "--timeseries-out", default=None, metavar="PATH",
-        help="with --timeseries: write the repro.obs.timeseries/1 artifact",
+        help="also sample the traffic series into timeseries rings and "
+             "write the repro.obs.timeseries/1 artifact here",
     )
     p_run.set_defaults(fn=_cmd_run)
 

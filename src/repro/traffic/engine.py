@@ -1,6 +1,6 @@
 """The traffic engine: workload execution plus the SLO observatory.
 
-``Network(traffic=...)`` builds one :class:`TrafficEngine` as
+``Network(traffic=True | TrafficConfig)`` builds one :class:`TrafficEngine` as
 ``network.traffic``.  The model is a fluid one: logical hosts, no
 packets.  Flows transfer at max-min fair rate shares computed from the
 *live* forwarding tables (:mod:`repro.traffic.fluid`), re-solved when a
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.constants import SEC
+from repro.constants import MS, SEC
 from repro.obs.registry import Histogram
 from repro.traffic.artifact import TRAFFIC_SCHEMA
 from repro.traffic.fluid import (
@@ -39,6 +39,19 @@ from repro.traffic.workload import Flow, TrafficConfig, generate_flows, host_swi
 
 #: a flow is complete when its fluid remainder drops below half a byte
 COMPLETE_EPS = 0.5
+
+#: fluid solver pacing: batch window for arrival-triggered re-solves and
+#: the minimum gap between any two solves
+ARRIVAL_BATCH_NS = 10 * MS
+MIN_RESOLVE_GAP_NS = 1 * MS
+#: periodic re-solve/segment-roll interval while flows are active
+RESOLVE_INTERVAL_NS = 50 * MS
+#: forwarding-table walk bound (transient loops count as no-route)
+MAX_HOPS = 64
+#: accounting segments retained; further ones are counted, not kept
+MAX_SEGMENTS = 65_536
+#: flows echoed verbatim into the artifact's ``flows_sample``
+SAMPLE_FLOWS = 32
 
 #: delivery-latency histogram buckets (ns): 100us .. ~400s, geometric
 LATENCY_BUCKETS = tuple(100_000 * 4 ** k for k in range(12))
@@ -174,14 +187,14 @@ class TrafficEngine:
         run.state = "active"
         self._arrivals.append(run)
         self._active.add(flow.flow_id)
-        self._request_resolve(self.config.arrival_batch_ns)
+        self._request_resolve(ARRIVAL_BATCH_NS)
 
     def _request_resolve(self, delay_ns: int) -> None:
         """Schedule a re-solve no later than now+delay, coalescing with
         any pending request and respecting the minimum solve gap."""
         target = max(
             self.sim.now + delay_ns,
-            self._last_solve_ns + self.config.min_resolve_gap_ns,
+            self._last_solve_ns + MIN_RESOLVE_GAP_NS,
         )
         if self._resolve_handle is not None:
             if self._resolve_at <= target:
@@ -223,7 +236,7 @@ class TrafficEngine:
             stale = list(pairs.values())
         for pair in stale:
             pair.links = walk_path(
-                self.network, self._hops, *pair.switches, self.config.max_hops
+                self.network, self._hops, *pair.switches, MAX_HOPS
             )
         solve_rates(pairs.values(), len(self._hops) // 2)  # two ends per cable
         self._last_solve_ns = now
@@ -238,7 +251,7 @@ class TrafficEngine:
                     best = t
         if best is not None:
             self._completion_handle = self.sim.at(int(best) + 1, self._completion_timer)
-        self._request_resolve(self.config.resolve_interval_ns)
+        self._request_resolve(RESOLVE_INTERVAL_NS)
 
     def _completion_timer(self) -> None:
         self._completion_handle = None
@@ -284,7 +297,7 @@ class TrafficEngine:
         self.offered_bytes += seg_offered
         self.delivered_bytes += seg_delivered
         self.deficit_bytes += seg_deficit
-        if len(self.segments) < self.config.max_segments:
+        if len(self.segments) < MAX_SEGMENTS:
             self.segments.append(
                 (now - dt, now, seg_offered, seg_delivered, seg_deficit)
             )
@@ -330,7 +343,7 @@ class TrafficEngine:
                 continue  # partitioned or dead endpoints: loss is expected
             if run.switches not in routed:
                 routed[run.switches] = walk_path(
-                    self.network, self._hops, src, dst, self.config.max_hops
+                    self.network, self._hops, src, dst, MAX_HOPS
                 ) is not None
             if not routed[run.switches]:
                 out.append(
@@ -384,7 +397,7 @@ class TrafficEngine:
         elapsed = self.sim.now - self._launch_ns if self.launched else 0
         hist = self.latency_hist
         sample = []
-        for flow in self.flows[: self.config.sample_flows]:
+        for flow in self.flows[:SAMPLE_FLOWS]:
             run = self.runs[flow.flow_id]
             state = run.state
             if state == "active" and run.pair is not None and run.pair.links is None:

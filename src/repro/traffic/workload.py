@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.constants import MS, SEC
-from repro.obs.config import CoercibleConfig
 
 #: the supported arrival processes, in documentation order
 ARRIVAL_PATTERNS = ("uniform", "hotspot", "incast", "diurnal")
@@ -65,11 +64,10 @@ class Flow:
 
 
 @dataclass
-class TrafficConfig(CoercibleConfig):
-    """Configuration for the traffic engine (``Network(traffic=...)``,
-    where a bare int is the flow count)."""
-
-    INT_FIELD = "flows"
+class TrafficConfig:
+    """The workload ``Network(traffic=...)`` offers: what is drawn, not
+    how the engine paces itself (those are constants of
+    :mod:`repro.traffic.engine`)."""
 
     pattern: str = "hotspot"
     flows: int = 1000
@@ -77,18 +75,6 @@ class TrafficConfig(CoercibleConfig):
     mean_flow_bytes: int = 131_072
     #: arrival window: flows arrive within this span after launch()
     duration_ns: int = 2 * SEC
-    #: fluid solver pacing: batch window for arrival-triggered re-solves
-    #: and the minimum gap between any two solves
-    arrival_batch_ns: int = 10 * MS
-    min_resolve_gap_ns: int = 1 * MS
-    #: periodic re-solve/segment-roll interval while flows are active
-    resolve_interval_ns: int = 50 * MS
-    #: forwarding-table walk bound (transient loops count as no-route)
-    max_hops: int = 64
-    #: bounded accounting rings
-    max_segments: int = 65_536
-    #: flows echoed verbatim into the artifact's ``flows_sample``
-    sample_flows: int = 32
 
     def __post_init__(self) -> None:
         if self.pattern not in ARRIVAL_PATTERNS:

@@ -8,11 +8,7 @@ from repro.constants import (
     ADDR_BROADCAST_ALL,
     ADDR_BROADCAST_HOSTS,
     ADDR_BROADCAST_SWITCHES,
-    ADDR_FIRST_ASSIGNABLE,
     ADDR_LAST_ASSIGNABLE,
-    ADDR_LOOPBACK,
-    ADDR_ONE_HOP_BASE,
-    ADDR_ONE_HOP_LIMIT,
     PORT_NUMBER_BITS,
     SHORT_ADDRESS_BITS,
 )
@@ -66,20 +62,6 @@ def truncate_address(address: int) -> int:
     return address & SHORT_ADDRESS_MASK
 
 
-def is_assignable(address: int) -> bool:
-    address = truncate_address(address)
-    return ADDR_FIRST_ASSIGNABLE <= address <= ADDR_LAST_ASSIGNABLE
-
-
 def is_broadcast(address: int) -> bool:
     address = truncate_address(address)
     return address in (ADDR_BROADCAST_ALL, ADDR_BROADCAST_SWITCHES, ADDR_BROADCAST_HOSTS)
-
-
-def is_one_hop(address: int) -> bool:
-    address = truncate_address(address)
-    return ADDR_ONE_HOP_BASE <= address <= ADDR_ONE_HOP_LIMIT
-
-
-def is_loopback(address: int) -> bool:
-    return truncate_address(address) == ADDR_LOOPBACK

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.capacity import analyze_capacity
-from repro.baselines.routing_ablation import tree_only_topology
+from benchmarks.rigs.routing_ablation import tree_only_topology
 from repro.topology import expected_tree, line, ring, torus
 
 

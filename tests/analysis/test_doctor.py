@@ -59,7 +59,8 @@ def test_mid_reconfiguration_reported_critical():
     # diagnose immediately, before the epoch completes
     report = diagnose(net)
     assert not report.healthy
-    assert any("not configured" in f.what for f in report.criticals())
+    criticals = [f for f in report.findings if f.severity == "critical"]
+    assert any("not configured" in f.what for f in criticals)
 
 
 def test_render_is_readable():
@@ -70,7 +71,7 @@ def test_render_is_readable():
     assert "3 switches" in text
 
 
-def test_all_sections_render_end_to_end():
+def test_all_sections_render_end_to_end(tmp_path):
     """ISSUE 5/6/8 satellite, re-pointed by ISSUE 19 at the documents:
     what used to be the doctor's sections -- telemetry with the
     control-plane cost ledger, flight, timeseries, in-band path
@@ -99,12 +100,12 @@ def test_all_sections_render_end_to_end():
     paths = artifact.render(net.inband_doc())
     assert "in-band path telemetry" in paths
 
-    flight = artifact.render(net.flight_trace())
+    flight = artifact.render(net.export_flight_trace(str(tmp_path / "trace.json")))
     assert "events recorded" in flight
     # the per-switch successor of the doctor's one "deepest causal chain"
     assert flight.count("why did sw") == 12 and "port-state" in flight
 
-    series = artifact.render(net.timeseries_doc())
+    series = artifact.render(net.export_timeseries(str(tmp_path / "timeseries.json")))
     assert "samples every" in series
     assert "sw0" in series and "epoch" in series
 

@@ -2,16 +2,9 @@
 
 import pytest
 
-from repro.analysis.deadlock import ProgressMonitor
-from repro.analysis.metrics import (
-    format_table,
-    mean,
-    mbits,
-    percentile,
-    rate_mbps,
-    stddev,
-)
+from repro.analysis.metrics import format_table, mean, rate_mbps
 from repro.sim.engine import Simulator
+from tests.checkers import ProgressMonitor, mbits, percentile, stddev
 
 
 class TestMetrics:

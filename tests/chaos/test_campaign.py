@@ -7,11 +7,12 @@ import sys
 
 import pytest
 
+from repro.chaos import campaign, schedule
 from repro.chaos.campaign import CampaignConfig, CampaignRunner
 from repro.chaos.checks import CheckReport
 from repro.chaos.events import CrashSwitch, CutLink, RestartSwitch
 from repro.chaos.replay import replay_artifact, reproducer_dict
-from repro.chaos.schedule import SCHEDULE_SCHEMA, SEC, SampleParams, Schedule
+from repro.chaos.schedule import SCHEDULE_SCHEMA, SEC, Schedule
 from repro.chaos.shrink import shrink_schedule
 from repro.obs import artifact
 from repro.obs.export import SCHEMA as BENCH_SCHEMA
@@ -22,15 +23,23 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
+#: sampling and host-plan constants small enough for unit tests
+QUICK = {
+    schedule: {"MIN_EVENTS": 2, "MAX_EVENTS": 4, "HORIZON_NS": 2 * SEC},
+    campaign: {"HOSTS": 1},
+}
+
+
+@pytest.fixture(autouse=True)
+def quick_constants(monkeypatch):
+    for module, values in QUICK.items():
+        for name, value in values.items():
+            monkeypatch.setattr(module, name, value)
+
+
 def quick_config(**overrides):
-    """A campaign config small enough for unit tests."""
-    defaults = dict(
-        topology="torus-2x3",
-        schedules=2,
-        seed=0,
-        sample=SampleParams(min_events=2, max_events=4, horizon_ns=2 * SEC),
-        hosts=1,
-    )
+    """A campaign config small enough for unit tests (under ``QUICK``)."""
+    defaults = dict(topology="torus-2x3", schedules=2, seed=0)
     defaults.update(overrides)
     return CampaignConfig(**defaults)
 
@@ -59,7 +68,7 @@ def test_campaign_document_is_deterministic():
     assert docs[0] == docs[1]
 
 
-def test_campaign_document_is_a_function_of_its_config_not_of_the_process():
+def test_campaign_document_is_a_function_of_its_config_not_of_the_process(monkeypatch):
     """Whatever campaigns this process ran before (another host count on
     the same topology here, every earlier test in a full run), each
     document equals the one a fresh interpreter writes: nothing a run
@@ -67,16 +76,20 @@ def test_campaign_document_is_a_function_of_its_config_not_of_the_process():
     the simulator's packages (RS402); ``repro.chaos`` is held here."""
     program = (
         "import json, sys\n"
-        "from repro.chaos.campaign import CampaignRunner\n"
-        "from tests.chaos.test_campaign import quick_config\n"
-        "runner = CampaignRunner(quick_config(schedules=1, hosts=int(sys.argv[1])))\n"
+        "from repro.chaos import campaign\n"
+        "from tests.chaos.test_campaign import QUICK, quick_config\n"
+        "for module, values in QUICK.items():\n"
+        "    vars(module).update(values)\n"
+        "campaign.HOSTS = int(sys.argv[1])\n"
+        "runner = campaign.CampaignRunner(quick_config(schedules=1))\n"
         "runner.run()\n"
         "print(json.dumps(runner.document(), sort_keys=True))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     docs = []
     for hosts in (0, 1):
-        runner = CampaignRunner(quick_config(schedules=1, hosts=hosts))
+        monkeypatch.setattr(campaign, "HOSTS", hosts)
+        runner = CampaignRunner(quick_config(schedules=1))
         runner.run()
         docs.append(json.dumps(runner.document(), sort_keys=True))
         fresh = subprocess.run(

@@ -8,12 +8,14 @@ Examples are few and the topology small because each example simulates
 seconds of network time; the seeded chaos campaigns cover volume.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import campaign
 from repro.chaos.campaign import CampaignConfig, CampaignRunner
 from repro.chaos.events import CrashSwitch, CutLink, RestartSwitch, RestoreLink
-from repro.chaos.schedule import SEC, SampleParams, Schedule
+from repro.chaos.schedule import SEC, Schedule
 
 MS = 1_000_000
 
@@ -38,15 +40,16 @@ switch_events = st.builds(
 schedules = st.lists(link_events | switch_events, min_size=1, max_size=6)
 
 
+@pytest.fixture(autouse=True, scope="module")
+def no_hosts():
+    """A bare ring: the schedules here never touch a host."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(campaign, "HOSTS", 0)
+        yield
+
+
 def make_runner():
-    config = CampaignConfig(
-        topology="ring-4",
-        schedules=1,
-        seed=0,
-        sample=SampleParams(horizon_ns=2 * SEC),
-        hosts=0,
-    )
-    return CampaignRunner(config)
+    return CampaignRunner(CampaignConfig(topology="ring-4", schedules=1, seed=0))
 
 
 @settings(max_examples=10, deadline=None)

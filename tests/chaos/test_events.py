@@ -1,7 +1,9 @@
 """Fault-event vocabulary: serialization, sampling, and injection."""
 
+import json
 import random
 
+from repro.chaos import schedule as schedule_module
 from repro.chaos.events import (
     CrashSwitch,
     CutLink,
@@ -13,13 +15,7 @@ from repro.chaos.events import (
     RestoreLink,
     event_from_dict,
 )
-from repro.chaos.schedule import (
-    SEC,
-    Injector,
-    SampleParams,
-    Schedule,
-    ScheduleSampler,
-)
+from repro.chaos.schedule import SEC, Injector, Schedule, ScheduleSampler
 from repro.constants import SEC as NET_SEC
 from repro.network import Network
 from repro.sim.rng import RngRegistry
@@ -52,7 +48,7 @@ def test_every_event_round_trips_through_dict():
 
 def test_schedule_round_trips_through_json():
     schedule = Schedule(topology="torus-2x3", seed=99, events=list(ALL_EVENTS), name="rt")
-    rebuilt = Schedule.from_json(schedule.to_json())
+    rebuilt = Schedule.from_dict(json.loads(schedule.to_json()))
     assert rebuilt.topology == schedule.topology
     assert rebuilt.seed == schedule.seed
     assert rebuilt.name == schedule.name
@@ -81,16 +77,20 @@ def test_sampler_is_deterministic_per_seed():
     assert [s.to_dict() for s in draw(8)] != [s.to_dict() for s in first]
 
 
-def test_sampler_respects_bounds():
+def test_sampler_respects_bounds(monkeypatch):
+    monkeypatch.setattr(schedule_module, "MIN_EVENTS", 2)
+    monkeypatch.setattr(schedule_module, "MAX_EVENTS", 4)
+    monkeypatch.setattr(schedule_module, "HORIZON_NS", 1 * SEC)
     spec = resolve_topology("torus-2x3")
-    params = SampleParams(min_events=2, max_events=4, horizon_ns=1 * SEC, heal_tail=False)
-    rng = random.Random(3)
-    sampler = ScheduleSampler(spec, rng, params=params)
+    sampler = ScheduleSampler(spec, random.Random(3))
     for i in range(20):
         schedule = sampler.sample(name=f"s{i}")
-        assert len(schedule.events) <= params.max_events
-        for event in schedule.events:
-            assert 0 <= event.at_ns < params.horizon_ns
+        drawn = [event for event in schedule.events if event.at_ns < 1 * SEC]
+        assert len(drawn) <= 4
+        assert all(event.at_ns >= 0 for event in drawn)
+        # whatever lies past the horizon is the tail that heals the noise
+        healing = [event for event in schedule.events if event.at_ns >= 1 * SEC]
+        assert all(isinstance(event, RestoreLink) for event in healing)
 
 
 def test_apply_fault_counts_in_telemetry_and_hook():

@@ -38,7 +38,7 @@ def test_tables_stay_consistent_after_local_reconfig():
     net = local_net(torus(3, 3))
     topo_before = net.topology()
     # find a non-tree link to cut
-    from repro.baselines.routing_ablation import tree_only_topology
+    from benchmarks.rigs.routing_ablation import tree_only_topology
 
     tree = tree_only_topology(topo_before)
     cross = next(iter(topo_before.links - tree.links))

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.analysis.deadlock import channel_dependency_graph, has_deadlock_potential
+from repro.analysis.deadlock import channel_dependency_graph
 from repro.analysis.invariants import (
     all_pairs_reachable,
     check_no_down_to_up,
     links_used,
-    trace_delivery,
 )
 from repro.constants import (
     ADDR_BROADCAST_ALL,
@@ -18,12 +17,12 @@ from repro.constants import (
 from repro.core.routing import (
     DOWN,
     UP,
-    arrival_phase,
     build_forwarding_entries,
     link_direction,
 )
 from repro.topology import expected_tree, line, mesh, random_regular, ring, torus
 from repro.types import make_short_address
+from tests.checkers import arrival_phase, has_deadlock_potential, trace_delivery
 
 
 def build_all(spec, host_ports=None):

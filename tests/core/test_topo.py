@@ -53,12 +53,6 @@ def test_children_ports():
     assert len(children) == 2
 
 
-def test_tree_depth():
-    topo = expected_tree(torus(3, 4))
-    assert topo.tree_depth() >= 2
-    assert topo.tree_depth() == max(r.level for r in topo.switches.values())
-
-
 def test_validate_accepts_good_tree():
     expected_tree(torus(3, 4)).validate()
 

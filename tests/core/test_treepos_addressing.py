@@ -6,11 +6,11 @@ import pytest
 from repro.core.addressing import (
     AddressSpaceExhausted,
     assign_switch_numbers,
-    verify_assignment,
 )
 from repro.core.topo import SwitchRecord
 from repro.core.treepos import TreePosition, candidate_position
 from repro.types import MAX_SWITCH_NUMBER, Uid
+from tests.checkers import verify_assignment
 
 
 def record(uid_val, proposed):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.ethernet import ETHERNET_BROADCAST, Ethernet
+from repro.host.ethernet import ETHERNET_BROADCAST, Ethernet
 from repro.constants import SEC
 from repro.host.bridge import AutonetAutonetBridge, EthernetEthernetBridge
 from repro.host.localnet import BROADCAST_UID, LocalNet

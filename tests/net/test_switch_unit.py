@@ -20,10 +20,9 @@ class TestCrossbar:
     def test_connect_disconnect(self):
         xbar = Crossbar(12)
         xbar.connect(3, (5, 7))
-        assert xbar.source_of(5) == 3
-        assert xbar.source_of(7) == 3
+        assert xbar.connections() == {5: 3, 7: 3}
         xbar.disconnect(5)
-        assert xbar.source_of(5) is None
+        assert xbar.connections() == {7: 3}
 
     def test_double_assignment_rejected(self):
         xbar = Crossbar(12)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import BYTE_TIME_NS, MS, SEC, US
-from repro.experiments.fifo_sizing import _Source
+from benchmarks.rigs.fifo_sizing import _Source
 from repro.host.localnet import BROADCAST_UID, LocalNet
 from repro.host.workload import PeriodicSender, Sink
 from repro.net.fifo import ReceiveFifo

@@ -24,6 +24,7 @@ from repro.obs import artifact
 from repro.obs.artifact import Atom, Enum, Map, Opt, SchemaError
 from repro.scenario import attach_pair, drive_scenario
 from repro.topology.generators import resolve_topology
+from repro.traffic.workload import TrafficConfig
 
 TAGS = sorted(artifact.PROVIDERS)
 
@@ -38,7 +39,8 @@ def real_docs(tmp_path_factory):
 
     spec = resolve_topology("torus-3x4")
     net = Network(
-        spec, seed=3, flight=True, timeseries=True, inband=True, control=True, traffic=200
+        spec, seed=3, flight=True, timeseries=True, inband=True, control=True,
+        traffic=TrafficConfig(flows=200),
     )
     attach_pair(net, period_ns=5 * MS, data_bytes=512)
     drive_scenario(net, [(0, 1)], load_ns=int(0.3 * SEC))
@@ -49,10 +51,11 @@ def real_docs(tmp_path_factory):
         return bench_document("demo", title="t", seed=7, results=[result])
 
     runner = CampaignRunner(CampaignConfig(topology="ring-4", schedules=1))
+    scratch = tmp_path_factory.mktemp("observers")
     docs = [
         *_staticcheck_docs(tmp_path_factory.mktemp("lint")),
-        net.flight_trace(),
-        net.timeseries_doc(),
+        net.export_flight_trace(str(scratch / "trace.json")),
+        net.export_timeseries(str(scratch / "timeseries.json")),
         net.inband_doc(),
         net.traffic_doc(),
         run_sweep(seed=0, topologies=["torus-3x4", "torus-4x4", "torus-32x32"]),

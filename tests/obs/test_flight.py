@@ -168,7 +168,7 @@ def cut_network():
 
 def test_exported_trace_validates_and_links_the_epoch(cut_network, tmp_path):
     net = cut_network
-    doc = net.flight_trace()
+    doc = trace_event_document(net.flight, merged_log=net.merged_log, name=net.spec.name)
     artifact.validate(doc, FLIGHT_SCHEMA)  # ph/ts/pid/tid/name structure, B/E pairs, flows
     assert doc["schema"] == FLIGHT_SCHEMA
 
@@ -295,12 +295,14 @@ def test_validator_rejects_wrong_schema():
 
 def test_trace_document_survives_ring_eviction():
     """Sends evicted from their ring must not leave dangling flow binds."""
-    net = Network(ring(3), seed=2, flight=True, flight_capacity=64)
+    sim = Simulator()
+    sim.recorder = recorder = FlightRecorder(capacity_per_component=64)
+    net = Network(ring(3), seed=2, sim=sim)
     net.run_for(8 * SEC)
-    assert net.flight.total_dropped > 0
-    doc = net.flight_trace()
+    assert recorder.total_dropped > 0
+    doc = trace_event_document(recorder, merged_log=net.merged_log, name=net.spec.name)
     artifact.validate(doc, FLIGHT_SCHEMA)
-    assert doc["otherData"]["dropped"] == net.flight.total_dropped
+    assert doc["otherData"]["dropped"] == recorder.total_dropped
 
 
 # -- the profiler -----------------------------------------------------------------------
@@ -343,9 +345,17 @@ def test_profiling_changes_nothing_the_simulation_does():
 
 def test_profiler_unit_accounting():
     prof = EventLoopProfiler()
-    prof.account("a", 100)
-    prof.account("a", 300)
-    prof.account("b", 50)
+
+    def a():
+        pass
+
+    def b():
+        pass
+
+    a.__qualname__, b.__qualname__ = "a", "b"
+    prof.account_call(a, 100)
+    prof.account_call(a, 300)
+    prof.account_call(b, 50)
     assert prof.events == 3
     assert prof.handler_wall_ns == 450
     [a, b] = prof.hotspots()

@@ -15,10 +15,10 @@ from repro.constants import MS, SEC
 from repro.network import Network
 from repro.net.packet import Packet
 from repro.obs import artifact
+from repro.obs import inband as inband_module
 from repro.obs.artifact import SchemaError
 from repro.obs.inband import (
     INBAND_SCHEMA,
-    InbandConfig,
     InbandTelemetry,
     PathCollector,
     SloTracker,
@@ -124,20 +124,12 @@ def test_path_of_drops_timestamps_and_depths():
     assert path_of(hops) == (("sw0", 9, (2,)), ("sw1", 3, (5,)))
 
 
-def test_config_coerce():
-    assert InbandConfig.coerce(None) is None
-    assert InbandConfig.coerce(False) is None
-    assert InbandConfig.coerce(True) == InbandConfig()
-    assert InbandConfig.coerce(8).max_hops == 8
-    config = InbandConfig(max_flows=2)
-    assert InbandConfig.coerce(config) is config
-
-
 # -- the collector and SLO tracker in isolation ---------------------------------------
 
 
-def test_collector_detects_path_change_and_bounds_history():
-    collector = PathCollector(InbandConfig(path_history=2))
+def test_collector_detects_path_change_and_bounds_history(monkeypatch):
+    monkeypatch.setattr(inband_module, "PATH_HISTORY", 2)
+    collector = PathCollector()
     pkt = client_packet()
     path_a = [(1, "sw0", 9, (2,), 0.0)]
     path_b = [(1, "sw0", 9, (4,), 0.0)]
@@ -145,10 +137,9 @@ def test_collector_detects_path_change_and_bounds_history():
     collector.fold(pkt, "h1", t_ns=10, epoch=1)
     pkt.hops = list(path_b)
     collector.fold(pkt, "h1", t_ns=20, epoch=2)
-    changes = collector.path_changes()
-    assert len(changes) == 1
-    # flip back and forth: the deque stays bounded and counts the loss
     record = next(iter(collector.flows.values()))
+    assert [(t_ns, epoch) for t_ns, epoch, _old, _new in record.changes] == [(20, 2)]
+    # flip back and forth: the deque stays bounded and counts the loss
     for i in range(5):
         pkt.hops = list(path_a if i % 2 == 0 else path_b)
         collector.fold(pkt, "h1", t_ns=30 + i, epoch=3)
@@ -156,8 +147,9 @@ def test_collector_detects_path_change_and_bounds_history():
     assert record.changes_dropped > 0
 
 
-def test_collector_flow_cap_counts_overflow():
-    collector = PathCollector(InbandConfig(max_flows=2))
+def test_collector_flow_cap_counts_overflow(monkeypatch):
+    monkeypatch.setattr(inband_module, "MAX_FLOWS", 2)
+    collector = PathCollector()
     for i in range(4):
         pkt = client_packet(src=0x100 + i, dest=0x900)
         pkt.hops = [(1, "sw0", 9, (2,), 0.0)]
@@ -167,7 +159,7 @@ def test_collector_flow_cap_counts_overflow():
 
 
 def test_slo_quantiles_and_epoch_windows():
-    slo = SloTracker(InbandConfig())
+    slo = SloTracker()
     for i in range(100):
         slo.delivery(t_ns=1000 + i, latency_ns=float(i + 1), data_bytes=64)
     slo.drop(t_ns=1050, cause="table-discard")
@@ -188,9 +180,10 @@ def test_slo_quantiles_and_epoch_windows():
     assert windows[0]["goodput_bytes"] == 50 * 64
 
 
-def test_hop_stack_truncates_at_max_hops():
+def test_hop_stack_truncates_at_max_hops(monkeypatch):
+    monkeypatch.setattr(inband_module, "MAX_HOPS", 2)
     sim = StubSim()
-    telemetry = InbandTelemetry(sim, InbandConfig(max_hops=2))
+    telemetry = InbandTelemetry(sim)
     pkt = client_packet()
     for hop in range(3):
         sim.now = 100 + hop
@@ -204,7 +197,7 @@ def test_non_client_packets_are_never_stamped():
     from repro.net.packet import PacketType
 
     sim = StubSim()
-    telemetry = InbandTelemetry(sim, InbandConfig())
+    telemetry = InbandTelemetry(sim)
     control = Packet(dest_short=2, src_short=1, ptype=PacketType.SRP)
     telemetry.record_hop(control, "sw0", 1, (2,), 0.0)
     telemetry.record_delivery(control, "h0")

@@ -48,7 +48,7 @@ def test_span_to_dict_round_trips_through_json():
     span = tracer.begin("job", key=(1, 2), time_ns=5, topo=object())
     span.event(7, "e", "sw1", uid=0x50)
     tracer.end((1, 2), 9)
-    [doc] = tracer.to_dicts()
+    [doc] = [s.to_dict() for s in tracer.all_spans()]
     text = json.dumps(doc)
     parsed = json.loads(text)
     assert parsed["duration_ns"] == 4

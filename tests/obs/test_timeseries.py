@@ -6,7 +6,7 @@ import pytest
 
 from repro.constants import MS, SEC
 from repro.network import Network
-from repro.obs import artifact
+from repro.obs import artifact, timeseries
 from repro.obs.artifact import SchemaError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import (
@@ -14,7 +14,6 @@ from repro.obs.timeseries import (
     SeriesData,
     SeriesRing,
     TimeSeries,
-    TimeSeriesConfig,
     TimeSeriesSampler,
     read_timeseries,
 )
@@ -43,9 +42,14 @@ def test_ring_rejects_nonpositive_capacity():
 # -- the sampler on a bare simulator ---------------------------------------------------
 
 
-def test_sampler_ticks_and_collectors_align():
+@pytest.fixture
+def every_10ms(monkeypatch):
+    monkeypatch.setattr(timeseries, "INTERVAL_NS", 10 * MS)
+
+
+def test_sampler_ticks_and_collectors_align(every_10ms):
     sim = Simulator()
-    sampler = TimeSeriesSampler(sim, TimeSeriesConfig(interval_ns=10 * MS))
+    sampler = TimeSeriesSampler(sim)
     state = {"v": 0.0}
     sampler.add_collector("v", lambda: state["v"])
     sampler.start()
@@ -57,9 +61,9 @@ def test_sampler_ticks_and_collectors_align():
     assert series.values == [0.0, 0.0, 0.0, 5.0, 5.0, 5.0]
 
 
-def test_late_series_left_padded_in_document():
+def test_late_series_left_padded_in_document(every_10ms):
     sim = Simulator()
-    sampler = TimeSeriesSampler(sim, TimeSeriesConfig(interval_ns=10 * MS))
+    sampler = TimeSeriesSampler(sim)
     sampler.add_collector("early", lambda: 1.0)
     sampler.start()
     sim.run(until=30 * MS)
@@ -72,11 +76,11 @@ def test_late_series_left_padded_in_document():
     assert by_name["late"]["values"] == [None, None, None, 2.0, 2.0, 2.0]
 
 
-def test_registry_series_are_sampled():
+def test_registry_series_are_sampled(every_10ms):
     sim = Simulator()
     sim.metrics = MetricsRegistry()  # as Network attaches it
     counter = sim.metrics.counter("things", who="a")
-    sampler = TimeSeriesSampler(sim, TimeSeriesConfig(interval_ns=10 * MS))
+    sampler = TimeSeriesSampler(sim)
     sampler.start()
     sim.at(15 * MS, lambda: counter.inc(3))
     sim.run(until=30 * MS)
@@ -84,34 +88,33 @@ def test_registry_series_are_sampled():
     assert series.values == [0.0, 3.0, 3.0]
 
 
-def test_max_series_cap_refuses_and_counts():
+def test_max_series_cap_refuses_and_counts(every_10ms, monkeypatch):
+    monkeypatch.setattr(timeseries, "MAX_SERIES", 2)
     sim = Simulator()
-    sampler = TimeSeriesSampler(
-        sim, TimeSeriesConfig(interval_ns=10 * MS, max_series=2)
-    )
+    sampler = TimeSeriesSampler(sim)
     sampler.add_collector("a", lambda: 1.0)
     sampler.add_collector("b", lambda: 2.0)
     sampler.add_collector("c", lambda: 3.0)  # refused
     sampler.start()
     sim.run(until=20 * MS)
-    assert sampler.series_count() == 2
-    assert sampler.dropped_series == 1
+    doc = sampler.document()
+    assert [entry["name"] for entry in doc["series"]] == ["a", "b"]
+    assert doc["dropped_series"] == sampler.dropped_series == 1
 
 
-def test_mark_ring_is_bounded():
+def test_mark_ring_is_bounded(monkeypatch):
+    monkeypatch.setattr(timeseries, "MARK_CAPACITY", 3)
     sim = Simulator()
-    sampler = TimeSeriesSampler(
-        sim, TimeSeriesConfig(interval_ns=10 * MS, mark_capacity=3)
-    )
+    sampler = TimeSeriesSampler(sim)
     for i in range(7):
         sampler.mark(i, "sw0", f"event-{i}")
     doc = sampler.document()
     assert [m["event"] for m in doc["marks"]] == ["event-4", "event-5", "event-6"]
 
 
-def test_stop_cancels_future_samples():
+def test_stop_cancels_future_samples(every_10ms):
     sim = Simulator()
-    sampler = TimeSeriesSampler(sim, TimeSeriesConfig(interval_ns=10 * MS))
+    sampler = TimeSeriesSampler(sim)
     sampler.add_collector("v", lambda: 1.0)
     sampler.start()
     sim.run(until=20 * MS)
@@ -127,25 +130,12 @@ def _data(ticks, values):
     return SeriesData("s", {}, "gauge", ticks, values)
 
 
-def test_window_delta_and_aggregates():
+def test_window_and_aggregates():
     s = _data([10, 20, 30, 40], [1.0, None, 5.0, 2.0])
-    assert s.points() == [(10, 1.0), (30, 5.0), (40, 2.0)]
-    assert s.delta() == 1.0  # 2.0 - 1.0, gaps skipped
+    assert s.points() == [(10, 1.0), (30, 5.0), (40, 2.0)]  # gaps skipped
     assert s.window(20, 40).points() == [(30, 5.0)]
     assert s.last() == 2.0 and s.max() == 5.0 and s.min() == 1.0
-    assert _data([10], [1.0]).delta() is None
-
-
-def test_resample_aggregates():
-    s = _data([10, 15, 20, 25], [1.0, 3.0, 5.0, 7.0])
-    assert s.resample(10, how="last").values == [3.0, 7.0]
-    assert s.resample(10, how="mean").values == [2.0, 6.0]
-    assert s.resample(10, how="max").values == [3.0, 7.0]
-    assert s.resample(10, how="min").values == [1.0, 5.0]
-    with pytest.raises(ValueError):
-        s.resample(0)
-    with pytest.raises(ValueError):
-        s.resample(10, how="median")
+    assert _data([10], [None]).last() is None
 
 
 def test_length_mismatch_rejected():
@@ -158,7 +148,7 @@ def test_length_mismatch_rejected():
 
 def _tiny_doc():
     sim = Simulator()
-    sampler = TimeSeriesSampler(sim, TimeSeriesConfig(interval_ns=10 * MS))
+    sampler = TimeSeriesSampler(sim)
     sampler.add_collector("v", lambda: 1.0, switch="sw0")
     sampler.start()
     sampler.mark(5 * MS, "sw0", "epoch-started")
@@ -166,7 +156,7 @@ def _tiny_doc():
     return sampler.document(name="tiny")
 
 
-def test_artifact_round_trip(tmp_path):
+def test_artifact_round_trip(every_10ms, tmp_path):
     doc = _tiny_doc()
     path = tmp_path / "ts.json"
     artifact.write(str(path), doc)
@@ -191,7 +181,7 @@ def test_artifact_round_trip(tmp_path):
         lambda d: d.update(marks=[{"t_ns": "late", "component": "x", "event": "y"}]),
     ],
 )
-def test_validator_rejects_malformed(mutate):
+def test_validator_rejects_malformed(every_10ms, mutate):
     doc = _tiny_doc()
     mutate(doc)
     with pytest.raises(SchemaError):
@@ -205,7 +195,7 @@ def test_network_records_cut_and_epoch(tmp_path):
     """ISSUE 5 acceptance: a torus-3x4 run with the sampler on produces a
     validating artifact whose port-state series captures a mid-run link
     cut and the subsequent epoch."""
-    net = Network(torus(3, 4), seed=0, timeseries=TimeSeriesConfig(interval_ns=50 * MS))
+    net = Network(torus(3, 4), seed=0, timeseries=True)
     net.sim.at(1 * SEC, net.cut_link, 0, 1)
     net.run_for(3 * SEC)
 
@@ -223,7 +213,7 @@ def test_network_records_cut_and_epoch(tmp_path):
     # across the cut on every switch
     for name in ("sw0", "sw1"):
         epoch = ts.series("epoch", switch=name)
-        assert epoch.window(1 * SEC, net.sim.now + 1).delta() > 0
+        assert epoch.last() > epoch.window(0, 1 * SEC).last()
 
     # the blackout flag pulsed during reconfiguration and cleared
     dark = ts.series("blackout_in_progress", switch="sw0")
@@ -250,7 +240,7 @@ def test_disabled_sampler_leaves_run_byte_identical():
 def test_sampler_survives_switch_restart():
     """Collectors late-bind through the autopilot list, so a restarted
     switch keeps reporting without re-registration (None while dead)."""
-    net = Network(ring(4), seed=0, timeseries=TimeSeriesConfig(interval_ns=50 * MS))
+    net = Network(ring(4), seed=0, timeseries=True)
     net.run_for(1 * SEC)
     net.crash_switch(1)
     net.run_for(1 * SEC)

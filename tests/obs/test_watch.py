@@ -2,9 +2,10 @@
 
 import io
 
-from repro.constants import MS, SEC
+from repro.constants import SEC
 from repro.network import Network
-from repro.obs.timeseries import TimeSeries, TimeSeriesConfig
+from repro.obs import watch
+from repro.obs.timeseries import TimeSeries
 from repro.obs.watch import (
     render_frame,
     sparkline,
@@ -28,7 +29,7 @@ def test_sparkline_scaling_and_gaps():
 
 
 def _recorded_network():
-    net = Network(ring(4), seed=0, timeseries=TimeSeriesConfig(interval_ns=50 * MS))
+    net = Network(ring(4), seed=0, timeseries=True)
     net.sim.at(1 * SEC, net.cut_link, 0, 1)
     net.run_for(3 * SEC)
     return net
@@ -65,11 +66,12 @@ def test_truncation_hides_the_future():
     assert full.ticks == doc["ticks"]
 
 
-def test_watch_replay_steps_through_artifact():
+def test_watch_replay_steps_through_artifact(monkeypatch):
+    monkeypatch.setattr(watch, "STEP", 10)
     net = _recorded_network()
     ts = net.sampler.view()
     buf = io.StringIO()
-    watch_replay(ts, stream=buf, sleep=False, step=10)
+    watch_replay(ts, stream=buf, sleep=False)
     frames = buf.getvalue().split("\x1b[H\x1b[2J")[1:]
     assert len(frames) == (len(ts.ticks) + 9) // 10
     # later frames carry more history than earlier ones

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.experiments.fifo_sizing import (
+from benchmarks.rigs.fifo_sizing import (
     broadcast_fifo_requirement,
     fifo_requirement,
     measure_backlog,
     measure_broadcast_backlog,
 )
-from repro.experiments.fig9 import build_fig9
-from repro.experiments.latency import hop_latency, router_throughput
+from benchmarks.rigs.fig9 import build_fig9
+from benchmarks.rigs.latency import hop_latency, router_throughput
 
 
 class TestFifoSizing:

@@ -112,14 +112,6 @@ def test_stop_breaks_run_loop():
     assert seen == [1, 3]
 
 
-def test_next_event_time_skips_cancelled():
-    sim = Simulator()
-    handle = sim.at(10, lambda: None)
-    sim.at(20, lambda: None)
-    handle.cancel()
-    assert sim.next_event_time() == 20
-
-
 def test_max_events_bound():
     sim = Simulator()
     seen = []

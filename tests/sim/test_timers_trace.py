@@ -32,17 +32,9 @@ class TestPeriodic:
 
 
 class TestTaskScheduler:
-    def test_quantizes_to_resolution(self):
-        sim = Simulator()
-        sched = TaskScheduler(sim, resolution=1000)
-        ran = []
-        sim.at(1, lambda: sched.run_after(500, lambda: ran.append(sim.now)))
-        sim.run()
-        assert ran == [1000]  # 501 rounds up to the next 1000 boundary
-
     def test_cost_serializes_tasks(self):
         sim = Simulator()
-        sched = TaskScheduler(sim, resolution=1)
+        sched = TaskScheduler(sim)
         done = []
         sched.run_soon(lambda: done.append(("a", sim.now)), cost=100)
         sched.run_soon(lambda: done.append(("b", sim.now)), cost=50)
@@ -53,21 +45,11 @@ class TestTaskScheduler:
 
     def test_zero_cost_runs_inline(self):
         sim = Simulator()
-        sched = TaskScheduler(sim, resolution=1)
+        sched = TaskScheduler(sim)
         done = []
         sched.run_soon(lambda: done.append(sim.now))
         sim.run()
         assert done == [0]
-
-    def test_busy_flag(self):
-        sim = Simulator()
-        sched = TaskScheduler(sim, resolution=1)
-        sched.run_soon(lambda: None, cost=100)
-        states = []
-        sim.at(0, lambda: states.append(sched.busy))
-        sim.at(200, lambda: states.append(sched.busy))
-        sim.run()
-        assert states == [True, False]
 
 
 class TestRng:

@@ -329,7 +329,7 @@ MUTANTS: List[Mutant] = [
         ),
         flagged_by=("RS402",),
     ),
-    # -- the seventeen rules that stay ----------------------------------------------------
+    # -- the sixteen rules that stay ----------------------------------------------------
     Mutant(
         "RS101-transition-clock", "RS101",
         "Monitoring._transition stamps entered_at and the skeptics with time.monotonic_ns()",
@@ -377,10 +377,10 @@ MUTANTS: List[Mutant] = [
         "the schedule sampler picks which noisy link to heal from the bare set",
         (
             ("src/repro/chaos/schedule.py",
-             "            for pair in sorted(noisy):\n"
-             "                tail += 50 * MS\n",
-             "            for pair in noisy:\n"
-             "                tail += rng.choice((50, 60)) * MS\n"),
+             "        for pair in sorted(noisy):\n"
+             "            tail += 50 * MS\n",
+             "        for pair in noisy:\n"
+             "            tail += rng.choice((50, 60)) * MS\n"),
         ),
         flagged_by=("RS105",),
     ),
@@ -500,20 +500,6 @@ MUTANTS: List[Mutant] = [
              "            acct.record_send(\n"),
         ),
         flagged_by=("RS306",),
-    ),
-    Mutant(
-        "RS307-metric-loop", "RS307",
-        "ScenarioResult writes itself into a sweep point from a loop over field names",
-        (
-            ("src/repro/scenario.py",
-             "    control_retx: Optional[int] = None\n",
-             "    control_retx: Optional[int] = None\n"
-             "\n"
-             "    def into(self, point) -> None:\n"
-             "        for name in (\"converge_ns\", \"reconfig_ns\", \"blackout_ns\"):\n"
-             "            point.set_metric(name, getattr(self, name))\n"),
-        ),
-        flagged_by=("RS307",),
     ),
     Mutant(
         "RS401-default-cuts", "RS401",

@@ -103,7 +103,7 @@ def test_list_rules_covers_all_families():
         "RS000",
         "RS101", "RS102", "RS103", "RS104", "RS105",
         "RS201", "RS202", "RS203",
-        "RS301", "RS302", "RS303", "RS304", "RS305", "RS306", "RS307",
+        "RS301", "RS302", "RS303", "RS304", "RS305", "RS306",
         "RS401", "RS402",
     ]
 

@@ -4,7 +4,6 @@ groups load-share, and the facade behaves."""
 
 import pytest
 
-from repro.analysis.invariants import assert_trail_legal
 from repro.constants import SEC
 from repro.host.localnet import LocalNet
 from repro.host.workload import Sink, PeriodicSender
@@ -12,6 +11,7 @@ from repro.network import Network
 from repro.topology import torus
 from repro.topology.generators import TopologySpec
 from repro.types import Uid
+from tests.checkers import assert_trail_legal
 
 
 def test_all_delivered_packets_follow_legal_routes():

@@ -18,7 +18,6 @@ from repro.topology import (
     tree,
 )
 from repro.topology.planner import plan_installation
-from repro.topology.src_lan import src_host_ports
 
 
 def as_graph(spec):
@@ -155,8 +154,8 @@ class TestSrcLan:
 
     def test_host_capacity_120(self):
         spec = src_service_lan()
-        ports = src_host_ports(spec)
-        total = sum(len(p) for p in ports.values())
+        # eight host ports per switch, of the ports no switch link uses
+        total = sum(len(spec.free_ports(i)[:8]) for i in range(spec.n_switches))
         assert total == 240  # 120 dual-connected hosts (section 5.5)
 
 

@@ -7,14 +7,11 @@ from repro.chaos.campaign import CampaignConfig, CampaignRunner
 from repro.chaos.replay import replay_artifact, reproducer_dict
 from repro.obs import artifact
 from repro.traffic.artifact import validate_traffic
+from repro.traffic.workload import TrafficConfig
 
-SMALL_TRAFFIC = {
-    "pattern": "uniform",
-    "flows": 30,
-    "hosts": 12,
-    "mean_flow_bytes": 16_384,
-    "duration_ns": 300_000_000,
-}
+SMALL_TRAFFIC = TrafficConfig(
+    pattern="uniform", flows=30, hosts=12, mean_flow_bytes=16_384, duration_ns=300_000_000
+)
 
 
 def _runner():
@@ -26,7 +23,7 @@ def test_schedule_with_traffic_runs_slo_check(tmp_path):
     schedule = runner.sample_schedule(0)
     path = str(tmp_path / "schedule.traffic.json")
     result = runner.run_schedule(
-        schedule, name="schedule", artifacts=str(tmp_path), traffic=dict(SMALL_TRAFFIC)
+        schedule, name="schedule", artifacts=str(tmp_path), traffic=SMALL_TRAFFIC
     )
     assert result.passed
     assert result.checks_run.get("traffic_slo", 0) >= 1
@@ -38,7 +35,7 @@ def test_traffic_is_observational_at_campaign_level():
     runner = _runner()
     schedule = runner.sample_schedule(0)
     without = runner.run_schedule(schedule)
-    with_traffic = runner.run_schedule(schedule, traffic=dict(SMALL_TRAFFIC))
+    with_traffic = runner.run_schedule(schedule, traffic=SMALL_TRAFFIC)
     assert without.checks_run.get("traffic_slo", 0) == 0
     assert with_traffic.checks_run.get("traffic_slo", 0) >= 1
     # the fluid model changes nothing the checks see
@@ -54,13 +51,6 @@ def test_traffic_path_alone_implies_default_workload(tmp_path):
     result = runner.run_schedule(schedule, name="implied", artifacts=str(tmp_path))
     assert result.checks_run.get("traffic_slo", 0) >= 1
     validate_traffic(json.load(open(path)))
-
-
-def test_config_traffic_field_coerces_dict():
-    config = CampaignConfig(topology="ring-4", schedules=1, traffic=dict(SMALL_TRAFFIC))
-    runner = CampaignRunner(config)
-    result = runner.run_schedule(runner.sample_schedule(0))
-    assert result.checks_run.get("traffic_slo", 0) >= 1
 
 
 def test_replay_writes_traffic_artifact(tmp_path):
@@ -84,7 +74,7 @@ def test_fluid_document_is_byte_identical_to_the_one_written_beside_packet_mode(
         runner.sample_schedule(0),
         name="schedule",
         artifacts=str(tmp_path),
-        traffic=dict(SMALL_TRAFFIC),
+        traffic=SMALL_TRAFFIC,
     )
     golden = os.path.join(os.path.dirname(__file__), "fixtures", "schedule.traffic.json")
     with open(golden, "rb") as fh:

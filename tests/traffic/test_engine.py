@@ -13,6 +13,7 @@ The two load-bearing properties here mirror the other obs layers:
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -22,16 +23,24 @@ from repro.obs import artifact
 from repro.obs.export import bench_document, bench_result
 from repro.topology.generators import resolve_topology
 from repro.traffic.artifact import TRAFFIC_SCHEMA, validate_traffic
+from repro.traffic.workload import TrafficConfig
 
 TOPOLOGIES = ("ring-4", "torus-3x4", "src-lan-30")
 
-SMALL_TRAFFIC = {
-    "pattern": "hotspot",
-    "flows": 120,
-    "hosts": 60,
-    "mean_flow_bytes": 32_768,
-    "duration_ns": int(0.3 * SEC),
-}
+SMALL_TRAFFIC = TrafficConfig(
+    pattern="hotspot", flows=120, hosts=60, mean_flow_bytes=32_768, duration_ns=int(0.3 * SEC)
+)
+
+
+def test_traffic_kwarg_is_none_true_or_a_config():
+    """Three forms, refused at build time otherwise -- not at the first solve."""
+    spec = resolve_topology("ring-4")
+    assert Network(spec).traffic is None
+    assert Network(spec, traffic=True).traffic.config == TrafficConfig()
+    assert Network(spec, traffic=SMALL_TRAFFIC).traffic.config is SMALL_TRAFFIC
+    for junk in (False, 200, {"flows": 200}, "yes"):
+        with pytest.raises(TypeError, match="TrafficConfig"):
+            Network(spec, traffic=junk)
 
 
 def _run_scenario(topology, traffic):
@@ -93,13 +102,13 @@ def test_disabled_traffic_bench_documents_byte_identical(topology):
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_fluid_traffic_is_observational(topology):
     without = _run_scenario(topology, traffic=None)
-    with_traffic = _run_scenario(topology, traffic=dict(SMALL_TRAFFIC))
+    with_traffic = _run_scenario(topology, traffic=SMALL_TRAFFIC)
     assert _core_fingerprint(without) == _core_fingerprint(with_traffic)
 
 
 def test_fluid_run_is_deterministic():
-    first = _run_scenario("ring-4", traffic=dict(SMALL_TRAFFIC))
-    second = _run_scenario("ring-4", traffic=dict(SMALL_TRAFFIC))
+    first = _run_scenario("ring-4", traffic=SMALL_TRAFFIC)
+    second = _run_scenario("ring-4", traffic=SMALL_TRAFFIC)
     assert first.traffic_doc() == second.traffic_doc()
 
 
@@ -107,7 +116,7 @@ def test_blackout_cost_priced_against_reconfiguration_spans():
     # arrival window long enough that flows are still offering load when
     # the cut lands -- otherwise there is nothing to black out
     spec = resolve_topology("torus-3x4")
-    traffic = dict(SMALL_TRAFFIC, flows=150, duration_ns=int(1.5 * SEC))
+    traffic = replace(SMALL_TRAFFIC, flows=150, duration_ns=int(1.5 * SEC))
     net = Network(spec, seed=0, traffic=traffic)
     assert net.run_until_converged(timeout_ns=120 * SEC)
     net.traffic.launch()
@@ -135,7 +144,7 @@ def test_blackout_cost_priced_against_reconfiguration_spans():
 
 def test_no_cut_no_blackout_cost():
     spec = resolve_topology("ring-4")
-    net = Network(spec, seed=0, traffic=dict(SMALL_TRAFFIC))
+    net = Network(spec, seed=0, traffic=SMALL_TRAFFIC)
     assert net.run_until_converged(timeout_ns=120 * SEC)
     net.traffic.launch()
     net.run_for(int(0.8 * SEC))
@@ -145,12 +154,12 @@ def test_no_cut_no_blackout_cost():
 
 
 def test_slo_violations_empty_after_reconvergence():
-    net = _run_scenario("ring-4", traffic=dict(SMALL_TRAFFIC))
+    net = _run_scenario("ring-4", traffic=SMALL_TRAFFIC)
     assert net.traffic.slo_violations() == []
 
 
 def test_artifact_roundtrip(tmp_path):
-    net = _run_scenario("ring-4", traffic=dict(SMALL_TRAFFIC))
+    net = _run_scenario("ring-4", traffic=SMALL_TRAFFIC)
     path = str(tmp_path / "traffic.json")
     artifact.write(path, net.traffic_doc("roundtrip"))
     doc = artifact.read(path, TRAFFIC_SCHEMA)

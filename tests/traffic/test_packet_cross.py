@@ -8,22 +8,26 @@ sanity band that keeps the fluid model honest without demanding
 packet-exact latencies from a rate-share abstraction.
 """
 
+import pytest
+
 from repro.constants import SEC
 from repro.network import Network
 from repro.topology.generators import resolve_topology
+from repro.traffic import engine
+from repro.traffic.workload import TrafficConfig
 from tests.naive_traffic import PacketWorkload
 
-CROSS_TRAFFIC = {
-    "pattern": "uniform",
-    "flows": 12,
-    "hosts": 6,
-    "mean_flow_bytes": 16_384,
-    "duration_ns": int(0.2 * SEC),
-    # tight solver pacing: at this scale admission batching would
-    # otherwise dominate the latency of sub-ms flows
-    "arrival_batch_ns": 1_000_000,
-    "min_resolve_gap_ns": 100_000,
-}
+CROSS_TRAFFIC = TrafficConfig(
+    pattern="uniform", flows=12, hosts=6, mean_flow_bytes=16_384, duration_ns=int(0.2 * SEC)
+)
+
+
+@pytest.fixture(autouse=True)
+def tight_solver_pacing(monkeypatch):
+    """At this scale admission batching would otherwise dominate the
+    latency of sub-ms flows."""
+    monkeypatch.setattr(engine, "ARRIVAL_BATCH_NS", 1_000_000)
+    monkeypatch.setattr(engine, "MIN_RESOLVE_GAP_NS", 100_000)
 
 
 def _run(packets):
@@ -32,7 +36,7 @@ def _run(packets):
         net = Network(spec, seed=0)
         workload = PacketWorkload(net, CROSS_TRAFFIC)
     else:
-        net = Network(spec, seed=0, traffic=dict(CROSS_TRAFFIC))
+        net = Network(spec, seed=0, traffic=CROSS_TRAFFIC)
         workload = net.traffic
     assert net.run_until_converged(timeout_ns=60 * SEC)
     workload.launch()

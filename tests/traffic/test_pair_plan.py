@@ -15,31 +15,32 @@
 
 import collections
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.constants import MS, SEC
 from repro.network import Network
+from repro.obs import artifact, timeseries
 from repro.topology.generators import resolve_topology
+from repro.traffic.engine import MAX_HOPS
 from repro.traffic.fluid import walk_path
+from repro.traffic.workload import TrafficConfig
 from tests.naive_fluid import naive_flow_rates
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 #: few hosts, so the same switch pairs empty and refill all run long
-WORKLOAD = {
-    "flows": 240,
-    "hosts": 24,
-    "mean_flow_bytes": 24_576,
-    "duration_ns": int(3.5 * SEC),
-}
+WORKLOAD = TrafficConfig(
+    flows=240, hosts=24, mean_flow_bytes=24_576, duration_ns=int(3.5 * SEC)
+)
 
 
 def drive(topology, pattern, shadow=False, **observers):
     """Boot, launch, then cut -> restore -> crash -> restart, with load
     between the faults.  Returns (network, resolves checked)."""
     spec = resolve_topology(topology)
-    net = Network(spec, seed=0, traffic=dict(WORKLOAD, pattern=pattern), **observers)
+    net = Network(spec, seed=0, traffic=replace(WORKLOAD, pattern=pattern), **observers)
     checked = _shadow(net.traffic) if shadow else []
     a, _pa, b, _pb = spec.cables[0]
     victim = len(net.switches) - 1
@@ -70,7 +71,7 @@ def _shadow(engine):
         paths = {}
         for fid in engine._active:
             run = engine.runs[fid]
-            links = walk_path(net, engine._hops, *run.switches, engine.config.max_hops)
+            links = walk_path(net, engine._hops, *run.switches, MAX_HOPS)
             assert run.pair is engine._pairs[run.switches]
             assert run.pair.links == links, f"flow {fid}: stale path at {net.sim.now}"
             paths[fid] = None if links is None else tuple(key_of[link] for link in links)
@@ -104,17 +105,18 @@ def test_documents_are_the_per_flow_engines_byte_for_byte(topology, pattern, tmp
     name = f"{topology}_{pattern}"
     net, _ = drive(topology, pattern)
     path = tmp_path / f"{name}.traffic.json"
-    net.export_traffic(str(path), name)
+    artifact.write(str(path), net.traffic_doc(name))
     with open(os.path.join(FIXTURES, f"{name}.traffic.json"), "rb") as fh:
         assert path.read_bytes() == fh.read()
 
 
-def test_flows_awaiting_their_first_walk_are_not_unrouted():
+def test_flows_awaiting_their_first_walk_are_not_unrouted(monkeypatch):
     """Admission pacing is not blackout: on an uncut ring every walk
     succeeds, so the series never leaves 0 although each arrival waits
-    up to ``arrival_batch_ns`` for its first solve."""
+    up to ``ARRIVAL_BATCH_NS`` for its first solve."""
+    monkeypatch.setattr(timeseries, "INTERVAL_NS", 1 * MS)
     spec = resolve_topology("ring-4")
-    net = Network(spec, seed=0, traffic=dict(WORKLOAD, pattern="uniform"), timeseries=1 * MS)
+    net = Network(spec, seed=0, traffic=replace(WORKLOAD, pattern="uniform"), timeseries=True)
     assert net.run_until_converged(timeout_ns=120 * SEC)
     net.traffic.launch()
     net.run_for(int(0.5 * SEC))

@@ -7,6 +7,7 @@ from repro.constants import SEC
 from repro.network import Network
 from repro.scenario import drive_scenario, report_unknown_subcommand
 from repro.topology.generators import resolve_topology
+from repro.traffic.workload import TrafficConfig
 
 
 def test_drive_scenario_converges_and_launches_traffic():
@@ -14,7 +15,7 @@ def test_drive_scenario_converges_and_launches_traffic():
     net = Network(
         spec,
         seed=0,
-        traffic={"flows": 20, "hosts": 8, "duration_ns": int(0.2 * SEC)},
+        traffic=TrafficConfig(flows=20, hosts=8, duration_ns=int(0.2 * SEC)),
     )
     stream = io.StringIO()
     result = drive_scenario(

@@ -1,4 +1,4 @@
-"""Workload generation: deterministic, pattern-shaped, config-coerced."""
+"""Workload generation: deterministic, pattern-shaped, config-validated."""
 
 import random
 
@@ -61,24 +61,6 @@ def test_incast_targets_one_victim():
 
 def test_host_switch_round_robin():
     assert [host_switch(h, 4) for h in range(6)] == [0, 1, 2, 3, 0, 1]
-
-
-def test_coerce_shorthands():
-    assert TrafficConfig.coerce(None) is None
-    assert TrafficConfig.coerce(False) is None
-    assert TrafficConfig.coerce(True) == TrafficConfig()
-    assert TrafficConfig.coerce(64).flows == 64
-    config = TrafficConfig(pattern="uniform")
-    assert TrafficConfig.coerce(config) is config
-    coerced = TrafficConfig.coerce({"pattern": "incast", "flows": 10, "hosts": 5})
-    assert (coerced.pattern, coerced.flows, coerced.hosts) == ("incast", 10, 5)
-
-
-def test_coerce_rejects_unknown_fields_and_types():
-    with pytest.raises(ValueError, match="unknown TrafficConfig fields"):
-        TrafficConfig.coerce({"pattern": "uniform", "flws": 10})
-    with pytest.raises(TypeError):
-        TrafficConfig.coerce(3.5)
 
 
 def test_config_validation():
