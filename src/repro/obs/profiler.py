@@ -5,7 +5,7 @@ The ROADMAP promises "as fast as the hardware allows", and until now the
 :class:`EventLoopProfiler` attaches to a :class:`~repro.sim.engine.
 Simulator` (``sim.profiler = profiler``) and, for every dispatched event,
 accounts the handler's wall-clock time and count under its qualified
-name -- ``Autopilot._process``, ``TaskScheduler._start_task``,
+name -- ``Autopilot._process``, ``TaskScheduler._wake``,
 ``Transmitter._end`` and friends -- which is exactly the granularity an
 optimization pass works at.
 

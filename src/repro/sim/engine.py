@@ -15,14 +15,8 @@ sequence number grows monotonically, the dispatch order is *exactly* the
 random arm/cancel/reschedule interleavings.  The win is that the heap
 only ever compares machine integers (no ``EventHandle.__lt__`` Python
 callbacks) and only holds one entry per *distinct* timestamp: with the
-80 ns byte slot and the 1.2 ms Autopilot timer quantum, simultaneous
-events are the common case.
-
-The loop also supports *idle hooks*: callbacks invoked when the event queue
-drains while the caller expected progress.  The runtime deadlock detector in
-:mod:`repro.analysis.deadlock` uses this to notice packets that are in
-flight with no event that could ever advance them -- exactly the symptom of
-the broadcast deadlock in section 6.6.6 of the paper.
+80 ns byte slot and every Autopilot on one 10 ms sampler / 200 ms prober
+grid, simultaneous events are the common case.
 """
 
 from __future__ import annotations
@@ -80,7 +74,6 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self._stopped = False
-        self._idle_hooks: List[Callable[["Simulator"], None]] = []
         #: number of events dispatched so far (useful for budget guards)
         self.events_dispatched: int = 0
         #: simulation-wide metrics registry (repro.obs.registry.
@@ -166,12 +159,6 @@ class Simulator:
             bucket.append(handle)
         return handle
 
-    # -- idle hooks --------------------------------------------------------------
-
-    def add_idle_hook(self, hook: Callable[["Simulator"], None]) -> None:
-        """Register a callback to run when the event queue drains."""
-        self._idle_hooks.append(hook)
-
     # -- execution ----------------------------------------------------------------
 
     def stop(self) -> None:
@@ -181,9 +168,7 @@ class Simulator:
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` is reached, or stopped.
 
-        Returns the simulation time when the run ended.  When the queue
-        drains before ``until``, idle hooks run once; any events they
-        schedule are then processed, so a hook can restart progress.
+        Returns the simulation time when the run ended.
         """
         if self._running:
             raise RuntimeError("simulator is not reentrant")
@@ -198,8 +183,6 @@ class Simulator:
             while not self._stopped:
                 handle = pop()
                 if handle is None:
-                    if self._fire_idle_hooks():
-                        continue
                     if until is not None:
                         self.now = until
                     break
@@ -282,18 +265,6 @@ class Simulator:
                 self._bucket = bucket = found
                 self._bucket_time = time
                 self._bucket_pos = 0
-
-    def _fire_idle_hooks(self) -> bool:
-        """Run idle hooks; report whether any new events became runnable."""
-        if not self._idle_hooks:
-            return False
-        for hook in list(self._idle_hooks):
-            hook(self)
-        return any(
-            not handle.cancelled
-            for bucket in self._buckets.values()
-            for handle in bucket
-        )
 
     # -- introspection --------------------------------------------------------------
 

@@ -11,14 +11,15 @@ timer queue is not modelled: Autopilot's timers here are exact.)
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.trace import CAT_TIMER
 
 
 class Periodic:
-    """Run a callback every ``period`` ns until cancelled.
+    """Run ``fn(*args)`` every ``period`` ns until cancelled.
 
     ``name`` and ``owner`` identify the timer to an attached flight
     recorder; unnamed periodics stay silent.  Each tick is recorded as a
@@ -31,7 +32,8 @@ class Periodic:
         self,
         sim: Simulator,
         period: int,
-        fn: Callable[[], Any],
+        fn: Callable[..., Any],
+        *args: Any,
         start_after: Optional[int] = None,
         name: Optional[str] = None,
         owner: Optional[str] = None,
@@ -41,6 +43,7 @@ class Periodic:
         self._sim = sim
         self.period = period
         self._fn = fn
+        self._args = args
         self.name = name
         self.owner = owner or "sim"
         self._handle: Optional[EventHandle] = None
@@ -80,7 +83,7 @@ class Periodic:
                 parent=None,
                 timer=self.name,
             )
-        self._fn()
+        self._fn(*self._args)
 
     def cancel(self) -> None:
         self._cancelled = True
@@ -98,7 +101,11 @@ class TaskScheduler:
     """Non-preemptive run-to-completion task scheduler for one processor.
 
     Tasks are procedure calls; at most one runs at a time.  A task that
-    becomes runnable while another runs starts when the processor frees.
+    arrives while another runs, or behind tasks already waiting, joins
+    the tail of a FIFO run queue.  While the queue is non-empty the
+    processor holds exactly one wake-up event, at ``_busy_until``; that
+    wake-up is the processor's only place in the same-instant order
+    (DESIGN.md, "Same-instant order").
     """
 
     def __init__(self, sim: Simulator, owner: Optional[str] = None) -> None:
@@ -107,12 +114,13 @@ class TaskScheduler:
         self.owner = owner or "sim"
         #: simulated time at which the processor next becomes free
         self._busy_until: int = 0
-        #: total CPU time consumed (for utilization metrics)
-        self.cpu_time_used: int = 0
+        #: waiting tasks, oldest first: (fn, args, cost, flight-recorder
+        #: causal context of the arrival)
+        self._waiting: Deque[Tuple[Callable[..., Any], tuple, int, Optional[int]]] = deque()
 
     def run_soon(self, fn: Callable[..., Any], *args: Any, cost: int = 0) -> EventHandle:
         """Run ``fn`` as soon as the processor is free."""
-        return self.sim.call_soon(self._start_task, fn, args, cost)
+        return self.sim.call_soon(self._arrive, fn, args, cost)
 
     def every(
         self,
@@ -122,22 +130,36 @@ class TaskScheduler:
         name: Optional[str] = None,
     ) -> Periodic:
         """Run ``fn`` periodically, charging ``cost`` CPU per invocation."""
-        return Periodic(
-            self.sim,
-            period,
-            lambda: self._start_task(fn, (), cost),
-            name=name,
-            owner=self.owner,
-        )
+        return Periodic(self.sim, period, self._arrive, fn, (), cost, name=name, owner=self.owner)
 
-    def _start_task(self, fn: Callable[..., Any], args: tuple, cost: int) -> None:
-        if self.sim.now < self._busy_until:
-            # processor busy: defer until it frees
-            self.sim.at(self._busy_until, self._start_task, fn, args, cost)
-            return
+    def _arrive(self, fn: Callable[..., Any], args: tuple, cost: int) -> None:
+        sim = self.sim
+        waiting = self._waiting
+        if not waiting:
+            if sim.now >= self._busy_until:
+                self._start(fn, args, cost)
+                return
+            sim.at(self._busy_until, self._wake)
+        rec = sim.recorder
+        waiting.append((fn, args, cost, None if rec is None else rec.current))
+
+    def _wake(self) -> None:
+        sim = self.sim
+        waiting = self._waiting
+        rec = sim.recorder
+        # a zero-cost task leaves the processor free: the next one chains
+        while waiting and sim.now >= self._busy_until:
+            fn, args, cost, ctx = waiting.popleft()
+            if rec is not None:
+                # the task starts in the causal context it arrived in
+                rec.current = ctx
+            self._start(fn, args, cost)
+        if waiting:
+            sim.at(self._busy_until, self._wake)
+
+    def _start(self, fn: Callable[..., Any], args: tuple, cost: int) -> None:
         if cost > 0:
             self._busy_until = self.sim.now + cost
-            self.cpu_time_used += cost
             # model run-to-completion: effects land when the task finishes
             self.sim.at(self._busy_until, fn, *args)
         else:

@@ -43,18 +43,33 @@ class TestProgressMonitor:
     def test_detects_stranded_packets(self):
         sim = Simulator()
         monitor = ProgressMonitor()
-        monitor.install(sim)
         monitor.injected(1)
         sim.at(100, lambda: None)
-        sim.run(until=10_000)
-        assert monitor.deadlocked
+        sim.run()
+        assert monitor.check(sim)
         assert monitor.deadlocked_at == 100
 
     def test_quiet_when_all_delivered(self):
         sim = Simulator()
         monitor = ProgressMonitor()
-        monitor.install(sim)
         monitor.injected(1)
-        sim.at(100, lambda: monitor.finished(1))
-        sim.run(until=10_000)
-        assert not monitor.deadlocked
+        sim.at(100, monitor.finished, 1)
+        sim.run()
+        assert not monitor.check(sim)
+
+    def test_quiet_while_events_remain(self):
+        """A run that stopped at its bound with work queued is not idle
+        (the old idle hook fired only on a drained queue), and progress
+        made after a check is seen by the next one."""
+        sim = Simulator()
+        monitor = ProgressMonitor()
+        monitor.injected(1)
+        sim.at(42, lambda: None)
+        sim.at(900, monitor.finished, 1)
+        sim.run(until=500)
+        assert not monitor.check(sim)
+        sim.run()
+        assert not monitor.check(sim)
+        monitor.injected(2)
+        assert monitor.check(sim)
+        assert monitor.deadlocked_at == 900

@@ -63,9 +63,9 @@ class ProgressMonitor:
     """Runtime deadlock detector for the simulated data plane.
 
     Tracks the set of packets injected but not yet delivered or discarded.
-    When the simulator's event queue drains while packets remain pending,
-    nothing can ever advance them: that is a realized deadlock (the
-    symptom of Figure 9).
+    When the simulator's event queue has drained while packets remain
+    pending, nothing can ever advance them: that is a realized deadlock
+    (the symptom of Figure 9).  Call :meth:`check` after ``run()`` returns.
     """
 
     def __init__(self):
@@ -79,13 +79,12 @@ class ProgressMonitor:
     def finished(self, packet_id):
         self.pending.discard(packet_id)
 
-    def install(self, sim):
-        sim.add_idle_hook(self._idle)
-
-    def _idle(self, sim):
-        if self.pending and not self.deadlocked:
+    def check(self, sim):
+        """Latch a deadlock if the queue is empty with packets pending."""
+        if self.pending and not self.deadlocked and sim.pending_events() == 0:
             self.deadlocked = True
             self.deadlocked_at = sim.now
+        return self.deadlocked
 
 
 def verify_assignment(assignment, uids):

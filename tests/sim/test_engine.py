@@ -77,29 +77,6 @@ def test_run_for_advances_relative():
     assert sim.now == 1500
 
 
-def test_idle_hook_can_restart_progress():
-    sim = Simulator()
-    seen = []
-
-    def hook(s):
-        if not seen:
-            s.after(10, seen.append, "revived")
-
-    sim.add_idle_hook(hook)
-    sim.at(5, lambda: None)
-    sim.run(until=100)
-    assert seen == ["revived"]
-
-
-def test_idle_hook_detects_quiescence():
-    sim = Simulator()
-    fired = []
-    sim.add_idle_hook(lambda s: fired.append(s.now))
-    sim.at(42, lambda: None)
-    sim.run(until=1000)
-    assert fired and fired[0] == 42
-
-
 def test_stop_breaks_run_loop():
     sim = Simulator()
     seen = []

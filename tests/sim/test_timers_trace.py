@@ -41,7 +41,6 @@ class TestTaskScheduler:
         sim.run()
         # a finishes at 100; b starts then and finishes at 150
         assert done == [("a", 100), ("b", 150)]
-        assert sched.cpu_time_used == 150
 
     def test_zero_cost_runs_inline(self):
         sim = Simulator()

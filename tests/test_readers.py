@@ -66,10 +66,6 @@ ALLOWED = {
         "plants one bad cell in a loaded table (tests/chaos/test_checks.py's negative cases, "
         "the row-model differential); load() can only replace whole rows"
     ),
-    "def repro.sim.engine.Simulator.add_idle_hook": (
-        "how tests/checkers.py's ProgressMonitor sees the queue drain from inside run(): "
-        "a realized deadlock has no other event to hang a check on"
-    ),
     "param Network.__init__.sim": (
         "co-simulating two Autonets (section 6.8.2's Autonet-to-Autonet bridge) needs one "
         "shared simulator; tests/host/test_autonet_bridge.py is the only such installation"
@@ -78,7 +74,7 @@ ALLOWED = {
         "the same two Autonets need distinct switch names on that simulator"
     ),
 }
-ALLOWED_MAX = 6
+ALLOWED_MAX = 5
 
 
 # -- the one pass ----------------------------------------------------------------------
