@@ -49,6 +49,7 @@ class NetworkExplorer:
             SrpMessage(
                 epoch=0,
                 sender_uid=ap.uid,
+                msg_id=ap.sim.new_msg_id(),
                 route=route,
                 command="get-neighbors",
                 payload=replies.append,

@@ -15,14 +15,15 @@ ReconfigTracer` next observes a named span event (``epoch-start``,
 running reconfiguration -- the adversarial interleaving no hand-written
 test reaches reliably.
 
-Events apply themselves through :meth:`repro.network.Network.apply_fault`,
-the uniform, idempotent fault API, so every injection is counted by the
+Each event applies itself by calling its :class:`repro.network.Network`
+fault method (``cut_link``, ``crash_switch``, ...), the uniform,
+idempotent fault API, so every injection is counted by the
 installation's telemetry regardless of which layer initiated it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Type
 
 MS = 1_000_000
@@ -36,11 +37,11 @@ class FaultEvent:
     kind = "abstract"
 
     def fault_params(self) -> Dict[str, Any]:
-        """Parameters for :meth:`Network.apply_fault` (kind excluded)."""
-        raise NotImplementedError
+        """The event's fields but ``at_ns``, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "at_ns"}
 
     def apply(self, network) -> None:
-        network.apply_fault(self.kind, **self.fault_params())
+        raise NotImplementedError
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "at_ns": self.at_ns, **self.fault_params()}
@@ -56,8 +57,8 @@ class CutLink(FaultEvent):
     b: int = 0
     kind = "cut-link"
 
-    def fault_params(self) -> Dict[str, Any]:
-        return {"a": self.a, "b": self.b}
+    def apply(self, network) -> None:
+        network.cut_link(self.a, self.b)
 
 
 @dataclass
@@ -66,8 +67,8 @@ class RestoreLink(FaultEvent):
     b: int = 0
     kind = "restore-link"
 
-    def fault_params(self) -> Dict[str, Any]:
-        return {"a": self.a, "b": self.b}
+    def apply(self, network) -> None:
+        network.restore_link(self.a, self.b)
 
 
 @dataclass
@@ -76,8 +77,8 @@ class NoisyLink(FaultEvent):
     b: int = 0
     kind = "noisy-link"
 
-    def fault_params(self) -> Dict[str, Any]:
-        return {"a": self.a, "b": self.b}
+    def apply(self, network) -> None:
+        network.make_link_noisy(self.a, self.b)
 
 
 @dataclass
@@ -90,8 +91,8 @@ class FlapLink(FaultEvent):
     period_ns: int = 100 * MS
     kind = "flap-link"
 
-    def fault_params(self) -> Dict[str, Any]:
-        return {"a": self.a, "b": self.b, "flaps": self.flaps, "period_ns": self.period_ns}
+    def apply(self, network) -> None:
+        network.flap_link(self.a, self.b, flaps=self.flaps, period_ns=self.period_ns)
 
     @property
     def duration_ns(self) -> int:
@@ -103,8 +104,8 @@ class CrashSwitch(FaultEvent):
     index: int = 0
     kind = "crash-switch"
 
-    def fault_params(self) -> Dict[str, Any]:
-        return {"index": self.index}
+    def apply(self, network) -> None:
+        network.crash_switch(self.index)
 
 
 @dataclass
@@ -112,8 +113,8 @@ class RestartSwitch(FaultEvent):
     index: int = 0
     kind = "restart-switch"
 
-    def fault_params(self) -> Dict[str, Any]:
-        return {"index": self.index}
+    def apply(self, network) -> None:
+        network.restart_switch(self.index)
 
 
 @dataclass
@@ -122,8 +123,8 @@ class PowerOffHost(FaultEvent):
     reflect: bool = True
     kind = "power-off-host"
 
-    def fault_params(self) -> Dict[str, Any]:
-        return {"name": self.name, "reflect": self.reflect}
+    def apply(self, network) -> None:
+        network.power_off_host(self.name, reflect=self.reflect)
 
 
 @dataclass

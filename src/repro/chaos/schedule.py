@@ -277,8 +277,8 @@ class Injector:
 
     Timed events are scheduled on the simulator clock relative to
     ``base_ns``; conditional events subscribe to the tracer feed.  Every
-    injection funnels through ``Network.apply_fault``, so the
-    installation's own telemetry counts it too.
+    injection calls a ``Network`` fault method, so the installation's own
+    telemetry counts it too.
     """
 
     def __init__(self, network, schedule: Schedule) -> None:

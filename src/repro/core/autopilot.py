@@ -14,7 +14,7 @@ was mostly processing cost), so :class:`CpuModel` has ``tuned`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.constants import (
     ADDR_BROADCAST_SWITCHES,
@@ -226,6 +226,7 @@ class Autopilot:
             ptype=ptype,
             data_bytes=message.encoded_bytes(),
             payload=message,
+            packet_id=self.sim.new_packet_id(),
             created_at=self.sim.now,
         )
         self._record_send(packet, message, port=port)
@@ -241,6 +242,7 @@ class Autopilot:
             ptype=ptype,
             data_bytes=message.encoded_bytes(),
             payload=message,
+            packet_id=self.sim.new_packet_id(),
             created_at=self.sim.now,
         )
         self._record_send(packet, message)
@@ -385,6 +387,7 @@ class Autopilot:
             HostAddressReply(
                 epoch=self.epoch,
                 sender_uid=self.uid,
+                msg_id=self.sim.new_msg_id(),
                 short_address=address,
             ),
             ptype=PacketType.DIAGNOSTIC,
@@ -455,8 +458,8 @@ class Autopilot:
     def load_forwarding(self, entries: Dict, reset: bool = True) -> None:
         self.switch.load_table(entries, reset_on_load=reset)
 
-    def run_task(self, fn: Callable[[], None], cost: int = 0) -> None:
-        self.scheduler.run_soon(fn, cost=cost)
+    def run_task(self, fn: Callable[..., None], *args: Any, cost: int = 0) -> None:
+        self.scheduler.run_soon(fn, *args, cost=cost)
 
     def on_configured(self, epoch: int, topology: TopologyMap) -> None:
         if self.on_configured_hook is not None:

@@ -10,23 +10,21 @@ subtree grows (section 6.6.1).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.topo import TopologyMap
 from repro.types import Uid
 
-_msg_ids = itertools.count(1)
-
 
 @dataclass
 class ControlMessage:
-    """Base class: epoch tag plus a per-sender unique id for acking."""
+    """Base class: epoch tag plus a unique id for acking, minted by
+    ``Simulator.new_msg_id`` where the message is built."""
 
     epoch: int
     sender_uid: Uid
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    msg_id: int = 0
 
     #: whether the reliable-delivery layer retransmits until acked
     needs_ack = False

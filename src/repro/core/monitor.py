@@ -357,6 +357,7 @@ class Monitoring:
                 ConnectivityProbe(
                     epoch=self.ap.epoch,
                     sender_uid=self.ap.uid,
+                    msg_id=self.ap.sim.new_msg_id(),
                     nonce=mon.nonce,
                     sender_port=port,
                 ),
@@ -382,6 +383,7 @@ class Monitoring:
             ConnectivityReply(
                 epoch=self.ap.epoch,
                 sender_uid=self.ap.uid,
+                msg_id=self.ap.sim.new_msg_id(),
                 nonce=msg.nonce,
                 echo_uid=msg.sender_uid,
                 echo_port=msg.sender_port,

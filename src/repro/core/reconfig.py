@@ -310,6 +310,7 @@ class ReconfigEngine:
             AckMsg(
                 epoch=self.epoch,
                 sender_uid=self.ap.uid,
+                msg_id=self.ap.sim.new_msg_id(),
                 acked_msg_id=message.msg_id,
                 acked_pos_seq=acked_seq,
                 accepts_as_parent=accepts,
@@ -330,6 +331,7 @@ class ReconfigEngine:
                 TreePositionMsg(
                     epoch=self.epoch,
                     sender_uid=self.ap.uid,
+                    msg_id=self.ap.sim.new_msg_id(),
                     root=self.position.root,
                     level=self.position.level,
                     pos_seq=self.pos_seq,
@@ -420,7 +422,12 @@ class ReconfigEngine:
             return False
         self.ap.log("local-reconfig", f"link-down {link.a}--{link.b}")
         self.ap.broadcast_to_switches(
-            LinkDownMsg(epoch=self.epoch, sender_uid=self.ap.uid, link=link)
+            LinkDownMsg(
+                epoch=self.epoch,
+                sender_uid=self.ap.uid,
+                msg_id=self.ap.sim.new_msg_id(),
+                link=link,
+            )
         )
         self._apply_link_down(link)
         return True
@@ -454,22 +461,23 @@ class ReconfigEngine:
         )
         self.topology = reduced
         self.local_reconfigs += 1
-
-        def compute_and_load() -> None:
-            if self.topology is not reduced or not self.configured:
-                return  # superseded by a global reconfiguration
-            entries = build_forwarding_entries(
-                reduced, self.ap.uid, my_host_ports=frozenset(self.ap.host_ports())
-            )
-            self.ap.load_forwarding(entries, reset=self.params.reset_on_load)
-            self.local_applied_at = self.ap.sim.now
-            self.ap.log("local-reconfig-applied", f"links={len(reduced.links)}")
-
         self.ap.run_task(
-            compute_and_load,
+            self._load_reduced,
+            reduced,
             cost=self.ap.cpu.route_cost(len(reduced.switches))
             + self.ap.cpu.table_load_ns,
         )
+
+    def _load_reduced(self, reduced: TopologyMap) -> None:
+        """The task :meth:`_apply_link_down` queues: compute and load."""
+        if self.topology is not reduced or not self.configured:
+            return  # superseded by a global reconfiguration
+        entries = build_forwarding_entries(
+            reduced, self.ap.uid, my_host_ports=frozenset(self.ap.host_ports())
+        )
+        self.ap.load_forwarding(entries, reset=self.params.reset_on_load)
+        self.local_applied_at = self.ap.sim.now
+        self.ap.log("local-reconfig-applied", f"links={len(reduced.links)}")
 
     def nudge(self, port: int) -> None:
         """A neighbor is in an older epoch: show it our current position."""
@@ -484,6 +492,7 @@ class ReconfigEngine:
             TreePositionMsg(
                 epoch=self.epoch,
                 sender_uid=self.ap.uid,
+                msg_id=self.ap.sim.new_msg_id(),
                 root=self.position.root,
                 level=self.position.level,
                 pos_seq=self.pos_seq,
@@ -625,7 +634,12 @@ class ReconfigEngine:
         assert self.position.parent_port is not None
         self._send_reliable(
             self.position.parent_port,
-            StableMsg(epoch=self.epoch, sender_uid=self.ap.uid, subtree=merged),
+            StableMsg(
+                epoch=self.epoch,
+                sender_uid=self.ap.uid,
+                msg_id=self.ap.sim.new_msg_id(),
+                subtree=merged,
+            ),
         )
 
     # -- steps 3-5: assignment, distribution, table load --------------------------------------------
@@ -642,17 +656,16 @@ class ReconfigEngine:
     def _assign_and_distribute(self, merged: TopologyMap) -> None:
         topology = self._sanitize(merged)
         cost = self.ap.cpu.assign_cost(len(topology.switches))
-        epoch = self.epoch
+        self.ap.run_task(self._finish_assignment, self.epoch, topology, cost=cost)
 
-        def finish() -> None:
-            if epoch != self.epoch or self.configured:
-                return  # superseded while computing the assignment
-            if self.position.root != self.ap.uid:
-                return  # no longer the root: our termination was premature
-            topology.numbers = assign_switch_numbers(topology.switches)
-            self._adopt_configuration(epoch, topology)
-
-        self.ap.run_task(finish, cost=cost)
+    def _finish_assignment(self, epoch: int, topology: TopologyMap) -> None:
+        """The root's assignment task: number the switches, adopt."""
+        if epoch != self.epoch or self.configured:
+            return  # superseded while computing the assignment
+        if self.position.root != self.ap.uid:
+            return  # no longer the root: our termination was premature
+        topology.numbers = assign_switch_numbers(topology.switches)
+        self._adopt_configuration(epoch, topology)
 
     def on_config(self, port: int, msg: ConfigMsg) -> None:
         self._ack(port, msg)
@@ -681,32 +694,40 @@ class ReconfigEngine:
         for port in topology.children_ports(self.ap.uid):
             self._send_reliable(
                 port,
-                ConfigMsg(epoch=epoch, sender_uid=self.ap.uid, topology=topology),
+                ConfigMsg(
+                    epoch=epoch,
+                    sender_uid=self.ap.uid,
+                    msg_id=self.ap.sim.new_msg_id(),
+                    topology=topology,
+                ),
             )
 
         # step 5: compute and load our own forwarding table
-        def compute_and_load() -> None:
-            if epoch != self.epoch or not self.configured:
-                return  # superseded while computing
-            entries = build_forwarding_entries(
-                topology, self.ap.uid, my_host_ports=frozenset(self.ap.host_ports())
-            )
-            self.ap.load_forwarding(entries, reset=self.params.reset_on_load)
-            self.table_loaded = True
-            self.configured_at = self.ap.sim.now
-            self.ap.log(
-                "configured",
-                f"epoch={epoch} number={self.my_number} "
-                f"switches={len(topology.switches)}",
-            )
-            self.ap.obs_event(
-                "table-loaded", epoch=epoch, number=self.my_number,
-                switches=len(topology.switches),
-            )
-            self.ap.on_configured(epoch, topology)
-
         self.ap.run_task(
-            compute_and_load,
+            self._load_configuration,
+            epoch,
+            topology,
             cost=self.ap.cpu.route_cost(len(topology.switches))
             + self.ap.cpu.table_load_ns,
         )
+
+    def _load_configuration(self, epoch: int, topology: TopologyMap) -> None:
+        """The task :meth:`_adopt_configuration` queues: compute and load."""
+        if epoch != self.epoch or not self.configured:
+            return  # superseded while computing
+        entries = build_forwarding_entries(
+            topology, self.ap.uid, my_host_ports=frozenset(self.ap.host_ports())
+        )
+        self.ap.load_forwarding(entries, reset=self.params.reset_on_load)
+        self.table_loaded = True
+        self.configured_at = self.ap.sim.now
+        self.ap.log(
+            "configured",
+            f"epoch={epoch} number={self.my_number} "
+            f"switches={len(topology.switches)}",
+        )
+        self.ap.obs_event(
+            "table-loaded", epoch=epoch, number=self.my_number,
+            switches=len(topology.switches),
+        )
+        self.ap.on_configured(epoch, topology)

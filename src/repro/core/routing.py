@@ -127,17 +127,14 @@ def build_forwarding_entries(
     is_root = topology.root == my_uid
     parent_port = me.parent_port
 
-    def flood_set(address: int) -> Tuple[int, ...]:
-        ports: Set[int] = set(children)
-        if address in (ADDR_BROADCAST_ALL, ADDR_BROADCAST_HOSTS):
-            ports |= host_ports
-        if address in (ADDR_BROADCAST_ALL, ADDR_BROADCAST_SWITCHES):
-            ports.add(CONTROL_PROCESSOR_PORT)
-        return tuple(sorted(ports))
-
     up_sources = {CONTROL_PROCESSOR_PORT} | host_ports | set(children)
     for address in (ADDR_BROADCAST_ALL, ADDR_BROADCAST_SWITCHES, ADDR_BROADCAST_HOSTS):
-        down = _entry(flood_set(address), broadcast=True)
+        flood: Set[int] = set(children)
+        if address in (ADDR_BROADCAST_ALL, ADDR_BROADCAST_HOSTS):
+            flood |= host_ports
+        if address in (ADDR_BROADCAST_ALL, ADDR_BROADCAST_SWITCHES):
+            flood.add(CONTROL_PROCESSOR_PORT)
+        down = _entry(tuple(sorted(flood)), broadcast=True)
         up = down if is_root else _entry((parent_port,), broadcast=True)
         # cross links and unused ports never carry broadcasts
         rows[address] = tuple(

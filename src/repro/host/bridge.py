@@ -17,7 +17,8 @@ packet.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.constants import ADDR_BROADCAST_HOSTS, MAX_BROADCAST_DATA_BYTES, US
 from repro.host.driver import AutonetDriver
@@ -38,7 +39,45 @@ FORWARD_NS = 650 * US
 QBUS_PER_BYTE_NS = 800
 
 
-class AutonetEthernetBridge:
+class _ForwardingCpu:
+    """A bridge's forwarding processor: work items run one at a time,
+    each finishing ``cost`` ns after it starts; beyond ``max_backlog``
+    waiting items new work is dropped."""
+
+    def __init__(self, sim, max_backlog: int) -> None:
+        self.sim = sim
+        self.max_backlog = max_backlog
+        #: waiting work: (cost, fn, args)
+        self._backlog: Deque[Tuple[int, Callable[..., None], tuple]] = deque()
+        self._busy = False
+        self.discarded = 0
+        self.dropped_backlog = 0
+
+    def _enqueue(self, cost: int, fn: Callable[..., None], *args: Any) -> None:
+        if len(self._backlog) >= self.max_backlog:
+            self.dropped_backlog += 1
+            return
+        self._backlog.append((cost, fn, args))
+        if not self._busy:
+            self._busy = True
+            self._run_next()
+
+    def _run_next(self) -> None:
+        if not self._backlog:
+            self._busy = False
+            return
+        cost, fn, args = self._backlog.popleft()
+        self.sim.after(cost, self._finish, fn, *args)
+
+    def _finish(self, fn: Callable[..., None], *args: Any) -> None:
+        fn(*args)
+        self._run_next()
+
+    def _count_discard(self) -> None:
+        self.discarded += 1
+
+
+class AutonetEthernetBridge(_ForwardingCpu):
     """Bridge between one Autonet attachment and one Ethernet station."""
 
     def __init__(
@@ -47,10 +86,9 @@ class AutonetEthernetBridge:
         station: EthernetStation,
         max_backlog: int = 64,
     ) -> None:
+        super().__init__(driver.sim, max_backlog)
         self.driver = driver
         self.station = station
-        self.sim = driver.sim
-        self.max_backlog = max_backlog
         self.uid = driver.controller.uid
 
         #: uid -> ('autonet', short_address) or ('ethernet', None); a UID
@@ -63,40 +101,13 @@ class AutonetEthernetBridge:
         # which side each host is on (section 6.8.2)
         station.promiscuous = True
 
-        self._backlog: Deque = deque()
-        self._busy = False
-
         # statistics
         self.examined = 0
-        self.discarded = 0
         self.forwarded_to_ethernet = 0
         self.forwarded_to_autonet = 0
         self.proxy_arps = 0
-        self.dropped_backlog = 0
         self.refused_large = 0
         self.refused_encrypted = 0
-
-    # -- the forwarding CPU ---------------------------------------------------------------
-
-    def _enqueue(self, work, cost: int) -> None:
-        if len(self._backlog) >= self.max_backlog:
-            self.dropped_backlog += 1
-            return
-        self._backlog.append((work, cost))
-        if not self._busy:
-            self._busy = True
-            self._run_next()
-
-    def _run_next(self) -> None:
-        if not self._backlog:
-            self._busy = False
-            return
-        work, cost = self._backlog.popleft()
-        self.sim.after(cost, self._finish, work)
-
-    def _finish(self, work) -> None:
-        work()
-        self._run_next()
 
     # -- Autonet -> Ethernet ----------------------------------------------------------------
 
@@ -112,7 +123,7 @@ class AutonetEthernetBridge:
 
         payload = packet.payload
         if isinstance(payload, ArpRequest):
-            self._enqueue(lambda: self._maybe_proxy_arp(packet, payload), EXAMINE_NS)
+            self._enqueue(EXAMINE_NS, self._maybe_proxy_arp, packet, payload)
             return
         if isinstance(payload, ArpResponse):
             return
@@ -123,7 +134,7 @@ class AutonetEthernetBridge:
         broadcast = packet.dest_uid == BROADCAST_UID
         if side == "autonet" and not broadcast:
             # both ends on the Autonet: nothing to forward
-            self._enqueue(self._count_discard, EXAMINE_NS)
+            self._enqueue(EXAMINE_NS, self._count_discard)
             return
         if packet.encrypted:
             self.refused_encrypted += 1
@@ -133,12 +144,7 @@ class AutonetEthernetBridge:
             return
         cost = EXAMINE_NS + FORWARD_NS + 2 * QBUS_PER_BYTE_NS * packet.data_bytes
         dest = ETHERNET_BROADCAST if broadcast else packet.dest_uid
-        self._enqueue(
-            lambda: self._emit_ethernet(dest, packet.data_bytes, packet.payload), cost
-        )
-
-    def _count_discard(self) -> None:
-        self.discarded += 1
+        self._enqueue(cost, self._emit_ethernet, dest, packet.data_bytes, packet.payload)
 
     def _emit_ethernet(self, dest: Uid, data_bytes: int, payload) -> None:
         self.forwarded_to_ethernet += 1
@@ -164,6 +170,7 @@ class AutonetEthernetBridge:
                 src_uid=request.target_uid,  # proxy: speak as the target
                 data_bytes=28,
                 payload=ArpResponse(target_uid=request.target_uid),
+                packet_id=self.sim.new_packet_id(),
             )
         )
 
@@ -177,7 +184,7 @@ class AutonetEthernetBridge:
             return
         side, short = self.cache.get(dest, (None, None))
         if side == "ethernet" and dest != ETHERNET_BROADCAST:
-            self._enqueue(self._count_discard, EXAMINE_NS)
+            self._enqueue(EXAMINE_NS, self._count_discard)
             return
         if not self.driver.ready:
             self.discarded += 1
@@ -190,10 +197,7 @@ class AutonetEthernetBridge:
             dest_short = short if short is not None else ADDR_BROADCAST_HOSTS
             dest_uid = dest
         cost = EXAMINE_NS + FORWARD_NS + 2 * QBUS_PER_BYTE_NS * data_bytes
-        self._enqueue(
-            lambda: self._emit_autonet(dest_short, dest_uid, src, data_bytes, payload),
-            cost,
-        )
+        self._enqueue(cost, self._emit_autonet, dest_short, dest_uid, src, data_bytes, payload)
 
     def _emit_autonet(
         self, dest_short: int, dest_uid: Uid, src_uid: Uid, data_bytes: int, payload
@@ -208,11 +212,12 @@ class AutonetEthernetBridge:
                 src_uid=src_uid,
                 data_bytes=data_bytes,
                 payload=payload,
+                packet_id=self.sim.new_packet_id(),
             )
         )
 
 
-class AutonetAutonetBridge:
+class AutonetAutonetBridge(_ForwardingCpu):
     """A bridge between two Autonets (section 6.8.2).
 
     "Slightly more complicated than an Ethernet bridge because a short
@@ -229,43 +234,22 @@ class AutonetAutonetBridge:
                  max_backlog: int = 64) -> None:
         if driver_a.sim is not driver_b.sim:
             raise ValueError("both attachments must share one simulator")
-        self.sim = driver_a.sim
+        super().__init__(driver_a.sim, max_backlog)
         self.drivers = {"a": driver_a, "b": driver_b}
-        self.max_backlog = max_backlog
         self.uids = {driver_a.controller.uid, driver_b.controller.uid}
         #: uid -> (side, short address on that side)
         self.cache: Dict[Uid, Tuple[str, Optional[int]]] = {}
         #: ARP targets being probed -> [(requester uid, requester side)]
         self._pending_arps: Dict[Uid, list] = {}
-        driver_a.on_packet = lambda packet: self._from_side("a", packet)
-        driver_b.on_packet = lambda packet: self._from_side("b", packet)
-        self._backlog: Deque = deque()
-        self._busy = False
+        driver_a.on_packet = partial(self._from_side, "a")
+        driver_b.on_packet = partial(self._from_side, "b")
         self.examined = 0
-        self.discarded = 0
         self.forwarded = 0
         self.proxy_arps = 0
-        self.dropped_backlog = 0
 
     @staticmethod
     def _other(side: str) -> str:
         return "b" if side == "a" else "a"
-
-    def _enqueue(self, work, cost: int) -> None:
-        if len(self._backlog) >= self.max_backlog:
-            self.dropped_backlog += 1
-            return
-        self._backlog.append((work, cost))
-        if not self._busy:
-            self._busy = True
-            self._run_next()
-
-    def _run_next(self) -> None:
-        if not self._backlog:
-            self._busy = False
-            return
-        work, cost = self._backlog.popleft()
-        self.sim.after(cost, lambda: (work(), self._run_next()))
 
     def _my_short(self, side: str) -> Optional[int]:
         return self.drivers[side].short_address
@@ -281,9 +265,7 @@ class AutonetAutonetBridge:
 
         payload = packet.payload
         if isinstance(payload, ArpRequest):
-            self._enqueue(
-                lambda: self._handle_arp(side, packet, payload), EXAMINE_NS
-            )
+            self._enqueue(EXAMINE_NS, self._handle_arp, side, packet, payload)
             return
         if isinstance(payload, ArpResponse):
             return
@@ -293,13 +275,10 @@ class AutonetAutonetBridge:
         dest_side = self.cache.get(packet.dest_uid, (None, None))[0]
         broadcast = packet.dest_uid == BROADCAST_UID
         if dest_side == side and not broadcast:
-            self._enqueue(self._count_discard, EXAMINE_NS)
+            self._enqueue(EXAMINE_NS, self._count_discard)
             return
         cost = EXAMINE_NS + FORWARD_NS + 2 * QBUS_PER_BYTE_NS * packet.data_bytes
-        self._enqueue(lambda: self._forward(self._other(side), packet), cost)
-
-    def _count_discard(self) -> None:
-        self.discarded += 1
+        self._enqueue(cost, self._forward, self._other(side), packet)
 
     def _forward(self, to_side: str, packet: Packet) -> None:
         driver = self.drivers[to_side]
@@ -326,6 +305,7 @@ class AutonetAutonetBridge:
                 data_bytes=data,
                 payload=packet.payload,
                 encrypted=packet.encrypted,
+                packet_id=self.sim.new_packet_id(),
             )
         )
 
@@ -352,6 +332,7 @@ class AutonetAutonetBridge:
                     src_uid=other.controller.uid,
                     data_bytes=28,
                     payload=ArpRequest(target_uid=target),
+                    packet_id=self.sim.new_packet_id(),
                 )
             )
 
@@ -376,6 +357,7 @@ class AutonetAutonetBridge:
                 src_uid=target,  # proxy: speak as the target
                 data_bytes=28,
                 payload=ArpResponse(target_uid=target),
+                packet_id=self.sim.new_packet_id(),
             )
         )
 
@@ -389,9 +371,7 @@ class EthernetEthernetBridge:
         self.stations = {"a": station_a, "b": station_b}
         for side, station in self.stations.items():
             station.promiscuous = True
-            station.on_receive = (
-                lambda src, dst, size, payload, s=side: self._from_side(s, src, dst, size, payload)
-            )
+            station.on_receive = partial(self._from_side, side)
         self.side_of: Dict[Uid, str] = {}
         self.forwarded = 0
         self.filtered = 0

@@ -54,7 +54,7 @@ class HostPort(Endpoint):
             raise RuntimeError(f"{self.name}: no link attached")
         self.fc_sender = FlowControlSender(
             self.sim,
-            deliver=lambda d: self.link.send_flow_control(self, d),
+            deliver=self._send_directive,
             propagation_ns=0,
             # stable per-port slot phase (str hash is salted per process)
             phase=(zlib.crc32(self.name.encode()) % 256) * 80,
@@ -62,6 +62,9 @@ class HostPort(Endpoint):
         )
         if not self.active:
             self.fc_sender.mute(True)
+
+    def _send_directive(self, directive: Directive) -> None:
+        self.link.send_flow_control(self, directive)
 
     def set_active(self, active: bool) -> None:
         if active == self.active:

@@ -77,7 +77,10 @@ class AutonetDriver:
 
     def _send_probe(self) -> None:
         request = HostAddressRequest(
-            epoch=0, sender_uid=self.controller.uid, host_uid=self.controller.uid
+            epoch=0,
+            sender_uid=self.controller.uid,
+            msg_id=self.sim.new_msg_id(),
+            host_uid=self.controller.uid,
         )
         self.controller.send(
             Packet(
@@ -87,6 +90,7 @@ class AutonetDriver:
                 data_bytes=request.encoded_bytes(),
                 payload=request,
                 src_uid=self.controller.uid,
+                packet_id=self.sim.new_packet_id(),
             )
         )
         self.probes_sent += 1

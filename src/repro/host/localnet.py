@@ -164,6 +164,7 @@ class LocalNet:
                 data_bytes=data_bytes,
                 payload=payload,
                 encrypted=encrypted,
+                packet_id=self.sim.new_packet_id(),
             )
         )
 
@@ -176,30 +177,27 @@ class LocalNet:
         if now - entry.updated_at <= UID_CACHE_FRESH_NS or entry.check_pending:
             return
         entry.check_pending = True
-        use_time = now
+        self.sim.after(UID_CACHE_FRESH_NS, self._check_after_grace, dest_uid, now)
 
-        def check_after_grace() -> None:
-            current = self.cache.get(dest_uid)
-            if current is None:
-                return
-            current.check_pending = False
-            if current.updated_at > use_time:
-                return  # refreshed in the grace window
-            self._send_arp_request(dest_uid, current.short_address)
-            current.check_pending = True
+    def _check_after_grace(self, dest_uid: Uid, use_time: int) -> None:
+        current = self.cache.get(dest_uid)
+        if current is None:
+            return
+        current.check_pending = False
+        if current.updated_at > use_time:
+            return  # refreshed in the grace window
+        self._send_arp_request(dest_uid, current.short_address)
+        current.check_pending = True
+        self.sim.after(ARP_TIMEOUT_NS, self._expire, dest_uid, use_time)
 
-            def expire() -> None:
-                latest = self.cache.get(dest_uid)
-                if latest is None:
-                    return
-                latest.check_pending = False
-                if latest.updated_at <= use_time:
-                    # no response: equivalent to removing the entry
-                    latest.short_address = ADDR_BROADCAST_HOSTS
-
-            self.sim.after(ARP_TIMEOUT_NS, expire)
-
-        self.sim.after(UID_CACHE_FRESH_NS, check_after_grace)
+    def _expire(self, dest_uid: Uid, use_time: int) -> None:
+        latest = self.cache.get(dest_uid)
+        if latest is None:
+            return
+        latest.check_pending = False
+        if latest.updated_at <= use_time:
+            # no response: equivalent to removing the entry
+            latest.short_address = ADDR_BROADCAST_HOSTS
 
     def _send_arp_request(self, target_uid: Uid, to_short: int) -> None:
         self.stats.arp_requests_sent += 1
@@ -212,6 +210,7 @@ class LocalNet:
                 src_uid=self.uid,
                 data_bytes=28,
                 payload=ArpRequest(target_uid=target_uid),
+                packet_id=self.sim.new_packet_id(),
             )
         )
 
@@ -226,6 +225,7 @@ class LocalNet:
                 src_uid=self.uid,
                 data_bytes=28,
                 payload=ArpResponse(target_uid=self.uid),
+                packet_id=self.sim.new_packet_id(),
             )
         )
 

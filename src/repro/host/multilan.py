@@ -14,10 +14,12 @@ software" (section 5.5) -- which the tests exercise literally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.host.ethernet import ETHERNET_BROADCAST, EthernetStation
 from repro.host.localnet import BROADCAST_UID, LocalNet
+from repro.net.packet import Packet
 from repro.types import Uid
 
 
@@ -55,9 +57,7 @@ class MultiLan:
         self._autonets[net_id] = localnet
         self._enabled[net_id] = True
         self.sent[net_id] = self.received[net_id] = 0
-        localnet.on_datagram = (
-            lambda src, et, size, pkt, nid=net_id: self._deliver(nid, src, size, pkt.payload)
-        )
+        localnet.on_datagram = partial(self._from_autonet, net_id)
         return net_id
 
     def attach_ethernet(self, station: EthernetStation) -> int:
@@ -66,9 +66,7 @@ class MultiLan:
         self._ethernets[net_id] = station
         self._enabled[net_id] = True
         self.sent[net_id] = self.received[net_id] = 0
-        station.on_receive = (
-            lambda src, dst, size, payload, nid=net_id: self._deliver(nid, src, size, payload)
-        )
+        station.on_receive = partial(self._from_ethernet, net_id)
         return net_id
 
     # -- the LocalNet interface of Figure 4 ------------------------------------------
@@ -114,6 +112,14 @@ class MultiLan:
         return None
 
     # -- delivery -----------------------------------------------------------------------
+
+    def _from_autonet(self, net_id: int, src_uid: Uid, ethertype: int, data_bytes: int,
+                      packet: Packet) -> None:
+        self._deliver(net_id, src_uid, data_bytes, packet.payload)
+
+    def _from_ethernet(self, net_id: int, src_uid: Uid, dest_uid: Uid, data_bytes: int,
+                       payload: object) -> None:
+        self._deliver(net_id, src_uid, data_bytes, payload)
 
     def _deliver(self, net_id: int, src_uid: Uid, data_bytes: int, payload: object) -> None:
         if not self._enabled.get(net_id, False):

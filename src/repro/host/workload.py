@@ -10,7 +10,6 @@ flood experiments.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -18,8 +17,6 @@ from repro.constants import MS
 from repro.host.localnet import LocalNet
 from repro.net.packet import Packet
 from repro.types import Uid
-
-_rpc_ids = itertools.count(1)
 
 
 class Sink:
@@ -136,6 +133,8 @@ class RpcClient:
         self.latencies_ns: List[int] = []
         #: timestamps of successful completions, for outage analysis
         self.completion_times: List[int] = []
+        #: the last call id this client issued (only its own replies match)
+        self._rpc_ids = 0
         self._outstanding: Optional[int] = None
         self._issued_at = 0
         self._stopped = False
@@ -148,8 +147,8 @@ class RpcClient:
     def _issue(self) -> None:
         if self._stopped:
             return
-        rpc_id = next(_rpc_ids)
-        self._outstanding = rpc_id
+        self._rpc_ids += 1
+        rpc_id = self._outstanding = self._rpc_ids
         self._issued_at = self.sim.now
         self.localnet.send(
             self.server_uid,

@@ -11,6 +11,7 @@ sampler polls, and the control-register operations (send idhy, reset).
 from __future__ import annotations
 
 import zlib
+from functools import partial
 from typing import Callable, Optional
 
 from repro.constants import CUT_THROUGH_BYTES, DEFAULT_FIFO_BYTES, DEFAULT_STOP_FRACTION
@@ -49,8 +50,6 @@ class LinkUnit(Endpoint):
         self.sim = sim
         self.name = name
         self.port_no = port_no
-        self._on_head_ready = on_head_ready
-        self._on_packet_drained = on_packet_drained
         #: false while the owning switch is powered off
         self.enabled = True
         #: the section 7 proposal: tag up- and down-direction traffic with
@@ -78,9 +77,9 @@ class LinkUnit(Endpoint):
             cut_through_bytes=(
                 CUT_THROUGH_BYTES if cut_through_bytes is None else cut_through_bytes
             ),
-            on_head_ready=lambda pkt: self._on_head_ready(self.port_no, pkt),
+            on_head_ready=partial(on_head_ready, port_no),
             on_level_directive=self._level_directive,
-            on_packet_drained=lambda pkt: self._on_packet_drained(self.port_no, pkt),
+            on_packet_drained=partial(on_packet_drained, port_no),
             on_overflow=self._note_overflow,
             on_underflow=self._note_underflow,
         )
@@ -111,7 +110,7 @@ class LinkUnit(Endpoint):
             raise RuntimeError(f"{self.name}: no link attached")
         self.fc_sender = FlowControlSender(
             self.sim,
-            deliver=lambda d: self.link.send_flow_control(self, d),
+            deliver=self._send_directive,
             propagation_ns=0,
             # per-port slot phase, stable across runs (str hash is salted)
             phase=(zlib.crc32(self.name.encode()) % 256) * 80,
@@ -120,6 +119,9 @@ class LinkUnit(Endpoint):
             self.fc_sender.force(self._forced_directive)
         if self.fifo.stopped:
             self.fc_sender.set_level_directive(Directive.STOP)
+
+    def _send_directive(self, directive: Directive) -> None:
+        self.link.send_flow_control(self, directive)
 
     @property
     def connected(self) -> bool:

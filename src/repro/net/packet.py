@@ -10,7 +10,6 @@ instead of client data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, List, Optional, Tuple
@@ -24,8 +23,6 @@ from repro.types import Uid, is_broadcast, truncate_address
 
 #: Ethernet header carried inside an Autonet client packet (dst+src UID + type)
 ETHERNET_HEADER_BYTES = 14
-
-_packet_ids = itertools.count(1)
 
 
 class PacketType(Enum):
@@ -57,8 +54,9 @@ class Packet:
     encrypted: bool = False
     #: set when a FIFO overflow or injected noise damaged the packet
     corrupted: bool = False
-    #: unique id for tracing
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    #: unique id for tracing, minted by ``Simulator.new_packet_id`` (0: a
+    #: packet built outside any simulator)
+    packet_id: int = 0
     #: creation time (filled by the injector)
     created_at: int = 0
     #: (switch name, in port, out ports) per hop, for tracing and tests

@@ -15,6 +15,7 @@ paper's proposed hardware improvement for the ablation bench.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.constants import PORTS_PER_SWITCH
@@ -103,8 +104,8 @@ class Switch:
             for p in range(1, n_ports + 1)
         }
         for port, unit in self.ports.items():
-            unit.tx.on_end = self._make_tx_end_hook(port)
-            unit.on_panic = self._make_panic_hook(port)
+            unit.tx.on_end = partial(self._tx_ended, port)
+            unit.on_panic = partial(self._panicked, port)
 
         self.table = ForwardingTable(n_ports)
         self.crossbar = Crossbar(n_ports)
@@ -116,7 +117,7 @@ class Switch:
             sim,
             name=f"{name}.cp",
             capacity=1 << 30,
-            on_head_ready=lambda pkt: self._head_ready(0, pkt),
+            on_head_ready=partial(self._head_ready, 0),
         )
         self._cp_sink = CpSink(self)
         #: Autopilot's receive hook; set by the control program
@@ -204,24 +205,20 @@ class Switch:
         """The head packet has fully left ``in_port``'s FIFO."""
         self.port_drained[in_port] = self.port_drained.get(in_port, 0) + 1
 
-    def _make_panic_hook(self, port: int) -> Callable[[], None]:
-        def hook() -> None:
-            # reset this link unit: clear the FIFO and any held grants,
-            # then reinitialize link control (re-announce flow control)
-            self.isolate_port(port)
-            unit = self.ports[port]
-            if unit.fc_sender is not None:
-                unit.fc_sender.reannounce()
+    def _panicked(self, port: int) -> None:
+        """A panic directive arrived on ``port``: reset its link unit --
+        clear the FIFO and any held grants -- then reinitialize link
+        control (re-announce flow control)."""
+        self.isolate_port(port)
+        unit = self.ports[port]
+        if unit.fc_sender is not None:
+            unit.fc_sender.reannounce()
 
-        return hook
-
-    def _make_tx_end_hook(self, port: int) -> Callable[[Packet], None]:
-        def hook(packet: Packet) -> None:
-            self.ports[port].set_drain_source(None)
-            self.crossbar.disconnect(port)
-            self.engine.port_freed(port)
-
-        return hook
+    def _tx_ended(self, port: int, packet: Packet) -> None:
+        """``port``'s transmitter finished (or aborted) a packet."""
+        self.ports[port].set_drain_source(None)
+        self.crossbar.disconnect(port)
+        self.engine.port_freed(port)
 
     # -- table loading / reset ------------------------------------------------------------------
 

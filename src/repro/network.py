@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple
 
 from repro.constants import SEC
@@ -94,7 +95,7 @@ class Network:
         self.sim = sim if sim is not None else Simulator()
         self.name = name
         self.rng = RngRegistry(seed)
-        self.params_factory = params_factory or (lambda _i: AutopilotParams())
+        self.params_factory = params_factory
         #: repro.obs wiring: metrics registry on the simulator (networks
         #: sharing a simulator share the first one's) plus a per-epoch
         #: reconfiguration tracer.  telemetry=False leaves the registry
@@ -104,9 +105,13 @@ class Network:
         self.tracer = ReconfigTracer() if telemetry else None
         if self.sim.metrics is None:
             metrics = self.sim.metrics = MetricsRegistry(enabled=telemetry)
-            metrics.collect("sim_events_dispatched", lambda: self.sim.events_dispatched)
+            # gauges read at snapshot time (partial, not lambda: a copied
+            # world's collectors must read the copy)
+            metrics.collect(
+                "sim_events_dispatched", partial(getattr, self.sim, "events_dispatched")
+            )
             metrics.collect("sim_pending_events", self.sim.pending_events)
-            metrics.collect("sim_now_ns", lambda: self.sim.now)
+            metrics.collect("sim_now_ns", partial(getattr, self.sim, "now"))
         #: opt-in flight recorder and event-loop profiler (repro.obs).
         #: Attached before the switches are built so boot-time events are
         #: captured; both default off, leaving sim.recorder/sim.profiler
@@ -192,21 +197,19 @@ class Network:
 
     # -- measurement hooks ----------------------------------------------------------------
 
-    def _make_configured_hook(self, uid: Uid) -> Callable[[int, TopologyMap], None]:
-        def hook(epoch: int, topology: TopologyMap) -> None:
-            record = self.epochs.setdefault(epoch, EpochRecord(epoch))
-            record.configured[uid] = self.sim.now
-            starts = [
-                ap.engine.epoch_started_at
-                for ap in self.autopilots
-                if ap.engine.epoch == epoch
-            ]
-            if starts:
-                earliest = min(starts)
-                if record.started_at < 0 or earliest < record.started_at:
-                    record.started_at = earliest
-
-        return hook
+    def _configured(self, uid: Uid, epoch: int, topology: TopologyMap) -> None:
+        """Switch ``uid`` loaded its table for ``epoch``."""
+        record = self.epochs.setdefault(epoch, EpochRecord(epoch))
+        record.configured[uid] = self.sim.now
+        starts = [
+            ap.engine.epoch_started_at
+            for ap in self.autopilots
+            if ap.engine.epoch == epoch
+        ]
+        if starts:
+            earliest = min(starts)
+            if record.started_at < 0 or earliest < record.started_at:
+                record.started_at = earliest
 
     def _boot_autopilot(self, index: int, software_version: Optional[int] = None) -> None:
         """(Re)boot switch ``index``'s control processor: a fresh
@@ -215,11 +218,12 @@ class Network:
         layer."""
         switch = self.switches[index]
         offset = self.rng.stream("clock-offsets").randrange(0, 50_000_000)  # up to 50 ms skew
-        autopilot = Autopilot(switch, params=self.params_factory(index), clock_offset=offset)
+        params = self.params_factory(index) if self.params_factory is not None else None
+        autopilot = Autopilot(switch, params=params, clock_offset=offset)
         if software_version is not None:  # booting a downloaded release (section 5.4)
             autopilot.software_version = software_version
-        autopilot.on_configured_hook = self._make_configured_hook(switch.uid)
-        autopilot.on_code_download = lambda new: self._reboot_into(index, new)
+        autopilot.on_configured_hook = partial(self._configured, switch.uid)
+        autopilot.on_code_download = partial(self._reboot_into, index)
         # first boot appends, a reboot replaces
         self.autopilots[index : index + 1] = [autopilot]
         self.merged_log.attach(autopilot.trace)
@@ -244,58 +248,31 @@ class Network:
     def _install_timeseries(self) -> None:
         """Register the sampler's pull-only collectors.
 
-        Every collector late-binds through ``self.autopilots[i]`` /
-        ``self.switches[i]``, so a restarted switch's fresh Autopilot is
-        picked up automatically -- no re-registration on restart.
+        The per-Autopilot collectors late-bind through
+        ``self.autopilots[i]``, so a restarted switch's fresh Autopilot is
+        picked up automatically -- no re-registration on restart.  A
+        switch and its FIFOs are never replaced, so theirs bind directly.
         """
         from repro.core.portstate import PortState
 
         sampler = self.sampler
         assert sampler is not None
-
-        def autopilot_value(index: int, fn) -> Callable[[], Optional[float]]:
-            def collect() -> Optional[float]:
-                ap = self.autopilots[index]
-                return fn(ap) if ap.alive else None
-
-            return collect
-
-        def ports_in_state(index: int, state: PortState) -> Callable[[], Optional[float]]:
-            def collect() -> Optional[float]:
-                ap = self.autopilots[index]
-                if not ap.alive:
-                    return None
-                switch = self.switches[index]
-                return float(sum(
-                    1
-                    for p, monitor in ap.monitoring.ports.items()
-                    if switch.ports[p].connected and monitor.state is state
-                ))
-
-            return collect
-
         for i, switch in enumerate(self.switches):
             name = switch.name
+            sampler.add_collector("epoch", partial(self._sample_epoch, i), switch=name)
             sampler.add_collector(
-                "epoch",
-                autopilot_value(i, lambda ap: float(ap.engine.epoch)),
-                switch=name,
-            )
-            sampler.add_collector(
-                "blackout_in_progress",
-                autopilot_value(i, lambda ap: 1.0 if ap.engine.in_blackout else 0.0),
-                switch=name,
+                "blackout_in_progress", partial(self._sample_blackout, i), switch=name
             )
             sampler.add_collector(
                 "packets_forwarded",
-                lambda i=i: float(self.switches[i].packets_forwarded),
+                partial(getattr, switch, "packets_forwarded"),
                 kind="counter",
                 switch=name,
             )
             for state in PortState:
                 sampler.add_collector(
                     "ports_in_state",
-                    ports_in_state(i, state),
+                    partial(self._sample_ports_in_state, i, state),
                     switch=name,
                     state=state.value,
                 )
@@ -303,27 +280,42 @@ class Network:
                 if unit.connected:
                     self._sample_fifo(i, p)
         if self.tracer is not None:
-            self.tracer.add_listener(
-                lambda t_ns, component, event, _attrs: sampler.mark(
-                    t_ns, component, event
-                )
-            )
+            self.tracer.add_listener(sampler.mark)
+
+    # the sampler floats what a collector returns; None is "switch down"
+
+    def _sample_epoch(self, index: int) -> Optional[int]:
+        ap = self.autopilots[index]
+        return ap.engine.epoch if ap.alive else None
+
+    def _sample_blackout(self, index: int) -> Optional[bool]:
+        ap = self.autopilots[index]
+        return ap.engine.in_blackout if ap.alive else None
+
+    def _sample_ports_in_state(self, index: int, state) -> Optional[int]:
+        ap = self.autopilots[index]
+        if not ap.alive:
+            return None
+        ports = self.switches[index].ports
+        return sum(
+            1
+            for p, monitor in ap.monitoring.ports.items()
+            if ports[p].connected and monitor.state is state
+        )
 
     def _sample_fifo(self, sw: int, port: int) -> None:
         """Register the occupancy / high-water collector pair for one
-        connected switch port (late-bound like every other collector)."""
+        connected switch port."""
         sampler = self.sampler
         assert sampler is not None
         name = self.switches[sw].name
+        fifo = self.switches[sw].ports[port].fifo
         sampler.add_collector(
-            "fifo_occupancy_bytes",
-            lambda: self.switches[sw].ports[port].fifo.peek_level(),
-            switch=name,
-            port=port,
+            "fifo_occupancy_bytes", fifo.peek_level, switch=name, port=port
         )
         sampler.add_collector(
             "fifo_highwater_bytes",
-            lambda: self.switches[sw].ports[port].fifo.max_level,
+            partial(getattr, fifo, "max_level"),
             kind="highwater",
             switch=name,
             port=port,
@@ -621,20 +613,13 @@ class Network:
     #
     # Every injector funnels through _notify_fault, so observers (the
     # repro.obs metrics registry, the chaos campaign's counters) see one
-    # uniform feed of (kind, detail) regardless of which API was called.
-    # ``apply_fault`` is the string-keyed entry point the declarative
-    # chaos schedules use.
-
-    #: uniform fault vocabulary understood by :meth:`apply_fault`
-    FAULT_KINDS = (
-        "cut-link",
-        "restore-link",
-        "noisy-link",
-        "flap-link",
-        "crash-switch",
-        "restart-switch",
-        "power-off-host",
-    )
+    # uniform feed of (kind, detail) regardless of who called it; the
+    # chaos schedules' events (repro.chaos.events) call these methods.
+    # Tolerant by design: faults address the *installation*, so a
+    # restart of an already-running switch or a re-crash of a dead one
+    # is a no-op, letting replayed or shrunk schedules stay valid even
+    # when earlier (removed) events no longer produce the state a later
+    # event assumed.
 
     #: observer hook: fn(kind, detail_dict); set by the chaos injector
     on_fault: Optional[Callable[[str, Dict], None]] = None
@@ -646,36 +631,6 @@ class Network:
             self.traffic.note_fault(kind)
         if self.on_fault is not None:
             self.on_fault(kind, detail)
-
-    def apply_fault(self, kind: str, **params) -> None:
-        """Apply one fault by kind name (see :data:`FAULT_KINDS`).
-
-        Tolerant by design: faults address the *installation*, so a
-        restart of an already-running switch or a restore of an intact
-        link is a no-op, letting replayed or shrunk schedules stay valid
-        even when earlier (removed) events no longer produce the state a
-        later event assumed.
-        """
-        if kind == "cut-link":
-            self.cut_link(params["a"], params["b"])
-        elif kind == "restore-link":
-            self.restore_link(params["a"], params["b"])
-        elif kind == "noisy-link":
-            self.make_link_noisy(params["a"], params["b"])
-        elif kind == "flap-link":
-            self.flap_link(
-                params["a"], params["b"],
-                flaps=params.get("flaps", 3),
-                period_ns=params.get("period_ns", 100_000_000),
-            )
-        elif kind == "crash-switch":
-            self.crash_switch(params["index"])
-        elif kind == "restart-switch":
-            self.restart_switch(params["index"])
-        elif kind == "power-off-host":
-            self.power_off_host(params["name"], reflect=params.get("reflect", True))
-        else:
-            raise ValueError(f"unknown fault kind {kind!r}")
 
     def link_between(self, a: int, b: int) -> Link:
         """The first cabled link between switch indices ``a`` and ``b``."""
@@ -763,47 +718,47 @@ class Network:
 
     def _reboot_into(self, index: int, version: int) -> None:
         """Accept the image, reboot the switch on it, then propagate."""
-        from repro.core.messages import CodeDownloadMsg
-
         old = self.autopilots[index]
         if not old.alive or old.software_version >= version:
             return
         old.halt()
+        self.switches[index].power_off()
+        self.sim.after(self._boot_delay_ns, self._boot_release, index, version)
+
+    def _boot_release(self, index: int, version: int) -> None:
+        """The new image is loaded: boot it and schedule its offers."""
         switch = self.switches[index]
-        switch.power_off()
+        switch.power_on()
+        self._boot_autopilot(index, software_version=version)
+        autopilot = self.autopilots[index]
+        # offer the image to neighbors one at a time: the pacing knob
+        # of section 7 ("making compatible versions propagate more
+        # slowly") bounds how much of the fabric reboots at once
+        delay = self._propagate_delay_ns
+        nth = 0
+        for port, unit in sorted(switch.ports.items()):
+            if not unit.connected:
+                continue
+            far = unit.link.other(unit)
+            if getattr(far, "port_no", None) is None:
+                continue  # host link: hosts don't run Autopilot
+            nth += 1
+            self.sim.after(delay * nth, self._offer_release, autopilot, port, version)
 
-        def boot() -> None:
-            switch.power_on()
-            self._boot_autopilot(index, software_version=version)
-            autopilot = self.autopilots[index]
+    def _offer_release(self, autopilot: Autopilot, port: int, version: int) -> None:
+        from repro.core.messages import CodeDownloadMsg
 
-            def offer(port: int) -> None:
-                if not autopilot.alive:
-                    return
-                autopilot.send_one_hop(
-                    port,
-                    CodeDownloadMsg(
-                        epoch=autopilot.epoch,
-                        sender_uid=autopilot.uid,
-                        version=version,
-                    ),
-                )
-
-            # offer the image to neighbors one at a time: the pacing knob
-            # of section 7 ("making compatible versions propagate more
-            # slowly") bounds how much of the fabric reboots at once
-            delay = self._propagate_delay_ns
-            nth = 0
-            for port, unit in sorted(switch.ports.items()):
-                if not unit.connected:
-                    continue
-                far = unit.link.other(unit)
-                if getattr(far, "port_no", None) is None:
-                    continue  # host link: hosts don't run Autopilot
-                nth += 1
-                self.sim.after(delay * nth, offer, port)
-
-        self.sim.after(self._boot_delay_ns, boot)
+        if not autopilot.alive:
+            return
+        autopilot.send_one_hop(
+            port,
+            CodeDownloadMsg(
+                epoch=autopilot.epoch,
+                sender_uid=autopilot.uid,
+                msg_id=self.sim.new_msg_id(),
+                version=version,
+            ),
+        )
 
     def rollout_complete(self, version: int) -> bool:
         return all(

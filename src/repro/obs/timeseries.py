@@ -181,9 +181,9 @@ class TimeSeriesSampler:
             self._series[key] = ring
         return ring
 
-    def mark(self, t_ns: int, component: str, event: str) -> None:
-        """Record one span event into the bounded mark ring (fed by the
-        ReconfigTracer listener that Network installs)."""
+    def mark(self, t_ns: int, component: str, event: str, attrs: Any = None) -> None:
+        """Record one span event into the bounded mark ring: Network adds
+        this method as a ReconfigTracer listener (``attrs`` is not kept)."""
         if len(self._mark_rows) >= MARK_CAPACITY:
             # evict oldest; the ring stays bounded like every other buffer
             del self._mark_rows[0]

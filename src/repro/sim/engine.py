@@ -76,6 +76,11 @@ class Simulator:
         self._stopped = False
         #: number of events dispatched so far (useful for budget guards)
         self.events_dispatched: int = 0
+        #: the last packet and control-message ids minted: plain ints on
+        #: the simulator, so two simulators in one process mint the same
+        #: sequences and a copied simulator mints on where its original would
+        self.packet_ids: int = 0
+        self.msg_ids: int = 0
         #: simulation-wide metrics registry (repro.obs.registry.
         #: MetricsRegistry), attached by Network.  The event loop itself
         #: stays free of per-event instrument calls: the registry reads
@@ -104,6 +109,19 @@ class Simulator:
         #: one attribute load plus a None test and no counter cells are
         #: allocated (RS306 enforces the pattern at call sites).
         self.control = None
+
+    # -- ids ---------------------------------------------------------------------
+
+    def new_packet_id(self) -> int:
+        """The next :class:`~repro.net.packet.Packet` id, from 1."""
+        self.packet_ids += 1
+        return self.packet_ids
+
+    def new_msg_id(self) -> int:
+        """The next control-message id, from 1 (the reliable-delivery layer
+        acks and retransmits by it)."""
+        self.msg_ids += 1
+        return self.msg_ids
 
     # -- scheduling ------------------------------------------------------------
 

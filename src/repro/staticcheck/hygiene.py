@@ -13,8 +13,8 @@ process and expect them to be independent:
   process-global state: two networks in one process would share them, and
   a chaos campaign's runs would stop being independent.  Constants belong
   in tuples or ``frozenset``s; per-run state belongs on a component
-  object.  It sees containers only: an ``itertools.count`` stream is
-  just as shared and invisible to it.
+  object.  It sees containers only: a module-level id stream is just as
+  shared and invisible to it (``tests/test_layering.py`` forbids those).
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ epoch spans in the exported ``repro.traffic/1`` artifact.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.constants import MS, SEC
@@ -89,9 +90,11 @@ class TrafficEngine:
         )
         #: indexed by flow id (generate_flows numbers flows 0..n-1)
         self.runs: List[FlowRun] = [FlowRun(f, len(network.switches)) for f in self.flows]
-        # a set of flow ids: its iteration order is the summation order
-        # of the segment totals, so documents depend on it staying one
-        self._active: set = set()
+        # active flow ids as an ordered set (values unused): its iteration
+        # order is the summation order of the segment totals.  Flows are
+        # numbered in arrival order, so that is ascending id -- an order a
+        # copy keeps, where a copied set is rebuilt and can iterate anew
+        self._active: Dict[int, None] = {}
         #: active flows not yet in the plan (arrived since the last solve)
         self._arrivals: List[FlowRun] = []
         #: the rate plan: (src switch, dst switch) -> Pair, loaded pairs only
@@ -131,22 +134,24 @@ class TrafficEngine:
     # -- timeseries collectors (literal names: RS304) --------------------------
 
     def _install_collectors(self, sampler) -> None:
+        # the sampler floats what a collector returns
+        sampler.add_collector("traffic_active_flows", self._active_flows)
+        sampler.add_collector("traffic_unrouted_flows", self._unrouted)
         sampler.add_collector(
-            "traffic_active_flows", lambda: float(len(self._active))
-        )
-        sampler.add_collector("traffic_unrouted_flows", lambda: float(self._unrouted()))
-        sampler.add_collector(
-            "traffic_completed_flows", lambda: float(self.completed), kind="counter"
-        )
-        sampler.add_collector(
-            "traffic_offered_bytes", lambda: self.offered_bytes, kind="counter"
+            "traffic_completed_flows", partial(getattr, self, "completed"), kind="counter"
         )
         sampler.add_collector(
-            "traffic_delivered_bytes", lambda: self.delivered_bytes, kind="counter"
+            "traffic_offered_bytes", partial(getattr, self, "offered_bytes"), kind="counter"
         )
         sampler.add_collector(
-            "traffic_blackout_cost_bytes", lambda: self.deficit_bytes, kind="counter"
+            "traffic_delivered_bytes", partial(getattr, self, "delivered_bytes"), kind="counter"
         )
+        sampler.add_collector(
+            "traffic_blackout_cost_bytes", partial(getattr, self, "deficit_bytes"), kind="counter"
+        )
+
+    def _active_flows(self) -> int:
+        return len(self._active)
 
     # -- workload launch --------------------------------------------------------------
 
@@ -186,7 +191,7 @@ class TrafficEngine:
         run = self.runs[flow.flow_id]
         run.state = "active"
         self._arrivals.append(run)
-        self._active.add(flow.flow_id)
+        self._active[flow.flow_id] = None
         self._request_resolve(ARRIVAL_BATCH_NS)
 
     def _request_resolve(self, delay_ns: int) -> None:
@@ -310,7 +315,7 @@ class TrafficEngine:
         run.state = "completed"
         run.latency_ns = now - (self._launch_ns + run.flow.arrival_ns)
         self.latency_hist.observe(float(run.latency_ns))
-        self._active.discard(run.flow.flow_id)
+        del self._active[run.flow.flow_id]
         self.completed += 1
         pair = run.pair
         pair.count -= 1

@@ -93,13 +93,13 @@ def test_sampler_respects_bounds(monkeypatch):
         assert all(isinstance(event, RestoreLink) for event in healing)
 
 
-def test_apply_fault_counts_in_telemetry_and_hook():
+def test_fault_events_count_in_telemetry_and_hook():
     net = Network(resolve_topology("ring-4"), seed=0, telemetry=True)
     seen = []
     net.on_fault = lambda kind, detail: seen.append(kind)
-    net.apply_fault("cut-link", a=0, b=1)
-    net.apply_fault("crash-switch", index=2)
-    net.apply_fault("crash-switch", index=2)  # idempotent: already dead
+    CutLink(a=0, b=1).apply(net)
+    CrashSwitch(index=2).apply(net)
+    CrashSwitch(index=2).apply(net)  # idempotent: already dead
     assert seen == ["cut-link", "crash-switch"]
     assert net.sim.metrics.value("faults_injected", kind="cut-link") == 1
     assert net.sim.metrics.value("faults_injected", kind="crash-switch") == 1

@@ -13,15 +13,20 @@ from repro.core.messages import (
     TreePositionMsg,
 )
 from repro.network import Network
+from repro.sim.engine import Simulator
 from repro.topology import expected_tree, line, torus
 from repro.types import Uid, make_short_address
 
 
 class TestMessageSizes:
     def test_unique_ids(self):
-        a = AckMsg(epoch=1, sender_uid=Uid(1))
-        b = AckMsg(epoch=1, sender_uid=Uid(1))
-        assert a.msg_id != b.msg_id
+        """Ids are minted per simulator, from 1, apart from packet ids."""
+        sim = Simulator()
+        sim.new_packet_id()
+        a = AckMsg(epoch=1, sender_uid=Uid(1), msg_id=sim.new_msg_id())
+        b = AckMsg(epoch=1, sender_uid=Uid(1), msg_id=sim.new_msg_id())
+        assert (a.msg_id, b.msg_id) == (1, 2)
+        assert Simulator().new_msg_id() == 1
 
     def test_reliability_flags(self):
         assert TreePositionMsg.needs_ack

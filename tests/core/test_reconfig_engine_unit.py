@@ -57,8 +57,8 @@ class StubAp:
     def load_forwarding(self, entries, reset=True):
         self.loaded.append(entries)
 
-    def run_task(self, fn, cost=0):
-        self.sim.after(max(1, cost), fn)
+    def run_task(self, fn, *args, cost=0):
+        self.sim.after(max(1, cost), fn, *args)
 
     def log(self, event, detail=""):
         pass

@@ -49,7 +49,7 @@ def test_no_packets_lost_under_2x_overload():
             hosts[name].send(
                 Packet(dest_short=dest, src_short=0, ptype=PacketType.CLIENT,
                        dest_uid=hosts["c"].uid, src_uid=hosts[name].uid,
-                       data_bytes=4000)
+                       data_bytes=4000, packet_id=sim.new_packet_id())
             )
             sent += 1
     sim.run_for(2 * SEC)

@@ -54,8 +54,8 @@ def test_conservation_and_completion(script):
     sent = []
     for kind, value in script:
         if kind == "packet":
-            pkt = Packet(dest_short=0x20, src_short=0x30,
-                         ptype=PacketType.DIAGNOSTIC, data_bytes=value)
+            pkt = Packet(dest_short=0x20, src_short=0x30, ptype=PacketType.DIAGNOSTIC,
+                         data_bytes=value, packet_id=sim.new_packet_id())
             sent.append(pkt)
             # arrival at line rate, end marker at the exact arrival time
             fifo.begin_packet(pkt, 1.0)
@@ -97,8 +97,8 @@ def test_fifo_order_preserved(sizes):
 
     packets = []
     for size in sizes:
-        pkt = Packet(dest_short=0x20, src_short=0x30,
-                     ptype=PacketType.DIAGNOSTIC, data_bytes=size)
+        pkt = Packet(dest_short=0x20, src_short=0x30, ptype=PacketType.DIAGNOSTIC,
+                     data_bytes=size, packet_id=sim.new_packet_id())
         packets.append(pkt)
         fifo.begin_packet(pkt, 1.0)
         sim.run_for(pkt.wire_bytes * BYTE_TIME_NS)

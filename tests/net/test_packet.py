@@ -11,6 +11,7 @@ from repro.constants import (
     ADDR_LOOPBACK,
 )
 from repro.net.packet import ETHERNET_HEADER_BYTES, Packet, PacketType
+from repro.sim.engine import Simulator
 from repro.types import (
     MAX_SWITCH_NUMBER,
     Uid,
@@ -99,6 +100,10 @@ class TestPacket:
         assert packet.trail[0] == ("sw0", 3, (7,))
 
     def test_unique_ids(self):
-        a = Packet(dest_short=0x20, src_short=0)
-        b = Packet(dest_short=0x20, src_short=0)
-        assert a.packet_id != b.packet_id
+        """Ids are minted per simulator, from 1: two simulators in one
+        process mint the same sequence."""
+        sim = Simulator()
+        a = Packet(dest_short=0x20, src_short=0, packet_id=sim.new_packet_id())
+        b = Packet(dest_short=0x20, src_short=0, packet_id=sim.new_packet_id())
+        assert (a.packet_id, b.packet_id) == (1, 2)
+        assert Simulator().new_packet_id() == 1

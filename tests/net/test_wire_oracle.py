@@ -265,7 +265,11 @@ SCENARIOS = {
 
 
 def observe_wire(scenario):
-    net, sinks = scenario()
+    return world_state(*scenario())
+
+
+def world_state(net, sinks):
+    """(events dispatched, everything else observable about the run)."""
     events, *state = observe(net)
     hosts = [
         (h.packets_sent, h.packets_received, h.crc_errors, h.packets_dropped_rx)

@@ -177,6 +177,7 @@ MUTANTS: List[Mutant] = [
              "                ConnectivityProbe(\n"
              "                    epoch=self.ap.epoch,\n"
              "                    sender_uid=self.ap.uid,\n"
+             "                    msg_id=self.ap.sim.new_msg_id(),\n"
              "                    nonce=mon.nonce,\n"
              "                    sender_port=port,\n"
              "                ),\n"
@@ -188,6 +189,7 @@ MUTANTS: List[Mutant] = [
              "                ConnectivityProbe(\n"
              "                    epoch=self.ap.epoch,\n"
              "                    sender_uid=self.ap.uid,\n"
+             "                    msg_id=self.ap.sim.new_msg_id(),\n"
              "                    nonce=mon.nonce,\n"
              "                    sender_port=port,\n"
              "                ),\n"
@@ -355,10 +357,10 @@ MUTANTS: List[Mutant] = [
         "RS103-uuid-msg-id", "RS103",
         "control messages take their msg_id from uuid4 instead of the counter",
         (
-            ("src/repro/core/messages.py", *_import("uuid", "import itertools\n")),
-            ("src/repro/core/messages.py",
-             "default_factory=lambda: next(_msg_ids))",
-             "default_factory=lambda: uuid.uuid4().int >> 96)"),
+            ("src/repro/sim/engine.py", *_import("uuid", _FUTURE)),
+            ("src/repro/sim/engine.py",
+             "        self.msg_ids += 1\n        return self.msg_ids\n",
+             "        return uuid.uuid4().int >> 96\n"),
         ),
         flagged_by=("RS103",),
     ),
@@ -427,9 +429,10 @@ MUTANTS: List[Mutant] = [
         "Network registers its simulator gauges from a loop with computed names",
         (
             ("src/repro/network.py",
-             "            metrics.collect(\"sim_now_ns\", lambda: self.sim.now)\n",
+             "            metrics.collect(\"sim_now_ns\", partial(getattr, self.sim, \"now\"))\n",
              "            for name in (\"now\",):\n"
-             "                metrics.collect(f\"sim_{name}_ns\", lambda: self.sim.now)\n"),
+             "                metrics.collect(f\"sim_{name}_ns\", "
+             "partial(getattr, self.sim, name))\n"),
         ),
         flagged_by=("RS301",),
     ),

@@ -82,3 +82,76 @@ def test_importing_every_entry_point_loads_no_third_party_package():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+#: where the simulated system and its scheduling live: what a copied world
+#: runs (tests/test_world_copy.py)
+CLOSURE_FREE = ("sim", "net", "core", "host", "network.py", "traffic/engine.py")
+
+
+def _closures(path):
+    """(line, what) of each lambda that is not a ``key=`` argument and of
+    each ``def`` nested in a ``def``."""
+    tree = ast.parse(path.read_text())
+    keys = {
+        id(keyword.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg == "key"
+    }
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Lambda) and id(node) not in keys:
+            yield node.lineno, "lambda"
+        elif isinstance(node, defs):
+            for inner in ast.walk(node):
+                if inner is not node and isinstance(inner, defs):
+                    yield inner.lineno, f"def {inner.name}"
+
+
+def test_callback_slots_and_queued_events_are_not_closures():
+    """A closure copied with its world still acts on the world it was made
+    in, so a callback slot or a queued event holds a bound method (plus
+    arguments, or a ``functools.partial`` in a slot called directly)."""
+    files = [
+        path
+        for name in CLOSURE_FREE
+        for path in (sorted((SRC / name).rglob("*.py")) if (SRC / name).is_dir() else [SRC / name])
+    ]
+    assert len(files) > 30
+    offenders = [
+        f"{path.relative_to(SRC.parent)}:{lineno} {what}"
+        for path in files
+        for lineno, what in sorted(set(_closures(path)))
+    ]
+    assert offenders == []
+
+
+def _module_level(node):
+    """The nodes of a module or class body, not of any function in it."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _module_level(child)
+
+
+def test_no_module_level_id_stream():
+    """An ``itertools.count`` at module level is one id stream for every
+    simulator in the process: ids belong to the ``Simulator``."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        counts = {"itertools.count"} | {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            for alias in node.names
+            if alias.name == "count"
+        }
+        offenders += [
+            f"{path.relative_to(SRC.parent)}:{node.lineno}"
+            for node in _module_level(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in counts
+        ]
+    assert offenders == []
