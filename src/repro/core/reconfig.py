@@ -47,7 +47,7 @@ from repro.core.topo import (
     relevel,
 )
 from repro.core.treepos import TreePosition, candidate_position
-from repro.sim.engine import EventHandle
+from repro.sim.engine import Event, cancel
 from repro.sim.trace import CAT_TIMER
 from repro.types import Uid
 
@@ -111,7 +111,7 @@ class _Pending:
         self.port = port
         self.message = message
         self.attempts = 0
-        self.event: Optional[EventHandle] = None
+        self.event: Optional[Event] = None
 
 
 class ReconfigEngine:
@@ -138,9 +138,9 @@ class ReconfigEngine:
         self.my_number = 1
         self._pending: Dict[int, _Pending] = {}
         self._last_stable_sent: Optional[tuple] = None
-        self._config_deadline: Optional[EventHandle] = None
+        self._config_deadline: Optional[Event] = None
         self._last_pos_change = 0
-        self._quiet_event: Optional[EventHandle] = None
+        self._quiet_event: Optional[Event] = None
         # instrumentation
         self.epoch_started_at: int = 0
         self.configured_at: int = 0
@@ -213,7 +213,7 @@ class ReconfigEngine:
 
     def _arm_config_deadline(self) -> None:
         if self._config_deadline is not None:
-            self._config_deadline.cancel()
+            cancel(self._config_deadline)
         self._config_deadline = self.ap.sim.after(
             self.params.config_timeout_ns, self._config_timed_out, self.epoch
         )
@@ -229,10 +229,10 @@ class ReconfigEngine:
         epoch's deadline).
         """
         if self._config_deadline is not None:
-            self._config_deadline.cancel()
+            cancel(self._config_deadline)
             self._config_deadline = None
         if self._quiet_event is not None:
-            self._quiet_event.cancel()
+            cancel(self._quiet_event)
             self._quiet_event = None
         self._cancel_all_pending()
 
@@ -285,7 +285,7 @@ class ReconfigEngine:
     def _cancel_pending(self, msg_id: int) -> None:
         pending = self._pending.pop(msg_id, None)
         if pending is not None and pending.event is not None:
-            pending.event.cancel()
+            cancel(pending.event)
             rec = self.ap.sim.recorder
             if rec is not None:
                 rec.record(
@@ -590,7 +590,7 @@ class ReconfigEngine:
         if self.params.termination_mode != "quiescence":
             return
         if self._quiet_event is not None:
-            self._quiet_event.cancel()
+            cancel(self._quiet_event)
         self._quiet_event = self.ap.sim.after(
             self.params.quiescence_timeout_ns + 1, self._quiet_check, self.epoch
         )
@@ -687,7 +687,7 @@ class ReconfigEngine:
         self.topology = topology
         self.my_number = topology.numbers.get(self.ap.uid, self.my_number)
         if self._config_deadline is not None:
-            self._config_deadline.cancel()
+            cancel(self._config_deadline)
             self._config_deadline = None
 
         # step 4 continued: forward down the tree as recorded by the root

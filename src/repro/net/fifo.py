@@ -26,7 +26,7 @@ from typing import Callable, Deque, Optional, Sequence
 from repro.constants import BYTE_TIME_NS, CUT_THROUGH_BYTES, DEFAULT_FIFO_BYTES
 from repro.net.flowcontrol import Directive
 from repro.net.packet import Packet
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Event, Simulator, cancel
 
 _EPS = 1e-6
 _NEVER = float("inf")
@@ -126,7 +126,9 @@ class ReceiveFifo:
         #: current drain rate of the head packet
         self.drain_rate: float = 0.0
         self._last_update: int = sim.now
-        self._boundary: Optional[EventHandle] = None
+        self._boundary: Optional[Event] = None
+        #: the instant the armed boundary event runs at
+        self._boundary_at: int = 0
         #: directive currently implied by the level (start below threshold)
         self._level_stop = False
 
@@ -435,18 +437,20 @@ class ReceiveFifo:
         boundary = self._boundary
         if soonest == _NEVER:
             if boundary is not None:
-                boundary.cancel()
+                cancel(boundary)
                 self._boundary = None
             return
         delay_ns = max(1, int(round(soonest * BYTE_TIME_NS)))
+        at = self.sim.now + delay_ns
         if boundary is not None:
             # reprogramming to the same instant: keep the armed event.
             # The handler (advance + recompute) is idempotent at an
             # instant, so its position among same-time events is free.
-            if boundary.time == self.sim.now + delay_ns:
+            if self._boundary_at == at:
                 return
-            boundary.cancel()
+            cancel(boundary)
         self._boundary = self.sim.after(delay_ns, self._on_boundary)
+        self._boundary_at = at
 
     def _on_boundary(self) -> None:
         self._boundary = None

@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.constants import ROUTER_DECISION_TIME_NS
 from repro.net.forwarding import ForwardingEntry
 from repro.net.packet import Packet
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Event, Simulator, cancel
 
 
 class Request:
@@ -72,7 +72,7 @@ class SchedulingEngine:
         #: the free-port vector: allocated and reserved ports have a 0 bit
         self.free = (2 << n_ports) - 1
         self._busy_until = 0
-        self._scan_event: Optional[EventHandle] = None
+        self._scan_event: Optional[Event] = None
         self.grants = 0
         #: optional repro.obs histogram of grant waits (ns); None = off
         self.wait_hist = None
@@ -93,7 +93,7 @@ class SchedulingEngine:
         self.queue.clear()
         self.free = (2 << self.n_ports) - 1
         if self._scan_event is not None:
-            self._scan_event.cancel()
+            cancel(self._scan_event)
             self._scan_event = None
 
     def remove_requests_from(self, in_port: int) -> None:

@@ -11,7 +11,7 @@ Causality is maintained two ways, with no cooperation needed from most of
 the code:
 
 * **Through the event loop.**  :class:`~repro.sim.engine.Simulator`
-  stamps every scheduled :class:`EventHandle` with the recorder's current
+  stamps every scheduled event's ``ctx`` slot with the recorder's current
   context and restores it at dispatch, so an event recorded inside a
   deferred task (a CPU-cost-modeled table computation, a retransmission
   timer) inherits the context of whatever scheduled it.

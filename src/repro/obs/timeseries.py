@@ -52,6 +52,7 @@ from repro.obs.artifact import (
     read,
     validate,
 )
+from repro.sim.engine import cancel
 
 #: bump the suffix when the artifact layout changes incompatibly
 TIMESERIES_SCHEMA = "repro.obs.timeseries/1"
@@ -202,7 +203,7 @@ class TimeSeriesSampler:
     def stop(self) -> None:
         self._running = False
         if self._handle is not None:
-            self._handle.cancel()
+            cancel(self._handle)
             self._handle = None
 
     def _tick(self) -> None:

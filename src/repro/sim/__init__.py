@@ -7,14 +7,14 @@ circular trace logs used by the paper's merged-log debugging technique
 (`trace`).
 """
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator, cancel
 from repro.sim.rng import RngRegistry
 from repro.sim.timers import Periodic, TaskScheduler
 from repro.sim.trace import MergedLog, TraceLog
 
 __all__ = [
-    "EventHandle",
     "Simulator",
+    "cancel",
     "RngRegistry",
     "Periodic",
     "TaskScheduler",

@@ -1,20 +1,28 @@
 """Event loop for the Autonet simulator.
 
 Time is an integer number of nanoseconds.  Events scheduled for the same
-instant run in scheduling order (a monotonically increasing sequence number
-breaks ties), which keeps runs deterministic for a fixed seed.
+instant run in scheduling order, which keeps runs deterministic for a
+fixed seed.
+
+An event is three slots, ``[fn, args, ctx]`` (:data:`Event`): the
+callable, its argument tuple, and the flight-recorder causal context
+captured when it was scheduled.  ``at``/``after``/``call_soon`` return
+the event itself; outside this package the only operation on one is
+:func:`cancel`, which empties ``fn`` and ``args``.  Dispatch empties
+``fn`` too, so cancelling an event that already ran is harmless.
 
 The scheduler is a *bucketed calendar queue*: one FIFO bucket per distinct
 timestamp, plus a binary heap of the bucket timestamps themselves.  Pushing
 an event is a dict lookup and a list append (plus one integer heap push the
-first time a timestamp is seen); popping is an index increment into the
-current bucket.  Because a bucket is drained in append order and the
-sequence number grows monotonically, the dispatch order is *exactly* the
-``(time, seq)`` order of the previous single-``heapq`` implementation --
-``tests/sim/test_engine_order.py`` pins the equivalence property under
-random arm/cancel/reschedule interleavings.  The win is that the heap
-only ever compares machine integers (no ``EventHandle.__lt__`` Python
-callbacks) and only holds one entry per *distinct* timestamp: with the
+first time a timestamp is seen).  :meth:`Simulator.run` drains a bucket
+inline: it compares the heap's least timestamp with ``until`` before
+popping it, sets ``now`` once per bucket, and then walks the bucket in
+append order -- a handler that schedules at ``now`` appends behind the
+walk.  Append order *is* the tie-break, so the dispatch order is exactly
+the ``(time, seq)`` order of a single heap keyed by a global sequence
+number; ``tests/sim/test_engine_order.py`` holds it to that reference
+under random arm/cancel/raise interleavings.  The heap only ever compares
+machine integers and holds one entry per *distinct* timestamp: with the
 80 ns byte slot and every Autopilot on one 10 ms sampler / 200 ms prober
 grid, simultaneous events are the common case.
 """
@@ -25,36 +33,24 @@ from heapq import heappop, heappush
 from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional
 
+#: ``[fn, args, ctx]``: ``fn`` is None once cancelled or dispatched; ``ctx``
+#: is the eid of the event being handled when this one was scheduled (None
+#: when no recorder is attached, or the event is a causal root)
+Event = List[Any]
 
-class EventHandle:
-    """Cancellable reference to a scheduled event."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "ctx")
+def cancel(event: Event) -> None:
+    """Prevent ``event`` from running.  Safe on an event that already ran
+    or was already cancelled."""
+    event[0] = None
+    event[1] = ()
 
-    def __init__(self, time: int, seq: int, fn: Callable[..., Any],
-                 args: tuple) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn: Optional[Callable[..., Any]] = fn
-        self.args = args
-        self.cancelled = False
-        #: flight-recorder causal context captured at schedule time (the
-        #: eid of the event being handled when this one was scheduled);
-        #: None when no recorder is attached or the event is a causal root
-        self.ctx: Optional[int] = None
 
-    def cancel(self) -> None:
-        """Prevent the event from running.  Safe to call more than once."""
-        self.cancelled = True
-        self.fn = None
-        self.args = ()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self.time} seq={self.seq} {state}>"
+def as_root(event: Event) -> Event:
+    """Detach ``event`` from its scheduler's causal context: it runs as a
+    flight-recorder causal root."""
+    event[2] = None
+    return event
 
 
 class Simulator:
@@ -62,18 +58,13 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        #: bucketed calendar queue: timestamp -> FIFO list of handles
-        self._buckets: Dict[int, List[EventHandle]] = {}
+        #: bucketed calendar queue: timestamp -> FIFO list of events.  The
+        #: bucket being drained stays here, so same-instant scheduling
+        #: lands behind the drain.
+        self._buckets: Dict[int, List[Event]] = {}
         #: min-heap of bucket timestamps (machine ints, C comparisons)
         self._times: List[int] = []
-        #: bucket currently being drained (still present in _buckets so
-        #: same-instant reschedules land behind the drain index)
-        self._bucket: Optional[List[EventHandle]] = None
-        self._bucket_time: int = 0
-        self._bucket_pos: int = 0
-        self._seq: int = 0
         self._running = False
-        self._stopped = False
         #: number of events dispatched so far (useful for budget guards)
         self.events_dispatched: int = 0
         #: the last packet and control-message ids minted: plain ints on
@@ -125,122 +116,108 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------------
 
-    def at(self, time: int, fn: Callable[..., Any], *args: Any) -> EventHandle:
+    def at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        self._seq += 1
         time = int(time)
-        handle = EventHandle(time, self._seq, fn, args)
-        if self.recorder is not None:
-            # causality flows through the event loop: the scheduled event
-            # inherits the context of whatever scheduled it
-            handle.ctx = self.recorder.current
+        rec = self.recorder
+        # causality flows through the event loop: the scheduled event
+        # inherits the context of whatever scheduled it
+        event: Event = [fn, args, None if rec is None else rec.current]
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = [handle]
+            self._buckets[time] = [event]
             heappush(self._times, time)
         else:
-            bucket.append(handle)
-        return handle
+            bucket.append(event)
+        return event
 
-    def after(self, delay: int, fn: Callable[..., Any], *args: Any) -> EventHandle:
+    def after(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` after ``delay`` nanoseconds."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         # inlined at(): this is the hottest scheduling entry point
         time = self.now + int(delay)
-        self._seq += 1
-        handle = EventHandle(time, self._seq, fn, args)
-        if self.recorder is not None:
-            handle.ctx = self.recorder.current
+        rec = self.recorder
+        event: Event = [fn, args, None if rec is None else rec.current]
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = [handle]
+            self._buckets[time] = [event]
             heappush(self._times, time)
         else:
-            bucket.append(handle)
-        return handle
+            bucket.append(event)
+        return event
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> EventHandle:
+    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current instant, after pending work."""
         time = self.now
-        self._seq += 1
-        handle = EventHandle(time, self._seq, fn, args)
-        if self.recorder is not None:
-            handle.ctx = self.recorder.current
+        rec = self.recorder
+        event: Event = [fn, args, None if rec is None else rec.current]
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = [handle]
+            self._buckets[time] = [event]
             heappush(self._times, time)
         else:
-            bucket.append(handle)
-        return handle
+            bucket.append(event)
+        return event
 
     # -- execution ----------------------------------------------------------------
 
-    def stop(self) -> None:
-        """Stop the run loop after the current event completes."""
-        self._stopped = True
+    def run(self, until: Optional[int] = None) -> int:
+        """Run events until the queue drains or the next one is past
+        ``until`` (then the clock stops at ``until``).
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, ``until`` is reached, or stopped.
-
-        Returns the simulation time when the run ended.
+        Returns the simulation time when the run ended.  A handler's
+        exception propagates; the next ``run()`` resumes its bucket after
+        the event that raised.
         """
         if self._running:
             raise RuntimeError("simulator is not reentrant")
+        if until is not None and until < self.now:
+            raise ValueError(f"cannot run until the past: {until} < {self.now}")
         self._running = True
-        self._stopped = False
-        dispatched = 0
         profiler = self.profiler
         if profiler is not None:
             profiler.begin_run()
-        pop = self._pop_runnable
+        buckets = self._buckets
+        times = self._times
         try:
-            while not self._stopped:
-                handle = pop()
-                if handle is None:
-                    if until is not None:
-                        self.now = until
-                    break
-                time = handle.time
+            while times:
+                time = times[0]
                 if until is not None and time > until:
-                    # un-consume the handle and release the bucket back to
-                    # the heap: the clock rewinds to ``until``, so a later
-                    # at() may legally arm an *earlier* timestamp, and the
-                    # next run() must take the true minimum, not resume
-                    # this bucket first.  Re-entering from the heap rescans
-                    # from index 0, which is safe: dispatched handles read
-                    # as cancelled and are skipped.
-                    self._bucket_pos -= 1
-                    heappush(self._times, self._bucket_time)
-                    self._bucket = None
-                    self.now = until
                     break
+                heappop(times)
                 self.now = time
-                fn = handle.fn
-                args = handle.args
-                # inline cancel(): dispatched handles read as consumed and
-                # drop their callable/argument references immediately
-                handle.cancelled = True
-                handle.fn = None
-                handle.args = ()
-                recorder = self.recorder
-                if recorder is not None:
-                    # restore the causal context captured at schedule time
-                    recorder.current = handle.ctx
-                profiler = self.profiler
-                if profiler is not None:
-                    started = perf_counter_ns()
-                    fn(*args)  # type: ignore[misc]
-                    profiler.account_call(fn, perf_counter_ns() - started)
-                else:
-                    fn(*args)  # type: ignore[misc]
-                self.events_dispatched += 1
-                dispatched += 1
-                if max_events is not None and dispatched >= max_events:
-                    break
+                bucket = buckets[time]
+                try:
+                    # the list iterator sees events appended while it walks
+                    for event in bucket:
+                        fn, args, ctx = event
+                        if fn is None:
+                            continue
+                        event[0] = None
+                        recorder = self.recorder
+                        if recorder is not None:
+                            # restore the causal context captured at schedule time
+                            recorder.current = ctx
+                        profiler = self.profiler
+                        if profiler is not None:
+                            started = perf_counter_ns()
+                            fn(*args)
+                            profiler.account_call(fn, perf_counter_ns() - started)
+                        else:
+                            fn(*args)
+                        self.events_dispatched += 1
+                except BaseException:
+                    # write the bucket back: a rescan skips what already ran
+                    heappush(times, time)
+                    raise
+                # exhausted: no same-time append can come later -- the clock
+                # only moves forward, and at() refuses past timestamps
+                del buckets[time]
+            if until is not None:
+                self.now = until
         finally:
             self._running = False
             if self.profiler is not None:
@@ -248,49 +225,16 @@ class Simulator:
         return self.now
 
     def run_for(self, duration: int) -> int:
-        """Run for ``duration`` nanoseconds of simulated time."""
+        """Run for ``duration`` (>= 0) nanoseconds of simulated time."""
         return self.run(until=self.now + duration)
-
-    def _pop_runnable(self) -> Optional[EventHandle]:
-        """Consume and return the next live handle in (time, seq) order."""
-        bucket = self._bucket
-        buckets = self._buckets
-        while True:
-            if bucket is not None:
-                pos = self._bucket_pos
-                n = len(bucket)
-                while pos < n:
-                    handle = bucket[pos]
-                    pos += 1
-                    if not handle.cancelled:
-                        self._bucket_pos = pos
-                        return handle
-                    # a handler may append to this bucket while it drains
-                    n = len(bucket)
-                # exhausted: drop the bucket and move on.  No same-time
-                # append can happen later -- the clock only moves forward,
-                # and at() refuses past timestamps.
-                del buckets[self._bucket_time]
-                self._bucket = bucket = None
-            times = self._times
-            if not times:
-                return None
-            time = heappop(times)
-            # a bucket can be re-created (and its timestamp re-pushed)
-            # after draining while now still equals it; skip stale entries
-            found = buckets.get(time)
-            if found is not None:
-                self._bucket = bucket = found
-                self._bucket_time = time
-                self._bucket_pos = 0
 
     # -- introspection --------------------------------------------------------------
 
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events in the queue."""
+        """Number of live (non-cancelled, not yet dispatched) events."""
         return sum(
             1
             for bucket in self._buckets.values()
-            for handle in bucket
-            if not handle.cancelled
+            for event in bucket
+            if event[0] is not None
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Event, Simulator, as_root, cancel
 from repro.sim.trace import CAT_TIMER
 
 
@@ -23,7 +23,7 @@ class Periodic:
 
     ``name`` and ``owner`` identify the timer to an attached flight
     recorder; unnamed periodics stay silent.  Each tick is recorded as a
-    causal *root* (the re-armed handle's context is detached), so chains
+    causal *root* (the re-armed event's context is detached), so chains
     start at the firing instead of trailing back through every earlier
     tick of the same timer.
     """
@@ -46,11 +46,9 @@ class Periodic:
         self._args = args
         self.name = name
         self.owner = owner or "sim"
-        self._handle: Optional[EventHandle] = None
         self._cancelled = False
         delay = period if start_after is None else start_after
-        self._handle = sim.after(delay, self._tick)
-        self._handle.ctx = None
+        self._handle: Optional[Event] = as_root(sim.after(delay, self._tick))
         self._record("timer-arm")
 
     def _record(self, event: str) -> None:
@@ -69,8 +67,7 @@ class Periodic:
     def _tick(self) -> None:
         if self._cancelled:
             return
-        self._handle = self._sim.after(self.period, self._tick)
-        self._handle.ctx = None
+        self._handle = as_root(self._sim.after(self.period, self._tick))
         rec = self._sim.recorder
         if rec is not None and self.name is not None:
             # parent=None: the firing is a causal root, and advancing the
@@ -88,7 +85,7 @@ class Periodic:
     def cancel(self) -> None:
         self._cancelled = True
         if self._handle is not None:
-            self._handle.cancel()
+            cancel(self._handle)
             self._handle = None
             self._record("timer-cancel")
 
@@ -118,7 +115,7 @@ class TaskScheduler:
         #: causal context of the arrival)
         self._waiting: Deque[Tuple[Callable[..., Any], tuple, int, Optional[int]]] = deque()
 
-    def run_soon(self, fn: Callable[..., Any], *args: Any, cost: int = 0) -> EventHandle:
+    def run_soon(self, fn: Callable[..., Any], *args: Any, cost: int = 0) -> Event:
         """Run ``fn`` as soon as the processor is free."""
         return self.sim.call_soon(self._arrive, fn, args, cost)
 

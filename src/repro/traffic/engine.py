@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.constants import MS, SEC
 from repro.obs.registry import Histogram
+from repro.sim.engine import cancel
 from repro.traffic.artifact import TRAFFIC_SCHEMA
 from repro.traffic.fluid import (
     LINK_CAPACITY,
@@ -204,7 +205,7 @@ class TrafficEngine:
         if self._resolve_handle is not None:
             if self._resolve_at <= target:
                 return
-            self._resolve_handle.cancel()
+            cancel(self._resolve_handle)
         self._resolve_handle = self.sim.at(target, self._resolve_timer)
         self._resolve_at = target
 
@@ -216,7 +217,7 @@ class TrafficEngine:
         now = self.sim.now
         self._advance(now)
         if self._completion_handle is not None:
-            self._completion_handle.cancel()
+            cancel(self._completion_handle)
             self._completion_handle = None
         if not self._active:
             return

@@ -31,7 +31,7 @@ this module.
 
 from bisect import insort
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator, cancel
 from repro.sim.timers import Periodic
 
 
@@ -40,23 +40,26 @@ class NaiveSimulator(Simulator):
 
     def __init__(self):
         super().__init__()
-        #: scheduled calls, kept sorted by (instant, stamp)
+        #: scheduled calls as (instant, stamp, event), kept sorted; the
+        #: event is the engine's ``[fn, args, ctx]``, so ``cancel`` and
+        #: ``Periodic`` work on it unchanged
         self.agenda = []
         #: every NaiveTaskScheduler built on this simulator
         self.processors = []
+        self.stamps = 0
 
     def stamp(self):
-        self._seq += 1
-        return self._seq
+        self.stamps += 1
+        return self.stamps
 
     def at(self, time, fn, *args):
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        handle = EventHandle(int(time), self.stamp(), fn, args)
-        if self.recorder is not None:
-            handle.ctx = self.recorder.current
-        insort(self.agenda, handle)
-        return handle
+        rec = self.recorder
+        event = [fn, args, None if rec is None else rec.current]
+        # stamps are unique, so insort never compares two events
+        insort(self.agenda, (int(time), self.stamp(), event))
+        return event
 
     def after(self, delay, fn, *args):
         return self.at(self.now + int(delay), fn, *args)
@@ -65,15 +68,13 @@ class NaiveSimulator(Simulator):
         return self.at(self.now, fn, *args)
 
     def pending_events(self):
-        return sum(not handle.cancelled for handle in self.agenda)
+        return sum(event[0] is not None for _time, _stamp, event in self.agenda)
 
-    def run(self, until=None, max_events=None):
-        self._stopped = False
-        dispatched = 0
-        while not self._stopped and (max_events is None or dispatched < max_events):
-            while self.agenda and self.agenda[0].cancelled:
+    def run(self, until=None):
+        while True:
+            while self.agenda and self.agenda[0][2][0] is None:
                 self.agenda.pop(0)
-            due = [(handle.time, handle.seq, handle) for handle in self.agenda[:1]]
+            due = self.agenda[:1]
             due += [(p.busy_until, p.turn_stamp, p) for p in self.processors if p.waiting]
             # stamps are unique, so no comparison ever reaches `thing`
             time, _stamp, thing = min(due, default=(None, None, None))
@@ -86,13 +87,12 @@ class NaiveSimulator(Simulator):
                 thing.turn()
             else:
                 self.agenda.pop(0)
+                fn, args, ctx = thing
                 if self.recorder is not None:
-                    self.recorder.current = thing.ctx
-                fn, args = thing.fn, thing.args
-                thing.cancel()
+                    self.recorder.current = ctx
+                cancel(thing)
                 fn(*args)
             self.events_dispatched += 1
-            dispatched += 1
         return self.now
 
 

@@ -1,8 +1,8 @@
-"""The event loop: ordering, cancellation, idle hooks, run bounds."""
+"""The event loop: ordering, cancellation, run bounds."""
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, cancel
 
 
 def test_events_run_in_time_order():
@@ -36,8 +36,8 @@ def test_after_is_relative():
 def test_cancellation():
     sim = Simulator()
     seen = []
-    handle = sim.at(100, seen.append, "x")
-    handle.cancel()
+    event = sim.at(100, seen.append, "x")
+    cancel(event)
     sim.run()
     assert seen == []
     assert sim.pending_events() == 0
@@ -77,22 +77,26 @@ def test_run_for_advances_relative():
     assert sim.now == 1500
 
 
-def test_stop_breaks_run_loop():
+def test_run_until_the_past_is_refused():
+    """run(until=t) with t < now used to rewind the clock, and a later
+    event then ran at 7 after one that had already run at 10."""
     sim = Simulator()
     seen = []
-    sim.at(10, seen.append, 1)
-    sim.at(20, lambda: sim.stop())
-    sim.at(30, seen.append, 3)
+    sim.at(10, seen.append, 10)
     sim.run()
-    assert seen == [1]
-    sim.run()
-    assert seen == [1, 3]
+    with pytest.raises(ValueError):
+        sim.run(until=5)
+    assert sim.now == 10
+    with pytest.raises(ValueError):
+        sim.at(7, seen.append, 7)
+    sim.run(until=10)  # the present is not the past
+    assert sim.now == 10
+    assert seen == [10]
 
 
-def test_max_events_bound():
+def test_run_for_negative_is_refused():
     sim = Simulator()
-    seen = []
-    for i in range(10):
-        sim.at(i, seen.append, i)
-    sim.run(max_events=3)
-    assert seen == [0, 1, 2]
+    sim.run_for(100)
+    with pytest.raises(ValueError):
+        sim.run_for(-1)
+    assert sim.now == 100

@@ -1,17 +1,18 @@
 """Dispatch-order equivalence for the bucketed calendar queue.
 
 The engine docstring makes a strong claim: the calendar queue dispatches
-in *exactly* the ``(time, seq)`` order of the previous single-``heapq``
-scheduler.  These tests pin that claim three ways:
+in *exactly* the ``(time, seq)`` order of a single heap keyed by a global
+sequence number.  These tests pin that claim three ways:
 
 * a Hypothesis property drives both the real :class:`Simulator` and a
   reference model (a plain list sorted by ``(time, seq)``) through random
-  arm / cancel / reschedule interleavings and requires identical firing
-  sequences;
+  arm / cancel / reschedule interleavings -- including cancelling events
+  that already fired and handlers that raise mid-bucket before ``run()``
+  resumes -- and requires identical firing sequences, each event once;
 * deterministic regressions cover the tie-break rule (same-instant FIFO),
-  zero-delay self-scheduling from inside a handler, and the ``until``
-  push-back path where a drained-but-unconsumed handle must survive into
-  the next ``run()`` call.
+  zero-delay self-scheduling from inside a handler, a bucket beyond
+  ``until`` that must survive untouched into the next ``run()`` call, and
+  a bucket a raising handler leaves part-drained.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from typing import List, Optional, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import EventHandle, Simulator
+import pytest
+
+from repro.sim.engine import Event, Simulator, cancel
 
 
 class ReferenceModel:
@@ -64,11 +67,14 @@ class ReferenceModel:
         return fired
 
 
-#: one scripted operation: ("at", delay) | ("cancel", index) | ("run", span)
+#: one scripted operation: ("at", delay) | ("raise", delay) |
+#: ("cancel", index) | ("cancel_fired", index) | ("run", span)
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("at"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("raise"), st.integers(min_value=0, max_value=40)),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
+        st.tuples(st.just("cancel_fired"), st.integers(min_value=0, max_value=200)),
         st.tuples(st.just("run"), st.integers(min_value=0, max_value=60)),
     ),
     min_size=1,
@@ -76,42 +82,69 @@ _OPS = st.lists(
 )
 
 
+class Boom(Exception):
+    """What a raising handler throws."""
+
+
+def _fire_and_raise(fired: List[int], label: int) -> None:
+    fired.append(label)
+    raise Boom(label)
+
+
+def _run_through_raises(sim: Simulator, until: Optional[int] = None) -> None:
+    """``run(until)``, resumed after every handler that raises.  A script
+    arms at most 60 events, so more raises mean one ran twice."""
+    for _ in range(61):
+        try:
+            sim.run(until=until)
+            return
+        except Boom:
+            pass
+    raise AssertionError("a raising event ran more than once")
+
+
 @settings(max_examples=200, deadline=None)
 @given(ops=_OPS)
 def test_calendar_queue_matches_reference_heap(ops) -> None:
-    """Random arm/cancel/run interleavings fire in identical order."""
+    """Random arm/cancel/raise/run interleavings fire in identical order,
+    each event exactly once."""
     sim = Simulator()
     ref = ReferenceModel()
     fired: List[int] = []
-    handles: List[EventHandle] = []
+    events: List[Event] = []  # events[label - 1]
     ref_entries: List[list] = []
+    done: List[int] = []  # the labels that fired
     label = 0
 
     for op, arg in ops:
-        if op == "at":
+        if op in ("at", "raise"):
             label += 1
-            handles.append(
-                sim.at(sim.now + arg, fired.append, label)
-            )
+            fn = fired.append if op == "at" else _fire_and_raise
+            args = (label,) if op == "at" else (fired, label)
+            events.append(sim.at(sim.now + arg, fn, *args))
             ref_entries.append(ref.at(ref.now + arg, label))
-        elif op == "cancel" and handles:
-            index = arg % len(handles)
-            handles[index].cancel()
+        elif op == "cancel" and events:
+            index = arg % len(events)
+            cancel(events[index])
             ref.cancel(ref_entries[index])
+        elif op == "cancel_fired" and done:
+            # the reference entry is consumed already: a no-op on both sides
+            cancel(events[done[arg % len(done)] - 1])
         elif op == "run":
             until = sim.now + arg
-            sim.run(until=until)
+            _run_through_raises(sim, until)
             expected = ref.run(until=until)
             assert fired == expected, (
                 f"divergence running until {until}: sim fired {fired}, "
                 f"reference fired {expected}"
             )
             assert sim.now == ref.now
+            done += fired
             fired.clear()
             expected.clear()
 
     # drain everything that is still pending
-    sim.run()
+    _run_through_raises(sim)
     assert fired == ref.run()
     assert sim.pending_events() == 0
 
@@ -132,7 +165,7 @@ def test_reschedule_is_cancel_plus_fresh_arm(ops, reschedules) -> None:
     sim = Simulator()
     ref = ReferenceModel()
     fired: List[int] = []
-    handles: List[EventHandle] = []
+    handles: List[Event] = []
     ref_entries: List[list] = []
     label = 0
 
@@ -147,7 +180,7 @@ def test_reschedule_is_cancel_plus_fresh_arm(ops, reschedules) -> None:
             break
         index %= len(handles)
         label += 1
-        handles[index].cancel()
+        cancel(handles[index])
         ref.cancel(ref_entries[index])
         handles[index] = sim.at(sim.now + delay, fired.append, label)
         ref_entries[index] = ref.at(ref.now + delay, label)
@@ -194,7 +227,7 @@ def test_cancel_same_instant_event_from_handler() -> None:
 
     def first() -> None:
         fired.append("first")
-        victim[0].cancel()
+        cancel(victim[0])
 
     sim.at(5, first)
     victim[0] = sim.at(5, lambda: fired.append("victim"))
@@ -204,8 +237,8 @@ def test_cancel_same_instant_event_from_handler() -> None:
 
 
 def test_until_pushback_resumes_exactly() -> None:
-    """run(until=t) must not consume a handle beyond t: a follow-up run()
-    fires it exactly once, in order."""
+    """run(until=t) must not touch a bucket beyond t: a follow-up run()
+    fires its events exactly once, in order."""
     sim = Simulator()
     fired: List[int] = []
     sim.at(10, fired.append, 1)
@@ -251,28 +284,68 @@ def test_past_scheduling_rejected() -> None:
 
 
 def test_cancelled_events_do_not_advance_clock() -> None:
-    """A bucket of only-cancelled handles is skipped without dispatching,
+    """A bucket of only-cancelled events is skipped without dispatching,
     and the clock still lands on ``until``."""
     sim = Simulator()
     fired: List[int] = []
     doomed = [sim.at(30, fired.append, n) for n in range(4)]
     sim.at(40, fired.append, 99)
-    for handle in doomed:
-        handle.cancel()
+    for event in doomed:
+        cancel(event)
     sim.run(until=100)
     assert fired == [99]
     assert sim.now == 100
 
 
-def test_handle_orders_by_time_then_seq() -> None:
-    """EventHandle.__lt__ keeps the documented (time, seq) order (other
-    code may still sort handles directly)."""
+def test_cancelling_a_dispatched_event_is_a_no_op() -> None:
+    """cancel() on an event that already ran changes nothing, and
+    pending_events() counts live entries only -- not dispatched ones, not
+    cancelled ones, not those of a bucket still draining."""
     sim = Simulator()
-    a = sim.at(10, lambda: None)
-    b = sim.at(10, lambda: None)
-    c = sim.at(5, lambda: None)
-    assert c < a < b
-    assert sorted([b, a, c]) == [c, a, b]
+    fired: List[str] = []
+    counts: List[int] = []
+    first = sim.at(5, fired.append, "first")
+    sim.at(5, lambda: counts.append(sim.pending_events()))
+    doomed = sim.at(5, fired.append, "doomed")
+    sim.at(9, fired.append, "late")
+    cancel(doomed)
+    assert sim.pending_events() == 3
+    sim.run(until=5)
+    assert fired == ["first"]
+    assert counts == [1]  # only "late": "first" ran, "doomed" is cancelled
+    cancel(first)
+    assert sim.pending_events() == 1
+    sim.run()
+    assert fired == ["first", "late"]
+    assert sim.pending_events() == 0
+
+
+def test_a_raising_handler_leaves_its_bucket_resumable() -> None:
+    """An exception propagates out of run(); the next run() goes on after
+    the event that raised, in order, and runs what it scheduled first."""
+    sim = Simulator()
+    fired: List[str] = []
+
+    def boom() -> None:
+        fired.append("boom")
+        sim.call_soon(fired.append, "scheduled-by-boom")
+        raise Boom()
+
+    sim.at(10, fired.append, "before")
+    sim.at(10, boom)
+    sim.at(10, fired.append, "after")
+    sim.at(20, fired.append, "later")
+    with pytest.raises(Boom):
+        sim.run(until=15)
+    assert fired == ["before", "boom"]
+    assert sim.now == 10
+    assert sim.pending_events() == 3
+    sim.run(until=15)
+    assert fired == ["before", "boom", "after", "scheduled-by-boom"]
+    assert sim.now == 15
+    sim.run()
+    assert fired[-1] == "later"
+    assert len(fired) == 5
 
 
 _FUZZ_TIMES = st.lists(

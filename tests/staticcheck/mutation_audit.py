@@ -81,8 +81,8 @@ MUTANTS: List[Mutant] = [
              "    import time\n"
              "    return time.perf_counter_ns() % spread\n"),
             ("src/repro/core/reconfig.py",
-             "from repro.sim.engine import EventHandle\n",
-             "from repro.sim.engine import EventHandle\n"
+             "from repro.sim.engine import Event, cancel\n",
+             "from repro.sim.engine import Event, cancel\n"
              "from repro.sim.timers import jitter_ns\n"),
             ("src/repro/core/reconfig.py",
              "            self.params.retx_period_ns, self._retransmit, pending\n",

@@ -50,8 +50,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: bound methods for ~50 closures, the id counters on Simulator and an
 #: explicit msg_id/packet_id at each construction site, paid for by
 #: Network.apply_fault/FAULT_KINDS, the per-event fault_params copies and
-#: the two bridges' duplicated forwarding CPU: -> this)
-BUDGET = 18374
+#: the two bridges' duplicated forwarding CPU: -> 18 374; then an event is
+#: three slots: EventHandle, Simulator._seq/stop()/max_events and
+#: _pop_runnable's push-back go, run() drains a bucket inline: -> this)
+BUDGET = 18321
 
 
 def _lines(path: Path) -> int:
