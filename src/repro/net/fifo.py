@@ -15,7 +15,8 @@ event per FIFO at the earliest time anything interesting happens:
 
 External state changes (grants, upstream rate changes, downstream flow
 control) call :meth:`ReceiveFifo.recompute`, which advances the linear
-state to "now" and reprograms the boundary event.
+state to "now" and makes one pass over it: routing request, drain rate and
+markers, head completion, the level's directive, the next boundary event.
 """
 
 from __future__ import annotations
@@ -82,10 +83,6 @@ class FifoPacket:
         self.targets: Optional[Sequence[DrainTarget]] = None
         self.broadcast = False
         self.drain_started = False
-
-    @property
-    def available(self) -> float:
-        return self.bytes_in - self.bytes_out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FifoPacket({self.packet!r} in={self.bytes_in:.0f} "
@@ -195,6 +192,8 @@ class ReceiveFifo:
         """A packet's first byte is arriving now, the rest behind it at
         ``rate`` (the begin command of section 6.1)."""
         self._advance()
+        # a new packet is a new victim for overflow detection
+        self.overflowed = False
         self.queue.append(FifoPacket(packet, arriving=True))
         self.packets_seen += 1
         self.in_rate = rate
@@ -246,7 +245,8 @@ class ReceiveFifo:
         entry = self.head
         if entry is None:
             raise RuntimeError(f"{self.name}: grant with empty FIFO")
-        entry.targets = list(targets)
+        # every caller builds a fresh list: keep it, no copy
+        entry.targets = targets
         entry.broadcast = broadcast
         self._recompute()
 
@@ -276,156 +276,133 @@ class ReceiveFifo:
         level = self._level()
         if level > self.max_level:
             self.max_level = level
-        if level > self.capacity + _EPS and not self.overflowed:
-            self.overflowed = True
-            victim = self._arriving_entry()
-            if victim is not None:
-                victim.packet.corrupted = True
-            ib = self.sim.inband
-            if ib is not None:
-                ib.record_queue_drop(victim.packet if victim else None, self.name)
-            if self.on_overflow is not None:
-                self.on_overflow(victim.packet if victim else None)
-
-    def _effective_in_rate(self) -> float:
-        queue = self.queue
-        return self.in_rate if queue and queue[-1].arriving else 0.0
-
-    def _desired_drain_rate(self) -> float:
-        queue = self.queue
-        head = queue[0] if queue else None
-        if head is None or head.targets is None:
-            return 0.0
-        if not head.drain_started:
-            threshold = min(self.cut_through_bytes, head.size)
-            if head.bytes_in + _EPS < threshold:
-                return 0.0
-        broadcast = head.broadcast
-        for t in head.targets:
-            if not t.drain_allowed(broadcast):
-                return 0.0
-        if head.bytes_in - head.bytes_out > _EPS:
-            return 1.0
-        if head.arriving or (queue and queue[-1] is head and self.in_rate > 0):
-            # pass-through: forward at the arrival rate
-            rate = self.in_rate if head.arriving and queue[-1] is head else 0.0
-            if rate <= 0 and head.drain_started and head.bytes_out + _EPS < head.size:
-                if self.on_underflow is not None:
-                    self.on_underflow(head.packet)
-            return rate
-        return 0.0
+        if level > self.capacity + _EPS:
+            # once per victim: a later advance above capacity is the same loss
+            if not self.overflowed:
+                self.overflowed = True
+                victim = self._arriving_entry()
+                if victim is not None:
+                    victim.packet.corrupted = True
+                ib = self.sim.inband
+                if ib is not None:
+                    ib.record_queue_drop(victim.packet if victim else None, self.name)
+                if self.on_overflow is not None:
+                    self.on_overflow(victim.packet if victim else None)
+        elif self.overflowed:
+            # back within capacity: the next excess loses another packet
+            self.overflowed = False
 
     def _recompute(self) -> None:
+        # One pass per state change, ~5 per packet hop.  Each float
+        # expression is the five-method pass's (tests/naive_fifo.py), in
+        # its order: float trajectories, hence packet timing, are unchanged.
         queue = self.queue
-        head = queue[0] if queue else None
+        if not queue:
+            self.drain_rate = 0.0
+            if self._level_stop:
+                self._set_level_stop(False)
+            if self._boundary is not None:
+                cancel(self._boundary)
+                self._boundary = None
+            return
+        head = queue[0]
 
         # head routing request: first two address bytes present
-        if head is not None and not head.requested and head.bytes_in + _EPS >= 2:
+        if not head.requested and head.bytes_in + _EPS >= 2:
             head.requested = True
             if self.on_head_ready is not None:
                 self.on_head_ready(head.packet)
+                # the discard path grants from inside the callback, which
+                # re-enters this pass through connect_drain
+                head = queue[0]
+        tail = queue[-1]
+        arriving = tail if tail.arriving else None
 
-        # (re)establish drain rate and emit markers downstream: begin
-        # carries its rate and end implies rate 0, so a rate marker goes
-        # out only for a change inside the packet
-        new_rate = self._desired_drain_rate()
-        if head is not None and head.targets is not None:
+        # drain rate, and the markers it implies downstream: begin carries
+        # its rate and end implies rate 0, so a rate marker goes out only
+        # for a change inside the packet
+        new_rate = 0.0
+        targets = head.targets
+        if targets is not None:
+            if head.drain_started or head.bytes_in + _EPS >= min(self.cut_through_bytes, head.size):
+                broadcast = head.broadcast
+                for target in targets:
+                    if not target.drain_allowed(broadcast):
+                        break
+                else:
+                    if head.bytes_in - head.bytes_out > _EPS:
+                        new_rate = 1.0
+                    elif head.arriving or (tail is head and self.in_rate > 0):
+                        # pass-through: forward at the arrival rate
+                        if head is arriving:
+                            new_rate = self.in_rate
+                        if new_rate <= 0 and head.drain_started \
+                                and head.bytes_out + _EPS < head.size \
+                                and self.on_underflow is not None:
+                            self.on_underflow(head.packet)
             if new_rate > 0 and not head.drain_started:
                 head.drain_started = True
                 if head.arriving:
                     self.cut_through_packets += 1
                 else:
                     self.buffered_packets += 1
-                for target in head.targets:
+                for target in targets:
                     target.notify_begin(head.packet, head.broadcast, new_rate)
             elif head.drain_started and abs(new_rate - self.drain_rate) > _EPS \
                     and head.bytes_out + _EPS < head.size:
-                for target in head.targets:
+                for target in targets:
                     target.notify_rate(new_rate)
-        self.drain_rate = new_rate if (head is not None and head.drain_started) else 0.0
+        self.drain_rate = drain_rate = new_rate if head.drain_started else 0.0
 
-        # head completion
-        if head is not None and head.bytes_out + _EPS >= head.size:
+        if head.bytes_out + _EPS >= head.size:
             self._complete_head()
-            return  # _complete_head recurses into _recompute
+            return  # _complete_head re-enters this pass for the next head
 
-        # flow-control directive from level trajectory
-        level = self._level()
-        net = self._effective_in_rate() - self.drain_rate
-        if level > self.stop_threshold + _EPS:
-            self._set_level_stop(True)
-        elif level < self.stop_threshold - _EPS or (abs(level - self.stop_threshold) <= _EPS and net <= 0):
+        # flow-control directive from the level trajectory
+        level: float = 0
+        for entry in queue:
+            level += entry.bytes_in - entry.bytes_out
+        in_rate = self.in_rate if arriving is not None else 0.0
+        net = in_rate - drain_rate
+        stop_threshold = self.stop_threshold
+        if level > stop_threshold + _EPS:
+            if not self._level_stop:
+                self._set_level_stop(True)
+        elif self._level_stop and (level < stop_threshold - _EPS or (
+                abs(level - stop_threshold) <= _EPS and net <= 0)):
             self._set_level_stop(False)
 
-        self._program_boundary(level, net)
-
-    # _recompute is entered 80k+ times on the src-lan profile scenario;
-    # everything below stays expression-for-expression identical to keep
-    # the float trajectories (and hence packet timing) byte-identical.
-
-    def _set_level_stop(self, stop: bool) -> None:
-        if stop == self._level_stop:
-            return
-        self._level_stop = stop
-        if self.on_level_directive is not None:
-            self.on_level_directive(Directive.STOP if stop else Directive.START)
-
-    def _complete_head(self) -> None:
-        head = self.queue.popleft()
-        self.drain_rate = 0.0
-        if head.targets is not None:
-            for target in head.targets:
-                target.notify_end(head.packet)
-        if self.on_packet_drained is not None:
-            self.on_packet_drained(head.packet)
-        # promote the next packet: its routing request may now be issued
-        self._recompute()
-
-    def _program_boundary(self, level: float, net: float) -> None:
-        """Schedule the earliest future event that changes the dynamics."""
-        #: earliest candidate, in slots, among those more than _EPS away
+        # the next boundary: the earliest future instant that changes the
+        # dynamics, in slots, among the candidates more than _EPS away
         soonest = _NEVER
-        queue = self.queue
-        head = queue[0] if queue else None
-        arriving = queue[-1] if queue and queue[-1].arriving else None
-        in_rate = self.in_rate if arriving is not None else 0.0
-
-        if head is not None:
-            if not head.requested and in_rate > 0 and head is arriving:
+        if in_rate > 0 and head is arriving:
+            if not head.requested:
                 c = (2.0 - head.bytes_in) / in_rate
                 if _EPS < c < soonest:
                     soonest = c
-            if head.targets is not None and not head.drain_started and in_rate > 0 \
-                    and head is arriving:
-                threshold = min(self.cut_through_bytes, head.size)
-                c = (threshold - head.bytes_in) / in_rate
+            if targets is not None and not head.drain_started:
+                c = (min(self.cut_through_bytes, head.size) - head.bytes_in) / in_rate
                 if _EPS < c < soonest:
                     soonest = c
-            drain_rate = self.drain_rate
-            if drain_rate > 0:
-                # completion of the head packet
-                c = (head.size - head.bytes_out) / drain_rate
-                if _EPS < c < soonest:
-                    soonest = c
-                # drain catches up with arrival (stall / pass-through switch)
-                available = head.bytes_in - head.bytes_out
-                if head is arriving and drain_rate > in_rate:
-                    c = available / (drain_rate - in_rate)
-                    if _EPS < c < soonest:
-                        soonest = c
-                elif not head.arriving and available < head.size - head.bytes_out:
-                    c = available / drain_rate
-                    if _EPS < c < soonest:
-                        soonest = c
-
-        # aim half a byte past the watermark so the crossing is strict
-        # (landing exactly on it would reschedule a zero-length step)
-        if net > _EPS and level <= self.stop_threshold + _EPS:
-            c = (self.stop_threshold - level) / net + 0.5
+        if drain_rate > 0:
+            # completion of the head packet
+            c = (head.size - head.bytes_out) / drain_rate
             if _EPS < c < soonest:
                 soonest = c
-        elif net < -_EPS and level >= self.stop_threshold - _EPS:
-            c = (level - self.stop_threshold) / (-net) + 0.5
+            # drain catches up with arrival (stall / pass-through switch); a
+            # head no longer arriving holds all its bytes, so only completes
+            if head is arriving and drain_rate > in_rate:
+                c = (head.bytes_in - head.bytes_out) / (drain_rate - in_rate)
+                if _EPS < c < soonest:
+                    soonest = c
+        # aim half a byte past the watermark so the crossing is strict
+        # (landing exactly on it would reschedule a zero-length step)
+        if net > _EPS and level <= stop_threshold + _EPS:
+            c = (stop_threshold - level) / net + 0.5
+            if _EPS < c < soonest:
+                soonest = c
+        elif net < -_EPS and level >= stop_threshold - _EPS:
+            c = (level - stop_threshold) / (-net) + 0.5
             if _EPS < c < soonest:
                 soonest = c
         # capacity crossing: detect overflow when it happens, not later
@@ -440,7 +417,7 @@ class ReceiveFifo:
                 cancel(boundary)
                 self._boundary = None
             return
-        delay_ns = max(1, int(round(soonest * BYTE_TIME_NS)))
+        delay_ns = max(1, round(soonest * BYTE_TIME_NS))
         at = self.sim.now + delay_ns
         if boundary is not None:
             # reprogramming to the same instant: keep the armed event.
@@ -451,6 +428,22 @@ class ReceiveFifo:
             cancel(boundary)
         self._boundary = self.sim.after(delay_ns, self._on_boundary)
         self._boundary_at = at
+
+    def _set_level_stop(self, stop: bool) -> None:
+        self._level_stop = stop
+        if self.on_level_directive is not None:
+            self.on_level_directive(Directive.STOP if stop else Directive.START)
+
+    def _complete_head(self) -> None:
+        head = self.queue.popleft()
+        self.drain_rate = 0.0
+        if head.targets is not None:
+            for target in head.targets:
+                target.notify_end(head.packet)
+        if self.on_packet_drained is not None:
+            self.on_packet_drained(head.packet)
+        # promote the next packet: its routing request may now be issued
+        self._recompute()
 
     def _on_boundary(self) -> None:
         self._boundary = None

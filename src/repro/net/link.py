@@ -149,7 +149,12 @@ class Link:
 
     # -- transmission -------------------------------------------------------------
 
+    # once per traversal each: an UP/NOISY link sends without _route's tuple
     def send_begin(self, sender: Endpoint, packet: Packet, rate: float) -> None:
+        state = self.state
+        if state is LinkState.UP or state is LinkState.NOISY:
+            self.sim.after(self.delay_ns, self.other(sender).rx_begin_packet, packet, rate)
+            return
         route = self._route(sender)
         if route is None:
             return
@@ -164,6 +169,10 @@ class Link:
         self.sim.after(delay, receiver.rx_set_rate, rate)
 
     def send_end(self, sender: Endpoint, packet: Packet) -> None:
+        state = self.state
+        if state is LinkState.UP or state is LinkState.NOISY:
+            self.sim.after(self.delay_ns, self.other(sender).rx_end_packet, packet)
+            return
         route = self._route(sender)
         if route is None:
             return

@@ -262,7 +262,6 @@ class LinkUnit(Endpoint):
     def _note_overflow(self, packet: Optional[Packet]) -> None:
         self._events |= OVERFLOW
         self.overflow_drops += 1
-        self.fifo.overflowed = False  # re-arm detection
 
     def _note_underflow(self, packet: Packet) -> None:
         self._events |= UNDERFLOW

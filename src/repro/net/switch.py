@@ -178,7 +178,9 @@ class Switch:
         self.engine.add_request(Request(in_port, entry, packet))
 
     def _granted(self, request: Request, ports: Tuple[int, ...]) -> None:
-        fifo = self._fifo_for(request.in_port)
+        in_port = request.in_port
+        packet = request.packet
+        fifo = self._cp_fifo if in_port == 0 else self.ports[in_port].fifo
         targets: List[DrainTarget] = []
         for port in ports:
             if port == 0:
@@ -187,18 +189,13 @@ class Switch:
                 unit = self.ports[port]
                 targets.append(unit.tx)
                 unit.set_drain_source(fifo)
-        self.crossbar.connect(request.in_port, ports)
-        request.packet.record_hop(self.name, request.in_port, ports)
+        self.crossbar.connect(in_port, ports)
+        packet.record_hop(self.name, in_port, ports)
         ib = self.sim.inband
         if ib is not None:
-            ib.record_hop(
-                request.packet, self.name, request.in_port, ports,
-                fifo.peek_level(),
-            )
+            ib.record_hop(packet, self.name, in_port, ports, fifo.peek_level())
         self.packets_forwarded += 1
-        self.port_forwarded[request.in_port] = (
-            self.port_forwarded.get(request.in_port, 0) + 1
-        )
+        self.port_forwarded[in_port] = self.port_forwarded.get(in_port, 0) + 1
         fifo.connect_drain(targets, broadcast=request.entry.broadcast)
 
     def _packet_drained(self, in_port: int, packet: Packet) -> None:

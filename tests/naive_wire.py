@@ -19,12 +19,15 @@ obvious as the oracle the folded protocol is pinned to (as
 count of events the naive side dispatches that the real code folds away,
 so a differential test can demand ``naive.events_dispatched -
 real.events_dispatched == folded.markers + folded.empty_scans`` exactly.
+Its ``_recompute`` is built on the five-method pass of
+``tests/naive_fifo.py``, which it installs first.
 Nothing under ``src/`` may import this module.
 """
 
 from repro.net.fifo import _EPS, FifoPacket, ReceiveFifo
 from repro.net.link import Transmitter
 from repro.net.scheduler import SchedulingEngine
+from tests import naive_fifo
 
 
 class Folded:
@@ -65,6 +68,7 @@ def install(monkeypatch):
         # the begin marker only opens the entry; its rate follows as the
         # next event and goes through set_in_rate
         self._advance()
+        self.overflowed = False
         self.queue.append(FifoPacket(packet, arriving=True))
         self.packets_seen += 1
         self._recompute()
@@ -138,6 +142,7 @@ def install(monkeypatch):
             folded.empty_scans += 1
         real_scan(self)
 
+    naive_fifo.install(monkeypatch)
     monkeypatch.setattr(ReceiveFifo, "begin_packet", begin_packet)
     monkeypatch.setattr(ReceiveFifo, "_recompute", _recompute)
     monkeypatch.setattr(Transmitter, "abort", abort)

@@ -7,6 +7,7 @@ from repro.net.fifo import DiscardSink, ReceiveFifo
 from repro.net.flowcontrol import Directive
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator
+from tests.net.test_fifo_properties import GatedSink
 
 
 def make_fifo(sim, **kwargs):
@@ -123,6 +124,29 @@ def test_overflow_marks_packet_corrupted():
     assert pkt.corrupted
 
 
+def test_overflow_rearms_when_the_level_falls_back_within_capacity():
+    """One report while the level stays above capacity; once it has fallen
+    back, the next excess is reported again."""
+    sim = Simulator()
+    fifo, events = make_fifo(sim, capacity=100)
+    sink = GatedSink()
+    sink.allowed = False
+    pkt = packet(1000)
+    fifo.begin_packet(pkt, 1.0)
+    fifo.connect_drain([sink], broadcast=False)
+    sim.run(until=300 * BYTE_TIME_NS)
+    assert len(events["overflow"]) == 1
+    fifo.set_in_rate(0.0)  # upstream stalls while the drain empties the FIFO
+    sink.allowed = True
+    fifo.recompute()
+    sim.run(until=sim.now + 400 * BYTE_TIME_NS)
+    assert fifo.level == 0 and len(events["overflow"]) == 1
+    sink.allowed = False  # ... then fills it again
+    fifo.set_in_rate(1.0)
+    sim.run(until=sim.now + 300 * BYTE_TIME_NS)
+    assert len(events["overflow"]) == 2
+
+
 def test_queued_packets_drain_in_order():
     sim = Simulator()
     fifo, events = make_fifo(sim, capacity=1 << 20)
@@ -141,15 +165,10 @@ def test_queued_packets_drain_in_order():
 
 
 def test_drain_gated_by_target_permission():
-    class GatedSink(DiscardSink):
-        allowed = False
-
-        def drain_allowed(self, broadcast):
-            return self.allowed
-
     sim = Simulator()
     fifo, events = make_fifo(sim)
     sink = GatedSink()
+    sink.allowed = False
     pkt = packet(100)
     fifo.enqueue_buffered(pkt)
     fifo.connect_drain([sink], broadcast=False)

@@ -11,10 +11,11 @@ oracle (the engine-order suite is the model for this shape of test).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import BYTE_TIME_NS
 from repro.host.controller import HostController
 from repro.net.flowcontrol import Directive
 from repro.net.link import LinkState, connect
-from repro.net.linkunit import OVERFLOW, PROGRESS_SEEN, UNDERFLOW
+from repro.net.linkunit import OVERFLOW, PROGRESS_SEEN, UNDERFLOW, LinkUnit
 from repro.net.packet import Packet
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
@@ -101,6 +102,44 @@ def test_event_bits_are_cleared_by_the_read():
     assert unit.sample_status() & (OVERFLOW | UNDERFLOW) == OVERFLOW | UNDERFLOW
     assert unit.sample_status() & (OVERFLOW | UNDERFLOW) == 0
     assert unit.overflow_drops == 1
+
+
+class QueueDropSpy:
+    """The one in-band hook an overflowing FIFO calls."""
+
+    def __init__(self):
+        self.victims = []
+
+    def record_queue_drop(self, packet, fifo_name):
+        self.victims.append(packet)
+
+
+def test_one_overflowing_packet_is_one_overflow_drop():
+    """Overflow detection latches once per victim packet.  It used to be
+    re-armed by the link unit at once, so every later advance while the
+    level stayed above capacity counted the same packet again: three drops,
+    three queue-drop reports and the OVERFLOW bit re-latched after a read."""
+    sim = Simulator()
+    sim.inband = spy = QueueDropSpy()
+    unit = LinkUnit(sim, "A.p1", 1, on_head_ready=lambda port, packet: None,
+                    on_packet_drained=lambda port, packet: None, fifo_bytes=200)
+    first = Packet(dest_short=0x20, src_short=0x30, data_bytes=1000)
+    unit.rx_begin_packet(first, 1.0)  # nothing grants it: the FIFO fills
+    sim.run_for(300 * BYTE_TIME_NS)
+    assert unit.sample_status() & OVERFLOW
+    unit.rx_set_rate(1.0)
+    sim.run_for(300 * BYTE_TIME_NS)
+    unit.rx_end_packet(first)
+    assert not unit.sample_status() & OVERFLOW
+    assert (unit.overflow_drops, spy.victims, first.corrupted) == (1, [first], True)
+
+    # the next packet arrives into a FIFO that is still full: a new loss
+    second = Packet(dest_short=0x20, src_short=0x30, data_bytes=100)
+    unit.rx_begin_packet(second, 1.0)
+    sim.run_for(second.wire_bytes * BYTE_TIME_NS)
+    unit.rx_end_packet(second)
+    assert unit.sample_status() & OVERFLOW
+    assert (unit.overflow_drops, spy.victims, second.corrupted) == (2, [first, second], True)
 
 
 def test_progress_seen_compares_two_reads():

@@ -98,7 +98,6 @@ class Receiver(Endpoint):
 
     def _overflow(self, packet):
         self.log.append((self.sim.now, "overflow"))
-        self.fifo.overflowed = False  # re-arm, as LinkUnit does
 
     def _head_ready(self, packet):
         self.log.append((self.sim.now, "head-ready", packet.wire_bytes))

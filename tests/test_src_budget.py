@@ -52,8 +52,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: Network.apply_fault/FAULT_KINDS, the per-event fault_params copies and
 #: the two bridges' duplicated forwarding CPU: -> 18 374; then an event is
 #: three slots: EventHandle, Simulator._seq/stop()/max_events and
-#: _pop_runnable's push-back go, run() drains a bucket inline: -> this)
-BUDGET = 18321
+#: _pop_runnable's push-back go, run() drains a bucket inline: -> 18 321;
+#: then one FIFO pass per state change: _desired_drain_rate,
+#: _effective_in_rate and _program_boundary fold into _recompute, the
+#: never-taken catch-up branch and FifoPacket.available go, the UP/NOISY
+#: fast path in Link.send_begin/send_end costs +8: -> this)
+BUDGET = 18319
 
 
 def _lines(path: Path) -> int:
