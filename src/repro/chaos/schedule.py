@@ -21,7 +21,6 @@ reconfigurations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -81,9 +80,6 @@ class Schedule:
             "name": self.name,
             "events": [e.to_dict() for e in self.sorted_events()],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "Schedule":

@@ -46,8 +46,6 @@ PROVIDERS = {
     "repro.obs.sweep/1": "repro.obs.sweep",
     "repro.traffic/1": "repro.traffic.artifact",
     "repro.chaos/1": "repro.chaos.replay",
-    "repro.staticcheck/1": "repro.staticcheck.report",
-    "repro.staticcheck-baseline/1": "repro.staticcheck.baseline",
 }
 
 

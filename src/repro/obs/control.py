@@ -23,7 +23,8 @@ debugging plane are distinguishable from first-transmission volume.
 The layer follows the repro.obs null fast path: ``sim.control`` is
 ``None`` unless a :class:`ControlAccounting` is attached
 (``Network(..., control=True)``), and every hot-path hook is one
-attribute load plus a ``None`` test (staticcheck rule RS306).  Enabled,
+attribute load plus a ``None`` test (rule RS306 of
+``tests/test_discipline.py``).  Enabled,
 it is purely observational -- counting allocates no simulator events and
 never perturbs schedule order, so enabling it cannot change a run.
 """

@@ -24,8 +24,8 @@ Discipline (mirrors the flight recorder):
   peek_level`, which projects the fluid model to "now" without advancing
   it, so sampling never perturbs the float trajectory of the run.
 * **Bounded everything.**  Series count, ring capacity, and the span-mark
-  ring are all capped by the module constants below; ``RS304``
-  (repro.staticcheck) keeps collector names literal.
+  ring are all capped by the module constants below; rule ``RS304``
+  of ``tests/test_discipline.py`` keeps collector names literal.
 
 The recorded history exports as a ``repro.obs.timeseries/1`` JSON
 artifact (schema table ``ARTIFACT`` below) and is queryable -- live or from

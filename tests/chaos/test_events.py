@@ -48,7 +48,7 @@ def test_every_event_round_trips_through_dict():
 
 def test_schedule_round_trips_through_json():
     schedule = Schedule(topology="torus-2x3", seed=99, events=list(ALL_EVENTS), name="rt")
-    rebuilt = Schedule.from_dict(json.loads(schedule.to_json()))
+    rebuilt = Schedule.from_dict(json.loads(json.dumps(schedule.to_dict())))
     assert rebuilt.topology == schedule.topology
     assert rebuilt.seed == schedule.seed
     assert rebuilt.name == schedule.name

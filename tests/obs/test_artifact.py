@@ -1,9 +1,8 @@
 """The one artifact envelope: every registered schema, mutated.
 
 Real documents (torus-3x4 with every observer on, hosts, one cut; a
-short sweep; a regress verdict; a bench document; a chaos reproducer;
-a staticcheck report and its baseline) are walked against their schema
-tables: deleting each required key and
+short sweep; a regress verdict; a bench document; a chaos reproducer)
+are walked against their schema tables: deleting each required key and
 replacing each leaf with a wrong-typed value must raise ``SchemaError``
 with a ``$.``-rooted path, and the untouched document must round-trip
 ``write`` -> ``read`` to equal bytes.  Every one of them, and every
@@ -53,7 +52,6 @@ def real_docs(tmp_path_factory):
     runner = CampaignRunner(CampaignConfig(topology="ring-4", schedules=1))
     scratch = tmp_path_factory.mktemp("observers")
     docs = [
-        *_staticcheck_docs(tmp_path_factory.mktemp("lint")),
         net.export_flight_trace(str(scratch / "trace.json")),
         net.export_timeseries(str(scratch / "timeseries.json")),
         net.inband_doc(),
@@ -66,28 +64,6 @@ def real_docs(tmp_path_factory):
     by_tag = {doc["schema"]: doc for doc in docs}
     assert sorted(by_tag) == TAGS, "one real document per registered schema"
     return by_tag
-
-
-def _staticcheck_docs(root):
-    """A baseline and the report of a run with one active, one
-    suppressed and one stale entry under it."""
-    from repro.staticcheck import Baseline, build_report, run_suite
-
-    baseline = {
-        "schema": "repro.staticcheck-baseline/1",
-        "suppressions": [
-            {"rule": "RS101", "path": "src/fixture.py", "justification": "fixture"},
-            {"rule": "RS201", "path": "src/gone.py", "justification": "stale"},
-        ],
-    }
-    (root / "src").mkdir()
-    (root / "src" / "fixture.py").write_text(
-        "import time, random\nx = time.time()\ny = random.random()\n"
-    )
-    result = run_suite([root / "src"], baseline=Baseline.from_dict(baseline))
-    report = build_report(result)
-    assert [len(report[k]) for k in ("findings", "suppressed", "stale_suppressions")] == [1, 1, 1]
-    return [baseline, report]
 
 
 _DELETE = object()
@@ -234,7 +210,6 @@ COMMITTED = sorted(
         REPO / "tests" / "fixtures" / "sweep_smoke.json",
         *(REPO / "tests" / "chaos" / "fixtures").glob("*.json"),
         *(REPO / "tests" / "traffic" / "fixtures").glob("*.json"),
-        REPO / "staticcheck-baseline.json",
     ]
 )
 

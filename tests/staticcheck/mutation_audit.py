@@ -1,36 +1,38 @@
 #!/usr/bin/env python3
-"""Mutation audit: what does each ``repro.staticcheck`` rule catch, and
-what catches it when the rule is not there?
+"""Mutation audit: what does each rule of ``tests/test_discipline.py``
+catch, and what catches it when the rule is not there?
 
 A mutant is data -- the rule whose invariant it breaks, and one or more
 ``(file, old text, new text)`` edits of the real tree.  Two ways to run
 them:
 
 ``--static``
-    In memory, milliseconds: the mutated files go through
-    ``check_source`` and the rules that newly fire (beyond the baseline)
-    must equal the mutant's recorded ``flagged_by``; every rule of the
-    catalogue must flag at least one mutant of its own.  This is the
-    tier-1 regression (``test_mutants.py``) and a CI step.
+    In memory, milliseconds: the mutated files go through the
+    discipline's ``check`` and the rules that newly fire (beyond
+    ``ALLOWED``) must equal the mutant's recorded ``flagged_by``; every
+    rule must flag at least one mutant of its own.  This is the tier-1
+    regression (``test_mutants.py``) and a CI step.
 
 ``--dynamic OUT``
     The evidence behind DESIGN.md's mutation table, minutes per mutant:
     each one is applied to a scratch copy of the checkout, which then
-    runs the linter CLI, tier-1 without ``tests/staticcheck`` (so
-    "caught" means caught by something other than the linter), the CI
+    runs the discipline test, tier-1 without it and ``tests/staticcheck``
+    (so "caught" means caught by something other than the rules), the CI
     ``determinism`` job's two-hash-seed export ``cmp``, and one seed-0
     round of the e2e fingerprints.  One ``OUT/<id>.json`` per mutant;
     ``--table OUT`` renders them as the Markdown table.
 
-Copy this file into a checkout of an older commit to audit that
-commit's rules with the same mutants (the parent column of the table).
+``--dynamic`` with ``--checks lint`` is how the table's "now" column is
+re-run when the rules change.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import functools
 import json
+import re
 import os
 import shutil
 import subprocess
@@ -42,10 +44,10 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 REPO = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO))
 
-from repro.staticcheck import Baseline, all_rules, check_source  # noqa: E402
-from repro.staticcheck.framework import PARSE_ERROR_RULE, module_name_for  # noqa: E402
+from tests.checkout import module_name  # noqa: E402
+from tests.test_discipline import ALLOWED, RULES, check  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ MUTANTS: List[Mutant] = [
     ),
     Mutant(
         "RS501-profiler-pace", "RS501",
-        "obs/profiler.py (RS101 baselined) re-arms a heartbeat on the simulator after a "
+        "obs/profiler.py (RS101 allowed) re-arms a heartbeat on the simulator after a "
         "measured duration",
         (
             ("src/repro/obs/profiler.py",
@@ -544,24 +546,19 @@ def mutated_files(mutant: Mutant, root: Path = REPO) -> Dict[str, Tuple[str, str
 
 
 @functools.lru_cache(maxsize=None)
-def _baseline() -> Baseline:
-    return Baseline.load(REPO / "staticcheck-baseline.json")
-
-
-@functools.lru_cache(maxsize=None)
-def _active_rules(source: str, module: str) -> Tuple[str, ...]:
-    """One rule id per finding the gate would fail ``source`` for."""
-    return tuple(f.rule for f in check_source(source, module) if _baseline().match(f) is None)
+def _active_rules(source: str, path: str) -> Tuple[str, ...]:
+    """One rule id per finding the discipline test would fail ``source`` for."""
+    found = check(module_name(path), ast.parse(source))
+    return tuple(rule for _, rule, _ in found if f"{rule} {path}" not in ALLOWED)
 
 
 def static_verdict(mutant: Mutant) -> Tuple[str, ...]:
     """The rules that fire on the mutated files and not on the real ones,
-    the baseline's suppressions applied as the gate applies them."""
+    ``ALLOWED`` applied as the discipline test applies it."""
     new: Counter = Counter()
     for file, (original, mutated) in mutated_files(mutant).items():
-        module = module_name_for(REPO / file)
-        new.update(_active_rules(mutated, module))
-        new.subtract(_active_rules(original, module))
+        new.update(_active_rules(mutated, file))
+        new.subtract(_active_rules(original, file))
     return tuple(sorted(rule for rule, count in new.items() if count > 0))
 
 
@@ -576,9 +573,9 @@ def run_static() -> int:
             flagged_own.add(mutant.rule)
         print(f"{'ok  ' if ok else 'FAIL'} {mutant.id:<26} flagged by {', '.join(verdict) or '-'}"
               + ("" if ok else f" (recorded: {', '.join(mutant.flagged_by) or '-'})"))
-    for rule in all_rules():
-        if rule.id != PARSE_ERROR_RULE and rule.id not in flagged_own:
-            print(f"FAIL {rule.id} flags no mutant of its own")
+    for rule in RULES:
+        if rule not in flagged_own:
+            print(f"FAIL {rule} flags no mutant of its own")
             failures += 1
     print(f"mutation audit (static): {len(MUTANTS)} mutants, {failures} failure(s)")
     return 1 if failures else 0
@@ -598,19 +595,23 @@ def _run(tree: Path, *argv: str, **env: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=CHECK_TIMEOUT_S)
 
 
+#: the test that runs every rule over the tree
+DISCIPLINE = "tests/test_discipline.py::test_the_tree_keeps_the_discipline"
+
+
 def check_lint(tree: Path) -> str:
-    """The gate's own command on the mutated tree: the rules that fail it."""
-    report = tree / "staticcheck_report.json"
-    proc = _run(tree, "-m", "repro.staticcheck", "src", "--json", str(report))
-    if not report.exists():
-        return f"crashes: {(proc.stderr.strip().splitlines() or ['no output'])[-1]}"
-    return ", ".join(json.loads(report.read_text())["summary"]["by_rule"]) or "-"
+    """The discipline test on the mutated tree: the rules its failure names."""
+    proc = _run(tree, "-m", "pytest", "-q", "-p", "no:cacheprovider", DISCIPLINE)
+    if proc.returncode == 0:
+        return "-"
+    rules = sorted(set(re.findall(r":\d+ (RS\d{3}) ", proc.stdout)))
+    return ", ".join(rules) or f"crashes: {proc.stdout.strip().splitlines()[-1]}"
 
 
 def check_tier1(tree: Path) -> str:
     proc = _run(
         tree, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-        "--ignore=tests/staticcheck",
+        "--ignore=tests/staticcheck", f"--deselect={DISCIPLINE}",
         "--deselect=tests/test_src_budget.py::test_src_line_count_stays_within_budget",
     )
     if proc.returncode == 0:
@@ -683,7 +684,7 @@ def run_dynamic(out: Path, only: Sequence[str], checks: Sequence[str]) -> int:
 
 
 def render_table(out: Path) -> int:
-    print("| Mutant | Breaks | Edit | Linter | Tier-1 (no `tests/staticcheck`) "
+    print("| Mutant | Breaks | Edit | Rules | Tier-1 (without the rules) "
           "| Hash-seed `cmp` | e2e fingerprints |")
     print("| --- | --- | --- | --- | --- | --- | --- |")
     for mutant in MUTANTS:

@@ -1,14 +1,6 @@
 """RS1xx fixtures: a violating and a clean snippet for every rule."""
 
-from repro.staticcheck import check_source
-
-
-def rules_of(findings):
-    return sorted({f.rule for f in findings})
-
-
-def check(source, module="repro.net.fixture"):
-    return check_source(source, module=module)
+from tests.staticcheck import check, rules_of
 
 
 # -- RS101: wall-clock reads ---------------------------------------------------------
@@ -21,8 +13,8 @@ def test_rs101_time_time_flagged():
         "    return time.time() + 5\n"
     )
     assert rules_of(findings) == ["RS101"]
-    assert findings[0].line == 3
-    assert "time.time" in findings[0].message
+    assert findings[0][0] == 3
+    assert "time.time" in findings[0][2]
 
 
 def test_rs101_aliased_import_and_from_import():
@@ -160,12 +152,30 @@ def test_rs105_tracked_set_local_flagged():
 
 
 def test_rs105_dict_keys_loop_emitting_flagged():
+    # a keys view is a set as an operand of | & - ^ ...
+    findings = check(
+        "def flush(self, table, sent):\n"
+        "    for dst in table.keys() - sent:\n"
+        "        self.port.send(dst)\n"
+    )
+    assert rules_of(findings) == ["RS105"]
+
+
+def test_rs105_clean_plain_keys_loop():
+    # ... and iterated on its own, it is the dict's insertion order
     findings = check(
         "def flush(self, table):\n"
         "    for dst in table.keys():\n"
         "        self.port.send(dst)\n"
     )
-    assert rules_of(findings) == ["RS105"]
+    assert findings == []
+
+
+def test_rs105_reports_each_loop_once_in_a_module_level_function():
+    loop = check("def f(sim, s):\n    for k in set(s):\n        sim.after(1, k)\n")
+    listed = check("def f(rng, s):\n    return rng.choice([x for x in set(s)])\n")
+    assert [(line, rule) for line, rule, _ in loop] == [(2, "RS105")]
+    assert [(line, rule) for line, rule, _ in listed] == [(2, "RS105")]
 
 
 def test_rs105_comprehension_feeding_rng_flagged():

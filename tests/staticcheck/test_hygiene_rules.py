@@ -1,14 +1,6 @@
 """RS4xx fixtures: mutable-state hygiene."""
 
-from repro.staticcheck import check_source
-
-
-def rules_of(findings):
-    return sorted({f.rule for f in findings})
-
-
-def check(source, module="repro.net.fixture"):
-    return check_source(source, module=module)
+from tests.staticcheck import check, rules_of
 
 
 # -- RS401: mutable default arguments -------------------------------------------------
@@ -28,7 +20,7 @@ def test_rs401_kwonly_and_lambda_defaults_flagged():
 
 
 def test_rs401_applies_outside_hot_packages_too():
-    findings = check_source(
+    findings = check(
         "def f(x=[]):\n    return x\n",
         module="repro.analysis.fixture",
     )
@@ -77,9 +69,9 @@ def test_rs402_clean_immutable_constants():
 
 def test_rs402_only_hot_path_packages():
     for module in ("repro.obs.fixture", "repro.chaos.fixture", "repro.networking"):
-        assert check_source("CACHE = {}\n", module=module) == [], module
+        assert check("CACHE = {}\n", module=module) == [], module
     for module in ("repro.analysis.fixture", "repro.host.fixture", "repro.network"):
-        assert rules_of(check_source("CACHE = {}\n", module=module)) == ["RS402"], module
+        assert rules_of(check("CACHE = {}\n", module=module)) == ["RS402"], module
 
 
 def test_rs402_class_and_function_locals_not_flagged():

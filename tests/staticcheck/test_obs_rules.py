@@ -1,14 +1,6 @@
 """RS3xx fixtures: observability discipline."""
 
-from repro.staticcheck import check_source
-
-
-def rules_of(findings):
-    return sorted({f.rule for f in findings})
-
-
-def check(source, module="repro.net.fixture"):
-    return check_source(source, module=module)
+from tests.staticcheck import check, rules_of
 
 
 # -- RS301: literal metric names ------------------------------------------------------
@@ -135,7 +127,7 @@ def test_rs303_clean_early_return_guard():
 
 
 def test_rs303_implementation_module_exempt():
-    findings = check_source(
+    findings = check(
         "def replay(self):\n"
         "    self.recorder.record(0, 'x', 'y', 'z')\n",
         module="repro.obs.flight",
@@ -188,7 +180,7 @@ def test_rs304_unrelated_receivers_ignored():
 
 
 def test_rs304_implementation_module_exempt():
-    findings = check_source(
+    findings = check(
         "def _ring(self, name, labels):\n"
         "    self.sampler.add_collector(name, lambda: self.rows.append(1))\n",
         module="repro.obs.timeseries",
@@ -257,7 +249,7 @@ def test_rs305_unrelated_methods_ignored():
 
 
 def test_rs305_implementation_module_exempt():
-    findings = check_source(
+    findings = check(
         "def record_hop(self, pkt):\n"
         "    self.sim.inband.record_hop(pkt)\n",
         module="repro.obs.inband",
@@ -329,7 +321,7 @@ def test_rs306_unrelated_methods_ignored():
 
 
 def test_rs306_implementation_module_exempt():
-    findings = check_source(
+    findings = check(
         "def record_send(self, epoch, msg, phase, size):\n"
         "    self.sim.control.record_send(epoch, msg, phase, size)\n",
         module="repro.obs.control",

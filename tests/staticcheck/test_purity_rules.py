@@ -1,14 +1,6 @@
 """RS2xx fixtures: handler purity (I/O, print, cross-component writes)."""
 
-from repro.staticcheck import check_source
-
-
-def rules_of(findings):
-    return sorted({f.rule for f in findings})
-
-
-def check(source, module="repro.net.fixture"):
-    return check_source(source, module=module)
+from tests.staticcheck import check, rules_of
 
 
 # -- RS201: blocking I/O --------------------------------------------------------------
@@ -35,11 +27,11 @@ def test_rs201_subprocess_socket_sleep_flagged():
 
 def test_rs201_open_fine_in_analysis_and_main_modules():
     snippet = "def dump(path):\n    return open(path).read()\n"
-    analysis = check_source(
+    analysis = check(
         snippet, module="repro.analysis.logs")
-    cli = check_source(
+    cli = check(
         snippet, module="repro.chaos.__main__")
-    outside = check_source(snippet, module="benchtool")
+    outside = check(snippet, module="benchtool")
     assert analysis == []
     assert cli == []
     assert outside == []
@@ -54,14 +46,14 @@ def test_rs202_print_in_hot_module_flagged():
         "    print('got', pkt)\n"
     )
     assert rules_of(findings) == ["RS202"]
-    assert "stdout" in findings[0].message
+    assert "stdout" in findings[0][2]
 
 
 def test_rs202_print_fine_in_cli_and_analysis():
     snippet = "def report(x):\n    print(x)\n"
-    assert check_source(
+    assert check(
         snippet, module="repro.obs.__main__") == []
-    assert check_source(
+    assert check(
         snippet, module="repro.analysis.doctor") == []
 
 
@@ -76,7 +68,7 @@ def test_rs203_write_to_peer_param_flagged():
         module="repro.core.fixture",
     )
     assert rules_of(findings) == ["RS203"]
-    assert "other" in findings[0].message
+    assert "other" in findings[0][2]
 
 
 def test_rs203_write_to_component_typed_param_flagged():
@@ -112,7 +104,7 @@ def test_rs203_constructor_wiring_is_allowed():
 
 
 def test_rs203_not_applied_outside_component_packages():
-    findings = check_source(
+    findings = check(
         "class Campaign:\n"
         "    def brief(self, other):\n"
         "        other.note = 'x'\n",

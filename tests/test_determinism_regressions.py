@@ -1,4 +1,4 @@
-"""Determinism regressions for the linter's prime suspects (ISSUE 4).
+"""Determinism regressions for the discipline's prime suspects.
 
 The RS1 audit covered :mod:`repro.chaos.shrink` and
 :mod:`repro.topology.generators` (set/dict-ordered iteration feeding RNG
@@ -8,8 +8,6 @@ future edit that regresses to hash-ordered iteration fails loudly, not
 just under a lucky hash seed.  The RS402 findings (mutable hot-path
 globals) were real and fixed; their immutability is pinned here too.
 """
-
-import json
 
 import pytest
 
@@ -29,6 +27,8 @@ from repro.topology.generators import (
     resolve_topology,
     torus,
 )
+from tests.checkout import parse
+from tests.test_discipline import ALLOWED, shared_state
 
 MS = 1_000_000
 
@@ -148,11 +148,14 @@ def test_portstate_transition_tables_are_immutable():
         MONITOR_TRANSITIONS[PortState.SWITCH_WHO] = frozenset()
 
 
-def test_hot_path_packages_have_no_module_level_mutables(gate):
-    """The RS402 sweep of the gate's own scan: nothing found in any
-    package a Network is built from, and nothing baselined away."""
-    _, report = gate
-    doc = json.loads(report.read_text())
-    assert "RS402" in {rule["id"] for rule in doc["rules"]}
-    hits = [f for f in doc["findings"] + doc["suppressed"] if f["rule"] == "RS402"]
+def test_hot_path_packages_have_no_module_level_mutables():
+    """The RS402 sweep of src: nothing found in any package a Network is
+    built from, and nothing allowed away."""
+    hits = [
+        (path, line)
+        for module, (path, tree) in parse().items()
+        for line, rule, _ in shared_state(module, tree)
+        if rule == "RS402"
+    ]
     assert hits == []
+    assert not [key for key in ALLOWED if key.startswith("RS402")]

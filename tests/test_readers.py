@@ -7,22 +7,26 @@ outside ``tests/`` reads it.  A *reader* is code under ``src``,
 README.md, DESIGN.md or EXPERIMENTS.md.  What only a test reads is a
 checker (it lives under ``tests/``, beside ``naive_*.py``) or dead.
 
-The whole file is one AST pass over the tree (:class:`Tree`) and five
-questions asked of it; each question is also asked of a planted
-violation, so none can pass by having stopped looking.  ``ALLOWED`` is
+The whole file is one AST pass over the tree (:class:`Tree`, over the
+session's one parse, :mod:`tests.checkout`) and the questions asked of
+it; each question is also asked of a planted violation, so none can pass
+by having stopped looking.  ``ALLOWED`` is
 the list of exceptions: every entry carries the reason a test cannot do
 without it, an entry the tree no longer needs fails, and the list's
 length is held to ``ALLOWED_MAX``, which only goes down.
 """
 
 import ast
+import builtins
 import importlib
+import pathlib
+import random
 import re
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from tests import test_discipline as discipline
+from tests.checkout import ROOT, parse
 
 #: where a reader may live: python trees, and the texts people run from
 PY_ROOTS = ("src", "benchmarks", "examples")
@@ -40,17 +44,15 @@ OPTION_FUNCTIONS = {
     "Network.run_until_converged": ("run_until_converged",),
 }
 
-#: rules that police *how* a named method is called: each needs a call of
-#: every method it names somewhere the pass looks (a prohibition, like
-#: RS101's wall clock, is read by the whole tree and needs no entry)
-CALL_SITE_RULES = {
-    "RS301": "METRIC_METHODS",
-    "RS302": "METRIC_METHODS",
-    "RS303": "RECORDER_METHODS",
-    "RS304": ("add_collector",),
-    "RS305": "INBAND_METHODS",
-    "RS306": "CONTROL_METHODS",
-}
+
+def call_site_rules():
+    """The rules that police *how* a named method is called, and the
+    methods each names: each needs a call of every one somewhere the
+    check looks."""
+    series = {rule: methods for rule, (methods, _) in discipline.NAMED_SERIES.items()}
+    guards = {rule: methods for rule, _, methods, _ in discipline.GUARDS}
+    return {**series, "RS302": series["RS301"], **guards}
+
 
 #: what only tests read and still stays, with what the test cannot
 #: otherwise do
@@ -84,7 +86,6 @@ class Tree:
     """Everything the five questions need from one walk of a checkout."""
 
     def __init__(self, root):
-        self.root = Path(root)
         #: identifiers loaded, imported or named by attribute outside tests
         self.names = set()
         #: (callee's last name, keyword) for every keyword argument passed
@@ -107,13 +108,16 @@ class Tree:
         self.flags = {}
         #: method names called as ``x.method(...)``, per module
         self.method_calls = {}
-        for top in PY_ROOTS:
-            for path in sorted((self.root / top).rglob("*.py")):
-                self._walk(path)
+        #: names of every function and class src/repro defines
+        self.functions = set()
+        self.classes = set()
+        for module, (path, tree) in parse(root).items():
+            if path.split("/")[0] in PY_ROOTS:
+                self._walk(module, tree)
         self.text = "\n".join(
             file.read_text()
             for entry in TEXTS
-            for file in self._text_files(self.root / entry)
+            for file in self._text_files(root / entry)
         )
 
     @staticmethod
@@ -122,17 +126,7 @@ class Tree:
             return sorted(p for p in path.rglob("*") if p.suffix in (".yml", ".yaml", ".md"))
         return [path] if path.exists() else []
 
-    def _module(self, path):
-        parts = path.relative_to(self.root).with_suffix("").parts
-        if parts[0] == "src":
-            parts = parts[1:]
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        return ".".join(parts)
-
-    def _walk(self, path):
-        tree = ast.parse(path.read_text())
-        module = self._module(path)
+    def _walk(self, module, tree):
         in_src = module.split(".")[0] == "repro"
         flag_nodes = set()
         dict_keys = None
@@ -154,6 +148,10 @@ class Tree:
                     )
             elif isinstance(node, ast.Import):
                 self.imports.update((alias.name, module) for alias in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and in_src:
+                self.functions.add(node.name)
+            elif isinstance(node, ast.ClassDef) and in_src:
+                self.classes.add(node.name)
             elif isinstance(node, ast.Call):
                 callee = getattr(node.func, "attr", getattr(node.func, "id", None))
                 if isinstance(node.func, ast.Attribute):
@@ -287,18 +285,38 @@ def unread_packages(tree):
     return unread
 
 
-def rules_without_a_call_site(tree, methods_by_rule, skipped_modules):
-    """Call-shape rules naming a method no scanned module calls."""
+def _src_calls(tree, skipped_modules=()):
     called = set()
     for module, methods in tree.method_calls.items():
         if module.startswith("repro.") and module not in skipped_modules:
             called |= methods
+    return called
+
+
+def rules_without_a_call_site(tree, methods_by_rule, skipped_modules):
+    """Call-shape rules naming a method no checked module calls."""
+    called = _src_calls(tree, skipped_modules)
     return {
-        f"rule {rule} ({method} is called nowhere the pass looks)"
+        f"rule {rule} ({method} is called nowhere the check looks)"
         for rule, methods in methods_by_rule.items()
         for method in methods
         if method not in called
     }
+
+
+def names_src_lacks(tree, methods, classes):
+    """A check's table names: methods src/repro neither calls nor
+    defines, classes it does not have."""
+    known = _src_calls(tree) | tree.functions
+    return {f"method {name}" for name in methods if name not in known} | {
+        f"class {name}" for name in classes if name not in tree.classes
+    }
+
+
+def in_the_stdlib(name):
+    """A forbidden callee (``time.time``, ``print``, ``socket.``) exists."""
+    name = name.rstrip(".")
+    return hasattr(builtins, name) or resolves(name)
 
 
 DOTTED = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
@@ -343,25 +361,29 @@ def test_every_def_option_and_package_has_a_reader_or_a_reason(tree):
 
 
 def test_no_package_is_exempt_from_purity_for_not_being_the_system():
-    from repro.staticcheck import purity
-
-    assert purity.EXEMPT_PACKAGES == ("repro.analysis", "repro.staticcheck")
-    for moved in ("experiments", "baselines"):
+    assert discipline.EXEMPT_PACKAGES == ("repro.analysis",)
+    for moved in ("experiments", "baselines", "staticcheck"):
         assert not (ROOT / "src" / "repro" / moved).exists()
 
 
 def test_every_call_shape_rule_has_a_call_site(tree):
-    from repro.staticcheck import obsrules
-
-    rules = [rule.id for rule in obsrules.ObsDisciplinePass.rules]
-    assert sorted(CALL_SITE_RULES) == sorted(rules), "one entry per RS3xx rule, none for a gone one"
-    methods_by_rule = {
-        rule: getattr(obsrules, entry) if isinstance(entry, str) else entry
-        for rule, entry in CALL_SITE_RULES.items()
-    }
+    methods_by_rule = call_site_rules()
+    rules = [rule for rule in discipline.RULES if rule.startswith("RS3")]
+    assert sorted(methods_by_rule) == rules, "one entry per RS3xx rule, none for a gone one"
+    assert all(methods_by_rule.values())
     assert rules_without_a_call_site(
-        tree, methods_by_rule, obsrules.IMPLEMENTATION_MODULES
+        tree, methods_by_rule, discipline.IMPLEMENTATION_MODULES
     ) == set()
+
+
+def test_every_name_a_check_carries_exists(tree):
+    """Beyond the call-shape rules: each method a table names is called
+    or defined in src, each component type is a class there, and each
+    stdlib name is an attribute of what the check says it is."""
+    assert names_src_lacks(tree, discipline.SCHEDULE_SINKS, discipline.COMPONENT_TYPES) == set()
+    assert sorted(discipline.RNG_DRAW_SINKS - set(dir(random.Random))) == []
+    assert sorted(discipline.BLOCKING_ATTRS - set(dir(pathlib.Path))) == []
+    assert sorted(n for n in discipline.FORBIDDEN_CALLS if not in_the_stdlib(n)) == []
 
 
 def test_every_dotted_name_in_the_docs_resolves(tree):
@@ -445,9 +467,21 @@ def test_a_rule_without_a_call_site_is_found(tmp_path):
         skipped_modules={"repro.obs.sweep"},
     )
     assert found == {
-        "rule RS304 (add_collector is called nowhere the pass looks)",
-        "rule RS301 (counter is called nowhere the pass looks)",
+        "rule RS304 (add_collector is called nowhere the check looks)",
+        "rule RS301 (counter is called nowhere the check looks)",
     }
+
+
+def test_a_table_name_src_lacks_is_found(tmp_path):
+    planted = plant(tmp_path, {
+        "src/repro/net/link.py": "class Link:\n    def send(self):\n        pass\n",
+        "src/repro/core/boot.py": "def boot(sim):\n    sim.after(1, boot)\n",
+        "benchmarks/bench_x.py": "sim.emit(1)\n\nclass Host:\n    pass\n",
+    })
+    found = names_src_lacks(planted, {"send", "after", "emit"}, {"Link", "Host"})
+    assert found == {"method emit", "class Host"}
+    assert in_the_stdlib("time.perf_counter") and in_the_stdlib("print")
+    assert not in_the_stdlib("time.wallclock") and not in_the_stdlib("no_such_module.")
 
 
 def test_a_doc_name_that_does_not_resolve_is_found():
