@@ -22,13 +22,17 @@ from repro.types import Uid, make_short_address
 # holds at every address that reads it.
 
 
-def _deliveries(
+def deliveries(
     nbrs: Mapping[Uid, Mapping[int, PortRef]],
     entries_by_uid: Mapping[Uid, RowMap],
     start_uid: Uid,
     start_port: int,
     address: int,
 ) -> Set[Tuple[Uid, int]]:
+    """Every ``(switch, port)`` off the fabric -- a control processor, a
+    host port or a dangling port -- that a packet for ``address`` entering
+    ``start_uid`` on ``start_port`` can reach, over every alternative the
+    tables offer; each ``(switch, in-port)`` state is expanded once."""
     delivered: Set[Tuple[Uid, int]] = set()
     seen: Set[Tuple[Uid, int]] = set()
     frontier = deque([(start_uid, start_port)])
@@ -69,7 +73,7 @@ def all_pairs_reachable(
             if number is None:
                 continue
             address = make_short_address(number, CONTROL_PROCESSOR_PORT)
-            delivered = _deliveries(nbrs, entries_by_uid, src, CONTROL_PROCESSOR_PORT, address)
+            delivered = deliveries(nbrs, entries_by_uid, src, CONTROL_PROCESSOR_PORT, address)
             results[(src, dst)] = (dst, CONTROL_PROCESSOR_PORT) in delivered
     return results
 

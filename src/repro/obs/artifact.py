@@ -131,7 +131,9 @@ class Schema(NamedTuple):
     spec: Dict[str, Any]
     rules: Optional[Callable[[Dict[str, Any]], None]] = None
     render: Optional[Callable[[Dict[str, Any]], str]] = None
-    indent: int = 2
+    #: spaces per level of the indented file, or None for the line
+    #: layout (one line per top-level key and per top-level array item)
+    indent: Optional[int] = 2
     sort_keys: bool = False
 
 
@@ -141,10 +143,12 @@ def _schema(tag: Any) -> Schema:
     return importlib.import_module(PROVIDERS[tag]).ARTIFACT
 
 
-def _defect(spec: Any, value: Any) -> Optional[Tuple[str, str]]:
+def defect(spec: Any, value: Any) -> Optional[Tuple[str, str]]:
     """``(path suffix, why)`` of the first place ``value`` departs from
-    ``spec``, else None.  The path is assembled only on the way out of a
-    failure, so a conforming 20k-event trace formats no strings."""
+    ``spec``, else None: the walk :func:`check` raises from, for hooks
+    that format their own path only on failure.  The suffix is assembled
+    on the way out of a failure, so a conforming 20k-event trace formats
+    no strings."""
     kind = type(spec)
     if kind is Atom or kind is Enum:
         if not spec.accepts(value):
@@ -154,32 +158,32 @@ def _defect(spec: Any, value: Any) -> Optional[Tuple[str, str]]:
         if not isinstance(value, dict):
             return "", "expected object"
         for key, sub in spec.items():
-            bad = _defect(sub, value.get(key))
+            bad = defect(sub, value.get(key))
             if bad:
                 return f".{key}{bad[0]}", bad[1]
     elif kind is list:
         if not isinstance(value, list):
             return "", "expected array"
         for i, item in enumerate(value):
-            bad = _defect(spec[0], item)
+            bad = defect(spec[0], item)
             if bad:
                 return f"[{i}]{bad[0]}", bad[1]
     elif kind is tuple:
         if not isinstance(value, list) or len(value) != len(spec):
             return "", f"expected array of {len(spec)} items"
         for i, (sub, item) in enumerate(zip(spec, value)):
-            bad = _defect(sub, item)
+            bad = defect(sub, item)
             if bad:
                 return f"[{i}]{bad[0]}", bad[1]
     elif kind is Opt:
-        return None if value is None else _defect(spec.spec, value)
+        return None if value is None else defect(spec.spec, value)
     else:  # Map
         if not isinstance(value, dict):
             return "", "expected object"
         for key, item in value.items():
             if not spec.keys.accepts(key):
                 return "", f"key {key!r}: expected {spec.keys.expected}"
-            bad = _defect(spec.values, item)
+            bad = defect(spec.values, item)
             if bad:
                 return f".{key}{bad[0]}", bad[1]
     return None
@@ -188,7 +192,7 @@ def _defect(spec: Any, value: Any) -> Optional[Tuple[str, str]]:
 def check(spec: Any, value: Any, path: str) -> None:
     """Walk one sub-value against ``spec`` (for ``rules`` hooks whose
     field requirements depend on a sibling's value)."""
-    bad = _defect(spec, value)
+    bad = defect(spec, value)
     if bad:
         fail(path + bad[0], bad[1])
 
@@ -229,12 +233,31 @@ def render(doc: Any, expect: Optional[str] = None) -> str:
 
 
 def write(path: str, doc: Dict[str, Any]) -> None:
-    """Validate ``doc`` and write it as indented, newline-terminated
-    JSON, creating the parent directory."""
+    """Validate ``doc`` and write it as newline-terminated JSON, creating
+    the parent directory, in the layout its schema declares: ``indent``
+    spaces per level or, where ``indent`` is None, the line layout --
+    each top-level key on a line of its own and so each item of a
+    top-level array, every line one C-encoded ``json.dumps``, so a
+    run-sized trace is one event per line that ``grep`` reads."""
     schema = _schema(validate(doc)["schema"])
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=schema.indent, sort_keys=schema.sort_keys)
+        if schema.indent is not None:
+            json.dump(doc, fh, indent=schema.indent, sort_keys=schema.sort_keys)
+        else:
+            encode = json.JSONEncoder(sort_keys=schema.sort_keys).encode
+            sep = "{\n"
+            for key in sorted(doc) if schema.sort_keys else doc:
+                value = doc[key]
+                if isinstance(value, list) and value:
+                    fh.write(f"{sep}{encode(key)}: [\n{encode(value[0])}")
+                    for item in value[1:]:
+                        fh.write(",\n" + encode(item))
+                    fh.write("\n]")
+                else:
+                    fh.write(f"{sep}{encode(key)}: {encode(value)}")
+                sep = ",\n"
+            fh.write("\n}")
         fh.write("\n")

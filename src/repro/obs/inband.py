@@ -529,6 +529,7 @@ ARTIFACT = Schema(
         ],
     },
     render=render_inband,
+    indent=None,
 )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs.artifact import INT, NAME, NONNEG, Atom, Schema, check, fail, read
+from repro.obs.artifact import INT, NAME, NONNEG, Atom, Schema, defect, fail, read
 from repro.obs.flight import FlightEvent, FlightRecorder, render_chain
 from repro.sim.trace import CAT_EPOCH, CAT_LOG, CAT_MESSAGE, CAT_PORT
 
@@ -62,6 +62,17 @@ def _args(event) -> Dict[str, Any]:
     return out
 
 
+def _tracks(process: Optional[str], tids: Dict[str, int]) -> List[Dict[str, Any]]:
+    """Metadata events: the process's name (when given), then one named
+    thread track per component."""
+    names = [("process_name", 0, process)] if process is not None else []
+    names += [("thread_name", tid, component) for component, tid in tids.items()]
+    return [
+        {"ph": "M", "name": kind, "pid": PID, "tid": tid, "args": {"name": label}}
+        for kind, tid, label in names
+    ]
+
+
 def trace_event_document(
     recorder: FlightRecorder,
     merged_log=None,
@@ -72,29 +83,9 @@ def trace_event_document(
     ``merged_log`` is an optional :class:`repro.sim.trace.MergedLog`;
     its clock-normalized entries become instants on a dedicated track.
     """
-    events: List[Dict[str, Any]] = []
     components = recorder.components()
     tids = {component: tid for tid, component in enumerate(components, start=1)}
-
-    events.append(
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": PID,
-            "tid": 0,
-            "args": {"name": name},
-        }
-    )
-    for component, tid in tids.items():
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": PID,
-                "tid": tid,
-                "args": {"name": component},
-            }
-        )
+    events = _tracks(name, tids)
 
     #: per-tid stack of open epoch slices, for matched B/E emission
     open_slices: Dict[int, List[int]] = {tid: [] for tid in tids.values()}
@@ -155,20 +146,20 @@ def trace_event_document(
 
         if event.category == CAT_MESSAGE:
             msg = str(event.attrs.get("msg", "msg"))
+            # a zero-width slice either way; a send's anchors the flow arrow's tail
+            events.append(
+                {
+                    "ph": "X",
+                    "name": msg,
+                    "cat": CAT_MESSAGE,
+                    "ts": ts,
+                    "dur": 1,
+                    "pid": PID,
+                    "tid": tid,
+                    "args": _args(event),
+                }
+            )
             if event.name == "msg-send":
-                # a zero-width slice anchors the flow arrow's tail
-                events.append(
-                    {
-                        "ph": "X",
-                        "name": msg,
-                        "cat": CAT_MESSAGE,
-                        "ts": ts,
-                        "dur": 1,
-                        "pid": PID,
-                        "tid": tid,
-                        "args": _args(event),
-                    }
-                )
                 events.append(
                     {
                         "ph": "s",
@@ -182,18 +173,6 @@ def trace_event_document(
                 )
                 flow_started.add(event.eid)
             else:  # msg-recv
-                events.append(
-                    {
-                        "ph": "X",
-                        "name": msg,
-                        "cat": CAT_MESSAGE,
-                        "ts": ts,
-                        "dur": 1,
-                        "pid": PID,
-                        "tid": tid,
-                        "args": _args(event),
-                    }
-                )
                 flow = event.attrs.get("flow")
                 if flow in flow_started:
                     events.append(
@@ -233,15 +212,7 @@ def trace_event_document(
     if merged_log is not None:
         merged = merged_log.merged()
         if merged:
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": PID,
-                    "tid": MERGED_LOG_TID,
-                    "args": {"name": "merged-log (§6.7)"},
-                }
-            )
+            events += _tracks(None, {"merged-log (§6.7)": MERGED_LOG_TID})
             for entry in merged:
                 events.append(
                     {
@@ -297,26 +268,7 @@ def path_trace_document(
         if stack["host"] not in components:
             components.append(stack["host"])
     tids = {component: tid for tid, component in enumerate(components, start=1)}
-
-    events: List[Dict[str, Any]] = [
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": PID,
-            "tid": 0,
-            "args": {"name": name},
-        }
-    ]
-    for component, tid in tids.items():
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": PID,
-                "tid": tid,
-                "args": {"name": component},
-            }
-        )
+    events = _tracks(name, tids)
 
     for stack in stacks:
         pkt = stack["packet_id"]
@@ -419,30 +371,32 @@ _PHASES = {
 def _rules(doc: Dict[str, Any]) -> None:
     """What depends on an event's phase, and what spans events: the
     phase's fields (``_PHASES``); B/E slices nest and match per track;
-    every flow finish binds to an earlier flow start with the same id."""
+    every flow finish binds to an earlier flow start with the same id.
+    An event's path is formatted only once it has failed."""
     slice_stacks: Dict[tuple, List[str]] = {}
     flow_starts: set = set()
     for i, event in enumerate(doc["traceEvents"]):
-        path = f"$.traceEvents[{i}]"
         ph = event.get("ph")
         if ph not in _PHASES:
-            fail(f"{path}.ph", f"unknown phase {ph!r}")
-        check(_PHASES[ph], event, path)
-        track = (event["pid"], event["tid"])
+            fail(f"$.traceEvents[{i}].ph", f"unknown phase {ph!r}")
+        bad = defect(_PHASES[ph], event)
+        if bad:
+            fail(f"$.traceEvents[{i}]{bad[0]}", bad[1])
         if ph == "B":
-            slice_stacks.setdefault(track, []).append(event["name"])
+            slice_stacks.setdefault((event["pid"], event["tid"]), []).append(event["name"])
         elif ph == "E":
+            track = (event["pid"], event["tid"])
             stack = slice_stacks.get(track)
             if not stack:
-                fail(path, f"slice end with no open slice on track {track}")
+                fail(f"$.traceEvents[{i}]", f"slice end with no open slice on track {track}")
             opened = stack.pop()
             ended = event.get("name")
             if ended is not None and ended != opened:
-                fail(path, f"slice end {ended!r} does not match open {opened!r}")
+                fail(f"$.traceEvents[{i}]", f"slice end {ended!r} does not match open {opened!r}")
         elif ph == "s":
             flow_starts.add(event["id"])
         elif ph == "f" and event["id"] not in flow_starts:
-            fail(f"{path}.id", f"flow finish {event['id']!r} has no earlier start")
+            fail(f"$.traceEvents[{i}].id", f"flow finish {event['id']!r} has no earlier start")
     for track, stack in slice_stacks.items():
         if stack:
             fail("$", f"track {track} ends with unclosed slices: {stack}")
@@ -541,5 +495,5 @@ def render_trace(doc: Dict[str, Any]) -> str:
 
 
 ARTIFACT = Schema(
-    {"traceEvents": [{"pid": INT, "tid": INT}]}, rules=_rules, render=render_trace, indent=1
+    {"traceEvents": [{"pid": INT, "tid": INT}]}, rules=_rules, render=render_trace, indent=None
 )

@@ -436,6 +436,7 @@ ARTIFACT = Schema(
     },
     rules=_rules,
     render=render_timeseries,
+    indent=None,
 )
 
 

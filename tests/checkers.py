@@ -9,7 +9,7 @@ may import this module.
 import math
 
 from repro.analysis.deadlock import channel_dependency_graph, is_acyclic
-from repro.analysis.invariants import _deliveries
+from repro.analysis.invariants import deliveries
 from repro.core.routing import DOWN, UP
 from repro.core.topo import PortRef
 from repro.types import MAX_SWITCH_NUMBER
@@ -24,7 +24,7 @@ def trace_delivery(topology, entries_by_uid, start_uid, start_port, address):
     is a cycle of switch-to-switch channels, which the deadlock-freedom
     check owns (:func:`repro.analysis.deadlock.channel_dependency_graph`).
     """
-    return _deliveries(topology.index().nbrs, entries_by_uid, start_uid, start_port, address)
+    return deliveries(topology.index().nbrs, entries_by_uid, start_uid, start_port, address)
 
 
 def assert_trail_legal(topology, trail, uid_of_switch_name):

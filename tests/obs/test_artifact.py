@@ -5,22 +5,28 @@ short sweep; a regress verdict; a bench document; a chaos reproducer)
 are walked against their schema tables: deleting each required key and
 replacing each leaf with a wrong-typed value must raise ``SchemaError``
 with a ``$.``-rooted path, and the untouched document must round-trip
-``write`` -> ``read`` to equal bytes.  Every one of them, and every
-document committed to the tree, must render through ``artifact.render``.
+``write`` -> ``read`` to equal bytes: the indented ones to the stdlib's
+own ``json.dumps(indent=...)``, the run-sized ones in the line layout,
+which is held to that naive reference over generated documents too.
+Every one of them, and every document committed to the tree, must
+render through ``artifact.render``.
 """
 
 import copy
 import importlib
 import json
 import re
+import sys
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.constants import MS, SEC
 from repro.network import Network
 from repro.obs import artifact
-from repro.obs.artifact import Atom, Enum, Map, Opt, SchemaError
+from repro.obs.artifact import Atom, Enum, Map, Opt, Schema, SchemaError
 from repro.scenario import attach_pair, drive_scenario
 from repro.topology.generators import resolve_topology
 from repro.traffic.workload import TrafficConfig
@@ -177,6 +183,87 @@ def test_untouched_document_round_trips_to_equal_bytes(tag, real_docs, tmp_path)
     artifact.write(str(second), loaded)
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes().endswith(b"\n")
+    schema = importlib.import_module(artifact.PROVIDERS[tag]).ARTIFACT
+    assert (schema.indent is None) == (tag in LINE_LAYOUT)
+    if schema.indent is None:
+        assert_line_layout(first.read_text(), loaded)
+    else:  # the bytes every committed document and fixture of the tag holds
+        want = json.dumps(real_docs[tag], indent=schema.indent, sort_keys=schema.sort_keys)
+        assert first.read_text() == want + "\n"
+
+
+# -- the line layout against the stdlib's indented dump ----------------------------------
+
+#: the run-sized documents, written one top-level key / array item per line
+LINE_LAYOUT = {"repro.obs.flight/1", "repro.obs.timeseries/1", "repro.obs.inband/1"}
+
+
+def assert_line_layout(text, doc):
+    """``text`` is ``doc`` with each top-level key on a line of its own
+    and each item of a non-empty top-level array on a line of its own."""
+    lines = text.split("\n")
+    assert lines[0] == "{" and lines[-2:] == ["}", ""]
+    body = iter(lines[1:-2])
+    last = len(doc) - 1
+    for n, (key, value) in enumerate(doc.items()):
+        head = json.dumps(key) + ": "
+        line = next(body)
+        assert line.startswith(head)
+        comma = "," if n < last else ""
+        if isinstance(value, list) and value:
+            assert line == head + "["
+            for i, item in enumerate(value):
+                line = next(body)
+                sep = "," if i < len(value) - 1 else ""
+                assert line.endswith(sep) and json.loads(line[: len(line) - len(sep)]) == item
+            assert next(body) == "]" + comma
+        else:
+            assert line.endswith(comma)
+            assert json.loads(line[len(head) : len(line) - len(comma)]) == value
+    assert next(body, None) is None
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, 0.1])
+    | st.text()
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+#: top-level entries: scalars, nested containers, and arrays (empty or not)
+_TOP = st.dictionaries(st.text(), _VALUES | st.lists(_VALUES, max_size=6), max_size=6)
+_PROBE_TAG = "repro.layout-probe/1"
+
+
+@pytest.fixture(scope="module")
+def probe_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("layout") / "probe.json")
+
+
+@settings(max_examples=150, deadline=None)
+@given(top=_TOP, sort_keys=st.booleans())
+def test_line_layout_loads_equal_to_the_indented_dump(top, sort_keys, probe_path):
+    """Differential against ``json.dump(doc, indent=2)``, the writer the
+    line layout replaced for the run-sized documents: the two files load
+    to the same value, floats' signs, ints' kinds and key order included."""
+    doc = {"schema": _PROBE_TAG, **{k: v for k, v in top.items() if k != "schema"}}
+    provider = types.ModuleType("layout_probe")
+    provider.ARTIFACT = Schema({}, indent=None, sort_keys=sort_keys)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, provider.__name__, provider)
+        patch.setitem(artifact.PROVIDERS, _PROBE_TAG, provider.__name__)
+        artifact.write(probe_path, doc)
+    with open(probe_path) as fh:
+        text = fh.read()
+    reference = json.dumps(doc, indent=2, sort_keys=sort_keys)
+    assert json.dumps(json.loads(text)) == json.dumps(json.loads(reference))
+    assert_line_layout(text, json.loads(reference))
 
 
 def test_expected_tag_mismatch_and_unknown_tags_are_schema_errors(real_docs):

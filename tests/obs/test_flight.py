@@ -254,38 +254,70 @@ def test_validator_accepts_matched_slices_and_flows():
     )
 
 
+_B = {"ph": "B", "name": "a", "ts": 0, "pid": 1, "tid": 1}
+
+
 @pytest.mark.parametrize(
     "events, why",
     [
-        ([{"ph": "Z", "name": "x", "ts": 0, "pid": 1, "tid": 1}], "unknown phase"),
-        ([{"ph": "i", "name": "x", "ts": -5, "pid": 1, "tid": 1}], "non-negative"),
-        ([{"ph": "i", "name": "x", "ts": 0, "pid": "p", "tid": 1}], "expected int"),
-        ([{"ph": "i", "name": "", "ts": 0, "pid": 1, "tid": 1}], "non-empty"),
-        ([{"ph": "X", "name": "x", "ts": 0, "pid": 1, "tid": 1}], "dur"),
+        (
+            [{"ph": "Z", "name": "x", "ts": 0, "pid": 1, "tid": 1}],
+            "$.traceEvents[0].ph: unknown phase 'Z'",
+        ),
+        (
+            [{"ph": "i", "name": "x", "ts": -5, "pid": 1, "tid": 1}],
+            "$.traceEvents[0].ts: expected non-negative number, got -5",
+        ),
+        (
+            [{"ph": "i", "name": "x", "ts": 0, "pid": "p", "tid": 1}],
+            "$.traceEvents[0].pid: expected int, got 'p'",
+        ),
+        (
+            [{"ph": "i", "name": "", "ts": 0, "pid": 1, "tid": 1}],
+            "$.traceEvents[0].name: expected non-empty string, got ''",
+        ),
+        (
+            [{"ph": "X", "name": "x", "ts": 0, "pid": 1, "tid": 1}],
+            "$.traceEvents[0].dur: expected non-negative number, got None",
+        ),
         (
             [{"ph": "E", "name": "e", "ts": 0, "pid": 1, "tid": 1}],
-            "no open slice",
+            "$.traceEvents[0]: slice end with no open slice on track (1, 1)",
         ),
         (
-            [
-                {"ph": "B", "name": "a", "ts": 0, "pid": 1, "tid": 1},
-                {"ph": "E", "name": "b", "ts": 1, "pid": 1, "tid": 1},
-            ],
-            "does not match",
+            [_B, {"ph": "E", "name": "b", "ts": 1, "pid": 1, "tid": 1}],
+            "$.traceEvents[1]: slice end 'b' does not match open 'a'",
+        ),
+        ([_B], "$: track (1, 1) ends with unclosed slices: ['a']"),
+        (
+            [_B, {"ph": "f", "name": "m", "id": 9, "ts": 0, "pid": 1, "tid": 1}],
+            "$.traceEvents[1].id: flow finish 9 has no earlier start",
         ),
         (
-            [{"ph": "B", "name": "a", "ts": 0, "pid": 1, "tid": 1}],
-            "unclosed",
+            [_B, {"ph": "s", "name": "m", "id": 1.5, "ts": 1, "pid": 1, "tid": 1}],
+            "$.traceEvents[1].id: expected int or string id, got 1.5",
         ),
-        (
-            [{"ph": "f", "name": "m", "id": 9, "ts": 0, "pid": 1, "tid": 1}],
-            "no earlier start",
-        ),
+    ],
+    # explicit ids: the cases keep the names they are listed under
+    ids=[
+        "events0-unknown phase",
+        "events1-non-negative",
+        "events2-expected int",
+        "events3-non-empty",
+        "events4-dur",
+        "events5-no open slice",
+        "events6-does not match",
+        "events7-unclosed",
+        "events8-no earlier start",
+        "flow-id-type",
     ],
 )
 def test_validator_rejects_malformed_documents(events, why):
-    with pytest.raises(SchemaError, match=why):
+    """Whole messages, path included: the hook formats a path only once
+    an event has failed, and says exactly what it always said."""
+    with pytest.raises(SchemaError) as excinfo:
         artifact.validate(_minimal_doc(events), FLIGHT_SCHEMA)
+    assert str(excinfo.value) == why
 
 
 def test_validator_rejects_wrong_schema():

@@ -62,8 +62,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: tests/test_discipline.py, the other ~1 420 (Pass/Rule/Finding/Project,
 #: the CLI, the report and baseline schemas) DELETED -- plus a net -5 of
 #: Schedule.to_json (its only name-reader was the linter) and the two
-#: schema providers: -> this)
-BUDGET = 16351
+#: schema providers: -> 16 351; then observer documents in the line
+#: layout: the layout (+17 in artifact.write) is paid for by one
+#: message-slice literal for send and receive and one track-metadata
+#: helper for the three copies in perfetto: -> this)
+BUDGET = 16334
 
 
 def _lines(path: Path) -> int:
