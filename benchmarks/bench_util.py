@@ -7,7 +7,9 @@ stable JSON (``repro.obs.export``) so the numbers that back
 EXPERIMENTS.md are regenerable and machine-readable:
 
 * under pytest, each :func:`report` call writes
-  ``benchmarks/results/BENCH_<name>.json`` (one document per table);
+  ``benchmarks/results/BENCH_<name>.json`` (one document per table; a
+  bench whose measurement returns a whole document, like the scaling
+  sweep, hands it to :func:`report_document`);
 * invoked directly (``python benchmarks/bench_X.py --json out.json
   --seed N``), :func:`run_cli` runs every test in the module with a stub
   ``benchmark`` fixture and writes one combined document.
@@ -71,12 +73,6 @@ def report(
     telemetry: Optional[Dict] = None,
 ) -> str:
     """Render, print, and persist one result table (text + JSON)."""
-    rows = [list(row) for row in rows]
-    table = format_table(headers, rows)
-    text = f"== {title} ==\n{table}\n"
-    if notes:
-        text += notes.rstrip() + "\n"
-
     result = bench_result(
         name, title,
         headers=[str(h) for h in headers],
@@ -84,14 +80,27 @@ def report(
         notes=notes,
         telemetry=telemetry,
     )
+    return report_document(
+        bench_document(name, title=title, seed=current_seed(), results=[result])
+    )
+
+
+def report_document(doc: Dict) -> str:
+    """Print and persist a ``repro.bench/1`` document's tables: as
+    ``results/<bench>.txt`` and ``results/BENCH_<bench>.json``, and into
+    the combined document :func:`run_cli` is assembling."""
+    text = "\n".join(
+        f"== {result['title']} ==\n{format_table(result['headers'], result['rows'])}\n"
+        + (result["notes"].rstrip() + "\n" if result["notes"] else "")
+        for result in doc["results"]
+    )
     if _document is not None:
-        _document["results"].append(result)
+        _document["results"].extend(doc["results"])
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:
+    with open(os.path.join(RESULTS_DIR, f"{doc['bench']}.txt"), "w") as fh:
         fh.write(text)
-    doc = bench_document(name, title=title, seed=current_seed(), results=[result])
-    artifact.write(os.path.join(RESULTS_DIR, f"BENCH_{name}.json"), doc)
+    artifact.write(os.path.join(RESULTS_DIR, f"BENCH_{doc['bench']}.json"), doc)
 
     print("\n" + text)
     return text

@@ -87,7 +87,7 @@ def diagnose(network, origin: int = 0) -> HealthReport:
     # 2. SRP sweep: does the recovered picture match the configured one?
     try:
         recovered = NetworkExplorer(network, origin=origin).explore()
-        configured = live[origin].engine.topology if origin < len(live) else None
+        configured = network.autopilots[origin].engine.topology
         if configured is not None:
             missing = set(configured.switches) - set(recovered.topology.switches)
             extra = set(recovered.topology.switches) - set(configured.switches)

@@ -50,10 +50,10 @@ submodule you need (the package root re-exports nothing):
   phase (election / loading / steady), plus retransmission and SRP
   tallies, behind the ``sim.control`` null fast path.
 * :mod:`repro.obs.sweep` -- the scaling observatory: the one measured
-  scenario (:mod:`repro.scenario`) run across a topology ladder (tori, fat-trees, DCells),
-  recording convergence, blackout, control volume, FIFO depth and
-  simulator throughput per rung into ``repro.obs.sweep/1`` with
-  log-log slope fits per metric.
+  scenario (:mod:`repro.scenario`) run across a topology ladder (tori,
+  fat-trees, DCells), recording convergence, blackout, control volume and
+  FIFO depth per rung, with log-log slope fits per metric, as the
+  ``repro.bench/1`` document ``scaling``.
 
 ``python -m repro.obs`` exposes ``run`` (the one scenario, every
 observer on, every document written), ``report`` (any ``repro.*/1`` file

@@ -10,7 +10,7 @@
     python -m repro.obs report obs_run benchmarks/results chaos-artifacts
 
     # structural gate for the same files (dispatches on each file's tag)
-    python -m repro.obs validate bench.json sweep.json traffic.json
+    python -m repro.obs validate bench.json traffic.json chaos-artifacts
 
     # replay a recorded timeseries artifact as a terminal dashboard
     python -m repro.obs watch obs_run/torus-3x4.timeseries.json
@@ -34,8 +34,9 @@ those files through the one renderer each schema declares
 or ``python -m repro.chaos --replay F --artifacts DIR`` left behind.
 ``regress`` holds a ``repro.bench/1`` document equal to its committed
 baseline, metric by metric, and exits non-zero otherwise; ``sweep``
-climbs a topology ladder and writes ``repro.obs.sweep/1`` scaling
-curves (convergence, blackout, control-plane cost versus size).
+climbs a topology ladder and writes its scaling curves (convergence,
+blackout, control-plane cost versus size) as the ``repro.bench/1``
+document ``scaling``, which ``regress`` gates like any bench.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from repro.obs import artifact
 from repro.obs.export import bench_document, bench_result
 from repro.obs.perfetto import path_trace_document
 from repro.obs.regress import compare, read_baseline, render_verdict
-from repro.obs.sweep import LADDERS, render_sweep, run_sweep
+from repro.obs.sweep import LADDERS, run_sweep
 from repro.obs.timeseries import TimeSeries
 from repro.obs.watch import watch_replay
 from repro.scenario import attach_pair, drive_scenario, parse_cut, report_unknown_subcommand
@@ -161,12 +162,7 @@ def _cmd_regress(args) -> int:
 
 def _cmd_sweep(args) -> int:
     def progress(point) -> None:
-        note = (
-            f"skipped ({point.skip_reason})"
-            if point.status == "skipped"
-            else "ok"
-        )
-        print(f"  {point.name}: {note}", file=sys.stderr)
+        print(f"  {point['topology']}: {point['status']}", file=sys.stderr)
 
     doc = run_sweep(
         ladder=args.ladder,
@@ -177,7 +173,7 @@ def _cmd_sweep(args) -> int:
     )
     out = args.out or f"sweep-{args.ladder}.json"
     artifact.write(out, doc)
-    print(render_sweep(doc))
+    print(artifact.render(doc))
     print(f"wrote {out}")
     return 0
 

@@ -5,7 +5,7 @@ different topologies" -- a question its authors could not answer beyond
 their 30-switch SRC LAN.  This module is the instrument: it runs the
 one measured scenario (:func:`repro.scenario.drive_scenario`: converge
 from cold boot, cut the first cable, reconverge) across a ladder of
-topologies and records, per point,
+topologies and records, per rung,
 
 * ``converge_ns``          -- sim time until every switch is configured
   with its forwarding table loaded after cold boot;
@@ -15,18 +15,21 @@ topologies and records, per point,
   epoch (shutter close -> reopen, §6.4);
 * ``control_packets`` / ``control_bytes`` / ``control_retx`` -- the
   control-plane volume the fault injected (repro.obs.control);
-* ``fifo_highwater_bytes`` -- the deepest any receive FIFO got;
-* ``events_per_sec``       -- simulator throughput (wall-clock; excluded
-  from deterministic comparisons).
+* ``fifo_highwater_bytes`` -- the deepest any receive FIFO got.
 
-Results go into a versioned ``repro.obs.sweep/1`` artifact together
-with log-log least-squares slope fits per metric, so "blackout grows
-with exponent 1.4 in switch count" is a number a CI gate can hold.
+The result is one ``repro.bench/1`` document (bench ``scaling``) with
+two tables: ``rungs`` (one row per topology, exact sim-time ns and
+counts) and ``slopes`` (the log-log least-squares fit of each metric
+against switch count, with its r² and sample count), so "blackout grows
+with exponent 1.4 in switch count" is a number the regress gate holds.
+Simulator throughput (``events_per_sec``, wall-clock) and its slope ride
+in the rung table's ``telemetry["host"]``, outside the gated surface.
 
-Points whose switch count exceeds the 126-switch short-address ceiling
+Rungs whose switch count exceeds the 126-switch short-address ceiling
 (``MAX_SWITCH_NUMBER``, §3: 11 bits of short address minus the
-four port bits) are recorded explicitly as ``skipped`` -- the ceiling
-is itself a scaling finding, not something to silently truncate.
+four port bits) are recorded explicitly -- their ``status`` cell says
+why and their metric cells are empty: the ceiling is itself a scaling
+finding, not something to silently truncate.
 """
 
 from __future__ import annotations
@@ -34,26 +37,12 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.artifact import (
-    COUNT,
-    INT,
-    NAME,
-    NUM,
-    STR,
-    Enum,
-    Int,
-    Map,
-    Schema,
-    check,
-    fail,
-    validate,
-)
+from repro.obs.artifact import validate
+from repro.obs.export import SCHEMA, bench_document, bench_result
 from repro.types import MAX_SWITCH_NUMBER
 
-SWEEP_SCHEMA = "repro.obs.sweep/1"
-
-#: every metric a sweep point may carry (set_metric raises on any other)
-SWEEP_METRICS = (
+#: the rung table's metric columns: sim-time ns and counts, exact for a seed
+METRICS = (
     "converge_ns",
     "reconfig_ns",
     "blackout_ns",
@@ -61,25 +50,14 @@ SWEEP_METRICS = (
     "control_bytes",
     "control_retx",
     "fifo_highwater_bytes",
-    "events_per_sec",
-    # workload SLO metrics; present only when the sweep ran with traffic
+)
+
+#: the workload SLO columns a traffic-enabled sweep adds
+TRAFFIC_METRICS = (
     "traffic_blackout_cost_bytes",
     "traffic_p99_latency_ns",
     "traffic_goodput_bytes_per_sec",
 )
-
-#: metrics every simulated ("ok") point must report
-REQUIRED_METRICS = (
-    "converge_ns",
-    "reconfig_ns",
-    "blackout_ns",
-    "control_packets",
-    "control_bytes",
-)
-
-#: metrics that depend on wall-clock time: real but not deterministic,
-#: so regression gates treat them as telemetry, never as exact rows
-WALL_CLOCK_METRICS = ("events_per_sec",)
 
 #: named topology ladders.  ``smoke`` is the CI-sized rung set; ``full``
 #: climbs to the largest simulable sizes; ``scale`` adds the points the
@@ -133,51 +111,15 @@ TRAFFIC_HOSTS_PER_SWITCH = 4
 TRAFFIC_WINDOW_NS = 500_000_000
 
 
-class SweepPoint:
-    """One topology rung of a sweep: identity plus validated metrics."""
-
-    __slots__ = ("name", "switches", "links", "status", "skip_reason", "metrics")
-
-    def __init__(self, name: str, switches: int, links: int) -> None:
-        self.name = name
-        self.switches = switches
-        self.links = links
-        self.status = "ok"
-        self.skip_reason: Optional[str] = None
-        self.metrics: Dict[str, float] = {}
-
-    def skip(self, reason: str) -> None:
-        self.status = "skipped"
-        self.skip_reason = reason
-
-    def set_metric(self, name: str, value: float) -> None:
-        """Record one metric; the name must be a known sweep series."""
-        if name not in SWEEP_METRICS:
-            raise ValueError(
-                f"unknown sweep metric {name!r} (known: {', '.join(SWEEP_METRICS)})"
-            )
-        self.metrics[name] = value
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "switches": self.switches,
-            "links": self.links,
-            "status": self.status,
-            "metrics": dict(self.metrics),
-        }
-        if self.skip_reason is not None:
-            out["skip_reason"] = self.skip_reason
-        return out
-
-
-def run_point(name: str, seed: int, traffic: bool = False) -> SweepPoint:
+def run_point(name: str, seed: int, traffic: bool = False) -> Dict[str, Any]:
     """Run the seeded fault scenario on one topology rung.
 
-    ``traffic=True`` additionally drives a small deterministic hotspot
-    workload through the cut (fluid model) and reports its SLO metrics;
-    the default keeps rungs workload-free so existing curves and their
-    baselines stay comparable.
+    Returns the rung's cells by column name: ``status`` is ``"ok"`` or
+    why the rung was skipped (then no metric is set), plus the host's
+    ``events_per_sec``.  ``traffic=True`` additionally drives a small
+    deterministic hotspot workload through the cut (fluid model) and
+    reports its SLO metrics; the default keeps rungs workload-free so
+    existing curves and their baselines stay comparable.
     """
     from repro.network import Network
     from repro.scenario import drive_scenario
@@ -185,13 +127,13 @@ def run_point(name: str, seed: int, traffic: bool = False) -> SweepPoint:
     from repro.topology.generators import resolve_topology
 
     spec = resolve_topology(name)
-    point = SweepPoint(name, switches=len(spec.uids), links=len(spec.cables))
-    if point.switches > MAX_SWITCH_NUMBER:
-        point.skip(
-            f"{point.switches} switches exceed the {MAX_SWITCH_NUMBER}-switch "
+    switches = len(spec.uids)
+    point: Dict[str, Any] = {"topology": name, "switches": switches, "links": len(spec.cables)}
+    if switches > MAX_SWITCH_NUMBER:
+        return {**point, "status": (
+            f"{switches} switches exceed the {MAX_SWITCH_NUMBER}-switch "
             "short-address ceiling (11-bit address minus 4 port bits, §3)"
-        )
-        return point
+        )}
 
     child = RngRegistry(seed).child_seed(f"sweep/{name}")
     traffic_config = None
@@ -200,8 +142,8 @@ def run_point(name: str, seed: int, traffic: bool = False) -> SweepPoint:
 
         traffic_config = TrafficConfig(
             pattern="hotspot",
-            flows=TRAFFIC_FLOWS_PER_SWITCH * point.switches,
-            hosts=TRAFFIC_HOSTS_PER_SWITCH * point.switches,
+            flows=TRAFFIC_FLOWS_PER_SWITCH * switches,
+            hosts=TRAFFIC_HOSTS_PER_SWITCH * switches,
             mean_flow_bytes=65_536,
             duration_ns=TRAFFIC_WINDOW_NS,
         )
@@ -214,40 +156,34 @@ def run_point(name: str, seed: int, traffic: bool = False) -> SweepPoint:
         timeout_ns=CONVERGE_LIMIT_NS,
     )
     if not outcome.converged:
-        point.skip(f"did not converge within {CONVERGE_LIMIT_NS} ns of boot")
-        return point
+        return {**point, "status": f"did not converge within {CONVERGE_LIMIT_NS} ns of boot"}
     if not outcome.reconverged:
-        point.skip(f"did not reconverge within {CONVERGE_LIMIT_NS} ns of the cut")
-        return point
+        return {**point, "status": f"did not reconverge within {CONVERGE_LIMIT_NS} ns of the cut"}
     if outcome.reconfig_ns is None:
-        point.skip("link cut triggered no reconfiguration span")
-        return point
-    point.set_metric("converge_ns", outcome.converge_ns)
-    point.set_metric("reconfig_ns", outcome.reconfig_ns)
-    point.set_metric("blackout_ns", outcome.blackout_ns)
-    point.set_metric("control_packets", outcome.control_packets)
-    point.set_metric("control_bytes", outcome.control_bytes)
-    point.set_metric("control_retx", outcome.control_retx)
-    point.set_metric(
-        "fifo_highwater_bytes",
-        max(
+        return {**point, "status": "link cut triggered no reconfiguration span"}
+    point.update(
+        status="ok",
+        converge_ns=outcome.converge_ns,
+        reconfig_ns=outcome.reconfig_ns,
+        blackout_ns=outcome.blackout_ns,
+        control_packets=outcome.control_packets,
+        control_bytes=outcome.control_bytes,
+        control_retx=outcome.control_retx,
+        fifo_highwater_bytes=max(
             unit.fifo.max_level
             for switch in net.switches
             for unit in switch.ports.values()
         ),
+        events_per_sec=round(net.profiler.events_per_sec(), 1),
     )
-    profiler = net.profiler
-    if profiler is not None:
-        point.set_metric("events_per_sec", round(profiler.events_per_sec(), 1))
     if net.traffic is not None:
         slo = net.traffic.document()
-        point.set_metric("traffic_blackout_cost_bytes", slo["blackout_cost_bytes"])
-        p99 = slo["latency"]["p99_ns"]
-        if p99 is not None:
-            point.set_metric("traffic_p99_latency_ns", p99)
         goodput = slo["goodput_bytes_per_sec"]
-        if goodput is not None:
-            point.set_metric("traffic_goodput_bytes_per_sec", round(goodput, 1))
+        point.update(
+            traffic_blackout_cost_bytes=slo["blackout_cost_bytes"],
+            traffic_p99_latency_ns=slo["latency"]["p99_ns"],
+            traffic_goodput_bytes_per_sec=None if goodput is None else round(goodput, 1),
+        )
     return point
 
 
@@ -275,14 +211,16 @@ def fit_slope(points: Sequence[Tuple[float, float]]) -> Optional[Dict[str, float
     return {"slope": round(slope, 4), "r2": round(r2, 4), "points": n}
 
 
-def fit_slopes(points: Sequence[SweepPoint]) -> Dict[str, Dict[str, float]]:
-    """Per-metric scaling exponents over the simulated points."""
+def fit_slopes(
+    points: Sequence[Dict[str, Any]], metrics: Sequence[str]
+) -> Dict[str, Dict[str, float]]:
+    """Per-metric scaling exponents over the rungs that report it."""
     out: Dict[str, Dict[str, float]] = {}
-    for metric in SWEEP_METRICS:
+    for metric in metrics:
         samples = [
-            (float(p.switches), float(p.metrics[metric]))
+            (float(p["switches"]), float(p[metric]))
             for p in points
-            if p.status == "ok" and metric in p.metrics
+            if p.get(metric) is not None
         ]
         fit = fit_slope(samples)
         if fit is not None:
@@ -297,12 +235,12 @@ def run_sweep(
     progress=None,
     traffic: bool = False,
 ) -> Dict[str, Any]:
-    """Run every rung of a ladder and assemble the sweep document.
+    """Run every rung of a ladder and assemble the ``scaling`` document.
 
     ``topologies`` overrides the named ladder with an explicit rung
-    list; ``progress`` (if given) is called with each finished
-    :class:`SweepPoint`; ``traffic=True`` drives the fluid workload
-    through every rung and adds the ``traffic_*`` SLO metrics.
+    list; ``progress`` (if given) is called with each finished rung's
+    :func:`run_point` dict; ``traffic=True`` drives the fluid workload
+    through every rung and adds the ``traffic_*`` SLO columns.
     """
     if topologies is None:
         if ladder not in LADDERS:
@@ -310,7 +248,9 @@ def run_sweep(
                 f"unknown ladder {ladder!r} (known: {', '.join(sorted(LADDERS))})"
             )
         topologies = LADDERS[ladder]
-    points: List[SweepPoint] = []
+    metrics = METRICS + (TRAFFIC_METRICS if traffic else ())
+    headers = ["topology", "switches", "links", "status", *metrics]
+    points: List[Dict[str, Any]] = []
     for name in topologies:
         point = run_point(name, seed, traffic=traffic)
         points.append(point)
@@ -319,89 +259,31 @@ def run_sweep(
     scenario = "boot-converge, cut first cable, reconverge"
     if traffic:
         scenario += ", hotspot fluid workload through the cut"
-    doc = {
-        "schema": SWEEP_SCHEMA,
-        "ladder": ladder,
-        "seed": seed,
-        "scenario": scenario,
-        "metrics": list(SWEEP_METRICS),
-        "points": [p.to_dict() for p in points],
-        "slopes": fit_slopes(points),
+    host: Dict[str, Any] = {
+        f"{p['topology']}_events_per_sec": p["events_per_sec"]
+        for p in points
+        if "events_per_sec" in p
     }
-    return validate(doc, SWEEP_SCHEMA)
-
-
-# -- the repro.obs.sweep/1 artifact ---------------------------------------------------
-
-
-def _rules(doc: Dict[str, Any]) -> None:
-    """At least one point; skipped points say why; simulated points
-    carry every required metric."""
-    if not doc["points"]:
-        fail("$.points", "must be a non-empty list")
-    for i, point in enumerate(doc["points"]):
-        where = f"$.points[{i}]"
-        if point["status"] == "skipped":
-            check(STR, point.get("skip_reason"), f"{where}.skip_reason")
-            continue
-        missing = [m for m in REQUIRED_METRICS if m not in point["metrics"]]
-        if missing:
-            fail(f"{where}.metrics", f"ok point missing {missing}")
-
-
-def render_sweep(doc: Dict[str, Any]) -> str:
-    """Human-readable table of one sweep document."""
-    lines = [
-        f"scaling sweep: ladder={doc['ladder']} seed={doc['seed']} "
-        f"({doc.get('scenario', '')})"
-    ]
-    header = (
-        f"  {'topology':<14} {'sw':>5} {'links':>6} {'converge ms':>12} "
-        f"{'reconfig ms':>12} {'blackout ms':>12} {'ctl pkts':>9} {'ctl KiB':>8}"
-    )
-    lines.append(header)
-    for point in doc["points"]:
-        if point["status"] == "skipped":
-            lines.append(
-                f"  {point['name']:<14} {point['switches']:>5} "
-                f"{point['links']:>6}  skipped: {point.get('skip_reason', '')}"
-            )
-            continue
-        m = point["metrics"]
-        lines.append(
-            f"  {point['name']:<14} {point['switches']:>5} {point['links']:>6} "
-            f"{m['converge_ns'] / 1e6:>12.2f} {m['reconfig_ns'] / 1e6:>12.2f} "
-            f"{m['blackout_ns'] / 1e6:>12.2f} {m['control_packets']:>9.0f} "
-            f"{m['control_bytes'] / 1024:>8.1f}"
-        )
-    slopes = doc.get("slopes", {})
-    if slopes:
-        lines.append("  scaling exponents (log-log slope vs switches):")
-        for metric, fit in slopes.items():
-            lines.append(
-                f"    {metric:<22} slope={fit['slope']:+.3f}  "
-                f"r2={fit['r2']:.3f}  n={fit['points']}"
-            )
-    return "\n".join(lines)
-
-
-_METRIC = Enum(*SWEEP_METRICS)
-ARTIFACT = Schema(
-    {
-        "ladder": NAME,
-        "seed": INT,
-        "metrics": [_METRIC],
-        "points": [
-            {
-                "name": NAME,
-                "switches": COUNT,
-                "links": COUNT,
-                "status": Enum("ok", "skipped"),
-                "metrics": Map(NUM, keys=_METRIC),
-            }
-        ],
-        "slopes": Map({"slope": NUM, "r2": NUM, "points": Int(2)}, keys=_METRIC),
-    },
-    rules=_rules,
-    render=render_sweep,
-)
+    host.update({f"{m}_slope": fit for m, fit in fit_slopes(points, ["events_per_sec"]).items()})
+    title = f"Reconfiguration scaling curves ({ladder} ladder: {', '.join(topologies)})"
+    doc = bench_document("scaling", title=title, seed=seed, results=[
+        bench_result(
+            "rungs",
+            title,
+            headers,
+            [[p.get(column) for column in headers] for p in points],
+            notes=f"{scenario} per rung; status is ok or why the rung was skipped",
+            telemetry={"host": host},
+        ),
+        bench_result(
+            "slopes",
+            "Scaling exponents: log-log least-squares slope vs switch count",
+            ["metric", "slope", "r2", "points"],
+            [
+                [metric, fit["slope"], fit["r2"], fit["points"]]
+                for metric, fit in fit_slopes(points, metrics).items()
+            ],
+            notes="over the ok rungs; points is the number of rungs fitted",
+        ),
+    ])
+    return validate(doc, SCHEMA)

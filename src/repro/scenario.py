@@ -68,7 +68,7 @@ class ScenarioResult:
     * ``reconfig_ns`` -- start of the first reconfiguration span the
       cuts triggered to the end of the last one, so a fault that takes
       several epochs to settle is charged for all of them (the
-      ``repro.obs.sweep/1`` curves).
+      ``repro.obs.sweep`` scaling curves).
     """
 
     converged: bool = False

@@ -4,7 +4,7 @@
 from repro.analysis.doctor import diagnose
 from repro.constants import SEC
 from repro.network import Network
-from repro.topology import ring, torus
+from repro.topology import line, ring, torus
 from repro.topology.generators import TopologySpec
 from repro.types import Uid
 
@@ -27,6 +27,19 @@ def test_dead_port_reported():
     report = diagnose(net)
     dead = [f for f in report.findings if "port dead" in f.what]
     assert len(dead) >= 2  # both ends of the cut cable
+
+
+def test_srp_sweep_compares_with_the_switch_it_crawled_from():
+    """With sw1 and sw3 down, live switch 2 is sw4: the crawl from sw2
+    must be held to sw2's own map, not to the third live switch's."""
+    net = Network(line(5))
+    assert net.run_until_converged(timeout_ns=60 * SEC)
+    net.crash_switch(1)
+    net.crash_switch(3)
+    assert net.run_until_converged(timeout_ns=60 * SEC)
+    report = diagnose(net, origin=2)
+    sweep = [f for f in report.findings if f.where == "srp-sweep"]
+    assert sweep == [], report.render()
 
 
 def test_looped_cable_reported():
@@ -121,12 +134,24 @@ def test_all_sections_render_end_to_end(tmp_path):
 
 
 def test_sweep_report_renders_scaling_curves():
-    """ISSUE 8: a repro.obs.sweep/1 document renders its scaling curves."""
+    """A sweep's ``scaling`` document renders its rungs and slopes tables."""
     from repro.obs import artifact
-    from repro.obs.sweep import run_sweep
+    from repro.obs.sweep import METRICS, run_sweep
 
     doc = run_sweep(ladder="doctor", seed=0, topologies=("ring-4", "torus-3x4"))
-    text = artifact.render(doc)
-    assert "scaling sweep:" in text
-    assert "ring-4" in text and "torus-3x4" in text
-    assert "scaling exponents" in text
+    lines = artifact.render(doc).splitlines()
+    assert lines[0] == (
+        "bench scaling: Reconfiguration scaling curves "
+        "(doctor ladder: ring-4, torus-3x4) (seed 0)"
+    )
+    rungs = lines.index("== Reconfiguration scaling curves (doctor ladder: ring-4, torus-3x4) ==")
+    assert lines[rungs + 1].split() == ["topology", "switches", "links", "status", *METRICS]
+    assert [line.split()[:4] for line in lines[rungs + 3:rungs + 5]] == [
+        ["ring-4", "4", "4", "ok"],
+        ["torus-3x4", "12", "24", "ok"],
+    ]
+    slopes = lines.index("== Scaling exponents: log-log least-squares slope vs switch count ==")
+    assert lines[slopes + 1].split() == ["metric", "slope", "r2", "points"]
+    fitted = [line.split() for line in lines[slopes + 3:slopes + 3 + len(METRICS)]]
+    assert [row[0] for row in fitted] == list(METRICS)
+    assert all(row[3] == "2" for row in fitted)

@@ -1,8 +1,8 @@
 """The one artifact envelope: every registered schema, mutated.
 
 Real documents (torus-3x4 with every observer on, hosts, one cut; a
-short sweep; a regress verdict; a bench document; a chaos reproducer)
-are walked against their schema tables: deleting each required key and
+regress verdict; a bench document; a chaos reproducer) are walked
+against their schema tables: deleting each required key and
 replacing each leaf with a wrong-typed value must raise ``SchemaError``
 with a ``$.``-rooted path, and the untouched document must round-trip
 ``write`` -> ``read`` to equal bytes: the indented ones to the stdlib's
@@ -40,7 +40,6 @@ def real_docs(tmp_path_factory):
     from repro.chaos.replay import reproducer_dict
     from repro.obs.export import bench_document, bench_result
     from repro.obs.regress import compare
-    from repro.obs.sweep import run_sweep
 
     spec = resolve_topology("torus-3x4")
     net = Network(
@@ -62,7 +61,6 @@ def real_docs(tmp_path_factory):
         net.export_timeseries(str(scratch / "timeseries.json")),
         net.inband_doc(),
         net.traffic_doc(),
-        run_sweep(seed=0, topologies=["torus-3x4", "torus-4x4", "torus-32x32"]),
         bench(1.5),
         compare(bench(1.5), bench(1.0)),
         reproducer_dict(runner.sample_schedule(0), violations=["x"], original_events=9),
@@ -294,7 +292,6 @@ COMMITTED = sorted(
     [
         *(REPO / "benchmarks" / "results").glob("BENCH_*.json"),
         *(REPO / "benchmarks" / "results" / "baselines").glob("*.json"),
-        REPO / "tests" / "fixtures" / "sweep_smoke.json",
         *(REPO / "tests" / "chaos" / "fixtures").glob("*.json"),
         *(REPO / "tests" / "traffic" / "fixtures").glob("*.json"),
     ]
@@ -306,7 +303,6 @@ RENDERED = {
     "repro.obs.flight/1",
     "repro.obs.inband/1",
     "repro.obs.regress/2",
-    "repro.obs.sweep/1",
     "repro.obs.timeseries/1",
     "repro.traffic/1",
 }
@@ -393,7 +389,12 @@ def test_cli_reports_every_invalid_file_and_still_exits_1(command, real_docs, tm
     good = str(tmp_path / "good.json")
     artifact.write(good, real_docs["repro.bench/1"])
     bad = tmp_path / "bad.json"
-    bad.write_text('{"schema": "repro.obs.sweep/1", "ladder": ""}')
+    # a row wider than its header: a known tag that fails its schema's rules
+    bad.write_text(json.dumps({
+        "schema": "repro.bench/1", "bench": "scaling", "title": "", "seed": 0,
+        "results": [{"name": "rungs", "title": "", "notes": "",
+                     "headers": ["topology"], "rows": [["ring-4", 4]]}],
+    }))
     junk = tmp_path / "junk.json"
     junk.write_text("not json {")
     array = tmp_path / "array.json"
@@ -408,7 +409,7 @@ def test_cli_reports_every_invalid_file_and_still_exits_1(command, real_docs, tm
         line for line in captured.err.splitlines() if ": INVALID $" in line
     ]
     for path, why in [
-        (bad, "$.ladder"),
+        (bad, "$.results[0].rows[0]: row width 2 != header width 1"),
         (missing, "$: unreadable"),
         (junk, "$: not JSON"),
         (array, "$: expected object"),

@@ -1,4 +1,4 @@
-"""The scaling sweep harness and the repro.obs.sweep/1 artifact."""
+"""The scaling sweep harness and the ``scaling`` document it writes."""
 
 import copy
 import json
@@ -10,33 +10,26 @@ from repro.obs import artifact
 from repro.obs.artifact import SchemaError
 from repro.obs.sweep import (
     LADDERS,
-    REQUIRED_METRICS,
-    SWEEP_METRICS,
-    SWEEP_SCHEMA,
-    SweepPoint,
+    METRICS,
     fit_slope,
     fit_slopes,
-    render_sweep,
     run_point,
     run_sweep,
 )
 
 
-# -- SweepPoint ------------------------------------------------------------------------
+def rungs_of(doc):
+    """The ``rungs`` table as one dict per row, keyed by header."""
+    rungs = doc["results"][0]
+    assert rungs["name"] == "rungs"
+    return [dict(zip(rungs["headers"], row)) for row in rungs["rows"]]
 
 
-def test_point_rejects_unknown_metric():
-    point = SweepPoint("torus-3x4", switches=12, links=24)
-    point.set_metric("blackout_ns", 5.0)
-    with pytest.raises(ValueError, match="unknown sweep metric"):
-        point.set_metric("made_up_series", 1.0)
-
-
-def test_skipped_point_serialization():
-    point = SweepPoint("torus-32x32", switches=1024, links=2048)
-    point.skip("too big")
-    doc = point.to_dict()
-    assert doc["status"] == "skipped" and doc["skip_reason"] == "too big"
+def slopes_of(doc):
+    """The ``slopes`` table as ``{metric: {slope, r2, points}}``."""
+    slopes = doc["results"][1]
+    assert slopes["name"] == "slopes" and slopes["headers"] == ["metric", "slope", "r2", "points"]
+    return {row[0]: dict(zip(slopes["headers"][1:], row[1:])) for row in slopes["rows"]}
 
 
 # -- slope fitting ---------------------------------------------------------------------
@@ -59,15 +52,14 @@ def test_fit_slope_needs_two_positive_samples():
 
 
 def test_fit_slopes_skips_missing_metrics():
-    points = []
-    for n in (4, 8, 16):
-        p = SweepPoint(f"t{n}", switches=n, links=n)
-        p.set_metric("blackout_ns", float(n * n))
-        points.append(p)
-    skipped = SweepPoint("big", switches=999, links=999)
-    skipped.skip("ceiling")
-    slopes = fit_slopes(points + [skipped])
+    points = [
+        {"topology": f"t{n}", "switches": n, "status": "ok", "blackout_ns": float(n * n)}
+        for n in (4, 8, 16)
+    ]
+    skipped = {"topology": "big", "switches": 999, "status": "ceiling", "blackout_ns": None}
+    slopes = fit_slopes(points + [skipped], ["blackout_ns", "converge_ns"])
     assert slopes["blackout_ns"]["slope"] == pytest.approx(2.0, abs=1e-6)
+    assert slopes["blackout_ns"]["points"] == 3  # the skipped rung's empty cell is no sample
     assert "converge_ns" not in slopes  # never set on any point
 
 
@@ -76,48 +68,69 @@ def test_fit_slopes_skips_missing_metrics():
 
 def test_oversized_point_is_skipped_with_reason():
     point = run_point("torus-16x16", seed=0)
-    assert point.status == "skipped"
-    assert "126-switch" in point.skip_reason
-    assert point.metrics == {}
-    assert point.switches == 256
+    assert "126-switch" in point["status"]
+    assert not any(metric in point for metric in METRICS)
+    assert point["switches"] == 256
+
+
+def test_skipped_point_serialization(tmp_path):
+    """A skipped rung is a row whose status cell says why and whose
+    metric cells are null, through a write and a read."""
+    doc = run_sweep(ladder="custom", seed=0, topologies=["torus-32x32"])
+    path = tmp_path / "sweep.json"
+    artifact.write(str(path), doc)
+    (rung,) = rungs_of(artifact.read(str(path), "repro.bench/1"))
+    assert rung["status"].startswith("1024 switches exceed the 126-switch")
+    assert [rung[metric] for metric in METRICS] == [None] * len(METRICS)
+    assert slopes_of(doc) == {}
 
 
 def test_run_point_is_deterministic():
     a = run_point("ring-4", seed=3)
     b = run_point("ring-4", seed=3)
-    assert a.status == "ok"
+    assert a["status"] == "ok"
     # traffic_* metrics appear only on traffic-enabled sweeps
-    assert not any(m.startswith("traffic_") for m in a.metrics)
-    sim_metrics = [
-        m for m in SWEEP_METRICS if m != "events_per_sec" and m in a.metrics
-    ]
-    assert {m: a.metrics[m] for m in sim_metrics} == {
-        m: b.metrics[m] for m in sim_metrics
-    }
-    assert a.metrics["control_packets"] > 0
-    assert a.metrics["blackout_ns"] > 0
+    assert not any(m.startswith("traffic_") for m in a)
+    assert a.pop("events_per_sec") > 0 and b.pop("events_per_sec") > 0  # the host's
+    assert a == b
+    assert set(METRICS) <= set(a)
+    assert a["control_packets"] > 0
+    assert a["blackout_ns"] > 0
 
 
 def test_run_point_with_traffic_is_observational():
     plain = run_point("ring-4", seed=3)
     loaded = run_point("ring-4", seed=3, traffic=True)
-    assert loaded.status == "ok"
-    assert loaded.metrics["traffic_blackout_cost_bytes"] >= 0
-    assert loaded.metrics["traffic_goodput_bytes_per_sec"] > 0
+    assert loaded["status"] == "ok"
+    assert loaded["traffic_blackout_cost_bytes"] >= 0
+    assert loaded["traffic_goodput_bytes_per_sec"] > 0
     # the workload rides along without touching the core trajectory
     for metric in ("converge_ns", "reconfig_ns", "blackout_ns"):
-        assert loaded.metrics[metric] == plain.metrics[metric]
+        assert loaded[metric] == plain[metric]
 
 
 def test_run_sweep_custom_ladder_validates():
     doc = run_sweep(ladder="custom", seed=1, topologies=["ring-4", "torus-16x16"])
-    assert doc["schema"] == "repro.obs.sweep/1"
-    statuses = {p["name"]: p["status"] for p in doc["points"]}
-    assert statuses == {"ring-4": "ok", "torus-16x16": "skipped"}
-    ok = [p for p in doc["points"] if p["status"] == "ok"]
-    for point in ok:
-        for metric in REQUIRED_METRICS:
-            assert metric in point["metrics"]
+    assert doc["schema"] == "repro.bench/1" and doc["bench"] == "scaling"
+    assert "custom ladder: ring-4, torus-16x16" in doc["title"]
+    rungs = rungs_of(doc)
+    assert [r["topology"] for r in rungs] == ["ring-4", "torus-16x16"]
+    assert rungs[0]["status"] == "ok" and "126-switch" in rungs[1]["status"]
+    assert all(isinstance(rungs[0][metric], (int, float)) for metric in METRICS)
+    assert list(rungs[0]) == ["topology", "switches", "links", "status", *METRICS]
+    # host time is telemetry the gate never reads
+    host = doc["results"][0]["telemetry"]["host"]
+    assert host["ring-4_events_per_sec"] > 0 and "torus-16x16_events_per_sec" not in host
+
+
+def test_run_sweep_with_traffic_adds_the_slo_columns():
+    doc = run_sweep(ladder="custom", seed=3, topologies=["ring-4"], traffic=True)
+    (rung,) = rungs_of(doc)
+    assert list(rung)[-3:] == [
+        "traffic_blackout_cost_bytes", "traffic_p99_latency_ns", "traffic_goodput_bytes_per_sec"
+    ]
+    assert rung["traffic_goodput_bytes_per_sec"] > 0
+    assert "hotspot fluid workload" in doc["results"][0]["notes"]
 
 
 def test_run_sweep_rejects_unknown_ladder():
@@ -133,77 +146,65 @@ def test_ladders_cover_the_issue_families():
     assert "torus-32x32" in LADDERS["scale"]
 
 
-# -- validator rejections --------------------------------------------------------------
+# -- the document ----------------------------------------------------------------------
 
 
 def valid_doc():
     return {
-        "schema": "repro.obs.sweep/1",
-        "ladder": "smoke",
+        "schema": "repro.bench/1",
+        "bench": "scaling",
+        "title": "Reconfiguration scaling curves (smoke ladder: ring-4, torus-32x32)",
         "seed": 0,
-        "scenario": "test",
-        "metrics": ["blackout_ns", "converge_ns"],
-        "points": [
+        "results": [
             {
-                "name": "ring-4",
-                "switches": 4,
-                "links": 4,
-                "status": "ok",
-                "metrics": {
-                    "converge_ns": 1.0,
-                    "reconfig_ns": 2.0,
-                    "blackout_ns": 3.0,
-                    "control_packets": 4,
-                    "control_bytes": 5,
-                },
+                "name": "rungs",
+                "title": "Reconfiguration scaling curves (smoke ladder: ring-4, torus-32x32)",
+                "headers": ["topology", "switches", "links", "status", "blackout_ns"],
+                "rows": [
+                    ["ring-4", 4, 4, "ok", 3],
+                    ["torus-32x32", 1024, 2048, "address ceiling", None],
+                ],
+                "notes": "test",
+                "telemetry": {"host": {"ring-4_events_per_sec": 1.0}},
             },
             {
-                "name": "torus-32x32",
-                "switches": 1024,
-                "links": 2048,
-                "status": "skipped",
-                "skip_reason": "address ceiling",
-                "metrics": {},
+                "name": "slopes",
+                "title": "Scaling exponents",
+                "headers": ["metric", "slope", "r2", "points"],
+                "rows": [["blackout_ns", 1.2, 0.9, 4]],
+                "notes": "",
             },
         ],
-        "slopes": {"blackout_ns": {"slope": 1.2, "r2": 0.9, "points": 4}},
     }
 
 
 def test_validator_accepts_and_returns_doc():
     doc = valid_doc()
-    assert artifact.validate(doc, SWEEP_SCHEMA) is doc
+    assert artifact.validate(doc, "repro.bench/1") is doc
 
 
 @pytest.mark.parametrize(
     "mutate, where",
     [
-        (lambda d: d.update(schema="repro.obs.sweep/2"), "schema"),
-        (lambda d: d.update(ladder=""), "ladder"),
+        (lambda d: d.update(schema="repro.bench/2"), "schema"),
         (lambda d: d.update(seed="0"), "seed"),
-        (lambda d: d.update(metrics=["nonsense"]), "metrics"),
-        (lambda d: d.update(points=[]), "points"),
-        (lambda d: d["points"][0].update(status="maybe"), "status"),
-        (lambda d: d["points"][0].update(switches=-1), "switches"),
-        (lambda d: d["points"][0]["metrics"].update(bogus=1.0), "unknown metric"),
-        (lambda d: d["points"][0]["metrics"].pop("blackout_ns"), "missing"),
-        (lambda d: d["points"][1].pop("skip_reason"), "skip_reason"),
-        (lambda d: d["slopes"].update(blackout_ns={"slope": 1.0}), "slopes"),
-        (lambda d: d["slopes"]["blackout_ns"].update(points=1), "points"),
+        (lambda d: d["results"][0]["rows"][0].append(1.0), "unknown metric"),
+        (lambda d: d["results"][0]["rows"][0].pop(), "missing"),
+        (lambda d: d["results"][1]["rows"][0].pop(), "slopes"),
     ],
 )
 def test_validator_rejections(mutate, where):
     doc = copy.deepcopy(valid_doc())
     mutate(doc)
     with pytest.raises(SchemaError):
-        artifact.validate(doc, SWEEP_SCHEMA)
+        artifact.validate(doc, "repro.bench/1")
 
 
 def test_write_read_round_trip(tmp_path):
     path = tmp_path / "sweep.json"
     doc = valid_doc()
     artifact.write(str(path), doc)
-    again = artifact.read(str(path), SWEEP_SCHEMA)
+    again = artifact.read(str(path), "repro.bench/1")
     assert again == doc
     # the artifact is plain indented JSON with a trailing newline
     text = path.read_text()
@@ -212,8 +213,8 @@ def test_write_read_round_trip(tmp_path):
 
 def test_write_refuses_invalid(tmp_path):
     doc = valid_doc()
-    doc["points"] = []
-    with pytest.raises(SchemaError):
+    doc["results"][0]["rows"][1].append("a cell no header names")
+    with pytest.raises(SchemaError, match=r"rows\[1\]: row width 6 != header width 5"):
         artifact.write(str(tmp_path / "bad.json"), doc)
     assert not (tmp_path / "bad.json").exists()
 
@@ -222,15 +223,15 @@ def test_write_refuses_invalid(tmp_path):
 
 
 def test_render_sweep_mentions_every_point_and_slope():
-    text = render_sweep(valid_doc())
+    text = artifact.render(valid_doc())
     assert "ring-4" in text
     assert "torus-32x32" in text and "address ceiling" in text
-    assert "blackout_ns" in text and "+1.200" in text
+    assert "blackout_ns" in text and "1.2" in text and "0.9" in text
 
 
 def test_doctor_sweep_report_renders():
     text = artifact.render(valid_doc())
-    assert text.startswith("scaling sweep:")
+    assert text.startswith("bench scaling: Reconfiguration scaling curves (smoke ladder:")
     with pytest.raises(SchemaError):
         artifact.render({"schema": "nope"})
 
@@ -247,9 +248,9 @@ def test_cli_sweep_writes_artifact(tmp_path, capsys):
         "--seed", "2", "--out", str(out),
     ])
     assert code == 0
-    doc = artifact.read(str(out), SWEEP_SCHEMA)
-    assert {p["name"] for p in doc["points"]} == {"ring-4", "torus-16x16"}
-    assert "scaling sweep" in capsys.readouterr().out
+    doc = artifact.read(str(out), "repro.bench/1")
+    assert [r["topology"] for r in rungs_of(doc)] == ["ring-4", "torus-16x16"]
+    assert capsys.readouterr().out.startswith(artifact.render(doc))
 
 
 def test_cli_sweep_creates_the_output_directory(tmp_path):
@@ -259,7 +260,8 @@ def test_cli_sweep_creates_the_output_directory(tmp_path):
 
     out = tmp_path / "newdir" / "s.json"
     assert main(["sweep", "--topo", "torus-16x16", "--out", str(out)]) == 0
-    assert artifact.read(str(out), SWEEP_SCHEMA)["points"][0]["status"] == "skipped"
+    (rung,) = rungs_of(artifact.read(str(out), "repro.bench/1"))
+    assert "126-switch" in rung["status"]
 
 
 def test_cli_no_subcommand_lists_topologies(capsys):

@@ -5,13 +5,12 @@ the hand-rolled loops it replaced used to compute.
 converge -> cut -> reconverge themselves and read "how long did that
 take" off two different definitions.  Their arithmetic is kept here as
 the reference: on ring-4 and torus-3x4 the driver's fields must equal
-it, and a smoke-ladder sweep must equal the document the old
-``run_point`` produced (``tests/fixtures/sweep_smoke.json``, written at
-the commit before the loops were folded, minus the host-time
-``events_per_sec``).
+it, and a smoke-ladder sweep through the CLI must equal the committed
+``scaling`` baseline that ``bench-gate`` holds ``bench_scaling.py`` to
+(written at the commit that folded the sweep's own format into it, from
+the same numbers).
 """
 
-import json
 import os
 
 import pytest
@@ -19,11 +18,11 @@ import pytest
 from repro.constants import MS, SEC
 from repro.network import Network
 from repro.obs import artifact
-from repro.obs.sweep import WALL_CLOCK_METRICS, run_sweep
+from repro.obs.regress import metrics_of
 from repro.scenario import ScenarioResult, attach_pair, drive_scenario
 from repro.topology.generators import resolve_topology
 
-GOLDEN_SWEEP = os.path.join(os.path.dirname(__file__), "fixtures", "sweep_smoke.json")
+BASELINES = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "results", "baselines")
 
 
 def hand_rolled(net, cut):
@@ -109,13 +108,20 @@ def test_no_cut_measures_no_reconfiguration():
     assert outcome.reconfig_ns is None and outcome.blackout_ns is None
 
 
-def test_smoke_sweep_equals_the_document_the_old_run_point_wrote():
-    with open(GOLDEN_SWEEP) as fh:
-        golden = json.load(fh)
-    doc = run_sweep("smoke", seed=0)
-    artifact.validate(doc, "repro.obs.sweep/1")
-    for metric in WALL_CLOCK_METRICS:  # the host's, not the model's
-        for point in doc["points"]:
-            assert point["metrics"].pop(metric) > 0
-        doc["slopes"].pop(metric, None)
-    assert doc == golden
+def test_smoke_sweep_equals_the_document_the_old_run_point_wrote(tmp_path, capsys):
+    """One golden for the scaling measurement: the CLI's sweep document,
+    the gate's verdict on it and the bench's committed baseline agree,
+    metric for metric -- nothing changed, missing or new.  The baseline's
+    cells are the numbers the old ``run_point`` wrote, control_retx and
+    each slope's r² and n included, re-committed at ns precision."""
+    from repro.obs.__main__ import main
+
+    fresh = str(tmp_path / "scaling.json")
+    assert main(["sweep", "--ladder", "smoke", "--seed", "0", "--out", fresh]) == 0
+    verdict = str(tmp_path / "verdict.json")
+    assert main(["regress", "--current", fresh, "--baseline", BASELINES, "--out", verdict]) == 0
+    statuses = {c["status"] for c in artifact.read(verdict, "repro.obs.regress/2")["comparisons"]}
+    assert statuses == {"ok"}
+    baseline = artifact.read(os.path.join(BASELINES, "scaling.json"), "repro.bench/1")
+    assert metrics_of(artifact.read(fresh, "repro.bench/1")) == metrics_of(baseline)
+    assert "regress scaling: OK" in capsys.readouterr().out
