@@ -21,11 +21,6 @@ class PortState(Enum):
     def is_switch(self) -> bool:
         return self in (PortState.SWITCH_WHO, PortState.SWITCH_LOOP, PortState.SWITCH_GOOD)
 
-    @property
-    def usable(self) -> bool:
-        """Port carries traffic: host ports and good switch links."""
-        return self in (PortState.HOST, PortState.SWITCH_GOOD)
-
 
 #: transitions owned by the status sampler (black arrows of Figure 8)
 SAMPLER_TRANSITIONS: Mapping[PortState, FrozenSet[PortState]] = MappingProxyType({

@@ -226,7 +226,7 @@ class HostController:
         self.packets_received += 1
         ib = self.sim.inband
         if ib is not None:
-            ib.record_delivery(packet, self.name)
+            ib.record_delivery(packet)
         if self.rx_processing_ns <= 0:
             if self.on_receive is not None:
                 self.on_receive(packet)

@@ -1,8 +1,8 @@
 """The LocalNet generic-LAN interface of section 5.6 (Figure 4).
 
 LocalNet "presents a set of generic, UID-addressed LANs that carry
-Ethernet datagrams": `get_info` lists the attached networks, `set_state`
-enables or disables each, `send` transmits a datagram on a chosen
+Ethernet datagrams": `attach_autonet` / `attach_ethernet` add a
+network, `set_state` enables or disables each, `send` transmits a datagram on a chosen
 network, and a single receive hook delivers arrivals from any of them,
 tagged with the network they came in on.  During the Autonet's shake-down
 every Firefly stayed attached to both networks, and "the choice of which
@@ -13,7 +13,6 @@ software" (section 5.5) -- which the tests exercise literally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional
 
@@ -21,16 +20,6 @@ from repro.host.ethernet import ETHERNET_BROADCAST, EthernetStation
 from repro.host.localnet import BROADCAST_UID, LocalNet
 from repro.net.packet import Packet
 from repro.types import Uid
-
-
-@dataclass
-class NetInfo:
-    """One row of the GetInfo result."""
-
-    net_id: int
-    kind: str  # "autonet" | "ethernet"
-    enabled: bool
-    ready: bool
 
 
 class MultiLan:
@@ -71,17 +60,6 @@ class MultiLan:
 
     # -- the LocalNet interface of Figure 4 ------------------------------------------
 
-    def get_info(self) -> Dict[int, NetInfo]:
-        """Which generic nets correspond to which physical networks."""
-        info = {}
-        for net_id, localnet in self._autonets.items():
-            info[net_id] = NetInfo(
-                net_id, "autonet", self._enabled[net_id], localnet.driver.ready
-            )
-        for net_id in self._ethernets:
-            info[net_id] = NetInfo(net_id, "ethernet", self._enabled[net_id], True)
-        return info
-
     def set_state(self, net_id: int, enabled: bool) -> None:
         """Enable or disable one network."""
         if net_id not in self._enabled:
@@ -103,13 +81,6 @@ class MultiLan:
         if ok:
             self.sent[net_id] += 1
         return ok
-
-    def first(self, kind: str) -> Optional[int]:
-        """The id of the first attached network of the given kind."""
-        for net_id, info in self.get_info().items():
-            if info.kind == kind:
-                return net_id
-        return None
 
     # -- delivery -----------------------------------------------------------------------
 

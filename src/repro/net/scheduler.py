@@ -107,9 +107,6 @@ class SchedulingEngine:
             self.free |= request.captured
         self._kick()
 
-    def pending(self) -> int:
-        return len(self.queue)
-
     # -- the scan -----------------------------------------------------------------------
 
     def _kick(self) -> None:

@@ -347,7 +347,7 @@ class Network:
         return self._artifact("timeseries", self.sampler, path)
 
     def inband_doc(self) -> Dict:
-        """The ``repro.obs.inband/1`` artifact."""
+        """The ``repro.obs.inband/2`` artifact."""
         return self._artifact("inband", self.inband)
 
     def export_inband(self, path: str) -> Dict:
@@ -443,7 +443,7 @@ class Network:
             out["unclosed_spans"] = len(self.tracer.unclosed())
             out["host_blackouts"] = {
                 epoch: self.host_blackouts(epoch)
-                for epoch in self.tracer.epochs()
+                for epoch in sorted(span["key"] for span in self.tracer.windows())
             }
         if self.control is not None:
             out["control"] = self.control.summary()
@@ -452,8 +452,9 @@ class Network:
     def host_blackouts(self, epoch: int) -> Dict[str, Optional[int]]:
         """Per-host blackout for one epoch: the interval during which
         *every* switch the host attaches to was closed (dual-homed hosts
-        lose service only while both attachment switches are down)."""
-        if self.tracer is None:
+        lose service only while both attachment switches are down).  An
+        epoch without a window (``ReconfigTracer.windows``) has none."""
+        if self.tracer is None or epoch not in {s["key"] for s in self.tracer.windows()}:
             return {}
         prefix = f"{self.name}." if self.name else ""
         by_switch = self.tracer.blackouts(epoch)

@@ -34,9 +34,8 @@ submodule you need (the package root re-exports nothing):
 * :mod:`repro.obs.timeseries` -- the longitudinal sampler: periodic
   in-sim sampling of every registry counter plus FIFO occupancy,
   port states, epochs, and blackout flags into bounded rings, exported
-  as ``repro.obs.timeseries/1`` with a window/delta/resample query API.
-* :mod:`repro.obs.watch` -- the dashboard: sampler rings rendered as
-  per-switch terminal sparklines, replayed from an artifact.
+  as ``repro.obs.timeseries/1`` with a select/window query API; its
+  report is the dashboard frame at the last tick (per-switch sparklines).
 * :mod:`repro.obs.regress` -- the bench-regression gate: an exact differ
   between a fresh ``repro.bench/1`` document and its committed baseline
   whose ``repro.obs.regress/2`` verdict CI gates on.
@@ -44,7 +43,7 @@ submodule you need (the package root re-exports nothing):
   carry a bounded per-hop record stack (switch, ports, FIFO depth,
   timestamp); the host side folds delivered stacks into per-flow path
   records, link congestion tables, and delivery-SLO windows aligned to
-  reconfiguration epochs, exported as ``repro.obs.inband/1``.
+  reconfiguration epochs, exported as ``repro.obs.inband/2``.
 * :mod:`repro.obs.control` -- control-plane cost accounting: per-epoch
   counters of control-packet volume by message type and reconfiguration
   phase (election / loading / steady), plus retransmission and SRP
@@ -57,6 +56,11 @@ submodule you need (the package root re-exports nothing):
 
 ``python -m repro.obs`` exposes ``run`` (the one scenario, every
 observer on, every document written), ``report`` (any ``repro.*/1`` file
-or directory as text), ``validate``, ``watch``, ``regress`` and
-``sweep``.
+or directory as text), ``validate``, ``regress`` and ``sweep``.
+
+Which observer answers which question is executable:
+``tests/obs/test_questions.py`` states each question as a query over one
+``run`` directory, and its ``NEEDS`` table (checked by ablation: drop a
+document or section, see which questions lose their answer) is what
+keeps each observer here.
 """

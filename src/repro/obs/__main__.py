@@ -12,9 +12,6 @@
     # structural gate for the same files (dispatches on each file's tag)
     python -m repro.obs validate bench.json traffic.json chaos-artifacts
 
-    # replay a recorded timeseries artifact as a terminal dashboard
-    python -m repro.obs watch obs_run/torus-3x4.timeseries.json
-
     # gate: diff a fresh bench document against committed baselines
     python -m repro.obs regress --current bench.json \
         --baseline benchmarks/results/baselines
@@ -24,8 +21,7 @@
 load, apply the requested link cuts, reconverge, load) and it records
 everything: ``<out>/<topo>.trace.json`` (``repro.obs.flight/1``,
 loadable at https://ui.perfetto.dev), ``.timeseries.json``,
-``.inband.json``, ``.paths.trace.json`` (the in-band hop stacks as
-Perfetto flow arrows) and ``.bench.json`` (``repro.bench/1``: what the
+``.inband.json`` and ``.bench.json`` (``repro.bench/1``: what the
 scenario measured with the ``Network.telemetry()`` snapshot, and the
 event-loop profiler's hotspots).  ``report`` answers section 6.7's
 questions ("why did this epoch happen?", "what did traffic see?") from
@@ -52,11 +48,8 @@ from repro.constants import MS, SEC
 from repro.network import Network
 from repro.obs import artifact
 from repro.obs.export import bench_document, bench_result
-from repro.obs.perfetto import path_trace_document
 from repro.obs.regress import compare, read_baseline, render_verdict
 from repro.obs.sweep import LADDERS, run_sweep
-from repro.obs.timeseries import TimeSeries
-from repro.obs.watch import watch_replay
 from repro.scenario import attach_pair, drive_scenario, parse_cut, report_unknown_subcommand
 from repro.topology.generators import TOPOLOGY_FAMILIES, resolve_topology
 
@@ -71,10 +64,6 @@ def _cmd_run(args) -> int:
 
     stem = os.path.join(args.out, args.topo)
     net.export_observers(stem)
-    artifact.write(
-        f"{stem}.paths.trace.json",
-        path_trace_document(net.inband_doc(), name=f"paths {args.topo}"),
-    )
     measured = [
         f.name for f in dataclasses.fields(outcome) if f.name not in ("cuts", "warnings")
     ]
@@ -145,11 +134,6 @@ def _valid(path: str, doc: Dict) -> str:
     return f"{path}: valid {doc['schema']}"
 
 
-def _cmd_watch(args) -> int:
-    watch_replay(TimeSeries.load(args.file))
-    return 0
-
-
 def _cmd_regress(args) -> int:
     current = artifact.read(args.current, "repro.bench/1")
     verdict = compare(current, read_baseline(args.baseline, current["bench"]))
@@ -182,7 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Observability tooling: record a scenario's documents, "
-        "then render, validate, replay or gate any repro.*/1 file.",
+        "then render, validate or gate any repro.*/1 file.",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -201,7 +185,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument("--seed", type=int, default=0, help="simulation seed")
     p_run.add_argument(
         "--out", default="obs_run", metavar="DIR",
-        help="directory for <topo>.{trace,timeseries,inband,paths.trace,bench}.json "
+        help="directory for <topo>.{trace,timeseries,inband,bench}.json "
              "(default obs_run)",
     )
     p_run.set_defaults(fn=_cmd_run)
@@ -215,10 +199,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "paths", nargs="+", metavar="PATH", help="artifact file, or a directory of *.json"
         )
         p_files.set_defaults(fn=_cmd_files, show=show)
-
-    p_watch = sub.add_parser("watch", help="replay a timeseries artifact as a sparkline dashboard")
-    p_watch.add_argument("file", metavar="FILE", help="a repro.obs.timeseries/1 artifact")
-    p_watch.set_defaults(fn=_cmd_watch)
 
     p_regress = sub.add_parser(
         "regress", help="gate a bench document against committed baselines"

@@ -41,7 +41,7 @@ PROVIDERS = {
     "repro.bench/1": "repro.obs.export",
     "repro.obs.flight/1": "repro.obs.perfetto",
     "repro.obs.timeseries/1": "repro.obs.timeseries",
-    "repro.obs.inband/1": "repro.obs.inband",
+    "repro.obs.inband/2": "repro.obs.inband",
     "repro.obs.regress/2": "repro.obs.regress",
     "repro.traffic/1": "repro.traffic.artifact",
     "repro.chaos/1": "repro.chaos.replay",

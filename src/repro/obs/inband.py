@@ -30,13 +30,13 @@ Discipline (mirrors the flight recorder and the sampler):
   runs are byte-identical with the module out of play.
 * **Observational purity.**  Hop records only *read* component state;
   no stamp changes routing, rates, or event order.
-* **Bounded everything.**  Hop stacks, flow tables, change logs,
-  latency-sample rings, and the recent-stack ring are all capped by the
-  module constants below, with drop counters where eviction happens.
+* **Bounded everything.**  Hop stacks, flow tables, change logs and
+  latency-sample rings are all capped by the module constants below,
+  with drop counters where eviction happens.
 
-The recorded state exports as a ``repro.obs.inband/1`` JSON artifact
-(schema table ``ARTIFACT`` below) that :func:`render_inband` (its text
-report) and the Perfetto flow-arrow export consume.
+The recorded state exports as a ``repro.obs.inband/2`` JSON artifact
+(schema table ``ARTIFACT`` below); :func:`render_inband` is its text
+report.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.obs.artifact import COUNT, INT, NAME, NUM, STR, Int, Map, Opt, Schema
 from repro.scenario import fmt_ns
 
 #: bump the suffix when the artifact layout changes incompatibly
-INBAND_SCHEMA = "repro.obs.inband/1"
+INBAND_SCHEMA = "repro.obs.inband/2"
 
 #: one hop of a packet's record stack, as carried on the packet:
 #: (t_ns, switch, in_port, out_ports, fifo_depth_bytes)
@@ -70,8 +70,6 @@ PATH_HISTORY = 16
 LATENCY_SAMPLES = 65536
 #: latency samples retained per flow
 FLOW_LATENCY_SAMPLES = 4096
-#: full hop stacks retained for the Perfetto flow-arrow export
-RECENT_STACKS = 128
 
 
 def path_of(hops: Optional[List[HopRecord]]) -> PathKey:
@@ -128,8 +126,6 @@ class PathCollector:
         self.unkeyed_deliveries = 0
         #: "sw0.p3" -> [depth samples, depth sum, depth max, queue drops]
         self.links: Dict[str, List[float]] = {}
-        #: newest delivered hop stacks, for the Perfetto export
-        self.recent: Deque[Dict[str, Any]] = deque(maxlen=RECENT_STACKS)
 
     # -- feeds ------------------------------------------------------------------
 
@@ -147,19 +143,8 @@ class PathCollector:
         entry = self.links.setdefault(component, [0.0, 0.0, 0.0, 0.0])
         entry[3] += 1
 
-    def fold(self, packet, host: str, t_ns: int,
-             epoch: Optional[int]) -> None:
+    def fold(self, packet, t_ns: int, epoch: Optional[int]) -> None:
         """A packet delivered: fold its hop stack into the flow table."""
-        hops = packet.hops
-        self.recent.append({
-            "packet_id": packet.packet_id,
-            "src_uid": None if packet.src_uid is None else packet.src_uid.value,
-            "dest_uid": None if packet.dest_uid is None else packet.dest_uid.value,
-            "host": host,
-            "created_ns": packet.created_at,
-            "delivered_ns": t_ns,
-            "hops": list(hops) if hops else [],
-        })
         if packet.src_uid is None or packet.dest_uid is None:
             self.unkeyed_deliveries += 1
             return
@@ -175,7 +160,7 @@ class PathCollector:
         record.bytes += packet.data_bytes
         if packet.created_at:
             record.latencies.append(t_ns - packet.created_at)
-        path = path_of(hops)
+        path = path_of(packet.hops)
         if record.current_path is None:
             record.current_path = path
             record.paths_seen = 1
@@ -225,12 +210,12 @@ class SloTracker:
         return exact_quantile(lats, 0.5), exact_quantile(lats, 0.99)
 
     def windows(self, tracer) -> List[Dict[str, Any]]:
-        """Per-epoch SLO windows: for each reconfiguration span, what the
-        retained samples say traffic experienced inside it."""
+        """Per-epoch SLO windows: for each of the tracer's windows, what
+        the retained samples say traffic experienced inside it."""
         if tracer is None:
             return []
         out = []
-        for span in tracer.span_summary():
+        for span in tracer.windows():
             start = span["start_ns"]
             end = span["end_ns"]
             horizon = end if end is not None else float("inf")
@@ -321,7 +306,7 @@ class InbandTelemetry:
         component = fifo_name[:-5] if fifo_name.endswith(".fifo") else fifo_name
         self.collector.note_queue_drop(component)
 
-    def record_delivery(self, packet, host: str) -> None:
+    def record_delivery(self, packet) -> None:
         """A client packet accepted by a host controller."""
         from repro.net.packet import PacketType
 
@@ -330,12 +315,12 @@ class InbandTelemetry:
         now = self.sim.now
         latency = (now - packet.created_at) if packet.created_at else None
         self.slo.delivery(now, latency, packet.data_bytes)
-        self.collector.fold(packet, host, now, self._current_epoch)
+        self.collector.fold(packet, now, self._current_epoch)
 
     # -- export -----------------------------------------------------------------
 
     def document(self, name: str = "") -> Dict[str, Any]:
-        """The ``repro.obs.inband/1`` artifact as a dict."""
+        """The ``repro.obs.inband/2`` artifact as a dict."""
         flows = []
         for (src, dest), record in sorted(self.collector.flows.items()):
             lats = [float(v) for v in record.latencies]
@@ -392,16 +377,6 @@ class InbandTelemetry:
                 "drops": dict(sorted(self.slo.drops.items())),
                 "windows": self.slo.windows(self.tracer),
             },
-            "recent": [
-                {
-                    **stack,
-                    "hops": [
-                        [t, sw, in_port, list(outs), depth]
-                        for t, sw, in_port, outs, depth in stack["hops"]
-                    ],
-                }
-                for stack in self.collector.recent
-            ],
         }
 
 
@@ -409,7 +384,7 @@ def _jsonable_path(path: PathKey) -> List[List[Any]]:
     return [[sw, in_port, list(outs)] for sw, in_port, outs in path]
 
 
-# -- the repro.obs.inband/1 artifact --------------------------------------------------
+# -- the repro.obs.inband/2 artifact --------------------------------------------------
 
 
 def _fmt_path(path: List[List[Any]], max_hops: int = 6) -> str:
@@ -423,7 +398,7 @@ def _fmt_path(path: List[List[Any]], max_hops: int = 6) -> str:
 
 
 def render_inband(doc: Dict[str, Any], top: int = 8, width: int = 24) -> str:
-    """The paths report of one ``repro.obs.inband/1`` document: per-flow
+    """The paths report of one ``repro.obs.inband/2`` document: per-flow
     delivery quantiles, current path and detected path changes, the
     delivery-SLO ledger with its per-epoch blackout windows, and the
     hottest links by mean FIFO depth at forwarding time (heat bars
@@ -517,16 +492,6 @@ ARTIFACT = Schema(
                 }
             ],
         },
-        "recent": [
-            {
-                "packet_id": Int(1),
-                **keys(Opt(COUNT), "src_uid", "dest_uid"),
-                "host": STR,
-                **keys(COUNT, "created_ns", "delivered_ns"),
-                # [t_ns, switch, in_port, out_ports, fifo_depth_bytes]
-                "hops": [(COUNT, NAME, COUNT, [INT], NUM)],
-            }
-        ],
     },
     render=render_inband,
     indent=None,

@@ -243,111 +243,6 @@ def trace_event_document(
     }
 
 
-#: category for in-band hop records in a path trace
-CAT_PATH = "path"
-
-
-def path_trace_document(
-    inband_doc: Dict[str, Any],
-    name: str = "autonet-paths",
-) -> Dict[str, Any]:
-    """Render a ``repro.obs.inband/1`` document's retained hop stacks as
-    flow arrows: one track per switch/host, one zero-width slice per hop,
-    and an ``s``/``t``/``f`` chain (id = packet id) threading each
-    packet's route from its first forwarding grant to its delivery.
-
-    The result reuses the ``repro.obs.flight/1`` envelope so it
-    validates as one and loads at https://ui.perfetto.dev.
-    """
-    stacks = [s for s in inband_doc.get("recent", []) if s.get("hops")]
-    components: List[str] = []
-    for stack in stacks:
-        for hop in stack["hops"]:
-            if hop[1] not in components:
-                components.append(hop[1])
-        if stack["host"] not in components:
-            components.append(stack["host"])
-    tids = {component: tid for tid, component in enumerate(components, start=1)}
-    events = _tracks(name, tids)
-
-    for stack in stacks:
-        pkt = stack["packet_id"]
-        label = f"pkt#{pkt}"
-        hops = stack["hops"]
-        for index, (t_ns, switch, in_port, outs, depth) in enumerate(hops):
-            tid = tids[switch]
-            ts = _us(t_ns)
-            events.append(
-                {
-                    "ph": "X",
-                    "name": label,
-                    "cat": CAT_PATH,
-                    "ts": ts,
-                    "dur": 1,
-                    "pid": PID,
-                    "tid": tid,
-                    "args": {
-                        "hop": index,
-                        "in_port": in_port,
-                        "out_ports": ",".join(str(p) for p in outs),
-                        "fifo_depth_bytes": depth,
-                    },
-                }
-            )
-            events.append(
-                {
-                    "ph": "s" if index == 0 else "t",
-                    "name": label,
-                    "cat": CAT_PATH,
-                    "id": pkt,
-                    "ts": ts,
-                    "pid": PID,
-                    "tid": tid,
-                }
-            )
-        tid = tids[stack["host"]]
-        ts = _us(stack["delivered_ns"])
-        events.append(
-            {
-                "ph": "X",
-                "name": label,
-                "cat": CAT_PATH,
-                "ts": ts,
-                "dur": 1,
-                "pid": PID,
-                "tid": tid,
-                "args": {
-                    "latency_ns": stack["delivered_ns"] - stack["created_ns"],
-                    "hops": len(hops),
-                },
-            }
-        )
-        events.append(
-            {
-                "ph": "f",
-                "bp": "e",
-                "name": label,
-                "cat": CAT_PATH,
-                "id": pkt,
-                "ts": ts,
-                "pid": PID,
-                "tid": tid,
-            }
-        )
-
-    return {
-        "schema": FLIGHT_SCHEMA,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "source": inband_doc.get("schema"),
-            "name": inband_doc.get("name"),
-            "stacks": len(stacks),
-            "components": components,
-        },
-        "traceEvents": events,
-    }
-
-
 # -- the repro.obs.flight/1 artifact ---------------------------------------------------
 
 _TIMED = {"ts": NONNEG}
@@ -363,7 +258,6 @@ _PHASES = {
     "I": _NAMED,
     "X": {**_NAMED, "dur": NONNEG},
     "s": _FLOW,
-    "t": _TIMED,
     "f": _FLOW,
 }
 
@@ -468,8 +362,6 @@ def render_trace(doc: Dict[str, Any]) -> str:
         )
         for component, dropped in (other.get("dropped_by_component") or {}).items():
             lines.append(f"    {component}: {dropped} oldest events evicted")
-    elif "stacks" in other:
-        lines.append(f"  {other['stacks']} packet hop stacks from {other.get('source')}")
     rec = recorder_from_trace(doc)
     final = rec.last(category=CAT_EPOCH, name="table-loaded")
     if final is None:

@@ -276,6 +276,16 @@ class ReconfigTracer(SpanTracer):
             out.append(doc)
         return out
 
+    def windows(self) -> List[Dict[str, Any]]:
+        """The :meth:`span_summary` entries that own a stretch of the run:
+        every closed span, and the open span of the highest epoch.  A
+        lower span left open was superseded before it closed (boot epochs
+        are, within a millisecond) and owns no window -- run to infinity,
+        it would claim the whole run's traffic."""
+        summary = self.span_summary()
+        last = max((doc["key"] for doc in summary), default=None)
+        return [doc for doc in summary if doc["end_ns"] is not None or doc["key"] == last]
+
 
 def _jsonable(value: Any) -> Any:
     if isinstance(value, (int, float, str, bool)) or value is None:

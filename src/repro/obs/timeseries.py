@@ -30,13 +30,15 @@ Discipline (mirrors the flight recorder):
 The recorded history exports as a ``repro.obs.timeseries/1`` JSON
 artifact (schema table ``ARTIFACT`` below) and is queryable -- live or from
 a loaded artifact -- through :class:`TimeSeries` / :class:`SeriesData`
-(``window`` / ``delta`` / ``resample``); :func:`render_timeseries` is
-the document's text report.
+(``select`` / ``window`` / ``last``); :func:`render_timeseries` is
+the document's text report: ring health, then :func:`render_frame`, the
+dashboard at the last tick (per-switch sparklines, flags, SLO rows).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import re
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.artifact import (
     COUNT,
@@ -65,8 +67,8 @@ INTERVAL_NS = 50 * MS
 CAPACITY = 1024
 #: series refused beyond this count (cardinality backstop)
 MAX_SERIES = 4096
-#: span events retained in the mark ring (the watch dashboard's "recent
-#: reconfiguration events" column)
+#: span events retained in the mark ring (the dashboard frame's "recent
+#: reconfiguration events" rows)
 MARK_CAPACITY = 256
 
 LabelKey = Tuple[Tuple[str, Any], ...]
@@ -290,7 +292,7 @@ class TimeSeriesSampler:
 
 
 class SeriesData:
-    """One series' retained samples, with window/delta/resample queries."""
+    """One series' retained samples, with window/last/max/min queries."""
 
     __slots__ = ("name", "labels", "kind", "ticks", "values")
 
@@ -348,10 +350,6 @@ class TimeSeries:
     def from_document(cls, doc: Dict[str, Any]) -> "TimeSeries":
         return cls(validate(doc, TIMESERIES_SCHEMA))
 
-    @classmethod
-    def load(cls, path: str) -> "TimeSeries":
-        return cls(read_timeseries(path))
-
     @property
     def ticks(self) -> List[int]:
         return self.doc["ticks"]
@@ -359,9 +357,6 @@ class TimeSeries:
     @property
     def interval_ns(self) -> int:
         return self.doc["interval_ns"]
-
-    def names(self) -> List[str]:
-        return sorted({entry["name"] for entry in self.doc["series"]})
 
     def series(self, name: str, **labels: Any) -> Optional[SeriesData]:
         entry = self._by_key.get((name, _label_key(labels)))
@@ -410,10 +405,179 @@ def _rules(doc: Dict[str, Any]) -> None:
             )
 
 
-def render_timeseries(doc: Dict[str, Any]) -> str:
-    """Ring health, then the watch dashboard's frame at the last tick."""
-    from repro.obs.watch import render_frame  # watch builds on this module
+#: nine intensity levels; index 0 (a space) is "zero", None renders as ``·``
+SPARK_CHARS = " ▁▂▃▄▅▆▇█"
+GAP_CHAR = "·"
 
+#: the PortState value a fully configured trunk settles in
+GOOD_STATE = "s.switch.good"
+
+
+def sparkline(values: Sequence[Optional[float]], width: int = 32) -> str:
+    """The last ``width`` samples as one character each.
+
+    Scale is the window's own min/max, with the floor pulled down to 0
+    for non-negative data so "3 of 4 ports good" does not render as a
+    full-height bar.  ``None`` samples -- a crashed switch, a
+    not-yet-created series -- render as ``·``.
+    """
+    window = list(values)[-width:] if width > 0 else list(values)
+    if not window:
+        return ""
+    present = [v for v in window if v is not None]
+    if not present:
+        return GAP_CHAR * len(window)
+    wlo = min(min(present), 0.0)
+    span = max(present) - wlo
+    out = []
+    for v in window:
+        if v is None:
+            out.append(GAP_CHAR)
+        elif span <= 0:
+            out.append(SPARK_CHARS[-1] if v > 0 else SPARK_CHARS[0])
+        else:
+            idx = int((v - wlo) / span * (len(SPARK_CHARS) - 1))
+            out.append(SPARK_CHARS[max(0, min(idx, len(SPARK_CHARS) - 1))])
+    return "".join(out)
+
+
+def _natural(name: str) -> List[Any]:
+    return [int(tok) if tok.isdigit() else tok for tok in re.split(r"(\d+)", name)]
+
+
+def _rowwise_max(series: List[SeriesData]) -> List[Optional[float]]:
+    """Per-tick max across several tick-aligned series (None where every
+    series has a gap) -- e.g. the worst FIFO across a switch's ports."""
+    if not series:
+        return []
+    out: List[Optional[float]] = []
+    for i in range(len(series[0])):
+        best: Optional[float] = None
+        for s in series:
+            v = s.values[i]
+            if v is not None and (best is None or v > best):
+                best = v
+        out.append(best)
+    return out
+
+
+def switch_names(ts: TimeSeries) -> List[str]:
+    """Every switch the sampler recorded, in natural order."""
+    names = {s.labels.get("switch") for s in ts.select("epoch")}
+    return sorted((n for n in names if n), key=_natural)
+
+
+def fmt_t(t_ns: int) -> str:
+    return f"+{t_ns / 1e9:.3f}s"
+
+
+def _rate_window(counter: SeriesData) -> List[Optional[float]]:
+    """Per-tick deltas of a cumulative counter series (rate shape)."""
+    out: List[Optional[float]] = []
+    prev: Optional[float] = None
+    for v in counter.values:
+        if v is None or prev is None:
+            out.append(None if v is None else 0.0)
+        else:
+            out.append(max(0.0, v - prev))
+        if v is not None:
+            prev = v
+    return out
+
+
+def traffic_rows(ts: TimeSeries) -> List[str]:
+    """Workload SLO rows from the traffic engine's collectors: active /
+    unrouted flow counts, per-tick delivered-byte rate, and the
+    cumulative blackout cost.  Empty when no traffic engine sampled."""
+    active = ts.series("traffic_active_flows")
+    if active is None:
+        return []
+    unrouted = ts.series("traffic_unrouted_flows")
+    completed = ts.series("traffic_completed_flows")
+    delivered = ts.series("traffic_delivered_bytes")
+    blackout = ts.series("traffic_blackout_cost_bytes")
+    rows = ["traffic SLO:"]
+    last_active = active.last() or 0
+    last_unrouted = (unrouted.last() or 0) if unrouted else 0
+    last_completed = (completed.last() or 0) if completed else 0
+    rows.append(
+        f"  flows  active {int(last_active):>4} "
+        f"(unrouted {int(last_unrouted)}) "
+        f"done {int(last_completed):>4} |{sparkline(active.values)}|"
+    )
+    if delivered is not None:
+        rate = _rate_window(delivered)
+        tail = next((v for v in reversed(rate) if v is not None), 0.0)
+        per_sec = tail / (ts.interval_ns / 1e9) if ts.interval_ns else 0.0
+        rows.append(
+            f"  goodput {per_sec / 1024:>9.1f} KiB/s       "
+            f"|{sparkline(rate)}|"
+        )
+    if blackout is not None:
+        cost = blackout.last() or 0.0
+        rows.append(
+            f"  blackout cost {cost / 1024:>8.1f} KiB    "
+            f"|{sparkline(_rate_window(blackout))}|"
+        )
+    return rows
+
+
+def render_frame(ts: TimeSeries, title: str) -> str:
+    """The dashboard at the last tick as plain text: per switch its good
+    ports and FIFO high-water as sparklines, its epoch and an ``ok`` /
+    ``DARK`` / ``DOWN`` flag; the workload's SLO rows; the newest span
+    events of the mark ring."""
+    ticks = ts.ticks
+    header = (
+        f"{title}  t={fmt_t(ticks[-1] if ticks else 0)}  "
+        f"ticks={len(ticks)}  interval={ts.interval_ns / 1e6:g}ms"
+    )
+    lines = [header, ""]
+
+    names = switch_names(ts)
+    label_w = max((len(n) for n in names), default=6)
+    for name in names:
+        epoch_s = ts.series("epoch", switch=name)
+        dark_s = ts.series("blackout_in_progress", switch=name)
+        good_s = ts.series("ports_in_state", switch=name, state=GOOD_STATE)
+        fifo = _rowwise_max(ts.select("fifo_highwater_bytes", switch=name))
+
+        epoch = epoch_s.last() if epoch_s else None
+        dark = dark_s.last() if dark_s else None
+        good = good_s.last() if good_s else None
+        alive = epoch_s is not None and epoch_s.values and \
+            epoch_s.values[-1] is not None
+        if not alive:
+            status = "DOWN"
+        elif dark:
+            status = "DARK"
+        else:
+            status = "ok"
+        good_bar = sparkline(good_s.values if good_s else [])
+        fifo_bar = sparkline(fifo)
+        lines.append(
+            f"{name:<{label_w}}  epoch {int(epoch) if epoch is not None else '-':>3}"
+            f"  {status:<4}"
+            f"  good {int(good) if good is not None else 0:>2} |{good_bar}|"
+            f"  fifo^ |{fifo_bar}|"
+        )
+
+    slo = traffic_rows(ts)
+    if slo:
+        lines.append("")
+        lines.extend(slo)
+
+    marks = ts.marks()
+    if marks:
+        lines.append("")
+        lines.append("recent reconfiguration events:")
+        for m in marks[-6:]:
+            lines.append(f"  {fmt_t(m['t_ns']):>10}  {m['component']:<10} {m['event']}")
+    return "\n".join(lines) + "\n"
+
+
+def render_timeseries(doc: Dict[str, Any]) -> str:
+    """Ring health, then the dashboard frame at the last tick."""
     health = (
         f"{doc['samples_taken']} samples every {doc['interval_ns'] / 1e6:g} ms, "
         f"{len(doc['series'])} series, {doc['dropped_ticks']} ticks evicted, "

@@ -33,11 +33,6 @@ class TopologySpec:
     def n_switches(self) -> int:
         return len(self.uids)
 
-    def degree(self, index: int) -> int:
-        return sum(
-            1 for a, _pa, b, _pb in self.cables if a == index or b == index
-        ) + sum(1 for a, _pa, b, _pb in self.cables if a == index and b == index)
-
     def used_ports(self, index: int) -> List[int]:
         ports = []
         for a, pa, b, pb in self.cables:

@@ -2,7 +2,7 @@
 text report.
 
 One JSON document per workload run, mirroring the other obs artifacts
-(``repro.bench/1``, ``repro.obs.inband/1``): a ``schema`` tag, the
+(``repro.bench/1``, ``repro.obs.inband/2``): a ``schema`` tag, the
 generating config, cumulative SLO aggregates (offered/delivered bytes,
 blackout cost, delivery-latency quantiles, drops by cause), and the
 per-epoch ``windows`` that price each reconfiguration span's

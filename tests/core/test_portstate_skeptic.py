@@ -8,13 +8,6 @@ from repro.core.skeptic import ConnectivitySkeptic, SkepticParams, StatusSkeptic
 
 
 class TestPortState:
-    def test_usable_states(self):
-        assert PortState.HOST.usable
-        assert PortState.SWITCH_GOOD.usable
-        for state in (PortState.DEAD, PortState.CHECKING, PortState.SWITCH_WHO,
-                      PortState.SWITCH_LOOP):
-            assert not state.usable
-
     def test_switch_family(self):
         assert PortState.SWITCH_WHO.is_switch
         assert PortState.SWITCH_LOOP.is_switch

@@ -31,14 +31,6 @@ def dual_attached():
     return net, hosts
 
 
-def test_get_info_lists_both_networks(dual_attached):
-    net, hosts = dual_attached
-    multi, autonet_id, ether_id, _uid = hosts["h0"]
-    info = multi.get_info()
-    assert info[autonet_id].kind == "autonet" and info[autonet_id].ready
-    assert info[ether_id].kind == "ethernet"
-
-
 def test_send_via_each_network(dual_attached):
     net, hosts = dual_attached
     h0, a0, e0, uid0 = hosts["h0"]

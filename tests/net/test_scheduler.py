@@ -154,7 +154,7 @@ def test_clear_drops_requests_and_reservations():
     engine.port_freed(2)
     sim.run()
     assert grants == []
-    assert engine.pending() == 0
+    assert not engine.queue
 
 
 def test_no_scan_is_armed_until_a_request_meets_a_free_port():

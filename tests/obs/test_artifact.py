@@ -193,7 +193,7 @@ def test_untouched_document_round_trips_to_equal_bytes(tag, real_docs, tmp_path)
 # -- the line layout against the stdlib's indented dump ----------------------------------
 
 #: the run-sized documents, written one top-level key / array item per line
-LINE_LAYOUT = {"repro.obs.flight/1", "repro.obs.timeseries/1", "repro.obs.inband/1"}
+LINE_LAYOUT = {"repro.obs.flight/1", "repro.obs.timeseries/1", "repro.obs.inband/2"}
 
 
 def assert_line_layout(text, doc):
@@ -301,7 +301,7 @@ COMMITTED = sorted(
 RENDERED = {
     "repro.bench/1",
     "repro.obs.flight/1",
-    "repro.obs.inband/1",
+    "repro.obs.inband/2",
     "repro.obs.regress/2",
     "repro.obs.timeseries/1",
     "repro.traffic/1",
@@ -353,7 +353,7 @@ def test_rendered_content_of_the_observer_documents(real_docs):
     assert "traffic SLO:" in series  # the engine's collectors were sampled
     assert "recent reconfiguration events:" in series and "table-loaded" in series
 
-    paths = artifact.render(real_docs["repro.obs.inband/1"])
+    paths = artifact.render(real_docs["repro.obs.inband/2"])
     assert "hop records on" in paths and "drops table-discard=" in paths
     assert "-> " in paths and "path: sw0:p12>" in paths
     assert "path change(s) detected" in paths

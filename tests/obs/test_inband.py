@@ -26,7 +26,6 @@ from repro.obs.inband import (
     path_of,
     read_inband,
 )
-from repro.obs.perfetto import FLIGHT_SCHEMA, path_trace_document
 from repro.topology import ring, torus
 from repro.types import Uid
 
@@ -87,7 +86,7 @@ class StubTracer:
     def add_listener(self, fn):
         pass
 
-    def span_summary(self):
+    def windows(self):
         return self.spans
 
 
@@ -134,15 +133,15 @@ def test_collector_detects_path_change_and_bounds_history(monkeypatch):
     path_a = [(1, "sw0", 9, (2,), 0.0)]
     path_b = [(1, "sw0", 9, (4,), 0.0)]
     pkt.hops = list(path_a)
-    collector.fold(pkt, "h1", t_ns=10, epoch=1)
+    collector.fold(pkt, t_ns=10, epoch=1)
     pkt.hops = list(path_b)
-    collector.fold(pkt, "h1", t_ns=20, epoch=2)
+    collector.fold(pkt, t_ns=20, epoch=2)
     record = next(iter(collector.flows.values()))
     assert [(t_ns, epoch) for t_ns, epoch, _old, _new in record.changes] == [(20, 2)]
     # flip back and forth: the deque stays bounded and counts the loss
     for i in range(5):
         pkt.hops = list(path_a if i % 2 == 0 else path_b)
-        collector.fold(pkt, "h1", t_ns=30 + i, epoch=3)
+        collector.fold(pkt, t_ns=30 + i, epoch=3)
     assert len(record.changes) == 2
     assert record.changes_dropped > 0
 
@@ -153,7 +152,7 @@ def test_collector_flow_cap_counts_overflow(monkeypatch):
     for i in range(4):
         pkt = client_packet(src=0x100 + i, dest=0x900)
         pkt.hops = [(1, "sw0", 9, (2,), 0.0)]
-        collector.fold(pkt, "h1", t_ns=10, epoch=0)
+        collector.fold(pkt, t_ns=10, epoch=0)
     assert len(collector.flows) == 2
     assert collector.dropped_flows == 2
 
@@ -200,7 +199,7 @@ def test_non_client_packets_are_never_stamped():
     telemetry = InbandTelemetry(sim)
     control = Packet(dest_short=2, src_short=1, ptype=PacketType.SRP)
     telemetry.record_hop(control, "sw0", 1, (2,), 0.0)
-    telemetry.record_delivery(control, "h0")
+    telemetry.record_delivery(control)
     telemetry.record_drop(control, "sw0", "table-discard")
     assert control.hops is None
     assert telemetry.hops_recorded == 0
@@ -311,11 +310,6 @@ def test_cut_link_produces_path_change_and_quantiles(tmp_path):
     loaded = read_inband(str(path))
     assert loaded["schema"] == INBAND_SCHEMA
     assert loaded["slo"]["deliveries"] == doc["slo"]["deliveries"]
-
-    # downstream consumers accept the same document
-    trace = path_trace_document(doc)
-    artifact.validate(trace, FLIGHT_SCHEMA)
-    assert any(e.get("cat") == "path" for e in trace["traceEvents"])
     assert "link congestion" in artifact.render(doc)
 
 
@@ -379,5 +373,5 @@ def test_cli_no_subcommand_prints_listing(capsys):
     assert main([]) == 2
     err = capsys.readouterr().err
     assert "subcommands:" in err
-    for sub in ("run", "report", "watch", "regress", "sweep", "validate"):
+    for sub in ("run", "report", "regress", "sweep", "validate"):
         assert sub in err

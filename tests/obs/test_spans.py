@@ -116,3 +116,15 @@ def test_reconfig_tracer_incomplete_epoch_stays_open():
     assert tr.blackouts(1)["sw1"]["blackout_ns"] is None
     [doc] = tr.span_summary()
     assert doc["end_ns"] is None and doc["max_blackout_ns"] == 50
+
+
+def test_windows_are_the_closed_spans_and_the_newest_open_one():
+    tr = ReconfigTracer()
+    assert tr.windows() == []
+    _feed(tr, 0, "sw0", "epoch-start", epoch=1)      # superseded, never closes
+    _feed(tr, 10, "sw0", "epoch-start", epoch=2)
+    _feed(tr, 20, "sw0", "table-loaded", epoch=2)
+    assert [doc["key"] for doc in tr.windows()] == [2]
+    _feed(tr, 30, "sw0", "epoch-start", epoch=3)     # the newest: still in progress
+    assert [doc["key"] for doc in tr.windows()] == [2, 3]
+    assert [doc["key"] for doc in tr.span_summary()] == [2, 1, 3]

@@ -16,6 +16,9 @@ from repro.obs.timeseries import (
     TimeSeries,
     TimeSeriesSampler,
     read_timeseries,
+    render_frame,
+    sparkline,
+    switch_names,
 )
 from repro.sim.engine import Simulator
 from repro.topology import ring, torus
@@ -162,7 +165,7 @@ def test_artifact_round_trip(every_10ms, tmp_path):
     artifact.write(str(path), doc)
     loaded = read_timeseries(str(path))
     assert loaded == doc
-    ts = TimeSeries.load(str(path))
+    ts = TimeSeries(read_timeseries(str(path)))
     assert ts.series("v", switch="sw0").values == [1.0, 1.0, 1.0]
     assert ts.marks()[0]["event"] == "epoch-started"
 
@@ -201,7 +204,7 @@ def test_network_records_cut_and_epoch(tmp_path):
 
     path = tmp_path / "torus.timeseries.json"
     net.export_timeseries(str(path))
-    ts = TimeSeries.load(str(path))  # validates on load
+    ts = TimeSeries(read_timeseries(str(path)))  # validates on load
 
     # the cut is visible: sw0 loses a good port for good
     good = ts.series("ports_in_state", switch="sw0", state="s.switch.good")
@@ -250,3 +253,44 @@ def test_sampler_survives_switch_restart():
     values = epoch.values
     assert None in values  # dead window
     assert values[-1] is not None  # reporting again after restart
+
+
+# -- the dashboard frame: pure rendering over sampler views ---------------------------
+
+
+def test_sparkline_scaling_and_gaps():
+    assert sparkline([0, 1, 2, 3, None, 4], width=6) == " ▂▄▆·█"
+    assert sparkline([], width=6) == ""
+    assert sparkline([None, None]) == "··"
+    assert sparkline([5.0, 5.0]) == "██"  # constant positive saturates
+    assert sparkline([0.0, 0.0]) == "  "
+    # window: only the last `width` samples render
+    assert len(sparkline(list(range(100)), width=8)) == 8
+    # the floor is 0 for positive data, the window's minimum below it
+    assert sparkline([2.0, 4.0], width=2) == "▄█"
+    assert sparkline([-4.0, 0.0], width=2) == " █"
+
+
+def _recorded_network():
+    net = Network(ring(4), seed=0, timeseries=True)
+    net.sim.at(1 * SEC, net.cut_link, 0, 1)
+    net.run_for(3 * SEC)
+    return net
+
+
+def test_render_frame_is_pure_and_complete():
+    ts = _recorded_network().sampler.view()
+    frame = render_frame(ts, "ring-4")
+    assert frame == render_frame(ts, "ring-4")  # pure: same view, same pixels
+    assert "\x1b" not in frame  # plain text: no terminal escapes
+    assert frame.startswith("ring-4  t=+3.000s  ticks=60  interval=50ms\n")
+    for name in ("sw0", "sw1", "sw2", "sw3"):
+        assert name in frame
+    assert "epoch" in frame and "fifo^" in frame
+    assert "recent reconfiguration events" in frame
+    assert "table-loaded" in frame
+
+
+def test_switch_names_natural_order():
+    net = _recorded_network()
+    assert switch_names(net.sampler.view()) == ["sw0", "sw1", "sw2", "sw3"]

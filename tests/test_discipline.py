@@ -559,12 +559,8 @@ ALLOWED = {
         "the one repro.*/1 reader and writer: open() is its purpose, and it runs after a "
         "simulation, never from an event handler"
     ),
-    "RS201 src/repro/obs/watch.py": (
-        "time.sleep() paces the replay dashboard against the wall clock by design; no "
-        "simulation handler calls into this module"
-    ),
 }
-ALLOWED_MAX = 4
+ALLOWED_MAX = 3
 
 
 def findings(parsed):

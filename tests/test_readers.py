@@ -88,6 +88,9 @@ class Tree:
     def __init__(self, root):
         #: identifiers loaded, imported or named by attribute outside tests
         self.names = set()
+        #: the subset a method can be read by: attributes, imports and
+        #: ``getattr`` strings (a bare name is a local, never a method)
+        self.members = set()
         #: (callee's last name, keyword) for every keyword argument passed
         self.keywords = set()
         #: attributes assigned: ``x.field = ...``
@@ -136,10 +139,12 @@ class Tree:
                 self.names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 self.names.add(node.attr)
+                self.members.add(node.attr)
                 if isinstance(node.ctx, ast.Store):
                     self.stores.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 self.names.update(alias.name for alias in node.names)
+                self.members.update(alias.name for alias in node.names)
                 if node.module and node.module.split(".")[0] == "repro":
                     self.imports.add((node.module, module))
                     # ``from repro import network`` imports repro.network
@@ -160,6 +165,7 @@ class Tree:
                     # dispatch by name: ``getattr(endpoint, "attach_link", None)``
                     if isinstance(node.args[1], ast.Constant):
                         self.names.add(node.args[1].value)
+                        self.members.add(node.args[1].value)
                 for keyword in node.keywords:
                     if keyword.arg is not None:
                         self.keywords.add((callee, keyword.arg))
@@ -233,12 +239,19 @@ class Tree:
 
 def unread_defs(tree):
     """Public module- or class-level defs of ``src/repro`` nothing
-    outside ``tests/`` names."""
-    return {
-        f"def {qualified}"
-        for qualified in tree.defs
-        if qualified.rsplit(".", 1)[1] not in tree.names
-    }
+    outside ``tests/`` names.  A class-level def is read only by an
+    attribute, an import, a ``getattr`` string or ``name(`` in the texts:
+    a local or a parameter of the same name elsewhere is not a reader."""
+    unread = set()
+    for qualified, module in tree.defs.items():
+        owner, name = qualified.rsplit(".", 1)
+        if owner == module:
+            read = name in tree.names
+        else:
+            read = name in tree.members or re.search(rf"\b{name}\(", tree.text)
+        if not read:
+            unread.add(f"def {qualified}")
+    return unread
 
 
 def unset_options(tree):
@@ -410,6 +423,22 @@ def test_a_def_only_a_test_reads_is_found(tmp_path):
         "tests/test_kept.py": "from repro.kept import Box\nBox().peek()\n",
     })
     assert unread_defs(planted) == {"def repro.kept.Box", "def repro.kept.Box.peek"}
+
+
+def test_a_method_whose_name_is_only_a_local_elsewhere_is_found(tmp_path):
+    planted = plant(tmp_path, {
+        "src/repro/kept.py": (
+            "class Spec:\n    def degree(self):\n        pass\n    def shown(self):\n"
+            "        pass\n    def called(self):\n        pass\n"
+        ),
+        "src/repro/gen.py": (
+            "from repro.kept import Spec\n\ndef grow(degree):\n    usable = degree\n"
+            "    Spec().called()\n    return usable\n"
+        ),
+        "benchmarks/bench_x.py": "from repro.gen import grow\ngrow(3)\n",
+        "README.md": "`spec.shown()` prints it\n",
+    })
+    assert unread_defs(planted) == {"def repro.kept.Spec.degree"}
 
 
 def test_an_option_nobody_sets_is_found(tmp_path):

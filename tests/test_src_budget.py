@@ -67,8 +67,16 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: message-slice literal for send and receive and one track-metadata
 #: helper for the three copies in perfetto: -> 16 334; then one scaling
 #: measurement, one document: the sweep writes repro.bench/1, and its own
-#: schema, SweepPoint, metric lists and renderer go: -> this)
-BUDGET = 16211
+#: schema, SweepPoint, metric lists and renderer go: -> 16 211; then the
+#: observers, audited by question: of watch.py's 253 lines, 171 were
+#: RE-HOMED into timeseries.py beside render_timeseries (the frame
+#: renderer, minus the parameters no caller set); DELETED: the replay and
+#: its CLI subcommand, perfetto's path trace, the in-band recent ring, and
+#: the methods the tightened readers rule finds dead (TopologySpec.degree,
+#: PortState.usable, TimeSeries.names/load, MultiLan.first and with it
+#: get_info, SchedulingEngine.pending); ReconfigTracer.windows costs +10:
+#: -> this)
+BUDGET = 15933
 
 
 def _lines(path: Path) -> int:
