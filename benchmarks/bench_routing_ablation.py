@@ -27,8 +27,7 @@ import networkx as nx
 import pytest
 
 from benchmarks.bench_util import report
-from repro.analysis.deadlock import channel_dependency_graph, is_acyclic
-from repro.analysis.invariants import links_used
+from repro.analysis.invariants import channel_dependency_graph, is_acyclic, links_used
 from benchmarks.rigs.routing_ablation import (
     build_shortest_path_entries,
     tree_only_topology,

@@ -2,8 +2,8 @@
 
 `diagnose` sweeps a live installation the way an operator's management
 station would -- over SRP, which works even during reconfiguration -- and
-cross-checks what the switches believe: every switch configured, on the
-same epoch, holding the same topology and numbering; ports in expected
+cross-checks what the switches believe: every switch configured, and
+those holding one topology view on one epoch; ports in expected
 states; skeptics not holding links out of service; looped or reflecting
 cables; congestion residue (FIFO backlogs, blocked transmitters).
 """
@@ -59,23 +59,26 @@ def diagnose(network, origin: int = 0) -> HealthReport:
     live = network.alive_autopilots()
     report.switches_seen = len(live)
 
-    # 1. agreement: epoch, configuration, topology, numbering
-    epochs = {ap.epoch for ap in live}
-    report.epoch = max(epochs) if epochs else -1
-    if len(epochs) > 1:
-        report.findings.append(
-            Finding("critical", "network", f"switches disagree on the epoch: {sorted(epochs)}")
-        )
+    # 1. agreement: epoch, configuration, topology.  Section 6.6 configures
+    # each physical partition as its own network with its own epoch, so
+    # epochs are compared among the switches sharing one view.
+    report.epoch = max((ap.epoch for ap in live), default=-1)
+    epochs_by_view = {}
+    for ap in live:
+        topology = ap.engine.topology
+        view = None if topology is None else frozenset(topology.switches)
+        epochs_by_view.setdefault(view, set()).add(ap.epoch)
+    for epochs in epochs_by_view.values():
+        if len(epochs) > 1:
+            report.findings.append(
+                Finding("critical", "network", f"switches disagree on the epoch: {sorted(epochs)}")
+            )
     for ap in live:
         if not (ap.configured and ap.engine.table_loaded):
             report.findings.append(
                 Finding("critical", ap.switch.name, "not configured (reconfiguration in progress or stuck)")
             )
-    views = {
-        frozenset(ap.engine.topology.switches)
-        for ap in live
-        if ap.engine.topology is not None
-    }
+    views = set(epochs_by_view) - {None}
     if len(views) > 1:
         report.findings.append(
             Finding(

@@ -7,15 +7,15 @@ written single-fault tests cannot substantiate "any sequence"; this package
 samples seeded, declarative schedules of faults -- link cuts and flap
 trains, noisy cables, switch crashes and restarts, host power-offs, and
 faults triggered mid-reconfiguration on tracer span events -- runs them
-against simulated installations, and checks the section 6.6 routing
-invariants plus liveness at every quiescent point.  Failing schedules are
-shrunk to minimal reproducers and serialized for replay.
+against simulated installations, and checks liveness plus the section
+6.6 invariants (:mod:`repro.analysis.invariants`) at every quiescent
+point.  Failing schedules are shrunk to minimal reproducers and
+serialized for replay.
 
 Layout:
 
 * :mod:`repro.chaos.events`   -- the declarative fault-event vocabulary
 * :mod:`repro.chaos.schedule` -- schedules, sampling, and the injector
-* :mod:`repro.chaos.checks`   -- quiescent-point invariant checks
 * :mod:`repro.chaos.campaign` -- the seeded campaign runner + bench export
 * :mod:`repro.chaos.shrink`   -- ddmin schedule minimization
 * :mod:`repro.chaos.replay`   -- reproducer artifacts and replay

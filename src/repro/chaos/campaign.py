@@ -2,10 +2,10 @@
 
 A campaign samples ``n`` random fault schedules from one master seed,
 runs each against a fresh simulated installation of the configured
-topology, and sweeps the :mod:`repro.chaos.checks` invariants at every
-quiescent point: mid-run whenever the installation re-converges between
-faults, and in full (including the physical-reachability oracle) once
-the schedule's horizon has passed and the network has settled.
+topology, and sweeps the :mod:`repro.analysis.invariants` at every
+quiescent point: the routing ones mid-run whenever the installation
+re-converges between faults, and ``quiescent_checks`` in full (oracle
+included) once the schedule's horizon has passed and the network settled.
 
 Seeding discipline: the campaign owns one :class:`~repro.sim.rng.
 RngRegistry`; each schedule's sampler draws from a ``fork`` of it and
@@ -21,10 +21,11 @@ byte-for-byte).
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Literal, Optional
 
-from repro.chaos.checks import CheckReport, check_partition_routing, quiescent_checks
+from repro.analysis.invariants import check_partition_routing, quiescent_checks
 from repro.chaos.schedule import SEC, Injector, Schedule, ScheduleSampler
 from repro.network import Network
 from repro.obs.export import bench_document, bench_result
@@ -61,7 +62,7 @@ class ScheduleResult:
     sim_ns: int = 0
     epochs: int = 0
     injected: Dict[str, int] = field(default_factory=dict)
-    checks_run: Dict[str, int] = field(default_factory=dict)
+    checks_run: Counter = field(default_factory=Counter)
     violations: List[str] = field(default_factory=list)
 
     @property
@@ -74,21 +75,10 @@ class ScheduleResult:
 
 
 class CampaignRunner:
-    """Samples, runs, and checks fault schedules; accumulates a report.
+    """Samples, runs, and checks fault schedules; accumulates a report."""
 
-    ``extra_checks`` lets tests (and the deliberately-broken-invariant
-    sanity check) append their own quiescent-point predicate: a callable
-    from Network to :class:`CheckReport`, swept alongside the built-in
-    ones at the final quiescent point.
-    """
-
-    def __init__(
-        self,
-        config: CampaignConfig,
-        extra_checks: Optional[Callable[[Network], CheckReport]] = None,
-    ) -> None:
+    def __init__(self, config: CampaignConfig) -> None:
         self.config = config
-        self.extra_checks = extra_checks
         self.spec = resolve_topology(config.topology)
         self.registry = RngRegistry(config.seed)
         self.results: List[ScheduleResult] = []
@@ -130,8 +120,8 @@ class CampaignRunner:
         ``traffic`` (as ``Network(traffic=...)``) drives a workload
         through the schedule's faults; the fluid model is
         observational, so the reconfiguration trajectory is unchanged
-        while the SLO invariants (no flow left permanently unrouted at
-        quiescence) join the quiescent checks.
+        while ``quiescent_checks`` adds the SLO invariant (no flow left
+        permanently unrouted at quiescence).
 
         ``artifacts`` names a directory: the run then records with the
         flight recorder, the longitudinal sampler, in-band telemetry and
@@ -179,7 +169,7 @@ class CampaignRunner:
             now_converged = network.converged()
             if now_converged and not was_converged:
                 report = check_partition_routing(network)
-                result.checks_run = _merge_counts(result.checks_run, report.checks_run)
+                result.checks_run.update(report.checks_run)
                 result.violations.extend(
                     f"mid-run@{network.sim.now - base}ns: {v}" for v in report.violations
                 )
@@ -191,16 +181,7 @@ class CampaignRunner:
             result.violations.append(f"no convergence within {deadline / 1e9:.0f}s of schedule end")
         else:
             report = quiescent_checks(network)
-            if self.extra_checks is not None:
-                report.merge(self.extra_checks(network))
-            if network.traffic is not None:
-                # SLO invariant: quiescence means no flow between live,
-                # mutually-reachable endpoints is left permanently
-                # unrouted (goodput recovers after every reconfiguration)
-                report.ran("traffic_slo")
-                for violation in network.traffic.slo_violations():
-                    report.fail(f"traffic SLO: {violation}")
-            result.checks_run = _merge_counts(result.checks_run, report.checks_run)
+            result.checks_run.update(report.checks_run)
             result.violations.extend(report.violations)
 
         result.sim_ns = network.sim.now
@@ -246,11 +227,11 @@ class CampaignRunner:
         over sorted keys, no environment leakage.
         """
         config = self.config
-        faults: Dict[str, int] = {}
-        checks: Dict[str, int] = {}
+        faults: Counter = Counter()
+        checks: Counter = Counter()
         for r in self.results:
-            faults = _merge_counts(faults, r.injected)
-            checks = _merge_counts(checks, r.checks_run)
+            faults.update(r.injected)
+            checks.update(r.checks_run)
         failed = self.failures
         row = [
             config.topology,
@@ -356,10 +337,3 @@ def _failure_row(result: ScheduleResult) -> List:
         result.faults,
         "; ".join(result.violations),
     ]
-
-
-def _merge_counts(a: Dict[str, int], b: Dict[str, int]) -> Dict[str, int]:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return out

@@ -563,7 +563,7 @@ class Network:
 
     # -- state queries ------------------------------------------------------------------------
 
-    def operational_components(self, include_noisy: bool = True) -> List[frozenset]:
+    def operational_components(self) -> List[frozenset]:
         """The physically reachable components of the installation *now*:
         connected components over live switches and non-cut cables,
         returned as frozensets of switch indices (sorted by smallest
@@ -575,8 +575,8 @@ class Network:
         view against the component containing it.
         """
         alive = [i for i, ap in enumerate(self.autopilots) if ap.alive]
-        # cut and reflecting cables carry nothing useful
-        carrying = (LinkState.UP, LinkState.NOISY) if include_noisy else (LinkState.UP,)
+        # cut and reflecting cables carry nothing useful; noisy ones still do
+        carrying = (LinkState.UP, LinkState.NOISY)
         cables = [
             (a, b)
             for a, pa, b, _pb in self.spec.cables

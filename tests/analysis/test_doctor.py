@@ -76,6 +76,34 @@ def test_mid_reconfiguration_reported_critical():
     assert any("not configured" in f.what for f in criticals)
 
 
+def test_partitions_on_their_own_epochs_are_healthy():
+    """Section 6.6 configures each physical partition as its own network,
+    with its own epoch: a line cut in two places, one cut at a time, ends
+    with sw0 alone an epoch behind the rest, and that is no disagreement."""
+    net = Network(line(5), seed=1)
+    assert net.run_until_converged(timeout_ns=60 * SEC)
+    for a, b in ((0, 1), (3, 4)):
+        net.cut_link(a, b)
+        assert net.run_until_converged(timeout_ns=60 * SEC)
+    assert len({ap.epoch for ap in net.alive_autopilots()}) > 1
+    report = diagnose(net)
+    assert report.healthy, report.render()
+    assert report.epoch == net.current_epoch()
+    assert any("3 distinct topology views" in f.what for f in report.findings)
+
+
+def test_switches_of_one_view_on_different_epochs_are_critical():
+    net = Network(line(3), seed=1)
+    assert net.run_until_converged(timeout_ns=60 * SEC)
+    epoch = net.current_epoch()
+    net.autopilots[2].engine.epoch = epoch + 1  # planted: same view, next epoch
+    report = diagnose(net)
+    assert not report.healthy
+    assert [f.what for f in report.findings if f.severity == "critical"] == [
+        f"switches disagree on the epoch: {[epoch, epoch + 1]}"
+    ]
+
+
 def test_render_is_readable():
     net = Network(ring(3))
     assert net.run_until_converged(timeout_ns=60 * SEC)

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
+from repro.analysis.invariants import quiescent_checks
 from repro.chaos import campaign, schedule
 from repro.chaos.campaign import CampaignConfig, CampaignRunner
-from repro.chaos.checks import CheckReport
 from repro.chaos.events import CrashSwitch, CutLink, RestartSwitch
 from repro.chaos.replay import replay_artifact, reproducer_dict
 from repro.chaos.schedule import SCHEDULE_SCHEMA, SEC, Schedule
@@ -113,9 +113,10 @@ def test_schedule_results_are_independent_of_run_order():
 
 
 def broken_invariant(network):
-    """A deliberately-broken check: 'no switch may ever be down at
-    quiescence' -- false whenever a schedule leaves a crash unrestarted."""
-    report = CheckReport()
+    """The real sweep plus a deliberately-broken check: 'no switch may
+    ever be down at quiescence' -- false whenever a schedule leaves a
+    crash unrestarted."""
+    report = quiescent_checks(network)
     report.ran("deliberately-broken")
     for i, ap in enumerate(network.autopilots):
         if not ap.alive:
@@ -123,9 +124,9 @@ def broken_invariant(network):
     return report
 
 
-def test_broken_invariant_fails_and_shrinks_to_small_reproducer(tmp_path):
+def test_broken_invariant_fails_and_shrinks_to_small_reproducer(tmp_path, monkeypatch):
     config = quick_config()
-    runner = CampaignRunner(config, extra_checks=broken_invariant)
+    runner = CampaignRunner(config)
     # a hand-made schedule with one culprit (the unrestarted crash)
     # buried among harmless events
     schedule = Schedule(
@@ -140,13 +141,17 @@ def test_broken_invariant_fails_and_shrinks_to_small_reproducer(tmp_path):
         ],
         name="broken",
     )
-    result = runner.run_schedule(schedule)
-    assert not result.passed
-    assert any("sw4 is down" in v for v in result.violations)
+    with monkeypatch.context() as patch:
+        # the binding the campaign calls at its final quiescent point
+        patch.setattr(campaign, "quiescent_checks", broken_invariant)
+        result = runner.run_schedule(schedule)
+        assert result.checks_run["deliberately-broken"] == 1
+        assert not result.passed
+        assert any("sw4 is down" in v for v in result.violations)
 
-    minimal, runs = shrink_schedule(
-        schedule, lambda s: not runner.run_schedule(s).passed, max_runs=40
-    )
+        minimal, runs = shrink_schedule(
+            schedule, lambda s: not runner.run_schedule(s).passed, max_runs=40
+        )
     assert len(minimal.events) <= 5, minimal.describe()
     kinds = [e.kind for e in minimal.events]
     assert "crash-switch" in kinds
@@ -165,8 +170,8 @@ def test_broken_invariant_fails_and_shrinks_to_small_reproducer(tmp_path):
     doc = artifact.read(str(path), SCHEDULE_SCHEMA)
     assert doc["shrunk_from_events"] == 5
     replayed = CampaignRunner(config).run_schedule(Schedule.from_dict(doc["schedule"]))
-    # without the broken extra check the minimal schedule passes: one
-    # dead switch is a legal quiescent state
+    # with the real sweep back the minimal schedule passes: one dead
+    # switch is a legal quiescent state
     assert replayed.passed, replayed.violations
 
 

@@ -18,7 +18,7 @@ The shrunk reproducer is also checked in as
 ``test_campaign.py``.
 """
 
-from repro.chaos.checks import quiescent_checks
+from repro.analysis.invariants import quiescent_checks
 from repro.constants import SEC
 from repro.network import Network
 from repro.topology import torus

@@ -8,23 +8,9 @@ may import this module.
 
 import math
 
-from repro.analysis.deadlock import channel_dependency_graph, is_acyclic
-from repro.analysis.invariants import deliveries
 from repro.core.routing import DOWN, UP
 from repro.core.topo import PortRef
 from repro.types import MAX_SWITCH_NUMBER
-
-
-def trace_delivery(topology, entries_by_uid, start_uid, start_port, address):
-    """All (switch, port) deliveries reachable for a packet, across every
-    alternative-port choice the switches could make.
-
-    Each (switch, in-port) state is expanded once, so the walk terminates
-    on any tables.  A forwarding loop is therefore not reported here: it
-    is a cycle of switch-to-switch channels, which the deadlock-freedom
-    check owns (:func:`repro.analysis.deadlock.channel_dependency_graph`).
-    """
-    return deliveries(topology.index().nbrs, entries_by_uid, start_uid, start_port, address)
 
 
 def assert_trail_legal(topology, trail, uid_of_switch_name):
@@ -52,11 +38,6 @@ def assert_trail_legal(topology, trail, uid_of_switch_name):
             )
         else:
             descended = True
-
-
-def has_deadlock_potential(topology, entries_by_uid):
-    """True iff the loaded routes admit a circular channel dependency."""
-    return not is_acyclic(channel_dependency_graph(topology, entries_by_uid))
 
 
 class ProgressMonitor:

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.analysis.deadlock import channel_dependency_graph
 from repro.analysis.invariants import (
     all_pairs_reachable,
+    channel_dependency_graph,
     check_no_down_to_up,
+    deliveries,
+    is_acyclic,
     links_used,
 )
 from repro.constants import (
@@ -22,7 +24,7 @@ from repro.core.routing import (
 )
 from repro.topology import expected_tree, line, mesh, random_regular, ring, torus
 from repro.types import make_short_address
-from tests.checkers import arrival_phase, has_deadlock_potential, trace_delivery
+from tests.checkers import arrival_phase
 
 
 def build_all(spec, host_ports=None):
@@ -93,7 +95,7 @@ def test_no_down_to_up_entries(spec):
 )
 def test_updown_routes_are_deadlock_free(spec):
     topo, entries = build_all(spec)
-    assert not has_deadlock_potential(topo, entries)
+    assert is_acyclic(channel_dependency_graph(topo, entries))
 
 
 def test_all_links_used_in_some_route():
@@ -147,7 +149,7 @@ def test_host_address_delivery():
     topo, entries = build_all(spec, host_ports=host_ports)
     uids = spec.uids
     address = make_short_address(topo.numbers[uids[0]], 7)
-    delivered = trace_delivery(topo, entries, uids[5], 7, address)
+    delivered = deliveries(topo.index().nbrs, entries, uids[5], 7, address)
     assert delivered == {(uids[0], 7)}
 
 
@@ -156,8 +158,8 @@ def test_packet_to_non_host_port_discarded():
     topo, entries = build_all(spec, host_ports={0: [5]})
     # port 9 of switch 0 is not a host port: deliveries must be empty
     address = make_short_address(topo.numbers[spec.uids[0]], 9)
-    delivered = trace_delivery(
-        topo, entries, spec.uids[2], CONTROL_PROCESSOR_PORT, address
+    delivered = deliveries(
+        topo.index().nbrs, entries, spec.uids[2], CONTROL_PROCESSOR_PORT, address
     )
     assert delivered == set()
 

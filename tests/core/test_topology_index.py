@@ -13,13 +13,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.deadlock import channel_dependency_graph
 from repro.analysis.invariants import (
     all_pairs_reachable,
+    channel_dependency_graph,
     check_no_down_to_up,
     links_used,
+    quiescent_checks,
 )
-from repro.chaos.checks import quiescent_checks
 from repro.constants import CONTROL_PROCESSOR_PORT, PORTS_PER_SWITCH, SEC
 from repro.core import reconfig
 from repro.core.routing import DOWN, UP, build_forwarding_entries, link_direction

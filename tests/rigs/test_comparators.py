@@ -5,12 +5,16 @@ from benchmarks.rigs.routing_ablation import (
     tree_only_topology,
 )
 from benchmarks.rigs.token_ring import RING_BROADCAST, TokenRing
-from repro.analysis.invariants import all_pairs_reachable, links_used
+from repro.analysis.invariants import (
+    all_pairs_reachable,
+    channel_dependency_graph,
+    is_acyclic,
+    links_used,
+)
 from repro.constants import MS
 from repro.core.routing import build_forwarding_entries
 from repro.sim.engine import Simulator
 from repro.topology import expected_tree, ring, torus
-from tests.checkers import has_deadlock_potential
 
 
 class TestTokenRing:
@@ -73,7 +77,7 @@ class TestRoutingAblation:
         tree = tree_only_topology(topo)
         entries = {uid: build_forwarding_entries(tree, uid) for uid in tree.switches}
         assert all(all_pairs_reachable(tree, entries).values())
-        assert not has_deadlock_potential(tree, entries)
+        assert is_acyclic(channel_dependency_graph(tree, entries))
 
     def test_tree_only_wastes_cross_links(self):
         """Tree routing leaves every non-tree link idle (E11's point)."""
@@ -99,7 +103,7 @@ class TestRoutingAblation:
             entries = {
                 uid: build_shortest_path_entries(topo, uid) for uid in topo.switches
             }
-            assert has_deadlock_potential(topo, entries)
+            assert not is_acyclic(channel_dependency_graph(topo, entries))
 
     def test_updown_free_where_shortest_path_is_not(self):
         spec = torus(3, 4)
@@ -108,5 +112,5 @@ class TestRoutingAblation:
         shortest = {
             uid: build_shortest_path_entries(topo, uid) for uid in topo.switches
         }
-        assert not has_deadlock_potential(topo, updown)
-        assert has_deadlock_potential(topo, shortest)
+        assert is_acyclic(channel_dependency_graph(topo, updown))
+        assert not is_acyclic(channel_dependency_graph(topo, shortest))

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.checks import quiescent_checks
+from repro.analysis.invariants import quiescent_checks
 from repro.sim.engine import Simulator
 from repro.sim.timers import TaskScheduler
 from tests.naive_tasks import NaiveSimulator, NaiveTaskScheduler

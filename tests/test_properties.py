@@ -10,9 +10,9 @@ bijection honoring unique proposals.
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.deadlock import channel_dependency_graph
 from repro.analysis.invariants import (
     all_pairs_reachable,
+    channel_dependency_graph,
     check_no_down_to_up,
     links_used,
 )

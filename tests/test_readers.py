@@ -65,8 +65,8 @@ ALLOWED = {
         "the Ethernet half of the same: a MultiLan with one kind of network switches nothing"
     ),
     "def repro.net.forwarding.ForwardingTable.set_entry": (
-        "plants one bad cell in a loaded table (tests/chaos/test_checks.py's negative cases, "
-        "the row-model differential); load() can only replace whole rows"
+        "plants one bad cell in a loaded table (tests/analysis/test_invariants.py's negative "
+        "cases, the row-model differential); load() can only replace whole rows"
     ),
     "param Network.__init__.sim": (
         "co-simulating two Autonets (section 6.8.2's Autonet-to-Autonet bridge) needs one "

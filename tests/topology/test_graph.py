@@ -12,7 +12,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.deadlock import channel_dependency_graph, is_acyclic
+from repro.analysis.invariants import channel_dependency_graph, is_acyclic
 from benchmarks.rigs.routing_ablation import build_shortest_path_entries, tree_only_topology
 from repro.core.routing import build_forwarding_entries
 from repro.topology import expected_tree, line
