@@ -102,9 +102,11 @@ def dynamic_deadlock(routing: str):
     for switch in switches:
         for unit in switch.ports.values():
             unit.fc_receiver.last = Directive.START
+            unit.fc_receiver.transmission_allowed = True
     for host in hosts:
         for port in host.ports:
             port.fc_receiver.last = Directive.START
+            port.fc_receiver.transmission_allowed = True
 
     for i, host in enumerate(hosts):
         dest = (i + 2) % 6

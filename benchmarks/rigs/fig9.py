@@ -126,9 +126,11 @@ def build_fig9(
     for switch in switches:
         for unit in switch.ports.values():
             unit.fc_receiver.last = Directive.START
+            unit.fc_receiver.transmission_allowed = True
     for controller in (host_a, host_b, host_c):
         for port in controller.ports:
             port.fc_receiver.last = Directive.START
+            port.fc_receiver.transmission_allowed = True
 
     scenario = Fig9Scenario(
         sim=sim,

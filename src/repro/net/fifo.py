@@ -67,13 +67,15 @@ class DiscardSink(DrainTarget):
 class FifoPacket:
     """Book-keeping for one packet resident in (or flowing through) a FIFO."""
 
-    __slots__ = ("packet", "size", "bytes_in", "bytes_out", "arriving",
+    __slots__ = ("packet", "size", "cut_through", "bytes_in", "bytes_out", "arriving",
                  "requested", "targets", "broadcast", "drain_started")
 
-    def __init__(self, packet: Packet, arriving: bool = True) -> None:
+    def __init__(self, packet: Packet, cut_through_bytes: int, arriving: bool = True) -> None:
         self.packet = packet
-        #: wire size, latched once -- the dynamics read it constantly
-        self.size: int = packet.wire_bytes
+        #: wire size and the bytes a drain waits for, min(cut_through_bytes,
+        #: size), latched once -- the dynamics read them constantly
+        self.size = size = packet.wire_bytes
+        self.cut_through: int = size if size < cut_through_bytes else cut_through_bytes
         self.bytes_in: float = 0.0
         self.bytes_out: float = 0.0
         self.arriving = arriving
@@ -194,7 +196,7 @@ class ReceiveFifo:
         self._advance()
         # a new packet is a new victim for overflow detection
         self.overflowed = False
-        self.queue.append(FifoPacket(packet, arriving=True))
+        self.queue.append(FifoPacket(packet, self.cut_through_bytes))
         self.packets_seen += 1
         self.in_rate = rate
         self._recompute()
@@ -203,7 +205,7 @@ class ReceiveFifo:
         """Queue a packet that is already whole in the buffer (control
         processor injection, host transmit staging): nothing arrives."""
         self._advance()
-        entry = FifoPacket(packet, arriving=False)
+        entry = FifoPacket(packet, self.cut_through_bytes, arriving=False)
         entry.bytes_in = float(entry.size)
         self.queue.append(entry)
         self.packets_seen += 1
@@ -221,14 +223,11 @@ class ReceiveFifo:
         the next begin, so the arrival rate is 0 from here."""
         self._advance()
         entry = self._arriving_entry()
-        if entry is None or entry.packet is not packet:
-            # the entry may already have been fully drained and popped
-            # (cut-through finished exactly as the tail arrived)
-            self.in_rate = 0.0
-            self._recompute()
-            return
-        entry.bytes_in = float(entry.size)
-        entry.arriving = False
+        # the entry may already have been fully drained and popped
+        # (cut-through finished exactly as the tail arrived)
+        if entry is not None and entry.packet is packet:
+            entry.bytes_in = float(entry.size)
+            entry.arriving = False
         self.in_rate = 0.0
         self._recompute()
 
@@ -242,9 +241,9 @@ class ReceiveFifo:
     def connect_drain(self, targets: Sequence[DrainTarget], broadcast: bool) -> None:
         """The router granted output ports to the head packet."""
         self._advance()
-        entry = self.head
-        if entry is None:
+        if not self.queue:
             raise RuntimeError(f"{self.name}: grant with empty FIFO")
+        entry = self.queue[0]
         # every caller builds a fresh list: keep it, no copy
         entry.targets = targets
         entry.broadcast = broadcast
@@ -262,18 +261,26 @@ class ReceiveFifo:
         dt = now - self._last_update
         if dt <= 0:
             return
+        self._last_update = now
         slots = dt / BYTE_TIME_NS
         queue = self.queue
-        entry = queue[-1] if queue and queue[-1].arriving else None
-        if entry is not None and self.in_rate > 0:
-            entry.bytes_in = min(float(entry.size), entry.bytes_in + self.in_rate * slots)
-        head = queue[0] if queue else None
-        if head is not None and self.drain_rate > 0:
-            moved = min(self.drain_rate * slots, head.bytes_in - head.bytes_out)
-            head.bytes_out += moved
-            self.bytes_forwarded += moved
-        self._last_update = now
-        level = self._level()
+        level = 0
+        if queue:
+            tail = queue[-1]
+            if tail.arriving and self.in_rate > 0:
+                got = tail.bytes_in + self.in_rate * slots  # min(float(size), got)
+                tail.bytes_in = got if got < tail.size else float(tail.size)
+            drain_rate = self.drain_rate
+            if drain_rate > 0:
+                head = queue[0]
+                moved = drain_rate * slots  # min(moved, held)
+                held = head.bytes_in - head.bytes_out
+                if held < moved:
+                    moved = held
+                head.bytes_out += moved
+                self.bytes_forwarded += moved
+            for entry in queue:
+                level += entry.bytes_in - entry.bytes_out
         if level > self.max_level:
             self.max_level = level
         if level > self.capacity + _EPS:
@@ -293,9 +300,11 @@ class ReceiveFifo:
             self.overflowed = False
 
     def _recompute(self) -> None:
-        # One pass per state change, ~5 per packet hop.  Each float
-        # expression is the five-method pass's (tests/naive_fifo.py), in
-        # its order: float trajectories, hence packet timing, are unchanged.
+        # One pass per state change, ~6 per FIFO a packet crosses.  Each
+        # float expression is the five-method pass's (tests/naive_fifo.py),
+        # in its order, and each min/max/abs of it is a comparison that
+        # returns the operand the builtin did (DESIGN.md): float
+        # trajectories, hence packet timing, are unchanged.
         queue = self.queue
         if not queue:
             self.drain_rate = 0.0
@@ -324,7 +333,7 @@ class ReceiveFifo:
         new_rate = 0.0
         targets = head.targets
         if targets is not None:
-            if head.drain_started or head.bytes_in + _EPS >= min(self.cut_through_bytes, head.size):
+            if head.drain_started or head.bytes_in + _EPS >= head.cut_through:
                 broadcast = head.broadcast
                 for target in targets:
                     if not target.drain_allowed(broadcast):
@@ -348,7 +357,7 @@ class ReceiveFifo:
                     self.buffered_packets += 1
                 for target in targets:
                     target.notify_begin(head.packet, head.broadcast, new_rate)
-            elif head.drain_started and abs(new_rate - self.drain_rate) > _EPS \
+            elif head.drain_started and not -_EPS <= new_rate - self.drain_rate <= _EPS \
                     and head.bytes_out + _EPS < head.size:
                 for target in targets:
                     target.notify_rate(new_rate)
@@ -358,18 +367,19 @@ class ReceiveFifo:
             self._complete_head()
             return  # _complete_head re-enters this pass for the next head
 
-        # flow-control directive from the level trajectory
+        # flow-control directive from the level trajectory; a tail that
+        # holds its whole size (its end marker lost with a cut) adds no rate
         level: float = 0
         for entry in queue:
             level += entry.bytes_in - entry.bytes_out
-        in_rate = self.in_rate if arriving is not None else 0.0
+        in_rate = self.in_rate if arriving is not None and tail.bytes_in < tail.size else 0.0
         net = in_rate - drain_rate
         stop_threshold = self.stop_threshold
         if level > stop_threshold + _EPS:
             if not self._level_stop:
                 self._set_level_stop(True)
         elif self._level_stop and (level < stop_threshold - _EPS or (
-                abs(level - stop_threshold) <= _EPS and net <= 0)):
+                -_EPS <= level - stop_threshold <= _EPS and net <= 0)):
             self._set_level_stop(False)
 
         # the next boundary: the earliest future instant that changes the
@@ -381,7 +391,7 @@ class ReceiveFifo:
                 if _EPS < c < soonest:
                     soonest = c
             if targets is not None and not head.drain_started:
-                c = (min(self.cut_through_bytes, head.size) - head.bytes_in) / in_rate
+                c = (head.cut_through - head.bytes_in) / in_rate
                 if _EPS < c < soonest:
                     soonest = c
         if drain_rate > 0:
@@ -417,7 +427,7 @@ class ReceiveFifo:
                 cancel(boundary)
                 self._boundary = None
             return
-        delay_ns = max(1, round(soonest * BYTE_TIME_NS))
+        delay_ns = round(soonest * BYTE_TIME_NS) or 1  # max(1, ...) of an int >= 0
         at = self.sim.now + delay_ns
         if boundary is not None:
             # reprogramming to the same instant: keep the armed event.

@@ -163,18 +163,16 @@ class FlowControlReceiver:
         #: the power-up latch is physically unpredictable (section 6.2);
         #: callers choose what the hardware happened to hold
         self.last: Directive = initial
+        #: whether the latched directive allows sending packet bytes,
+        #: written with ``last`` (every FIFO pass reads it)
+        self.transmission_allowed = initial is Directive.START or initial is Directive.HOST
         self.last_change_time: int = 0
         self.on_change = on_change
 
     def receive(self, directive: Directive, now: int) -> None:
         if directive is not self.last:
             self.last = directive
+            self.transmission_allowed = directive is Directive.START or directive is Directive.HOST
             self.last_change_time = now
             if self.on_change is not None:
                 self.on_change(directive)
-
-    @property
-    def transmission_allowed(self) -> bool:
-        """Whether the latched directive allows sending packet bytes."""
-        last = self.last
-        return last is Directive.START or last is Directive.HOST

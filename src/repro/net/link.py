@@ -108,8 +108,6 @@ class Link:
         self.delay_ns = propagation_ns(length_km)
         self.name = name or f"link({length_km}km)"
         self.state = LinkState.UP
-        #: probability an in-flight packet is corrupted while NOISY
-        self.noise_corruption = 0.5
         a.link = self
         b.link = self
         a.on_heard_change()
@@ -149,34 +147,30 @@ class Link:
 
     # -- transmission -------------------------------------------------------------
 
-    # once per traversal each: an UP/NOISY link sends without _route's tuple
+    # once per traversal each: _route inline, without its call or tuple
     def send_begin(self, sender: Endpoint, packet: Packet, rate: float) -> None:
         state = self.state
         if state is LinkState.UP or state is LinkState.NOISY:
-            self.sim.after(self.delay_ns, self.other(sender).rx_begin_packet, packet, rate)
+            receiver, delay = (self.b if sender is self.a else self.a), self.delay_ns
+        elif self._reflecting_for(sender):
+            receiver, delay = sender, 2 * self.delay_ns
+        else:
             return
-        route = self._route(sender)
-        if route is None:
-            return
-        receiver, delay = route
         self.sim.after(delay, receiver.rx_begin_packet, packet, rate)
 
     def send_rate(self, sender: Endpoint, rate: float) -> None:
         route = self._route(sender)
-        if route is None:
-            return
-        receiver, delay = route
-        self.sim.after(delay, receiver.rx_set_rate, rate)
+        if route is not None:
+            self.sim.after(route[1], route[0].rx_set_rate, rate)
 
     def send_end(self, sender: Endpoint, packet: Packet) -> None:
         state = self.state
         if state is LinkState.UP or state is LinkState.NOISY:
-            self.sim.after(self.delay_ns, self.other(sender).rx_end_packet, packet)
+            receiver, delay = (self.b if sender is self.a else self.a), self.delay_ns
+        elif self._reflecting_for(sender):
+            receiver, delay = sender, 2 * self.delay_ns
+        else:
             return
-        route = self._route(sender)
-        if route is None:
-            return
-        receiver, delay = route
         self.sim.after(delay, receiver.rx_end_packet, packet)
 
     def send_flow_control(self, sender: Endpoint, directive: Directive) -> None:
@@ -186,10 +180,8 @@ class Link:
         propagation delay (twice for a reflection).
         """
         route = self._route(sender)
-        if route is None:
-            return
-        receiver, delay = route
-        self.sim.after(delay, receiver.rx_flow_control, directive)
+        if route is not None:
+            self.sim.after(route[1], route[0].rx_flow_control, directive)
 
     # -- fault fingerprints ---------------------------------------------------------
 

@@ -68,7 +68,8 @@ class LinkUnit(Endpoint):
         self._stopped_since: Optional[int] = None
 
         #: the fifo currently draining through this port's transmitter
-        self._drain_source: Optional[ReceiveFifo] = None
+        #: (written by the switch's crossbar bookkeeping)
+        self.drain_source: Optional[ReceiveFifo] = None
         self.fifo = ReceiveFifo(
             sim,
             name=f"{name}.fifo",
@@ -224,8 +225,8 @@ class LinkUnit(Endpoint):
             self._stopped_since = None
         self.on_heard_change()
         # re-gate any drain this port's transmitter is serving
-        if self._drain_source is not None:
-            self._drain_source.recompute()
+        if self.drain_source is not None:
+            self.drain_source.recompute()
 
     def cumulative_stop_ns(self, now: Optional[int] = None) -> int:
         """Total time transmission on this port has been stop-gated."""
@@ -233,9 +234,6 @@ class LinkUnit(Endpoint):
         if self._stopped_since is not None:
             total += (self.sim.now if now is None else now) - self._stopped_since
         return total
-
-    def set_drain_source(self, fifo: Optional[ReceiveFifo]) -> None:
-        self._drain_source = fifo
 
     # -- control register ---------------------------------------------------------------
 

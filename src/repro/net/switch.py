@@ -188,7 +188,7 @@ class Switch:
             else:
                 unit = self.ports[port]
                 targets.append(unit.tx)
-                unit.set_drain_source(fifo)
+                unit.drain_source = fifo
         self.crossbar.connect(in_port, ports)
         packet.record_hop(self.name, in_port, ports)
         ib = self.sim.inband
@@ -213,7 +213,7 @@ class Switch:
 
     def _tx_ended(self, port: int, packet: Packet) -> None:
         """``port``'s transmitter finished (or aborted) a packet."""
-        self.ports[port].set_drain_source(None)
+        self.ports[port].drain_source = None
         self.crossbar.disconnect(port)
         self.engine.port_freed(port)
 
@@ -245,7 +245,7 @@ class Switch:
                 if tx.current is packet:
                     tx.abort()  # on_end hook frees the port
                 else:
-                    self.ports[out_port].set_drain_source(None)
+                    self.ports[out_port].drain_source = None
                     self.crossbar.disconnect(out_port)
                     self.engine.port_freed(out_port)
         self.engine.remove_requests_from(in_port)
@@ -258,7 +258,7 @@ class Switch:
             if unit.fifo.queue:
                 self._drop("reset", port, len(unit.fifo.queue))
             unit.tx.abort()
-            unit.set_drain_source(None)
+            unit.drain_source = None
             unit.reset()
         self._cp_fifo.queue.clear()
         self._cp_fifo.drain_rate = 0.0

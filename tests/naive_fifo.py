@@ -2,19 +2,24 @@
 
 ``src/`` makes one straight-line pass per FIFO state change
 (``ReceiveFifo._recompute``): it reads the head and the arriving tail once,
-returns early on an empty queue, walks the queue for the level inline and
-calls ``_set_level_stop`` only on a change.  This module holds the pass it
-replaced, verbatim, as the oracle it is pinned to (as ``tests/naive_wire.py``
-is for the wire protocol):
+returns early on an empty queue, walks the queue for the level inline,
+writes each ``min``/``max``/``abs`` as a comparison and calls
+``_set_level_stop`` only on a change.  This module holds the pass it
+replaced, verbatim apart from the whole-tail rule below, as the oracle it is
+pinned to (as ``tests/naive_wire.py`` is for the wire protocol):
 
 * ``_recompute`` issues the routing request, asks ``_desired_drain_rate``
   for the drain rate, emits the markers, completes the head, walks the
   level with ``_level()``, asks ``_effective_in_rate`` for the arrival
-  rate, sets the directive through ``_set_level_stop`` in every pass, and
-  hands level and net rate to ``_program_boundary``;
-* ``_set_level_stop`` returns early when nothing changes.
+  rate (none from a tail that already holds its whole size), sets the
+  directive through ``_set_level_stop`` in every pass, and hands level
+  and net rate to ``_program_boundary``;
+* ``_set_level_stop`` returns early when nothing changes;
+* ``_advance`` moves the bytes with ``min`` and sums the level with
+  ``_level()``, where ``src/`` compares and walks the queue inline.
 
-:func:`install` patches the five methods over :class:`ReceiveFifo`.
+:func:`install` patches the five methods and ``_advance`` over
+:class:`ReceiveFifo`.
 ``tests/naive_wire.py`` builds its own ``_recompute`` on these helpers.
 Nothing under ``src/`` may import this module.
 """
@@ -25,9 +30,50 @@ from repro.net.flowcontrol import Directive
 from repro.sim.engine import cancel
 
 
-def _effective_in_rate(self):
+def _advance(self):
+    now = self.sim.now
+    dt = now - self._last_update
+    if dt <= 0:
+        return
+    slots = dt / BYTE_TIME_NS
     queue = self.queue
-    return self.in_rate if queue and queue[-1].arriving else 0.0
+    entry = queue[-1] if queue and queue[-1].arriving else None
+    if entry is not None and self.in_rate > 0:
+        entry.bytes_in = min(float(entry.size), entry.bytes_in + self.in_rate * slots)
+    head = queue[0] if queue else None
+    if head is not None and self.drain_rate > 0:
+        moved = min(self.drain_rate * slots, head.bytes_in - head.bytes_out)
+        head.bytes_out += moved
+        self.bytes_forwarded += moved
+    self._last_update = now
+    level = self._level()
+    if level > self.max_level:
+        self.max_level = level
+    if level > self.capacity + _EPS:
+        # once per victim: a later advance above capacity is the same loss
+        if not self.overflowed:
+            self.overflowed = True
+            victim = self._arriving_entry()
+            if victim is not None:
+                victim.packet.corrupted = True
+            ib = self.sim.inband
+            if ib is not None:
+                ib.record_queue_drop(victim.packet if victim else None, self.name)
+            if self.on_overflow is not None:
+                self.on_overflow(victim.packet if victim else None)
+    elif self.overflowed:
+        # back within capacity: the next excess loses another packet
+        self.overflowed = False
+
+
+def _effective_in_rate(self):
+    """The arrival rate the pass plans with: none without an arriving
+    tail, and none once that tail holds its whole size (an end marker lost
+    with a cut leaves ``in_rate`` at 1, with nothing more to come)."""
+    queue = self.queue
+    if not queue or not queue[-1].arriving or queue[-1].bytes_in >= queue[-1].size:
+        return 0.0
+    return self.in_rate
 
 
 def _desired_drain_rate(self):
@@ -115,7 +161,7 @@ def _program_boundary(self, level, net):
     queue = self.queue
     head = queue[0] if queue else None
     arriving = queue[-1] if queue and queue[-1].arriving else None
-    in_rate = self.in_rate if arriving is not None else 0.0
+    in_rate = self._effective_in_rate()
 
     if head is not None:
         if not head.requested and in_rate > 0 and head is arriving:
@@ -181,8 +227,9 @@ def _program_boundary(self, level, net):
 
 
 def install(monkeypatch):
-    """Patch the five-method pass over :class:`ReceiveFifo` (undone by the
-    ``monkeypatch`` fixture)."""
+    """Patch the five-method pass and its advance over :class:`ReceiveFifo`
+    (undone by the ``monkeypatch`` fixture)."""
+    monkeypatch.setattr(ReceiveFifo, "_advance", _advance, raising=True)
     monkeypatch.setattr(ReceiveFifo, "_recompute", _recompute, raising=True)
     monkeypatch.setattr(ReceiveFifo, "_set_level_stop", _set_level_stop, raising=True)
     for name, method in (

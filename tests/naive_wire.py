@@ -69,7 +69,7 @@ def install(monkeypatch):
         # next event and goes through set_in_rate
         self._advance()
         self.overflowed = False
-        self.queue.append(FifoPacket(packet, arriving=True))
+        self.queue.append(FifoPacket(packet, self.cut_through_bytes))
         self.packets_seen += 1
         self._recompute()
 

@@ -178,3 +178,21 @@ def test_drain_gated_by_target_permission():
     fifo.recompute()
     sim.run(until=sim.now + 1_000_000)
     assert events["drained"]
+
+
+def test_a_whole_tail_without_its_end_marker_arms_no_boundary():
+    """A cable cut mid-packet loses the tail's end marker, so ``in_rate``
+    stays 1.  Once the tail holds its whole size it adds no arrival rate to
+    the pass: no watermark boundary is re-armed every (watermark - level)
+    slots (1 310 do-nothing boundaries in 200 ms for this 140-byte tail)."""
+    sim = Simulator()
+    fifo, events = make_fifo(sim)
+    pkt = packet(100)  # wire = 140, never granted, its end marker lost
+    fifo.begin_packet(pkt, 1.0)
+    sim.run(until=200_000_000)
+    assert fifo.queue[0].bytes_in == pkt.wire_bytes and fifo.in_rate == 1.0
+    # the routing request at 2 bytes, then the watermark boundary armed
+    # while the tail still arrived; nothing after it holds its whole size
+    assert sim.events_dispatched == 2
+    assert fifo._boundary is None
+    assert events["directives"] == [] and events["overflow"] == []

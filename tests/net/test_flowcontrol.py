@@ -1,5 +1,8 @@
 """TAXI flow-control directives and slot timing (sections 6.1, 6.2)."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.net.flowcontrol import (
     FC_SLOT_PERIOD_NS,
     Directive,
@@ -140,3 +143,26 @@ class TestReceiver:
         rx.receive(Directive.STOP, 2)
         assert changes == [Directive.START, Directive.STOP]
         assert rx.last_change_time == 2
+
+
+_DIRECTIVES = st.sampled_from(list(Directive))
+
+
+@given(
+    initial=_DIRECTIVES,
+    received=st.lists(st.tuples(_DIRECTIVES, st.integers(0, 10**9)), max_size=30),
+)
+def test_latched_gate_follows_the_latch(initial, received):
+    """``transmission_allowed`` is a plain attribute every FIFO pass reads:
+    from any power-up latch and after every directive received, it says
+    whether the latched directive is start or host."""
+    changes = []
+    rx = FlowControlReceiver(on_change=changes.append, initial=initial)
+    assert rx.transmission_allowed == (rx.last in (Directive.START, Directive.HOST))
+    for directive, now in received:
+        count, last = len(changes), rx.last
+        rx.receive(directive, now)
+        assert rx.last is directive
+        assert rx.transmission_allowed == (rx.last in (Directive.START, Directive.HOST))
+        # the latch still reports changes only
+        assert len(changes) == count + (directive is not last)
