@@ -96,9 +96,7 @@ class HostPort(Endpoint):
     def clear_tx(self) -> None:
         """Abort queued transmissions (used when failing over)."""
         self.tx.abort()
-        self.tx_fifo.queue.clear()
-        self.tx_fifo.drain_rate = 0.0
-        self.tx_fifo.recompute()
+        self.tx_fifo.clear()
 
     # -- receive path (Endpoint interface) ----------------------------------------------
 

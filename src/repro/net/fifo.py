@@ -11,7 +11,11 @@ event per FIFO at the earliest time anything interesting happens:
 * cut-through becomes possible (25 bytes arrived, §3.5),
 * the occupancy crosses the stop/start watermark (flow control, §6.2),
 * the head packet finishes draining (output ports free, §5.1),
-* the drain catches up with the arrival (pass-through or stall).
+* the drain catches up with the arrival (pass-through or stall),
+* the arriving tail is whole at or above the watermark (the level turns).
+
+The advance that finds a tail's last byte in closes it: a switch hears an
+end marker only when it carries news (DESIGN.md, "Two markers on the wire").
 
 External state changes (grants, upstream rate changes, downstream flow
 control) call :meth:`ReceiveFifo.recompute`, which advances the linear
@@ -219,8 +223,9 @@ class ReceiveFifo:
         self._recompute()
 
     def end_packet(self, packet: Packet) -> None:
-        """The packet's last byte has arrived; nothing follows it until
-        the next begin, so the arrival rate is 0 from here."""
+        """The packet's end marker: nothing more of it arrives (it was cut
+        short, or may have lost a marker), so the arrival rate is 0 from
+        here until the next begin."""
         self._advance()
         entry = self._arriving_entry()
         # the entry may already have been fully drained and popped
@@ -254,6 +259,13 @@ class ReceiveFifo:
         self._advance()
         self._recompute()
 
+    def clear(self) -> None:
+        """Destroy every packet (a reset), counting what drained until now."""
+        self._advance()
+        self.queue.clear()
+        self.drain_rate = 0.0
+        self._recompute()
+
     # -- internal dynamics ---------------------------------------------------------
 
     def _advance(self) -> None:
@@ -265,11 +277,13 @@ class ReceiveFifo:
         slots = dt / BYTE_TIME_NS
         queue = self.queue
         level = 0
+        whole = False
         if queue:
             tail = queue[-1]
             if tail.arriving and self.in_rate > 0:
                 got = tail.bytes_in + self.in_rate * slots  # min(float(size), got)
                 tail.bytes_in = got if got < tail.size else float(tail.size)
+                whole = got + _EPS >= tail.size
             drain_rate = self.drain_rate
             if drain_rate > 0:
                 head = queue[0]
@@ -298,9 +312,13 @@ class ReceiveFifo:
         elif self.overflowed:
             # back within capacity: the next excess loses another packet
             self.overflowed = False
+        if whole:
+            # the last byte is in: close the tail as an end marker would,
+            # after the overflow check, which still names it the victim
+            tail.bytes_in, tail.arriving, self.in_rate = float(tail.size), False, 0.0
 
     def _recompute(self) -> None:
-        # One pass per state change, ~6 per FIFO a packet crosses.  Each
+        # One pass per state change, ~5 per FIFO a packet crosses.  Each
         # float expression is the five-method pass's (tests/naive_fifo.py),
         # in its order, and each min/max/abs of it is a comparison that
         # returns the operand the builtin did (DESIGN.md): float
@@ -367,12 +385,11 @@ class ReceiveFifo:
             self._complete_head()
             return  # _complete_head re-enters this pass for the next head
 
-        # flow-control directive from the level trajectory; a tail that
-        # holds its whole size (its end marker lost with a cut) adds no rate
+        # flow-control directive from the level trajectory
         level: float = 0
         for entry in queue:
             level += entry.bytes_in - entry.bytes_out
-        in_rate = self.in_rate if arriving is not None and tail.bytes_in < tail.size else 0.0
+        in_rate = self.in_rate if arriving is not None else 0.0
         net = in_rate - drain_rate
         stop_threshold = self.stop_threshold
         if level > stop_threshold + _EPS:
@@ -405,11 +422,20 @@ class ReceiveFifo:
                 c = (head.bytes_in - head.bytes_out) / (drain_rate - in_rate)
                 if _EPS < c < soonest:
                     soonest = c
+        # the tail is whole here and the level stops rising: a boundary
+        # only if a fall through the watermark may start there
+        whole = _NEVER
+        if in_rate > 0:
+            whole = (tail.size - tail.bytes_in) / in_rate
+            if (self._level_stop or level + net * whole >= stop_threshold - _EPS) \
+                    and _EPS < whole < soonest:
+                soonest = whole
         # aim half a byte past the watermark so the crossing is strict
-        # (landing exactly on it would reschedule a zero-length step)
+        # (landing exactly on it would reschedule a zero-length step); a
+        # rise is a candidate only before the tail is whole
         if net > _EPS and level <= stop_threshold + _EPS:
             c = (stop_threshold - level) / net + 0.5
-            if _EPS < c < soonest:
+            if _EPS < c < soonest and c <= whole:
                 soonest = c
         elif net < -_EPS and level >= stop_threshold - _EPS:
             c = (level - stop_threshold) / (-net) + 0.5
@@ -418,7 +444,7 @@ class ReceiveFifo:
         # capacity crossing: detect overflow when it happens, not later
         if net > _EPS and level <= self.capacity + _EPS:
             c = (self.capacity - level) / net + 0.5
-            if _EPS < c < soonest:
+            if _EPS < c < soonest and c <= whole:
                 soonest = c
 
         boundary = self._boundary

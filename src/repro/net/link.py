@@ -55,6 +55,9 @@ class Endpoint:
 
     #: filled in by Link.attach
     link: Optional["Link"] = None
+    #: whether a packet that arrives whole still needs its end marker: a
+    #: host delivers on it, a switch FIFO closes a whole tail by itself
+    needs_end_marker = True
 
     # receive-path entry points (called by the far transmitter via the link)
     def rx_begin_packet(self, packet: Packet, rate: float) -> None:
@@ -108,6 +111,9 @@ class Link:
         self.delay_ns = propagation_ns(length_km)
         self.name = name or f"link({length_km}km)"
         self.state = LinkState.UP
+        #: state changes so far: a packet on the wire across one may have
+        #: lost a marker, so its end marker carries news
+        self.changes = 0
         a.link = self
         b.link = self
         a.on_heard_change()
@@ -119,6 +125,7 @@ class Link:
         if state is self.state:
             return
         self.state = state
+        self.changes += 1
         self.a.on_link_state_change()
         self.b.on_link_state_change()
 
@@ -163,7 +170,7 @@ class Link:
         if route is not None:
             self.sim.after(route[1], route[0].rx_set_rate, rate)
 
-    def send_end(self, sender: Endpoint, packet: Packet) -> None:
+    def send_end(self, sender: Endpoint, packet: Packet, news: bool) -> None:
         state = self.state
         if state is LinkState.UP or state is LinkState.NOISY:
             receiver, delay = (self.b if sender is self.a else self.a), self.delay_ns
@@ -171,7 +178,8 @@ class Link:
             receiver, delay = sender, 2 * self.delay_ns
         else:
             return
-        self.sim.after(delay, receiver.rx_end_packet, packet)
+        if news or receiver.needs_end_marker:
+            self.sim.after(delay, receiver.rx_end_packet, packet)
 
     def send_flow_control(self, sender: Endpoint, directive: Directive) -> None:
         """Route a directive emitted at a flow-control slot boundary.
@@ -237,6 +245,8 @@ class Transmitter(DrainTarget):
         #: the output port here)
         self.on_end: Optional[Callable[[Packet], None]] = None
         self.packets_sent = 0
+        #: the link's state changes when the current packet began
+        self.begun_changes = 0
 
     # -- DrainTarget interface -------------------------------------------------------
 
@@ -252,6 +262,7 @@ class Transmitter(DrainTarget):
         self.sending_broadcast = broadcast
         link = self.endpoint.link
         if link is not None:
+            self.begun_changes = link.changes
             link.send_begin(self.endpoint, packet, rate)
 
     def notify_rate(self, rate: float) -> None:
@@ -259,13 +270,15 @@ class Transmitter(DrainTarget):
         if link is not None:
             link.send_rate(self.endpoint, rate)
 
-    def notify_end(self, packet: Packet) -> None:
+    def notify_end(self, packet: Packet, truncated: bool = False) -> None:
         self.current = None
         self.sending_broadcast = False
         self.packets_sent += 1
         link = self.endpoint.link
         if link is not None:
-            link.send_end(self.endpoint, packet)
+            # news: the packet was cut short, or may have lost a marker
+            link.send_end(self.endpoint, packet,
+                          truncated or link.changes != self.begun_changes)
         if self.on_end is not None:
             self.on_end(packet)
 
@@ -275,4 +288,4 @@ class Transmitter(DrainTarget):
         packet = self.current
         if packet is not None:
             packet.corrupted = True
-            self.notify_end(packet)
+            self.notify_end(packet, True)

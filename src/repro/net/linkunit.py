@@ -36,6 +36,8 @@ from repro.sim.engine import Simulator
 class LinkUnit(Endpoint):
     """One external switch port: receive FIFO, flow control, transmitter."""
 
+    needs_end_marker = False  # the FIFO closes a packet whose bytes are all in
+
     def __init__(
         self,
         sim: Simulator,
@@ -145,7 +147,7 @@ class LinkUnit(Endpoint):
         ):
             # direction-tagged start commands reveal the packet as our own
             # reflection: discard it in the link unit (section 7 proposal).
-            # The stray end marker that follows is harmless: with no
+            # A stray end marker of a truncated one is harmless: with no
             # matching FIFO entry it is ignored.
             self.misdirected_discards += 1
             ib = self.sim.inband
@@ -251,9 +253,7 @@ class LinkUnit(Endpoint):
 
     def reset(self) -> None:
         """Clear the receive FIFO, destroying any packets it holds."""
-        self.fifo.queue.clear()
-        self.fifo.drain_rate = 0.0
-        self.fifo.recompute()
+        self.fifo.clear()
 
     # -- status bits (section 6.5.2) ------------------------------------------------------
 

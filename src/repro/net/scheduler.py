@@ -34,7 +34,7 @@ from repro.sim.engine import Event, Simulator, cancel
 class Request:
     """A forwarding request from one input port's head packet."""
 
-    __slots__ = ("in_port", "entry", "packet", "captured", "queued_at")
+    __slots__ = ("in_port", "entry", "packet", "captured")
 
     def __init__(self, in_port: int, entry: ForwardingEntry, packet: Packet) -> None:
         self.in_port = in_port
@@ -42,8 +42,6 @@ class Request:
         self.packet = packet
         #: port vector already reserved for a simultaneous (broadcast) request
         self.captured = 0
-        #: set when the request enters the engine's queue
-        self.queued_at = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "bcast" if self.entry.broadcast else "alt"
@@ -74,13 +72,10 @@ class SchedulingEngine:
         self._busy_until = 0
         self._scan_event: Optional[Event] = None
         self.grants = 0
-        #: optional repro.obs histogram of grant waits (ns); None = off
-        self.wait_hist = None
 
     # -- external interface ------------------------------------------------------------
 
     def add_request(self, request: Request) -> None:
-        request.queued_at = self.sim.now
         self.queue.append(request)
         self._kick()
 
@@ -144,7 +139,5 @@ class SchedulingEngine:
         self.queue.remove(request)
         self._busy_until = self.sim.now + self.decision_ns
         self.grants += 1
-        if self.wait_hist is not None:
-            self.wait_hist.observe(self.sim.now - request.queued_at)
         self.grant(request, ports)
         self._kick()

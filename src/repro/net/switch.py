@@ -260,9 +260,7 @@ class Switch:
             unit.tx.abort()
             unit.drain_source = None
             unit.reset()
-        self._cp_fifo.queue.clear()
-        self._cp_fifo.drain_rate = 0.0
-        self._cp_fifo.recompute()
+        self._cp_fifo.clear()
         self.crossbar.clear()
         self.engine.clear()
 

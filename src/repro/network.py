@@ -237,11 +237,6 @@ class Network:
             return
         autopilot = self.autopilots[index]
         autopilot.on_obs_event = self.tracer.switch_event
-        switch = self.switches[index]
-        # grant-wait latency through the scheduling engine, per switch
-        switch.engine.wait_hist = self.sim.metrics.histogram(
-            "scheduler_wait_ns", switch=switch.name
-        )
 
     # -- time series (repro.obs.timeseries) -----------------------------------------------------
 

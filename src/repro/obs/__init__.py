@@ -6,8 +6,8 @@ needs of ROADMAP.md.  Observers record into documents; text for people
 is rendered from the documents, never from a live network.  Import the
 submodule you need (the package root re-exports nothing):
 
-* :mod:`repro.obs.registry` -- a metrics registry (counters and
-  histograms) with per-component labels and near-zero
+* :mod:`repro.obs.registry` -- a metrics registry (counters and lazy
+  collectors) with per-component labels and near-zero
   overhead when disabled.  Hot paths keep plain integer attributes and the
   registry *collects* them lazily at snapshot time, so the data plane pays
   nothing per packet for observability.

@@ -1,4 +1,5 @@
-"""The metrics registry: counters, histograms and snapshot-time collectors.
+"""The metrics registry: counters and snapshot-time collectors, plus the
+standalone :class:`Histogram` (the traffic engine's flow latencies).
 
 Design constraints (see ISSUE 1 and the in-band-telemetry shape of the
 related P4/MRI work):
@@ -44,24 +45,17 @@ class Counter:
         return self.value
 
 
-#: default histogram bucket upper bounds, in the unit of the observation
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-)
-
-
 class Histogram:
     """Cumulative-bucket histogram plus count/sum/min/max."""
 
     __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "total",
                  "min", "max")
-    kind = "histogram"
 
     def __init__(
         self,
         name: str,
         labels: Dict[str, Any],
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
+        buckets: Sequence[float],
     ) -> None:
         self.name = name
         self.labels = labels
@@ -140,30 +134,15 @@ class Histogram:
 
 
 class _NullInstrument:
-    """Shared no-op instrument handed out by a disabled registry."""
+    """Shared no-op counter handed out by a disabled registry."""
 
     __slots__ = ()
-    name = ""
-    labels: Dict[str, Any] = {}
-    value = 0
-    count = 0
-    total = 0.0
-    mean = 0.0
-    kind = "null"
 
     def inc(self, amount: int = 1) -> None:
         pass
 
-    def observe(self, value: float) -> None:
-        pass
-
-    def snapshot_value(self) -> Any:
-        return None
-
 
 NULL_COUNTER = _NullInstrument()
-#: both instrument kinds share one null implementation
-NULL_HISTOGRAM = NULL_COUNTER
 
 
 class MetricsRegistry:
@@ -177,24 +156,15 @@ class MetricsRegistry:
 
     # -- instrument factories -----------------------------------------------------
 
-    def _get(self, factory, null, name: str, labels: Dict[str, Any], **kwargs):
+    def counter(self, name: str, **labels: Any) -> Counter:
         if not self.enabled:
-            return null
+            return NULL_COUNTER
         per_name = self._series.setdefault(name, {})
         key = _label_key(labels)
-        instrument = per_name.get(key)
-        if instrument is None:
-            instrument = factory(name, labels, **kwargs)
-            per_name[key] = instrument
-        return instrument
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get(Counter, NULL_COUNTER, name, labels)
-
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS, **labels: Any
-    ) -> Histogram:
-        return self._get(Histogram, NULL_HISTOGRAM, name, labels, buckets=buckets)
+        counter = per_name.get(key)
+        if counter is None:
+            counter = per_name[key] = Counter(name, labels)
+        return counter
 
     def collect(self, name: str, fn: Callable[[], Any], **labels: Any) -> None:
         """Register a zero-hot-path-cost series: ``fn`` is called only when
@@ -222,9 +192,8 @@ class MetricsRegistry:
         """Every counter series as ``(name, label key, counter)``, in
         creation order (what the timeseries sampler walks each tick)."""
         for name, per_name in self._series.items():
-            for key, instrument in per_name.items():
-                if instrument.kind == "counter":
-                    yield name, key, instrument
+            for key, counter in per_name.items():
+                yield name, key, counter
 
     def snapshot(self) -> Dict[str, Any]:
         """All series, collectors included, as a JSON-ready dict."""

@@ -5,18 +5,22 @@
 returns early on an empty queue, walks the queue for the level inline,
 writes each ``min``/``max``/``abs`` as a comparison and calls
 ``_set_level_stop`` only on a change.  This module holds the pass it
-replaced, verbatim apart from the whole-tail rule below, as the oracle it is
-pinned to (as ``tests/naive_wire.py`` is for the wire protocol):
+replaced, verbatim apart from the closing and tail-whole rules below, as the
+oracle it is pinned to (as ``tests/naive_wire.py`` is for the wire
+protocol):
 
 * ``_recompute`` issues the routing request, asks ``_desired_drain_rate``
   for the drain rate, emits the markers, completes the head, walks the
   level with ``_level()``, asks ``_effective_in_rate`` for the arrival
-  rate (none from a tail that already holds its whole size), sets the
-  directive through ``_set_level_stop`` in every pass, and hands level
-  and net rate to ``_program_boundary``;
+  rate, sets the directive through ``_set_level_stop`` in every pass, and
+  hands level and net rate to ``_program_boundary``, which arms the
+  instant the arriving tail is whole only at or above the watermark (or
+  with the stop latched) and no rise past that instant;
 * ``_set_level_stop`` returns early when nothing changes;
 * ``_advance`` moves the bytes with ``min`` and sums the level with
-  ``_level()``, where ``src/`` compares and walks the queue inline.
+  ``_level()``, where ``src/`` compares and walks the queue inline; after
+  its overflow check it closes a tail whose bytes are all in, as
+  ``end_packet`` would.
 
 :func:`install` patches the five methods and ``_advance`` over
 :class:`ReceiveFifo`.
@@ -40,6 +44,7 @@ def _advance(self):
     entry = queue[-1] if queue and queue[-1].arriving else None
     if entry is not None and self.in_rate > 0:
         entry.bytes_in = min(float(entry.size), entry.bytes_in + self.in_rate * slots)
+    whole = entry is not None and self.in_rate > 0 and entry.bytes_in + _EPS >= entry.size
     head = queue[0] if queue else None
     if head is not None and self.drain_rate > 0:
         moved = min(self.drain_rate * slots, head.bytes_in - head.bytes_out)
@@ -64,14 +69,17 @@ def _advance(self):
     elif self.overflowed:
         # back within capacity: the next excess loses another packet
         self.overflowed = False
+    if whole:
+        # every byte is in: what end_packet would do, the victim named first
+        entry.bytes_in = float(entry.size)
+        entry.arriving = False
+        self.in_rate = 0.0
 
 
 def _effective_in_rate(self):
-    """The arrival rate the pass plans with: none without an arriving
-    tail, and none once that tail holds its whole size (an end marker lost
-    with a cut leaves ``in_rate`` at 1, with nothing more to come)."""
+    """The arrival rate the pass plans with: none without an arriving tail."""
     queue = self.queue
-    if not queue or not queue[-1].arriving or queue[-1].bytes_in >= queue[-1].size:
+    if not queue or not queue[-1].arriving:
         return 0.0
     return self.in_rate
 
@@ -191,11 +199,20 @@ def _program_boundary(self, level, net):
                 if _EPS < c < soonest:
                     soonest = c
 
+    # the instant the arriving tail is whole: the level stops rising there
+    whole = (arriving.size - arriving.bytes_in) / in_rate if in_rate > 0 else _NEVER
+    # ... and, if it is at or above the watermark then, may start to fall
+    if whole < _NEVER and (self._level_stop
+                           or level + net * whole >= self.stop_threshold - _EPS):
+        if _EPS < whole < soonest:
+            soonest = whole
+
     # aim half a byte past the watermark so the crossing is strict
-    # (landing exactly on it would reschedule a zero-length step)
+    # (landing exactly on it would reschedule a zero-length step); no rise
+    # lasts past the whole tail
     if net > _EPS and level <= self.stop_threshold + _EPS:
         c = (self.stop_threshold - level) / net + 0.5
-        if _EPS < c < soonest:
+        if _EPS < c < soonest and c <= whole:
             soonest = c
     elif net < -_EPS and level >= self.stop_threshold - _EPS:
         c = (level - self.stop_threshold) / (-net) + 0.5
@@ -204,7 +221,7 @@ def _program_boundary(self, level, net):
     # capacity crossing: detect overflow when it happens, not later
     if net > _EPS and level <= self.capacity + _EPS:
         c = (self.capacity - level) / net + 0.5
-        if _EPS < c < soonest:
+        if _EPS < c < soonest and c <= whole:
             soonest = c
 
     boundary = self._boundary

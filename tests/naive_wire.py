@@ -3,16 +3,26 @@
 ``src/`` frames a packet on a link with the paper's two TAXI commands --
 ``begin`` (carrying the rate the bytes follow at) and ``end`` (after which
 nothing arrives) -- and sends a rate marker only for a change *inside* a
-packet; its scheduling engine arms a scan only when a queued request meets
-a free port.  This module holds what it did before, kept deliberately
-obvious as the oracle the folded protocol is pinned to (as
-``tests/naive_registers.py`` is for the status word):
+packet; an end marker travels into a switch only for a packet that may not
+have arrived whole (truncated, or its link changed state meanwhile), since
+the switch FIFO closes a whole tail itself; its scheduling engine arms a
+scan only when a queued request meets a free port.  This module holds what
+it did before, kept deliberately obvious as the oracle the folded protocol
+is pinned to (as ``tests/naive_registers.py`` is for the status word):
 
 * a drain that starts sends ``begin`` and, as a separately scheduled event
   at the same instant, ``rate(r)``; the receiving FIFO appends on the first
   and latches the rate on the second (two full recompute passes);
 * the pass that completes the head sends ``rate(0)`` and then ``end``, and
   a forced abort does the same;
+* every end marker travels.  One the real side omits still runs as its own
+  event, but as a check that it carries no news: the packet's bytes are
+  all in by then (projected, without advancing the FIFO), and where its
+  pass would have turned the level -- at or above the watermark -- the
+  FIFO has a boundary of its own at that instant.  The ``rate(0)`` ahead
+  of it is only counted.  Running them through the FIFO would split its
+  float sums at an instant the real side does not stop at (a last-ulp
+  ``max_level`` difference, not a behaviour one);
 * ``SchedulingEngine._kick`` arms a scan whenever the queue is non-empty.
 
 :func:`install` patches all of that over the real classes and returns the
@@ -24,8 +34,9 @@ Its ``_recompute`` is built on the five-method pass of
 Nothing under ``src/`` may import this module.
 """
 
+from repro.constants import BYTE_TIME_NS
 from repro.net.fifo import _EPS, FifoPacket, ReceiveFifo
-from repro.net.link import Transmitter
+from repro.net.link import Link, Transmitter
 from repro.net.scheduler import SchedulingEngine
 from tests import naive_fifo
 
@@ -34,7 +45,8 @@ class Folded:
     """Events only the naive side dispatches, counted as they run."""
 
     def __init__(self):
-        #: rate markers delivered beside a begin or an end marker
+        #: rate markers delivered beside a begin or an end marker, and end
+        #: markers into a switch for a packet that arrived whole
         self.markers = 0
         #: scans that ran although no kick since the last scan had seen a
         #: queued request meet a free port
@@ -46,9 +58,11 @@ def install(monkeypatch):
     ``monkeypatch`` fixture); returns the :class:`Folded` counters."""
     folded = Folded()
 
-    def send_folded_rate(target, rate):
+    def send_folded_rate(target, rate, closing=False):
         """A rate marker of its own, as ``Transmitter.notify_rate`` sends
-        one, counted when the far end runs it."""
+        one, counted when the far end runs it.  The ``rate(0)`` that goes
+        ahead of an end marker the real side omits (``closing``) is, like
+        that end marker, only counted."""
         if not isinstance(target, Transmitter):
             target.notify_rate(rate)
             return
@@ -57,10 +71,12 @@ def install(monkeypatch):
         if route is None:
             return
         receiver, delay = route
+        quiet = closing and not receiver.needs_end_marker and link.changes == target.begun_changes
 
         def deliver():
             folded.markers += 1
-            receiver.rx_set_rate(rate)
+            if not quiet:
+                receiver.rx_set_rate(rate)
 
         link.sim.after(delay, deliver)
 
@@ -97,7 +113,7 @@ def install(monkeypatch):
                 completing = head.bytes_out + _EPS >= head.size
                 for target in head.targets:
                     if starting or completing:
-                        send_folded_rate(target, new_rate)
+                        send_folded_rate(target, new_rate, completing)
                     else:
                         target.notify_rate(new_rate)
         self.drain_rate = new_rate if (head is not None and head.drain_started) else 0.0
@@ -122,7 +138,32 @@ def install(monkeypatch):
         if packet is not None:
             packet.corrupted = True
             send_folded_rate(self, 0.0)
-            self.notify_end(packet)
+            self.notify_end(packet, True)
+
+    def send_end(self, sender, packet, news):
+        """An end marker to every endpoint; one the real side omits (a
+        whole packet into a switch) is counted when it runs."""
+        route = self._route(sender)
+        if route is None:
+            return
+        receiver, delay = route
+        if news or receiver.needs_end_marker:
+            self.sim.after(delay, receiver.rx_end_packet, packet)
+            return
+
+        def deliver():
+            folded.markers += 1
+            fifo, now = receiver.fifo, receiver.fifo.sim.now
+            entry = fifo._arriving_entry()
+            if entry is not None and entry.packet is packet:
+                got = entry.bytes_in + fifo.in_rate * (now - fifo._last_update) / BYTE_TIME_NS
+                assert got + _EPS >= entry.size, "an omitted end marker carried news"
+                # at or above the watermark this marker's pass would have
+                # turned the level; the FIFO must stop here by itself
+                if fifo._level_stop or fifo.peek_level() >= fifo.stop_threshold - _EPS:
+                    assert fifo._boundary is not None and fifo._boundary_at == now
+
+        self.sim.after(delay, deliver)
 
     def _kick(self):
         matched = any(request.entry.mask & self.free for request in self.queue)
@@ -146,6 +187,7 @@ def install(monkeypatch):
     monkeypatch.setattr(ReceiveFifo, "begin_packet", begin_packet)
     monkeypatch.setattr(ReceiveFifo, "_recompute", _recompute)
     monkeypatch.setattr(Transmitter, "abort", abort)
+    monkeypatch.setattr(Link, "send_end", send_end)
     monkeypatch.setattr(SchedulingEngine, "_kick", _kick)
     monkeypatch.setattr(SchedulingEngine, "_scan", _scan)
     return folded

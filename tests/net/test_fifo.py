@@ -180,19 +180,52 @@ def test_drain_gated_by_target_permission():
     assert events["drained"]
 
 
-def test_a_whole_tail_without_its_end_marker_arms_no_boundary():
-    """A cable cut mid-packet loses the tail's end marker, so ``in_rate``
-    stays 1.  Once the tail holds its whole size it adds no arrival rate to
-    the pass: no watermark boundary is re-armed every (watermark - level)
-    slots (1 310 do-nothing boundaries in 200 ms for this 140-byte tail)."""
+def test_a_whole_tail_is_closed_and_arms_no_boundary():
+    """A switch FIFO hears no end marker for a packet that arrives whole:
+    the advance that finds every byte in closes the tail, with ``in_rate``
+    back to 0.  Below the watermark nothing changes at that instant, so
+    no boundary is armed for it, nor a watermark rise past it (the
+    140-byte level never reaches the 2 048-byte watermark)."""
     sim = Simulator()
     fifo, events = make_fifo(sim)
-    pkt = packet(100)  # wire = 140, never granted, its end marker lost
+    pkt = packet(100)  # wire = 140, never granted
     fifo.begin_packet(pkt, 1.0)
     sim.run(until=200_000_000)
-    assert fifo.queue[0].bytes_in == pkt.wire_bytes and fifo.in_rate == 1.0
-    # the routing request at 2 bytes, then the watermark boundary armed
-    # while the tail still arrived; nothing after it holds its whole size
-    assert sim.events_dispatched == 2
+    # the routing request at 2 bytes is the only boundary
+    assert sim.events_dispatched == 1 and fifo._boundary is None
+    fifo.recompute()
+    [entry] = fifo.queue
+    assert (entry.bytes_in, entry.arriving, fifo.in_rate) == (pkt.wire_bytes, False, 0.0)
     assert fifo._boundary is None
     assert events["directives"] == [] and events["overflow"] == []
+
+
+def test_an_overflow_found_by_the_closing_advance_still_names_the_tail():
+    """The tail-whole boundary's advance finds the level over capacity and
+    closes the tail; the overflow check runs first, so the victim is that
+    tail's packet, not nobody."""
+    sim = Simulator()
+    fifo, events = make_fifo(sim, capacity=100)
+    fifo.enqueue_buffered(packet(100))  # 140 bytes, never granted: over capacity
+    pkt = packet(100)
+    fifo.begin_packet(pkt, 1.0)  # no capacity crossing ahead: one boundary, when whole
+    sim.run(until=1_000_000)
+    end = pkt.wire_bytes * BYTE_TIME_NS
+    assert sim.events_dispatched == 1
+    assert events["overflow"] == [(end, pkt)] and pkt.corrupted
+    assert not fifo.queue[-1].arriving and fifo.in_rate == 0.0
+
+
+def test_a_reset_mid_drain_counts_the_bytes_drained_up_to_it():
+    """``clear()`` advances before it empties the queue: the 50 bytes that
+    left since the last advance reach ``bytes_forwarded`` (a reset that
+    cleared first dropped them from the count)."""
+    sim = Simulator()
+    fifo, events = make_fifo(sim)
+    fifo.enqueue_buffered(packet(100))  # wire = 140, whole
+    fifo.connect_drain([DiscardSink()], broadcast=False)
+    sim.run(until=50 * BYTE_TIME_NS)
+    fifo.clear()
+    assert fifo.bytes_forwarded == 50.0
+    assert not fifo.queue and fifo.drain_rate == 0.0 and fifo._boundary is None
+    assert events["drained"] == []

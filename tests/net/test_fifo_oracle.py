@@ -9,7 +9,7 @@ this file in the ``determinism`` job under ``PYTHONHASHSEED=0`` and
 
 * a **Hypothesis differential** over one FIFO driven by a script of
   arrivals (whole, or begun and ended by hand, an end marker possibly
-  lost, so a tail may hold its whole size with ``in_rate`` still 1),
+  missing, so the FIFO closes a whole tail by itself),
   stalls and resumes inside a packet, buffered injections, resets,
   grants after a delay to one or two gated sinks, gates toggling, a
   discard that grants from inside the head-ready callback (re-entering the
@@ -168,9 +168,7 @@ class Rig:
             elif step == "reset":  # what a switch reset does to one port
                 if self.pending is not None:
                     cancel(self.pending)  # the scheduling engine is cleared
-                fifo.queue.clear()
-                fifo.drain_rate = 0.0
-                fifo.recompute()
+                fifo.clear()
             elif step == "toggle":
                 sink = self.sinks[args[0]]
                 sink.allowed = not sink.allowed
@@ -248,8 +246,8 @@ _SHAPES = dict(
 # coming in belong to the packet behind it, so it runs dry at rate 0
 @example(capacity=4096, stop_fraction=0.5, cut_through=25, grants=[(0, 1, False)],
          steps=[("begin", 1000, 1.0), ("wait", 16_000), ("begin", 100, 1.0)])
-# a lost end marker on a lone tail never granted: once it holds its whole
-# size it adds no arrival rate, so no watermark boundary is re-armed
+# a lone tail never granted and never ended: it closes once whole, and no
+# watermark boundary is armed past that instant
 @example(capacity=4096, stop_fraction=0.5, cut_through=25, grants=["never"],
          steps=[("begin", 100, 1.0), ("wait", 200_000_000)])
 def test_one_pass_matches_the_five_method_pass(capacity, stop_fraction, cut_through, grants,

@@ -11,7 +11,9 @@ naming the drain) happens before its pass and is not the pass's.
 The triggers are the begin and end markers, a buffered enqueue, a rate
 marker, a grant (``connect_drain``), an external ``recompute`` (a downstream
 flow-control change, a reset), a boundary event, and the re-entry
-``_complete_head`` makes for the next head.  Two fixed scenarios, both with
+``_complete_head`` makes for the next head.  An end marker reaches a switch
+FIFO only for a packet that may not have arrived whole (truncated, or its
+link changed state meanwhile); neither scenario has one.  Two fixed scenarios, both with
 observers off; the tables below are exact and deterministic:
 
 * **torus-3x4 permutation**: one host per switch on its first free port,
@@ -20,9 +22,10 @@ observers off; the tables below are exact and deterministic:
   phase drained;
 * **src-lan-30 steady second**: the converged network, one second on.
 
-For scale, ``benchmarks/e2e`` ``dataplane_torus`` at seed 0 makes 169 501
-passes: all 20 400 end-marker passes are idle, and so are 26 701 of its
-27 600 complete-head re-entries.
+For scale, ``benchmarks/e2e`` ``dataplane_torus`` at seed 0 makes 149 101
+passes (169 501 while every packet sent a switch its end marker, all 20 400
+of those passes idle); 26 701 of its 27 600 complete-head re-entries are
+idle.
 """
 
 from collections import Counter
@@ -53,7 +56,7 @@ TORUS_PERMUTATION = {
     "begin": (2880, 279),
     "enqueue": (960, 0),
     "set-rate": (0, 0),
-    "end": (2880, 2880),
+    "end": (0, 0),
     "grant": (3840, 0),
     "recompute": (0, 0),
     "boundary": (8841, 0),
@@ -63,7 +66,7 @@ SRCLAN_STEADY_SECOND = {
     "begin": (1180, 0),
     "enqueue": (1180, 440),
     "set-rate": (0, 0),
-    "end": (1180, 690),
+    "end": (0, 0),
     "grant": (2360, 0),
     "recompute": (0, 0),
     "boundary": (4135, 0),

@@ -1,9 +1,12 @@
-"""Two markers on the wire behave as the four they replaced.
+"""At most two markers on the wire behave as the four they replaced.
 
-A packet crosses a link as ``begin`` (at a rate) and ``end``; a rate marker
-travels only for a change inside the packet, and the crossbar scans only
-when a queued request meets a free port.  Three guards, against the parent
-protocol kept in ``tests/naive_wire.py``:
+A packet crosses a link as ``begin`` (at a rate) and, into a host or when
+it may not have arrived whole, ``end``: a switch FIFO closes a packet whose
+bytes are all in by itself.  A rate marker travels only for a change inside
+the packet, and the crossbar scans only when a queued request meets a free
+port.  Three guards, against the parent protocol kept in
+``tests/naive_wire.py`` (which sends every end marker and checks that each
+one the real side omits carries no news):
 
 * a **Hypothesis differential** over one link -- source buffer, ``Link``,
   ``ReceiveFifo``, gated sink -- under random sizes, gaps, stalls on either
@@ -13,8 +16,9 @@ protocol kept in ``tests/naive_wire.py``:
   ``=random``): identical trace logs, epochs, monitor state and delivery
   latencies, and an event count that differs by *exactly* the markers and
   scans the naive side reports as folded;
-* an **exact cost guard** with no wall clock in it: 2 markers per link
-  traversal and 6 events per switch hop for one small unicast.
+* an **exact cost guard** with no wall clock in it: one marker into a
+  switch, two into a host, and 5 events per switch hop for one small
+  unicast.
 """
 
 import pytest
@@ -66,13 +70,13 @@ class Source(_Source):
     def abort(self):
         """What ``HostPort.clear_tx`` does."""
         self.tx.abort()
-        self.buffer.queue.clear()
-        self.buffer.drain_rate = 0.0
-        self.buffer.recompute()
+        self.buffer.clear()
 
 
 class Receiver(Endpoint):
     """A link unit's receive half, logging every callback of its FIFO."""
+
+    needs_end_marker = False  # as a link unit: the FIFO closes a whole tail
 
     def __init__(self, sim, log, capacity, grant_delay):
         self.sim, self.log, self.grant_delay = sim, log, grant_delay
@@ -297,7 +301,7 @@ def test_network_matches_the_four_marker_protocol(name, monkeypatch):
 # -- (c) the exact cost guard ----------------------------------------------------------------
 
 
-def test_a_small_unicast_costs_two_markers_a_link_and_six_events_a_hop():
+def test_a_unicast_costs_one_marker_into_a_switch_and_five_events_a_hop():
     net = Network(line(2), seed=1)
     net.add_host("a", [(0, 5)])
     net.add_host("b", [(1, 5)])
@@ -325,11 +329,13 @@ def test_a_small_unicast_costs_two_markers_a_link_and_six_events_a_hop():
         if stats.category.startswith(data_plane)
     }
     assert dispatched == {
-        # host -> switch -> switch -> host: three traversals, two markers each
+        # host -> switch -> switch -> host: three traversals; a switch FIFO
+        # closes the whole packet itself, the host delivers on its end marker
         "LinkUnit.rx_begin_packet": 2, "HostPort.rx_begin_packet": 1,
-        "LinkUnit.rx_end_packet": 2, "HostPort.rx_end_packet": 1,
-        # per switch hop: request, cut-through start and completion boundaries
-        # around one scan; plus the host transmit buffer's completion
+        "HostPort.rx_end_packet": 1,
+        # per switch hop, after the begin: request, cut-through start and
+        # completion boundaries around one scan; plus the host transmit
+        # buffer's completion
         "ReceiveFifo._on_boundary": 2 * 3 + 1,
         "SchedulingEngine._scan": 2,
     }

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.registry import MetricsRegistry, NULL_COUNTER
+from repro.obs.registry import Histogram, MetricsRegistry, NULL_COUNTER
 
 
 def test_counter_semantics():
@@ -17,8 +17,7 @@ def test_counter_semantics():
 
 
 def test_histogram_buckets_and_moments():
-    reg = MetricsRegistry()
-    h = reg.histogram("wait_ns", buckets=(10, 100, 1000), switch="sw0")
+    h = Histogram("wait_ns", {"switch": "sw0"}, buckets=(10, 100, 1000))
     for v in (5, 50, 500, 5000):
         h.observe(v)
     snap = h.snapshot_value()
@@ -32,8 +31,7 @@ def test_histogram_buckets_and_moments():
 def test_histogram_quantile_round_trip():
     # 5000 uniform samples through fine buckets: the interpolated
     # quantiles must land close to the exact empirical ones
-    reg = MetricsRegistry()
-    h = reg.histogram("lat", buckets=tuple(range(100, 10100, 100)))
+    h = Histogram("lat", {}, buckets=tuple(range(100, 10100, 100)))
     values = [(i * 7919) % 10000 + 1 for i in range(5000)]
     for v in values:
         h.observe(v)
@@ -49,8 +47,7 @@ def test_histogram_quantile_round_trip():
 
 
 def test_histogram_quantile_edge_cases():
-    reg = MetricsRegistry()
-    h = reg.histogram("lat", buckets=(10, 100))
+    h = Histogram("lat", {}, buckets=(10, 100))
     assert h.quantile(0.5) is None  # empty histogram
     h.observe(42)
     # single observation: every quantile is that value
@@ -63,8 +60,7 @@ def test_histogram_quantile_edge_cases():
 
 
 def test_histogram_quantile_overflow_bucket_stays_within_data():
-    reg = MetricsRegistry()
-    h = reg.histogram("lat", buckets=(10,))
+    h = Histogram("lat", {}, buckets=(10,))
     for v in (50, 60, 70, 80):  # all beyond the last bound
         h.observe(v)
     for q in (0.5, 0.9, 0.99):
@@ -88,7 +84,6 @@ def test_disabled_registry_is_a_noop():
     c = reg.counter("x", a=1)
     assert c is NULL_COUNTER
     c.inc(10)
-    reg.histogram("h").observe(1)
     reg.collect("lazy", lambda: 42)
     assert list(reg.counters()) == []
     snap = reg.snapshot()
@@ -119,7 +114,7 @@ def test_snapshot_is_json_ready():
 
     reg = MetricsRegistry()
     reg.counter("c", switch="sw0", obj=object()).inc()
-    reg.histogram("h", buckets=(1,)).observe(2)
+    reg.collect("h", lambda: Histogram("h", {}, buckets=(1,)).snapshot_value())
     text = json.dumps(reg.snapshot())
     assert "sw0" in text
 
@@ -127,5 +122,5 @@ def test_snapshot_is_json_ready():
 def test_total_ignores_non_numeric_series():
     reg = MetricsRegistry()
     reg.counter("n", k=1).inc(2)
-    reg.histogram("n", k=2).observe(9)  # dict-valued: not summed
+    reg.collect("n", lambda: {"count": 9}, k=2)  # dict-valued: not summed
     assert reg.total("n") == 2

@@ -66,10 +66,10 @@ def test_rs302_too_many_labels_flagged():
     assert rules_of(findings) == ["RS302"]
 
 
-def test_rs302_clean_raw_values_and_buckets_kwarg():
+def test_rs302_clean_raw_label_values():
     findings = check(
         "def setup(self, sw, port):\n"
-        "    self.metrics.histogram('wait_ns', buckets=(1, 10), switch=sw, port=port)\n"
+        "    self.metrics.counter('drops', switch=sw, port=port)\n"
     )
     assert findings == []
 

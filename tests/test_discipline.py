@@ -322,11 +322,9 @@ def peer_writes(module, tree):
 
 #: rule -> (calls whose first argument names a series, hints of their receiver's name)
 NAMED_SERIES = {
-    "RS301": (frozenset({"counter", "histogram", "collect"}), ("metrics", "registry")),
+    "RS301": (frozenset({"counter", "collect"}), ("metrics", "registry")),
     "RS304": (frozenset({"add_collector"}), ("sampler",)),
 }
-#: keywords of the RS301 calls that configure, not label
-NON_LABEL_KWARGS = frozenset({"buckets"})
 MAX_LABELS = 4
 
 
@@ -352,7 +350,7 @@ def _series_call(node, rule, hints):
         found.append((node.args[0].lineno, rule,
                       f"{receiver}.{node.func.attr}() names its series with a computed string"))
     if rule == "RS301":
-        labels = [k for k in node.keywords if k.arg and k.arg not in NON_LABEL_KWARGS]
+        labels = [k for k in node.keywords if k.arg]
         if len(labels) > MAX_LABELS:
             found.append((node.lineno, "RS302", f"{len(labels)} labels on one instrument "
                           f"(max {MAX_LABELS}): series multiply"))
