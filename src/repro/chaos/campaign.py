@@ -185,7 +185,7 @@ class CampaignRunner:
             result.violations.extend(report.violations)
 
         result.sim_ns = network.sim.now
-        result.injected = dict(injector.injected)
+        result.injected = dict(network.faults)
         if network.tracer is not None:
             result.epochs = len(network.tracer.epochs())
         return result

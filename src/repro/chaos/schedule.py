@@ -269,19 +269,17 @@ class ScheduleSampler:
 
 
 class Injector:
-    """Arms a schedule onto a live Network and counts what actually fired.
+    """Arms a schedule onto a live Network.
 
     Timed events are scheduled on the simulator clock relative to
     ``base_ns``; conditional events subscribe to the tracer feed.  Every
-    injection calls a ``Network`` fault method, so the installation's own
-    telemetry counts it too.
+    injection calls a ``Network`` fault method, which counts what
+    actually fired in ``Network.faults``.
     """
 
     def __init__(self, network, schedule: Schedule) -> None:
         self.network = network
         self.schedule = schedule
-        #: fault kind -> number of injections actually applied
-        self.injected: Dict[str, int] = {}
         #: conditional events armed but never fired
         self.unfired: List[OnSpanEvent] = []
         self._armed: List[Tuple[OnSpanEvent, List[bool]]] = []
@@ -295,11 +293,6 @@ class Injector:
                 sim.at(base + event.at_ns, self._arm_conditional, event)
             else:
                 sim.at(base + event.at_ns, self._fire, event)
-        if self.network.on_fault is None:
-            self.network.on_fault = self._count_fault
-
-    def _count_fault(self, kind: str, _detail: Dict) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + 1
 
     def _fire(self, event: FaultEvent) -> None:
         event.apply(self.network)

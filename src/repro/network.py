@@ -13,6 +13,7 @@ section 6.6.5) and convergence state.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple
@@ -30,7 +31,6 @@ from repro.obs.control import ControlAccounting
 from repro.obs.inband import InbandTelemetry
 from repro.obs.perfetto import trace_event_document
 from repro.obs.profiler import EventLoopProfiler
-from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import ReconfigTracer
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.sim.engine import Simulator
@@ -70,6 +70,17 @@ class EpochRecord:
         return max(self.configured.values()) - self.started_at
 
 
+class Faults(Counter):
+    """Faults injected, by kind (``Network.faults``).  The first network
+    on a simulator also hangs it there as ``Simulator.metrics``, whose
+    one reader is the frozen e2e harness's
+    ``sim.metrics.total("faults_injected")``; ROADMAP item 1(d) deletes
+    that read, this class and the slot."""
+
+    def total(self, name: str) -> int:
+        return sum(self.values())
+
+
 class Network:
     """A complete simulated Autonet installation."""
 
@@ -96,22 +107,15 @@ class Network:
         self.name = name
         self.rng = RngRegistry(seed)
         self.params_factory = params_factory
-        #: repro.obs wiring: metrics registry on the simulator (networks
-        #: sharing a simulator share the first one's) plus a per-epoch
-        #: reconfiguration tracer.  telemetry=False leaves the registry
-        #: disabled and every obs hook unset -- the hot paths then pay
-        #: only their plain integer statistics.
+        #: repro.obs wiring: a per-epoch reconfiguration tracer.
+        #: telemetry=False leaves it and every obs hook unset -- the hot
+        #: paths then pay only their plain integer statistics.
         self.telemetry_enabled = telemetry
         self.tracer = ReconfigTracer() if telemetry else None
+        #: faults injected, by kind: every fault method counts here
+        self.faults = Faults()
         if self.sim.metrics is None:
-            metrics = self.sim.metrics = MetricsRegistry(enabled=telemetry)
-            # gauges read at snapshot time (partial, not lambda: a copied
-            # world's collectors must read the copy)
-            metrics.collect(
-                "sim_events_dispatched", partial(getattr, self.sim, "events_dispatched")
-            )
-            metrics.collect("sim_pending_events", self.sim.pending_events)
-            metrics.collect("sim_now_ns", partial(getattr, self.sim, "now"))
+            self.sim.metrics = self.faults
         #: opt-in flight recorder and event-loop profiler (repro.obs).
         #: Attached before the switches are built so boot-time events are
         #: captured; both default off, leaving sim.recorder/sim.profiler
@@ -372,7 +376,7 @@ class Network:
 
     def telemetry(self) -> Dict:
         """One structured snapshot of everything the installation knows
-        about itself: registry series, per-switch/per-port counters, and
+        about itself: fault and event counts, per-switch/per-port counters, and
         per-epoch reconfiguration spans with blackout intervals."""
         now = self.sim.now
         switches = {}
@@ -430,7 +434,11 @@ class Network:
         out = {
             "time_ns": now,
             "enabled": self.telemetry_enabled,
-            "metrics": self.sim.metrics.snapshot(),
+            "metrics": {
+                "faults_injected": dict(self.faults),
+                "events_dispatched": self.sim.events_dispatched,
+                "pending_events": self.sim.pending_events(),
+            },
             "switches": switches,
         }
         if self.tracer is not None:
@@ -607,22 +615,21 @@ class Network:
 
     # -- fault injection -------------------------------------------------------------------------
     #
-    # Every injector funnels through _notify_fault, so observers (the
-    # repro.obs metrics registry, the chaos campaign's counters) see one
-    # uniform feed of (kind, detail) regardless of who called it; the
-    # chaos schedules' events (repro.chaos.events) call these methods.
+    # Every injector funnels through _notify_fault, so the fault count,
+    # the traffic engine and the on_fault hook see one uniform feed of
+    # (kind, detail) regardless of who called it; the chaos schedules'
+    # events (repro.chaos.events) call these methods.
     # Tolerant by design: faults address the *installation*, so a
     # restart of an already-running switch or a re-crash of a dead one
     # is a no-op, letting replayed or shrunk schedules stay valid even
     # when earlier (removed) events no longer produce the state a later
     # event assumed.
 
-    #: observer hook: fn(kind, detail_dict); set by the chaos injector
+    #: observer hook: fn(kind, detail_dict)
     on_fault: Optional[Callable[[str, Dict], None]] = None
 
     def _notify_fault(self, kind: str, **detail) -> None:
-        if self.telemetry_enabled:
-            self.sim.metrics.counter("faults_injected", kind=kind).inc()
+        self.faults[kind] += 1
         if self.traffic is not None:
             self.traffic.note_fault(kind)
         if self.on_fault is not None:

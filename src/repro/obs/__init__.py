@@ -3,14 +3,12 @@
 Built for the debugging story of section 6.7 -- each switch keeps a log,
 the logs are retrieved, one tool reads them -- and the bench-trajectory
 needs of ROADMAP.md.  Observers record into documents; text for people
-is rendered from the documents, never from a live network.  Import the
-submodule you need (the package root re-exports nothing):
+is rendered from the documents, never from a live network.  Hot paths
+keep plain integer attributes that ``Network.telemetry()`` reads at
+snapshot time, so the data plane pays nothing per packet for
+observability.  Import the submodule you need (the package root
+re-exports nothing):
 
-* :mod:`repro.obs.registry` -- a metrics registry (counters and lazy
-  collectors) with per-component labels and near-zero
-  overhead when disabled.  Hot paths keep plain integer attributes and the
-  registry *collects* them lazily at snapshot time, so the data plane pays
-  nothing per packet for observability.
 * :mod:`repro.obs.spans` -- span-style reconfiguration tracing: the §6.7
   merged log turned into structured spans (trigger -> epoch start -> tree
   stable -> topology at root -> tables loaded -> reopen) with per-switch
@@ -32,8 +30,8 @@ submodule you need (the package root re-exports nothing):
 * :mod:`repro.obs.profiler` -- the event-loop profiler: wall-clock and
   event counts per handler category, and the ``events_per_sec`` baseline.
 * :mod:`repro.obs.timeseries` -- the longitudinal sampler: periodic
-  in-sim sampling of every registry counter plus FIFO occupancy,
-  port states, epochs, and blackout flags into bounded rings, exported
+  in-sim sampling of FIFO occupancy, port states, epochs, and
+  blackout flags into bounded rings, exported
   as ``repro.obs.timeseries/1`` with a select/window query API; its
   report is the dashboard frame at the last tick (per-switch sparklines).
 * :mod:`repro.obs.regress` -- the bench-regression gate: an exact differ

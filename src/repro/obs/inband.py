@@ -82,7 +82,7 @@ def path_of(hops: Optional[List[HopRecord]]) -> PathKey:
 
 def exact_quantile(values: List[float], q: float) -> Optional[float]:
     """Nearest-rank quantile over the *retained* samples -- exact, not
-    bucket-interpolated like ``Histogram.quantile``."""
+    bucket-interpolated like the traffic engine's ``Histogram.quantile``."""
     if not values:
         return None
     if not 0.0 <= q <= 1.0:

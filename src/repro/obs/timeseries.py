@@ -1,14 +1,14 @@
 """Longitudinal telemetry: the in-simulation time-series sampler (§6.7).
 
-PR 1's metrics registry answers "what are the totals *now*"; this module
+``Network.telemetry()`` answers "what are the totals *now*"; this module
 answers "what did they do *over time*" -- the view Autonet's operators
 actually watched.  A :class:`TimeSeriesSampler` attached to a simulator
 schedules one periodic *sample event*; each tick it
 
-* walks the metrics registry and appends every counter's current value,
 * calls every registered *collector* (FIFO occupancy, ports per state,
   epoch number, blackout in-progress flags -- wired by
   :class:`repro.network.Network` when built with ``timeseries=True``),
+  each of which appends exactly one value (None for "no sample"),
 * and keeps everything in **bounded per-series ring buffers**: overflow
   evicts the oldest sample and counts the loss, exactly like the flight
   recorder's component rings.
@@ -165,24 +165,17 @@ class TimeSeriesSampler:
         and returns a number, or None for "no sample this tick" (e.g. a
         crashed switch).  Names must be literal (RS304) and rings are
         bounded by ``CAPACITY``."""
-        ring = self._ring(name, labels, kind)
-        if ring is None:
-            return
-        self._collectors.append((name, labels, ring, fn))
-
-    def _ring(self, name: str, labels: Dict[str, Any],
-              kind: str) -> Optional[SeriesRing]:
         key = (name, _label_key(labels))
         ring = self._series.get(key)
         if ring is None:
             if len(self._series) >= MAX_SERIES:
                 self.dropped_series += 1
-                return None
+                return
             ring = SeriesRing(
                 name, dict(labels), kind, CAPACITY, created_tick=self.samples_taken
             )
             self._series[key] = ring
-        return ring
+        self._collectors.append((name, labels, ring, fn))
 
     def mark(self, t_ns: int, component: str, event: str, attrs: Any = None) -> None:
         """Record one span event into the bounded mark ring: Network adds
@@ -212,31 +205,12 @@ class TimeSeriesSampler:
         if not self._running:
             return
         self._ticks.append(float(self.sim.now))
-        before = {key: ring.total for key, ring in self._series.items()}
+        # every series is one collector: each appends once per tick
         for _name, _labels, ring, fn in self._collectors:
             value = fn()
             ring.append(None if value is None else float(value))
-        self._sample_registry()
-        # any series that did not sample this tick (e.g. a registry
-        # series that vanished) pads with None to stay tick-aligned
-        for key, ring in self._series.items():
-            if ring.total == before.get(key, ring.total - 1):
-                ring.append(None)
         self.samples_taken += 1
         self._handle = self.sim.after(INTERVAL_NS, self._tick)
-
-    def _sample_registry(self) -> None:
-        metrics = self.sim.metrics
-        if metrics is None or not metrics.enabled:
-            return
-        # counters only: histograms export their own quantile snapshot
-        for name, key, counter in metrics.counters():
-            ring = self._series.get((name, key))
-            if ring is None:
-                ring = self._ring(name, dict(key), counter.kind)
-                if ring is None:
-                    continue
-            ring.append(float(counter.value))
 
     # -- queries -------------------------------------------------------------------
 

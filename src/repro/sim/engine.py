@@ -72,11 +72,9 @@ class Simulator:
         #: sequences and a copied simulator mints on where its original would
         self.packet_ids: int = 0
         self.msg_ids: int = 0
-        #: simulation-wide metrics registry (repro.obs.registry.
-        #: MetricsRegistry), attached by Network.  The event loop itself
-        #: stays free of per-event instrument calls: the registry reads
-        #: the counters the loop keeps anyway through snapshot-time
-        #: collectors.
+        #: the first Network's fault count (repro.network.Faults), kept
+        #: only for the frozen e2e harness's one read; ROADMAP item 1(d)
+        #: deletes the slot.
         self.metrics = None
         #: optional flight recorder (repro.obs.flight.FlightRecorder).
         #: None (the default) is the fast path: every hook site in the

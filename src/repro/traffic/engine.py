@@ -24,10 +24,9 @@ epoch spans in the exported ``repro.traffic/1`` artifact.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import MS, SEC
-from repro.obs.registry import Histogram
 from repro.sim.engine import cancel
 from repro.traffic.artifact import TRAFFIC_SCHEMA
 from repro.traffic.fluid import (
@@ -57,6 +56,71 @@ SAMPLE_FLOWS = 32
 
 #: delivery-latency histogram buckets (ns): 100us .. ~400s, geometric
 LATENCY_BUCKETS = tuple(100_000 * 4 ** k for k in range(12))
+
+
+class Histogram:
+    """Cumulative-bucket histogram plus count/sum/min/max: the flow
+    latencies behind the artifact's ``latency`` block."""
+
+    __slots__ = ("bounds", "bucket_counts", "count", "total", "min", "max")
+
+    def __init__(self, buckets: Sequence[float]) -> None:
+        self.bounds = tuple(sorted(buckets))
+        self.bucket_counts = [0] * (len(self.bounds) + 1)  # +overflow
+        self.count = 0
+        self.total = 0.0
+        self.min: Optional[float] = None
+        self.max: Optional[float] = None
+
+    def observe(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        for i, bound in enumerate(self.bounds):
+            if value <= bound:
+                self.bucket_counts[i] += 1
+                return
+        self.bucket_counts[-1] += 1
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def quantile(self, q: float) -> Optional[float]:
+        """Estimate the q-quantile (0 < q <= 1) from the cumulative
+        bucket counts, linearly interpolating inside the bucket that
+        crosses rank ``q * count``.  The estimate is clamped to the
+        observed [min, max], so with all observations in one bucket the
+        answer stays within the data rather than the bucket bounds.
+        """
+        if not 0.0 < q <= 1.0:
+            raise ValueError(f"quantile must be in (0, 1]: {q}")
+        if self.count == 0 or self.min is None or self.max is None:
+            return None
+        rank = q * self.count
+        cumulative = 0
+        lower = self.min
+        for i, bound in enumerate(self.bounds):
+            in_bucket = self.bucket_counts[i]
+            if in_bucket and cumulative + in_bucket >= rank:
+                fraction = (rank - cumulative) / in_bucket
+                lo = max(lower, self.min)
+                hi = min(bound, self.max)
+                value = lo + max(0.0, hi - lo) * fraction
+                return min(max(value, self.min), self.max)
+            cumulative += in_bucket
+            lower = bound
+        # rank falls in the overflow bucket: interpolate toward max
+        in_bucket = self.bucket_counts[-1]
+        if in_bucket:
+            fraction = (rank - cumulative) / in_bucket
+            lo = max(self.min, self.bounds[-1]) if self.bounds else self.min
+            value = lo + max(0.0, self.max - lo) * fraction
+            return min(max(value, self.min), self.max)
+        return self.max
 
 
 class FlowRun:
@@ -106,9 +170,7 @@ class TrafficEngine:
         self.offered_bytes = 0.0
         self.delivered_bytes = 0.0
         self.deficit_bytes = 0.0
-        self.latency_hist = Histogram(
-            "traffic_flow_latency_ns", {}, buckets=LATENCY_BUCKETS
-        )
+        self.latency_hist = Histogram(LATENCY_BUCKETS)
 
         # piecewise accounting segments: (t0, t1, offered, delivered, deficit)
         self.segments: List[tuple] = []

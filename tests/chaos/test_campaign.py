@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -217,6 +218,24 @@ def test_run_schedule_result_unchanged_by_tracing(tmp_path):
     assert plain.sim_ns == traced.sim_ns
     assert plain.epochs == traced.epochs
     assert plain.injected == traced.injected
+
+
+def test_injected_counts_faults_when_the_hook_is_already_held():
+    """Who holds ``Network.on_fault`` does not decide what is counted: a
+    network whose hook is set before the schedule runs still reports
+    every fault the schedule fired."""
+    fired = []
+
+    class HookedRunner(CampaignRunner):
+        def build_network(self, schedule, **observers):
+            network = super().build_network(schedule, **observers)
+            network.on_fault = lambda kind, _detail: fired.append(kind)
+            return network
+
+    runner = HookedRunner(quick_config(schedules=1))
+    result = runner.run_schedule(runner.sample_schedule(0))
+    assert fired
+    assert result.injected == Counter(fired)
 
 
 def test_run_schedule_timeseries_artifact_written_and_valid(tmp_path):

@@ -71,11 +71,14 @@ def test_telemetry_reports_per_port_counters_and_spans():
         b["blackout_ns"] for b in blackouts.values()
     )
 
-    # the registry carried the simulator's collectors, and nothing per grant
+    # fault counts by kind and the simulator's two gauges, nothing per grant
     metrics = snap["metrics"]
-    assert metrics["enabled"]
-    assert "sim_events_dispatched" in metrics["series"]
-    assert "scheduler_wait_ns" not in metrics["series"]
+    assert metrics == {
+        "faults_injected": {"cut-link": 1},
+        "events_dispatched": net.sim.events_dispatched,
+        "pending_events": net.sim.pending_events(),
+    }
+    assert net.sim.metrics is net.faults
 
     # the whole snapshot must be JSON-serializable (export contract)
     json.dumps(snap)
@@ -84,7 +87,6 @@ def test_telemetry_reports_per_port_counters_and_spans():
 def test_telemetry_disabled_leaves_hot_paths_bare():
     net = converged_ring_after_cut(telemetry=False)
     assert net.tracer is None
-    assert not net.sim.metrics.enabled
     for ap in net.autopilots:
         assert ap.on_obs_event is None
     for switch in net.switches:
@@ -92,7 +94,8 @@ def test_telemetry_disabled_leaves_hot_paths_bare():
         assert switch.packets_forwarded > 0
     snap = net.telemetry()
     assert not snap["enabled"]
-    assert snap["metrics"]["series"] == {}
+    # faults are counted whether or not telemetry is on
+    assert snap["metrics"]["faults_injected"] == {"cut-link": 1}
     assert "reconfigurations" not in snap
 
 

@@ -8,7 +8,6 @@ from repro.constants import MS, SEC
 from repro.network import Network
 from repro.obs import artifact, timeseries
 from repro.obs.artifact import SchemaError
-from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
     SeriesData,
@@ -77,18 +76,6 @@ def test_late_series_left_padded_in_document(every_10ms):
     by_name = {s["name"]: s for s in doc["series"]}
     assert by_name["early"]["values"] == [1.0] * 6
     assert by_name["late"]["values"] == [None, None, None, 2.0, 2.0, 2.0]
-
-
-def test_registry_series_are_sampled(every_10ms):
-    sim = Simulator()
-    sim.metrics = MetricsRegistry()  # as Network attaches it
-    counter = sim.metrics.counter("things", who="a")
-    sampler = TimeSeriesSampler(sim)
-    sampler.start()
-    sim.at(15 * MS, lambda: counter.inc(3))
-    sim.run(until=30 * MS)
-    series = sampler.view().series("things", who="a")
-    assert series.values == [0.0, 3.0, 3.0]
 
 
 def test_max_series_cap_refuses_and_counts(every_10ms, monkeypatch):
@@ -254,6 +241,30 @@ def test_sampler_survives_switch_restart():
     assert None in values  # dead window
     assert values[-1] is not None  # reporting again after restart
 
+
+
+def test_every_series_samples_once_per_tick_across_faults():
+    """A cut, a crash and a host cabled after ``start()``: every series
+    is a collector that appends once per tick (the late FIFO pair is
+    left-padded), and fault counts are not sampled."""
+    net = Network(ring(4), seed=0, timeseries=True)
+    net.run_for(1 * SEC)
+    net.cut_link(0, 1)
+    net.run_for(1 * SEC)
+    net.crash_switch(2)
+    net.add_host("h0", [(3, net.spec.free_ports(3)[0])])
+    net.run_for(2 * SEC)
+    doc = artifact.validate(net.sampler.document(), TIMESERIES_SCHEMA)
+    assert {len(entry["values"]) for entry in doc["series"]} == {len(doc["ticks"])}
+    assert doc["samples_taken"] == len(doc["ticks"])
+    late = {
+        entry["labels"]["switch"]
+        for entry in doc["series"]
+        if entry["name"] == "fifo_occupancy_bytes" and entry["values"][0] is None
+    }
+    assert late == {"sw3"}  # the host's port, cabled after start()
+    assert "faults_injected" not in {entry["name"] for entry in doc["series"]}
+    assert net.faults == {"cut-link": 1, "crash-switch": 1}
 
 # -- the dashboard frame: pure rendering over sampler views ---------------------------
 

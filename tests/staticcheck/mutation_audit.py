@@ -333,7 +333,7 @@ MUTANTS: List[Mutant] = [
         ),
         flagged_by=("RS402",),
     ),
-    # -- the sixteen rules that stay ----------------------------------------------------
+    # -- the fourteen rules that stay ---------------------------------------------------
     Mutant(
         "RS101-transition-clock", "RS101",
         "Monitoring._transition stamps entered_at and the skeptics with time.monotonic_ns()",
@@ -425,29 +425,6 @@ MUTANTS: List[Mutant] = [
              "        peer._events |= IDHY_SEEN\n"),
         ),
         flagged_by=("RS203",),
-    ),
-    Mutant(
-        "RS301-computed-metric", "RS301",
-        "Network registers its simulator gauges from a loop with computed names",
-        (
-            ("src/repro/network.py",
-             "            metrics.collect(\"sim_now_ns\", partial(getattr, self.sim, \"now\"))\n",
-             "            for name in (\"now\",):\n"
-             "                metrics.collect(f\"sim_{name}_ns\", "
-             "partial(getattr, self.sim, name))\n"),
-        ),
-        flagged_by=("RS301",),
-    ),
-    Mutant(
-        "RS302-formatted-label", "RS302",
-        "the fault counter labels each fault with a formatted kind",
-        (
-            ("src/repro/network.py",
-             "self.sim.metrics.counter(\"faults_injected\", kind=kind).inc()",
-             "self.sim.metrics.counter(\"faults_injected\", "
-             "kind=f\"{kind}@{self.sim.now}\").inc()"),
-        ),
-        flagged_by=("RS302",),
     ),
     Mutant(
         "RS303-chained-recorder", "RS303",

@@ -3,77 +3,6 @@
 from tests.staticcheck import check, rules_of
 
 
-# -- RS301: literal metric names ------------------------------------------------------
-
-
-def test_rs301_computed_metric_name_flagged():
-    findings = check(
-        "def setup(self, name):\n"
-        "    self.hits = self.metrics.counter('packets_' + name)\n"
-    )
-    assert "RS301" in rules_of(findings)
-
-
-def test_rs301_fstring_metric_name_flagged():
-    findings = check(
-        "def setup(self, sw):\n"
-        "    self.hits = self.sim.metrics.counter(f'packets_{sw}')\n"
-    )
-    assert "RS301" in rules_of(findings)
-
-
-def test_rs301_clean_literal_name_with_label():
-    findings = check(
-        "def setup(self, sw):\n"
-        "    self.hits = self.sim.metrics.counter('packets_forwarded', switch=sw)\n"
-    )
-    assert findings == []
-
-
-def test_rs301_collector_name_must_be_literal():
-    findings = check(
-        "def setup(self, registry, name):\n"
-        "    registry.collect(name, lambda: 0)\n"
-    )
-    assert "RS301" in rules_of(findings)
-
-
-def test_rs301_unrelated_receivers_ignored():
-    # .collect()/.counter() on things that are not a registry
-    findings = check(
-        "def f(gc, name):\n"
-        "    gc.collect(name)\n"
-    )
-    assert findings == []
-
-
-# -- RS302: bounded label cardinality -------------------------------------------------
-
-
-def test_rs302_fstring_label_value_flagged():
-    findings = check(
-        "def setup(self, sw, port):\n"
-        "    self.metrics.counter('drops', port=f'{sw}-{port}')\n"
-    )
-    assert rules_of(findings) == ["RS302"]
-
-
-def test_rs302_too_many_labels_flagged():
-    findings = check(
-        "def setup(self, m):\n"
-        "    self.metrics.counter('x', a=1, b=2, c=3, d=4, e=5)\n"
-    )
-    assert rules_of(findings) == ["RS302"]
-
-
-def test_rs302_clean_raw_label_values():
-    findings = check(
-        "def setup(self, sw, port):\n"
-        "    self.metrics.counter('drops', switch=sw, port=port)\n"
-    )
-    assert findings == []
-
-
 # -- RS303: flight-recorder disabled pattern ------------------------------------------
 
 

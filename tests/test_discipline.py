@@ -21,7 +21,7 @@ from tests.checkout import ROOT, parse
 
 RULES = (
     "RS101", "RS102", "RS103", "RS104", "RS105", "RS201", "RS202", "RS203",
-    "RS301", "RS302", "RS303", "RS304", "RS305", "RS306", "RS401", "RS402",
+    "RS303", "RS304", "RS305", "RS306", "RS401", "RS402",
 )
 
 #: packages whose code runs inside the event loop (RS201, RS202)
@@ -35,8 +35,8 @@ EXEMPT_PACKAGES = ("repro.analysis",)
 COMPONENT_PACKAGES = ("repro.net", "repro.core", "repro.host")
 #: the instruments themselves pass series names and layers around (RS3xx)
 IMPLEMENTATION_MODULES = frozenset({
-    "repro.obs.registry", "repro.obs.flight", "repro.obs.spans", "repro.obs.timeseries",
-    "repro.obs.inband", "repro.obs.control",
+    "repro.obs.flight", "repro.obs.spans", "repro.obs.timeseries", "repro.obs.inband",
+    "repro.obs.control",
 })
 #: what a Network is built from and run by (RS402)
 GLOBAL_STATE_PACKAGES = (
@@ -318,27 +318,16 @@ def peer_writes(module, tree):
     return found
 
 
-# -- RS301, RS302, RS304: a static set of series ------------------------------------
+# -- RS304: a static set of series ---------------------------------------------------
 
 #: rule -> (calls whose first argument names a series, hints of their receiver's name)
 NAMED_SERIES = {
-    "RS301": (frozenset({"counter", "collect"}), ("metrics", "registry")),
     "RS304": (frozenset({"add_collector"}), ("sampler",)),
 }
-MAX_LABELS = 4
 
 
 def _is_str(node):
     return isinstance(node, ast.Constant) and isinstance(node.value, str)
-
-
-def _formatted(node):
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mod)):
-        return any(isinstance(side, ast.JoinedStr) or _is_str(side)
-                   for side in (node.left, node.right))
-    return isinstance(node, ast.JoinedStr) or (
-        isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "format"
-    )
 
 
 def _series_call(node, rule, hints):
@@ -349,17 +338,10 @@ def _series_call(node, rule, hints):
     if node.args and not _is_str(node.args[0]):
         found.append((node.args[0].lineno, rule,
                       f"{receiver}.{node.func.attr}() names its series with a computed string"))
-    if rule == "RS301":
-        labels = [k for k in node.keywords if k.arg]
-        if len(labels) > MAX_LABELS:
-            found.append((node.lineno, "RS302", f"{len(labels)} labels on one instrument "
-                          f"(max {MAX_LABELS}): series multiply"))
-        return found + [(k.value.lineno, "RS302", f"label {k.arg!r} is a formatted string: "
-                         "every value mints a series") for k in labels if _formatted(k.value)]
     callbacks = [v for v in [*node.args[1:], *(k.value for k in node.keywords)]
                  if isinstance(v, ast.Lambda)]
     return found + [
-        (sub.lineno, "RS304", "a collector callback calls .append(): it grows at the "
+        (sub.lineno, rule, "a collector callback calls .append(): it grows at the "
          "sampling rate")
         for callback in callbacks for sub in ast.walk(callback.body)
         if isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "append"
@@ -367,9 +349,8 @@ def _series_call(node, rule, hints):
 
 
 def series_names(module, tree):
-    """RS301/RS304: a registry or sampler series named by a computed
-    string; RS302: more than ``MAX_LABELS`` labels, or a formatted label
-    value; RS304: a collector callback that appends."""
+    """RS304: a sampler series named by a computed string, or a collector
+    callback that appends."""
     if module in IMPLEMENTATION_MODULES:
         return []
     return [
@@ -653,7 +634,7 @@ def test_src_imports_only_stdlib_and_repro():
     under ``src/repro`` -- function bodies included -- is the standard
     library or ``repro`` itself.  networkx is a test oracle."""
     files = _src()
-    assert len(files) >= 80
+    assert len(files) >= 79
     allowed = sys.stdlib_module_names | {"repro"}
     assert _imports(files, lambda name: name.split(".")[0] not in allowed) == []
 
