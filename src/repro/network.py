@@ -675,9 +675,11 @@ class Network:
         """
         link = self.link_between(a, b)
         self._notify_fault("flap-link", a=a, b=b, flaps=flaps, period_ns=period_ns)
-        for i in range(flaps):
-            self.sim.after(2 * i * period_ns, link.set_state, LinkState.CUT)
-            self.sim.after((2 * i + 1) * period_ns, link.set_state, LinkState.UP)
+        for edge in range(2 * flaps):  # cut, restore, cut, ...
+            state = LinkState.UP if edge % 2 else LinkState.CUT
+            self.sim.after(edge * period_ns, link.set_state, state)
+            if self.traffic is not None:  # each edge is news to the rate plan, not a fault
+                self.sim.after(edge * period_ns, self.traffic.note_fault, "flap-link")
         return link
 
     def crash_switch(self, index: int) -> None:

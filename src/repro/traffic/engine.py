@@ -23,6 +23,7 @@ epoch spans in the exported ``repro.traffic/1`` artifact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -79,11 +80,7 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1  # first bound >= value
 
     @property
     def mean(self) -> float:
@@ -103,8 +100,8 @@ class Histogram:
         rank = q * self.count
         cumulative = 0
         lower = self.min
-        for i, bound in enumerate(self.bounds):
-            in_bucket = self.bucket_counts[i]
+        # the overflow bucket interpolates toward max
+        for in_bucket, bound in zip(self.bucket_counts, self.bounds + (self.max,)):
             if in_bucket and cumulative + in_bucket >= rank:
                 fraction = (rank - cumulative) / in_bucket
                 lo = max(lower, self.min)
@@ -113,13 +110,6 @@ class Histogram:
                 return min(max(value, self.min), self.max)
             cumulative += in_bucket
             lower = bound
-        # rank falls in the overflow bucket: interpolate toward max
-        in_bucket = self.bucket_counts[-1]
-        if in_bucket:
-            fraction = (rank - cumulative) / in_bucket
-            lo = max(self.min, self.bounds[-1]) if self.bounds else self.min
-            value = lo + max(0.0, self.max - lo) * fraction
-            return min(max(value, self.min), self.max)
         return self.max
 
 
@@ -155,15 +145,18 @@ class TrafficEngine:
         )
         #: indexed by flow id (generate_flows numbers flows 0..n-1)
         self.runs: List[FlowRun] = [FlowRun(f, len(network.switches)) for f in self.flows]
-        # active flow ids as an ordered set (values unused): its iteration
-        # order is the summation order of the segment totals.  Flows are
-        # numbered in arrival order, so that is ascending id -- an order a
-        # copy keeps, where a copied set is rebuilt and can iterate anew
-        self._active: Dict[int, None] = {}
+        # active flow id -> run: its iteration order is the summation
+        # order of the segment totals.  Flows are numbered in arrival
+        # order, so that is ascending id -- an order a copy keeps
+        self._active: Dict[int, FlowRun] = {}
         #: active flows not yet in the plan (arrived since the last solve)
         self._arrivals: List[FlowRun] = []
         #: the rate plan: (src switch, dst switch) -> Pair, loaded pairs only
         self._pairs: Dict[Tuple[int, int], Pair] = {}
+        #: per link id, the walked pairs crossing it (an ordered set) and
+        #: the flows they carry: what solve_rates fills over
+        self._crossing: List[Dict[Pair, None]] = []
+        self._load: List[int] = []
         self.completed = 0
 
         # cumulative SLO aggregates (fluid bytes are floats)
@@ -198,7 +191,7 @@ class TrafficEngine:
 
     def _install_collectors(self, sampler) -> None:
         # the sampler floats what a collector returns
-        sampler.add_collector("traffic_active_flows", self._active_flows)
+        sampler.add_collector("traffic_active_flows", partial(len, self._active))
         sampler.add_collector("traffic_unrouted_flows", self._unrouted)
         sampler.add_collector(
             "traffic_completed_flows", partial(getattr, self, "completed"), kind="counter"
@@ -213,9 +206,6 @@ class TrafficEngine:
             "traffic_blackout_cost_bytes", partial(getattr, self, "deficit_bytes"), kind="counter"
         )
 
-    def _active_flows(self) -> int:
-        return len(self._active)
-
     # -- workload launch --------------------------------------------------------------
 
     def launch(self) -> None:
@@ -229,13 +219,13 @@ class TrafficEngine:
         self.launched = True
         self._launch_ns = self.sim.now
         self._last_advance = self.sim.now
-        for flow in self.flows:
-            self.sim.at(self._launch_ns + flow.arrival_ns, self._arrive, flow)
+        for run in self.runs:
+            self.sim.at(self._launch_ns + run.flow.arrival_ns, self._arrive, run)
 
     # -- event hooks ------------------------------------------------------------------
 
     def note_fault(self, kind: str) -> None:
-        """A fault was injected: paths may have died without any table
+        """A fault or a flap edge: paths may have moved without any table
         generation changing, so force a re-walk soon."""
         self._fault_version += 1
         if self.launched:
@@ -249,12 +239,11 @@ class TrafficEngine:
 
     # -- the rate plan ----------------------------------------------------------------
 
-    def _arrive(self, flow: Flow) -> None:
+    def _arrive(self, run: FlowRun) -> None:
         self._advance(self.sim.now)
-        run = self.runs[flow.flow_id]
         run.state = "active"
         self._arrivals.append(run)
-        self._active[flow.flow_id] = None
+        self._active[run.flow.flow_id] = run
         self._request_resolve(ARRIVAL_BATCH_NS)
 
     def _request_resolve(self, delay_ns: int) -> None:
@@ -284,34 +273,40 @@ class TrafficEngine:
         if not self._active:
             return
         pairs = self._pairs
-        stale: List[Pair] = []  # the pairs to walk: the new ones, or all of them
+        load = self._load
+        fresh: List[Pair] = []  # the pairs to walk: the new ones, or all of them
         for run in self._arrivals:
             pair = pairs.get(run.switches)
             if pair is None:
                 pair = pairs[run.switches] = Pair(run.switches)
-                stale.append(pair)
+                fresh.append(pair)
+            for link in pair.links or ():  # a flow joining a walked pair loads its links
+                load[link] += 1
             pair.count += 1
             run.pair = pair
         self._arrivals.clear()
         # what a walk depends on: every table's generation counter
-        # (bumped on each load/clear) and the faults injected so far
+        # (bumped on each load/clear) and the faults and link edges so far
         fingerprint = (
             tuple(switch.table.generation for switch in self.network.switches),
             self._fault_version,
         )
         if fingerprint != self._walked_fp:
             self._walked_fp = fingerprint
-            stale = list(pairs.values())
-        for pair in stale:
-            pair.links = walk_path(
-                self.network, self._hops, *pair.switches, MAX_HOPS
-            )
-        solve_rates(pairs.values(), len(self._hops) // 2)  # two ends per cable
+            n_links = len(self._hops) // 2  # two ends per cable
+            self._crossing = [{} for _ in range(n_links)]
+            self._load = load = [0] * n_links
+            fresh = list(pairs.values())
+        crossing = self._crossing
+        for pair in fresh:  # a walked pair enters the per-link lists
+            pair.links = walk_path(self.network, self._hops, *pair.switches, MAX_HOPS)
+            for link in pair.links or ():
+                crossing[link][pair] = None
+                load[link] += pair.count
+        solve_rates(pairs.values(), crossing, load)
         self._last_solve_ns = now
-        runs = self.runs
         best = None  # the earliest instant a flow finishes at these rates
-        for fid in self._active:
-            run = runs[fid]
+        for run in self._active.values():
             rate = run.pair.rate
             if rate > 0.0:
                 t = now + run.remaining / rate
@@ -335,13 +330,11 @@ class TrafficEngine:
         if not self._active:
             return
         budget = LINK_CAPACITY * dt  # what one flow offers at line rate
-        runs = self.runs
         seg_offered = 0.0
         seg_delivered = 0.0
         seg_deficit = 0.0
         finished: List[FlowRun] = []
-        for fid in self._active:
-            run = runs[fid]
+        for run in self._active.values():
             remaining = run.remaining
             offered = budget if budget < remaining else remaining
             seg_offered += offered
@@ -382,8 +375,13 @@ class TrafficEngine:
         self.completed += 1
         pair = run.pair
         pair.count -= 1
+        links = pair.links or ()
+        for link in links:
+            self._load[link] -= 1
         if not pair.count:
             del self._pairs[pair.switches]
+            for link in links:
+                self._crossing[link].pop(pair, None)
 
     def _unrouted(self) -> int:
         """Active flows whose walk found no route."""
@@ -398,21 +396,16 @@ class TrafficEngine:
         if not self.launched:
             return []
         components = self.network.operational_components()
-        member = {}
-        for component in components:
-            for index in component:
-                member[index] = component
+        member = {index: component for component in components for index in component}
         routed: Dict[Tuple[int, int], bool] = {}  # one fresh walk per pair
         out: List[str] = []
-        for fid in sorted(self._active):
-            run = self.runs[fid]
+        for fid, run in self._active.items():  # ascending id
             src, dst = run.switches
             if member.get(src) is None or member.get(dst) is not member.get(src):
                 continue  # partitioned or dead endpoints: loss is expected
             if run.switches not in routed:
-                routed[run.switches] = walk_path(
-                    self.network, self._hops, src, dst, MAX_HOPS
-                ) is not None
+                path = walk_path(self.network, self._hops, src, dst, MAX_HOPS)
+                routed[run.switches] = path is not None
             if not routed[run.switches]:
                 out.append(
                     f"flow {fid} (h{run.flow.src_host}@sw{src} -> "
@@ -452,9 +445,7 @@ class TrafficEngine:
                 "offered_bytes": round(offered, 3),
                 "delivered_bytes": round(delivered, 3),
                 "blackout_cost_bytes": round(deficit, 3),
-                "goodput_bytes_per_sec": (
-                    delivered / duration * SEC if duration > 0 else None
-                ),
+                "goodput_bytes_per_sec": delivered / duration * SEC if duration > 0 else None,
             })
         return out
 
@@ -500,9 +491,7 @@ class TrafficEngine:
             "offered_bytes": round(self.offered_bytes, 3),
             "delivered_bytes": round(self.delivered_bytes, 3),
             "blackout_cost_bytes": round(self.deficit_bytes, 3),
-            "goodput_bytes_per_sec": (
-                self.delivered_bytes / elapsed * SEC if elapsed > 0 else None
-            ),
+            "goodput_bytes_per_sec": self.delivered_bytes / elapsed * SEC if elapsed > 0 else None,
             "latency": {
                 "count": hist.count,
                 "p50_ns": hist.quantile(0.5),

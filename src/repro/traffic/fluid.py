@@ -17,17 +17,18 @@ two primitives here are pure functions over the live network state:
   the observatory prices.
 * :func:`solve_rates` water-fills link capacity (1 byte per
   ``BYTE_TIME_NS``) max-min fairly across the routed pairs, each
-  weighted by its flow count.
+  weighted by its flow count, over per-link lists the caller keeps.
 
 Paths are re-walked only when something they depend on changes: a
-forwarding-table ``generation`` bump or a fault (see
+forwarding-table ``generation`` bump, a fault or a flap edge (see
 :class:`repro.traffic.engine.TrafficEngine`).  The per-flow solver this
 replaced is the test oracle ``tests/naive_fluid.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.constants import BYTE_TIME_NS, CONTROL_PROCESSOR_PORT
 from repro.net.link import LinkState
@@ -114,41 +115,55 @@ def walk_path(
     return None  # loop or absurdly long path: treat as unrouted
 
 
-def solve_rates(pairs: Iterable[Pair], n_links: int, capacity: float = LINK_CAPACITY) -> None:
+def solve_rates(pairs: Iterable[Pair], crossing: Sequence[Iterable[Pair]], load: Sequence[int],
+                capacity: float = LINK_CAPACITY) -> None:
     """Set every pair's max-min fair ``rate`` (bytes/ns per flow).
 
-    Classic progressive filling: repeatedly find the tightest link
-    (least remaining capacity per unfrozen flow, ties to the lowest
-    link id), freeze the pairs crossing it at that fair share, and
-    subtract.  Same-switch pairs (empty path) run at access line rate,
-    unrouted ones at 0.  Each pair must hold at least one flow.  A pair
-    subtracts ``share`` ``count`` times, never ``share * count``: that
-    keeps every float bit-equal to solving flow by flow (DESIGN.md).
+    Progressive filling over the caller's per-link view: ``crossing[link]``
+    holds the routed pairs crossing the link, in any order, and
+    ``load[link]`` their flows.  Repeatedly pop the tightest link from a
+    heap of ``(share, link)`` (least remaining capacity per unfrozen
+    flow, ties to the lowest id), freeze its pairs at that share, and
+    subtract it once per frozen flow -- never ``share * flows``, which
+    keeps every float bit-equal to solving flow by flow -- from each link
+    they cross that still carries flows; re-push those.  Same-switch
+    pairs run at access line rate, unrouted ones at 0 (DESIGN.md).
     """
-    remaining = [capacity] * n_links
-    load = [0] * n_links  # unfrozen flows crossing each link
-    crossing: List[List[Pair]] = [[] for _ in range(n_links)]
     for pair in pairs:
         links = pair.links
-        if not links:
-            pair.rate = 0.0 if links is None else capacity
-            continue
-        pair.rate = None  # not frozen yet
-        for link in links:
-            crossing[link].append(pair)
-            load[link] += pair.count
-    used = [link for link in range(n_links) if load[link]]
-    while used:
-        shares = [remaining[link] / load[link] for link in used]
-        share = min(shares)
-        for pair in crossing[used[shares.index(share)]]:  # first: lowest id
-            if pair.rate is not None:
-                continue
-            pair.rate = share
-            links = pair.links
-            for _ in range(pair.count):
-                for link in links:
-                    remaining[link] -= share
-            for link in links:
-                load[link] -= pair.count
-        used = [link for link in used if load[link]]
+        pair.rate = None if links else 0.0 if links is None else capacity
+    load = list(load)  # the caller's counts; filling consumes the copy
+    remaining = [capacity] * len(load)
+    current: List[Optional[float]] = [None] * len(load)  # each link's live entry
+    before = [0] * len(load)  # a touched link's load when its round began
+    heap = []
+    for link, flows in enumerate(load):
+        if flows:
+            current[link] = share = capacity / flows
+            heap.append((share, link))
+    heapify(heap)
+    while heap:
+        share, link = heappop(heap)
+        if current[link] != share:
+            continue  # stale: the link's share moved, or it emptied
+        touched = []
+        for pair in crossing[link]:
+            if pair.rate is None:
+                pair.rate = share
+                count = pair.count
+                for hop in pair.links:
+                    flows = load[hop]
+                    if current[hop] is not None:  # first touch this round
+                        current[hop] = None
+                        before[hop] = flows
+                        touched.append(hop)
+                    load[hop] = flows - count
+        for hop in touched:
+            flows = load[hop]
+            if flows:
+                left = remaining[hop]
+                for _ in range(before[hop] - flows):
+                    left -= share
+                remaining[hop] = left
+                current[hop] = share_left = left / flows
+                heappush(heap, (share_left, hop))

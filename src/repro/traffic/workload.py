@@ -135,15 +135,14 @@ def generate_flows(config: TrafficConfig, rng: random.Random) -> List[Flow]:
     hosts = config.hosts
     records: List[tuple] = []
 
-    if config.pattern == "uniform":
-        arrivals = _poisson_arrivals(rng, flows, config.duration_ns)
-        for t in arrivals:
+    if config.pattern in ("uniform", "diurnal"):
+        arrive = _poisson_arrivals if config.pattern == "uniform" else _diurnal_arrivals
+        for t in arrive(rng, flows, config.duration_ns):
             src, dst = _uniform_pair(rng, hosts)
             records.append((t, src, dst, _draw_size(rng, config.mean_flow_bytes)))
     elif config.pattern == "hotspot":
         hot = rng.sample(range(hosts), max(1, hosts // HOTSPOT_SET_DIVISOR))
-        arrivals = _poisson_arrivals(rng, flows, config.duration_ns)
-        for t in arrivals:
+        for t in _poisson_arrivals(rng, flows, config.duration_ns):
             if rng.random() < HOTSPOT_FRACTION:
                 dst = rng.choice(hot)
                 src = rng.randrange(hosts)
@@ -152,7 +151,7 @@ def generate_flows(config: TrafficConfig, rng: random.Random) -> List[Flow]:
             else:
                 src, dst = _uniform_pair(rng, hosts)
             records.append((t, src, dst, _draw_size(rng, config.mean_flow_bytes)))
-    elif config.pattern == "incast":
+    else:  # incast
         victim = rng.randrange(hosts)
         n_bursts = max(1, flows // INCAST_BURST_FLOWS)
         burst_times = sorted(
@@ -165,11 +164,6 @@ def generate_flows(config: TrafficConfig, rng: random.Random) -> List[Flow]:
             while hosts > 1 and src == victim:
                 src = rng.randrange(hosts)
             records.append((t, src, victim, _draw_size(rng, config.mean_flow_bytes)))
-    else:  # diurnal
-        arrivals = _diurnal_arrivals(rng, flows, config.duration_ns)
-        for t in arrivals:
-            src, dst = _uniform_pair(rng, hosts)
-            records.append((t, src, dst, _draw_size(rng, config.mean_flow_bytes)))
 
     records.sort(key=lambda r: r[0])
     return [

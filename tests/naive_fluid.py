@@ -10,7 +10,7 @@ solver on the same input so both tests compare like with like.  Nothing
 under ``src/`` may import this module.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.traffic.fluid import LINK_CAPACITY, Pair, solve_rates
 
@@ -75,12 +75,16 @@ def naive_flow_rates(
 
 
 def solve_pairs(
-    paths: Dict[int, Optional[PathKey]], capacity: float = LINK_CAPACITY
+    paths: Dict[int, Optional[PathKey]],
+    capacity: float = LINK_CAPACITY,
+    shuffle: Optional[Callable[[list], None]] = None,
 ) -> Dict[int, float]:
     """The pair solver on per-flow input: flows with equal paths fold
     into one :class:`Pair` with a count, link keys are interned in key
-    order (so an id comparison is a key comparison), and every flow
-    reads its pair's rate."""
+    order (so an id comparison is a key comparison), the per-link pair
+    lists and loads are built as the engine keeps them, and every flow
+    reads its pair's rate.  ``shuffle``, if given, reorders the pairs and
+    each link's list in place before the solve."""
     keys = sorted({key for path in paths.values() if path for key in path})
     ids = {key: i for i, key in enumerate(keys)}
     pairs: Dict[Optional[PathKey], Pair] = {}
@@ -90,5 +94,17 @@ def solve_pairs(
             pair = pairs[path] = Pair((0, 0))
             pair.links = None if path is None else tuple(ids[key] for key in path)
         pair.count += 1
-    solve_rates(pairs.values(), len(keys), capacity)
+    crossing: List[List[Pair]] = [[] for _ in keys]
+    load = [0] * len(keys)
+    for pair in pairs.values():
+        for link in pair.links or ():
+            if pair not in crossing[link]:
+                crossing[link].append(pair)
+            load[link] += pair.count
+    order = list(pairs.values())
+    if shuffle is not None:
+        shuffle(order)
+        for listed in crossing:
+            shuffle(listed)
+    solve_rates(order, crossing, load, capacity)
     return {fid: pairs[path].rate for fid, path in paths.items()}

@@ -4,7 +4,8 @@
 one entry per flow.  The pair solver must return *the same floats* --
 ``==``, never ``approx`` -- for any multiset of paths: that is what lets
 the engine keep one record per switch pair and still write byte-identical
-documents.
+documents.  Nor may they depend on the order the pairs, or the
+pairs on each link, are handed over in.
 """
 
 from hypothesis import given, settings
@@ -38,6 +39,15 @@ def path_multisets(draw):
 @given(path_multisets(), st.sampled_from((LINK_CAPACITY, 1.0, 0.1, 1.0 / 3.0)))
 def test_pair_solver_is_bit_equal_to_the_per_flow_solver(paths, capacity):
     assert solve_pairs(paths, capacity) == naive_flow_rates(paths, capacity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(path_multisets(), st.sampled_from((LINK_CAPACITY, 1.0, 1.0 / 3.0)), st.randoms())
+def test_rates_do_not_depend_on_the_order_of_pairs_or_link_lists(paths, capacity, rng):
+    """The engine's per-link lists are ordered sets that fill and empty
+    as pairs come and go; the solver must not read their order."""
+    shuffled = solve_pairs(paths, capacity, shuffle=rng.shuffle)
+    assert shuffled == solve_pairs(paths, capacity) == naive_flow_rates(paths, capacity)
 
 
 def test_equal_shares_break_on_the_lower_link_key():

@@ -4,8 +4,10 @@
   every ``_resolve`` each active flow's path equals a direct
   ``walk_path`` and its rate equals the naive per-flow solve
   (``tests/naive_fluid.py``) of those freshly walked paths -- ``==`` on
-  floats.  A pair that kept a stale path across a table-generation
-  bump, or a count that drifted from the flows it stands for, fails here.
+  floats, and the engine's per-link pair lists and loads equal a rebuild
+  from ``_pairs``.  A pair that kept a stale path across a table-generation
+  bump or a flap edge, a count that drifted from the flows it stands for,
+  or a list or load the joins and completions left behind fails here.
 * **golden**: the ``repro.traffic/1`` documents of three of those runs
   were written by the per-flow engine (the commit before the pair plan)
   and are compared byte for byte.
@@ -80,6 +82,14 @@ def _shadow(engine):
             assert engine.runs[fid].pair.rate == rate, f"flow {fid} at {net.sim.now}"
         counts = collections.Counter(engine.runs[fid].switches for fid in engine._active)
         assert counts == {key: pair.count for key, pair in engine._pairs.items()}
+        lists = [set() for _ in engine._load]
+        load = [0] * len(engine._load)
+        for pair in engine._pairs.values():
+            for link in pair.links or ():
+                lists[link].add(pair)
+                load[link] += pair.count
+        assert [set(kept) for kept in engine._crossing] == lists, f"lists at {net.sim.now}"
+        assert engine._load == load, f"loads at {net.sim.now}"
         checked.append((len(paths), sum(path is None for path in paths.values())))
 
     engine._resolve = resolve
@@ -108,6 +118,37 @@ def test_documents_are_the_per_flow_engines_byte_for_byte(topology, pattern, tmp
     artifact.write(str(path), net.traffic_doc(name))
     with open(os.path.join(FIXTURES, f"{name}.traffic.json"), "rb") as fh:
         assert path.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("period_ns", (5 * MS, 40 * MS))
+def test_every_edge_of_a_flap_train_reaches_the_plan(period_ns):
+    """A flap train on the most loaded cable: each edge changes what a
+    walk answers before any table notices, so a resolve between an edge
+    and the next table change must re-walk -- the shadow check fails on
+    a pair that kept the path an edge broke (or mended)."""
+    spec = resolve_topology("torus-3x4")
+    net = Network(spec, seed=0, traffic=replace(
+        WORKLOAD, flows=300, mean_flow_bytes=262_144, duration_ns=SEC
+    ))
+    engine = net.traffic
+    checked = _shadow(engine)
+    assert net.run_until_converged(timeout_ns=120 * SEC)
+    engine.launch()
+    net.run_for(int(0.25 * SEC))
+    load = collections.Counter()
+    for pair in engine._pairs.values():
+        for link in pair.links or ():
+            load[link] += pair.count
+    [(link, flows)] = load.most_common(1)
+    assert flows > 20
+    (a, _pa), (b, _pb) = sorted(end for end, hop in engine._hops.items() if hop[2] == link)
+    before = len(checked)
+    net.flap_link(a, b, flaps=4, period_ns=period_ns)
+    net.run_for(8 * period_ns)
+    assert net.run_until_converged(timeout_ns=120 * SEC)
+    net.run_for(int(0.15 * SEC))
+    assert len(checked) - before > 8
+    assert net.faults["flap-link"] == 1 and sum(net.faults.values()) == 1
 
 
 def test_flows_awaiting_their_first_walk_are_not_unrouted(monkeypatch):
