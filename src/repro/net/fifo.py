@@ -160,20 +160,26 @@ class ReceiveFifo:
         partial sums, so a sampled run would diverge (in the last ulp)
         from an unsampled one.  Projection keeps sampling observational.
         """
-        level = self._level()
+        queue = self.queue
+        level = 0
+        for entry in queue:
+            level += entry.bytes_in - entry.bytes_out
         dt = self.sim.now - self._last_update
         if dt <= 0:
             return level
         slots = dt / BYTE_TIME_NS
-        entry = self._arriving_entry()
-        if entry is not None and self.in_rate > 0:
-            level += min(float(entry.size) - entry.bytes_in, self.in_rate * slots)
-        head = self.head
-        if head is not None and self.drain_rate > 0:
-            inflow = self.in_rate * slots if head is entry else 0.0
-            level -= min(self.drain_rate * slots,
-                         head.bytes_in - head.bytes_out + inflow)
-        return max(0.0, level)
+        tail = queue[-1] if queue and queue[-1].arriving else None
+        if tail is not None and self.in_rate > 0:
+            room = float(tail.size) - tail.bytes_in
+            got = self.in_rate * slots
+            level += got if got < room else room  # min(room, got)
+        if queue and self.drain_rate > 0:
+            head = queue[0]
+            inflow = self.in_rate * slots if head is tail else 0.0
+            moved = self.drain_rate * slots
+            held = head.bytes_in - head.bytes_out + inflow
+            level -= held if held < moved else moved  # min(moved, held)
+        return level if level > 0.0 else 0.0  # max(0.0, level)
 
     def _level(self) -> float:
         # same accumulation order as sum() over the queue, without the

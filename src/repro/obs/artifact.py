@@ -21,6 +21,7 @@ The spec vocabulary is plain Python data:
   leaves: :class:`Enum` and the :class:`Atom` constants ``INT``,
   ``COUNT``, ``NUM``, ``NONNEG``, ``STR``, ``NAME``, ``BOOL``, ``SCALAR``.
 
+Each spec is compiled once, where it is declared (:func:`compile_spec`).
 What a table cannot say (row width equals header width, B/E slices
 nest, a recount matches) goes in the schema's one ``rules(doc)`` hook,
 which runs after the table walk and reports through :func:`fail`.
@@ -33,7 +34,7 @@ import importlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, NamedTuple, NoReturn, Optional, Tuple
+from typing import Any, Callable, Dict, NoReturn, Optional, Tuple
 
 #: schema tag -> the module whose ``ARTIFACT`` declares it (imported on
 #: first use, so this module depends on no layer)
@@ -56,6 +57,11 @@ def fail(path: str, why: str) -> NoReturn:
     raise SchemaError(f"{path}: {why}")
 
 
+#: a compiled spec: ``(path suffix, why)`` of the first place a value
+#: departs from it, else None
+Walk = Callable[[Any], Optional[Tuple[str, str]]]
+
+
 @dataclass(frozen=True)
 class Atom:
     """A leaf: an instance of ``types`` (a bool only where ``bool`` is
@@ -66,14 +72,21 @@ class Atom:
     minimum: Optional[int] = None
     nonempty: bool = False
 
-    def accepts(self, value: Any) -> bool:
-        if not isinstance(value, self.types):
-            return False
-        if isinstance(value, bool) and bool not in self.types:
-            return False
-        if self.minimum is not None and value < self.minimum:
-            return False
-        return not self.nonempty or bool(value)
+    def __post_init__(self) -> None:
+        types, minimum, nonempty = self.types, self.minimum, self.nonempty
+        bools = bool in types
+
+        def atom(value: Any) -> Optional[Tuple[str, str]]:
+            if (
+                isinstance(value, types)
+                and (bools or (value is not True and value is not False))
+                and (minimum is None or not value < minimum)
+                and (not nonempty or value)
+            ):
+                return None
+            return _rejected(self, value)
+
+        object.__setattr__(self, "walk", atom)
 
 
 class Enum:
@@ -82,9 +95,12 @@ class Enum:
     def __init__(self, *choices: Any) -> None:
         self.choices = choices
         self.expected = f"one of {choices}"
+        self.walk: Walk = lambda value: None if value in choices else _rejected(self, value)
 
-    def accepts(self, value: Any) -> bool:
-        return value in self.choices
+
+def _rejected(leaf: Any, value: Any) -> Tuple[str, str]:
+    got = repr(value) if isinstance(value, SCALAR.types) else type(value).__name__
+    return "", f"expected {leaf.expected}, got {got}"
 
 
 @dataclass(frozen=True)
@@ -92,6 +108,10 @@ class Opt:
     """``spec``, or null / absent."""
 
     spec: Any
+
+    def __post_init__(self) -> None:
+        inner = compile_spec(self.spec)
+        object.__setattr__(self, "walk", lambda value: None if value is None else inner(value))
 
 
 def Int(minimum: Optional[int] = None) -> Atom:
@@ -116,6 +136,23 @@ class Map:
     values: Any
     keys: Any = STR
 
+    def __post_init__(self) -> None:
+        key_walk, values = self.keys.walk, compile_spec(self.values)
+        bad_key = f": expected {self.keys.expected}"
+
+        def mapping(value: Any) -> Optional[Tuple[str, str]]:
+            if not isinstance(value, dict):
+                return "", "expected object"
+            for key, item in value.items():
+                if key_walk(key):
+                    return "", f"key {key!r}{bad_key}"
+                bad = values(item)
+                if bad:
+                    return f".{key}{bad[0]}", bad[1]
+            return None
+
+        object.__setattr__(self, "walk", mapping)
+
 
 def keys(spec: Any, *names: str) -> Dict[str, Any]:
     """``spec`` under each of ``names``, to spread into an object table:
@@ -123,9 +160,59 @@ def keys(spec: Any, *names: str) -> Dict[str, Any]:
     return dict.fromkeys(names, spec)
 
 
-class Schema(NamedTuple):
-    """One document family: its table, its cross-field hook, its text
-    report, and how its file is laid out."""
+def compile_spec(spec: Any) -> Walk:
+    """``spec`` compiled into one closure per node, so a walk pays no
+    dispatch on the spec's type per value; the suffix is built on the way
+    out of a failure, so a conforming 20k-event trace formats no strings.
+    A leaf, ``Opt`` or ``Map`` compiles itself when built, and every
+    table that holds it shares that walk."""
+    kind = type(spec)
+    if kind is dict:
+        fields = [(key, f".{key}", compile_spec(sub)) for key, sub in spec.items()]
+
+        def obj(value: Any) -> Optional[Tuple[str, str]]:
+            if not isinstance(value, dict):
+                return "", "expected object"
+            for key, dot, walk in fields:
+                bad = walk(value.get(key))
+                if bad:
+                    return dot + bad[0], bad[1]
+            return None
+
+        return obj
+    if kind is list:
+        each = compile_spec(spec[0])
+
+        def array(value: Any) -> Optional[Tuple[str, str]]:
+            if not isinstance(value, list):
+                return "", "expected array"
+            for i, bad in enumerate(map(each, value)):
+                if bad:
+                    return f"[{i}]{bad[0]}", bad[1]
+            return None
+
+        return array
+    if kind is tuple:
+        items = [compile_spec(sub) for sub in spec]
+        short = f"expected array of {len(spec)} items"
+
+        def fixed(value: Any) -> Optional[Tuple[str, str]]:
+            if not isinstance(value, list) or len(value) != len(items):
+                return "", short
+            for i, walk in enumerate(items):
+                bad = walk(value[i])
+                if bad:
+                    return f"[{i}]{bad[0]}", bad[1]
+            return None
+
+        return fixed
+    return spec.walk  # a leaf, Opt or Map
+
+
+@dataclass
+class Schema:
+    """One document family: its table and the walk compiled from it, its
+    cross-field hook, its text report, and how its file is laid out."""
 
     spec: Dict[str, Any]
     rules: Optional[Callable[[Dict[str, Any]], None]] = None
@@ -135,65 +222,14 @@ class Schema(NamedTuple):
     indent: Optional[int] = 2
     sort_keys: bool = False
 
+    def __post_init__(self) -> None:
+        self.walk = compile_spec(self.spec)
+
 
 def _schema(tag: Any) -> Schema:
     if not isinstance(tag, str) or tag not in PROVIDERS:
         fail("$.schema", f"unknown schema {tag!r} (known: {', '.join(PROVIDERS)})")
     return importlib.import_module(PROVIDERS[tag]).ARTIFACT
-
-
-def defect(spec: Any, value: Any) -> Optional[Tuple[str, str]]:
-    """``(path suffix, why)`` of the first place ``value`` departs from
-    ``spec``, else None: the walk :func:`check` raises from, for hooks
-    that format their own path only on failure.  The suffix is assembled
-    on the way out of a failure, so a conforming 20k-event trace formats
-    no strings."""
-    kind = type(spec)
-    if kind is Atom or kind is Enum:
-        if not spec.accepts(value):
-            got = repr(value) if SCALAR.accepts(value) else type(value).__name__
-            return "", f"expected {spec.expected}, got {got}"
-    elif kind is dict:
-        if not isinstance(value, dict):
-            return "", "expected object"
-        for key, sub in spec.items():
-            bad = defect(sub, value.get(key))
-            if bad:
-                return f".{key}{bad[0]}", bad[1]
-    elif kind is list:
-        if not isinstance(value, list):
-            return "", "expected array"
-        for i, item in enumerate(value):
-            bad = defect(spec[0], item)
-            if bad:
-                return f"[{i}]{bad[0]}", bad[1]
-    elif kind is tuple:
-        if not isinstance(value, list) or len(value) != len(spec):
-            return "", f"expected array of {len(spec)} items"
-        for i, (sub, item) in enumerate(zip(spec, value)):
-            bad = defect(sub, item)
-            if bad:
-                return f"[{i}]{bad[0]}", bad[1]
-    elif kind is Opt:
-        return None if value is None else defect(spec.spec, value)
-    else:  # Map
-        if not isinstance(value, dict):
-            return "", "expected object"
-        for key, item in value.items():
-            if not spec.keys.accepts(key):
-                return "", f"key {key!r}: expected {spec.keys.expected}"
-            bad = defect(spec.values, item)
-            if bad:
-                return f".{key}{bad[0]}", bad[1]
-    return None
-
-
-def check(spec: Any, value: Any, path: str) -> None:
-    """Walk one sub-value against ``spec`` (for ``rules`` hooks whose
-    field requirements depend on a sibling's value)."""
-    bad = defect(spec, value)
-    if bad:
-        fail(path + bad[0], bad[1])
 
 
 def validate(doc: Any, expect: Optional[str] = None) -> Dict[str, Any]:
@@ -205,7 +241,9 @@ def validate(doc: Any, expect: Optional[str] = None) -> Dict[str, Any]:
     if expect is not None and tag != expect:
         fail("$.schema", f"expected {expect!r}, got {tag!r}")
     schema = _schema(tag)
-    check(schema.spec, doc, "$")
+    bad = schema.walk(doc)
+    if bad:
+        fail("$" + bad[0], bad[1])
     if schema.rules is not None:
         schema.rules(doc)
     return doc

@@ -30,7 +30,8 @@ the PR 1 instruments.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, Iterator, List, Optional
 
 from repro.sim.trace import CAT_EPOCH, CAT_MESSAGE
 
@@ -65,48 +66,42 @@ class FlightEvent:
         )
 
 
-class ComponentRing:
-    """Bounded circular buffer of events for one component.
+class Ring:
+    """A bounded circular buffer holding only what it was given (a
+    ``deque(maxlen=capacity)``), like the paper's per-switch circular
+    logs: overflow evicts the *oldest* item but keeps counting, so
+    ``dropped`` reports how much history was lost."""
 
-    Like the paper's per-switch circular logs: overflow silently evicts
-    the *oldest* record but keeps counting, so ``dropped`` reports how
-    much history was lost.
-    """
+    __slots__ = ("_buf", "total")
 
-    def __init__(self, component: str, capacity: int) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"ring capacity must be positive: {capacity}")
-        self.component = component
-        self.capacity = capacity
-        self._buf: List[Optional[FlightEvent]] = [None] * capacity
-        self._next = 0
-        #: total events ever appended (>= len(self))
+        self._buf: Deque[Any] = deque(maxlen=capacity)
+        #: total items ever appended (>= len(self))
         self.total = 0
 
-    def append(self, event: FlightEvent) -> Optional[FlightEvent]:
-        """Append; returns the evicted event when the ring was full."""
-        evicted = self._buf[self._next] if self.total >= self.capacity else None
-        self._buf[self._next] = event
-        self._next = (self._next + 1) % self.capacity
+    def append(self, item: Any) -> Any:
+        """Append; returns the evicted item when the ring was full."""
+        buf = self._buf
+        evicted = buf[0] if len(buf) == buf.maxlen else None
+        buf.append(item)
         self.total += 1
         return evicted
 
     @property
     def dropped(self) -> int:
-        return max(0, self.total - self.capacity)
+        return self.total - len(self._buf)
 
-    def events(self) -> List[FlightEvent]:
-        """Retained events, oldest first."""
-        if self.total < self.capacity:
-            return [e for e in self._buf[: self.total] if e is not None]
-        return [
-            e
-            for e in self._buf[self._next :] + self._buf[: self._next]
-            if e is not None
-        ]
+    def items(self) -> List[Any]:
+        """Retained items, oldest first."""
+        return list(self._buf)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._buf)
 
     def __len__(self) -> int:
-        return min(self.total, self.capacity)
+        return len(self._buf)
 
 
 class FlightRecorder:
@@ -122,7 +117,8 @@ class FlightRecorder:
 
     def __init__(self, capacity_per_component: int = 65536) -> None:
         self.capacity_per_component = capacity_per_component
-        self._rings: Dict[str, ComponentRing] = {}
+        #: component -> its ring of events
+        self._rings: Dict[str, Ring] = {}
         #: eid -> event, for retained events only (evictions de-index)
         self._index: Dict[int, FlightEvent] = {}
         self._next_eid = 1
@@ -156,9 +152,7 @@ class FlightRecorder:
         event = FlightEvent(eid, t_ns, component, category, name, parent, attrs)
         ring = self._rings.get(component)
         if ring is None:
-            ring = self._rings[component] = ComponentRing(
-                component, self.capacity_per_component
-            )
+            ring = self._rings[component] = Ring(self.capacity_per_component)
         evicted = ring.append(event)
         if evicted is not None:
             self._index.pop(evicted.eid, None)
@@ -178,7 +172,7 @@ class FlightRecorder:
             by_component.setdefault(event.component, []).append(event)
             recorder._index[event.eid] = event
         for component, held in by_component.items():
-            ring = recorder._rings[component] = ComponentRing(component, len(held))
+            ring = recorder._rings[component] = Ring(len(held))
             for event in held:
                 ring.append(event)
         return recorder
@@ -187,9 +181,6 @@ class FlightRecorder:
 
     def components(self) -> List[str]:
         return sorted(self._rings)
-
-    def ring(self, component: str) -> Optional[ComponentRing]:
-        return self._rings.get(component)
 
     @property
     def total_recorded(self) -> int:
@@ -228,7 +219,7 @@ class FlightRecorder:
         )
         out = []
         for ring in rings:
-            for event in ring.events():
+            for event in ring:
                 if category is not None and event.category != category:
                     continue
                 if name is not None and event.name != name:

@@ -45,7 +45,9 @@ import math
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.net.packet import PacketType
 from repro.obs.artifact import COUNT, INT, NAME, NUM, STR, Int, Map, Opt, Schema, keys, read
+from repro.obs.flight import Ring
 from repro.scenario import fmt_ns
 
 #: bump the suffix when the artifact layout changes incompatibly
@@ -80,6 +82,14 @@ def path_of(hops: Optional[List[HopRecord]]) -> PathKey:
     return tuple((sw, in_port, tuple(outs)) for _t, sw, in_port, outs, _d in hops)
 
 
+def _on_path(hops: List[HopRecord], path: PathKey) -> bool:
+    """``path_of(hops) == path``, compared in place."""
+    return len(hops) == len(path) and all(
+        sw == step[0] and in_port == step[1] and outs == step[2]
+        for (_t, sw, in_port, outs, _d), step in zip(hops, path)
+    )
+
+
 def exact_quantile(values: List[float], q: float) -> Optional[float]:
     """Nearest-rank quantile over the *retained* samples -- exact, not
     bucket-interpolated like the traffic engine's ``Histogram.quantile``."""
@@ -96,7 +106,7 @@ class FlowRecord:
     """Everything retained about one (src uid, dest uid) flow."""
 
     __slots__ = ("src_uid", "dest_uid", "deliveries", "bytes", "paths_seen",
-                 "current_path", "changes", "changes_dropped", "latencies")
+                 "current_path", "changes", "latencies")
 
     def __init__(self, src_uid: int, dest_uid: int) -> None:
         self.src_uid = src_uid
@@ -107,10 +117,7 @@ class FlowRecord:
         self.paths_seen = 0
         self.current_path: Optional[PathKey] = None
         #: (t_ns, epoch, old_path, new_path), newest-last, bounded
-        self.changes: Deque[Tuple[int, Optional[int], PathKey, PathKey]] = deque(
-            maxlen=PATH_HISTORY
-        )
-        self.changes_dropped = 0
+        self.changes = Ring(PATH_HISTORY)
         self.latencies: Deque[int] = deque(maxlen=FLOW_LATENCY_SAMPLES)
 
 
@@ -132,7 +139,10 @@ class PathCollector:
     def note_hop(self, switch: str, in_port: int, depth: float) -> None:
         """One forwarding decision's congestion sample (stamp-time feed,
         so congestion is seen even for packets that never deliver)."""
-        entry = self.links.setdefault(f"{switch}.p{in_port}", [0.0, 0.0, 0.0, 0.0])
+        link = f"{switch}.p{in_port}"
+        entry = self.links.get(link)
+        if entry is None:
+            entry = self.links[link] = [0.0, 0.0, 0.0, 0.0]
         entry[0] += 1
         entry[1] += depth
         if depth > entry[2]:
@@ -160,14 +170,13 @@ class PathCollector:
         record.bytes += packet.data_bytes
         if packet.created_at:
             record.latencies.append(t_ns - packet.created_at)
-        path = path_of(packet.hops)
-        if record.current_path is None:
-            record.current_path = path
+        current = record.current_path
+        if current is None:
+            record.current_path = path_of(packet.hops)
             record.paths_seen = 1
-        elif path != record.current_path:
-            if len(record.changes) == record.changes.maxlen:
-                record.changes_dropped += 1
-            record.changes.append((t_ns, epoch, record.current_path, path))
+        elif not _on_path(packet.hops or (), current):
+            path = path_of(packet.hops)
+            record.changes.append((t_ns, epoch, current, path))
             record.current_path = path
             record.paths_seen += 1
 
@@ -181,8 +190,7 @@ class SloTracker:
         self.deliveries = 0
         self.delivered_bytes = 0
         #: (t_ns, latency_ns or None, data bytes), newest-last, bounded
-        self.samples: Deque[Tuple[int, Optional[int], int]] = deque(maxlen=LATENCY_SAMPLES)
-        self.samples_total = 0
+        self.samples = Ring(LATENCY_SAMPLES)
         self.drops: Dict[str, int] = {}
         #: (t_ns, cause), bounded like the sample ring
         self.drop_events: Deque[Tuple[int, str]] = deque(maxlen=LATENCY_SAMPLES)
@@ -192,15 +200,10 @@ class SloTracker:
         self.deliveries += 1
         self.delivered_bytes += data_bytes
         self.samples.append((t_ns, latency_ns, data_bytes))
-        self.samples_total += 1
 
     def drop(self, t_ns: int, cause: str) -> None:
         self.drops[cause] = self.drops.get(cause, 0) + 1
         self.drop_events.append((t_ns, cause))
-
-    @property
-    def samples_dropped(self) -> int:
-        return max(0, self.samples_total - len(self.samples))
 
     def latencies(self) -> List[int]:
         return [lat for _t, lat, _b in self.samples if lat is not None]
@@ -275,8 +278,6 @@ class InbandTelemetry:
     def record_hop(self, packet, switch: str, in_port: int,
                    out_ports: Tuple[int, ...], depth: float) -> None:
         """One forwarding grant: append a hop record to the packet."""
-        from repro.net.packet import PacketType
-
         if packet.ptype is not PacketType.CLIENT:
             return
         self.collector.note_hop(switch, in_port, depth)
@@ -293,8 +294,6 @@ class InbandTelemetry:
     def record_drop(self, packet, component: str, cause: str) -> None:
         """A terminal, delivery-affecting drop (table discard, CRC,
         misdirection, a full host receive buffer)."""
-        from repro.net.packet import PacketType
-
         if packet is None or packet.ptype is not PacketType.CLIENT:
             return
         self.slo.drop(self.sim.now, cause)
@@ -308,8 +307,6 @@ class InbandTelemetry:
 
     def record_delivery(self, packet) -> None:
         """A client packet accepted by a host controller."""
-        from repro.net.packet import PacketType
-
         if packet.ptype is not PacketType.CLIENT:
             return
         now = self.sim.now
@@ -340,7 +337,7 @@ class InbandTelemetry:
                     }
                     for t_ns, epoch, old, new in record.changes
                 ],
-                "changes_dropped": record.changes_dropped,
+                "changes_dropped": record.changes.dropped,
                 "latency_samples": len(lats),
                 "latency_p50_ns": exact_quantile(lats, 0.5),
                 "latency_p99_ns": exact_quantile(lats, 0.99),
@@ -373,7 +370,7 @@ class InbandTelemetry:
                 "p50_ns": p50,
                 "p99_ns": p99,
                 "samples_retained": len(self.slo.samples),
-                "samples_dropped": self.slo.samples_dropped,
+                "samples_dropped": self.slo.samples.dropped,
                 "drops": dict(sorted(self.slo.drops.items())),
                 "windows": self.slo.windows(self.tracer),
             },

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs.artifact import INT, NAME, NONNEG, Atom, Schema, defect, fail, read
+from repro.obs.artifact import INT, NAME, NONNEG, Atom, Schema, compile_spec, fail, read
 from repro.obs.flight import FlightEvent, FlightRecorder, render_chain
 from repro.sim.trace import CAT_EPOCH, CAT_LOG, CAT_MESSAGE, CAT_PORT
 
@@ -248,17 +248,17 @@ def trace_event_document(
 _TIMED = {"ts": NONNEG}
 _NAMED = {**_TIMED, "name": NAME}
 _FLOW = {**_NAMED, "id": Atom("int or string id", (int, str))}
-#: what each phase this exporter emits must carry beyond pid/tid;
-#: any other phase is a validation error
+#: what each phase this exporter emits must carry beyond pid/tid, as
+#: its compiled walk; any other phase is a validation error
 _PHASES = {
-    "M": {"name": NAME},
-    "B": _NAMED,
-    "E": _TIMED,
-    "i": _NAMED,
-    "I": _NAMED,
-    "X": {**_NAMED, "dur": NONNEG},
-    "s": _FLOW,
-    "f": _FLOW,
+    "M": compile_spec({"name": NAME}),
+    "B": compile_spec(_NAMED),
+    "E": compile_spec(_TIMED),
+    "i": compile_spec(_NAMED),
+    "I": compile_spec(_NAMED),
+    "X": compile_spec({**_NAMED, "dur": NONNEG}),
+    "s": compile_spec(_FLOW),
+    "f": compile_spec(_FLOW),
 }
 
 
@@ -273,7 +273,7 @@ def _rules(doc: Dict[str, Any]) -> None:
         ph = event.get("ph")
         if ph not in _PHASES:
             fail(f"$.traceEvents[{i}].ph", f"unknown phase {ph!r}")
-        bad = defect(_PHASES[ph], event)
+        bad = _PHASES[ph](event)
         if bad:
             fail(f"$.traceEvents[{i}]{bad[0]}", bad[1])
         if ph == "B":

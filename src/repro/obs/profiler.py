@@ -98,16 +98,24 @@ class EventLoopProfiler:
             return 0.0
         return self.events / (self.run_wall_ns / 1e9)
 
-    def hotspots(self, limit: Optional[int] = None) -> List[HandlerStats]:
+    def hotspots(self) -> List[HandlerStats]:
         """Handler categories by total wall time, hottest first."""
-        ranked = sorted(
-            self._stats.values(), key=lambda s: (-s.wall_ns, s.category)
-        )
-        return ranked if limit is None else ranked[:limit]
+        return sorted(self._stats.values(), key=lambda s: (-s.wall_ns, s.category))
 
     def summary(self, limit: int = 20) -> Dict[str, Any]:
         """JSON-ready profile: headline figures plus the hotspots table."""
+        ranked = self.hotspots()
         total = self.handler_wall_ns or 1
+        # four-decimal shares by largest remainder, ties in row order; if
+        # the floats' rounding still carries the column's row-order sum
+        # past 1, the least-deserving unit goes back
+        units = [s.wall_ns * 10000 // total for s in ranked]
+        order = sorted(range(len(ranked)), key=lambda i: -(ranked[i].wall_ns * 10000 % total))
+        spare = (10000 if self.handler_wall_ns else 0) - sum(units)
+        for i in order[:spare]:
+            units[i] += 1
+        if sum(u / 10000 for u in units) > 1.0:
+            units[next(i for i in reversed(order[:spare] or order) if units[i])] -= 1
         return {
             "events": self.events,
             "run_wall_ns": self.run_wall_ns,
@@ -119,8 +127,8 @@ class EventLoopProfiler:
                     "events": s.count,
                     "wall_ns": s.wall_ns,
                     "mean_ns": round(s.mean_ns, 1),
-                    "share": round(s.wall_ns / total, 4),
+                    "share": u / 10000,
                 }
-                for s in self.hotspots(limit)
+                for s, u in zip(ranked[:limit], units)
             ],
         }

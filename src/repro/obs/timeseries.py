@@ -54,6 +54,7 @@ from repro.obs.artifact import (
     read,
     validate,
 )
+from repro.obs.flight import Ring
 from repro.sim.engine import cancel
 
 #: bump the suffix when the artifact layout changes incompatibly
@@ -84,52 +85,6 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-class SeriesRing:
-    """Bounded ring of samples for one series, aligned to sampler ticks.
-
-    The sampler appends to every live ring each tick, so a ring created
-    at tick ``k`` holds values for ticks ``k, k+1, ...`` (newest
-    ``capacity`` of them); alignment against the shared tick ring is
-    positional from the end.
-    """
-
-    __slots__ = ("name", "labels", "kind", "capacity", "_buf", "_next",
-                 "total", "created_tick")
-
-    def __init__(self, name: str, labels: Dict[str, Any], kind: str,
-                 capacity: int, created_tick: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"ring capacity must be positive: {capacity}")
-        self.name = name
-        self.labels = labels
-        self.kind = kind
-        self.capacity = capacity
-        self._buf: List[Optional[float]] = [None] * capacity
-        self._next = 0
-        #: total samples ever appended (>= len(self))
-        self.total = 0
-        #: global tick index at which this series first sampled
-        self.created_tick = created_tick
-
-    def append(self, value: Optional[float]) -> None:
-        self._buf[self._next] = value
-        self._next = (self._next + 1) % self.capacity
-        self.total += 1
-
-    @property
-    def dropped(self) -> int:
-        return max(0, self.total - self.capacity)
-
-    def values(self) -> List[Optional[float]]:
-        """Retained samples, oldest first."""
-        if self.total < self.capacity:
-            return list(self._buf[: self.total])
-        return self._buf[self._next:] + self._buf[: self._next]
-
-    def __len__(self) -> int:
-        return min(self.total, self.capacity)
-
-
 class TimeSeriesSampler:
     """Periodic in-sim sampler feeding bounded per-series rings.
 
@@ -142,14 +97,15 @@ class TimeSeriesSampler:
     def __init__(self, sim) -> None:
         self.sim = sim
         #: shared tick-time ring (one entry per sample event)
-        self._ticks = SeriesRing("ticks", {}, "ticks", CAPACITY, created_tick=0)
-        self._series: Dict[Tuple[str, LabelKey], SeriesRing] = {}
-        #: (name, labels, ring, fn) sampled every tick
-        self._collectors: List[Tuple[str, Dict[str, Any], SeriesRing,
-                                     Callable[[], Optional[float]]]] = []
-        #: bounded ring of span events (reconfiguration phase marks)
-        self._marks = SeriesRing("marks", {}, "marks", MARK_CAPACITY, created_tick=0)
-        self._mark_rows: List[Tuple[int, str, str]] = []
+        self._ticks = Ring(CAPACITY)
+        #: (name, label key) -> (kind, ring of its samples): a ring
+        #: created at tick k holds ticks k, k+1, ... (the newest CAPACITY),
+        #: aligned with the tick ring from the end
+        self._series: Dict[Tuple[str, LabelKey], Tuple[str, Ring]] = {}
+        #: (ring, fn) sampled every tick
+        self._collectors: List[Tuple[Ring, Callable[[], Optional[float]]]] = []
+        #: bounded ring of (t_ns, component, event) span marks
+        self._marks = Ring(MARK_CAPACITY)
         #: series refused because max_series was reached
         self.dropped_series = 0
         #: total sample events taken
@@ -166,25 +122,18 @@ class TimeSeriesSampler:
         crashed switch).  Names must be literal (RS304) and rings are
         bounded by ``CAPACITY``."""
         key = (name, _label_key(labels))
-        ring = self._series.get(key)
-        if ring is None:
+        entry = self._series.get(key)
+        if entry is None:
             if len(self._series) >= MAX_SERIES:
                 self.dropped_series += 1
                 return
-            ring = SeriesRing(
-                name, dict(labels), kind, CAPACITY, created_tick=self.samples_taken
-            )
-            self._series[key] = ring
-        self._collectors.append((name, labels, ring, fn))
+            entry = self._series[key] = (kind, Ring(CAPACITY))
+        self._collectors.append((entry[1], fn))
 
     def mark(self, t_ns: int, component: str, event: str, attrs: Any = None) -> None:
         """Record one span event into the bounded mark ring: Network adds
         this method as a ReconfigTracer listener (``attrs`` is not kept)."""
-        if len(self._mark_rows) >= MARK_CAPACITY:
-            # evict oldest; the ring stays bounded like every other buffer
-            del self._mark_rows[0]
-        self._mark_rows.append((t_ns, component, event))
-        self._marks.total += 1
+        self._marks.append((t_ns, component, event))
 
     # -- the sample loop ----------------------------------------------------------
 
@@ -206,7 +155,7 @@ class TimeSeriesSampler:
             return
         self._ticks.append(float(self.sim.now))
         # every series is one collector: each appends once per tick
-        for _name, _labels, ring, fn in self._collectors:
+        for ring, fn in self._collectors:
             value = fn()
             ring.append(None if value is None else float(value))
         self.samples_taken += 1
@@ -215,7 +164,7 @@ class TimeSeriesSampler:
     # -- queries -------------------------------------------------------------------
 
     def ticks(self) -> List[int]:
-        return [int(t) for t in self._ticks.values() if t is not None]
+        return [int(t) for t in self._ticks.items()]
 
     def view(self) -> "TimeSeries":
         """A query view over the live rings (snapshot, not a live link)."""
@@ -227,10 +176,10 @@ class TimeSeriesSampler:
         """The ``repro.obs.timeseries/1`` artifact as a dict."""
         ticks = self.ticks()
         series = []
-        for (sname, key), ring in sorted(
+        for (sname, key), (kind, ring) in sorted(
             self._series.items(), key=lambda item: (item[0][0], repr(item[0][1]))
         ):
-            values = ring.values()
+            values = ring.items()
             # left-pad series younger than the retained tick window so
             # every values array is positionally aligned with `ticks`
             pad = len(ticks) - len(values)
@@ -241,7 +190,7 @@ class TimeSeriesSampler:
             series.append({
                 "name": sname,
                 "labels": {k: _jsonable(v) for k, v in key},
-                "kind": ring.kind,
+                "kind": kind,
                 "dropped": ring.dropped,
                 "values": values,
             })
@@ -257,7 +206,7 @@ class TimeSeriesSampler:
             "series": series,
             "marks": [
                 {"t_ns": t, "component": component, "event": event}
-                for t, component, event in self._mark_rows
+                for t, component, event in self._marks.items()
             ],
         }
 

@@ -23,7 +23,8 @@ protocol):
   ``end_packet`` would.
 
 :func:`install` patches the five methods and ``_advance`` over
-:class:`ReceiveFifo`.
+:class:`ReceiveFifo`; :func:`peek_level` keeps the projection that called
+``_level()``, ``min`` and ``max``, to be compared with, not installed.
 ``tests/naive_wire.py`` builds its own ``_recompute`` on these helpers.
 Nothing under ``src/`` may import this module.
 """
@@ -241,6 +242,25 @@ def _program_boundary(self, level, net):
         cancel(boundary)
     self._boundary = self.sim.after(delay_ns, self._on_boundary)
     self._boundary_at = at
+
+
+def peek_level(self):
+    """``ReceiveFifo.peek_level`` as it was, by ``_level()``, ``min`` and
+    ``max`` (not installed: ``check_peek`` holds the real one to it)."""
+    level = self._level()
+    dt = self.sim.now - self._last_update
+    if dt <= 0:
+        return level
+    slots = dt / BYTE_TIME_NS
+    entry = self._arriving_entry()
+    if entry is not None and self.in_rate > 0:
+        level += min(float(entry.size) - entry.bytes_in, self.in_rate * slots)
+    head = self.head
+    if head is not None and self.drain_rate > 0:
+        inflow = self.in_rate * slots if head is entry else 0.0
+        level -= min(self.drain_rate * slots,
+                     head.bytes_in - head.bytes_out + inflow)
+    return max(0.0, level)
 
 
 def install(monkeypatch):

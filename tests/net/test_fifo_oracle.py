@@ -19,8 +19,10 @@ this file in the ``determinism`` job under ``PYTHONHASHSEED=0`` and
   packet id) sequence and, after every dispatched event, arm the boundary
   for the same instant and hold bit-identical byte counts;
 * **``peek_level()`` stays observational** at random instants of the same
-  scripts: it changes no field, agrees with ``level`` to 1e-6, and a run
-  that peeks is the run that does not.
+  scripts: it changes no field, agrees with ``level`` to 1e-6 and to the
+  bit with the ``min``/``max`` projection it replaced (which a direct
+  differential also holds over arbitrary queues, rates and elapsed
+  times), and a run that peeks is the run that does not.
 """
 
 import copy
@@ -31,7 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.constants import BYTE_TIME_NS
-from repro.net.fifo import ReceiveFifo
+from repro.net.fifo import FifoPacket, ReceiveFifo
 from repro.net.packet import Packet, PacketType
 from repro.sim.engine import Simulator, cancel
 from tests import naive_fifo
@@ -194,6 +196,8 @@ def check_peek(rig):
     before = rig.state()
     peeked = fifo.peek_level()
     assert rig.state() == before
+    # the comparisons return the operands min/max did: the same float
+    assert repr(peeked) == repr(naive_fifo.peek_level(fifo))
     twin = copy.deepcopy(fifo, {id(rig.log): [], id(rig.states): []})
     assert abs(peeked - twin.level) <= 1e-6
 
@@ -269,3 +273,33 @@ def test_peek_level_is_observational(capacity, stop_fraction, cut_through, grant
     peeking = Rig(capacity, stop_fraction, cut_through, grants).play(steps, peek=True)
     plain = Rig(capacity, stop_fraction, cut_through, grants).play(steps, peek=False)
     assert peeking == plain
+
+
+_HELD = st.tuples(st.integers(0, 3000), st.floats(0, 1), st.floats(0, 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    held=st.lists(_HELD, max_size=3), arriving=st.booleans(),
+    in_rate=st.sampled_from([0.0, 1.0]), drain_rate=st.sampled_from([0.0, 0.5, 1.0]),
+    dt=st.integers(-3, 400_000),
+)
+def test_peek_level_is_the_min_max_projection_to_the_bit(held, arriving, in_rate, drain_rate,
+                                                         dt):
+    """Any queue, rates and time since the last advance, not only those a
+    script reaches: the projection is the one ``min``/``max`` made."""
+    sim = Simulator()
+    fifo = ReceiveFifo(sim, "peek.fifo")
+    for data_bytes, part_in, part_out in held:
+        packet = Packet(dest_short=0x20, src_short=0x30, ptype=PacketType.DIAGNOSTIC,
+                        data_bytes=data_bytes, packet_id=sim.new_packet_id())
+        entry = FifoPacket(packet, 25, arriving=False)
+        entry.bytes_in = part_in * entry.size
+        entry.bytes_out = part_out * entry.bytes_in
+        fifo.queue.append(entry)
+    if fifo.queue:
+        fifo.queue[-1].arriving = arriving
+    fifo.in_rate, fifo.drain_rate = in_rate, drain_rate
+    sim.run_for(400_000)
+    fifo._last_update = sim.now - dt
+    assert repr(fifo.peek_level()) == repr(naive_fifo.peek_level(fifo))

@@ -4,10 +4,12 @@ Real documents (torus-3x4 with every observer on, hosts, one cut; a
 regress verdict; a bench document; a chaos reproducer) are walked
 against their schema tables: deleting each required key and
 replacing each leaf with a wrong-typed value must raise ``SchemaError``
-with a ``$.``-rooted path, and the untouched document must round-trip
-``write`` -> ``read`` to equal bytes: the indented ones to the stdlib's
-own ``json.dumps(indent=...)``, the run-sized ones in the line layout,
-which is held to that naive reference over generated documents too.
+with a ``$.``-rooted path (where the table catches it, the message of the
+recursive walk kept in ``tests/naive_artifact.py``), and the untouched
+document must round-trip ``write`` -> ``read`` to equal bytes: the
+indented ones to the stdlib's own ``json.dumps(indent=...)``, the
+run-sized ones in the line layout, which is held to that naive reference
+over generated documents too.
 Every one of them, and every document committed to the tree, must
 render through ``artifact.render``.
 """
@@ -30,6 +32,7 @@ from repro.obs.artifact import Atom, Enum, Map, Opt, Schema, SchemaError
 from repro.scenario import attach_pair, drive_scenario
 from repro.topology.generators import resolve_topology
 from repro.traffic.workload import TrafficConfig
+from tests import naive_artifact
 
 TAGS = sorted(artifact.PROVIDERS)
 
@@ -136,8 +139,12 @@ def test_every_spec_position_rejects_a_wrong_value(tag, real_docs):
         with pytest.raises(SchemaError) as excinfo:
             artifact.validate(doc, tag)
             pytest.fail(f"{tag}: mutation not rejected: {label}")
+        # the message the recursive walk (tests/naive_artifact.py) gave
+        bad = naive_artifact.defect(spec, doc)
         container[key] = original
         assert str(excinfo.value).startswith("$."), label
+        if bad:  # else a rules hook rejected it
+            assert str(excinfo.value) == f"${bad[0]}: {bad[1]}", label
     assert len(seen) >= len(spec), f"{tag}: only {sorted(seen)} reached"
     artifact.validate(doc, tag)  # every mutation was undone
 

@@ -16,7 +16,7 @@ from repro.network import Network
 from repro.obs import artifact
 from repro.obs import flight as flight_mod
 from repro.obs.artifact import SchemaError
-from repro.obs.flight import ComponentRing, FlightEvent, FlightRecorder, render_chain
+from repro.obs.flight import FlightEvent, FlightRecorder, Ring, render_chain
 from repro.obs.perfetto import (
     FLIGHT_SCHEMA,
     chains_from_trace,
@@ -33,26 +33,26 @@ from repro.topology.generators import ring
 
 
 def test_ring_keeps_newest_and_counts_drops():
-    ring_buf = ComponentRing("sw0", capacity=4)
+    ring_buf = Ring(4)
     for i in range(10):
         ring_buf.append(FlightEvent(i, i * 10, "sw0", "msg", f"e{i}", None, {}))
     assert len(ring_buf) == 4
     assert ring_buf.total == 10
     assert ring_buf.dropped == 6
-    assert [e.eid for e in ring_buf.events()] == [6, 7, 8, 9]
+    assert [e.eid for e in ring_buf.items()] == [6, 7, 8, 9]
 
 
 def test_ring_under_capacity_has_no_drops():
-    ring_buf = ComponentRing("sw0", capacity=8)
+    ring_buf = Ring(8)
     for i in range(3):
         ring_buf.append(FlightEvent(i, i, "sw0", "msg", "e", None, {}))
     assert ring_buf.dropped == 0
-    assert [e.eid for e in ring_buf.events()] == [0, 1, 2]
+    assert [e.eid for e in ring_buf.items()] == [0, 1, 2]
 
 
 def test_ring_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
-        ComponentRing("sw0", capacity=0)
+        Ring(0)
 
 
 def test_recorder_eviction_prunes_index_and_truncates_chains():

@@ -143,7 +143,7 @@ def test_collector_detects_path_change_and_bounds_history(monkeypatch):
         pkt.hops = list(path_a if i % 2 == 0 else path_b)
         collector.fold(pkt, t_ns=30 + i, epoch=3)
     assert len(record.changes) == 2
-    assert record.changes_dropped > 0
+    assert record.changes.dropped > 0
 
 
 def test_collector_flow_cap_counts_overflow(monkeypatch):

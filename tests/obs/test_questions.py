@@ -32,16 +32,20 @@ Kept, and why:
 * the timeseries sampler: it alone answers the over-time question.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.network import Network
 from repro.obs import artifact
 from repro.obs.perfetto import recorder_from_trace
+from repro.obs.profiler import EventLoopProfiler
 from repro.obs.timeseries import GOOD_STATE, TimeSeries, switch_names
 from repro.sim.trace import CAT_EPOCH, CAT_LOG, CAT_PORT
 
@@ -354,6 +358,26 @@ def test_why_this_run_is_slower(docs):
     assert answer["events_per_sec"] > 0
     assert "ReceiveFifo._on_boundary" in answer["shares"]
     assert 0.99 <= sum(answer["shares"].values()) <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(walls=st.lists(st.integers(0, 10**9), max_size=30))
+@example(walls=[945215, 332849, 32075, 23406])  # rounded one by one: 1.0001
+def test_the_share_column_sums_to_at_most_one(walls):
+    """The hotspots ``share`` column of any wall-time table, read from the
+    document and summed as ``why_this_run_is_slower`` sums it, is at most
+    1, and within its bound of 1 whenever every row is shown."""
+    profiler = EventLoopProfiler()
+    for i, wall in enumerate(walls):
+        profiler.account_call(f"handler{i}", wall)
+    rows = [[h["handler"], h["share"]] for h in profiler.summary()["hotspots"]]
+    hotspots = {"name": "hotspots", "headers": ["handler", "share"], "rows": rows,
+                "telemetry": {"events_per_sec": 1.0}}
+    docs = json.loads(json.dumps({"bench": {"results": [hotspots]}}))
+    total = sum(why_this_run_is_slower(docs)["shares"].values())
+    assert total <= 1.0
+    if any(walls) and len(walls) <= 20:
+        assert total >= 0.99
 
 
 def test_who_went_dark(docs):

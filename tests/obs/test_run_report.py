@@ -1,6 +1,7 @@
 """python -m repro.obs run, then report: record everything once, read it
 afterwards from the directory alone."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -15,6 +16,10 @@ from repro.obs.__main__ import main
 FILES = [
     f"ring-4.{kind}.json" for kind in ("bench", "inband", "timeseries", "trace")
 ]
+#: ``sha256sum`` of the three observer documents: a change to their bytes
+#: fails here, not only in CI's two-hash-seed ``cmp`` (re-commit it with
+#: ``sha256sum ring-4.{inband,timeseries,trace}.json`` in the ``run`` directory)
+DIGESTS = Path(__file__).resolve().parent / "fixtures" / "ring-4_run.sha256"
 
 
 def _run(out):
@@ -61,6 +66,12 @@ def test_run_writes_four_valid_documents_and_reports_each(tmp_path, capsys):
     assert "why did sw2 load its table in epoch 3?" in first
     assert "samples every 50 ms" in first and "recent reconfiguration events:" in first
     assert "change @ +" in first and "2 path change(s) detected" in first
+
+    digests = dict(line.split()[::-1] for line in DIGESTS.read_text().splitlines())
+    assert digests == {
+        name: hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
+        for name in FILES[1:]
+    }
 
     # deterministic: a second run writes the same observer documents and,
     # host time aside, prints the same report

@@ -8,10 +8,10 @@ from repro.constants import MS, SEC
 from repro.network import Network
 from repro.obs import artifact, timeseries
 from repro.obs.artifact import SchemaError
+from repro.obs.flight import Ring
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
     SeriesData,
-    SeriesRing,
     TimeSeries,
     TimeSeriesSampler,
     read_timeseries,
@@ -27,18 +27,18 @@ from repro.topology import ring, torus
 
 
 def test_ring_overflow_evicts_oldest_and_counts():
-    r = SeriesRing("x", {}, "gauge", capacity=4, created_tick=0)
-    for i in range(10):
-        r.append(float(i))
+    r = Ring(4)
+    for i in range(10):  # a gap (None sample) is held like any value
+        r.append(None if i == 8 else float(i))
     assert len(r) == 4
-    assert r.values() == [6.0, 7.0, 8.0, 9.0]
+    assert r.items() == [6.0, 7.0, None, 9.0]
     assert r.dropped == 6
     assert r.total == 10
 
 
 def test_ring_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
-        SeriesRing("x", {}, "gauge", capacity=0, created_tick=0)
+        Ring(-1)
 
 
 # -- the sampler on a bare simulator ---------------------------------------------------

@@ -101,8 +101,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: per-tick padding pass and its ring factory (one caller left), the
 #: Injector's own fault count and hook -- pays for the Faults counter
 #: on Network and the latency Histogram moved beside its one user in
-#: traffic/engine.py: -> this)
-BUDGET = 15652
+#: traffic/engine.py: -> 15 652; then an observed run holds what it
+#: recorded: one deque-backed Ring for every observer history (the two
+#: preallocating rings and their index arithmetic, the sampler's second
+#: mark list, the in-band drop counters) and the recursive defect walk
+#: with the leaves' accepts methods pay for the spec compiler, the
+#: largest-remainder share column and the comparison peek_level: -> this)
+BUDGET = 15641
 
 
 def _lines(path: Path) -> int:
