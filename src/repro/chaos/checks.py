@@ -2,7 +2,7 @@
 
 They live in :mod:`repro.analysis.invariants`; this module only
 re-exports them while the benchmark harness is frozen, and goes at its
-thaw (ROADMAP item 10(a)).
+thaw (ROADMAP item 1(b)).
 """
 
 from repro.analysis.invariants import (  # noqa: F401

@@ -24,24 +24,19 @@ from repro.constants import (
     US,
 )
 from repro.core.messages import (
-    AckMsg,
     CodeDownloadMsg,
-    ConfigMsg,
     ConnectivityProbe,
     ConnectivityReply,
     ControlMessage,
     HostAddressRequest,
     HostAddressReply,
-    LinkDownMsg,
     SrpMessage,
-    StableMsg,
-    TreePositionMsg,
 )
 from repro.core.monitor import MonitorParams, Monitoring, NeighborInfo
 from repro.core.reconfig import ReconfigEngine, ReconfigParams
 from repro.core.srp import SrpHandler
 from repro.core.topo import TopologyMap
-from repro.net.packet import Packet, PacketType
+from repro.net.packet import Packet
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.sim.timers import Periodic, TaskScheduler
@@ -139,6 +134,15 @@ class Autopilot:
         self.monitoring = Monitoring(self, self.params.monitor)
         self.engine = ReconfigEngine(self, self.params.reconfig)
         self.srp = SrpHandler(self)
+        #: message type -> its handler(in_port, message), for _process
+        self._handlers: Dict[type, Callable[[int, Any], None]] = {
+            ConnectivityProbe: self.monitoring.on_probe,
+            ConnectivityReply: self.monitoring.on_probe_reply,
+            HostAddressRequest: self._answer_host_address,
+            SrpMessage: self.srp.handle,
+            CodeDownloadMsg: self._code_download,
+            **dict.fromkeys(self.engine.steps, self.engine.receive),
+        }
 
         switch.on_cp_packet = self._rx_interrupt
 
@@ -173,9 +177,6 @@ class Autopilot:
         # statistics
         self.packets_handled = 0
         self.crc_errors = 0
-        #: reconfiguration messages dropped because the arrival port was
-        #: not (yet) s.switch.good -- see the gate in _process
-        self.reconfig_msgs_gated = 0
 
     def _boot_configuration_check(self) -> None:
         if self.alive and self.engine.epoch == 0:
@@ -213,50 +214,28 @@ class Autopilot:
 
     def send_one_hop(self, port: int, message: ControlMessage) -> None:
         """Send a control message to the neighbor on ``port``."""
-        if not self.alive:
-            return
-        ptype = (
-            PacketType.CONNECTIVITY
-            if isinstance(message, (ConnectivityProbe, ConnectivityReply))
-            else PacketType.RECONFIGURATION
-        )
-        packet = Packet(
-            dest_short=ADDR_ONE_HOP_BASE + port - 1,
-            src_short=self.short_address,
-            ptype=ptype,
-            data_bytes=message.encoded_bytes(),
-            payload=message,
-            packet_id=self.sim.new_packet_id(),
-            created_at=self.sim.now,
-        )
-        self._record_send(packet, message, port=port)
-        self.switch.inject_from_cp(packet)
+        self.send_addressed(ADDR_ONE_HOP_BASE + port - 1, message, port)
 
-    def send_addressed(self, dest_short: int, message: ControlMessage, ptype: PacketType) -> None:
-        """Send to an arbitrary short address via the forwarding tables."""
+    def send_addressed(
+        self, dest_short: int, message: ControlMessage, port: Optional[int] = None
+    ) -> None:
+        """Send to a short address; ``port`` is the one hop it takes, if any.
+
+        The send is flight-recorded with ``advance=False``: the causal
+        story continues on the receiving switch (via the id stamped on the
+        packet), not in whatever this handler does next.
+        """
         if not self.alive:
             return
         packet = Packet(
             dest_short=dest_short,
             src_short=self.short_address,
-            ptype=ptype,
+            ptype=message.ptype,
             data_bytes=message.encoded_bytes(),
             payload=message,
             packet_id=self.sim.new_packet_id(),
             created_at=self.sim.now,
         )
-        self._record_send(packet, message)
-        self.switch.inject_from_cp(packet)
-
-    def _record_send(
-        self, packet: Packet, message: ControlMessage, port: Optional[int] = None
-    ) -> None:
-        """Flight-record a control-message send and stamp the packet.
-
-        ``advance=False``: the causal story continues on the receiving
-        switch (via the stamped id), not in whatever this handler does
-        next.
-        """
         rec = self.sim.recorder
         if rec is not None:
             packet.flight_eid = rec.record(
@@ -266,7 +245,7 @@ class Autopilot:
                 "msg-send",
                 advance=False,
                 msg=type(message).__name__,
-                epoch=getattr(message, "epoch", None),
+                epoch=message.epoch,
                 port=port,
                 dest=packet.dest_short,
             )
@@ -278,6 +257,7 @@ class Autopilot:
                 self.engine.phase,
                 packet.wire_bytes,
             )
+        self.switch.inject_from_cp(packet)
 
     # -- packet reception --------------------------------------------------------------------
 
@@ -316,66 +296,18 @@ class Autopilot:
                 flow=packet.flight_eid,
             )
 
-        if isinstance(message, ConnectivityProbe):
-            self.monitoring.on_probe(in_port, message)
-            return
-        if isinstance(message, ConnectivityReply):
-            self.monitoring.on_probe_reply(in_port, message)
-            return
-        if isinstance(message, HostAddressRequest):
-            self._answer_host_address(in_port, message)
-            return
-        if isinstance(message, SrpMessage):
-            self.srp.handle(in_port, message)
-            return
-
-        if isinstance(message, CodeDownloadMsg):
-            # a new release: accept it, boot it; the facade rebuilds this
-            # control program and schedules onward propagation (§5.4)
-            if message.version > self.software_version and self.on_code_download:
-                self.log("code-download", f"version={message.version}")
-                self.on_code_download(message.version)
-            return
-
-        if isinstance(
-            message, (TreePositionMsg, AckMsg, StableMsg, ConfigMsg, LinkDownMsg)
-        ) and (
-            in_port != CONTROL_PROCESSOR_PORT
-            and not self.monitoring.is_good(in_port)
-        ):
-            # An epoch's link set consists of s.switch.good ports (§6.6.2),
-            # and the skeptics exist to bless a link before it can disturb
-            # the network (§6.5.5).  A reconfiguration message arriving on
-            # an unblessed port must not drag us into its epoch: a freshly
-            # rebooted switch would otherwise join a stale in-flight epoch
-            # with zero good ports, find itself vacuously stable, and
-            # configure as a bogus one-switch network while its real
-            # neighbors move on.  Drop it; retransmission and the port
-            # state machine reconcile the views once the port is good.
-            self.reconfig_msgs_gated += 1
-            return
-
-        if isinstance(message, LinkDownMsg):
-            if self.engine.maybe_join(message.epoch) != "old":
-                self.engine.on_link_down(message)
-            return
-
-        if isinstance(message, (TreePositionMsg, AckMsg, StableMsg, ConfigMsg)):
-            verdict = self.engine.maybe_join(message.epoch)
-            if verdict == "old":
-                if isinstance(message, (TreePositionMsg, StableMsg, ConfigMsg)):
-                    self.engine.nudge(in_port)  # drag the laggard forward
-                return
-            if isinstance(message, TreePositionMsg):
-                self.engine.on_tree_position(in_port, message)
-            elif isinstance(message, AckMsg):
-                self.engine.on_ack(in_port, message)
-            elif isinstance(message, StableMsg):
-                self.engine.on_stable(in_port, message)
-            elif isinstance(message, ConfigMsg):
-                self.engine.on_config(in_port, message)
+        handler = self._handlers.get(type(message))
+        if handler is not None:
+            handler(in_port, message)
 
     # -- services --------------------------------------------------------------------------------
+
+    def _code_download(self, in_port: int, message: CodeDownloadMsg) -> None:
+        """A new release: accept it, boot it; the facade rebuilds this
+        control program and schedules onward propagation (section 5.4)."""
+        if message.version > self.software_version and self.on_code_download:
+            self.log("code-download", f"version={message.version}")
+            self.on_code_download(message.version)
 
     def _answer_host_address(self, in_port: int, message: HostAddressRequest) -> None:
         """Answer a host's short-address request (sections 5.4, 6.3)."""
@@ -390,7 +322,6 @@ class Autopilot:
                 msg_id=self.sim.new_msg_id(),
                 short_address=address,
             ),
-            ptype=PacketType.DIAGNOSTIC,
         )
 
     # -- interfaces used by monitoring and the reconfig engine --------------------------------------
@@ -415,6 +346,9 @@ class Autopilot:
     def good_ports(self):
         return self.monitoring.good_ports()
 
+    def is_good(self, port: int) -> bool:
+        return self.monitoring.is_good(port)
+
     def host_ports(self):
         return self.monitoring.host_ports()
 
@@ -432,9 +366,7 @@ class Autopilot:
 
     def broadcast_to_switches(self, message: ControlMessage) -> None:
         """Flood a control message to every switch CP (address FFFE)."""
-        self.send_addressed(
-            ADDR_BROADCAST_SWITCHES, message, ptype=PacketType.RECONFIGURATION
-        )
+        self.send_addressed(ADDR_BROADCAST_SWITCHES, message)
 
     def host_ports_changed(self) -> None:
         """A port entered or left s.host: refresh the local table.
@@ -445,12 +377,7 @@ class Autopilot:
         topology = self.engine.topology
         if topology is None or not self.configured or self.uid not in topology.switches:
             return
-        from repro.core.routing import build_forwarding_entries
-
-        entries = build_forwarding_entries(
-            topology, self.uid, my_host_ports=frozenset(self.host_ports())
-        )
-        self.load_forwarding(entries, reset=self.params.reconfig.reset_on_load)
+        self.engine.load_table(topology)
 
     def clear_forwarding(self, reset: bool = True) -> None:
         self.switch.clear_table(reset_on_load=reset)

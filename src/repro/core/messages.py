@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.topo import TopologyMap
+from repro.net.packet import PacketType
 from repro.types import Uid
 
 
@@ -26,8 +27,8 @@ class ControlMessage:
     sender_uid: Uid
     msg_id: int = 0
 
-    #: whether the reliable-delivery layer retransmits until acked
-    needs_ack = False
+    #: the type field of the packet that carries it (a class attribute)
+    ptype = PacketType.RECONFIGURATION
 
     def encoded_bytes(self) -> int:
         return 24
@@ -48,8 +49,6 @@ class TreePositionMsg(ControlMessage):
     pos_seq: int = 0
     parent_uid: Optional[Uid] = None
     parent_far_port: Optional[int] = None
-
-    needs_ack = True
 
     def encoded_bytes(self) -> int:
         return 40
@@ -79,8 +78,6 @@ class StableMsg(ControlMessage):
 
     subtree: Optional[TopologyMap] = None
 
-    needs_ack = True
-
     def encoded_bytes(self) -> int:
         return 24 + (self.subtree.encoded_bytes() if self.subtree else 0)
 
@@ -91,8 +88,6 @@ class ConfigMsg(ControlMessage):
     distributed down the spanning tree by the root."""
 
     topology: Optional[TopologyMap] = None
-
-    needs_ack = True
 
     def encoded_bytes(self) -> int:
         return 24 + (self.topology.encoded_bytes() if self.topology else 0)
@@ -133,6 +128,8 @@ class ConnectivityProbe(ControlMessage):
     nonce: int = 0
     sender_port: int = 0
 
+    ptype = PacketType.CONNECTIVITY
+
     def encoded_bytes(self) -> int:
         return 32
 
@@ -145,6 +142,8 @@ class ConnectivityReply(ControlMessage):
     echo_uid: Uid = Uid(0)
     echo_port: int = 0
     sender_port: int = 0
+
+    ptype = PacketType.CONNECTIVITY
 
     def encoded_bytes(self) -> int:
         return 40
@@ -165,6 +164,8 @@ class HostAddressReply(ControlMessage):
     """The switch tells a host the short address of its attachment port."""
 
     short_address: int = 0
+
+    ptype = PacketType.DIAGNOSTIC
 
     def encoded_bytes(self) -> int:
         return 24

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.constants import CONTROL_PROCESSOR_PORT
 from repro.core.addressing import assign_switch_numbers
 from repro.core.messages import (
     AckMsg,
@@ -118,8 +119,9 @@ class ReconfigEngine:
     """Per-switch reconfiguration state machine.
 
     ``ap`` is the owning Autopilot, providing identity, transport,
-    monitoring views, CPU accounting, and table loading (see
-    :class:`repro.core.autopilot.Autopilot`).
+    monitoring views (``is_good`` among them), CPU accounting, and table
+    loading (see :class:`repro.core.autopilot.Autopilot`).  Every
+    reconfiguration message comes in through :meth:`receive`.
     """
 
     def __init__(self, ap, params: ReconfigParams) -> None:
@@ -149,6 +151,18 @@ class ReconfigEngine:
         self.terminations = 0
         self.local_reconfigs = 0
         self.local_applied_at: int = -1
+        #: messages dropped because the arrival port was not (yet)
+        #: s.switch.good -- see the gate in receive
+        self.msgs_gated = 0
+        #: message type -> (its step, whether one from an older epoch
+        #: drags its sender forward); Autopilot routes these types here
+        self.steps = {
+            TreePositionMsg: (self.on_tree_position, True),
+            AckMsg: (self.on_ack, False),
+            StableMsg: (self.on_stable, True),
+            ConfigMsg: (self.on_config, True),
+            LinkDownMsg: (self.on_link_down, False),
+        }
 
     @property
     def in_blackout(self) -> bool:
@@ -173,6 +187,28 @@ class ReconfigEngine:
         if self.configured:
             return "steady" if self.table_loaded else "loading"
         return "election"
+
+    # -- the step function -----------------------------------------------------------
+
+    def receive(self, port: int, message: ControlMessage) -> None:
+        """One reconfiguration message in (section 6.6): gate, join, step."""
+        if port != CONTROL_PROCESSOR_PORT and not self.ap.is_good(port):
+            # An epoch's link set consists of s.switch.good ports (§6.6.2),
+            # and the skeptics exist to bless a link before it can disturb
+            # the network (§6.5.5).  A reconfiguration message arriving on
+            # an unblessed port must not drag us into its epoch: a freshly
+            # rebooted switch would otherwise join a stale in-flight epoch
+            # with zero good ports, find itself vacuously stable, and
+            # configure as a bogus one-switch network while its real
+            # neighbors move on.  Drop it; retransmission and the port
+            # state machine reconcile the views once the port is good.
+            self.msgs_gated += 1
+            return
+        step, nudges = self.steps[type(message)]
+        if self.maybe_join(message.epoch) != "old":
+            step(port, message)
+        elif nudges:
+            self.nudge(port)  # drag the laggard forward
 
     # -- epoch management -------------------------------------------------------------
 
@@ -319,26 +355,27 @@ class ReconfigEngine:
 
     # -- step 1: tree formation -------------------------------------------------------------
 
-    def _send_position_everywhere(self) -> None:
-        self._cancel_all_pending(TreePositionMsg)
+    def _position_msg(self) -> TreePositionMsg:
+        """Our current tree position, as a message to one neighbor."""
         parent_far = None
         if self.position.parent_port is not None:
             neighbor = self.ap.neighbor_of(self.position.parent_port)
             parent_far = neighbor.port if neighbor else None
+        return TreePositionMsg(
+            epoch=self.epoch,
+            sender_uid=self.ap.uid,
+            msg_id=self.ap.sim.new_msg_id(),
+            root=self.position.root,
+            level=self.position.level,
+            pos_seq=self.pos_seq,
+            parent_uid=self.position.parent_uid,
+            parent_far_port=parent_far,
+        )
+
+    def _send_position_everywhere(self) -> None:
+        self._cancel_all_pending(TreePositionMsg)
         for port in self.ports:
-            self._send_reliable(
-                port,
-                TreePositionMsg(
-                    epoch=self.epoch,
-                    sender_uid=self.ap.uid,
-                    msg_id=self.ap.sim.new_msg_id(),
-                    root=self.position.root,
-                    level=self.position.level,
-                    pos_seq=self.pos_seq,
-                    parent_uid=self.position.parent_uid,
-                    parent_far_port=parent_far,
-                ),
-            )
+            self._send_reliable(port, self._position_msg())
 
     def _recompute_position(self) -> bool:
         """Adopt the best position among self-as-root and all neighbors."""
@@ -432,7 +469,7 @@ class ReconfigEngine:
         self._apply_link_down(link)
         return True
 
-    def on_link_down(self, msg: LinkDownMsg) -> None:
+    def on_link_down(self, port: int, msg: LinkDownMsg) -> None:
         """A flooded delta arrived: remove the link and recompute."""
         if not self.params.enable_local_reconfig:
             return
@@ -472,34 +509,14 @@ class ReconfigEngine:
         """The task :meth:`_apply_link_down` queues: compute and load."""
         if self.topology is not reduced or not self.configured:
             return  # superseded by a global reconfiguration
-        entries = build_forwarding_entries(
-            reduced, self.ap.uid, my_host_ports=frozenset(self.ap.host_ports())
-        )
-        self.ap.load_forwarding(entries, reset=self.params.reset_on_load)
+        self.load_table(reduced)
         self.local_applied_at = self.ap.sim.now
         self.ap.log("local-reconfig-applied", f"links={len(reduced.links)}")
 
     def nudge(self, port: int) -> None:
         """A neighbor is in an older epoch: show it our current position."""
-        if port not in self.peers:
-            return
-        parent_far = None
-        if self.position.parent_port is not None:
-            neighbor = self.ap.neighbor_of(self.position.parent_port)
-            parent_far = neighbor.port if neighbor else None
-        self.ap.send_one_hop(
-            port,
-            TreePositionMsg(
-                epoch=self.epoch,
-                sender_uid=self.ap.uid,
-                msg_id=self.ap.sim.new_msg_id(),
-                root=self.position.root,
-                level=self.position.level,
-                pos_seq=self.pos_seq,
-                parent_uid=self.position.parent_uid,
-                parent_far_port=parent_far,
-            ),
-        )
+        if port in self.peers:
+            self.ap.send_one_hop(port, self._position_msg())
 
     def on_tree_position(self, port: int, msg: TreePositionMsg) -> None:
         if port not in self.peers:
@@ -715,10 +732,7 @@ class ReconfigEngine:
         """The task :meth:`_adopt_configuration` queues: compute and load."""
         if epoch != self.epoch or not self.configured:
             return  # superseded while computing
-        entries = build_forwarding_entries(
-            topology, self.ap.uid, my_host_ports=frozenset(self.ap.host_ports())
-        )
-        self.ap.load_forwarding(entries, reset=self.params.reset_on_load)
+        self.load_table(topology)
         self.table_loaded = True
         self.configured_at = self.ap.sim.now
         self.ap.log(
@@ -731,3 +745,10 @@ class ReconfigEngine:
             switches=len(topology.switches),
         )
         self.ap.on_configured(epoch, topology)
+
+    def load_table(self, topology: TopologyMap) -> None:
+        """Step 5's compute-and-load: this switch's rows of ``topology``."""
+        entries = build_forwarding_entries(
+            topology, self.ap.uid, my_host_ports=frozenset(self.ap.host_ports())
+        )
+        self.ap.load_forwarding(entries, reset=self.params.reset_on_load)

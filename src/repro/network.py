@@ -423,7 +423,7 @@ class Network:
                 "resets": switch.resets,
                 "cp_packets_handled": ap.packets_handled,
                 "cp_crc_errors": ap.crc_errors,
-                "reconfig_msgs_gated": ap.reconfig_msgs_gated,
+                "reconfig_msgs_gated": ap.engine.msgs_gated,
                 "epochs_initiated": ap.engine.epochs_initiated,
                 "epochs_joined": ap.engine.epochs_joined,
                 "terminations": ap.engine.terminations,

@@ -1,7 +1,5 @@
 """The event-loop profiler: wall-clock attribution per handler category.
 
-The ROADMAP promises "as fast as the hardware allows", and until now the
-``BENCH_*`` trajectory had no throughput number to hold that promise to.
 :class:`EventLoopProfiler` attaches to a :class:`~repro.sim.engine.
 Simulator` (``sim.profiler = profiler``) and, for every dispatched event,
 accounts the handler's wall-clock time and count under its qualified

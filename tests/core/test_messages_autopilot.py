@@ -3,15 +3,7 @@
 
 from repro.constants import SEC
 from repro.core.autopilot import AutopilotParams, CpuModel
-from repro.core.messages import (
-    AckMsg,
-    ConfigMsg,
-    ConnectivityProbe,
-    LinkDownMsg,
-    SrpMessage,
-    StableMsg,
-    TreePositionMsg,
-)
+from repro.core.messages import AckMsg, SrpMessage, StableMsg
 from repro.network import Network
 from repro.sim.engine import Simulator
 from repro.topology import expected_tree, line, torus
@@ -27,14 +19,6 @@ class TestMessageSizes:
         b = AckMsg(epoch=1, sender_uid=Uid(1), msg_id=sim.new_msg_id())
         assert (a.msg_id, b.msg_id) == (1, 2)
         assert Simulator().new_msg_id() == 1
-
-    def test_reliability_flags(self):
-        assert TreePositionMsg.needs_ack
-        assert StableMsg.needs_ack
-        assert ConfigMsg.needs_ack
-        assert not AckMsg.needs_ack
-        assert not ConnectivityProbe.needs_ack
-        assert not LinkDownMsg.needs_ack
 
     def test_report_size_grows_with_subtree(self):
         """Section 6.6.1: topology reports grow as stability moves up."""

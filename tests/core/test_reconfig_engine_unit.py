@@ -10,7 +10,7 @@ from repro.core.autopilot import CpuModel
 from repro.core.messages import AckMsg, ConfigMsg, StableMsg, TreePositionMsg
 from repro.core.monitor import NeighborInfo
 from repro.core.reconfig import ReconfigEngine, ReconfigParams
-from repro.core.topo import TopologyMap, SwitchRecord
+from repro.core.topo import NetLink, PortRef, SwitchRecord, TopologyMap
 from repro.sim.engine import Simulator
 from repro.types import Uid
 
@@ -20,6 +20,7 @@ class StubAp:
 
     def __init__(self, uid_value=0x50, good=(1, 2)):
         self.sim = Simulator()
+        self.alive = True
         self.uid = Uid(uid_value)
         self.cpu = CpuModel.tuned()
         self._good = tuple(good)
@@ -40,6 +41,9 @@ class StubAp:
     # monitoring views
     def good_ports(self):
         return self._good
+
+    def is_good(self, port):
+        return port in self._good
 
     def host_ports(self):
         return ()
@@ -233,8 +237,6 @@ def test_config_adoption_loads_table():
     topology = TopologyMap(root=Uid(0x10))
     topology.switches[Uid(0x10)] = SwitchRecord(Uid(0x10), 0, None, None)
     topology.switches[ap.uid] = SwitchRecord(ap.uid, 1, 1, Uid(0x10))
-    from repro.core.topo import NetLink, PortRef
-
     topology.links.add(NetLink(PortRef(Uid(0x10), 1), PortRef(ap.uid, 1)))
     topology.numbers = {Uid(0x10): 1, ap.uid: 2}
     engine.on_config(1, ConfigMsg(epoch=1, sender_uid=Uid(0x10), topology=topology))
@@ -242,3 +244,60 @@ def test_config_adoption_loads_table():
     assert engine.configured and engine.table_loaded
     assert engine.my_number == 2
     assert ap.loaded
+
+
+def test_no_configuration_before_the_deadline_starts_a_new_epoch():
+    """Nothing configures epoch 1 within ``config_timeout_ns``: the
+    deadline re-initiates, and the new epoch arms its own deadline."""
+    ap, engine = make_engine()
+    timeout = engine.params.config_timeout_ns
+    engine.initiate("test")
+    # port 1 acks our position, port 2 stays silent: never stable
+    engine.receive(1, AckMsg(epoch=1, sender_uid=Uid(0x10),
+                             acked_pos_seq=engine.pos_seq, accepts_as_parent=False))
+    assert (engine.epoch, engine.epochs_initiated, ap.cleared) == (1, 1, 1)
+    ap.sim.run(until=timeout - 1)
+    assert (engine.epoch, engine.epochs_initiated, ap.cleared) == (1, 1, 1)
+    ap.sim.run(until=timeout)
+    assert (engine.epoch, engine.epochs_initiated, ap.cleared) == (2, 2, 2)
+    assert not engine.configured
+    # the re-armed deadline: epoch 2 times out one period later
+    ap.sim.run(until=2 * timeout - 1)
+    assert engine.epoch == 2
+    ap.sim.run(until=2 * timeout)
+    assert (engine.epoch, engine.epochs_initiated, ap.cleared) == (3, 3, 3)
+
+
+def test_a_better_root_after_configuration_drops_it():
+    """Configured under a false root (0x30), then a position rooted at
+    0x10 arrives: the configuration is dropped and the deadline re-armed."""
+    ap = StubAp()
+    ap.set_neighbor(1, 0x30)
+    ap.set_neighbor(2, 0x10)
+    engine = ReconfigEngine(ap, ReconfigParams(retx_period_ns=10_000_000))
+    timeout = engine.params.config_timeout_ns
+    engine.initiate("test")
+    engine.receive(1, tree_pos(0x30, 1, 0x30, 0, seq=1))
+    assert engine.position.root == Uid(0x30)
+
+    topology = TopologyMap(root=Uid(0x30))
+    topology.switches[Uid(0x30)] = SwitchRecord(Uid(0x30), 0, None, None)
+    topology.switches[ap.uid] = SwitchRecord(ap.uid, 1, 1, Uid(0x30))
+    topology.links.add(NetLink(PortRef(Uid(0x30), 1), PortRef(ap.uid, 1)))
+    topology.numbers = {Uid(0x30): 1, ap.uid: 2}
+    engine.receive(1, ConfigMsg(epoch=1, sender_uid=Uid(0x30), topology=topology))
+    assert engine.configured and engine.topology is topology
+    assert engine._config_deadline is None
+    assert ap.cleared == 1
+
+    engine.receive(2, tree_pos(0x10, 1, 0x10, 0, seq=1))
+    assert engine.position.root == Uid(0x10)
+    assert not engine.configured and not engine.table_loaded
+    assert engine.topology is None
+    assert ap.cleared == 2
+    assert engine._config_deadline is not None
+    # the queued table load sees the drop and loads nothing
+    ap.sim.run(until=timeout - 1)
+    assert (ap.loaded, engine.epoch) == ([], 1)
+    ap.sim.run(until=timeout)
+    assert (engine.epoch, engine.epochs_initiated, ap.cleared) == (2, 2, 3)

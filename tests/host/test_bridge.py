@@ -52,22 +52,28 @@ def test_ethernet_to_autonet_host(bridged):
 
 def test_proxy_arp_lets_autonet_host_reach_ethernet_host(bridged):
     net, ln0, ether, e0, bridge = bridged
-    # the bridge must first learn that e0 lives on the Ethernet
+    e1 = ether.attach(Uid(0xE1), "e1")
+    # e0 announces itself (the bridge forwards that broadcast, so h0 hears
+    # of e0); e1 then talks only to e0, so only the bridge learns of e1
     e0.send(ETHERNET_BROADCAST, 100)
     net.run_for(1 * SEC)
+    e1.send(Uid(0xE0), 100)
+    net.run_for(1 * SEC)
+    assert bridge.cache[Uid(0xE1)] == ("ethernet", None)
+    assert Uid(0xE1) not in ln0.cache
+
+    # too large to broadcast to an unknown UID: h0 sends an ARP request in
+    # its place, and the bridge answers for e1 with its own short address
+    assert not ln0.send(Uid(0xE1), 4000)
+    net.run_for(1 * SEC)
+    assert bridge.proxy_arps == 1
+    assert ln0.cache[Uid(0xE1)].short_address == net.drivers["bridge"].short_address
 
     got = []
-    e0.on_receive = lambda src, dst, size, p: got.append((src, dst, size))
-    # h0 sends to e0's UID: first packet broadcasts; the bridge forwards
-    # it and proxy-answers the eventual ARP with its own short address
-    ln0.send(Uid(0xE0), 800)
-    net.run_for(8 * SEC)
-    assert any(size == 800 for _, _, size in got)
-
-    # after learning, h0's cache should point e0's UID at the bridge
-    entry = ln0.cache.get(Uid(0xE0))
-    assert entry is not None
-    assert entry.short_address == net.drivers["bridge"].short_address
+    e1.on_receive = lambda src, dst, size, p: got.append((dst, size))
+    ln0.send(Uid(0xE1), 800)
+    net.run_for(1 * SEC)
+    assert got == [(Uid(0xE1), 800)]
 
 
 def test_round_trip_conversation(bridged):

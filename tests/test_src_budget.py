@@ -106,8 +106,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: preallocating rings and their index arithmetic, the sampler's second
 #: mark list, the in-band drop counters) and the recursive defect walk
 #: with the leaves' accepts methods pay for the spec compiler, the
-#: largest-remainder share column and the comparison peek_level: -> this)
-BUDGET = 15641
+#: largest-remainder share column and the comparison peek_level: -> 15 641;
+#: then the section 6.6 protocol as one step function: the isinstance
+#: chain in Autopilot._process becomes one type lookup and
+#: ReconfigEngine.receive, the two send bodies and _record_send become
+#: send_addressed (the packet type a class attribute of the message), the
+#: tree-position message and the compute-and-load are built in one place
+#: each, and ControlMessage.needs_ack goes: -> this)
+BUDGET = 15588
 
 
 def _lines(path: Path) -> int:
