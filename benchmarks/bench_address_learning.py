@@ -13,45 +13,27 @@ fails over and gets a new short address), reporting the broadcast
 fraction, ARP counts, and whether the conversation survives.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
+from dataclasses import replace
 
 import pytest
 
-from benchmarks.bench_util import current_seed, report
+from benchmarks.bench_failover import OUTAGE
+from benchmarks.bench_util import Rig, report
 from repro.constants import SEC
-from repro.host.localnet import LocalNet
-from repro.host.workload import RpcClient, RpcServer
-from repro.network import Network
-from repro.topology import ring
+
+#: E7's installation, run 20 s each side of the crash that readdresses the client
+ROW = replace(OUTAGE, load_ns=20 * SEC, stop=20 * SEC)
 
 
 @pytest.mark.benchmark(group="E12")
 def test_learning_economy(benchmark):
     def run():
-        net = Network(ring(4), seed=current_seed())
-        net.add_host("client", [(0, 9), (1, 9)])
-        net.add_host("server", [(2, 9), (3, 9)])
-        ln_client = LocalNet(net.drivers["client"])
-        ln_server = LocalNet(net.drivers["server"])
-        assert net.run_until_converged(timeout_ns=60 * SEC)
-        net.run_for(5 * SEC)
-
-        RpcServer(ln_server)
-        client = RpcClient(ln_client, net.hosts["server"].uid, timeout_ns=1 * SEC,
-                           think_ns=2_000_000)
-        net.run_for(20 * SEC)
-        addr_before = net.drivers["client"].short_address
-
-        net.crash_switch(0)  # forces failover => the client's address changes
-        net.run_for(20 * SEC)
-        addr_after = net.drivers["client"].short_address
-
-        stats = ln_client.stats
+        rig = Rig(ROW).boot()
+        addr_before = rig.net.drivers["client"].short_address
+        rig.inject()
+        addr_after = rig.net.drivers["client"].short_address
+        client = rig.client
+        stats = rig.localnets["client"].stats
         total_sent = stats.sent_unicast + stats.sent_to_broadcast_address
         return {
             "address_changed": addr_before != addr_after,
@@ -61,7 +43,7 @@ def test_learning_economy(benchmark):
             "sent": total_sent,
             "broadcast_fraction": stats.sent_to_broadcast_address / max(1, total_sent),
             "arp_requests": stats.arp_requests_sent,
-            "gratuitous": stats.gratuitous_arps + ln_server.stats.gratuitous_arps,
+            "gratuitous": stats.gratuitous_arps + rig.localnets["server"].stats.gratuitous_arps,
         }
 
     r = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -90,8 +72,3 @@ def test_learning_economy(benchmark):
     assert r["broadcast_fraction"] < 0.02
     # the outage covers failover detection; it must stay in single digits
     assert r["outage_ns"] < 10 * SEC
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

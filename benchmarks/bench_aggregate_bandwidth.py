@@ -13,24 +13,16 @@ token ring, and a 10 Mbit/s Ethernet; and packet latency vs network size
 for Autonet trees vs token rings.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
-from benchmarks.bench_util import current_seed, report
+from benchmarks.bench_util import Rig, Row, report
 from repro.analysis.metrics import rate_mbps
 from repro.host.ethernet import Ethernet
 from benchmarks.rigs.token_ring import TokenRing
 from repro.constants import MS, SEC
 from benchmarks.rigs.latency import hop_latency
-from repro.host.localnet import LocalNet
 from repro.host.workload import PeriodicSender, Sink
-from repro.network import Network
+from repro.sim.engine import Simulator
 from repro.topology import torus
 from repro.types import Uid
 
@@ -42,61 +34,45 @@ MEASURE_NS = 200 * MS
 
 
 def autonet_aggregate(n_pairs):
-    # telemetry off: this bench is the wall-clock guard for the data
-    # plane, so it must run with observability fully disabled
-    net = Network(torus(3, 4), seed=current_seed(), telemetry=False)
-    localnets = {}
+    hosts = {}
     for i, (a, b) in enumerate(PAIRS[:n_pairs]):
-        for tag, sw in (("src", a), ("dst", b)):
-            name = f"{tag}{i}"
-            net.add_host(name, [(sw, 9)])
-            localnets[name] = LocalNet(net.drivers[name])
-    assert net.run_until_converged(timeout_ns=60 * SEC)
-    net.run_for(5 * SEC)  # addresses + gratuitous ARPs settle
-
-    sinks = []
+        hosts.update({f"src{i}": [(a, 9)], f"dst{i}": [(b, 9)]})
+    # telemetry off: this bench is the wall-clock guard for the data
+    # plane, so it must run with observability fully disabled; the
+    # settle lets addresses and gratuitous ARPs settle
+    rig = Rig(Row(torus(3, 4), network={"telemetry": False}, hosts=hosts)).boot()
+    net = rig.net
+    sinks = [Sink(rig.localnets[f"dst{i}"]) for i in range(n_pairs)]
     for i in range(n_pairs):
-        sink = Sink(localnets[f"dst{i}"])
-        sinks.append(sink)
         PeriodicSender(
-            localnets[f"src{i}"],
+            rig.localnets[f"src{i}"],
             net.hosts[f"dst{i}"].uid,
             data_bytes=DATA_BYTES,
             period_ns=PERIOD_NS,
         )
-    start = net.sim.now
     net.run_for(MEASURE_NS)
-    total_bytes = sum(s.bytes for s in sinks)
-    return rate_mbps(total_bytes, net.sim.now - start)
+    return rate_mbps(sum(s.bytes for s in sinks), MEASURE_NS)
 
 
-def ring_aggregate(n_pairs):
-    from repro.sim.engine import Simulator
-
-    sim = Simulator()
-    ring_net = TokenRing(sim, 2 * n_pairs, max_queue=100_000)
-    for i in range(n_pairs):
-        src = ring_net.stations[2 * i]
-        dst = ring_net.stations[2 * i + 1]
+def shared_medium_aggregate(sim, stations):
+    """Stations 2i and 2i+1 a pair: each sender queues 400 frames of 1400
+    bytes; the Mbit/s delivered in ``MEASURE_NS``."""
+    for src, dst in zip(stations[::2], stations[1::2]):
         for _ in range(400):
             src.send(dst.uid, 1400)
     sim.run(until=MEASURE_NS)
-    delivered = sum(s.received for s in ring_net.stations) * 1400
-    return rate_mbps(delivered, MEASURE_NS)
+    return rate_mbps(sum(s.received for s in stations) * 1400, MEASURE_NS)
+
+
+def ring_aggregate(n_pairs):
+    sim = Simulator()
+    return shared_medium_aggregate(sim, TokenRing(sim, 2 * n_pairs, max_queue=100_000).stations)
 
 
 def ethernet_aggregate(n_pairs):
-    from repro.sim.engine import Simulator
-
     sim = Simulator()
     ether = Ethernet(sim, max_queue=100_000)
-    stations = [ether.attach(Uid(100 + i)) for i in range(2 * n_pairs)]
-    for i in range(n_pairs):
-        for _ in range(400):
-            stations[2 * i].send(stations[2 * i + 1].uid, 1400)
-    sim.run(until=MEASURE_NS)
-    delivered = sum(s.received for s in stations) * 1400
-    return rate_mbps(delivered, MEASURE_NS)
+    return shared_medium_aggregate(sim, [ether.attach(Uid(100 + i)) for i in range(2 * n_pairs)])
 
 
 @pytest.mark.benchmark(group="E5")
@@ -133,8 +109,6 @@ def test_aggregate_bandwidth(benchmark):
 @pytest.mark.benchmark(group="E5")
 def test_latency_scaling(benchmark):
     """Autonet latency ~ log(switches); ring latency ~ stations."""
-    from repro.sim.engine import Simulator
-
     sizes = [4, 16, 64]
 
     def ring_latency(n):
@@ -165,8 +139,3 @@ def test_latency_scaling(benchmark):
     assert ring_growth > 3 * autonet_growth
     # a 16x larger Autonet adds only ~4 extra switch transits (~9 us)
     assert autonet_growth < 15_000
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

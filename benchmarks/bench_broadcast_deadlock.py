@@ -11,13 +11,6 @@ pre-fix (1024-byte FIFO, stop obeyed), the paper's fix, and the fix
 without the enlarged FIFO (showing why both halves are necessary).
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
 from benchmarks.bench_util import report
@@ -67,8 +60,3 @@ def test_fig9_regimes(benchmark):
     assert not fixed["deadlocked"] and fixed["unicast_delivered"] and fixed["broadcast_delivered"]
     half = results["half fix (1024B FIFO, ignore stop)"]
     assert not half["deadlocked"] and half["fifo_overflow"]
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

@@ -12,42 +12,32 @@ Measured here: the storm rate at an innocent host, and the storm
 duration until port-state monitoring removes the reflecting port.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
-from benchmarks.bench_util import current_seed, report
-from repro.constants import SEC
-from repro.host.localnet import BROADCAST_UID, LocalNet
-from repro.network import Network
+from benchmarks.bench_util import Rig, Row, report
+from repro.chaos.events import PowerOffHost
+from repro.constants import MS
+from repro.host.localnet import BROADCAST_UID
 from repro.topology import line
+
+ROW = Row(
+    line(3),
+    # single-homed victim: one reflecting cable sustains a circulating
+    # broadcast (a dual-homed victim's two reflections double the
+    # copies each round and back the fabric up within milliseconds)
+    hosts={"victim": [(1, 9)], "observer": [(2, 9), (0, 8)], "sender": [(0, 10), (2, 10)]},
+    bare=("victim",),
+    # power the victim off, leaving its cable reflecting (section 7)
+    faults=(PowerOffHost(name="victim", reflect=True),),
+)
 
 
 @pytest.mark.benchmark(group="E9")
 def test_broadcast_storm(benchmark):
     def run():
-        from repro.constants import MS
-
-        net = Network(line(3), seed=current_seed())
-        # single-homed victim: one reflecting cable sustains a circulating
-        # broadcast (a dual-homed victim's two reflections double the
-        # copies each round and back the fabric up within milliseconds)
-        net.add_host("victim", [(1, 9)])
-        net.add_host("observer", [(2, 9), (0, 8)])
-        net.add_host("sender", [(0, 10), (2, 10)])
-        LocalNet(net.drivers["observer"])
-        ln_send = LocalNet(net.drivers["sender"])
-        assert net.run_until_converged(timeout_ns=60 * SEC)
-        net.run_for(5 * SEC)
-
-        # power the victim off, leaving its cable reflecting (section 7)
-        net.power_off_host("victim", reflect=True)
-        ln_send.send(BROADCAST_UID, 200)  # the single broadcast that storms
+        rig = Rig(ROW).boot().inject()
+        net = rig.net
+        rig.localnets["sender"].send(BROADCAST_UID, 200)  # the single broadcast that storms
 
         # count every wire arrival at the observer's active port,
         # including copies whose CRC fails from FIFO overflow in the storm
@@ -82,8 +72,3 @@ def test_broadcast_storm(benchmark):
     assert copies > 10, "no storm developed"
     assert rate > 500, "storm much slower than the paper's 'thousands per second'"
     assert duration < 5.0, "monitoring did not end the storm"
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

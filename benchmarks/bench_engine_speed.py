@@ -10,17 +10,8 @@ before/after ratios on one box, and measured repeatably by ``bench_e2e``
 (``benchmarks/e2e``), not here.
 """
 
-import os
-import sys
+from benchmarks import bench_util
 
-if __package__ in (None, ""):  # direct invocation
-    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sys.path[:0] = [_ROOT, os.path.join(_ROOT, "src")]
-    import bench_util
-else:
-    from benchmarks import bench_util
-
-from repro.network import Network
 from repro.topology.generators import resolve_topology
 
 #: topologies the perf gate watches: the paper's own LAN and the dense
@@ -28,9 +19,9 @@ from repro.topology.generators import resolve_topology
 TOPOLOGIES = ("torus-3x4", "src-lan-30")
 
 
-def _measure(topo: str, seed: int):
+def _measure(topo: str):
     """Converge, cut 0-1, reconverge under the event-loop profiler."""
-    net = Network(resolve_topology(topo), seed=seed, profile=True)
+    net = bench_util.Rig(bench_util.Row(resolve_topology(topo), network={"profile": True})).net
     bench_util.measured_cut(net, cut=(0, 1), load_ns=0)
     profiler = net.profiler
     return {
@@ -41,11 +32,10 @@ def _measure(topo: str, seed: int):
 
 
 def test_engine_speed(benchmark):
-    seed = bench_util.current_seed()
     rows = []
     host = {}
     for topo in TOPOLOGIES:
-        m = benchmark(_measure, topo, seed) if topo == TOPOLOGIES[0] else _measure(topo, seed)
+        m = benchmark(_measure, topo) if topo == TOPOLOGIES[0] else _measure(topo)
         rows.append([topo, m["events"]])
         host[f"{topo}_wall_ms"] = round(m["wall_ms"], 1)
         host[f"{topo}_events_per_sec"] = round(m["events_per_sec"], 1)
@@ -63,7 +53,3 @@ def test_engine_speed(benchmark):
         ),
         telemetry={"host": host},
     )
-
-
-if __name__ == "__main__":
-    bench_util.run_cli(globals())

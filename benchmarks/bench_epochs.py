@@ -12,36 +12,32 @@ to a single epoch with every switch holding the same topology and
 switch-number assignment.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_ms, report
+from benchmarks.bench_util import Rig, Row, fmt_ms, report
+from repro.chaos.events import CutLink
 from repro.constants import MS, SEC
-from repro.network import Network
 from repro.topology import src_service_lan
+
+#: three failures, the later two landing mid-reconfiguration
+ROW = Row(
+    src_service_lan(),
+    settle_ns=2 * SEC,
+    faults=(CutLink(a=0, b=1), CutLink(at_ns=30 * MS, a=8, b=9),
+            CutLink(at_ns=60 * MS, a=16, b=17)),
+    stop=None,
+)
 
 
 @pytest.mark.benchmark(group="E13")
 def test_overlapping_failures_converge(benchmark):
     def run():
-        net = Network(src_service_lan(), seed=current_seed())
-        assert net.run_until_converged(timeout_ns=120 * SEC)
-        net.run_for(2 * SEC)
+        rig = Rig(ROW).boot()
+        net = rig.net
         epoch_before = net.current_epoch()
         links_before = len(net.topology().links)
-
-        # three failures, the later two landing mid-reconfiguration
         t0 = net.sim.now
-        net.cut_link(0, 1)
-        net.sim.at(t0 + 30 * MS, lambda: net.cut_link(8, 9))
-        net.sim.at(t0 + 60 * MS, lambda: net.cut_link(16, 17))
-        assert net.run_until_converged(timeout_ns=120 * SEC)
+        rig.inject()
 
         final_epochs = {ap.epoch for ap in net.alive_autopilots()}
         topologies = {
@@ -85,8 +81,3 @@ def test_overlapping_failures_converge(benchmark):
     assert r["distinct_numberings"] == 1
     assert r["links_removed"] == 3
     assert r["epochs_used"] >= 2
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

@@ -12,43 +12,40 @@ host's active switch crashes, and the alternation period when both
 attachment switches are dead.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
-from benchmarks.bench_util import current_seed, report
-from repro.constants import SEC
-from repro.host.localnet import LocalNet
-from repro.host.workload import RpcClient, RpcServer
-from repro.network import Network
+from benchmarks.bench_util import Rig, Row, Rpc, report
+from repro.chaos.events import CrashSwitch
+from repro.constants import MS, SEC
 from repro.topology import ring
+
+#: an RPC pair on a ring; the client's active attachment crashes
+OUTAGE = Row(
+    ring(4),
+    hosts={"client": [(0, 9), (1, 9)], "server": [(2, 9), (3, 9)]},
+    workload=Rpc(timeout_ns=1 * SEC, think_ns=2 * MS),
+    load_ns=10 * SEC,
+    faults=(CrashSwitch(index=0),),
+    stop=30 * SEC,
+)
+
+#: one dual-homed host whose two attachment switches both crash
+ALTERNATION = Row(
+    ring(4),
+    hosts={"h": [(0, 9), (1, 9)]},
+    faults=(CrashSwitch(index=0), CrashSwitch(index=1)),
+    stop=60 * SEC,
+)
 
 
 @pytest.mark.benchmark(group="E7")
 def test_failover_outage(benchmark):
     def run():
-        net = Network(ring(4), seed=current_seed())
-        net.add_host("client", [(0, 9), (1, 9)])
-        net.add_host("server", [(2, 9), (3, 9)])
-        ln_client = LocalNet(net.drivers["client"])
-        ln_server = LocalNet(net.drivers["server"])
-        assert net.run_until_converged(timeout_ns=60 * SEC)
-        net.run_for(5 * SEC)
-
-        RpcServer(ln_server)
-        client = RpcClient(ln_client, net.hosts["server"].uid, timeout_ns=1 * SEC,
-                           think_ns=2_000_000)
-        net.run_for(10 * SEC)
+        rig = Rig(OUTAGE).boot()
+        client = rig.client
         before = client.completed
         assert before > 0, "RPC workload not running"
-
-        net.crash_switch(0)  # the client's active attachment
-        net.run_for(30 * SEC)
+        net = rig.inject().net
         after = client.completed
         outage = client.longest_gap_ns()
         return before, after, outage, net.hosts["client"].active_index
@@ -78,16 +75,11 @@ def test_failover_outage(benchmark):
 @pytest.mark.benchmark(group="E7")
 def test_alternation_when_both_links_dead(benchmark):
     def run():
-        net = Network(ring(4), seed=current_seed())
-        net.add_host("h", [(0, 9), (1, 9)])
-        LocalNet(net.drivers["h"])
-        assert net.run_until_converged(timeout_ns=60 * SEC)
-        net.run_for(5 * SEC)
-        switches_before = net.drivers["h"].failovers
-        net.crash_switch(0)
-        net.crash_switch(1)
-        net.run_for(60 * SEC)
-        return net.drivers["h"].failovers - switches_before
+        rig = Rig(ALTERNATION).boot()
+        driver = rig.net.drivers["h"]
+        switches_before = driver.failovers
+        rig.inject()
+        return driver.failovers - switches_before
 
     alternations = benchmark.pedantic(run, rounds=1, iterations=1)
     report(
@@ -97,8 +89,3 @@ def test_alternation_when_both_links_dead(benchmark):
         [["alternations in 60 s", "~6 (once per 10 s)", alternations]],
     )
     assert 4 <= alternations <= 9
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

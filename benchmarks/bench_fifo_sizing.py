@@ -10,13 +10,6 @@ flow-control slot alignment to realize the S - 1 term, for several cable
 lengths and stop fractions; plus the broadcast variant.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
 from benchmarks.bench_util import report
@@ -91,8 +84,3 @@ def test_broadcast_sizing(benchmark):
     for _b, _req, result in rows:
         assert result.within_bound
     assert broadcast_fifo_requirement(1550, 2.0) == pytest.approx(4096, rel=0.05)
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

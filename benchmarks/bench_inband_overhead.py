@@ -14,25 +14,17 @@ torus-3x4 workload -- two hosts exchanging periodic datagrams across a
   all in simulated time, so they regress byte-for-byte under one seed.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_us, measured_cut, report
+from benchmarks.bench_util import Rig, Row, fmt_us, measured_cut, report
 from repro.constants import MS, SEC
-from repro.network import Network
 from repro.scenario import attach_pair
 from repro.topology import torus
 
 
 def _workload(inband: bool):
     """One full run; returns (delivered count, network)."""
-    net = Network(torus(3, 4), seed=current_seed(0), inband=inband)
+    net = Rig(Row(torus(3, 4), network={"inband": inband})).net
     sinks = attach_pair(net, period_ns=2 * MS, data_bytes=256)
     measured_cut(net, cut=(0, 1), load_ns=1 * SEC)
     return sum(s.count for s in sinks), net
@@ -101,9 +93,3 @@ def test_inband_accounting(benchmark):
     assert changes >= 1, "a cut across the active path must change routes"
     assert slo["p50_ns"] is not None and slo["p99_ns"] is not None
     assert doc["hops_truncated"] == 0
-
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

@@ -12,67 +12,55 @@ globally -- repair completion time and the disruption an RPC workload
 observes.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_ms, report
+from benchmarks.bench_util import Rig, Row, Rpc, fmt_ms, report
 from benchmarks.rigs.routing_ablation import tree_only_topology
-from repro.constants import SEC
-from repro.core.autopilot import AutopilotParams
-from repro.host.localnet import LocalNet
-from repro.host.workload import RpcClient, RpcServer
-from repro.network import Network
-from repro.topology import src_service_lan
+from repro.chaos.events import CutLink
+from repro.constants import MS, SEC
+from repro.topology import expected_tree, src_service_lan
+
+SPEC = src_service_lan()
+
+
+def cross_links(topo):
+    """The non-tree links of a configuration, in a fixed order."""
+    return sorted(topo.links - tree_only_topology(topo).links,
+                  key=lambda ln: (str(ln.a.uid), ln.a.port))
+
+
+#: those of the configuration the SRC LAN boots into
+CROSS = cross_links(expected_tree(SPEC))
+
+
+def cut(link) -> CutLink:
+    return CutLink(a=SPEC.uids.index(link.a.uid), b=SPEC.uids.index(link.b.uid))
 
 
 def run_variant(enable_local: bool):
-    def factory(_i):
-        params = AutopilotParams()
-        params.reconfig.enable_local_reconfig = enable_local
-        if enable_local:
-            # pair with the decoupled table reload -- both are section 7
-            # improvements; together a local repair destroys no packets
-            params.reconfig.reset_on_load = False
-        return params
-
-    net = Network(src_service_lan(), params_factory=factory, seed=current_seed())
-    net.add_host("client", [(0, 9), (1, 9)])
-    net.add_host("server", [(20, 9), (21, 9)])
-    ln_client = LocalNet(net.drivers["client"])
-    ln_server = LocalNet(net.drivers["server"])
-    assert net.run_until_converged(timeout_ns=120 * SEC)
-    net.run_for(5 * SEC)
-    RpcServer(ln_server)
-    client = RpcClient(
-        ln_client, net.hosts["server"].uid,
-        timeout_ns=200_000_000, think_ns=2_000_000,
-    )
-    net.run_for(5 * SEC)
-
-    # pick a non-tree link far from the hosts
-    topo = net.topology()
-    cross_links = sorted(
-        topo.links - tree_only_topology(topo).links,
-        key=lambda ln: (str(ln.a.uid), ln.a.port),
-    )
-    victim = cross_links[len(cross_links) // 2]
-    a = next(i for i, s in enumerate(net.switches) if s.uid == victim.a.uid)
-    b = next(i for i, s in enumerate(net.switches) if s.uid == victim.b.uid)
-
+    # local handling pairs with the decoupled table reload -- both are
+    # section 7 improvements; together a local repair destroys no packets
+    params = {"reconfig.enable_local_reconfig": enable_local,
+              "reconfig.reset_on_load": not enable_local}
+    victim = CROSS[len(CROSS) // 2]  # a non-tree link far from the hosts
+    rig = Rig(Row(
+        SPEC,
+        params=params,
+        hosts={"client": [(0, 9), (1, 9)], "server": [(20, 9), (21, 9)]},
+        workload=Rpc(timeout_ns=200 * MS, think_ns=2 * MS),
+        load_ns=5 * SEC,
+        faults=(cut(victim),),
+    )).boot()
+    net = rig.net
+    assert cross_links(net.topology()) == CROSS
     t0 = net.sim.now
     epoch_before = net.current_epoch()
-    net.cut_link(a, b)
+    rig.inject()
 
     # wait until every switch has dropped the link from its topology
     deadline = net.sim.now + 60 * SEC
     while net.sim.now < deadline:
-        net.run_for(100_000_000)
+        net.run_for(100 * MS)
         if all(
             ap.engine.topology is not None
             and victim not in ap.engine.topology.links
@@ -82,12 +70,12 @@ def run_variant(enable_local: bool):
             break
     repair_ns = net.sim.now - t0
     net.run_for(2 * SEC)
+    client = rig.client
     return {
         "repair_ns": repair_ns,
         "epochs": net.current_epoch() - epoch_before,
         "gap_ns": client.longest_gap_ns(),
         "timeouts": client.timeouts,
-        "completed": client.completed,
     }
 
 
@@ -126,23 +114,11 @@ def test_local_reconfig_correctness_spotcheck(benchmark):
     from repro.analysis.invariants import all_pairs_reachable, check_no_down_to_up
 
     def run():
-        def factory(_i):
-            params = AutopilotParams()
-            params.reconfig.enable_local_reconfig = True
-            return params
-
-        net = Network(src_service_lan(), params_factory=factory, seed=current_seed())
-        assert net.run_until_converged(timeout_ns=120 * SEC)
-        net.run_for(2 * SEC)
-        topo = net.topology()
-        cross = sorted(
-            topo.links - tree_only_topology(topo).links,
-            key=lambda ln: (str(ln.a.uid), ln.a.port),
-        )[0]
-        a = next(i for i, s in enumerate(net.switches) if s.uid == cross.a.uid)
-        b = next(i for i, s in enumerate(net.switches) if s.uid == cross.b.uid)
-        net.cut_link(a, b)
-        net.run_for(10 * SEC)
+        row = Row(SPEC, params={"reconfig.enable_local_reconfig": True}, settle_ns=2 * SEC,
+                  faults=(cut(CROSS[0]),), stop=10 * SEC)
+        rig = Rig(row).boot()
+        assert cross_links(rig.net.topology()) == CROSS
+        net = rig.inject().net
         reduced = net.autopilots[0].engine.topology
         entries = {
             ap.uid: ap.switch.table.non_constant_rows()
@@ -161,8 +137,3 @@ def test_local_reconfig_correctness_spotcheck(benchmark):
          ["up*/down* violations", 0]],
     )
     assert reachable == total
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

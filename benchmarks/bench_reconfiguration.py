@@ -12,26 +12,21 @@ the SRC LAN under the tuned and naive CPU profiles, plus the scaling
 sweep across topologies of growing diameter.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_ms, measured_cut, report
+from benchmarks.bench_util import Rig, Row, fmt_ms, measured_cut, report
 from repro.core.autopilot import AutopilotParams
-from repro.network import Network
 from repro.topology import line, src_service_lan, torus
 from repro.topology.graph import diameter, spec_graph
 
+_FIRST = AutopilotParams.naive()
+#: the first implementation: slow CPU paths and matching monitor cadences
+NAIVE = {"cpu": _FIRST.cpu, "monitor": _FIRST.monitor, "reconfig": _FIRST.reconfig}
 
-def reconfig_ns(spec, params_factory=None):
-    """Final-epoch duration of the E-series scenario on ``spec``."""
-    net = Network(spec, params_factory=params_factory, seed=current_seed())
-    return measured_cut(net).final_epoch_ns
+
+def reconfig_ns(row: Row):
+    """Final-epoch duration of the E-series scenario on ``row``."""
+    return measured_cut(Rig(row).net).final_epoch_ns
 
 
 def max_distance(spec):
@@ -41,7 +36,7 @@ def max_distance(spec):
 @pytest.mark.benchmark(group="E1")
 def test_src_lan_tuned(benchmark):
     def run():
-        net = Network(src_service_lan(), seed=current_seed())
+        net = Rig(Row(src_service_lan())).net
         outcome = measured_cut(net)
         return outcome.final_epoch_ns, outcome.blackout_ns, net.tracer.span_summary()
 
@@ -64,8 +59,8 @@ def test_src_lan_tuned(benchmark):
 @pytest.mark.benchmark(group="E1")
 def test_naive_vs_tuned(benchmark):
     def run():
-        tuned = reconfig_ns(src_service_lan())
-        naive = reconfig_ns(src_service_lan(), lambda i: AutopilotParams.naive())
+        tuned = reconfig_ns(Row(src_service_lan()))
+        naive = reconfig_ns(Row(src_service_lan(), params=NAIVE))
         return tuned, naive
 
     tuned, naive = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -91,7 +86,7 @@ def test_scaling_with_diameter(benchmark):
     def run():
         rows = []
         for spec in specs:
-            rows.append((spec.name, spec.n_switches, max_distance(spec), reconfig_ns(spec)))
+            rows.append((spec.name, spec.n_switches, max_distance(spec), reconfig_ns(Row(spec))))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -104,8 +99,3 @@ def test_scaling_with_diameter(benchmark):
     by_distance = sorted((d, t) for _name, _n, d, t in rows)
     # the largest-diameter topology takes longer than the smallest
     assert by_distance[-1][1] > by_distance[0][1]
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

@@ -13,28 +13,14 @@ reload, reporting the reconfiguration time and the control packets
 destroyed by resets.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_ms, measured_cut, report
-from repro.core.autopilot import AutopilotParams
-from repro.network import Network
+from benchmarks.bench_util import Rig, Row, fmt_ms, measured_cut, report
 from repro.topology import src_service_lan
 
 
 def run_variant(reset_on_load: bool):
-    def factory(_i):
-        params = AutopilotParams()
-        params.reconfig.reset_on_load = reset_on_load
-        return params
-
-    net = Network(src_service_lan(), params_factory=factory, seed=current_seed())
+    net = Rig(Row(src_service_lan(), params={"reconfig.reset_on_load": reset_on_load})).net
     at_cut = []  # switch resets so far, sampled as the fault is injected
     net.on_fault = lambda _kind, _detail: at_cut.append(sum(sw.resets for sw in net.switches))
     duration = measured_cut(net, cut=(0, 1)).final_epoch_ns
@@ -69,8 +55,3 @@ def test_reset_coupling_ablation(benchmark):
     assert coupled_r > 0
     # the proposed hardware is at least as fast
     assert free_t <= coupled_t * 1.1
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

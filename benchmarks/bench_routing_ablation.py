@@ -14,13 +14,6 @@ pattern on a 6-ring that realizes an actual deadlock under shortest-path
 routing and completes under up*/down*.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 from itertools import islice
 
 import networkx as nx
@@ -164,8 +157,3 @@ def test_dynamic_deadlock(benchmark):
     )
     assert updown == 6
     assert shortest < 6, "expected a realized deadlock under cyclic shortest-path"
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

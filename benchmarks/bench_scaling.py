@@ -18,15 +18,7 @@ the per-rung ``events_per_sec`` and its slope are the host's; they ride
 in ``telemetry["host"]``, outside the gated surface.
 """
 
-import os
-import sys
-
-if __package__ in (None, ""):  # direct invocation
-    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sys.path[:0] = [_ROOT, os.path.join(_ROOT, "src")]
-    import bench_util
-else:
-    from benchmarks import bench_util
+from benchmarks import bench_util
 
 from repro.obs.sweep import run_sweep
 
@@ -56,7 +48,3 @@ def test_scaling(benchmark):
     for metric in GATED_SLOPES:
         assert metric in fitted, f"no slope fit for {metric}"
     bench_util.report_document(doc)
-
-
-if __name__ == "__main__":
-    bench_util.run_cli(globals())

@@ -12,41 +12,24 @@ number of reconfigurations is bounded; with hysteresis disabled
 keep pace with the flapping.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
-from benchmarks.bench_util import current_seed, report
+from benchmarks.bench_util import Rig, Row, report
+from repro.chaos.events import CutLink, FlapLink
 from repro.constants import SEC
-from repro.core.autopilot import AutopilotParams
-from repro.network import Network
 from repro.topology import ring
 
+#: the flap train: cable 0-1 cut every 2 s, restored 1 s later, 15 times
+FLAPS = FlapLink(a=0, b=1, flaps=15, period_ns=1 * SEC)
 
-def run_flapping(growth: float, flaps: int = 15, period_ns: int = 2 * SEC):
-    def params_factory(_i):
-        params = AutopilotParams()
-        params.monitor.skeptic.growth = growth
-        params.monitor.conn_skeptic_growth = growth
-        return params
 
-    net = Network(ring(4), params_factory=params_factory, seed=current_seed())
-    assert net.run_until_converged(timeout_ns=60 * SEC)
-    net.run_for(2 * SEC)
+def run_flapping(growth: float):
+    params = {"monitor.skeptic.growth": growth, "monitor.conn_skeptic_growth": growth}
+    rig = Rig(Row(ring(4), params=params, settle_ns=2 * SEC, faults=(FLAPS,),
+                  stop=FLAPS.duration_ns + 10 * SEC)).boot()
+    net = rig.net
     epochs_before = net.current_epoch()
-
-    for i in range(flaps):
-        net.sim.at(net.sim.now + i * period_ns, lambda: net.cut_link(0, 1))
-        net.sim.at(
-            net.sim.now + i * period_ns + period_ns // 2,
-            lambda: net.restore_link(0, 1),
-        )
-    net.run_for(flaps * period_ns + 10 * SEC)
+    rig.inject()
     epochs_caused = net.current_epoch() - epochs_before
     # the grown holding period on the flapping port
     a, pa, _b, _pb = [c for c in net.spec.cables if {c[0], c[2]} == {0, 1}][0]
@@ -87,12 +70,10 @@ def test_solid_fault_still_fast(benchmark):
     genuine, persistent failure."""
 
     def run():
-        net = Network(ring(4), seed=current_seed())
-        assert net.run_until_converged(timeout_ns=60 * SEC)
-        net.run_for(2 * SEC)
+        rig = Rig(Row(ring(4), settle_ns=2 * SEC, faults=(CutLink(a=0, b=1),), stop=None))
+        net = rig.boot().net
         t0 = net.sim.now
-        net.cut_link(0, 1)
-        assert net.run_until_converged(timeout_ns=60 * SEC)
+        rig.inject()
         epoch = net.current_epoch()
         record = net.epochs[epoch]
         detection = record.started_at - t0
@@ -111,8 +92,3 @@ def test_solid_fault_still_fast(benchmark):
     )
     assert detection < 500e6
     assert total < 1e9
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

@@ -10,13 +10,6 @@ slope is the per-switch transit latency) and the saturated forwarding
 rate of a single switch fed from all twelve ports.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
 from benchmarks.bench_util import fmt_us, report
@@ -62,8 +55,3 @@ def test_forwarding_rate(benchmark):
         notes="one scheduling decision per 480 ns caps the router near 2.08 M/s",
     )
     assert 1.9e6 <= result.forwarded_pps <= 2.15e6
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

@@ -12,31 +12,16 @@ Measured here: reconfiguration times on the SRC LAN under the stability
 extension vs quiescence timeouts of several lengths.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_ms, measured_cut, report
+from benchmarks.bench_util import Rig, Row, fmt_ms, measured_cut, report
 from repro.constants import MS
-from repro.core.autopilot import AutopilotParams
-from repro.network import Network
 from repro.topology import src_service_lan
 
 
 def reconfig_ns(mode: str, quiet_ms: int = 300):
-    def params_factory(_i):
-        params = AutopilotParams()
-        params.reconfig.termination_mode = mode
-        params.reconfig.quiescence_timeout_ns = quiet_ms * MS
-        return params
-
-    net = Network(src_service_lan(), params_factory=params_factory, seed=current_seed())
-    return measured_cut(net, cut=(0, 1)).final_epoch_ns
+    params = {"reconfig.termination_mode": mode, "reconfig.quiescence_timeout_ns": quiet_ms * MS}
+    return measured_cut(Rig(Row(src_service_lan(), params=params)).net, cut=(0, 1)).final_epoch_ns
 
 
 @pytest.mark.benchmark(group="E10")
@@ -66,8 +51,3 @@ def test_stability_vs_quiescence(benchmark):
             assert duration > stability, f"{name} should be slower than stability"
     # the timeout mechanism pays roughly its quiet period as overhead
     assert results["quiescence 500 ms"] > results["quiescence 200 ms"]
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

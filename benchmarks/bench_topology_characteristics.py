@@ -12,19 +12,11 @@ root concentration), single-failure robustness, and the measured
 reconfiguration time -- the trade table an installation guide needs.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_ms, measured_cut, report
+from benchmarks.bench_util import Rig, Row, current_seed, fmt_ms, measured_cut, report
 from repro.analysis.capacity import analyze_capacity
 from benchmarks.rigs.routing_ablation import tree_only_topology
-from repro.network import Network
 from repro.topology import dcell, expected_tree, fat_tree, random_regular, torus, tree
 from repro.topology.graph import components, cut_points_and_bridges, spec_graph
 from repro.topology.src_lan import src_service_lan
@@ -40,7 +32,7 @@ def test_topology_trade_table(benchmark):
     specs = [
         torus(3, 4),
         tree(depth=3, fanout=2),           # 15 switches, no cross links
-        random_regular(12, degree=4, seed=current_seed(5)),
+        random_regular(12, degree=4, seed=current_seed()),
         fat_tree(4),                       # 20 switches, three-tier data center
         dcell(3, level=1),                 # 16 switches, server-centric cells
         src_service_lan(),
@@ -59,7 +51,7 @@ def test_topology_trade_table(benchmark):
                     f"{cap.capacity_per_flow:.3f}",
                     f"{cap.root_share * 100:.0f}%",
                     survives_single_failures(spec),
-                    measured_cut(Network(spec, seed=current_seed())).final_epoch_ns,
+                    measured_cut(Rig(Row(spec)).net).final_epoch_ns,
                 )
             )
         return rows
@@ -116,8 +108,3 @@ def test_routing_capacity_comparison(benchmark):
         ],
     )
     assert full.capacity_per_flow > 1.5 * tree_only.capacity_per_flow
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

@@ -8,18 +8,10 @@ section 6.7's metric), delivery-latency quantiles, and goodput -- all in
 simulated time, so every number regresses byte-for-byte under one seed.
 """
 
-if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_X.py
-    import os as _os
-    import sys as _sys
-
-    _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-    _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-
 import pytest
 
-from benchmarks.bench_util import current_seed, fmt_ms, measured_cut, report
+from benchmarks.bench_util import Rig, Row, fmt_ms, measured_cut, report
 from repro.constants import SEC
-from repro.network import Network
 from repro.topology import torus
 from repro.traffic.artifact import validate_traffic
 from repro.traffic.workload import TrafficConfig
@@ -38,7 +30,7 @@ DRAIN_AFTER_CUT_NS = int(1.2 * SEC)
 
 
 def _run_workload():
-    net = Network(torus(3, 4), seed=current_seed(0), traffic=TRAFFIC)
+    net = Rig(Row(torus(3, 4), network={"traffic": TRAFFIC})).net
     measured_cut(net, cut=(0, 1), load_ns=LOAD_BEFORE_CUT_NS)
     # the driver runs the same load after the cut as before it; drain the rest
     net.run_for(DRAIN_AFTER_CUT_NS - LOAD_BEFORE_CUT_NS)
@@ -101,9 +93,3 @@ def test_traffic_slo_during_cut(benchmark):
     assert net.traffic.slo_violations() == []
     assert any(w["blackout_cost_bytes"] > 0 for w in closed)
     assert latency["p99_ns"] is not None and latency["p99_ns"] > 0
-
-
-if __name__ == "__main__":
-    from benchmarks.bench_util import run_cli
-
-    run_cli(globals())

@@ -1,53 +1,164 @@
-"""Shared helpers for the benchmark harness.
+"""The benchmark harness: the one driver of the experiments, and the
+export of their tables.
 
-Every bench reproduces one table/figure-equivalent from the paper's
-evaluation (see DESIGN.md's experiment index).  Results are printed,
-appended to ``benchmarks/results/<bench>.txt``, and emitted as schema-
-stable JSON (``repro.obs.export``) so the numbers that back
-EXPERIMENTS.md are regenerable and machine-readable:
+An experiment's installation is data: a :class:`Row` (topology,
+``AutopilotParams`` overrides, hosts and their workload, ``repro.chaos/1``
+fault events, a stop rule).  A :class:`Rig` builds it, boots it to the
+fault instant and injects the faults; the bench's measure function reads
+the rig around :meth:`Rig.inject`.  A single-cut measurement hands
+``rig.net`` to :func:`measured_cut`, which runs on
+:func:`repro.scenario.drive_scenario`.
 
-* under pytest, each :func:`report` call writes
-  ``benchmarks/results/BENCH_<name>.json`` (one document per table; a
-  bench whose measurement returns a whole document, like the scaling
-  sweep, hands it to :func:`report_document`);
-* invoked directly (``python benchmarks/bench_X.py --json out.json
-  --seed N``), :func:`run_cli` runs every test in the module with a stub
-  ``benchmark`` fixture and writes one combined document.
+Each :func:`report` prints a table and writes it to
+``results/<bench>.txt`` and ``results/BENCH_<bench>.json``
+(``repro.obs.export``).  ``python -m benchmarks <name> [--seed N]
+[--only S] [--json P]`` runs :func:`run_cli`: every test of
+``bench_<name>.py`` with a stub ``benchmark`` fixture, into one combined
+document; pytest runs them as tests.
 """
 
 from __future__ import annotations
 
-import argparse
+import copy
+import importlib
 import os
 import sys
-from typing import Dict, Iterable, Optional, Sequence
-
-if __package__ in (None, ""):  # direct invocation: put repo root + src on the path
-    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sys.path[:0] = [_ROOT, os.path.join(_ROOT, "src")]
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import format_table
+from repro.chaos.events import FaultEvent
 from repro.constants import SEC
+from repro.core.autopilot import AutopilotParams
+from repro.host.localnet import LocalNet
+from repro.host.workload import RpcClient, RpcServer
+from repro.network import Network
 from repro.obs import artifact
 from repro.obs.export import bench_document, bench_result
 from repro.scenario import ScenarioResult, drive_scenario
+from repro.topology import TopologySpec
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+#: the longest a rig's boot or reconvergence may take before the bench
+#: fails (every row converges in under 2 s of sim time at seed 0)
+CONVERGE_TIMEOUT_NS = 60 * SEC
 
 #: the combined document being assembled by run_cli (None under pytest)
 _document: Optional[Dict] = None
-#: seed requested via --seed / REPRO_BENCH_SEED (None = bench default)
+#: seed requested via --seed (None: REPRO_BENCH_SEED, else 0)
 _seed_override: Optional[int] = None
 
 
-def current_seed(default: int = 0) -> int:
-    """The RNG seed benches should build their networks with."""
+def current_seed() -> int:
+    """The RNG seed benches build their networks with."""
     if _seed_override is not None:
         return _seed_override
-    env = os.environ.get("REPRO_BENCH_SEED")
-    if env is not None:
-        return int(env)
-    return default
+    return int(os.environ.get("REPRO_BENCH_SEED", 0))
+
+
+@dataclass(frozen=True)
+class Rpc:
+    """A closed-loop RPC workload: host ``client`` calls host ``server``."""
+
+    timeout_ns: int
+    think_ns: int
+
+
+@dataclass(frozen=True)
+class Row:
+    """One experiment's installation and what happens to it."""
+
+    topology: TopologySpec
+    #: ``AutopilotParams`` overrides by dotted path, e.g.
+    #: ``{"reconfig.reset_on_load": False}``; a path naming no field raises
+    params: Mapping[str, object] = field(default_factory=dict)
+    #: ``Network`` keyword arguments: which observers, which traffic
+    network: Mapping[str, object] = field(default_factory=dict)
+    #: host name -> its one or two (switch, port) attachments, in add order
+    hosts: Mapping[str, Sequence[Tuple[int, int]]] = field(default_factory=dict)
+    #: hosts left without a LocalNet (a bridge's port, a host to power off)
+    bare: Tuple[str, ...] = ()
+    workload: Optional[Rpc] = None
+    #: idle time after boot convergence, before the workload starts
+    settle_ns: int = 5 * SEC
+    #: workload time before the faults
+    load_ns: int = 0
+    #: applied at the fault instant, or ``at_ns`` after it
+    faults: Tuple[FaultEvent, ...] = ()
+    #: after the faults: run this long, or (None) until reconverged
+    stop: Optional[int] = 0
+
+
+def autopilot_params(overrides: Mapping[str, object]) -> AutopilotParams:
+    """Fresh ``AutopilotParams`` with each dotted-path override set (a
+    copy of its value); a path naming no field raises ``KeyError``."""
+    params = AutopilotParams()
+    for path, value in overrides.items():
+        *parents, leaf = path.split(".")
+        target = params
+        for name in parents:
+            target = getattr(target, _field(target, name, path))
+        setattr(target, _field(target, leaf, path), copy.deepcopy(value))
+    return params
+
+
+def _field(record: object, name: str, path: str) -> str:
+    if not is_dataclass(record) or name not in {f.name for f in fields(record)}:
+        raise KeyError(f"AutopilotParams has no field {path!r}")
+    return name
+
+
+class Rig:
+    """A :class:`Row` built: ``net``, a LocalNet per host in
+    ``localnets`` (bare ones excepted) and, once booted, the RPC
+    ``client`` and ``server``.  Nothing has run yet."""
+
+    def __init__(self, row: Row) -> None:
+        self.row = row
+
+        def factory(_index: int) -> AutopilotParams:
+            return autopilot_params(row.params)
+
+        self.net = Network(row.topology, params_factory=factory if row.params else None,
+                           seed=current_seed(), **row.network)
+        for name, attachments in row.hosts.items():
+            self.net.add_host(name, attachments)
+        self.localnets = {
+            name: LocalNet(self.net.drivers[name]) for name in row.hosts if name not in row.bare
+        }
+        self.client: Optional[RpcClient] = None
+        self.server: Optional[RpcServer] = None
+
+    def boot(self) -> "Rig":
+        """Converge, idle ``settle_ns``, start the workload and run it
+        ``load_ns``: the clock then stands at the fault instant."""
+        net, row = self.net, self.row
+        assert net.run_until_converged(CONVERGE_TIMEOUT_NS), f"no boot: {row.topology.name}"
+        net.run_for(row.settle_ns)
+        if row.workload is not None:
+            self.server = RpcServer(self.localnets["server"])
+            self.client = RpcClient(self.localnets["client"], net.hosts["server"].uid,
+                                    timeout_ns=row.workload.timeout_ns,
+                                    think_ns=row.workload.think_ns)
+        if row.load_ns:
+            net.run_for(row.load_ns)
+        return self
+
+    def inject(self) -> "Rig":
+        """Apply the faults -- an event with ``at_ns`` 0 at once, the
+        rest scheduled that far ahead -- then run the stop rule."""
+        net, stop = self.net, self.row.stop
+        t0 = net.sim.now
+        for event in self.row.faults:
+            if event.at_ns:
+                net.sim.at(t0 + event.at_ns, event.apply, net)
+            else:
+                event.apply(net)
+        if stop is None:
+            assert net.run_until_converged(CONVERGE_TIMEOUT_NS), "no reconvergence"
+        elif stop:
+            net.run_for(stop)
+        return self
 
 
 def measured_cut(net, cut=None, load_ns: int = 2 * SEC) -> ScenarioResult:
@@ -131,58 +242,38 @@ class _StubBenchmark:
         return target(*args, **kwargs)
 
 
-def run_cli(namespace: Dict, bench_id: Optional[str] = None) -> None:
-    """Entry point for ``python benchmarks/bench_X.py [--json F] [--seed N]``.
-
-    Runs every ``test_*`` function in ``namespace`` with a stub
-    ``benchmark`` fixture, accumulates their :func:`report` tables, and
-    optionally writes the combined schema-valid JSON document.
-    """
+def run_cli(name: str, seed: Optional[int], only: Optional[str],
+            json_path: Optional[str]) -> int:
+    """Run every ``test_*`` function of ``bench_<name>.py`` whose name
+    contains ``only`` with a stub ``benchmark`` fixture, optionally write
+    their combined tables to ``json_path``, and return the exit status."""
     global _document, _seed_override
 
-    if bench_id is None:
-        bench_id = (
-            os.path.splitext(os.path.basename(namespace.get("__file__", "bench")))[0]
-            .replace("bench_", "")
-        )
-    doc = namespace.get("__doc__") or ""
-    title = doc.strip().splitlines()[0].strip() if doc.strip() else bench_id
-
-    parser = argparse.ArgumentParser(description=title)
-    parser.add_argument("--json", dest="json_path", metavar="PATH",
-                        help="write the combined results document here")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed threaded into the benches")
-    parser.add_argument("--only", default=None, metavar="SUBSTR",
-                        help="run only tests whose name contains SUBSTR")
-    args = parser.parse_args()
-
+    module = importlib.import_module(f"benchmarks.bench_{name}")
     tests = [
-        (name, fn)
-        for name, fn in sorted(namespace.items())
-        if name.startswith("test_") and callable(fn)
+        (test, fn)
+        for test, fn in sorted(vars(module).items())
+        if test.startswith("test_") and callable(fn) and (only is None or only in test)
     ]
-    if args.only:
-        tests = [(n, f) for n, f in tests if args.only in n]
     if not tests:
         print("no tests selected", file=sys.stderr)
-        sys.exit(2)
-
-    if args.seed is not None:
-        _seed_override = args.seed
+        return 2
+    if seed is not None:
+        _seed_override = seed
 
     failures = []
-    _document = bench_document(bench_id, title=title, seed=current_seed())
-    for name, fn in tests:
-        print(f"-- {name}")
+    title = module.__doc__.strip().splitlines()[0].strip()
+    _document = bench_document(name, title=title, seed=current_seed())
+    for test, fn in tests:
+        print(f"-- {test}")
         try:
             fn(_StubBenchmark())
         except AssertionError as error:
-            failures.append(name)
-            print(f"FAILED {name}: {error}", file=sys.stderr)
+            failures.append(test)
+            print(f"FAILED {test}: {error}", file=sys.stderr)
 
-    if args.json_path:
-        artifact.write(args.json_path, _document)
-        print(f"wrote {args.json_path}")
+    if json_path:
+        artifact.write(json_path, _document)
+        print(f"wrote {json_path}")
     _document = None
-    sys.exit(1 if failures else 0)
+    return 1 if failures else 0

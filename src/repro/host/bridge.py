@@ -144,11 +144,11 @@ class AutonetEthernetBridge(_ForwardingCpu):
             return
         cost = EXAMINE_NS + FORWARD_NS + 2 * QBUS_PER_BYTE_NS * packet.data_bytes
         dest = ETHERNET_BROADCAST if broadcast else packet.dest_uid
-        self._enqueue(cost, self._emit_ethernet, dest, packet.data_bytes, packet.payload)
+        self._enqueue(cost, self._emit_ethernet, dest, packet)
 
-    def _emit_ethernet(self, dest: Uid, data_bytes: int, payload) -> None:
+    def _emit_ethernet(self, dest: Uid, packet: Packet) -> None:
         self.forwarded_to_ethernet += 1
-        self.station.send(dest, min(data_bytes, 1500), payload)
+        self.station.send(dest, min(packet.data_bytes, 1500), packet.payload, src=packet.src_uid)
 
     def _maybe_proxy_arp(self, packet: Packet, request: ArpRequest) -> None:
         """Answer an Autonet ARP for a host known to live on the Ethernet;

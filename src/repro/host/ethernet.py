@@ -60,7 +60,7 @@ class Ethernet:
         self.name = name
         self.max_queue = max_queue
         self.stations: Dict[Uid, EthernetStation] = {}
-        self._queue: Deque[Tuple[EthernetStation, Uid, int, object]] = deque()
+        self._queue: Deque[Tuple[EthernetStation, Uid, Uid, int, object]] = deque()
         self._busy = False
         self.frames_carried = 0
         self.bytes_carried = 0

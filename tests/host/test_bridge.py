@@ -81,15 +81,22 @@ def test_round_trip_conversation(bridged):
     h0_uid = net.hosts["h0"].uid
     heard_on_ethernet = []
     heard_on_autonet = []
-    e0.on_receive = lambda src, dst, size, p: heard_on_ethernet.append(size)
+
+    def answer(src, dst, size, payload):
+        heard_on_ethernet.append((src, size))
+        if size == 400:
+            e0.send(src, 500)  # an Ethernet host answers the source it saw
+
+    e0.on_receive = answer
     ln0.on_datagram = lambda src, et, size, pkt: heard_on_autonet.append(size)
 
     e0.send(h0_uid, 300)       # teaches the bridge + h0 about e0
     net.run_for(2 * SEC)
     assert heard_on_autonet == [300]
-    ln0.send(Uid(0xE0), 400)   # reply crosses back
+    ln0.send(Uid(0xE0), 400)   # h0's datagram crosses under h0's own UID
     net.run_for(2 * SEC)
-    assert 400 in heard_on_ethernet
+    assert (h0_uid, 400) in heard_on_ethernet
+    assert heard_on_autonet == [300, 500]
 
 
 def test_bridge_refuses_oversize_packets(bridged):
