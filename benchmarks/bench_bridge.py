@@ -14,7 +14,7 @@ import pytest
 from benchmarks.bench_util import Rig, Row, report
 from repro.host.ethernet import Ethernet
 from repro.constants import MS, SEC, US
-from repro.host.bridge import AutonetEthernetBridge
+from repro.host.bridge import Bridge
 from repro.net.packet import Packet, PacketType
 from repro.topology import line
 from repro.types import Uid
@@ -30,7 +30,7 @@ def build_rig():
     ether = Ethernet(net.sim, max_queue=100_000)
     station = ether.attach(net.hosts["bridge"].uid, "bridge-eth")
     e0 = ether.attach(E0, "e0")
-    bridge = AutonetEthernetBridge(net.drivers["bridge"], station, max_backlog=10_000)
+    bridge = Bridge(net.drivers["bridge"], station, max_backlog=10_000)
     rig.boot()
     # teach the bridge where e0 lives
     e0.send(net.hosts["h0"].uid, 64)
@@ -81,8 +81,8 @@ def test_bridge_rates(benchmark):
         # small packets (~66 bytes of client data) at an offered rate well
         # above the CPU limit, then maximum-size Ethernet packets; each run
         # drains the backlog for 200 ms after the offer
-        small = rate(via_bridge, lambda b: b.forwarded_to_ethernet, 66, 200 * US, 5000, 1200 * MS)
-        large = rate(via_bridge, lambda b: b.forwarded_to_ethernet, 1500, 1 * MS, 1000, 1200 * MS)
+        small = rate(via_bridge, lambda bridge: bridge.b.forwarded, 66, 200 * US, 5000, 1200 * MS)
+        large = rate(via_bridge, lambda bridge: bridge.b.forwarded, 1500, 1 * MS, 1000, 1200 * MS)
         # discard rate: packets between two Autonet hosts that reach the
         # bridge (e.g. flooded broadcasts) need only examination
         discard = rate(h0_by_broadcast, lambda b: b.discarded, 66, 150 * US, 6000, 1100 * MS)

@@ -9,7 +9,7 @@ Run:  python examples/bridged_lan.py
 from repro import Network, line, Uid
 from repro.host.ethernet import ETHERNET_BROADCAST, Ethernet
 from repro.constants import SEC
-from repro.host.bridge import AutonetEthernetBridge
+from repro.host.bridge import Bridge
 from repro.host.localnet import LocalNet
 
 
@@ -23,7 +23,7 @@ def main() -> None:
     ether = Ethernet(net.sim)
     station = ether.attach(bridge_ctrl.uid, "bridge-eth")
     legacy = ether.attach(Uid(0xE7), "legacy-vax")
-    bridge = AutonetEthernetBridge(net.drivers["firefly-bridge"], station)
+    bridge = Bridge(net.drivers["firefly-bridge"], station)
 
     print("bringing up the Autonet and the bridge...")
     assert net.run_until_converged(timeout_ns=60 * SEC)
@@ -57,8 +57,8 @@ def main() -> None:
     net.run_for(2 * SEC)
     print(f"  legacy-vax -> workstation delivered: {ws_heard}")
 
-    print(f"\nbridge counters: {bridge.forwarded_to_ethernet} -> Ethernet, "
-          f"{bridge.forwarded_to_autonet} -> Autonet, "
+    print(f"\nbridge counters: {bridge.b.forwarded} -> Ethernet, "
+          f"{bridge.a.forwarded} -> Autonet, "
           f"{bridge.proxy_arps} proxy ARPs, {bridge.discarded} discarded")
 
 

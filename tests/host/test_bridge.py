@@ -4,8 +4,9 @@ import pytest
 
 from repro.host.ethernet import ETHERNET_BROADCAST, Ethernet
 from repro.constants import SEC
-from repro.host.bridge import AutonetEthernetBridge
+from repro.host.bridge import Bridge
 from repro.host.localnet import BROADCAST_UID, LocalNet
+from repro.net.packet import PacketType
 from repro.network import Network
 from repro.topology import line
 from repro.types import Uid
@@ -22,7 +23,7 @@ def bridged():
     ether = Ethernet(net.sim)
     bridge_station = ether.attach(bridge_ctrl.uid, "bridge-eth")
     e0 = ether.attach(Uid(0xE0), "e0")
-    bridge = AutonetEthernetBridge(net.drivers["bridge"], bridge_station)
+    bridge = Bridge(net.drivers["bridge"], bridge_station)
     assert net.run_until_converged(timeout_ns=30 * SEC)
     net.run_for(5 * SEC)
     return net, ln0, ether, e0, bridge
@@ -36,7 +37,7 @@ def test_autonet_broadcast_crosses_to_ethernet(bridged):
     net.run_for(1 * SEC)
     assert got, "broadcast did not cross the bridge"
     assert got[0][1] == 700
-    assert bridge.forwarded_to_ethernet >= 1
+    assert bridge.b.forwarded >= 1
 
 
 def test_ethernet_to_autonet_host(bridged):
@@ -47,7 +48,7 @@ def test_ethernet_to_autonet_host(bridged):
     e0.send(h0_uid, 600)
     net.run_for(1 * SEC)
     assert got == [(Uid(0xE0), 600)]
-    assert bridge.forwarded_to_autonet >= 1
+    assert bridge.a.forwarded >= 1
 
 
 def test_proxy_arp_lets_autonet_host_reach_ethernet_host(bridged):
@@ -136,3 +137,28 @@ def test_bridge_refuses_encrypted_packets(bridged):
     net.drivers["h0"].send(secret)
     net.run_for(1 * SEC)
     assert bridge.refused_encrypted == 1
+
+
+def test_frames_queued_across_a_failover_never_leave_with_source_short_zero(bridged, monkeypatch):
+    """Readiness is decided when a frame leaves, by ``AutonetDriver.send``:
+    a frame queued in the bridge's CPU while the driver still had a short
+    address, emitted after a failover made it forget that address, is
+    discarded rather than sent from short address 0 (the local switch)."""
+    net, ln0, ether, e0, bridge = bridged
+    ctrl = net.hosts["bridge"]
+    sent = []
+
+    def record(packet, send=ctrl.send):
+        sent.append(packet)
+        return send(packet)
+
+    monkeypatch.setattr(ctrl, "send", record)
+    for _ in range(5):
+        e0.send(net.hosts["h0"].uid, 64)
+    net.run_for(500_000)  # all five are in the bridge's CPU, none has left
+    assert bridge.examined >= 5 and not [p for p in sent if p.ptype is PacketType.CLIENT]
+    net.drivers["bridge"]._fail_over()
+    net.run_for(1 * SEC)
+    client = [p for p in sent if p.ptype is PacketType.CLIENT]
+    assert [p.src_short for p in client if p.src_short == 0] == []
+    assert bridge.a.forwarded + bridge.discarded == 5
