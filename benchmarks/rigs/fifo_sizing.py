@@ -25,7 +25,7 @@ from repro.constants import (
     BYTES_IN_FLIGHT_PER_KM,
     FLOW_CONTROL_SLOT_PERIOD,
 )
-from repro.net.fifo import ReceiveFifo
+from repro.net.fifo import ReceiveFifo, TransmitQueue
 from repro.net.flowcontrol import FlowControlReceiver, FlowControlSender
 from repro.net.link import Endpoint, Transmitter, connect
 from repro.net.packet import Packet, PacketType
@@ -56,8 +56,7 @@ class _Source(Endpoint):
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.buffer = ReceiveFifo(sim, "source.buffer", capacity=1 << 30)
-        self.buffer.on_head_ready = self._head_ready
+        self.buffer = TransmitQueue(sim, "source.buffer", on_head_ready=self._head_ready)
         self.fc_receiver = FlowControlReceiver(on_change=lambda d: self.buffer.recompute())
         self.tx = Transmitter(self, self.fc_receiver)
 
@@ -65,7 +64,7 @@ class _Source(Endpoint):
         pass  # sources send no flow control of their own
 
     def offer(self, packet: Packet) -> None:
-        self.buffer.enqueue_buffered(packet)
+        self.buffer.enqueue(packet)
 
     def _head_ready(self, packet: Packet) -> None:
         self.buffer.connect_drain([self.tx], broadcast=packet.is_broadcast)

@@ -21,6 +21,7 @@ from repro.constants import (
     ADDR_ONE_HOP_BASE,
     CONTROL_PROCESSOR_PORT,
     MS,
+    PORT_NUMBER_BITS,
     US,
 )
 from repro.core.messages import (
@@ -196,10 +197,6 @@ class Autopilot:
     def configured(self) -> bool:
         return self.engine.configured
 
-    @property
-    def short_address(self) -> int:
-        return make_short_address(self.engine.my_number, CONTROL_PROCESSOR_PORT)
-
     # -- lifecycle ------------------------------------------------------------------------
 
     def halt(self) -> None:
@@ -227,19 +224,22 @@ class Autopilot:
         """
         if not self.alive:
             return
+        sim = self.sim
+        sim.packet_ids += 1
         packet = Packet(
             dest_short=dest_short,
-            src_short=self.short_address,
+            # the control processor's own short address: its port 0
+            src_short=self.engine.my_number << PORT_NUMBER_BITS,
             ptype=message.ptype,
             data_bytes=message.encoded_bytes(),
             payload=message,
-            packet_id=self.sim.new_packet_id(),
-            created_at=self.sim.now,
+            packet_id=sim.packet_ids,
+            created_at=sim.now,
         )
-        rec = self.sim.recorder
+        rec = sim.recorder
         if rec is not None:
             packet.flight_eid = rec.record(
-                self.sim.now,
+                sim.now,
                 self.switch.name,
                 CAT_MESSAGE,
                 "msg-send",

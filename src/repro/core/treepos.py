@@ -12,15 +12,14 @@ position is a *better parent link* if it leads to:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.types import Uid
 
 
-@dataclass(frozen=True)
-class TreePosition:
-    """A switch's claimed position in the spanning tree."""
+class TreePosition(NamedTuple):
+    """A switch's claimed position in the spanning tree: a tuple, built and
+    compared for every tree-position message."""
 
     root: Uid
     level: int
@@ -30,15 +29,15 @@ class TreePosition:
     @staticmethod
     def as_root(uid: Uid) -> "TreePosition":
         """The initial position: every switch assumes it is the root."""
-        return TreePosition(root=uid, level=0, parent_uid=None, parent_port=None)
+        return TreePosition(uid, 0)
 
     def sort_key(self) -> tuple:
-        """Total order: smaller is better."""
+        """Total order: smaller is better (a UID orders by its value)."""
         return (
-            self.root,
+            self.root.value,
             self.level,
-            self.parent_uid if self.parent_uid is not None else Uid(0),
-            self.parent_port if self.parent_port is not None else -1,
+            0 if self.parent_uid is None else self.parent_uid.value,
+            -1 if self.parent_port is None else self.parent_port,
         )
 
     def better_than(self, other: "TreePosition") -> bool:
@@ -49,9 +48,4 @@ def candidate_position(
     neighbor_root: Uid, neighbor_level: int, neighbor_uid: Uid, my_port: int
 ) -> TreePosition:
     """The position I would hold by adopting this neighbor as parent."""
-    return TreePosition(
-        root=neighbor_root,
-        level=neighbor_level + 1,
-        parent_uid=neighbor_uid,
-        parent_port=my_port,
-    )
+    return TreePosition(neighbor_root, neighbor_level + 1, neighbor_uid, my_port)

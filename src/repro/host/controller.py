@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Optional
 
-from repro.net.fifo import ReceiveFifo
+from repro.net.fifo import TransmitQueue
 from repro.net.flowcontrol import Directive, FlowControlReceiver, FlowControlSender
 from repro.net.link import Endpoint, Transmitter
 from repro.net.packet import Packet
@@ -36,13 +37,8 @@ class HostPort(Endpoint):
         self.name = f"{controller.name}.port{index}"
         self.active = False
         #: transmit staging: packets fully buffered before serialization
-        self.tx_fifo = ReceiveFifo(
-            sim,
-            name=f"{self.name}.tx",
-            capacity=1 << 30,
-            on_head_ready=self._tx_head_ready,
-            on_packet_drained=self._tx_drained,
-        )
+        self.tx_queue = TransmitQueue(sim, f"{self.name}.tx", on_head_ready=self._tx_head_ready,
+                                      on_packet_drained=partial(controller._tx_complete, self))
         self.fc_receiver = FlowControlReceiver(on_change=self._fc_changed)
         self.tx = Transmitter(self, self.fc_receiver)
         self.fc_sender: Optional[FlowControlSender] = None
@@ -73,30 +69,24 @@ class HostPort(Endpoint):
         self.transmission_changed()
         if self.fc_sender is not None:
             self.fc_sender.mute(not active)
-        self.tx_fifo.recompute()
+        self.tx_queue.recompute()
 
     # -- transmit path -----------------------------------------------------------------
 
-    def enqueue(self, packet: Packet) -> None:
-        self.tx_fifo.enqueue_buffered(packet)
-
     def _tx_head_ready(self, packet: Packet) -> None:
         # no router on a host: the head packet drains straight to the link
-        self.tx_fifo.connect_drain([self.tx], broadcast=packet.is_broadcast)
-
-    def _tx_drained(self, packet: Packet) -> None:
-        self.controller._tx_complete(self, packet)
+        self.tx_queue.connect_drain([self.tx], broadcast=packet.is_broadcast)
 
     def _fc_changed(self, directive: Directive) -> None:
-        self.tx_fifo.recompute()
+        self.tx_queue.recompute()
 
     def queued_bytes(self) -> float:
-        return sum(e.size for e in self.tx_fifo.queue)
+        return sum(e.size for e in self.tx_queue.queue)
 
     def clear_tx(self) -> None:
         """Abort queued transmissions (used when failing over)."""
         self.tx.abort()
-        self.tx_fifo.clear()
+        self.tx_queue.clear()
 
     # -- receive path (Endpoint interface) ----------------------------------------------
 
@@ -196,7 +186,7 @@ class HostController:
             self.packets_dropped_tx += 1
             return False
         packet.created_at = packet.created_at or self.sim.now
-        port.enqueue(packet)
+        port.tx_queue.enqueue(packet)
         return True
 
     def _tx_complete(self, port: HostPort, packet: Packet) -> None:

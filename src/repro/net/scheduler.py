@@ -81,7 +81,8 @@ class SchedulingEngine:
 
     def port_freed(self, port: int) -> None:
         self.free |= 1 << port
-        self._kick()
+        if self.queue:
+            self._kick()
 
     def clear(self) -> None:
         """Drop all pending requests and free every port (switch reset)."""
@@ -140,4 +141,5 @@ class SchedulingEngine:
         self._busy_until = self.sim.now + self.decision_ns
         self.grants += 1
         self.grant(request, ports)
-        self._kick()
+        if self.queue:
+            self._kick()

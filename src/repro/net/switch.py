@@ -16,10 +16,10 @@ paper's proposed hardware improvement for the ablation bench.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.constants import PORTS_PER_SWITCH
-from repro.net.fifo import DiscardSink, DrainTarget, ReceiveFifo
+from repro.constants import DEFAULT_FIFO_BYTES, PORTS_PER_SWITCH
+from repro.net.fifo import DiscardSink, DrainTarget, ReceiveFifo, TransmitQueue
 from repro.net.forwarding import ForwardingTable, RowMap
 from repro.net.linkunit import LinkUnit
 from repro.net.packet import Packet
@@ -43,32 +43,6 @@ class CpSink(DrainTarget):
         self.switch._deliver_to_cp(packet)
 
 
-class Crossbar:
-    """Bookkeeping for the 13x13 crossbar: which input feeds each output."""
-
-    def __init__(self, n_ports: int) -> None:
-        self.n_ports = n_ports
-        self._output_source: Dict[int, int] = {}
-
-    def connect(self, in_port: int, out_ports: Tuple[int, ...]) -> None:
-        for port in out_ports:
-            if port in self._output_source:
-                raise RuntimeError(
-                    f"crossbar output {port} already connected to "
-                    f"input {self._output_source[port]}"
-                )
-            self._output_source[port] = in_port
-
-    def disconnect(self, out_port: int) -> None:
-        self._output_source.pop(out_port, None)
-
-    def clear(self) -> None:
-        self._output_source.clear()
-
-    def connections(self) -> Dict[int, int]:
-        return dict(self._output_source)
-
-
 class Switch:
     """One Autonet switch."""
 
@@ -87,20 +61,10 @@ class Switch:
         self.n_ports = n_ports
         self.powered = True
 
-        kwargs = {}
-        if fifo_bytes is not None:
-            kwargs["fifo_bytes"] = fifo_bytes
-        if cut_through_bytes is not None:
-            kwargs["cut_through_bytes"] = cut_through_bytes
+        fifo_bytes = DEFAULT_FIFO_BYTES if fifo_bytes is None else fifo_bytes
         self.ports: Dict[int, LinkUnit] = {
-            p: LinkUnit(
-                sim,
-                name=f"{name}.p{p}",
-                port_no=p,
-                on_head_ready=self._head_ready,
-                on_packet_drained=self._packet_drained,
-                **kwargs,
-            )
+            p: LinkUnit(sim, f"{name}.p{p}", p, self._head_ready, self._packet_drained,
+                        fifo_bytes=fifo_bytes, cut_through_bytes=cut_through_bytes)
             for p in range(1, n_ports + 1)
         }
         for port, unit in self.ports.items():
@@ -108,18 +72,21 @@ class Switch:
             unit.on_panic = partial(self._panicked, port)
 
         self.table = ForwardingTable(n_ports)
-        self.crossbar = Crossbar(n_ports)
         self.engine = SchedulingEngine(sim, n_ports, grant=self._granted)
         self.discard_sink = DiscardSink()
 
-        # port 0: control-processor injection FIFO and delivery sink
-        self._cp_fifo = ReceiveFifo(
-            sim,
-            name=f"{name}.cp",
-            capacity=1 << 30,
-            on_head_ready=partial(self._head_ready, 0),
-        )
-        self._cp_sink = CpSink(self)
+        # port 0: the control processor's transmit queue and delivery sink
+        self._cp_queue = TransmitQueue(sim, f"{name}.cp",
+                                       on_head_ready=partial(self._head_ready, 0))
+        #: per input port: where its packets wait
+        self._fifos: List[ReceiveFifo] = [
+            self._cp_queue, *(unit.fifo for unit in self.ports.values())]
+        #: per output port: its drain target, alone in a list that a grant
+        #: of that one output hands the FIFO (which never changes it)
+        self._targets: List[Sequence[DrainTarget]] = [
+            [CpSink(self)], *([unit.tx] for unit in self.ports.values())]
+        #: the crossbar: per output port, the input port feeding it, or None
+        self._feeding: List[Optional[int]] = [None] * (n_ports + 1)
         #: Autopilot's receive hook; set by the control program
         self.on_cp_packet: Optional[Callable[[Packet], None]] = None
 
@@ -128,10 +95,10 @@ class Switch:
         self.packets_discarded = 0
         self.packets_to_cp = 0
         self.resets = 0
-        #: input port -> packets granted output (0 = control processor)
-        self.port_forwarded: Dict[int, int] = {}
-        #: input port -> packets that fully left its FIFO
-        self.port_drained: Dict[int, int] = {}
+        #: per input port: packets granted output (0 = control processor)
+        self.port_forwarded = [0] * (n_ports + 1)
+        #: per input port: packets that fully left its FIFO
+        self.port_drained = [0] * (n_ports + 1)
         #: drop cause -> {input port -> count}; causes: "table-discard"
         #: (the forwarding entry said discard), "isolated" (port taken out
         #: of service mid-packet), "reset" (table load destroyed it)
@@ -147,19 +114,16 @@ class Switch:
         """The control processor queues a packet for transmission."""
         if not self.powered:
             return
-        self._cp_fifo.enqueue_buffered(packet)
+        self._cp_queue.enqueue(packet)
 
     def _deliver_to_cp(self, packet: Packet) -> None:
         self.packets_to_cp += 1
-        self.crossbar.disconnect(0)
+        self._feeding[0] = None
         self.engine.port_freed(0)
         if self.on_cp_packet is not None and self.powered:
             self.on_cp_packet(packet)
 
     # -- routing pipeline --------------------------------------------------------------------
-
-    def _fifo_for(self, in_port: int) -> ReceiveFifo:
-        return self._cp_fifo if in_port == 0 else self.ports[in_port].fifo
 
     def _head_ready(self, in_port: int, packet: Packet) -> None:
         """Address bytes captured: look up the table, queue a request."""
@@ -173,34 +137,37 @@ class Switch:
             ib = self.sim.inband
             if ib is not None:
                 ib.record_drop(packet, self.name, "table-discard")
-            self._fifo_for(in_port).connect_drain([self.discard_sink], broadcast=False)
+            self._fifos[in_port].connect_drain([self.discard_sink], broadcast=False)
             return
         self.engine.add_request(Request(in_port, entry, packet))
 
     def _granted(self, request: Request, ports: Tuple[int, ...]) -> None:
         in_port = request.in_port
         packet = request.packet
-        fifo = self._cp_fifo if in_port == 0 else self.ports[in_port].fifo
-        targets: List[DrainTarget] = []
+        fifo = self._fifos[in_port]
+        feeding = self._feeding
         for port in ports:
-            if port == 0:
-                targets.append(self._cp_sink)
-            else:
-                unit = self.ports[port]
-                targets.append(unit.tx)
-                unit.drain_source = fifo
-        self.crossbar.connect(in_port, ports)
-        packet.record_hop(self.name, in_port, ports)
+            if feeding[port] is not None:
+                raise RuntimeError(
+                    f"crossbar output {port} already connected to input {feeding[port]}")
+            feeding[port] = in_port
+            if port:
+                self.ports[port].drain_source = fifo
+        packet.trail.append((self.name, in_port, ports))
         ib = self.sim.inband
         if ib is not None:
             ib.record_hop(packet, self.name, in_port, ports, fifo.peek_level())
         self.packets_forwarded += 1
-        self.port_forwarded[in_port] = self.port_forwarded.get(in_port, 0) + 1
-        fifo.connect_drain(targets, broadcast=request.entry.broadcast)
+        self.port_forwarded[in_port] += 1
+        targets = self._targets
+        fifo.connect_drain(
+            targets[ports[0]] if len(ports) == 1 else [targets[p][0] for p in ports],
+            broadcast=request.entry.broadcast,
+        )
 
     def _packet_drained(self, in_port: int, packet: Packet) -> None:
         """The head packet has fully left ``in_port``'s FIFO."""
-        self.port_drained[in_port] = self.port_drained.get(in_port, 0) + 1
+        self.port_drained[in_port] += 1
 
     def _panicked(self, port: int) -> None:
         """A panic directive arrived on ``port``: reset its link unit --
@@ -214,7 +181,7 @@ class Switch:
     def _tx_ended(self, port: int, packet: Packet) -> None:
         """``port``'s transmitter finished (or aborted) a packet."""
         self.ports[port].drain_source = None
-        self.crossbar.disconnect(port)
+        self._feeding[port] = None
         self.engine.port_freed(port)
 
     # -- table loading / reset ------------------------------------------------------------------
@@ -234,11 +201,11 @@ class Switch:
         if head is not None and head.targets:
             packet = head.packet
             packet.corrupted = True
-            for out_port, src in list(self.crossbar.connections().items()):
+            for out_port, src in enumerate(self._feeding):
                 if src != in_port:
                     continue
                 if out_port == 0:
-                    self.crossbar.disconnect(0)
+                    self._feeding[0] = None
                     self.engine.port_freed(0)
                     continue
                 tx = self.ports[out_port].tx
@@ -246,7 +213,7 @@ class Switch:
                     tx.abort()  # on_end hook frees the port
                 else:
                     self.ports[out_port].drain_source = None
-                    self.crossbar.disconnect(out_port)
+                    self._feeding[out_port] = None
                     self.engine.port_freed(out_port)
         self.engine.remove_requests_from(in_port)
         unit.reset()
@@ -260,8 +227,8 @@ class Switch:
             unit.tx.abort()
             unit.drain_source = None
             unit.reset()
-        self._cp_fifo.clear()
-        self.crossbar.clear()
+        self._cp_queue.clear()
+        self._feeding[:] = [None] * (self.n_ports + 1)
         self.engine.clear()
 
     def clear_table(self, reset_on_load: bool = True) -> None:

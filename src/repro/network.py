@@ -16,7 +16,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Literal, Optional, Sequence, Set, Tuple
 
 from repro.constants import SEC
 from repro.core.autopilot import Autopilot, AutopilotParams
@@ -396,8 +396,8 @@ class Network:
                 if unit.misdirected_discards:
                     dropped["misdirected"] = unit.misdirected_discards
                 ports[p] = {
-                    "forwarded": switch.port_forwarded.get(p, 0),
-                    "drained": switch.port_drained.get(p, 0),
+                    "forwarded": switch.port_forwarded[p],
+                    "drained": switch.port_drained[p],
                     "dropped": dropped,
                     "fifo_highwater_bytes": unit.fifo.max_level,
                     "cut_through": unit.fifo.cut_through_packets,
@@ -535,18 +535,13 @@ class Network:
             return False
         if not all(ap.configured and ap.engine.table_loaded for ap in live):
             return False
-        views: Dict[Uid, frozenset] = {}
+        holders: Dict[frozenset, Set[Uid]] = {}
         for ap in live:
             if ap.engine.topology is None:
                 return False
-            views[ap.uid] = frozenset(ap.engine.topology.switches)
-        live_uids = set(views)
-        for uid, members in views.items():
-            if not members <= live_uids:
-                return False
-            if any(views[other] != members for other in members):
-                return False
-        return True
+            holders.setdefault(frozenset(ap.engine.topology.switches), set()).add(ap.uid)
+        # every switch a view names is live and holds that same view
+        return all(view <= uids for view, uids in holders.items())
 
     def run_until_converged(self, timeout_ns: int = 30 * SEC) -> bool:
         """Run until convergence has held for ``SETTLE_NS`` (polled every

@@ -16,7 +16,8 @@ timestamp, plus a binary heap of the bucket timestamps themselves.  Pushing
 an event is a dict lookup and a list append (plus one integer heap push the
 first time a timestamp is seen).  :meth:`Simulator.run` drains a bucket
 inline: it compares the heap's least timestamp with ``until`` before
-popping it, sets ``now`` once per bucket, and then walks the bucket in
+popping it, sets ``now``, reads the recorder and profiler and adds to
+``events_dispatched`` once per bucket, and then walks the bucket in
 append order -- a handler that schedules at ``now`` appends behind the
 walk.  Append order *is* the tie-break, so the dispatch order is exactly
 the ``(time, seq)`` order of a single heap keyed by a global sequence
@@ -149,16 +150,7 @@ class Simulator:
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current instant, after pending work."""
-        time = self.now
-        rec = self.recorder
-        event: Event = [fn, args, None if rec is None else rec.current]
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [event]
-            heappush(self._times, time)
-        else:
-            bucket.append(event)
-        return event
+        return self.after(0, fn, *args)
 
     # -- execution ----------------------------------------------------------------
 
@@ -175,9 +167,8 @@ class Simulator:
         if until is not None and until < self.now:
             raise ValueError(f"cannot run until the past: {until} < {self.now}")
         self._running = True
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.begin_run()
+        if self.profiler is not None:
+            self.profiler.begin_run()
         buckets = self._buckets
         times = self._times
         try:
@@ -188,6 +179,10 @@ class Simulator:
                 heappop(times)
                 self.now = time
                 bucket = buckets[time]
+                # an observer attached by a handler joins at the next instant
+                recorder = self.recorder
+                profiler = self.profiler
+                dispatched = 0
                 try:
                     # the list iterator sees events appended while it walks
                     for event in bucket:
@@ -195,22 +190,22 @@ class Simulator:
                         if fn is None:
                             continue
                         event[0] = None
-                        recorder = self.recorder
                         if recorder is not None:
                             # restore the causal context captured at schedule time
                             recorder.current = ctx
-                        profiler = self.profiler
-                        if profiler is not None:
+                        if profiler is None:
+                            fn(*args)
+                        else:
                             started = perf_counter_ns()
                             fn(*args)
                             profiler.account_call(fn, perf_counter_ns() - started)
-                        else:
-                            fn(*args)
-                        self.events_dispatched += 1
+                        dispatched += 1
                 except BaseException:
                     # write the bucket back: a rescan skips what already ran
                     heappush(times, time)
                     raise
+                finally:
+                    self.events_dispatched += dispatched
                 # exhausted: no same-time append can come later -- the clock
                 # only moves forward, and at() refuses past timestamps
                 del buckets[time]

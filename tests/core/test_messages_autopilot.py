@@ -91,11 +91,16 @@ class TestAutopilotServices:
         net.run_for(5 * SEC)
         assert ap.packets_handled == handled
 
-    def test_short_address_property(self):
+    def test_control_packets_carry_the_cp_address(self):
         net = Network(line(2))
         assert net.run_until_converged(timeout_ns=60 * SEC)
         ap = net.autopilots[0]
-        assert ap.short_address == make_short_address(ap.engine.my_number, 0)
+        sent = []
+        inject = ap.switch.inject_from_cp
+        ap.switch.inject_from_cp = lambda packet: (sent.append(packet), inject(packet))
+        net.run_for(1 * SEC)  # connectivity probes, at least
+        assert sent
+        assert {p.src_short for p in sent} == {make_short_address(ap.engine.my_number, 0)}
 
     def test_trace_is_bounded(self):
         """The event log is circular (section 6.7)."""

@@ -25,7 +25,7 @@ import pickle
 from functools import partial
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import ADDR_BROADCAST_HOSTS, SEC, US
@@ -252,12 +252,10 @@ def scripts(autonet_senders, stations, dests):
     )
 
 
-#: no explain phase: it traces every line of a failing script, minutes each
-PHASES = (Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink)
 ETHERNET_DESTS = (Uid(0xE0), Uid(0xE1), BROADCAST_UID, UNKNOWN)
 
 
-@settings(max_examples=40, deadline=None, phases=PHASES)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_ethernet_bridge_forwards_as_the_old_one(ethernet_world, data):
     h0 = ethernet_world["localnets"]["h0"].uid
@@ -266,7 +264,7 @@ def test_ethernet_bridge_forwards_as_the_old_one(ethernet_world, data):
     differential(ethernet_world, script, DeclaredEthernet, ethernet=True)
 
 
-@settings(max_examples=40, deadline=None, phases=PHASES)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_autonet_bridge_forwards_as_the_old_one(autonet_world, data):
     hosts = {name: ln.uid for name, ln in autonet_world["localnets"].items()}

@@ -26,11 +26,16 @@ protocol):
 :class:`ReceiveFifo`; :func:`peek_level` keeps the projection that called
 ``_level()``, ``min`` and ``max``, to be compared with, not installed.
 ``tests/naive_wire.py`` builds its own ``_recompute`` on these helpers.
+
+:func:`enqueue_buffered` and :class:`BufferedQueue` keep the path a whole
+packet took before ``TransmitQueue``: a receive FIFO of 1 GiB, fed packets
+that are already whole, through the receive FIFO's full pass
+(``tests/net/test_transmit_queue_oracle.py`` holds the queue to it).
 Nothing under ``src/`` may import this module.
 """
 
 from repro.constants import BYTE_TIME_NS
-from repro.net.fifo import _EPS, _NEVER, ReceiveFifo
+from repro.net.fifo import _EPS, _NEVER, FifoPacket, ReceiveFifo
 from repro.net.flowcontrol import Directive
 from repro.sim.engine import cancel
 
@@ -275,3 +280,24 @@ def install(monkeypatch):
         ("_program_boundary", _program_boundary),
     ):
         monkeypatch.setattr(ReceiveFifo, name, method, raising=False)
+
+
+def enqueue_buffered(self, packet):
+    """``ReceiveFifo.enqueue_buffered`` as it was: queue a packet that is
+    already whole in the buffer (nothing arrives)."""
+    self._advance()
+    entry = FifoPacket(packet, self.cut_through_bytes)
+    entry.bytes_in, entry.arriving = float(entry.size), False
+    self.queue.append(entry)
+    self.packets_seen += 1
+    self._recompute()
+
+
+class BufferedQueue(ReceiveFifo):
+    """A control processor's injection FIFO or a host's transmit staging as
+    it was: a 1 GiB receive FIFO fed whole packets."""
+
+    def __init__(self, sim, name, **callbacks):
+        ReceiveFifo.__init__(self, sim, name, capacity=1 << 30, **callbacks)
+
+    enqueue = enqueue_buffered

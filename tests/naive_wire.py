@@ -35,7 +35,7 @@ Nothing under ``src/`` may import this module.
 """
 
 from repro.constants import BYTE_TIME_NS
-from repro.net.fifo import _EPS, FifoPacket, ReceiveFifo
+from repro.net.fifo import _EPS, FifoPacket, ReceiveFifo, TransmitQueue
 from repro.net.link import Link, Transmitter
 from repro.net.scheduler import SchedulingEngine
 from tests import naive_fifo
@@ -186,6 +186,11 @@ def install(monkeypatch):
     naive_fifo.install(monkeypatch)
     monkeypatch.setattr(ReceiveFifo, "begin_packet", begin_packet)
     monkeypatch.setattr(ReceiveFifo, "_recompute", _recompute)
+    # whole packets wait as they did then: in a 1 GiB receive FIFO, drained
+    # by the pass above
+    monkeypatch.setattr(TransmitQueue, "__init__", naive_fifo.BufferedQueue.__init__)
+    monkeypatch.delattr(TransmitQueue, "_advance")
+    monkeypatch.delattr(TransmitQueue, "_recompute")
     monkeypatch.setattr(Transmitter, "abort", abort)
     monkeypatch.setattr(Link, "send_end", send_end)
     monkeypatch.setattr(SchedulingEngine, "_kick", _kick)

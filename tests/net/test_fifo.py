@@ -147,12 +147,18 @@ def test_overflow_rearms_when_the_level_falls_back_within_capacity():
     assert len(events["overflow"]) == 2
 
 
+def arrive_whole(sim, fifo, pkt):
+    """``pkt`` arrives at line rate and is whole when this returns."""
+    fifo.begin_packet(pkt, 1.0)
+    sim.run(until=sim.now + pkt.wire_bytes * BYTE_TIME_NS)
+
+
 def test_queued_packets_drain_in_order():
     sim = Simulator()
     fifo, events = make_fifo(sim, capacity=1 << 20)
     first, second = packet(100), packet(100)
     for pkt in (first, second):
-        fifo.enqueue_buffered(pkt)
+        arrive_whole(sim, fifo, pkt)
     sink = DiscardSink()
     # the head was announced; connect it, then the next on promotion
     assert [p for _, p in events["ready"]] == [first]
@@ -170,7 +176,7 @@ def test_drain_gated_by_target_permission():
     sink = GatedSink()
     sink.allowed = False
     pkt = packet(100)
-    fifo.enqueue_buffered(pkt)
+    arrive_whole(sim, fifo, pkt)
     fifo.connect_drain([sink], broadcast=False)
     sim.run(until=100_000)
     assert not events["drained"]
@@ -206,13 +212,14 @@ def test_an_overflow_found_by_the_closing_advance_still_names_the_tail():
     tail's packet, not nobody."""
     sim = Simulator()
     fifo, events = make_fifo(sim, capacity=100)
-    fifo.enqueue_buffered(packet(100))  # 140 bytes, never granted: over capacity
+    arrive_whole(sim, fifo, packet(100))  # 140 bytes, never granted: over capacity
+    dispatched, start, before = sim.events_dispatched, sim.now, list(events["overflow"])
     pkt = packet(100)
     fifo.begin_packet(pkt, 1.0)  # no capacity crossing ahead: one boundary, when whole
-    sim.run(until=1_000_000)
-    end = pkt.wire_bytes * BYTE_TIME_NS
-    assert sim.events_dispatched == 1
-    assert events["overflow"] == [(end, pkt)] and pkt.corrupted
+    sim.run(until=start + 1_000_000)
+    end = start + pkt.wire_bytes * BYTE_TIME_NS
+    assert sim.events_dispatched == dispatched + 1
+    assert events["overflow"] == before + [(end, pkt)] and pkt.corrupted
     assert not fifo.queue[-1].arriving and fifo.in_rate == 0.0
 
 
@@ -222,9 +229,9 @@ def test_a_reset_mid_drain_counts_the_bytes_drained_up_to_it():
     cleared first dropped them from the count)."""
     sim = Simulator()
     fifo, events = make_fifo(sim)
-    fifo.enqueue_buffered(packet(100))  # wire = 140, whole
+    arrive_whole(sim, fifo, packet(100))  # wire = 140
     fifo.connect_drain([DiscardSink()], broadcast=False)
-    sim.run(until=50 * BYTE_TIME_NS)
+    sim.run(until=sim.now + 50 * BYTE_TIME_NS)
     fifo.clear()
     assert fifo.bytes_forwarded == 50.0
     assert not fifo.queue and fifo.drain_rate == 0.0 and fifo._boundary is None

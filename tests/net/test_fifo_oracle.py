@@ -165,8 +165,8 @@ class Rig:
                 fifo.end_packet(self.packets[-1])
             elif step == "rate":  # upstream stalls or resumes
                 fifo.set_in_rate(args[0])
-            elif step == "buffered":
-                fifo.enqueue_buffered(self.packet(args[0]))
+            elif step == "buffered":  # a whole packet, as the parent queued one
+                naive_fifo.enqueue_buffered(fifo, self.packet(args[0]))
             elif step == "reset":  # what a switch reset does to one port
                 if self.pending is not None:
                     cancel(self.pending)  # the scheduling engine is cleared
@@ -293,7 +293,8 @@ def test_peek_level_is_the_min_max_projection_to_the_bit(held, arriving, in_rate
     for data_bytes, part_in, part_out in held:
         packet = Packet(dest_short=0x20, src_short=0x30, ptype=PacketType.DIAGNOSTIC,
                         data_bytes=data_bytes, packet_id=sim.new_packet_id())
-        entry = FifoPacket(packet, 25, arriving=False)
+        entry = FifoPacket(packet, 25)
+        entry.arriving = False
         entry.bytes_in = part_in * entry.size
         entry.bytes_out = part_out * entry.bytes_in
         fifo.queue.append(entry)

@@ -8,10 +8,10 @@ drain counters, every entry's bytes and flags) is what it was when the pass
 began.  The trigger's own change (an end marker closing the tail, a grant
 naming the drain) happens before its pass and is not the pass's.
 
-The triggers are the begin and end markers, a buffered enqueue, a rate
-marker, a grant (``connect_drain``), an external ``recompute`` (a downstream
-flow-control change, a reset), a boundary event, and the re-entry
-``_complete_head`` makes for the next head.  An end marker reaches a switch
+The triggers are the begin and end markers, a rate marker, a grant
+(``connect_drain``), an external ``recompute`` (a downstream flow-control
+change, a reset), a boundary event, and the re-entry ``_complete_head``
+makes for the next head.  An end marker reaches a switch
 FIFO only for a packet that may not have arrived whole (truncated, or its
 link changed state meanwhile); neither scenario has one.  Two fixed scenarios, both with
 observers off; the tables below are exact and deterministic:
@@ -22,10 +22,12 @@ observers off; the tables below are exact and deterministic:
   phase drained;
 * **src-lan-30 steady second**: the converged network, one second on.
 
-For scale, ``benchmarks/e2e`` ``dataplane_torus`` at seed 0 makes 149 101
-passes (169 501 while every packet sent a switch its end marker, all 20 400
-of those passes idle); 26 701 of its 27 600 complete-head re-entries are
-idle.
+Whole packets leaving a control processor or a host wait in a
+``TransmitQueue`` (``tests/net/test_cp_census.py``), not here.  For scale,
+``benchmarks/e2e`` ``dataplane_torus`` at seed 0 makes 120 301 passes
+(149 101 while host staging ran them too, 169 501 while every packet sent
+a switch its end marker, all 20 400 of those passes idle); 19 501 of its
+20 400 complete-head re-entries are idle.
 """
 
 from collections import Counter
@@ -42,7 +44,6 @@ from repro.topology import resolve_topology
 #: entry point -> trigger name; a pass is charged to the innermost one
 TRIGGERS = {
     "begin_packet": "begin",
-    "enqueue_buffered": "enqueue",
     "set_in_rate": "set-rate",
     "end_packet": "end",
     "connect_drain": "grant",
@@ -54,23 +55,21 @@ TRIGGERS = {
 #: trigger -> (passes, idle passes)
 TORUS_PERMUTATION = {
     "begin": (2880, 279),
-    "enqueue": (960, 0),
     "set-rate": (0, 0),
     "end": (0, 0),
-    "grant": (3840, 0),
+    "grant": (2880, 0),
     "recompute": (0, 0),
-    "boundary": (8841, 0),
-    "complete-head": (3840, 3561),
+    "boundary": (7881, 0),
+    "complete-head": (2880, 2601),
 }
 SRCLAN_STEADY_SECOND = {
     "begin": (1180, 0),
-    "enqueue": (1180, 440),
     "set-rate": (0, 0),
     "end": (0, 0),
-    "grant": (2360, 0),
+    "grant": (1180, 0),
     "recompute": (0, 0),
-    "boundary": (4135, 0),
-    "complete-head": (2360, 1920),
+    "boundary": (2955, 0),
+    "complete-head": (1180, 1180),
 }
 
 

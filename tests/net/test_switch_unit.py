@@ -10,31 +10,45 @@ from repro.net.forwarding import ForwardingEntry
 from repro.net.link import connect
 from repro.net.linkunit import BAD_CODE
 from repro.net.packet import Packet, PacketType
-from repro.net.switch import Crossbar, Switch
+from repro.net.scheduler import Request
+from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.topology.generators import TopologySpec, expected_tree
 from repro.types import Uid, make_short_address
 
 
 class TestCrossbar:
+    """The crossbar is the switch's per-output list of the input feeding it."""
+
+    @staticmethod
+    def held_grant():
+        """The control processor's one-hop packet granted output 2, whose
+        latched stop holds the drain: the connection stays up."""
+        sim = Simulator()
+        switch = Switch(sim, "sw", Uid(0xA))
+        switch.ports[2].fc_receiver.receive(Directive.STOP, 0)
+        switch.inject_from_cp(Packet(dest_short=ADDR_ONE_HOP_BASE + 1, src_short=0,
+                                     ptype=PacketType.DIAGNOSTIC, data_bytes=100))
+        sim.run_for(10_000)
+        return sim, switch
+
     def test_connect_disconnect(self):
-        xbar = Crossbar(12)
-        xbar.connect(3, (5, 7))
-        assert xbar.connections() == {5: 3, 7: 3}
-        xbar.disconnect(5)
-        assert xbar.connections() == {7: 3}
+        sim, switch = self.held_grant()
+        assert switch._feeding == [None, None, 0] + [None] * 10
+        switch.ports[2].fc_receiver.receive(Directive.START, sim.now)
+        sim.run_for(100_000)
+        assert switch._feeding == [None] * 13 and switch.ports[2].tx.packets_sent == 1
 
     def test_double_assignment_rejected(self):
-        xbar = Crossbar(12)
-        xbar.connect(3, (5,))
+        sim, switch = self.held_grant()
+        packet = Packet(dest_short=0x20, src_short=0, ptype=PacketType.DIAGNOSTIC)
         with pytest.raises(RuntimeError):
-            xbar.connect(4, (5,))
+            switch._granted(Request(1, ForwardingEntry((2,)), packet), (2,))
 
     def test_clear(self):
-        xbar = Crossbar(12)
-        xbar.connect(1, (2,))
-        xbar.clear()
-        assert xbar.connections() == {}
+        sim, switch = self.held_grant()
+        switch.reset()
+        assert switch._feeding == [None] * 13
 
 
 def star_switch(sim, host_ports):
@@ -178,7 +192,7 @@ class TestIsolatePort:
         # stop on one of its outputs keeps the drain from ever starting
         switch.ports[2].fc_receiver.receive(Directive.STOP, 0)
         pkt = Packet(dest_short=0x7FF, src_short=0, data_bytes=100)
-        switch.ports[1].fifo.enqueue_buffered(pkt)
+        switch.ports[1].rx_begin_packet(pkt, 1.0)
         sim.run_for(1_000_000)
         held = [p for p in range(13) if not switch.engine.free >> p & 1]
         assert held, "the broadcast was never granted"

@@ -174,10 +174,12 @@ def run_link(steps, slots, capacity, grant_delay):
     # the next packet's end marker arrives, which handler runs first decides
     # how that packet's drain is *classified* (not when it starts), and the
     # naive side's rate(0) marker runs ahead of both
+    fifo = receiver.fifo
     stats = [
-        (f.bytes_forwarded, f.max_level, f.cut_through_packets + f.buffered_packets,
-         f.packets_seen, len(f.queue))
-        for f in (source.buffer, receiver.fifo)
+        (fifo.bytes_forwarded, fifo.max_level, fifo.cut_through_packets + fifo.buffered_packets,
+         fifo.packets_seen, len(fifo.queue)),
+        # the source's transmit queue keeps no statistics: what it still holds
+        [entry.bytes_out.hex() for entry in source.buffer.queue],
     ]
     return sim.events_dispatched, (
         log, stats, [p.corrupted for p in packets], receiver.sink.packets_discarded,
@@ -281,9 +283,14 @@ def world_state(net, sinks):
     fifos = [
         (f.bytes_forwarded, f.max_level, f.cut_through_packets, f.buffered_packets, f.packets_seen)
         for switch in net.switches
-        for f in [switch._cp_fifo, *(unit.fifo for unit in switch.ports.values())]
+        for f in (unit.fifo for unit in switch.ports.values())
     ]
-    return events, (*state, hosts, fifos, [sink.latencies_ns for sink in sinks])
+    # the control processors' transmit queues keep no statistics: what
+    # they still hold, and the byte the head has drained to
+    cp_queues = [
+        [entry.bytes_out.hex() for entry in switch._cp_queue.queue] for switch in net.switches
+    ]
+    return events, (*state, hosts, fifos, cp_queues, [sink.latencies_ns for sink in sinks])
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

@@ -8,7 +8,7 @@ bijection honoring unique proposals.
 """
 
 import networkx as nx
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.analysis.invariants import (
     all_pairs_reachable,
@@ -197,3 +197,10 @@ def test_next_fc_slot_properties(now, phase):
     assert slot >= now
     assert (slot - phase) % FC_SLOT_PERIOD_NS == 0
     assert slot - now < FC_SLOT_PERIOD_NS
+
+
+def test_no_property_test_runs_the_explain_phase():
+    """``tests/conftest.py`` loads a profile without ``Phase.explain``, and
+    an ``@settings(...)`` without ``phases`` inherits it."""
+    assert Phase.explain not in settings.default.phases
+    assert Phase.explain not in settings(max_examples=5).phases

@@ -516,7 +516,7 @@ def test_a_table_name_src_lacks_is_found(tmp_path):
 def test_a_doc_name_that_does_not_resolve_is_found():
     text = (
         "`repro.net.link` carries it, `repro.net.channel` never existed; "
-        "`repro.network.Network.add_host()` and `repro.net.switch.Crossbar` are attributes, "
+        "`repro.network.Network.add_host()` and `repro.net.switch.CpSink` are attributes, "
         "`repro.net.switch.Crossbeam` is not; `repro.bench/1` is a schema tag."
     )
     assert unresolved_doc_names(text, resolves) == {
