@@ -261,13 +261,13 @@ class Autopilot:
 
     # -- packet reception --------------------------------------------------------------------
 
-    def _rx_interrupt(self, packet: Packet) -> None:
+    def _rx_interrupt(self, packet: Packet, in_port: int) -> None:
         """Interrupt level: enqueue for process-level handling."""
         if not self.alive:
             return
-        self.scheduler.run_soon(self._process, packet, cost=self.cpu.packet_handle_ns)
+        self.scheduler.run_soon(self._process, packet, in_port, cost=self.cpu.packet_handle_ns)
 
-    def _process(self, packet: Packet) -> None:
+    def _process(self, packet: Packet, in_port: int) -> None:
         if not self.alive:
             return
         self.packets_handled += 1
@@ -278,8 +278,6 @@ class Autopilot:
         message = packet.payload
         if message is None:
             return
-        in_port = packet.trail[-1][1] if packet.trail else CONTROL_PROCESSOR_PORT
-
         rec = self.sim.recorder
         if rec is not None:
             # parent crosses the wire: the send event stamped the packet.

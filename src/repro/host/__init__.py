@@ -6,7 +6,7 @@ alternate-link management of section 6.8.3, the LocalNet generic-LAN layer
 with its UID cache (section 6.8.1), and the bridges of section 6.8.2.
 """
 
-from repro.host.bridge import Bridge, EthernetEthernetBridge
+from repro.host.bridge import Bridge
 from repro.host.controller import HostController, HostPort
 from repro.host.crypto import KeyStore
 from repro.host.driver import AutonetDriver
@@ -16,7 +16,6 @@ from repro.host.workload import PeriodicSender, RpcClient, RpcServer, Sink
 
 __all__ = [
     "Bridge",
-    "EthernetEthernetBridge",
     "HostController",
     "HostPort",
     "KeyStore",

@@ -17,15 +17,15 @@ packet.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
-from typing import Any, Callable, Deque, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.constants import ADDR_BROADCAST_HOSTS, MAX_BROADCAST_DATA_BYTES, MAX_DATA_BYTES, US
 from repro.host.driver import AutonetDriver
-from repro.host.ethernet import ETHERNET_BROADCAST, EthernetStation
+from repro.host.ethernet import EthernetStation
 from repro.host.localnet import ArpRequest, ArpResponse, BROADCAST_UID
 from repro.net.packet import Packet
+from repro.sim.timers import TaskScheduler
 from repro.types import Uid
 
 # Per-packet CPU and I/O costs (two processors are dedicated to
@@ -38,44 +38,6 @@ FORWARD_NS = 650 * US
 #: twice (in and out); calibrated to the paper's 200-300 max-size
 #: packets per second
 QBUS_PER_BYTE_NS = 800
-
-
-class _ForwardingCpu:
-    """A bridge's forwarding processor: work items run one at a time,
-    each finishing ``cost`` ns after it starts; beyond ``max_backlog``
-    waiting items new work is dropped."""
-
-    def __init__(self, sim, max_backlog: int) -> None:
-        self.sim = sim
-        self.max_backlog = max_backlog
-        #: waiting work: (cost, fn, args)
-        self._backlog: Deque[Tuple[int, Callable[..., None], tuple]] = deque()
-        self._busy = False
-        self.discarded = 0
-        self.dropped_backlog = 0
-
-    def _enqueue(self, cost: int, fn: Callable[..., None], *args: Any) -> None:
-        if len(self._backlog) >= self.max_backlog:
-            self.dropped_backlog += 1
-            return
-        self._backlog.append((cost, fn, args))
-        if not self._busy:
-            self._busy = True
-            self._run_next()
-
-    def _run_next(self) -> None:
-        if not self._backlog:
-            self._busy = False
-            return
-        cost, fn, args = self._backlog.popleft()
-        self.sim.after(cost, self._finish, fn, *args)
-
-    def _finish(self, fn: Callable[..., None], *args: Any) -> None:
-        fn(*args)
-        self._run_next()
-
-    def _count_discard(self) -> None:
-        self.discarded += 1
 
 
 class _AutonetEnd:
@@ -144,7 +106,7 @@ class _EthernetEnd:
         return self.station.send(dest_uid, data_bytes, payload, src=src_uid)
 
 
-class Bridge(_ForwardingCpu):
+class Bridge:
     """A Firefly bridge between two networks (section 6.8.2), each end an
     Autonet driver or an Ethernet station.
 
@@ -152,9 +114,12 @@ class Bridge(_ForwardingCpu):
     filters a unicast whose destination is on the side it came from,
     answers ARP on behalf of hosts on the other side (probing that side
     first when it can and the target is unknown) and re-sends everything
-    else from the other end.  Counters: ``examined``, ``proxy_arps``,
-    ``refused_large``, ``refused_encrypted`` and the CPU's ``discarded``
-    and ``dropped_backlog`` here, ``forwarded`` per end (``a``, ``b``).
+    else from the other end, each on the forwarding CPU (``cpu``): work
+    items run one at a time, each finishing its cost after it starts, and
+    beyond ``max_backlog`` waiting items new work is dropped.  Counters:
+    ``examined``, ``proxy_arps``, ``refused_large``, ``refused_encrypted``,
+    ``discarded`` and ``dropped_backlog`` here, ``forwarded`` per end
+    (``a``, ``b``).
     """
 
     def __init__(self, a: Union[AutonetDriver, EthernetStation],
@@ -163,7 +128,9 @@ class Bridge(_ForwardingCpu):
         sim_a, sim_b = (d.ethernet.sim if e else d.sim for d, e in zip((a, b), ethernet))
         if sim_a is not sim_b or all(ethernet):  # checked before either end is wired
             raise ValueError("two networks of one simulator, at most one an Ethernet")
-        super().__init__(sim_a, max_backlog)
+        self.sim = sim_a
+        self.max_backlog = max_backlog
+        self.cpu = TaskScheduler(sim_a)
         self.a, self.b = (
             _EthernetEnd(self, device) if isinstance(device, EthernetStation)
             else _AutonetEnd(self, device, name)
@@ -179,6 +146,17 @@ class Bridge(_ForwardingCpu):
         self.proxy_arps = 0
         self.refused_large = 0
         self.refused_encrypted = 0
+        self.discarded = 0
+        self.dropped_backlog = 0
+
+    def _enqueue(self, cost: int, fn: Callable[..., None], *args: Any) -> None:
+        if len(self.cpu) >= self.max_backlog:
+            self.dropped_backlog += 1
+        else:
+            self.cpu.run(fn, *args, cost=cost)
+
+    def _count_discard(self) -> None:
+        self.discarded += 1
 
     def _other(self, end):
         return self.b if end is self.a else self.a
@@ -238,35 +216,3 @@ class Bridge(_ForwardingCpu):
             self.proxy_arps += 1
         else:
             self.discarded += 1
-
-
-class EthernetEthernetBridge:
-    """A classic learning bridge between two Ethernets (section 6.8.2):
-    forwards a frame only when the destination is, or might be, on the
-    other segment."""
-
-    def __init__(self, station_a: "EthernetStation", station_b: "EthernetStation") -> None:
-        self.stations = {"a": station_a, "b": station_b}
-        for side, station in self.stations.items():
-            station.promiscuous = True
-            station.on_receive = partial(self._from_side, side)
-        self.side_of: Dict[Uid, str] = {}
-        self.forwarded = 0
-        self.filtered = 0
-
-    @staticmethod
-    def _other(side: str) -> str:
-        return "b" if side == "a" else "a"
-
-    def _from_side(self, side: str, src: Uid, dst: Uid, size: int, payload) -> None:
-        if src in (s.uid for s in self.stations.values()):
-            return
-        self.side_of[src] = side
-        if dst in (s.uid for s in self.stations.values()):
-            return
-        if self.side_of.get(dst) == side and dst != ETHERNET_BROADCAST:
-            self.filtered += 1
-            return  # both ends on this segment
-        self.forwarded += 1
-        # transparent: the frame keeps its original source address
-        self.stations[self._other(side)].send(dst, size, payload, src=src)

@@ -12,15 +12,15 @@ fills and the controller discards packets (section 6.2).
 from __future__ import annotations
 
 import zlib
-from collections import deque
 from functools import partial
-from typing import Callable, Deque, Optional
+from typing import Callable, Optional
 
 from repro.net.fifo import TransmitQueue
 from repro.net.flowcontrol import Directive, FlowControlReceiver, FlowControlSender
 from repro.net.link import Endpoint, Transmitter
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
+from repro.sim.timers import TaskScheduler
 from repro.types import Uid
 
 #: transmit and receive buffer sizes of the Q-bus controller (section 5.2)
@@ -144,8 +144,9 @@ class HostController:
         self.on_receive: Optional[Callable[[Packet], None]] = None
         #: per-packet receive processing time before the buffer frees
         self.rx_processing_ns = 0
-        self._rx_backlog: Deque[Packet] = deque()
-        self._rx_processing = False
+        #: the receive processor: a slow consumer hands packets up one at
+        #: a time, each ``rx_processing_ns`` after it starts
+        self.rx = TaskScheduler(sim)
 
         # statistics
         self.packets_sent = 0
@@ -221,23 +222,12 @@ class HostController:
             return
         # slow consumer (e.g. a bridge): buffer until processed
         self._rx_held += packet.wire_bytes
-        self._rx_backlog.append(packet)
-        if not self._rx_processing:
-            self._rx_processing = True
-            self.sim.after(self.rx_processing_ns, self._process_one)
+        self.rx.run(self._hand_up, packet, cost=self.rx_processing_ns)
 
-    def _process_one(self) -> None:
-        if not self._rx_backlog:
-            self._rx_processing = False
-            return
-        packet = self._rx_backlog.popleft()
+    def _hand_up(self, packet: Packet) -> None:
         self._rx_held -= packet.wire_bytes
         if self.on_receive is not None:
             self.on_receive(packet)
-        if self._rx_backlog:
-            self.sim.after(self.rx_processing_ns, self._process_one)
-        else:
-            self._rx_processing = False
 
     # -- power ---------------------------------------------------------------------------------
 

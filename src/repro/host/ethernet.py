@@ -3,19 +3,18 @@
 Every packet occupies the single shared channel for its serialization
 time plus the interframe gap, so the aggregate bandwidth of the whole LAN
 equals the link bandwidth -- the bottleneck motivating the paper
-(section 1).  Contention is modeled as a FIFO over the shared medium with
-truncated binary exponential backoff approximated by a small randomized
-deferral on busy; at the loads the benches use, the FIFO serialization is
-what dominates, matching the shape of the paper's argument without a full
-CSMA/CD bit-level model.
+(section 1).  Contention is modeled as a FIFO over the shared medium,
+with no collisions or backoff; at the loads the benches use, the FIFO
+serialization is what dominates, matching the shape of the paper's
+argument without a full CSMA/CD bit-level model.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.sim.engine import Simulator
+from repro.sim.timers import TaskScheduler
 from repro.types import Uid
 
 #: 10 Mbit/s -> 800 ns per byte
@@ -60,8 +59,9 @@ class Ethernet:
         self.name = name
         self.max_queue = max_queue
         self.stations: Dict[Uid, EthernetStation] = {}
-        self._queue: Deque[Tuple[EthernetStation, Uid, Uid, int, object]] = deque()
-        self._busy = False
+        #: the shared channel: one frame at a time, in arrival order, each
+        #: delivered when its serialization and gap end
+        self.medium = TaskScheduler(sim)
         self.frames_carried = 0
         self.bytes_carried = 0
         self.frames_dropped = 0
@@ -75,28 +75,16 @@ class Ethernet:
                  payload: object, src: Optional[Uid] = None) -> bool:
         if data_bytes > MAX_FRAME_BYTES - 18:
             raise ValueError(f"frame too large for Ethernet: {data_bytes}")
-        if len(self._queue) >= self.max_queue:
+        if len(self.medium) >= self.max_queue:
             self.frames_dropped += 1
             return False
-        self._queue.append((station, src or station.uid, dest, data_bytes, payload))
-        if not self._busy:
-            self._start_next()
+        self.medium.run(self._deliver, station, src or station.uid, dest, data_bytes, payload,
+                        cost=self._frame_time(data_bytes))
         return True
 
     def _frame_time(self, data_bytes: int) -> int:
         frame = max(MIN_FRAME_BYTES, data_bytes + 18) + FRAME_OVERHEAD_BYTES
         return frame * ETHERNET_BYTE_TIME_NS + INTERFRAME_GAP_NS
-
-    def _start_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        station, src, dest, data_bytes, payload = self._queue.popleft()
-        self.sim.after(
-            self._frame_time(data_bytes), self._deliver,
-            station, src, dest, data_bytes, payload,
-        )
 
     def _deliver(self, station: EthernetStation, src: Uid, dest: Uid,
                  data_bytes: int, payload: object) -> None:
@@ -114,7 +102,6 @@ class Ethernet:
             for other in self.stations.values():
                 if other.promiscuous and other is not station and other is not target:
                     self._hand_up(other, src, dest, data_bytes, payload)
-        self._start_next()
 
     @staticmethod
     def _hand_up(station: EthernetStation, src: Uid, dest: Uid, data_bytes: int, payload: object) -> None:

@@ -10,7 +10,7 @@ instead of client data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, List, Optional, Tuple
 
@@ -59,8 +59,6 @@ class Packet:
     packet_id: int = 0
     #: creation time (filled by the injector)
     created_at: int = 0
-    #: (switch name, in port, out ports) per hop, for tracing and tests
-    trail: List[Tuple[str, int, Tuple[int, ...]]] = field(default_factory=list)
     #: flight-recorder id of the send event; crosses the wire with the
     #: packet so the receive can link back to it causally
     flight_eid: Optional[int] = None
@@ -86,9 +84,6 @@ class Packet:
     @property
     def is_broadcast(self) -> bool:
         return is_broadcast(self.dest_short)
-
-    def record_hop(self, switch_name: str, in_port: int, out_ports: Tuple[int, ...]) -> None:
-        self.trail.append((switch_name, in_port, out_ports))
 
     def __repr__(self) -> str:
         return (

@@ -87,8 +87,9 @@ class Switch:
             [CpSink(self)], *([unit.tx] for unit in self.ports.values())]
         #: the crossbar: per output port, the input port feeding it, or None
         self._feeding: List[Optional[int]] = [None] * (n_ports + 1)
-        #: Autopilot's receive hook; set by the control program
-        self.on_cp_packet: Optional[Callable[[Packet], None]] = None
+        #: Autopilot's receive hook (packet, the port it came in on); set
+        #: by the control program
+        self.on_cp_packet: Optional[Callable[[Packet, int], None]] = None
 
         # statistics
         self.packets_forwarded = 0
@@ -118,10 +119,11 @@ class Switch:
 
     def _deliver_to_cp(self, packet: Packet) -> None:
         self.packets_to_cp += 1
+        in_port = self._feeding[0]
         self._feeding[0] = None
         self.engine.port_freed(0)
         if self.on_cp_packet is not None and self.powered:
-            self.on_cp_packet(packet)
+            self.on_cp_packet(packet, in_port)
 
     # -- routing pipeline --------------------------------------------------------------------
 
@@ -133,7 +135,6 @@ class Switch:
         if entry.is_discard:
             self.packets_discarded += 1
             self._drop("table-discard", in_port)
-            packet.record_hop(self.name, in_port, ())
             ib = self.sim.inband
             if ib is not None:
                 ib.record_drop(packet, self.name, "table-discard")
@@ -153,7 +154,6 @@ class Switch:
             feeding[port] = in_port
             if port:
                 self.ports[port].drain_source = fifo
-        packet.trail.append((self.name, in_port, ports))
         ib = self.sim.inband
         if ib is not None:
             ib.record_hop(packet, self.name, in_port, ports, fifo.peek_level())

@@ -95,7 +95,9 @@ class Periodic:
 
 
 class TaskScheduler:
-    """Non-preemptive run-to-completion task scheduler for one processor.
+    """Non-preemptive run-to-completion task scheduler for one processor,
+    or any serial resource: the Ethernet medium, a bridge's forwarding
+    CPU and a slow host's receive processing run on one too.
 
     Tasks are procedure calls; at most one runs at a time.  A task that
     arrives while another runs, or behind tasks already waiting, joins
@@ -114,6 +116,15 @@ class TaskScheduler:
         #: waiting tasks, oldest first: (fn, args, cost, flight-recorder
         #: causal context of the arrival)
         self._waiting: Deque[Tuple[Callable[..., Any], tuple, int, Optional[int]]] = deque()
+
+    def __len__(self) -> int:
+        """The tasks waiting, not counting the one running."""
+        return len(self._waiting)
+
+    def run(self, fn: Callable[..., Any], *args: Any, cost: int = 0) -> None:
+        """An arrival now: ``fn`` starts at once on a free processor with
+        nobody waiting, else at the tail of the run queue."""
+        self._arrive(fn, args, cost)
 
     def run_soon(self, fn: Callable[..., Any], *args: Any, cost: int = 0) -> Event:
         """Run ``fn`` as soon as the processor is free."""

@@ -18,8 +18,9 @@ def assert_trail_legal(topology, trail, uid_of_switch_name):
     route: zero or more up traversals followed by zero or more down
     traversals (section 6.6.4).
 
-    ``trail`` is the packet's per-hop record [(switch name, in port,
-    out ports)]; ``uid_of_switch_name`` maps names to UIDs.
+    ``trail`` is the packet's route, one (switch name, in port, out
+    ports) per hop, as ``repro.obs.inband.path_of`` reads it off the
+    in-band hop stack; ``uid_of_switch_name`` maps names to UIDs.
     """
     index = topology.index()
     descended = False

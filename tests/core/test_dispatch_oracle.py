@@ -167,10 +167,8 @@ def deliver(net, index, message, port, dispatch):
         ap.on_code_download = booted.append
     packet = Packet(dest_short=0, src_short=0, ptype=message.ptype,
                     data_bytes=message.encoded_bytes(), payload=message)
-    if port != CONTROL_PROCESSOR_PORT:
-        packet.trail.append(("far", port, ()))
     del CALLS[:]
-    dispatch(net.autopilots[index], packet)
+    dispatch(net.autopilots[index], packet, port)
     calls = list(CALLS)
     state = [engine_state(ap.engine) for ap in net.autopilots]
     net.run_for(30 * MS)

@@ -78,7 +78,7 @@ class TestAutopilotServices:
                      corrupted=True)
         ap = net.autopilots[0]
         before = ap.crc_errors
-        ap._rx_interrupt(bad)
+        ap._rx_interrupt(bad, 1)
         net.run_for(1 * SEC)
         assert ap.crc_errors == before + 1
 

@@ -1,10 +1,10 @@
-"""The Autonet-to-Autonet bridge and the plain Ethernet bridge (§6.8.2)."""
+"""The bridge between two Autonets (§6.8.2)."""
 
 import pytest
 
-from repro.host.ethernet import ETHERNET_BROADCAST, Ethernet
+from repro.host.ethernet import Ethernet
 from repro.constants import SEC
-from repro.host.bridge import Bridge, EthernetEthernetBridge
+from repro.host.bridge import Bridge
 from repro.host.localnet import BROADCAST_UID, LocalNet
 from repro.network import Network
 from repro.sim.engine import Simulator
@@ -127,48 +127,3 @@ def test_a_rejected_bridge_leaves_its_devices_unwired():
         Bridge(*stations)
     assert [(s.on_receive, s.promiscuous) for s in stations] == [(None, False)] * 2
 
-
-class TestEthernetBridge:
-    def test_learning_and_forwarding(self):
-        sim = Simulator()
-        e1, e2 = Ethernet(sim, "e1"), Ethernet(sim, "e2")
-        s1 = e1.attach(Uid(0xB1), "bridge-1")
-        s2 = e2.attach(Uid(0xB2), "bridge-2")
-        bridge = EthernetEthernetBridge(s1, s2)
-        alice = e1.attach(Uid(0xA1))
-        bob = e2.attach(Uid(0xA2))
-        got = []
-        bob.on_receive = lambda src, dst, size, p: got.append((src, size))
-
-        alice.send(Uid(0xA2), 500)  # unknown: flooded across
-        sim.run(until=1 * SEC)
-        assert got == [(Uid(0xA1), 500)]
-        assert bridge.forwarded == 1
-
-    def test_same_segment_traffic_filtered(self):
-        sim = Simulator()
-        e1, e2 = Ethernet(sim, "e1"), Ethernet(sim, "e2")
-        bridge = EthernetEthernetBridge(e1.attach(Uid(0xB1)), e2.attach(Uid(0xB2)))
-        alice = e1.attach(Uid(0xA1))
-        carol = e1.attach(Uid(0xA3))
-        carol.send(Uid(0xA1), 100)  # teaches the bridge A1's side
-        sim.run(until=1 * SEC)
-        alice.send(Uid(0xA3), 100)  # teaches A3... then local chatter
-        sim.run(until=1 * SEC)
-        before = bridge.forwarded
-        alice.send(Uid(0xA3), 200)
-        sim.run(until=2 * SEC)
-        assert bridge.forwarded == before
-        assert bridge.filtered >= 1
-
-    def test_broadcast_always_crosses(self):
-        sim = Simulator()
-        e1, e2 = Ethernet(sim, "e1"), Ethernet(sim, "e2")
-        EthernetEthernetBridge(e1.attach(Uid(0xB1)), e2.attach(Uid(0xB2)))
-        alice = e1.attach(Uid(0xA1))
-        bob = e2.attach(Uid(0xA2))
-        got = []
-        bob.on_receive = lambda src, dst, size, p: got.append(size)
-        alice.send(ETHERNET_BROADCAST, 321)
-        sim.run(until=1 * SEC)
-        assert got == [321]

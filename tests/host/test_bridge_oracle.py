@@ -6,7 +6,8 @@ without a bridge; every Hypothesis example forks it twice by pickle (as
 ``tests/core/test_dispatch_oracle.py`` does), puts the old bridge on one
 copy and the new one on the other, and plays one random script on both:
 unicast, broadcast, ARP, oversize and encrypted sends from either side,
-failovers of a bridge driver, with random gaps.  Every host must receive
+failovers of a bridge driver, with random gaps, under a forwarding-CPU
+bound (``max_backlog``) of 1, 2 or 64.  Every host must receive
 the same packets at the same instants, the hosts' UID caches and the
 bridge's cache must agree, and so must every counter both bridges keep.
 
@@ -25,7 +26,7 @@ import pickle
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.constants import ADDR_BROADCAST_HOSTS, SEC, US
@@ -214,9 +215,10 @@ def new_counters(bridge, ethernet):
     return counters
 
 
-def differential(world, script, old_class, ethernet):
+def differential(world, script, old_class, ethernet, max_backlog=64):
     old_world, new_world = (pickle.loads(pickle.dumps(world)) for _ in range(2))
-    old, new = old_class(*old_world["ends"]), Bridge(*new_world["ends"])
+    old = old_class(*old_world["ends"], max_backlog=max_backlog)
+    new = Bridge(*new_world["ends"], max_backlog=max_backlog)
     # piecewise, so that a failure names what diverged
     for got, want in zip(play(new_world, script), play(old_world, script)):
         assert got == want
@@ -253,6 +255,8 @@ def scripts(autonet_senders, stations, dests):
 
 
 ETHERNET_DESTS = (Uid(0xE0), Uid(0xE1), BROADCAST_UID, UNKNOWN)
+#: the forwarding CPU's bound: tiny ones refuse work, as E6's 10 000 never does
+BACKLOGS = st.sampled_from([1, 2, 64])
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,7 +265,9 @@ def test_ethernet_bridge_forwards_as_the_old_one(ethernet_world, data):
     h0 = ethernet_world["localnets"]["h0"].uid
     bridge = ethernet_world["ends"][1].uid
     script = data.draw(scripts(["h0"], ["e0", "e1"], (h0, bridge, *ETHERNET_DESTS)))
-    differential(ethernet_world, script, DeclaredEthernet, ethernet=True)
+    old = differential(ethernet_world, script, DeclaredEthernet, ethernet=True,
+                       max_backlog=data.draw(BACKLOGS))
+    event("the CPU refused work" if old.dropped_backlog else "no work refused")
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,7 +277,9 @@ def test_autonet_bridge_forwards_as_the_old_one(autonet_world, data):
     ends = [driver.controller.uid for driver in autonet_world["ends"]]
     dests = (*hosts.values(), *ends, BROADCAST_UID, UNKNOWN)
     script = data.draw(scripts(sorted(hosts), [], dests))
-    differential(autonet_world, script, DeclaredAutonet, ethernet=False)
+    old = differential(autonet_world, script, DeclaredAutonet, ethernet=False,
+                       max_backlog=data.draw(BACKLOGS))
+    event("the CPU refused work" if old.dropped_backlog else "no work refused")
 
 
 def test_the_scripted_paths_are_reached(ethernet_world, autonet_world):

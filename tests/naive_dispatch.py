@@ -5,9 +5,10 @@ type up in one table, and the five reconfiguration types go to
 :meth:`repro.core.reconfig.ReconfigEngine.receive`, which holds the
 good-port gate, the epoch join, the laggard nudge and the step table.
 :func:`process` is the chain that did all of that inline in ``_process``,
-kept as it was but for the two places where the engine's interface moved:
-the gate counts into ``engine.msgs_gated``, and ``on_link_down`` takes the
-arrival port like every other step.
+kept as it was but for the places where an interface moved: the gate
+counts into ``engine.msgs_gated``, ``on_link_down`` takes the arrival port
+like every other step, and the arrival port is an argument (the switch
+hands it to the control processor with the packet).
 
 ``tests/core/test_dispatch_oracle.py`` holds the table to this chain.
 Nothing under ``src/`` may import this module.
@@ -30,7 +31,7 @@ from repro.core.messages import (
 from repro.sim.trace import CAT_MESSAGE
 
 
-def process(self, packet):
+def process(self, packet, in_port):
     """``Autopilot._process`` with the dispatch chain inline."""
     if not self.alive:
         return
@@ -42,8 +43,6 @@ def process(self, packet):
     message = packet.payload
     if message is None:
         return
-    in_port = packet.trail[-1][1] if packet.trail else CONTROL_PROCESSOR_PORT
-
     rec = self.sim.recorder
     if rec is not None:
         rec.record(

@@ -14,9 +14,12 @@ The rule, restated for this mechanism:
 * every request -- a call scheduled with ``at``/``after``/``call_soon``,
   or a processor asking for its turn -- draws the next *stamp* from one
   global counter; things due at one instant happen in stamp order;
-* a task that arrives on a free processor with nobody waiting starts at
-  once; any other arrival joins the tail of the processor's list, and if
-  the list was empty the processor asks for its turn (at ``busy_until``);
+* a task arrives when its ``run_soon`` hop is dispatched, or at once by
+  ``run``; one that arrives on a free processor with nobody waiting starts
+  at once; any other arrival joins the tail of the processor's list, and
+  if the list was empty the processor asks for its turn (at
+  ``busy_until``); ``len`` of a processor is its list's length (the
+  running task is not in it);
 * a turn starts tasks from the head of the list while the processor is
   free (a zero-cost task leaves it free), then, if anybody is still
   waiting, asks for the next turn;
@@ -108,6 +111,12 @@ class NaiveTaskScheduler:
         #: when the processor asked for the turn it is waiting for
         self.turn_stamp = None
         sim.processors.append(self)
+
+    def __len__(self):
+        return len(self.waiting)
+
+    def run(self, fn, *args, cost=0):
+        self.arrive(fn, args, cost)
 
     def run_soon(self, fn, *args, cost=0):
         return self.sim.call_soon(self.arrive, fn, args, cost)

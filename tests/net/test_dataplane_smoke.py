@@ -32,7 +32,7 @@ def _cp_packet(dest_short, size=100):
 def test_one_hop_cp_to_cp(pair):
     sim, a, b = pair
     received = []
-    b.on_cp_packet = received.append
+    b.on_cp_packet = lambda packet, in_port: received.append((packet, in_port))
 
     # one-hop address for A's port 3 directs the packet out that port;
     # at B it arrives on port 7 and the constant table sends it to port 0
@@ -40,18 +40,19 @@ def test_one_hop_cp_to_cp(pair):
     sim.run(until=10_000_000)
 
     assert len(received) == 1
-    pkt = received[0]
-    assert pkt.trail[0][0] == "A" and pkt.trail[0][1] == 0 and pkt.trail[0][2] == (3,)
-    assert pkt.trail[1][0] == "B" and pkt.trail[1][1] == 7 and pkt.trail[1][2] == (0,)
+    pkt, in_port = received[0]
+    assert in_port == 7
+    assert a.port_forwarded == [1] + [0] * 12 and a.ports[3].tx.packets_sent == 1
+    assert b.port_forwarded == [0] * 7 + [1] + [0] * 5
     assert not pkt.corrupted
 
 
 def test_one_hop_reply(pair):
     sim, a, b = pair
     got_a, got_b = [], []
-    a.on_cp_packet = got_a.append
+    a.on_cp_packet = lambda packet, _port: got_a.append(packet)
 
-    def reply(packet):
+    def reply(packet, _port):
         got_b.append(packet)
         b.inject_from_cp(_cp_packet(ADDR_ONE_HOP_BASE + 7 - 1))
 
@@ -66,7 +67,7 @@ def test_transfer_latency_is_physical(pair):
     """A packet's delivery time covers serialization + propagation."""
     sim, a, b = pair
     times = []
-    b.on_cp_packet = lambda p: times.append(sim.now)
+    b.on_cp_packet = lambda _packet, _port: times.append(sim.now)
     pkt = _cp_packet(ADDR_ONE_HOP_BASE + 2, size=1000)
     a.inject_from_cp(pkt)
     sim.run(until=50_000_000)
@@ -78,7 +79,7 @@ def test_transfer_latency_is_physical(pair):
 def test_unknown_address_discarded(pair):
     sim, a, b = pair
     received = []
-    b.on_cp_packet = received.append
+    b.on_cp_packet = lambda packet, _port: received.append(packet)
     a.inject_from_cp(_cp_packet(0x123))  # no table entry anywhere
     sim.run(until=10_000_000)
     assert received == []
@@ -88,7 +89,7 @@ def test_unknown_address_discarded(pair):
 def test_back_to_back_packets(pair):
     sim, a, b = pair
     received = []
-    b.on_cp_packet = received.append
+    b.on_cp_packet = lambda packet, _port: received.append(packet)
     for _ in range(20):
         a.inject_from_cp(_cp_packet(ADDR_ONE_HOP_BASE + 2, size=500))
     sim.run(until=100_000_000)

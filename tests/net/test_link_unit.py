@@ -36,7 +36,7 @@ class TestFailureModes:
         sim, a, b, link = make_pair()
         link.set_state(LinkState.CUT)
         received = []
-        b.on_cp_packet = received.append
+        b.on_cp_packet = lambda packet, _port: received.append(packet)
         a.inject_from_cp(Packet(dest_short=0x1, src_short=0, data_bytes=64))
         sim.run_for(50_000_000)
         assert received == []

@@ -92,13 +92,6 @@ class TestPacket:
         with pytest.raises(ValueError):
             Packet(dest_short=0x20, src_short=0, data_bytes=64 * 1024 + 1)
 
-    def test_hop_recording(self):
-        packet = Packet(dest_short=0x20, src_short=0)
-        packet.record_hop("sw0", 3, (7,))
-        packet.record_hop("sw1", 2, (0,))
-        assert len(packet.trail) == 2
-        assert packet.trail[0] == ("sw0", 3, (7,))
-
     def test_unique_ids(self):
         """Ids are minted per simulator, from 1: two simulators in one
         process mint the same sequence."""

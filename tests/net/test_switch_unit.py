@@ -110,7 +110,7 @@ class TestResetSemantics:
         b = Switch(sim, "B", Uid(0xB))
         connect(sim, a.ports[3], b.ports[7], length_km=2.0)
         received = []
-        b.on_cp_packet = received.append
+        b.on_cp_packet = lambda packet, _port: received.append(packet)
         # a long packet mid-flight when the reset hits
         a.inject_from_cp(
             Packet(dest_short=ADDR_ONE_HOP_BASE + 2, src_short=0,
@@ -148,7 +148,7 @@ class TestPower:
         b = Switch(sim, "B", Uid(0xB))
         connect(sim, a.ports[3], b.ports[7], length_km=0.1)
         received = []
-        b.on_cp_packet = received.append
+        b.on_cp_packet = lambda packet, _port: received.append(packet)
         a.power_off()
         a.inject_from_cp(
             Packet(dest_short=ADDR_ONE_HOP_BASE + 2, src_short=0,
@@ -163,7 +163,7 @@ class TestPower:
         b = Switch(sim, "B", Uid(0xB))
         connect(sim, a.ports[3], b.ports[7], length_km=0.1)
         received = []
-        b.on_cp_packet = received.append
+        b.on_cp_packet = lambda packet, _port: received.append(packet)
         a.power_off()
         a.power_on()
         a.inject_from_cp(

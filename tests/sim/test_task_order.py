@@ -4,15 +4,19 @@
 event per processor (DESIGN.md, "Same-instant order").  Four guards:
 
 * a **Hypothesis differential** -- random processors, arrival instants
-  (many shared), costs including 0, ``run_soon`` and ``every`` mixed,
-  tasks that hand work to another processor when they complete, a
+  (many shared), costs including 0, ``run_soon``, ``every`` and direct
+  ``run`` arrivals mixed, the direct ones refused when ``len`` (the tasks
+  waiting) is at a bound of 1-3 as a bridge or an Ethernet bounds its
+  queue, tasks that hand work to another processor when they complete, a
   periodic cancelled mid-run -- on which the real scheduler and
   ``tests/naive_tasks.py`` (lists, no wake-up events, one global rescan
   per step) must start the same tasks at the same instants in the same
-  global order and complete them in the same order;
+  global order, complete them in the same order and refuse the same
+  ones;
 * **explicit small cases** for the two places the order departs from the
-  re-deferring scheduler this one replaced, and for the causal context a
-  queued task starts in;
+  re-deferring scheduler this one replaced, for a direct ``run`` arrival
+  and what ``len`` counts, and for the causal context a queued task
+  starts in;
 * a **linearity guard** with no wall clock in it: k waiters cost O(k)
   dispatched events, where the herd cost k(k+1)/2;
 * the **whole-network differential**: the six oracle scenarios of
@@ -45,6 +49,7 @@ class Harness:
         self.periodics = []
         self.starts = []
         self.completions = []
+        self.refused = []
         for cpu, processor in enumerate(self.cpus):
             self._log_starts(cpu, processor, start_method)
 
@@ -62,11 +67,22 @@ class Harness:
         """A task's effects: log the completion, maybe hand work on."""
         self.completions.append((self.sim.now, cpu, label))
         if then is not None:
-            to, cost = then
-            self.soon(f"{label}>", to, cost)
+            to, cost, *bound = then
+            if bound:
+                self.now(f"{label}>", to, cost, *bound)
+            else:
+                self.soon(f"{label}>", to, cost)
 
     def soon(self, label, cpu, cost, then=None):
         self.cpus[cpu].run_soon(self.done, label, cpu, then, cost=cost)
+
+    def now(self, label, cpu, cost, bound, then=None):
+        """A direct arrival, refused while ``bound`` tasks wait."""
+        processor = self.cpus[cpu]
+        if len(processor) >= bound:
+            self.refused.append((self.sim.now, cpu, label, len(processor)))
+        else:
+            processor.run(self.done, label, cpu, then, cost=cost)
 
     def every(self, label, cpu, period, cost):
         body = partial(self.done, label, cpu)
@@ -78,7 +94,7 @@ class Harness:
 
     def run(self, until=None):
         self.sim.run(until=until)
-        return self.starts, self.completions
+        return self.starts, self.completions, self.refused
 
 
 def real(**kwargs):
@@ -94,10 +110,14 @@ def naive(**kwargs):
 INSTANTS = st.integers(0, 12).map(lambda n: 10 * n)
 COSTS = st.sampled_from([0, 0, 10, 10, 20, 30, 50])
 CPUS = st.integers(0, 3)
+BOUNDS = st.integers(1, 3)
+#: the work a completing task hands on: none, a run_soon or a bounded run
+THEN = st.none() | st.tuples(CPUS, COSTS) | st.tuples(CPUS, COSTS, BOUNDS)
 
 #: one thing the driver does at an instant: (instant, Harness method, arguments)
 OPS = st.one_of(
-    st.tuples(INSTANTS, st.just("soon"), CPUS, COSTS, st.none() | st.tuples(CPUS, COSTS)),
+    st.tuples(INSTANTS, st.just("soon"), CPUS, COSTS, THEN),
+    st.tuples(INSTANTS, st.just("now"), CPUS, COSTS, BOUNDS, THEN),
     st.tuples(INSTANTS, st.just("every"), CPUS, st.sampled_from([10, 20, 30, 50]), COSTS),
     st.tuples(INSTANTS, st.just("cancel"), st.integers(0, 3)),
 )
@@ -114,10 +134,11 @@ def drive(harness, ops):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(OPS, min_size=1, max_size=25))
 def test_scheduler_equals_the_written_rule(ops):
-    got_starts, got_completions = drive(real(), ops)
-    want_starts, want_completions = drive(naive(), ops)
+    got_starts, got_completions, got_refused = drive(real(), ops)
+    want_starts, want_completions, want_refused = drive(naive(), ops)
     assert got_starts == want_starts
     assert got_completions == want_completions
+    assert got_refused == want_refused
 
 
 # -- the two departures from the herd, and the causal context ---------------------------------
@@ -132,7 +153,7 @@ def test_a_tick_landing_as_the_processor_frees_queues_behind_the_waiters(build):
     h.every("p", 0, 100, 10)
     h.soon("a", 0, 100)
     h.sim.at(50, h.soon, "b", 0, 30)
-    starts, completions = h.run(until=199)
+    starts, completions, _refused = h.run(until=199)
     assert starts == [(0, 0, "a"), (100, 0, "b"), (130, 0, "p")]
     assert completions == [(100, 0, "a"), (130, 0, "b"), (140, 0, "p")]
 
@@ -150,9 +171,36 @@ def test_across_processors_the_order_is_the_wake_ups_append_order(build):
     for cpu, name in enumerate("ab"):
         h.sim.at(50, h.soon, f"{name}1", cpu, 10)
         h.sim.at(60, h.soon, f"{name}2", cpu, 0)
-    starts, completions = h.run()
+    starts, completions, _refused = h.run()
     assert [label for _t, _cpu, label in completions] == ["a0", "b0", "a1", "a2", "b1", "b2"]
     assert starts[2:] == [(100, 0, "a1"), (100, 1, "b1"), (110, 0, "a2"), (110, 1, "b2")]
+
+
+@pytest.mark.parametrize("build", [real, naive])
+def test_a_direct_arrival_starts_at_once_ahead_of_an_earlier_run_soon(build):
+    """``run`` has no ``call_soon`` hop: ``b`` finds the processor free and
+    starts in its caller's event, before ``a``'s hop arrives."""
+    h = build(n_processors=1)
+    h.sim.at(0, h.soon, "a", 0, 10)
+    h.sim.at(0, h.now, "b", 0, 10, 1)
+    starts, completions, refused = h.run()
+    assert starts == [(0, 0, "b"), (10, 0, "a")]
+    assert completions == [(10, 0, "b"), (20, 0, "a")] and refused == []
+
+
+@pytest.mark.parametrize("build", [real, naive])
+def test_len_counts_the_waiting_until_the_wake_up_starts_one(build):
+    """``len`` leaves out the running task.  ``a`` completes at 100 and
+    ``b`` starts at the wake-up ``b`` armed at 10, so an arrival dispatched
+    between the two (``c``, armed at 0) still sees ``b`` waiting."""
+    h = build(n_processors=1)
+    h.now("a", 0, 100, 1)
+    h.sim.at(100, h.now, "c", 0, 10, 1)
+    h.sim.at(10, h.now, "b", 0, 10, 1)
+    h.sim.at(20, h.now, "d", 0, 10, 1)
+    starts, completions, refused = h.run()
+    assert starts == [(0, 0, "a"), (100, 0, "b")]
+    assert refused == [(20, 0, "d", 1), (100, 0, "c", 1)]
 
 
 class Context:
@@ -194,7 +242,7 @@ def test_k_waiters_cost_a_linear_number_of_events():
             h.soon(f"w{n}", 0, 10)
 
     h.sim.at(10, burst)
-    starts, completions = h.run()
+    starts, completions, _refused = h.run()
     assert [label for _t, _cpu, label in completions[1:]] == [f"w{n}" for n in range(k)]
     assert starts[-1] == (100 + 10 * (k - 1), 0, f"w{k - 1}")
     # per waiter: run_soon's hop, one wake-up, one completion.  The herd

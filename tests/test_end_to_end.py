@@ -8,6 +8,7 @@ from repro.constants import SEC
 from repro.host.localnet import LocalNet
 from repro.host.workload import Sink, PeriodicSender
 from repro.network import Network
+from repro.obs.inband import path_of
 from repro.topology import torus
 from repro.topology.generators import TopologySpec
 from repro.types import Uid
@@ -16,8 +17,8 @@ from tests.checkers import assert_trail_legal
 
 def test_all_delivered_packets_follow_legal_routes():
     """Run permutation traffic over a converged torus and check every
-    delivered packet's hop trail against the up*/down* rule."""
-    net = Network(torus(3, 3))
+    delivered packet's in-band hop stack against the up*/down* rule."""
+    net = Network(torus(3, 3), inband=True)
     for i in range(6):
         net.add_host(f"h{i}", [(i, 9), ((i + 3) % 9, 9)])
     localnets = {f"h{i}": LocalNet(net.drivers[f"h{i}"]) for i in range(6)}
@@ -43,7 +44,7 @@ def test_all_delivered_packets_follow_legal_routes():
     topology = net.topology()
     uid_of = {sw.name: sw.uid for sw in net.switches}
     for packet in delivered:
-        assert_trail_legal(topology, packet.trail, uid_of.__getitem__)
+        assert_trail_legal(topology, path_of(packet.hops), uid_of.__getitem__)
 
 
 def test_trunk_group_load_shares():

@@ -122,7 +122,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: one subset test per view, TreePosition as a named tuple,
 #: Autopilot.short_address, HostPort.enqueue and call_soon over after:
 #: -> this)
-BUDGET = 15452
+BUDGET = 15378
 
 
 def _lines(path: Path) -> int:
