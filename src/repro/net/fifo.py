@@ -221,12 +221,14 @@ class ReceiveFifo:
     def end_packet(self, packet: Packet) -> None:
         """The packet's end marker: nothing more of it arrives (it was cut
         short, or may have lost a marker), so the arrival rate is 0 from
-        here until the next begin."""
+        here until the next begin.  It closes whatever entry is arriving:
+        when a cut lost this packet's begin (and the earlier packet's end),
+        that entry is the earlier packet, and nothing more of it comes."""
         self._advance()
         entry = self._arriving_entry()
         # the entry may already have been fully drained and popped
         # (cut-through finished exactly as the tail arrived)
-        if entry is not None and entry.packet is packet:
+        if entry is not None:
             entry.bytes_in = float(entry.size)
             entry.arriving = False
         self.in_rate = 0.0

@@ -34,9 +34,6 @@ re-exports nothing):
   blackout flags into bounded rings, exported
   as ``repro.obs.timeseries/1`` with a select/window query API; its
   report is the dashboard frame at the last tick (per-switch sparklines).
-* :mod:`repro.obs.regress` -- the bench-regression gate: an exact differ
-  between a fresh ``repro.bench/1`` document and its committed baseline
-  whose ``repro.obs.regress/2`` verdict CI gates on.
 * :mod:`repro.obs.inband` -- in-band path telemetry: enabled data packets
   carry a bounded per-hop record stack (switch, ports, FIFO depth,
   timestamp); the host side folds delivered stacks into per-flow path
@@ -46,15 +43,13 @@ re-exports nothing):
   counters of control-packet volume by message type and reconfiguration
   phase (election / loading / steady), plus retransmission and SRP
   tallies, behind the ``sim.control`` null fast path.
-* :mod:`repro.obs.sweep` -- the scaling observatory: the one measured
-  scenario (:mod:`repro.scenario`) run across a topology ladder (tori,
-  fat-trees, DCells), recording convergence, blackout, control volume and
-  FIFO depth per rung, with log-log slope fits per metric, as the
-  ``repro.bench/1`` document ``scaling``.
 
 ``python -m repro.obs`` exposes ``run`` (the one scenario, every
 observer on, every document written), ``report`` (any ``repro.*/1`` file
-or directory as text), ``validate``, ``regress`` and ``sweep``.
+or directory as text) and ``validate``.  The bench gate
+(``python -m benchmarks.regress``) and the scaling ladder
+(``benchmarks/bench_scaling.py``) are experiment code and live beside
+the benches.
 
 Which observer answers which question is executable:
 ``tests/obs/test_questions.py`` states each question as a query over one

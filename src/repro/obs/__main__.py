@@ -12,10 +12,6 @@
     # structural gate for the same files (dispatches on each file's tag)
     python -m repro.obs validate bench.json traffic.json chaos-artifacts
 
-    # gate: diff a fresh bench document against committed baselines
-    python -m repro.obs regress --current bench.json \
-        --baseline benchmarks/results/baselines
-
 ``run`` is the only subcommand that simulates the measured scenario
 (:func:`repro.scenario.drive_scenario`: build the topology, converge,
 load, apply the requested link cuts, reconverge, load) and it records
@@ -28,11 +24,6 @@ questions ("why did this epoch happen?", "what did traffic see?") from
 those files through the one renderer each schema declares
 (:mod:`repro.obs.artifact`) -- the same way for a directory CI uploaded
 or ``python -m repro.chaos --replay F --artifacts DIR`` left behind.
-``regress`` holds a ``repro.bench/1`` document equal to its committed
-baseline, metric by metric, and exits non-zero otherwise; ``sweep``
-climbs a topology ladder and writes its scaling curves (convergence,
-blackout, control-plane cost versus size) as the ``repro.bench/1``
-document ``scaling``, which ``regress`` gates like any bench.
 """
 
 from __future__ import annotations
@@ -48,8 +39,6 @@ from repro.constants import MS, SEC
 from repro.network import Network
 from repro.obs import artifact
 from repro.obs.export import bench_document, bench_result
-from repro.obs.regress import compare, read_baseline, render_verdict
-from repro.obs.sweep import LADDERS, run_sweep
 from repro.scenario import attach_pair, drive_scenario, parse_cut, report_unknown_subcommand
 from repro.topology.generators import TOPOLOGY_FAMILIES, resolve_topology
 
@@ -134,39 +123,11 @@ def _valid(path: str, doc: Dict) -> str:
     return f"{path}: valid {doc['schema']}"
 
 
-def _cmd_regress(args) -> int:
-    current = artifact.read(args.current, "repro.bench/1")
-    verdict = compare(current, read_baseline(args.baseline, current["bench"]))
-    print(render_verdict(verdict))
-    if args.out:
-        artifact.write(args.out, verdict)
-        print(f"wrote {args.out}")
-    return 0 if verdict["verdict"] == "ok" else 1
-
-
-def _cmd_sweep(args) -> int:
-    def progress(point) -> None:
-        print(f"  {point['topology']}: {point['status']}", file=sys.stderr)
-
-    doc = run_sweep(
-        ladder=args.ladder,
-        seed=args.seed,
-        topologies=args.topo,
-        progress=progress,
-        traffic=args.traffic,
-    )
-    out = args.out or f"sweep-{args.ladder}.json"
-    artifact.write(out, doc)
-    print(artifact.render(doc))
-    print(f"wrote {out}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Observability tooling: record a scenario's documents, "
-        "then render, validate or gate any repro.*/1 file.",
+        "then render or validate any repro.*/1 file.",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -199,53 +160,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "paths", nargs="+", metavar="PATH", help="artifact file, or a directory of *.json"
         )
         p_files.set_defaults(fn=_cmd_files, show=show)
-
-    p_regress = sub.add_parser(
-        "regress", help="gate a bench document against committed baselines"
-    )
-    p_regress.add_argument(
-        "--current", required=True, metavar="PATH",
-        help="the fresh repro.bench/1 document to judge",
-    )
-    p_regress.add_argument(
-        "--baseline", required=True, metavar="PATH",
-        help="baseline document, or a directory holding <bench>.json",
-    )
-    p_regress.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the repro.obs.regress/2 verdict here",
-    )
-    p_regress.set_defaults(fn=_cmd_regress)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="run the scaling sweep across a topology ladder"
-    )
-    p_sweep.add_argument(
-        "--ladder",
-        default="smoke",
-        choices=sorted(LADDERS),
-        help="which rung set to climb (default smoke)",
-    )
-    p_sweep.add_argument(
-        "--topo",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="explicit rung (repeatable; overrides --ladder's rung list)",
-    )
-    p_sweep.add_argument("--seed", type=int, default=0, help="sweep seed")
-    p_sweep.add_argument(
-        "--traffic", action="store_true",
-        help="drive the fluid hotspot workload through every rung and "
-             "report traffic_* SLO metrics",
-    )
-    p_sweep.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="artifact path (default sweep-<ladder>.json)",
-    )
-    p_sweep.set_defaults(fn=_cmd_sweep)
 
     # missing or unknown subcommand: list what exists instead of a bare
     # argparse error (shared with python -m repro.traffic)

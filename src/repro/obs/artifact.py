@@ -3,8 +3,8 @@ written and rendered here.
 
 The paper's §6.7 debugging story is one merged log read by one tool.
 The repo's equivalent is a family of JSON documents (bench tables,
-flight traces, timeseries, in-band telemetry, regress verdicts,
-traffic SLOs, chaos reproducers), each tagged ``"schema": "repro.x/1"``.
+flight traces, timeseries, in-band telemetry, traffic SLOs, chaos
+reproducers), each tagged ``"schema": "repro.x/1"``.
 A layer declares *what* its document looks like -- a :class:`Schema`
 beside the ``document()`` that produces it, holding the document's one
 text renderer when it has one -- and this module is the only place that
@@ -43,7 +43,6 @@ PROVIDERS = {
     "repro.obs.flight/1": "repro.obs.perfetto",
     "repro.obs.timeseries/1": "repro.obs.timeseries",
     "repro.obs.inband/2": "repro.obs.inband",
-    "repro.obs.regress/2": "repro.obs.regress",
     "repro.traffic/1": "repro.traffic.artifact",
     "repro.chaos/1": "repro.chaos.replay",
 }

@@ -5,10 +5,10 @@ on the SRC LAN is configured around in 170-500 ms) is one scenario
 measured one way.  :func:`drive_scenario` is that scenario -- boot to
 convergence, run load, cut cables, reconverge, run load again -- and
 :class:`ScenarioResult` is the only place a run is turned into numbers,
-so the CLIs (``repro.obs``, ``repro.traffic``), the scaling sweep and
-the benches cannot drift apart on what "how long did that take" means.
-:func:`attach_pair` is the standard host workload those callers put on
-the installation first.  The other shared pieces of CLI behavior live
+so the CLIs (``repro.obs``, ``repro.traffic``) and the benches cannot
+drift apart on what "how long did that take" means.  :func:`attach_pair`
+is the standard host workload those callers put on the installation
+first.  The other shared pieces of CLI behavior live
 here too: :func:`report_unknown_subcommand` (both tools print a usage
 listing and exit 2 on a missing *or* unknown subcommand instead of a
 bare argparse error), :func:`parse_cut` (the ``--cut A-B`` argument
@@ -68,7 +68,7 @@ class ScenarioResult:
     * ``reconfig_ns`` -- start of the first reconfiguration span the
       cuts triggered to the end of the last one, so a fault that takes
       several epochs to settle is charged for all of them (the
-      ``repro.obs.sweep`` scaling curves).
+      ``bench_scaling`` curves).
     """
 
     converged: bool = False

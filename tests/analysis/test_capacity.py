@@ -1,8 +1,9 @@
-"""Topology capacity analysis (the section 7 characterization tools)."""
+"""Topology capacity analysis (the section 7 characterization tool of
+``benchmarks/bench_topology_characteristics.py``)."""
 
 import pytest
 
-from repro.analysis.capacity import analyze_capacity
+from benchmarks.bench_topology_characteristics import analyze_capacity
 from benchmarks.rigs.routing_ablation import tree_only_topology
 from repro.topology import expected_tree, line, ring, torus
 

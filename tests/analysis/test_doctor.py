@@ -164,7 +164,7 @@ def test_all_sections_render_end_to_end(tmp_path):
 def test_sweep_report_renders_scaling_curves():
     """A sweep's ``scaling`` document renders its rungs and slopes tables."""
     from repro.obs import artifact
-    from repro.obs.sweep import METRICS, run_sweep
+    from benchmarks.bench_scaling import METRICS, run_sweep
 
     doc = run_sweep(ladder="doctor", seed=0, topologies=("ring-4", "torus-3x4"))
     lines = artifact.render(doc).splitlines()

@@ -1,7 +1,7 @@
 """The one artifact envelope: every registered schema, mutated.
 
 Real documents (torus-3x4 with every observer on, hosts, one cut; a
-regress verdict; a bench document; a chaos reproducer) are walked
+bench document; a chaos reproducer) are walked
 against their schema tables: deleting each required key and
 replacing each leaf with a wrong-typed value must raise ``SchemaError``
 with a ``$.``-rooted path (where the table catches it, the message of the
@@ -43,7 +43,6 @@ def real_docs(tmp_path_factory):
     from repro.chaos.campaign import CampaignConfig, CampaignRunner
     from repro.chaos.replay import reproducer_dict
     from repro.obs.export import bench_document, bench_result
-    from repro.obs.regress import compare
 
     spec = resolve_topology("torus-3x4")
     net = Network(
@@ -66,7 +65,6 @@ def real_docs(tmp_path_factory):
         net.inband_doc(),
         net.traffic_doc(),
         bench(1.5),
-        compare(bench(1.5), bench(1.0)),
         reproducer_dict(runner.sample_schedule(0), violations=["x"], original_events=9),
     ]
     by_tag = {doc["schema"]: doc for doc in docs}
@@ -153,7 +151,6 @@ def test_every_spec_position_rejects_a_wrong_value(tag, real_docs):
 #: integers that a bare ``isinstance(x, int)`` used to let ``True`` into
 BOOL_AS_INT = [
     ("repro.bench/1", ["seed"]),
-    ("repro.obs.regress/2", ["failing"]),
     ("repro.obs.timeseries/1", ["marks", 0, "t_ns"]),
     ("repro.obs.flight/1", ["traceEvents", 0, "pid"]),
     ("repro.obs.flight/1", ["traceEvents", 0, "tid"]),
@@ -320,7 +317,6 @@ RENDERED = {
     "repro.bench/1",
     "repro.obs.flight/1",
     "repro.obs.inband/2",
-    "repro.obs.regress/2",
     "repro.obs.timeseries/1",
     "repro.traffic/1",
 }
@@ -381,9 +377,6 @@ def test_rendered_content_of_the_observer_documents(real_docs):
     traffic = artifact.render(real_docs["repro.traffic/1"])
     assert "traffic SLO report" in traffic and "x200 flows" in traffic
     assert "per-epoch goodput / blackout cost:" in traffic
-
-    verdict = artifact.render(real_docs["repro.obs.regress/2"])
-    assert "REGRESSION" in verdict and "CHANGED r/ring/ms" in verdict
 
 
 # -- python -m repro.obs validate / report -------------------------------------------------

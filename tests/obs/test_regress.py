@@ -1,4 +1,5 @@
-"""The bench-regression gate: flatten, diff exactly, gate."""
+"""The bench-regression gate of ``benchmarks/regress.py``: flatten, diff
+exactly, gate."""
 
 import copy
 import json
@@ -7,20 +8,9 @@ import os
 
 import pytest
 
-from repro.obs import artifact
+from benchmarks.regress import BASELINES, compare, main, metrics_of, read_baseline, render_verdict
 from repro.obs.artifact import SchemaError
 from repro.obs.export import bench_document, bench_result
-from repro.obs.regress import (
-    REGRESS_SCHEMA,
-    compare,
-    metrics_of,
-    read_baseline,
-    render_verdict,
-)
-
-BASELINES = os.path.join(
-    os.path.dirname(__file__), "..", "..", "benchmarks", "results", "baselines"
-)
 #: the benches CI's bench-gate job runs; nothing else lives in BASELINES
 GATED = ("engine_speed", "inband_overhead", "reconfiguration", "scaling", "traffic_slo")
 
@@ -74,7 +64,7 @@ def test_nested_host_telemetry_is_never_flattened():
     here = make_doc(host={"wall_ms": 812.0, "events_per_sec": 170_000.0})
     there = make_doc(host={"wall_ms": 95.0, "events_per_sec": 1_400_000.0})
     assert metrics_of(here) == metrics_of(there) == metrics_of(make_doc())
-    assert compare(here, there)["verdict"] == "ok"
+    assert compare(here, there)["failing"] == 0
 
 
 def test_duplicate_row_key_is_a_schema_error():
@@ -89,14 +79,14 @@ def test_duplicate_row_key_is_a_schema_error():
 
 
 def test_read_baseline_resolves_dir_and_file(tmp_path):
-    single = tmp_path / "reconfiguration.json"
-    single.write_text(json.dumps(make_doc()))
-    assert read_baseline(str(single), "reconfiguration") == make_doc()
+    """``<dir>/<bench>.json``, which must exist and hold that bench."""
+    (tmp_path / "reconfiguration.json").write_text(json.dumps(make_doc()))
     assert read_baseline(str(tmp_path), "reconfiguration") == make_doc()
     with pytest.raises(FileNotFoundError):
         read_baseline(str(tmp_path), "scaling")
+    (tmp_path / "other-bench.json").write_text(json.dumps(make_doc()))
     with pytest.raises(ValueError):
-        read_baseline(str(single), "other-bench")
+        read_baseline(str(tmp_path), "other-bench")
 
 
 # -- compare ---------------------------------------------------------------------------
@@ -105,18 +95,16 @@ def test_read_baseline_resolves_dir_and_file(tmp_path):
 def test_identical_run_is_in_band():
     """The band is zero wide: an identical run is the only one that passes."""
     verdict = compare(make_doc(), make_doc())
-    artifact.validate(verdict, REGRESS_SCHEMA)
-    assert verdict["verdict"] == "ok"
     assert verdict["failing"] == 0
     assert set(statuses(verdict).values()) == {"ok"}
+    assert render_verdict(verdict).startswith("regress reconfiguration: OK (0 failing of 3")
 
 
 def test_slowed_reconfiguration_detected_out_of_band():
     """ISSUE 5 acceptance: a deliberately slowed reconfiguration is a
     regression, and the verdict names the metric."""
     verdict = compare(make_doc(measured=240.0, blackout=238.0), make_doc())
-    artifact.validate(verdict, REGRESS_SCHEMA)
-    assert verdict["verdict"] == "regression"
+    assert verdict["failing"] == 2
     assert statuses(verdict)["E1_src_lan/tuned/measured_ms"] == "changed"
     text = render_verdict(verdict)
     assert "REGRESSION" in text and "CHANGED E1_src_lan/tuned/measured_ms" in text
@@ -125,7 +113,7 @@ def test_slowed_reconfiguration_detected_out_of_band():
 def test_improvement_past_the_band_also_fails():
     # a stale baseline must be re-committed deliberately, not absorbed
     verdict = compare(make_doc(measured=10.0, blackout=9.0), make_doc())
-    assert verdict["verdict"] == "regression"
+    assert verdict["failing"] == 2
 
 
 @pytest.mark.parametrize(
@@ -135,7 +123,6 @@ def test_improvement_past_the_band_also_fails():
 )
 def test_one_ulp_or_one_unit_off_is_a_regression(nudged):
     verdict = compare(make_doc(measured=nudged), make_doc())
-    assert verdict["verdict"] == "regression"
     assert verdict["failing"] == 1
     assert statuses(verdict)["E1_src_lan/tuned/measured_ms"] == "changed"
 
@@ -147,12 +134,11 @@ def test_new_and_missing_metrics():
     grown["results"][0]["rows"].append(["greedy", 80.0, 75.0])
     verdict = compare(grown, make_doc())
     assert statuses(verdict)["E1_src_lan/greedy/measured_ms"] == "new"
-    assert verdict["verdict"] == "ok"
+    assert verdict["failing"] == 0
     assert "new metric E1_src_lan/greedy/measured_ms" in render_verdict(verdict)
 
     verdict = compare(make_doc(), grown)
     assert statuses(verdict)["E1_src_lan/greedy/measured_ms"] == "missing"
-    assert verdict["verdict"] == "regression"
     assert verdict["failing"] == 2
     assert "MISSING E1_src_lan/greedy/blackout_ms" in render_verdict(verdict)
 
@@ -175,7 +161,7 @@ def test_committed_baselines_gate_by_equality(bench):
     baseline = read_baseline(BASELINES, bench)
     gated = metrics_of(baseline)
     assert gated, "a baseline that gates nothing"
-    assert compare(baseline, baseline)["verdict"] == "ok"
+    assert compare(baseline, baseline)["failing"] == 0
     flipped = copy.deepcopy(baseline)
     for name, container, key in _cells(flipped):
         if name in gated:
@@ -192,56 +178,25 @@ def test_every_baseline_file_is_gated():
     ]
 
 
-# -- verdict artifact ------------------------------------------------------------------
-
-
-def test_verdict_round_trip(tmp_path):
-    verdict = compare(make_doc(measured=240.0), make_doc())
-    path = tmp_path / "verdict.json"
-    artifact.write(str(path), verdict)
-    assert artifact.read(str(path), REGRESS_SCHEMA) == verdict
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda d: d.update(schema="repro.obs.regress/1"),  # the banded layout is gone
-        lambda d: d.update(verdict="maybe"),
-        lambda d: d.update(failing=0),  # no longer matches the count
-        lambda d: d.update(verdict="ok"),  # contradicts the failing metric
-        lambda d: d["comparisons"][0].update(status="out-of-band"),
-        lambda d: d["comparisons"][0].update(metric=""),
-        lambda d: d["comparisons"][0].update(current="fast"),
-    ],
-)
-def test_verdict_validator_rejects_malformed(mutate):
-    verdict = compare(make_doc(measured=240.0), make_doc())
-    broken = copy.deepcopy(verdict)
-    mutate(broken)
-    with pytest.raises(SchemaError):
-        artifact.validate(broken, REGRESS_SCHEMA)
-
-
 # -- the CLI gate ----------------------------------------------------------------------
 
 
 def test_regress_cli_exits_nonzero_on_regression(tmp_path, capsys):
-    from repro.obs.__main__ import main
-
     baseline_dir = tmp_path / "baselines"
     baseline_dir.mkdir()
     (baseline_dir / "reconfiguration.json").write_text(json.dumps(make_doc()))
     current = tmp_path / "current.json"
     current.write_text(json.dumps(make_doc(measured=240.0)))
-    verdict_path = tmp_path / "verdict.json"
 
-    argv = ["regress", "--current", str(current), "--baseline", str(baseline_dir)]
-    assert main(argv + ["--out", str(verdict_path)]) == 1
-    assert artifact.read(str(verdict_path), REGRESS_SCHEMA)["verdict"] == "regression"
-    assert "CHANGED" in capsys.readouterr().out
+    argv = [str(current), str(baseline_dir)]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "regress reconfiguration: REGRESSION" in out and "CHANGED" in out
 
     current.write_text(json.dumps(make_doc()))
     assert main(argv) == 0
-    # the tolerance knobs are gone, not ignored
-    with pytest.raises(SystemExit):
-        main(argv + ["--rel", "2.0"])
+    assert "regress reconfiguration: OK" in capsys.readouterr().out
+    # the tolerance knobs are gone, not ignored; nor is a third argument
+    assert main(argv + ["--rel", "2.0"]) == 2
+    assert main([*argv, "more"]) == 2
+    assert main([]) == 2

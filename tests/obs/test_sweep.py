@@ -1,4 +1,5 @@
-"""The scaling sweep harness and the ``scaling`` document it writes."""
+"""The scaling ladder of ``benchmarks/bench_scaling.py`` and the
+``scaling`` document it writes."""
 
 import copy
 import json
@@ -6,16 +7,9 @@ import math
 
 import pytest
 
+from benchmarks.bench_scaling import LADDERS, METRICS, fit_slope, fit_slopes, run_point, run_sweep
 from repro.obs import artifact
 from repro.obs.artifact import SchemaError
-from repro.obs.sweep import (
-    LADDERS,
-    METRICS,
-    fit_slope,
-    fit_slopes,
-    run_point,
-    run_sweep,
-)
 
 
 def rungs_of(doc):
@@ -77,6 +71,7 @@ def test_skipped_point_serialization(tmp_path):
     """A skipped rung is a row whose status cell says why and whose
     metric cells are null, through a write and a read."""
     doc = run_sweep(ladder="custom", seed=0, topologies=["torus-32x32"])
+    artifact.validate(doc, "repro.bench/1")
     path = tmp_path / "sweep.json"
     artifact.write(str(path), doc)
     (rung,) = rungs_of(artifact.read(str(path), "repro.bench/1"))
@@ -89,8 +84,6 @@ def test_run_point_is_deterministic():
     a = run_point("ring-4", seed=3)
     b = run_point("ring-4", seed=3)
     assert a["status"] == "ok"
-    # traffic_* metrics appear only on traffic-enabled sweeps
-    assert not any(m.startswith("traffic_") for m in a)
     assert a.pop("events_per_sec") > 0 and b.pop("events_per_sec") > 0  # the host's
     assert a == b
     assert set(METRICS) <= set(a)
@@ -98,19 +91,9 @@ def test_run_point_is_deterministic():
     assert a["blackout_ns"] > 0
 
 
-def test_run_point_with_traffic_is_observational():
-    plain = run_point("ring-4", seed=3)
-    loaded = run_point("ring-4", seed=3, traffic=True)
-    assert loaded["status"] == "ok"
-    assert loaded["traffic_blackout_cost_bytes"] >= 0
-    assert loaded["traffic_goodput_bytes_per_sec"] > 0
-    # the workload rides along without touching the core trajectory
-    for metric in ("converge_ns", "reconfig_ns", "blackout_ns"):
-        assert loaded[metric] == plain[metric]
-
-
 def test_run_sweep_custom_ladder_validates():
     doc = run_sweep(ladder="custom", seed=1, topologies=["ring-4", "torus-16x16"])
+    artifact.validate(doc, "repro.bench/1")
     assert doc["schema"] == "repro.bench/1" and doc["bench"] == "scaling"
     assert "custom ladder: ring-4, torus-16x16" in doc["title"]
     rungs = rungs_of(doc)
@@ -121,21 +104,6 @@ def test_run_sweep_custom_ladder_validates():
     # host time is telemetry the gate never reads
     host = doc["results"][0]["telemetry"]["host"]
     assert host["ring-4_events_per_sec"] > 0 and "torus-16x16_events_per_sec" not in host
-
-
-def test_run_sweep_with_traffic_adds_the_slo_columns():
-    doc = run_sweep(ladder="custom", seed=3, topologies=["ring-4"], traffic=True)
-    (rung,) = rungs_of(doc)
-    assert list(rung)[-3:] == [
-        "traffic_blackout_cost_bytes", "traffic_p99_latency_ns", "traffic_goodput_bytes_per_sec"
-    ]
-    assert rung["traffic_goodput_bytes_per_sec"] > 0
-    assert "hotspot fluid workload" in doc["results"][0]["notes"]
-
-
-def test_run_sweep_rejects_unknown_ladder():
-    with pytest.raises(ValueError, match="unknown ladder"):
-        run_sweep(ladder="nope")
 
 
 def test_ladders_cover_the_issue_families():
@@ -236,32 +204,7 @@ def test_doctor_sweep_report_renders():
         artifact.render({"schema": "nope"})
 
 
-# -- the CLI ---------------------------------------------------------------------------
-
-
-def test_cli_sweep_writes_artifact(tmp_path, capsys):
-    from repro.obs.__main__ import main
-
-    out = tmp_path / "sweep.json"
-    code = main([
-        "sweep", "--topo", "ring-4", "--topo", "torus-16x16",
-        "--seed", "2", "--out", str(out),
-    ])
-    assert code == 0
-    doc = artifact.read(str(out), "repro.bench/1")
-    assert [r["topology"] for r in rungs_of(doc)] == ["ring-4", "torus-16x16"]
-    assert capsys.readouterr().out.startswith(artifact.render(doc))
-
-
-def test_cli_sweep_creates_the_output_directory(tmp_path):
-    """``--out newdir/s.json`` used to die with FileNotFoundError: the
-    sweep writer was the one that did not create its parent directory."""
-    from repro.obs.__main__ import main
-
-    out = tmp_path / "newdir" / "s.json"
-    assert main(["sweep", "--topo", "torus-16x16", "--out", str(out)]) == 0
-    (rung,) = rungs_of(artifact.read(str(out), "repro.bench/1"))
-    assert "126-switch" in rung["status"]
+# -- the repro.obs CLI -----------------------------------------------------------------
 
 
 def test_cli_no_subcommand_lists_topologies(capsys):
@@ -269,7 +212,7 @@ def test_cli_no_subcommand_lists_topologies(capsys):
 
     assert main([]) == 2
     err = capsys.readouterr().err
-    assert "sweep" in err
+    assert "run" in err and "sweep" not in err
     assert "fat-tree-4" in err and "dcell-3l1" in err and "torus-3x4" in err
 
 

@@ -487,13 +487,13 @@ def test_a_package_nothing_imports_is_found(tmp_path):
 
 def test_a_rule_without_a_call_site_is_found(tmp_path):
     planted = plant(tmp_path, {
-        "src/repro/obs/sweep.py": "def collect(point):\n    point.add_collector('x', 1)\n",
+        "src/repro/obs/timeseries.py": "def collect(point):\n    point.add_collector('x', 1)\n",
         "src/repro/net/switch.py": "def stamp(ib):\n    ib.record_hop(1)\n",
     })
     found = rules_without_a_call_site(
         planted,
         {"RS304": ("add_collector",), "RS305": ("record_hop",), "RS306": ("record_send",)},
-        skipped_modules={"repro.obs.sweep"},
+        skipped_modules={"repro.obs.timeseries"},
     )
     assert found == {
         "rule RS304 (add_collector is called nowhere the check looks)",

@@ -1,28 +1,25 @@
 """The one measured scenario: ``drive_scenario``'s numbers are the numbers
 the hand-rolled loops it replaced used to compute.
 
-``obs.sweep.run_point`` and a dozen bench helpers each ran
+The scaling sweep's ``run_point`` and a dozen bench helpers each ran
 converge -> cut -> reconverge themselves and read "how long did that
 take" off two different definitions.  Their arithmetic is kept here as
 the reference: on ring-4 and torus-3x4 the driver's fields must equal
-it, and a smoke-ladder sweep through the CLI must equal the committed
-``scaling`` baseline that ``bench-gate`` holds ``bench_scaling.py`` to
-(written at the commit that folded the sweep's own format into it, from
-the same numbers).
+it, and a fresh smoke-ladder sweep must equal the committed ``scaling``
+baseline that ``bench-gate`` holds ``bench_scaling.py`` to (written at
+the commit that folded the sweep's own format into it, from the same
+numbers).
 """
-
-import os
 
 import pytest
 
+from benchmarks import regress
+from benchmarks.bench_scaling import run_sweep
 from repro.constants import MS, SEC
 from repro.network import Network
 from repro.obs import artifact
-from repro.obs.regress import metrics_of
 from repro.scenario import ScenarioResult, attach_pair, drive_scenario
 from repro.topology.generators import resolve_topology
-
-BASELINES = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "results", "baselines")
 
 
 def hand_rolled(net, cut):
@@ -109,19 +106,16 @@ def test_no_cut_measures_no_reconfiguration():
 
 
 def test_smoke_sweep_equals_the_document_the_old_run_point_wrote(tmp_path, capsys):
-    """One golden for the scaling measurement: the CLI's sweep document,
-    the gate's verdict on it and the bench's committed baseline agree,
+    """One golden for the scaling measurement: a fresh smoke sweep, the
+    gate's verdict on it and the bench's committed baseline agree,
     metric for metric -- nothing changed, missing or new.  The baseline's
     cells are the numbers the old ``run_point`` wrote, control_retx and
     each slope's r² and n included, re-committed at ns precision."""
-    from repro.obs.__main__ import main
-
     fresh = str(tmp_path / "scaling.json")
-    assert main(["sweep", "--ladder", "smoke", "--seed", "0", "--out", fresh]) == 0
-    verdict = str(tmp_path / "verdict.json")
-    assert main(["regress", "--current", fresh, "--baseline", BASELINES, "--out", verdict]) == 0
-    statuses = {c["status"] for c in artifact.read(verdict, "repro.obs.regress/2")["comparisons"]}
-    assert statuses == {"ok"}
-    baseline = artifact.read(os.path.join(BASELINES, "scaling.json"), "repro.bench/1")
-    assert metrics_of(artifact.read(fresh, "repro.bench/1")) == metrics_of(baseline)
+    artifact.write(fresh, run_sweep("smoke", 0))
+    baseline = regress.read_baseline(regress.BASELINES, "scaling")
+    verdict = regress.compare(artifact.read(fresh, "repro.bench/1"), baseline)
+    assert {c["status"] for c in verdict["comparisons"]} == {"ok"}
+    assert regress.metrics_of(artifact.read(fresh, "repro.bench/1")) == regress.metrics_of(baseline)
+    assert regress.main([fresh]) == 0  # the committed baselines are the default
     assert "regress scaling: OK" in capsys.readouterr().out
