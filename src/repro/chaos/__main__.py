@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from repro.chaos.campaign import CampaignConfig, CampaignRunner, campaign_report
@@ -116,9 +117,12 @@ def main(argv=None) -> int:
 def _shrink_failures(runner: CampaignRunner, args) -> None:
     for result in runner.failures[:MAX_SHRINKS]:
         print(f"shrinking {result.name} ({len(result.schedule.events)} events)...", flush=True)
+        # shrink toward this failure, not any failure: a subset that fails
+        # other checks, or at other switches, is a different bug
+        wanted = _signature(result.violations)
         minimal, runs = shrink_schedule(
             result.schedule,
-            lambda s: not runner.run_schedule(s).passed,
+            lambda s: _signature(runner.run_schedule(s).violations) == wanted,
         )
         # the confirmation replay doubles as the recording pass: the
         # causal flight trace, the longitudinal timeseries, the in-band
@@ -145,6 +149,20 @@ def _shrink_failures(runner: CampaignRunner, args) -> None:
     skipped = len(runner.failures) - MAX_SHRINKS
     if skipped > 0:
         print(f"  ({skipped} further failure(s) left unshrunk)")
+
+
+def _signature(violations) -> set:
+    """The (switch or partition, check) pairs that ``violations`` name:
+    the ``mid-run@...ns:`` prefix dropped and every number in the check's
+    message masked, so that the same checks failing at the same places
+    match whatever the counts and times."""
+    pairs = set()
+    for violation in violations:
+        where, sep, check = re.sub(r"^mid-run@\d+ns: ", "", violation).partition(": ")
+        if not sep:
+            where, check = "", where
+        pairs.add((where, re.sub(r"\d+", "#", check)))
+    return pairs
 
 
 def _replay(args) -> int:

@@ -8,11 +8,12 @@ subsets, keep any subset that still fails, and stop at a 1-minimal
 reproducer -- removing any single remaining event makes the failure
 disappear.
 
-The oracle is a caller-supplied predicate (typically "re-run the
+The oracle is a caller-supplied predicate (the CLI's: "re-run the
 schedule through :meth:`~repro.chaos.campaign.CampaignRunner.
-run_schedule` and check ``passed``"), so shrinking works for any failure
-the campaign can detect, including flaky-by-construction ones -- a
-schedule that stops failing under ddmin simply stops shrinking.
+run_schedule` and fail the same checks at the same switches as the
+original"), so shrinking works for any failure the campaign can
+detect, including flaky-by-construction ones -- a schedule that stops
+failing under ddmin simply stops shrinking.
 """
 
 from __future__ import annotations

@@ -52,7 +52,6 @@ from repro.obs.artifact import (
     fail,
     keys,
     read,
-    validate,
 )
 from repro.obs.flight import Ring
 from repro.sim.engine import cancel
@@ -166,10 +165,6 @@ class TimeSeriesSampler:
     def ticks(self) -> List[int]:
         return [int(t) for t in self._ticks.items()]
 
-    def view(self) -> "TimeSeries":
-        """A query view over the live rings (snapshot, not a live link)."""
-        return TimeSeries.from_document(self.document())
-
     # -- export --------------------------------------------------------------------
 
     def document(self, name: str = "") -> Dict[str, Any]:
@@ -215,7 +210,7 @@ class TimeSeriesSampler:
 
 
 class SeriesData:
-    """One series' retained samples, with window/last/max/min queries."""
+    """One series' retained samples."""
 
     __slots__ = ("name", "labels", "kind", "ticks", "values")
 
@@ -238,26 +233,9 @@ class SeriesData:
         """(t_ns, value) pairs, gaps (None samples) omitted."""
         return [(t, v) for t, v in zip(self.ticks, self.values) if v is not None]
 
-    def window(self, t0_ns: int, t1_ns: int) -> "SeriesData":
-        """The sub-series with ``t0_ns <= t < t1_ns``."""
-        ticks, values = [], []
-        for t, v in zip(self.ticks, self.values):
-            if t0_ns <= t < t1_ns:
-                ticks.append(t)
-                values.append(v)
-        return SeriesData(self.name, self.labels, self.kind, ticks, values)
-
     def last(self) -> Optional[float]:
         points = self.points()
         return points[-1][1] if points else None
-
-    def max(self) -> Optional[float]:
-        points = self.points()
-        return max(v for _t, v in points) if points else None
-
-    def min(self) -> Optional[float]:
-        points = self.points()
-        return min(v for _t, v in points) if points else None
 
 class TimeSeries:
     """Query wrapper over a ``repro.obs.timeseries/1`` document."""
@@ -268,10 +246,6 @@ class TimeSeries:
         for entry in doc["series"]:
             key = (entry["name"], _label_key(entry["labels"]))
             self._by_key[key] = entry
-
-    @classmethod
-    def from_document(cls, doc: Dict[str, Any]) -> "TimeSeries":
-        return cls(validate(doc, TIMESERIES_SCHEMA))
 
     @property
     def ticks(self) -> List[int]:

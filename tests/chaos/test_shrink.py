@@ -1,8 +1,14 @@
-"""ddmin schedule minimization, on synthetic predicates (no simulation)."""
+"""ddmin schedule minimization: on synthetic predicates (no simulation),
+and the CLI's shrink of a real campaign failure."""
 
+import argparse
+
+from repro.chaos.__main__ import _shrink_failures
+from repro.chaos.campaign import CampaignConfig, CampaignRunner
 from repro.chaos.events import CrashSwitch, CutLink, NoisyLink, RestoreLink
-from repro.chaos.schedule import Schedule
+from repro.chaos.schedule import SCHEDULE_SCHEMA, Schedule
 from repro.chaos.shrink import shrink_schedule
+from repro.obs import artifact
 
 MS = 1_000_000
 
@@ -73,3 +79,30 @@ def test_run_budget_is_respected():
 def test_minimal_name_is_derived():
     minimal, _ = shrink_schedule(big_schedule(), lambda s: len(s.events) >= 1)
     assert minimal.name == "big-min"
+
+
+def test_the_cli_shrinks_toward_the_violation_it_started_from(tmp_path):
+    """ring-8 seed 3's schedule-0012 (six events) fails oracle agreement at
+    sw0, sw1, sw5, sw6 and sw7.  Shrinking on "still fails" kept noisy 0-7
+    and cut 4-5, which fail at all eight switches against a component of 8:
+    another failure.  Shrinking on the same (switch, check) pairs keeps the
+    cut of 1-2 too."""
+    runner = CampaignRunner(CampaignConfig(topology="ring-8", seed=3))
+    original = runner.run_schedule(runner.sample_schedule(12))
+    runner.results = [original]
+    _shrink_failures(runner, argparse.Namespace(artifact_dir=str(tmp_path)))
+
+    doc = artifact.read(str(tmp_path / "schedule-0012.json"), SCHEDULE_SCHEMA)
+    assert doc["shrunk_from_events"] == 6
+    events = Schedule.from_dict(doc["schedule"]).sorted_events()
+    assert [(e.kind, e.a, e.b) for e in events] == [
+        ("cut-link", 1, 2),
+        ("noisy-link", 0, 7),
+        ("cut-link", 4, 5),
+    ]
+    # the reproducer's own replay records with a workload, whose SLO check
+    # adds violations of its own; the shrunk schedule alone fails as before
+    assert runner.run_schedule(Schedule.from_dict(doc["schedule"])).violations == (
+        original.violations
+    )
+    assert [v.split(":")[0] for v in original.violations] == ["sw0", "sw1", "sw5", "sw6", "sw7"]

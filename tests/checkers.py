@@ -6,10 +6,13 @@ that used them as oracles still do, from here.  Nothing under ``src/``
 may import this module.
 """
 
+import hashlib
 import math
 
 from repro.core.routing import DOWN, UP
 from repro.core.topo import PortRef
+from repro.obs.artifact import validate
+from repro.obs.timeseries import TIMESERIES_SCHEMA, SeriesData, TimeSeries
 from repro.types import MAX_SWITCH_NUMBER
 
 
@@ -110,3 +113,37 @@ def stddev(values):
 
 def mbits(bytes_count):
     return bytes_count * 8 / 1_000_000
+
+
+def trace_digest(net):
+    """sha256 of every autopilot's ``TraceLog``, switch by switch: a run's
+    whole control-plane history as one hex string."""
+    trace = tuple(
+        (e.component, e.local_time, e.event, e.detail)
+        for ap in net.autopilots
+        for e in ap.trace.entries()
+    )
+    return hashlib.sha256(repr(trace).encode()).hexdigest()
+
+
+def sampler_view(sampler):
+    """A query view over a live sampler's rings (a snapshot, not a link)."""
+    return TimeSeries(validate(sampler.document(), TIMESERIES_SCHEMA))
+
+
+def series_window(series, t0_ns, t1_ns):
+    """The sub-series of ``series`` with ``t0_ns <= t < t1_ns``."""
+    kept = [(t, v) for t, v in zip(series.ticks, series.values) if t0_ns <= t < t1_ns]
+    return SeriesData(
+        series.name, series.labels, series.kind, [t for t, _ in kept], [v for _, v in kept]
+    )
+
+
+def series_max(series):
+    values = [v for _t, v in series.points()]
+    return max(values) if values else None
+
+
+def series_min(series):
+    values = [v for _t, v in series.points()]
+    return min(values) if values else None

@@ -48,6 +48,7 @@ from repro.obs.perfetto import recorder_from_trace
 from repro.obs.profiler import EventLoopProfiler
 from repro.obs.timeseries import GOOD_STATE, TimeSeries, switch_names
 from repro.sim.trace import CAT_EPOCH, CAT_LOG, CAT_PORT
+from tests.checkers import series_max, series_window
 
 TOPO = "torus-3x4"
 
@@ -220,7 +221,7 @@ def fifo_and_good_ports_across_the_cut(docs):
     lost, cut = {}, None
     for name in switch_names(ts):
         good = ts.series("ports_in_state", switch=name, state=GOOD_STATE)
-        peak = good.max()
+        peak = series_max(good)
         if good.last() < peak:
             lost[name] = (peak, good.last())
             at_peak = next(t for t, v in good.points() if v == peak)
@@ -232,7 +233,7 @@ def fifo_and_good_ports_across_the_cut(docs):
     return {
         "cut_tick_ns": cut,
         "good_ports": lost,
-        "fifo_highwater_before": max(s.window(0, cut).max() or 0.0 for s in fifos),
+        "fifo_highwater_before": max(series_max(series_window(s, 0, cut)) or 0.0 for s in fifos),
         "fifo_highwater_at_end": max(s.last() or 0.0 for s in fifos),
     }
 

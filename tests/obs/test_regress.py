@@ -172,10 +172,7 @@ def test_committed_baselines_gate_by_equality(bench):
 
 
 def test_every_baseline_file_is_gated():
-    # e2e_fingerprints.json: held by the determinism CI job, not by regress
-    assert sorted(set(os.listdir(BASELINES)) - {"e2e_fingerprints.json"}) == [
-        f"{bench}.json" for bench in GATED
-    ]
+    assert sorted(os.listdir(BASELINES)) == [f"{bench}.json" for bench in GATED]
 
 
 # -- the CLI gate ----------------------------------------------------------------------

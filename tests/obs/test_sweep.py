@@ -1,15 +1,12 @@
 """The scaling ladder of ``benchmarks/bench_scaling.py`` and the
 ``scaling`` document it writes."""
 
-import copy
-import json
 import math
 
 import pytest
 
 from benchmarks.bench_scaling import LADDERS, METRICS, fit_slope, fit_slopes, run_point, run_sweep
 from repro.obs import artifact
-from repro.obs.artifact import SchemaError
 
 
 def rungs_of(doc):
@@ -112,96 +109,6 @@ def test_ladders_cover_the_issue_families():
     assert any(name.startswith("dcell") for name in LADDERS["full"])
     # the scale ladder names the beyond-ceiling points explicitly
     assert "torus-32x32" in LADDERS["scale"]
-
-
-# -- the document ----------------------------------------------------------------------
-
-
-def valid_doc():
-    return {
-        "schema": "repro.bench/1",
-        "bench": "scaling",
-        "title": "Reconfiguration scaling curves (smoke ladder: ring-4, torus-32x32)",
-        "seed": 0,
-        "results": [
-            {
-                "name": "rungs",
-                "title": "Reconfiguration scaling curves (smoke ladder: ring-4, torus-32x32)",
-                "headers": ["topology", "switches", "links", "status", "blackout_ns"],
-                "rows": [
-                    ["ring-4", 4, 4, "ok", 3],
-                    ["torus-32x32", 1024, 2048, "address ceiling", None],
-                ],
-                "notes": "test",
-                "telemetry": {"host": {"ring-4_events_per_sec": 1.0}},
-            },
-            {
-                "name": "slopes",
-                "title": "Scaling exponents",
-                "headers": ["metric", "slope", "r2", "points"],
-                "rows": [["blackout_ns", 1.2, 0.9, 4]],
-                "notes": "",
-            },
-        ],
-    }
-
-
-def test_validator_accepts_and_returns_doc():
-    doc = valid_doc()
-    assert artifact.validate(doc, "repro.bench/1") is doc
-
-
-@pytest.mark.parametrize(
-    "mutate, where",
-    [
-        (lambda d: d.update(schema="repro.bench/2"), "schema"),
-        (lambda d: d.update(seed="0"), "seed"),
-        (lambda d: d["results"][0]["rows"][0].append(1.0), "unknown metric"),
-        (lambda d: d["results"][0]["rows"][0].pop(), "missing"),
-        (lambda d: d["results"][1]["rows"][0].pop(), "slopes"),
-    ],
-)
-def test_validator_rejections(mutate, where):
-    doc = copy.deepcopy(valid_doc())
-    mutate(doc)
-    with pytest.raises(SchemaError):
-        artifact.validate(doc, "repro.bench/1")
-
-
-def test_write_read_round_trip(tmp_path):
-    path = tmp_path / "sweep.json"
-    doc = valid_doc()
-    artifact.write(str(path), doc)
-    again = artifact.read(str(path), "repro.bench/1")
-    assert again == doc
-    # the artifact is plain indented JSON with a trailing newline
-    text = path.read_text()
-    assert text.endswith("\n") and json.loads(text) == doc
-
-
-def test_write_refuses_invalid(tmp_path):
-    doc = valid_doc()
-    doc["results"][0]["rows"][1].append("a cell no header names")
-    with pytest.raises(SchemaError, match=r"rows\[1\]: row width 6 != header width 5"):
-        artifact.write(str(tmp_path / "bad.json"), doc)
-    assert not (tmp_path / "bad.json").exists()
-
-
-# -- rendering -------------------------------------------------------------------------
-
-
-def test_render_sweep_mentions_every_point_and_slope():
-    text = artifact.render(valid_doc())
-    assert "ring-4" in text
-    assert "torus-32x32" in text and "address ceiling" in text
-    assert "blackout_ns" in text and "1.2" in text and "0.9" in text
-
-
-def test_doctor_sweep_report_renders():
-    text = artifact.render(valid_doc())
-    assert text.startswith("bench scaling: Reconfiguration scaling curves (smoke ladder:")
-    with pytest.raises(SchemaError):
-        artifact.render({"schema": "nope"})
 
 
 # -- the repro.obs CLI -----------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.obs.timeseries import (
 )
 from repro.sim.engine import Simulator
 from repro.topology import ring, torus
+from tests.checkers import sampler_view, series_max, series_min, series_window
 
 
 # -- rings ----------------------------------------------------------------------------
@@ -59,7 +60,7 @@ def test_sampler_ticks_and_collectors_align(every_10ms):
     sim.run(until=60 * MS)
     # ticks at 10,20,30,40,50,60 ms
     assert sampler.ticks() == [10 * MS, 20 * MS, 30 * MS, 40 * MS, 50 * MS, 60 * MS]
-    series = sampler.view().series("v")
+    series = sampler_view(sampler).series("v")
     assert series.values == [0.0, 0.0, 0.0, 5.0, 5.0, 5.0]
 
 
@@ -123,8 +124,8 @@ def _data(ticks, values):
 def test_window_and_aggregates():
     s = _data([10, 20, 30, 40], [1.0, None, 5.0, 2.0])
     assert s.points() == [(10, 1.0), (30, 5.0), (40, 2.0)]  # gaps skipped
-    assert s.window(20, 40).points() == [(30, 5.0)]
-    assert s.last() == 2.0 and s.max() == 5.0 and s.min() == 1.0
+    assert series_window(s, 20, 40).points() == [(30, 5.0)]
+    assert s.last() == 2.0 and series_max(s) == 5.0 and series_min(s) == 1.0
     assert _data([10], [None]).last() is None
 
 
@@ -195,7 +196,7 @@ def test_network_records_cut_and_epoch(tmp_path):
 
     # the cut is visible: sw0 loses a good port for good
     good = ts.series("ports_in_state", switch="sw0", state="s.switch.good")
-    before = good.window(0, 1 * SEC).last()
+    before = series_window(good, 0, 1 * SEC).last()
     after = good.last()
     assert before == 4.0 and after == 3.0
 
@@ -203,11 +204,11 @@ def test_network_records_cut_and_epoch(tmp_path):
     # across the cut on every switch
     for name in ("sw0", "sw1"):
         epoch = ts.series("epoch", switch=name)
-        assert epoch.last() > epoch.window(0, 1 * SEC).last()
+        assert epoch.last() > series_window(epoch, 0, 1 * SEC).last()
 
     # the blackout flag pulsed during reconfiguration and cleared
     dark = ts.series("blackout_in_progress", switch="sw0")
-    assert dark.max() == 1.0 and dark.last() == 0.0
+    assert series_max(dark) == 1.0 and dark.last() == 0.0
 
     # span marks landed in the ring
     events = {m["event"] for m in ts.marks()}
@@ -236,7 +237,7 @@ def test_sampler_survives_switch_restart():
     net.run_for(1 * SEC)
     net.restart_switch(1)
     net.run_for(3 * SEC)
-    epoch = net.sampler.view().series("epoch", switch="sw1")
+    epoch = sampler_view(net.sampler).series("epoch", switch="sw1")
     values = epoch.values
     assert None in values  # dead window
     assert values[-1] is not None  # reporting again after restart
@@ -290,7 +291,7 @@ def _recorded_network():
 
 
 def test_render_frame_is_pure_and_complete():
-    ts = _recorded_network().sampler.view()
+    ts = sampler_view(_recorded_network().sampler)
     frame = render_frame(ts, "ring-4")
     assert frame == render_frame(ts, "ring-4")  # pure: same view, same pixels
     assert "\x1b" not in frame  # plain text: no terminal escapes
@@ -304,4 +305,4 @@ def test_render_frame_is_pure_and_complete():
 
 def test_switch_names_natural_order():
     net = _recorded_network()
-    assert switch_names(net.sampler.view()) == ["sw0", "sw1", "sw2", "sw3"]
+    assert switch_names(sampler_view(net.sampler)) == ["sw0", "sw1", "sw2", "sw3"]

@@ -17,9 +17,10 @@ them:
     The evidence behind DESIGN.md's mutation table, minutes per mutant:
     each one is applied to a scratch copy of the checkout, which then
     runs the discipline test, tier-1 without it and ``tests/staticcheck``
-    (so "caught" means caught by something other than the rules), the CI
-    ``determinism`` job's two-hash-seed export ``cmp``, and one seed-0
-    round of the e2e fingerprints.  One ``OUT/<id>.json`` per mutant;
+    (so "caught" means caught by something other than the rules), and
+    the identity manifest (``tests/identity.py``, every artifact's sha256
+    against the committed one) under hash seeds 0 and 1.  One
+    ``OUT/<id>.json`` per mutant;
     ``--table OUT`` renders them as the Markdown table.
 
 ``--dynamic`` with ``--checks lint`` is how the table's "now" column is
@@ -599,39 +600,21 @@ def check_tier1(tree: Path) -> str:
     return f"exit {proc.returncode}"
 
 
-def check_hashseed(tree: Path) -> str:
-    """The CI determinism job's first three steps, hash seeds 0 and 1."""
-    exports = []
+def check_identity(tree: Path) -> str:
+    """``tests/identity.py`` under hash seeds 0 and 1: how many rows moved
+    from the committed manifest, and whether the two seeds agree."""
+    manifests, moved = [], set()
     for hashseed in ("0", "1"):
-        export = tree / f"fingerprint_{hashseed}.json"
-        proc = _run(tree, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                    "tests/test_determinism.py",
-                    PYTHONHASHSEED=hashseed, REPRO_DETERMINISM_EXPORT=str(export))
-        if proc.returncode != 0:
-            return "fails in-process"
-        exports.append(export.read_bytes())
-    return "same" if exports[0] == exports[1] else "cmp differs"
+        proc = _run(tree, "tests/identity.py", PYTHONHASHSEED=hashseed)
+        if not proc.stdout.strip():
+            return "crashes"
+        manifests.append(proc.stdout)
+        moved.update(line.split(":")[0] for line in proc.stderr.splitlines() if ": " in line)
+    verdict = f"{len(moved)} of {len(json.loads(manifests[0]))} moved" if moved else "equal"
+    return verdict if manifests[0] == manifests[1] else f"{verdict}, seeds differ"
 
 
-def check_e2e(tree: Path) -> str:
-    """One seed-0 round of the benchmark against the committed fingerprints
-    (``run.py`` itself exits 1 when its plain and traced rounds disagree)."""
-    out = tree / "e2e-out"
-    proc = _run(tree, "benchmarks/e2e/run.py", "--seed", "0", "--rounds", "1", "--out", str(out))
-    result = out / "e2e-result.json"
-    if not result.exists():
-        return "crashes"
-    committed = json.loads(
-        (tree / "benchmarks/results/baselines/e2e_fingerprints.json").read_text())
-    want = dict(committed["results"][0]["rows"])
-    got = {name: w["fingerprint"]
-           for name, w in json.loads(result.read_text())["workloads"].items()}
-    moved = sum(want[name] != got.get(name) for name in want)
-    verdict = f"{moved} of {len(want)} moved" if moved else "equal"
-    return verdict if proc.returncode == 0 else f"{verdict}, run.py exits {proc.returncode}"
-
-
-CHECKS = {"lint": check_lint, "tier1": check_tier1, "hashseed": check_hashseed, "e2e": check_e2e}
+CHECKS = {"lint": check_lint, "tier1": check_tier1, "identity": check_identity}
 
 _SCRATCH = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.pyc")
 
@@ -662,8 +645,8 @@ def run_dynamic(out: Path, only: Sequence[str], checks: Sequence[str]) -> int:
 
 def render_table(out: Path) -> int:
     print("| Mutant | Breaks | Edit | Rules | Tier-1 (without the rules) "
-          "| Hash-seed `cmp` | e2e fingerprints |")
-    print("| --- | --- | --- | --- | --- | --- | --- |")
+          "| Identity manifest |")
+    print("| --- | --- | --- | --- | --- | --- |")
     for mutant in MUTANTS:
         path = out / f"{mutant.id}.json"
         row = json.loads(path.read_text()) if path.exists() else {}

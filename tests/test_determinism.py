@@ -6,14 +6,10 @@ of the same network produce identical histories -- the property that
 makes the benchmark numbers in EXPERIMENTS.md exactly regenerable.
 """
 
-import hashlib
-import os
-
 from repro.constants import SEC
 from repro.network import Network
-from repro.obs import artifact
-from repro.obs.export import bench_document, bench_result
 from repro.topology import torus
+from tests.checkers import trace_digest
 
 
 def run_once(seed):
@@ -24,42 +20,7 @@ def run_once(seed):
     net.cut_link(0, 1)
     assert net.run_until_converged(timeout_ns=60 * SEC)
     epoch = net.current_epoch()
-    trace = tuple(
-        (e.component, e.local_time, e.event, e.detail)
-        for ap in net.autopilots
-        for e in ap.trace.entries()
-    )
-    return epoch, net.epoch_duration(epoch), net.sim.now, trace
-
-
-def _maybe_export_fingerprint(run):
-    """When REPRO_DETERMINISM_EXPORT names a path, write the run's
-    fingerprint as a repro.bench/1 document.  CI runs this test twice
-    under different PYTHONHASHSEED values and diffs the two documents
-    byte-for-byte: any hash-order or wall-clock leak shows up as a
-    mismatch."""
-    path = os.environ.get("REPRO_DETERMINISM_EXPORT")
-    if not path:
-        return
-    epoch, duration_ns, now_ns, trace = run
-    digest = hashlib.sha256(repr(trace).encode()).hexdigest()
-    doc = bench_document(
-        bench="determinism",
-        title="Seed-42 run fingerprint (torus-2x3, one link cut)",
-        seed=42,
-        results=[
-            bench_result(
-                name="fingerprint",
-                title="Full-history fingerprint",
-                headers=[
-                    "epoch", "duration_ns", "sim_now_ns",
-                    "trace_events", "trace_sha256",
-                ],
-                rows=[[epoch, duration_ns, now_ns, len(trace), digest]],
-            )
-        ],
-    )
-    artifact.write(path, doc)
+    return epoch, net.epoch_duration(epoch), net.sim.now, trace_digest(net)
 
 
 def test_identical_seeds_identical_histories():
@@ -69,7 +30,6 @@ def test_identical_seeds_identical_histories():
     assert first[1] == second[1]
     assert first[2] == second[2]
     assert first[3] == second[3], "event histories diverged"
-    _maybe_export_fingerprint(first)
 
 
 def test_different_seeds_differ_only_in_clock_offsets():

@@ -127,8 +127,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: DELETED -- the repro.obs regress and sweep subcommands, the regress/2
 #: verdict schema, the sweep's own boot/cut/reconverge driver, its traffic
 #: mode and ladder check, the capacity next_hops override; the receive
-#: FIFO's end marker closing whatever entry is arriving costs +2: -> this)
-BUDGET = 14680
+#: FIFO's end marker closing whatever entry is arriving costs +2: -> 14 680;
+#: then one identity manifest: the four timeseries queries only tests read
+#: (TimeSeriesSampler.view, SeriesData.window/min/max, and with them
+#: TimeSeries.from_document) are RE-HOMED to tests/checkers.py, and the
+#: chaos CLI shrinking toward the same violation costs +19: -> this)
+BUDGET = 14673
 
 
 def _lines(path: Path) -> int:

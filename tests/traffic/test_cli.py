@@ -15,6 +15,7 @@ from repro.obs.__main__ import main as obs_main
 from repro.obs.timeseries import TimeSeries, read_timeseries
 from repro.traffic.__main__ import main as traffic_main
 from repro.traffic.artifact import validate_traffic
+from tests.checkers import series_max
 
 
 def test_run_writes_valid_artifact(tmp_path, capsys):
@@ -37,7 +38,7 @@ def test_timeseries_out_alone_turns_the_sampler_on(tmp_path, capsys):
     args = "run --topo ring-4 --flows 12 --hosts 6 --duration 0.2 --drain 0.3"
     assert traffic_main(args.split() + ["--timeseries-out", path]) == 0
     assert f"wrote {path}" in capsys.readouterr().out
-    assert TimeSeries(read_timeseries(path)).series("traffic_active_flows").max() > 0
+    assert series_max(TimeSeries(read_timeseries(path)).series("traffic_active_flows")) > 0
 
 
 def test_report_and_validate_subcommands(tmp_path, capsys):

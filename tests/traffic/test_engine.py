@@ -11,7 +11,6 @@ The two load-bearing properties here mirror the other obs layers:
   with the workload on or off.
 """
 
-import hashlib
 import json
 from dataclasses import replace
 
@@ -24,6 +23,7 @@ from repro.obs.export import bench_document, bench_result
 from repro.topology.generators import resolve_topology
 from repro.traffic.artifact import TRAFFIC_SCHEMA, validate_traffic
 from repro.traffic.workload import TrafficConfig
+from tests.checkers import trace_digest
 
 TOPOLOGIES = ("ring-4", "torus-3x4", "src-lan-30")
 
@@ -61,17 +61,12 @@ def _run_scenario(topology, traffic):
 def _core_fingerprint(net):
     """The control-plane history: every autopilot trace entry plus the
     epoch trajectory.  Identical fingerprints = identical runs."""
-    trace = tuple(
-        (e.component, e.local_time, e.event, e.detail)
-        for ap in net.autopilots
-        for e in ap.trace.entries()
-    )
-    return (net.current_epoch(), net.sim.now, trace)
+    return (net.current_epoch(), net.sim.now, trace_digest(net))
 
 
 def _bench_bytes(net):
     """A repro.bench/1 fingerprint document, serialized."""
-    epoch, now_ns, trace = _core_fingerprint(net)
+    epoch, now_ns, digest = _core_fingerprint(net)
     doc = bench_document(
         bench="traffic-determinism",
         title="Scenario fingerprint",
@@ -80,11 +75,9 @@ def _bench_bytes(net):
             bench_result(
                 name="fingerprint",
                 title="Core history",
-                headers=["epoch", "sim_now_ns", "trace_events"],
-                rows=[[epoch, now_ns, len(trace)]],
-                telemetry={
-                    "trace_sha256": hashlib.sha256(repr(trace).encode()).hexdigest()
-                },
+                headers=["epoch", "sim_now_ns"],
+                rows=[[epoch, now_ns]],
+                telemetry={"trace_sha256": digest},
             )
         ],
     )

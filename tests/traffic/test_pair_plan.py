@@ -28,6 +28,7 @@ from repro.topology.generators import resolve_topology
 from repro.traffic.engine import MAX_HOPS
 from repro.traffic.fluid import walk_path
 from repro.traffic.workload import TrafficConfig
+from tests.checkers import sampler_view, series_max
 from tests.naive_fluid import naive_flow_rates
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -161,7 +162,7 @@ def test_flows_awaiting_their_first_walk_are_not_unrouted(monkeypatch):
     assert net.run_until_converged(timeout_ns=120 * SEC)
     net.traffic.launch()
     net.run_for(int(0.5 * SEC))
-    series = net.sampler.view()
-    assert series.series("traffic_active_flows").max() > 0
-    assert series.series("traffic_unrouted_flows").max() == 0.0
+    series = sampler_view(net.sampler)
+    assert series_max(series.series("traffic_active_flows")) > 0
+    assert series_max(series.series("traffic_unrouted_flows")) == 0.0
     assert net.traffic_doc()["flows_unrouted"] == 0
