@@ -16,7 +16,6 @@ for Autonet trees vs token rings.
 import pytest
 
 from benchmarks.bench_util import Rig, Row, report
-from repro.analysis.metrics import rate_mbps
 from repro.host.ethernet import Ethernet
 from benchmarks.rigs.token_ring import TokenRing
 from repro.constants import MS, SEC
@@ -25,6 +24,14 @@ from repro.host.workload import PeriodicSender, Sink
 from repro.sim.engine import Simulator
 from repro.topology import torus
 from repro.types import Uid
+
+
+def rate_mbps(bytes_count: float, elapsed_ns: int) -> float:
+    """Throughput in Mbit/s over an elapsed simulated interval."""
+    if elapsed_ns <= 0:
+        return 0.0
+    return bytes_count * 8 / (elapsed_ns / 1_000)  # bits per microsecond == Mbit/s
+
 
 #: adjacent-switch pairs in the 3x4 torus with link-disjoint direct routes
 PAIRS = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)]

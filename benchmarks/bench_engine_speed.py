@@ -3,11 +3,12 @@
 Runs the measured scenario (converge, cut link 0-1, reconverge) on the
 two gated topologies with the event-loop profiler attached.  The row
 metric is the exact number of events dispatched -- a deterministic cost
-proxy the CI ``bench-gate`` job holds to the committed baseline by
-equality.  Wall time and dispatch throughput are the host's, so they
-ride in ``telemetry["host"]``, outside the gated surface: useful for
-before/after ratios on one box, and measured repeatably by ``bench_e2e``
-(``benchmarks/e2e``), not here.
+proxy the CI ``bench-record`` job holds to the committed
+``results/engine_speed.txt`` byte for byte.  Wall time and dispatch
+throughput are the host's, so they ride in ``telemetry["host"]``, in the
+uncommitted ``BENCH_engine_speed.json``: useful for before/after ratios
+on one box, and measured repeatably by ``bench_e2e`` (``benchmarks/e2e``),
+not here.
 """
 
 from benchmarks import bench_util

@@ -20,19 +20,19 @@ cable, reconverge) across a ladder of topologies and records, per rung,
 The result is one ``repro.bench/1`` document (bench ``scaling``) with
 two tables: ``rungs`` (one row per topology, exact sim-time ns and
 counts) and ``slopes`` (the log-log least-squares fit of each metric
-against switch count, with its r² and sample count).  With the
-committed baseline in ``benchmarks/results/baselines/scaling.json`` the
-CI ``bench-gate`` job (``python -m benchmarks.regress``) holds every
-cell equal, so "blackout grows with exponent 1.4 in switch count" is a
-gated number.  Only the per-rung ``events_per_sec`` and its slope are
-the host's; they ride in the rung table's ``telemetry["host"]``,
-outside the gated surface.
+against switch count, with its r² and sample count).  The bench writes
+both tables to ``benchmarks/results/scaling.txt``, which CI's
+``bench-record`` job holds byte for byte, so "blackout grows with
+exponent 1.4 in switch count" is a gated number.  Only the per-rung
+``events_per_sec`` and its slope are the host's; they ride in the rung
+table's ``telemetry["host"]``, in ``BENCH_scaling.json``, which is not
+committed.
 
 Rungs whose switch count exceeds the 126-switch short-address ceiling
 (``MAX_SWITCH_NUMBER``, §3: 11 bits of short address minus the
 four port bits) are recorded explicitly -- their ``status`` cell says
 why and their metric cells are empty: the ceiling is itself a scaling
-finding, not something to silently truncate.  The gate watches the
+finding, not something to silently truncate.  The record holds the
 ``smoke`` ladder; ``run_sweep("full")`` and ``run_sweep("scale")``
 climb the others.
 """

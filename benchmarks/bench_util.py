@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import format_table
 from repro.chaos.events import FaultEvent
 from repro.constants import SEC
 from repro.core.autopilot import AutopilotParams
@@ -34,7 +33,7 @@ from repro.host.localnet import LocalNet
 from repro.host.workload import RpcClient, RpcServer
 from repro.network import Network
 from repro.obs import artifact
-from repro.obs.export import bench_document, bench_result
+from repro.obs.export import bench_document, bench_result, format_table
 from repro.scenario import ScenarioResult, drive_scenario
 from repro.topology import TopologySpec
 

@@ -1,4 +1,4 @@
-"""Analysis tools: the section 6.6 invariants, the doctor, metrics.
+"""Analysis tools: the section 6.6 invariants and the doctor.
 
 These operate on computed forwarding tables and topology descriptions
 (statically) or on the running simulation (dynamically), and back the

@@ -2,7 +2,7 @@
 
 .. code-block:: console
 
-    # the CI smoke gate
+    # the smoke campaign (its document is a row of tests/identity.py)
     python -m repro.chaos --schedules 50 --topology torus-3x4 --seed 0
 
     # write the bench document and shrunk reproducers for any failures

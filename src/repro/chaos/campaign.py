@@ -5,7 +5,8 @@ runs each against a fresh simulated installation of the configured
 topology, and sweeps the :mod:`repro.analysis.invariants` at every
 quiescent point: the routing ones mid-run whenever the installation
 re-converges between faults, and ``quiescent_checks`` in full (oracle
-included) once the schedule's horizon has passed and the network settled.
+included) once the schedule's horizon has passed and the network settled,
+with the traffic SLO when the schedule drives a workload.
 
 Seeding discipline: the campaign owns one :class:`~repro.sim.rng.
 RngRegistry`; each schedule's sampler draws from a ``fork`` of it and
@@ -120,30 +121,30 @@ class CampaignRunner:
         ``traffic`` (as ``Network(traffic=...)``) drives a workload
         through the schedule's faults; the fluid model is
         observational, so the reconfiguration trajectory is unchanged
-        while ``quiescent_checks`` adds the SLO invariant (no flow left
+        while the final check adds the SLO invariant (no flow left
         permanently unrouted at quiescence).
 
         ``artifacts`` names a directory: the run then records with the
         flight recorder, the longitudinal sampler, in-band telemetry and
         a workload (the default one when ``traffic`` is off) -- all
-        observational, so the run itself is unchanged -- and afterwards
-        leaves ``<name>.trace.json``, ``<name>.timeseries.json``,
+        observational, so the run and what it checks are those of the
+        same call without ``artifacts`` -- and afterwards leaves
+        ``<name>.trace.json``, ``<name>.timeseries.json``,
         ``<name>.inband.json`` and ``<name>.traffic.json`` there."""
         result = ScheduleResult(name=name or schedule.name, schedule=schedule)
         recording = artifacts is not None
-        if recording and traffic is None:
-            traffic = True
+        workload = True if recording and traffic is None else traffic
         network = self.build_network(
-            schedule, flight=recording, timeseries=recording, inband=recording, traffic=traffic
+            schedule, flight=recording, timeseries=recording, inband=recording, traffic=workload
         )
         try:
-            return self._run_schedule(network, schedule, result)
+            return self._run_schedule(network, schedule, result, slo=traffic is not None)
         finally:
             if artifacts is not None:
                 network.export_observers(os.path.join(artifacts, result.name))
 
     def _run_schedule(
-        self, network: Network, schedule: Schedule, result: ScheduleResult
+        self, network: Network, schedule: Schedule, result: ScheduleResult, slo: bool
     ) -> ScheduleResult:
         # liveness: base + per-switch, covering worst-case skeptic hold-downs
         deadline = 20 * SEC + self.spec.n_switches * SEC
@@ -181,6 +182,10 @@ class CampaignRunner:
             result.violations.append(f"no convergence within {deadline / 1e9:.0f}s of schedule end")
         else:
             report = quiescent_checks(network)
+            if slo and network.traffic is not None:  # asked for, not only recorded
+                report.ran("traffic_slo")
+                for violation in network.traffic.slo_violations():
+                    report.fail(f"traffic SLO: {violation}")
             result.checks_run.update(report.checks_run)
             result.violations.extend(report.violations)
 

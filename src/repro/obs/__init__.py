@@ -46,10 +46,10 @@ re-exports nothing):
 
 ``python -m repro.obs`` exposes ``run`` (the one scenario, every
 observer on, every document written), ``report`` (any ``repro.*/1`` file
-or directory as text) and ``validate``.  The bench gate
-(``python -m benchmarks.regress``) and the scaling ladder
-(``benchmarks/bench_scaling.py``) are experiment code and live beside
-the benches.
+or directory as text) and ``validate``.  The bench record (each bench
+rewrites its committed ``benchmarks/results`` files byte for byte) and
+the scaling ladder (``benchmarks/bench_scaling.py``) are experiment code
+and live beside the benches.
 
 Which observer answers which question is executable:
 ``tests/obs/test_questions.py`` states each question as a query over one

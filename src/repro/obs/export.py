@@ -33,7 +33,7 @@ operator-facing dashboard of that snapshot.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.artifact import INT, NAME, SCALAR, STR, Opt, Schema, fail, keys
 
@@ -173,11 +173,23 @@ def render_telemetry(snap: Dict[str, Any]) -> str:
     return "\n".join(lines).lstrip("\n")
 
 
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Plain-text aligned table for bench output."""
+    materialized: List[List[str]] = [[str(h) for h in headers]]
+    for row in rows:
+        materialized.append([str(cell) for cell in row])
+    widths = [max(len(r[i]) for r in materialized) for i in range(len(headers))]
+    lines = []
+    for i, row in enumerate(materialized):
+        lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)))
+        if i == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
 def render_bench(doc: Dict[str, Any]) -> str:
     """Every result as its bench printed it -- title, table, notes --
     followed by the dashboard of a telemetry snapshot it carries."""
-    from repro.analysis.metrics import format_table  # analysis/__init__ imports the world
-
     lines = [f"bench {doc['bench']}: {doc['title']} (seed {doc['seed']})"]
     for result in doc["results"]:
         lines += ["", f"== {result['title']} ==", format_table(result["headers"], result["rows"])]

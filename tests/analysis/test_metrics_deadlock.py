@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.analysis.metrics import format_table, mean, rate_mbps
+from benchmarks.bench_aggregate_bandwidth import rate_mbps
+from repro.obs.export import format_table
 from repro.sim.engine import Simulator
 from tests.checkers import ProgressMonitor, mbits, percentile, stddev
 
 
 class TestMetrics:
-    def test_mean_and_empty(self):
-        assert mean([1, 2, 3]) == 2
-        assert mean([]) == 0.0
-
     def test_percentile_nearest_rank(self):
         values = list(range(1, 101))
         assert percentile(values, 50) == 50

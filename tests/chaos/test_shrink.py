@@ -3,7 +3,9 @@ and the CLI's shrink of a real campaign failure."""
 
 import argparse
 
-from repro.chaos.__main__ import _shrink_failures
+import pytest
+
+from repro.chaos.__main__ import _shrink_failures, _signature
 from repro.chaos.campaign import CampaignConfig, CampaignRunner
 from repro.chaos.events import CrashSwitch, CutLink, NoisyLink, RestoreLink
 from repro.chaos.schedule import SCHEDULE_SCHEMA, Schedule
@@ -81,18 +83,25 @@ def test_minimal_name_is_derived():
     assert minimal.name == "big-min"
 
 
-def test_the_cli_shrinks_toward_the_violation_it_started_from(tmp_path):
+@pytest.fixture(scope="module")
+def shrunk(tmp_path_factory):
+    """ring-8 seed 3's schedule-0012 as sampled, and the reproducer the
+    CLI's shrink wrote for it (with its recording beside it)."""
+    out = tmp_path_factory.mktemp("shrunk")
+    runner = CampaignRunner(CampaignConfig(topology="ring-8", seed=3))
+    original = runner.run_schedule(runner.sample_schedule(12))
+    runner.results = [original]
+    _shrink_failures(runner, argparse.Namespace(artifact_dir=str(out)))
+    return runner, original, artifact.read(str(out / "schedule-0012.json"), SCHEDULE_SCHEMA)
+
+
+def test_the_cli_shrinks_toward_the_violation_it_started_from(shrunk):
     """ring-8 seed 3's schedule-0012 (six events) fails oracle agreement at
     sw0, sw1, sw5, sw6 and sw7.  Shrinking on "still fails" kept noisy 0-7
     and cut 4-5, which fail at all eight switches against a component of 8:
     another failure.  Shrinking on the same (switch, check) pairs keeps the
     cut of 1-2 too."""
-    runner = CampaignRunner(CampaignConfig(topology="ring-8", seed=3))
-    original = runner.run_schedule(runner.sample_schedule(12))
-    runner.results = [original]
-    _shrink_failures(runner, argparse.Namespace(artifact_dir=str(tmp_path)))
-
-    doc = artifact.read(str(tmp_path / "schedule-0012.json"), SCHEDULE_SCHEMA)
+    runner, original, doc = shrunk
     assert doc["shrunk_from_events"] == 6
     events = Schedule.from_dict(doc["schedule"]).sorted_events()
     assert [(e.kind, e.a, e.b) for e in events] == [
@@ -100,9 +109,17 @@ def test_the_cli_shrinks_toward_the_violation_it_started_from(tmp_path):
         ("noisy-link", 0, 7),
         ("cut-link", 4, 5),
     ]
-    # the reproducer's own replay records with a workload, whose SLO check
-    # adds violations of its own; the shrunk schedule alone fails as before
     assert runner.run_schedule(Schedule.from_dict(doc["schedule"])).violations == (
         original.violations
     )
     assert [v.split(":")[0] for v in original.violations] == ["sw0", "sw1", "sw5", "sw6", "sw7"]
+
+
+def test_the_reproducer_lists_only_what_the_campaign_checked(shrunk):
+    """The shrink's confirmation replay records with a workload aboard; a
+    recording checks what the same run without it checks, so the
+    reproducer names the sampled run's failure and no traffic-SLO line
+    of a workload the campaign never drove."""
+    _runner, original, doc = shrunk
+    assert _signature(doc["violations"]) == _signature(original.violations)
+    assert not [v for v in doc["violations"] if v.startswith("traffic SLO")]

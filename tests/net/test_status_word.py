@@ -18,6 +18,7 @@ from repro.net.link import LinkState, connect
 from repro.net.linkunit import OVERFLOW, PROGRESS_SEEN, UNDERFLOW, LinkUnit
 from repro.net.packet import Packet
 from repro.net.switch import Switch
+from repro.obs.inband import InbandTelemetry, render_inband
 from repro.sim.engine import Simulator
 from repro.types import Uid
 from tests.naive_registers import CHRONIC_BITS, chronic_status
@@ -104,14 +105,17 @@ def test_event_bits_are_cleared_by_the_read():
     assert unit.overflow_drops == 1
 
 
-class QueueDropSpy:
-    """The one in-band hook an overflowing FIFO calls."""
+class QueueDropSpy(InbandTelemetry):
+    """Real in-band telemetry that also keeps each victim the one hook an
+    overflowing FIFO calls names."""
 
-    def __init__(self):
+    def __init__(self, sim):
+        super().__init__(sim)
         self.victims = []
 
     def record_queue_drop(self, packet, fifo_name):
         self.victims.append(packet)
+        super().record_queue_drop(packet, fifo_name)
 
 
 def test_one_overflowing_packet_is_one_overflow_drop():
@@ -120,7 +124,7 @@ def test_one_overflowing_packet_is_one_overflow_drop():
     level stayed above capacity counted the same packet again: three drops,
     three queue-drop reports and the OVERFLOW bit re-latched after a read."""
     sim = Simulator()
-    sim.inband = spy = QueueDropSpy()
+    sim.inband = spy = QueueDropSpy(sim)
     unit = LinkUnit(sim, "A.p1", 1, on_head_ready=lambda port, packet: None,
                     on_packet_drained=lambda port, packet: None, fifo_bytes=200)
     first = Packet(dest_short=0x20, src_short=0x30, data_bytes=1000)
@@ -140,6 +144,11 @@ def test_one_overflowing_packet_is_one_overflow_drop():
     unit.rx_end_packet(second)
     assert unit.sample_status() & OVERFLOW
     assert (unit.overflow_drops, spy.victims, second.corrupted) == (2, [first, second], True)
+
+    # each loss is one queue drop on the link's row of the in-band document
+    doc = spy.document("overflow")
+    assert [(row["link"], row["drops"]) for row in doc["links"]] == [("A.p1", 2)]
+    assert "2 queue drops" in render_inband(doc)
 
 
 def test_progress_seen_compares_two_reads():

@@ -5,19 +5,18 @@ The scaling sweep's ``run_point`` and a dozen bench helpers each ran
 converge -> cut -> reconverge themselves and read "how long did that
 take" off two different definitions.  Their arithmetic is kept here as
 the reference: on ring-4 and torus-3x4 the driver's fields must equal
-it, and a fresh smoke-ladder sweep must equal the committed ``scaling``
-baseline that ``bench-gate`` holds ``bench_scaling.py`` to (written at
-the commit that folded the sweep's own format into it, from the same
-numbers).
+it, and a fresh smoke-ladder sweep must write the committed
+``benchmarks/results/scaling.txt`` byte for byte.
 """
+
+from pathlib import Path
 
 import pytest
 
-from benchmarks import regress
+from benchmarks import bench_util
 from benchmarks.bench_scaling import run_sweep
 from repro.constants import MS, SEC
 from repro.network import Network
-from repro.obs import artifact
 from repro.scenario import ScenarioResult, attach_pair, drive_scenario
 from repro.topology.generators import resolve_topology
 
@@ -105,17 +104,12 @@ def test_no_cut_measures_no_reconfiguration():
     assert outcome.reconfig_ns is None and outcome.blackout_ns is None
 
 
-def test_smoke_sweep_equals_the_document_the_old_run_point_wrote(tmp_path, capsys):
-    """One golden for the scaling measurement: a fresh smoke sweep, the
-    gate's verdict on it and the bench's committed baseline agree,
-    metric for metric -- nothing changed, missing or new.  The baseline's
-    cells are the numbers the old ``run_point`` wrote, control_retx and
-    each slope's r² and n included, re-committed at ns precision."""
-    fresh = str(tmp_path / "scaling.json")
-    artifact.write(fresh, run_sweep("smoke", 0))
-    baseline = regress.read_baseline(regress.BASELINES, "scaling")
-    verdict = regress.compare(artifact.read(fresh, "repro.bench/1"), baseline)
-    assert {c["status"] for c in verdict["comparisons"]} == {"ok"}
-    assert regress.metrics_of(artifact.read(fresh, "repro.bench/1")) == regress.metrics_of(baseline)
-    assert regress.main([fresh]) == 0  # the committed baselines are the default
-    assert "regress scaling: OK" in capsys.readouterr().out
+def test_smoke_sweep_equals_the_document_the_old_run_point_wrote(tmp_path, monkeypatch):
+    """One golden for the scaling measurement: a fresh smoke sweep writes
+    the committed record of ``bench_scaling.py`` byte for byte -- every
+    rung cell and every slope's r² and n, the numbers the old
+    ``run_point`` wrote at ns precision."""
+    monkeypatch.setattr(bench_util, "RESULTS_DIR", str(tmp_path))
+    bench_util.report_document(run_sweep("smoke", 0))
+    committed = Path(__file__).resolve().parents[1] / "benchmarks" / "results" / "scaling.txt"
+    assert (tmp_path / "scaling.txt").read_bytes() == committed.read_bytes()

@@ -131,8 +131,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: then one identity manifest: the four timeseries queries only tests read
 #: (TimeSeriesSampler.view, SeriesData.window/min/max, and with them
 #: TimeSeries.from_document) are RE-HOMED to tests/checkers.py, and the
-#: chaos CLI shrinking toward the same violation costs +19: -> this)
-BUDGET = 14673
+#: chaos CLI shrinking toward the same violation costs +19: -> 14 673;
+#: then one bench record: analysis/metrics.py goes -- rate_mbps RE-HOMED
+#: to its one bench, format_table moved beside render_bench, mean
+#: DELETED -- and the traffic SLO leaves quiescent_checks for the
+#: campaign, checked only when a schedule asks for a workload: -> this)
+BUDGET = 14653
 
 
 def _lines(path: Path) -> int:
