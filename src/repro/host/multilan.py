@@ -1,8 +1,8 @@
 """The LocalNet generic-LAN interface of section 5.6 (Figure 4).
 
 LocalNet "presents a set of generic, UID-addressed LANs that carry
-Ethernet datagrams": `attach_autonet` / `attach_ethernet` add a
-network, `set_state` enables or disables each, `send` transmits a datagram on a chosen
+Ethernet datagrams": a `MultiLan` is built over its networks, `set_state`
+enables or disables each, `send` transmits a datagram on a chosen
 network, and a single receive hook delivers arrivals from any of them,
 tagged with the network they came in on.  During the Autonet's shake-down
 every Firefly stayed attached to both networks, and "the choice of which
@@ -14,7 +14,7 @@ software" (section 5.5) -- which the tests exercise literally.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional, Union
 
 from repro.host.ethernet import ETHERNET_BROADCAST, EthernetStation
 from repro.host.localnet import BROADCAST_UID, LocalNet
@@ -23,61 +23,45 @@ from repro.types import Uid
 
 
 class MultiLan:
-    """One host's view of several generic LANs (Figure 4).
+    """One host's view of several generic LANs (Figure 4): each an Autonet
+    (a :class:`LocalNet`) or an Ethernet station, given at construction
+    as ``Bridge(a, b)`` takes its two ends; a network's id is its position.
 
     ``on_receive(net_id, src_uid, data_bytes, payload)`` fires for
     arrivals on any enabled network.
     """
 
-    def __init__(self) -> None:
-        self._autonets: Dict[int, LocalNet] = {}
-        self._ethernets: Dict[int, EthernetStation] = {}
-        self._enabled: Dict[int, bool] = {}
-        self._next_id = 0
+    def __init__(self, *lans: Union[LocalNet, EthernetStation]) -> None:
+        self._lans = lans
+        self._enabled = [True] * len(lans)
         self.on_receive: Optional[Callable[[int, Uid, int, object], None]] = None
-        self.sent: Dict[int, int] = {}
-        self.received: Dict[int, int] = {}
-
-    # -- attachment ----------------------------------------------------------------
-
-    def attach_autonet(self, localnet: LocalNet) -> int:
-        net_id = self._next_id
-        self._next_id += 1
-        self._autonets[net_id] = localnet
-        self._enabled[net_id] = True
-        self.sent[net_id] = self.received[net_id] = 0
-        localnet.on_datagram = partial(self._from_autonet, net_id)
-        return net_id
-
-    def attach_ethernet(self, station: EthernetStation) -> int:
-        net_id = self._next_id
-        self._next_id += 1
-        self._ethernets[net_id] = station
-        self._enabled[net_id] = True
-        self.sent[net_id] = self.received[net_id] = 0
-        station.on_receive = partial(self._from_ethernet, net_id)
-        return net_id
+        self.sent = [0] * len(lans)
+        self.received = [0] * len(lans)
+        for net_id, lan in enumerate(lans):
+            if isinstance(lan, EthernetStation):
+                lan.on_receive = partial(self._from_ethernet, net_id)
+            else:
+                lan.on_datagram = partial(self._from_autonet, net_id)
 
     # -- the LocalNet interface of Figure 4 ------------------------------------------
 
     def set_state(self, net_id: int, enabled: bool) -> None:
         """Enable or disable one network."""
-        if net_id not in self._enabled:
+        if not 0 <= net_id < len(self._lans):
             raise KeyError(f"no such network: {net_id}")
         self._enabled[net_id] = enabled
 
     def send(self, net_id: int, dest_uid: Uid, data_bytes: int,
              payload: object = None) -> bool:
         """Send an Ethernet datagram via a specific network."""
-        if not self._enabled.get(net_id, False):
+        if not (0 <= net_id < len(self._lans) and self._enabled[net_id]):
             return False
-        if net_id in self._autonets:
-            ok = self._autonets[net_id].send(dest_uid, data_bytes, payload=payload)
-        elif net_id in self._ethernets:
+        lan = self._lans[net_id]
+        if isinstance(lan, EthernetStation):
             dest = ETHERNET_BROADCAST if dest_uid == BROADCAST_UID else dest_uid
-            ok = self._ethernets[net_id].send(dest, data_bytes, payload)
+            ok = lan.send(dest, data_bytes, payload)
         else:
-            raise KeyError(f"no such network: {net_id}")
+            ok = lan.send(dest_uid, data_bytes, payload=payload)
         if ok:
             self.sent[net_id] += 1
         return ok
@@ -93,7 +77,7 @@ class MultiLan:
         self._deliver(net_id, src_uid, data_bytes, payload)
 
     def _deliver(self, net_id: int, src_uid: Uid, data_bytes: int, payload: object) -> None:
-        if not self._enabled.get(net_id, False):
+        if not self._enabled[net_id]:
             return  # a disabled network delivers nothing upward
         self.received[net_id] += 1
         if self.on_receive is not None:

@@ -39,7 +39,7 @@ from repro.constants import MS, SEC
 from repro.network import Network
 from repro.obs import artifact
 from repro.obs.export import bench_document, bench_result
-from repro.scenario import attach_pair, drive_scenario, parse_cut, report_unknown_subcommand
+from repro.scenario import attach_pair, drive_scenario, parse_cut
 from repro.topology.generators import TOPOLOGY_FAMILIES, resolve_topology
 
 
@@ -128,8 +128,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.obs",
         description="Observability tooling: record a scenario's documents, "
         "then render or validate any repro.*/1 file.",
+        epilog="\n".join(["topologies (--topo):"] + [
+            f"  {example:<14} {desc}" for example, desc in TOPOLOGY_FAMILIES]),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser(
         "run", help="run the scenario with every observer on, write and report its documents"
@@ -161,17 +164,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         p_files.set_defaults(fn=_cmd_files, show=show)
 
-    # missing or unknown subcommand: list what exists instead of a bare
-    # argparse error (shared with python -m repro.traffic)
-    status = report_unknown_subcommand(
-        parser,
-        sub,
-        argv,
-        extra=["topologies (--topo):"]
-        + [f"  {example:<14} {desc}" for example, desc in TOPOLOGY_FAMILIES],
-    )
-    if status is not None:
-        return status
     args = parser.parse_args(argv)
     return args.fn(args)
 

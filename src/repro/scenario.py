@@ -9,10 +9,8 @@ so the CLIs (``repro.obs``, ``repro.traffic``) and the benches cannot
 drift apart on what "how long did that take" means.  :func:`attach_pair`
 is the standard host workload those callers put on the installation
 first.  The other shared pieces of CLI behavior live
-here too: :func:`report_unknown_subcommand` (both tools print a usage
-listing and exit 2 on a missing *or* unknown subcommand instead of a
-bare argparse error), :func:`parse_cut` (the ``--cut A-B`` argument
-type) and :func:`fmt_ns` (durations in reports).
+here too: :func:`parse_cut` (the ``--cut A-B`` argument type) and
+:func:`fmt_ns` (durations in reports).
 """
 
 from __future__ import annotations
@@ -180,40 +178,3 @@ def attach_pair(net, period_ns: int, data_bytes: int) -> list:
     for localnet, peer in zip(localnets, reversed(localnets)):
         PeriodicSender(localnet, peer.uid, data_bytes, period_ns)
     return sinks
-
-
-def report_unknown_subcommand(
-    parser,
-    sub,
-    argv: Optional[Sequence[str]],
-    extra: Sequence[str] = (),
-    stream: Optional[TextIO] = None,
-) -> Optional[int]:
-    """Shared CLI behavior: list subcommands and return 2 when the first
-    positional argument is missing or names no subcommand; None when the
-    command line looks dispatchable (argparse takes it from there).
-
-    ``extra`` lines (e.g. topology families) print verbatim after the
-    listing.
-    """
-    out = stream if stream is not None else sys.stderr
-    args = list(sys.argv[1:] if argv is None else argv)
-    command = next((a for a in args if not a.startswith("-")), None)
-    if command is not None and command in sub.choices:
-        return None
-    if command is None and ("-h" in args or "--help" in args):
-        return None  # let argparse print full help
-    parser.print_usage(out)
-    if command is not None:
-        print(f"unknown subcommand: {command!r}", file=out)
-    print("subcommands:", file=out)
-    helps = {
-        action.dest: action.help
-        for action in getattr(sub, "_choices_actions", [])
-    }
-    width = max((len(name) for name in sub.choices), default=8)
-    for name in sub.choices:
-        print(f"  {name:<{width}} {helps.get(name) or ''}", file=out)
-    for line in extra:
-        print(line, file=out)
-    return 2

@@ -28,7 +28,7 @@ from typing import List, Optional
 from repro.constants import SEC
 from repro.network import Network
 from repro.obs import artifact
-from repro.scenario import drive_scenario, parse_cut, report_unknown_subcommand
+from repro.scenario import drive_scenario, parse_cut
 from repro.topology.generators import TOPOLOGY_FAMILIES, resolve_topology
 from repro.traffic.workload import TrafficConfig
 
@@ -63,8 +63,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.traffic",
         description="Flow-level traffic workloads with blackout-cost "
         "accounting during reconfiguration.",
+        epilog="\n".join(["topologies (--topo):"] + [
+            f"  {example:<14} {desc}" for example, desc in TOPOLOGY_FAMILIES]),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser(
         "run", help="generate a workload, run it through a cable cut, report"
@@ -104,13 +107,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_run.set_defaults(fn=_cmd_run)
 
-    listing = report_unknown_subcommand(
-        parser, sub, argv,
-        extra=["topologies (--topo):"]
-        + [f"  {example:<14} {desc}" for example, desc in TOPOLOGY_FAMILIES],
-    )
-    if listing is not None:
-        return listing
     args = parser.parse_args(argv)
     return args.fn(args)
 

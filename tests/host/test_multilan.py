@@ -22,10 +22,8 @@ def dual_attached():
         name = f"h{i}"
         port = 5 + i  # distinct switch ports per host
         controller = net.add_host(name, [(sw_a, port), (sw_b, port)])
-        multi = MultiLan()
-        autonet_id = multi.attach_autonet(LocalNet(net.drivers[name]))
-        ether_id = multi.attach_ethernet(ether.attach(controller.uid, name))
-        hosts[name] = (multi, autonet_id, ether_id, controller.uid)
+        multi = MultiLan(LocalNet(net.drivers[name]), ether.attach(controller.uid, name))
+        hosts[name] = (multi, 0, 1, controller.uid)
     assert net.run_until_converged(timeout_ns=60 * SEC)
     net.run_for(5 * SEC)
     return net, hosts

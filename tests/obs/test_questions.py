@@ -48,6 +48,7 @@ from repro.obs.perfetto import recorder_from_trace
 from repro.obs.profiler import EventLoopProfiler
 from repro.obs.timeseries import GOOD_STATE, TimeSeries, switch_names
 from repro.sim.trace import CAT_EPOCH, CAT_LOG, CAT_PORT
+from repro.topology import line
 from tests.checkers import series_max, series_window
 
 TOPO = "torus-3x4"
@@ -63,6 +64,8 @@ SIGNALS = {
     "bench:control": "control",
     "bench:hotspots": "profile",
 }
+#: the observers ``run`` turns on, each a ``Network`` flag
+OBSERVERS = {"telemetry", "flight", "profile", "timeseries", "inband", "control"}
 
 #: the phases of a reconfiguration span, in order (``repro.obs.spans``)
 PHASES = ("trigger", "epoch-start", "tree-stable", "topology-at-root", "table-loaded", "reopen")
@@ -304,12 +307,31 @@ def docs(tmp_path_factory):
     return load(out)
 
 
+def build_with_each_observer():
+    """Build a line-2 ``Network`` per observer flag: a flag ``Network``
+    does not take raises ``TypeError``, whatever wraps ``__init__``."""
+    for flag in sorted(OBSERVERS):
+        Network(line(2), **{flag: True})
+
+
 def test_the_run_holds_one_document_per_observer_document(docs):
     assert sorted(docs) == ["bench", "inband", "timeseries", "trace"]
-    observers = {"telemetry", "flight", "profile", "timeseries", "inband", "control"}
-    assert set(SIGNALS.values()) == observers, "every observer run turns on has a signal"
-    for flag in observers:
-        assert flag in Network.__init__.__code__.co_varnames
+    assert set(SIGNALS.values()) == OBSERVERS, "every observer run turns on has a signal"
+    build_with_each_observer()
+
+
+def test_the_observer_flags_hold_through_a_wrapped_init(monkeypatch):
+    """A tracer or profiler may wrap ``Network.__init__`` without
+    ``functools.wraps``, which hides its parameters from ``__code__``."""
+    init = Network.__init__
+
+    def wrapped(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "__init__", wrapped)
+    build_with_each_observer()
+    with pytest.raises(TypeError):
+        Network(line(2), watch=True)
 
 
 def test_every_question_answers_on_the_whole_directory(docs):

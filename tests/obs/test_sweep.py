@@ -114,13 +114,15 @@ def test_ladders_cover_the_issue_families():
 # -- the repro.obs CLI -----------------------------------------------------------------
 
 
-def test_cli_no_subcommand_lists_topologies(capsys):
+def test_cli_help_lists_topologies(capsys):
     from repro.obs.__main__ import main
 
-    assert main([]) == 2
-    err = capsys.readouterr().err
-    assert "run" in err and "sweep" not in err
-    assert "fat-tree-4" in err and "dcell-3l1" in err and "torus-3x4" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "run" in out and "sweep" not in out
+    assert "fat-tree-4" in out and "dcell-3l1" in out and "torus-3x4" in out
 
 
 def test_math_slope_matches_numpyless_reference():

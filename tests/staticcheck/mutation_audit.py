@@ -3,8 +3,10 @@
 catch, and what catches it when the rule is not there?
 
 A mutant is data -- the rule whose invariant it breaks, and one or more
-``(file, old text, new text)`` edits of the real tree.  Two ways to run
-them:
+``(file, old text, new text)`` edits of the real tree.  A rule keeps its
+place while one of its mutants is caught by the rule alone; where tier-1
+catches its first mutant, a second breaks the invariant another way.
+Two ways to run them:
 
 ``--static``
     In memory, milliseconds: the mutated files go through the
@@ -15,16 +17,13 @@ them:
 
 ``--dynamic OUT``
     The evidence behind DESIGN.md's mutation table, minutes per mutant:
-    each one is applied to a scratch copy of the checkout, which then
-    runs the discipline test, tier-1 without it and ``tests/staticcheck``
-    (so "caught" means caught by something other than the rules), and
-    the identity manifest (``tests/identity.py``, every artifact's sha256
-    against the committed one) under hash seeds 0 and 1.  One
-    ``OUT/<id>.json`` per mutant;
-    ``--table OUT`` renders them as the Markdown table.
-
-``--dynamic`` with ``--checks lint`` is how the table's "now" column is
-re-run when the rules change.
+    each one is applied to a scratch copy of the checkout (run it from a
+    clone of the commit under test), which then runs the discipline test,
+    tier-1 without it and ``tests/staticcheck`` (so "caught" means caught
+    by something other than the rules), and the identity manifest
+    (``tests/identity.py``, every artifact's sha256 against the
+    committed one) under hash seeds 0 and 1.  One ``OUT/<id>.json`` per
+    mutant; ``--table OUT`` renders them as the Markdown table.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ def _import(module: str, after: str) -> Tuple[str, str]:
 
 
 MUTANTS: List[Mutant] = [
-    # -- the seven rules this audit deleted ---------------------------------------------
+    # -- the whole-program rules, deleted when the linter left src/ ----------------------
     Mutant(
         "RS501-retx-jitter", "RS501",
         "a wall-clock jitter helper in sim/timers.py staggers ReconfigEngine._transmit's after()",
@@ -334,7 +333,7 @@ MUTANTS: List[Mutant] = [
         ),
         flagged_by=("RS402",),
     ),
-    # -- the fourteen rules that stay ---------------------------------------------------
+    # -- the fourteen rules: a second mutant where tier-1 catches the first ---------------
     Mutant(
         "RS101-transition-clock", "RS101",
         "Monitoring._transition stamps entered_at and the skeptics with time.monotonic_ns()",
@@ -347,12 +346,37 @@ MUTANTS: List[Mutant] = [
         flagged_by=("RS101",),
     ),
     Mutant(
+        "RS101-wall-deadline", "RS101",
+        "run_until_converged also gives up after 60 s of host time",
+        (
+            ("src/repro/network.py", *_import("time", _FUTURE)),
+            ("src/repro/network.py",
+             "        stable_since: Optional[int] = None\n"
+             "        while self.sim.now < deadline:\n",
+             "        stable_since: Optional[int] = None\n"
+             "        wall_deadline = time.monotonic() + 60\n"
+             "        while self.sim.now < deadline and time.monotonic() < wall_deadline:\n"),
+        ),
+        flagged_by=("RS101",),
+    ),
+    Mutant(
         "RS102-reflect-coin", "RS102",
         "the schedule sampler flips power-off-host's reflect coin on the global random stream",
         (
             ("src/repro/chaos/schedule.py", *_import("random", _FUTURE)),
             ("src/repro/chaos/schedule.py",
              "reflect=rng.random() < 0.7)", "reflect=random.random() < 0.7)"),
+        ),
+        flagged_by=("RS102",),
+    ),
+    Mutant(
+        "RS102-seeded-global", "RS102",
+        "random_regular seeds the process-global stream and draws from it, not from its own "
+        "Random(seed)",
+        (
+            ("src/repro/topology/generators.py",
+             "    rng = random.Random(seed)\n    order = list(range(n))\n",
+             "    random.seed(seed)\n    rng = random\n    order = list(range(n))\n"),
         ),
         flagged_by=("RS102",),
     ),
@@ -368,12 +392,33 @@ MUTANTS: List[Mutant] = [
         flagged_by=("RS103",),
     ),
     Mutant(
+        "RS103-urandom-nonce", "RS103",
+        "the connectivity probe's nonce is drawn from os.urandom instead of counting up",
+        (
+            ("src/repro/core/monitor.py", *_import("os", _FUTURE)),
+            ("src/repro/core/monitor.py",
+             "            mon.nonce += 1\n",
+             "            mon.nonce = int.from_bytes(os.urandom(4), \"big\")\n"),
+        ),
+        flagged_by=("RS103",),
+    ),
+    Mutant(
         "RS104-merged-log-order", "RS104",
         "the merged trace log breaks local-time ties by hash(component) instead of the name",
         (
             ("src/repro/sim/trace.py",
              "entries.sort(key=lambda e: (e.local_time, e.component))",
              "entries.sort(key=lambda e: (e.local_time, hash(e.component)))"),
+        ),
+        flagged_by=("RS104",),
+    ),
+    Mutant(
+        "RS104-event-tiebreak", "RS104",
+        "a schedule orders same-instant fault events by hash(kind) instead of the kind",
+        (
+            ("src/repro/chaos/schedule.py",
+             "key=lambda e: (e.at_ns, e.kind))",
+             "key=lambda e: (e.at_ns, hash(e.kind)))"),
         ),
         flagged_by=("RS104",),
     ),
@@ -413,6 +458,19 @@ MUTANTS: List[Mutant] = [
         flagged_by=("RS202",),
     ),
     Mutant(
+        "RS202-discard-stderr", "RS202",
+        "the switch prints each table discard to stderr",
+        (
+            ("src/repro/net/switch.py", *_import("sys", _FUTURE)),
+            ("src/repro/net/switch.py",
+             "            self._drop(\"table-discard\", in_port)\n",
+             "            self._drop(\"table-discard\", in_port)\n"
+             "            print(f\"{self.name}: no route to {packet.dest_short}\", "
+             "file=sys.stderr)\n"),
+        ),
+        flagged_by=("RS202",),
+    ),
+    Mutant(
         "RS203-condemn-peer", "RS203",
         "s.dead sets the far link unit's IdhySeen bit directly, not waiting for the directive",
         (
@@ -424,6 +482,21 @@ MUTANTS: List[Mutant] = [
              "\n"
              "    def _condemn(self, peer) -> None:\n"
              "        peer._events |= IDHY_SEEN\n"),
+        ),
+        flagged_by=("RS203",),
+    ),
+    Mutant(
+        "RS203-panic-unlatch", "RS203",
+        "send_panic also writes START into the far link unit's flow-control latch",
+        (
+            ("src/repro/net/linkunit.py",
+             "            self.fc_sender.pulse(Directive.PANIC)\n",
+             "            self.fc_sender.pulse(Directive.PANIC)\n"
+             "        if self.link is not None:\n"
+             "            self._unlatch(self.link.other(self))\n"
+             "\n"
+             "    def _unlatch(self, unit: \"LinkUnit\") -> None:\n"
+             "        unit.fc_receiver.last = Directive.START\n"),
         ),
         flagged_by=("RS203",),
     ),
@@ -445,6 +518,23 @@ MUTANTS: List[Mutant] = [
              "                self.ap.switch.name,\n"
              "                CAT_TIMER,\n"
              "                \"retx-arm\",\n"),
+        ),
+        flagged_by=("RS303",),
+    ),
+    Mutant(
+        "RS303-guarded-chain", "RS303",
+        "the table-clear hook tests sim.recorder, then loads it again to call record(...)",
+        (
+            ("src/repro/net/switch.py",
+             "        rec = self.sim.recorder\n"
+             "        if rec is not None:\n"
+             "            rec.record(\n"
+             "                self.sim.now, self.name, CAT_TABLE, \"table-clear\", "
+             "reset=reset_on_load\n",
+             "        if self.sim.recorder is not None:\n"
+             "            self.sim.recorder.record(\n"
+             "                self.sim.now, self.name, CAT_TABLE, \"table-clear\", "
+             "reset=reset_on_load\n"),
         ),
         flagged_by=("RS303",),
     ),
@@ -471,6 +561,20 @@ MUTANTS: List[Mutant] = [
         flagged_by=("RS305",),
     ),
     Mutant(
+        "RS305-guarded-chain", "RS305",
+        "the host's delivery stamp tests sim.inband, then loads it again to call "
+        "record_delivery(...)",
+        (
+            ("src/repro/host/controller.py",
+             "        ib = self.sim.inband\n"
+             "        if ib is not None:\n"
+             "            ib.record_delivery(packet)\n",
+             "        if self.sim.inband is not None:\n"
+             "            self.sim.inband.record_delivery(packet)\n"),
+        ),
+        flagged_by=("RS305",),
+    ),
+    Mutant(
         "RS306-unguarded-control", "RS306",
         "the control-send hook drops its None test",
         (
@@ -481,6 +585,20 @@ MUTANTS: List[Mutant] = [
              "        acct = self.sim.control\n"
              "        if True:\n"
              "            acct.record_send(\n"),
+        ),
+        flagged_by=("RS306",),
+    ),
+    Mutant(
+        "RS306-guarded-chain", "RS306",
+        "the retransmit count tests sim.control, then loads it again to call record_retx(...)",
+        (
+            ("src/repro/core/reconfig.py",
+             "            acct = self.ap.sim.control\n"
+             "            if acct is not None:\n"
+             "                acct.record_retx(self.epoch, type(pending.message).__name__)\n",
+             "            if self.ap.sim.control is not None:\n"
+             "                self.ap.sim.control.record_retx(self.epoch, "
+             "type(pending.message).__name__)\n"),
         ),
         flagged_by=("RS306",),
     ),
@@ -602,21 +720,27 @@ def check_tier1(tree: Path) -> str:
 
 def check_identity(tree: Path) -> str:
     """``tests/identity.py`` under hash seeds 0 and 1: how many rows moved
-    from the committed manifest, and whether the two seeds agree."""
-    manifests, moved = [], set()
+    from the committed manifest, and whether the two seeds agree.  The
+    rows are read from the manifest it prints, never from its stderr,
+    which a mutant may write to."""
+    committed = json.loads((tree / "tests/fixtures/identity.json").read_text())
+    manifests = []
     for hashseed in ("0", "1"):
         proc = _run(tree, "tests/identity.py", PYTHONHASHSEED=hashseed)
-        if not proc.stdout.strip():
+        try:
+            manifests.append(json.loads(proc.stdout))
+        except ValueError:
             return "crashes"
-        manifests.append(proc.stdout)
-        moved.update(line.split(":")[0] for line in proc.stderr.splitlines() if ": " in line)
-    verdict = f"{len(moved)} of {len(json.loads(manifests[0]))} moved" if moved else "equal"
+    moved = {row for manifest in manifests for row in manifest.keys() | committed.keys()
+             if manifest.get(row) != committed.get(row)}
+    verdict = f"{len(moved)} of {len(committed)} moved" if moved else "equal"
     return verdict if manifests[0] == manifests[1] else f"{verdict}, seeds differ"
 
 
 CHECKS = {"lint": check_lint, "tier1": check_tier1, "identity": check_identity}
 
-_SCRATCH = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.pyc")
+#: .git stays: tier-1 lists the committed documents with git ls-files
+_SCRATCH = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis", "*.pyc")
 
 
 def run_dynamic(out: Path, only: Sequence[str], checks: Sequence[str]) -> int:

@@ -1,6 +1,6 @@
-"""Every rule keeps a mutant of the real tree that it flags, and the
-mutants of the deleted whole-program rules keep the static verdict the
-mutation table in DESIGN.md records (``mutation_audit.py --static``)."""
+"""Every rule flags its mutants of the real tree, and every mutant keeps
+the static verdict the mutation table in DESIGN.md records
+(``mutation_audit.py --static``)."""
 
 from tests.staticcheck.mutation_audit import run_static
 

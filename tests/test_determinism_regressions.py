@@ -27,8 +27,6 @@ from repro.topology.generators import (
     resolve_topology,
     torus,
 )
-from tests.checkout import parse
-from tests.test_discipline import ALLOWED, shared_state
 
 MS = 1_000_000
 
@@ -146,16 +144,3 @@ def test_portstate_transition_tables_are_immutable():
         SAMPLER_TRANSITIONS[PortState.DEAD] = frozenset()
     with pytest.raises(TypeError):
         MONITOR_TRANSITIONS[PortState.SWITCH_WHO] = frozenset()
-
-
-def test_hot_path_packages_have_no_module_level_mutables():
-    """The RS402 sweep of src: nothing found in any package a Network is
-    built from, and nothing allowed away."""
-    hits = [
-        (path, line)
-        for module, (path, tree) in parse().items()
-        for line, rule, _ in shared_state(module, tree)
-        if rule == "RS402"
-    ]
-    assert hits == []
-    assert not [key for key in ALLOWED if key.startswith("RS402")]

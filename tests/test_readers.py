@@ -57,13 +57,6 @@ def call_site_rules():
 #: what only tests read and still stays, with what the test cannot
 #: otherwise do
 ALLOWED = {
-    "def repro.host.multilan.MultiLan.attach_autonet": (
-        "Figure 4's attachment call: the only way to put an Autonet under a MultiLan, "
-        "which tests/host/test_multilan.py needs to switch networks mid-RPC (section 5.5)"
-    ),
-    "def repro.host.multilan.MultiLan.attach_ethernet": (
-        "the Ethernet half of the same: a MultiLan with one kind of network switches nothing"
-    ),
     "def repro.net.forwarding.ForwardingTable.set_entry": (
         "plants one bad cell in a loaded table (tests/analysis/test_invariants.py's negative "
         "cases, the row-model differential); load() can only replace whole rows"
@@ -76,7 +69,7 @@ ALLOWED = {
         "the same two Autonets need distinct switch names on that simulator"
     ),
 }
-ALLOWED_MAX = 5
+ALLOWED_MAX = 3
 
 
 # -- the one pass ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ code"; tooling is already ~1.7x the protocol it wraps).
 
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 #: physical lines under src/repro/**/*.py (PR 12: 23 369 -> 22 994; PR 13,
 #: one TopologyIndex for neighbours/direction/next hops: -> 22 902; PR 15,
@@ -135,8 +136,17 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: then one bench record: analysis/metrics.py goes -- rate_mbps RE-HOMED
 #: to its one bench, format_table moved beside render_bench, mean
 #: DELETED -- and the traffic SLO leaves quiescent_checks for the
-#: campaign, checked only when a schedule asks for a workload: -> this)
-BUDGET = 14653
+#: campaign, checked only when a schedule asks for a workload: -> 14 653;
+#: then MultiLan takes its LANs at construction (attach_autonet/ethernet
+#: and the two id dicts go) and a missing or unknown subcommand is
+#: argparse's exit 2 (scenario.report_unknown_subcommand goes): -> this)
+BUDGET = 14586
+
+
+#: README and DESIGN.md describe the current system, and a change leaves
+#: each no longer than it found it (ROADMAP): their line counts when the
+#: constant was last set, which only go down
+DOC_CEILINGS = {"README.md": 1250, "DESIGN.md": 1607}
 
 
 def _lines(path: Path) -> int:
@@ -158,3 +168,8 @@ def test_src_line_count_stays_within_budget():
         f"src/repro grew to {total} lines, over the {BUDGET}-line budget: "
         "delete something, or raise BUDGET in a PR that states the reason"
     )
+
+
+def test_the_two_long_documents_stay_within_their_ceilings():
+    for name, ceiling in DOC_CEILINGS.items():
+        assert _lines(ROOT / name) <= ceiling, f"{name} grew past its {ceiling}-line ceiling"

@@ -1,10 +1,10 @@
 """python -m repro.traffic run, its document under python -m repro.obs
 report/validate, and the exit-2 discipline.
 
-Both observability CLIs (`repro.obs`, `repro.traffic`) share the
-missing/unknown-subcommand behavior through
-:func:`repro.scenario.report_unknown_subcommand`; the cross-CLI checks
-live here so a regression in either tool fails the same suite.
+Both observability CLIs (`repro.obs`, `repro.traffic`) leave a missing or
+unknown subcommand to argparse (a required subparser: usage line, exit
+2); the cross-CLI checks live here so a regression in either tool fails
+the same suite.
 """
 
 import json
@@ -16,6 +16,12 @@ from repro.obs.timeseries import TimeSeries, read_timeseries
 from repro.traffic.__main__ import main as traffic_main
 from repro.traffic.artifact import validate_traffic
 from tests.checkers import series_max
+
+
+def exit_code(main, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
 
 
 def test_run_writes_valid_artifact(tmp_path, capsys):
@@ -47,7 +53,7 @@ def test_report_and_validate_subcommands(tmp_path, capsys):
     assert traffic_main(args.split() + ["--out", out]) == 0
     capsys.readouterr()
 
-    assert traffic_main(["report", out]) == 2  # replaced, not aliased
+    assert exit_code(traffic_main, ["report", out]) == 2  # replaced, not aliased
     capsys.readouterr()
     assert obs_main(["report", out]) == 0
     text = capsys.readouterr().out
@@ -67,21 +73,21 @@ def test_validate_rejects_corrupt_artifact(tmp_path, capsys):
 
 @pytest.mark.parametrize("main", [traffic_main, obs_main], ids=["traffic", "obs"])
 def test_missing_subcommand_exits_2_with_listing(main, capsys):
-    assert main([]) == 2
+    assert exit_code(main, []) == 2
     err = capsys.readouterr().err
-    assert "subcommands:" in err
-    assert "topologies (--topo):" in err
+    assert "{run" in err.splitlines()[0]  # the usage line lists the subcommands
+    assert "the following arguments are required: command" in err
 
 
 @pytest.mark.parametrize("main", [traffic_main, obs_main], ids=["traffic", "obs"])
 def test_unknown_subcommand_exits_2(main, capsys):
-    assert main(["frobnicate"]) == 2
+    assert exit_code(main, ["frobnicate"]) == 2
     err = capsys.readouterr().err
-    assert "unknown subcommand: 'frobnicate'" in err
+    assert "invalid choice: 'frobnicate' (choose from 'run'" in err
 
 
 @pytest.mark.parametrize("main", [traffic_main, obs_main], ids=["traffic", "obs"])
-def test_help_still_exits_0(main):
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
+def test_help_still_exits_0(main, capsys):
+    assert exit_code(main, ["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "topologies (--topo):" in out and "src-lan-30" in out
