@@ -23,40 +23,5 @@ Layout:
 CLI: ``python -m repro.chaos --schedules 50 --topology torus-3x4 --seed 0``
 """
 
-from repro.chaos.campaign import CampaignConfig, CampaignRunner, ScheduleResult
-from repro.chaos.events import (
-    CrashSwitch,
-    CutLink,
-    FaultEvent,
-    FlapLink,
-    NoisyLink,
-    OnSpanEvent,
-    PowerOffHost,
-    RestartSwitch,
-    RestoreLink,
-    event_from_dict,
-)
-from repro.chaos.replay import replay_artifact
-from repro.chaos.schedule import Injector, Schedule, ScheduleSampler
-from repro.chaos.shrink import shrink_schedule
-
-__all__ = [
-    "CampaignConfig",
-    "CampaignRunner",
-    "CrashSwitch",
-    "CutLink",
-    "FaultEvent",
-    "FlapLink",
-    "Injector",
-    "NoisyLink",
-    "OnSpanEvent",
-    "PowerOffHost",
-    "RestartSwitch",
-    "RestoreLink",
-    "Schedule",
-    "ScheduleResult",
-    "ScheduleSampler",
-    "event_from_dict",
-    "replay_artifact",
-    "shrink_schedule",
-]
+# loaded with the package, so a first campaign pays no import inside its run
+from repro.chaos import campaign, events, replay, schedule, shrink  # noqa: F401

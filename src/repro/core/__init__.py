@@ -5,18 +5,6 @@ the distributed reconfiguration algorithm with termination detection,
 switch-number / short-address assignment, and up*/down* routing.
 """
 
-from repro.core.portstate import PortState
-from repro.core.routing import build_forwarding_entries, link_direction
-from repro.core.topo import NetLink, PortRef, SwitchRecord, TopologyMap
-from repro.core.treepos import TreePosition
+from repro.core.routing import link_direction
 
-__all__ = [
-    "PortState",
-    "build_forwarding_entries",
-    "link_direction",
-    "NetLink",
-    "PortRef",
-    "SwitchRecord",
-    "TopologyMap",
-    "TreePosition",
-]
+__all__ = ["link_direction"]

@@ -145,12 +145,10 @@ class ReconfigEngine:
         self._quiet_event: Optional[Event] = None
         # instrumentation
         self.epoch_started_at: int = 0
-        self.configured_at: int = 0
         self.epochs_initiated = 0
         self.epochs_joined = 0
         self.terminations = 0
         self.local_reconfigs = 0
-        self.local_applied_at: int = -1
         #: messages dropped because the arrival port was not (yet)
         #: s.switch.good -- see the gate in receive
         self.msgs_gated = 0
@@ -510,7 +508,6 @@ class ReconfigEngine:
         if self.topology is not reduced or not self.configured:
             return  # superseded by a global reconfiguration
         self.load_table(reduced)
-        self.local_applied_at = self.ap.sim.now
         self.ap.log("local-reconfig-applied", f"links={len(reduced.links)}")
 
     def nudge(self, port: int) -> None:
@@ -734,7 +731,6 @@ class ReconfigEngine:
             return  # superseded while computing
         self.load_table(topology)
         self.table_loaded = True
-        self.configured_at = self.ap.sim.now
         self.ap.log(
             "configured",
             f"epoch={epoch} number={self.my_number} "

@@ -29,7 +29,6 @@ class SrpHandler:
 
     def __init__(self, ap) -> None:
         self.ap = ap
-        self.requests_served = 0
 
     def handle(self, in_port: int, msg: SrpMessage) -> None:
         if msg.route:
@@ -60,7 +59,6 @@ class SrpHandler:
         # we are the destination: serve the command and retrace the path.
         # the reply leaves on the port the request arrived on; the
         # accumulated reply_route steers each switch on the way back.
-        self.requests_served += 1
         acct = self.ap.sim.control
         if acct is not None:
             acct.record_srp(msg.command, "served")

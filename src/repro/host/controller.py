@@ -153,9 +153,7 @@ class HostController:
         self.packets_received = 0
         self.packets_dropped_rx = 0
         self.packets_dropped_tx = 0
-        self.packets_ignored_alternate = 0
         self.crc_errors = 0
-        self.link_errors = 0
 
     # -- port selection ---------------------------------------------------------------------
 
@@ -197,9 +195,7 @@ class HostController:
 
     def _rx_complete(self, port: HostPort, packet: Packet) -> None:
         if not port.active:
-            # only one of the two connections is usable at a time (§3.9)
-            self.packets_ignored_alternate += 1
-            return
+            return  # only one of the two connections is usable at a time (§3.9)
         if packet.corrupted:
             self.crc_errors += 1
             ib = self.sim.inband

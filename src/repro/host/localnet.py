@@ -61,9 +61,7 @@ class LocalNetStats:
     sent_unicast: int = 0
     sent_to_broadcast_address: int = 0
     arp_requests_sent: int = 0
-    arp_responses_sent: int = 0
     gratuitous_arps: int = 0
-    cache_updates: int = 0
     received: int = 0
     received_not_for_us: int = 0
     dropped_too_large_unknown: int = 0
@@ -215,7 +213,6 @@ class LocalNet:
         )
 
     def _send_arp_response(self, to_uid: Uid, to_short: int) -> None:
-        self.stats.arp_responses_sent += 1
         self.driver.send(
             Packet(
                 dest_short=to_short,
@@ -233,7 +230,6 @@ class LocalNet:
         """Broadcast an ARP response so other caches update immediately
         (hosts change short addresses only across reconfigurations)."""
         self.stats.gratuitous_arps += 1
-        self.stats.arp_responses_sent -= 1  # don't double-count
         self._send_arp_response(BROADCAST_UID, ADDR_BROADCAST_HOSTS)
 
     # -- receive (section 6.8.1, "Receiving") ---------------------------------------------------
@@ -247,7 +243,6 @@ class LocalNet:
         else:
             entry.short_address = short
             entry.updated_at = self.sim.now
-        self.stats.cache_updates += 1
 
     def _receive(self, packet: Packet) -> None:
         self.stats.received += 1

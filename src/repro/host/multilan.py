@@ -35,8 +35,6 @@ class MultiLan:
         self._lans = lans
         self._enabled = [True] * len(lans)
         self.on_receive: Optional[Callable[[int, Uid, int, object], None]] = None
-        self.sent = [0] * len(lans)
-        self.received = [0] * len(lans)
         for net_id, lan in enumerate(lans):
             if isinstance(lan, EthernetStation):
                 lan.on_receive = partial(self._from_ethernet, net_id)
@@ -59,12 +57,8 @@ class MultiLan:
         lan = self._lans[net_id]
         if isinstance(lan, EthernetStation):
             dest = ETHERNET_BROADCAST if dest_uid == BROADCAST_UID else dest_uid
-            ok = lan.send(dest, data_bytes, payload)
-        else:
-            ok = lan.send(dest_uid, data_bytes, payload=payload)
-        if ok:
-            self.sent[net_id] += 1
-        return ok
+            return lan.send(dest, data_bytes, payload)
+        return lan.send(dest_uid, data_bytes, payload=payload)
 
     # -- delivery -----------------------------------------------------------------------
 
@@ -79,6 +73,5 @@ class MultiLan:
     def _deliver(self, net_id: int, src_uid: Uid, data_bytes: int, payload: object) -> None:
         if not self._enabled[net_id]:
             return  # a disabled network delivers nothing upward
-        self.received[net_id] += 1
         if self.on_receive is not None:
             self.on_receive(net_id, src_uid, data_bytes, payload)

@@ -28,13 +28,11 @@ class Sink:
         self.count = 0
         self.bytes = 0
         self.latencies_ns: List[int] = []
-        self.last_arrival_ns = -1
         localnet.on_datagram = self._arrive
 
     def _arrive(self, src_uid: Uid, ethertype: int, data_bytes: int, packet: Packet) -> None:
         self.count += 1
         self.bytes += data_bytes
-        self.last_arrival_ns = self.sim.now
         if packet.created_at:
             self.latencies_ns.append(self.sim.now - packet.created_at)
 

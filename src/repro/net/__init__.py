@@ -5,22 +5,3 @@ at byte-time fidelity using an event-driven fluid model: FIFO occupancies
 are piecewise-linear in time and events fire exactly at threshold
 crossings, packet boundaries, and flow-control transitions.
 """
-
-from repro.net.packet import Packet, PacketType
-from repro.net.flowcontrol import Directive
-from repro.net.fifo import ReceiveFifo
-from repro.net.link import Link, LinkState
-from repro.net.forwarding import ForwardingEntry, ForwardingTable
-from repro.net.switch import Switch
-
-__all__ = [
-    "Packet",
-    "PacketType",
-    "Directive",
-    "ReceiveFifo",
-    "Link",
-    "LinkState",
-    "ForwardingEntry",
-    "ForwardingTable",
-    "Switch",
-]

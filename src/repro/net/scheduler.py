@@ -106,15 +106,17 @@ class SchedulingEngine:
     # -- the scan -----------------------------------------------------------------------
 
     def _kick(self) -> None:
-        """Arm a scan if some queued request meets a free port; a scan
-        that would meet none can grant and reserve nothing."""
+        """Scan if a queued request meets a free port (one that meets none can
+        grant and reserve nothing): now if the engine is free, else when it is."""
         if self._scan_event is not None:
             return
         free = self.free
         for request in self.queue:
             if request.entry.mask & free:
-                at = max(self.sim.now, self._busy_until)
-                self._scan_event = self.sim.at(at, self._scan)
+                if self._busy_until <= self.sim.now:
+                    self._scan()
+                else:
+                    self._scan_event = self.sim.at(self._busy_until, self._scan)
                 return
 
     def _scan(self) -> None:

@@ -221,6 +221,8 @@ class Switch:
     def reset(self) -> None:
         """Destroy all packets in the switch (FIFO clears, abort drains)."""
         self.resets += 1
+        # first, so that no port the aborts free is granted mid-reset
+        self.engine.clear()
         for port, unit in self.ports.items():
             if unit.fifo.queue:
                 self._drop("reset", port, len(unit.fifo.queue))
@@ -229,7 +231,6 @@ class Switch:
             unit.reset()
         self._cp_queue.clear()
         self._feeding[:] = [None] * (self.n_ports + 1)
-        self.engine.clear()
 
     def clear_table(self, reset_on_load: bool = True) -> None:
         """Step 1 of reconfiguration: constant (one-hop) entries only."""

@@ -417,13 +417,13 @@ class TrafficEngine:
 
     def _windows(self) -> List[Dict[str, Any]]:
         """Per-epoch blackout-cost windows: segment totals prorated onto
-        each reconfiguration span of the tracer."""
+        each of the tracer's windows (a superseded epoch owns none)."""
         tracer = self.network.tracer
         if tracer is None:
             return []
         now = self.sim.now
         out = []
-        for span in tracer.span_summary():
+        for span in tracer.windows():
             start = span["start_ns"]
             end = span["end_ns"] if span["end_ns"] is not None else now
             offered = delivered = deficit = 0.0

@@ -5,8 +5,15 @@ from tests.checkout import parse
 
 #: every phase but explain, for every property test: explain re-runs a
 #: failing example under a line tracer, minutes for the differentials that
-#: fork a converged network per example, and looks like a hang in CI
-settings.register_profile("no-explain", phases=[p for p in Phase if p is not Phase.explain])
+#: fork a converged network per example, and looks like a hang in CI.
+#: Derandomized: each test draws a function of its own source, so tier-1's
+#: verdict is a function of the tree
+settings.register_profile(
+    "no-explain", phases=[p for p in Phase if p is not Phase.explain], derandomize=True)
+#: fresh draws at the same budgets, for the nightly search
+#: (``pytest -m hypothesis --hypothesis-profile=search``); what it
+#: falsifies is pinned as an ``@example`` on its test
+settings.register_profile("search", settings.get_profile("no-explain"), derandomize=False)
 settings.load_profile("no-explain")
 
 #: the modules CI's ``determinism`` job runs under ``PYTHONHASHSEED=0`` and

@@ -88,9 +88,14 @@ class NaiveSchedulingEngine:
         self._kick()
 
     def _kick(self):
+        # a free engine scans at once (its decision time is over), a busy
+        # one at the end of it
         if self.scan_event is not None or not self.queue:
             return
-        self.scan_event = self.sim.at(max(self.sim.now, self.busy_until), self._scan)
+        if self.busy_until <= self.sim.now:
+            self._scan()
+        else:
+            self.scan_event = self.sim.at(self.busy_until, self._scan)
 
     def _scan(self):
         self.scan_event = None

@@ -88,9 +88,7 @@ class NaiveController(HostController):
 
     def _rx_complete(self, port: HostPort, packet: Packet) -> None:
         if not port.active:
-            # only one of the two connections is usable at a time (§3.9)
-            self.packets_ignored_alternate += 1
-            return
+            return  # only one of the two connections is usable at a time (§3.9)
         if packet.corrupted:
             self.crc_errors += 1
             ib = self.sim.inband

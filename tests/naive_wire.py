@@ -23,12 +23,18 @@ is pinned to (as ``tests/naive_registers.py`` is for the status word):
   of it is only counted.  Running them through the FIFO would split its
   float sums at an instant the real side does not stop at (a last-ulp
   ``max_level`` difference, not a behaviour one);
-* ``SchedulingEngine._kick`` arms a scan whenever the queue is non-empty.
+* a cut-through drain starts at a boundary of its own and sends its begin
+  then, where the real side dates the begin at the grant; a grant from
+  inside the request re-enters the FIFO's pass (``tests/naive_fifo.py``);
+* ``SchedulingEngine._kick`` scans whenever the queue is non-empty: at
+  once while the engine is free, as the real one does, and armed for the
+  end of its decision time while it is busy.
 
 :func:`install` patches all of that over the real classes and returns the
 count of events the naive side dispatches that the real code folds away,
 so a differential test can demand ``naive.events_dispatched -
-real.events_dispatched == folded.markers + folded.empty_scans`` exactly.
+real.events_dispatched == folded.markers + folded.empty_scans`` plus the
+boundaries the dated starts fold, exactly.
 Its ``_recompute`` is built on the five-method pass of
 ``tests/naive_fifo.py``, which it installs first.
 Nothing under ``src/`` may import this module.
@@ -38,6 +44,7 @@ from repro.constants import BYTE_TIME_NS
 from repro.net.fifo import _EPS, FifoPacket, ReceiveFifo, TransmitQueue
 from repro.net.link import Link, Transmitter
 from repro.net.scheduler import SchedulingEngine
+from repro.sim.engine import cancel
 from tests import naive_fifo
 
 
@@ -104,11 +111,10 @@ def install(monkeypatch):
             if starting:
                 head.drain_started = True
                 if head.arriving:
-                    self.cut_through_packets += 1
+                    self._cut_through += 1
                 else:
-                    self.buffered_packets += 1
-                for target in head.targets:
-                    target.notify_begin(head.packet, head.broadcast, new_rate)
+                    self._buffered += 1
+                naive_fifo.begin(self, head, new_rate)
             if head.drain_started and abs(new_rate - self.drain_rate) > _EPS:
                 completing = head.bytes_out + _EPS >= head.size
                 for target in head.targets:
@@ -116,6 +122,7 @@ def install(monkeypatch):
                         send_folded_rate(target, new_rate, completing)
                     else:
                         target.notify_rate(new_rate)
+        naive_fifo.date(self)
         self.drain_rate = new_rate if (head is not None and head.drain_started) else 0.0
 
         if head is not None and head.bytes_out + _EPS >= head.size:
@@ -135,7 +142,9 @@ def install(monkeypatch):
 
     def abort(self):
         packet = self.current
-        if packet is not None:
+        if packet is not None and self._begin_at > self.endpoint.sim.now:
+            real_abort(self)  # a dated begin still to come is withdrawn
+        elif packet is not None:
             packet.corrupted = True
             send_folded_rate(self, 0.0)
             self.notify_end(packet, True)
@@ -168,15 +177,24 @@ def install(monkeypatch):
     def _kick(self):
         matched = any(request.entry.mask & self.free for request in self.queue)
         if self._scan_event is not None:
-            # the real engine would have armed here at the latest
-            self._naive_matched = self._naive_matched or matched
-            return
+            if not (matched and self._busy_until <= self.sim.now):
+                # the real engine would have armed here at the latest
+                self._naive_matched = self._naive_matched or matched
+                return
+            # the real engine scans now: the one armed for this instant
+            # while it was busy goes
+            cancel(self._scan_event)
+            self._scan_event = None
         if not self.queue:
             return
+        if self._busy_until <= self.sim.now:
+            real_scan(self)
+            return
         self._naive_matched = matched
-        self._scan_event = self.sim.at(max(self.sim.now, self._busy_until), self._scan)
+        self._scan_event = self.sim.at(self._busy_until, self._scan)
 
     real_scan = SchedulingEngine._scan
+    real_abort = Transmitter.abort
 
     def _scan(self):
         if not self._naive_matched:

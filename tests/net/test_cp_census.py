@@ -8,6 +8,9 @@ neighbour's control processor through a link unit's receive FIFO:
     -> _granted -> connect_drain -> Link.send_begin -> rx_begin_packet -> ...
     -> _deliver_to_cp
 
+(the scan runs inside ``add_request`` while the engine is free, and the
+grant only names the drain for the queue's request pass to read next).
+
 This census counts what that costs on one fixed scenario, with observers
 off: a seed-0 src-lan-30 boot to convergence, one cable cut and the
 reconvergence after it.  Every count is exact and deterministic, so it is
@@ -17,8 +20,9 @@ the ``core`` + ``net`` cost proxy the wall-clock ledger lacks:
 * **passes** of each queue kind -- the link units' receive FIFOs (``rx``)
   and the port-0 transmit queues (``tx``) -- by trigger, and how many were
   *idle* (the queue's state after the pass is what it was before);
-* **kicks** of the scheduling engines, and how many armed nothing;
-* **scans** and **grants**;
+* **kicks** of the scheduling engines, and how many neither scanned nor
+  armed a scan;
+* **scans** (events and inline), how many ran at once, and **grants**;
 * **calls**: Python-level calls into the hop's code (``repro.net`` and the
   event loop) and into the tree-position values (``treepos``), counted by
   ``sys.setprofile`` inside this test only.
@@ -30,10 +34,13 @@ crossbar, and before the guarded kicks: kept beside ``CENSUS`` so that the
 cut is a count, not a guess.  The trajectory is the same, so events,
 passes, scans and grants are too (4 transmit-queue passes per control
 packet either way; their cut is in what a pass does, which no count here
-sees).  Per control packet (5 565 of them), the kicks fall from 6.0 to 2.8 and those
-that arm nothing from 4.0 to 0.8, and the hop's calls from 100.2 to 90.0:
+sees).  Per control packet (5 565 of them), the kicks fall from 6.0 to 2.7 and those
+that do nothing from 4.0 to 0.7, and the hop's calls from 100.2 to 81.9:
 no ``Crossbar`` or ``_fifo_for`` hops, no ``record_hop`` or
-``new_packet_id`` call, no drain test on a head that is all out.  The
+``new_packet_id`` call, no drain test on a head that is all out.  Since
+the scan runs at once and the grant lands in the request pass, the
+events fall from 67 370 to 52 331 (11 104 scans and 3 934 boundaries
+fewer), and the queue passes from 56 683 to 34 490.  The
 tree-position values make about 4 ``treepos`` calls per packet either way,
 but a position is now a named tuple ordered by UID values: building one
 fell from about 1.7 to 0.5 us and comparing two from 1.1 to 0.4 us, and
@@ -81,7 +88,7 @@ def queue_state(queue):
     return (
         queue.in_rate, queue.drain_rate, queue._level_stop, queue.overflowed,
         queue._boundary_at if queue._boundary is not None else None,
-        queue.cut_through_packets, queue.buffered_packets,
+        queue._cut_through, queue._buffered,  # the counters, not the settling reads
         tuple(
             (id(e), e.bytes_in, e.bytes_out, e.arriving, e.requested, e.drain_started,
              e.targets is not None)
@@ -104,6 +111,7 @@ class Census:
         for cls in (ReceiveFifo, TransmitQueue):
             monkeypatch.setattr(cls, "_recompute", self._pass(cls._recompute))
         monkeypatch.setattr(SchedulingEngine, "_kick", self._kick(SchedulingEngine._kick))
+        monkeypatch.setattr(SchedulingEngine, "_scan", self._scan(SchedulingEngine._scan))
 
     def _entry(self, method, trigger):
         @wraps(method)  # an event keeps its handler's name
@@ -127,11 +135,19 @@ class Census:
 
     def _kick(self, method):
         def counted(engine):
-            armed = engine._scan_event
+            armed, scans = engine._scan_event, self.kicks["scanned at once"]
             method(engine)
             self.kicks["calls"] += 1
-            if engine._scan_event is armed:
+            if engine._scan_event is armed and self.kicks["scanned at once"] == scans:
                 self.kicks["armed nothing"] += 1
+        return counted
+
+    def _scan(self, method):
+        @wraps(method)
+        def counted(engine):
+            # an armed scan runs with its event still recorded
+            self.kicks["scanned at once"] += engine._scan_event is None
+            method(engine)
         return counted
 
     # -- the EventLoopProfiler slots Simulator.run calls -------------------------------
@@ -174,7 +190,8 @@ def take_census(monkeypatch):
         "events": dict(census.events),
         "passes": {key: (census.passes[key], census.idle[key]) for key in sorted(census.passes)},
         "kicks": (census.kicks["calls"], census.kicks["armed nothing"]),
-        "scans": census.events["SchedulingEngine._scan"],
+        "scans": census.events["SchedulingEngine._scan"] + census.kicks["scanned at once"],
+        "scans at once": census.kicks["scanned at once"],
         "grants": sum(engine.grants for engine in engines),
         "calls": dict(sorted(calls.items())),
     }
@@ -228,18 +245,55 @@ PARENT = {
         "sim/engine.py": 87767,
     },
 }
-#: this tree: the same trajectory, so the same events, passes, scans and
-#: grants; what moved is the calls the hop makes and the kicks that arm nothing
+#: this tree: a grant inside the request pass makes no pass of its own, a
+#: free engine scans at once, a cut-through start is dated at its grant and
+#: an emptied queue's next-head re-entry makes no pass.  The trajectory
+#: moved only where a same-instant tie breaks differently (one fewer
+#: ``TaskScheduler._wake``); control packets, scans and grants are the
+#: parent's
 CENSUS = {
-    **PARENT,
-    "kicks": (15591, 4463),
+    "control packets": 5565,
+    "events": {
+        "FlowControlSender._emit": 240,
+        "LinkUnit._send_directive": 240,
+        "LinkUnit.rx_flow_control": 236,
+        "Periodic._tick": 5970,
+        "Monitoring.sample_all": 5670,
+        "Monitoring.probe_all": 270,
+        "TaskScheduler._wake": 6070,
+        "LinkUnit.rx_begin_packet": 5565,
+        "ReceiveFifo._on_boundary": 16643,
+        "TaskScheduler._arrive": 5613,
+        "Autopilot._process": 5551,
+        "SchedulingEngine._scan": 24,
+        "ReconfigEngine._finish_assignment": 2,
+        "ReconfigEngine._retransmit": 177,
+        "ReconfigEngine._load_configuration": 60,
+    },
+    "passes": {
+        ("rx", "begin"): (5565, 38),
+        ("rx", "boundary"): (11078, 0),
+        ("rx", "clear"): (2522, 2510),
+        ("rx", "grant"): (1720, 0),
+        ("rx", "next-head"): (38, 0),
+        ("tx", "boundary"): (5565, 0),
+        ("tx", "clear"): (210, 210),
+        ("tx", "enqueue"): (5565, 2215),
+        ("tx", "grant"): (12, 0),
+        ("tx", "next-head"): (2215, 0),
+    },
+    "kicks": (14928, 3800),
+    "scans": 11128,
+    "scans at once": 11104,
+    "grants": 11128,
     "calls": {
         **PARENT["calls"],
-        "net/link.py": 31777,
+        "net/fifo.py": 149616,
+        "net/link.py": 33994,
         "net/packet.py": 16695,
-        "net/scheduler.py": 71435,
-        "net/switch.py": 61625,
-        "sim/engine.py": 87815,
+        "net/scheduler.py": 70772,
+        "net/switch.py": 56077,
+        "sim/engine.py": 72776,
     },
 }
 

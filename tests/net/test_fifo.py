@@ -59,7 +59,8 @@ def test_cut_through_starts_at_25_bytes():
 
     drain_started = []
     orig = sink.notify_begin
-    sink.notify_begin = lambda p, b, r: (drain_started.append(sim.now), orig(p, b, r))
+    # the begin is dated: told at the grant, for the instant 25 bytes are in
+    sink.notify_begin = lambda p, b, r, at: (drain_started.append(at), orig(p, b, r, at))
 
     def connect():
         fifo.connect_drain([sink], broadcast=False)

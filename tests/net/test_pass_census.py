@@ -9,9 +9,16 @@ began.  The trigger's own change (an end marker closing the tail, a grant
 naming the drain) happens before its pass and is not the pass's.
 
 The triggers are the begin and end markers, a rate marker, a grant
-(``connect_drain``), an external ``recompute`` (a downstream flow-control
-change, a reset), a boundary event, and the re-entry ``_complete_head``
-makes for the next head.  An end marker reaches a switch
+(``connect_drain``) made outside the head's own request, an external
+``recompute`` (a downstream flow-control change, a reset), a boundary
+event, and the re-entry ``_complete_head`` makes for a next head (an empty
+queue is left idle without a pass).  A grant made inside the request pass
+-- the engine's inline scan, a discard -- only names the drain, and the
+request pass reads it next: it is counted, and makes no pass.  A
+cut-through start is dated at its grant, so no boundary starts a drain
+unless the level turns or overflows at its instant.  Beside the table, the
+cost per forwarded packet: FIFO boundary events (a ``TransmitQueue``'s
+too, as ``net.boundary_per_packet`` counts them) and receive-FIFO passes.  An end marker reaches a switch
 FIFO only for a packet that may not have arrived whole (truncated, or its
 link changed state meanwhile); neither scenario has one.  Two fixed scenarios, both with
 observers off; the tables below are exact and deterministic:
@@ -23,11 +30,7 @@ observers off; the tables below are exact and deterministic:
 * **src-lan-30 steady second**: the converged network, one second on.
 
 Whole packets leaving a control processor or a host wait in a
-``TransmitQueue`` (``tests/net/test_cp_census.py``), not here.  For scale,
-``benchmarks/e2e`` ``dataplane_torus`` at seed 0 makes 120 301 passes
-(149 101 while host staging ran them too, 169 501 while every packet sent
-a switch its end marker, all 20 400 of those passes idle); 19 501 of its
-20 400 complete-head re-entries are idle.
+``TransmitQueue`` (``tests/net/test_cp_census.py``), not here.
 """
 
 from collections import Counter
@@ -52,24 +55,37 @@ TRIGGERS = {
     "_complete_head": "complete-head",
 }
 
-#: trigger -> (passes, idle passes)
+#: trigger -> (passes, idle passes); then grants inside the request,
+#: boundaries at a dated start's instant, and the cost per forwarded
+#: packet as (FIFO boundary events, receive-FIFO passes, packets forwarded):
+#: 2.24 boundaries and 3.12 passes a packet here, where a grant pass, a
+#: cut-through boundary and an idle re-entry per hop made 8 841 boundaries
+#: (3.07) and 16 521 passes (5.74)
 TORUS_PERMUTATION = {
     "begin": (2880, 279),
     "set-rate": (0, 0),
     "end": (0, 0),
-    "grant": (2880, 0),
+    "grant": (359, 0),
     "recompute": (0, 0),
-    "boundary": (7881, 0),
-    "complete-head": (2880, 2601),
+    "boundary": (5481, 0),
+    "complete-head": (279, 0),
+    "grants inside the request": 2521,
+    "cut-through start boundaries": 0,
+    "per forwarded packet": (6441, 8999, 2880),
 }
+#: 1.50 boundaries and 1.75 passes a packet, where 4 135 (1.75) and 6 495
+#: (2.75) were
 SRCLAN_STEADY_SECOND = {
     "begin": (1180, 0),
     "set-rate": (0, 0),
     "end": (0, 0),
-    "grant": (1180, 0),
+    "grant": (585, 0),
     "recompute": (0, 0),
-    "boundary": (2955, 0),
-    "complete-head": (1180, 1180),
+    "boundary": (2360, 0),
+    "complete-head": (0, 0),
+    "grants inside the request": 595,
+    "cut-through start boundaries": 0,
+    "per forwarded packet": (3540, 4125, 2360),
 }
 
 
@@ -77,7 +93,7 @@ def fifo_state(fifo):
     return (
         fifo.in_rate, fifo.drain_rate, fifo._level_stop, fifo.overflowed,
         fifo._boundary_at if fifo._boundary is not None else None,
-        fifo.cut_through_packets, fifo.buffered_packets,
+        fifo._cut_through, fifo._buffered,  # the counters, not the settling reads
         tuple(
             (id(e), e.bytes_in, e.bytes_out, e.arriving, e.requested, e.drain_started,
              e.targets is not None)
@@ -89,14 +105,33 @@ def fifo_state(fifo):
 class Census:
     """Counts passes per trigger while installed over :class:`ReceiveFifo`."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, net):
         self.passes = Counter()
         self.idle = Counter()
         self.stack = []
+        self.grants_in_request = self.start_boundaries = self.boundaries = 0
+        self.net = net
+        self.forwarded = -self._forwarded()
         for method, trigger in TRIGGERS.items():
             monkeypatch.setattr(ReceiveFifo, method, self._entry(getattr(ReceiveFifo, method),
                                                                   trigger))
         monkeypatch.setattr(ReceiveFifo, "_recompute", self._pass(ReceiveFifo._recompute))
+        connect_drain, on_boundary = ReceiveFifo.connect_drain, ReceiveFifo._on_boundary
+
+        def counted_grant(fifo, *args, **kwargs):
+            self.grants_in_request += fifo._requesting and type(fifo) is ReceiveFifo
+            connect_drain(fifo, *args, **kwargs)
+
+        def counted_boundary(fifo):
+            self.boundaries += 1
+            self.start_boundaries += fifo._start_at == fifo.sim.now
+            on_boundary(fifo)
+
+        monkeypatch.setattr(ReceiveFifo, "connect_drain", counted_grant)
+        monkeypatch.setattr(ReceiveFifo, "_on_boundary", counted_boundary)
+
+    def _forwarded(self):
+        return sum(switch.packets_forwarded for switch in self.net.switches)
 
     def _entry(self, method, trigger):
         def entry(fifo, *args, **kwargs):
@@ -118,8 +153,13 @@ class Census:
         return counted
 
     def table(self):
-        return {trigger: (self.passes[trigger], self.idle[trigger])
-                for trigger in TRIGGERS.values()}
+        table = {trigger: (self.passes[trigger], self.idle[trigger])
+                 for trigger in TRIGGERS.values()}
+        table["grants inside the request"] = self.grants_in_request
+        table["cut-through start boundaries"] = self.start_boundaries
+        table["per forwarded packet"] = (
+            self.boundaries, sum(self.passes.values()), self.forwarded + self._forwarded())
+        return table
 
 
 def torus_permutation(monkeypatch):
@@ -143,7 +183,7 @@ def torus_permutation(monkeypatch):
     net.run_for(2 * MS)
     sinks = [Sink(localnet) for localnet in localnets]
 
-    census = Census(monkeypatch)
+    census = Census(monkeypatch, net)
     for data_bytes, period_ns, count in ((64, 20 * US, 40), (1500, 330 * US, 40)):
         for src, dst in enumerate(perm):
             PeriodicSender(localnets[src], uids[dst], data_bytes, period_ns, count)
@@ -155,7 +195,7 @@ def torus_permutation(monkeypatch):
 def srclan_steady_second(monkeypatch):
     net = Network(resolve_topology("src-lan-30"), seed=0, telemetry=False)
     assert net.run_until_converged(timeout_ns=60 * SEC)
-    census = Census(monkeypatch)
+    census = Census(monkeypatch, net)
     net.run_for(1 * SEC)
     return census.table()
 

@@ -158,30 +158,31 @@ def test_clear_drops_requests_and_reservations():
 
 
 def test_no_scan_is_armed_until_a_request_meets_a_free_port():
-    """A freed port no queued mask meets arms no scan (it could grant and
-    reserve nothing); the next matching ``port_freed`` does."""
+    """A freed port no queued mask meets scans nothing (it could grant and
+    reserve nothing).  The next matching ``add_request`` or ``port_freed``
+    scans at once while the engine is free, and arms one scan for the end
+    of its 480 ns decision time while it is busy."""
     sim = Simulator()
     grants = []
     engine = make_engine(sim, grants)
     for port in (3, 4, 7):
         mark_port_busy(engine, port)
     engine.add_request(Request(1, ForwardingEntry((3, 4)), pkt()))
-    assert sim.pending_events() == 0
+    assert grants == [] and sim.pending_events() == 0
     engine.port_freed(7)
-    assert sim.pending_events() == 0
+    assert grants == [] and sim.pending_events() == 0
     engine.port_freed(4)
+    assert grants == [(1, (4,))] and sim.pending_events() == 0
+    # busy until 480: a broadcast's reservation is progress, so a partial
+    # match arms a scan for then
+    engine.add_request(Request(2, ForwardingEntry((3, 7), broadcast=True), pkt()))
     assert sim.pending_events() == 1
     sim.run()
-    assert grants == [(1, (4,))] and sim.events_dispatched == 1
-    # a broadcast's reservation is progress: a partial match arms too
-    engine.add_request(Request(2, ForwardingEntry((3, 7), broadcast=True), pkt()))
-    sim.run()
-    assert grants == [(1, (4,))] and sim.events_dispatched == 2
+    assert grants == [(1, (4,))] and sim.events_dispatched == 1 and sim.now == 480
     engine.port_freed(4)
     assert sim.pending_events() == 0
     engine.port_freed(3)
-    sim.run()
-    assert grants == [(1, (4,)), (2, (3, 7))] and sim.events_dispatched == 3
+    assert grants == [(1, (4,)), (2, (3, 7))] and sim.pending_events() == 0
 
 
 # -- scan equivalence: the free-port vector against the set-based engine --------------
@@ -207,7 +208,8 @@ _SCAN_OPS = st.lists(
 def test_scan_matches_the_naive_set_based_engine(busy, ops):
     """Same grants, at the same instants, in the same order, on the same
     ports -- through requests, broadcast reservations, frees and port
-    isolation -- as an engine that rebuilds a free *set* per scan."""
+    isolation -- as an engine that rebuilds a free *set* per scan and
+    scans at once whenever its decision time is over."""
     sims = Simulator(), Simulator()
     logs = [], []
 

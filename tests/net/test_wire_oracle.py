@@ -8,6 +8,9 @@ port.  Three guards, against the parent protocol kept in
 ``tests/naive_wire.py`` (which sends every end marker and checks that each
 one the real side omits carries no news):
 
+A cut-through drain's begin is dated at the grant for the instant its
+bytes are in, where the naive side starts it at a boundary of its own.
+
 * a **Hypothesis differential** over one link -- source buffer, ``Link``,
   ``ReceiveFifo``, gated sink -- under random sizes, gaps, stalls on either
   side, forced aborts and a cable cut mid-packet;
@@ -15,9 +18,10 @@ one the real side omits carries no news):
   file in the ``determinism`` job under ``PYTHONHASHSEED=0`` and
   ``=random``): identical trace logs, epochs, monitor state and delivery
   latencies, and an event count that differs by *exactly* the markers and
-  scans the naive side reports as folded;
+  scans the naive side reports as folded and the boundaries the dated
+  starts fold;
 * an **exact cost guard** with no wall clock in it: one marker into a
-  switch, two into a host, and 5 events per switch hop for one small
+  switch, two into a host, and 3 events per switch hop for one small
   unicast.
 """
 
@@ -56,8 +60,14 @@ class LoggingSink(GatedSink):
         super().__init__()
         self.log, self.sim = log, sim
 
-    def notify_begin(self, packet, broadcast, rate):
-        self.log.append((self.sim.now, "drain-begin", packet.wire_bytes))
+    def notify_begin(self, packet, broadcast, rate, at):
+        self.current, self.begun = packet, (at, "drain-begin", packet.wire_bytes)
+        self.log.append(self.begun)
+
+    def withdraw_begin(self, packet):
+        if self.current is packet:
+            self.log.remove(self.begun)
+            self.current = None
 
 
 class Source(_Source):
@@ -200,14 +210,39 @@ def run_link(steps, slots, capacity, grant_delay):
 def test_one_link_matches_the_four_marker_protocol(steps, slots, capacity, grant_delay):
     """Same head-ready, drain-begin, drained, level-directive, overflow and
     underflow instants and the same FIFO statistics as begin, rate, rate(0),
-    end sent as four events -- which cost exactly the folded markers more."""
-    real_events, real = run_link(steps, slots, capacity, grant_delay)
+    end sent as four events -- which cost exactly the folded markers and
+    start boundaries more."""
     with pytest.MonkeyPatch.context() as patch:
+        real_boundaries = count_boundaries(patch)
+        real_events, (real_log, *real) = run_link(steps, slots, capacity, grant_delay)
+    with pytest.MonkeyPatch.context() as patch:
+        naive_boundaries = count_boundaries(patch)
         folded = naive_wire.install(patch)
-        naive_events, naive = run_link(steps, slots, capacity, grant_delay)
+        naive_events, (naive_log, *naive) = run_link(steps, slots, capacity, grant_delay)
+    assert in_time_order(real_log) == in_time_order(naive_log)
     for got, want in zip(real, naive):
         assert got == want
-    assert naive_events - real_events == folded.markers
+    starts = naive_boundaries[0] - real_boundaries[0]
+    assert starts >= 0
+    assert naive_events - real_events == folded.markers + starts
+
+
+def count_boundaries(patch):
+    """A one-cell count of FIFO boundary events, while ``patch`` holds."""
+    counted = [0]
+    on_boundary = ReceiveFifo._on_boundary
+
+    def counting(fifo):
+        counted[0] += 1
+        on_boundary(fifo)
+
+    patch.setattr(ReceiveFifo, "_on_boundary", counting)
+    return counted
+
+
+def in_time_order(log):
+    """A dated begin is logged at its grant: compare logs by instant."""
+    return sorted(log, key=lambda entry: entry[0])
 
 
 # -- (b) whole networks --------------------------------------------------------------------
@@ -299,20 +334,24 @@ def world_state(net, sinks):
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_network_matches_the_four_marker_protocol(name, monkeypatch):
-    real_events, real = observe_wire(SCENARIOS[name])
+    with pytest.MonkeyPatch.context() as patch:
+        real_boundaries = count_boundaries(patch)
+        real_events, real = observe_wire(SCENARIOS[name])
+    naive_boundaries = count_boundaries(monkeypatch)
     folded = naive_wire.install(monkeypatch)
     naive_events, naive = observe_wire(SCENARIOS[name])
     # piecewise, so that a failure names what diverged
     for got, want in zip(real, naive):
         assert got == want
-    assert folded.markers > 0 and folded.empty_scans > 0
-    assert naive_events - real_events == folded.markers + folded.empty_scans
+    starts = naive_boundaries[0] - real_boundaries[0]
+    assert folded.markers > 0 and folded.empty_scans > 0 and starts > 0
+    assert naive_events - real_events == folded.markers + folded.empty_scans + starts
 
 
 # -- (c) the exact cost guard ----------------------------------------------------------------
 
 
-def test_a_unicast_costs_one_marker_into_a_switch_and_five_events_a_hop():
+def test_a_unicast_costs_one_marker_into_a_switch_and_three_events_a_hop():
     net = Network(line(2), seed=1)
     net.add_host("a", [(0, 5)])
     net.add_host("b", [(1, 5)])
@@ -344,9 +383,8 @@ def test_a_unicast_costs_one_marker_into_a_switch_and_five_events_a_hop():
         # closes the whole packet itself, the host delivers on its end marker
         "LinkUnit.rx_begin_packet": 2, "HostPort.rx_begin_packet": 1,
         "HostPort.rx_end_packet": 1,
-        # per switch hop, after the begin: request, cut-through start and
-        # completion boundaries around one scan; plus the host transmit
-        # buffer's completion
-        "ReceiveFifo._on_boundary": 2 * 3 + 1,
-        "SchedulingEngine._scan": 2,
+        # per switch hop, after the begin: the request boundary, whose
+        # pass scans, is granted and dates the cut-through start, then the
+        # completion boundary; plus the host transmit buffer's completion
+        "ReceiveFifo._on_boundary": 2 * 2 + 1,
     }

@@ -312,8 +312,8 @@ MUTANTS: List[Mutant] = [
              "_LEARNED: Dict[Uid, int] = {}\n"
              "\n\nclass LocalNet:\n"),
             ("src/repro/host/localnet.py",
-             "        self.stats.cache_updates += 1\n",
-             "        self.stats.cache_updates += 1\n"
+             "            entry.updated_at = self.sim.now\n",
+             "            entry.updated_at = self.sim.now\n"
              "        _LEARNED[uid] = short\n"),
         ),
         flagged_by=("RS402",),
@@ -497,6 +497,21 @@ MUTANTS: List[Mutant] = [
              "\n"
              "    def _unlatch(self, unit: \"LinkUnit\") -> None:\n"
              "        unit.fc_receiver.last = Directive.START\n"),
+        ),
+        flagged_by=("RS203",),
+    ),
+    Mutant(
+        "RS203-panic-recompute", "RS203",
+        "send_panic also makes the far link unit's FIFO re-evaluate its rates, through its attribute",
+        (
+            ("src/repro/net/linkunit.py",
+             "            self.fc_sender.pulse(Directive.PANIC)\n",
+             "            self.fc_sender.pulse(Directive.PANIC)\n"
+             "        if self.link is not None and isinstance(self.link.other(self), LinkUnit):\n"
+             "            self._nudge(self.link.other(self))\n"
+             "\n"
+             "    def _nudge(self, peer: \"LinkUnit\") -> None:\n"
+             "        peer.fifo.recompute()\n"),
         ),
         flagged_by=("RS203",),
     ),

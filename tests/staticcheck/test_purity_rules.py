@@ -31,6 +31,10 @@ test_rs203_write_to_peer_param_flagged = case(
 test_rs203_write_to_component_typed_param_flagged = case(
     "class Host:\n    def poke(self, sw: 'Switch'):\n        sw.table = None\n",
     ["RS203"], module="repro.core.fixture")
+test_rs203_call_into_peer_state_flagged = case(
+    "class LinkUnit:\n    def flush(self, peer):\n        peer.fifo.clear()\n"
+    "        peer.reannounce()\n",
+    ["RS203"], module="repro.net.fixture", line=3, says="calls into the state of peer")
 test_rs203_clean_self_writes_and_local_records = case(
     "class Switch:\n    def on_tree_position(self, port, msg):\n"
     "        peer = self.peers[port]\n        peer.uid = msg.sender_uid\n"

@@ -292,7 +292,8 @@ def _written_attribute(stmt):
 def peer_writes(module, tree):
     """RS203: a method (not a dunder, which may wire components together)
     assigning an attribute of a peer parameter, one named or typed as a
-    component."""
+    component, or calling a method of such an attribute (``peer.fifo.clear()``
+    mutates the peer as surely; ``peer.method()`` is the peer's own)."""
     if not (within(module, COMPONENT_PACKAGES) and _in_the_loop(module)):
         return []
     found = []
@@ -309,12 +310,15 @@ def peer_writes(module, tree):
             if not peers:
                 continue
             for stmt in ast.walk(method):
-                root = _written_attribute(stmt)
+                root, what = _written_attribute(stmt), "writes attributes of"
+                if isinstance(stmt, ast.Call) and isinstance(stmt.func, ast.Attribute) \
+                        and isinstance(stmt.func.value, ast.Attribute):
+                    root, what = stmt.func.value, "calls into the state of"
                 while isinstance(root, ast.Attribute):
                     root = root.value
                 if isinstance(root, ast.Name) and root.id in peers:
-                    found.append((stmt.lineno, "RS203", f"{cls.name}.{method.name} writes "
-                                  f"attributes of peer component {root.id!r} directly"))
+                    found.append((stmt.lineno, "RS203", f"{cls.name}.{method.name} {what} "
+                                  f"peer component {root.id!r} directly"))
     return found
 
 

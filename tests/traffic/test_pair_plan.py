@@ -121,6 +121,15 @@ def test_documents_are_the_per_flow_engines_byte_for_byte(topology, pattern, tmp
         assert path.read_bytes() == fh.read()
 
 
+def test_only_the_highest_epoch_leaves_its_window_open():
+    """A superseded epoch owns no blackout-cost window: boot epochs 1 and 2,
+    left open when epoch 3 began, each claimed the whole run's deficit."""
+    net, _ = drive("ring-4", "hotspot")
+    windows = net.traffic_doc("ring-4_hotspot")["windows"]
+    last = max(window["epoch"] for window in windows)
+    assert [w["epoch"] for w in windows if w["end_ns"] is None] in ([], [last])
+
+
 @pytest.mark.parametrize("period_ns", (5 * MS, 40 * MS))
 def test_every_edge_of_a_flap_train_reaches_the_plan(period_ns):
     """A flap train on the most loaded cable: each edge changes what a
