@@ -8,6 +8,7 @@ therefore track byte counts analytically and schedule a single *boundary*
 event per FIFO at the earliest time anything interesting happens:
 
 * the head packet's first two address bytes arrive (routing request, §6.3),
+* cut-through becomes possible (25 bytes arrived, §3.5),
 * the occupancy crosses the stop/start watermark (flow control, §6.2),
 * the head packet finishes draining (output ports free, §5.1),
 * the drain catches up with the arrival (pass-through or stall),
@@ -15,11 +16,6 @@ event per FIFO at the earliest time anything interesting happens:
 
 The advance that finds a tail's last byte in closes it: a switch hears an
 end marker only when it carries news (DESIGN.md, "Two markers on the wire").
-
-A grant before the head holds its cut-through bytes (25, §3.5) *dates* the
-drain: the begin goes out at once for the instant they are in, and no
-boundary runs there unless the level turns or overflows; a stall, a stop,
-an end marker or a reset before then re-dates or withdraws it.
 
 External state changes (grants, upstream rate changes, downstream flow
 control) call :meth:`ReceiveFifo.recompute`, which advances the linear
@@ -50,11 +46,8 @@ class DrainTarget:
     def drain_allowed(self, broadcast: bool) -> bool:
         raise NotImplementedError
 
-    def notify_begin(self, packet: Packet, broadcast: bool, rate: float, at: int) -> None:
-        """The drain starts at ``at`` (now, or dated), at ``rate``; a sink has no next hop."""
-
-    def withdraw_begin(self, packet: Packet) -> None:
-        """``packet``'s dated start will not come (see the module doc)."""
+    def notify_begin(self, packet: Packet, broadcast: bool, rate: float) -> None:
+        """The drain starts, at ``rate``; a sink has no next hop to tell."""
 
     def notify_rate(self, rate: float) -> None:
         """The drain rate changed between the packet's begin and its end."""
@@ -142,18 +135,17 @@ class ReceiveFifo:
         self._boundary_at: int = 0
         #: directive currently implied by the level (start below threshold)
         self._level_stop = False
-        self._start_at = 0  # the instant the head's dated drain starts, while to come
         self._requesting = False  # inside on_head_ready: a grant only names the drain
 
         # statistics / status-bit feeds
         self.bytes_forwarded: float = 0.0
         self.packets_seen: int = 0
-        self._max_level: float = 0.0
+        self.max_level: float = 0.0
         self.overflowed = False
-        #: drains begun while the packet was still arriving (§3.5) or whole;
-        #: read, like the high water, through properties that settle first
-        self._cut_through: int = 0
-        self._buffered: int = 0
+        #: drains that began while the packet was still arriving (§3.5)
+        self.cut_through_packets: int = 0
+        #: drains that began only after the whole packet was buffered
+        self.buffered_packets: int = 0
 
     # -- public queries ---------------------------------------------------------
 
@@ -163,30 +155,13 @@ class ReceiveFifo:
         self._advance()
         return self._level()
 
-    @property
-    def max_level(self) -> float:
-        self._settle()
-        return self._max_level
-
-    @property
-    def cut_through_packets(self) -> int:
-        self._settle()
-        return self._cut_through
-
-    @property
-    def buffered_packets(self) -> int:
-        self._settle()
-        return self._buffered
-
     def peek_level(self) -> float:
         """Occupancy now, projected from the linear state *without*
         advancing it.  The time-series sampler reads this: advancing in
         :meth:`_advance` splits the float accumulation into different
         partial sums, so a sampled run would diverge (in the last ulp)
-        from an unsampled one.  Projection keeps sampling observational
-        (settling a dated start changes no partial sum: it splits there).
+        from an unsampled one.  Projection keeps sampling observational.
         """
-        self._settle()
         queue = self.queue
         level = 0
         for entry in queue:
@@ -288,18 +263,14 @@ class ReceiveFifo:
     def clear(self) -> None:
         """Destroy every packet (a reset), counting what drained until now."""
         self._advance()
-        if self._start_at:
-            self._withdraw(self.queue[0].targets or (), self.queue[0].packet)
         self.queue.clear()
         self.drain_rate = 0.0
         self._recompute()
 
     # -- internal dynamics ---------------------------------------------------------
 
-    def _advance(self, until: int = 0) -> None:  # 0: now, a dated start settled first
-        if not until and self._start_at:
-            self._settle()
-        now = until or self.sim.now
+    def _advance(self) -> None:
+        now = self.sim.now
         dt = now - self._last_update
         if dt <= 0:
             return
@@ -325,8 +296,8 @@ class ReceiveFifo:
                 self.bytes_forwarded += moved
             for entry in queue:
                 level += entry.bytes_in - entry.bytes_out
-        if level > self._max_level:
-            self._max_level = level
+        if level > self.max_level:
+            self.max_level = level
         if level > self.capacity + _EPS:
             # once per victim: a later advance above capacity is the same loss
             if not self.overflowed:
@@ -347,31 +318,8 @@ class ReceiveFifo:
             # after the overflow check, which still names it the victim
             tail.bytes_in, tail.arriving, self.in_rate = float(tail.size), False, 0.0
 
-    def _settle(self) -> None:
-        """Bring a dated drain whose instant has come to it: the bytes move
-        there, then drain from it.  Any callback due at the instant has a
-        boundary there, so when this runs changes nothing observable."""
-        start = self._start_at
-        if start and start <= self.sim.now:
-            self._start_at = 0
-            self._advance(start)
-            self._start(self.queue[0])
-            self.drain_rate = 1.0
-
-    def _start(self, head: FifoPacket) -> None:
-        head.drain_started = True
-        if head.arriving:
-            self._cut_through += 1
-        else:
-            self._buffered += 1
-
-    def _withdraw(self, targets: Sequence[DrainTarget], packet: Packet) -> None:
-        self._start_at = 0
-        for target in targets:
-            target.withdraw_begin(packet)
-
     def _recompute(self) -> None:
-        # One pass per state change, ~3 per FIFO a packet crosses.  Each
+        # One pass per state change, ~4 per FIFO a packet crosses.  Each
         # float expression is the five-method pass's (tests/naive_fifo.py),
         # in its order, and each min/max/abs of it is a comparison that
         # returns the operand the builtin did (DESIGN.md): float
@@ -386,9 +334,6 @@ class ReceiveFifo:
                 self._boundary = None
             return
         head = queue[0]
-        if head.bytes_out + _EPS >= head.size:  # all out: the drain below changes nothing
-            self._complete_head()
-            return  # _complete_head re-enters this pass for the next head
 
         # head routing request: first two address bytes present
         if not head.requested and head.bytes_in + _EPS >= 2:
@@ -400,20 +345,14 @@ class ReceiveFifo:
                 self._requesting = False
         tail = queue[-1]
         arriving = tail if tail.arriving else None
-        in_rate = self.in_rate if arriving is not None else 0.0
-        now = self.sim.now
 
         # drain rate, and the markers it implies downstream: begin carries
         # its rate and end implies rate 0, so a rate marker goes out only
         # for a change inside the packet
         new_rate = 0.0
         targets = head.targets
-        starts = 0  # while cut-through bytes arrive: the instant they are in
         if targets is not None:
             if head.drain_started or head.bytes_in + _EPS >= head.cut_through:
-                if self._start_at:
-                    # an end marker closed the head first: it starts now
-                    self._withdraw(targets, head.packet)
                 broadcast = head.broadcast
                 for target in targets:
                     if not target.drain_allowed(broadcast):
@@ -429,34 +368,29 @@ class ReceiveFifo:
                                 and head.bytes_out + _EPS < head.size \
                                 and self.on_underflow is not None:
                             self.on_underflow(head.packet)
-                if new_rate > 0 and not head.drain_started:
-                    self._start(head)
-                    for target in targets:
-                        target.notify_begin(head.packet, head.broadcast, new_rate, now)
-                elif head.drain_started and not -_EPS <= new_rate - self.drain_rate <= _EPS \
-                        and head.bytes_out + _EPS < head.size:
-                    for target in targets:
-                        target.notify_rate(new_rate)
-            elif head is arriving and in_rate > 0:
-                starts = dated = now + (round((head.cut_through - head.bytes_in) / in_rate
-                                              * BYTE_TIME_NS) or 1)
-                for target in targets:  # not broadcast: no target sends it yet
-                    if not target.drain_allowed(False):
-                        dated = 0
-                if self._start_at and self._start_at != dated:
-                    self._withdraw(targets, head.packet)
-                if dated and not self._start_at:
-                    self._start_at = dated
-                    for target in targets:
-                        target.notify_begin(head.packet, head.broadcast, 1.0, dated)
-            elif self._start_at:  # stalled, or a new arrival behind a lost end
-                self._withdraw(targets, head.packet)
+            if new_rate > 0 and not head.drain_started:
+                head.drain_started = True
+                if head.arriving:
+                    self.cut_through_packets += 1
+                else:
+                    self.buffered_packets += 1
+                for target in targets:
+                    target.notify_begin(head.packet, head.broadcast, new_rate)
+            elif head.drain_started and not -_EPS <= new_rate - self.drain_rate <= _EPS \
+                    and head.bytes_out + _EPS < head.size:
+                for target in targets:
+                    target.notify_rate(new_rate)
         self.drain_rate = drain_rate = new_rate if head.drain_started else 0.0
+
+        if head.bytes_out + _EPS >= head.size:
+            self._complete_head()
+            return  # _complete_head re-enters this pass for the next head
 
         # flow-control directive from the level trajectory
         level: float = 0
         for entry in queue:
             level += entry.bytes_in - entry.bytes_out
+        in_rate = self.in_rate if arriving is not None else 0.0
         net = in_rate - drain_rate
         stop_threshold = self.stop_threshold
         if level > stop_threshold + _EPS:
@@ -467,83 +401,61 @@ class ReceiveFifo:
             self._set_level_stop(False)
 
         # the next boundary: the earliest future instant that changes the
-        # dynamics, in slots from ``base``, among candidates over _EPS away.
-        # A dated start is a boundary only where its pass would turn the
-        # level or overflow; else the candidates run on from its state.
-        head_in, head_out, tail_in = head.bytes_in, head.bytes_out, tail.bytes_in
-        head_arriving = head is arriving
-        base = now
-        while True:
-            soonest = _NEVER
-            if in_rate > 0 and head_arriving and not head.requested:
-                c = (2.0 - head_in) / in_rate
+        # dynamics, in slots, among the candidates more than _EPS away
+        soonest = _NEVER
+        if in_rate > 0 and head is arriving:
+            if not head.requested:
+                c = (2.0 - head.bytes_in) / in_rate
                 if _EPS < c < soonest:
                     soonest = c
-            if drain_rate > 0:
-                # completion of the head packet
-                c = (head.size - head_out) / drain_rate
+            if targets is not None and not head.drain_started:
+                c = (head.cut_through - head.bytes_in) / in_rate
                 if _EPS < c < soonest:
                     soonest = c
-                # drain catches up with arrival (stall / pass-through switch); a
-                # head no longer arriving holds all its bytes, so only completes
-                if head_arriving and drain_rate > in_rate:
-                    c = (head_in - head_out) / (drain_rate - in_rate)
-                    if _EPS < c < soonest:
-                        soonest = c
-            # the tail is whole here and the level stops rising: a boundary
-            # only if a fall through the watermark may start there
-            whole = _NEVER
-            if in_rate > 0:
-                whole = (tail.size - tail_in) / in_rate
-                if (self._level_stop or level + net * whole >= stop_threshold - _EPS) \
-                        and _EPS < whole < soonest:
-                    soonest = whole
-            # aim half a byte past the watermark so the crossing is strict
-            # (landing exactly on it would reschedule a zero-length step); a
-            # rise is a candidate only before the tail is whole
-            if net > _EPS and level <= stop_threshold + _EPS:
-                c = (stop_threshold - level) / net + 0.5
-                if _EPS < c < soonest and c <= whole:
-                    soonest = c
-            elif net < -_EPS and level >= stop_threshold - _EPS:
-                c = (level - stop_threshold) / (-net) + 0.5
+        if drain_rate > 0:
+            # completion of the head packet
+            c = (head.size - head.bytes_out) / drain_rate
+            if _EPS < c < soonest:
+                soonest = c
+            # drain catches up with arrival (stall / pass-through switch); a
+            # head no longer arriving holds all its bytes, so only completes
+            if head is arriving and drain_rate > in_rate:
+                c = (head.bytes_in - head.bytes_out) / (drain_rate - in_rate)
                 if _EPS < c < soonest:
                     soonest = c
-            # capacity crossing: detect overflow when it happens, not later
-            if net > _EPS and level <= self.capacity + _EPS:
-                c = (self.capacity - level) / net + 0.5
-                if _EPS < c < soonest and c <= whole:
-                    soonest = c
-            at = base + (round(soonest * BYTE_TIME_NS) or 1) if soonest < _NEVER else 0  # max(1, ..)
-            if not starts or at and at <= starts:
-                break
-            if self._start_at != starts:
-                # a blocked drain: its bytes are in there, the pass then
-                # finds them (and splits the float sums where it always did)
-                at = starts
-                break
-            # the dated start comes first: the head's bytes then, as the
-            # advance there makes them (the head is the lone arriving entry)
-            got = head_in + in_rate * ((starts - now) / BYTE_TIME_NS)
-            head_in = tail_in = got if got < head.size else float(head.size)
-            level = 0 + (head_in - head_out)
-            if got + _EPS >= head.size:
-                head_arriving, in_rate = False, 0.0
-            drain_rate = 1.0
-            net = in_rate - drain_rate
-            turns = not self._level_stop if level > stop_threshold + _EPS else self._level_stop and (
-                level < stop_threshold - _EPS or -_EPS <= level - stop_threshold <= _EPS and net <= 0)
-            if turns or level > self.capacity + _EPS and not self.overflowed:
-                at = starts
-                break
-            base, starts = starts, 0
+        # the tail is whole here and the level stops rising: a boundary
+        # only if a fall through the watermark may start there
+        whole = _NEVER
+        if in_rate > 0:
+            whole = (tail.size - tail.bytes_in) / in_rate
+            if (self._level_stop or level + net * whole >= stop_threshold - _EPS) \
+                    and _EPS < whole < soonest:
+                soonest = whole
+        # aim half a byte past the watermark so the crossing is strict
+        # (landing exactly on it would reschedule a zero-length step); a
+        # rise is a candidate only before the tail is whole
+        if net > _EPS and level <= stop_threshold + _EPS:
+            c = (stop_threshold - level) / net + 0.5
+            if _EPS < c < soonest and c <= whole:
+                soonest = c
+        elif net < -_EPS and level >= stop_threshold - _EPS:
+            c = (level - stop_threshold) / (-net) + 0.5
+            if _EPS < c < soonest:
+                soonest = c
+        # capacity crossing: detect overflow when it happens, not later
+        if net > _EPS and level <= self.capacity + _EPS:
+            c = (self.capacity - level) / net + 0.5
+            if _EPS < c < soonest and c <= whole:
+                soonest = c
 
         boundary = self._boundary
-        if not at:
+        if soonest == _NEVER:
             if boundary is not None:
                 cancel(boundary)
                 self._boundary = None
             return
+        delay_ns = round(soonest * BYTE_TIME_NS) or 1  # max(1, ...) of an int >= 0
+        at = self.sim.now + delay_ns
         if boundary is not None:
             # reprogramming to the same instant: keep the armed event.
             # The handler (advance + recompute) is idempotent at an
@@ -551,7 +463,7 @@ class ReceiveFifo:
             if self._boundary_at == at:
                 return
             cancel(boundary)
-        self._boundary = self.sim.after(at - now, self._on_boundary)
+        self._boundary = self.sim.after(delay_ns, self._on_boundary)
         self._boundary_at = at
 
     def _set_level_stop(self, stop: bool) -> None:
@@ -591,7 +503,7 @@ class TransmitQueue(ReceiveFifo):
         self.queue.append(entry)
         self._recompute()
 
-    def _advance(self, until: int = 0) -> None:  # nothing is dated here
+    def _advance(self) -> None:
         dt = self.sim.now - self._last_update
         if dt > 0:
             self._last_update = self.sim.now
@@ -626,7 +538,7 @@ class TransmitQueue(ReceiveFifo):
                 if rate > 0 and not head.drain_started:
                     head.drain_started = True
                     for target in targets:
-                        target.notify_begin(head.packet, head.broadcast, rate, self.sim.now)
+                        target.notify_begin(head.packet, head.broadcast, rate)
                 elif head.drain_started and rate != self.drain_rate:
                     for target in targets:
                         target.notify_rate(rate)

@@ -28,7 +28,7 @@ from repro.constants import BYTE_TIME_NS, BYTES_IN_FLIGHT_PER_KM
 from repro.net.fifo import DrainTarget
 from repro.net.flowcontrol import Directive, FlowControlReceiver
 from repro.net.packet import Packet
-from repro.sim.engine import Event, Simulator, cancel
+from repro.sim.engine import Simulator
 
 
 def propagation_ns(length_km: float) -> int:
@@ -53,7 +53,6 @@ class Endpoint:
     Implemented by switch link units and host controller ports.
     """
 
-    sim: Simulator
     #: filled in by Link.attach
     link: Optional["Link"] = None
     #: whether a packet that arrives whole still needs its end marker: a
@@ -155,16 +154,15 @@ class Link:
     # -- transmission -------------------------------------------------------------
 
     # once per traversal each: _route inline, without its call or tuple
-    def send_begin(self, sender: Endpoint, packet: Packet, rate: float, at: int) -> Optional[Event]:
-        """A begin leaving at ``at``: its delivery event, None if lost."""
+    def send_begin(self, sender: Endpoint, packet: Packet, rate: float) -> None:
         state = self.state
         if state is LinkState.UP or state is LinkState.NOISY:
             receiver, delay = (self.b if sender is self.a else self.a), self.delay_ns
         elif self._reflecting_for(sender):
             receiver, delay = sender, 2 * self.delay_ns
         else:
-            return None
-        return self.sim.after(at + delay - self.sim.now, receiver.rx_begin_packet, packet, rate)
+            return
+        self.sim.after(delay, receiver.rx_begin_packet, packet, rate)
 
     def send_rate(self, sender: Endpoint, rate: float) -> None:
         route = self._route(sender)
@@ -248,9 +246,6 @@ class Transmitter(DrainTarget):
         self.packets_sent = 0
         #: the link's state changes when the current packet began
         self.begun_changes = 0
-        #: the current packet's begin: its delivery event and (maybe future) instant
-        self._begin: Optional[Event] = None
-        self._begin_at = 0
 
     # -- DrainTarget interface -------------------------------------------------------
 
@@ -261,29 +256,13 @@ class Transmitter(DrainTarget):
             return True
         return False
 
-    def notify_begin(self, packet: Packet, broadcast: bool, rate: float, at: int) -> None:
+    def notify_begin(self, packet: Packet, broadcast: bool, rate: float) -> None:
         self.current = packet
         self.sending_broadcast = broadcast
-        self._begin_at = at
         link = self.endpoint.link
         if link is not None:
             self.begun_changes = link.changes
-            self._begin = link.send_begin(self.endpoint, packet, rate, at)
-
-    def withdraw_begin(self, packet: Packet) -> None:
-        if self.current is packet:
-            if self._begin is not None:
-                cancel(self._begin)
-            self.current, self.sending_broadcast = None, False
-
-    def link_changed(self) -> None:
-        """The link changed state: a begin dated after now (a cut-through
-        start, at rate 1) takes the route its instant will find."""
-        packet = self.current
-        if packet is not None and self._begin_at > self.endpoint.sim.now:
-            broadcast = self.sending_broadcast
-            self.withdraw_begin(packet)
-            self.notify_begin(packet, broadcast, 1.0, self._begin_at)
+            link.send_begin(self.endpoint, packet, rate)
 
     def notify_rate(self, rate: float) -> None:
         link = self.endpoint.link
@@ -306,10 +285,6 @@ class Transmitter(DrainTarget):
         """Truncate the packet in transmission, if any: it arrives
         corrupted downstream, closed by a forced end marker."""
         packet = self.current
-        if packet is not None and self._begin_at > self.endpoint.sim.now:
-            self.withdraw_begin(packet)  # its dated begin never went out
-            if self.on_end is not None:
-                self.on_end(packet)
-        elif packet is not None:
+        if packet is not None:
             packet.corrupted = True
             self.notify_end(packet, True)

@@ -190,7 +190,6 @@ class LinkUnit(Endpoint):
         self.on_heard_change()
         if self.fc_sender is not None:
             self.fc_sender.reannounce()
-        self.tx.link_changed()
 
     def on_heard_change(self) -> None:
         """Re-latch the chronic status bits from what the port hears now:

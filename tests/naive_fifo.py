@@ -4,13 +4,10 @@
 (``ReceiveFifo._recompute``): it reads the head and the arriving tail once,
 returns early on an empty queue, walks the queue for the level inline,
 writes each ``min``/``max``/``abs`` as a comparison and calls
-``_set_level_stop`` only on a change.  A grant made inside its request
-callback runs no pass of its own, and a cut-through drain is dated at the
-grant, with no boundary at its start.  This module holds the pass it
+``_set_level_stop`` only on a change.  This module holds the pass it
 replaced, verbatim apart from the closing and tail-whole rules below, as the
 oracle it is pinned to (as ``tests/naive_wire.py`` is for the wire
-protocol).  Its drain starts at a boundary and tells its targets then, for
-that instant; a grant from inside the request re-enters it:
+protocol):
 
 * ``_recompute`` issues the routing request, asks ``_desired_drain_rate``
   for the drain rate, emits the markers, completes the head, walks the
@@ -61,8 +58,8 @@ def _advance(self):
         self.bytes_forwarded += moved
     self._last_update = now
     level = self._level()
-    if level > self._max_level:
-        self._max_level = level
+    if level > self.max_level:
+        self.max_level = level
     if level > self.capacity + _EPS:
         # once per victim: a later advance above capacity is the same loss
         if not self.overflowed:
@@ -136,15 +133,15 @@ def _recompute(self):
         if new_rate > 0 and not head.drain_started:
             head.drain_started = True
             if head.arriving:
-                self._cut_through += 1
+                self.cut_through_packets += 1
             else:
-                self._buffered += 1
-            begin(self, head, new_rate)
+                self.buffered_packets += 1
+            for target in head.targets:
+                target.notify_begin(head.packet, head.broadcast, new_rate)
         elif head.drain_started and abs(new_rate - self.drain_rate) > _EPS \
                 and head.bytes_out + _EPS < head.size:
             for target in head.targets:
                 target.notify_rate(new_rate)
-    date(self)
     self.drain_rate = new_rate if (head is not None and head.drain_started) else 0.0
 
     # head completion
@@ -163,48 +160,6 @@ def _recompute(self):
     self._program_boundary(level, net)
 
 
-def date(self):
-    """The begin the real side dates, sent beside the boundary that still
-    starts the drain: a granted head whose cut-through bytes arrive, into
-    targets that allow it, has its begin sent for the instant they are in
-    (again when that instant moves); it is withdrawn once a stall, a stop,
-    an end marker, a new arrival or a reset means no start comes there."""
-    dated = self.__dict__.get("_naive_dated")
-    queue = self.queue
-    head = queue[0] if queue else None
-    starts = None
-    if head is not None and head.targets is not None and not head.drain_started \
-            and queue[-1] is head and head.arriving and self.in_rate > 0:
-        threshold = min(self.cut_through_bytes, head.size)
-        if head.bytes_in + _EPS < threshold \
-                and all(target.drain_allowed(False) for target in head.targets):
-            c = (threshold - head.bytes_in) / self.in_rate
-            starts = self.sim.now + max(1, int(round(c * BYTE_TIME_NS)))
-    if dated is not None and (dated[1] is not head or dated[0] != starts):
-        for target in dated[1].targets:
-            target.withdraw_begin(dated[1].packet)
-        dated = None
-    if starts is not None and dated is None:
-        for target in head.targets:
-            target.notify_begin(head.packet, head.broadcast, 1.0, starts)
-        dated = (starts, head)
-    self._naive_dated = dated
-
-
-def begin(self, head, rate):
-    """The drain starts now: its begin went out at the grant if it was dated
-    for now; one dated for another instant is withdrawn first."""
-    dated = self.__dict__.get("_naive_dated")
-    self._naive_dated = None
-    if dated is not None:
-        if dated[0] == self.sim.now and dated[1] is head:
-            return
-        for target in dated[1].targets:
-            target.withdraw_begin(dated[1].packet)
-    for target in head.targets:
-        target.notify_begin(head.packet, head.broadcast, rate, self.sim.now)
-
-
 def _set_level_stop(self, stop):
     if stop == self._level_stop:
         return
@@ -221,8 +176,6 @@ def _program_boundary(self, level, net):
     head = queue[0] if queue else None
     arriving = queue[-1] if queue and queue[-1].arriving else None
     in_rate = self._effective_in_rate()
-    #: the instant, in slots, a granted head's cut-through drain starts
-    starts = _NEVER
 
     if head is not None:
         if not head.requested and in_rate > 0 and head is arriving:
@@ -232,7 +185,7 @@ def _program_boundary(self, level, net):
         if head.targets is not None and not head.drain_started and in_rate > 0 \
                 and head is arriving:
             threshold = min(self.cut_through_bytes, head.size)
-            c = starts = (threshold - head.bytes_in) / in_rate
+            c = (threshold - head.bytes_in) / in_rate
             if _EPS < c < soonest:
                 soonest = c
         drain_rate = self.drain_rate
@@ -294,14 +247,6 @@ def _program_boundary(self, level, net):
         cancel(boundary)
     self._boundary = self.sim.after(delay_ns, self._on_boundary)
     self._boundary_at = at
-    if starts <= soonest:
-        # the real side dates this start: it has happened before anything
-        # else runs at its instant, so its boundary runs there ahead of all
-        # but the start boundaries armed before it
-        fronts = self.sim.__dict__.setdefault("_naive_fronts", {})
-        ahead = fronts[at] = fronts.get(at, 0) + 1
-        bucket = self.sim._buckets[at]
-        bucket.insert(ahead - 1, bucket.pop())
 
 
 def peek_level(self):

@@ -23,9 +23,6 @@ is pinned to (as ``tests/naive_registers.py`` is for the status word):
   of it is only counted.  Running them through the FIFO would split its
   float sums at an instant the real side does not stop at (a last-ulp
   ``max_level`` difference, not a behaviour one);
-* a cut-through drain starts at a boundary of its own and sends its begin
-  then, where the real side dates the begin at the grant; a grant from
-  inside the request re-enters the FIFO's pass (``tests/naive_fifo.py``);
 * ``SchedulingEngine._kick`` scans whenever the queue is non-empty: at
   once while the engine is free, as the real one does, and armed for the
   end of its decision time while it is busy.
@@ -33,8 +30,7 @@ is pinned to (as ``tests/naive_registers.py`` is for the status word):
 :func:`install` patches all of that over the real classes and returns the
 count of events the naive side dispatches that the real code folds away,
 so a differential test can demand ``naive.events_dispatched -
-real.events_dispatched == folded.markers + folded.empty_scans`` plus the
-boundaries the dated starts fold, exactly.
+real.events_dispatched == folded.markers + folded.empty_scans`` exactly.
 Its ``_recompute`` is built on the five-method pass of
 ``tests/naive_fifo.py``, which it installs first.
 Nothing under ``src/`` may import this module.
@@ -111,10 +107,11 @@ def install(monkeypatch):
             if starting:
                 head.drain_started = True
                 if head.arriving:
-                    self._cut_through += 1
+                    self.cut_through_packets += 1
                 else:
-                    self._buffered += 1
-                naive_fifo.begin(self, head, new_rate)
+                    self.buffered_packets += 1
+                for target in head.targets:
+                    target.notify_begin(head.packet, head.broadcast, new_rate)
             if head.drain_started and abs(new_rate - self.drain_rate) > _EPS:
                 completing = head.bytes_out + _EPS >= head.size
                 for target in head.targets:
@@ -122,7 +119,6 @@ def install(monkeypatch):
                         send_folded_rate(target, new_rate, completing)
                     else:
                         target.notify_rate(new_rate)
-        naive_fifo.date(self)
         self.drain_rate = new_rate if (head is not None and head.drain_started) else 0.0
 
         if head is not None and head.bytes_out + _EPS >= head.size:
@@ -142,9 +138,7 @@ def install(monkeypatch):
 
     def abort(self):
         packet = self.current
-        if packet is not None and self._begin_at > self.endpoint.sim.now:
-            real_abort(self)  # a dated begin still to come is withdrawn
-        elif packet is not None:
+        if packet is not None:
             packet.corrupted = True
             send_folded_rate(self, 0.0)
             self.notify_end(packet, True)
@@ -194,7 +188,6 @@ def install(monkeypatch):
         self._scan_event = self.sim.at(self._busy_until, self._scan)
 
     real_scan = SchedulingEngine._scan
-    real_abort = Transmitter.abort
 
     def _scan(self):
         if not self._naive_matched:

@@ -31,16 +31,16 @@ the ``core`` + ``net`` cost proxy the wall-clock ledger lacks:
 host staging became one ``TransmitQueue`` (they were receive FIFOs fed by
 ``enqueue_buffered``), before the switch's per-port lists and folded
 crossbar, and before the guarded kicks: kept beside ``CENSUS`` so that the
-cut is a count, not a guess.  The trajectory is the same, so events,
-passes, scans and grants are too (4 transmit-queue passes per control
-packet either way; their cut is in what a pass does, which no count here
-sees).  Per control packet (5 565 of them), the kicks fall from 6.0 to 2.7 and those
-that do nothing from 4.0 to 0.7, and the hop's calls from 100.2 to 81.9:
+cut is a count, not a guess.  Those changes kept the trajectory, and the
+events, passes, scans and grants with it (4 transmit-queue passes per
+control packet either way; their cut is in what a pass does, which no
+count here sees).  Per control packet (5 565 of them), the kicks fall from 6.0 to 2.7 and those
+that do nothing from 4.0 to 0.7, and the hop's calls from 100.2 to 83.3:
 no ``Crossbar`` or ``_fifo_for`` hops, no ``record_hop`` or
 ``new_packet_id`` call, no drain test on a head that is all out.  Since
 the scan runs at once and the grant lands in the request pass, the
-events fall from 67 370 to 52 331 (11 104 scans and 3 934 boundaries
-fewer), and the queue passes from 56 683 to 34 490.  The
+events fall from 67 370 to 56 265 (11 104 scans and one same-instant
+wake fewer), and the queue passes from 56 683 to 38 419.  The
 tree-position values make about 4 ``treepos`` calls per packet either way,
 but a position is now a named tuple ordered by UID values: building one
 fell from about 1.7 to 0.5 us and comparing two from 1.1 to 0.4 us, and
@@ -88,7 +88,7 @@ def queue_state(queue):
     return (
         queue.in_rate, queue.drain_rate, queue._level_stop, queue.overflowed,
         queue._boundary_at if queue._boundary is not None else None,
-        queue._cut_through, queue._buffered,  # the counters, not the settling reads
+        queue.cut_through_packets, queue.buffered_packets,
         tuple(
             (id(e), e.bytes_in, e.bytes_out, e.arriving, e.requested, e.drain_started,
              e.targets is not None)
@@ -246,8 +246,8 @@ PARENT = {
     },
 }
 #: this tree: a grant inside the request pass makes no pass of its own, a
-#: free engine scans at once, a cut-through start is dated at its grant and
-#: an emptied queue's next-head re-entry makes no pass.  The trajectory
+#: free engine scans at once and an emptied queue's next-head re-entry
+#: makes no pass.  The trajectory
 #: moved only where a same-instant tie breaks differently (one fewer
 #: ``TaskScheduler._wake``); control packets, scans and grants are the
 #: parent's
@@ -262,7 +262,7 @@ CENSUS = {
         "Monitoring.probe_all": 270,
         "TaskScheduler._wake": 6070,
         "LinkUnit.rx_begin_packet": 5565,
-        "ReceiveFifo._on_boundary": 16643,
+        "ReceiveFifo._on_boundary": 20577,
         "TaskScheduler._arrive": 5613,
         "Autopilot._process": 5551,
         "SchedulingEngine._scan": 24,
@@ -272,28 +272,28 @@ CENSUS = {
     },
     "passes": {
         ("rx", "begin"): (5565, 38),
-        ("rx", "boundary"): (11078, 0),
+        ("rx", "boundary"): (15012, 0),
         ("rx", "clear"): (2522, 2510),
-        ("rx", "grant"): (1720, 0),
+        ("rx", "grant"): (1721, 0),
         ("rx", "next-head"): (38, 0),
         ("tx", "boundary"): (5565, 0),
         ("tx", "clear"): (210, 210),
         ("tx", "enqueue"): (5565, 2215),
-        ("tx", "grant"): (12, 0),
+        ("tx", "grant"): (6, 0),
         ("tx", "next-head"): (2215, 0),
     },
-    "kicks": (14928, 3800),
+    "kicks": (14938, 3810),
     "scans": 11128,
     "scans at once": 11104,
     "grants": 11128,
     "calls": {
         **PARENT["calls"],
-        "net/fifo.py": 149616,
-        "net/link.py": 33994,
+        "net/fifo.py": 147960,
+        "net/link.py": 33992,
         "net/packet.py": 16695,
-        "net/scheduler.py": 70772,
-        "net/switch.py": 56077,
-        "sim/engine.py": 72776,
+        "net/scheduler.py": 70782,
+        "net/switch.py": 61625,
+        "sim/engine.py": 76710,
     },
 }
 

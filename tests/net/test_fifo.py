@@ -59,8 +59,7 @@ def test_cut_through_starts_at_25_bytes():
 
     drain_started = []
     orig = sink.notify_begin
-    # the begin is dated: told at the grant, for the instant 25 bytes are in
-    sink.notify_begin = lambda p, b, r, at: (drain_started.append(at), orig(p, b, r, at))
+    sink.notify_begin = lambda p, b, r: (drain_started.append(sim.now), orig(p, b, r))
 
     def connect():
         fifo.connect_drain([sink], broadcast=False)

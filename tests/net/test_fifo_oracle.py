@@ -2,9 +2,7 @@
 
 ``ReceiveFifo._recompute`` makes one straight-line pass: it reads the head
 and the arriving tail once, returns early on an empty queue, walks the
-level inline and calls ``_set_level_stop`` only on a change.  A grant from
-inside the request runs no pass of its own, and a cut-through drain is
-dated at the grant instead of started by a boundary.  Two guards,
+level inline and calls ``_set_level_stop`` only on a change.  Two guards,
 against the five-method pass kept in ``tests/naive_fifo.py`` (CI also runs
 this file in the ``determinism`` job under ``PYTHONHASHSEED=0`` and
 ``=random``):
@@ -18,11 +16,8 @@ this file in the ``determinism`` job under ``PYTHONHASHSEED=0`` and
   pass) and heads never granted (overflow), for
   capacities down to 1 byte, stop fractions 0, 0.5 and 1 and cut-through
   at 1, 25 and 3000 bytes.  The two must log the same (time, callback,
-  packet id) sequence -- a dated begin is logged at the grant for its
-  instant, so both logs are taken in time order, and a withdrawn one
-  leaves it -- and hold bit-identical byte counts after every step of the
-  script; the real side dispatches fewer events by boundaries alone (the
-  starts it dated);
+  packet id) sequence and, after every dispatched event, arm the boundary
+  for the same instant and hold bit-identical byte counts;
 * **``peek_level()`` stays observational** at random instants of the same
   scripts: it changes no field, agrees with ``level`` to 1e-6 and to the
   bit with the ``min``/``max`` projection it replaced (which a direct
@@ -52,14 +47,9 @@ class LoggingSink(GatedSink):
         super().__init__()
         self.rig, self.name, self.current = rig, name, None
 
-    def notify_begin(self, packet, broadcast, rate, at):
+    def notify_begin(self, packet, broadcast, rate):
         self.current = packet
-        self.begun = self.rig.note_at(at, f"{self.name}.begin", packet, rate, broadcast)
-
-    def withdraw_begin(self, packet):
-        if self.current is packet:
-            self.rig.log.remove(self.begun)
-            self.current = None
+        self.rig.note(f"{self.name}.begin", packet, rate, broadcast)
 
     def notify_rate(self, rate):
         self.rig.note(f"{self.name}.rate", self.current, rate)
@@ -75,10 +65,7 @@ class Rig:
     def __init__(self, capacity, stop_fraction, cut_through, grants):
         self.sim = sim = Simulator()
         self.log = []
-        #: the state after every dispatched event, and after every step
         self.states = []
-        self.steps = []
-        self.boundaries = 0
         self.grants, self.requests = grants, 0
         #: the delayed grant in flight, if any (one request at a time)
         self.pending = None
@@ -108,18 +95,12 @@ class Rig:
         pass
 
     def account_call(self, fn, elapsed_ns):
-        self.boundaries += getattr(fn, "__name__", None) == "_on_boundary"
         self.states.append(self.state())
 
     # -- callbacks ---------------------------------------------------------------------
 
     def note(self, what, packet, *detail):
-        self.note_at(self.sim.now, what, packet, *detail)
-
-    def note_at(self, at, what, packet, *detail):
-        entry = (at, what, packet.packet_id if packet else None, *detail)
-        self.log.append(entry)
-        return entry
+        self.log.append((self.sim.now, what, packet.packet_id if packet else None, *detail))
 
     def _directive(self, directive):
         self.note(directive.value, None)
@@ -140,15 +121,13 @@ class Rig:
     def _grant(self, fanout, broadcast):
         self.fifo.connect_drain(self.sinks[:fanout], broadcast=broadcast)
 
-    def state(self, boundary=True):
+    def state(self):
         fifo = self.fifo
-        # first: reading it settles a dated start that has come
-        max_level = fifo.max_level.hex()
         return (
             self.sim.now,
-            fifo._boundary_at if boundary and fifo._boundary is not None else None,
+            fifo._boundary_at if fifo._boundary is not None else None,
             fifo._last_update, fifo.in_rate, fifo.drain_rate, fifo._level_stop,
-            fifo.overflowed, fifo.bytes_forwarded.hex(), max_level,
+            fifo.overflowed, fifo.bytes_forwarded.hex(), fifo.max_level.hex(),
             fifo.cut_through_packets, fifo.buffered_packets,
             tuple(
                 (e.packet.packet_id, e.bytes_in.hex(), e.bytes_out.hex(), e.arriving,
@@ -200,14 +179,14 @@ class Rig:
                 sim.run_for(args[0])
             elif step == "peek" and peek:
                 check_peek(self)
-            self.steps.append(self.state(boundary=False))
+            self.states.append(self.state())
         # let whatever can still move, move
         for sink in self.sinks:
             sink.allowed = True
         fifo.recompute()
         sim.run_for(20_000_000)
-        self.steps.append(self.state())
-        return self
+        self.states.append(self.state())
+        return sim.events_dispatched, self.log, self.states
 
 
 def check_peek(rig):
@@ -219,7 +198,7 @@ def check_peek(rig):
     assert rig.state() == before
     # the comparisons return the operands min/max did: the same float
     assert repr(peeked) == repr(naive_fifo.peek_level(fifo))
-    twin = copy.deepcopy(fifo, {id(rig.log): [], id(rig.states): [], id(rig.steps): []})
+    twin = copy.deepcopy(fifo, {id(rig.log): [], id(rig.states): []})
     assert abs(peeked - twin.level) <= 1e-6
 
 
@@ -281,15 +260,11 @@ def test_one_pass_matches_the_five_method_pass(capacity, stop_fraction, cut_thro
     with pytest.MonkeyPatch.context() as patch:
         naive_fifo.install(patch)
         naive = Rig(capacity, stop_fraction, cut_through, grants).play(steps, peek=False)
-    assert in_time_order(real.log) == in_time_order(naive.log)
-    assert real.steps == naive.steps
-    folded = naive.boundaries - real.boundaries
-    assert folded >= 0
-    assert naive.sim.events_dispatched - real.sim.events_dispatched == folded
-
-
-def in_time_order(log):
-    return sorted(log, key=lambda entry: entry[0])
+    real_events, real_log, real_states = real
+    naive_events, naive_log, naive_states = naive
+    assert real_log == naive_log
+    assert real_states == naive_states
+    assert real_events == naive_events
 
 
 @settings(max_examples=150, deadline=None)
@@ -297,9 +272,7 @@ def in_time_order(log):
 def test_peek_level_is_observational(capacity, stop_fraction, cut_through, grants, steps):
     peeking = Rig(capacity, stop_fraction, cut_through, grants).play(steps, peek=True)
     plain = Rig(capacity, stop_fraction, cut_through, grants).play(steps, peek=False)
-    assert peeking.log == plain.log
-    assert peeking.states == plain.states and peeking.steps == plain.steps
-    assert peeking.sim.events_dispatched == plain.sim.events_dispatched
+    assert peeking == plain
 
 
 _HELD = st.tuples(st.integers(0, 3000), st.floats(0, 1), st.floats(0, 1))

@@ -14,13 +14,12 @@ The triggers are the begin and end markers, a rate marker, a grant
 event, and the re-entry ``_complete_head`` makes for a next head (an empty
 queue is left idle without a pass).  A grant made inside the request pass
 -- the engine's inline scan, a discard -- only names the drain, and the
-request pass reads it next: it is counted, and makes no pass.  A
-cut-through start is dated at its grant, so no boundary starts a drain
-unless the level turns or overflows at its instant.  Beside the table, the
-cost per forwarded packet: FIFO boundary events (a ``TransmitQueue``'s
-too, as ``net.boundary_per_packet`` counts them) and receive-FIFO passes.  An end marker reaches a switch
-FIFO only for a packet that may not have arrived whole (truncated, or its
-link changed state meanwhile); neither scenario has one.  Two fixed scenarios, both with
+request pass reads it next: it is counted, and makes no pass.  Beside the
+table, the cost per forwarded packet: FIFO boundary events (a
+``TransmitQueue``'s too, as ``net.boundary_per_packet`` counts them) and
+receive-FIFO passes.  An end marker reaches a switch FIFO only for a
+packet that may not have arrived whole (truncated, or its link changed
+state meanwhile); neither scenario has one.  Two fixed scenarios, both with
 observers off; the tables below are exact and deterministic:
 
 * **torus-3x4 permutation**: one host per switch on its first free port,
@@ -55,37 +54,32 @@ TRIGGERS = {
     "_complete_head": "complete-head",
 }
 
-#: trigger -> (passes, idle passes); then grants inside the request,
-#: boundaries at a dated start's instant, and the cost per forwarded
-#: packet as (FIFO boundary events, receive-FIFO passes, packets forwarded):
-#: 2.24 boundaries and 3.12 passes a packet here, where a grant pass, a
-#: cut-through boundary and an idle re-entry per hop made 8 841 boundaries
-#: (3.07) and 16 521 passes (5.74)
+#: trigger -> (passes, idle passes); then grants inside the request and the
+#: cost per forwarded packet as (FIFO boundary events, receive-FIFO passes,
+#: packets forwarded): 3.07 boundaries and 3.96 passes a packet here, where
+#: a grant pass and an idle re-entry per hop made 16 521 passes (5.74)
 TORUS_PERMUTATION = {
     "begin": (2880, 279),
     "set-rate": (0, 0),
     "end": (0, 0),
     "grant": (359, 0),
     "recompute": (0, 0),
-    "boundary": (5481, 0),
+    "boundary": (7881, 0),
     "complete-head": (279, 0),
     "grants inside the request": 2521,
-    "cut-through start boundaries": 0,
-    "per forwarded packet": (6441, 8999, 2880),
+    "per forwarded packet": (8841, 11399, 2880),
 }
-#: 1.50 boundaries and 1.75 passes a packet, where 4 135 (1.75) and 6 495
-#: (2.75) were
+#: 1.75 boundaries and 2.00 passes a packet, where 6 495 passes (2.75) were
 SRCLAN_STEADY_SECOND = {
     "begin": (1180, 0),
     "set-rate": (0, 0),
     "end": (0, 0),
     "grant": (585, 0),
     "recompute": (0, 0),
-    "boundary": (2360, 0),
+    "boundary": (2955, 0),
     "complete-head": (0, 0),
     "grants inside the request": 595,
-    "cut-through start boundaries": 0,
-    "per forwarded packet": (3540, 4125, 2360),
+    "per forwarded packet": (4135, 4720, 2360),
 }
 
 
@@ -93,7 +87,7 @@ def fifo_state(fifo):
     return (
         fifo.in_rate, fifo.drain_rate, fifo._level_stop, fifo.overflowed,
         fifo._boundary_at if fifo._boundary is not None else None,
-        fifo._cut_through, fifo._buffered,  # the counters, not the settling reads
+        fifo.cut_through_packets, fifo.buffered_packets,
         tuple(
             (id(e), e.bytes_in, e.bytes_out, e.arriving, e.requested, e.drain_started,
              e.targets is not None)
@@ -109,7 +103,7 @@ class Census:
         self.passes = Counter()
         self.idle = Counter()
         self.stack = []
-        self.grants_in_request = self.start_boundaries = self.boundaries = 0
+        self.grants_in_request = self.boundaries = 0
         self.net = net
         self.forwarded = -self._forwarded()
         for method, trigger in TRIGGERS.items():
@@ -124,7 +118,6 @@ class Census:
 
         def counted_boundary(fifo):
             self.boundaries += 1
-            self.start_boundaries += fifo._start_at == fifo.sim.now
             on_boundary(fifo)
 
         monkeypatch.setattr(ReceiveFifo, "connect_drain", counted_grant)
@@ -156,7 +149,6 @@ class Census:
         table = {trigger: (self.passes[trigger], self.idle[trigger])
                  for trigger in TRIGGERS.values()}
         table["grants inside the request"] = self.grants_in_request
-        table["cut-through start boundaries"] = self.start_boundaries
         table["per forwarded packet"] = (
             self.boundaries, sum(self.passes.values()), self.forwarded + self._forwarded())
         return table

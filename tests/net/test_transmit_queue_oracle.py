@@ -51,9 +51,7 @@ class LoggingSink(GatedSink):
         super().__init__()
         self.rig, self.name, self.current = rig, name, None
 
-    def notify_begin(self, packet, broadcast, rate, at):
-        # whole packets: every begin is for now
-        assert at == self.rig.sim.now
+    def notify_begin(self, packet, broadcast, rate):
         self.current = packet
         self.rig.note(f"{self.name}.begin", packet, rate, broadcast)
 

@@ -8,9 +8,6 @@ port.  Three guards, against the parent protocol kept in
 ``tests/naive_wire.py`` (which sends every end marker and checks that each
 one the real side omits carries no news):
 
-A cut-through drain's begin is dated at the grant for the instant its
-bytes are in, where the naive side starts it at a boundary of its own.
-
 * a **Hypothesis differential** over one link -- source buffer, ``Link``,
   ``ReceiveFifo``, gated sink -- under random sizes, gaps, stalls on either
   side, forced aborts and a cable cut mid-packet;
@@ -18,10 +15,9 @@ bytes are in, where the naive side starts it at a boundary of its own.
   file in the ``determinism`` job under ``PYTHONHASHSEED=0`` and
   ``=random``): identical trace logs, epochs, monitor state and delivery
   latencies, and an event count that differs by *exactly* the markers and
-  scans the naive side reports as folded and the boundaries the dated
-  starts fold;
+  scans the naive side reports as folded;
 * an **exact cost guard** with no wall clock in it: one marker into a
-  switch, two into a host, and 3 events per switch hop for one small
+  switch, two into a host, and 4 events per switch hop for one small
   unicast.
 """
 
@@ -60,14 +56,8 @@ class LoggingSink(GatedSink):
         super().__init__()
         self.log, self.sim = log, sim
 
-    def notify_begin(self, packet, broadcast, rate, at):
-        self.current, self.begun = packet, (at, "drain-begin", packet.wire_bytes)
-        self.log.append(self.begun)
-
-    def withdraw_begin(self, packet):
-        if self.current is packet:
-            self.log.remove(self.begun)
-            self.current = None
+    def notify_begin(self, packet, broadcast, rate):
+        self.log.append((self.sim.now, "drain-begin", packet.wire_bytes))
 
 
 class Source(_Source):
@@ -207,42 +197,20 @@ def run_link(steps, slots, capacity, grant_delay):
 # 18-byte entry still arriving, or the pass drains bytes that never come
 @example(steps=[(18, 0), ("cut", 0), ("abort", 0), (1, 0), (1, 0)], slots=1, capacity=64,
          grant_delay=0)
+# a stopped sink holds a granted head past its cut-through bytes until the
+# next begin lands at the instant the head is whole
+@example(steps=[(1, 0), ("sink", 0), (1, 3320)], slots=9, capacity=64, grant_delay=0)
 def test_one_link_matches_the_four_marker_protocol(steps, slots, capacity, grant_delay):
     """Same head-ready, drain-begin, drained, level-directive, overflow and
     underflow instants and the same FIFO statistics as begin, rate, rate(0),
-    end sent as four events -- which cost exactly the folded markers and
-    start boundaries more."""
+    end sent as four events -- which cost exactly the folded markers more."""
+    real_events, real = run_link(steps, slots, capacity, grant_delay)
     with pytest.MonkeyPatch.context() as patch:
-        real_boundaries = count_boundaries(patch)
-        real_events, (real_log, *real) = run_link(steps, slots, capacity, grant_delay)
-    with pytest.MonkeyPatch.context() as patch:
-        naive_boundaries = count_boundaries(patch)
         folded = naive_wire.install(patch)
-        naive_events, (naive_log, *naive) = run_link(steps, slots, capacity, grant_delay)
-    assert in_time_order(real_log) == in_time_order(naive_log)
+        naive_events, naive = run_link(steps, slots, capacity, grant_delay)
     for got, want in zip(real, naive):
         assert got == want
-    starts = naive_boundaries[0] - real_boundaries[0]
-    assert starts >= 0
-    assert naive_events - real_events == folded.markers + starts
-
-
-def count_boundaries(patch):
-    """A one-cell count of FIFO boundary events, while ``patch`` holds."""
-    counted = [0]
-    on_boundary = ReceiveFifo._on_boundary
-
-    def counting(fifo):
-        counted[0] += 1
-        on_boundary(fifo)
-
-    patch.setattr(ReceiveFifo, "_on_boundary", counting)
-    return counted
-
-
-def in_time_order(log):
-    """A dated begin is logged at its grant: compare logs by instant."""
-    return sorted(log, key=lambda entry: entry[0])
+    assert naive_events - real_events == folded.markers
 
 
 # -- (b) whole networks --------------------------------------------------------------------
@@ -334,24 +302,20 @@ def world_state(net, sinks):
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_network_matches_the_four_marker_protocol(name, monkeypatch):
-    with pytest.MonkeyPatch.context() as patch:
-        real_boundaries = count_boundaries(patch)
-        real_events, real = observe_wire(SCENARIOS[name])
-    naive_boundaries = count_boundaries(monkeypatch)
+    real_events, real = observe_wire(SCENARIOS[name])
     folded = naive_wire.install(monkeypatch)
     naive_events, naive = observe_wire(SCENARIOS[name])
     # piecewise, so that a failure names what diverged
     for got, want in zip(real, naive):
         assert got == want
-    starts = naive_boundaries[0] - real_boundaries[0]
-    assert folded.markers > 0 and folded.empty_scans > 0 and starts > 0
-    assert naive_events - real_events == folded.markers + folded.empty_scans + starts
+    assert folded.markers > 0 and folded.empty_scans > 0
+    assert naive_events - real_events == folded.markers + folded.empty_scans
 
 
 # -- (c) the exact cost guard ----------------------------------------------------------------
 
 
-def test_a_unicast_costs_one_marker_into_a_switch_and_three_events_a_hop():
+def test_a_unicast_costs_one_marker_into_a_switch_and_four_events_a_hop():
     net = Network(line(2), seed=1)
     net.add_host("a", [(0, 5)])
     net.add_host("b", [(1, 5)])
@@ -384,7 +348,7 @@ def test_a_unicast_costs_one_marker_into_a_switch_and_three_events_a_hop():
         "LinkUnit.rx_begin_packet": 2, "HostPort.rx_begin_packet": 1,
         "HostPort.rx_end_packet": 1,
         # per switch hop, after the begin: the request boundary, whose
-        # pass scans, is granted and dates the cut-through start, then the
-        # completion boundary; plus the host transmit buffer's completion
-        "ReceiveFifo._on_boundary": 2 * 2 + 1,
+        # pass scans and is granted, then the cut-through start and
+        # completion boundaries; plus the host transmit buffer's completion
+        "ReceiveFifo._on_boundary": 2 * 3 + 1,
     }
