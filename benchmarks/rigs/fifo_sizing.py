@@ -80,7 +80,7 @@ class _Source(Endpoint):
         pass
 
     def rx_flow_control(self, directive) -> None:
-        self.fc_receiver.receive(directive, self.sim.now)
+        self.fc_receiver.receive(directive)
 
 
 class _StuckReceiver(Endpoint):

@@ -43,7 +43,6 @@ def build_shortest_path_entries(
     topology: TopologyMap,
     my_uid: Uid,
     my_host_ports: Optional[FrozenSet[int]] = None,
-    n_ports: int = PORTS_PER_SWITCH,
 ) -> Dict[int, Row]:
     """Minimum-hop forwarding with no up*/down* restriction.
 
@@ -64,7 +63,7 @@ def build_shortest_path_entries(
         if number is None:
             continue
         if dest_uid == my_uid:
-            rows.update(own_rows(number, host_ports, n_ports))
+            rows.update(own_rows(number, host_ports))
             continue
         dist = distances(graph, dest_uid)
         here = dist.get(my_uid, float("inf"))
@@ -75,7 +74,7 @@ def build_shortest_path_entries(
                 if dist.get(far.uid, float("inf")) + 1 == here
             )
         )
-        row = (ForwardingEntry(ports) if ports else DISCARD_ENTRY,) * (n_ports + 1)
-        for q in range(0, n_ports + 1):
+        row = (ForwardingEntry(ports) if ports else DISCARD_ENTRY,) * (PORTS_PER_SWITCH + 1)
+        for q in range(0, PORTS_PER_SWITCH + 1):
             rows[make_short_address(number, q)] = row
     return rows

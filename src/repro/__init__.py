@@ -37,7 +37,7 @@ from repro.topology import (
     torus,
     tree,
 )
-from repro.types import Uid, make_short_address, split_short_address
+from repro.types import Uid, make_short_address
 
 __version__ = "1.0.0"
 
@@ -66,6 +66,5 @@ __all__ = [
     "tree",
     "Uid",
     "make_short_address",
-    "split_short_address",
     "__version__",
 ]

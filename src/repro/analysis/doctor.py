@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.analysis.explorer import NetworkExplorer
+from repro.constants import PORTS_PER_SWITCH
 from repro.core.portstate import PortState
 
 
@@ -111,7 +112,7 @@ def diagnose(network, origin: int = 0) -> HealthReport:
 
     # 3. per-port conditions
     for ap in live:
-        for port in range(1, ap.switch.n_ports + 1):
+        for port in range(1, PORTS_PER_SWITCH + 1):
             unit = ap.switch.ports[port]
             if not unit.connected:
                 continue

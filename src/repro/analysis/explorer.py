@@ -31,13 +31,16 @@ class ExplorationResult:
     queries: int = 0
 
 
+#: how long one query waits for its reply
+QUERY_TIMEOUT_NS = 200_000_000
+
+
 class NetworkExplorer:
     """Crawls a live network via SRP from one switch's control processor."""
 
-    def __init__(self, network, origin: int = 0, step_ns: int = 200_000_000) -> None:
+    def __init__(self, network, origin: int = 0) -> None:
         self.network = network
         self.origin = origin
-        self.step_ns = step_ns
 
     def _query(self, route: Tuple[int, ...]) -> Optional[dict]:
         """Issue one get-neighbors query and run the simulation until the
@@ -55,9 +58,9 @@ class NetworkExplorer:
                 payload=replies.append,
             ),
         )
-        deadline = self.network.sim.now + self.step_ns
+        deadline = self.network.sim.now + QUERY_TIMEOUT_NS
         while not replies and self.network.sim.now < deadline:
-            self.network.sim.run_for(self.step_ns // 20)
+            self.network.sim.run_for(QUERY_TIMEOUT_NS // 20)
         return replies[0].response if replies else None
 
     def explore(self) -> ExplorationResult:

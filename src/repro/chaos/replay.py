@@ -55,12 +55,9 @@ def _rules(doc: Dict[str, Any]) -> None:
 ARTIFACT = Schema({"kind": Enum("reproducer"), "schedule": {}}, rules=_rules, sort_keys=True)
 
 
-def replay_artifact(path: str, config=None, artifacts: Optional[str] = None):
-    """Re-run an artifact's schedule; returns its ScheduleResult.
-
-    ``config`` (a :class:`~repro.chaos.campaign.CampaignConfig`)
-    overrides everything except the topology, which always comes from
-    the artifact.  ``artifacts`` names a directory: the replay then runs
+def replay_artifact(path: str, artifacts: Optional[str] = None):
+    """Re-run an artifact's schedule, on the artifact's topology; returns
+    its ScheduleResult.  ``artifacts`` names a directory: the replay then runs
     with every observer on and leaves the flight trace, timeseries,
     in-band telemetry and traffic SLO documents of the very run the
     reproducer provokes there (see ``CampaignRunner.run_schedule``).
@@ -68,7 +65,5 @@ def replay_artifact(path: str, config=None, artifacts: Optional[str] = None):
     from repro.chaos.campaign import CampaignConfig, CampaignRunner
 
     schedule = Schedule.from_dict(read(path, SCHEDULE_SCHEMA)["schedule"])
-    config = config or CampaignConfig()
-    config.topology = schedule.topology
-    runner = CampaignRunner(config)
+    runner = CampaignRunner(CampaignConfig(topology=schedule.topology))
     return runner.run_schedule(schedule, name=schedule.name or "replay", artifacts=artifacts)

@@ -117,7 +117,6 @@ class Autopilot:
         switch: Switch,
         params: Optional[AutopilotParams] = None,
         clock_offset: int = 0,
-        software_version: int = 1,
     ) -> None:
         self.switch = switch
         self.sim: Simulator = switch.sim
@@ -125,8 +124,8 @@ class Autopilot:
         self.cpu = self.params.cpu
         self.alive = True
         #: running Autopilot release; newer CodeDownloadMsg images replace
-        #: this instance (section 5.4)
-        self.software_version = software_version
+        #: this instance (section 5.4); the network sets a downloaded one
+        self.software_version = 1
         #: reboot hook, set by the Network facade: fn(new_version)
         self.on_code_download: Optional[Callable[[int], None]] = None
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.constants import PORTS_PER_SWITCH
 from repro.core.messages import ConnectivityProbe, ConnectivityReply
 from repro.core.portstate import RECONFIGURING_TRANSITIONS, PortState, transition_allowed
 from repro.core.skeptic import ConnectivitySkeptic, SkepticParams, StatusSkeptic
@@ -64,14 +65,13 @@ class NeighborInfo:
 class PortMonitor:
     """Per-port classification state."""
 
-    def __init__(self, port_no: int, params: MonitorParams, now: int) -> None:
+    def __init__(self, port_no: int, params: MonitorParams) -> None:
         self.port_no = port_no
         self.params = params
         self.state = PortState.DEAD
         #: the status word this port shows while nothing happens (-1: none,
         #: s.dead and s.checking count every sample); set on each transition
         self.quiet = -1
-        self.entered_at = now
         self.status_skeptic = StatusSkeptic(params.skeptic)
         self.conn_skeptic = ConnectivitySkeptic(
             base_required=params.conn_skeptic_base,
@@ -120,10 +120,9 @@ class Monitoring:
     def __init__(self, autopilot, params: MonitorParams) -> None:
         self.ap = autopilot
         self.params = params
-        now = autopilot.sim.now
         self.ports: Dict[int, PortMonitor] = {
-            p: PortMonitor(p, params, now)
-            for p in range(1, autopilot.switch.n_ports + 1)
+            p: PortMonitor(p, params)
+            for p in range(1, PORTS_PER_SWITCH + 1)
         }
         # all ports boot dead and send idhy
         for port in self.ports:
@@ -176,7 +175,6 @@ class Monitoring:
             )
         now = self.ap.sim.now
         mon.state = new_state
-        mon.entered_at = now
         mon.quiet = self._quiet.get(new_state, -1)
         self.ap.log("port-state", f"port={port} {old.value}->{new_state.value} ({reason})")
         rec = self.ap.sim.recorder

@@ -148,7 +148,6 @@ class ReconfigEngine:
         self.epochs_initiated = 0
         self.epochs_joined = 0
         self.terminations = 0
-        self.local_reconfigs = 0
         #: messages dropped because the arrival port was not (yet)
         #: s.switch.good -- see the gate in receive
         self.msgs_gated = 0
@@ -495,7 +494,6 @@ class ReconfigEngine:
             numbers=dict(self.topology.numbers),
         )
         self.topology = reduced
-        self.local_reconfigs += 1
         self.ap.run_task(
             self._load_reduced,
             reduced,

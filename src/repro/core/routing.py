@@ -26,7 +26,7 @@ from repro.constants import (
     CONTROL_PROCESSOR_PORT,
     PORTS_PER_SWITCH,
 )
-from repro.core.topo import NetLink, PortRef, TopologyMap
+from repro.core.topo import TopologyMap
 from repro.net.forwarding import DISCARD_ENTRY, ForwardingEntry, Row
 from repro.types import Uid, make_short_address
 
@@ -49,22 +49,11 @@ def _entry(ports: Tuple[int, ...], broadcast: bool = False) -> ForwardingEntry:
     return ForwardingEntry(ports, broadcast)
 
 
-def link_direction(topology: TopologyMap, link: NetLink) -> Optional[PortRef]:
-    """The link's "up" end (closer to the root; ties by lower UID), or
-    None for a link the topology's index leaves out (a loop, a foreign
-    UID, or a link this map does not hold)."""
-    index = topology.index()
-    a = link.a
-    if index.nbrs.get(a.uid, {}).get(a.port) != link.b:
-        return None
-    return a if index.up_end[(a.uid, a.port)] else link.b
-
-
-def own_rows(number: int, host_ports: Set[int], n_ports: int = PORTS_PER_SWITCH) -> Dict[int, Row]:
+def own_rows(number: int, host_ports: Set[int]) -> Dict[int, Row]:
     """Rows for a switch's own addresses: whatever the receiving port,
     address q reaches the control processor (q = 0) or host port q, and
     the address of a port with no host on it discards."""
-    width = n_ports + 1
+    width = PORTS_PER_SWITCH + 1
     base = make_short_address(number, 0)
     discard = (DISCARD_ENTRY,) * width
     delivers = {CONTROL_PROCESSOR_PORT} | host_ports
@@ -78,7 +67,6 @@ def build_forwarding_entries(
     topology: TopologyMap,
     my_uid: Uid,
     my_host_ports: Optional[FrozenSet[int]] = None,
-    n_ports: int = PORTS_PER_SWITCH,
 ) -> Dict[int, Row]:
     """Compute one switch's forwarding table for the given configuration,
     as the table holds it: destination address -> row[receiving port].
@@ -92,7 +80,7 @@ def build_forwarding_entries(
     """
     me = topology.switches[my_uid]
     host_ports = set(my_host_ports if my_host_ports is not None else me.host_ports)
-    in_ports = range(0, n_ports + 1)
+    in_ports = range(0, PORTS_PER_SWITCH + 1)
     index = topology.index()
 
     rows: Dict[int, Row] = {}
@@ -110,16 +98,16 @@ def build_forwarding_entries(
         if number is None:
             continue
         if dest_uid == my_uid:
-            rows.update(own_rows(number, host_ports, n_ports))
+            rows.update(own_rows(number, host_ports))
             continue
         ports_up, ports_down = index.next_hops(my_uid, dest_uid)
         entry_up = _entry(ports_up) if ports_up else DISCARD_ENTRY
         entry_down = _entry(ports_down) if ports_down else DISCARD_ENTRY
         row = tuple(entry_up if is_up else entry_down for is_up in arrives_up)
         # one validated address per destination; the per-port addresses
-        # base..base+n_ports are contiguous (port bits are the low bits)
+        # base..base+PORTS_PER_SWITCH are contiguous (port bits are the low bits)
         base = make_short_address(number, 0)
-        for address in range(base, base + n_ports + 1):
+        for address in range(base, base + PORTS_PER_SWITCH + 1):
             rows[address] = row
 
     # -- broadcast flood rows (section 6.6.6) ------------------------------------------

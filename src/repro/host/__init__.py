@@ -3,10 +3,7 @@
 Models the Q-bus controller of section 5.2 (dual network ports, 128 KB
 transmit/receive buffers, CRC checking, never sends ``stop``), the
 alternate-link management of section 6.8.3, the LocalNet generic-LAN layer
-with its UID cache (section 6.8.1), and the bridges of section 6.8.2.
+with its UID cache and pipelined decryption (sections 6.8.1, 3.10), and
+the bridges of section 6.8.2.  Import the module you need: the package
+re-exports nothing.
 """
-
-from repro.host.crypto import KeyStore
-from repro.host.multilan import MultiLan
-
-__all__ = ["KeyStore", "MultiLan"]

@@ -102,7 +102,7 @@ class HostPort(Endpoint):
 
     def rx_flow_control(self, directive: Directive) -> None:
         if self.controller.powered:
-            self.fc_receiver.receive(directive, self.sim.now)
+            self.fc_receiver.receive(directive)
 
     def describe_transmission(self) -> str:
         if not self.controller.powered:

@@ -18,9 +18,7 @@ bridges refuse to forward encrypted packets to the Ethernet (§6.8.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set
 
-from repro.types import Uid
 
 @dataclass(frozen=True)
 class EncryptedPayload:
@@ -31,25 +29,3 @@ class EncryptedPayload:
 
     def __repr__(self) -> str:
         return f"<encrypted key_id={self.key_id}>"
-
-
-class KeyStore:
-    """Session-key distribution for one installation.
-
-    Stands in for the master-key infrastructure: `grant` hands a host
-    the session key of the given id; controllers consult `holds` to
-    decide whether an arriving packet can be decrypted.
-    """
-
-    def __init__(self) -> None:
-        self._holders: Dict[int, Set[Uid]] = {}
-
-    def grant(self, key_id: int, uid: Uid) -> None:
-        self._holders.setdefault(key_id, set()).add(uid)
-
-    def holds(self, uid: Uid, key_id: int) -> bool:
-        return uid in self._holders.get(key_id, set())
-
-    def encrypt(self, key_id: int, payload: object) -> EncryptedPayload:
-        """Pipelined: costs nothing extra on the wire or in latency."""
-        return EncryptedPayload(key_id=key_id, ciphertext=payload)

@@ -30,23 +30,14 @@ VIGOROUS_PROBE_PERIOD_NS = 250 * MS
 class AutonetDriver:
     """Per-host link management and short-address tracking."""
 
-    def __init__(
-        self,
-        controller: HostController,
-        probe_period_ns: int = HOST_PROBE_PERIOD_NS,
-        failover_timeout_ns: int = HOST_FAILOVER_TIMEOUT_NS,
-        switchback_timeout_ns: int = HOST_SWITCHBACK_TIMEOUT_NS,
-    ) -> None:
+    def __init__(self, controller: HostController) -> None:
         self.controller = controller
         self.sim = controller.sim
-        self.probe_period_ns = probe_period_ns
-        self.failover_timeout_ns = failover_timeout_ns
-        self.switchback_timeout_ns = switchback_timeout_ns
 
         self.short_address: Optional[int] = None
         self._last_response = self.sim.now
         #: fail over when this deadline passes without a switch response
-        self._failover_deadline = self.sim.now + failover_timeout_ns
+        self._failover_deadline = self.sim.now + HOST_FAILOVER_TIMEOUT_NS
         #: delivery hook for client packets (LocalNet)
         self.on_packet: Optional[Callable[[Packet], None]] = None
         #: invoked with the new short address after (re)learning it
@@ -54,7 +45,6 @@ class AutonetDriver:
 
         controller.on_receive = self._receive
         self.failovers = 0
-        self.probes_sent = 0
         self._probe()
 
     # -- probing ------------------------------------------------------------------------
@@ -64,15 +54,15 @@ class AutonetDriver:
         return self.short_address is not None
 
     def _healthy(self) -> bool:
-        return self.sim.now - self._last_response <= self.probe_period_ns + 500 * MS
+        return self.sim.now - self._last_response <= HOST_PROBE_PERIOD_NS + 500 * MS
 
     def _probe(self) -> None:
         if not self.controller.powered:
-            self.sim.after(self.probe_period_ns, self._probe)
+            self.sim.after(HOST_PROBE_PERIOD_NS, self._probe)
             return
         self._check_failover()
         self._send_probe()
-        period = self.probe_period_ns if self._healthy() else VIGOROUS_PROBE_PERIOD_NS
+        period = HOST_PROBE_PERIOD_NS if self._healthy() else VIGOROUS_PROBE_PERIOD_NS
         self.sim.after(period, self._probe)
 
     def _send_probe(self) -> None:
@@ -93,7 +83,6 @@ class AutonetDriver:
                 packet_id=self.sim.new_packet_id(),
             )
         )
-        self.probes_sent += 1
 
     def kick(self) -> None:
         """One immediate extra probe, outside the periodic loop.
@@ -117,7 +106,7 @@ class AutonetDriver:
         self.failovers += 1
         self.short_address = None  # forget it; re-learn from the new switch
         self.controller.select_port(1 - self.controller.active_index)
-        self._failover_deadline = self.sim.now + self.switchback_timeout_ns
+        self._failover_deadline = self.sim.now + HOST_SWITCHBACK_TIMEOUT_NS
 
     # -- reception -----------------------------------------------------------------------
 
@@ -125,7 +114,7 @@ class AutonetDriver:
         payload = packet.payload
         if isinstance(payload, HostAddressReply):
             self._last_response = self.sim.now
-            self._failover_deadline = self.sim.now + self.failover_timeout_ns
+            self._failover_deadline = self.sim.now + HOST_FAILOVER_TIMEOUT_NS
             if payload.short_address != self.short_address:
                 self.short_address = payload.short_address
                 if self.on_address_change is not None:

@@ -41,7 +41,6 @@ class EthernetStation:
         #: receive every frame on the segment (bridges observe all
         #: traffic to learn which side each host is on, section 6.8.2)
         self.promiscuous = False
-        self.sent = 0
         self.received = 0
 
     def send(self, dest: Uid, data_bytes: int, payload: object = None,
@@ -90,7 +89,6 @@ class Ethernet:
                  data_bytes: int, payload: object) -> None:
         self.frames_carried += 1
         self.bytes_carried += data_bytes
-        station.sent += 1
         if dest == ETHERNET_BROADCAST:
             for other in self.stations.values():
                 if other is not station:

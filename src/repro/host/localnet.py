@@ -63,10 +63,6 @@ class LocalNetStats:
     arp_requests_sent: int = 0
     gratuitous_arps: int = 0
     received: int = 0
-    received_not_for_us: int = 0
-    dropped_too_large_unknown: int = 0
-    #: encrypted arrivals we hold no session key for
-    undecryptable: int = 0
 
 
 class LocalNet:
@@ -128,7 +124,6 @@ class LocalNet:
         ):
             # too large to broadcast and destination unknown: drop the
             # packet and send an ARP request in its place
-            self.stats.dropped_too_large_unknown += 1
             self._send_arp_request(dest_uid, ADDR_BROADCAST_HOSTS)
             return False
 
@@ -251,9 +246,7 @@ class LocalNet:
 
         for_us = packet.dest_uid in (self.uid, BROADCAST_UID)
         if not for_us:
-            # misaddressed or broadcast-flooded for someone else: filter
-            self.stats.received_not_for_us += 1
-            return
+            return  # misaddressed or broadcast-flooded for someone else
 
         if packet.encrypted:
             packet = self._decrypt(packet)
@@ -301,6 +294,5 @@ class LocalNet:
             or not isinstance(sealed, EncryptedPayload)
             or not self.keystore.holds(self.uid, sealed.key_id)
         ):
-            self.stats.undecryptable += 1
             return None
         return replace(packet, payload=sealed.ciphertext, encrypted=False)

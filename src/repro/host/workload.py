@@ -23,7 +23,6 @@ class Sink:
     """Counts datagrams arriving at a LocalNet instance."""
 
     def __init__(self, localnet: LocalNet) -> None:
-        self.localnet = localnet
         self.sim = localnet.sim
         self.count = 0
         self.bytes = 0
@@ -38,6 +37,7 @@ class Sink:
 
     def mean_latency_ns(self) -> float:
         return sum(self.latencies_ns) / len(self.latencies_ns) if self.latencies_ns else 0.0
+
 
 class PeriodicSender:
     """Open-loop sender: one datagram to a fixed destination per period."""
@@ -93,14 +93,12 @@ class RpcServer:
 
     def __init__(self, localnet: LocalNet) -> None:
         self.localnet = localnet
-        self.served = 0
         localnet.on_datagram = self._serve
 
     def _serve(self, src_uid: Uid, ethertype: int, data_bytes: int, packet: Packet) -> None:
         request = packet.payload
         if not isinstance(request, RpcRequest):
             return
-        self.served += 1
         self.localnet.send(
             src_uid, request.response_bytes, payload=RpcResponse(rpc_id=request.rpc_id)
         )

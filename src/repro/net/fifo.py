@@ -59,14 +59,11 @@ class DrainTarget:
 class DiscardSink(DrainTarget):
     """Sinks packet bytes at link rate; used for discard table entries."""
 
-    def __init__(self) -> None:
-        self.packets_discarded = 0
-
     def drain_allowed(self, broadcast: bool) -> bool:
         return True
 
     def notify_end(self, packet: Packet) -> None:
-        self.packets_discarded += 1
+        """The packet is gone; nothing downstream to tell."""
 
 
 class FifoPacket:

@@ -166,13 +166,11 @@ class FlowControlReceiver:
         #: whether the latched directive allows sending packet bytes,
         #: written with ``last`` (every FIFO pass reads it)
         self.transmission_allowed = initial is Directive.START or initial is Directive.HOST
-        self.last_change_time: int = 0
         self.on_change = on_change
 
-    def receive(self, directive: Directive, now: int) -> None:
+    def receive(self, directive: Directive) -> None:
         if directive is not self.last:
             self.last = directive
             self.transmission_allowed = directive is Directive.START or directive is Directive.HOST
-            self.last_change_time = now
             if self.on_change is not None:
                 self.on_change(directive)

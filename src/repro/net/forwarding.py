@@ -88,9 +88,8 @@ class ForwardingTable:
     of one destination switch share theirs) and between tables.
     """
 
-    def __init__(self, n_ports: int = PORTS_PER_SWITCH) -> None:
-        self.n_ports = n_ports
-        self._discard_row: Row = (DISCARD_ENTRY,) * (n_ports + 1)
+    def __init__(self) -> None:
+        self._discard_row: Row = (DISCARD_ENTRY,) * (PORTS_PER_SWITCH + 1)
         self._constant = self._constant_part()
         self._rows: Dict[int, Row] = dict(self._constant)
         #: incremented on every full load, for tests and tracing
@@ -100,18 +99,18 @@ class ForwardingTable:
         """One-hop, local-switch, and loopback rows (section 6.3)."""
         to_cp = ForwardingEntry((CONTROL_PROCESSOR_PORT,))
         rows: Dict[int, Row] = {}
-        for out_port in range(1, self.n_ports + 1):
+        for out_port in range(1, PORTS_PER_SWITCH + 1):
             one_hop = ADDR_ONE_HOP_BASE + out_port - 1
             if one_hop > ADDR_ONE_HOP_LIMIT:
                 break
             # from the control processor: transmit on the numbered port;
             # from any external port: deliver to the control processor
-            rows[one_hop] = (ForwardingEntry((out_port,)),) + (to_cp,) * self.n_ports
+            rows[one_hop] = (ForwardingEntry((out_port,)),) + (to_cp,) * PORTS_PER_SWITCH
         # "0000" from a host: the local control processor
-        rows[ADDR_LOCAL_SWITCH] = (DISCARD_ENTRY,) + (to_cp,) * self.n_ports
+        rows[ADDR_LOCAL_SWITCH] = (DISCARD_ENTRY,) + (to_cp,) * PORTS_PER_SWITCH
         # "FFFC": reflect back down the receiving link
         rows[ADDR_LOOPBACK] = (DISCARD_ENTRY,) + tuple(
-            ForwardingEntry((in_port,)) for in_port in range(1, self.n_ports + 1)
+            ForwardingEntry((in_port,)) for in_port in range(1, PORTS_PER_SWITCH + 1)
         )
         return rows
 
@@ -145,7 +144,7 @@ class ForwardingTable:
 
         ``rows`` maps short addresses (already within the 11-bit range, as
         :func:`repro.core.routing.build_forwarding_entries` makes them) to
-        rows of ``n_ports + 1`` entries; the rows are referenced, not copied.
+        rows of ``PORTS_PER_SWITCH + 1`` entries; the rows are referenced, not copied.
         """
         new = dict(self._constant)
         new.update(rows)

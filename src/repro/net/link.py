@@ -228,22 +228,17 @@ class Transmitter(DrainTarget):
     the deadlock.
     """
 
-    def __init__(
-        self,
-        endpoint: Endpoint,
-        fc_receiver: FlowControlReceiver,
-        ignore_stop_in_broadcast: bool = True,
-    ) -> None:
+    def __init__(self, endpoint: Endpoint, fc_receiver: FlowControlReceiver) -> None:
         self.endpoint = endpoint
         self.fc_receiver = fc_receiver
-        self.ignore_stop_in_broadcast = ignore_stop_in_broadcast
+        #: the section 6.2 fix (off only in the Figure 9 rig)
+        self.ignore_stop_in_broadcast = True
         #: packet currently being transmitted (None when idle)
         self.current: Optional[Packet] = None
         self.sending_broadcast = False
         #: invoked when a packet finishes transmitting (the switch frees
         #: the output port here)
         self.on_end: Optional[Callable[[Packet], None]] = None
-        self.packets_sent = 0
         #: the link's state changes when the current packet began
         self.begun_changes = 0
 
@@ -272,7 +267,6 @@ class Transmitter(DrainTarget):
     def notify_end(self, packet: Packet, truncated: bool = False) -> None:
         self.current = None
         self.sending_broadcast = False
-        self.packets_sent += 1
         link = self.endpoint.link
         if link is not None:
             # news: the packet was cut short, or may have lost a marker

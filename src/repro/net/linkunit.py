@@ -46,7 +46,6 @@ class LinkUnit(Endpoint):
         on_head_ready: Callable[[int, Packet], None],
         on_packet_drained: Callable[[int, Packet], None],
         fifo_bytes: int = DEFAULT_FIFO_BYTES,
-        stop_fraction: float = DEFAULT_STOP_FRACTION,
         cut_through_bytes: Optional[int] = None,
     ) -> None:
         self.sim = sim
@@ -76,7 +75,7 @@ class LinkUnit(Endpoint):
             sim,
             name=f"{name}.fifo",
             capacity=fifo_bytes,
-            stop_fraction=stop_fraction,
+            stop_fraction=DEFAULT_STOP_FRACTION,
             cut_through_bytes=(
                 CUT_THROUGH_BYTES if cut_through_bytes is None else cut_through_bytes
             ),
@@ -169,7 +168,7 @@ class LinkUnit(Endpoint):
             return
         if directive is Directive.IDHY:
             self._events |= IDHY_SEEN
-        self.fc_receiver.receive(directive, self.sim.now)
+        self.fc_receiver.receive(directive)
         if directive is Directive.PANIC and self.on_panic is not None:
             # panic forces this link unit to reset: clear the receive FIFO
             # and reinitialize the link control hardware so that

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.constants import ROUTER_DECISION_TIME_NS
+from repro.constants import PORTS_PER_SWITCH, ROUTER_DECISION_TIME_NS
 from repro.net.forwarding import ForwardingEntry
 from repro.net.packet import Packet
 from repro.sim.engine import Event, Simulator, cancel
@@ -50,25 +50,20 @@ class Request:
 
 GrantCallback = Callable[[Request, Tuple[int, ...]], None]
 
+#: the free-port vector with every port, the control processor's 0 too, free
+ALL_FREE = (2 << PORTS_PER_SWITCH) - 1
+
 
 class SchedulingEngine:
     """The Xilinx scheduling engine of Figure 7."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        n_ports: int,
-        grant: GrantCallback,
-        decision_ns: int = ROUTER_DECISION_TIME_NS,
-    ) -> None:
+    def __init__(self, sim: Simulator, grant: GrantCallback) -> None:
         self.sim = sim
-        self.n_ports = n_ports
         self.grant = grant
-        self.decision_ns = decision_ns
         #: oldest request first (the right-most queue slot in Figure 7)
         self.queue: List[Request] = []
         #: the free-port vector: allocated and reserved ports have a 0 bit
-        self.free = (2 << n_ports) - 1
+        self.free = ALL_FREE
         self._busy_until = 0
         self._scan_event: Optional[Event] = None
         self.grants = 0
@@ -87,7 +82,7 @@ class SchedulingEngine:
     def clear(self) -> None:
         """Drop all pending requests and free every port (switch reset)."""
         self.queue.clear()
-        self.free = (2 << self.n_ports) - 1
+        self.free = ALL_FREE
         if self._scan_event is not None:
             cancel(self._scan_event)
             self._scan_event = None
@@ -140,7 +135,7 @@ class SchedulingEngine:
 
     def _grant(self, request: Request, ports: Tuple[int, ...]) -> None:
         self.queue.remove(request)
-        self._busy_until = self.sim.now + self.decision_ns
+        self._busy_until = self.sim.now + ROUTER_DECISION_TIME_NS
         self.grants += 1
         self.grant(request, ports)
         if self.queue:

@@ -51,28 +51,26 @@ class Switch:
         sim: Simulator,
         name: str,
         uid: Uid,
-        n_ports: int = PORTS_PER_SWITCH,
         fifo_bytes: Optional[int] = None,
         cut_through_bytes: Optional[int] = None,
     ) -> None:
         self.sim = sim
         self.name = name
         self.uid = uid
-        self.n_ports = n_ports
         self.powered = True
 
         fifo_bytes = DEFAULT_FIFO_BYTES if fifo_bytes is None else fifo_bytes
         self.ports: Dict[int, LinkUnit] = {
             p: LinkUnit(sim, f"{name}.p{p}", p, self._head_ready, self._packet_drained,
                         fifo_bytes=fifo_bytes, cut_through_bytes=cut_through_bytes)
-            for p in range(1, n_ports + 1)
+            for p in range(1, PORTS_PER_SWITCH + 1)
         }
         for port, unit in self.ports.items():
             unit.tx.on_end = partial(self._tx_ended, port)
             unit.on_panic = partial(self._panicked, port)
 
-        self.table = ForwardingTable(n_ports)
-        self.engine = SchedulingEngine(sim, n_ports, grant=self._granted)
+        self.table = ForwardingTable()
+        self.engine = SchedulingEngine(sim, grant=self._granted)
         self.discard_sink = DiscardSink()
 
         # port 0: the control processor's transmit queue and delivery sink
@@ -86,7 +84,7 @@ class Switch:
         self._targets: List[Sequence[DrainTarget]] = [
             [CpSink(self)], *([unit.tx] for unit in self.ports.values())]
         #: the crossbar: per output port, the input port feeding it, or None
-        self._feeding: List[Optional[int]] = [None] * (n_ports + 1)
+        self._feeding: List[Optional[int]] = [None] * (PORTS_PER_SWITCH + 1)
         #: Autopilot's receive hook (packet, the port it came in on); set
         #: by the control program
         self.on_cp_packet: Optional[Callable[[Packet, int], None]] = None
@@ -97,9 +95,9 @@ class Switch:
         self.packets_to_cp = 0
         self.resets = 0
         #: per input port: packets granted output (0 = control processor)
-        self.port_forwarded = [0] * (n_ports + 1)
+        self.port_forwarded = [0] * (PORTS_PER_SWITCH + 1)
         #: per input port: packets that fully left its FIFO
-        self.port_drained = [0] * (n_ports + 1)
+        self.port_drained = [0] * (PORTS_PER_SWITCH + 1)
         #: drop cause -> {input port -> count}; causes: "table-discard"
         #: (the forwarding entry said discard), "isolated" (port taken out
         #: of service mid-packet), "reset" (table load destroyed it)
@@ -230,7 +228,7 @@ class Switch:
             unit.drain_source = None
             unit.reset()
         self._cp_queue.clear()
-        self._feeding[:] = [None] * (self.n_ports + 1)
+        self._feeding[:] = [None] * (PORTS_PER_SWITCH + 1)
 
     def clear_table(self, reset_on_load: bool = True) -> None:
         """Step 1 of reconfiguration: constant (one-hop) entries only."""
@@ -260,7 +258,7 @@ class Switch:
                 self.name,
                 CAT_TABLE,
                 "table-load",
-                entries=len(rows) * (self.n_ports + 1),  # cells, as the memory counts
+                entries=len(rows) * (PORTS_PER_SWITCH + 1),  # cells, as the memory counts
                 reset=reset_on_load,
             )
 

@@ -383,18 +383,23 @@ def _jsonable_path(path: PathKey) -> List[List[Any]]:
 
 # -- the repro.obs.inband/2 artifact --------------------------------------------------
 
+#: the report shows each path's first hops, the hottest links, each as a bar
+SHOWN_HOPS = 6
+SHOWN_LINKS = 8
+BAR_WIDTH = 24
 
-def _fmt_path(path: List[List[Any]], max_hops: int = 6) -> str:
+
+def _fmt_path(path: List[List[Any]]) -> str:
     shown = [
         f"{sw}:p{inp}>" + "/".join(f"p{o}" for o in outs)
-        for sw, inp, outs in path[:max_hops]
+        for sw, inp, outs in path[:SHOWN_HOPS]
     ]
-    if len(path) > max_hops:
-        shown.append(f"... +{len(path) - max_hops} hops")
+    if len(path) > SHOWN_HOPS:
+        shown.append(f"... +{len(path) - SHOWN_HOPS} hops")
     return " | ".join(shown) if shown else "(no hops)"
 
 
-def render_inband(doc: Dict[str, Any], top: int = 8, width: int = 24) -> str:
+def render_inband(doc: Dict[str, Any]) -> str:
     """The paths report of one ``repro.obs.inband/2`` document: per-flow
     delivery quantiles, current path and detected path changes, the
     delivery-SLO ledger with its per-epoch blackout windows, and the
@@ -437,16 +442,16 @@ def render_inband(doc: Dict[str, Any], top: int = 8, width: int = 24) -> str:
             )
     changes = sum(len(flow["changes"]) for flow in doc["flows"])
     lines.append(f"  {changes} path change(s) detected")
-    links = sorted(doc["links"], key=lambda e: (-e["mean_depth"], e["link"]))[:top]
+    links = sorted(doc["links"], key=lambda e: (-e["mean_depth"], e["link"]))[:SHOWN_LINKS]
     if links:
         lines.append("link congestion (mean FIFO depth at forwarding):")
         hottest = links[0]["mean_depth"] or 1.0
         label_w = max(len(entry["link"]) for entry in links)
         for entry in links:
-            filled = int(round(entry["mean_depth"] / hottest * width))
+            filled = int(round(entry["mean_depth"] / hottest * BAR_WIDTH))
             queue_drops = f"  {entry['drops']} queue drops" if entry["drops"] else ""
             lines.append(
-                f"  {entry['link']:<{label_w}} |{'█' * filled}{'▁' * (width - filled)}| "
+                f"  {entry['link']:<{label_w}} |{'█' * filled}{'▁' * (BAR_WIDTH - filled)}| "
                 f"{entry['samples']:>6} samples  mean {entry['mean_depth']:.0f}B  "
                 f"max {entry['max_depth']:.0f}B{queue_drops}"
             )

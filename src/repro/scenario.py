@@ -161,8 +161,7 @@ def attach_pair(net, period_ns: int, data_bytes: int) -> list:
     the highest free port of switch 0 and of the switch half-way round
     the index space, each sending the other one ``data_bytes`` datagram
     every ``period_ns``.  Returns their two counting
-    :class:`~repro.host.workload.Sink` objects (``sink.localnet.uid`` is
-    the host's UID)."""
+    :class:`~repro.host.workload.Sink` objects, ``h0``'s first."""
     from repro.host.localnet import LocalNet
     from repro.host.workload import PeriodicSender, Sink
 

@@ -42,28 +42,23 @@ class TopologySpec:
                 ports.append(pb)
         return sorted(ports)
 
-    def free_ports(self, index: int, n_ports: int = PORTS_PER_SWITCH) -> List[int]:
+    def free_ports(self, index: int) -> List[int]:
         used = set(self.used_ports(index))
-        return [p for p in range(1, n_ports + 1) if p not in used]
+        return [p for p in range(1, PORTS_PER_SWITCH + 1) if p not in used]
 
 
 class _PortAllocator:
     """Hands out switch ports 1..12 in order as cables are added."""
 
-    def __init__(self, n_switches: int, n_ports: int = PORTS_PER_SWITCH) -> None:
+    def __init__(self, n_switches: int) -> None:
         self._next = [1] * n_switches
-        self._limit = n_ports
 
     def take(self, index: int) -> int:
         port = self._next[index]
-        if port > self._limit:
+        if port > PORTS_PER_SWITCH:
             raise ValueError(f"switch {index} is out of ports")
         self._next[index] = port + 1
         return port
-
-
-def _default_uids(n: int, base: int = 0x1000) -> List[Uid]:
-    return [Uid(base + i) for i in range(n)]
 
 
 def from_edges(
@@ -75,23 +70,23 @@ def from_edges(
     """Build a spec from an (a, b) switch-index edge list."""
     if n is None:
         n = max(max(a, b) for a, b in edges) + 1 if edges else 1
-    spec = TopologySpec(uids=uids or _default_uids(n), name=name)
+    spec = TopologySpec(uids=uids or [Uid(0x1000 + i) for i in range(n)], name=name)
     alloc = _PortAllocator(n)
     for a, b in edges:
         spec.cables.append((a, alloc.take(a), b, alloc.take(b)))
     return spec
 
 
-def line(n: int, uids: Optional[List[Uid]] = None) -> TopologySpec:
-    return from_edges([(i, i + 1) for i in range(n - 1)], n=n, uids=uids, name=f"line-{n}")
+def line(n: int) -> TopologySpec:
+    return from_edges([(i, i + 1) for i in range(n - 1)], n=n, name=f"line-{n}")
 
 
-def ring(n: int, uids: Optional[List[Uid]] = None) -> TopologySpec:
+def ring(n: int) -> TopologySpec:
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return from_edges(edges, n=n, uids=uids, name=f"ring-{n}")
+    return from_edges(edges, n=n, name=f"ring-{n}")
 
 
-def tree(depth: int, fanout: int = 2, uids: Optional[List[Uid]] = None) -> TopologySpec:
+def tree(depth: int, fanout: int = 2) -> TopologySpec:
     """A complete tree with the given depth and fanout."""
     edges = []
     nodes = 1
@@ -103,10 +98,10 @@ def tree(depth: int, fanout: int = 2, uids: Optional[List[Uid]] = None) -> Topol
                 edges.append((parent, nodes))
                 nodes += 1
         level_start = next_start
-    return from_edges(edges, n=nodes, uids=uids, name=f"tree-d{depth}f{fanout}")
+    return from_edges(edges, n=nodes, name=f"tree-d{depth}f{fanout}")
 
 
-def mesh(rows: int, cols: int, uids: Optional[List[Uid]] = None) -> TopologySpec:
+def mesh(rows: int, cols: int) -> TopologySpec:
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -115,10 +110,10 @@ def mesh(rows: int, cols: int, uids: Optional[List[Uid]] = None) -> TopologySpec
                 edges.append((i, i + 1))
             if r + 1 < rows:
                 edges.append((i, i + cols))
-    return from_edges(edges, n=rows * cols, uids=uids, name=f"mesh-{rows}x{cols}")
+    return from_edges(edges, n=rows * cols, name=f"mesh-{rows}x{cols}")
 
 
-def torus(rows: int, cols: int, uids: Optional[List[Uid]] = None) -> TopologySpec:
+def torus(rows: int, cols: int) -> TopologySpec:
     """The paper's service-network shape: an approximate rows x cols torus."""
     edges = []
     for r in range(rows):
@@ -139,14 +134,13 @@ def torus(rows: int, cols: int, uids: Optional[List[Uid]] = None) -> TopologySpe
             continue
         seen.add(key)
         unique.append((a, b))
-    return from_edges(unique, n=rows * cols, uids=uids, name=f"torus-{rows}x{cols}")
+    return from_edges(unique, n=rows * cols, name=f"torus-{rows}x{cols}")
 
 
 def random_regular(
     n: int,
     degree: int = 3,
     seed: int = 0,
-    uids: Optional[List[Uid]] = None,
 ) -> TopologySpec:
     """A random connected graph with maximum degree ``degree``.
 
@@ -179,10 +173,10 @@ def random_regular(
         deg[a] += 1
         deg[b] += 1
         extra -= 1
-    return from_edges(edges, n=n, uids=uids, name=f"random-{n}d{degree}s{seed}")
+    return from_edges(edges, n=n, name=f"random-{n}d{degree}s{seed}")
 
 
-def fat_tree(k: int, uids: Optional[List[Uid]] = None) -> TopologySpec:
+def fat_tree(k: int) -> TopologySpec:
     """A three-tier fat-tree of ``k``-port switches (the data-center
     folded Clos): ``(k/2)^2`` core switches and ``k`` pods of ``k/2``
     aggregation plus ``k/2`` edge switches each -- ``5k^2/4`` switches
@@ -215,10 +209,10 @@ def fat_tree(k: int, uids: Optional[List[Uid]] = None) -> TopologySpec:
         for j, a in enumerate(agg):
             for i in range(half):
                 edges.append((j * half + i, a))
-    return from_edges(edges, n=n, uids=uids, name=f"fat-tree-{k}")
+    return from_edges(edges, n=n, name=f"fat-tree-{k}")
 
 
-def dcell(n: int, level: int = 1, uids: Optional[List[Uid]] = None) -> TopologySpec:
+def dcell(n: int, level: int = 1) -> TopologySpec:
     """A DCell_level built from ``n``-server cells (Guo et al., the
     recursively-defined data-center topology).
 
@@ -264,7 +258,7 @@ def dcell(n: int, level: int = 1, uids: Optional[List[Uid]] = None) -> TopologyS
         for s in range(n):
             edges.append((cell * n + s, switch))
     total = servers + servers // n
-    return from_edges(edges, n=total, uids=uids, name=f"dcell-{n}l{level}")
+    return from_edges(edges, n=total, name=f"dcell-{n}l{level}")
 
 
 #: (canonical example, description) per resolvable topology family --

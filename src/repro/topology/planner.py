@@ -24,6 +24,7 @@ from typing import Dict, List, Tuple
 from repro.constants import PORTS_PER_SWITCH
 from repro.topology.generators import TopologySpec, torus
 from repro.topology.graph import components, cut_points_and_bridges, diameter, spec_graph
+from repro.types import MAX_SWITCH_NUMBER
 
 
 @dataclass
@@ -85,31 +86,25 @@ class InstallationPlan:
 def plan_installation(
     n_hosts: int,
     hosts_per_switch: int = 8,
-    name: str = "planned",
-    max_switches: int = None,
 ) -> InstallationPlan:
     """The SRC recipe: a torus sized for the host population.
 
     Each dual-homed host consumes two host ports on different switches;
     with ``hosts_per_switch`` host ports per switch, N switches carry
     N * hosts_per_switch / 2 hosts.  The torus is kept as square as
-    possible (short diameter => fast reconfiguration, section 6.6.5).
+    possible (short diameter => fast reconfiguration, section 6.6.5), and
+    within the 126 switch numbers of one Autonet's short-address space.
     """
-    from repro.types import MAX_SWITCH_NUMBER
-
     if n_hosts < 1:
         raise ValueError("plan at least one host")
     if not 1 <= hosts_per_switch <= PORTS_PER_SWITCH - 2:
         raise ValueError("each switch needs at least two trunk ports")
-    if max_switches is None:
-        # one Autonet's short-address space holds 126 switch numbers
-        max_switches = MAX_SWITCH_NUMBER
 
     needed = max(2, math.ceil(2 * n_hosts / hosts_per_switch))
-    if needed > max_switches:
+    if needed > MAX_SWITCH_NUMBER:
         raise ValueError(
             f"{n_hosts} dual-homed hosts need {needed} switches, exceeding "
-            f"the limit of {max_switches}; partition the installation"
+            f"the limit of {MAX_SWITCH_NUMBER}; partition the installation"
         )
     # squarest torus with at least `needed` switches that still fits the
     # switch-number space (a squarer torus has a shorter diameter, hence
@@ -118,15 +113,15 @@ def plan_installation(
     for rows in range(2, needed + 1):
         cols = max(2, math.ceil(needed / rows))
         total = rows * cols
-        if total <= max_switches:
+        if total <= MAX_SWITCH_NUMBER:
             candidates.append((abs(rows - cols), total, rows, cols))
     if not candidates:
         raise ValueError(
-            f"no torus of <= {max_switches} switches carries {n_hosts} hosts"
+            f"no torus of <= {MAX_SWITCH_NUMBER} switches carries {n_hosts} hosts"
         )
     _sq, _total, rows, cols = min(candidates)
     spec = torus(rows, cols)
-    spec.name = f"{name}-torus-{rows}x{cols}"
+    spec.name = f"planned-torus-{rows}x{cols}"
 
     plan = InstallationPlan(spec=spec, hosts_per_switch=hosts_per_switch)
     plan.notes.append(

@@ -8,13 +8,12 @@ The maximum switch-to-switch distance is six links (section 6.6.5).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.topology.generators import TopologySpec, from_edges
-from repro.types import Uid
 
 
-def src_service_lan(uids: Optional[List[Uid]] = None) -> TopologySpec:
+def src_service_lan() -> TopologySpec:
     """The 30-switch approximate 4x8 torus of the paper."""
     rows, cols = 4, 8
     present = [(r, c) for r in range(rows) for c in range(cols)]
@@ -38,5 +37,4 @@ def src_service_lan(uids: Optional[List[Uid]] = None) -> TopologySpec:
             if j is not None and j != i:
                 edges.add((min(i, j), max(i, j)))
 
-    spec = from_edges(sorted(edges), n=len(present), uids=uids, name="src-lan-30")
-    return spec
+    return from_edges(sorted(edges), n=len(present), name="src-lan-30")

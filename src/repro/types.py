@@ -51,12 +51,6 @@ def make_short_address(switch_number: int, port: int) -> int:
     return (switch_number << PORT_NUMBER_BITS) | port
 
 
-def split_short_address(address: int) -> tuple:
-    """Split an assignable short address into (switch number, port)."""
-    address &= SHORT_ADDRESS_MASK
-    return address >> PORT_NUMBER_BITS, address & PORT_MASK
-
-
 def truncate_address(address: int) -> int:
     """Prototype switches interpret only the low 11 bits (§6.3)."""
     return address & SHORT_ADDRESS_MASK

@@ -13,7 +13,25 @@ from repro.core.routing import DOWN, UP
 from repro.core.topo import PortRef
 from repro.obs.artifact import validate
 from repro.obs.timeseries import TIMESERIES_SCHEMA, SeriesData, TimeSeries
-from repro.types import MAX_SWITCH_NUMBER
+from repro.types import MAX_SWITCH_NUMBER, PORT_MASK, PORT_NUMBER_BITS, SHORT_ADDRESS_MASK
+
+
+def split_short_address(address):
+    """Split an assignable short address into (switch number, port): the
+    inverse of ``repro.types.make_short_address``."""
+    address &= SHORT_ADDRESS_MASK
+    return address >> PORT_NUMBER_BITS, address & PORT_MASK
+
+
+def link_direction(topology, link):
+    """The link's "up" end as the topology's index holds it (closer to the
+    root; ties by lower UID), or None for a link the index leaves out (a
+    loop, a foreign UID, or a link this map does not hold)."""
+    index = topology.index()
+    a = link.a
+    if index.nbrs.get(a.uid, {}).get(a.port) != link.b:
+        return None
+    return a if index.up_end[(a.uid, a.port)] else link.b
 
 
 def assert_trail_legal(topology, trail, uid_of_switch_name):

@@ -146,7 +146,7 @@ def engine_state(engine):
         engine.epoch, engine.position, engine.pos_seq, engine.ports, peers,
         engine.configured, engine.table_loaded, engine.topology, engine.my_number,
         sorted(engine._pending), engine._last_stable_sent, engine.epochs_initiated,
-        engine.epochs_joined, engine.terminations, engine.local_reconfigs, engine.msgs_gated,
+        engine.epochs_joined, engine.terminations, engine.msgs_gated,
     )
 
 

@@ -16,15 +16,10 @@ from repro.constants import (
     ADDR_BROADCAST_SWITCHES,
     CONTROL_PROCESSOR_PORT,
 )
-from repro.core.routing import (
-    DOWN,
-    UP,
-    build_forwarding_entries,
-    link_direction,
-)
+from repro.core.routing import DOWN, UP, build_forwarding_entries
 from repro.topology import expected_tree, line, mesh, random_regular, ring, torus
 from repro.types import make_short_address
-from tests.checkers import arrival_phase
+from tests.checkers import arrival_phase, link_direction
 
 
 def build_all(spec, host_ports=None):

@@ -146,7 +146,7 @@ def observe(net):
     ports = [
         [
             (
-                port, mon.state, mon.entered_at, mon.clean_samples, mon.bad_streak,
+                port, mon.state, mon.clean_samples, mon.bad_streak,
                 mon.checking_samples, mon.no_start_streak, mon.no_progress_streak,
                 mon.host_anomaly_streak, mon.status_skeptic.hold_ns,
                 mon.status_skeptic.failures, mon.status_skeptic._good_since,

@@ -22,14 +22,14 @@ from repro.analysis.invariants import (
 )
 from repro.constants import CONTROL_PROCESSOR_PORT, PORTS_PER_SWITCH, SEC
 from repro.core import reconfig
-from repro.core.routing import DOWN, UP, build_forwarding_entries, link_direction
+from repro.core.routing import DOWN, UP, build_forwarding_entries
 from repro.core.topo import NetLink, PortRef, SwitchRecord, TopologyIndex, TopologyMap
 from repro.net.forwarding import ForwardingEntry
 from repro.network import Network
 from repro.topology import expected_tree, resolve_topology, ring
 from repro.types import Uid, make_short_address
 from tests import naive_routing as naive
-from tests.checkers import arrival_phase
+from tests.checkers import arrival_phase, link_direction
 from tests.test_properties import connected_topologies
 
 

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.constants import SEC
-from repro.host.crypto import KeyStore
 from repro.host.localnet import LocalNet
 from repro.network import Network
 from repro.topology import line
 from repro.types import Uid
+from tests.host.keystore import KeyStore
 
 #: the one session key id these tests hand out
 KEY = 1
@@ -66,10 +66,14 @@ def test_non_holder_cannot_read(secure_net):
     alice.session_keys[net.hosts["eve"].uid] = key
     got = []
     eve.on_datagram = lambda src, et, size, pkt: got.append(pkt)
+    arrived = []
+    receive = net.drivers["eve"].on_packet
+    net.drivers["eve"].on_packet = lambda pkt: (arrived.append(pkt), receive(pkt))
     assert alice.send(net.hosts["eve"].uid, 500, payload="secret", encrypt=True)
     net.run_for(1 * SEC)
     assert got == []
-    assert eve.stats.undecryptable == 1
+    # it reached eve's LocalNet sealed, and went no further
+    assert [pkt.payload.key_id for pkt in arrived if pkt.encrypted] == [key]
 
 
 def test_send_without_session_key_refused(secure_net):

@@ -25,7 +25,7 @@ def test_hosts_learn_short_addresses(net_with_hosts):
     assert net.drivers["h0"].ready
     assert net.drivers["h1"].ready
     # the address encodes the switch number and attachment port
-    from repro.types import split_short_address
+    from tests.checkers import split_short_address
 
     number, port = split_short_address(net.drivers["h0"].short_address)
     assert port == 5

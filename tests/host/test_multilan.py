@@ -6,9 +6,9 @@ import pytest
 from repro.host.ethernet import Ethernet
 from repro.constants import MS, SEC
 from repro.host.localnet import LocalNet
-from repro.host.multilan import MultiLan
 from repro.network import Network
 from repro.topology import line
+from tests.host.multilan import MultiLan
 
 
 @pytest.fixture

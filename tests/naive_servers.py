@@ -63,7 +63,6 @@ class NaiveEthernet(Ethernet):
                  data_bytes: int, payload: object) -> None:
         self.frames_carried += 1
         self.bytes_carried += data_bytes
-        station.sent += 1
         if dest == ETHERNET_BROADCAST:
             for other in self.stations.values():
                 if other is not station:

@@ -117,7 +117,7 @@ class TestPanic:
         a, pa, b, pb = net.spec.cables[0]
         # sw0's port latches a stale stop; nothing re-announces it because
         # the far end's steady directive has not changed
-        net.switches[a].ports[pa].fc_receiver.receive(Directive.STOP, net.sim.now)
+        net.switches[a].ports[pa].fc_receiver.receive(Directive.STOP)
         net.run_for(5 * SEC)
         return net.autopilots[a].monitoring.state_of(pa), net
 

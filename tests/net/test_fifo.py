@@ -75,7 +75,7 @@ def test_passthrough_drains_at_arrival_rate():
     the arrival rate; completion happens one wire-time after begin."""
     sim = Simulator()
     fifo, events = make_fifo(sim)
-    sink = DiscardSink()
+    sink = GatedSink()
     pkt = packet(1000)
     fifo.begin_packet(pkt, 1.0)
     fifo.connect_drain([sink], broadcast=False)
@@ -84,7 +84,7 @@ def test_passthrough_drains_at_arrival_rate():
     sim.run(until=10 * end)
     assert events["drained"]
     assert events["drained"][0][0] == pytest.approx(end, rel=0.05)
-    assert sink.packets_discarded == 1
+    assert sink.ended == 1
     assert fifo.level == 0
 
 

@@ -11,14 +11,18 @@ from repro.sim.engine import Simulator
 
 class GatedSink(DiscardSink):
     """A drain target whose permission can be toggled (models downstream
-    flow control)."""
+    flow control), counting the packets that ended in it."""
 
     def __init__(self):
         super().__init__()
         self.allowed = True
+        self.ended = 0
 
     def drain_allowed(self, broadcast):
         return self.allowed
+
+    def notify_end(self, packet):
+        self.ended += 1
 
 
 @st.composite

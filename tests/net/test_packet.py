@@ -17,9 +17,9 @@ from repro.types import (
     Uid,
     is_broadcast,
     make_short_address,
-    split_short_address,
     truncate_address,
 )
+from tests.checkers import split_short_address
 
 
 class TestShortAddresses:

@@ -13,7 +13,7 @@ from tests.naive_registers import NaiveSchedulingEngine
 
 def make_engine(sim, grants):
     return SchedulingEngine(
-        sim, n_ports=12, grant=lambda req, ports: grants.append((req.in_port, ports))
+        sim, grant=lambda req, ports: grants.append((req.in_port, ports))
     )
 
 
@@ -63,7 +63,7 @@ def test_decision_rate_480ns():
     sim = Simulator()
     grant_times = []
     engine = SchedulingEngine(
-        sim, n_ports=12, grant=lambda req, ports: grant_times.append(sim.now)
+        sim, grant=lambda req, ports: grant_times.append(sim.now)
     )
     for i in range(4):
         engine.add_request(Request(i + 1, ForwardingEntry((i + 5,)), pkt()))
@@ -217,7 +217,7 @@ def test_scan_matches_the_naive_set_based_engine(busy, ops):
         return lambda req, ports: logs[side].append((sims[side].now, req.in_port, ports))
 
     engines = (
-        SchedulingEngine(sims[0], 12, grant=recorder(0)),
+        SchedulingEngine(sims[0], grant=recorder(0)),
         NaiveSchedulingEngine(sims[1], 12, recorder(1), ROUTER_DECISION_TIME_NS),
     )
     for port in sorted(busy):

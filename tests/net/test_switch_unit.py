@@ -26,7 +26,7 @@ class TestCrossbar:
         latched stop holds the drain: the connection stays up."""
         sim = Simulator()
         switch = Switch(sim, "sw", Uid(0xA))
-        switch.ports[2].fc_receiver.receive(Directive.STOP, 0)
+        switch.ports[2].fc_receiver.receive(Directive.STOP)
         switch.inject_from_cp(Packet(dest_short=ADDR_ONE_HOP_BASE + 1, src_short=0,
                                      ptype=PacketType.DIAGNOSTIC, data_bytes=100))
         sim.run_for(10_000)
@@ -35,9 +35,12 @@ class TestCrossbar:
     def test_connect_disconnect(self):
         sim, switch = self.held_grant()
         assert switch._feeding == [None, None, 0] + [None] * 10
-        switch.ports[2].fc_receiver.receive(Directive.START, sim.now)
+        tx, ended = switch.ports[2].tx, []
+        free = tx.on_end
+        tx.on_end = lambda packet: (ended.append(packet), free(packet))
+        switch.ports[2].fc_receiver.receive(Directive.START)
         sim.run_for(100_000)
-        assert switch._feeding == [None] * 13 and switch.ports[2].tx.packets_sent == 1
+        assert switch._feeding == [None] * 13 and len(ended) == 1
 
     def test_double_assignment_rejected(self):
         sim, switch = self.held_grant()
@@ -190,7 +193,7 @@ class TestIsolatePort:
         switch = star_switch(sim, [1, 2, 3])
         # fabricate a granted-but-stuck broadcast from port 1: a latched
         # stop on one of its outputs keeps the drain from ever starting
-        switch.ports[2].fc_receiver.receive(Directive.STOP, 0)
+        switch.ports[2].fc_receiver.receive(Directive.STOP)
         pkt = Packet(dest_short=0x7FF, src_short=0, data_bytes=100)
         switch.ports[1].rx_begin_packet(pkt, 1.0)
         sim.run_for(1_000_000)

@@ -65,7 +65,7 @@ class Source(_Source):
     the script instead of by a far end."""
 
     def gate(self, allowed):
-        self.fc_receiver.receive(Directive.START if allowed else Directive.STOP, self.sim.now)
+        self.fc_receiver.receive(Directive.START if allowed else Directive.STOP)
 
     def abort(self):
         """What ``HostPort.clear_tx`` does."""
@@ -182,7 +182,7 @@ def run_link(steps, slots, capacity, grant_delay):
         [entry.bytes_out.hex() for entry in source.buffer.queue],
     ]
     return sim.events_dispatched, (
-        log, stats, [p.corrupted for p in packets], receiver.sink.packets_discarded,
+        log, stats, [p.corrupted for p in packets], receiver.sink.ended,
     )
 
 

@@ -336,7 +336,7 @@ MUTANTS: List[Mutant] = [
     # -- the fourteen rules: a second mutant where tier-1 catches the first ---------------
     Mutant(
         "RS101-transition-clock", "RS101",
-        "Monitoring._transition stamps entered_at and the skeptics with time.monotonic_ns()",
+        "Monitoring._transition stamps the flight record and the skeptics with time.monotonic_ns()",
         (
             ("src/repro/core/monitor.py", *_import("time", _FUTURE)),
             ("src/repro/core/monitor.py",

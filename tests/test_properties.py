@@ -18,13 +18,13 @@ from repro.analysis.invariants import (
 )
 from repro.constants import ADDR_BROADCAST_HOSTS, CONTROL_PROCESSOR_PORT
 from repro.core.addressing import assign_switch_numbers
-from repro.core.routing import build_forwarding_entries, link_direction
+from repro.core.routing import build_forwarding_entries
 from repro.core.topo import SwitchRecord
 from repro.core.treepos import TreePosition
 from repro.net.flowcontrol import FC_SLOT_PERIOD_NS, next_fc_slot
 from repro.topology.generators import expected_tree, from_edges
 from repro.types import MAX_SWITCH_NUMBER, Uid
-from tests.checkers import verify_assignment
+from tests.checkers import link_direction, verify_assignment
 
 
 @st.composite

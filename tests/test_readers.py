@@ -1,11 +1,24 @@
 """A reader outside ``tests/``, or it goes.
 
-One rule for the four kinds of thing ``src/repro`` holds -- a package, a
-public name, a lint rule, an option: it stays only while something
-outside ``tests/`` reads it.  A *reader* is code under ``src``,
-``benchmarks`` or ``examples``, or a command or snippet in a CI workflow,
-README.md, DESIGN.md or EXPERIMENTS.md.  What only a test reads is a
+One rule for the six kinds of thing ``src/repro`` holds -- a package, a
+public name, a lint rule, an option, a piece of state, a defaulted
+parameter: it stays only while something outside ``tests/`` reads it.  A
+*reader* is code under ``src``, ``benchmarks`` or ``examples``, or a
+command or snippet in a CI workflow, README.md, DESIGN.md or
+EXPERIMENTS.md; a package's ``__init__.py`` re-exporting a name, or
+listing it in ``__all__``, is not one.  What only a test reads is a
 checker (it lives under ``tests/``, beside ``naive_*.py``) or dead.
+
+* State is an attribute a class stores (``self.x = ...``) or declares
+  (``x: int``).  A load through ``self`` reads it only for the loading
+  class and its ancestors and descendants, so one class's ``sent`` does
+  not keep another's; a load through any other object, a ``getattr``
+  string, a keyword or a string key reads it for every class.
+* A defaulted parameter needs a caller -- tests count here -- that
+  passes it, by keyword or by position; one nobody passes is the
+  constant it always was.  A function handed over as a value (a
+  listener, a callback, a ``partial``) is exempt: its caller is out of
+  sight.
 
 The whole file is one AST pass over the tree (:class:`Tree`, over the
 session's one parse, :mod:`tests.checkout`) and the questions asked of
@@ -13,7 +26,9 @@ it; each question is also asked of a planted violation, so none can pass
 by having stopped looking.  ``ALLOWED`` is
 the list of exceptions: every entry carries the reason a test cannot do
 without it, an entry the tree no longer needs fails, and the list's
-length is held to ``ALLOWED_MAX``, which only goes down.
+length is held to ``ALLOWED_MAX``, which only goes down.  State only a
+test reads stays only as a *test probe* in ``ATTR_ALLOWED``, which names
+the test and also only shrinks; parameters have no allow-list.
 """
 
 import ast
@@ -26,7 +41,7 @@ import re
 import pytest
 
 from tests import test_discipline as discipline
-from tests.checkout import ROOT, parse
+from tests.checkout import ROOT, module_name, parse
 
 #: where a reader may live: python trees, and the texts people run from
 PY_ROOTS = ("src", "benchmarks", "examples")
@@ -71,12 +86,63 @@ ALLOWED = {
 }
 ALLOWED_MAX = 3
 
+#: state only tests read, each a test probe: the counter is the only
+#: surface the named test can see the behaviour through
+ATTR_ALLOWED = {
+    "attr repro.host.bridge.Bridge.examined": (
+        "test probe: tests/host/test_bridge_oracle.py::test_ethernet_bridge_forwards_as_the_old_one"
+    ),
+    "attr repro.host.bridge.Bridge.dropped_backlog": (
+        "test probe: tests/host/test_bridge_oracle.py::test_autonet_bridge_forwards_as_the_old_one"
+    ),
+    "attr repro.host.bridge.Bridge.refused_large": (
+        "test probe: tests/host/test_bridge.py::test_bridge_refuses_oversize_packets"
+    ),
+    "attr repro.host.bridge.Bridge.refused_encrypted": (
+        "test probe: tests/host/test_bridge.py::test_bridge_refuses_encrypted_packets"
+    ),
+    "attr repro.host.ethernet.Ethernet.frames_carried": (
+        "test probe: tests/host/test_serial_server_oracle.py::test_the_segment_carries_as_the_loop_did"
+    ),
+    "attr repro.host.ethernet.Ethernet.frames_dropped": (
+        "test probe: tests/host/test_serial_server_oracle.py::"
+        "test_a_busy_segment_refuses_beyond_its_bound_and_serves_in_order"
+    ),
+    "attr repro.host.ethernet.Ethernet.bytes_carried": (
+        "test probe: tests/host/test_ethernet.py::TestEthernet::test_aggregate_capped_at_link_bandwidth"
+    ),
+    "attr repro.sim.trace.TraceLog.total_logged": (
+        "test probe: tests/sim/test_trace_normalization.py::test_clear_resets_entries_but_not_the_total"
+    ),
+}
+ATTR_ALLOWED_MAX = 8
+TEST_ID = re.compile(r"^test probe: (tests/[\w/]+\.py)((?:::\w+)+)$")
+
 
 # -- the one pass ----------------------------------------------------------------------
 
 
+def _last_name(node):
+    """``f`` of ``f(...)``, ``x.f(...)`` and ``super().f(...)``."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _strings(nodes):
+    return {
+        node.value for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def _receiver(function):
+    """The ``self`` (or ``cls``) parameter's name; None for a staticmethod."""
+    if any(_last_name(d) == "staticmethod" for d in function.decorator_list):
+        return None
+    args = function.args.posonlyargs + function.args.args
+    return args[0].arg if args else None
+
+
 class Tree:
-    """Everything the five questions need from one walk of a checkout."""
+    """Everything the seven questions need from one walk of a checkout."""
 
     def __init__(self, root):
         #: identifiers loaded, imported or named by attribute outside tests
@@ -107,9 +173,27 @@ class Tree:
         #: names of every function and class src/repro defines
         self.functions = set()
         self.classes = set()
+        #: attributes src/repro classes store: qualified class -> names
+        self.state = {}
+        #: class name -> the names of its bases, over every python root
+        self.bases = {}
+        #: attributes a class loads through ``self``: class name -> names
+        self.self_loads = {}
+        #: attributes read any other way: through another object, a
+        #: ``getattr`` string, a keyword or a string key
+        self.loads = set()
+        #: defaulted parameters of src/repro functions: (qualified def,
+        #: callee name) -> [(positional slot, or None if keyword-only, name)]
+        self.defaulted = {}
+        #: callee name -> (most positionals passed, keywords passed), tests included
+        self.passed = {}
+        #: functions and classes handed to a call as a value (callbacks)
+        self.values = set()
         for module, (path, tree) in parse(root).items():
-            if path.split("/")[0] in PY_ROOTS:
-                self._walk(module, tree)
+            top = path.split("/")[0]
+            if top in PY_ROOTS:
+                self._walk(module, tree, path)
+            self._calls(tree, top in PY_ROOTS)
         self.text = "\n".join(
             file.read_text()
             for entry in TEXTS
@@ -122,11 +206,14 @@ class Tree:
             return sorted(p for p in path.rglob("*") if p.suffix in (".yml", ".yaml", ".md"))
         return [path] if path.exists() else []
 
-    def _walk(self, module, tree):
+    def _walk(self, module, tree, path):
         in_src = module.split(".")[0] == "repro"
-        flag_nodes = set()
+        # a package's re-exports and its ``__all__`` are no reader
+        reexports = in_src and path.endswith("/__init__.py")
+        not_readers = set()
         dict_keys = None
         calls = self.method_calls.setdefault(module, set())
+        through_self = self._classes(module, tree, in_src)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 self.names.add(node.id)
@@ -135,9 +222,12 @@ class Tree:
                 self.members.add(node.attr)
                 if isinstance(node.ctx, ast.Store):
                     self.stores.add(node.attr)
+                elif isinstance(node.ctx, ast.Load) and id(node) not in through_self:
+                    self.loads.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                self.names.update(alias.name for alias in node.names)
-                self.members.update(alias.name for alias in node.names)
+                if not reexports:
+                    self.names.update(alias.name for alias in node.names)
+                    self.members.update(alias.name for alias in node.names)
                 if node.module and node.module.split(".")[0] == "repro":
                     self.imports.add((node.module, module))
                     # ``from repro import network`` imports repro.network
@@ -150,8 +240,21 @@ class Tree:
                 self.functions.add(node.name)
             elif isinstance(node, ast.ClassDef) and in_src:
                 self.classes.add(node.name)
+            elif isinstance(node, ast.Dict):
+                self.loads.update(_strings(node.keys))
+            elif isinstance(node, (ast.Tuple, ast.List, ast.Set)) and id(node) not in not_readers:
+                # ``getattr(result, metric) for metric in METRICS``
+                self.loads.update(_strings(node.elts))
+            elif isinstance(node, ast.Subscript):
+                self.loads.update(_strings([node.slice]))
+            elif isinstance(node, ast.Assign):
+                # declaring ``__slots__`` reads none of them, nor does a
+                # package's ``__all__`` read what it lists
+                names = {getattr(target, "id", None) for target in node.targets}
+                if "__slots__" in names or (reexports and "__all__" in names):
+                    not_readers.update(id(n) for n in ast.walk(node.value))
             elif isinstance(node, ast.Call):
-                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                callee = _last_name(node.func)
                 if isinstance(node.func, ast.Attribute):
                     calls.add(node.func.attr)
                 if callee in ("getattr", "setattr", "hasattr") and len(node.args) > 1:
@@ -159,9 +262,12 @@ class Tree:
                     if isinstance(node.args[1], ast.Constant):
                         self.names.add(node.args[1].value)
                         self.members.add(node.args[1].value)
+                        if callee != "setattr":
+                            self.loads.add(node.args[1].value)
                 for keyword in node.keywords:
                     if keyword.arg is not None:
                         self.keywords.add((callee, keyword.arg))
+                        self.loads.add(keyword.arg)
                     else:
                         # ``Config(**inputs["x"])``: the file's dict keys stand in
                         if dict_keys is None:
@@ -169,7 +275,7 @@ class Tree:
                         self.splat_keys.setdefault(callee, set()).update(dict_keys)
                 if callee == "add_argument":
                     # neither the flag nor its help text is a reader of the flag
-                    flag_nodes.update(id(n) for n in ast.walk(node))
+                    not_readers.update(id(n) for n in ast.walk(node))
                     if module.endswith(".__main__"):
                         self.flags.setdefault(module[: -len(".__main__")], set()).update(
                             a.value
@@ -181,10 +287,89 @@ class Tree:
             for node in ast.walk(tree)
             if isinstance(node, ast.Constant)
             and isinstance(node.value, str)
-            and id(node) not in flag_nodes
+            and id(node) not in not_readers
         )
         if in_src:
             self._definitions(tree.body, module, module)
+
+    def _classes(self, module, tree, in_src):
+        """Each class's bases, what its methods load through ``self`` and,
+        in src/repro, what it stores; returns the ``self.x`` nodes, which
+        read only for the class's own family."""
+        through_self = set()
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            self.bases.setdefault(cls.name, set()).update(map(_last_name, cls.bases))
+            loads = self.self_loads.setdefault(cls.name, set())
+            stored = set()
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    stored.add(stmt.target.id)
+                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and _receiver(stmt):
+                    me = _receiver(stmt)
+                    for node in ast.walk(stmt):
+                        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == me:
+                            through_self.add(id(node))
+                            if isinstance(node.ctx, ast.Store):
+                                stored.add(node.attr)
+                            elif isinstance(node.ctx, ast.Load):
+                                loads.add(node.attr)
+            if in_src:
+                self.state.setdefault(f"{module}.{cls.name}", set()).update(
+                    name for name in stored if not name.startswith("__")
+                )
+                for stmt in cls.body:
+                    self._defaulted(stmt, f"{module}.{cls.name}", cls.name)
+        if in_src:
+            for stmt in tree.body:
+                self._defaulted(stmt, module, None)
+        return through_self
+
+    def _defaulted(self, node, owner, cls):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if node.name.startswith("__") and node.name != "__init__":
+            return
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        if cls and _receiver(node):
+            positional = positional[1:]
+        first = len(positional) - len(args.defaults)
+        slots = [(slot, name) for slot, name in enumerate(positional) if slot >= first]
+        slots += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        if slots:
+            callee = cls if node.name == "__init__" else node.name
+            self.defaulted[(f"{owner}.{node.name}", callee)] = slots
+
+    def _calls(self, tree, reader):
+        """What each call passes and, outside tests, which functions are
+        handed over positionally as a value (a listener, a callback, a
+        ``partial``): a bare name only if it is the module's own or
+        imported, since a local may share a function's name."""
+        owned = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        } | {getattr(node, "name", None) for node in tree.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = _last_name(node.func)
+            most, keywords = self.passed.get(callee, (0, frozenset()))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            self.passed[callee] = (
+                float("inf") if starred else max(most, len(node.args)),
+                keywords | {k.arg for k in node.keywords},
+            )
+            if reader and callee not in ("isinstance", "issubclass"):
+                self.values.update(
+                    _last_name(value)
+                    for value in node.args
+                    if isinstance(value, ast.Attribute)
+                    or (isinstance(value, ast.Name) and value.id in owned)
+                )
 
     @staticmethod
     def _dict_keys(tree):
@@ -227,7 +412,7 @@ class Tree:
         return bool(regex.search(self.text)) or any(regex.search(s) for s in self.strings)
 
 
-# -- the five questions ------------------------------------------------------------------
+# -- the seven questions -----------------------------------------------------------------
 
 
 def unread_defs(tree):
@@ -270,6 +455,48 @@ def unset_options(tree):
             if not tree.mentions(rf"(?<![\w-]){flag}(?![\w-])"):
                 unset.add(f"flag {cli} {flag}")
     return unset
+
+
+def family(tree, cls):
+    """A class, what it inherits from and what inherits from it."""
+    def ancestors(name, seen):
+        for base in tree.bases.get(name, ()):
+            if base not in seen:
+                seen.add(base)
+                ancestors(base, seen)
+        return seen
+    up = ancestors(cls, {cls})
+    return up | {name for name in tree.bases if cls in ancestors(name, set())}
+
+
+def unread_state(tree):
+    """Attributes a src/repro class stores that nothing outside ``tests/``
+    loads: through ``self`` within the class's family, or any other way
+    (another object, a ``getattr`` string, a keyword, a string key)."""
+    unread = set()
+    for qualified, names in tree.state.items():
+        kin = family(tree, qualified.rsplit(".", 1)[1])
+        for name in names - tree.loads:
+            if not any(name in tree.self_loads.get(c, ()) for c in kin):
+                unread.add(f"attr {qualified}.{name}")
+    return unread
+
+
+def unpassed_params(tree):
+    """Defaulted parameters of src/repro functions no caller anywhere --
+    tests included -- passes, by keyword or by position.  A function
+    passed as a value (a listener, a callback) is exempt."""
+    unpassed = set()
+    for (qualified, callee), slots in tree.defaulted.items():
+        if callee in tree.values:
+            continue
+        most, keywords = tree.passed.get(callee, (0, frozenset()))
+        if None in keywords:
+            continue
+        for slot, name in slots:
+            if (slot is None or slot >= most) and name not in keywords:
+                unpassed.add(f"param {qualified}.{name}")
+    return unpassed
 
 
 def unread_packages(tree):
@@ -364,6 +591,25 @@ def test_every_def_option_and_package_has_a_reader_or_a_reason(tree):
     assert sorted(set(ALLOWED) - found) == [], "allow-listed, yet read or gone: drop the entry"
     assert all(reason.strip() for reason in ALLOWED.values())
     assert len(ALLOWED) <= ALLOWED_MAX, "the allow-list only shrinks"
+
+
+def test_every_piece_of_state_has_a_reader_or_is_a_test_probe(tree):
+    found = unread_state(tree)
+    assert sorted(found - set(ATTR_ALLOWED)) == [], "no reader outside tests/: delete it"
+    assert sorted(set(ATTR_ALLOWED) - found) == [], "a probe, yet read or gone: drop the entry"
+    assert len(ATTR_ALLOWED) <= ATTR_ALLOWED_MAX, "the probes only shrink"
+    for reason in ATTR_ALLOWED.values():
+        match = TEST_ID.match(reason)
+        assert match, f"a probe names its test: {reason}"
+        path, names = match.groups()
+        scope = parse(ROOT)[module_name(path)].tree
+        for name in names.split("::")[1:]:
+            scope = next((n for n in ast.walk(scope) if getattr(n, "name", None) == name), None)
+            assert scope is not None, f"{reason}: no such test"
+
+
+def test_every_defaulted_parameter_has_a_caller_that_passes_it(tree):
+    assert sorted(unpassed_params(tree)) == [], "nobody passes it: make it the constant it is"
 
 
 def test_no_package_is_exempt_from_purity_for_not_being_the_system():
@@ -504,6 +750,65 @@ def test_a_table_name_src_lacks_is_found(tmp_path):
     assert found == {"method emit", "class Host"}
     assert in_the_stdlib("time.perf_counter") and in_the_stdlib("print")
     assert not in_the_stdlib("time.wallclock") and not in_the_stdlib("no_such_module.")
+
+
+def test_state_only_an_unrelated_class_loads_is_found(tmp_path):
+    planted = plant(tmp_path, {
+        "src/repro/lan.py": (
+            "class Station:\n    def __init__(self):\n        self.sent = 0\n"
+            "        self.hops = 0\n        self.count = 0\n        self.keyed = 0\n"
+            "        self.named = 0\n        self.passed = 0\n    def tick(self):\n"
+            "        self.sent += 1\n\n"
+            "class Relay(Station):\n    def show(self):\n        return self.hops\n\n"
+            "class Record:\n    kept: int = 0\n    spare: int = 0\n"
+        ),
+        "src/repro/other.py": (
+            "class Monitor:\n    def __init__(self):\n        self.sent = 1\n"
+            "    def show(self, station, record):\n"
+            "        return self.sent, station.count, record.kept, getattr(station, 'named')\n"
+        ),
+        "benchmarks/bench_x.py": "make(passed=1)\nrow = {'keyed': 1}\n",
+        "tests/test_lan.py": "from repro.lan import Station\nassert Station().sent == 0\n",
+    })
+    assert unread_state(planted) == {
+        "attr repro.lan.Station.sent",
+        "attr repro.lan.Record.spare",
+    }
+
+
+def test_a_name_only_a_package_reexports_is_found(tmp_path):
+    planted = plant(tmp_path, {
+        "src/repro/host/__init__.py": (
+            "from repro.host.lan import MultiLan, Station\n__all__ = ['MultiLan', 'Station']\n"
+        ),
+        "src/repro/host/lan.py": "class MultiLan:\n    pass\n\nclass Station:\n    pass\n",
+        "benchmarks/bench_x.py": "from repro.host import Station\n",
+        "tests/test_lan.py": "from repro.host import MultiLan\n",
+    })
+    assert unread_defs(planted) == {"def repro.host.lan.MultiLan"}
+
+
+def test_a_parameter_nobody_passes_is_found_unless_handed_over_as_a_value(tmp_path):
+    planted = plant(tmp_path, {
+        "src/repro/parts.py": (
+            "def make(n, ports=12, uids=None, seed=0, *, name='x'):\n    pass\n\n"
+            "def note(t, event, attrs=None):\n    pass\n\n"
+            "class Sampler:\n    def mark(self, t, event, attrs=None):\n        pass\n\n"
+            "class Engine:\n    def __init__(self, sim, decision_ns=480):\n        pass\n"
+        ),
+        "src/repro/wire.py": (
+            "from repro.parts import Engine, Sampler, make\n"
+            "def boot(tracer, sampler):\n    tracer.add_listener(sampler.mark)\n"
+            "    Engine(1)\n    make(1, 12)\n    return isinstance(sampler, Engine)\n"
+        ),
+        "tests/test_parts.py": "from repro.parts import make, note\nmake(1, name='y')\n"
+                               "note(0, 'e')\nmake(2, seed=3)\n",
+    })
+    assert unpassed_params(planted) == {
+        "param repro.parts.make.uids",
+        "param repro.parts.note.attrs",
+        "param repro.parts.Engine.__init__.decision_ns",
+    }
 
 
 def test_a_doc_name_that_does_not_resolve_is_found():

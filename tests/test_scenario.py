@@ -79,7 +79,9 @@ def test_measurements_price_the_cut_not_the_load():
     net = Network(spec, seed=5, control=True)
     sinks = attach_pair(net, period_ns=5 * MS, data_bytes=256)
     loaded = drive_scenario(net, [(0, 1)], load_ns=int(0.2 * SEC))
-    assert [s.localnet.driver.controller.name for s in sinks] == ["h0", "h1"]
+    # h0's sink first: the one h0's LocalNet hands its datagrams to
+    localnets = [net.drivers[name].on_packet.__self__ for name in ("h0", "h1")]
+    assert [localnet.on_datagram.__self__ for localnet in localnets] == sinks
     assert all(s.count > 0 for s in sinks)
     for name in ("final_epoch_ns", "reconfig_ns", "blackout_ns"):
         assert getattr(loaded, name) == getattr(quiet, name), name
