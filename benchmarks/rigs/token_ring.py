@@ -37,7 +37,6 @@ class RingStation:
         self.index = index
         self.queue: Deque[Tuple[Uid, int, object, int]] = deque()
         self.on_receive: Optional[Callable[[Uid, Uid, int, object], None]] = None
-        self.sent = 0
         self.received = 0
 
     def send(self, dest: Uid, data_bytes: int, payload: object = None) -> bool:
@@ -100,7 +99,6 @@ class TokenRing:
                     self.sim.after(arrival, self._deliver, station, target, dest, data_bytes, payload, queued_at)
             self.frames_carried += 1
             self.bytes_carried += data_bytes
-            station.sent += 1
         # pass the token to the next station
         self._holder = (self._holder + 1) % len(self.stations)
         self.sim.after(spent + self.hop_delay(), self._token_arrives)

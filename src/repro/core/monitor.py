@@ -65,12 +65,12 @@ class NeighborInfo:
 class PortMonitor:
     """Per-port classification state."""
 
-    def __init__(self, port_no: int, params: MonitorParams) -> None:
+    def __init__(self, port_no: int, params: MonitorParams, words: Dict[PortState, int]) -> None:
         self.port_no = port_no
-        self.params = params
         self.state = PortState.DEAD
-        #: the status word this port shows while nothing happens (-1: none,
-        #: s.dead and s.checking count every sample); set on each transition
+        self.quiet_words = words
+        #: the status word on which a sample changes nothing (-1: none, as
+        #: in s.dead and s.checking); ``requiet`` keeps it
         self.quiet = -1
         self.status_skeptic = StatusSkeptic(params.skeptic)
         self.conn_skeptic = ConnectivitySkeptic(
@@ -91,16 +91,17 @@ class PortMonitor:
         self.probe_misses = 0
         self.neighbor: Optional[NeighborInfo] = None
 
-    def settled(self) -> bool:
-        """At the sampler's fixed point: no streak running and both
-        skeptics fully decayed, so a quiet sample changes nothing."""
-        return not (
+    def requiet(self) -> None:
+        """``quiet`` becomes the state's quiet word at the sampler's
+        fixed point -- no streak running, both skeptics at their
+        floor: a quiet sample changes nothing -- and -1 anywhere else."""
+        running = (
             self.bad_streak or self.no_start_streak or self.no_progress_streak
             or self.host_anomaly_streak
-        ) and (
-            self.status_skeptic.hold_ns <= self.status_skeptic.params.min_hold_ns
-            and self.conn_skeptic.required <= self.conn_skeptic.base_required
+            or self.status_skeptic.hold_ns > self.status_skeptic.params.min_hold_ns
+            or self.conn_skeptic.required > self.conn_skeptic.base_required
         )
+        self.quiet = -1 if running else self.quiet_words.get(self.state, -1)
 
     def reset_conn(self) -> None:
         self.awaiting_nonce = None
@@ -120,23 +121,23 @@ class Monitoring:
     def __init__(self, autopilot, params: MonitorParams) -> None:
         self.ap = autopilot
         self.params = params
-        self.ports: Dict[int, PortMonitor] = {
-            p: PortMonitor(p, params)
-            for p in range(1, PORTS_PER_SWITCH + 1)
-        }
-        # all ports boot dead and send idhy
-        for port in self.ports:
-            self._apply_dead_actions(port)
         # working state -> the status word of a port on which nothing is
         # happening (sample_all); none if some limit is so low that even a
         # zero streak reaches it, so that every sample has to be counted
         quiet = START_SEEN | PROGRESS_SEEN
         low = min(params.bad_sample_limit, params.blockage_sample_limit // 2,
                   params.progress_sample_limit // 2) < 1
-        self._quiet = {} if low else {
+        words = {} if low else {
             PortState.HOST: IS_HOST | quiet, PortState.SWITCH_WHO: quiet,
             PortState.SWITCH_LOOP: quiet, PortState.SWITCH_GOOD: quiet,
         }
+        self.ports: Dict[int, PortMonitor] = {
+            p: PortMonitor(p, params, words) for p in range(1, PORTS_PER_SWITCH + 1)
+        }
+        # all ports boot dead and send idhy
+        for port in self.ports:
+            self._apply_dead_actions(port)
+        self.recable()
 
     # -- public views ------------------------------------------------------------------
 
@@ -144,19 +145,14 @@ class Monitoring:
         return self.ports[port].state
 
     def good_ports(self) -> Tuple[int, ...]:
-        return tuple(
-            p for p, mon in sorted(self.ports.items())
-            if mon.state is PortState.SWITCH_GOOD
-        )
+        return tuple(p for p, mon in self.ports.items() if mon.state is PortState.SWITCH_GOOD)
 
     def is_good(self, port: int) -> bool:
         mon = self.ports.get(port)
         return mon is not None and mon.state is PortState.SWITCH_GOOD
 
     def host_ports(self) -> Tuple[int, ...]:
-        return tuple(
-            p for p, mon in sorted(self.ports.items()) if mon.state is PortState.HOST
-        )
+        return tuple(p for p, mon in self.ports.items() if mon.state is PortState.HOST)
 
     def neighbor_of(self, port: int) -> Optional[NeighborInfo]:
         return self.ports[port].neighbor
@@ -175,7 +171,6 @@ class Monitoring:
             )
         now = self.ap.sim.now
         mon.state = new_state
-        mon.quiet = self._quiet.get(new_state, -1)
         self.ap.log("port-state", f"port={port} {old.value}->{new_state.value} ({reason})")
         rec = self.ap.sim.recorder
         if rec is not None:
@@ -222,6 +217,7 @@ class Monitoring:
                 f"port {port}: {old.value}->{new_state.value}",
                 down_port=down_port,
             )
+        mon.requiet()
 
     def _apply_dead_actions(self, port: int) -> None:
         """s.dead: send idhy so the far port drops to s.checking too, and
@@ -232,19 +228,19 @@ class Monitoring:
 
     # -- the status sampler (runs every sample_period) ----------------------------------------
 
-    def sample_all(self) -> None:
+    def recable(self) -> None:
+        """Re-read which ports have a cable (the network calls this when it
+        cables one): the sampler walks those, in port order."""
         units = self.ap.switch.ports
-        for port, mon in self.ports.items():
-            unit = units[port]
-            if unit.link is None:
-                continue
+        self._cabled = [(units[p], mon) for p, mon in self.ports.items() if units[p].connected]
+
+    def sample_all(self) -> None:
+        for unit, mon in self._cabled:
+            # the link unit has latched the bits; a port whose quiet word
+            # this is sits at _sample_port's fixed point: nothing to do
             word = unit.sample_status()
-            # the link unit has latched the bits; a settled port showing
-            # its quiet pattern is _sample_port's fixed point: every streak
-            # it would zero is zero and neither skeptic has decay to credit
-            if word == mon.quiet and mon.settled():
-                continue
-            self._sample_port(port, word)
+            if word != mon.quiet:
+                self._sample_port(mon.port_no, word)
 
     def _sample_port(self, port: int, word: int) -> None:
         mon = self.ports[port]
@@ -340,6 +336,8 @@ class Monitoring:
                 self._transition(port, PortState.DEAD, "host port now sends start")
         else:
             mon.host_anomaly_streak = 0
+        # every other exit is a transition's, or in a state with no quiet word
+        mon.requiet()
 
     # -- the connectivity monitor (runs every probe_period) --------------------------------------
 

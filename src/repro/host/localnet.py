@@ -62,7 +62,6 @@ class LocalNetStats:
     sent_to_broadcast_address: int = 0
     arp_requests_sent: int = 0
     gratuitous_arps: int = 0
-    received: int = 0
 
 
 class LocalNet:
@@ -240,7 +239,6 @@ class LocalNet:
             entry.updated_at = self.sim.now
 
     def _receive(self, packet: Packet) -> None:
-        self.stats.received += 1
         if packet.src_uid is not None:
             self._learn(packet.src_uid, packet.src_short)
 

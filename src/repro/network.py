@@ -174,6 +174,8 @@ class Network:
             )
             self.links[(a, pa)] = link
             self.links[(b, pb)] = link
+        for autopilot in self.autopilots:  # booted before their cables
+            autopilot.monitoring.recable()
 
         #: opt-in longitudinal sampler (repro.obs.timeseries).  Off (the
         #: default) leaves self.sampler None: no sample events exist and
@@ -508,6 +510,7 @@ class Network:
                 name=f"{name}.{port_index}--sw{sw}.p{port}",
             )
             self._host_links[(name, port_index)] = link
+            self.autopilots[sw].monitoring.recable()
             if self.sampler is not None:
                 # the switch-side port just became connected; sample its
                 # FIFO like every port cabled at build time

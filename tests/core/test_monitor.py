@@ -186,7 +186,7 @@ def test_any_status_and_reply_sequence_takes_only_figure_8_arrows(steps):
     monitoring = net.autopilots[0].monitoring
     assert monitoring.state_of(1) is PortState.SWITCH_GOOD
     low = MonitorParams(bad_sample_limit=2, classify_samples=2, probe_miss_limit=1)
-    monitoring.params = monitoring.ports[1].params = low
+    monitoring.params = low
     for kind, arg in steps:
         if kind == "sample":
             monitoring._sample_port(1, arg)

@@ -8,9 +8,11 @@ shows its quiet status word.  Two guards:
   patched over it must yield identical per-switch trace logs, dispatched
   event counts and final per-port monitor state (CI also runs this file in
   the ``determinism`` job under ``PYTHONHASHSEED=0`` and ``=random``);
-* an **exact cost guard**, with no wall clock in it -- the number of
-  ``_sample_port`` calls is 0 while a converged network idles, positive at
-  both ends of a cut cable from the first sample after the cut, and 0 again
+* an **exact cost guard**, with no wall clock in it -- status reads are
+  cabled ports x samples (a host cabled after convergence included), and
+  the number of ``_sample_port`` calls is 0 while a converged network
+  idles, positive at both ends of a cut cable from the first sample after
+  the cut (or at the ports a hung neighbor stops answering), and 0 again
   once the skeptics have decayed.
 """
 
@@ -19,6 +21,7 @@ import pytest
 from repro.constants import MS, SEC
 from repro.core.autopilot import AutopilotParams
 from repro.core.monitor import Monitoring
+from repro.core.portstate import PortState
 from repro.host.localnet import BROADCAST_UID, LocalNet
 from repro.net.linkunit import LinkUnit
 from repro.net.packet import Packet
@@ -126,6 +129,31 @@ def panic_with_a_wedged_fifo():
     return net
 
 
+def hosts_cabled_after_convergence():
+    """Hosts cabled to a converged switch, the higher port first: the
+    sampler's walk takes both up and in port order (their s.dead ->
+    s.checking -> s.host steps fall in the same samples)."""
+    net = Network(ring(4), seed=8)
+    assert net.run_until_converged(timeout_ns=60 * SEC)
+    net.add_host("late9", [(2, 9)])
+    net.add_host("late4", [(2, 4), (0, 7)])
+    net.run_for(3 * SEC)
+    return net
+
+
+def hung_neighbor_control_processor():
+    """A control processor stops while its switch forwards on: every status
+    word stays quiet, so its neighbors' ports leave the fixed point only
+    through the connectivity path (missed probe replies demote s.switch.good
+    and grow the connectivity skeptic) and reach it again once that skeptic
+    has decayed."""
+    net = Network(ring(4), seed=9)
+    assert net.run_until_converged(timeout_ns=60 * SEC)
+    net.autopilots[1].halt()
+    net.run_for(35 * SEC)
+    return net
+
+
 SCENARIOS = [
     ring_cut_restore,
     torus_flaps_crash_restart,
@@ -134,6 +162,8 @@ SCENARIOS = [
     reflecting_dead_host_storm,
     alternate_host_port_and_failover,
     panic_with_a_wedged_fifo,
+    hosts_cabled_after_convergence,
+    hung_neighbor_control_processor,
 ]
 
 
@@ -201,8 +231,11 @@ class Counts:
         self.decisions = {}
 
 
-def connected_ports(net):
-    return sum(unit.connected for switch in net.switches for unit in switch.ports.values())
+def cabled_ports(net):
+    """The ports a sample reads: every cabled port of a running switch."""
+    return sum(
+        unit.connected for ap in net.alive_autopilots() for unit in ap.switch.ports.values()
+    )
 
 
 def test_converged_network_costs_no_sampler_decisions(monkeypatch):
@@ -212,7 +245,45 @@ def test_converged_network_costs_no_sampler_decisions(monkeypatch):
     counts.reset()
     net.run_for(1 * SEC)
     # every port is still read every 10 ms; none needs a decision
-    assert counts.reads == 100 * connected_ports(net) == 100 * 2 * len(net.spec.cables)
+    assert counts.reads == 100 * cabled_ports(net) == 100 * 2 * len(net.spec.cables)
+    assert counts.decisions == {}
+
+
+def test_a_host_cabled_after_convergence_is_read_every_sample(monkeypatch):
+    counts = Counts(monkeypatch)
+    net = Network(ring(4), seed=0)
+    assert net.run_until_converged(timeout_ns=60 * SEC)
+    net.add_host("late9", [(2, 9)])
+    net.add_host("late7", [(0, 7)])
+    net.run_for(1 * SEC)
+    assert net.autopilots[2].monitoring.host_ports() == (9,)
+    assert net.autopilots[0].monitoring.host_ports() == (7,)
+    counts.reset()
+    net.run_for(1 * SEC)
+    assert counts.reads == 100 * cabled_ports(net) == 100 * (2 * len(net.spec.cables) + 2)
+    assert counts.decisions == {}
+
+
+def test_a_port_left_through_the_connectivity_path_settles_again(monkeypatch):
+    counts = Counts(monkeypatch)
+    net = Network(ring(4), seed=0)
+    assert net.run_until_converged(timeout_ns=60 * SEC)
+    # the ports facing switch 1, whose control processor stops
+    facing = [(a, pa) if b == 1 else (b, pb) for a, pa, b, pb in net.spec.cables if 1 in (a, b)]
+    net.autopilots[1].halt()
+    net.run_for(1 * SEC)  # two probe periods unanswered: demoted
+    for sw, port in facing:
+        mon = net.autopilots[sw].monitoring.ports[port]
+        assert mon.state is PortState.SWITCH_WHO
+        assert mon.conn_skeptic.required > mon.conn_skeptic.base_required
+    counts.reset()
+    net.run_for(1 * SEC)
+    assert counts.decisions == {(net.switches[sw].name, port): 100 for sw, port in facing}
+
+    net.run_for(30 * SEC)  # the connectivity skeptic decays to its floor
+    counts.reset()
+    net.run_for(1 * SEC)
+    assert counts.reads == 100 * cabled_ports(net)
     assert counts.decisions == {}
 
 
@@ -239,5 +310,5 @@ def test_a_cut_is_seen_by_the_first_sample_and_the_skip_returns(monkeypatch):
     assert net.converged()
     counts.reset()
     net.run_for(1 * SEC)
-    assert counts.reads == 100 * connected_ports(net)
+    assert counts.reads == 100 * cabled_ports(net)
     assert counts.decisions == {}
