@@ -132,6 +132,14 @@ class BacklogResult:
 
     @property
     def within_bound(self) -> bool:
+        # 2 B over the formula, for three roundings of the model: the FIFO
+        # sees the stop watermark crossed half a byte late
+        # (``ReceiveFifo._recompute``), a crossing between byte times waits
+        # up to S rather than S - 1 byte times for its directive slot, and
+        # the link rounds each way's flight to whole bytes
+        # (``link.propagation_ns``).  The first two add under 1.5 B; E2's
+        # five lengths round their flight down (1.0 km: 64 B, not 64.1), and
+        # their worst alignment found at 10 ns steps peaks 1.28 B over.
         return self.peak_bytes <= self.required_bytes + 2.0
 
     @property

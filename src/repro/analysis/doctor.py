@@ -54,8 +54,8 @@ class HealthReport:
         return "\n".join(lines)
 
 
-def diagnose(network, origin: int = 0) -> HealthReport:
-    """Sweep the network from one switch and report anomalies."""
+def diagnose(network) -> HealthReport:
+    """Sweep the network from its first live switch and report anomalies."""
     report = HealthReport()
     live = network.alive_autopilots()
     report.switches_seen = len(live)
@@ -89,6 +89,7 @@ def diagnose(network, origin: int = 0) -> HealthReport:
         )
 
     # 2. SRP sweep: does the recovered picture match the configured one?
+    origin = next((i for i, ap in enumerate(network.autopilots) if ap.alive), 0)
     try:
         recovered = NetworkExplorer(network, origin=origin).explore()
         configured = network.autopilots[origin].engine.topology

@@ -5,8 +5,7 @@ runs each against a fresh simulated installation of the configured
 topology, and sweeps the :mod:`repro.analysis.invariants` at every
 quiescent point: the routing ones mid-run whenever the installation
 re-converges between faults, and ``quiescent_checks`` in full (oracle
-included) once the schedule's horizon has passed and the network settled,
-with the traffic SLO when the schedule drives a workload.
+included) once the schedule's horizon has passed and the network settled.
 
 Seeding discipline: the campaign owns one :class:`~repro.sim.rng.
 RngRegistry`; each schedule's sampler draws from a ``fork`` of it and
@@ -24,7 +23,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Literal, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.invariants import check_partition_routing, quiescent_checks
 from repro.chaos.schedule import SEC, Injector, Schedule, ScheduleSampler
@@ -32,7 +31,6 @@ from repro.network import Network
 from repro.obs.export import bench_document, bench_result
 from repro.sim.rng import RngRegistry
 from repro.topology.generators import resolve_topology
-from repro.traffic.workload import TrafficConfig
 
 MS = 1_000_000
 
@@ -110,41 +108,31 @@ class CampaignRunner:
     # -- running one schedule --------------------------------------------------------
 
     def run_schedule(
-        self,
-        schedule: Schedule,
-        name: str = "",
-        artifacts: Optional[str] = None,
-        traffic: "None | Literal[True] | TrafficConfig" = None,
+        self, schedule: Schedule, name: str = "", artifacts: Optional[str] = None
     ) -> ScheduleResult:
         """Run one schedule.
 
-        ``traffic`` (as ``Network(traffic=...)``) drives a workload
-        through the schedule's faults; the fluid model is
-        observational, so the reconfiguration trajectory is unchanged
-        while the final check adds the SLO invariant (no flow left
-        permanently unrouted at quiescence).
-
         ``artifacts`` names a directory: the run then records with the
         flight recorder, the longitudinal sampler, in-band telemetry and
-        a workload (the default one when ``traffic`` is off) -- all
-        observational, so the run and what it checks are those of the
-        same call without ``artifacts`` -- and afterwards leaves
-        ``<name>.trace.json``, ``<name>.timeseries.json``,
-        ``<name>.inband.json`` and ``<name>.traffic.json`` there."""
+        the default workload -- all observational, so the run and what it
+        checks are those of the same call without ``artifacts`` -- and
+        afterwards leaves ``<name>.trace.json``,
+        ``<name>.timeseries.json``, ``<name>.inband.json`` and
+        ``<name>.traffic.json`` there."""
         result = ScheduleResult(name=name or schedule.name, schedule=schedule)
         recording = artifacts is not None
-        workload = True if recording and traffic is None else traffic
         network = self.build_network(
-            schedule, flight=recording, timeseries=recording, inband=recording, traffic=workload
+            schedule, flight=recording, timeseries=recording, inband=recording,
+            traffic=True if recording else None,
         )
         try:
-            return self._run_schedule(network, schedule, result, slo=traffic is not None)
+            return self._run_schedule(network, schedule, result)
         finally:
             if artifacts is not None:
                 network.export_observers(os.path.join(artifacts, result.name))
 
     def _run_schedule(
-        self, network: Network, schedule: Schedule, result: ScheduleResult, slo: bool
+        self, network: Network, schedule: Schedule, result: ScheduleResult
     ) -> ScheduleResult:
         # liveness: base + per-switch, covering worst-case skeptic hold-downs
         deadline = 20 * SEC + self.spec.n_switches * SEC
@@ -182,10 +170,6 @@ class CampaignRunner:
             result.violations.append(f"no convergence within {deadline / 1e9:.0f}s of schedule end")
         else:
             report = quiescent_checks(network)
-            if slo and network.traffic is not None:  # asked for, not only recorded
-                report.ran("traffic_slo")
-                for violation in network.traffic.slo_violations():
-                    report.fail(f"traffic SLO: {violation}")
             result.checks_run.update(report.checks_run)
             result.violations.extend(report.violations)
 

@@ -24,17 +24,18 @@ from typing import Callable, List, Tuple
 from repro.chaos.events import FaultEvent
 from repro.chaos.schedule import Schedule
 
+#: re-executions one shrink may spend
+MAX_RUNS = 200
+
 
 def shrink_schedule(
-    schedule: Schedule,
-    failing: Callable[[Schedule], bool],
-    max_runs: int = 200,
+    schedule: Schedule, failing: Callable[[Schedule], bool]
 ) -> Tuple[Schedule, int]:
     """Minimize ``schedule`` while ``failing`` stays true.
 
     Returns ``(minimal_schedule, runs_used)``.  The input schedule is
     assumed to fail; if it does not, it is returned unchanged after one
-    probe.  ``max_runs`` bounds total re-executions -- on exhaustion the
+    probe.  ``MAX_RUNS`` bounds total re-executions -- on exhaustion the
     best reduction found so far is returned.
     """
     runs = 0
@@ -49,11 +50,11 @@ def shrink_schedule(
         return schedule, runs
 
     granularity = 2
-    while len(events) >= 2 and runs < max_runs:
+    while len(events) >= 2 and runs < MAX_RUNS:
         chunk = max(1, len(events) // granularity)
         reduced = False
         start = 0
-        while start < len(events) and runs < max_runs:
+        while start < len(events) and runs < MAX_RUNS:
             complement = events[:start] + events[start + chunk :]
             if complement and probe(complement):
                 events = complement

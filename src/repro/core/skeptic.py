@@ -69,27 +69,25 @@ class StatusSkeptic:
         return self.hold_ns
 
 
+#: ceiling on the connectivity skeptic's required good replies
+CONN_MAX_REQUIRED = 64
+#: good time that halves the connectivity skeptic's requirement
+CONN_DECAY_INTERVAL_NS = 30 * SEC
+
+
 class ConnectivitySkeptic:
     """Per-port requirement on good probe replies before s.switch.good."""
 
-    def __init__(
-        self,
-        base_required: int = 2,
-        max_required: int = 64,
-        decay_interval_ns: int = 30 * SEC,
-        growth: float = 2.0,
-    ) -> None:
+    def __init__(self, base_required: int = 2, growth: float = 2.0) -> None:
         self.base_required = base_required
-        self.max_required = max_required
-        self.decay_interval_ns = decay_interval_ns
         self.growth = growth
         self.required = base_required
         self._good_since = 0
 
     def on_demotion(self, now: int) -> None:
         """s.switch.good was lost: demand a longer good streak next time."""
-        self.required = min(max(self.required + 1, int(self.required * self.growth)), self.max_required) \
-            if self.growth > 1.0 else self.base_required
+        self.required = min(max(self.required + 1, int(self.required * self.growth)),
+                            CONN_MAX_REQUIRED) if self.growth > 1.0 else self.base_required
         self._good_since = now
 
     def on_promoted(self, now: int) -> None:
@@ -97,11 +95,11 @@ class ConnectivitySkeptic:
 
     def credit_good_time(self, now: int) -> None:
         while (
-            now - self._good_since >= self.decay_interval_ns
+            now - self._good_since >= CONN_DECAY_INTERVAL_NS
             and self.required > self.base_required
         ):
             self.required = max(self.base_required, self.required // 2)
-            self._good_since += self.decay_interval_ns
+            self._good_since += CONN_DECAY_INTERVAL_NS
 
     def satisfied(self, consecutive_good: int) -> bool:
         return consecutive_good >= self.required

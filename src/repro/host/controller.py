@@ -122,14 +122,7 @@ class HostPort(Endpoint):
 class HostController:
     """The network controller of one host."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        uid: Uid,
-        tx_buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-        rx_buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-    ) -> None:
+    def __init__(self, sim: Simulator, name: str, uid: Uid) -> None:
         self.sim = sim
         self.name = name
         self.uid = uid
@@ -137,8 +130,8 @@ class HostController:
         self.ports = [HostPort(sim, self, 0), HostPort(sim, self, 1)]
         self.active_index = 0
         self.ports[0].active = True  # before attach; mute applied on attach
-        self.tx_buffer_bytes = tx_buffer_bytes
-        self.rx_buffer_bytes = rx_buffer_bytes
+        self.tx_buffer_bytes = DEFAULT_BUFFER_BYTES
+        self.rx_buffer_bytes = DEFAULT_BUFFER_BYTES
         self._rx_held = 0
         #: delivery hook (the driver); receives (packet)
         self.on_receive: Optional[Callable[[Packet], None]] = None

@@ -53,9 +53,8 @@ class EthernetStation:
 class Ethernet:
     """The shared segment."""
 
-    def __init__(self, sim: Simulator, name: str = "ether0", max_queue: int = 200) -> None:
+    def __init__(self, sim: Simulator, max_queue: int = 200) -> None:
         self.sim = sim
-        self.name = name
         self.max_queue = max_queue
         self.stations: Dict[Uid, EthernetStation] = {}
         #: the shared channel: one frame at a time, in arrival order, each

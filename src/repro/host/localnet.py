@@ -67,19 +67,19 @@ class LocalNetStats:
 class LocalNet:
     """One host's generic-LAN layer over an Autonet driver.
 
-    ``keystore`` enables encrypted communication (section 3.10): set a
-    session key per peer in ``session_keys``, then pass ``encrypt=True``
+    Setting ``keystore`` enables encrypted communication (section 3.10):
+    set a session key per peer in ``session_keys``, then pass ``encrypt=True``
     to :meth:`send`.  Encryption costs nothing extra --
     the controller's pipelined chip runs at line rate.
     """
 
-    def __init__(self, driver: AutonetDriver, keystore=None) -> None:
+    def __init__(self, driver: AutonetDriver) -> None:
         self.driver = driver
         self.sim = driver.sim
         self.uid = driver.controller.uid
         self.cache: Dict[Uid, CacheEntry] = {}
         self.stats = LocalNetStats()
-        self.keystore = keystore
+        self.keystore = None
         #: session key to use per destination UID
         self.session_keys: Dict[Uid, int] = {}
         #: client delivery hook: fn(src_uid, ethertype, data_bytes, packet)

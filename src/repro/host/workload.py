@@ -18,6 +18,10 @@ from repro.host.localnet import LocalNet
 from repro.net.packet import Packet
 from repro.types import Uid
 
+#: a call's request and reply sizes: a small RPC (section 1)
+RPC_REQUEST_BYTES = 128
+RPC_RESPONSE_BYTES = 512
+
 
 class Sink:
     """Counts datagrams arriving at a LocalNet instance."""
@@ -112,16 +116,14 @@ class RpcClient:
         self,
         localnet: LocalNet,
         server_uid: Uid,
-        request_bytes: int = 128,
-        response_bytes: int = 512,
         timeout_ns: int = 500 * MS,
         think_ns: int = 0,
     ) -> None:
         self.localnet = localnet
         self.sim = localnet.sim
         self.server_uid = server_uid
-        self.request_bytes = request_bytes
-        self.response_bytes = response_bytes
+        self.request_bytes = RPC_REQUEST_BYTES
+        self.response_bytes = RPC_RESPONSE_BYTES
         self.timeout_ns = timeout_ns
         self.think_ns = think_ns
         self.completed = 0

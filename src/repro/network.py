@@ -594,11 +594,9 @@ class Network:
                 return ap.engine.topology
         return None
 
-    def epoch_duration(self, epoch: Optional[int] = None) -> Optional[int]:
-        """Reconfiguration time of the given (default: current) epoch."""
-        if epoch is None:
-            epoch = self.current_epoch()
-        record = self.epochs.get(epoch)
+    def epoch_duration(self) -> Optional[int]:
+        """Reconfiguration time of the current epoch."""
+        record = self.epochs.get(self.current_epoch())
         if record is None:
             return None
         return record.duration(len(self.alive_autopilots()))
@@ -697,13 +695,8 @@ class Network:
 
     # -- Autopilot releases (section 5.4 / the section 7 anecdote) -----------------------
 
-    def release_autopilot_version(
-        self,
-        version: int,
-        at_switch: int = 0,
-        propagate_delay_ns: int = 5 * SEC,
-    ) -> None:
-        """Download a new Autopilot release into one switch, as from the
+    def release_autopilot_version(self, version: int, propagate_delay_ns: int = 5 * SEC) -> None:
+        """Download a new Autopilot release into switch 0, as from the
         programming workstation; it propagates itself from there.
 
         ``propagate_delay_ns`` is the pacing between a switch booting the
@@ -712,7 +705,7 @@ class Network:
         in quick succession" (section 7).
         """
         self._propagate_delay_ns = propagate_delay_ns
-        self._reboot_into(at_switch, version)
+        self._reboot_into(0, version)
 
     _propagate_delay_ns: int = 5 * SEC
 

@@ -261,10 +261,10 @@ def read(path: str, expect: Optional[str] = None) -> Dict[str, Any]:
     return validate(doc, expect)
 
 
-def render(doc: Any, expect: Optional[str] = None) -> str:
+def render(doc: Any) -> str:
     """The text report of ``doc``, by the one renderer its schema
     declares; a schema that declares none reads as ``valid <tag>``."""
-    schema = _schema(validate(doc, expect)["schema"])
+    schema = _schema(validate(doc)["schema"])
     return schema.render(doc) if schema.render else f"valid {doc['schema']}"
 
 

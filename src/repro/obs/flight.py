@@ -35,6 +35,9 @@ from typing import Any, Deque, Dict, Iterator, List, Optional
 
 from repro.sim.trace import CAT_EPOCH, CAT_MESSAGE
 
+#: events one component's ring holds
+COMPONENT_CAPACITY = 65536
+
 
 class FlightEvent:
     """One recorded event with a causal parent link."""
@@ -115,8 +118,8 @@ class FlightRecorder:
     on every scheduled event handle and restores it at dispatch.
     """
 
-    def __init__(self, capacity_per_component: int = 65536) -> None:
-        self.capacity_per_component = capacity_per_component
+    def __init__(self) -> None:
+        self.capacity_per_component = COMPONENT_CAPACITY
         #: component -> its ring of events
         self._rings: Dict[str, Ring] = {}
         #: eid -> event, for retained events only (evictions de-index)

@@ -25,6 +25,9 @@ from __future__ import annotations
 from time import perf_counter_ns
 from typing import Any, Dict, List, Optional
 
+#: handler rows a summary's hotspots table shows
+HOTSPOT_ROWS = 20
+
 
 class HandlerStats:
     """Accumulated cost of one handler category."""
@@ -100,7 +103,7 @@ class EventLoopProfiler:
         """Handler categories by total wall time, hottest first."""
         return sorted(self._stats.values(), key=lambda s: (-s.wall_ns, s.category))
 
-    def summary(self, limit: int = 20) -> Dict[str, Any]:
+    def summary(self) -> Dict[str, Any]:
         """JSON-ready profile: headline figures plus the hotspots table."""
         ranked = self.hotspots()
         total = self.handler_wall_ns or 1
@@ -127,6 +130,6 @@ class EventLoopProfiler:
                     "mean_ns": round(s.mean_ns, 1),
                     "share": u / 10000,
                 }
-                for s, u in zip(ranked[:limit], units)
+                for s, u in zip(ranked[:HOTSPOT_ROWS], units)
             ],
         }

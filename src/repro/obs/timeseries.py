@@ -305,20 +305,22 @@ def _rules(doc: Dict[str, Any]) -> None:
 #: nine intensity levels; index 0 (a space) is "zero", None renders as ``·``
 SPARK_CHARS = " ▁▂▃▄▅▆▇█"
 GAP_CHAR = "·"
+#: samples a sparkline shows, the newest
+SPARK_WIDTH = 32
 
 #: the PortState value a fully configured trunk settles in
 GOOD_STATE = "s.switch.good"
 
 
-def sparkline(values: Sequence[Optional[float]], width: int = 32) -> str:
-    """The last ``width`` samples as one character each.
+def sparkline(values: Sequence[Optional[float]]) -> str:
+    """The last ``SPARK_WIDTH`` samples as one character each.
 
     Scale is the window's own min/max, with the floor pulled down to 0
     for non-negative data so "3 of 4 ports good" does not render as a
     full-height bar.  ``None`` samples -- a crashed switch, a
     not-yet-created series -- render as ``·``.
     """
-    window = list(values)[-width:] if width > 0 else list(values)
+    window = list(values)[-SPARK_WIDTH:]
     if not window:
         return ""
     present = [v for v in window if v is not None]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, TextIO, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.constants import SEC
 
@@ -91,7 +91,6 @@ def drive_scenario(
     cuts: Sequence[Tuple[int, int]],
     load_ns: int = 0,
     timeout_ns: int = 60 * SEC,
-    warn_stream: Optional[TextIO] = None,
 ) -> ScenarioResult:
     """Converge ``net``, run load, apply ``cuts``, reconverge, run load.
 
@@ -99,15 +98,13 @@ def drive_scenario(
     that has not launched yet, the workload launches right after initial
     convergence -- measuring a *running* network's reconfiguration, not
     its boot.  ``load_ns`` simulated nanoseconds run on each side of the
-    cut; warnings go to ``warn_stream`` (default stderr) and into the
-    result.
+    cut; warnings go to stderr and into the result.
     """
-    stream = warn_stream if warn_stream is not None else sys.stderr
     result = ScenarioResult(cuts=list(cuts))
 
     def warn(message: str) -> None:
         result.warnings.append(message)
-        print(f"warning: {message}", file=stream)
+        print(f"warning: {message}", file=sys.stderr)
 
     result.converged = net.run_until_converged(timeout_ns=timeout_ns)
     if not result.converged:

@@ -34,7 +34,6 @@ class Periodic:
         period: int,
         fn: Callable[..., Any],
         *args: Any,
-        start_after: Optional[int] = None,
         name: Optional[str] = None,
         owner: Optional[str] = None,
     ) -> None:
@@ -47,8 +46,7 @@ class Periodic:
         self.name = name
         self.owner = owner or "sim"
         self._cancelled = False
-        delay = period if start_after is None else start_after
-        self._handle: Optional[Event] = as_root(sim.after(delay, self._tick))
+        self._handle: Optional[Event] = as_root(sim.after(period, self._tick))
         self._record("timer-arm")
 
     def _record(self, event: str) -> None:

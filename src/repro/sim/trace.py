@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List
 
 #: categories of the section 6.7 events, shared by the hook sites that
 #: emit them and the flight recorder (the ``cat`` field of its export)
@@ -22,6 +22,9 @@ CAT_TIMER = "timer"
 CAT_EPOCH = "epoch"
 CAT_TABLE = "table"
 CAT_LOG = "log"  # bridged TraceLog records
+
+#: records one switch's circular log holds
+LOG_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -40,12 +43,12 @@ class TraceEntry:
 class TraceLog:
     """Bounded circular log of events for one component (switch)."""
 
-    def __init__(self, component: str, capacity: int = 4096, clock_offset: int = 0) -> None:
+    def __init__(self, component: str, clock_offset: int = 0) -> None:
         self.component = component
-        self.capacity = capacity
-        #: difference between this component's clock and global time
+        #: difference between this component's clock and global time; the
+        #: merge normalizes by it, so a wrong value is a wrong normalization
         self.clock_offset = clock_offset
-        self._entries: Deque[TraceEntry] = deque(maxlen=capacity)
+        self._entries: Deque[TraceEntry] = deque(maxlen=LOG_CAPACITY)
         #: total records ever logged (records beyond capacity are dropped
         #: from the log but still counted, like a real circular buffer)
         self.total_logged = 0
@@ -75,19 +78,13 @@ class MergedLog:
     def attach(self, log: TraceLog) -> None:
         self._logs[log.component] = log
 
-    def merged(self, offsets: Optional[Dict[str, int]] = None) -> List[TraceEntry]:
-        """Return all entries sorted by normalized time.
-
-        ``offsets`` maps component name to its clock offset; by default the
-        true offsets recorded on each log are used (perfect
-        synchronization).  Passing imperfect offsets lets tests reproduce
-        the paper's observation that merging is only useful when the
-        normalization is precise.
-        """
+    def merged(self) -> List[TraceEntry]:
+        """Return all entries sorted by time normalized by each log's
+        ``clock_offset``; merging is only useful when that normalization
+        is precise (section 6.7)."""
         entries: List[TraceEntry] = []
-        for name, log in self._logs.items():
-            offset = log.clock_offset if offsets is None else offsets.get(name, 0)
-            entries.extend(entry.normalized(offset) for entry in log.entries())
+        for log in self._logs.values():
+            entries.extend(entry.normalized(log.clock_offset) for entry in log.entries())
         entries.sort(key=lambda e: (e.local_time, e.component))
         return entries
 

@@ -64,13 +64,12 @@ class _PortAllocator:
 def from_edges(
     edges: Sequence[Tuple[int, int]],
     n: Optional[int] = None,
-    uids: Optional[List[Uid]] = None,
     name: str = "custom",
 ) -> TopologySpec:
     """Build a spec from an (a, b) switch-index edge list."""
     if n is None:
         n = max(max(a, b) for a, b in edges) + 1 if edges else 1
-    spec = TopologySpec(uids=uids or [Uid(0x1000 + i) for i in range(n)], name=name)
+    spec = TopologySpec(uids=[Uid(0x1000 + i) for i in range(n)], name=name)
     alloc = _PortAllocator(n)
     for a, b in edges:
         spec.cables.append((a, alloc.take(a), b, alloc.take(b)))

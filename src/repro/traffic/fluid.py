@@ -115,8 +115,8 @@ def walk_path(
     return None  # loop or absurdly long path: treat as unrouted
 
 
-def solve_rates(pairs: Iterable[Pair], crossing: Sequence[Iterable[Pair]], load: Sequence[int],
-                capacity: float = LINK_CAPACITY) -> None:
+def solve_rates(pairs: Iterable[Pair], crossing: Sequence[Iterable[Pair]],
+                load: Sequence[int]) -> None:
     """Set every pair's max-min fair ``rate`` (bytes/ns per flow).
 
     Progressive filling over the caller's per-link view: ``crossing[link]``
@@ -126,9 +126,11 @@ def solve_rates(pairs: Iterable[Pair], crossing: Sequence[Iterable[Pair]], load:
     flow, ties to the lowest id), freeze its pairs at that share, and
     subtract it once per frozen flow -- never ``share * flows``, which
     keeps every float bit-equal to solving flow by flow -- from each link
-    they cross that still carries flows; re-push those.  Same-switch
-    pairs run at access line rate, unrouted ones at 0 (DESIGN.md).
+    they cross that still carries flows; re-push those.  Every link
+    offers ``LINK_CAPACITY``; same-switch pairs run at access line rate,
+    unrouted ones at 0 (DESIGN.md).
     """
+    capacity = LINK_CAPACITY
     for pair in pairs:
         links = pair.links
         pair.rate = None if links else 0.0 if links is None else capacity

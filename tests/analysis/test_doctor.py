@@ -30,14 +30,16 @@ def test_dead_port_reported():
 
 
 def test_srp_sweep_compares_with_the_switch_it_crawled_from():
-    """With sw1 and sw3 down, live switch 2 is sw4: the crawl from sw2
-    must be held to sw2's own map, not to the third live switch's."""
+    """With sw0, sw1 and sw3 down the sweep starts at sw2, the first live
+    switch, and live switch 2 would be none: the crawl from sw2 must be
+    held to sw2's own map, not to a live list's third entry."""
     net = Network(line(5))
     assert net.run_until_converged(timeout_ns=60 * SEC)
+    net.crash_switch(0)
     net.crash_switch(1)
     net.crash_switch(3)
     assert net.run_until_converged(timeout_ns=60 * SEC)
-    report = diagnose(net, origin=2)
+    report = diagnose(net)
     sweep = [f for f in report.findings if f.where == "srp-sweep"]
     assert sweep == [], report.render()
 

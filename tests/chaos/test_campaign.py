@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from repro.analysis.invariants import quiescent_checks
-from repro.chaos import campaign, schedule
+from repro.chaos import campaign, schedule, shrink
 from repro.chaos.campaign import CampaignConfig, CampaignRunner
 from repro.chaos.events import CrashSwitch, CutLink, RestartSwitch
 from repro.chaos.replay import replay_artifact, reproducer_dict
@@ -150,9 +150,8 @@ def test_broken_invariant_fails_and_shrinks_to_small_reproducer(tmp_path, monkey
         assert not result.passed
         assert any("sw4 is down" in v for v in result.violations)
 
-        minimal, runs = shrink_schedule(
-            schedule, lambda s: not runner.run_schedule(s).passed, max_runs=40
-        )
+        patch.setattr(shrink, "MAX_RUNS", 40)
+        minimal, runs = shrink_schedule(schedule, lambda s: not runner.run_schedule(s).passed)
     assert len(minimal.events) <= 5, minimal.describe()
     kinds = [e.kind for e in minimal.events]
     assert "crash-switch" in kinds

@@ -5,6 +5,7 @@ import argparse
 
 import pytest
 
+from repro.chaos import shrink
 from repro.chaos.__main__ import _shrink_failures, _signature
 from repro.chaos.campaign import CampaignConfig, CampaignRunner
 from repro.chaos.events import CrashSwitch, CutLink, NoisyLink, RestoreLink
@@ -63,14 +64,15 @@ def test_non_failing_schedule_returns_unchanged():
     assert minimal.sorted_events() == schedule.sorted_events()
 
 
-def test_run_budget_is_respected():
+def test_run_budget_is_respected(monkeypatch):
+    monkeypatch.setattr(shrink, "MAX_RUNS", 10)
     calls = []
 
     def failing(schedule):
         calls.append(len(schedule.events))
         return True  # everything "fails": worst case for ddmin
 
-    minimal, runs = shrink_schedule(big_schedule(), failing, max_runs=10)
+    minimal, runs = shrink_schedule(big_schedule(), failing)
     assert runs <= 10
     assert len(calls) == runs
     # everything fails, so a fully-minimized result would be one event;

@@ -10,7 +10,7 @@ from repro.topology import ring, torus
 def test_release_reaches_every_switch():
     net = Network(ring(4))
     assert net.run_until_converged(timeout_ns=60 * SEC)
-    net.release_autopilot_version(2, at_switch=0, propagate_delay_ns=2 * SEC)
+    net.release_autopilot_version(2, propagate_delay_ns=2 * SEC)
     net.run_for(60 * SEC)
     assert net.rollout_complete(2)
     assert all(ap.software_version == 2 for ap in net.autopilots)

@@ -6,6 +6,7 @@ from repro.core.autopilot import AutopilotParams, CpuModel
 from repro.core.messages import AckMsg, SrpMessage, StableMsg
 from repro.network import Network
 from repro.sim.engine import Simulator
+from repro.sim.trace import LOG_CAPACITY
 from repro.topology import expected_tree, line, torus
 from repro.types import Uid, make_short_address
 
@@ -109,4 +110,4 @@ class TestAutopilotServices:
         ap = net.autopilots[0]
         for i in range(5000):
             ap.log("filler", str(i))
-        assert len(ap.trace) <= ap.trace.capacity
+        assert len(ap.trace) <= LOG_CAPACITY

@@ -4,6 +4,7 @@ from repro.constants import MS, SEC
 from repro.core.portstate import (
     RECONFIGURING_TRANSITIONS, SAMPLER_TRANSITIONS, PortState, transition_allowed,
 )
+from repro.core import skeptic as skeptic_module
 from repro.core.skeptic import ConnectivitySkeptic, SkepticParams, StatusSkeptic
 
 
@@ -96,20 +97,21 @@ class TestConnectivitySkeptic:
         assert skeptic.satisfied(2)
 
     def test_demotions_double_requirement(self):
-        skeptic = ConnectivitySkeptic(base_required=2, max_required=64)
+        skeptic = ConnectivitySkeptic(base_required=2)
         skeptic.on_demotion(0)
         assert skeptic.required == 4
         skeptic.on_demotion(1)
         assert skeptic.required == 8
 
-    def test_requirement_capped(self):
-        skeptic = ConnectivitySkeptic(base_required=2, max_required=16)
+    def test_requirement_capped(self, monkeypatch):
+        monkeypatch.setattr(skeptic_module, "CONN_MAX_REQUIRED", 16)
+        skeptic = ConnectivitySkeptic(base_required=2)
         for i in range(10):
             skeptic.on_demotion(i)
         assert skeptic.required == 16
 
     def test_good_time_decays_requirement(self):
-        skeptic = ConnectivitySkeptic(base_required=2, decay_interval_ns=30 * SEC)
+        skeptic = ConnectivitySkeptic(base_required=2)
         for i in range(4):
             skeptic.on_demotion(i)
         grown = skeptic.required

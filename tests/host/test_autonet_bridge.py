@@ -122,7 +122,7 @@ def test_a_rejected_bridge_leaves_its_devices_unwired():
     assert [driver.on_packet for driver in drivers] == [None, None]
     # two Ethernets
     sim = Simulator()
-    stations = [Ethernet(sim, "e1").attach(Uid(0xB1)), Ethernet(sim, "e2").attach(Uid(0xB2))]
+    stations = [Ethernet(sim).attach(Uid(0xB1)), Ethernet(sim).attach(Uid(0xB2))]
     with pytest.raises(ValueError):
         Bridge(*stations)
     assert [(s.on_receive, s.promiscuous) for s in stations] == [(None, False)] * 2

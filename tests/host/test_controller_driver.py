@@ -17,7 +17,8 @@ from repro.types import Uid
 class TestController:
     def test_tx_buffer_limit(self):
         sim = Simulator()
-        controller = HostController(sim, "h", Uid(0xA), tx_buffer_bytes=10_000)
+        controller = HostController(sim, "h", Uid(0xA))
+        controller.tx_buffer_bytes = 10_000
         accepted = 0
         for _ in range(20):
             if controller.send(Packet(dest_short=0x20, src_short=0, data_bytes=1000)):
@@ -50,7 +51,8 @@ class TestController:
 
     def test_rx_buffer_overflow_drops(self):
         sim = Simulator()
-        controller = HostController(sim, "h", Uid(0xA), rx_buffer_bytes=2_000)
+        controller = HostController(sim, "h", Uid(0xA))
+        controller.rx_buffer_bytes = 2_000
         controller.rx_processing_ns = 10 * SEC  # effectively never drains
         for _ in range(5):
             controller._rx_complete(

@@ -35,9 +35,9 @@ def secure_net():
     net.add_host("alice", [(0, 5), (1, 5)])
     net.add_host("bob", [(1, 6), (0, 6)])
     net.add_host("eve", [(0, 7), (1, 7)])
-    alice = LocalNet(net.drivers["alice"], keystore=keystore)
-    bob = LocalNet(net.drivers["bob"], keystore=keystore)
-    eve = LocalNet(net.drivers["eve"], keystore=keystore)
+    alice, bob, eve = (LocalNet(net.drivers[name]) for name in ("alice", "bob", "eve"))
+    for localnet in (alice, bob, eve):
+        localnet.keystore = keystore
     key = KEY
     keystore.grant(key, net.hosts["alice"].uid)
     keystore.grant(key, net.hosts["bob"].uid)

@@ -260,7 +260,8 @@ class HostWorld:
     def __init__(self, controller_class, processing_ns, buffer_bytes):
         self.sim = Simulator()
         self.log = Log(self.sim)
-        self.controller = controller_class(self.sim, "h", Uid(0x1), rx_buffer_bytes=buffer_bytes)
+        self.controller = controller_class(self.sim, "h", Uid(0x1))
+        self.controller.rx_buffer_bytes = buffer_bytes
         self.controller.rx_processing_ns = processing_ns
         self.controller.on_receive = self.hand_up
         self.then = {}

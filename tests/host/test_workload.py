@@ -81,8 +81,8 @@ class TestRpc:
     def test_latency_reflects_network(self, rig):
         net, ln_a, ln_b = rig
         RpcServer(ln_b)
-        client = RpcClient(ln_a, net.hosts["b"].uid, request_bytes=64,
-                           response_bytes=64, think_ns=10 * MS)
+        client = RpcClient(ln_a, net.hosts["b"].uid, think_ns=10 * MS)
+        client.request_bytes = client.response_bytes = 64
         net.run_for(1 * SEC)
         # request + response each cross two switches: tens of microseconds
         mean = sum(client.latencies_ns) / len(client.latencies_ns)

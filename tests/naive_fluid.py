@@ -11,7 +11,9 @@ under ``src/`` may import this module.
 """
 
 from typing import Callable, Dict, List, Optional, Tuple
+from unittest import mock
 
+from repro.traffic import fluid
 from repro.traffic.fluid import LINK_CAPACITY, Pair, solve_rates
 
 #: a flow's path: canonical link keys ((switch index, port) of the
@@ -84,7 +86,8 @@ def solve_pairs(
     order (so an id comparison is a key comparison), the per-link pair
     lists and loads are built as the engine keeps them, and every flow
     reads its pair's rate.  ``shuffle``, if given, reorders the pairs and
-    each link's list in place before the solve."""
+    each link's list in place before the solve, which offers ``capacity``
+    on every link as ``fluid.LINK_CAPACITY``."""
     keys = sorted({key for path in paths.values() if path for key in path})
     ids = {key: i for i, key in enumerate(keys)}
     pairs: Dict[Optional[PathKey], Pair] = {}
@@ -106,5 +109,6 @@ def solve_pairs(
         shuffle(order)
         for listed in crossing:
             shuffle(listed)
-    solve_rates(order, crossing, load, capacity)
+    with mock.patch.object(fluid, "LINK_CAPACITY", capacity):
+        solve_rates(order, crossing, load)
     return {fid: pairs[path].rate for fid, path in paths.items()}

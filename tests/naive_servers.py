@@ -31,8 +31,8 @@ from repro.types import Uid
 class NaiveEthernet(Ethernet):
     """The segment with its own FIFO over the shared medium."""
 
-    def __init__(self, sim, name: str = "ether0", max_queue: int = 200) -> None:
-        super().__init__(sim, name, max_queue)
+    def __init__(self, sim, max_queue: int = 200) -> None:
+        super().__init__(sim, max_queue)
         self._queue: Deque[Tuple[EthernetStation, Uid, Uid, int, object]] = deque()
         self._busy = False
 

@@ -325,7 +325,7 @@ RENDERED = {
 def test_every_schema_renders_its_real_document_and_no_other(tag, real_docs):
     schema = importlib.import_module(artifact.PROVIDERS[tag]).ARTIFACT
     assert (schema.render is not None) == (tag in RENDERED)
-    text = artifact.render(real_docs[tag], tag)
+    text = artifact.render(artifact.validate(real_docs[tag], tag))
     assert text.strip()
     if schema.render is None:
         assert text == f"valid {tag}"
@@ -335,7 +335,7 @@ def test_every_schema_renders_its_real_document_and_no_other(tag, real_docs):
         assert artifact.render(json.loads(json.dumps(real_docs[tag]))) == text
     other = real_docs[TAGS[TAGS.index(tag) - 1]]
     with pytest.raises(SchemaError, match=r"^\$\.schema: expected"):
-        artifact.render(other, tag)
+        artifact.render(artifact.validate(other, tag))
 
 
 @pytest.mark.parametrize("path", COMMITTED)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.constants import SEC
 from repro.network import Network
-from repro.obs import artifact
+from repro.obs import artifact, profiler
 from repro.obs import flight as flight_mod
 from repro.obs.artifact import SchemaError
 from repro.obs.flight import FlightEvent, FlightRecorder, Ring, render_chain
@@ -56,7 +56,8 @@ def test_ring_rejects_nonpositive_capacity():
 
 
 def test_recorder_eviction_prunes_index_and_truncates_chains():
-    rec = FlightRecorder(capacity_per_component=3)
+    rec = FlightRecorder()
+    rec.capacity_per_component = 3
     eids = [rec.record(t, "sw0", "msg", f"e{t}") for t in range(6)]
     # the first three were evicted: no longer reachable by id
     for eid in eids[:3]:
@@ -328,7 +329,8 @@ def test_validator_rejects_wrong_schema():
 def test_trace_document_survives_ring_eviction():
     """Sends evicted from their ring must not leave dangling flow binds."""
     sim = Simulator()
-    sim.recorder = recorder = FlightRecorder(capacity_per_component=64)
+    sim.recorder = recorder = FlightRecorder()
+    recorder.capacity_per_component = 64
     net = Network(ring(3), seed=2, sim=sim)
     net.run_for(8 * SEC)
     assert recorder.total_dropped > 0
@@ -340,7 +342,7 @@ def test_trace_document_survives_ring_eviction():
 # -- the profiler -----------------------------------------------------------------------
 
 
-def test_profiler_accounts_handlers_and_throughput():
+def test_profiler_accounts_handlers_and_throughput(monkeypatch):
     net = Network(ring(3), seed=1, profile=True)
     net.run_for(3 * SEC)
     prof = net.profiler
@@ -348,7 +350,9 @@ def test_profiler_accounts_handlers_and_throughput():
     assert prof.events_per_sec() > 0
     hot = prof.hotspots()
     assert hot and hot[0].wall_ns >= hot[-1].wall_ns
-    summary = prof.summary(limit=5)
+    with monkeypatch.context() as patch:
+        patch.setattr(profiler, "HOTSPOT_ROWS", 5)
+        summary = prof.summary()
     assert summary["events_per_sec"] > 0
     assert len(summary["hotspots"]) <= 5
     assert abs(sum(h["share"] for h in prof.summary()["hotspots"]) - 1.0) < 0.01

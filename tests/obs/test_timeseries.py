@@ -270,17 +270,18 @@ def test_every_series_samples_once_per_tick_across_faults():
 # -- the dashboard frame: pure rendering over sampler views ---------------------------
 
 
-def test_sparkline_scaling_and_gaps():
-    assert sparkline([0, 1, 2, 3, None, 4], width=6) == " ▂▄▆·█"
-    assert sparkline([], width=6) == ""
+def test_sparkline_scaling_and_gaps(monkeypatch):
+    assert sparkline([0, 1, 2, 3, None, 4]) == " ▂▄▆·█"
+    assert sparkline([]) == ""
     assert sparkline([None, None]) == "··"
     assert sparkline([5.0, 5.0]) == "██"  # constant positive saturates
     assert sparkline([0.0, 0.0]) == "  "
-    # window: only the last `width` samples render
-    assert len(sparkline(list(range(100)), width=8)) == 8
     # the floor is 0 for positive data, the window's minimum below it
-    assert sparkline([2.0, 4.0], width=2) == "▄█"
-    assert sparkline([-4.0, 0.0], width=2) == " █"
+    assert sparkline([2.0, 4.0]) == "▄█"
+    assert sparkline([-4.0, 0.0]) == " █"
+    # window: only the last SPARK_WIDTH samples render
+    monkeypatch.setattr(timeseries, "SPARK_WIDTH", 8)
+    assert len(sparkline(list(range(100)))) == 8
 
 
 def _recorded_network():

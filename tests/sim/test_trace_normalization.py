@@ -6,6 +6,7 @@ related events, and the per-switch circular buffers silently shed their
 oldest records.  These tests pin both behaviors down.
 """
 
+from repro.sim import trace
 from repro.sim.trace import MergedLog, TraceLog
 
 
@@ -38,20 +39,22 @@ def test_imperfect_offsets_reorder_close_events():
     b.log(150, "receive")  # 50 ns after the send, causally dependent
 
     # underestimate swB's offset by 80 ns: its events appear 80 ns late...
-    wrong = {"swA": a.clock_offset, "swB": b.clock_offset - 80}
-    assert [e.event for e in merged.merged(wrong)] == ["send", "receive"]
+    true_offset = b.clock_offset
+    b.clock_offset = true_offset - 80
+    assert [e.event for e in merged.merged()] == ["send", "receive"]
     # ...overestimate by 80 ns and the receive apparently precedes the send
-    wrong = {"swA": a.clock_offset, "swB": b.clock_offset + 80}
-    assert [e.event for e in merged.merged(wrong)] == ["receive", "send"]
+    b.clock_offset = true_offset + 80
+    assert [e.event for e in merged.merged()] == ["receive", "send"]
 
 
 def test_missing_offset_defaults_to_zero_not_recorded():
     a, b, merged = make_pair(offset_a=5_000)
     a.log(100, "x")
     b.log(50, "y")
-    # offsets dict without swA: its raw local clock (global+5000) is used,
+    # swA's offset unknown (0): its raw local clock (global+5000) is used,
     # pushing the earlier event after the later one
-    events = [e.event for e in merged.merged({"swB": b.clock_offset})]
+    a.clock_offset = 0
+    events = [e.event for e in merged.merged()]
     assert events == ["y", "x"]
 
 
@@ -62,8 +65,9 @@ def test_equal_times_break_ties_by_component():
     assert [e.component for e in merged.merged()] == ["swA", "swB"]
 
 
-def test_circular_buffer_sheds_oldest_but_counts_all():
-    log = TraceLog("sw0", capacity=4)
+def test_circular_buffer_sheds_oldest_but_counts_all(monkeypatch):
+    monkeypatch.setattr(trace, "LOG_CAPACITY", 4)
+    log = TraceLog("sw0")
     for i in range(10):
         log.log(i, f"e{i}")
     assert len(log) == 4
@@ -76,9 +80,11 @@ def test_circular_buffer_sheds_oldest_but_counts_all():
     assert [e.event for e in merged.merged()] == ["e6", "e7", "e8", "e9"]
 
 
-def test_overflowing_one_log_does_not_disturb_another():
-    a = TraceLog("swA", capacity=2)
-    b = TraceLog("swB", capacity=100)
+def test_overflowing_one_log_does_not_disturb_another(monkeypatch):
+    monkeypatch.setattr(trace, "LOG_CAPACITY", 2)
+    a = TraceLog("swA")
+    monkeypatch.setattr(trace, "LOG_CAPACITY", 100)
+    b = TraceLog("swB")
     merged = MergedLog()
     merged.attach(a)
     merged.attach(b)
@@ -90,8 +96,9 @@ def test_overflowing_one_log_does_not_disturb_another():
     assert a.total_logged == 5 and b.total_logged == 5
 
 
-def test_clear_resets_entries_but_not_the_total():
-    log = TraceLog("sw0", capacity=8)
+def test_clear_resets_entries_but_not_the_total(monkeypatch):
+    monkeypatch.setattr(trace, "LOG_CAPACITY", 8)
+    log = TraceLog("sw0")
     for i in range(3):
         log.log(i, "e")
     log.clear()

@@ -19,8 +19,7 @@ def run_once(seed):
     net.run_for(1 * SEC)
     net.cut_link(0, 1)
     assert net.run_until_converged(timeout_ns=60 * SEC)
-    epoch = net.current_epoch()
-    return epoch, net.epoch_duration(epoch), net.sim.now, trace_digest(net)
+    return net.current_epoch(), net.epoch_duration(), net.sim.now, trace_digest(net)
 
 
 def test_identical_seeds_identical_histories():

@@ -55,7 +55,9 @@ def connected_topologies(draw, max_switches=10):
             min_size=n, max_size=n, unique=True,
         )
     )
-    return from_edges(edges, n=n, uids=[Uid(v) for v in uid_values])
+    spec = from_edges(edges, n=n)
+    spec.uids = [Uid(v) for v in uid_values]
+    return spec
 
 
 def build(spec):

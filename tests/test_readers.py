@@ -14,11 +14,15 @@ checker (it lives under ``tests/``, beside ``naive_*.py``) or dead.
   class and its ancestors and descendants, so one class's ``sent`` does
   not keep another's; a load through any other object, a ``getattr``
   string, a keyword or a string key reads it for every class.
-* A defaulted parameter needs a caller -- tests count here -- that
-  passes it, by keyword or by position; one nobody passes is the
-  constant it always was.  A function handed over as a value (a
-  listener, a callback, a ``partial``) is exempt: its caller is out of
-  sight.
+* A defaulted parameter needs a call outside ``tests/`` that passes it,
+  by keyword or by position, itself or through a forwarder
+  (``FORWARDERS``, and the keys of a ``Row(network={...})`` literal); a
+  text mention passes nothing.  One only tests pass is a constant: a
+  test that needs another value sets the attribute, or patches the
+  module constant, that the code reads.  A function handed over as a
+  value (a listener, a callback, a ``partial``) is exempt, its caller
+  being out of sight (a class so handed is not), and so is a CLI's
+  ``main(argv)``, which the command line passes.
 
 The whole file is one AST pass over the tree (:class:`Tree`, over the
 session's one parse, :mod:`tests.checkout`) and the questions asked of
@@ -28,7 +32,7 @@ the list of exceptions: every entry carries the reason a test cannot do
 without it, an entry the tree no longer needs fails, and the list's
 length is held to ``ALLOWED_MAX``, which only goes down.  State only a
 test reads stays only as a *test probe* in ``ATTR_ALLOWED``, which names
-the test and also only shrinks; parameters have no allow-list.
+the test and also only shrinks.
 """
 
 import ast
@@ -51,13 +55,10 @@ TEXTS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".github")
 #: ``repro.core`` are the paper's tunables and out of scope)
 OPTION_CLASS = re.compile(r"(Config|Params|Costs)$")
 
-#: functions whose every defaulted parameter needs a caller that sets it,
-#: and the helpers that forward their keywords into them
-OPTION_FUNCTIONS = {
-    "Network.__init__": ("Network", "build_network", "_build"),
-    "Network.add_host": ("add_host",),
-    "Network.run_until_converged": ("run_until_converged",),
-}
+#: callees and the helpers that forward their keywords, ``**`` splat
+#: included, into them: a helper's keyword is a pass to its callee, and so
+#: is a key of a ``Row(network={...})`` literal to ``Network``
+FORWARDERS = {"Network": ("build_network", "_build")}
 
 
 def call_site_rules():
@@ -76,11 +77,11 @@ ALLOWED = {
         "plants one bad cell in a loaded table (tests/analysis/test_invariants.py's negative "
         "cases, the row-model differential); load() can only replace whole rows"
     ),
-    "param Network.__init__.sim": (
+    "param repro.network.Network.__init__.sim": (
         "co-simulating two Autonets (section 6.8.2's Autonet-to-Autonet bridge) needs one "
         "shared simulator; tests/host/test_autonet_bridge.py is the only such installation"
     ),
-    "param Network.__init__.name": (
+    "param repro.network.Network.__init__.name": (
         "the same two Autonets need distinct switch names on that simulator"
     ),
 }
@@ -142,7 +143,7 @@ def _receiver(function):
 
 
 class Tree:
-    """Everything the seven questions need from one walk of a checkout."""
+    """Everything the questions need from one walk of a checkout."""
 
     def __init__(self, root):
         #: identifiers loaded, imported or named by attribute outside tests
@@ -164,8 +165,6 @@ class Tree:
         self.defs = {}
         #: option classes: qualified class -> field names
         self.option_fields = {}
-        #: defaulted parameters of OPTION_FUNCTIONS
-        self.option_params = {}
         #: CLI module -> its ``--flags``
         self.flags = {}
         #: method names called as ``x.method(...)``, per module
@@ -185,7 +184,7 @@ class Tree:
         #: defaulted parameters of src/repro functions: (qualified def,
         #: callee name) -> [(positional slot, or None if keyword-only, name)]
         self.defaulted = {}
-        #: callee name -> (most positionals passed, keywords passed), tests included
+        #: callee name -> (most positionals passed, keywords passed) outside tests
         self.passed = {}
         #: functions and classes handed to a call as a value (callbacks)
         self.values = set()
@@ -193,7 +192,7 @@ class Tree:
             top = path.split("/")[0]
             if top in PY_ROOTS:
                 self._walk(module, tree, path)
-            self._calls(tree, top in PY_ROOTS)
+                self._calls(tree)
         self.text = "\n".join(
             file.read_text()
             for entry in TEXTS
@@ -342,8 +341,8 @@ class Tree:
             callee = cls if node.name == "__init__" else node.name
             self.defaulted[(f"{owner}.{node.name}", callee)] = slots
 
-    def _calls(self, tree, reader):
-        """What each call passes and, outside tests, which functions are
+    def _calls(self, tree):
+        """What each call outside tests passes, and which functions are
         handed over positionally as a value (a listener, a callback, a
         ``partial``): a bare name only if it is the module's own or
         imported, since a local may share a function's name."""
@@ -357,19 +356,29 @@ class Tree:
             if not isinstance(node, ast.Call):
                 continue
             callee = _last_name(node.func)
-            most, keywords = self.passed.get(callee, (0, frozenset()))
             starred = any(isinstance(a, ast.Starred) for a in node.args)
-            self.passed[callee] = (
-                float("inf") if starred else max(most, len(node.args)),
-                keywords | {k.arg for k in node.keywords},
-            )
-            if reader and callee not in ("isinstance", "issubclass"):
+            keywords = {k.arg for k in node.keywords}
+            self._pass(callee, float("inf") if starred else len(node.args), keywords)
+            for target, forwarders in FORWARDERS.items():
+                if callee in forwarders:
+                    self._pass(target, 0, keywords)
+            network = next((k.value for k in node.keywords if k.arg == "network"), None)
+            if callee == "Row" and isinstance(network, ast.Dict):
+                self._pass("Network", 0, _strings(network.keys))
+            if callee not in ("isinstance", "issubclass"):
                 self.values.update(
                     _last_name(value)
                     for value in node.args
                     if isinstance(value, ast.Attribute)
                     or (isinstance(value, ast.Name) and value.id in owned)
                 )
+
+    def _pass(self, callee, positionals, keywords):
+        if callee in FORWARDERS:
+            # what a ``**`` splat into it carries, its forwarders' callers pass
+            keywords = keywords - {None}
+        most, passed = self.passed.get(callee, (0, frozenset()))
+        self.passed[callee] = (max(most, positionals), passed | keywords)
 
     @staticmethod
     def _dict_keys(tree):
@@ -396,14 +405,6 @@ class Tree:
                         for stmt in node.body
                         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                     ]
-            else:
-                function = qualified[len(module) + 1:]
-                if function in OPTION_FUNCTIONS:
-                    args = node.args
-                    positional = args.posonlyargs + args.args
-                    defaulted = positional[len(positional) - len(args.defaults):]
-                    defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
-                    self.option_params[function] = [a.arg for a in defaulted]
 
     def mentions(self, pattern):
         """Does a text, a docstring or any other string outside an
@@ -412,7 +413,7 @@ class Tree:
         return bool(regex.search(self.text)) or any(regex.search(s) for s in self.strings)
 
 
-# -- the seven questions -----------------------------------------------------------------
+# -- the questions ---------------------------------------------------------------------
 
 
 def unread_defs(tree):
@@ -433,8 +434,8 @@ def unread_defs(tree):
 
 
 def unset_options(tree):
-    """Option-class fields no caller sets, defaulted parameters no caller
-    passes, CLI flags no command, document or example gives."""
+    """Option-class fields no caller sets, CLI flags no command, document
+    or example gives."""
     unset = set()
     for qualified, fields in tree.option_fields.items():
         cls = qualified.rsplit(".", 1)[1]
@@ -445,11 +446,6 @@ def unset_options(tree):
                 and name not in tree.stores
             ):
                 unset.add(f"field {qualified}.{name}")
-    for function, params in tree.option_params.items():
-        for name in params:
-            passed = any((callee, name) in tree.keywords for callee in OPTION_FUNCTIONS[function])
-            if not passed and not tree.mentions(rf"\b{name}="):
-                unset.add(f"param {function}.{name}")
     for cli, flags in tree.flags.items():
         for flag in flags:
             if not tree.mentions(rf"(?<![\w-]){flag}(?![\w-])"):
@@ -483,13 +479,17 @@ def unread_state(tree):
 
 
 def unpassed_params(tree):
-    """Defaulted parameters of src/repro functions no caller anywhere --
-    tests included -- passes, by keyword or by position.  A function
-    passed as a value (a listener, a callback) is exempt."""
+    """Defaulted parameters of src/repro functions no caller outside
+    ``tests/`` passes, by keyword or by position, itself or through a
+    forwarder.  A function passed as a value (a listener, a callback) is
+    exempt, a class so passed is not, and a CLI's ``main(argv)`` is
+    passed by the command line."""
     unpassed = set()
     for (qualified, callee), slots in tree.defaulted.items():
-        if callee in tree.values:
+        if callee in tree.values and not qualified.endswith(".__init__"):
             continue
+        if qualified.endswith(".__main__.main"):
+            slots = [(slot, name) for slot, name in slots if name != "argv"]
         most, keywords = tree.passed.get(callee, (0, frozenset()))
         if None in keywords:
             continue
@@ -586,7 +586,7 @@ def tree():
 
 
 def test_every_def_option_and_package_has_a_reader_or_a_reason(tree):
-    found = unread_defs(tree) | unset_options(tree) | unread_packages(tree)
+    found = unread_defs(tree) | unset_options(tree) | unread_packages(tree) | unpassed_params(tree)
     assert sorted(found - set(ALLOWED)) == [], "no reader outside tests/: delete, or move to tests/"
     assert sorted(set(ALLOWED) - found) == [], "allow-listed, yet read or gone: drop the entry"
     assert all(reason.strip() for reason in ALLOWED.values())
@@ -609,7 +609,8 @@ def test_every_piece_of_state_has_a_reader_or_is_a_test_probe(tree):
 
 
 def test_every_defaulted_parameter_has_a_caller_that_passes_it(tree):
-    assert sorted(unpassed_params(tree)) == [], "nobody passes it: make it the constant it is"
+    found = unpassed_params(tree) - set(ALLOWED)
+    assert sorted(found) == [], "only tests pass it: make it the constant it is"
 
 
 def test_no_package_is_exempt_from_purity_for_not_being_the_system():
@@ -687,26 +688,18 @@ def test_an_option_nobody_sets_is_found(tmp_path):
             "    stored: int = 6\n"
         ),
         "src/repro/core/params.py": "class MonitorParams:\n    paper_tunable: int = 1\n",
-        "src/repro/network.py": (
-            "class Network:\n"
-            "    def __init__(self, spec, seed=0, verbose=False, *, strict=True):\n        pass\n"
-            "    def add_host(self, name, link_km=0.1):\n        pass\n"
-        ),
         "src/repro/tool/__main__.py": (
             "import argparse\nparser = argparse.ArgumentParser()\n"
             "parser.add_argument('--used')\nparser.add_argument('--unused', help='--unused X')\n"
         ),
         "benchmarks/bench_x.py": (
             "ToolConfig(depth=1)\nToolConfig(**{'width': 2})\nconfig.stored = 1\n"
-            "build_network(spec, seed=1)\n"
         ),
-        "tests/test_x.py": "ToolConfig(spare=1)\nNetwork(spec, verbose=True)\n",
-        "README.md": "run `python -m repro.tool --used 3`, or `Network(spec, strict=False)`\n",
+        "tests/test_x.py": "ToolConfig(spare=1)\n",
+        "README.md": "run `python -m repro.tool --used 3`\n",
     })
     assert unset_options(planted) == {
         "field repro.tool.knobs.ToolConfig.spare",
-        "param Network.__init__.verbose",
-        "param Network.add_host.link_km",
         "flag repro.tool --unused",
     }
 
@@ -797,18 +790,79 @@ def test_a_parameter_nobody_passes_is_found_unless_handed_over_as_a_value(tmp_pa
             "class Engine:\n    def __init__(self, sim, decision_ns=480):\n        pass\n"
         ),
         "src/repro/wire.py": (
-            "from repro.parts import Engine, Sampler, make\n"
+            "from repro.parts import Engine, Sampler, make, note\n"
             "def boot(tracer, sampler):\n    tracer.add_listener(sampler.mark)\n"
-            "    Engine(1)\n    make(1, 12)\n    return isinstance(sampler, Engine)\n"
+            "    Engine(1)\n    make(1, 12)\n    note(0, 'e')\n"
+            "    return isinstance(sampler, Engine)\n"
         ),
-        "tests/test_parts.py": "from repro.parts import make, note\nmake(1, name='y')\n"
-                               "note(0, 'e')\nmake(2, seed=3)\n",
+        "benchmarks/bench_x.py": "from repro.parts import make\nmake(2, seed=3, name='y')\n",
     })
     assert unpassed_params(planted) == {
         "param repro.parts.make.uids",
         "param repro.parts.note.attrs",
         "param repro.parts.Engine.__init__.decision_ns",
     }
+
+
+def test_a_parameter_only_a_test_passes_is_found(tmp_path):
+    planted = plant(tmp_path, {
+        "src/repro/ring.py": (
+            "class TraceLog:\n    def __init__(self, capacity=4096):\n        pass\n"
+        ),
+        "src/repro/run.py": "from repro.ring import TraceLog\nlog = TraceLog()\n",
+        "tests/test_ring.py": (
+            "from repro.ring import TraceLog\nTraceLog(8)\nTraceLog(capacity=8)\n"
+        ),
+    })
+    assert unpassed_params(planted) == {"param repro.ring.TraceLog.__init__.capacity"}
+
+
+def test_a_cli_main_argv_is_not_found(tmp_path):
+    planted = plant(tmp_path, {
+        "src/repro/tool/__main__.py": (
+            "def main(argv=None, verbose=False):\n    pass\n\n"
+            "if __name__ == '__main__':\n    main()\n"
+        ),
+        "src/repro/tool/cli.py": "def main(argv=None):\n    pass\n",
+    })
+    assert unpassed_params(planted) == {
+        "param repro.tool.__main__.main.verbose",
+        "param repro.tool.cli.main.argv",
+    }
+
+
+def test_a_forwarded_network_keyword_counts_as_a_pass(tmp_path):
+    planted = plant(tmp_path, {
+        "src/repro/network.py": (
+            "class Network:\n"
+            "    def __init__(self, spec, seed=0, tagged=False, flight=False, sim=None):\n"
+            "        pass\n"
+        ),
+        "src/repro/chaos/campaign.py": (
+            "from repro.network import Network\n"
+            "def build_network(spec, **observers):\n    return Network(spec, **observers)\n"
+        ),
+        "benchmarks/bench_x.py": (
+            "from repro.chaos.campaign import build_network\nfrom repro.network import Network\n"
+            "Rig(Row(spec, network={'tagged': True}))\nbuild_network(spec, flight=True)\n"
+            "patch(Network, '__init__')\n"
+        ),
+    })
+    assert unpassed_params(planted) == {
+        "param repro.network.Network.__init__.seed",
+        "param repro.network.Network.__init__.sim",
+    }
+
+
+def test_a_text_mention_is_no_pass(tmp_path):
+    planted = plant(tmp_path, {
+        "src/repro/plot.py": (
+            "def sparkline(values, width=24):\n    pass\n\n"
+            "def show(values):\n    'sparkline(values, width=8)'\n    return sparkline(values)\n"
+        ),
+        "README.md": "`sparkline(values, width=8)` draws it narrower\n",
+    })
+    assert unpassed_params(planted) == {"param repro.plot.sparkline.width"}
 
 
 def test_a_doc_name_that_does_not_resolve_is_found():

@@ -47,7 +47,7 @@ def hand_rolled(net, cut):
         cuts=[cut],
         converge_ns=converge_ns,
         # the benches' definition: reconfigure_once, reconfig_time, timed_reconfig
-        final_epoch_ns=net.epoch_duration(net.current_epoch()),
+        final_epoch_ns=net.epoch_duration(),
         # run_point's definition
         reconfig_ns=last.end_ns - min(s.start_ns for s in fault_spans),
         blackout_ns=max(blackouts) if blackouts else 0,

@@ -17,13 +17,13 @@ SRC = ROOT / "src" / "repro"
 #: count, and CHANGES.md reports the lines DELETED apart from those
 #: RE-HOMED (moved under tests/ or benchmarks/, which is not a reduction),
 #: with the tests/ delta beside them; CHANGES.md is the history.
-BUDGET = 14286
+BUDGET = 14258
 
 
 #: README and DESIGN.md describe the current system, and a change leaves
 #: each no longer than it found it (ROADMAP): their line counts when the
 #: constant was last set, which only go down
-DOC_CEILINGS = {"README.md": 1248, "DESIGN.md": 1606}
+DOC_CEILINGS = {"README.md": 1245, "DESIGN.md": 1606}
 
 
 def _lines(path: Path) -> int:

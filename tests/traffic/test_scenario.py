@@ -1,7 +1,5 @@
 """The shared scenario driver."""
 
-import io
-
 from repro.constants import SEC
 from repro.network import Network
 from repro.scenario import drive_scenario
@@ -9,21 +7,18 @@ from repro.topology.generators import resolve_topology
 from repro.traffic.workload import TrafficConfig
 
 
-def test_drive_scenario_converges_and_launches_traffic():
+def test_drive_scenario_converges_and_launches_traffic(capsys):
     spec = resolve_topology("ring-4")
     net = Network(
         spec,
         seed=0,
         traffic=TrafficConfig(flows=20, hosts=8, duration_ns=int(0.2 * SEC)),
     )
-    stream = io.StringIO()
-    result = drive_scenario(
-        net, cuts=[(0, 1)], load_ns=int(0.3 * SEC), warn_stream=stream
-    )
+    result = drive_scenario(net, cuts=[(0, 1)], load_ns=int(0.3 * SEC))
     assert result.converged and result.reconverged
     assert result.cuts == [(0, 1)]
     assert result.warnings == []
-    assert stream.getvalue() == ""
+    assert capsys.readouterr().err == ""
     assert net.traffic.launched
     assert net.traffic_doc()["flows_completed"] > 0
 

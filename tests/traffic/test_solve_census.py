@@ -86,7 +86,7 @@ class Census:
             census.counts["crossings"] += sum(
                 pair.count * len(pair.links) for pair in pairs if pair.links
             )
-            fluid.solve_rates(pairs, crossing, load, Capacity(fluid.LINK_CAPACITY))
+            fluid.solve_rates(pairs, crossing, load)
             census.popped = False  # Pair() outside a solve sets a rate too
 
         def heappop(heap):
@@ -108,6 +108,7 @@ class Census:
         complete_run = engine.TrafficEngine._complete
         monkeypatch.setattr(engine, "Pair", CountedPair)
         monkeypatch.setattr(engine, "solve_rates", solve)
+        monkeypatch.setattr(fluid, "LINK_CAPACITY", Capacity(fluid.LINK_CAPACITY))
         monkeypatch.setattr(engine, "walk_path", walk)
         monkeypatch.setattr(engine.TrafficEngine, "_complete", complete)
         monkeypatch.setattr(fluid, "heappop", heappop)
